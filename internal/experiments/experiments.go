@@ -317,13 +317,13 @@ var Registry = map[string]func(Options) ([]Row, error){
 // Descriptions gives every registered experiment a one-line summary,
 // for the CLI's -list output. Keep in sync with Registry.
 var Descriptions = map[string]string{
-	"fig5":                 "weak-scaling makespan of the three particle-I/O variants (paper Fig. 5)",
-	"fig6":                 "communication-kernel scaling without I/O (paper Fig. 6)",
-	"fig7":                 "CG and MapReduce proxy-app scaling (paper Fig. 7)",
-	"fig8":                 "iPIC3D particle-I/O makespan at scale (paper Fig. 8)",
-	"ablation-granularity": "write-granularity sweep for the decoupled I/O group",
-	"ablation-alpha":       "I/O-group size (alpha) sweep for the decoupled variant",
-	"ablation-fcfs":        "bank arbitration policy ablation (FCFS vs fair vs priority)",
+	"fig5":                 "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)",
+	"fig6":                 "CG weak scaling: blocking and non-blocking halo exchange against the decoupled one (paper Fig. 6)",
+	"fig7":                 "iPIC3D particle communication weak scaling: reference against decoupling (paper Fig. 7)",
+	"fig8":                 "iPIC3D particle I/O weak scaling: collective and shared-pointer writes against a decoupled I/O group (paper Fig. 8)",
+	"ablation-granularity": "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction",
+	"ablation-alpha":       "decoupled group fraction (alpha) sweep on MapReduce beyond the paper's three values",
+	"ablation-fcfs":        "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)",
 	"cosched":              "co-scheduled multi-job contention on a shared bank",
 	"model":                "analytic cost-model validation against simulated makespans",
 	"recovery":             "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)",

@@ -8,38 +8,66 @@ import (
 	"repro/internal/sim"
 )
 
-// mallocsDuring reports the heap allocations performed by f, with the GC
-// disabled so pool contents survive the measurement.
-func mallocsDuring(f func()) uint64 {
-	prev := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(prev)
+// allocTrials is how many times the guards below repeat a measurement.
+const allocTrials = 5
+
+// heapDuring reports the heap allocations f performs, as a count and in
+// bytes, with the GC disabled so pool contents survive the measurement.
+// runtime.MemStats is process-wide: a background runtime allocation or
+// another P's scheduler lands in the difference, which is how a
+// zero-alloc path used to read 0.01 allocs/round in one run of three. So
+// the measurement pins one P and takes the minimum over allocTrials runs
+// of f. Such noise only ever adds, and f is deterministic, so the minimum
+// is f's own count.
+func heapDuring(f func()) (mallocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	for trial := 0; trial < allocTrials; trial++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		m, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if trial == 0 || m < mallocs {
+			mallocs = m
+		}
+		if trial == 0 || b < bytes {
+			bytes = b
+		}
+	}
+	return mallocs, bytes
 }
 
-// perRound measures the steady-state allocation cost of one round of a
-// parameterized simulation by differencing two run lengths: fixed set-up
-// costs (world construction, goroutine spawning, lazily-built wait-state
-// pools) cancel, leaving only the per-round cost. run must build, run and
-// Release a world performing `rounds` rounds.
-func perRound(t *testing.T, run func(rounds int)) float64 {
+// heapPerRound measures the steady-state allocation cost of one round of
+// a parameterized simulation, as a count and in bytes, by differencing two
+// run lengths: fixed set-up costs (world construction, goroutine spawning,
+// lazily-built wait-state pools) cancel, leaving only the per-round cost.
+// run must build, run and Release a world performing `rounds` rounds.
+func heapPerRound(t *testing.T, short, long int, run func(rounds int)) (mallocs, bytes float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation guards are meaningless under the race detector")
 	}
-	const short, long = 200, 600
 	// Warm every pool past the long run's high-water mark.
 	run(long)
 	run(long)
-	mShort := mallocsDuring(func() { run(short) })
-	mLong := mallocsDuring(func() { run(long) })
-	if mLong < mShort {
-		return 0
+	mShort, bShort := heapDuring(func() { run(short) })
+	mLong, bLong := heapDuring(func() { run(long) })
+	per := func(s, l uint64) float64 {
+		if l < s {
+			return 0
+		}
+		return float64(l-s) / float64(long-short)
 	}
-	return float64(mLong-mShort) / float64(long-short)
+	return per(mShort, mLong), per(bShort, bLong)
+}
+
+// perRound is heapPerRound's allocation count at the run lengths the
+// zero-alloc guards use.
+func perRound(t *testing.T, run func(rounds int)) float64 {
+	t.Helper()
+	mallocs, _ := heapPerRound(t, 200, 600, run)
+	return mallocs
 }
 
 // TestWaitHotPathZeroAlloc pins the goroutine-representation send/recv

@@ -195,73 +195,92 @@ func (c *Comm) gathervOn(r *Rank, proc *simProc, me, root int, part Part, tag in
 // Allgatherv collects every member's part on every rank, in comm-rank
 // order. Power-of-two sizes use recursive doubling (log P rounds with
 // doubling volumes); other sizes use a ring (P-1 rounds).
+//
+// The returned slice is one result shared by every member of the
+// communicator (see gatherState) and must not be modified.
 func (c *Comm) Allgatherv(r *Rank, part Part) []Part {
 	me := c.RankOf(r)
 	return c.allgathervOn(r, r.proc, me, part, c.nextCollTag(me))
 }
 
-// gatherBundle is the wire format for allgatherv rounds: a contiguous run
-// of parts with their owner ranks.
-type gatherBundle struct {
-	owners []int
-	parts  []Part
+// gatherKey names one allgatherv call: a collective tag is used once per
+// communicator between rebuilds.
+type gatherKey struct {
+	comm, tag int
 }
 
-// newGatherBundle seeds a rank's bundle with its own part, preallocating
-// for the p entries the recursive-doubling rounds will accumulate so the
-// per-round appends never reallocate (channel setup allgathers over the
-// full world; the growth churn was visible in stream-experiment
-// profiles).
-func newGatherBundle(me int, part Part, p int) gatherBundle {
-	owners := make([]int, 1, p)
-	parts := make([]Part, 1, p)
-	owners[0], parts[0] = me, part
-	return gatherBundle{owners: owners, parts: parts}
+// gatherState is the result of one allgatherv, shared by all members the
+// way splitState shares Split membership: the parts travel through shared
+// simulator state, their cost through the modelled messages, which carry
+// only the byte count a real implementation would have moved (DESIGN.md).
+// Each member writes its own slot on entry, before its first send, and a
+// member can only finish after hearing transitively from every other, so
+// every slot is written before any member reads the result.
+type gatherState struct {
+	parts []Part
+	left  int // members that have not taken the result yet
 }
 
-func bundleBytes(b gatherBundle) int64 {
-	var total int64
-	for _, p := range b.parts {
-		total += p.Bytes
+// gatherEnter records me's part in the shared result of the allgatherv
+// (c, tag), creating the result on the first arrival. Both process
+// representations enter and leave through this pair.
+func (c *Comm) gatherEnter(me, tag int, part Part) *gatherState {
+	w := c.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	k := gatherKey{c.id, tag}
+	st := w.gathers[k]
+	if st == nil {
+		p := len(c.members)
+		st = &gatherState{parts: make([]Part, p), left: p}
+		w.gathers[k] = st
 	}
-	return total
+	st.parts[me] = part
+	return st
+}
+
+// gatherLeave hands a finishing member the shared result; the last member
+// out drops the registry entry. An entry a failure interrupted is dropped
+// by completeRebuild instead, hence the identity check.
+func (c *Comm) gatherLeave(tag int, st *gatherState) []Part {
+	w := c.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	st.left--
+	if k := (gatherKey{c.id, tag}); st.left == 0 && w.gathers[k] == st {
+		delete(w.gathers, k)
+	}
+	return st.parts
 }
 
 func (c *Comm) allgathervOn(r *Rank, proc *simProc, me int, part Part, tag int) []Part {
 	p := len(c.members)
-	out := make([]Part, p)
-	out[me] = part
 	if p == 1 {
-		return out
+		return []Part{part}
 	}
+	st := c.gatherEnter(me, tag, part)
+	// have is the byte count of the parts this rank would hold on the wire.
+	have := part.Bytes
 	if p&(p-1) == 0 {
-		have := newGatherBundle(me, part, p)
 		for mask := 1; mask < p; mask <<= 1 {
 			peer := me ^ mask
-			sreq := c.isendFrom(r, proc, peer, tag, bundleBytes(have), have)
-			st := c.waitOn(r, proc, c.irecvFor(r, peer, tag))
+			sreq := c.isendFrom(r, proc, peer, tag, have, nil)
+			got := c.waitOn(r, proc, c.irecvFor(r, peer, tag))
 			c.waitOn(r, proc, sreq)
-			got := st.Data.(gatherBundle)
-			have.owners = append(have.owners, got.owners...)
-			have.parts = append(have.parts, got.parts...)
+			have += got.Bytes
 		}
-		for i, owner := range have.owners {
-			out[owner] = have.parts[i]
-		}
-		return out
+		return c.gatherLeave(tag, st)
 	}
 	// Ring: pass the neighbour's latest part around, P-1 steps.
-	cur := newGatherBundle(me, part, p)
 	right := (me + 1) % p
 	left := (me - 1 + p) % p
 	for step := 0; step < p-1; step++ {
-		sreq := c.isendFrom(r, proc, right, tag, bundleBytes(cur), cur)
-		st := c.waitOn(r, proc, c.irecvFor(r, left, tag))
+		sreq := c.isendFrom(r, proc, right, tag, have, nil)
+		got := c.waitOn(r, proc, c.irecvFor(r, left, tag))
 		c.waitOn(r, proc, sreq)
-		cur = st.Data.(gatherBundle)
-		out[cur.owners[0]] = cur.parts[0]
+		have = got.Bytes
 	}
-	return out
+	return c.gatherLeave(tag, st)
 }
 
 // Alltoallv sends parts[i] to comm rank i and returns the parts received

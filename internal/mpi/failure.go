@@ -335,9 +335,9 @@ func (r *Rank) failNow() sim.StepFunc {
 // until every rank of the world — survivors and restarted incarnations
 // alike — has arrived, then atomically resets all matching state, zeroes
 // every communicator's collective tag counters, discards in-flight Split
-// rendezvous, lifts the revocation, and releases all ranks together.
-// Survivors call it after Protect reports a failure; restarted bodies
-// call it first (Incarnation > 0).
+// rendezvous and allgatherv results, lifts the revocation, and releases
+// all ranks together. Survivors call it after Protect reports a failure;
+// restarted bodies call it first (Incarnation > 0).
 func (r *Rank) Rebuild() {
 	w, rs := r.w, r.rs
 	r.proc.FlushDebt()
@@ -388,9 +388,10 @@ func (w *World) completeRebuild() {
 			c.collSeq[i] = 0
 		}
 	}
-	for k := range w.splits {
-		delete(w.splits, k)
-	}
+	clear(w.splits)
+	// Collective tags restart at zero, so a result a failure interrupted
+	// must not be found by the first post-rebuild allgatherv.
+	clear(w.gathers)
 	w.rebuildArrived = 0
 	w.revoked = false
 	w.rebuildQ.Broadcast(w.eng)

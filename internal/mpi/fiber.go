@@ -540,7 +540,9 @@ func (c *Comm) fallreduceOn(r *Rank, f *sim.Fiber, me int, part Part, op ReduceO
 }
 
 // FAllgatherv is Allgatherv for fiber-backed ranks: recursive doubling
-// for power-of-two sizes, a ring otherwise, identical wire traffic.
+// for power-of-two sizes, a ring otherwise, identical wire traffic. The
+// slice delivered to then is the result shared by every member and must
+// not be modified.
 func (c *Comm) FAllgatherv(r *Rank, part Part, then func([]Part) sim.StepFunc) sim.StepFunc {
 	me := c.RankOf(r)
 	return c.fallgathervOn(r, r.fib, me, part, c.nextCollTag(me), then)
@@ -548,58 +550,47 @@ func (c *Comm) FAllgatherv(r *Rank, part Part, then func([]Part) sim.StepFunc) s
 
 func (c *Comm) fallgathervOn(r *Rank, f *sim.Fiber, me int, part Part, tag int, then func([]Part) sim.StepFunc) sim.StepFunc {
 	p := len(c.members)
-	out := make([]Part, p)
-	out[me] = part
 	if p == 1 {
-		return then(out)
+		return then([]Part{part})
 	}
+	st := c.gatherEnter(me, tag, part)
 	ov := r.w.cfg.Net.SendOverhead
-	if p&(p-1) == 0 {
-		have := newGatherBundle(me, part, p)
-		mask := 1
-		var round sim.StepFunc
-		round = func(_ *sim.Fiber) sim.StepFunc {
-			if mask >= p {
-				for i, owner := range have.owners {
-					out[owner] = have.parts[i]
-				}
-				return then(out)
-			}
-			peer := me ^ mask
-			sreq := c.isendOv(r, f, peer, tag, bundleBytes(have), have, ov)
-			rreq := c.irecvFor(r, peer, tag)
-			return c.fwaitOn(r, f, rreq, func(st Status) sim.StepFunc {
-				return c.fwaitOn(r, f, sreq, func(Status) sim.StepFunc {
-					got := st.Data.(gatherBundle)
-					have.owners = append(have.owners, got.owners...)
-					have.parts = append(have.parts, got.parts...)
-					mask <<= 1
-					return round
-				})
-			})
+	doubling := p&(p-1) == 0
+	// Recursive doubling exchanges with me^mask and accumulates the byte
+	// count; the ring sends right, receives from the left for P-1 steps
+	// and forwards the neighbour's latest part. One round is in flight at
+	// a time, so the continuations are built once per call.
+	dst, src := (me+1)%p, (me-1+p)%p
+	have := part.Bytes
+	mask, step := 1, 0
+	var sreq *Request
+	var got int64
+	var round sim.StepFunc
+	onSent := func(Status) sim.StepFunc {
+		if doubling {
+			have += got
+			mask <<= 1
+		} else {
+			have = got
+			step++
 		}
 		return round
 	}
-	// Ring: pass the neighbour's latest part around, P-1 steps.
-	cur := newGatherBundle(me, part, p)
-	right := (me + 1) % p
-	left := (me - 1 + p) % p
-	step := 0
-	var round sim.StepFunc
+	onRecv := func(rst Status) sim.StepFunc {
+		got = rst.Bytes
+		return c.fwaitOn(r, f, sreq, onSent)
+	}
 	round = func(_ *sim.Fiber) sim.StepFunc {
-		if step >= p-1 {
-			return then(out)
+		if doubling {
+			if mask >= p {
+				return then(c.gatherLeave(tag, st))
+			}
+			dst, src = me^mask, me^mask
+		} else if step >= p-1 {
+			return then(c.gatherLeave(tag, st))
 		}
-		step++
-		sreq := c.isendOv(r, f, right, tag, bundleBytes(cur), cur, ov)
-		rreq := c.irecvFor(r, left, tag)
-		return c.fwaitOn(r, f, rreq, func(st Status) sim.StepFunc {
-			return c.fwaitOn(r, f, sreq, func(Status) sim.StepFunc {
-				cur = st.Data.(gatherBundle)
-				out[cur.owners[0]] = cur.parts[0]
-				return round
-			})
-		})
+		sreq = c.isendOv(r, f, dst, tag, have, nil, ov)
+		return c.fwaitOn(r, f, c.irecvFor(r, src, tag), onRecv)
 	}
 	return round
 }
@@ -639,7 +630,8 @@ func (c *Comm) FIreduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn, 
 	return r.fib.Advance(r.w.cfg.Net.SendOverhead, func(_ *sim.Fiber) sim.StepFunc { return then(cr) })
 }
 
-// FIallgatherv is Iallgatherv for fiber-backed ranks.
+// FIallgatherv is Iallgatherv for fiber-backed ranks; the []Part result
+// is the slice shared by every member and must not be modified.
 func (c *Comm) FIallgatherv(r *Rank, part Part, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
 	me := c.RankOf(r)
 	tag := c.nextCollTag(me)

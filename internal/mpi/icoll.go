@@ -10,6 +10,9 @@ import (
 // algorithm runs on a helper process of the same rank (modelling
 // asynchronous progress, as MPICH's progress threads do), so its message
 // overheads do not occupy the rank's main process.
+//
+// The []Part value of an Iallgatherv is the one result slice shared by
+// every member of the communicator and must not be modified.
 type CollRequest struct {
 	done  bool
 	value interface{}
@@ -105,7 +108,8 @@ func (c *Comm) Ireduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn) *
 	return cr
 }
 
-// Iallgatherv starts a nonblocking allgatherv. The result value is []Part.
+// Iallgatherv starts a nonblocking allgatherv. The result value is the
+// []Part shared by every member (see Allgatherv); it must not be modified.
 func (c *Comm) Iallgatherv(r *Rank, part Part) *CollRequest {
 	me := c.RankOf(r)
 	tag := c.nextCollTag(me)

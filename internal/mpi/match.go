@@ -31,6 +31,13 @@ import "sort"
 // Bucket queues use head indices instead of slice deletions, and the
 // arrival list uses lazy deletion (consumed flags) with periodic
 // compaction, so steady-state matching allocates nothing.
+//
+// Bucket lifecycle (DESIGN.md): application and stream tags are reused, so
+// their buckets stay in the maps once created and the one-entry caches in
+// front of the maps keep hitting. Collective tags (retires) are used for
+// one collective and never again, so their buckets leave the maps the
+// moment they drain and recycle through the index's freelists: the maps
+// hold live traffic only, however many collective epochs a run executes.
 
 // matchKey identifies a matching bucket: communicator context plus source
 // and tag selectors. Posted receives use their selector values verbatim
@@ -165,33 +172,101 @@ type matchIndex struct {
 
 	// One-entry caches in front of the bucket maps: steady-state traffic
 	// reuses one selector per rank (a consumer reposting the same
-	// receive, a neighbour exchange on one tag), and buckets are never
-	// removed from the maps, so cached pointers stay valid.
+	// receive, a neighbour exchange on one tag). A cached pointer stays
+	// valid while its bucket is in the map; retiring a bucket drops it.
 	lastPostKey matchKey
 	lastPostQ   *recvFIFO
 	lastSelKey  matchKey
 	lastSelQ    *msgFIFO
+
+	// Retired (drained, single-use) buckets awaiting reuse.
+	recvQFree []*recvFIFO
+	msgQFree  []*msgFIFO
+}
+
+// retires reports whether buckets keyed by tag leave the index when they
+// drain. Tags in the collective range are single-use by construction
+// (nextCollTag never repeats one between rebuilds); every other tag,
+// AnyTag included, is reused and keeps its bucket.
+func retires(tag int) bool { return tag >= collTagBase }
+
+// postedBucket returns k's posted-receive bucket, taking a retired one or
+// allocating when the map has none.
+func (x *matchIndex) postedBucket(k matchKey) *recvFIFO {
+	if x.posted == nil {
+		x.posted = make(map[matchKey]*recvFIFO)
+	}
+	q := x.posted[k]
+	if q == nil {
+		if n := len(x.recvQFree); n > 0 {
+			q = x.recvQFree[n-1]
+			x.recvQFree = x.recvQFree[:n-1]
+		} else {
+			q = &recvFIFO{}
+		}
+		x.posted[k] = q
+	}
+	return q
+}
+
+// retirePosted removes k's drained bucket q from the index.
+func (x *matchIndex) retirePosted(k matchKey, q *recvFIFO) {
+	delete(x.posted, k)
+	x.recvQFree = append(x.recvQFree, q)
+	if x.lastPostQ == q {
+		x.lastPostQ = nil
+	}
+}
+
+// queuedBucket is postedBucket for the unexpected-message buckets.
+func (x *matchIndex) queuedBucket(k matchKey) *msgFIFO {
+	if x.queued == nil {
+		x.queued = make(map[matchKey]*msgFIFO)
+	}
+	q := x.queued[k]
+	if q == nil {
+		if n := len(x.msgQFree); n > 0 {
+			q = x.msgQFree[n-1]
+			x.msgQFree = x.msgQFree[:n-1]
+		} else {
+			q = &msgFIFO{}
+		}
+		x.queued[k] = q
+	}
+	return q
+}
+
+// retireQueued removes k's drained bucket q from the index.
+func (x *matchIndex) retireQueued(k matchKey, q *msgFIFO) {
+	delete(x.queued, k)
+	x.msgQFree = append(x.msgQFree, q)
+	if x.lastSelQ == q {
+		x.lastSelQ = nil
+	}
 }
 
 // reset returns the index to its initial state for world reuse, keeping
-// bucket-map and queue capacity. Entries still referenced (receives posted
-// but never matched at the end of a run) are dropped for the GC; pooled
-// recycling only ever happens on the matched paths.
+// bucket-map, queue and freelist capacity. Entries still referenced
+// (receives posted but never matched at the end of a run) are dropped for
+// the GC; pooled recycling only ever happens on the matched paths.
+// Single-use buckets a run left undrained retire here.
 func (x *matchIndex) reset() {
 	x.postSeq = 0
-	for _, q := range x.posted {
-		for i := range q.items {
-			q.items[i] = nil
-		}
+	for k, q := range x.posted {
+		clear(q.items)
 		q.items = q.items[:0]
 		q.head = 0
+		if retires(k.tag) {
+			x.retirePosted(k, q)
+		}
 	}
-	for _, q := range x.queued {
-		for i := range q.items {
-			q.items[i] = nil
-		}
+	for k, q := range x.queued {
+		clear(q.items)
 		q.items = q.items[:0]
 		q.head = 0
+		if retires(k.tag) {
+			x.retireQueued(k, q)
+		}
 	}
 	// Side lists are views rebuilt on demand; drop them wholesale.
 	x.side = nil
@@ -239,14 +314,7 @@ func (x *matchIndex) post(p *postedRecv) {
 	k := matchKey{p.commID, p.src, p.tag}
 	q := x.lastPostQ
 	if q == nil || k != x.lastPostKey {
-		if x.posted == nil {
-			x.posted = make(map[matchKey]*recvFIFO)
-		}
-		q = x.posted[k]
-		if q == nil {
-			q = &recvFIFO{}
-			x.posted[k] = q
-		}
+		q = x.postedBucket(k)
 		x.lastPostKey, x.lastPostQ = k, q
 	}
 	q.push(p)
@@ -261,6 +329,7 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 		return nil
 	}
 	var best *recvFIFO
+	var bestKey matchKey
 	candidates := [4]matchKey{
 		{m.commID, m.src, m.tag},
 		{m.commID, AnySource, m.tag},
@@ -277,7 +346,7 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 		}
 		if q != nil && !q.empty() {
 			if best == nil || q.peek().seq < best.peek().seq {
-				best = q
+				best, bestKey = q, k
 			}
 		}
 	}
@@ -286,20 +355,15 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 	}
 	p := best.pop()
 	x.shapes[shapeOf(p.src, p.tag)]--
+	if retires(bestKey.tag) && best.empty() {
+		x.retirePosted(bestKey, best)
+	}
 	return p
 }
 
 // addUnexpected queues a message that found no posted receive.
 func (x *matchIndex) addUnexpected(m *message) {
-	if x.queued == nil {
-		x.queued = make(map[matchKey]*msgFIFO)
-	}
-	k := m.key()
-	q := x.queued[k]
-	if q == nil {
-		q = &msgFIFO{}
-		x.queued[k] = q
-	}
+	q := x.queuedBucket(m.key())
 	q.push(m)
 	q.maybeCompact(x.live + 1)
 	if x.sideShapes[1] {
@@ -449,6 +513,16 @@ func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) *message {
 		q.popHead()
 	}
 	x.consume(m)
+	if retires(m.tag) {
+		// q is m's concrete bucket unless the selector read a side-list.
+		k, bucket := m.key(), q
+		if wildcard(src, tag) {
+			bucket = x.queued[k]
+		}
+		if bucket.first() == nil {
+			x.retireQueued(k, bucket)
+		}
+	}
 	return m
 }
 

@@ -16,6 +16,14 @@ import (
 // earliest-arrived in-flight one; FIFO per arrival order throughout).
 // Every decision the two matchers make must be identical.
 //
+// Tags are drawn on both sides of collTagBase, wildcard receives and
+// probes included: buckets of collective-range tags retire when they drain
+// and come back from the freelists (match.go), which the reference knows
+// nothing about, so retirement and the invalidation of the one-entry
+// caches are checked against it like everything else. After every
+// operation the index must hold no drained single-use bucket and no cache
+// entry that has left its map.
+//
 // The program generator respects the runtime's invariants, because the
 // index's fast paths assume them: virtual time never goes backwards,
 // non-self messages become ready in arrival order (receiver-NIC
@@ -91,11 +99,19 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 		}
 		return pick(3)
 	}
+	// Two reused application tags and two single-use collective tags.
+	tagOf := func() int {
+		v := pick(4)
+		if v >= 2 {
+			return collTagBase + v - 2
+		}
+		return v
+	}
 	tagSel := func() int {
 		if pick(4) == 3 {
 			return AnyTag
 		}
-		return pick(3)
+		return tagOf()
 	}
 
 	id := func(m *message, p *postedRecv) int {
@@ -113,8 +129,8 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 	// matchers; post posts one receive through the Irecv flow (taking a
 	// queued message when one matches). They are shared by the single-op
 	// cases and the WaitAny-shaped burst op.
-	deliver := func(op int) {
-		m := &message{commID: pick(2), src: pick(3), tag: pick(3)}
+	deliverMsg := func(op, commID, src, tag int) {
+		m := &message{commID: commID, src: src, tag: tag}
 		nextID++
 		msgID[m] = nextID
 		if pick(4) == 0 {
@@ -143,8 +159,8 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 			ref.addUnexpected(rc)
 		}
 	}
-	post := func(op int) {
-		commID, src, tag := pick(2), srcSel(), tagSel()
+	deliver := func(op int) { deliverMsg(op, pick(2), pick(3), tagOf()) }
+	postRecv := func(op, commID, src, tag int) {
 		gm := idx.takeQueued(commID, src, tag, now)
 		wm := ref.takeQueued(commID, src, tag, now)
 		if id(gm, nil) != id(wm, nil) {
@@ -165,9 +181,24 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 		idx.post(p)
 		ref.post(rp)
 	}
+	post := func(op int) { postRecv(op, pick(2), srcSel(), tagSel()) }
+	probe := func(op, commID, src, tag int) {
+		gm := idx.findQueuedReady(commID, src, tag, now)
+		_, wm := ref.findQueuedReady(commID, src, tag, now)
+		if id(gm, nil) != id(wm, nil) {
+			t.Fatalf("op %d: probe-ready (comm=%d src=%d tag=%d now=%v) saw msg %d, reference says %d",
+				op, commID, src, tag, now, id(gm, nil), id(wm, nil))
+		}
+		gm = idx.findQueued(commID, src, tag)
+		_, wm = ref.findQueued(commID, src, tag)
+		if id(gm, nil) != id(wm, nil) {
+			t.Fatalf("op %d: probe-any (comm=%d src=%d tag=%d) saw msg %d, reference says %d",
+				op, commID, src, tag, id(gm, nil), id(wm, nil))
+		}
+	}
 
 	for op := 0; op < ops; op++ {
-		switch pick(6) {
+		switch pick(7) {
 		case 0: // time passes
 			now += sim.Time(pick(16))
 		case 1, 2: // a message is delivered (the deliverAt flow)
@@ -194,19 +225,77 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 				}
 			}
 		case 4: // probes (Probe and the in-flight variant)
-			commID, src, tag := pick(2), srcSel(), tagSel()
-			gm := idx.findQueuedReady(commID, src, tag, now)
-			_, wm := ref.findQueuedReady(commID, src, tag, now)
-			if id(gm, nil) != id(wm, nil) {
-				t.Fatalf("op %d: probe-ready (comm=%d src=%d tag=%d now=%v) saw msg %d, reference says %d",
-					op, commID, src, tag, now, id(gm, nil), id(wm, nil))
+			probe(op, pick(2), srcSel(), tagSel())
+		case 6: // a ring-allgatherv-shaped epoch on one collective tag
+			// Every step posts a receive from the same neighbour on the
+			// same single-use tag and one message with that key arrives,
+			// in either order: the posted bucket (receive first) or the
+			// queued bucket (message first) drains, retires and is
+			// rebuilt from the freelist by the next step. Probes and
+			// wildcard receives on the tag land between steps, while the
+			// caches may still name a bucket that has just retired.
+			commID, src, tag := pick(2), pick(3), collTagBase+pick(2)
+			for steps := 2 + pick(4); steps > 0; steps-- {
+				switch pick(4) {
+				case 0:
+					deliverMsg(op, commID, src, tag)
+					postRecv(op, commID, src, tag)
+				case 1:
+					deliverMsg(op, commID, src, tag)
+					probe(op, commID, src, tag)
+					postRecv(op, commID, AnySource, tag)
+				case 2:
+					probe(op, commID, AnySource, tag)
+					postRecv(op, commID, src, tag)
+					deliverMsg(op, commID, src, tag)
+				default:
+					postRecv(op, commID, src, tag)
+					deliverMsg(op, commID, src, tag)
+				}
+				if pick(3) == 0 {
+					now += sim.Time(pick(8))
+				}
 			}
-			gm = idx.findQueued(commID, src, tag)
-			_, wm = ref.findQueued(commID, src, tag)
-			if id(gm, nil) != id(wm, nil) {
-				t.Fatalf("op %d: probe-any (comm=%d src=%d tag=%d) saw msg %d, reference says %d",
-					op, commID, src, tag, id(gm, nil), id(wm, nil))
-			}
+		}
+		checkBucketLifecycle(t, op, &idx)
+	}
+}
+
+// checkBucketLifecycle asserts the index's structural invariants: a
+// single-use bucket in a map holds a live entry, a retired bucket holds
+// none, and a one-entry cache names the bucket its map holds for that key.
+func checkBucketLifecycle(t *testing.T, op int, x *matchIndex) {
+	t.Helper()
+	for k, q := range x.posted {
+		if retires(k.tag) && q.empty() {
+			t.Fatalf("op %d: drained posted bucket %+v was not retired", op, k)
+		}
+	}
+	for k, q := range x.queued {
+		if retires(k.tag) && q.first() == nil {
+			t.Fatalf("op %d: drained queued bucket %+v was not retired", op, k)
+		}
+	}
+	for _, q := range x.recvQFree {
+		if !q.empty() {
+			t.Fatalf("op %d: a retired posted bucket still holds receives", op)
+		}
+	}
+	for _, q := range x.msgQFree {
+		if q.first() != nil {
+			t.Fatalf("op %d: a retired queued bucket still holds messages", op)
+		}
+	}
+	if q := x.lastPostQ; q != nil && x.posted[x.lastPostKey] != q {
+		t.Fatalf("op %d: posted cache names a bucket %+v no longer maps to", op, x.lastPostKey)
+	}
+	if q, k := x.lastSelQ, x.lastSelKey; q != nil {
+		held := x.queued[k]
+		if wildcard(k.src, k.tag) {
+			held = x.side[k]
+		}
+		if held != q {
+			t.Fatalf("op %d: selector cache names a bucket %+v no longer maps to", op, k)
 		}
 	}
 }
@@ -227,13 +316,17 @@ func TestMatchIndexAgainstLinearReference(t *testing.T) {
 func FuzzMatchIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{3, 3, 3, 1, 1, 1, 4, 4, 2, 2, 3, 3, 0, 0, 1, 3})
-	// WaitAny-shaped bursts (op 5 = 5 mod 6): pre-posted receive sets
+	// WaitAny-shaped bursts (op 5 = 5 mod 7): pre-posted receive sets
 	// with streams of arrivals and Test-then-Wait reposts, the pattern
 	// the per-request waiter lists put through the index. The selector
 	// bytes mix wildcards (3 -> AnySource/AnyTag) with concrete keys.
 	f.Add([]byte{5, 1, 0, 0, 3, 1, 1, 2, 0, 2, 1, 0, 3, 2, 5, 2, 3, 3, 3, 1, 1, 0, 0, 2})
 	f.Add([]byte{5, 2, 1, 3, 0, 0, 3, 1, 3, 0, 5, 0, 0, 1, 1, 2, 2, 0, 1, 0, 0, 3, 3, 5})
 	f.Add([]byte{5, 0, 3, 3, 0, 5, 1, 1, 2, 0, 0, 5, 2, 3, 0, 1, 5, 3, 2, 2, 1, 1, 0, 0})
+	// Ring-allgatherv-shaped epochs (op 6): one single-use tag drains and
+	// refills step after step, with probes and wildcard receives between.
+	f.Add([]byte{6, 0, 1, 0, 3, 0, 1, 1, 0, 2, 2, 3, 0, 6, 1, 2, 1, 2, 1, 0, 2, 3, 3, 1})
+	f.Add([]byte{1, 0, 1, 2, 6, 1, 1, 1, 1, 2, 0, 1, 1, 3, 0, 4, 0, 3, 2, 6, 0, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {
 			return

@@ -1,0 +1,110 @@
+package mpi
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// Machine-neutral scaling guards: the host cost of one simulated rank must
+// not grow with the world size or with the length of the run. Both are
+// exact counts of a deterministic program (heapPerRound), not timings.
+
+// allgathervBytesPerCall reports the bytes one rank allocates per
+// FAllgatherv call on a procs-rank world.
+func allgathervBytesPerCall(t *testing.T, procs int) float64 {
+	t.Helper()
+	_, bytes := heapPerRound(t, 2, 6, func(calls int) {
+		w := NewWorld(Config{Procs: procs, Seed: 3})
+		_, err := w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+			c := r.World()
+			i := 0
+			var loop sim.StepFunc
+			gathered := func([]Part) sim.StepFunc { return loop }
+			loop = func(*sim.Fiber) sim.StepFunc {
+				if i >= calls {
+					return nil
+				}
+				i++
+				return c.FAllgatherv(r, Part{Bytes: 64}, gathered)
+			}
+			return loop
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Release()
+	})
+	return bytes / float64(procs)
+}
+
+// TestAllgathervBytesPerCallIndependentOfP pins the shared result slice:
+// a rank's allgatherv allocates its continuations and a 1/P share of the
+// one result, not a P-sized result and bundle of its own (8x from 64 to
+// 512 ranks before the result was shared).
+func TestAllgathervBytesPerCallIndependentOfP(t *testing.T) {
+	small, large := allgathervBytesPerCall(t, 64), allgathervBytesPerCall(t, 512)
+	t.Logf("FAllgatherv allocates %.0f B per rank call at 64 ranks, %.0f B at 512", small, large)
+	if small <= 0 || large > 2*small {
+		t.Errorf("FAllgatherv allocates %.0f B per rank call at 512 ranks against %.0f B at 64, want at most 2x", large, small)
+	}
+}
+
+// matchBucketsAfterEpochs runs epochs FAllreduce calls on a procs-rank
+// world and reports the largest len(posted)+len(queued) any rank's match
+// index showed on entering or leaving any of its epochs.
+func matchBucketsAfterEpochs(t *testing.T, procs, epochs int) int {
+	t.Helper()
+	high := make([]int, procs)
+	w := NewWorld(Config{Procs: procs, Seed: 3})
+	_, err := w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+		c := r.World()
+		i := 0
+		var loop sim.StepFunc
+		sample := func() {
+			if n := len(r.rs.match.posted) + len(r.rs.match.queued); n > high[r.ID()] {
+				high[r.ID()] = n
+			}
+		}
+		reduced := func(Part) sim.StepFunc {
+			sample()
+			return loop
+		}
+		loop = func(*sim.Fiber) sim.StepFunc {
+			if i >= epochs {
+				return nil
+			}
+			i++
+			// Skewed compute makes early ranks' messages arrive unexpected.
+			return r.FCompute(sim.Time(r.ID()%5)*10*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
+				sample()
+				return c.FAllreduce(r, Part{Bytes: 8, Data: int64(1)}, SumInt64, nil, reduced)
+			})
+		}
+		return loop
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for _, n := range high {
+		if n > most {
+			most = n
+		}
+	}
+	return most
+}
+
+// TestMatchIndexBoundedAcrossEpochs pins bucket retirement: every
+// collective epoch uses a fresh tag, and the index used to keep one dead
+// bucket per (peer, epoch). The bucket maps must hold live traffic only,
+// so their high-water mark does not depend on how long the run is.
+func TestMatchIndexBoundedAcrossEpochs(t *testing.T) {
+	for _, procs := range []int{16, 12} { // recursive doubling; reduce + broadcast
+		few, many := matchBucketsAfterEpochs(t, procs, 50), matchBucketsAfterEpochs(t, procs, 500)
+		t.Logf("%d ranks: at most %d buckets after 50 epochs, %d after 500", procs, few, many)
+		if few != many || many > 8 {
+			t.Errorf("%d ranks: match index holds up to %d buckets over 50 epochs and %d over 500, want the same small constant", procs, few, many)
+		}
+	}
+}

@@ -258,6 +258,11 @@ type World struct {
 	files  map[string]*File
 	fs     *sim.Bank
 	stash  map[string]interface{}
+
+	// gathers holds the shared result of every allgatherv in progress
+	// (coll.go), keyed by communicator and collective tag.
+	gathers map[gatherKey]*gatherState
+
 	// external marks a world attached to a shared engine or bank: its
 	// lifecycle belongs to the owning cluster, so Release never returns it
 	// to the process-wide pool.
@@ -286,12 +291,13 @@ type World struct {
 	// shared-pointer tokens are engine-local state, so every file-using
 	// rank must be co-located (checkIOShard).
 	ioShard int
-	// mu guards the world-global registries (splits, opens, files, stash,
-	// communicator ids) that rank code on concurrently executing shards
-	// may touch at once. Registry contents stay deterministic — entries
-	// are keyed, and orderings that reach the trajectory are re-sorted by
-	// the consumers (splitRegister) — so the lock only serializes map
-	// access, it never decides an outcome. Uncontended in classic mode.
+	// mu guards the world-global registries (splits, gathers, opens, files,
+	// stash, communicator ids) that rank code on concurrently executing
+	// shards may touch at once. Registry contents stay deterministic —
+	// entries are keyed, and orderings that reach the trajectory are
+	// re-sorted by the consumers (splitRegister) — so the lock only
+	// serializes map access, it never decides an outcome. Uncontended in
+	// classic mode.
 	mu sync.Mutex
 
 	// pools is the classic mode's freelist set, embedded so existing
@@ -734,13 +740,14 @@ func NewWorld(cfg Config) *World {
 		}
 	}
 	w := &World{
-		cfg:    cfg,
-		eng:    cfg.Engine,
-		splits: make(map[string]*splitState),
-		opens:  make(map[string]*openState),
-		files:  make(map[string]*File),
-		fs:     cfg.Bank,
-		stash:  make(map[string]interface{}),
+		cfg:     cfg,
+		eng:     cfg.Engine,
+		splits:  make(map[string]*splitState),
+		gathers: make(map[gatherKey]*gatherState),
+		opens:   make(map[string]*openState),
+		files:   make(map[string]*File),
+		fs:      cfg.Bank,
+		stash:   make(map[string]interface{}),
 	}
 	w.external = external
 	w.signalDemand = cfg.Bank != nil
@@ -846,6 +853,7 @@ func (w *World) reset(cfg Config) {
 	w.eng.Reset(cfg.Seed)
 	w.comms = 0
 	clear(w.splits)
+	clear(w.gathers)
 	clear(w.opens)
 	clear(w.files)
 	clear(w.stash)

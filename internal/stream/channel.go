@@ -20,6 +20,7 @@ package stream
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -43,15 +44,91 @@ const (
 // Channel is a communication channel between a producer group and a
 // consumer group, created collectively over a parent communicator.
 type Channel struct {
-	parent    *mpi.Comm
-	producers []int // parent comm ranks, in rank order
-	consumers []int // parent comm ranks, in rank order
+	parent *mpi.Comm
+	*membership
 	prodComm  *mpi.Comm
 	consComm  *mpi.Comm
 	role      Role
 	seq       int         // channel sequence number on the parent comm
 	attachSeq map[int]int // per-rank stream attach counters (lockstep)
 	freeSeq   map[int]int // per-rank Free counters
+}
+
+// membership is the two groups of one channel. It is built once per
+// channel collective and shared, read-only, by every member's Channel:
+// the roles already reached every rank through the modelled allgatherv,
+// so the lists travel through shared simulator state (DESIGN.md).
+type membership struct {
+	producers []int // parent comm ranks, in rank order
+	consumers []int // parent comm ranks, in rank order
+	left      int   // members that have not joined yet
+}
+
+// channelRegistry is the per-parent-communicator channel bookkeeping kept
+// in the world stash: every rank's channel counter, and the membership of
+// each channel some members have yet to join.
+type channelRegistry struct {
+	seqs    map[int]int // parent comm rank -> channels created (lockstep)
+	joining map[int]*membership
+}
+
+// newChannel builds me's descriptor of the channel whose gathered roles
+// are given, shared by CreateChannel and FCreateChannel: it draws the
+// deterministic channel sequence number (channel creation is collective,
+// so every rank's counter is in the same state) and joins the channel's
+// membership, which the first member to arrive builds from roles and the
+// last removes from the registry.
+func newChannel(r *mpi.Rank, parent *mpi.Comm, role Role, me int, roles []mpi.Part) *Channel {
+	ch := &Channel{
+		parent:    parent,
+		role:      role,
+		attachSeq: make(map[int]int),
+		freeSeq:   make(map[int]int),
+	}
+	key := fmt.Sprintf("stream:channels:%d", parent.ID())
+	r.StashLocked(func(stash map[string]interface{}) {
+		reg, _ := stash[key].(*channelRegistry)
+		if reg == nil {
+			reg = &channelRegistry{seqs: make(map[int]int), joining: make(map[int]*membership)}
+			stash[key] = reg
+		}
+		reg.seqs[me]++
+		ch.seq = reg.seqs[me]
+		m := reg.joining[ch.seq]
+		if m == nil {
+			m = &membership{left: len(roles)}
+			for rank, part := range roles {
+				switch part.Data.(Role) {
+				case Producer:
+					m.producers = append(m.producers, rank)
+				case Consumer:
+					m.consumers = append(m.consumers, rank)
+				}
+			}
+			if len(m.producers) == 0 || len(m.consumers) == 0 {
+				panic("stream: channel needs at least one producer and one consumer")
+			}
+			reg.joining[ch.seq] = m
+		}
+		if m.left--; m.left == 0 {
+			delete(reg.joining, ch.seq)
+		}
+		ch.membership = m
+	})
+	return ch
+}
+
+// groupColors reports the Split colors that put role's rank into the
+// producer and consumer sub-communicators (-1 keeps it out).
+func groupColors(role Role) (prodColor, consColor int) {
+	prodColor, consColor = -1, -1
+	if role == Producer {
+		prodColor = 1
+	}
+	if role == Consumer {
+		consColor = 1
+	}
+	return prodColor, consColor
 }
 
 // CreateChannel establishes a channel over parent. Collective: every
@@ -61,48 +138,12 @@ type Channel struct {
 func CreateChannel(r *mpi.Rank, parent *mpi.Comm, role Role) *Channel {
 	me := parent.RankOf(r)
 	roles := parent.Allgatherv(r, mpi.Part{Bytes: 4, Data: role})
-	ch := &Channel{
-		parent:    parent,
-		role:      role,
-		attachSeq: make(map[int]int),
-		freeSeq:   make(map[int]int),
-	}
-	for rank, part := range roles {
-		switch part.Data.(Role) {
-		case Producer:
-			ch.producers = append(ch.producers, rank)
-		case Consumer:
-			ch.consumers = append(ch.consumers, rank)
-		}
-	}
-	if len(ch.producers) == 0 || len(ch.consumers) == 0 {
-		panic("stream: channel needs at least one producer and one consumer")
-	}
+	ch := newChannel(r, parent, role, me, roles)
 	// Sub-communicators for group-internal coordination (consumers use
 	// theirs for termination detection).
-	prodColor, consColor := -1, -1
-	if role == Producer {
-		prodColor = 1
-	}
-	if role == Consumer {
-		consColor = 1
-	}
+	prodColor, consColor := groupColors(role)
 	ch.prodComm = parent.Split(r, prodColor, me)
 	ch.consComm = parent.Split(r, consColor, me)
-
-	// Deterministic channel sequence number, shared via the world stash
-	// (channel creation is collective, so all ranks observe the same
-	// counter state).
-	key := fmt.Sprintf("stream:chanseq:%d", parent.ID())
-	r.StashLocked(func(stash map[string]interface{}) {
-		seqs, _ := stash[key].(map[int]int)
-		if seqs == nil {
-			seqs = make(map[int]int)
-			stash[key] = seqs
-		}
-		seqs[me]++
-		ch.seq = seqs[me]
-	})
 	return ch
 }
 
@@ -135,23 +176,20 @@ func (ch *Channel) Alpha() float64 {
 // ProducerIndex translates r into its index within the producer group, or
 // -1 if r is not a producer.
 func (ch *Channel) ProducerIndex(r *mpi.Rank) int {
-	me := ch.parent.RankOf(r)
-	for i, p := range ch.producers {
-		if p == me {
-			return i
-		}
-	}
-	return -1
+	return indexOf(ch.producers, ch.parent.RankOf(r))
 }
 
 // ConsumerIndex translates r into its index within the consumer group, or
 // -1 if r is not a consumer.
 func (ch *Channel) ConsumerIndex(r *mpi.Rank) int {
-	me := ch.parent.RankOf(r)
-	for i, c := range ch.consumers {
-		if c == me {
-			return i
-		}
+	return indexOf(ch.consumers, ch.parent.RankOf(r))
+}
+
+// indexOf returns the position of rank in a group list (ascending, as
+// newChannel builds them), or -1.
+func indexOf(group []int, rank int) int {
+	if i := sort.SearchInts(group, rank); i < len(group) && group[i] == rank {
+		return i
 	}
 	return -1
 }
@@ -163,16 +201,12 @@ func (ch *Channel) HomeConsumer(pi int) int {
 	return pi * len(ch.consumers) / len(ch.producers)
 }
 
-// homeProducerCount reports how many producers have consumer index ci as
-// their home.
-func (ch *Channel) homeProducerCount(ci int) int {
-	n := 0
-	for pi := range ch.producers {
-		if ch.HomeConsumer(pi) == ci {
-			n++
-		}
-	}
-	return n
+// homeProducers reports the producer indices [lo, hi) whose home is
+// consumer index ci; HomeConsumer is a block mapping, so they are
+// consecutive: pi*C/P == ci exactly when ci*P <= pi*C < (ci+1)*P.
+func (ch *Channel) homeProducers(ci int) (lo, hi int) {
+	p, c := len(ch.producers), len(ch.consumers)
+	return (ci*p + c - 1) / c, ((ci+1)*p + c - 1) / c
 }
 
 // Free releases the channel. Collective over the parent communicator

@@ -9,8 +9,6 @@
 package stream
 
 import (
-	"fmt"
-
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -26,44 +24,12 @@ type FOperator func(r *mpi.Rank, elem Element, src int, then sim.StepFunc) sim.S
 func FCreateChannel(r *mpi.Rank, parent *mpi.Comm, role Role, then func(*Channel) sim.StepFunc) sim.StepFunc {
 	me := parent.RankOf(r)
 	return parent.FAllgatherv(r, mpi.Part{Bytes: 4, Data: role}, func(roles []mpi.Part) sim.StepFunc {
-		ch := &Channel{
-			parent:    parent,
-			role:      role,
-			attachSeq: make(map[int]int),
-			freeSeq:   make(map[int]int),
-		}
-		for rank, part := range roles {
-			switch part.Data.(Role) {
-			case Producer:
-				ch.producers = append(ch.producers, rank)
-			case Consumer:
-				ch.consumers = append(ch.consumers, rank)
-			}
-		}
-		if len(ch.producers) == 0 || len(ch.consumers) == 0 {
-			panic("stream: channel needs at least one producer and one consumer")
-		}
-		prodColor, consColor := -1, -1
-		if role == Producer {
-			prodColor = 1
-		}
-		if role == Consumer {
-			consColor = 1
-		}
+		ch := newChannel(r, parent, role, me, roles)
+		prodColor, consColor := groupColors(role)
 		return parent.FSplit(r, prodColor, me, func(pc *mpi.Comm) sim.StepFunc {
 			ch.prodComm = pc
 			return parent.FSplit(r, consColor, me, func(cc *mpi.Comm) sim.StepFunc {
 				ch.consComm = cc
-				key := fmt.Sprintf("stream:chanseq:%d", parent.ID())
-				r.StashLocked(func(stash map[string]interface{}) {
-					seqs, _ := stash[key].(map[int]int)
-					if seqs == nil {
-						seqs = make(map[int]int)
-						stash[key] = seqs
-					}
-					seqs[me]++
-					ch.seq = seqs[me]
-				})
 				return then(ch)
 			})
 		})
@@ -106,7 +72,8 @@ func (s *Stream) FOperate(r *mpi.Rank, op FOperator, then func(Stats) sim.StepFu
 		return s.foperateFixed(r, op, then)
 	}
 	c := s.ch.parent
-	homeTerms := s.ch.homeProducerCount(s.consIdx)
+	lo, hi := s.ch.homeProducers(s.consIdx)
+	homeTerms := hi - lo
 	expected := int64(-1)
 	var received int64
 	totals := make([]int64, len(s.ch.consumers))
@@ -198,10 +165,8 @@ func (s *Stream) foperateFixed(r *mpi.Rank, op FOperator, then func(Stats) sim.S
 		finished bool
 	}
 	var states []*srcState
-	for pi := range s.ch.producers {
-		if s.ch.HomeConsumer(pi) == s.consIdx {
-			states = append(states, &srcState{pi: pi})
-		}
+	for pi, hi := s.ch.homeProducers(s.consIdx); pi < hi; pi++ {
+		states = append(states, &srcState{pi: pi})
 	}
 	remaining := len(states)
 	reqs := make([]*mpi.Request, 2)

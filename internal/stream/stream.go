@@ -189,7 +189,8 @@ func (s *Stream) Operate(r *mpi.Rank, op Operator) Stats {
 		return s.operateFixed(r, op)
 	}
 	c := s.ch.parent
-	homeTerms := s.ch.homeProducerCount(s.consIdx)
+	lo, hi := s.ch.homeProducers(s.consIdx)
+	homeTerms := hi - lo
 	expected := int64(-1)
 	var received int64
 	// Accumulated per-consumer totals from my home producers' records.
@@ -270,10 +271,8 @@ func (s *Stream) operateFixed(r *mpi.Rank, op Operator) Stats {
 		finished bool
 	}
 	var states []*srcState
-	for pi := range s.ch.producers {
-		if s.ch.HomeConsumer(pi) == s.consIdx {
-			states = append(states, &srcState{pi: pi})
-		}
+	for pi, hi := s.ch.homeProducers(s.consIdx); pi < hi; pi++ {
+		states = append(states, &srcState{pi: pi})
 	}
 	remaining := len(states)
 	reqs := make([]*mpi.Request, 2)
