@@ -8,8 +8,7 @@
 // to extend them, and REPRO_RUNS to average over more seeds. Sweep points
 // run concurrently across REPRO_WORKERS goroutines (default: one per
 // CPU) with bit-identical output for any worker count, and under a
-// relaxed GC target tunable with REPRO_GOGC. REPRO_FIBERS=1 runs rank
-// bodies as goroutine-free fibers (bit-identical rows, faster dispatch).
+// relaxed GC target tunable with REPRO_GOGC.
 // The full-scale sweep is also available through cmd/decouplebench.
 package repro
 

@@ -6,8 +6,7 @@
 //	decouplebench -experiment fig5 -max-procs 8192 -runs 10
 //	decouplebench -experiment all -format csv -out results.csv
 //	decouplebench -experiment cosched -jobs 3 -cosched-policy fair-wc
-//	decouplebench -compare -regress-pct 50 BENCH_PR2.json new.json
-//	decouplebench -experiment fig8 -wake broadcast -json -out legacy.json
+//	decouplebench -experiment fig8 -json -out fig8.json
 //
 // Figure 2 and 3 are trace renderings; use cmd/traceviz for those.
 package main
@@ -23,31 +22,18 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 )
-
-// fibersDefault is the -fibers default: fiber rank bodies (the soaked
-// representation), unless REPRO_FIBERS explicitly says otherwise. An
-// explicit flag on the command line overrides the environment either way.
-func fibersDefault() bool { return experiments.EnvFibers(true) }
-
-// wakeDefault folds REPRO_WAKE into the -wake default.
-func wakeDefault() string {
-	if os.Getenv("REPRO_WAKE") == "broadcast" {
-		return "broadcast"
-	}
-	return "direct"
-}
 
 // faultsEcho renders the canonical campaign spec as a CSV comment when a
 // selected experiment consumed it, so result files record the campaign
 // they were measured under (and a round trip through -faults reproduces
-// them).
+// them). resilience and recovery fall back to the default campaign on an
+// empty spec; cosched schedules faults only when one is given.
 func faultsEcho(names []string, spec string) string {
 	uses := false
 	for _, n := range names {
-		if n == "resilience" || n == "recovery" {
+		if n == "resilience" || n == "recovery" || (n == "cosched" && spec != "") {
 			uses = true
 		}
 	}
@@ -75,7 +61,6 @@ func main() {
 		maxProcs   = flag.Int("max-procs", 1024, "largest process count in the weak-scaling sweeps (paper: 8192)")
 		runs       = flag.Int("runs", 3, "repetitions per data point (paper: 10)")
 		workers    = flag.Int("workers", 0, "concurrent sweep points (0: REPRO_WORKERS or one per CPU)")
-		fibers     = flag.Bool("fibers", fibersDefault(), "run rank bodies as goroutine-free fibers (the soaked default; -fibers=false restores goroutine bodies)")
 		cores      = flag.Int("cores", 0, "fig5-fig8, cosched: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
 		jobs       = flag.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
 		coschedPol = flag.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")
@@ -84,10 +69,7 @@ func main() {
 		format     = flag.String("format", "table", "output format: table or csv")
 		out        = flag.String("out", "", "output file (default stdout)")
 		quiet      = flag.Bool("quiet", false, "suppress progress logging")
-		wake       = flag.String("wake", wakeDefault(), "request-completion wake strategy: direct (TrajectoryVersion 2) or broadcast (the legacy rank-wide parking, kept for paired A/B measurement)")
 		jsonBench  = flag.Bool("json", false, "emit a machine-readable benchmark report (name -> ns/op, events/sec) instead of figure rows")
-		compare    = flag.Bool("compare", false, "compare two -json reports (old.json new.json as positional args) and exit nonzero on regression")
-		regressPct = flag.Float64("regress-pct", 25, "with -compare: fail when an experiment's ns/op regresses by more than this percentage")
 	)
 	flag.Parse()
 
@@ -101,24 +83,6 @@ func main() {
 		}
 		fmt.Println("\n* supports -cores (conservative parallel mode)")
 		return
-	}
-
-	switch *wake {
-	case "direct":
-		mpi.SetLegacyWake(false)
-	case "broadcast":
-		mpi.SetLegacyWake(true)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -wake %q; use direct or broadcast\n", *wake)
-		os.Exit(2)
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: decouplebench -compare [-regress-pct N] old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(compareReports(flag.Arg(0), flag.Arg(1), *regressPct))
 	}
 
 	var names []string
@@ -136,18 +100,13 @@ func main() {
 	}
 
 	opts := experiments.Options{
-		MaxProcs: *maxProcs,
-		Runs:     *runs,
-		Workers:  *workers,
-		// The -fibers default already folds in REPRO_FIBERS, so the
-		// parsed flag is the fully-resolved choice (an explicit
-		// -fibers=false wins over the environment).
-		Fibers:         *fibers,
-		FibersExplicit: true,
-		Cores:          *cores,
-		CoschedJobs:    *jobs,
-		CoschedPolicy:  *coschedPol,
-		FaultSpec:      *faultSpec,
+		MaxProcs:      *maxProcs,
+		Runs:          *runs,
+		Workers:       *workers,
+		Cores:         *cores,
+		CoschedJobs:   *jobs,
+		CoschedPolicy: *coschedPol,
+		FaultSpec:     *faultSpec,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr

@@ -28,6 +28,11 @@ func TestFaultsEcho(t *testing.T) {
 		// not from -faults, so no campaign echo: echoing an unconsumed
 		// spec would record a campaign the rows were never measured under.
 		{[]string{"lossy"}, "drop-rate=0.5", ""},
+		// cosched derates the shared bank with a non-empty spec and
+		// schedules nothing on an empty one, so only the former echoes.
+		{[]string{"cosched"}, "outages=4", "outages=4"},
+		{[]string{"cosched", "fig8"}, "none", "none"},
+		{[]string{"cosched"}, "", ""},
 	}
 	for _, c := range cases {
 		if got := faultsEcho(c.names, c.spec); got != c.want {
@@ -57,27 +62,13 @@ func TestListRegistrySync(t *testing.T) {
 	}
 }
 
-// TestFibersDefaultEnv: the -fibers default folds REPRO_FIBERS, with
-// fibers as the soaked fallback.
-func TestFibersDefaultEnv(t *testing.T) {
-	t.Setenv("REPRO_FIBERS", "")
-	if !fibersDefault() {
-		t.Error("unset REPRO_FIBERS: default should be fibers")
-	}
-	t.Setenv("REPRO_FIBERS", "0")
-	if fibersDefault() {
-		t.Error("REPRO_FIBERS=0: default should be goroutines")
-	}
-}
-
 // TestCoresFlagSweep drives the same Options plumbing main builds from
 // the -cores flag through a small sharded fig8 sweep, so the race job
 // exercises the CLI-side path into parallel-mode worlds (sweep workers
 // and engine shard workers active at once).
 func TestCoresFlagSweep(t *testing.T) {
 	opts := experiments.Options{
-		MaxProcs: 32, Runs: 1, Workers: 2,
-		Fibers: true, FibersExplicit: true, Cores: 2,
+		MaxProcs: 32, Runs: 1, Workers: 2, Cores: 2,
 	}
 	rows, err := experiments.Registry["fig8"](opts)
 	if err != nil {

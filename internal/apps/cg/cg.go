@@ -79,10 +79,6 @@ type Config struct {
 	// progress engine hides it behind the inner stencil; the decoupled
 	// variant replaces the collective entirely.
 	ScanCostPerRank sim.Time
-	// Fibers selects the step-function process representation for the
-	// rank bodies (goroutine-free dispatch; trajectories are bit-identical
-	// either way). Ignored when a Tracer is configured.
-	Fibers bool
 	// Cores, when >= 1, runs the solver in the engine's conservative
 	// parallel mode with that many workers. Rows are byte-identical for
 	// any Cores >= 1; Cores == 0 keeps the classic single-engine mode.
@@ -190,14 +186,6 @@ func Run(c Config, v Variant) (Result, error) {
 	if c.Cores >= 1 && c.Tracer != nil {
 		return Result{}, &mpi.CannotShardError{Feature: "tracing", Flag: "-cores"}
 	}
-	if c.Fibers && c.Tracer == nil {
-		switch v {
-		case Blocking, Nonblocking:
-			return runReferenceFibers(c, v == Nonblocking)
-		case Decoupled:
-			return runDecoupledFibers(c)
-		}
-	}
 	switch v {
 	case Blocking, Nonblocking:
 		return runReference(c, v == Nonblocking)
@@ -220,16 +208,67 @@ func runReference(c Config, nonblocking bool) (Result, error) {
 	finished := make([]sim.Time, c.Procs)
 	inner, boundary := c.iterCompute()
 	face := c.faceBytes()
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		cart := mpi.NewCart(world, dims, true)
 		me := world.RankOf(r)
-		for it := 0; it < c.Iterations; it++ {
+		it := 0
+		// Every per-iteration continuation (halo-exchange steps, stencil
+		// phases, residual allreduces) is built once here, and the request
+		// slice is reused, so steady-state iterations allocate nothing
+		// beyond their requests.
+		var iter, exch, innerStep, boundStep, residual sim.StepFunc
+		var onRecvd func(mpi.Status) sim.StepFunc
+		var onHalosDone func([]mpi.Status) sim.StepFunc
+		var onDot1 func(mpi.Part) sim.StepFunc
+		var onDot2 func(mpi.Part) sim.StepFunc
+		reqs := make([]*mpi.Request, 0, 12)
+		k := 0
+		var exchSrc int
+		record := func(_ *sim.Fiber) sim.StepFunc {
+			finished[r.ID()] = r.Now()
+			return nil
+		}
+		// Residual aggregation: two global dot products per CG iteration.
+		onDot1 = func(mpi.Part) sim.StepFunc {
+			return world.FAllreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil, onDot2)
+		}
+		onDot2 = func(mpi.Part) sim.StepFunc { return iter }
+		residual = func(_ *sim.Fiber) sim.StepFunc {
+			return world.FAllreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil, onDot1)
+		}
+		boundStep = func(_ *sim.Fiber) sim.StepFunc {
+			return r.FComputeLabeled(boundary, "stencil-boundary", residual)
+		}
+		onHalosDone = func([]mpi.Status) sim.StepFunc { return boundStep }
+		innerStep = func(_ *sim.Fiber) sim.StepFunc {
+			return world.FWaitAll(r, reqs, onHalosDone)
+		}
+		onRecvd = func(mpi.Status) sim.StepFunc { return exch }
+		recvStep := func(_ *sim.Fiber) sim.StepFunc {
+			return world.FRecv(r, exchSrc, haloTag, onRecvd)
+		}
+		exch = func(_ *sim.Fiber) sim.StepFunc {
+			if k >= 6 {
+				return r.FComputeLabeled(inner, "stencil-inner", boundStep)
+			}
+			dim := k / 2
+			disp := -1 + 2*(k%2) // -1 first, then +1, per dimension
+			k++
+			src, dst := cart.Shift(me, dim, disp)
+			exchSrc = src
+			return world.FSend(r, dst, haloTag, face, nil, recvStep)
+		}
+		iter = func(_ *sim.Fiber) sim.StepFunc {
+			if it >= c.Iterations {
+				return record
+			}
+			it++
 			if nonblocking {
 				// Post everything, overlap the inner stencil. The
 				// all-to-all descriptor scan runs on the collective's
 				// progress engine and hides behind the stencil.
-				var reqs []*mpi.Request
+				reqs = reqs[:0]
 				for dim := 0; dim < 3; dim++ {
 					for _, disp := range []int{-1, 1} {
 						_, dst := cart.Shift(me, dim, disp)
@@ -237,31 +276,15 @@ func runReference(c Config, nonblocking bool) (Result, error) {
 						reqs = append(reqs, world.Irecv(r, mpi.AnySource, haloTag))
 					}
 				}
-				r.ComputeLabeled(inner, "stencil-inner")
-				world.WaitAll(r, reqs...)
-				r.ComputeLabeled(boundary, "stencil-boundary")
-			} else {
-				// Blocking all-to-all halo exchange: the descriptor
-				// scan over all P ranks sits on the critical path, and
-				// each receive couples this rank to a specific
-				// neighbour in dimension order.
-				r.ComputeLabeled(sim.Time(c.Procs)*c.ScanCostPerRank, "alltoall-scan")
-				for dim := 0; dim < 3; dim++ {
-					for _, disp := range []int{-1, 1} {
-						src, dst := cart.Shift(me, dim, disp)
-						world.Send(r, dst, haloTag, face, nil)
-						world.Recv(r, src, haloTag)
-					}
-				}
-				r.ComputeLabeled(inner, "stencil-inner")
-				r.ComputeLabeled(boundary, "stencil-boundary")
+				return r.FComputeLabeled(inner, "stencil-inner", innerStep)
 			}
-			// Residual aggregation: two global dot products per CG
-			// iteration.
-			world.Allreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil)
-			world.Allreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil)
+			// Blocking all-to-all halo exchange: the descriptor scan over
+			// all P ranks sits on the critical path, and each receive
+			// couples this rank to a specific neighbour in dimension order.
+			k = 0
+			return r.FComputeLabeled(sim.Time(c.Procs)*c.ScanCostPerRank, "alltoall-scan", exch)
 		}
-		finished[r.ID()] = r.Now()
+		return iter
 	})
 	if err != nil {
 		return Result{}, err
@@ -303,50 +326,76 @@ func runDecoupled(c Config) (Result, error) {
 	face := c.faceBytes()
 	finished := make([]sim.Time, c.Procs)
 	const aggTag = 4
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
 		if r.ID() >= computes {
 			role = stream.Consumer
 		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{ElementBytes: face})
-		if role == stream.Producer {
-			// Compute ranks occupy world ranks 0..computes-1, so the
-			// producer index equals the world rank and the Cartesian
-			// topology lives on the producer communicator.
-			g0 := ch.ProducerComm()
-			cart := mpi.NewCart(g0, dims, true)
-			me := g0.RankOf(r)
-			for it := 0; it < c.Iterations; it++ {
-				// Stream my six boundary faces to the helpers that own
-				// the destination ranks, then overlap the inner
-				// stencil.
-				for dim := 0; dim < 3; dim++ {
-					for _, disp := range []int{-1, 1} {
-						_, dst := cart.Shift(me, dim, disp)
-						st.IsendTo(r, stream.Element{
-							Bytes: face,
-							Data:  faceMsg{dst: dst, iter: it},
-						}, ch.HomeConsumer(dst))
-					}
-				}
-				r.ComputeLabeled(inner, "stencil-inner")
-				// One aggregated message replaces six neighbour
-				// receives (the paper's optimization in group G1).
-				world.Recv(r, mpi.AnySource, aggTag)
-				r.ComputeLabeled(boundary, "stencil-boundary")
-				// Residual aggregation stays within the compute group.
-				g0.Allreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil)
-				g0.Allreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil)
+		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
+			st := ch.Attach(r, stream.Options{ElementBytes: face})
+			finish := func(_ *sim.Fiber) sim.StepFunc {
+				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
+					finished[r.ID()] = r.Now()
+					return nil
+				})
 			}
-			st.Terminate(r)
-		} else {
+			if role == stream.Producer {
+				// Compute ranks occupy world ranks 0..computes-1, so the
+				// producer index equals the world rank and the Cartesian
+				// topology lives on the producer communicator.
+				g0 := ch.ProducerComm()
+				cart := mpi.NewCart(g0, dims, true)
+				me := g0.RankOf(r)
+				it := 0
+				// The per-iteration continuation chain (aggregated
+				// receive, boundary stencil, two residual allreduces) is
+				// built once, outside the loop.
+				var iter, innerStep, boundStep sim.StepFunc
+				var onAgg func(mpi.Status) sim.StepFunc
+				var onDot1, onDot2 func(mpi.Part) sim.StepFunc
+				onDot2 = func(mpi.Part) sim.StepFunc { return iter }
+				onDot1 = func(mpi.Part) sim.StepFunc {
+					return g0.FAllreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil, onDot2)
+				}
+				boundStep = func(_ *sim.Fiber) sim.StepFunc {
+					// Residual aggregation stays within the compute group.
+					return g0.FAllreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil, onDot1)
+				}
+				onAgg = func(mpi.Status) sim.StepFunc {
+					return r.FComputeLabeled(boundary, "stencil-boundary", boundStep)
+				}
+				innerStep = func(_ *sim.Fiber) sim.StepFunc {
+					// One aggregated message replaces six neighbour
+					// receives (the paper's optimization in group G1).
+					return world.FRecv(r, mpi.AnySource, aggTag, onAgg)
+				}
+				iter = func(_ *sim.Fiber) sim.StepFunc {
+					if it >= c.Iterations {
+						st.Terminate(r)
+						return finish
+					}
+					// Stream my six boundary faces to the helpers that own
+					// the destination ranks, then overlap the inner stencil.
+					for dim := 0; dim < 3; dim++ {
+						for _, disp := range []int{-1, 1} {
+							_, dst := cart.Shift(me, dim, disp)
+							st.IsendTo(r, stream.Element{
+								Bytes: face,
+								Data:  faceMsg{dst: dst, iter: it},
+							}, ch.HomeConsumer(dst))
+						}
+					}
+					it++
+					return r.FComputeLabeled(inner, "stencil-inner", innerStep)
+				}
+				return iter
+			}
 			// Helper: collect the six faces addressed to each of my
 			// compute ranks per iteration; return them as one message.
 			type key struct{ dst, iter int }
 			pending := make(map[key]int)
-			st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
+			return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
 				fm := e.Data.(faceMsg)
 				k := key{dst: fm.dst, iter: fm.iter}
 				pending[k]++
@@ -354,10 +403,9 @@ func runDecoupled(c Config) (Result, error) {
 					delete(pending, k)
 					world.IsendAndFree(rr, fm.dst, aggTag, 6*face, nil)
 				}
-			})
-		}
-		ch.Free(r)
-		finished[r.ID()] = r.Now()
+				return then
+			}, func(stream.Stats) sim.StepFunc { return finish })
+		})
 	})
 	if err != nil {
 		return Result{}, err

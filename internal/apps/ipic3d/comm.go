@@ -65,9 +65,6 @@ func RunCommReference(c Config) (Result, error) {
 		return Result{}, &mpi.CannotShardError{Feature: "tracing", Flag: "-cores"}
 	}
 	w := mpi.NewWorld(c.commWorldConfig(c.Procs, 0))
-	if c.Fibers && c.Tracer == nil {
-		return runCommReferenceFibers(c, w)
-	}
 	dims := dims3(c.Procs)
 	field := c.field(dims, c.Procs)
 	// finished[i] is the instant rank i's body ended: rank i writes only
@@ -75,7 +72,7 @@ func RunCommReference(c Config) (Result, error) {
 	// share a word. totalRounds is written by rank 0 alone.
 	finished := make([]sim.Time, c.Procs)
 	totalRounds := 0
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		cart := mpi.NewCart(world, dims[:], true)
 		me := world.RankOf(r)
@@ -85,48 +82,82 @@ func RunCommReference(c Config) (Result, error) {
 		packTime := func(bytes int64) sim.Time {
 			return sim.FromSeconds(float64(bytes) / c.PackRate)
 		}
-		for step := 0; step < c.Steps; step++ {
+		step := 0
+		var outbound, inbound int64
+		rounds := 0
+		got := 0
+		reqs := make([]*mpi.Request, 0, 6)
+		// Every continuation of the step/round state machine is built
+		// once, here: a closure inside the loops would allocate per round
+		// trip (the forwarding rounds are the per-message hot path).
+		var stepLoop, roundLoop, recvLoop, agree sim.StepFunc
+		var onRecv func(mpi.Status) sim.StepFunc
+		var onSent func([]mpi.Status) sim.StepFunc
+		var onAgreed func(mpi.Part) sim.StepFunc
+		startRound := sim.Then(func() {
+			outbound = int64(float64(myCount) * exitFrac)
+			rounds = 0
+		}, &roundLoop)
+		stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+			if step >= c.Steps {
+				finished[r.ID()] = r.Now()
+				return nil
+			}
+			step++
 			// Mover: update particle positions (skewed per-rank load).
-			r.ComputeLabeled(c.moverTime(myCount), "mover")
-			// Particles leaving my subdomain this step.
-			outbound := int64(float64(myCount) * exitFrac)
-			rounds := 0
-			for {
-				counts := exitCounts(outbound)
-				var reqs []*mpi.Request
-				dir := 0
-				var inbound int64
-				for dim := 0; dim < 3; dim++ {
-					for _, disp := range []int{-1, 1} {
-						_, dst := cart.Shift(me, dim, disp)
-						bytes := counts[dir] * c.ParticleBytes
-						reqs = append(reqs, world.Isend(r, dst, fwdTag, bytes, counts[dir]))
-						dir++
-					}
-				}
-				// Packing the outbound buffers costs CPU every round.
-				r.ComputeLabeled(packTime(outbound*c.ParticleBytes), "pack")
-				for i := 0; i < 6; i++ {
-					st := world.Recv(r, mpi.AnySource, fwdTag)
-					inbound += st.Data.(int64)
-				}
-				world.WaitAll(r, reqs...)
-				// Unpack and re-sort the arrivals before the next round.
-				r.ComputeLabeled(packTime(inbound*c.ParticleBytes), "unpack")
-				rounds++
-				// Diagonal movers must continue along another dimension.
-				outbound = int64(float64(inbound) * c.ForwardContinue)
-				// Global termination check, paid every round.
-				part := world.Allreduce(r, mpi.Part{Bytes: 8, Data: outbound}, mpi.SumInt64, nil)
-				if part.Data.(int64) == 0 {
-					break
-				}
-			}
-			if me == 0 {
-				totalRounds += rounds
-			}
+			return r.FComputeLabeled(c.moverTime(myCount), "mover", startRound)
 		}
-		finished[r.ID()] = r.Now()
+		startRecv := sim.Then(func() { got = 0 }, &recvLoop)
+		roundLoop = func(_ *sim.Fiber) sim.StepFunc {
+			counts := exitCounts(outbound)
+			reqs = reqs[:0]
+			dir := 0
+			inbound = 0
+			for dim := 0; dim < 3; dim++ {
+				for _, disp := range []int{-1, 1} {
+					_, dst := cart.Shift(me, dim, disp)
+					bytes := counts[dir] * c.ParticleBytes
+					reqs = append(reqs, world.Isend(r, dst, fwdTag, bytes, counts[dir]))
+					dir++
+				}
+			}
+			// Packing the outbound buffers costs CPU every round.
+			return r.FComputeLabeled(packTime(outbound*c.ParticleBytes), "pack", startRecv)
+		}
+		onRecv = func(st mpi.Status) sim.StepFunc {
+			inbound += st.Data.(int64)
+			return recvLoop
+		}
+		recvLoop = func(_ *sim.Fiber) sim.StepFunc {
+			if got < 6 {
+				got++
+				return world.FRecv(r, mpi.AnySource, fwdTag, onRecv)
+			}
+			return world.FWaitAll(r, reqs, onSent)
+		}
+		unpacked := sim.Then(func() {
+			rounds++
+			// Diagonal movers must continue along another dimension.
+			outbound = int64(float64(inbound) * c.ForwardContinue)
+		}, &agree)
+		onSent = func([]mpi.Status) sim.StepFunc {
+			// Unpack and re-sort the arrivals before the next round.
+			return r.FComputeLabeled(packTime(inbound*c.ParticleBytes), "unpack", unpacked)
+		}
+		// Global termination check, paid every round.
+		agree = func(_ *sim.Fiber) sim.StepFunc {
+			return world.FAllreduce(r, mpi.Part{Bytes: 8, Data: outbound}, mpi.SumInt64, nil, onAgreed)
+		}
+		onAgreed = func(part mpi.Part) sim.StepFunc {
+			if part.Data.(int64) == 0 {
+				if me == 0 {
+					totalRounds += rounds
+				}
+				return stepLoop
+			}
+			return roundLoop
+		}
+		return stepLoop
 	})
 	if err != nil {
 		return Result{}, err
@@ -161,86 +192,121 @@ func RunCommDecoupled(c Config) (Result, error) {
 	}
 	computes := c.Procs - helpers
 	w := mpi.NewWorld(c.commWorldConfig(computes, helpers))
-	if c.Fibers && c.Tracer == nil {
-		return runCommDecoupledFibers(c, w)
-	}
 	dims := dims3(computes)
 	field := c.field(dims, computes)
 	finished := make([]sim.Time, c.Procs)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
 		if r.ID() >= computes {
 			role = stream.Consumer
 		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{ElementBytes: c.ParticleBytes})
-		if role == stream.Producer {
-			g0 := ch.ProducerComm()
-			cart := mpi.NewCart(g0, dims[:], true)
-			me := g0.RankOf(r)
-			coords := cart.Coords(me)
-			myCount := field.Count([3]int{coords[0], coords[1], coords[2]})
-			exitFrac := field.ExitFraction([3]int{coords[0], coords[1], coords[2]}, c.Mobility)
-			// The mover emits exiting particles in bursts through the
-			// step, not only at its end: split each step's mover into
-			// six sub-phases, streaming one direction's leavers after
-			// each (the fine-grained flow of Section II-C).
-			// Arrivals are consumed opportunistically: the compute rank
-			// injects whatever aggregated particles have arrived at each
-			// step boundary instead of blocking for them, so no step is
-			// coupled to a delayed peer (the dataflow semantics of
-			// Section II-B). One aggregate per step is owed in total.
-			arrived := 0
-			pendingAgg := world.Irecv(r, mpi.AnySource, aggTag)
-			for step := 0; step < c.Steps; step++ {
-				counts := exitCounts(int64(float64(myCount) * exitFrac))
-				dir := 0
-				for dim := 0; dim < 3; dim++ {
-					for _, disp := range []int{-1, 1} {
-						r.ComputeLabeled(c.moverTime(myCount)/6, "mover")
-						_, dst := cart.Shift(me, dim, disp)
-						bytes := counts[dir] * c.ParticleBytes
-						// Packing folds into the mover sweep: exiting
-						// particles are appended to the outbound buffer
-						// as the mover finds them (application-specific
-						// optimization on the decoupled path).
-						st.IsendTo(r, stream.Element{
-							Bytes: bytes,
-							Data:  commMsg{dst: dst, step: step},
-						}, ch.HomeConsumer(dst))
-						dir++
+		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
+			st := ch.Attach(r, stream.Options{ElementBytes: c.ParticleBytes})
+			finish := func(_ *sim.Fiber) sim.StepFunc {
+				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
+					finished[r.ID()] = r.Now()
+					return nil
+				})
+			}
+			if role == stream.Producer {
+				g0 := ch.ProducerComm()
+				cart := mpi.NewCart(g0, dims[:], true)
+				me := g0.RankOf(r)
+				coords := cart.Coords(me)
+				myCount := field.Count([3]int{coords[0], coords[1], coords[2]})
+				exitFrac := field.ExitFraction([3]int{coords[0], coords[1], coords[2]}, c.Mobility)
+				// The mover emits exiting particles in bursts through the
+				// step, not only at its end: each step's mover is split
+				// into six sub-phases, streaming one direction's leavers
+				// after each (the fine-grained flow of Section II-C).
+				// Arrivals are consumed opportunistically: the compute rank
+				// injects whatever aggregated particles have arrived at each
+				// step boundary instead of blocking for them, so no step is
+				// coupled to a delayed peer (the dataflow semantics of
+				// Section II-B). One aggregate per step is owed in total.
+				arrived := 0
+				pendingAgg := world.Irecv(r, mpi.AnySource, aggTag)
+				step := 0
+				var counts [6]int64
+				k := 0
+				// All continuations are hoisted out of the loops
+				// (per-direction emit, aggregate test, drain), so a
+				// steady-state sweep step allocates nothing beyond its
+				// stream elements and requests.
+				var stepLoop, dirLoop, testLoop, drainLoop sim.StepFunc
+				var onTest func(bool, mpi.Status) sim.StepFunc
+				var onDrained func(mpi.Status) sim.StepFunc
+				emit := sim.Then(func() {
+					idx := k - 1
+					_, dst := cart.Shift(me, idx/2, -1+2*(idx%2))
+					bytes := counts[idx] * c.ParticleBytes
+					// Packing folds into the mover sweep: exiting particles
+					// are appended to the outbound buffer as the mover finds
+					// them (application-specific optimization on the
+					// decoupled path).
+					st.IsendTo(r, stream.Element{
+						Bytes: bytes,
+						Data:  commMsg{dst: dst, step: step},
+					}, ch.HomeConsumer(dst))
+				}, &dirLoop)
+				stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+					if step >= c.Steps {
+						st.Terminate(r)
+						return drainLoop
 					}
+					counts = exitCounts(int64(float64(myCount) * exitFrac))
+					k = 0
+					return dirLoop
 				}
-				for arrived < c.Steps {
-					ok, stAgg := world.Test(r, pendingAgg)
-					if !ok {
-						break
+				dirLoop = func(_ *sim.Fiber) sim.StepFunc {
+					if k >= 6 {
+						return testLoop
 					}
-					arrived++
-					_ = stAgg // arrivals integrate into the next sweep
+					k++
+					return r.FComputeLabeled(c.moverTime(myCount)/6, "mover", emit)
+				}
+				onTest = func(ok bool, _ mpi.Status) sim.StepFunc {
+					if !ok {
+						step++
+						return stepLoop
+					}
+					arrived++ // arrivals integrate into the next sweep
 					if arrived < c.Steps {
 						pendingAgg = world.Irecv(r, mpi.AnySource, aggTag)
 					}
+					return testLoop
 				}
-			}
-			st.Terminate(r)
-			// Drain the remaining aggregates before exiting.
-			for arrived < c.Steps {
-				world.Wait(r, pendingAgg)
-				arrived++
-				if arrived < c.Steps {
-					pendingAgg = world.Irecv(r, mpi.AnySource, aggTag)
+				testLoop = func(_ *sim.Fiber) sim.StepFunc {
+					if arrived >= c.Steps {
+						step++
+						return stepLoop
+					}
+					return world.FTest(r, pendingAgg, onTest)
 				}
+				onDrained = func(mpi.Status) sim.StepFunc {
+					arrived++
+					if arrived < c.Steps {
+						pendingAgg = world.Irecv(r, mpi.AnySource, aggTag)
+					}
+					return drainLoop
+				}
+				// Drain the remaining aggregates before exiting.
+				drainLoop = func(_ *sim.Fiber) sim.StepFunc {
+					if arrived >= c.Steps {
+						return finish
+					}
+					return world.FWait(r, pendingAgg, onDrained)
+				}
+				return stepLoop
 			}
-		} else {
 			// Communication group: aggregate by destination, forward in
 			// one pass once a destination's six batches for a step have
 			// arrived.
 			type key struct{ dst, step int }
 			pending := make(map[key]int)
 			volume := make(map[key]int64)
-			st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
+			return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
 				cm := e.Data.(commMsg)
 				k := key{dst: cm.dst, step: cm.step}
 				pending[k]++
@@ -250,10 +316,9 @@ func RunCommDecoupled(c Config) (Result, error) {
 					delete(pending, k)
 					delete(volume, k)
 				}
-			})
-		}
-		ch.Free(r)
-		finished[r.ID()] = r.Now()
+				return then
+			}, func(stream.Stats) sim.StepFunc { return finish })
+		})
 	})
 	if err != nil {
 		return Result{}, err

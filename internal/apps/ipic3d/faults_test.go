@@ -35,57 +35,51 @@ func testCampaign(t *testing.T, procs int) *faults.Injection {
 }
 
 // TestIOFaultsEmptyInjectionNeutral: a compiled empty plan must leave
-// every variant's trajectory byte-identical to Faults == nil, in both
-// process representations — the contract that lets fault plumbing ride
-// in every configuration without moving unfaulted results.
+// every variant's trajectory byte-identical to Faults == nil — the
+// contract that lets fault plumbing ride in every configuration without
+// moving unfaulted results.
 func TestIOFaultsEmptyInjectionNeutral(t *testing.T) {
-	for _, fibers := range []bool{false, true} {
-		for _, v := range ioVariants {
-			c := quickConfig(17)
-			c.Fibers = fibers
-			base, err := RunIO(c, v)
-			if err != nil {
-				t.Fatalf("%v fibers=%v: %v", v, fibers, err)
-			}
-			inj, err := faults.Plan{}.Compile(c.Procs, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Faults = &inj
-			same, err := RunIO(c, v)
-			if err != nil {
-				t.Fatalf("%v fibers=%v faulted: %v", v, fibers, err)
-			}
-			if same != base {
-				t.Fatalf("%v fibers=%v: empty injection moved the result: %+v vs %+v", v, fibers, same, base)
-			}
+	for _, v := range ioVariants {
+		c := quickConfig(17)
+		base, err := RunIO(c, v)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		inj, err := faults.Plan{}.Compile(c.Procs, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Faults = &inj
+		same, err := RunIO(c, v)
+		if err != nil {
+			t.Fatalf("%v faulted: %v", v, err)
+		}
+		if same != base {
+			t.Fatalf("%v: empty injection moved the result: %+v vs %+v", v, same, base)
 		}
 	}
 }
 
 // TestIOFaultsDeterministic: one compiled campaign must produce the
-// identical result across both process representations and across
-// repeated runs (which reuse pooled worlds/engines) — and must actually
-// perturb the clean trajectory, or the determinism claim is vacuous.
+// identical result across repeated runs (which reuse pooled
+// worlds/engines) — and must actually perturb the clean trajectory, or
+// the determinism claim is vacuous.
 func TestIOFaultsDeterministic(t *testing.T) {
 	inj := testCampaign(t, 17)
 	for _, v := range ioVariants {
 		var ref Result
 		first := true
 		for rep := 0; rep < 2; rep++ {
-			for _, fibers := range []bool{false, true} {
-				c := quickConfig(17)
-				c.Fibers = fibers
-				c.Faults = inj
-				res, err := RunIO(c, v)
-				if err != nil {
-					t.Fatalf("%v fibers=%v rep=%d: %v", v, fibers, rep, err)
-				}
-				if first {
-					ref, first = res, false
-				} else if res != ref {
-					t.Fatalf("%v fibers=%v rep=%d: faulted result diverged: %+v vs %+v", v, fibers, rep, res, ref)
-				}
+			c := quickConfig(17)
+			c.Faults = inj
+			res, err := RunIO(c, v)
+			if err != nil {
+				t.Fatalf("%v rep=%d: %v", v, rep, err)
+			}
+			if first {
+				ref, first = res, false
+			} else if res != ref {
+				t.Fatalf("%v rep=%d: faulted result diverged: %+v vs %+v", v, rep, res, ref)
 			}
 		}
 		clean, err := RunIO(quickConfig(17), v)

@@ -91,13 +91,7 @@ func RunIO(c Config, v IOVariant) (Result, error) {
 		mc.Shards, mc.Place = s.placement(c.Cores)
 	}
 	w := mpi.NewWorld(mc)
-	var err error
-	if c.Fibers && c.Tracer == nil {
-		_, err = w.RunFibers(s.fiberBody())
-	} else {
-		_, err = w.Run(s.body())
-	}
-	if err != nil {
+	if _, err := w.RunFibers(s.body()); err != nil {
 		return Result{}, err
 	}
 	res := s.result(w)
@@ -111,11 +105,8 @@ func (c Config) saveBytes(count int64) int64 {
 	return int64(float64(count)*c.SaveFraction) * c.ParticleBytes
 }
 
-// ioRun is one particle-I/O job's body state, shared by the goroutine and
-// fiber representations and by the single-world (RunIO) and co-scheduled
-// (StartIO) drivers. The rank bodies it builds perform exactly the
-// operation sequence the pre-extraction closures did, so single-world
-// trajectories are unchanged.
+// ioRun is one particle-I/O job's body state, shared by the single-world
+// (RunIO) and co-scheduled (StartIO) drivers.
 type ioRun struct {
 	c Config
 	v IOVariant
@@ -133,8 +124,6 @@ type ioRun struct {
 	// never share a word. finished[i] is the instant rank i's body ended;
 	// lastCompute[i] is when it finished its final mover slice. The run's
 	// makespan and I/O tail are folded from them after the engines stop.
-	// Both representations record at the same virtual instants, so the
-	// values are representation-neutral.
 	finished    []sim.Time
 	lastCompute []sim.Time
 	file        *mpi.File
@@ -209,20 +198,12 @@ func newIORun(c Config, v IOVariant) *ioRun {
 	return s
 }
 
-// body returns the goroutine rank body for the job's variant.
-func (s *ioRun) body() func(r *mpi.Rank) {
+// body returns the rank body for the job's variant.
+func (s *ioRun) body() mpi.FiberMain {
 	if s.v == IODecoupled {
 		return s.decoupledBody()
 	}
 	return s.referenceBody()
-}
-
-// fiberBody returns the fiber rank body for the job's variant (fiber.go).
-func (s *ioRun) fiberBody() mpi.FiberMain {
-	if s.v == IODecoupled {
-		return s.decoupledFiberBody()
-	}
-	return s.referenceFiberBody()
 }
 
 // result collects the job's outcome once the engine has run.
@@ -275,8 +256,9 @@ func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 		return nil, err
 	}
 	if c.Tracer != nil {
-		// Unlike RunIO there is no goroutine fallback to thread spans
-		// through here; refuse rather than silently dropping the tracer.
+		// Spans carry a rank but no job, so co-scheduled worlds would
+		// interleave on one timeline; refuse rather than silently
+		// dropping the tracer.
 		return nil, fmt.Errorf("ipic3d: tracing is not supported in co-scheduled runs")
 	}
 	base.Procs = c.Procs
@@ -306,11 +288,7 @@ func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 		base.Place = s.groupPlace(base.Group.Shards(), base.Job)
 	}
 	w := mpi.NewWorld(base)
-	if c.Fibers {
-		w.StartFibers(s.fiberBody())
-	} else {
-		w.Start(s.body())
-	}
+	w.StartFibers(s.body())
 	return &IOJob{run: s, w: w}, nil
 }
 
@@ -323,31 +301,41 @@ func (j *IOJob) Result() Result { return j.run.result(j.w) }
 
 // referenceBody: every process moves its particles, then saves them with
 // the chosen MPI-IO path before the next step.
-func (s *ioRun) referenceBody() func(r *mpi.Rank) {
+func (s *ioRun) referenceBody() mpi.FiberMain {
 	c, v := s.c, s.v
-	return func(r *mpi.Rank) {
+	return func(r *mpi.Rank, fib *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		cart := mpi.NewCart(world, s.dims[:], true)
 		coords := cart.Coords(world.RankOf(r))
 		myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
-		f := world.Open(r, "particles.dat")
-		s.file = f
-		out := c.saveBytes(myCount)
-		for step := 0; step < c.Steps; step++ {
-			r.ComputeLabeled(c.moverTime(myCount), "mover")
-			if step == c.Steps-1 {
-				s.noteCompute(r)
+		return world.FOpen(r, "particles.dat", func(f *mpi.File) sim.StepFunc {
+			s.file = f
+			out := c.saveBytes(myCount)
+			step := 0
+			var stepLoop, save sim.StepFunc
+			save = func(_ *sim.Fiber) sim.StepFunc {
+				// save runs at the mover's completion instant.
+				if step == c.Steps {
+					s.noteCompute(r)
+				}
+				if v == IOCollective {
+					// Two-phase collective write; the embedded allgatherv
+					// is the per-step file-view recalculation the paper
+					// describes.
+					return f.FWriteAll(r, out, stepLoop)
+				}
+				return f.FWriteShared(r, out, stepLoop)
 			}
-			if v == IOCollective {
-				// Two-phase collective write; the embedded allgatherv is
-				// the per-step file-view recalculation the paper
-				// describes.
-				f.WriteAll(r, out)
-			} else {
-				f.WriteShared(r, out)
+			stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+				if step >= c.Steps {
+					s.noteFinish(r)
+					return nil
+				}
+				step++
+				return r.FComputeLabeled(c.moverTime(myCount), "mover", save)
 			}
-		}
-		s.noteFinish(r)
+			return stepLoop
+		})
 	}
 }
 
@@ -355,59 +343,84 @@ func (s *ioRun) referenceBody() func(r *mpi.Rank) {
 // the mover produces it; the I/O group buffers several steps' arrivals and
 // flushes them in large shared writes, overlapping file-system time with
 // the computation of subsequent steps.
-func (s *ioRun) decoupledBody() func(r *mpi.Rank) {
+func (s *ioRun) decoupledBody() mpi.FiberMain {
 	c := s.c
 	computes, ioProcs := s.computes, s.ioProcs
-	return func(r *mpi.Rank) {
+	return func(r *mpi.Rank, fib *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
 		if r.ID() >= computes {
 			role = stream.Consumer
 		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{})
-		if role == stream.Producer {
-			g0 := ch.ProducerComm()
-			cart := mpi.NewCart(g0, s.dims[:], true)
-			coords := cart.Coords(g0.RankOf(r))
-			myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
-			out := c.saveBytes(myCount)
-			for step := 0; step < c.Steps; step++ {
-				// The mover emits output in bursts through the step.
-				for burst := 0; burst < 4; burst++ {
-					r.ComputeLabeled(c.moverTime(myCount)/4, "mover")
-					if step == c.Steps-1 && burst == 3 {
+		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
+			st := ch.Attach(r, stream.Options{})
+			finish := func(_ *sim.Fiber) sim.StepFunc {
+				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
+					s.noteFinish(r)
+					return nil
+				})
+			}
+			if role == stream.Producer {
+				g0 := ch.ProducerComm()
+				cart := mpi.NewCart(g0, s.dims[:], true)
+				coords := cart.Coords(g0.RankOf(r))
+				myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
+				out := c.saveBytes(myCount)
+				step, burst := 0, 0
+				var stepLoop sim.StepFunc
+				emit := func(_ *sim.Fiber) sim.StepFunc {
+					// Runs at the burst's compute-completion instant; the
+					// final burst of the final step is the producer's last
+					// mover work.
+					if step == c.Steps-1 && burst == 4 {
 						s.noteCompute(r)
 					}
 					st.Isend(r, stream.Element{Bytes: out / 4})
 					if r.Reliable() {
-						r.WaitSendWindow(relWindow)
+						return r.FWaitSendWindow(relWindow, stepLoop)
 					}
+					return stepLoop
 				}
+				stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+					if step >= c.Steps {
+						st.Terminate(r)
+						return finish
+					}
+					// The mover emits output in bursts through the step.
+					if burst >= 4 {
+						burst = 0
+						step++
+						return stepLoop
+					}
+					burst++
+					return r.FComputeLabeled(c.moverTime(myCount)/4, "mover", emit)
+				}
+				return stepLoop
 			}
-			st.Terminate(r)
-		} else {
-			f := ch.ConsumerComm().Open(r, "particles.dat")
-			s.file = f
-			// Aggressive buffering: flush one large shared write per
-			// BufferSteps steps' worth of my producers' output, while
-			// the compute group keeps working.
-			perProducerStep := c.saveBytes(c.ParticlesPerProc)
-			producersHere := int64((computes + ioProcs - 1) / ioProcs)
-			threshold := int64(c.BufferSteps) * perProducerStep * producersHere
-			var buffered int64
-			st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
-				buffered += e.Bytes
-				if buffered >= threshold {
-					f.WriteShared(rr, buffered)
-					buffered = 0
-				}
+			return ch.ConsumerComm().FOpen(r, "particles.dat", func(f *mpi.File) sim.StepFunc {
+				s.file = f
+				// Aggressive buffering: flush one large shared write per
+				// BufferSteps steps' worth of my producers' output, while
+				// the compute group keeps working.
+				perProducerStep := c.saveBytes(c.ParticlesPerProc)
+				producersHere := int64((computes + ioProcs - 1) / ioProcs)
+				threshold := int64(c.BufferSteps) * perProducerStep * producersHere
+				var buffered int64
+				return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
+					buffered += e.Bytes
+					if buffered >= threshold {
+						b := buffered
+						buffered = 0
+						return f.FWriteShared(rr, b, then)
+					}
+					return then
+				}, func(stream.Stats) sim.StepFunc {
+					if buffered > 0 {
+						return f.FWriteShared(r, buffered, finish)
+					}
+					return finish
+				})
 			})
-			if buffered > 0 {
-				f.WriteShared(r, buffered)
-			}
-		}
-		ch.Free(r)
-		s.noteFinish(r)
+		})
 	}
 }

@@ -56,10 +56,6 @@ type Config struct {
 	// buffers before flushing one large write ("the I/O group ... can
 	// dedicate substantial memory for buffering").
 	BufferSteps int
-	// Fibers selects the step-function process representation for the
-	// rank bodies (goroutine-free dispatch; trajectories are bit-identical
-	// either way). Ignored when a Tracer is configured.
-	Fibers bool
 	// Cores, when >= 1, runs the I/O (RunIO) and particle-communication
 	// (RunCommReference/RunCommDecoupled) experiments in the engine's
 	// conservative parallel mode with that many workers. Rows are

@@ -239,26 +239,23 @@ func TestFig2TraceShape(t *testing.T) {
 
 // TestIOCoresDeterminism pins the parallel-mode contract at the app
 // layer: every Fig. 8 variant produces identical results for any worker
-// count >= 1, in both process representations.
+// count >= 1.
 func TestIOCoresDeterminism(t *testing.T) {
 	for _, v := range []IOVariant{IOCollective, IOShared, IODecoupled} {
-		for _, fibers := range []bool{false, true} {
-			c := quickConfig(32)
-			c.Fibers = fibers
-			c.Cores = 1
-			ref, err := RunIO(c, v)
+		c := quickConfig(32)
+		c.Cores = 1
+		ref, err := RunIO(c, v)
+		if err != nil {
+			t.Fatalf("%v cores=1: %v", v, err)
+		}
+		for _, cores := range []int{2, 4, 8} {
+			c.Cores = cores
+			got, err := RunIO(c, v)
 			if err != nil {
-				t.Fatalf("%v fibers=%v cores=1: %v", v, fibers, err)
+				t.Fatalf("%v cores=%d: %v", v, cores, err)
 			}
-			for _, cores := range []int{2, 4, 8} {
-				c.Cores = cores
-				got, err := RunIO(c, v)
-				if err != nil {
-					t.Fatalf("%v fibers=%v cores=%d: %v", v, fibers, cores, err)
-				}
-				if got != ref {
-					t.Errorf("%v fibers=%v cores=%d: %+v != cores=1 %+v", v, fibers, cores, got, ref)
-				}
+			if got != ref {
+				t.Errorf("%v cores=%d: %+v != cores=1 %+v", v, cores, got, ref)
 			}
 		}
 	}

@@ -106,13 +106,7 @@ func RunRecovery(c Config, v IOVariant, ckptEvery int) (RecoveryResult, error) {
 	}
 	w := mpi.NewWorld(mc)
 	s := newRecRun(c, v, ckptEvery)
-	var err error
-	if c.Fibers {
-		_, err = w.RunFibers(s.fiberBody())
-	} else {
-		_, err = w.Run(s.body())
-	}
-	if err != nil {
+	if _, err := w.RunFibers(s.body()); err != nil {
 		return RecoveryResult{}, err
 	}
 	res := s.result(w)
@@ -120,10 +114,9 @@ func RunRecovery(c Config, v IOVariant, ckptEvery int) (RecoveryResult, error) {
 	return res, nil
 }
 
-// recRun is one recovery job's state, shared by both representations.
-// Everything here is the job's stable storage: rank bodies (and their
-// respawned incarnations) read and write it, and committed is the
-// globally agreed restart point.
+// recRun is one recovery job's state. Everything here is the job's
+// stable storage: rank bodies (and their respawned incarnations) read
+// and write it, and committed is the globally agreed restart point.
 type recRun struct {
 	c         Config
 	v         IOVariant
@@ -245,37 +238,45 @@ func (s *recRun) result(w *mpi.World) RecoveryResult {
 	}
 }
 
-// body returns the goroutine rank body for the job's variant.
-func (s *recRun) body() func(r *mpi.Rank) {
-	var attempt func(r *mpi.Rank)
-	if s.v == IODecoupled {
-		attempt = s.decoupledAttempt
-	} else {
-		attempt = s.referenceAttempt
-	}
-	return func(r *mpi.Rank) {
-		if r.Incarnation() > 0 {
-			// A respawned victim: join the survivors' rebuild rendezvous
-			// before replaying from the last checkpoint.
-			s.restarts++
-			r.Rebuild()
+// body returns the rank body for the job's variant: the attempt inside
+// a protect scope that, on a peer failure, notes it, joins the rebuild
+// rendezvous and replays from the last committed step.
+func (s *recRun) body() mpi.FiberMain {
+	return func(r *mpi.Rank, fib *sim.Fiber) sim.StepFunc {
+		var attempt sim.StepFunc
+		if s.v == IODecoupled {
+			attempt = s.decoupledAttempt(r)
+		} else {
+			attempt = s.referenceAttempt(r)
 		}
-		for {
-			err := r.Protect(func() { attempt(r) })
-			if err == nil {
-				break
-			}
+		var onFail func(error) sim.StepFunc
+		onFail = func(err error) sim.StepFunc {
 			rf, ok := err.(*mpi.RankFailedError)
 			if !ok {
 				panic(err)
 			}
 			s.failovers++
 			s.noteFailure(rf)
-			r.Rebuild()
+			return r.FRebuild(r.FProtect(attempt, onFail))
 		}
+		start := r.FProtect(attempt, onFail)
+		if r.Incarnation() > 0 {
+			// A respawned victim: join the survivors' rebuild rendezvous
+			// before replaying from the last checkpoint.
+			s.restarts++
+			return r.FRebuild(start)
+		}
+		return start
+	}
+}
+
+// recFinish records the rank's completion instant.
+func (s *recRun) recFinish(r *mpi.Rank) sim.StepFunc {
+	return func(_ *sim.Fiber) sim.StepFunc {
 		if t := r.Now(); t > s.makespan {
 			s.makespan = t
 		}
+		return nil
 	}
 }
 
@@ -284,7 +285,7 @@ func (s *recRun) body() func(r *mpi.Rank) {
 // closed by a commit barrier. Every (re)entry starts with the collective
 // Open, which both resolves the shared file and synchronizes the
 // attempt across ranks.
-func (s *recRun) referenceAttempt(r *mpi.Rank) {
+func (s *recRun) referenceAttempt(r *mpi.Rank) sim.StepFunc {
 	c, v := s.c, s.v
 	world := r.World()
 	cart := mpi.NewCart(world, s.dims[:], true)
@@ -292,26 +293,51 @@ func (s *recRun) referenceAttempt(r *mpi.Rank) {
 	myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
 	mt := c.moverTime(myCount)
 	out := s.ckptBytes(myCount)
-	f := world.Open(r, recCkptFile)
-	s.file = f
-	for s.committed < c.Steps {
-		to := s.segEnd(s.committed)
-		for i := s.committed; i < to; i++ {
-			r.ComputeLabeled(mt, "mover")
-			s.totalCompute += mt
-		}
-		if v == IOCollective {
-			f.WriteAll(r, out)
-		} else {
-			f.WriteShared(r, out)
-		}
-		// The commit barrier: once every rank's state for this segment
-		// is written, the step counter moves. A crash before the barrier
-		// replays the whole segment; after it, none of it.
-		world.Barrier(r)
-		r.CheckFailed()
-		s.committed = to
-		s.bankCommitted = to
+	finish := s.recFinish(r)
+	return func(_ *sim.Fiber) sim.StepFunc {
+		return world.FOpen(r, recCkptFile, func(f *mpi.File) sim.StepFunc {
+			s.file = f
+			i, to := 0, 0
+			var segLoop, stepLoop, write, commit sim.StepFunc
+			counted := func(_ *sim.Fiber) sim.StepFunc {
+				s.totalCompute += mt
+				return stepLoop
+			}
+			segLoop = func(_ *sim.Fiber) sim.StepFunc {
+				if s.committed >= c.Steps {
+					return finish
+				}
+				i = s.committed
+				to = s.segEnd(i)
+				return stepLoop
+			}
+			stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+				if i >= to {
+					return write
+				}
+				i++
+				return r.FComputeLabeled(mt, "mover", counted)
+			}
+			write = func(_ *sim.Fiber) sim.StepFunc {
+				if v == IOCollective {
+					return f.FWriteAll(r, out, commit)
+				}
+				return f.FWriteShared(r, out, commit)
+			}
+			// The commit barrier: once every rank's state for this segment
+			// is written, the step counter moves. A crash before the barrier
+			// replays the whole segment; after it, none of it.
+			commit = func(_ *sim.Fiber) sim.StepFunc {
+				return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
+					return r.FCheckFailed(func(_ *sim.Fiber) sim.StepFunc {
+						s.committed = to
+						s.bankCommitted = to
+						return segLoop
+					})
+				})
+			}
+			return segLoop
+		})
 	}
 }
 
@@ -324,81 +350,125 @@ func (s *recRun) referenceAttempt(r *mpi.Rank) {
 // flush pipelines across stripes) and advance the bank commit. The
 // closing world barrier holds the job open until the final snapshot is
 // durable.
-func (s *recRun) decoupledAttempt(r *mpi.Rank) {
+func (s *recRun) decoupledAttempt(r *mpi.Rank) sim.StepFunc {
 	c := s.c
 	world := r.World()
 	color := 0
 	if r.ID() >= s.computes {
 		color = 1
 	}
-	f := world.Open(r, recCkptFile)
-	s.file = f
-	group := world.Split(r, color, r.ID())
-	if color == 0 {
-		g := group.RankOf(r)
-		myCount := s.prodCount(g)
-		mt := c.moverTime(myCount)
-		out := s.ckptBytes(myCount)
-		home := s.ioHome(g)
-		for local := s.committed; local < c.Steps; local++ {
-			r.ComputeLabeled(mt, "mover")
-			s.totalCompute += mt
-			// Fire-and-forget shipment: this step's state plus the step
-			// it advances the memory commit to. Commit authority stays
-			// with the I/O group — if the world fails before the group
-			// absorbs it, replay resumes below local+1 and the send is
-			// redone.
-			world.IsendAndFree(r, home, recCkptTag, out, local+1)
-			r.CheckFailed()
-		}
-	} else {
-		// acked[g] is the highest step producer g has shipped state for;
-		// arrival order across producers is free, so a fast producer's
-		// future steps are absorbed as they come (buffering is the point
-		// of the I/O group).
-		acked := make([]int, s.computes)
-		for g := range acked {
-			acked[g] = s.committed
-		}
-		mine := func(g int) bool { return s.ioHome(g) == r.ID() }
-		for s.committed < c.Steps {
-			next := s.committed + 1
-			outstanding := 0
-			for g := 0; g < s.computes; g++ {
-				if mine(g) && acked[g] < next {
-					outstanding++
+	return func(_ *sim.Fiber) sim.StepFunc {
+		return world.FOpen(r, recCkptFile, func(f *mpi.File) sim.StepFunc {
+			s.file = f
+			return world.FSplit(r, color, r.ID(), func(group *mpi.Comm) sim.StepFunc {
+				finish := func(_ *sim.Fiber) sim.StepFunc {
+					return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
+						return r.FCheckFailed(s.recFinish(r))
+					})
 				}
-			}
-			for outstanding > 0 {
-				st := world.Recv(r, mpi.AnySource, recCkptTag)
-				prev := acked[st.Source]
-				if v, _ := st.Data.(int); v > prev {
-					acked[st.Source] = v
-				}
-				if prev < next && acked[st.Source] >= next {
-					outstanding--
-				}
-			}
-			flush := next%s.ckptEvery == 0 || next == c.Steps
-			if flush {
-				// Periodic durability: the current in-memory snapshot of
-				// my producers goes to the bank, one write per producer.
-				for g := 0; g < s.computes; g++ {
-					if mine(g) {
-						f.WriteShared(r, s.ckptBytes(s.prodCount(g)))
+				if color == 0 {
+					g := group.RankOf(r)
+					myCount := s.prodCount(g)
+					mt := c.moverTime(myCount)
+					out := s.ckptBytes(myCount)
+					home := s.ioHome(g)
+					local := s.committed
+					var stepLoop sim.StepFunc
+					counted := func(_ *sim.Fiber) sim.StepFunc {
+						s.totalCompute += mt
+						local++
+						// Fire-and-forget shipment: this step's state plus
+						// the step it advances the memory commit to. Commit
+						// authority stays with the I/O group — if the world
+						// fails before the group absorbs it, replay resumes
+						// below local and the send is redone.
+						world.IsendAndFree(r, home, recCkptTag, out, local)
+						return r.FCheckFailed(stepLoop)
 					}
+					stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+						if local >= c.Steps {
+							return finish
+						}
+						return r.FComputeLabeled(mt, "mover", counted)
+					}
+					return stepLoop
 				}
-			}
-			// All I/O ranks have absorbed (and, on flush steps, written)
-			// this step before anyone commits it.
-			group.Barrier(r)
-			r.CheckFailed()
-			s.committed = next
-			if flush {
-				s.bankCommitted = next
-			}
-		}
+				// acked[g] is the highest step producer g has shipped state
+				// for; arrival order across producers is free, so a fast
+				// producer's future steps are absorbed as they come
+				// (buffering is the point of the I/O group).
+				acked := make([]int, s.computes)
+				for g := range acked {
+					acked[g] = s.committed
+				}
+				mine := func(g int) bool { return s.ioHome(g) == r.ID() }
+				next := 0
+				outstanding := 0
+				flushing := false
+				flushG := 0
+				var stepLoop, collect, flush sim.StepFunc
+				// All I/O ranks have absorbed (and, on flush steps, written)
+				// this step before anyone commits it.
+				commit := func(_ *sim.Fiber) sim.StepFunc {
+					return group.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
+						return r.FCheckFailed(func(_ *sim.Fiber) sim.StepFunc {
+							s.committed = next
+							if flushing {
+								s.bankCommitted = next
+							}
+							return stepLoop
+						})
+					})
+				}
+				onRecv := func(st mpi.Status) sim.StepFunc {
+					prev := acked[st.Source]
+					if v, _ := st.Data.(int); v > prev {
+						acked[st.Source] = v
+					}
+					if prev < next && acked[st.Source] >= next {
+						outstanding--
+					}
+					return collect
+				}
+				stepLoop = func(_ *sim.Fiber) sim.StepFunc {
+					if s.committed >= c.Steps {
+						return finish
+					}
+					next = s.committed + 1
+					outstanding = 0
+					for g := 0; g < s.computes; g++ {
+						if mine(g) && acked[g] < next {
+							outstanding++
+						}
+					}
+					return collect
+				}
+				collect = func(f2 *sim.Fiber) sim.StepFunc {
+					if outstanding > 0 {
+						return world.FRecv(r, mpi.AnySource, recCkptTag, onRecv)
+					}
+					flushing = next%s.ckptEvery == 0 || next == c.Steps
+					flushG = 0
+					return flush(f2)
+				}
+				// Periodic durability: the current in-memory snapshot of my
+				// producers goes to the bank, one write per producer.
+				flush = func(f2 *sim.Fiber) sim.StepFunc {
+					if !flushing {
+						return commit(f2)
+					}
+					for flushG < s.computes && !mine(flushG) {
+						flushG++
+					}
+					if flushG >= s.computes {
+						return commit(f2)
+					}
+					g := flushG
+					flushG++
+					return f.FWriteShared(r, s.ckptBytes(s.prodCount(g)), flush)
+				}
+				return stepLoop
+			})
+		})
 	}
-	world.Barrier(r)
-	r.CheckFailed()
 }

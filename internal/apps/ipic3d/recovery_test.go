@@ -10,10 +10,9 @@ import (
 
 // recTestConfig is a small recovery workload: big enough that a crash
 // lands mid-run, small enough for -race CI.
-func recTestConfig(fibers bool) Config {
+func recTestConfig() Config {
 	c := DefaultConfig(8)
 	c.Steps = 8
-	c.Fibers = fibers
 	return c
 }
 
@@ -29,7 +28,7 @@ func crashAtThird(base sim.Time, target int) *faults.Injection {
 // waste nothing, restart nobody, and write Steps/ckptEvery checkpoints.
 func TestRecoveryCleanRun(t *testing.T) {
 	for _, v := range []IOVariant{IOCollective, IOShared, IODecoupled} {
-		res, err := RunRecovery(recTestConfig(false), v, 3)
+		res, err := RunRecovery(recTestConfig(), v, 3)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -51,11 +50,11 @@ func TestRecoveryCleanRun(t *testing.T) {
 // every variant.
 func TestRecoveryUnderCrash(t *testing.T) {
 	for _, v := range []IOVariant{IOCollective, IOShared, IODecoupled} {
-		clean, err := RunRecovery(recTestConfig(false), v, 3)
+		clean, err := RunRecovery(recTestConfig(), v, 3)
 		if err != nil {
 			t.Fatalf("%v clean: %v", v, err)
 		}
-		c := recTestConfig(false)
+		c := recTestConfig()
 		c.Faults = crashAtThird(clean.Time, 2)
 		res, err := RunRecovery(c, v, 3)
 		if err != nil {
@@ -81,29 +80,26 @@ func TestRecoveryUnderCrash(t *testing.T) {
 
 // TestRecoveryReplayAcrossRepresentations is the app-level replay
 // contract: a fixed crash campaign produces the identical
-// RecoveryResult under goroutine bodies, fiber bodies, and pooled
-// world reuse, for every variant.
+// RecoveryResult on every run, pooled world reuse included, for every
+// variant.
 func TestRecoveryReplayAcrossRepresentations(t *testing.T) {
 	for _, v := range []IOVariant{IOCollective, IOShared, IODecoupled} {
-		clean, err := RunRecovery(recTestConfig(false), v, 3)
+		clean, err := RunRecovery(recTestConfig(), v, 3)
 		if err != nil {
 			t.Fatalf("%v clean: %v", v, err)
 		}
-		run := func(fibers bool) RecoveryResult {
-			c := recTestConfig(fibers)
+		run := func() RecoveryResult {
+			c := recTestConfig()
 			c.Faults = crashAtThird(clean.Time, 1)
 			res, err := RunRecovery(c, v, 3)
 			if err != nil {
-				t.Fatalf("%v fibers=%v: %v", v, fibers, err)
+				t.Fatalf("%v: %v", v, err)
 			}
 			return res
 		}
-		first := run(false)
-		if again := run(false); again != first {
+		first := run()
+		if again := run(); again != first {
 			t.Errorf("%v: pooled-reuse replay diverged:\n%+v\n%+v", v, again, first)
-		}
-		if fib := run(true); fib != first {
-			t.Errorf("%v: fiber replay diverged:\n%+v\n%+v", v, fib, first)
 		}
 	}
 }
@@ -111,7 +107,7 @@ func TestRecoveryReplayAcrossRepresentations(t *testing.T) {
 // TestRunIORejectsCrashCampaign: the plain Fig. 8 runners must refuse
 // crash-carrying campaigns (their bodies cannot recover).
 func TestRunIORejectsCrashCampaign(t *testing.T) {
-	c := recTestConfig(false)
+	c := recTestConfig()
 	c.Faults = crashAtThird(sim.Second, 0)
 	if _, err := RunIO(c, IOShared); err == nil {
 		t.Error("RunIO accepted a crash campaign")

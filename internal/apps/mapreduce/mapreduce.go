@@ -80,10 +80,6 @@ type Config struct {
 	// ImbalanceCoV is the coefficient of variation of per-process input
 	// shares, modelling the 256 MB - 1 GB file-size skew of the corpus.
 	ImbalanceCoV float64
-	// Fibers selects the step-function process representation for the
-	// rank bodies (goroutine-free dispatch; trajectories are bit-identical
-	// either way). Ignored when a Tracer is configured.
-	Fibers bool
 	// Cores, when >= 1, runs the job in the engine's conservative
 	// parallel mode with that many workers. Rows are byte-identical for
 	// any Cores >= 1; Cores == 0 keeps the classic single-engine mode.
@@ -219,18 +215,31 @@ func (c Config) inputShares(n int) []int64 {
 }
 
 // mapFile charges the map compute for one file in chunk-sized pieces,
-// invoking emit after each chunk with the chunk's intermediate KV bytes.
-func mapFile(r *mpi.Rank, c Config, bytes int64, emit func(chunkKV int64)) {
-	for off := int64(0); off < bytes; off += c.ChunkBytes {
-		chunk := c.ChunkBytes
-		if off+chunk > bytes {
-			chunk = bytes - off
-		}
-		r.ComputeLabeled(sim.FromSeconds(float64(chunk)/c.MapRate), "map")
+// invoking emit (if non-nil; emissions never block) after each chunk with
+// the chunk's intermediate KV bytes, then continues with done. The emit
+// continuation is hoisted out of the loop, so mapping allocates nothing
+// per chunk.
+func mapFile(r *mpi.Rank, c Config, bytes int64, emit func(chunkKV int64), done sim.StepFunc) sim.StepFunc {
+	off := int64(0)
+	chunk := int64(0)
+	var loop sim.StepFunc
+	emitStep := sim.Then(func() {
 		if emit != nil {
 			emit(int64(float64(chunk) * c.EmitRatio))
 		}
+	}, &loop)
+	loop = func(_ *sim.Fiber) sim.StepFunc {
+		if off >= bytes {
+			return done
+		}
+		chunk = c.ChunkBytes
+		if off+chunk > bytes {
+			chunk = bytes - off
+		}
+		off += c.ChunkBytes
+		return r.FComputeLabeled(sim.FromSeconds(float64(chunk)/c.MapRate), "map", emitStep)
 	}
+	return loop
 }
 
 // RunReference executes the conventional implementation.
@@ -243,28 +252,33 @@ func RunReference(c Config) (Result, error) {
 	}
 	corpus := c.corpus()
 	w := mpi.NewWorld(c.worldConfig(c.Procs, 0))
-	if c.Fibers && c.Tracer == nil {
-		return runReferenceFibers(c, w)
-	}
 	// finished[i] is the instant rank i's body ended: rank i writes only
 	// slot i, so ranks hosted on different parallel-mode workers never
 	// share a word. The makespan folds after the engines stop.
 	finished := make([]sim.Time, c.Procs)
 	shares := c.inputShares(c.Procs)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		// Map phase: process my share of the corpus to completion.
-		mapFile(r, c, shares[r.ID()], nil)
-		// Build the global key set (all P processes participate; the
-		// gathered volume grows linearly with P).
-		kr := world.Iallgatherv(r, mpi.Part{Bytes: c.KeyBytesPerProc})
-		world.WaitColl(r, kr)
-		// Aggregate the dense global histogram (log P combine levels on
-		// the critical path, each transferring and merging the vector).
-		rr := world.Ireduce(r, 0, mpi.Part{Bytes: c.GlobalKeyBytes}, mpi.SumInt64,
-			mpi.LinearCost(sim.Time(float64(sim.Second)/c.MergeRate)))
-		world.WaitColl(r, rr)
-		finished[r.ID()] = r.Now()
+		return mapFile(r, c, shares[r.ID()], nil, func(_ *sim.Fiber) sim.StepFunc {
+			// Build the global key set (all P processes participate; the
+			// gathered volume grows linearly with P).
+			return world.FIallgatherv(r, mpi.Part{Bytes: c.KeyBytesPerProc}, func(kr *mpi.CollRequest) sim.StepFunc {
+				return world.FWaitColl(r, kr, func(interface{}) sim.StepFunc {
+					// Aggregate the dense global histogram (log P combine
+					// levels on the critical path, each transferring and
+					// merging the vector).
+					return world.FIreduce(r, 0, mpi.Part{Bytes: c.GlobalKeyBytes}, mpi.SumInt64,
+						mpi.LinearCost(sim.Time(float64(sim.Second)/c.MergeRate)),
+						func(rr *mpi.CollRequest) sim.StepFunc {
+							return world.FWaitColl(r, rr, func(interface{}) sim.StepFunc {
+								finished[r.ID()] = r.Now()
+								return nil
+							})
+						})
+				})
+			})
+		})
 	})
 	if err != nil {
 		return Result{}, err
@@ -293,9 +307,6 @@ func RunDecoupled(c Config) (Result, error) {
 	}
 	mappers := c.Procs - reducers
 	w := mpi.NewWorld(c.worldConfig(mappers, reducers))
-	if c.Fibers && c.Tracer == nil {
-		return runDecoupledFibers(c, w)
-	}
 	finished := make([]sim.Time, c.Procs)
 	// elems[i] is rank i's stream-element count (consumers only); like
 	// finished it is strictly per-rank, so sharded workers never race.
@@ -304,76 +315,109 @@ func RunDecoupled(c Config) (Result, error) {
 	// masterWorld is the world rank of the reduce group's master: the
 	// first consumer rank.
 	masterWorld := mappers
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
 		if r.ID() >= mappers {
 			role = stream.Consumer
 		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{
-			ElementBytes:   int64(float64(c.ChunkBytes) * c.EmitRatio),
-			InjectOverhead: 200 * sim.Nanosecond,
+		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
+			st := ch.Attach(r, stream.Options{
+				ElementBytes:   int64(float64(c.ChunkBytes) * c.EmitRatio),
+				InjectOverhead: 200 * sim.Nanosecond,
+			})
+			mergeCost := func(bytes int64) sim.Time {
+				return sim.FromSeconds(float64(bytes) / c.StreamMergeRate)
+			}
+			finish := func(_ *sim.Fiber) sim.StepFunc {
+				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
+					finished[r.ID()] = r.Now()
+					return nil
+				})
+			}
+			switch {
+			case role == stream.Producer:
+				pi := ch.ProducerIndex(r)
+				// Shard chunks over the local reducers (consumer indices
+				// 1..C-1; the master at index 0 aggregates only). With a
+				// single consumer it does double duty.
+				shards := ch.Consumers() - 1
+				base := 1
+				if shards == 0 {
+					shards, base = 1, 0
+				}
+				chunkSeq := pi // stagger shard assignment across mappers
+				return mapFile(r, c, shares[pi], func(kv int64) {
+					st.IsendTo(r, stream.Element{Bytes: kv}, base+chunkSeq%shards)
+					chunkSeq++
+				}, func(_ *sim.Fiber) sim.StepFunc {
+					st.Terminate(r)
+					return finish
+				})
+			case ch.ConsumerIndex(r) == 0 && ch.Consumers() > 1:
+				// Master: drain the (empty) stream to participate in
+				// termination, then aggregate reducer updates until every
+				// reducer reports done.
+				return st.FOperate(r, func(_ *mpi.Rank, _ stream.Element, _ int, then sim.StepFunc) sim.StepFunc {
+					return then
+				}, func(stream.Stats) sim.StepFunc {
+					var updates, expected int64
+					done := 0
+					upReq := world.Irecv(r, mpi.AnySource, updateTag)
+					doneReq := world.Irecv(r, mpi.AnySource, doneTag)
+					reqs := make([]*mpi.Request, 2)
+					// The drain loop's continuations are hoisted so the
+					// master allocates nothing per aggregated update.
+					var drain sim.StepFunc
+					var onMsg func(int, mpi.Status) sim.StepFunc
+					repost := sim.Then(func() {
+						upReq = world.Irecv(r, mpi.AnySource, updateTag)
+					}, &drain)
+					onMsg = func(idx int, stt mpi.Status) sim.StepFunc {
+						if idx == 0 {
+							updates++
+							return r.FComputeLabeled(c.UpdateCost, "master-update", repost)
+						}
+						expected += stt.Data.(int64)
+						done++
+						doneReq = world.Irecv(r, mpi.AnySource, doneTag)
+						return drain
+					}
+					drain = func(_ *sim.Fiber) sim.StepFunc {
+						if done >= reducers-1 && updates >= expected {
+							return finish
+						}
+						reqs[0], reqs[1] = upReq, doneReq
+						return world.FWaitAny(r, reqs, onMsg)
+					}
+					return drain
+				})
+			default:
+				// Local reducer: merge arrivals on the fly, forwarding an
+				// unaggregated update record to the master per element.
+				// The post-merge continuation is hoisted (the operator's
+				// `then` is threaded through a captured slot), so reducing
+				// allocates nothing per element.
+				var myUpdates int64
+				var mergeThen sim.StepFunc
+				merged := sim.Then(func() {
+					if ch.Consumers() > 1 {
+						world.IsendAndFree(r, masterWorld, updateTag, c.UpdateBytes, nil)
+						myUpdates++
+					}
+				}, &mergeThen)
+				return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
+					mergeThen = then
+					return rr.FComputeLabeled(mergeCost(e.Bytes), "reduce", merged)
+				}, func(stats stream.Stats) sim.StepFunc {
+					elems[r.ID()] = stats.ElementsReceived
+					if ch.Consumers() > 1 {
+						return world.FSend(r, masterWorld, doneTag, 8, myUpdates, finish)
+					}
+					return finish
+				})
+			}
 		})
-		mergeCost := func(bytes int64) sim.Time {
-			return sim.FromSeconds(float64(bytes) / c.StreamMergeRate)
-		}
-		switch {
-		case role == stream.Producer:
-			pi := ch.ProducerIndex(r)
-			// Shard chunks over the local reducers (consumer indices
-			// 1..C-1; the master at index 0 aggregates only). With a
-			// single consumer it does double duty.
-			shards := ch.Consumers() - 1
-			base := 1
-			if shards == 0 {
-				shards, base = 1, 0
-			}
-			chunkSeq := pi // stagger shard assignment across mappers
-			mapFile(r, c, shares[pi], func(kv int64) {
-				st.IsendTo(r, stream.Element{Bytes: kv}, base+chunkSeq%shards)
-				chunkSeq++
-			})
-			st.Terminate(r)
-		case ch.ConsumerIndex(r) == 0 && ch.Consumers() > 1:
-			// Master: drain the (empty) stream to participate in
-			// termination, then aggregate reducer updates until every
-			// reducer reports done.
-			st.Operate(r, func(*mpi.Rank, stream.Element, int) {})
-			var updates, expected int64
-			done := 0
-			upReq := world.Irecv(r, mpi.AnySource, updateTag)
-			doneReq := world.Irecv(r, mpi.AnySource, doneTag)
-			for done < reducers-1 || updates < expected {
-				idx, stt := world.WaitAny(r, []*mpi.Request{upReq, doneReq})
-				if idx == 0 {
-					updates++
-					r.ComputeLabeled(c.UpdateCost, "master-update")
-					upReq = world.Irecv(r, mpi.AnySource, updateTag)
-				} else {
-					expected += stt.Data.(int64)
-					done++
-					doneReq = world.Irecv(r, mpi.AnySource, doneTag)
-				}
-			}
-		default:
-			// Local reducer: merge arrivals on the fly, forwarding an
-			// unaggregated update record to the master per element.
-			var myUpdates int64
-			stats := st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
-				rr.ComputeLabeled(mergeCost(e.Bytes), "reduce")
-				if ch.Consumers() > 1 {
-					world.IsendAndFree(rr, masterWorld, updateTag, c.UpdateBytes, nil)
-					myUpdates++
-				}
-			})
-			elems[r.ID()] = stats.ElementsReceived
-			if ch.Consumers() > 1 {
-				world.Send(r, masterWorld, doneTag, 8, myUpdates)
-			}
-		}
-		ch.Free(r)
-		finished[r.ID()] = r.Now()
 	})
 	if err != nil {
 		return Result{}, err

@@ -16,10 +16,9 @@ import (
 // decJob builds a decoupled iPIC3D particle-I/O job (Fig. 8's Decoupling
 // variant) for co-scheduling tests. heavy inflates the job's output
 // volume so it hogs the shared bank.
-func decJob(procs int, seed int64, fibers, heavy bool) Job {
+func decJob(procs int, seed int64, heavy bool) Job {
 	c := ipic3d.DefaultConfig(procs)
 	c.Seed = seed
-	c.Fibers = fibers
 	if heavy {
 		c.SaveFraction = 0.5
 	}
@@ -36,52 +35,49 @@ func decJob(procs int, seed int64, fibers, heavy bool) Job {
 // same simulation as the standalone single-world run — same engine seed,
 // same bank behavior — so the job's completion time must be identical.
 func TestSingleJobClusterMatchesStandalone(t *testing.T) {
-	for _, fibers := range []bool{false, true} {
-		c := ipic3d.DefaultConfig(16)
-		c.Seed = 3
-		c.Fibers = fibers
-		want, err := ipic3d.RunIO(c, ipic3d.IODecoupled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Config{Seed: c.Seed, Jobs: []Job{decJob(16, 3, fibers, false)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.JobTimes[0] != want.Time {
-			t.Errorf("fibers=%v: cluster job time %v != standalone %v", fibers, res.JobTimes[0], want.Time)
-		}
-		if res.Makespan != want.Time {
-			t.Errorf("fibers=%v: cluster makespan %v != standalone %v", fibers, res.Makespan, want.Time)
-		}
+	c := ipic3d.DefaultConfig(16)
+	c.Seed = 3
+	want, err := ipic3d.RunIO(c, ipic3d.IODecoupled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{Seed: c.Seed, Jobs: []Job{decJob(16, 3, false)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JobTimes[0] != want.Time {
+		t.Errorf("cluster job time %v != standalone %v", res.JobTimes[0], want.Time)
+	}
+	if res.Makespan != want.Time {
+		t.Errorf("cluster makespan %v != standalone %v", res.Makespan, want.Time)
 	}
 }
 
 // TestClusterDeterministicAcrossRunsAndRepresentations: repeated runs of
-// the same configuration — including engine-pool reuse and the fiber
-// representation — produce identical per-job trajectories.
+// the same configuration — including engine-pool reuse — produce
+// identical per-job trajectories.
 func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
-	build := func(fibers bool) Config {
+	build := func() Config {
 		return Config{
 			Seed:    7,
 			Stripes: 2,
 			Policy:  sim.BankFair,
 			Jobs: []Job{
-				decJob(16, 11, fibers, true),
-				decJob(16, 12, fibers, false),
-				decJob(8, 13, fibers, false),
+				decJob(16, 11, true),
+				decJob(16, 12, false),
+				decJob(8, 13, false),
 			},
 		}
 	}
-	first, err := Run(build(false))
+	first, err := Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A different-shaped run in between exercises engine Reset reuse.
-	if _, err := Run(Config{Seed: 1, Jobs: []Job{decJob(8, 5, false, false)}}); err != nil {
+	if _, err := Run(Config{Seed: 1, Jobs: []Job{decJob(8, 5, false)}}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(build(false))
+	again, err := Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,18 +87,6 @@ func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
 	for i := range first.JobTimes {
 		if first.JobTimes[i] != again.JobTimes[i] {
 			t.Errorf("job %d time drifted across pooled reruns: %v != %v", i, first.JobTimes[i], again.JobTimes[i])
-		}
-	}
-	fib, err := Run(build(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fib.Makespan != first.Makespan {
-		t.Errorf("fiber makespan %v != goroutine %v", fib.Makespan, first.Makespan)
-	}
-	for i := range first.JobTimes {
-		if fib.JobTimes[i] != first.JobTimes[i] {
-			t.Errorf("job %d: fiber time %v != goroutine %v", i, fib.JobTimes[i], first.JobTimes[i])
 		}
 	}
 }
@@ -203,7 +187,7 @@ func TestDeadlockNamesWorld(t *testing.T) {
 		})
 		return w, nil
 	}}
-	_, err := Run(Config{Seed: 2, Jobs: []Job{decJob(8, 4, false, false), stuck}})
+	_, err := Run(Config{Seed: 2, Jobs: []Job{decJob(8, 4, false), stuck}})
 	var dl *sim.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("expected a deadlock error, got %v", err)
@@ -220,11 +204,11 @@ func TestStartFailureUnwinds(t *testing.T) {
 	boom := Job{Start: func(base mpi.Config) (*mpi.World, error) {
 		return nil, errors.New("boom")
 	}}
-	_, err := Run(Config{Seed: 3, Jobs: []Job{decJob(8, 6, false, false), boom}})
+	_, err := Run(Config{Seed: 3, Jobs: []Job{decJob(8, 6, false), boom}})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected the job error, got %v", err)
 	}
-	if _, err := Run(Config{Seed: 3, Jobs: []Job{decJob(8, 6, false, false)}}); err != nil {
+	if _, err := Run(Config{Seed: 3, Jobs: []Job{decJob(8, 6, false)}}); err != nil {
 		t.Fatalf("cluster unusable after start failure: %v", err)
 	}
 }
@@ -294,7 +278,7 @@ func TestRunErrorUnwindsAndReuses(t *testing.T) {
 	if n := settleGoroutines(t, baseline); n > baseline+2 {
 		t.Errorf("deadlocked runs leaked goroutines: %d before, %d after", baseline, n)
 	}
-	res, err := Run(Config{Seed: 3, Jobs: []Job{decJob(8, 6, false, false)}})
+	res, err := Run(Config{Seed: 3, Jobs: []Job{decJob(8, 6, false)}})
 	if err != nil {
 		t.Fatalf("healthy run after deadlocked runs failed: %v", err)
 	}

@@ -36,7 +36,6 @@ func TestFiberAppBodySteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation guards are meaningless under the race detector")
 	}
 	base := DefaultSynthetic(8)
-	base.Fibers = true
 	run := func(elements int64) {
 		c := base
 		c.D = elements * c.S

@@ -8,73 +8,48 @@ import (
 	"repro/internal/mpi"
 )
 
+// renderCores renders an experiment's rows with the given worker count.
+func renderCores(t *testing.T, name string, opts Options, cores int) []byte {
+	t.Helper()
+	opts.Cores = cores
+	if testing.Short() {
+		opts.Runs = 1 // the race-checked CI job runs -short
+	}
+	return renderRows(t, name, opts)
+}
+
 // TestCoresRowsBitIdentical is the determinism contract for the engine's
 // conservative parallel mode at the experiment level: fig8 regenerated
-// with 1, 2, 4 and 8 workers — in both process representations — must
-// produce byte-identical row output. (Cores >= 1 is its own trajectory
-// family: every cross-rank delivery carries the sender's program order
-// as a tie-break priority, so the classic Cores == 0 rows are pinned by
-// the other suites, not compared here.)
+// with 1, 2, 4 and 8 workers must produce byte-identical row output.
+// (Cores >= 1 is its own trajectory family: every cross-rank delivery
+// carries the sender's program order as a tie-break priority, so the
+// classic Cores == 0 rows are pinned by the other suites, not compared
+// here.)
 func TestCoresRowsBitIdentical(t *testing.T) {
-	t.Setenv("REPRO_FIBERS", "0")
-	for _, fibers := range []bool{false, true} {
-		render := func(cores int) []byte {
-			opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, Fibers: fibers, FibersExplicit: true, Cores: cores}
-			if testing.Short() {
-				opts.Runs = 1 // the race-checked CI job runs -short
-			}
-			rows, err := Registry["fig8"](opts)
-			if err != nil {
-				t.Fatalf("fibers=%v cores=%d: %v", fibers, cores, err)
-			}
-			var buf bytes.Buffer
-			if err := FormatCSV(&buf, rows); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		ref := render(1)
-		for _, cores := range []int{2, 4, 8} {
-			if got := render(cores); !bytes.Equal(got, ref) {
-				t.Errorf("fibers=%v: rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
-					fibers, cores, ref, cores, got)
-			}
+	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2}
+	ref := renderCores(t, "fig8", opts, 1)
+	for _, cores := range []int{2, 4, 8} {
+		if got := renderCores(t, "fig8", opts, cores); !bytes.Equal(got, ref) {
+			t.Errorf("rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
+				cores, ref, cores, got)
 		}
 	}
 }
 
 // TestFigCoresRowsBitIdentical extends the parallel-mode determinism
 // contract to the other weak-scaling figures: fig5, fig6 and fig7
-// regenerated with 1, 2, 4 and 8 workers — in both process
-// representations — must produce byte-identical row output. These
-// experiments involve no shared file, so their sharded trajectory family
-// coincides with the classic one; the Cores == 0 rendering is held to
-// the same bytes to pin that down.
+// regenerated with 1, 2, 4 and 8 workers must produce byte-identical row
+// output. These experiments involve no shared file, so their sharded
+// trajectory family coincides with the classic one; the Cores == 0
+// rendering is held to the same bytes to pin that down.
 func TestFigCoresRowsBitIdentical(t *testing.T) {
-	t.Setenv("REPRO_FIBERS", "0")
+	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2}
 	for _, name := range []string{"fig5", "fig6", "fig7"} {
-		for _, fibers := range []bool{false, true} {
-			render := func(cores int) []byte {
-				opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, Fibers: fibers, FibersExplicit: true, Cores: cores}
-				if testing.Short() {
-					opts.Runs = 1
-				}
-				rows, err := Registry[name](opts)
-				if err != nil {
-					t.Fatalf("%s fibers=%v cores=%d: %v", name, fibers, cores, err)
-				}
-				var buf bytes.Buffer
-				if err := FormatCSV(&buf, rows); err != nil {
-					t.Fatal(err)
-				}
-				return buf.Bytes()
-			}
-			ref := render(1)
-			for _, cores := range []int{0, 2, 4, 8} {
-				if got := render(cores); !bytes.Equal(got, ref) {
-					t.Errorf("%s fibers=%v: rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
-						name, fibers, cores, ref, cores, got)
-				}
+		ref := renderCores(t, name, opts, 1)
+		for _, cores := range []int{0, 2, 4, 8} {
+			if got := renderCores(t, name, opts, cores); !bytes.Equal(got, ref) {
+				t.Errorf("%s: rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
+					name, cores, ref, cores, got)
 			}
 		}
 	}
@@ -83,37 +58,19 @@ func TestFigCoresRowsBitIdentical(t *testing.T) {
 // TestCoschedCoresRowsBitIdentical is the sharded co-scheduling
 // determinism contract: the cosched sweep — all five inter-job bank
 // policies, with their cross-shard reservation and demand-signal
-// traffic — regenerated with 1, 2, 4 and 8 workers in both process
-// representations must produce byte-identical row output. (The sharded
-// bank spends a lookahead window each way per reservation, so Cores >= 1
-// is its own trajectory family; the classic Cores == 0 rows are pinned
-// by the cosched golden suite, not compared here.)
+// traffic — regenerated with 1, 2, 4 and 8 workers must produce
+// byte-identical row output. (The sharded bank spends a lookahead window
+// each way per reservation, so Cores >= 1 is its own trajectory family;
+// the classic Cores == 0 rows are pinned by the cosched golden suite,
+// not compared here.)
 func TestCoschedCoresRowsBitIdentical(t *testing.T) {
-	t.Setenv("REPRO_FIBERS", "0")
-	for _, fibers := range []bool{false, true} {
-		render := func(cores int) []byte {
-			// CoschedPolicy left empty sweeps all five policies.
-			opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, Fibers: fibers, FibersExplicit: true,
-				CoschedJobs: 2, Cores: cores}
-			if testing.Short() {
-				opts.Runs = 1
-			}
-			rows, err := Registry["cosched"](opts)
-			if err != nil {
-				t.Fatalf("fibers=%v cores=%d: %v", fibers, cores, err)
-			}
-			var buf bytes.Buffer
-			if err := FormatCSV(&buf, rows); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		ref := render(1)
-		for _, cores := range []int{2, 4, 8} {
-			if got := render(cores); !bytes.Equal(got, ref) {
-				t.Errorf("fibers=%v: cosched rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
-					fibers, cores, ref, cores, got)
-			}
+	// CoschedPolicy left empty sweeps all five policies.
+	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, CoschedJobs: 2}
+	ref := renderCores(t, "cosched", opts, 1)
+	for _, cores := range []int{2, 4, 8} {
+		if got := renderCores(t, "cosched", opts, cores); !bytes.Equal(got, ref) {
+			t.Errorf("cosched rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
+				cores, ref, cores, got)
 		}
 	}
 }

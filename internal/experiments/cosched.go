@@ -43,10 +43,9 @@ const coschedPerJobProcs = 16
 // save, no down-sampling), the rest save a quarter of their particles.
 // Every job flushes each step and computes fast, so the bank — not the
 // mover — is the contended resource.
-func coschedJobConfig(i int, seed int64, fibers bool) ipic3d.Config {
+func coschedJobConfig(i int, seed int64) ipic3d.Config {
 	c := ipic3d.DefaultConfig(coschedPerJobProcs)
 	c.Seed = seed*101 + int64(i)
-	c.Fibers = fibers
 	c.MoveRate = 4e6
 	c.BufferSteps = 1
 	if i == 0 {
@@ -67,8 +66,8 @@ func coschedJobName(i int) string {
 
 // coschedJob wraps job i as a cluster job. Under the priority policy the
 // light jobs outrank the hog 4:1.
-func coschedJob(i int, seed int64, fibers bool) cluster.Job {
-	c := coschedJobConfig(i, seed, fibers)
+func coschedJob(i int, seed int64) cluster.Job {
+	c := coschedJobConfig(i, seed)
 	weight := 4.0
 	if i == 0 {
 		weight = 1.0
@@ -92,7 +91,6 @@ func coschedJob(i int, seed int64, fibers bool) cluster.Job {
 // policy — so every configuration of the sweep shares one computation
 // per key instead of re-running it per policy and per job count.
 type coschedBaselines struct {
-	fibers bool
 	// cores is the cluster's parallel-mode worker count (0 = classic).
 	// One baseline set serves one Cosched invocation, so it is fixed for
 	// every entry; baselines must run in the same trajectory family as
@@ -127,7 +125,7 @@ func (b *coschedBaselines) get(job, stripes int, seed int64) (float64, error) {
 	b.mu.Unlock()
 	e.once.Do(func() {
 		alone, err := cluster.Run(cluster.Config{
-			Jobs:    []cluster.Job{coschedJob(job, seed, b.fibers)},
+			Jobs:    []cluster.Job{coschedJob(job, seed)},
 			Stripes: stripes,
 			Seed:    seed,
 			Cores:   b.cores,
@@ -152,8 +150,7 @@ type coschedOutcome struct {
 // baseline: a job whose solo run takes zero time is reported as
 // slowdown 1 when co-scheduling also leaves it at zero (unaffected),
 // and as the co-scheduled seconds themselves otherwise — finite either
-// way, so a degenerate configuration cannot write ±Inf into the CSV or
-// poison decouplebench -compare.
+// way, so a degenerate configuration cannot write ±Inf into the CSV.
 func slowdownRatio(shared, alone float64) float64 {
 	if alone == 0 {
 		if shared == 0 {
@@ -174,7 +171,7 @@ func slowdownRatio(shared, alone float64) float64 {
 func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, base *coschedBaselines, spec *faults.Spec) (coschedOutcome, error) {
 	cjobs := make([]cluster.Job, jobs)
 	for i := range cjobs {
-		cjobs[i] = coschedJob(i, seed, base.fibers)
+		cjobs[i] = coschedJob(i, seed)
 	}
 	var sf [][]sim.StripeFault
 	if spec != nil {
@@ -252,7 +249,7 @@ func (m *coschedMemo) get(seed int64) (coschedOutcome, error) {
 // 1/n..1, where 1 means perfectly even values. The degenerate inputs —
 // an empty slice or all-zero values, where the formula reads 0/0 — are
 // defined as 1 (the all-equal limit), so they cannot write NaN into the
-// CSV or poison decouplebench -compare.
+// CSV.
 func jain(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
@@ -295,7 +292,7 @@ func Cosched(opts Options) ([]Row, error) {
 			fspec = &sp
 		}
 	}
-	base := &coschedBaselines{fibers: opts.Fibers, cores: opts.Cores}
+	base := &coschedBaselines{cores: opts.Cores}
 	var points []point
 	for _, jc := range jobCounts {
 		for _, stripes := range []int{1, 4} {

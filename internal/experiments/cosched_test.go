@@ -47,11 +47,11 @@ func TestSlowdownRatioDegenerateBaseline(t *testing.T) {
 // coschedScenario runs the examples/cosched job mix — one full-save hog
 // plus two down-sampled light jobs on a narrow shared bank — under one
 // policy and reports per-job completion times.
-func coschedScenario(t *testing.T, policy sim.BankPolicy, stripes int, fibers bool) cluster.Result {
+func coschedScenario(t *testing.T, policy sim.BankPolicy, stripes int) cluster.Result {
 	t.Helper()
 	cjobs := make([]cluster.Job, 3)
 	for i := range cjobs {
-		cjobs[i] = coschedJob(i, 1, fibers)
+		cjobs[i] = coschedJob(i, 1)
 	}
 	res, err := cluster.Run(cluster.Config{Jobs: cjobs, Policy: policy, Stripes: stripes, Seed: 1})
 	if err != nil {
@@ -62,8 +62,7 @@ func coschedScenario(t *testing.T, policy sim.BankPolicy, stripes int, fibers bo
 
 // TestCoschedStaticPoliciesByteIdenticalToPR4 pins the fcfs, fair and
 // priority trajectories of the cosched hog + 2-lights scenario to the
-// per-job completion times recorded from the PR 4 build, for both
-// process representations. The work-conserving policies and their
+// per-job completion times recorded from the PR 4 build. The work-conserving policies and their
 // demand plumbing are additive: the demand hooks are pure bookkeeping,
 // so the pre-existing policies must not move by a nanosecond (and
 // TrajectoryVersion stays at 2).
@@ -82,15 +81,13 @@ func TestCoschedStaticPoliciesByteIdenticalToPR4(t *testing.T) {
 			4: {5532422071, 1259593676, 1126918276},
 		},
 	}
-	for _, fibers := range []bool{false, true} {
-		for policy, byStripes := range want {
-			for stripes, times := range byStripes {
-				res := coschedScenario(t, policy, stripes, fibers)
-				for i, w := range times {
-					if res.JobTimes[i] != w {
-						t.Errorf("fibers=%v %v stripes=%d job %d finished at %d, PR4 recorded %d",
-							fibers, policy, stripes, i, res.JobTimes[i], w)
-					}
+	for policy, byStripes := range want {
+		for stripes, times := range byStripes {
+			res := coschedScenario(t, policy, stripes)
+			for i, w := range times {
+				if res.JobTimes[i] != w {
+					t.Errorf("%v stripes=%d job %d finished at %d, PR4 recorded %d",
+						policy, stripes, i, res.JobTimes[i], w)
 				}
 			}
 		}
@@ -105,47 +102,44 @@ func TestCoschedStaticPoliciesByteIdenticalToPR4(t *testing.T) {
 // (their demand is continuous, so their share never shrinks), and the
 // hog's tail beyond the last light collapses.
 func TestCoschedWorkConservingHogTail(t *testing.T) {
-	for _, fibers := range []bool{false, true} {
-		for _, pair := range []struct{ static, wc sim.BankPolicy }{
-			{sim.BankFair, sim.BankFairWC},
-			{sim.BankWeighted, sim.BankWeightedWC},
-		} {
-			st := coschedScenario(t, pair.static, 1, fibers)
-			wc := coschedScenario(t, pair.wc, 1, fibers)
-			if wc.JobTimes[0] >= st.JobTimes[0] {
-				t.Errorf("fibers=%v: hog makespan %v under %v is not strictly below %v under %v",
-					fibers, wc.JobTimes[0], pair.wc, st.JobTimes[0], pair.static)
+	for _, pair := range []struct{ static, wc sim.BankPolicy }{
+		{sim.BankFair, sim.BankFairWC},
+		{sim.BankWeighted, sim.BankWeightedWC},
+	} {
+		st := coschedScenario(t, pair.static, 1)
+		wc := coschedScenario(t, pair.wc, 1)
+		if wc.JobTimes[0] >= st.JobTimes[0] {
+			t.Errorf("hog makespan %v under %v is not strictly below %v under %v",
+				wc.JobTimes[0], pair.wc, st.JobTimes[0], pair.static)
+		}
+		for i := 1; i < 3; i++ {
+			if wc.JobTimes[i] > st.JobTimes[i] {
+				t.Errorf("light job %d degraded under %v: %v vs %v",
+					i, pair.wc, wc.JobTimes[i], st.JobTimes[i])
 			}
-			for i := 1; i < 3; i++ {
-				if wc.JobTimes[i] > st.JobTimes[i] {
-					t.Errorf("fibers=%v: light job %d degraded under %v: %v vs %v",
-						fibers, i, pair.wc, wc.JobTimes[i], st.JobTimes[i])
-				}
+		}
+		tail := func(r cluster.Result) sim.Time {
+			last := sim.Max(r.JobTimes[1], r.JobTimes[2])
+			if r.JobTimes[0] <= last {
+				return 0
 			}
-			tail := func(r cluster.Result) sim.Time {
-				last := sim.Max(r.JobTimes[1], r.JobTimes[2])
-				if r.JobTimes[0] <= last {
-					return 0
-				}
-				return r.JobTimes[0] - last
-			}
-			stTail, wcTail := tail(st), tail(wc)
-			if wcTail*2 > stTail {
-				t.Errorf("fibers=%v: hog tail %v under %v did not collapse vs %v under %v (want at least 2x shorter)",
-					fibers, wcTail, pair.wc, stTail, pair.static)
-			}
-			// "Full bank rate" quantified against the unthrottled
-			// baseline: under FCFS the hog is never paced at all, so its
-			// completion time is the floor. The work-conserving hog pays
-			// only its share while the lights are present and must land
-			// within 1.5x of that floor; the static policies sit at ~1.9x
-			// (fair) and ~5.7x (priority) on this scenario because their
-			// pacing never relents.
-			fcfs := coschedScenario(t, sim.BankFCFS, 1, fibers)
-			if limit := fcfs.JobTimes[0] + fcfs.JobTimes[0]/2; wc.JobTimes[0] > limit {
-				t.Errorf("fibers=%v: %v hog makespan %v is not within 1.5x of the unthrottled %v — tail not at full rate",
-					fibers, pair.wc, wc.JobTimes[0], fcfs.JobTimes[0])
-			}
+			return r.JobTimes[0] - last
+		}
+		stTail, wcTail := tail(st), tail(wc)
+		if wcTail*2 > stTail {
+			t.Errorf("hog tail %v under %v did not collapse vs %v under %v (want at least 2x shorter)",
+				wcTail, pair.wc, stTail, pair.static)
+		}
+		// "Full bank rate" quantified against the unthrottled baseline:
+		// under FCFS the hog is never paced at all, so its completion
+		// time is the floor. The work-conserving hog pays only its share
+		// while the lights are present and must land within 1.5x of that
+		// floor; the static policies sit at ~1.9x (fair) and ~5.7x
+		// (priority) on this scenario because their pacing never relents.
+		fcfs := coschedScenario(t, sim.BankFCFS, 1)
+		if limit := fcfs.JobTimes[0] + fcfs.JobTimes[0]/2; wc.JobTimes[0] > limit {
+			t.Errorf("%v hog makespan %v is not within 1.5x of the unthrottled %v — tail not at full rate",
+				pair.wc, wc.JobTimes[0], fcfs.JobTimes[0])
 		}
 	}
 }

@@ -52,18 +52,6 @@ type Options struct {
 	// and results are bit-identical to a serial sweep. Zero means the
 	// REPRO_WORKERS environment variable, or else one worker per CPU.
 	Workers int
-	// Fibers selects the goroutine-free (step-function) process
-	// representation for the rank bodies. Every figure and ablation body
-	// is ported (synthetic, CG, MapReduce, iPIC3D comm and I/O), so the
-	// flag switches the whole registry. Trajectories are bit-identical
-	// either way; fibers just dispatch faster. False means the
-	// REPRO_FIBERS environment variable, unless FibersExplicit is set.
-	Fibers bool
-	// FibersExplicit marks Fibers as fully resolved by the caller: the
-	// REPRO_FIBERS environment variable is not consulted. The CLI folds
-	// the environment into its -fibers flag default and sets this, so an
-	// explicit -fibers=false wins over REPRO_FIBERS=1.
-	FibersExplicit bool
 	// Cores, when >= 1, runs each point's simulation in the engine's
 	// conservative parallel mode with that many workers (rows are
 	// byte-identical for any Cores >= 1; see internal/sim's parallel-mode
@@ -104,22 +92,7 @@ func (o Options) withDefaults() Options {
 			o.Workers = runtime.NumCPU()
 		}
 	}
-	if !o.Fibers && !o.FibersExplicit {
-		o.Fibers = EnvFibers(false)
-	}
 	return o
-}
-
-// EnvFibers resolves the REPRO_FIBERS environment variable against a
-// default: unset or unparseable values yield def. It is the single
-// parser for that variable — the CLI folds it into its -fibers flag
-// default (def true) and sets FibersExplicit; the library consults it
-// only when Fibers was left false (def false, the compatible default).
-func EnvFibers(def bool) bool {
-	if v, err := strconv.ParseBool(os.Getenv("REPRO_FIBERS")); err == nil {
-		return v
-	}
-	return def
 }
 
 // sweep returns the paper's process counts up to max: 32, 64, ..., max.

@@ -21,7 +21,6 @@ func Fig5(opts Options) ([]Row, error) {
 			fn: func(seed int64) (float64, error) {
 				c := mapreduce.DefaultConfig(p)
 				c.Seed = seed
-				c.Fibers = opts.Fibers
 				c.Cores = opts.Cores
 				res, err := mapreduce.RunReference(c)
 				return res.Time.Seconds(), err
@@ -37,7 +36,6 @@ func Fig5(opts Options) ([]Row, error) {
 					c := mapreduce.DefaultConfig(p)
 					c.Seed = seed
 					c.Alpha = alpha
-					c.Fibers = opts.Fibers
 					c.Cores = opts.Cores
 					res, err := mapreduce.RunDecoupled(c)
 					return res.Time.Seconds(), err
@@ -66,7 +64,6 @@ func Fig6(opts Options) ([]Row, error) {
 				fn: func(seed int64) (float64, error) {
 					c := cg.DefaultConfig(p)
 					c.Seed = seed
-					c.Fibers = opts.Fibers
 					c.Cores = opts.Cores
 					res, err := cg.Run(c, v)
 					return res.Time.Seconds() * iterScale, err
@@ -96,7 +93,6 @@ func Fig7(opts Options) ([]Row, error) {
 			fn: func(seed int64) (float64, error) {
 				c := ipic3d.DefaultConfig(p)
 				c.Seed = seed
-				c.Fibers = opts.Fibers
 				c.Cores = opts.Cores
 				res, err := ipic3d.RunCommReference(c)
 				return res.Time.Seconds(), err
@@ -107,7 +103,6 @@ func Fig7(opts Options) ([]Row, error) {
 			fn: func(seed int64) (float64, error) {
 				c := ipic3d.DefaultConfig(p)
 				c.Seed = seed
-				c.Fibers = opts.Fibers
 				c.Cores = opts.Cores
 				res, err := ipic3d.RunCommDecoupled(c)
 				return res.Time.Seconds(), err
@@ -131,7 +126,6 @@ func Fig8(opts Options) ([]Row, error) {
 				fn: func(seed int64) (float64, error) {
 					c := ipic3d.DefaultConfig(p)
 					c.Seed = seed
-					c.Fibers = opts.Fibers
 					c.Cores = opts.Cores
 					res, err := ipic3d.RunIO(c, v)
 					return res.Time.Seconds(), err

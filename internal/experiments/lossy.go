@@ -95,7 +95,7 @@ func (o lossyOutcome) slope() float64 {
 // lossyRun measures one variant under every loss rate at one seed. The
 // sweep runs classic single-engine mode: the reliable protocol's ack and
 // timer machinery is engine-local and RunIO rejects sharded lossy runs.
-func lossyRun(v ipic3d.IOVariant, seed int64, fibers bool) (lossyOutcome, error) {
+func lossyRun(v ipic3d.IOVariant, seed int64) (lossyOutcome, error) {
 	out := lossyOutcome{
 		makespan:    make(map[float64]float64, len(lossyRates)),
 		retransmits: make(map[float64]float64, len(lossyRates)),
@@ -104,7 +104,6 @@ func lossyRun(v ipic3d.IOVariant, seed int64, fibers bool) (lossyOutcome, error)
 	for _, rate := range lossyRates {
 		c := ipic3d.DefaultConfig(lossyProcs)
 		c.Seed = seed
-		c.Fibers = fibers
 		if rate > 0 {
 			mf := &netmodel.MsgFaults{
 				DropSeed: sim.Mix64(0x1055, seed),
@@ -166,7 +165,7 @@ func Lossy(opts Options) ([]Row, error) {
 	for _, v := range variants {
 		v := v
 		memo := &lossyMemo{compute: func(seed int64) (lossyOutcome, error) {
-			return lossyRun(v, seed, opts.Fibers)
+			return lossyRun(v, seed)
 		}}
 		for _, rate := range lossyRates[1:] {
 			rate := rate

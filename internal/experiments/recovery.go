@@ -102,7 +102,7 @@ func crashOnly(spec faults.Spec) faults.Spec {
 // run per interval, plus the intensity sweep at the middle interval.
 // Clean runs use Faults == nil — the exact crash-free code path — so
 // the baseline stays byte-identical to a plain checkpointed run.
-func recoveryRun(v ipic3d.IOVariant, spec faults.Spec, seed int64, fibers bool) (recoveryOutcome, error) {
+func recoveryRun(v ipic3d.IOVariant, spec faults.Spec, seed int64) (recoveryOutcome, error) {
 	stripes := netmodel.LustreLike().Stripes
 	base := crashOnly(spec)
 	out := recoveryOutcome{
@@ -117,7 +117,6 @@ func recoveryRun(v ipic3d.IOVariant, spec faults.Spec, seed int64, fibers bool) 
 		c.Steps = recoverySteps
 		c.ParticleBytes = recoveryParticleBytes
 		c.Seed = seed
-		c.Fibers = fibers
 		if x > 0 {
 			sp := base.Scale(x)
 			sp.Horizon = out.cleanT[k]
@@ -204,7 +203,7 @@ func Recovery(opts Options) ([]Row, error) {
 	for _, v := range variants {
 		v := v
 		memo := &recoveryMemo{compute: func(seed int64) (recoveryOutcome, error) {
-			return recoveryRun(v, spec, seed, opts.Fibers)
+			return recoveryRun(v, spec, seed)
 		}}
 		read := func(fn func(recoveryOutcome) float64) func(int64) (float64, error) {
 			return func(seed int64) (float64, error) {

@@ -13,7 +13,7 @@ import (
 // while the references re-execute and re-write whole segments — and the
 // sweep must replay byte-identically across invocations.
 func TestRecoverySmokeAndDeterminism(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2, FibersExplicit: true}
+	opts := Options{Runs: 1, Workers: 2}
 	rows, first := runAndRender(t, "recovery", opts)
 	second := renderRows(t, "recovery", opts)
 	if !bytes.Equal(first, second) {

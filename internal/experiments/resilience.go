@@ -82,7 +82,7 @@ func (o resilienceOutcome) slope() float64 {
 // resilienceRun measures one variant under every intensity at one seed.
 // Intensity 0 runs with Faults == nil — the exact fault-free code path —
 // so the baseline is byte-identical to a plain Fig. 8 run.
-func resilienceRun(v ipic3d.IOVariant, spec faults.Spec, seed int64, fibers bool) (resilienceOutcome, error) {
+func resilienceRun(v ipic3d.IOVariant, spec faults.Spec, seed int64) (resilienceOutcome, error) {
 	stripes := netmodel.LustreLike().Stripes
 	out := resilienceOutcome{
 		makespan: make(map[float64]float64, len(resilienceIntensities)),
@@ -91,7 +91,6 @@ func resilienceRun(v ipic3d.IOVariant, spec faults.Spec, seed int64, fibers bool
 	for _, x := range resilienceIntensities {
 		c := ipic3d.DefaultConfig(resilienceProcs)
 		c.Seed = seed
-		c.Fibers = fibers
 		if x > 0 {
 			sp := spec.Scale(x)
 			sp.Seed = sim.Mix64(spec.Seed, seed)
@@ -156,7 +155,7 @@ func Resilience(opts Options) ([]Row, error) {
 	for _, v := range variants {
 		v := v
 		memo := &resilienceMemo{compute: func(seed int64) (resilienceOutcome, error) {
-			return resilienceRun(v, spec, seed, opts.Fibers)
+			return resilienceRun(v, spec, seed)
 		}}
 		for _, x := range resilienceIntensities[1:] {
 			x := x

@@ -29,7 +29,7 @@ func runAndRender(t *testing.T, name string, opts Options) ([]Row, []byte) {
 // across invocations (campaigns are replayable, pooled engines reset
 // cleanly).
 func TestResilienceSmokeAndDeterminism(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2, FibersExplicit: true}
+	opts := Options{Runs: 1, Workers: 2}
 	if !testing.Short() {
 		opts.Runs = 2
 	}
@@ -67,7 +67,7 @@ const coschedFaultSpec = "horizon=3s,outages=3,outage-len=800ms,derate-stripes=8
 // sweep replays byte-identically, actually perturbs the clean sweep,
 // and the "none" spec keeps the sweep on the exact fault-free path.
 func TestCoschedFaultedBankDeterminismAndNeutrality(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2, CoschedJobs: 2, FibersExplicit: true}
+	opts := Options{Runs: 1, Workers: 2, CoschedJobs: 2}
 	clean := renderRows(t, "cosched", opts)
 	opts.FaultSpec = "none"
 	none := renderRows(t, "cosched", opts)
@@ -92,7 +92,7 @@ func TestCoschedFaultedBankDeterminismAndNeutrality(t *testing.T) {
 // variants stays at or below its slowdown under FCFS, where the hog's
 // backlog and the outages stack up in front of everyone.
 func TestCoschedFaultedBankLightIsolation(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2, CoschedJobs: 3, FibersExplicit: true, FaultSpec: coschedFaultSpec}
+	opts := Options{Runs: 1, Workers: 2, CoschedJobs: 3, FaultSpec: coschedFaultSpec}
 	rows, _ := runAndRender(t, "cosched", opts)
 	// slowdown[policy][job] on the stripes=1 points.
 	slowdown := map[string]map[string]float64{}

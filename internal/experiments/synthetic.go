@@ -39,10 +39,6 @@ type SyntheticConfig struct {
 	Overhead sim.Time
 	// ImbalanceCoV spreads W0 across processes.
 	ImbalanceCoV float64
-	// Fibers selects the step-function process representation for the
-	// rank bodies (goroutine-free dispatch; trajectories are bit-identical
-	// either way). Ignored when a Tracer is configured.
-	Fibers bool
 	// Seed, Noise and Tracer as elsewhere.
 	Seed   int64
 	Noise  netmodel.Noise
@@ -115,21 +111,23 @@ func RunSyntheticConventional(c SyntheticConfig) (sim.Time, error) {
 	}
 	factors := workload.Imbalance(c.Procs, c.ImbalanceCoV, c.Seed+5)
 	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: noiseOrNone(c.Noise), Tracer: c.Tracer})
-	if c.Fibers && c.Tracer == nil {
-		return runSyntheticConventionalFibers(c, w, factors)
-	}
 	var makespan sim.Time
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
-		r.ComputeLabeled(sim.Time(float64(c.W0)*factors[r.ID()]), "op0")
-		// Stage boundary: data exchange and synchronization happen at
-		// the completion of the operation (Section II-A).
-		world.Barrier(r)
-		r.ComputeLabeled(c.tw1(), "op1")
-		world.Barrier(r)
-		if t := r.Now(); t > makespan {
-			makespan = t
-		}
+		return r.FComputeLabeled(sim.Time(float64(c.W0)*factors[r.ID()]), "op0", func(_ *sim.Fiber) sim.StepFunc {
+			// Stage boundary: data exchange and synchronization happen at
+			// the completion of the operation (Section II-A).
+			return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
+				return r.FComputeLabeled(c.tw1(), "op1", func(_ *sim.Fiber) sim.StepFunc {
+					return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
+						if t := r.Now(); t > makespan {
+							makespan = t
+						}
+						return nil
+					})
+				})
+			})
+		})
 	})
 	if err == nil {
 		w.Release()
@@ -152,47 +150,63 @@ func RunSyntheticDecoupled(c SyntheticConfig) (sim.Time, error) {
 	producers := c.Procs - consumers
 	factors := workload.Imbalance(producers, c.ImbalanceCoV, c.Seed+5)
 	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: noiseOrNone(c.Noise), Tracer: c.Tracer})
-	if c.Fibers && c.Tracer == nil {
-		return runSyntheticDecoupledFibers(c, w, producers, factors)
-	}
 	var makespan sim.Time
 	perProducer := c.D / int64(producers)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
 		if r.ID() >= producers {
 			role = stream.Consumer
 		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{ElementBytes: c.S, InjectOverhead: c.Overhead})
-		if role == stream.Producer {
-			// Op0 grows by P/(P - alpha P) on the remaining processes.
-			myW0 := sim.Time(float64(c.W0) * factors[r.ID()] * float64(c.Procs) / float64(producers))
-			elements := perProducer / c.S
-			if elements < 1 {
-				elements = 1
+		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
+			st := ch.Attach(r, stream.Options{ElementBytes: c.S, InjectOverhead: c.Overhead})
+			finish := func(_ *sim.Fiber) sim.StepFunc {
+				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
+					if t := r.Now(); t > makespan {
+						makespan = t
+					}
+					return nil
+				})
 			}
-			slice := myW0 / sim.Time(elements)
-			for e := int64(0); e < elements; e++ {
-				r.ComputeLabeled(slice, "op0")
-				st.Isend(r, stream.Element{Bytes: c.S})
+			if role == stream.Producer {
+				// Op0 grows by P/(P - alpha P) on the remaining processes.
+				myW0 := sim.Time(float64(c.W0) * factors[r.ID()] * float64(c.Procs) / float64(producers))
+				elements := perProducer / c.S
+				if elements < 1 {
+					elements = 1
+				}
+				return syntheticProducer(r, st, myW0, elements, c.S, finish)
 			}
-			st.Terminate(r)
-		} else {
 			rate := c.Op1Rate * c.DecoupledRateGain
-			st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
-				rr.ComputeLabeled(sim.FromSeconds(float64(e.Bytes)/rate), "op1")
-			})
-		}
-		ch.Free(r)
-		if t := r.Now(); t > makespan {
-			makespan = t
-		}
+			return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
+				return rr.FComputeLabeled(sim.FromSeconds(float64(e.Bytes)/rate), "op1", then)
+			}, func(stream.Stats) sim.StepFunc { return finish })
+		})
 	})
 	if err == nil {
 		w.Release()
 	}
 	return makespan, err
+}
+
+// syntheticProducer returns the producer-side step: compute a slice of
+// Op0, inject one element, repeat; then terminate the stream. The inject
+// continuation is hoisted out of the loop (sim.Then), so the steady-state
+// producer allocates nothing per element.
+func syntheticProducer(r *mpi.Rank, st *stream.Stream, myW0 sim.Time, elements int64, elemBytes int64, done sim.StepFunc) sim.StepFunc {
+	slice := myW0 / sim.Time(elements)
+	e := int64(0)
+	var loop sim.StepFunc
+	inject := sim.Then(func() { st.Isend(r, stream.Element{Bytes: elemBytes}) }, &loop)
+	loop = func(_ *sim.Fiber) sim.StepFunc {
+		if e >= elements {
+			st.Terminate(r)
+			return done
+		}
+		e++
+		return r.FComputeLabeled(slice, "op0", inject)
+	}
+	return loop
 }
 
 func noiseOrNone(n netmodel.Noise) netmodel.Noise {
@@ -220,7 +234,6 @@ func AblationGranularity(opts Options) ([]Row, error) {
 				c.Seed = seed
 				c.S = s
 				c.Overhead = 20 * sim.Microsecond // pronounced per-element cost
-				c.Fibers = opts.Fibers
 				t, err := RunSyntheticDecoupled(c)
 				return t.Seconds(), err
 			},
@@ -258,7 +271,6 @@ func AblationAlpha(opts Options) ([]Row, error) {
 				Procs: procs, Param: alpha * 100},
 			fn: func(seed int64) (float64, error) {
 				c := mapreduceConfigForAblation(procs, seed, alpha)
-				c.Fibers = opts.Fibers
 				return runMapreduceDecoupled(c)
 			},
 		})
@@ -288,7 +300,7 @@ func AblationFCFS(opts Options) ([]Row, error) {
 			row: Row{Experiment: "ablation-fcfs", Series: series + " (consumer idle)",
 				Procs: procs},
 			fn: func(seed int64) (float64, error) {
-				wait, err := runSyntheticOrdered(procs, seed, fixed, opts.Fibers)
+				wait, err := runSyntheticOrdered(procs, seed, fixed)
 				return wait.Seconds(), err
 			},
 		})
@@ -299,7 +311,7 @@ func AblationFCFS(opts Options) ([]Row, error) {
 // runSyntheticOrdered is RunSyntheticDecoupled with selectable consumption
 // order and a deliberate straggler; it returns the maximum consumer idle
 // (wait) time.
-func runSyntheticOrdered(procs int, seed int64, fixedOrder, fibers bool) (sim.Time, error) {
+func runSyntheticOrdered(procs int, seed int64, fixedOrder bool) (sim.Time, error) {
 	c := DefaultSynthetic(procs)
 	c.Seed = seed
 	c.ImbalanceCoV = 0.3
@@ -314,45 +326,41 @@ func runSyntheticOrdered(procs int, seed int64, fixedOrder, fibers bool) (sim.Ti
 	factors := workload.Imbalance(producers, c.ImbalanceCoV, c.Seed+5)
 	factors[0] *= 4 // the straggler
 	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed})
-	if fibers {
-		return runSyntheticOrderedFibers(c, w, producers, factors, fixedOrder)
-	}
 	var maxWait sim.Time
 	perProducer := c.D / int64(producers)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
 		if r.ID() >= producers {
 			role = stream.Consumer
 		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{
-			ElementBytes:   c.S,
-			InjectOverhead: c.Overhead,
-			FixedOrder:     fixedOrder,
-		})
-		if role == stream.Producer {
-			myW0 := sim.Time(float64(c.W0) * factors[r.ID()] * float64(c.Procs) / float64(producers))
-			elements := perProducer / c.S
-			if elements < 1 {
-				elements = 1
-			}
-			slice := myW0 / sim.Time(elements)
-			for e := int64(0); e < elements; e++ {
-				r.ComputeLabeled(slice, "op0")
-				st.Isend(r, stream.Element{Bytes: c.S})
-			}
-			st.Terminate(r)
-		} else {
-			rate := c.Op1Rate * c.DecoupledRateGain
-			stats := st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
-				rr.ComputeLabeled(sim.FromSeconds(float64(e.Bytes)/rate), "op1")
+		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
+			st := ch.Attach(r, stream.Options{
+				ElementBytes:   c.S,
+				InjectOverhead: c.Overhead,
+				FixedOrder:     fixedOrder,
 			})
-			if stats.WaitTime > maxWait {
-				maxWait = stats.WaitTime
+			finish := func(_ *sim.Fiber) sim.StepFunc {
+				return ch.FFree(r, nil)
 			}
-		}
-		ch.Free(r)
+			if role == stream.Producer {
+				myW0 := sim.Time(float64(c.W0) * factors[r.ID()] * float64(c.Procs) / float64(producers))
+				elements := perProducer / c.S
+				if elements < 1 {
+					elements = 1
+				}
+				return syntheticProducer(r, st, myW0, elements, c.S, finish)
+			}
+			rate := c.Op1Rate * c.DecoupledRateGain
+			return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
+				return rr.FComputeLabeled(sim.FromSeconds(float64(e.Bytes)/rate), "op1", then)
+			}, func(stats stream.Stats) sim.StepFunc {
+				if stats.WaitTime > maxWait {
+					maxWait = stats.WaitTime
+				}
+				return finish
+			})
+		})
 	})
 	if err == nil {
 		w.Release()
@@ -377,7 +385,6 @@ func ModelValidation(opts Options) ([]Row, error) {
 			fn: func(seed int64) (float64, error) {
 				c := DefaultSynthetic(p)
 				c.Seed = seed
-				c.Fibers = opts.Fibers
 				t, err := RunSyntheticConventional(c)
 				return t.Seconds(), err
 			},
@@ -387,7 +394,6 @@ func ModelValidation(opts Options) ([]Row, error) {
 			fn: func(seed int64) (float64, error) {
 				c := DefaultSynthetic(p)
 				c.Seed = seed
-				c.Fibers = opts.Fibers
 				t, err := RunSyntheticDecoupled(c)
 				return t.Seconds(), err
 			},

@@ -34,10 +34,9 @@
 // dropped at delivery when the epoch has moved on, so traffic from a
 // pre-crash attempt can never match a post-rebuild receive.
 //
-// Limitations: crash campaigns do not compose with the legacy broadcast
-// wake strategy (REPRO_WAKE=broadcast), with tracing, or with nonblocking
-// collectives in flight at a crash instant (their helper processes are
-// not enrolled in the kill); NewWorld rejects the first two.
+// Limitations: crash campaigns do not compose with tracing (NewWorld
+// rejects the combination) or with nonblocking collectives in flight at
+// a crash instant (their helper processes are not enrolled in the kill).
 package mpi
 
 import (

@@ -5,8 +5,9 @@
 // primitive mirrors its goroutine twin decision for decision — the same
 // debt floors, the same settle targets, the same order of request posting
 // and waiting — so a fiber port of a rank body produces a bit-identical
-// virtual-time trajectory (the engine's (t, seq) contract; asserted by
-// the differential tests in internal/experiments).
+// virtual-time trajectory and reports the same spans to a Tracer (the
+// engine's (t, seq) contract; asserted by the runBothWays tests in
+// fiber_test.go).
 //
 // The only structural difference is control flow: a wait that would park
 // a goroutine instead stores its continuation on the request (the same
@@ -118,6 +119,10 @@ func (s *fwait) wakeStep(_ *sim.Fiber) sim.StepFunc {
 // settleStep finishes the wait: recycle the state and the consumed
 // request, then run the caller's continuation.
 func (s *fwait) settleStep(_ *sim.Fiber) sim.StepFunc {
+	if s.f == s.r.fib {
+		// Helper fibers wait unobserved, as helper processes do in waitOn.
+		s.r.traceWait("wait", s.floor)
+	}
 	then, thenStep, st, pl := s.then, s.thenStep, s.req.status, s.r.rs.pool
 	pl.freeRequest(s.req)
 	s.r, s.f, s.req, s.then, s.thenStep = nil, nil, nil, nil, nil
@@ -242,8 +247,9 @@ type fwaitAny struct {
 	f     *sim.Fiber
 	reqs  []*Request
 	then  func(int, Status) sim.StepFunc
-	won   int  // index whose receive overhead is being charged
-	armed bool // wk is armed and may be registered on requests
+	start sim.Time // post-flush entry instant, where the waitany span opens
+	won   int      // index whose receive overhead is being charged
+	armed bool     // wk is armed and may be registered on requests
 	wk    sim.Waker
 
 	loop    sim.StepFunc // bound s.loopStep
@@ -300,9 +306,6 @@ func (s *fwaitAny) loopStep(_ *sim.Fiber) sim.StepFunc {
 		// complete during the advance and wins the next scan.
 		return s.f.AdvanceTo(minTimed, s.loop)
 	}
-	if s.c.w.legacy {
-		return s.r.rs.progress.WaitFiber(s.f, "mpi waitany", s.loop)
-	}
 	if !s.armed {
 		s.armed = true
 		s.wk.Arm(e, s.f)
@@ -328,6 +331,7 @@ func (s *fwaitAny) finish(i int) sim.StepFunc {
 		s.armed = false
 		s.wk.Disarm()
 	}
+	s.r.traceWait("waitany", s.start)
 	then, st, pl := s.then, s.reqs[i].status, s.r.rs.pool
 	pl.freeRequest(s.reqs[i])
 	s.c, s.r, s.f, s.reqs, s.then = nil, nil, nil, nil, nil
@@ -355,6 +359,7 @@ func (c *Comm) FWaitAny(r *Rank, reqs []*Request, then func(int, Status) sim.Ste
 		s.charged = s.chargedStep
 	}
 	s.c, s.r, s.f, s.reqs, s.then = c, r, r.fib, reqs, then
+	s.start = r.rs.eng.Now() + s.f.Debt()
 	return s.f.FlushDebt(s.loop)
 }
 
@@ -646,8 +651,7 @@ func (c *Comm) FIallgatherv(r *Rank, part Part, then func(*CollRequest) sim.Step
 }
 
 // finishColl completes a helper-fiber collective: mark done and wake the
-// parked waiter (or, under the legacy strategy, broadcast to the rank's
-// progress queue), exactly as the helper process does.
+// parked waiter, exactly as the helper process does.
 func (c *Comm) finishColl(r *Rank, cr *CollRequest) sim.StepFunc {
 	c.completeColl(r, cr)
 	return nil
@@ -657,16 +661,15 @@ func (c *Comm) finishColl(r *Rank, cr *CollRequest) sim.StepFunc {
 // collective's result value to then.
 func (c *Comm) FWaitColl(r *Rank, cr *CollRequest, then func(interface{}) sim.StepFunc) sim.StepFunc {
 	f := r.fib
+	start := r.rs.eng.Now() + f.Debt() // the post-flush instant
 	var loop sim.StepFunc
 	loop = func(_ *sim.Fiber) sim.StepFunc {
 		if !cr.done {
-			if r.w.legacy {
-				return r.rs.progress.WaitFiber(f, "mpi waitcoll", loop)
-			}
 			// completeColl clears the registration when it wakes us.
 			cr.waiter = f
 			return f.Park("mpi waitcoll", loop)
 		}
+		r.traceWait("waitcoll", start)
 		return then(cr.value)
 	}
 	return f.FlushDebt(loop)

@@ -83,6 +83,7 @@ func (f *File) FWriteShared(r *Rank, bytes int64, then sim.StepFunc) sim.StepFun
 	}
 	fs := f.w.cfg.FS
 	fib := r.fib
+	then = r.ftrace("io", "write_shared", fib.Now(), then)
 	// Demand hooks at the same sequence positions as WriteShared: begin
 	// before queueing on the shared-pointer token, end once the rank's
 	// clock has passed the write — so fiber and goroutine ranks present
@@ -119,6 +120,7 @@ func (f *File) FWriteAll(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
 	p := c.Size()
 	fs := f.w.cfg.FS
 	fib := r.fib
+	then = r.ftrace("io", "write_all", fib.Now(), then)
 	// Demand spans the whole collective, as in WriteAll.
 	f.w.ioBegin(r.rs)
 

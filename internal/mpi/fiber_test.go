@@ -1,38 +1,74 @@
 package mpi
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
 
+// busyTracer sums span time per (rank, category), the quantity a trace
+// summary reports; zero-length spans count for nothing, as in
+// trace.Recorder.
+type busyTracer map[int]map[string]sim.Time
+
+func (b busyTracer) Span(rank int, category, label string, start, end sim.Time) {
+	if b[rank] == nil {
+		b[rank] = map[string]sim.Time{}
+	}
+	b[rank][category] += end - start
+}
+
 // runBothWays runs the same logical program once with goroutine rank
 // bodies and once with fiber rank bodies and asserts identical final
 // virtual time and identical engine event counts — the representation-
-// equivalence contract at the runtime level.
+// equivalence contract at the runtime level. It then repeats the pair
+// under a Tracer: tracing observes the one path, so it must leave time
+// and event count where they were, and the blocking and F forms must
+// report equal busy time per rank and category.
 func runBothWays(t *testing.T, procs int, procBody func(*Rank), fibBody FiberMain) sim.Time {
 	t.Helper()
-	wp := NewWorld(Config{Procs: procs, Seed: 42})
-	pEnd, err := wp.Run(procBody)
-	if err != nil {
-		t.Fatalf("proc run: %v", err)
+	type outcome struct {
+		end    sim.Time
+		events uint64
+		busy   busyTracer
 	}
-	pEvents := wp.Engine().Events()
-
-	wf := NewWorld(Config{Procs: procs, Seed: 42})
-	fEnd, err := wf.RunFibers(fibBody)
-	if err != nil {
-		t.Fatalf("fiber run: %v", err)
+	run := func(fibers, traced bool) outcome {
+		cfg := Config{Procs: procs, Seed: 42}
+		var busy busyTracer
+		if traced {
+			busy = busyTracer{}
+			cfg.Tracer = busy
+		}
+		w := NewWorld(cfg)
+		var end sim.Time
+		var err error
+		if fibers {
+			end, err = w.RunFibers(fibBody)
+		} else {
+			end, err = w.Run(procBody)
+		}
+		if err != nil {
+			t.Fatalf("fibers=%v traced=%v: %v", fibers, traced, err)
+		}
+		return outcome{end, w.Engine().Events(), busy}
 	}
-	fEvents := wf.Engine().Events()
-
-	if pEnd != fEnd {
-		t.Fatalf("final time: procs %v, fibers %v", pEnd, fEnd)
+	p, f := run(false, false), run(true, false)
+	if p.end != f.end {
+		t.Fatalf("final time: procs %v, fibers %v", p.end, f.end)
 	}
-	if pEvents != fEvents {
-		t.Fatalf("event count: procs %d, fibers %d", pEvents, fEvents)
+	if p.events != f.events {
+		t.Fatalf("event count: procs %d, fibers %d", p.events, f.events)
 	}
-	return fEnd
+	tp, tf := run(false, true), run(true, true)
+	if tp.end != p.end || tf.end != p.end || tp.events != p.events || tf.events != p.events {
+		t.Fatalf("tracing moved the trajectory: end %v/%v events %d/%d, untraced %v and %d",
+			tp.end, tf.end, tp.events, tf.events, p.end, p.events)
+	}
+	if len(tp.busy) == 0 || !reflect.DeepEqual(tp.busy, tf.busy) {
+		t.Errorf("traced busy time per rank and category:\n procs  %v\n fibers %v", tp.busy, tf.busy)
+	}
+	return f.end
 }
 
 // TestFiberPingPongMatchesProcs exercises FSend/FRecv against Send/Recv:
@@ -85,6 +121,10 @@ func TestFiberPingPongMatchesProcs(t *testing.T) {
 // TestFiberCollectivesMatchProcs drives barrier, allreduce and allgatherv
 // through both representations at a non-power-of-two size (covering the
 // reduce+bcast fallback) and checks payload correctness on the fiber side.
+// It closes with a nonblocking reduce waited on after more compute and
+// with both shared-file write paths, so runBothWays' traced pass compares
+// every span kind the runtime emits (comp, wait, waitcoll, write_shared,
+// write_all; the WaitAny tests add waitany).
 func TestFiberCollectivesMatchProcs(t *testing.T) {
 	const procs = 6
 	procBody := func(r *Rank) {
@@ -102,9 +142,28 @@ func TestFiberCollectivesMatchProcs(t *testing.T) {
 			}
 		}
 		c.Barrier(r)
+		cr := c.Ireduce(r, 0, Part{Bytes: 1 << 16, Data: int64(1)}, SumInt64, nil)
+		r.Compute(sim.Time(procs-r.ID()) * sim.Microsecond)
+		c.WaitColl(r, cr)
+		file := c.Open(r, "out.dat")
+		file.WriteShared(r, 1<<20)
+		file.WriteAll(r, 1<<18)
 	}
 	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
 		c := r.World()
+		tail := func(_ *sim.Fiber) sim.StepFunc {
+			return c.FIreduce(r, 0, Part{Bytes: 1 << 16, Data: int64(1)}, SumInt64, nil, func(cr *CollRequest) sim.StepFunc {
+				return r.FCompute(sim.Time(procs-r.ID())*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
+					return c.FWaitColl(r, cr, func(interface{}) sim.StepFunc {
+						return c.FOpen(r, "out.dat", func(file *File) sim.StepFunc {
+							return file.FWriteShared(r, 1<<20, func(_ *sim.Fiber) sim.StepFunc {
+								return file.FWriteAll(r, 1<<18, func(*sim.Fiber) sim.StepFunc { return nil })
+							})
+						})
+					})
+				})
+			})
+		}
 		return c.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
 			return r.FCompute(sim.Time(r.ID()+1)*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
 				return c.FAllreduce(r, Part{Bytes: 8, Data: float64(r.ID())}, SumFloat64, nil, func(sum Part) sim.StepFunc {
@@ -117,7 +176,7 @@ func TestFiberCollectivesMatchProcs(t *testing.T) {
 								t.Errorf("fiber allgather[%d] = %v", i, p.Data)
 							}
 						}
-						return c.FBarrier(r, nil)
+						return c.FBarrier(r, tail)
 					})
 				})
 			})

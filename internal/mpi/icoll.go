@@ -36,15 +36,10 @@ func (c *Comm) startColl(r *Rank, kind string, cr *CollRequest, body func(proc *
 	r.proc.Advance(r.w.cfg.Net.SendOverhead)
 }
 
-// completeColl marks the collective done and wakes its waiter: directly
-// when the rank's main process or fiber is parked in WaitColl on exactly
-// this collective, via the rank-wide broadcast under the legacy strategy.
+// completeColl marks the collective done and wakes the rank's main
+// process or fiber if it is parked in WaitColl on exactly this collective.
 func (c *Comm) completeColl(r *Rank, cr *CollRequest) {
 	cr.done = true
-	if r.w.legacy {
-		r.rs.progress.Broadcast(r.rs.eng)
-		return
-	}
 	if cr.waiter != nil {
 		r.rs.eng.WakeAt(r.rs.eng.Now(), cr.waiter)
 		cr.waiter = nil
@@ -61,19 +56,13 @@ func (c *Comm) WaitColl(r *Rank, cr *CollRequest) interface{} {
 	r.proc.FlushDebt()
 	start := r.rs.eng.Now()
 	for !cr.done {
-		if r.w.legacy {
-			r.rs.progress.Wait(r.proc, "mpi waitcoll")
-			continue
-		}
 		// Register on the collective so its completion wakes exactly this
 		// process — the per-collective analogue of Request.waiter.
 		cr.waiter = r.proc
 		r.proc.Park("mpi waitcoll")
 		cr.waiter = nil
 	}
-	if t := r.w.cfg.Tracer; t != nil && r.rs.eng.Now() > start {
-		t.Span(r.rs.rank, "comm", "waitcoll", start, r.rs.eng.Now())
-	}
+	r.traceWait("waitcoll", start)
 	return cr.value
 }
 

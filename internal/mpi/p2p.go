@@ -130,7 +130,7 @@ type Request struct {
 	ovCharged bool // receive overhead charged (exactly once per request)
 	// waiter is the process or fiber parked in Wait on this request, if
 	// any. Delivery wakes it directly at the completion instant — no
-	// rank-wide broadcast event, no spurious wakeups of unrelated waiters.
+	// spurious wakeups of unrelated waiters.
 	// Either representation consumes exactly one wake event, so the
 	// trajectory is independent of which one waits.
 	waiter sim.Runnable
@@ -333,15 +333,12 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 			// burn a yield advancing to ready). A process parked in Wait
 			// on this request resumes directly, as does a WaitAny waiter
 			// registered on it; waiters that arrive after this instant see
-			// the timed request directly. (Legacy strategy: rank-level
-			// waiters get a deferred broadcast instead.)
+			// the timed request directly.
 			if req.waiter != nil {
 				e.WakeAt(ready, req.waiter)
 			} else if req.anyw != nil {
 				req.anyw.WakeAt(ready)
 				req.anyw = nil
-			} else if w.legacy && dst.progress.Len() > 0 {
-				e.AtAction(ready, dst)
 			}
 			return
 		}
@@ -351,21 +348,14 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 		} else if req.anyw != nil {
 			req.anyw.WakeAt(e.Now())
 			req.anyw = nil
-		} else if w.legacy {
-			dst.progress.Broadcast(e)
 		}
 		return
 	}
+	// An unmatched arrival completes no request, so nobody needs waking: a
+	// blocked WaitAny waiter's requests are all posted receives, which
+	// this message just failed to match.
 	m.readyAt = ready
 	dst.match.addUnexpected(m)
-	// An unmatched arrival completes no request, so under direct wake
-	// nobody needs waking: a blocked WaitAny waiter's requests are all
-	// posted receives, which this message just failed to match. The
-	// legacy strategy broadcast here anyway — the two spurious events per
-	// message this PR removes from the consumer-side stream path.
-	if w.legacy {
-		dst.progress.Broadcast(e)
-	}
 }
 
 // Irecv posts a nonblocking receive from src (or AnySource) with the given
@@ -429,9 +419,6 @@ func (c *Comm) Wait(r *Rank, req *Request) Status {
 
 func (c *Comm) waitOn(r *Rank, proc *simProc, req *Request) Status {
 	req.checkLive()
-	if c.w.cfg.Tracer != nil {
-		return c.waitOnTraced(r, proc, req)
-	}
 	e := r.rs.eng
 	// floor is the earliest instant this process can observe anything:
 	// entry time plus the CPU debt it owes. The debt rides through the
@@ -466,33 +453,10 @@ func (c *Comm) waitOn(r *Rank, proc *simProc, req *Request) Status {
 		target += r.w.cfg.Net.RecvOverhead
 	}
 	proc.SettleTo(target)
-	st := req.status
-	r.rs.pool.freeRequest(req)
-	return st
-}
-
-// waitOnTraced is the waitOn used when a Tracer is configured: it keeps
-// the serial sequence of clock advances (flush debt, wait, then charge
-// receive overhead) so emitted spans match the untuned path exactly.
-func (c *Comm) waitOnTraced(r *Rank, proc *simProc, req *Request) Status {
-	proc.FlushDebt()
-	start := r.rs.eng.Now()
-	for !req.done {
-		if req.timed {
-			proc.AdvanceTo(req.doneAt)
-			req.done = true
-			break
-		}
-		req.waiter = proc
-		proc.Park("mpi wait")
-		req.waiter = nil
-	}
-	if req.isRecv && !req.ovCharged {
-		req.ovCharged = true
-		proc.Advance(r.w.cfg.Net.RecvOverhead)
-	}
-	if r.rs.eng.Now() > start && proc == r.proc {
-		r.w.cfg.Tracer.Span(r.rs.rank, "comm", "wait", start, r.rs.eng.Now())
+	if proc == r.proc {
+		// Helper processes (nonblocking collectives) wait unobserved: the
+		// timeline shows what the rank's main process is blocked on.
+		r.traceWait("wait", floor)
 	}
 	st := req.status
 	r.rs.pool.freeRequest(req)
@@ -511,14 +475,6 @@ func (c *Comm) waitOnTraced(r *Rank, proc *simProc, req *Request) Status {
 // must copy them out.
 func (c *Comm) WaitAll(r *Rank, reqs ...*Request) []Status {
 	out := r.rs.statusScratch(len(reqs))
-	if c.w.cfg.Tracer != nil {
-		// Tracing runs keep the per-request path so emitted wait spans
-		// match the serial semantics exactly.
-		for i, q := range reqs {
-			out[i] = c.Wait(r, q)
-		}
-		return out
-	}
 	proc := r.proc
 	e := r.rs.eng
 	ov := c.w.cfg.Net.RecvOverhead
@@ -550,7 +506,7 @@ func (c *Comm) WaitAll(r *Rank, reqs ...*Request) []Status {
 //
 // A blocked WaitAny registers one waker on every pending request, so the
 // first completion resumes exactly this process at exactly the completion
-// instant — no rank-wide broadcast, no wake per unrelated message. Because
+// instant — no wake per unrelated message. Because
 // a wake implies a completed request, the process parks at most once per
 // call and the post-wake scan doubles as deregistration.
 func (c *Comm) WaitAny(r *Rank, reqs []*Request) (int, Status) {
@@ -599,9 +555,7 @@ func (c *Comm) WaitAny(r *Rank, reqs []*Request) (int, Status) {
 				q.ovCharged = true
 				r.proc.Advance(r.w.cfg.Net.RecvOverhead)
 			}
-			if r.w.cfg.Tracer != nil && r.rs.eng.Now() > start {
-				r.w.cfg.Tracer.Span(r.rs.rank, "comm", "waitany", start, r.rs.eng.Now())
-			}
+			r.traceWait("waitany", start)
 			st := q.status
 			r.rs.pool.freeRequest(q)
 			return won, st
@@ -610,10 +564,6 @@ func (c *Comm) WaitAny(r *Rank, reqs []*Request) (int, Status) {
 			// A send will complete at a known instant; a receive may
 			// complete during the advance and wins the next scan.
 			r.proc.AdvanceTo(minTimed)
-			continue
-		}
-		if r.w.legacy {
-			r.rs.progress.Wait(r.proc, "mpi waitany")
 			continue
 		}
 		if aw == nil {

@@ -374,8 +374,8 @@ func TestKillWithUnackedSends(t *testing.T) {
 }
 
 // TestMsgFaultConfigValidation checks the loud guards: message-fault
-// campaigns refuse the sharded mode, tracing, the legacy wake strategy,
-// and malformed tables, each with an error naming the family.
+// campaigns refuse the sharded mode, tracing and malformed tables, each
+// with an error naming the family.
 func TestMsgFaultConfigValidation(t *testing.T) {
 	mf := &netmodel.MsgFaults{DropSeed: 1, DropRate: 0.1}
 	mustPanicLike := func(name, want string, fn func()) {
@@ -401,11 +401,6 @@ func TestMsgFaultConfigValidation(t *testing.T) {
 	mustPanicLike("bad rate", "drop rate", func() {
 		NewWorld(Config{Procs: 2, Seed: 1, MsgFaults: &netmodel.MsgFaults{DropRate: 1.5}})
 	})
-	prev := SetLegacyWake(true)
-	mustPanicLike("legacy wake", "broadcast wake", func() {
-		NewWorld(Config{Procs: 2, Seed: 1, MsgFaults: mf})
-	})
-	SetLegacyWake(prev)
 }
 
 func contains(s, sub string) bool {

@@ -18,30 +18,11 @@ package mpi
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
-
-// legacyWake selects the pre-TrajectoryVersion-2 wake strategy: blocked
-// WaitAny/WaitColl callers park on the rank-wide progress queue and every
-// completion broadcasts to it, instead of the direct per-request wake
-// (sim.Waker). It exists solely so the direct-wake win can be re-measured
-// as a same-run paired A/B (decouplebench -wake, the CI smoke job); the
-// two strategies produce different — individually deterministic —
-// trajectories. Worlds capture the strategy when they are built, so it
-// must only be flipped between simulations.
-var legacyWake = os.Getenv("REPRO_WAKE") == "broadcast"
-
-// SetLegacyWake overrides the REPRO_WAKE environment default process-wide
-// and returns the previous setting. Benchmarks restore it when done.
-func SetLegacyWake(v bool) bool {
-	prev := legacyWake
-	legacyWake = v
-	return prev
-}
 
 // Reserved tag space: tags at or above collTagBase are used internally by
 // collective operations; application code must use smaller tags.
@@ -56,6 +37,11 @@ const (
 // Tracer receives execution spans (compute, communication wait, I/O) from
 // the runtime. internal/trace provides an implementation; the interface
 // lives here so the runtime does not depend on the trace package.
+//
+// Tracing observes the one execution path: every blocking form and its
+// F-prefixed continuation form emit the same category/label vocabulary
+// at the same instants, behind a nil check that costs nothing (and
+// allocates nothing) when no tracer is set.
 type Tracer interface {
 	Span(rank int, category, label string, start, end sim.Time)
 }
@@ -100,16 +86,15 @@ type Config struct {
 	// sorted by (At, Target) — internal/faults compiles them that way —
 	// so kill order is deterministic. Nil schedules nothing and leaves
 	// trajectories byte-identical to a crash-free build. Crash campaigns
-	// are incompatible with tracing and with the legacy broadcast wake
-	// strategy.
+	// are incompatible with tracing.
 	Crashes []sim.CrashEvent
 	// MsgFaults makes the fabric lose or duplicate individual message
 	// transmissions and arms the reliable-delivery protocol (sequence
 	// numbers, acks, virtual-time retransmission timers — see
 	// reliable.go). Nil means a lossless fabric with the protocol
 	// disarmed, byte-identical to a build without it. Message-fault
-	// campaigns are incompatible with tracing, the legacy broadcast wake
-	// strategy, and the sharded parallel mode (Shards > 1).
+	// campaigns are incompatible with tracing and with the sharded
+	// parallel mode (Shards > 1).
 	MsgFaults *netmodel.MsgFaults
 	// AckTimeout is the reliable protocol's base retransmission slack:
 	// attempt n retransmits AckTimeout << n after the expected ack
@@ -157,8 +142,8 @@ type Config struct {
 	// (see the "Parallel mode" section of the sim package comment). The
 	// lookahead is the network's minimum link latency, derated by any
 	// latency-shrinking LinkFaults window. Sharded worlds are incompatible
-	// with a shared Engine or Bank, with tracing, with crash campaigns and
-	// with the legacy broadcast wake strategy, and are never pooled.
+	// with a shared Engine or Bank, with tracing and with crash campaigns,
+	// and are never pooled.
 	// 0 or 1 means the classic single-engine mode.
 	Shards int
 	// Place maps a rank to its shard in [0, Shards); nil means contiguous
@@ -304,10 +289,6 @@ type World struct {
 	// w.msgFree-style accesses keep working; sharded worlds use one pools
 	// value per shard instead (shardPools).
 	pools
-
-	// legacy selects the pre-version-2 broadcast wake strategy for this
-	// world (see legacyWake), captured at build time.
-	legacy bool
 
 	// Crash-stop failure state (failure.go). epoch counts world
 	// revocations: it bumps on every kill and stamps outgoing messages,
@@ -487,11 +468,6 @@ type rankState struct {
 	sendLink sim.Link
 	recvLink sim.Link
 	match    matchIndex // posted receives + unexpected messages (match.go)
-	// progress is the rank-wide wait queue of the legacy broadcast wake
-	// strategy (REPRO_WAKE=broadcast, kept for same-run A/B measurement).
-	// Under the direct-wake strategy nothing ever parks on it: blocked
-	// waits register on their requests instead.
-	progress sim.WaitQueue
 	speed    float64
 	// faults holds this rank's compute slowdown windows
 	// (Config.RankFaults), nil when the rank is fault-free.
@@ -567,10 +543,6 @@ func (rs *rankState) reset(speed float64) {
 	rs.drainTarget = 0
 }
 
-// Fire wakes the rank's progress waiters; rankState doubles as a
-// scheduling action so deferred wakeups need no closure.
-func (rs *rankState) Fire() { rs.progress.Broadcast(rs.eng) }
-
 // deliveryPri returns the canonical priority for this rank's next
 // cross-rank delivery in parallel mode: the sending rank (offset into
 // the group-global identity space when several worlds share the group)
@@ -588,8 +560,7 @@ func (rs *rankState) deliveryPri() uint64 {
 // single-engine mode: a run asking for both the conservative parallel
 // mode and the feature is refused with this error rather than silently
 // dropping either. Every classic-only rejection — crash campaigns,
-// message-fault campaigns, tracing, the legacy broadcast wake strategy —
-// uses this one type, at the app layer as a returned error and in
+// message-fault campaigns, tracing — uses this one type, at the app layer as a returned error and in
 // NewWorld's last-resort guards as a panic value, so the message always
 // names the feature and the flag to drop.
 type CannotShardError struct {
@@ -673,9 +644,6 @@ func NewWorld(cfg Config) *World {
 		if cfg.Tracer != nil {
 			panic("mpi: crash campaigns do not support tracing")
 		}
-		if legacyWake {
-			panic("mpi: crash campaigns do not support the legacy broadcast wake strategy (REPRO_WAKE=broadcast)")
-		}
 		for i, ce := range cfg.Crashes {
 			if ce.Target < 0 || ce.Target >= cfg.Procs {
 				panic(fmt.Sprintf("mpi: Crashes[%d] targets rank %d of %d", i, ce.Target, cfg.Procs))
@@ -692,18 +660,15 @@ func NewWorld(cfg Config) *World {
 		if cfg.Tracer != nil {
 			panic("mpi: message-fault campaigns do not support tracing")
 		}
-		if legacyWake {
-			panic("mpi: message-fault campaigns do not support the legacy broadcast wake strategy (REPRO_WAKE=broadcast)")
-		}
 	}
 	sharded := cfg.Shards > 1 || cfg.Group != nil
 	if sharded {
 		// The parallel mode partitions per-rank state across concurrently
 		// executing shard engines; the features below all assume one
 		// engine (a shared clock, a global kill/rebuild rendezvous, an
-		// ordered trace stream, the broadcast wake chain), so they are
-		// refused rather than silently misordered — with the one shared
-		// rejection type so every layer reports the conflict the same way.
+		// ordered trace stream), so they are refused rather than silently
+		// misordered — with the one shared rejection type so every layer
+		// reports the conflict the same way.
 		if cfg.Engine != nil {
 			panic("mpi: Shards > 1 with a shared Engine; co-scheduled sharded worlds share a Group instead")
 		}
@@ -721,9 +686,6 @@ func NewWorld(cfg Config) *World {
 			// engine-local sender/receiver state; the shard windows have no
 			// reverse ack channel, so the family is refused loudly.
 			panic(cannotShard("message-fault campaigns", "-cores"))
-		}
-		if legacyWake {
-			panic(cannotShard("the legacy broadcast wake strategy (REPRO_WAKE=broadcast)", "-cores"))
 		}
 	}
 	// External worlds (shared engine or bank) are never returned to the
@@ -751,7 +713,6 @@ func NewWorld(cfg Config) *World {
 	}
 	w.external = external
 	w.signalDemand = cfg.Bank != nil
-	w.legacy = legacyWake
 	w.ioShard = -1
 	if sharded {
 		if cfg.Group != nil {
@@ -847,7 +808,6 @@ func (w *World) buildRanks() {
 func (w *World) reset(cfg Config) {
 	w.cfg = cfg
 	w.signalDemand = cfg.Bank != nil // always false: external worlds never pool
-	w.legacy = legacyWake
 	w.ioShard = -1
 	w.priBase = 0 // always already 0: shared-group worlds never pool
 	w.eng.Reset(cfg.Seed)
@@ -1015,10 +975,8 @@ type FiberMain func(r *Rank, f *sim.Fiber) sim.StepFunc
 // dispatch costs a method call instead of a goroutine switch. A fiber
 // body that performs the same sequence of runtime operations as its
 // goroutine counterpart produces a bit-identical trajectory (the two
-// representations share the engine's (t, seq) determinism contract).
-//
-// Tracing is not supported in fiber mode: callers gate on Config.Tracer
-// and fall back to Run when one is configured.
+// representations share the engine's (t, seq) determinism contract),
+// and reports the same spans to a configured Tracer.
 func (w *World) RunFibers(main FiberMain) (sim.Time, error) {
 	if w.cfg.Engine != nil || w.cfg.Group != nil {
 		panic("mpi: RunFibers on a world with a shared engine or group; StartFibers it and run from its owner")
@@ -1034,9 +992,6 @@ func (w *World) RunFibers(main FiberMain) (sim.Time, error) {
 // spawns the rank fibers without running the engine, for worlds attached
 // to a shared engine.
 func (w *World) StartFibers(main FiberMain) {
-	if w.cfg.Tracer != nil {
-		panic("mpi: RunFibers does not support tracing; use Run when a Tracer is configured")
-	}
 	w.mainFiber = main
 	for i := range w.ranks {
 		rs := w.ranks[i]
@@ -1139,10 +1094,32 @@ func (r *Rank) Idle(d sim.Time) {
 	}
 }
 
-// trace emits a span if a tracer is configured.
+// trace emits a span from start to the current instant if a tracer is
+// configured.
 func (r *Rank) trace(category, label string, start sim.Time) {
 	if t := r.w.cfg.Tracer; t != nil {
-		t.Span(r.rs.rank, category, label, start, r.proc.Now())
+		t.Span(r.rs.rank, category, label, start, r.rs.eng.Now())
+	}
+}
+
+// traceWait emits a communication-wait span from start to the current
+// instant; a wait that consumed no virtual time is not reported.
+func (r *Rank) traceWait(label string, start sim.Time) {
+	if t := r.w.cfg.Tracer; t != nil && r.rs.eng.Now() > start {
+		t.Span(r.rs.rank, "comm", label, start, r.rs.eng.Now())
+	}
+}
+
+// ftrace is trace for the continuation forms: next wrapped to first emit
+// the span from start to the instant it runs. Without a tracer it is
+// next itself, so the untraced path pays one nil check and no allocation.
+func (r *Rank) ftrace(category, label string, start sim.Time, next sim.StepFunc) sim.StepFunc {
+	if r.w.cfg.Tracer == nil {
+		return next
+	}
+	return func(*sim.Fiber) sim.StepFunc {
+		r.trace(category, label, start)
+		return next
 	}
 }
 
@@ -1167,11 +1144,9 @@ func (r *Rank) FCompute(d sim.Time, next sim.StepFunc) sim.StepFunc {
 	return r.FComputeLabeled(d, "comp", next)
 }
 
-// FComputeLabeled is FCompute with an explicit label, mirroring
-// ComputeLabeled's cost arithmetic exactly (labels only matter under a
-// tracer, which fiber mode does not support).
+// FComputeLabeled is FCompute with an explicit trace label, mirroring
+// ComputeLabeled's cost arithmetic and span exactly.
 func (r *Rank) FComputeLabeled(d sim.Time, label string, next sim.StepFunc) sim.StepFunc {
-	_ = label
 	if d <= 0 {
 		return next
 	}
@@ -1182,7 +1157,7 @@ func (r *Rank) FComputeLabeled(d sim.Time, label string, next sim.StepFunc) sim.
 	if len(r.rs.faults) > 0 {
 		scaled = sim.StretchThrough(r.fib.Now(), scaled, r.rs.faults)
 	}
-	return r.fib.Advance(scaled, next)
+	return r.fib.Advance(scaled, r.ftrace("comp", label, r.fib.Now(), next))
 }
 
 // FIdle is Idle for fiber-backed ranks.

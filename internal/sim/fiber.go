@@ -28,8 +28,9 @@ type StepFunc func(f *Fiber) StepFunc
 // Fibers and goroutine-backed processes (Proc) schedule through the same
 // event heap and same-timestamp ring and share the (t, seq) determinism
 // contract: a fiber port of a process body that performs the same sequence
-// of simulation operations produces a bit-identical trajectory (the
-// differential tests in internal/experiments assert this).
+// of simulation operations produces a bit-identical trajectory
+// (TestFiberMatchesProcTrajectory here and the runBothWays tests in
+// internal/mpi assert this).
 //
 // The price is the programming model: fiber bodies cannot block mid-call,
 // so every blocking point splits the body into explicit steps (StepFunc).

@@ -242,12 +242,14 @@
 //
 // A bump is recorded by (1) incrementing TrajectoryVersion with a comment
 // naming what changed and why, (2) regenerating the checked-in trajectory
-// artifacts (BENCH_PR*.json and any golden figure output) in the same
-// change, and (3) noting the bump in ROADMAP.md so sweep results from
-// different versions are never compared as if equal. Cross-representation
-// equivalence is enforced separately by the differential tests in
-// internal/experiments, which must pass unconditionally — representation
-// is never an excuse for a version bump.
+// artifact (internal/experiments/testdata/rows_v2.csv, renamed for the
+// new version, which TestFiberRowsBitIdentical compares byte for byte) in
+// the same change, and (3) noting the bump in ROADMAP.md so sweep results
+// from different versions are never compared as if equal.
+// Cross-representation equivalence of the runtime's blocking and
+// continuation forms is enforced separately by the differential tests in
+// internal/sim and internal/mpi, which must pass unconditionally —
+// representation is never an excuse for a version bump.
 package sim
 
 import "fmt"
@@ -270,9 +272,8 @@ import "fmt"
 // now woken by one directly-scheduled resume event instead of riding a
 // broadcast chain, so the (t, seq) positions of consumer resumes (and
 // everything downstream of them, e.g. shared-file token FIFO order in the
-// Fig. 8 stream workloads) moved. The version-1 behavior is retained
-// behind mpi's REPRO_WAKE=broadcast switch for same-run A/B measurement
-// only.
+// Fig. 8 stream workloads) moved. The version-1 broadcast wake no longer
+// exists (DESIGN.md, "One body, one wake").
 const TrajectoryVersion = 2
 
 // Time is a point in virtual time, measured in nanoseconds from the start
