@@ -13,8 +13,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -55,23 +57,54 @@ type benchEntry struct {
 	Rows         int     `json:"rows"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// checkFlags validates what can be validated before any experiment runs,
+// so a sweep is never spent on a request that cannot be answered. set
+// names the flags given on the command line: the sweep sizes have
+// defaults, and only an explicit value is held to be positive.
+func checkFlags(set map[string]bool, format string, maxProcs, runs, workers int) error {
+	if format != "table" && format != "csv" {
+		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
+	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"max-procs", maxProcs}, {"runs", runs}, {"workers", workers}} {
+		if set[f.name] && f.value <= 0 {
+			return fmt.Errorf("-%s: %d is not a positive count", f.name, f.value)
+		}
+	}
+	return nil
+}
+
+// run is the command: it parses args, runs the selected experiments and
+// writes the result, returning the exit status (2 for a request refused
+// before any experiment started, 1 for a failure afterwards).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("decouplebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: "+strings.Join(experiments.Names(), ", ")+", or all")
-		maxProcs   = flag.Int("max-procs", 1024, "largest process count in the weak-scaling sweeps (paper: 8192)")
-		runs       = flag.Int("runs", 3, "repetitions per data point (paper: 10)")
-		workers    = flag.Int("workers", 0, "concurrent sweep points (0: REPRO_WORKERS or one per CPU)")
-		cores      = flag.Int("cores", 0, "fig5-fig8, cosched: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
-		jobs       = flag.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
-		coschedPol = flag.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")
-		faultSpec  = flag.String("faults", "", "fault-campaign spec: comma-separated key=value overrides of the default campaign, e.g. bursts=16,outage-len=1s or crashes=2,restart-cost=100ms; durations use Go syntax; keys: "+strings.Join(faults.SpecKeys(), ", ")+"; \"default\"/empty keeps the base campaign, \"none\" disables it (resilience/recovery: scaled base campaign; cosched: degrade the shared bank's stripes, empty means none)")
-		list       = flag.Bool("list", false, "print the registered experiment names with one-line descriptions and exit")
-		format     = flag.String("format", "table", "output format: table or csv")
-		out        = flag.String("out", "", "output file (default stdout)")
-		quiet      = flag.Bool("quiet", false, "suppress progress logging")
-		jsonBench  = flag.Bool("json", false, "emit a machine-readable benchmark report (name -> ns/op, events/sec) instead of figure rows")
+		experiment = fs.String("experiment", "all", "experiment to run: "+strings.Join(experiments.Names(), ", ")+", or all")
+		maxProcs   = fs.Int("max-procs", 1024, "largest process count in the weak-scaling sweeps (paper: 8192)")
+		runs       = fs.Int("runs", 3, "repetitions per data point (paper: 10)")
+		workers    = fs.Int("workers", 0, "concurrent sweep points, at least 1 (unset: REPRO_WORKERS or one per CPU)")
+		cores      = fs.Int("cores", 0, "fig5-fig8, cosched: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
+		jobs       = fs.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
+		coschedPol = fs.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")
+		faultSpec  = fs.String("faults", "", "fault-campaign spec: comma-separated key=value overrides of the default campaign, e.g. bursts=16,outage-len=1s or crashes=2,restart-cost=100ms; durations use Go syntax; keys: "+strings.Join(faults.SpecKeys(), ", ")+"; \"default\"/empty keeps the base campaign, \"none\" disables it (resilience/recovery: scaled base campaign; cosched: degrade the shared bank's stripes, empty means none)")
+		list       = fs.Bool("list", false, "print the registered experiment names with one-line descriptions and exit")
+		format     = fs.String("format", "table", "output format: table or csv")
+		out        = fs.String("out", "", "output file (default stdout)")
+		quiet      = fs.Bool("quiet", false, "suppress progress logging")
+		jsonBench  = fs.Bool("json", false, "emit a machine-readable benchmark report (name -> ns/op, events/sec) instead of figure rows")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, name := range experiments.Names() {
@@ -79,10 +112,10 @@ func main() {
 			if experiments.Shardable[name] {
 				mark = "*" // runs under -cores (conservative parallel mode)
 			}
-			fmt.Printf("%s %-22s %s\n", mark, name, experiments.Descriptions[name])
+			fmt.Fprintf(stdout, "%s %-22s %s\n", mark, name, experiments.Descriptions[name])
 		}
-		fmt.Println("\n* supports -cores (conservative parallel mode)")
-		return
+		fmt.Fprintln(stdout, "\n* supports -cores (conservative parallel mode)")
+		return 0
 	}
 
 	var names []string
@@ -91,12 +124,30 @@ func main() {
 	} else {
 		for _, name := range strings.Split(*experiment, ",") {
 			if experiments.Registry[name] == nil {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n",
+				fmt.Fprintf(stderr, "unknown experiment %q; available: %s\n",
 					name, strings.Join(experiments.Names(), ", "))
-				os.Exit(2)
+				return 2
 			}
 			names = append(names, name)
 		}
+	}
+
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set, *format, *maxProcs, *runs, *workers); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	w := stdout
+	var file *os.File
+	if *out != "" {
+		var err error
+		if file, err = os.Create(*out); err != nil {
+			fmt.Fprintf(stderr, "-out: %v\n", err)
+			return 2
+		}
+		defer file.Close() // error paths; the success path checks Close below
+		w = file
 	}
 
 	opts := experiments.Options{
@@ -109,7 +160,7 @@ func main() {
 		FaultSpec:     *faultSpec,
 	}
 	if !*quiet {
-		opts.Log = os.Stderr
+		opts.Log = stderr
 	}
 
 	var rows []experiments.Row
@@ -125,8 +176,8 @@ func main() {
 		t0 := time.Now()
 		r, err := experiments.Registry[name](opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			return 1
 		}
 		elapsed := time.Since(t0)
 		events := sim.GlobalEvents() - ev0
@@ -139,16 +190,6 @@ func main() {
 		rows = append(rows, r...)
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
 	var err error
 	switch {
 	case *jsonBench:
@@ -157,18 +198,20 @@ func main() {
 		err = enc.Encode(report)
 	case *format == "table":
 		err = experiments.FormatTable(w, rows)
-	case *format == "csv":
+	default: // csv; checkFlags admitted nothing else
 		if echo := faultsEcho(names, *faultSpec); echo != "" {
 			_, err = fmt.Fprintf(w, "# faults: %s\n", echo)
 		}
 		if err == nil {
 			err = experiments.FormatCSV(w, rows)
 		}
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
+	}
+	if err == nil && file != nil {
+		err = file.Close()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }

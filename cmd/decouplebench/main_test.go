@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -84,5 +88,61 @@ func TestCoresFlagSweep(t *testing.T) {
 	}
 	if !strings.HasPrefix(rows[0].Experiment, "fig8") {
 		t.Errorf("unexpected experiment %q", rows[0].Experiment)
+	}
+}
+
+// TestRefusedBeforeAnySweep: a request that cannot be answered — an
+// unknown -format, an -out that cannot be opened, an explicit sweep size
+// that is not positive — is refused with exit status 2 and an error
+// naming the flag, before any experiment starts. The requests below ask
+// for every experiment at 8192 processes, so running even one of them
+// first (the old behaviour: run the sweep, then fail with status 1, or
+// silently fall back to the default size) would outlast the test timeout.
+func TestRefusedBeforeAnySweep(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "rows.csv")
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-format", "xml"}, "-format"},
+		{[]string{"-format", "csv", "-out", missing}, "-out"},
+		{[]string{"-runs", "-3"}, "-runs"},
+		{[]string{"-runs", "0"}, "-runs"},
+		{[]string{"-workers", "0"}, "-workers"},
+		{[]string{"-workers", "-2"}, "-workers"},
+	} {
+		args := append([]string{"-experiment", "all", "-max-procs", "8192", "-quiet"}, c.args...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit status %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.flag+":") {
+			t.Errorf("%v: error %q does not name %s", c.args, stderr.String(), c.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote %q to stdout", c.args, stdout.String())
+		}
+	}
+	// -max-procs itself, which the cases above needed for their size.
+	var stderr bytes.Buffer
+	if code := run([]string{"-experiment", "all", "-max-procs", "0", "-quiet"}, io.Discard, &stderr); code != 2 || !strings.Contains(stderr.String(), "-max-procs:") {
+		t.Errorf("-max-procs 0: exit status %d, error %q; want 2 and the flag named", code, stderr.String())
+	}
+}
+
+// TestRunWritesOut: the happy path through run — defaults left alone are
+// not "explicit", the output file is opened up front and holds the rows.
+func TestRunWritesOut(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "rows.csv")
+	var stderr bytes.Buffer
+	if code := run([]string{"-experiment", "model", "-format", "csv", "-out", out, "-quiet"}, io.Discard, &stderr); code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "experiment,") || strings.Count(string(data), "\n") < 2 {
+		t.Errorf("-out holds %q, want a CSV header and rows", data)
 	}
 }

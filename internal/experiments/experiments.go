@@ -66,7 +66,8 @@ type Options struct {
 	// count (0: sweep the built-in set).
 	CoschedJobs int
 	// CoschedPolicy restricts the cosched experiment to one inter-job
-	// bank policy — "fcfs", "fair" or "priority" (empty: all three).
+	// bank policy — "fcfs", "fair", "priority", "fair-wc" or
+	// "priority-wc" (empty: all five).
 	CoschedPolicy string
 	// FaultSpec is a fault-campaign spec in faults.ParseSpec syntax. The
 	// resilience experiment scales it across its intensity sweep (empty

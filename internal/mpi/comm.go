@@ -11,11 +11,13 @@ type Comm struct {
 	w       *World
 	id      int
 	members []int       // comm rank -> world rank
-	index   map[int]int // world rank -> comm rank
+	index   map[int]int // world rank -> comm rank; nil when members[i] == i
 	collSeq []int       // per-member collective tag counters (lockstep)
 }
 
-// newComm builds a communicator descriptor over the given world ranks.
+// newComm builds a communicator descriptor over the given world ranks. A
+// nil index declares the identity communicator (the world's), whose rank
+// translation needs no map.
 // Every communicator is registered with its world so a post-crash rebuild
 // can reset collective state world-wide (see completeRebuild).
 func newComm(w *World, members []int, index map[int]int) *Comm {
@@ -39,7 +41,7 @@ func (c *Comm) ID() int { return c.id }
 // RankOf reports r's rank within this communicator. It panics if r is not
 // a member.
 func (c *Comm) RankOf(r *Rank) int {
-	cr, ok := c.index[r.rs.rank]
+	cr, ok := c.commRank(r.rs.rank)
 	if !ok {
 		panic(fmt.Sprintf("mpi: world rank %d is not a member of comm %d", r.rs.rank, c.id))
 	}
@@ -48,8 +50,17 @@ func (c *Comm) RankOf(r *Rank) int {
 
 // Member reports whether r belongs to this communicator.
 func (c *Comm) Member(r *Rank) bool {
-	_, ok := c.index[r.rs.rank]
+	_, ok := c.commRank(r.rs.rank)
 	return ok
+}
+
+// commRank translates a world rank to its rank in c, if it is a member.
+func (c *Comm) commRank(worldRank int) (int, bool) {
+	if c.index == nil {
+		return worldRank, worldRank < len(c.members)
+	}
+	cr, ok := c.index[worldRank]
+	return cr, ok
 }
 
 // WorldRank translates a comm rank to a world rank.
@@ -145,8 +156,7 @@ func (c *Comm) splitRegister(r *Rank, color, key int) *splitState {
 // Translate returns the rank in other of the process that is commRank in
 // c, or -1 if it is not a member of other.
 func (c *Comm) Translate(commRank int, other *Comm) int {
-	wr := c.members[commRank]
-	if or, ok := other.index[wr]; ok {
+	if or, ok := other.commRank(c.members[commRank]); ok {
 		return or
 	}
 	return -1

@@ -363,6 +363,91 @@ func (c *Comm) FWaitAny(r *Rank, reqs []*Request, then func(int, Status) sim.Ste
 	return s.f.FlushDebt(s.loop)
 }
 
+// fcoll is the pooled state of one fiber barrier, broadcast, reduce or
+// allreduce: the closure environment of the collective's rounds hoisted
+// into a struct, as fwait is for a wait, so a collective allocates nothing
+// per round and nothing per call once the pool is warm, whatever the
+// communicator size. One round is in flight at a time, so one set of
+// round fields serves every round. The struct returns to the rank's pool
+// just before the caller's continuation runs.
+type fcoll struct {
+	c   *Comm
+	r   *Rank
+	f   *sim.Fiber // the rank's fiber, or the helper fiber of an FIreduce
+	me  int
+	p   int
+	tag int
+
+	root, vr int    // tree collectives: the root, and me relative to it
+	mask     int    // dissemination distance, tree mask or doubling mask
+	peer     int    // allreduce: this round's partner
+	acc      Part   // the running reduction, or the part being broadcast
+	got      Status // reduce, allreduce: what this round received
+	op       ReduceOp
+	cost     CostFn
+	// Both requests of a round are posted before either is waited on:
+	// sreq is the allreduce's send, waited on after its receive; rreq is
+	// the barrier's receive, waited on after its send.
+	sreq, rreq *Request
+	// bcastAfter marks the allreduce of a non-power-of-two communicator: a
+	// reduce to rank 0 whose result is then broadcast on the same tag.
+	bcastAfter bool
+
+	// The caller's continuation: exactly one is set.
+	thenStep sim.StepFunc                  // barrier
+	thenPart func(Part) sim.StepFunc       // bcast, allreduce
+	thenRoot func(Part, bool) sim.StepFunc // reduce
+
+	steps fcollSteps
+}
+
+// fcollSteps holds an fcoll's bound-method values, created once per struct
+// lifetime.
+type fcollSteps struct {
+	barRound, barSent        sim.StepFunc
+	bcSend                   sim.StepFunc
+	bcRecvd                  func(Status) sim.StepFunc
+	rdRound, rdSent, rdApply sim.StepFunc
+	rdRecvd                  func(Status) sim.StepFunc
+	arRound, arSent, arApply sim.StepFunc
+	arRecvd                  func(Status) sim.StepFunc
+}
+
+// newFcoll readies a pooled (or fresh) collective state for a call by
+// comm rank me on fiber f.
+func (c *Comm) newFcoll(r *Rank, f *sim.Fiber, me, tag int) *fcoll {
+	pl := r.rs.pool
+	var s *fcoll
+	if n := len(pl.fcFree); n > 0 {
+		s = pl.fcFree[n-1]
+		pl.fcFree = pl.fcFree[:n-1]
+	} else {
+		s = &fcoll{}
+		s.steps = fcollSteps{
+			barRound: s.barRound, barSent: s.barSent,
+			bcSend: s.bcSend, bcRecvd: s.bcRecvd,
+			rdRound: s.rdRound, rdSent: s.rdSent, rdApply: s.rdApply, rdRecvd: s.rdRecvd,
+			arRound: s.arRound, arSent: s.arSent, arApply: s.arApply, arRecvd: s.arRecvd,
+		}
+	}
+	s.c, s.r, s.f, s.me, s.p, s.tag = c, r, f, me, len(c.members), tag
+	s.mask = 1
+	return s
+}
+
+// release returns the state to the pool of the rank's shard. Callers copy
+// out what the continuation needs first.
+func (s *fcoll) release() {
+	pl := s.r.rs.pool
+	*s = fcoll{steps: s.steps}
+	pl.fcFree = append(pl.fcFree, s)
+}
+
+// send posts this round's send of acc to comm rank dst.
+func (s *fcoll) send(dst int) *Request {
+	return s.c.isendOv(s.r, s.f, dst, s.tag, s.acc.Bytes, s.acc.Data, s.r.w.cfg.Net.SendOverhead)
+}
+
 // FBarrier is Barrier for fiber-backed ranks (same dissemination rounds,
 // same tag counters — fiber and goroutine ranks of one world could even
 // interleave, though the runners keep worlds homogeneous).
@@ -372,23 +457,27 @@ func (c *Comm) FBarrier(r *Rank, then sim.StepFunc) sim.StepFunc {
 }
 
 func (c *Comm) fbarrierOn(r *Rank, f *sim.Fiber, me, tag int, then sim.StepFunc) sim.StepFunc {
-	p := len(c.members)
-	k := 1
-	var round sim.StepFunc
-	round = func(_ *sim.Fiber) sim.StepFunc {
-		if k >= p {
-			return then
-		}
-		dst := (me + k) % p
-		src := (me - k + p) % p
-		k <<= 1
-		req := c.isendOv(r, f, dst, tag, 0, nil, r.w.cfg.Net.SendOverhead)
-		rreq := c.irecvFor(r, src, tag)
-		return c.fwaitOn(r, f, req, func(Status) sim.StepFunc {
-			return c.fwaitOn(r, f, rreq, func(Status) sim.StepFunc { return round })
-		})
+	s := c.newFcoll(r, f, me, tag)
+	s.thenStep = then
+	return s.steps.barRound
+}
+
+func (s *fcoll) barRound(_ *sim.Fiber) sim.StepFunc {
+	if s.mask >= s.p {
+		then := s.thenStep
+		s.release()
+		return then
 	}
-	return round
+	dst := (s.me + s.mask) % s.p
+	src := (s.me - s.mask + s.p) % s.p
+	s.mask <<= 1
+	sreq := s.send(dst)
+	s.rreq = s.c.irecvFor(s.r, src, s.tag)
+	return s.c.fwaitOnStep(s.r, s.f, sreq, s.steps.barSent)
+}
+
+func (s *fcoll) barSent(_ *sim.Fiber) sim.StepFunc {
+	return s.c.fwaitOnStep(s.r, s.f, s.rreq, s.steps.barRound)
 }
 
 // FBcast is Bcast for fiber-backed ranks: binomial tree, identical
@@ -403,45 +492,48 @@ func (c *Comm) fbcastOn(r *Rank, f *sim.Fiber, me, root int, part Part, tag int,
 	if p == 1 {
 		return then(part)
 	}
-	vr := (me - root + p) % p
-	// Receive phase: find the mask at which this rank receives, if any.
-	recvMask := 0
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			recvMask = mask
-			break
+	s := c.newFcoll(r, f, me, tag)
+	s.root, s.vr = root, (me-root+p)%p
+	s.acc, s.thenPart = part, then
+	return s.bcast()
+}
+
+// bcast starts the broadcast of acc from root: receive from the parent at
+// the lowest set bit of vr, if any, then send down the masks below it.
+func (s *fcoll) bcast() sim.StepFunc {
+	for mask := 1; mask < s.p; mask <<= 1 {
+		if s.vr&mask != 0 {
+			s.mask = mask >> 1
+			src := (s.vr - mask + s.root) % s.p
+			return s.c.fwaitOn(s.r, s.f, s.c.irecvFor(s.r, src, s.tag), s.steps.bcRecvd)
 		}
 	}
-	sendPhase := func(topMask int) sim.StepFunc {
-		mask := topMask
-		var send sim.StepFunc
-		send = func(_ *sim.Fiber) sim.StepFunc {
-			for mask > 0 {
-				if vr&mask == 0 && vr+mask < p {
-					dst := (vr + mask + root) % p
-					req := c.isendOv(r, f, dst, tag, part.Bytes, part.Data, r.w.cfg.Net.SendOverhead)
-					mask >>= 1
-					return c.fwaitOn(r, f, req, func(Status) sim.StepFunc { return send })
-				}
-				mask >>= 1
-			}
-			return then(part)
+	// The root sends from the highest mask below p.
+	top := 1
+	for top < s.p {
+		top <<= 1
+	}
+	s.mask = top >> 1
+	return s.steps.bcSend
+}
+
+func (s *fcoll) bcRecvd(st Status) sim.StepFunc {
+	s.acc = Part{Bytes: st.Bytes, Data: st.Data}
+	return s.steps.bcSend
+}
+
+func (s *fcoll) bcSend(_ *sim.Fiber) sim.StepFunc {
+	for s.mask > 0 {
+		mask := s.mask
+		s.mask >>= 1
+		if s.vr&mask == 0 && s.vr+mask < s.p {
+			req := s.send((s.vr + mask + s.root) % s.p)
+			return s.c.fwaitOnStep(s.r, s.f, req, s.steps.bcSend)
 		}
-		return send
 	}
-	if recvMask != 0 {
-		src := (vr - recvMask + root) % p
-		rreq := c.irecvFor(r, src, tag)
-		return c.fwaitOn(r, f, rreq, func(st Status) sim.StepFunc {
-			part = Part{Bytes: st.Bytes, Data: st.Data}
-			return sendPhase(recvMask >> 1)
-		})
-	}
-	topMask := 1
-	for topMask < p {
-		topMask <<= 1
-	}
-	return sendPhase(topMask >> 1)
+	then, part := s.thenPart, s.acc
+	s.release()
+	return then(part)
 }
 
 // FReduce is Reduce for fiber-backed ranks: binomial tree toward root,
@@ -456,39 +548,54 @@ func (c *Comm) freduceOn(r *Rank, f *sim.Fiber, me, root int, part Part, op Redu
 	if p == 1 {
 		return then(part, true)
 	}
-	vr := (me - root + p) % p
-	acc := part
-	mask := 1
-	var round sim.StepFunc
-	round = func(fb *sim.Fiber) sim.StepFunc {
-		for mask < p {
-			if vr&mask != 0 {
-				dst := (vr - mask + root) % p
-				req := c.isendOv(r, f, dst, tag, acc.Bytes, acc.Data, r.w.cfg.Net.SendOverhead)
-				return c.fwaitOn(r, f, req, func(Status) sim.StepFunc {
-					return then(Part{}, false)
-				})
-			}
-			peer := vr | mask
-			if peer < p {
-				rreq := c.irecvFor(r, (peer+root)%p, tag)
-				return c.fwaitOn(r, f, rreq, func(st Status) sim.StepFunc {
-					combine := func(_ *sim.Fiber) sim.StepFunc {
-						acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(acc.Data, st.Data)}
-						mask <<= 1
-						return round
-					}
-					if cost != nil {
-						return f.Advance(cost(acc.Bytes+st.Bytes), combine)
-					}
-					return combine
-				})
-			}
-			mask <<= 1
+	s := c.newFcoll(r, f, me, tag)
+	s.root, s.vr = root, (me-root+p)%p
+	s.acc, s.op, s.cost, s.thenRoot = part, op, cost, then
+	return s.steps.rdRound
+}
+
+func (s *fcoll) rdRound(_ *sim.Fiber) sim.StepFunc {
+	for s.mask < s.p {
+		if s.vr&s.mask != 0 {
+			req := s.send((s.vr - s.mask + s.root) % s.p)
+			return s.c.fwaitOnStep(s.r, s.f, req, s.steps.rdSent)
 		}
-		return then(acc, true)
+		if peer := s.vr | s.mask; peer < s.p {
+			rreq := s.c.irecvFor(s.r, (peer+s.root)%s.p, s.tag)
+			return s.c.fwaitOn(s.r, s.f, rreq, s.steps.rdRecvd)
+		}
+		s.mask <<= 1
 	}
-	return round
+	return s.reduced(s.acc, true)
+}
+
+func (s *fcoll) rdSent(_ *sim.Fiber) sim.StepFunc { return s.reduced(Part{}, false) }
+
+func (s *fcoll) rdRecvd(st Status) sim.StepFunc {
+	s.got = st
+	if s.cost != nil {
+		return s.f.Advance(s.cost(s.acc.Bytes+st.Bytes), s.steps.rdApply)
+	}
+	return s.steps.rdApply
+}
+
+func (s *fcoll) rdApply(_ *sim.Fiber) sim.StepFunc {
+	s.acc = Part{Bytes: maxI64(s.acc.Bytes, s.got.Bytes), Data: s.op(s.acc.Data, s.got.Data)}
+	s.got = Status{}
+	s.mask <<= 1
+	return s.steps.rdRound
+}
+
+// reduced ends the reduce phase: a plain reduce delivers (res, isRoot); an
+// allreduce broadcasts rank 0's result on the same tag.
+func (s *fcoll) reduced(res Part, isRoot bool) sim.StepFunc {
+	if s.bcastAfter {
+		s.acc = res
+		return s.bcast()
+	}
+	then := s.thenRoot
+	s.release()
+	return then(res, isRoot)
 }
 
 // FAllreduce is Allreduce for fiber-backed ranks: recursive doubling for
@@ -504,44 +611,48 @@ func (c *Comm) fallreduceOn(r *Rank, f *sim.Fiber, me int, part Part, op ReduceO
 	if p == 1 {
 		return then(part)
 	}
+	s := c.newFcoll(r, f, me, tag)
+	s.acc, s.op, s.cost, s.thenPart = part, op, cost, then
 	if p&(p-1) == 0 {
-		acc := part
-		mask := 1
-		var round sim.StepFunc
-		round = func(_ *sim.Fiber) sim.StepFunc {
-			if mask >= p {
-				return then(acc)
-			}
-			peer := me ^ mask
-			sreq := c.isendOv(r, f, peer, tag, acc.Bytes, acc.Data, r.w.cfg.Net.SendOverhead)
-			rreq := c.irecvFor(r, peer, tag)
-			return c.fwaitOn(r, f, rreq, func(st Status) sim.StepFunc {
-				return c.fwaitOn(r, f, sreq, func(Status) sim.StepFunc {
-					combine := func(_ *sim.Fiber) sim.StepFunc {
-						// Combine in rank order for cross-rank determinism.
-						if peer < me {
-							acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(st.Data, acc.Data)}
-						} else {
-							acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(acc.Data, st.Data)}
-						}
-						mask <<= 1
-						return round
-					}
-					if cost != nil {
-						return f.Advance(cost(acc.Bytes+st.Bytes), combine)
-					}
-					return combine
-				})
-			})
-		}
-		return round
+		return s.steps.arRound
 	}
-	return c.freduceOn(r, f, me, 0, part, op, cost, tag, func(res Part, isRoot bool) sim.StepFunc {
-		if !isRoot {
-			res = Part{}
-		}
-		return c.fbcastOn(r, f, me, 0, res, tag, then)
-	})
+	s.vr, s.bcastAfter = me, true // root 0
+	return s.steps.rdRound
+}
+
+func (s *fcoll) arRound(_ *sim.Fiber) sim.StepFunc {
+	if s.mask >= s.p {
+		then, acc := s.thenPart, s.acc
+		s.release()
+		return then(acc)
+	}
+	s.peer = s.me ^ s.mask
+	s.sreq = s.send(s.peer)
+	return s.c.fwaitOn(s.r, s.f, s.c.irecvFor(s.r, s.peer, s.tag), s.steps.arRecvd)
+}
+
+func (s *fcoll) arRecvd(st Status) sim.StepFunc {
+	s.got = st
+	return s.c.fwaitOnStep(s.r, s.f, s.sreq, s.steps.arSent)
+}
+
+func (s *fcoll) arSent(_ *sim.Fiber) sim.StepFunc {
+	if s.cost != nil {
+		return s.f.Advance(s.cost(s.acc.Bytes+s.got.Bytes), s.steps.arApply)
+	}
+	return s.steps.arApply
+}
+
+func (s *fcoll) arApply(_ *sim.Fiber) sim.StepFunc {
+	// Combine in rank order for cross-rank determinism.
+	a, b := s.acc.Data, s.got.Data
+	if s.peer < s.me {
+		a, b = b, a
+	}
+	s.acc = Part{Bytes: maxI64(s.acc.Bytes, s.got.Bytes), Data: s.op(a, b)}
+	s.got = Status{}
+	s.mask <<= 1
+	return s.steps.arRound
 }
 
 // FAllgatherv is Allgatherv for fiber-backed ranks: recursive doubling

@@ -32,6 +32,12 @@ import "sort"
 // arrival list uses lazy deletion (consumed flags) with periodic
 // compaction, so steady-state matching allocates nothing.
 //
+// Message lifetime (DESIGN.md): a queued message counts the lists that
+// hold it (message.held: its concrete bucket, the arrival list, any
+// wildcard side-lists). Lists only ever let go of consumed messages, and
+// the list that lets go of the last reference returns the message to the
+// pool, so lazy deletion never meets a reused message.
+//
 // Bucket lifecycle (DESIGN.md): application and stream tags are reused, so
 // their buckets stay in the maps once created and the one-entry caches in
 // front of the maps keep hitting. Collective tags (retires) are used for
@@ -75,18 +81,23 @@ func (q *recvFIFO) pop() *postedRecv {
 // pop-front. A message can sit in several queues at once (its concrete
 // bucket plus any wildcard side-lists), so consumption is recorded on the
 // message and queues skip consumed entries lazily when their head is
-// inspected.
+// inspected. Every entry is one reference on its message (message.held);
+// the methods that let entries go hand them to pl.dropRef.
 type msgFIFO struct {
 	items []*message
 	head  int
 }
 
-func (q *msgFIFO) push(m *message) { q.items = append(q.items, m) }
+func (q *msgFIFO) push(m *message) {
+	m.held++
+	q.items = append(q.items, m)
+}
 
 // first returns the earliest live (unconsumed) message, trimming consumed
 // entries off the front, or nil if none remain.
-func (q *msgFIFO) first() *message {
+func (q *msgFIFO) first(pl *pools) *message {
 	for q.head < len(q.items) && q.items[q.head].consumed {
+		pl.dropRef(q.items[q.head])
 		q.items[q.head] = nil
 		q.head++
 	}
@@ -98,17 +109,6 @@ func (q *msgFIFO) first() *message {
 	return q.items[q.head]
 }
 
-// popHead removes the current head. Callers must have established it via
-// first.
-func (q *msgFIFO) popHead() {
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-}
-
 // firstReady returns the earliest live message that is fully received as
 // of now (readyAt <= now), or nil. Unlike first it does not assume ready
 // instants are monotonic in arrival order (self-sends are ready
@@ -116,7 +116,7 @@ func (q *msgFIFO) popHead() {
 // live entries.
 func (q *msgFIFO) firstReady(now simTimeT) *message {
 	for _, m := range q.items[q.head:] {
-		if m != nil && !m.consumed && m.readyAt <= now {
+		if !m.consumed && m.readyAt <= now {
 			return m
 		}
 	}
@@ -127,12 +127,14 @@ func (q *msgFIFO) firstReady(now simTimeT) *message {
 // liveBound is an upper bound on the queue's live entries (the rank's
 // total live count works); keeping the queue within a factor of it bounds
 // memory by the live backlog, not by total traffic.
-func (q *msgFIFO) maybeCompact(liveBound int) {
+func (q *msgFIFO) maybeCompact(liveBound int, pl *pools) {
 	if n := len(q.items) - q.head; n >= 64 && n > 4*liveBound {
 		out := q.items[:0]
 		for _, m := range q.items[q.head:] {
-			if m != nil && !m.consumed {
+			if !m.consumed {
 				out = append(out, m)
+			} else {
+				pl.dropRef(m)
 			}
 		}
 		tail := q.items[len(out):]
@@ -147,6 +149,10 @@ func (q *msgFIFO) maybeCompact(liveBound int) {
 // matchIndex is one rank's matching state: posted receives and unexpected
 // messages, both indexed for O(1) matching on the concrete paths.
 type matchIndex struct {
+	// pool is the freelist set of the rank's shard: messages the last list
+	// lets go of return to it.
+	pool *pools
+
 	postSeq uint64
 	posted  map[matchKey]*recvFIFO
 	// shapes counts posted receives by selector shape (see shapeOf), so
@@ -247,8 +253,9 @@ func (x *matchIndex) retireQueued(k matchKey, q *msgFIFO) {
 
 // reset returns the index to its initial state for world reuse, keeping
 // bucket-map, queue and freelist capacity. Entries still referenced
-// (receives posted but never matched at the end of a run) are dropped for
-// the GC; pooled recycling only ever happens on the matched paths.
+// (receives posted but never matched, messages never received or not yet
+// trimmed at the end of a run) are dropped for the GC; pooled recycling
+// only ever happens on the matched paths.
 // Single-use buckets a run left undrained retire here.
 func (x *matchIndex) reset() {
 	x.postSeq = 0
@@ -365,25 +372,26 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 func (x *matchIndex) addUnexpected(m *message) {
 	q := x.queuedBucket(m.key())
 	q.push(m)
-	q.maybeCompact(x.live + 1)
+	q.maybeCompact(x.live+1, x.pool)
 	if x.sideShapes[1] {
 		if s := x.side[matchKey{m.commID, AnySource, m.tag}]; s != nil {
 			s.push(m)
-			s.maybeCompact(x.live + 1)
+			s.maybeCompact(x.live+1, x.pool)
 		}
 	}
 	if x.sideShapes[2] {
 		if s := x.side[matchKey{m.commID, m.src, AnyTag}]; s != nil {
 			s.push(m)
-			s.maybeCompact(x.live + 1)
+			s.maybeCompact(x.live+1, x.pool)
 		}
 	}
 	if x.sideShapes[3] {
 		if s := x.side[matchKey{m.commID, AnySource, AnyTag}]; s != nil {
 			s.push(m)
-			s.maybeCompact(x.live + 1)
+			s.maybeCompact(x.live+1, x.pool)
 		}
 	}
+	m.held++
 	x.arrivals = append(x.arrivals, m)
 	x.live++
 	if m.self {
@@ -391,7 +399,8 @@ func (x *matchIndex) addUnexpected(m *message) {
 	}
 }
 
-// consume marks m matched. Queues it still sits in skip it lazily.
+// consume marks m matched. Queues it still sits in skip it lazily, and the
+// last of them to let go recycles it.
 func (x *matchIndex) consume(m *message) {
 	m.consumed = true
 	x.live--
@@ -414,7 +423,7 @@ func (x *matchIndex) sideList(k matchKey) *msgFIFO {
 	}
 	q := &msgFIFO{}
 	for _, m := range x.arrivals[x.arrHead:] {
-		if m != nil && !m.consumed && selectorMatches(k.comm, k.src, k.tag, m) {
+		if !m.consumed && selectorMatches(k.comm, k.src, k.tag, m) {
 			q.push(m)
 		}
 	}
@@ -430,6 +439,7 @@ func (x *matchIndex) sideList(k matchKey) *msgFIFO {
 // recycling the backing array once drained.
 func (x *matchIndex) advanceArrHead() {
 	for x.arrHead < len(x.arrivals) && x.arrivals[x.arrHead].consumed {
+		x.pool.dropRef(x.arrivals[x.arrHead])
 		x.arrivals[x.arrHead] = nil
 		x.arrHead++
 	}
@@ -443,8 +453,10 @@ func (x *matchIndex) advanceArrHead() {
 func (x *matchIndex) compact() {
 	out := x.arrivals[:0]
 	for _, m := range x.arrivals[x.arrHead:] {
-		if m != nil && !m.consumed {
+		if !m.consumed {
 			out = append(out, m)
+		} else {
+			x.pool.dropRef(m)
 		}
 	}
 	tail := x.arrivals[len(out):]
@@ -481,7 +493,7 @@ func (x *matchIndex) selectorQueue(commID, src, tag int) *msgFIFO {
 // messages, forcing a scan.
 func (x *matchIndex) firstReadyIn(q *msgFIFO, now simTimeT) *message {
 	if x.selfQueued == 0 {
-		if m := q.first(); m != nil && m.readyAt <= now {
+		if m := q.first(x.pool); m != nil && m.readyAt <= now {
 			return m
 		}
 		return nil
@@ -489,41 +501,45 @@ func (x *matchIndex) firstReadyIn(q *msgFIFO, now simTimeT) *message {
 	return q.firstReady(now)
 }
 
-// takeQueued removes and returns the unexpected message the (src, tag)
-// selector matches in commID's context, or nil: the earliest-arrived
-// fully-received message if one exists (so a receive always takes the
-// message a Probe just reported), else the earliest-arrived in-flight
-// message, which the caller completes at its readiness instant.
-func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) *message {
+// takeQueued removes the unexpected message the (src, tag) selector
+// matches in commID's context and returns its status and readiness
+// instant, or ok false: the earliest-arrived fully-received message if one
+// exists (so a receive always takes the message a Probe just reported),
+// else the earliest-arrived in-flight message, which the caller completes
+// at its readiness instant. The message itself stays with the index,
+// which recycles it once no list holds it.
+func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) (st Status, readyAt simTimeT, ok bool) {
 	if x.live == 0 {
-		return nil
+		return st, 0, false
 	}
 	q := x.selectorQueue(commID, src, tag)
 	if q == nil {
-		return nil
+		return st, 0, false
 	}
 	m := x.firstReadyIn(q, now)
 	if m == nil {
-		m = q.first()
+		m = q.first(x.pool)
 	}
 	if m == nil {
-		return nil
+		return st, 0, false
 	}
-	if m == q.first() {
-		q.popHead()
-	}
+	st, readyAt = m.status(), m.readyAt
+	k := m.key()
 	x.consume(m)
-	if retires(m.tag) {
+	// Trim m off q if it was the head; behind the head it waits its turn.
+	left := q.first(x.pool)
+	if retires(k.tag) {
 		// q is m's concrete bucket unless the selector read a side-list.
-		k, bucket := m.key(), q
+		bucket := q
 		if wildcard(src, tag) {
 			bucket = x.queued[k]
+			left = bucket.first(x.pool)
 		}
-		if bucket.first() == nil {
+		if left == nil {
 			x.retireQueued(k, bucket)
 		}
 	}
-	return m
+	return st, readyAt, true
 }
 
 // pendingPosted appends every pending posted receive to buf in posting
@@ -553,7 +569,7 @@ func (x *matchIndex) findQueued(commID, src, tag int) *message {
 	if q == nil {
 		return nil
 	}
-	return q.first()
+	return q.first(x.pool)
 }
 
 // findQueuedReady returns the earliest-arrived live message accepted by

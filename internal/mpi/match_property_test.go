@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,6 +24,13 @@ import (
 // caches are checked against it like everything else. After every
 // operation the index must hold no drained single-use bucket and no cache
 // entry that has left its map.
+//
+// Messages are drawn from the index's pool and recycle through it, as in
+// the runtime, so after every operation the message-lifetime invariant is
+// checked too: no pooled message is reachable from any bucket, side-list
+// or the arrival list, every queued message counts exactly the lists that
+// hold it, and a pooled message is as clean as a fresh one. Two seeded
+// mutants of the recycling rule must be caught (TestMatchRecycleMutants).
 //
 // The program generator respects the runtime's invariants, because the
 // index's fast paths assume them: virtual time never goes backwards,
@@ -80,17 +88,48 @@ func (rm *refMatcher) takeQueued(commID, src, tag int, now sim.Time) *message {
 	return m
 }
 
+// recycleMutant selects a seeded defect in the message-recycling rule,
+// emulated from outside the index at the point the defective code would
+// have acted.
+type recycleMutant int
+
+const (
+	noMutant recycleMutant = iota
+	// freeOnConsume returns a message to the pool the moment a receive
+	// consumes it, while lists still hold it for lazy deletion.
+	freeOnConsume
+	// freeKeepsConsumed recycles at the right moment but leaves the
+	// consumed flag set on the pooled message.
+	freeKeepsConsumed
+)
+
 // matchProgram drives both matchers through one operation stream. next
-// yields pseudo-random bytes (from a seeded rand or the fuzz corpus).
-func matchProgram(t *testing.T, next func() byte, ops int) {
-	t.Helper()
-	var idx matchIndex
+// yields pseudo-random bytes (from a seeded rand or the fuzz corpus). It
+// returns the first disagreement or broken invariant, and whether the
+// mutant (if any) ever acted.
+func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, err error) {
+	idx := matchIndex{pool: &pools{}}
 	var ref refMatcher
 
 	var now, lastReady sim.Time
-	msgID := make(map[*message]int)
 	recvID := make(map[*postedRecv]int)
 	nextID := 0
+
+	// The first failure ends the program: fail records it and unwinds to
+	// the deferred recover.
+	type failure struct{ err error }
+	fail := func(format string, args ...interface{}) {
+		panic(failure{fmt.Errorf(format, args...)})
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(failure)
+			if !ok {
+				panic(r)
+			}
+			err = f.err
+		}
+	}()
 
 	pick := func(n int) int { return int(next()) % n }
 	srcSel := func() int {
@@ -114,15 +153,19 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 		return tagOf()
 	}
 
-	id := func(m *message, p *postedRecv) int {
-		switch {
-		case m != nil:
-			return msgID[m]
-		case p != nil:
-			return recvID[p]
-		default:
+	// Messages carry their identity in the byte count, which both matchers
+	// report back; index messages are pooled, so pointers repeat.
+	msgOf := func(m *message) int64 {
+		if m == nil {
 			return -1
 		}
+		return m.bytes
+	}
+	recvOf := func(p *postedRecv) int {
+		if p == nil {
+			return -1
+		}
+		return recvID[p]
 	}
 
 	// deliver runs one message through the deliverAt flow of both
@@ -130,9 +173,9 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 	// queued message when one matches). They are shared by the single-op
 	// cases and the WaitAny-shaped burst op.
 	deliverMsg := func(op, commID, src, tag int) {
-		m := &message{commID: commID, src: src, tag: tag}
 		nextID++
-		msgID[m] = nextID
+		m := idx.pool.newMessage()
+		m.commID, m.src, m.tag, m.bytes = commID, src, tag, int64(nextID)
 		if pick(4) == 0 {
 			m.self = true
 			m.readyAt = now
@@ -146,30 +189,55 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 			m.readyAt = r + sim.Time(pick(8))
 			lastReady = m.readyAt
 		}
-		rc := &message{commID: m.commID, src: m.src, tag: m.tag, readyAt: m.readyAt, self: m.self}
-		msgID[rc] = msgID[m]
+		rc := &message{commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, readyAt: m.readyAt, self: m.self}
 		gp := idx.takePosted(m)
 		wp := ref.takePosted(rc)
-		if id(nil, gp) != id(nil, wp) {
-			t.Fatalf("op %d: delivery of msg %d matched posted recv %d, reference says %d",
-				op, msgID[m], id(nil, gp), id(nil, wp))
+		if recvOf(gp) != recvOf(wp) {
+			fail("op %d: delivery of msg %d matched posted recv %d, reference says %d",
+				op, m.bytes, recvOf(gp), recvOf(wp))
 		}
 		if gp == nil {
 			idx.addUnexpected(m)
 			ref.addUnexpected(rc)
+		} else {
+			idx.pool.freeMessage(m)
 		}
 	}
 	deliver := func(op int) { deliverMsg(op, pick(2), pick(3), tagOf()) }
 	postRecv := func(op, commID, src, tag int) {
-		gm := idx.takeQueued(commID, src, tag, now)
-		wm := ref.takeQueued(commID, src, tag, now)
-		if id(gm, nil) != id(wm, nil) {
-			t.Fatalf("op %d: recv (comm=%d src=%d tag=%d now=%v) took msg %d, reference says %d",
-				op, commID, src, tag, now, id(gm, nil), id(wm, nil))
+		var doomed *message // what the receive is about to consume
+		if mutant == freeOnConsume {
+			if doomed = idx.findQueuedReady(commID, src, tag, now); doomed == nil {
+				doomed = idx.findQueued(commID, src, tag)
+			}
 		}
-		if gm != nil {
-			if gm.readyAt != wm.readyAt || gm.src != wm.src || gm.tag != wm.tag {
-				t.Fatalf("op %d: matched msg %d disagrees on fields", op, msgID[gm])
+		gst, gready, ok := idx.takeQueued(commID, src, tag, now)
+		wm := ref.takeQueued(commID, src, tag, now)
+		got := int64(-1)
+		if ok {
+			got = gst.Bytes
+		}
+		if got != msgOf(wm) {
+			fail("op %d: recv (comm=%d src=%d tag=%d now=%v) took msg %d, reference says %d",
+				op, commID, src, tag, now, got, msgOf(wm))
+		}
+		if ok {
+			if gready != wm.readyAt || gst.Source != wm.src || gst.Tag != wm.tag {
+				fail("op %d: matched msg %d disagrees on fields", op, got)
+			}
+			switch mutant {
+			case freeOnConsume:
+				if doomed.held > 0 {
+					idx.pool.freeMessage(doomed)
+					fired = true
+				}
+			case freeKeepsConsumed:
+				for _, m := range idx.pool.msgFree {
+					if !m.consumed {
+						m.consumed = true
+						fired = true
+					}
+				}
 			}
 			return
 		}
@@ -185,15 +253,15 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 	probe := func(op, commID, src, tag int) {
 		gm := idx.findQueuedReady(commID, src, tag, now)
 		_, wm := ref.findQueuedReady(commID, src, tag, now)
-		if id(gm, nil) != id(wm, nil) {
-			t.Fatalf("op %d: probe-ready (comm=%d src=%d tag=%d now=%v) saw msg %d, reference says %d",
-				op, commID, src, tag, now, id(gm, nil), id(wm, nil))
+		if msgOf(gm) != msgOf(wm) {
+			fail("op %d: probe-ready (comm=%d src=%d tag=%d now=%v) saw msg %d, reference says %d",
+				op, commID, src, tag, now, msgOf(gm), msgOf(wm))
 		}
 		gm = idx.findQueued(commID, src, tag)
 		_, wm = ref.findQueued(commID, src, tag)
-		if id(gm, nil) != id(wm, nil) {
-			t.Fatalf("op %d: probe-any (comm=%d src=%d tag=%d) saw msg %d, reference says %d",
-				op, commID, src, tag, id(gm, nil), id(wm, nil))
+		if msgOf(gm) != msgOf(wm) {
+			fail("op %d: probe-any (comm=%d src=%d tag=%d) saw msg %d, reference says %d",
+				op, commID, src, tag, msgOf(gm), msgOf(wm))
 		}
 	}
 
@@ -257,37 +325,42 @@ func matchProgram(t *testing.T, next func() byte, ops int) {
 				}
 			}
 		}
-		checkBucketLifecycle(t, op, &idx)
+		if err := checkBucketLifecycle(&idx); err != nil {
+			fail("op %d: %v", op, err)
+		}
+		if err := checkMessageLifetime(&idx); err != nil {
+			fail("op %d: %v", op, err)
+		}
 	}
+	return fired, nil
 }
 
 // checkBucketLifecycle asserts the index's structural invariants: a
 // single-use bucket in a map holds a live entry, a retired bucket holds
 // none, and a one-entry cache names the bucket its map holds for that key.
-func checkBucketLifecycle(t *testing.T, op int, x *matchIndex) {
-	t.Helper()
+func checkBucketLifecycle(x *matchIndex) error {
 	for k, q := range x.posted {
 		if retires(k.tag) && q.empty() {
-			t.Fatalf("op %d: drained posted bucket %+v was not retired", op, k)
+			return fmt.Errorf("drained posted bucket %+v was not retired", k)
 		}
 	}
 	for k, q := range x.queued {
-		if retires(k.tag) && q.first() == nil {
-			t.Fatalf("op %d: drained queued bucket %+v was not retired", op, k)
+		if retires(k.tag) && q.first(x.pool) == nil {
+			return fmt.Errorf("drained queued bucket %+v was not retired", k)
 		}
 	}
 	for _, q := range x.recvQFree {
 		if !q.empty() {
-			t.Fatalf("op %d: a retired posted bucket still holds receives", op)
+			return fmt.Errorf("a retired posted bucket still holds receives")
 		}
 	}
 	for _, q := range x.msgQFree {
-		if q.first() != nil {
-			t.Fatalf("op %d: a retired queued bucket still holds messages", op)
+		if q.first(x.pool) != nil {
+			return fmt.Errorf("a retired queued bucket still holds messages")
 		}
 	}
 	if q := x.lastPostQ; q != nil && x.posted[x.lastPostKey] != q {
-		t.Fatalf("op %d: posted cache names a bucket %+v no longer maps to", op, x.lastPostKey)
+		return fmt.Errorf("posted cache names a bucket %+v no longer maps to", x.lastPostKey)
 	}
 	if q, k := x.lastSelQ, x.lastSelKey; q != nil {
 		held := x.queued[k]
@@ -295,9 +368,56 @@ func checkBucketLifecycle(t *testing.T, op int, x *matchIndex) {
 			held = x.side[k]
 		}
 		if held != q {
-			t.Fatalf("op %d: selector cache names a bucket %+v no longer maps to", op, k)
+			return fmt.Errorf("selector cache names a bucket %+v no longer maps to", k)
 		}
 	}
+	return nil
+}
+
+// checkMessageLifetime asserts the recycling invariant: no pooled message
+// is reachable from any bucket, side-list or the arrival list; a message
+// that is reachable counts exactly the lists holding it; and a pooled
+// message is pooled once and looks like a fresh one.
+func checkMessageLifetime(x *matchIndex) error {
+	pooled := make(map[*message]bool, len(x.pool.msgFree))
+	for _, m := range x.pool.msgFree {
+		if pooled[m] {
+			return fmt.Errorf("msg %d is in the pool twice", m.bytes)
+		}
+		pooled[m] = true
+		if m.consumed || m.held != 0 || m.data != nil {
+			return fmt.Errorf("pooled msg %d is not clean (consumed %v, held %d)", m.bytes, m.consumed, m.held)
+		}
+	}
+	refs := make(map[*message]int32)
+	walk := func(where string, items []*message) error {
+		for _, m := range items {
+			if pooled[m] {
+				return fmt.Errorf("pooled msg %d is reachable from %s", m.bytes, where)
+			}
+			refs[m]++
+		}
+		return nil
+	}
+	for k, q := range x.queued {
+		if err := walk(fmt.Sprintf("bucket %+v", k), q.items[q.head:]); err != nil {
+			return err
+		}
+	}
+	for k, q := range x.side {
+		if err := walk(fmt.Sprintf("side-list %+v", k), q.items[q.head:]); err != nil {
+			return err
+		}
+	}
+	if err := walk("the arrival list", x.arrivals[x.arrHead:]); err != nil {
+		return err
+	}
+	for m, n := range refs {
+		if m.held != n {
+			return fmt.Errorf("msg %d is held by %d lists but counts %d", m.bytes, n, m.held)
+		}
+	}
+	return nil
 }
 
 // TestMatchIndexAgainstLinearReference runs many seeded random programs.
@@ -308,7 +428,39 @@ func TestMatchIndexAgainstLinearReference(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		matchProgram(t, func() byte { return byte(rng.Intn(256)) }, 400)
+		if _, err := matchProgram(func() byte { return byte(rng.Intn(256)) }, 400, noMutant); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestMatchRecycleMutants seeds the two ways the recycling rule can be
+// got wrong and requires the property run to notice each, in every
+// program where the defect had a chance to act.
+func TestMatchRecycleMutants(t *testing.T) {
+	for _, mc := range []struct {
+		name   string
+		mutant recycleMutant
+	}{
+		{"free on consume", freeOnConsume},
+		{"free without clearing consumed", freeKeepsConsumed},
+	} {
+		acted := 0
+		for seed := 0; seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			fired, err := matchProgram(func() byte { return byte(rng.Intn(256)) }, 400, mc.mutant)
+			if fired {
+				acted++
+				if err == nil {
+					t.Errorf("%s: seed %d ran to the end undetected", mc.name, seed)
+				}
+			} else if err != nil {
+				t.Errorf("%s: seed %d failed before the mutant acted: %v", mc.name, seed, err)
+			}
+		}
+		if acted == 0 {
+			t.Errorf("%s: the mutant never acted in 40 programs", mc.name)
+		}
 	}
 }
 
@@ -337,6 +489,8 @@ func FuzzMatchIndex(f *testing.F) {
 			i++
 			return b
 		}
-		matchProgram(t, next, len(program))
+		if _, err := matchProgram(next, len(program), noMutant); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

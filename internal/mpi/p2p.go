@@ -25,11 +25,12 @@ type exec interface {
 // is fully received. Messages are bound to receives at arrival time (one
 // event earlier than readyAt), but completion is never observable before
 // readyAt — see deliverAt. consumed marks messages already matched out of
-// the unexpected queue (lazy deletion in the index's arrival list).
+// the unexpected queue (lazy deletion in the index's lists); held counts
+// the lists that still hold it, and the last to let go recycles it.
 //
-// Messages are pooled per world (see World.newMessage) and double as
+// Messages are pooled per shard (see pools.newMessage) and double as
 // their own delivery events (sim.Action), so the steady-state send path
-// allocates nothing but the Request.
+// allocates nothing.
 type message struct {
 	commID   int
 	src      int
@@ -38,6 +39,7 @@ type message struct {
 	data     interface{}
 	readyAt  sim.Time
 	consumed bool
+	held     int32
 	// epoch is the world's revocation epoch when the message was sent;
 	// delivery drops messages from a superseded epoch (failure.go), so
 	// traffic from a pre-crash attempt never matches a post-rebuild
@@ -79,6 +81,11 @@ func (m *message) Fire() {
 		return
 	}
 	w.deliverAt(m.dst, m, recvEnd)
+}
+
+// status is what a receive matched with m reports.
+func (m *message) status() Status {
+	return Status{Source: m.src, Tag: m.tag, Bytes: m.bytes, Data: m.data}
 }
 
 // postedRecv is a pending receive waiting for a matching message. seq is
@@ -322,7 +329,7 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 	e := dst.eng
 	if p := dst.match.takePosted(m); p != nil {
 		req := p.req
-		req.status = Status{Source: m.src, Tag: m.tag, Bytes: m.bytes, Data: m.data}
+		req.status = m.status()
 		dst.pool.freePostedRecv(p)
 		dst.pool.freeMessage(m)
 		if ready > e.Now() {
@@ -380,11 +387,11 @@ func (c *Comm) irecvFor(r *Rank, src, tag int) *Request {
 	// preserves MPI's non-overtaking guarantee per (source, tag)). A
 	// message still on the receiver NIC completes the request at its
 	// readiness instant.
-	if m := rs.match.takeQueued(c.id, src, tag, rs.eng.Now()); m != nil {
-		req.status = Status{Source: m.src, Tag: m.tag, Bytes: m.bytes, Data: m.data}
-		if m.readyAt > rs.eng.Now() {
+	if st, readyAt, ok := rs.match.takeQueued(c.id, src, tag, rs.eng.Now()); ok {
+		req.status = st
+		if readyAt > rs.eng.Now() {
 			req.timed = true
-			req.doneAt = m.readyAt
+			req.doneAt = readyAt
 		} else {
 			req.done = true
 		}
@@ -604,7 +611,7 @@ func (c *Comm) Test(r *Rank, req *Request) (bool, Status) {
 // not yet visible.
 func (c *Comm) Probe(r *Rank, src, tag int) (bool, Status) {
 	if m := r.rs.match.findQueuedReady(c.id, src, tag, r.rs.eng.Now()); m != nil {
-		return true, Status{Source: m.src, Tag: m.tag, Bytes: m.bytes, Data: m.data}
+		return true, m.status()
 	}
 	return false, Status{}
 }

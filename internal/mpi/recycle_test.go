@@ -1,0 +1,93 @@
+package mpi
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// runRecycleProgram runs a program whose messages mostly land unexpected,
+// on a world of 8 ranks dealt round-robin over shards, and returns every
+// rank's finish instant. Each round a rank sends to its right neighbour on
+// tag 0 and three to the right on tag 1, computes for a skewed while, then
+// receives both — the first by a concrete selector, the second by
+// AnySource, so the message sits in its bucket, a wildcard side-list and
+// the arrival list before it recycles. Payloads name their round and
+// sender: a message reused while a list still held it would surface as a
+// wrong payload. Every fourth round an FAllreduce draws the pooled
+// collective state too.
+func runRecycleProgram(t *testing.T, shards, rounds int) []sim.Time {
+	t.Helper()
+	const p = 8
+	finish := make([]sim.Time, p)
+	w := NewWorld(Config{Procs: p, Seed: 9, Shards: shards, Place: func(rank int) int { return rank % shards }})
+	_, err := w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+		c, me := r.World(), r.ID()
+		left, far := (me-1+p)%p, (me-3+p)%p
+		i := 0
+		var loop sim.StepFunc
+		loop = func(*sim.Fiber) sim.StepFunc {
+			if i >= rounds {
+				finish[me] = r.Now()
+				return nil
+			}
+			round := i
+			i++
+			c.IsendAndFree(r, (me+1)%p, 0, 64, round*100+me)
+			c.IsendAndFree(r, (me+3)%p, 1, 256, -(round*100 + me))
+			return r.FCompute(sim.Time((me*7+round)%5)*3*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
+				return c.FRecv(r, left, 0, func(st Status) sim.StepFunc {
+					if st.Data != round*100+left || st.Bytes != 64 {
+						t.Errorf("shards=%d rank %d round %d: tag 0 delivered %+v", shards, me, round, st)
+					}
+					return c.FRecv(r, AnySource, 1, func(st Status) sim.StepFunc {
+						if st.Data != -(round*100+far) || st.Source != far || st.Bytes != 256 {
+							t.Errorf("shards=%d rank %d round %d: tag 1 delivered %+v", shards, me, round, st)
+						}
+						if round%4 != 0 {
+							return loop
+						}
+						return c.FAllreduce(r, Part{Bytes: 8, Data: int64(me)}, SumInt64, nil, func(sum Part) sim.StepFunc {
+							if sum.Data != int64(p*(p-1)/2) {
+								t.Errorf("shards=%d rank %d round %d: allreduce gave %v", shards, me, round, sum.Data)
+							}
+							return loop
+						})
+					})
+				})
+			})
+		}
+		return loop
+	})
+	if err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	recycled := len(w.msgFree)
+	for i := range w.shardPools {
+		recycled += len(w.shardPools[i].msgFree)
+	}
+	queued := 0 // ranks whose arrival list was ever used
+	for _, rs := range w.ranks {
+		if cap(rs.match.arrivals) > 0 {
+			queued++
+		}
+	}
+	if recycled == 0 || queued < p/2 {
+		t.Errorf("shards=%d: %d messages pooled and %d of %d ranks saw an unexpected message; the program missed the path", shards, recycled, queued, p)
+	}
+	return finish
+}
+
+// TestMessageRecycleAcrossShards runs the recycle path in the parallel
+// mode: a message is drawn from the sender's shard pool, queued and
+// recycled on the receiver's, while other shards do the same (CI runs
+// this under -race -count=10). Payloads must arrive intact at every shard
+// count and the sharded family must agree on every finish instant.
+func TestMessageRecycleAcrossShards(t *testing.T) {
+	const rounds = 300
+	runRecycleProgram(t, 1, rounds)
+	if two, four := runRecycleProgram(t, 2, rounds), runRecycleProgram(t, 4, rounds); !reflect.DeepEqual(two, four) {
+		t.Errorf("finish instants differ between 2 and 4 shards:\n  2: %v\n  4: %v", two, four)
+	}
+}

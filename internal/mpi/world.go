@@ -347,26 +347,31 @@ func (w *World) ioEnd(rs *rankState) {
 	w.fs.IOEnd(w.cfg.Job, rs.eng.Now())
 }
 
-// pools is one shard's set of freelists for matching-path and wait-state
-// objects (simulation code is single-threaded per shard, so plain slices
-// suffice). Classic worlds have exactly one, embedded in World; sharded
-// worlds keep one per shard so concurrent windows never contend. Messages
-// matched straight against a posted receive and popped posted receives
-// recycle here; messages that entered the unexpected queue are left to
-// the GC (wildcard side-lists may still reference them). Requests recycle
-// when a wait consumes them (see the contract on Request), so the
-// steady-state message path allocates nothing at all.
+// pools is one shard's set of freelists for matching-path, wait-state and
+// collective-state objects (simulation code is single-threaded per shard,
+// so plain slices suffice). Classic worlds have exactly one, embedded in
+// World; sharded worlds keep one per shard so concurrent windows never
+// contend. Messages matched straight against a posted receive and popped
+// posted receives recycle here at once; a message that entered the
+// unexpected queue recycles when the last matching-index list lets go of
+// it (dropRef). Requests recycle when a wait consumes them (see the
+// contract on Request). What a warm pool does not cover is listed in
+// DESIGN.md ("Continuations and message lifetime"): the closures a caller
+// builds for its own continuations, payloads boxed into Data, requests
+// only ever completed by Test, and whatever a run leaves queued at its end.
 type pools struct {
 	msgFree []*message
 	prFree  []*postedRecv
 	reqFree []*Request
 
-	// Freelists for the fiber wait-state structs (fiber.go): the hoisted
-	// closure environments of the continuation wait primitives, recycled
-	// so steady-state fiber waits allocate nothing.
+	// Freelists for the fiber wait-state and collective-state structs
+	// (fiber.go): the hoisted closure environments of the continuation
+	// primitives, recycled so steady-state fiber waits and collectives
+	// allocate nothing.
 	fwFree    []*fwait
 	fwAllFree []*fwaitAll
 	fwAnyFree []*fwaitAny
+	fcFree    []*fcoll
 
 	// Freelist for the per-request wakers that WaitAny (goroutine
 	// representation) registers on its pending requests; fiber WaitAny
@@ -396,6 +401,14 @@ func (pl *pools) newMessage() *message {
 		return m
 	}
 	return &message{}
+}
+
+// dropRef records that one list of a matching index let go of m, and
+// recycles the message when it was the last.
+func (pl *pools) dropRef(m *message) {
+	if m.held--; m.held == 0 {
+		pl.freeMessage(m)
+	}
 }
 
 // freeMessage recycles a message that no queue references.
@@ -790,6 +803,7 @@ func (w *World) buildRanks() {
 			w.ranks[i].eng = w.eng
 			w.ranks[i].pool = &w.pools
 		}
+		w.ranks[i].match.pool = w.ranks[i].pool
 		if i < len(cfg.RankFaults) {
 			w.ranks[i].faults = cfg.RankFaults[i]
 		} else {
@@ -797,7 +811,7 @@ func (w *World) buildRanks() {
 		}
 		members[i] = i
 	}
-	w.world = newComm(w, members, identityIndex(cfg.Procs))
+	w.world = newComm(w, members, nil)
 }
 
 // reset reinitializes a recycled world for cfg, retaining engine, ranks,
@@ -874,14 +888,6 @@ func (w *World) checkIOShard(c *Comm) {
 			panic(fmt.Sprintf("mpi: parallel mode needs every file-I/O rank on one shard: rank %d is on shard %d but the I/O shard is %d (adjust Config.Place)", wr, s, w.ioShard))
 		}
 	}
-}
-
-func identityIndex(n int) map[int]int {
-	m := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		m[i] = i
-	}
-	return m
 }
 
 // Engine exposes the underlying simulation engine. It is nil for a world

@@ -113,7 +113,7 @@ func (s *Stream) FOperate(r *mpi.Rank, op FOperator, then func(Stats) sim.StepFu
 	onAny = func(idx int, st mpi.Status) sim.StepFunc {
 		s.stats.WaitTime += r.Now() - waitStart
 		if idx == 0 {
-			b = st.Data.(batch)
+			b = s.unpack(st)
 			ei = 0
 			return elems
 		}
@@ -208,7 +208,7 @@ func (s *Stream) foperateFixed(r *mpi.Rank, op FOperator, then func(Stats) sim.S
 			si++
 			return pass
 		}
-		b = status.Data.(batch)
+		b = s.unpack(status)
 		ei = 0
 		return elems
 	}

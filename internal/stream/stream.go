@@ -36,8 +36,10 @@ type Stats struct {
 	WaitTime sim.Time
 }
 
-// batch is the wire format of one stream message: elements plus their
-// producer index.
+// batch is the wire format of one message of a batched stream: elements
+// plus their producer index. An unbatched stream sends no wrapper: the
+// element's size and payload are the message's own, and the consumer
+// recovers the producer index from the message's source (unpack).
 type batch struct {
 	src   int
 	elems []Element
@@ -67,6 +69,9 @@ type Stream struct {
 	pending    []Element     // batch under construction
 	pendingDst int
 	terminated bool
+
+	// Consumer state: where unpack puts an element that arrived unwrapped.
+	lone [1]Element
 
 	stats Stats
 }
@@ -123,7 +128,8 @@ func (s *Stream) IsendTo(r *mpi.Rank, elem Element, consumer int) {
 		}
 		return
 	}
-	s.send(r, consumer, []Element{elem})
+	s.ch.parent.IsendAndFree(r, s.ch.consumers[consumer], s.elemTag, elem.Bytes, elem.Data)
+	s.stats.Messages++
 }
 
 // Flush sends any batched elements immediately.
@@ -136,17 +142,25 @@ func (s *Stream) Flush(r *mpi.Rank) {
 func (s *Stream) flush(r *mpi.Rank) {
 	elems := s.pending
 	s.pending = nil
-	s.send(r, s.pendingDst, elems)
-}
-
-func (s *Stream) send(r *mpi.Rank, consumer int, elems []Element) {
 	var bytes int64
 	for _, e := range elems {
 		bytes += e.Bytes
 	}
-	dst := s.ch.consumers[consumer]
+	dst := s.ch.consumers[s.pendingDst]
 	s.ch.parent.IsendAndFree(r, dst, s.elemTag, bytes, batch{src: s.prodIdx, elems: elems})
 	s.stats.Messages++
+}
+
+// unpack decodes one arrived stream message. A batch is returned as sent;
+// an unwrapped element is rebuilt in the stream's one-element scratch,
+// valid until the next call. The batch type is unexported, so no
+// application payload can be mistaken for one.
+func (s *Stream) unpack(st mpi.Status) batch {
+	if b, ok := st.Data.(batch); ok {
+		return b
+	}
+	s.lone[0] = Element{Bytes: st.Bytes, Data: st.Data}
+	return batch{src: indexOf(s.ch.producers, st.Source), elems: s.lone[:]}
 }
 
 // Terminate closes the producer's side of the stream (paper step 5:
@@ -211,7 +225,7 @@ func (s *Stream) Operate(r *mpi.Rank, op Operator) Stats {
 		idx, st := c.WaitAny(r, reqs)
 		s.stats.WaitTime += r.Now() - waitStart
 		if idx == 0 {
-			b := st.Data.(batch)
+			b := s.unpack(st)
 			for _, elem := range b.elems {
 				received++
 				s.stats.ElementsReceived++
@@ -300,7 +314,7 @@ func (s *Stream) operateFixed(r *mpi.Rank, op Operator) Stats {
 				remaining--
 				continue
 			}
-			b := status.Data.(batch)
+			b := s.unpack(status)
 			for _, elem := range b.elems {
 				s.stats.ElementsReceived++
 				s.stats.Bytes += elem.Bytes

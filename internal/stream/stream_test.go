@@ -386,3 +386,26 @@ func TestDeliveryCountProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnpackZeroAlloc pins the wire format of an unbatched stream: the
+// element arrives as the message's own size and payload, unpack rebuilds
+// it in the stream's scratch without allocating, and the producer index
+// comes from the message's source. A batch passes through as sent.
+func TestUnpackZeroAlloc(t *testing.T) {
+	s := &Stream{ch: &Channel{membership: &membership{producers: []int{2, 5, 7}, consumers: []int{9}}}}
+	payload := interface{}("particles")
+	lone := mpi.Status{Source: 5, Bytes: 64, Data: payload}
+	sent := batch{src: 2, elems: []Element{{Bytes: 8}, {Bytes: 16}}}
+	wrapped := mpi.Status{Source: 7, Bytes: 24, Data: sent}
+
+	var b batch
+	if n := testing.AllocsPerRun(100, func() { b = s.unpack(lone) }); n != 0 {
+		t.Errorf("unpacking an unwrapped element allocates %.0f objects, want 0", n)
+	}
+	if b.src != 1 || len(b.elems) != 1 || b.elems[0].Bytes != 64 || b.elems[0].Data != payload {
+		t.Errorf("unwrapped element from parent rank 5 unpacked as %+v, want producer 1 with 64 bytes of %v", b, payload)
+	}
+	if b = s.unpack(wrapped); b.src != 2 || len(b.elems) != 2 || b.elems[1].Bytes != 16 {
+		t.Errorf("batch unpacked as %+v, want it as sent (%+v)", b, sent)
+	}
+}
