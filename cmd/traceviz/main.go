@@ -10,31 +10,43 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	var (
-		fig   = flag.Int("fig", 2, "figure to render: 2 or 3")
-		width = flag.Int("width", 100, "timeline width in columns")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, renders the figure to stdout and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 2, "figure to render: 2 or 3")
+	width := fs.Int("width", 100, "timeline width in columns")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var err error
 	switch *fig {
 	case 2:
-		err = experiments.Fig2(os.Stdout, *width)
+		err = experiments.Fig2(stdout, *width)
 	case 3:
-		err = experiments.Fig3(os.Stdout, *width)
+		err = experiments.Fig3(stdout, *width)
 	default:
 		err = fmt.Errorf("unknown figure %d (supported: 2, 3)", *fig)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }

@@ -70,37 +70,8 @@ func perRound(t *testing.T, run func(rounds int)) float64 {
 	return mallocs
 }
 
-// TestWaitHotPathZeroAlloc pins the goroutine-representation send/recv
-// round trip — Isend, Irecv, Wait with the direct-wake completion path —
-// at zero allocations per round: requests, messages, posted receives and
-// wakers all recycle through the world pools.
-func TestWaitHotPathZeroAlloc(t *testing.T) {
-	run := func(rounds int) {
-		w := NewWorld(Config{Procs: 2, Seed: 5})
-		_, err := w.Run(func(r *Rank) {
-			c := r.World()
-			for i := 0; i < rounds; i++ {
-				if r.ID() == 0 {
-					c.Send(r, 1, 0, 1024, nil)
-					c.Recv(r, 1, 1)
-				} else {
-					c.Recv(r, 0, 0)
-					c.Send(r, 0, 1, 512, nil)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Release()
-	}
-	if got := perRound(t, run); got != 0 {
-		t.Errorf("proc ping-pong allocates %.2f allocs/round in steady state, want 0", got)
-	}
-}
-
-// TestFiberP2PHotPathZeroAlloc pins the fiber-representation FSend/FRecv
-// round trip at zero allocations per round (pooled fwait states plus the
+// TestFiberP2PHotPathZeroAlloc pins the FSend/FRecv round trip at zero
+// allocations per round (pooled fwait states plus the
 // pooled requests/messages).
 func TestFiberP2PHotPathZeroAlloc(t *testing.T) {
 	run := func(rounds int) {
@@ -198,47 +169,5 @@ func TestFWaitAnyHotPathZeroAlloc(t *testing.T) {
 	}
 	if got := perRound(t, run); got != 0 {
 		t.Errorf("FWaitAny fan-in allocates %.2f allocs/message in steady state, want 0", got)
-	}
-}
-
-// TestProcWaitAnyHotPathZeroAlloc is TestFWaitAnyHotPathZeroAlloc for the
-// goroutine representation: the pooled per-request wakers must make the
-// blocking WaitAny loop allocation-free too.
-func TestProcWaitAnyHotPathZeroAlloc(t *testing.T) {
-	const producers = 2
-	run := func(rounds int) {
-		w := NewWorld(Config{Procs: producers + 1, Seed: 5})
-		_, err := w.Run(func(r *Rank) {
-			c := r.World()
-			if r.ID() < producers {
-				for i := 0; i < rounds; i++ {
-					r.Compute(sim.Time(1+r.ID()) * sim.Microsecond)
-					c.Send(r, producers, r.ID(), 2048, nil)
-				}
-				return
-			}
-			reqs := make([]*Request, producers)
-			left := make([]int, producers)
-			for i := range reqs {
-				reqs[i] = c.Irecv(r, i, i)
-				left[i] = rounds
-			}
-			for got := 0; got < producers*rounds; got++ {
-				idx, _ := c.WaitAny(r, reqs)
-				left[idx]--
-				if left[idx] > 0 {
-					reqs[idx] = c.Irecv(r, idx, idx)
-				} else {
-					reqs[idx] = nil
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Release()
-	}
-	if got := perRound(t, run); got != 0 {
-		t.Errorf("WaitAny fan-in allocates %.2f allocs/message in steady state, want 0", got)
 	}
 }

@@ -39,139 +39,43 @@ func (c *Comm) nextCollTag(me int) int {
 // Barrier blocks until all members have entered it (dissemination
 // algorithm: ceil(log2 P) rounds of zero-byte messages).
 func (c *Comm) Barrier(r *Rank) {
-	me := c.RankOf(r)
-	c.barrierOn(r, r.proc, me, c.nextCollTag(me))
-}
-
-func (c *Comm) barrierOn(r *Rank, proc *simProc, me, tag int) {
-	p := len(c.members)
-	for k := 1; k < p; k <<= 1 {
-		dst := (me + k) % p
-		src := (me - k + p) % p
-		req := c.isendFrom(r, proc, dst, tag, 0, nil)
-		rreq := c.irecvFor(r, src, tag)
-		c.waitOn(r, proc, req)
-		c.waitOn(r, proc, rreq)
-	}
+	r.Block("Barrier", func(next sim.StepFunc) sim.StepFunc { return c.FBarrier(r, next) })
 }
 
 // Bcast distributes root's part to all members (binomial tree) and returns
 // it on every rank.
 func (c *Comm) Bcast(r *Rank, root int, part Part) Part {
-	me := c.RankOf(r)
-	return c.bcastOn(r, r.proc, me, root, part, c.nextCollTag(me))
-}
-
-func (c *Comm) bcastOn(r *Rank, proc *simProc, me, root int, part Part, tag int) Part {
-	p := len(c.members)
-	if p == 1 {
-		return part
-	}
-	vr := (me - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			src := (vr - mask + root) % p
-			st := c.waitOn(r, proc, c.irecvFor(r, src, tag))
-			part = Part{Bytes: st.Bytes, Data: st.Data}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vr&mask == 0 && vr+mask < p {
-			dst := (vr + mask + root) % p
-			c.waitOn(r, proc, c.isendFrom(r, proc, dst, tag, part.Bytes, part.Data))
-		}
-		mask >>= 1
-	}
-	return part
+	return Await(r, "Bcast", func(then func(Part) sim.StepFunc) sim.StepFunc { return c.FBcast(r, root, part, then) })
 }
 
 // Reduce combines every member's part at root (binomial tree). The
 // combined part and true are returned at root; other ranks get a zero Part
 // and false. cost, if non-nil, charges combine CPU time at each tree node.
-func (c *Comm) Reduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn) (Part, bool) {
-	me := c.RankOf(r)
-	return c.reduceOn(r, r.proc, me, root, part, op, cost, c.nextCollTag(me))
-}
-
-func (c *Comm) reduceOn(r *Rank, proc *simProc, me, root int, part Part, op ReduceOp, cost CostFn, tag int) (Part, bool) {
-	p := len(c.members)
-	if p == 1 {
-		return part, true
-	}
-	vr := (me - root + p) % p
-	acc := part
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			dst := (vr - mask + root) % p
-			c.waitOn(r, proc, c.isendFrom(r, proc, dst, tag, acc.Bytes, acc.Data))
-			return Part{}, false
-		}
-		peer := vr | mask
-		if peer < p {
-			st := c.waitOn(r, proc, c.irecvFor(r, (peer+root)%p, tag))
-			if cost != nil {
-				proc.Advance(cost(acc.Bytes + st.Bytes))
-			}
-			acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(acc.Data, st.Data)}
-		}
-	}
-	return acc, true
+func (c *Comm) Reduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn) (res Part, isRoot bool) {
+	r.Block("Reduce", func(next sim.StepFunc) sim.StepFunc {
+		return c.FReduce(r, root, part, op, cost, func(p Part, ok bool) sim.StepFunc {
+			res, isRoot = p, ok
+			return next
+		})
+	})
+	return res, isRoot
 }
 
 // Allreduce combines every member's part and returns the result on all
 // ranks. Power-of-two sizes use recursive doubling; other sizes reduce to
 // rank 0 and broadcast.
 func (c *Comm) Allreduce(r *Rank, part Part, op ReduceOp, cost CostFn) Part {
-	me := c.RankOf(r)
-	return c.allreduceOn(r, r.proc, me, part, op, cost, c.nextCollTag(me))
-}
-
-func (c *Comm) allreduceOn(r *Rank, proc *simProc, me int, part Part, op ReduceOp, cost CostFn, tag int) Part {
-	p := len(c.members)
-	if p == 1 {
-		return part
-	}
-	if p&(p-1) == 0 {
-		acc := part
-		for mask := 1; mask < p; mask <<= 1 {
-			peer := me ^ mask
-			sreq := c.isendFrom(r, proc, peer, tag, acc.Bytes, acc.Data)
-			st := c.waitOn(r, proc, c.irecvFor(r, peer, tag))
-			c.waitOn(r, proc, sreq)
-			if cost != nil {
-				proc.Advance(cost(acc.Bytes + st.Bytes))
-			}
-			// Combine in rank order for cross-rank determinism.
-			if peer < me {
-				acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(st.Data, acc.Data)}
-			} else {
-				acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(acc.Data, st.Data)}
-			}
-		}
-		return acc
-	}
-	res, isRoot := c.reduceOn(r, proc, me, 0, part, op, cost, tag)
-	if !isRoot {
-		res = Part{}
-	}
-	return c.bcastOn(r, proc, me, 0, res, tag)
+	return Await(r, "Allreduce", func(then func(Part) sim.StepFunc) sim.StepFunc { return c.FAllreduce(r, part, op, cost, then) })
 }
 
 // Gatherv collects every member's part at root in comm-rank order. Only
 // root receives a non-nil slice.
 func (c *Comm) Gatherv(r *Rank, root int, part Part) []Part {
 	me := c.RankOf(r)
-	return c.gathervOn(r, r.proc, me, root, part, c.nextCollTag(me))
-}
-
-func (c *Comm) gathervOn(r *Rank, proc *simProc, me, root int, part Part, tag int) []Part {
+	tag := c.nextCollTag(me)
 	p := len(c.members)
 	if me != root {
-		c.waitOn(r, proc, c.isendFrom(r, proc, root, tag, part.Bytes, part.Data))
+		c.Send(r, root, tag, part.Bytes, part.Data)
 		return nil
 	}
 	out := make([]Part, p)
@@ -182,11 +86,11 @@ func (c *Comm) gathervOn(r *Rank, proc *simProc, me, root int, part Part, tag in
 		if src == me {
 			continue
 		}
-		reqs = append(reqs, c.irecvFor(r, src, tag))
+		reqs = append(reqs, c.Irecv(r, src, tag))
 		srcs = append(srcs, src)
 	}
 	for i, q := range reqs {
-		st := c.waitOn(r, proc, q)
+		st := c.Wait(r, q)
 		out[srcs[i]] = Part{Bytes: st.Bytes, Data: st.Data}
 	}
 	return out
@@ -199,8 +103,7 @@ func (c *Comm) gathervOn(r *Rank, proc *simProc, me, root int, part Part, tag in
 // The returned slice is one result shared by every member of the
 // communicator (see gatherState) and must not be modified.
 func (c *Comm) Allgatherv(r *Rank, part Part) []Part {
-	me := c.RankOf(r)
-	return c.allgathervOn(r, r.proc, me, part, c.nextCollTag(me))
+	return Await(r, "Allgatherv", func(then func([]Part) sim.StepFunc) sim.StepFunc { return c.FAllgatherv(r, part, then) })
 }
 
 // gatherKey names one allgatherv call: a collective tag is used once per
@@ -222,8 +125,7 @@ type gatherState struct {
 }
 
 // gatherEnter records me's part in the shared result of the allgatherv
-// (c, tag), creating the result on the first arrival. Both process
-// representations enter and leave through this pair.
+// (c, tag), creating the result on the first arrival.
 func (c *Comm) gatherEnter(me, tag int, part Part) *gatherState {
 	w := c.w
 	w.mu.Lock()
@@ -253,44 +155,16 @@ func (c *Comm) gatherLeave(tag int, st *gatherState) []Part {
 	return st.parts
 }
 
-func (c *Comm) allgathervOn(r *Rank, proc *simProc, me int, part Part, tag int) []Part {
-	p := len(c.members)
-	if p == 1 {
-		return []Part{part}
-	}
-	st := c.gatherEnter(me, tag, part)
-	// have is the byte count of the parts this rank would hold on the wire.
-	have := part.Bytes
-	if p&(p-1) == 0 {
-		for mask := 1; mask < p; mask <<= 1 {
-			peer := me ^ mask
-			sreq := c.isendFrom(r, proc, peer, tag, have, nil)
-			got := c.waitOn(r, proc, c.irecvFor(r, peer, tag))
-			c.waitOn(r, proc, sreq)
-			have += got.Bytes
-		}
-		return c.gatherLeave(tag, st)
-	}
-	// Ring: pass the neighbour's latest part around, P-1 steps.
-	right := (me + 1) % p
-	left := (me - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sreq := c.isendFrom(r, proc, right, tag, have, nil)
-		got := c.waitOn(r, proc, c.irecvFor(r, left, tag))
-		c.waitOn(r, proc, sreq)
-		have = got.Bytes
-	}
-	return c.gatherLeave(tag, st)
-}
-
 // Alltoallv sends parts[i] to comm rank i and returns the parts received
 // from every rank (pairwise exchange, P-1 rounds).
 func (c *Comm) Alltoallv(r *Rank, parts []Part) []Part {
 	me := c.RankOf(r)
-	return c.alltoallvOn(r, r.proc, me, parts, c.nextCollTag(me))
+	return c.alltoallvOn(r, me, parts, c.nextCollTag(me))
 }
 
-func (c *Comm) alltoallvOn(r *Rank, proc *simProc, me int, parts []Part, tag int) []Part {
+// alltoallvOn runs the exchange on r, which is the rank's own handle or
+// that of a helper process of the rank (Ialltoallv).
+func (c *Comm) alltoallvOn(r *Rank, me int, parts []Part, tag int) []Part {
 	p := len(c.members)
 	if len(parts) != p {
 		panic(fmt.Sprintf("mpi: Alltoallv with %d parts on comm of size %d", len(parts), p))
@@ -300,9 +174,9 @@ func (c *Comm) alltoallvOn(r *Rank, proc *simProc, me int, parts []Part, tag int
 	for round := 1; round < p; round++ {
 		dst := (me + round) % p
 		src := (me - round + p) % p
-		sreq := c.isendFrom(r, proc, dst, tag, parts[dst].Bytes, parts[dst].Data)
-		st := c.waitOn(r, proc, c.irecvFor(r, src, tag))
-		c.waitOn(r, proc, sreq)
+		sreq := c.Isend(r, dst, tag, parts[dst].Bytes, parts[dst].Data)
+		st := c.Recv(r, src, tag)
+		c.Wait(r, sreq)
 		out[src] = Part{Bytes: st.Bytes, Data: st.Data}
 	}
 	return out

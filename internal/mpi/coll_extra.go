@@ -22,14 +22,14 @@ func (c *Comm) Scan(r *Rank, part Part, op ReduceOp, cost CostFn) Part {
 	tag := c.nextCollTag(me)
 	acc := part
 	if me > 0 {
-		st := c.waitOn(r, r.proc, c.irecvFor(r, me-1, tag))
+		st := c.Recv(r, me-1, tag)
 		if cost != nil {
-			r.proc.Advance(cost(acc.Bytes + st.Bytes))
+			r.Idle(cost(acc.Bytes + st.Bytes))
 		}
 		acc = Part{Bytes: maxI64(acc.Bytes, st.Bytes), Data: op(st.Data, acc.Data)}
 	}
 	if me < len(c.members)-1 {
-		c.waitOn(r, r.proc, c.isendFrom(r, r.proc, me+1, tag, acc.Bytes, acc.Data))
+		c.Send(r, me+1, tag, acc.Bytes, acc.Data)
 	}
 	return acc
 }
@@ -44,14 +44,13 @@ func (c *Comm) ReduceScatterBlock(r *Rank, parts []Part, op ReduceOp, cost CostF
 		panic("mpi: ReduceScatterBlock needs one part per rank")
 	}
 	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
 	// Reduce the whole vector to rank 0.
 	var total int64
 	for _, pt := range parts {
 		total += pt.Bytes
 	}
 	vec := Part{Bytes: total, Data: parts}
-	combined, isRoot := c.reduceOn(r, r.proc, me, 0, vec, func(a, b interface{}) interface{} {
+	combined, isRoot := c.Reduce(r, 0, vec, func(a, b interface{}) interface{} {
 		av, _ := a.([]Part)
 		bv, _ := b.([]Part)
 		if av == nil {
@@ -68,21 +67,21 @@ func (c *Comm) ReduceScatterBlock(r *Rank, parts []Part, op ReduceOp, cost CostF
 			}
 		}
 		return out
-	}, cost, tag)
+	}, cost)
 	// Scatter the slots.
 	stag := c.nextCollTag(me)
 	if isRoot {
 		cv := combined.Data.([]Part)
 		var reqs []*Request
 		for dst := 1; dst < p; dst++ {
-			reqs = append(reqs, c.isendFrom(r, r.proc, dst, stag, cv[dst].Bytes, cv[dst].Data))
+			reqs = append(reqs, c.Isend(r, dst, stag, cv[dst].Bytes, cv[dst].Data))
 		}
 		for _, q := range reqs {
-			c.waitOn(r, r.proc, q)
+			c.Wait(r, q)
 		}
 		return cv[0]
 	}
-	st := c.waitOn(r, r.proc, c.irecvFor(r, 0, stag))
+	st := c.Recv(r, 0, stag)
 	return Part{Bytes: st.Bytes, Data: st.Data}
 }
 
@@ -106,13 +105,13 @@ func (c *Comm) Scatter(r *Rank, root int, parts []Part) Part {
 			if dst == root {
 				continue
 			}
-			reqs = append(reqs, c.isendFrom(r, r.proc, dst, tag, parts[dst].Bytes, parts[dst].Data))
+			reqs = append(reqs, c.Isend(r, dst, tag, parts[dst].Bytes, parts[dst].Data))
 		}
 		for _, q := range reqs {
-			c.waitOn(r, r.proc, q)
+			c.Wait(r, q)
 		}
 		return parts[root]
 	}
-	st := c.waitOn(r, r.proc, c.irecvFor(r, root, tag))
+	st := c.Recv(r, root, tag)
 	return Part{Bytes: st.Bytes, Data: st.Data}
 }

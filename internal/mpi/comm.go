@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/sim"
 )
 
 // Comm is a communicator: an ordered group of ranks with a private message
@@ -86,21 +88,11 @@ type splitEntry struct {
 // network cost of the operation is modelled by the barrier that closes the
 // rendezvous.
 func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	st := c.splitRegister(r, color, key)
-	// The rendezvous costs a barrier on the parent communicator, which is
-	// roughly what MPI_Comm_split costs (an allgather of (color, key)).
-	c.Barrier(r)
-	if color < 0 {
-		return nil
-	}
-	// After the barrier, st.result is materialized (the barrier cannot
-	// complete before every member has registered its entry above).
-	return st.result[color]
+	return Await(r, "Split", func(then func(*Comm) sim.StepFunc) sim.StepFunc { return c.FSplit(r, color, key, then) })
 }
 
 // splitRegister records one member's (color, key) for the current Split
-// generation; the last arrival materializes the child communicators. The
-// membership bookkeeping is shared by Split and FSplit.
+// generation; the last arrival materializes the child communicators.
 func (c *Comm) splitRegister(r *Rank, color, key int) *splitState {
 	w := c.w
 	// Shards may register concurrently in parallel mode; the materialized

@@ -9,26 +9,26 @@
 //     posted receive on every surviving rank completes immediately with a
 //     *RankFailedError in its status, and every send or receive posted
 //     while the world is revoked returns an already-failed request. The
-//     error surfaces through the wait entry points — Wait/WaitAll/
-//     WaitAny/Test panic with the *RankFailedError (collectives are built
-//     on the same waits and fail the same way), and the fiber forms
-//     divert to the continuation registered by FProtect — so no rank ever
-//     deadlocks on a dead peer.
-//   - Rank bodies run their failure-prone section under Protect (FProtect
-//     for fibers), which converts the unwind into an error return, and
-//     then rendezvous in Rebuild: once every rank — including the
-//     restarted incarnation of the victim — has arrived, matching state
-//     and collective tag counters reset, the revocation lifts, and all
-//     ranks resume together. CheckFailed is the commit-protocol query: a
+//     error surfaces through the wait entry points: they divert to the
+//     rank's failure continuation (collectives are built on the same
+//     waits and fail the same way) — the one FProtect registered, or for
+//     a blocking body the step that panics with the *RankFailedError out
+//     of its pending call — so no rank ever deadlocks on a dead peer.
+//   - Rank bodies run their failure-prone section under FProtect (Protect
+//     for blocking bodies, which converts the unwind into an error
+//     return), and then rendezvous in Rebuild: once every rank —
+//     including the restarted incarnation of the victim — has arrived,
+//     matching state and collective tag counters reset, the revocation
+//     lifts, and all ranks resume together. CheckFailed is the commit-protocol query: a
 //     rank that passed its final barrier calls it before returning, so
 //     either every rank commits the run or every rank observes the
 //     failure. A crash event that fires after any rank body has finished
 //     is dropped — completed output is never retroactively revoked.
-//   - The victim is respawned through the same Spawn/SpawnFiber path as
-//     the original body and draws the next engine-wide process id, so a
-//     fixed campaign replays bit-for-bit across both process
-//     representations and pooled-engine reuse (see the failure/recovery
-//     determinism contract in internal/sim).
+//   - The victim is respawned through the same SpawnFiber path as the
+//     original body and draws the next engine-wide process id, so a
+//     fixed campaign replays bit-for-bit across repeats and pooled-engine
+//     reuse (see the failure/recovery determinism contract in
+//     internal/sim).
 //
 // Messages are stamped with the world's revocation epoch when sent and
 // dropped at delivery when the epoch has moved on, so traffic from a
@@ -47,9 +47,9 @@ import (
 )
 
 // RankFailedError reports that an operation could not complete because a
-// rank of the world crashed. It is the panic value of the goroutine wait
-// paths under revocation (recovered by Protect) and the error delivered
-// to FProtect's failure continuation.
+// rank of the world crashed. It is the error delivered to FProtect's
+// failure continuation, and the panic value that unwinds a blocking body
+// to Protect.
 type RankFailedError struct {
 	// World is the world name (Config.Name), empty for anonymous worlds.
 	World string
@@ -79,8 +79,8 @@ type failureError interface {
 	rankFailure()
 }
 
-// scheduleCrashes installs the campaign's kill events. Called by Start
-// and StartFibers once the rank bodies exist; with no crashes configured
+// scheduleCrashes installs the campaign's kill events. Called by
+// StartFibers once the rank bodies exist; with no crashes configured
 // it schedules nothing and the run is byte-identical to a crash-free
 // build.
 func (w *World) scheduleCrashes() {
@@ -90,24 +90,10 @@ func (w *World) scheduleCrashes() {
 	}
 }
 
-// runnable returns the rank's main process under either representation.
-func (rs *rankState) runnable() sim.Runnable {
-	if rs.fib != nil {
-		return rs.fib
-	}
-	return rs.proc
-}
-
 // finished reports whether the rank's main body has returned. A dead
 // (killed, not yet restarted) rank does not count as finished.
 func (rs *rankState) finished() bool {
-	if rs.dead {
-		return false
-	}
-	if rs.fib != nil {
-		return rs.fib.Done()
-	}
-	return rs.proc != nil && rs.proc.Done()
+	return !rs.dead && rs.fib != nil && rs.fib.Done()
 }
 
 // killRank is the crash event: it kills rank target at the current
@@ -137,7 +123,7 @@ func (w *World) killRank(target int, restart sim.Time) {
 	w.revoked = true
 	w.failure = &RankFailedError{World: w.cfg.Name, Rank: target, Epoch: w.epoch}
 
-	victim := rs.runnable()
+	victim := rs.fib
 	// Pull the victim out of every queue that could wake or wait on it
 	// post-mortem: the rebuild rendezvous and the shared-file-pointer
 	// tokens (file keys sorted so a token hand-off to the next waiter
@@ -205,8 +191,7 @@ func (w *World) killRank(target int, restart sim.Time) {
 
 // restartRank respawns the crashed rank's body as a fresh incarnation.
 // The respawn draws the next engine-wide process id through the same
-// Spawn/SpawnFiber path as the original body, so both representations
-// assign the restarted rank identical ids and random streams.
+// SpawnFiber path as the original body.
 func (w *World) restartRank(target int) {
 	rs := w.ranks[target]
 	if !rs.dead {
@@ -215,17 +200,10 @@ func (w *World) restartRank(target int) {
 	rs.dead = false
 	rs.incarnation++
 	rank := &Rank{w: w, rs: rs}
-	if w.mainFiber != nil {
-		rank.fib = w.eng.SpawnFiber(w.rankName(target), func(f *sim.Fiber) sim.StepFunc {
-			return w.mainFiber(rank, f)
-		})
-		rs.fib = rank.fib
-		return
-	}
-	rs.proc = w.eng.Spawn(w.rankName(target), func(p *sim.Proc) {
-		rank.proc = p
-		w.mainBody(rank)
+	rank.fib = w.eng.SpawnFiber(w.rankName(target), func(f *sim.Fiber) sim.StepFunc {
+		return w.mainFiber(rank, f)
 	})
+	rs.fib = rank.fib
 }
 
 // drainIO closes any demand intervals a rank left open when a failure
@@ -268,14 +246,12 @@ func (r *Rank) Failed() bool { return r.w.revoked }
 // every rank — not just the ones with operations in flight — back
 // through recovery together.
 func (r *Rank) CheckFailed() {
-	if r.w.revoked {
-		panic(r.w.failure)
-	}
+	r.Block("CheckFailed", r.FCheckFailed)
 }
 
-// FCheckFailed is CheckFailed for fiber-backed ranks: it diverts to the
-// FProtect failure continuation when the world is revoked, else
-// continues with next.
+// FCheckFailed is CheckFailed in continuation form: it diverts to the
+// rank's failure continuation when the world is revoked, else continues
+// with next.
 func (r *Rank) FCheckFailed(next sim.StepFunc) sim.StepFunc {
 	if r.w.revoked {
 		return r.failNow()
@@ -283,12 +259,12 @@ func (r *Rank) FCheckFailed(next sim.StepFunc) sim.StepFunc {
 	return next
 }
 
-// Protect runs fn, converting a rank-failure unwind into an error
-// return: it recovers a world-revoking failure panic — *RankFailedError
-// from a crash, *RankUnreachableError from the reliable protocol's
-// retry cap — re-raising anything else, closes any demand intervals fn
-// left open, and reports the failure. The caller then typically
-// accounts its lost work and calls Rebuild.
+// Protect is FProtect for blocking bodies. It runs fn, converting a
+// rank-failure unwind into an error return: it recovers a world-revoking
+// failure panic — *RankFailedError from a crash, *RankUnreachableError
+// from the reliable protocol's retry cap — re-raising anything else,
+// closes any demand intervals fn left open, and reports the failure. The
+// caller then typically accounts its lost work and calls Rebuild.
 func (r *Rank) Protect(fn func()) (err error) {
 	defer func() {
 		rec := recover()
@@ -306,11 +282,10 @@ func (r *Rank) Protect(fn func()) (err error) {
 	return nil
 }
 
-// FProtect is Protect for fiber-backed ranks: it registers onFail as the
-// continuation the wait primitives divert to when an operation fails,
-// then starts attempt. The registration stays in place for the rank's
-// lifetime (re-registered by each FProtect call), mirroring how a
-// goroutine body re-enters Protect per attempt.
+// FProtect registers onFail as the continuation the wait primitives
+// divert to when an operation fails, then starts attempt. The
+// registration stays in place for the rank's lifetime (re-registered by
+// each FProtect call).
 func (r *Rank) FProtect(attempt sim.StepFunc, onFail func(error) sim.StepFunc) sim.StepFunc {
 	rs := r.rs
 	rs.failStep = func(_ *sim.Fiber) sim.StepFunc {
@@ -338,22 +313,11 @@ func (r *Rank) failNow() sim.StepFunc {
 // all ranks together. Survivors call it after Protect reports a failure;
 // restarted bodies call it first (Incarnation > 0).
 func (r *Rank) Rebuild() {
-	w, rs := r.w, r.rs
-	r.proc.FlushDebt()
-	rs.inRebuild = true
-	w.rebuildArrived++
-	if w.rebuildArrived == len(w.ranks) {
-		w.completeRebuild()
-		return
-	}
-	for rs.inRebuild {
-		w.rebuildQ.Wait(r.proc, "mpi rebuild")
-	}
+	r.Block("Rebuild", r.FRebuild)
 }
 
-// FRebuild is Rebuild for fiber-backed ranks, continuing with then once
-// the rendezvous completes. It occupies the same queue positions and
-// consumes the same events as the goroutine form.
+// FRebuild is Rebuild in continuation form, continuing with then once
+// the rendezvous completes.
 func (r *Rank) FRebuild(then sim.StepFunc) sim.StepFunc {
 	w, rs, f := r.w, r.rs, r.fib
 	return f.FlushDebt(func(_ *sim.Fiber) sim.StepFunc {

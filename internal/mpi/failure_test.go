@@ -137,9 +137,12 @@ func TestCrashRecoveryCompletes(t *testing.T) {
 	}
 }
 
-// TestCrashReplayDeterministic asserts the tentpole's replay contract: a
-// fixed crash campaign produces the identical trajectory across repeated
-// runs, pooled-world reuse, and both process representations.
+// TestCrashReplayDeterministic asserts the replay contract: a fixed crash
+// campaign produces the identical trajectory — end time and event count,
+// through Protect, CheckFailed and Rebuild and their F forms — across
+// repeated runs, pooled-world reuse, and blocking and step-function
+// bodies. (Crash campaigns refuse a Tracer, so there is no busy time to
+// compare.)
 func TestCrashReplayDeterministic(t *testing.T) {
 	const procs, iters = 4, 16
 	base := baselineMakespan(t, procs, iters)
@@ -151,6 +154,7 @@ func TestCrashReplayDeterministic(t *testing.T) {
 
 	type outcome struct {
 		end       sim.Time
+		events    uint64
 		committed int
 		restarts  [4]int
 		fails     [4]int
@@ -160,9 +164,9 @@ func TestCrashReplayDeterministic(t *testing.T) {
 		w := NewWorld(cfg)
 		end := mustRun(t, w, recProcBody(st))
 		allFinished(t, w)
-		w.Release()
 		var o outcome
-		o.end, o.committed = end, st.committed
+		o.end, o.events, o.committed = end, w.Engine().Events(), st.committed
+		w.Release()
 		copy(o.restarts[:], st.restarts)
 		copy(o.fails[:], st.fails)
 		return o
@@ -175,9 +179,9 @@ func TestCrashReplayDeterministic(t *testing.T) {
 			t.Fatalf("RunFibers: %v", err)
 		}
 		allFinished(t, w)
-		w.Release()
 		var o outcome
-		o.end, o.committed = end, st.committed
+		o.end, o.events, o.committed = end, w.Engine().Events(), st.committed
+		w.Release()
 		copy(o.restarts[:], st.restarts)
 		copy(o.fails[:], st.fails)
 		return o

@@ -1,36 +1,31 @@
-// Fiber-backed runtime entry points.
+// The waits and collectives of the runtime, in continuation-passing form.
 //
-// This file is the continuation-passing counterpart of the blocking calls
-// in p2p.go and coll.go, for ranks run with World.RunFibers. Every
-// primitive mirrors its goroutine twin decision for decision — the same
-// debt floors, the same settle targets, the same order of request posting
-// and waiting — so a fiber port of a rank body produces a bit-identical
-// virtual-time trajectory and reports the same spans to a Tracer (the
-// engine's (t, seq) contract; asserted by the runBothWays tests in
-// fiber_test.go).
+// This file is the one implementation of every operation that can block:
+// debt floors, settle targets, the order in which requests are posted and
+// waited on. Step-function rank bodies (World.RunFibers) call the F forms
+// directly; the blocking calls in p2p.go, coll.go and icoll.go run the
+// same F forms on the rank's fiber and park the body goroutine until the
+// last continuation (Rank.Block), so a body written either way fires the
+// same events at the same instants and reports the same spans to a Tracer
+// (asserted by the runBothWays tests in fiber_test.go).
 //
-// The only structural difference is control flow: a wait that would park
-// a goroutine instead stores its continuation on the request (the same
-// Request.waiter slot delivery already wakes) and returns, unwinding to
-// the engine loop. Delivery then resumes the fiber with a plain function
-// call on the current token holder — no goroutine switch anywhere on a
-// fiber-to-fiber message path.
+// A wait that cannot complete stores the fiber on the request (the
+// Request.waiter slot delivery wakes) and returns, unwinding to the engine
+// loop. Delivery then resumes the fiber with a plain function call — no
+// goroutine switch anywhere on a message path between step-function
+// bodies.
 package mpi
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// FIsend is Isend for fiber-backed ranks. Isend itself is representation-
-// neutral; the alias keeps fiber bodies visually uniform.
+// FIsend is Isend, which never blocks; the alias keeps step-function
+// bodies visually uniform.
 func (c *Comm) FIsend(r *Rank, dst, tag int, bytes int64, data interface{}) *Request {
 	return c.Isend(r, dst, tag, bytes, data)
 }
 
-// FWait is Wait for fiber-backed ranks: it completes req, charges receive
-// overhead exactly as Wait does, and continues with then(status).
+// FWait completes req, charges the receive overhead of a completed
+// receive to the caller, and continues with then(status).
 func (c *Comm) FWait(r *Rank, req *Request, then func(Status) sim.StepFunc) sim.StepFunc {
 	return c.fwaitOn(r, r.fib, req, then)
 }
@@ -73,9 +68,9 @@ func (w *World) newFwait(r *Rank, f *sim.Fiber, req *Request, then func(Status) 
 	return s
 }
 
-// checkStep mirrors waitOn's loop body: park on the request if it is
-// still pending, else fold floor, completion instant and receive overhead
-// into one settling advance.
+// checkStep parks on the request if it is still pending, else folds
+// floor, completion instant and receive overhead into one settling
+// advance.
 func (s *fwait) checkStep(_ *sim.Fiber) sim.StepFunc {
 	req := s.req
 	req.checkLive()
@@ -91,10 +86,10 @@ func (s *fwait) checkStep(_ *sim.Fiber) sim.StepFunc {
 		target = s.floor
 	}
 	if req.status.Err != nil {
-		// Completed by peer failure: settle the clock (mirroring waitOn's
-		// settle-then-panic), recycle the wait state — the request itself
-		// is abandoned, not recycled — and surface the failure through the
-		// rank's registered fail step (FProtect) or a panic.
+		// Completed by peer failure: settle the clock (debt must not leak
+		// into the recovery path), recycle the wait state — the request
+		// itself is abandoned, not recycled — and surface the failure
+		// through the rank's failure continuation or a panic.
 		r, f := s.r, s.f
 		s.r, s.f, s.req, s.then, s.thenStep = nil, nil, nil, nil, nil
 		r.rs.pool.fwFree = append(r.rs.pool.fwFree, s)
@@ -119,8 +114,9 @@ func (s *fwait) wakeStep(_ *sim.Fiber) sim.StepFunc {
 // settleStep finishes the wait: recycle the state and the consumed
 // request, then run the caller's continuation.
 func (s *fwait) settleStep(_ *sim.Fiber) sim.StepFunc {
-	if s.f == s.r.fib {
-		// Helper fibers wait unobserved, as helper processes do in waitOn.
+	if s.f == s.r.rs.fib {
+		// Helper processes (nonblocking collectives) wait unobserved: the
+		// timeline shows what the rank's main process is blocked on.
 		s.r.traceWait("wait", s.floor)
 	}
 	then, thenStep, st, pl := s.then, s.thenStep, s.req.status, s.r.rs.pool
@@ -133,9 +129,12 @@ func (s *fwait) settleStep(_ *sim.Fiber) sim.StepFunc {
 	return thenStep
 }
 
-// fwaitOn mirrors waitOn: floor is entry time plus pending debt, the debt
-// rides through the park, and a single settling advance folds floor,
-// completion instant and receive overhead together.
+// fwaitOn waits for req on f. floor, the earliest instant the waiter can
+// observe anything, is entry time plus the CPU debt it owes; the debt
+// rides through the park (its busy window overlaps the blocked period),
+// and a single settling advance folds floor, completion instant and
+// receive overhead together — one suspension for the whole wait, however
+// the request completes.
 func (c *Comm) fwaitOn(r *Rank, f *sim.Fiber, req *Request, then func(Status) sim.StepFunc) sim.StepFunc {
 	return c.w.newFwait(r, f, req, then, nil).check
 }
@@ -146,14 +145,13 @@ func (c *Comm) fwaitOnStep(r *Rank, f *sim.Fiber, req *Request, then sim.StepFun
 	return c.w.newFwait(r, f, req, nil, then).check
 }
 
-// FSend is the blocking send for fiber-backed ranks: FIsend then FWait.
+// FSend is the blocking send: FIsend then FWait.
 func (c *Comm) FSend(r *Rank, dst, tag int, bytes int64, data interface{}, then sim.StepFunc) sim.StepFunc {
 	req := c.FIsend(r, dst, tag, bytes, data)
 	return c.fwaitOnStep(r, r.fib, req, then)
 }
 
-// FRecv is the blocking receive for fiber-backed ranks: Irecv then FWait.
-// (Irecv itself never blocks and is shared between representations.)
+// FRecv is the blocking receive: Irecv then FWait.
 func (c *Comm) FRecv(r *Rank, src, tag int, then func(Status) sim.StepFunc) sim.StepFunc {
 	req := c.irecvFor(r, src, tag)
 	return c.fwaitOn(r, r.fib, req, then)
@@ -182,9 +180,10 @@ func (s *fwaitAll) loopStep(_ *sim.Fiber) sim.StepFunc {
 		q := s.reqs[s.i]
 		q.checkLive()
 		// Fast path: complete as of now plus pending debt; coalesce the
-		// receive overhead as debt, exactly as WaitAll does. Requests
-		// completed by peer failure take the full wait, which surfaces
-		// the error.
+		// receive overhead as debt. (Timed send completions compare
+		// against the post-flush clock, matching what a full wait would
+		// observe.) Requests completed by peer failure take the full
+		// wait, which surfaces the error.
 		if q.status.Err == nil && (q.done || (q.timed && q.doneAt <= e.Now()+s.f.Debt())) {
 			q.done = true
 			if q.isRecv && !q.ovCharged {
@@ -215,10 +214,10 @@ func (s *fwaitAll) finStep(_ *sim.Fiber) sim.StepFunc {
 	return then(out)
 }
 
-// FWaitAll mirrors WaitAll: already-complete requests settle without an
-// engine yield and coalesce their receive overheads as debt; pending ones
-// get a full wait in order. Statuses land in the rank's reusable scratch
-// slice (same ownership rule as WaitAll's return value).
+// FWaitAll waits for every request in order: already-complete requests
+// settle without suspending and coalesce their receive overheads as debt;
+// pending ones get a full wait. Statuses land in the rank's reusable
+// scratch slice (see WaitAll for the ownership rule).
 func (c *Comm) FWaitAll(r *Rank, reqs []*Request, then func([]Status) sim.StepFunc) sim.StepFunc {
 	pl := r.rs.pool
 	var s *fwaitAll
@@ -238,9 +237,7 @@ func (c *Comm) FWaitAll(r *Rank, reqs []*Request, then func([]Status) sim.StepFu
 }
 
 // fwaitAny is the pooled closure environment of FWaitAny. Its embedded
-// waker is what the pending requests register (the fiber counterpart of
-// WaitAny's pooled waker): one resume event per wake, identical (t, seq)
-// to the goroutine representation.
+// waker is what the pending requests register: one resume event per wake.
 type fwaitAny struct {
 	c     *Comm
 	r     *Rank
@@ -283,7 +280,7 @@ func (s *fwaitAny) loopStep(_ *sim.Fiber) sim.StepFunc {
 		if q.status.Err != nil {
 			// Completed by peer failure (debt was flushed at entry, so the
 			// clock is settled). Recycle the wait state, abandon the
-			// request, surface the failure — mirroring WaitAny's panic.
+			// request, surface the failure.
 			if s.armed {
 				s.armed = false
 				s.wk.Disarm()
@@ -339,11 +336,14 @@ func (s *fwaitAny) finish(i int) sim.StepFunc {
 	return then(i, st)
 }
 
-// FWaitAny mirrors WaitAny: flush debt, then repeatedly scan for the
-// lowest completed index, advancing to the earliest pending timed
-// completion or registering the pooled waker on every pending request
-// when nothing is in sight. Completed receives charge the receive
-// overhead exactly once.
+// FWaitAny flushes debt, then repeatedly scans for the lowest completed
+// index, advancing to the earliest pending timed completion or, when
+// nothing is in sight, registering its waker on every pending request and
+// parking: the first completion resumes exactly this process at exactly
+// the completion instant — no wake per unrelated message. A wake implies
+// a completed request, so the process parks at most once per call and the
+// post-wake scan doubles as deregistration. Completed receives charge the
+// receive overhead exactly once.
 func (c *Comm) FWaitAny(r *Rank, reqs []*Request, then func(int, Status) sim.StepFunc) sim.StepFunc {
 	if len(reqs) == 0 {
 		panic("mpi: FWaitAny with no requests")
@@ -448,9 +448,7 @@ func (s *fcoll) send(dst int) *Request {
 	return s.c.isendOv(s.r, s.f, dst, s.tag, s.acc.Bytes, s.acc.Data, s.r.w.cfg.Net.SendOverhead)
 }
 
-// FBarrier is Barrier for fiber-backed ranks (same dissemination rounds,
-// same tag counters — fiber and goroutine ranks of one world could even
-// interleave, though the runners keep worlds homogeneous).
+// FBarrier is Barrier in continuation form.
 func (c *Comm) FBarrier(r *Rank, then sim.StepFunc) sim.StepFunc {
 	me := c.RankOf(r)
 	return c.fbarrierOn(r, r.fib, me, c.nextCollTag(me), then)
@@ -480,8 +478,8 @@ func (s *fcoll) barSent(_ *sim.Fiber) sim.StepFunc {
 	return s.c.fwaitOnStep(s.r, s.f, s.rreq, s.steps.barRound)
 }
 
-// FBcast is Bcast for fiber-backed ranks: binomial tree, identical
-// message pattern, result delivered to then.
+// FBcast is Bcast in continuation form: binomial tree, result delivered
+// to then.
 func (c *Comm) FBcast(r *Rank, root int, part Part, then func(Part) sim.StepFunc) sim.StepFunc {
 	me := c.RankOf(r)
 	return c.fbcastOn(r, r.fib, me, root, part, c.nextCollTag(me), then)
@@ -536,7 +534,7 @@ func (s *fcoll) bcSend(_ *sim.Fiber) sim.StepFunc {
 	return then(part)
 }
 
-// FReduce is Reduce for fiber-backed ranks: binomial tree toward root,
+// FReduce is Reduce in continuation form: binomial tree toward root,
 // delivering (part, isRoot) to then.
 func (c *Comm) FReduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn, then func(Part, bool) sim.StepFunc) sim.StepFunc {
 	me := c.RankOf(r)
@@ -598,9 +596,9 @@ func (s *fcoll) reduced(res Part, isRoot bool) sim.StepFunc {
 	return then(res, isRoot)
 }
 
-// FAllreduce is Allreduce for fiber-backed ranks: recursive doubling for
-// power-of-two sizes, reduce-to-0 plus broadcast otherwise, with the same
-// rank-ordered combines as the goroutine version.
+// FAllreduce is Allreduce in continuation form: recursive doubling for
+// power-of-two sizes, reduce-to-0 plus broadcast otherwise, combining in
+// rank order.
 func (c *Comm) FAllreduce(r *Rank, part Part, op ReduceOp, cost CostFn, then func(Part) sim.StepFunc) sim.StepFunc {
 	me := c.RankOf(r)
 	return c.fallreduceOn(r, r.fib, me, part, op, cost, c.nextCollTag(me), then)
@@ -655,8 +653,8 @@ func (s *fcoll) arApply(_ *sim.Fiber) sim.StepFunc {
 	return s.steps.arRound
 }
 
-// FAllgatherv is Allgatherv for fiber-backed ranks: recursive doubling
-// for power-of-two sizes, a ring otherwise, identical wire traffic. The
+// FAllgatherv is Allgatherv in continuation form: recursive doubling for
+// power-of-two sizes, a ring otherwise. The
 // slice delivered to then is the result shared by every member and must
 // not be modified.
 func (c *Comm) FAllgatherv(r *Rank, part Part, then func([]Part) sim.StepFunc) sim.StepFunc {
@@ -711,9 +709,11 @@ func (c *Comm) fallgathervOn(r *Rank, f *sim.Fiber, me int, part Part, tag int, 
 	return round
 }
 
-// FSplit is Split for fiber-backed ranks: identical membership
-// bookkeeping, with the closing rendezvous barrier in continuation form.
-// The child communicator (nil for color < 0) is delivered to then.
+// FSplit is Split in continuation form: the rendezvous costs a barrier on
+// the parent communicator, which is roughly what MPI_Comm_split costs (an
+// allgather of (color, key)), and cannot complete before every member has
+// registered its entry, so st.result is materialized when it does. The
+// child communicator (nil for color < 0) is delivered to then.
 func (c *Comm) FSplit(r *Rank, color, key int, then func(*Comm) sim.StepFunc) sim.StepFunc {
 	st := c.splitRegister(r, color, key)
 	me := c.RankOf(r)
@@ -725,15 +725,11 @@ func (c *Comm) FSplit(r *Rank, color, key int, then func(*Comm) sim.StepFunc) si
 	})
 }
 
-// FIreduce is Ireduce for fiber-backed ranks: the collective's algorithm
-// runs on a helper fiber (the goroutine-free analogue of the progress
-// helper process), and the initiating rank pays one send overhead before
-// continuing with then(cr).
+// FIreduce is Ireduce in continuation form: the reduce runs on a helper
+// fiber, and the initiating rank pays one send overhead before continuing
+// with then(cr).
 func (c *Comm) FIreduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	r.rs.eng.SpawnFiber(fmt.Sprintf("rank%d/ireduce", r.rs.rank), func(hf *sim.Fiber) sim.StepFunc {
+	return c.fstartColl(r, "ireduce", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
 		return c.freduceOn(r, hf, me, root, part, op, cost, tag, func(res Part, isRoot bool) sim.StepFunc {
 			if isRoot {
 				cr.value = res
@@ -742,41 +738,29 @@ func (c *Comm) FIreduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn, 
 			}
 			return c.finishColl(r, cr)
 		})
-	})
-	return r.fib.Advance(r.w.cfg.Net.SendOverhead, func(_ *sim.Fiber) sim.StepFunc { return then(cr) })
+	}, then)
 }
 
-// FIallgatherv is Iallgatherv for fiber-backed ranks; the []Part result
-// is the slice shared by every member and must not be modified.
+// FIallgatherv is Iallgatherv in continuation form; the []Part result is
+// the slice shared by every member and must not be modified.
 func (c *Comm) FIallgatherv(r *Rank, part Part, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	r.rs.eng.SpawnFiber(fmt.Sprintf("rank%d/iallgatherv", r.rs.rank), func(hf *sim.Fiber) sim.StepFunc {
+	return c.fstartColl(r, "iallgatherv", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
 		return c.fallgathervOn(r, hf, me, part, tag, func(parts []Part) sim.StepFunc {
 			cr.value = parts
 			return c.finishColl(r, cr)
 		})
-	})
-	return r.fib.Advance(r.w.cfg.Net.SendOverhead, func(_ *sim.Fiber) sim.StepFunc { return then(cr) })
+	}, then)
 }
 
-// finishColl completes a helper-fiber collective: mark done and wake the
-// parked waiter, exactly as the helper process does.
-func (c *Comm) finishColl(r *Rank, cr *CollRequest) sim.StepFunc {
-	c.completeColl(r, cr)
-	return nil
-}
-
-// FWaitColl is WaitColl for fiber-backed ranks, delivering the
-// collective's result value to then.
+// FWaitColl is WaitColl in continuation form, delivering the collective's
+// result value to then.
 func (c *Comm) FWaitColl(r *Rank, cr *CollRequest, then func(interface{}) sim.StepFunc) sim.StepFunc {
 	f := r.fib
 	start := r.rs.eng.Now() + f.Debt() // the post-flush instant
 	var loop sim.StepFunc
 	loop = func(_ *sim.Fiber) sim.StepFunc {
 		if !cr.done {
-			// completeColl clears the registration when it wakes us.
+			// finishColl clears the registration when it wakes us.
 			cr.waiter = f
 			return f.Park("mpi waitcoll", loop)
 		}

@@ -1,7 +1,6 @@
-// Fiber-backed file I/O: continuation forms of the blocking write paths
-// in io.go, mirroring them operation for operation (same token FIFO
-// positions, same stripe reservations, same collective structure) so
-// fiber and goroutine ranks produce bit-identical I/O trajectories.
+// File I/O in continuation form: the one implementation of Open and of
+// the shared-pointer and collective write paths, which the blocking calls
+// in io.go run through Rank.Block.
 package mpi
 
 import (
@@ -10,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// FTest is Test for fiber-backed ranks: the completion check is free, but
+// FTest is Test in continuation form: the completion check is free, but
 // the first successful test of a receive charges the receive overhead,
 // which may advance the clock. then receives (ok, status).
 func (c *Comm) FTest(r *Rank, req *Request, then func(bool, Status) sim.StepFunc) sim.StepFunc {
@@ -31,9 +30,8 @@ func (c *Comm) FTest(r *Rank, req *Request, then func(bool, Status) sim.StepFunc
 	return then(true, req.status)
 }
 
-// FOpen is Open for fiber-backed ranks: the same rendezvous bookkeeping,
-// closed by the barrier in continuation form. The file is delivered to
-// then.
+// FOpen is Open in continuation form: rendezvous bookkeeping closed by a
+// barrier. The file is delivered to then.
 func (c *Comm) FOpen(r *Rank, name string, then func(*File) sim.StepFunc) sim.StepFunc {
 	w := c.w
 	if w.revoked {
@@ -54,11 +52,15 @@ func (c *Comm) FOpen(r *Rank, name string, then func(*File) sim.StepFunc) sim.St
 	})
 }
 
-// fReserveEnd is reserveEnd for fiber-backed ranks: the same reservation
-// seam in continuation form. then receives the granted slot's end. On a
-// sharded bank the fiber parks keeping its debt while the two-phase
-// request round-trips through the owner shard, exactly as the goroutine
-// form parks its proc.
+// fReserveEnd books dur of stripe time for the world's job at the rank's
+// current instant and delivers the granted slot's end, which the caller
+// advances to. It is the single reservation seam of every write path. On
+// a classic (or single-world sharded) bank the grant is the synchronous
+// Reserve call. On a bank attached to a shard group the reservation is
+// the two-phase window-boundary protocol: the request travels to the owner
+// shard carrying this rank's delivery priority, the rank parks (keeping
+// any accumulated debt — AdvanceTo folds it after the wake), and the grant
+// wakes it two lookaheads later with the slot.
 func (f *File) fReserveEnd(r *Rank, dur sim.Time, then func(end sim.Time) sim.StepFunc) sim.StepFunc {
 	w := f.w
 	fib := r.fib
@@ -72,7 +74,7 @@ func (f *File) fReserveEnd(r *Rank, dur sim.Time, then func(end sim.Time) sim.St
 	})
 }
 
-// FWriteShared is WriteShared for fiber-backed ranks: token-serialized
+// FWriteShared is WriteShared in continuation form: token-serialized
 // shared-pointer append, then stripe occupancy.
 func (f *File) FWriteShared(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
 	if bytes < 0 {
@@ -84,10 +86,9 @@ func (f *File) FWriteShared(r *Rank, bytes int64, then sim.StepFunc) sim.StepFun
 	fs := f.w.cfg.FS
 	fib := r.fib
 	then = r.ftrace("io", "write_shared", fib.Now(), then)
-	// Demand hooks at the same sequence positions as WriteShared: begin
-	// before queueing on the shared-pointer token, end once the rank's
-	// clock has passed the write — so fiber and goroutine ranks present
-	// identical demand signals to a shared bank.
+	// Demand spans the whole operation, including the queue for the
+	// shared-pointer token: a rank serialized behind the pointer has
+	// queued I/O the bank should count.
 	f.w.ioBegin(r.rs)
 	return f.token.FAcquire(fib, "shared file pointer", func(_ *sim.Fiber) sim.StepFunc {
 		return fib.Advance(fs.SharedPointerLatency+fs.PerOpLatency, func(_ *sim.Fiber) sim.StepFunc {
@@ -105,7 +106,7 @@ func (f *File) FWriteShared(r *Rank, bytes int64, then sim.StepFunc) sim.StepFun
 	})
 }
 
-// FWriteAll is WriteAll for fiber-backed ranks: allgather the sizes, ship
+// FWriteAll is WriteAll in continuation form: allgather the sizes, ship
 // data to aggregators, aggregators issue one large write, all close with
 // a barrier.
 func (f *File) FWriteAll(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
@@ -121,7 +122,9 @@ func (f *File) FWriteAll(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
 	fs := f.w.cfg.FS
 	fib := r.fib
 	then = r.ftrace("io", "write_all", fib.Now(), then)
-	// Demand spans the whole collective, as in WriteAll.
+	// Every member is I/O-active for the duration of the collective: the
+	// view exchange and the shipping to aggregators are part of the file
+	// operation even for ranks that never touch a stripe.
 	f.w.ioBegin(r.rs)
 
 	// Phase 0: file-view recalculation. Every rank learns every size.
@@ -177,7 +180,8 @@ func (f *File) FWriteAll(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
 				i++
 				return c.fwaitOn(r, fib, q, onCollected)
 			}
-			// Phase 2: one large write per aggregator.
+			// Phase 2: one large write per aggregator. Interleaved per-rank
+			// regions defeat stripe sequentiality (CollInterleaveFactor).
 			return fib.Advance(fs.PerOpLatency, func(_ *sim.Fiber) sim.StepFunc {
 				return f.fReserveEnd(r, fs.CollWriteTime(total), func(end sim.Time) sim.StepFunc {
 					f.ops++

@@ -19,13 +19,13 @@ func (b busyTracer) Span(rank int, category, label string, start, end sim.Time) 
 	b[rank][category] += end - start
 }
 
-// runBothWays runs the same logical program once with goroutine rank
-// bodies and once with fiber rank bodies and asserts identical final
-// virtual time and identical engine event counts — the representation-
-// equivalence contract at the runtime level. It then repeats the pair
-// under a Tracer: tracing observes the one path, so it must leave time
-// and event count where they were, and the blocking and F forms must
-// report equal busy time per rank and category.
+// runBothWays runs the same logical program once as blocking rank bodies
+// and once as step-function bodies and asserts identical final virtual
+// time and identical engine event counts: the blocking calls run the F
+// forms on a hosted fiber, and the host must add no event and move no
+// instant. It then repeats the pair under a Tracer: tracing observes the
+// one path, so it must leave time and event count where they were, and
+// both kinds of body must report equal busy time per rank and category.
 func runBothWays(t *testing.T, procs int, procBody func(*Rank), fibBody FiberMain) sim.Time {
 	t.Helper()
 	type outcome struct {
@@ -121,10 +121,11 @@ func TestFiberPingPongMatchesProcs(t *testing.T) {
 // TestFiberCollectivesMatchProcs drives barrier, allreduce and allgatherv
 // through both representations at a non-power-of-two size (covering the
 // reduce+bcast fallback) and checks payload correctness on the fiber side.
-// It closes with a nonblocking reduce waited on after more compute and
-// with both shared-file write paths, so runBothWays' traced pass compares
-// every span kind the runtime emits (comp, wait, waitcoll, write_shared,
-// write_all; the WaitAny tests add waitany).
+// It closes with a nonblocking reduce waited on after more compute, with
+// Open and both shared-file write paths, and with a Split whose halves
+// then synchronise, so runBothWays' traced pass compares every span kind
+// the runtime emits (comp, wait, waitcoll, write_shared, write_all; the
+// WaitAny tests add waitany).
 func TestFiberCollectivesMatchProcs(t *testing.T) {
 	const procs = 6
 	procBody := func(r *Rank) {
@@ -148,6 +149,11 @@ func TestFiberCollectivesMatchProcs(t *testing.T) {
 		file := c.Open(r, "out.dat")
 		file.WriteShared(r, 1<<20)
 		file.WriteAll(r, 1<<18)
+		half := c.Split(r, r.ID()%2, -r.ID())
+		if half.Size() != procs/2 || half.RankOf(r) != (procs-1-r.ID())/2 {
+			t.Errorf("proc split: rank %d is %d of %d", r.ID(), half.RankOf(r), half.Size())
+		}
+		half.Barrier(r)
 	}
 	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
 		c := r.World()
@@ -157,7 +163,14 @@ func TestFiberCollectivesMatchProcs(t *testing.T) {
 					return c.FWaitColl(r, cr, func(interface{}) sim.StepFunc {
 						return c.FOpen(r, "out.dat", func(file *File) sim.StepFunc {
 							return file.FWriteShared(r, 1<<20, func(_ *sim.Fiber) sim.StepFunc {
-								return file.FWriteAll(r, 1<<18, func(*sim.Fiber) sim.StepFunc { return nil })
+								return file.FWriteAll(r, 1<<18, func(*sim.Fiber) sim.StepFunc {
+									return c.FSplit(r, r.ID()%2, -r.ID(), func(half *Comm) sim.StepFunc {
+										if half.Size() != procs/2 || half.RankOf(r) != (procs-1-r.ID())/2 {
+											t.Errorf("fiber split: rank %d is %d of %d", r.ID(), half.RankOf(r), half.Size())
+										}
+										return half.FBarrier(r, nil)
+									})
+								})
 							})
 						})
 					})
@@ -183,6 +196,145 @@ func TestFiberCollectivesMatchProcs(t *testing.T) {
 		})
 	}
 	runBothWays(t, procs, procBody, fibBody)
+}
+
+// falltoallv is alltoallvOn's pairwise exchange as steps on f: what the
+// hosted helper process of Ialltoallv is compared with.
+func falltoallv(c *Comm, r *Rank, f *sim.Fiber, me int, parts []Part, tag int, then func([]Part) sim.StepFunc) sim.StepFunc {
+	p := len(c.members)
+	out := make([]Part, p)
+	out[me] = parts[me]
+	round := 1
+	var loop sim.StepFunc
+	loop = func(*sim.Fiber) sim.StepFunc {
+		if round >= p {
+			return then(out)
+		}
+		dst, src := (me+round)%p, (me-round+p)%p
+		round++
+		sreq := c.isendOv(r, f, dst, tag, parts[dst].Bytes, parts[dst].Data, r.w.cfg.Net.SendOverhead)
+		return c.fwaitOn(r, f, c.irecvFor(r, src, tag), func(st Status) sim.StepFunc {
+			out[src] = Part{Bytes: st.Bytes, Data: st.Data}
+			return c.fwaitOnStep(r, f, sreq, loop)
+		})
+	}
+	return loop
+}
+
+// TestFiberNonblockingCollectivesMatchProcs starts each of the five
+// nonblocking collectives, computes, and waits for it: WaitColl against
+// FWaitColl. Ibarrier, Iallreduce and Ialltoallv have no public F form, so
+// the step-function body starts their helpers with fstartColl itself,
+// without a host; Ialltoallv's blocking helper is a hosted process of its own and
+// is compared with a plain helper fiber running falltoallv.
+func TestFiberNonblockingCollectivesMatchProcs(t *testing.T) {
+	const procs = 6
+	allParts := func(me int) []Part {
+		parts := make([]Part, procs)
+		for i := range parts {
+			parts[i] = Part{Bytes: int64(64 * (i + 1)), Data: me*100 + i}
+		}
+		return parts
+	}
+	kinds := []struct {
+		name   string
+		start  func(c *Comm, r *Rank) *CollRequest
+		fstart func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc
+		want   func(me int) interface{}
+	}{
+		{"Ibarrier",
+			func(c *Comm, r *Rank) *CollRequest { return c.Ibarrier(r) },
+			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+				return c.fstartColl(r, "ibarrier", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
+					return c.fbarrierOn(r, hf, me, tag, func(*sim.Fiber) sim.StepFunc { return c.finishColl(r, cr) })
+				}, then)
+			},
+			func(int) interface{} { return nil }},
+		{"Ireduce",
+			func(c *Comm, r *Rank) *CollRequest {
+				return c.Ireduce(r, 2, Part{Bytes: 1 << 14, Data: int64(r.ID())}, SumInt64, LinearCost(sim.Nanosecond))
+			},
+			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+				return c.FIreduce(r, 2, Part{Bytes: 1 << 14, Data: int64(r.ID())}, SumInt64, LinearCost(sim.Nanosecond), then)
+			},
+			func(me int) interface{} {
+				if me == 2 {
+					return Part{Bytes: 1 << 14, Data: int64(15)}
+				}
+				return Part{}
+			}},
+		{"Iallgatherv",
+			func(c *Comm, r *Rank) *CollRequest { return c.Iallgatherv(r, Part{Bytes: 256, Data: r.ID()}) },
+			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+				return c.FIallgatherv(r, Part{Bytes: 256, Data: r.ID()}, then)
+			},
+			func(int) interface{} {
+				parts := make([]Part, procs)
+				for i := range parts {
+					parts[i] = Part{Bytes: 256, Data: i}
+				}
+				return parts
+			}},
+		{"Ialltoallv",
+			func(c *Comm, r *Rank) *CollRequest { return c.Ialltoallv(r, allParts(r.ID())) },
+			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+				return c.fstartColl(r, "ialltoallv", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
+					return falltoallv(c, r, hf, me, allParts(me), tag, func(out []Part) sim.StepFunc {
+						cr.value = out
+						return c.finishColl(r, cr)
+					})
+				}, then)
+			},
+			func(me int) interface{} {
+				parts := make([]Part, procs)
+				for i := range parts {
+					parts[i] = Part{Bytes: int64(64 * (me + 1)), Data: i*100 + me}
+				}
+				return parts
+			}},
+		{"Iallreduce",
+			func(c *Comm, r *Rank) *CollRequest {
+				return c.Iallreduce(r, Part{Bytes: 8, Data: int64(r.ID())}, SumInt64, nil)
+			},
+			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+				return c.fstartColl(r, "iallreduce", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
+					return c.fallreduceOn(r, hf, me, Part{Bytes: 8, Data: int64(r.ID())}, SumInt64, nil, tag, func(res Part) sim.StepFunc {
+						cr.value = res
+						return c.finishColl(r, cr)
+					})
+				}, then)
+			},
+			func(int) interface{} { return Part{Bytes: 8, Data: int64(15)} }},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			check := func(form string, me int, got interface{}) {
+				if want := k.want(me); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, rank %d: result %v, want %v", form, me, got, want)
+				}
+			}
+			runBothWays(t, procs, func(r *Rank) {
+				c := r.World()
+				c.Barrier(r)
+				cr := k.start(c, r)
+				r.Compute(sim.Time(procs-r.ID()) * sim.Microsecond)
+				check("blocking", r.ID(), c.WaitColl(r, cr))
+				c.Barrier(r)
+			}, func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+				c := r.World()
+				return c.FBarrier(r, func(*sim.Fiber) sim.StepFunc {
+					return k.fstart(c, r, func(cr *CollRequest) sim.StepFunc {
+						return r.FCompute(sim.Time(procs-r.ID())*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
+							return c.FWaitColl(r, cr, func(v interface{}) sim.StepFunc {
+								check("step function", r.ID(), v)
+								return c.FBarrier(r, nil)
+							})
+						})
+					})
+				})
+			})
+		})
+	}
 }
 
 // TestFiberWaitAllMatchesProcs exercises the coalescing FWaitAll against

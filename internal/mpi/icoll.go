@@ -16,34 +16,39 @@ import (
 type CollRequest struct {
 	done  bool
 	value interface{}
-	// waiter is the rank's main process or fiber parked in WaitColl on
-	// this collective, if any: completion wakes it directly, the
+	// waiter is the rank's main process parked in WaitColl on this
+	// collective, if any: completion wakes it directly, the
 	// per-collective counterpart of Request.waiter.
-	waiter sim.Runnable
+	waiter *sim.Fiber
 }
 
 // Done reports whether the collective has completed on this rank.
 func (cr *CollRequest) Done() bool { return cr.done }
 
-// startColl spawns the helper process that runs body and completes cr.
-func (c *Comm) startColl(r *Rank, kind string, cr *CollRequest, body func(proc *simProc)) {
-	r.proc.Spawn(fmt.Sprintf("rank%d/%s", r.rs.rank, kind), func(p *sim.Proc) {
-		body(p)
-		c.completeColl(r, cr)
+// fstartColl starts a nonblocking collective: it draws the collective's
+// tag and spawns the helper fiber, which runs the algorithm from run as
+// comm rank me and ends in finishColl. Initiating one costs the rank one
+// send overhead (descriptor setup), after which the request goes to then.
+func (c *Comm) fstartColl(r *Rank, kind string, run func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc,
+	then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+	me := c.RankOf(r)
+	tag := c.nextCollTag(me)
+	cr := &CollRequest{}
+	r.rs.eng.SpawnFiber(fmt.Sprintf("rank%d/%s", r.rs.rank, kind), func(hf *sim.Fiber) sim.StepFunc {
+		return run(hf, me, tag, cr)
 	})
-	// Initiating a nonblocking collective costs one send overhead on the
-	// main process (descriptor setup).
-	r.proc.Advance(r.w.cfg.Net.SendOverhead)
+	return r.fib.Advance(r.w.cfg.Net.SendOverhead, func(*sim.Fiber) sim.StepFunc { return then(cr) })
 }
 
-// completeColl marks the collective done and wakes the rank's main
-// process or fiber if it is parked in WaitColl on exactly this collective.
-func (c *Comm) completeColl(r *Rank, cr *CollRequest) {
+// finishColl ends a helper: mark the collective done and wake the rank's
+// main process if it is parked in WaitColl on exactly this collective.
+func (c *Comm) finishColl(r *Rank, cr *CollRequest) sim.StepFunc {
 	cr.done = true
 	if cr.waiter != nil {
 		r.rs.eng.WakeAt(r.rs.eng.Now(), cr.waiter)
 		cr.waiter = nil
 	}
+	return nil
 }
 
 // WaitColl blocks until cr completes and returns its result value:
@@ -53,17 +58,7 @@ func (c *Comm) completeColl(r *Rank, cr *CollRequest) {
 //	Iallgatherv-> []Part
 //	Ialltoallv -> []Part
 func (c *Comm) WaitColl(r *Rank, cr *CollRequest) interface{} {
-	r.proc.FlushDebt()
-	start := r.rs.eng.Now()
-	for !cr.done {
-		// Register on the collective so its completion wakes exactly this
-		// process — the per-collective analogue of Request.waiter.
-		cr.waiter = r.proc
-		r.proc.Park("mpi waitcoll")
-		cr.waiter = nil
-	}
-	r.traceWait("waitcoll", start)
-	return cr.value
+	return Await(r, "WaitColl", func(then func(interface{}) sim.StepFunc) sim.StepFunc { return c.FWaitColl(r, cr, then) })
 }
 
 // TestColl reports whether cr has completed.
@@ -71,63 +66,51 @@ func (c *Comm) TestColl(r *Rank, cr *CollRequest) bool { return cr.done }
 
 // Ibarrier starts a nonblocking barrier.
 func (c *Comm) Ibarrier(r *Rank) *CollRequest {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	c.startColl(r, "ibarrier", cr, func(p *simProc) {
-		c.barrierOn(r, p, me, tag)
+	return Await(r, "Ibarrier", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+		return c.fstartColl(r, "ibarrier", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
+			return c.fbarrierOn(r, hf, me, tag, func(*sim.Fiber) sim.StepFunc { return c.finishColl(r, cr) })
+		}, then)
 	})
-	return cr
 }
 
 // Ireduce starts a nonblocking reduce toward root. The result value is a
 // Part (meaningful at root only).
 func (c *Comm) Ireduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn) *CollRequest {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	c.startColl(r, "ireduce", cr, func(p *simProc) {
-		res, isRoot := c.reduceOn(r, p, me, root, part, op, cost, tag)
-		if isRoot {
-			cr.value = res
-		} else {
-			cr.value = Part{}
-		}
+	return Await(r, "Ireduce", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+		return c.FIreduce(r, root, part, op, cost, then)
 	})
-	return cr
 }
 
 // Iallgatherv starts a nonblocking allgatherv. The result value is the
 // []Part shared by every member (see Allgatherv); it must not be modified.
 func (c *Comm) Iallgatherv(r *Rank, part Part) *CollRequest {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	c.startColl(r, "iallgatherv", cr, func(p *simProc) {
-		cr.value = c.allgathervOn(r, p, me, part, tag)
+	return Await(r, "Iallgatherv", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+		return c.FIallgatherv(r, part, then)
 	})
-	return cr
 }
 
 // Ialltoallv starts a nonblocking all-to-all exchange. The result value is
-// []Part.
+// []Part. The exchange is blocking code, so its helper is a process with a
+// goroutine of its own, acting for the rank through a handle of its own.
 func (c *Comm) Ialltoallv(r *Rank, parts []Part) *CollRequest {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	c.startColl(r, "ialltoallv", cr, func(p *simProc) {
-		cr.value = c.alltoallvOn(r, p, me, parts, tag)
+	return Await(r, "Ialltoallv", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+		return c.fstartColl(r, "ialltoallv", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
+			return hf.Host(func(p *sim.Proc) {
+				cr.value = c.alltoallvOn(&Rank{w: r.w, rs: r.rs, fib: hf, proc: p}, me, parts, tag)
+				c.finishColl(r, cr)
+			})
+		}, then)
 	})
-	return cr
 }
 
 // Iallreduce starts a nonblocking allreduce. The result value is a Part.
 func (c *Comm) Iallreduce(r *Rank, part Part, op ReduceOp, cost CostFn) *CollRequest {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	cr := &CollRequest{}
-	c.startColl(r, "iallreduce", cr, func(p *simProc) {
-		cr.value = c.allreduceOn(r, p, me, part, op, cost, tag)
+	return Await(r, "Iallreduce", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
+		return c.fstartColl(r, "iallreduce", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
+			return c.fallreduceOn(r, hf, me, part, op, cost, tag, func(res Part) sim.StepFunc {
+				cr.value = res
+				return c.finishColl(r, cr)
+			})
+		}, then)
 	})
-	return cr
 }

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // File models a shared file on the striped parallel file system. All
 // write paths consume virtual time on the world's shared stripe bank, so
@@ -38,22 +34,7 @@ type openState struct {
 // Open opens (creating if needed) the named shared file, collectively over
 // c. Every member must call it.
 func (c *Comm) Open(r *Rank, name string) *File {
-	w := c.w
-	if w.revoked {
-		panic(w.failure)
-	}
-	w.checkIOShard(c)
-	key := fmt.Sprintf("%d:%s", c.id, name)
-	w.mu.Lock()
-	st, ok := w.opens[key]
-	if !ok {
-		st = &openState{file: &File{w: w, comm: c, name: name}}
-		w.opens[key] = st
-		w.files[key] = st.file
-	}
-	w.mu.Unlock()
-	c.Barrier(r)
-	return st.file
+	return Await(r, "Open", func(then func(*File) sim.StepFunc) sim.StepFunc { return c.FOpen(r, name, then) })
 }
 
 // Name reports the file name.
@@ -68,40 +49,18 @@ func (f *File) Ops() int64 { return f.ops }
 // BytesWritten reports the total bytes written.
 func (f *File) BytesWritten() int64 { return f.bytesWritten }
 
-// reserveEnd books dur of stripe time for the world's job at the rank's
-// current instant and returns the granted slot's end, which the caller
-// advances to. It is the single reservation seam of every blocking write
-// path. On a classic (or single-world sharded) bank the grant is the
-// synchronous Reserve call, byte-identical to the historical inline
-// form. On a bank attached to a shard group the reservation is the
-// two-phase window-boundary protocol: the request travels to the owner
-// shard carrying this rank's delivery priority, the rank parks (keeping
-// any accumulated debt — AdvanceTo folds it after the wake, identically
-// in both representations), and the grant wakes it two lookaheads later
-// with the slot.
-func (f *File) reserveEnd(r *Rank, dur sim.Time) sim.Time {
-	w := f.w
-	if !w.fs.Sharded() {
-		_, end := w.fs.Reserve(w.cfg.Job, r.proc.Now(), dur)
-		return end
-	}
-	req := w.fs.PostReserve(r.rs.eng, w.cfg.Job, dur, r.rs.deliveryPri(), r.proc)
-	r.proc.ParkKeepingDebt("bank reservation")
-	return req.End
-}
-
 // WriteAt writes bytes at an explicit offset: a per-operation latency,
 // then occupancy of one stripe.
 func (f *File) WriteAt(r *Rank, bytes int64) {
-	f.transfer(r, bytes, "write")
+	f.transfer(r, bytes, "WriteAt", "write")
 }
 
 // ReadAt reads bytes from the file, with the same cost shape as WriteAt.
 func (f *File) ReadAt(r *Rank, bytes int64) {
-	f.transfer(r, bytes, "read")
+	f.transfer(r, bytes, "ReadAt", "read")
 }
 
-func (f *File) transfer(r *Rank, bytes int64, label string) {
+func (f *File) transfer(r *Rank, bytes int64, call, label string) {
 	if bytes < 0 {
 		panic("mpi: negative I/O size")
 	}
@@ -109,11 +68,15 @@ func (f *File) transfer(r *Rank, bytes int64, label string) {
 		panic(f.w.failure)
 	}
 	fs := f.w.cfg.FS
-	start := r.proc.Now()
-	f.w.ioBegin(r.rs)
-	r.proc.Advance(fs.PerOpLatency)
-	end := f.reserveEnd(r, fs.WriteTime(bytes))
-	r.proc.AdvanceTo(end)
+	start := r.Now()
+	r.Block(call, func(next sim.StepFunc) sim.StepFunc {
+		f.w.ioBegin(r.rs)
+		return r.fib.Advance(fs.PerOpLatency, func(*sim.Fiber) sim.StepFunc {
+			return f.fReserveEnd(r, fs.WriteTime(bytes), func(end sim.Time) sim.StepFunc {
+				return r.fib.AdvanceTo(end, next)
+			})
+		})
+	})
 	f.w.ioEnd(r.rs)
 	f.ops++
 	if label == "write" {
@@ -129,28 +92,7 @@ func (f *File) transfer(r *Rank, bytes int64, label string) {
 // stripe. At large process counts the token hand-off dominates — the
 // paper's reason MPI_File_write_shared scales worst.
 func (f *File) WriteShared(r *Rank, bytes int64) {
-	if bytes < 0 {
-		panic("mpi: negative I/O size")
-	}
-	if f.w.revoked {
-		panic(f.w.failure)
-	}
-	fs := f.w.cfg.FS
-	start := r.proc.Now()
-	// Demand spans the whole operation, including the queue for the
-	// shared-pointer token: a rank serialized behind the pointer has
-	// queued I/O the bank should count.
-	f.w.ioBegin(r.rs)
-	f.token.Acquire(r.proc, "shared file pointer")
-	r.proc.Advance(fs.SharedPointerLatency + fs.PerOpLatency)
-	f.size += bytes
-	f.bytesWritten += bytes
-	f.ops++
-	end := f.reserveEnd(r, fs.WriteTime(bytes))
-	f.token.Release(r.proc)
-	r.proc.AdvanceTo(end)
-	f.w.ioEnd(r.rs)
-	r.trace("io", "write_shared", start)
+	r.Block("WriteShared", func(next sim.StepFunc) sim.StepFunc { return f.FWriteShared(r, bytes, next) })
 }
 
 // WriteAll performs a collective two-phase write: every member of the
@@ -158,68 +100,5 @@ func (f *File) WriteShared(r *Rank, bytes int64) {
 // the file view, data moves to aggregator ranks over the network, and the
 // aggregators issue one large write each.
 func (f *File) WriteAll(r *Rank, bytes int64) {
-	if bytes < 0 {
-		panic("mpi: negative I/O size")
-	}
-	if f.w.revoked {
-		panic(f.w.failure)
-	}
-	c := f.comm
-	me := c.RankOf(r)
-	p := c.Size()
-	fs := f.w.cfg.FS
-	start := r.proc.Now()
-	// Every member is I/O-active for the duration of the collective: the
-	// view exchange and the shipping to aggregators are part of the
-	// file operation even for ranks that never touch a stripe.
-	f.w.ioBegin(r.rs)
-
-	// Phase 0: file-view recalculation. Every rank learns every size.
-	sizes := c.Allgatherv(r, Part{Bytes: 8, Data: bytes})
-
-	// Phase 1: ship data to aggregators (one per stripe, at most P).
-	na := fs.Stripes
-	if na > p {
-		na = p
-	}
-	agg := me * na / p
-	// The aggregator of group g is the first rank whose group is g.
-	aggRank := (agg*p + na - 1) / na
-	tag := c.nextCollTag(me)
-	var myReqs []*Request
-	if me != aggRank {
-		myReqs = append(myReqs, c.Isend(r, aggRank, tag, bytes, nil))
-	}
-	if me == aggRank {
-		// Collect from all ranks whose aggregator is me.
-		var total int64
-		var reqs []*Request
-		for other := 0; other < p; other++ {
-			if other == me {
-				total += bytes
-				continue
-			}
-			if other*na/p == agg {
-				reqs = append(reqs, c.Irecv(r, other, tag))
-			}
-		}
-		for _, q := range reqs {
-			st := c.Wait(r, q)
-			sz, _ := sizes[st.Source].Data.(int64)
-			total += sz
-		}
-		// Phase 2: one large write per aggregator. Interleaved per-rank
-		// regions defeat stripe sequentiality (CollInterleaveFactor).
-		r.proc.Advance(fs.PerOpLatency)
-		end := f.reserveEnd(r, fs.CollWriteTime(total))
-		r.proc.AdvanceTo(end)
-		f.ops++
-		f.size += total
-		f.bytesWritten += total
-	}
-	c.WaitAll(r, myReqs...)
-	// The collective completes together.
-	c.Barrier(r)
-	f.w.ioEnd(r.rs)
-	r.trace("io", "write_all", start)
+	r.Block("WriteAll", func(next sim.StepFunc) sim.StepFunc { return f.FWriteAll(r, bytes, next) })
 }

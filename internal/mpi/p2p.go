@@ -6,19 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// simProc aliases the simulator's process type; operations may run on a
-// rank's main process or on a helper process of the same rank.
-type simProc = sim.Proc
-
-// exec is the execution-context subset shared by sim.Proc and sim.Fiber
-// that the synchronous runtime paths need: overhead accounting for the
-// send fast path. Blocking paths stay representation-specific (waitOn for
-// processes, the fiber wait continuations in fiber.go).
-type exec interface {
-	AddDebt(sim.Time)
-	Debt() sim.Time
-}
-
 // message is an in-flight or delivered point-to-point message. src is the
 // sender's rank within the communicator identified by commID. readyAt is
 // the end of the receiver-NIC serialization slot: the instant the payload
@@ -135,13 +122,11 @@ type Request struct {
 	doneAt    sim.Time
 	isRecv    bool
 	ovCharged bool // receive overhead charged (exactly once per request)
-	// waiter is the process or fiber parked in Wait on this request, if
-	// any. Delivery wakes it directly at the completion instant — no
-	// spurious wakeups of unrelated waiters.
-	// Either representation consumes exactly one wake event, so the
-	// trajectory is independent of which one waits.
-	waiter sim.Runnable
-	// anyw is the waker of a process or fiber parked in WaitAny with this
+	// waiter is the process parked in Wait on this request, if any.
+	// Delivery wakes it directly at the completion instant — no spurious
+	// wakeups of unrelated waiters.
+	waiter *sim.Fiber
+	// anyw is the waker of a process parked in WaitAny with this
 	// request in its set, if any: the multi-request counterpart of waiter.
 	// Delivery wakes the waker's target once at the completion instant,
 	// however many of its registered requests complete while it is parked
@@ -175,9 +160,9 @@ func (q *Request) Done(now sim.Time) bool { return q.completedBy(now) }
 // data) to dst with the given tag. The caller pays the configured send
 // overhead immediately; the returned request completes when the message
 // has been handed to the network (buffered-send semantics). Isend never
-// blocks, so it serves both process representations.
+// blocks.
 func (c *Comm) Isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Request {
-	return c.isendOv(r, r.ctx(), dst, tag, bytes, data, r.w.cfg.Net.SendOverhead)
+	return c.isendOv(r, r.fib, dst, tag, bytes, data, r.w.cfg.Net.SendOverhead)
 }
 
 // IsendAndFree is Isend followed by immediately releasing the request —
@@ -191,17 +176,10 @@ func (c *Comm) IsendAndFree(r *Rank, dst, tag int, bytes int64, data interface{}
 	r.rs.pool.freeRequest(req)
 }
 
-// isendFrom implements Isend on behalf of proc, which may be a helper
-// process of the same rank (nonblocking collectives).
-func (c *Comm) isendFrom(r *Rank, proc *simProc, dst, tag int, bytes int64, data interface{}) *Request {
-	return c.isendOv(r, proc, dst, tag, bytes, data, r.w.cfg.Net.SendOverhead)
-}
-
-// isendOv is isendFrom with an explicit sender CPU overhead (persistent
-// requests pay a reduced per-start cost). It accepts either process
-// representation: the send path never blocks, so overhead accounting is
-// all it needs from the caller's execution context.
-func (c *Comm) isendOv(r *Rank, proc exec, dst, tag int, bytes int64, data interface{}, overhead sim.Time) *Request {
+// isendOv is Isend on behalf of proc, which may be a helper process of the
+// same rank (nonblocking collectives), with an explicit sender CPU
+// overhead (persistent requests pay a reduced per-start cost).
+func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data interface{}, overhead sim.Time) *Request {
 	if dst < 0 || dst >= len(c.members) {
 		panic(fmt.Sprintf("mpi: Isend to rank %d of %d", dst, len(c.members)))
 	}
@@ -407,71 +385,23 @@ func (c *Comm) irecvFor(r *Rank, src, tag int) *Request {
 // semantics it returns once the message is handed to the network, so
 // pairwise exchanges do not deadlock.
 func (c *Comm) Send(r *Rank, dst, tag int, bytes int64, data interface{}) {
-	req := c.Isend(r, dst, tag, bytes, data)
-	c.Wait(r, req)
+	r.Block("Send", func(next sim.StepFunc) sim.StepFunc { return c.FSend(r, dst, tag, bytes, data, next) })
 }
 
 // Recv is a blocking receive.
 func (c *Comm) Recv(r *Rank, src, tag int) Status {
-	req := c.Irecv(r, src, tag)
-	return c.Wait(r, req)
+	return Await(r, "Recv", func(then func(Status) sim.StepFunc) sim.StepFunc { return c.FRecv(r, src, tag, then) })
 }
 
 // Wait blocks until req completes and returns its status. Completed
 // receives additionally charge the configured receive overhead to the
 // calling process.
 func (c *Comm) Wait(r *Rank, req *Request) Status {
-	return c.waitOn(r, r.proc, req)
-}
-
-func (c *Comm) waitOn(r *Rank, proc *simProc, req *Request) Status {
-	req.checkLive()
-	e := r.rs.eng
-	// floor is the earliest instant this process can observe anything:
-	// entry time plus the CPU debt it owes. The debt rides through the
-	// park (its busy window overlaps the blocked period) and is folded
-	// into the single settling advance below — one engine yield for the
-	// whole wait, however the request completes.
-	floor := e.Now() + proc.Debt()
-	for !req.done && !req.timed {
-		// The park registers this process on the request, so delivery
-		// wakes exactly this process at exactly the right instant.
-		req.waiter = proc
-		proc.ParkKeepingDebt("mpi wait")
-		req.waiter = nil
-	}
-	target := e.Now()
-	if floor > target {
-		target = floor
-	}
-	if err := req.status.Err; err != nil {
-		// Completed by peer failure: settle the clock (debt must not leak
-		// into the recovery path) and surface the error. The request is
-		// abandoned, not recycled — the panic unwinds past the caller.
-		proc.SettleTo(target)
-		panic(err)
-	}
-	if req.timed && req.doneAt > target {
-		target = req.doneAt
-	}
-	req.done = true
-	if req.isRecv && !req.ovCharged {
-		req.ovCharged = true
-		target += r.w.cfg.Net.RecvOverhead
-	}
-	proc.SettleTo(target)
-	if proc == r.proc {
-		// Helper processes (nonblocking collectives) wait unobserved: the
-		// timeline shows what the rank's main process is blocked on.
-		r.traceWait("wait", floor)
-	}
-	st := req.status
-	r.rs.pool.freeRequest(req)
-	return st
+	return Await(r, "Wait", func(then func(Status) sim.StepFunc) sim.StepFunc { return c.FWait(r, req, then) })
 }
 
 // WaitAll waits for every request in order. Requests that are already
-// complete when reached are settled without an engine yield, and their
+// complete when reached are settled without suspending, and their
 // receive overheads accumulate as CPU debt (the way AddDebt coalesces
 // send overhead) — one clock advance at the end instead of one per
 // request. The virtual-time outcome is identical to waiting on each
@@ -481,129 +411,34 @@ func (c *Comm) waitOn(r *Rank, proc *simProc, req *Request) Status {
 // by that rank's next WaitAll call; callers that need the statuses longer
 // must copy them out.
 func (c *Comm) WaitAll(r *Rank, reqs ...*Request) []Status {
-	out := r.rs.statusScratch(len(reqs))
-	proc := r.proc
-	e := r.rs.eng
-	ov := c.w.cfg.Net.RecvOverhead
-	for i, q := range reqs {
-		q.checkLive()
-		// Fast path: complete as of now plus pending debt. (Timed send
-		// completions compare against the post-flush clock, matching what
-		// Wait's FlushDebt-then-AdvanceTo would observe.) Requests completed
-		// by peer failure take the Wait path, which surfaces the error.
-		if q.status.Err == nil && (q.done || (q.timed && q.doneAt <= e.Now()+proc.Debt())) {
-			q.done = true
-			if q.isRecv && !q.ovCharged {
-				q.ovCharged = true
-				proc.AddDebt(ov)
-			}
-			out[i] = q.status
-			r.rs.pool.freeRequest(q)
-			continue
-		}
-		out[i] = c.Wait(r, q)
-	}
-	proc.FlushDebt()
-	return out
+	return Await(r, "WaitAll", func(then func([]Status) sim.StepFunc) sim.StepFunc { return c.FWaitAll(r, reqs, then) })
 }
 
 // WaitAny blocks until at least one request has completed and returns the
 // lowest completed index with its status. The paper's imbalance-absorption
 // mechanism ("process the first available data") is built on this.
-//
-// A blocked WaitAny registers one waker on every pending request, so the
-// first completion resumes exactly this process at exactly the completion
-// instant — no wake per unrelated message. Because
-// a wake implies a completed request, the process parks at most once per
-// call and the post-wake scan doubles as deregistration.
-func (c *Comm) WaitAny(r *Rank, reqs []*Request) (int, Status) {
-	if len(reqs) == 0 {
-		panic("mpi: WaitAny with no requests")
-	}
-	r.proc.FlushDebt()
-	start := r.rs.eng.Now()
-	var aw *sim.Waker
-	for {
-		now := r.rs.eng.Now()
-		// Earliest pending timed completion (sends, and receives whose
-		// message is already bound), if any.
-		var minTimed sim.Time = -1
-		won := -1
-		for i, q := range reqs {
-			if q == nil {
-				continue
-			}
-			q.checkLive()
-			if aw != nil && q.anyw == aw {
-				q.anyw = nil
-			}
-			if won < 0 && q.completedBy(now) {
-				won = i
-				// Keep scanning: later requests may still hold the waker.
-				continue
-			}
-			if q.timed && (minTimed < 0 || q.doneAt < minTimed) {
-				minTimed = q.doneAt
-			}
-		}
-		if won >= 0 {
-			if aw != nil {
-				aw.Disarm()
-				r.rs.pool.freeWaker(aw)
-			}
-			q := reqs[won]
-			if err := q.status.Err; err != nil {
-				// Completed by peer failure (debt was flushed at entry, so
-				// the clock is already settled). The request is abandoned.
-				panic(err)
-			}
-			q.done = true
-			if q.isRecv && !q.ovCharged {
-				q.ovCharged = true
-				r.proc.Advance(r.w.cfg.Net.RecvOverhead)
-			}
-			r.traceWait("waitany", start)
-			st := q.status
-			r.rs.pool.freeRequest(q)
-			return won, st
-		}
-		if minTimed >= 0 {
-			// A send will complete at a known instant; a receive may
-			// complete during the advance and wins the next scan.
-			r.proc.AdvanceTo(minTimed)
-			continue
-		}
-		if aw == nil {
-			aw = r.rs.pool.newWaker()
-			aw.Arm(r.rs.eng, r.proc)
-		}
-		for _, q := range reqs {
-			if q != nil && !q.done && !q.timed {
-				q.anyw = aw
-			}
-		}
-		r.proc.Park("mpi waitany")
-	}
+func (c *Comm) WaitAny(r *Rank, reqs []*Request) (idx int, st Status) {
+	r.Block("WaitAny", func(next sim.StepFunc) sim.StepFunc {
+		return c.FWaitAny(r, reqs, func(i int, s Status) sim.StepFunc {
+			idx, st = i, s
+			return next
+		})
+	})
+	return idx, st
 }
 
 // Test reports whether req has completed, consuming receive overhead on
 // the first successful test of a receive. The overhead is charged exactly
 // once per request (ovCharged), so Test-then-Wait sequences neither
 // double- nor under-charge.
-func (c *Comm) Test(r *Rank, req *Request) (bool, Status) {
-	req.checkLive()
-	if !req.completedBy(r.rs.eng.Now()) {
-		return false, Status{}
-	}
-	if err := req.status.Err; err != nil {
-		panic(err)
-	}
-	req.done = true
-	if req.isRecv && !req.ovCharged {
-		req.ovCharged = true
-		r.proc.Advance(r.w.cfg.Net.RecvOverhead)
-	}
-	return true, req.status
+func (c *Comm) Test(r *Rank, req *Request) (ok bool, st Status) {
+	r.Block("Test", func(next sim.StepFunc) sim.StepFunc {
+		return c.FTest(r, req, func(o bool, s Status) sim.StepFunc {
+			ok, st = o, s
+			return next
+		})
+	})
+	return ok, st
 }
 
 // Probe reports whether a matching message has already arrived, without

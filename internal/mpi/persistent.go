@@ -47,7 +47,7 @@ func (c *Comm) SendInit(r *Rank, dst, tag int, bytes int64) *PersistentRequest {
 		panic("mpi: negative message size")
 	}
 	// Init pays one full send overhead for the descriptor setup.
-	r.proc.AddDebt(c.w.cfg.Net.SendOverhead)
+	r.AddDebt(c.w.cfg.Net.SendOverhead)
 	return &PersistentRequest{comm: c, dst: dst, tag: tag, bytes: bytes}
 }
 
@@ -57,7 +57,7 @@ func (c *Comm) RecvInit(r *Rank, src, tag int) *PersistentRequest {
 	if src != AnySource && (src < 0 || src >= len(c.members)) {
 		panic(fmt.Sprintf("mpi: RecvInit from rank %d of %d", src, len(c.members)))
 	}
-	r.proc.AddDebt(c.w.cfg.Net.RecvOverhead)
+	r.AddDebt(c.w.cfg.Net.RecvOverhead)
 	return &PersistentRequest{comm: c, isRecv: true, src: src, tag: tag}
 }
 
@@ -76,7 +76,7 @@ func (p *PersistentRequest) Start(r *Rank, data interface{}) {
 	// work was done at init.
 	net := r.w.cfg.Net
 	overhead := simTime(float64(net.SendOverhead) * persistentStartOverheadFraction)
-	p.active = p.comm.isendOv(r, r.proc, p.dst, p.tag, p.bytes, data, overhead)
+	p.active = p.comm.isendOv(r, r.fib, p.dst, p.tag, p.bytes, data, overhead)
 }
 
 // Wait blocks until the active cycle completes and deactivates the

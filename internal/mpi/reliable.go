@@ -4,14 +4,13 @@
 // internal/faults) makes the network lose or duplicate individual
 // message transmissions. Arming it switches every cross-rank send —
 // point-to-point, collective internals, and file-I/O token traffic
-// alike, in both process representations — onto a deterministic
-// reliable-delivery protocol:
+// alike — onto a deterministic reliable-delivery protocol:
 //
 //   - Each (src, dst) rank pair carries a send sequence number. Every
 //     transmission attempt consults netmodel.MsgFaults.Verdict, a pure
 //     hash of (seed, src, dst, seq, attempt): delivered, dropped in
 //     flight, or duplicated. No generator state is involved, so verdicts
-//     are independent of traffic interleaving and representation.
+//     are independent of traffic interleaving.
 //   - The receiver acks every arrival (including duplicates — the
 //     sender may be retransmitting because an earlier ack was slow) and
 //     releases messages to matching strictly in sequence order per
@@ -35,8 +34,8 @@
 // byte-identical to an unfaulted build (TrajectoryVersion stays 2). A
 // non-nil table is its own trajectory family (the protocol's acks and
 // timer events are part of the schedule), deterministic for a fixed
-// (table, seed): replays are bit-for-bit across representations and
-// pooled reuse. See the lossy-delivery contract in the internal/sim
+// (table, seed): replays are bit-for-bit across repeats and pooled
+// reuse. See the lossy-delivery contract in the internal/sim
 // package comment.
 package mpi
 
@@ -422,27 +421,12 @@ func (w *World) relReset() {
 // while waiting, the pending failure surfaces as a panic for Protect,
 // like every other blocking operation.
 func (r *Rank) WaitSendWindow(max int) {
-	rs := r.rs
-	if len(rs.relOut) <= max {
-		return
-	}
-	r.proc.FlushDebt()
-	rs.drainTarget = max
-	for len(rs.relOut) > max {
-		if r.w.revoked {
-			panic(r.w.failure)
-		}
-		rs.drainQ.Wait(r.proc, "mpi send-window")
-	}
-	if r.w.revoked {
-		panic(r.w.failure)
-	}
+	r.Block("WaitSendWindow", func(next sim.StepFunc) sim.StepFunc { return r.FWaitSendWindow(max, next) })
 }
 
-// FWaitSendWindow is WaitSendWindow for fiber-backed ranks, continuing
-// with next once the backlog is within the window. It occupies the same
-// queue positions and consumes the same events as the goroutine form,
-// and diverts to the FProtect failure continuation on revocation.
+// FWaitSendWindow is WaitSendWindow in continuation form, continuing
+// with next once the backlog is within the window; it diverts to the
+// rank's failure continuation on revocation.
 func (r *Rank) FWaitSendWindow(max int, next sim.StepFunc) sim.StepFunc {
 	rs := r.rs
 	if len(rs.relOut) <= max {

@@ -38,10 +38,10 @@ const (
 // the runtime. internal/trace provides an implementation; the interface
 // lives here so the runtime does not depend on the trace package.
 //
-// Tracing observes the one execution path: every blocking form and its
-// F-prefixed continuation form emit the same category/label vocabulary
-// at the same instants, behind a nil check that costs nothing (and
-// allocates nothing) when no tracer is set.
+// Tracing observes the one execution path: spans are emitted by the
+// F-prefixed continuation forms, which the blocking forms run, behind a
+// nil check that costs nothing (and allocates nothing) when no tracer is
+// set.
 type Tracer interface {
 	Span(rank int, category, label string, start, end sim.Time)
 }
@@ -66,9 +66,8 @@ type Config struct {
 	// RankFaults schedules compute slowdown bursts: RankFaults[i] holds
 	// rank i's windows (sorted and non-overlapping per
 	// sim.ValidateWindows), applied multiplicatively on top of the noise
-	// model's speed factor and jitter by the compute-cost path of both
-	// process representations. Ranks at or beyond len(RankFaults) are
-	// fault-free; nil schedules nothing.
+	// model's speed factor and jitter by the compute-cost path. Ranks at or
+	// beyond len(RankFaults) are fault-free; nil schedules nothing.
 	RankFaults [][]sim.FaultWindow
 	// StripeFaults schedules degradation windows on the world's private
 	// file-system bank: StripeFaults[i] holds stripe i's outage/derate
@@ -295,16 +294,15 @@ type World struct {
 	// so traffic from a pre-crash attempt is dropped at delivery instead
 	// of matching post-rebuild receives. revoked holds from a kill until
 	// the rebuild rendezvous completes; while set, every newly posted
-	// send or receive completes immediately with failure. mainBody and
-	// mainFiber retain the rank body so restartRank can respawn the
-	// victim; allComms tracks every communicator ever built on the world
-	// so completeRebuild can zero their collective tag counters.
+	// send or receive completes immediately with failure. mainFiber
+	// retains the rank body so restartRank can respawn the victim;
+	// allComms tracks every communicator ever built on the world so
+	// completeRebuild can zero their collective tag counters.
 	revoked        bool
 	epoch          int
 	failure        failureError
 	rebuildArrived int
 	rebuildQ       sim.WaitQueue
-	mainBody       func(r *Rank)
 	mainFiber      FiberMain
 	allComms       []*Comm
 	prScratch      []*postedRecv // killRank's posted-receive sweep scratch
@@ -372,25 +370,7 @@ type pools struct {
 	fwAllFree []*fwaitAll
 	fwAnyFree []*fwaitAny
 	fcFree    []*fcoll
-
-	// Freelist for the per-request wakers that WaitAny (goroutine
-	// representation) registers on its pending requests; fiber WaitAny
-	// embeds its waker in the pooled fwaitAny state instead.
-	wkFree []*sim.Waker
 }
-
-// newWaker returns a recycled or fresh disarmed waker.
-func (pl *pools) newWaker() *sim.Waker {
-	if n := len(pl.wkFree); n > 0 {
-		k := pl.wkFree[n-1]
-		pl.wkFree = pl.wkFree[:n-1]
-		return k
-	}
-	return &sim.Waker{}
-}
-
-// freeWaker recycles a disarmed waker.
-func (pl *pools) freeWaker(k *sim.Waker) { pl.wkFree = append(pl.wkFree, k) }
 
 // newMessage returns a recycled or fresh message. Callers must set all
 // matching fields.
@@ -458,7 +438,7 @@ func (pl *pools) freePostedRecv(p *postedRecv) {
 	pl.prFree = append(pl.prFree, p)
 }
 
-// rankState is the per-rank runtime state shared by the main process and
+// rankState is the per-rank runtime state shared by the rank's body and
 // any helper processes (nonblocking collectives) of that rank.
 type rankState struct {
 	world *World
@@ -476,8 +456,7 @@ type rankState struct {
 	sendSeq uint64
 	// shard is the rank's shard index in parallel mode (0 in classic).
 	shard    int
-	proc     *sim.Proc
-	fib      *sim.Fiber // set instead of proc under the fiber representation
+	fib      *sim.Fiber // the fiber of the rank's body
 	sendLink sim.Link
 	recvLink sim.Link
 	match    matchIndex // posted receives + unexpected messages (match.go)
@@ -496,8 +475,9 @@ type rankState struct {
 	// Crash-stop failure state (failure.go): dead marks a killed rank
 	// awaiting restart, incarnation counts restarts, inRebuild marks a
 	// rank parked in the rebuild rendezvous, ioDepth counts open
-	// ioBegin/ioEnd demand intervals, and failStep is the fiber failure
-	// continuation registered by FProtect.
+	// ioBegin/ioEnd demand intervals, and failStep is the failure
+	// continuation: registered by FProtect, or for a blocking body the
+	// step that unwinds it into Protect.
 	dead        bool
 	incarnation int
 	inRebuild   bool
@@ -534,7 +514,6 @@ func (rs *rankState) statusScratch(n int) []Status {
 // reset returns the rank state to its initial condition for world reuse,
 // keeping matching-index and scratch capacity.
 func (rs *rankState) reset(speed float64) {
-	rs.proc = nil
 	rs.fib = nil
 	rs.sendSeq = 0
 	rs.sendLink = sim.Link{}
@@ -836,7 +815,6 @@ func (w *World) reset(cfg Config) {
 	w.failure = nil
 	w.rebuildArrived = 0
 	w.rebuildQ = sim.WaitQueue{}
-	w.mainBody = nil
 	w.mainFiber = nil
 	for i := range w.allComms {
 		w.allComms[i] = nil
@@ -933,26 +911,20 @@ func (w *World) rankName(rank int) string {
 // engine. Worlds sharing an engine are all started first, then the owner
 // runs the engine once; single-world callers use Run, which is
 // Start-then-run.
+//
+// main is ordinary blocking code: each rank is a fiber like any other,
+// hosting a goroutine for main to block on (sim.Proc), and every blocking
+// call of this package runs its F-prefixed form on that fiber. A failure
+// that the step-function form hands to its FProtect continuation reaches
+// a blocking body as a panic out of its pending call, for Protect.
 func (w *World) Start(main func(r *Rank)) {
-	w.mainBody = main
-	for i := range w.ranks {
-		rs := w.ranks[i]
-		rank := &Rank{w: w, rs: rs}
-		body := func(p *sim.Proc) {
-			rank.proc = p
-			main(rank)
-		}
-		if w.group != nil {
-			// Parallel mode pins the process id to the world rank (offset
-			// by the world's block in a shared group) on whichever shard
-			// hosts it, so the id-seeded random streams are
-			// placement-independent.
-			rs.proc = rs.eng.SpawnID(w.priBase+rs.rank, w.rankName(rs.rank), body)
-		} else {
-			rs.proc = w.eng.Spawn(w.rankName(rs.rank), body)
-		}
-	}
-	w.scheduleCrashes()
+	w.StartFibers(func(r *Rank, f *sim.Fiber) sim.StepFunc {
+		return f.Host(func(p *sim.Proc) {
+			r.proc = p
+			r.rs.failStep = func(*sim.Fiber) sim.StepFunc { return p.Throw(w.failure) }
+			main(r)
+		})
+	})
 }
 
 // Run spawns one process per rank executing main and runs the simulation
@@ -969,20 +941,17 @@ func (w *World) Run(main func(r *Rank)) (sim.Time, error) {
 	return w.eng.Run()
 }
 
-// FiberMain is a fiber-backed rank body: called once when the rank's
-// fiber first runs, it returns the body's first step. Blocking operations
-// use the F-prefixed continuation variants (FCompute, Comm.FRecv,
-// Comm.FBarrier, ...); the goroutine-style blocking calls panic on a
-// fiber-backed rank.
+// FiberMain is a step-function rank body: called once when the rank's
+// fiber first runs, it returns the body's first step. It blocks through
+// the F-prefixed continuation forms (FCompute, Comm.FRecv, Comm.FBarrier,
+// ...), which are the runtime's only implementation of each operation;
+// the blocking forms need a body goroutine to park and panic, naming the
+// form to use, on a rank that has none.
 type FiberMain func(r *Rank, f *sim.Fiber) sim.StepFunc
 
-// RunFibers is Run with the step-function process representation: one
-// fiber per rank instead of one goroutine per rank, so a cross-rank
-// dispatch costs a method call instead of a goroutine switch. A fiber
-// body that performs the same sequence of runtime operations as its
-// goroutine counterpart produces a bit-identical trajectory (the two
-// representations share the engine's (t, seq) determinism contract),
-// and reports the same spans to a configured Tracer.
+// RunFibers is Run for step-function bodies: no goroutine per rank, so a
+// cross-rank dispatch costs a method call instead of two goroutine
+// switches. Every measured path runs this way.
 func (w *World) RunFibers(main FiberMain) (sim.Time, error) {
 	if w.cfg.Engine != nil || w.cfg.Group != nil {
 		panic("mpi: RunFibers on a world with a shared engine or group; StartFibers it and run from its owner")
@@ -994,9 +963,8 @@ func (w *World) RunFibers(main FiberMain) (sim.Time, error) {
 	return w.eng.Run()
 }
 
-// StartFibers is Start with the step-function process representation: it
-// spawns the rank fibers without running the engine, for worlds attached
-// to a shared engine.
+// StartFibers spawns the rank fibers without running the engine, for
+// worlds attached to a shared engine.
 func (w *World) StartFibers(main FiberMain) {
 	w.mainFiber = main
 	for i := range w.ranks {
@@ -1022,11 +990,6 @@ func (w *World) StartFibers(main FiberMain) {
 func (w *World) Makespan() sim.Time {
 	var t sim.Time
 	for _, rs := range w.ranks {
-		if rs.proc != nil {
-			if d := rs.proc.FinishedAt(); d > t {
-				t = d
-			}
-		}
 		if rs.fib != nil {
 			if d := rs.fib.FinishedAt(); d > t {
 				t = d
@@ -1038,13 +1001,45 @@ func (w *World) Makespan() sim.Time {
 
 // Rank is the handle a rank's code uses to compute and communicate. It is
 // valid only inside the function passed to Run (or RunFibers), on that
-// rank's process. Exactly one of proc and fib is set, depending on the
-// representation the world was run with.
+// rank's process. fib is the fiber the handle's operations run on — the
+// rank's own, or a helper's (nonblocking collectives); proc is the
+// goroutine hosted on it when the body is blocking code, else nil.
 type Rank struct {
 	w    *World
 	rs   *rankState
-	proc *sim.Proc
 	fib  *sim.Fiber
+	proc *sim.Proc
+}
+
+// Block runs the step-function form of the blocking call name on r's body
+// goroutine: call builds the chain, ending in the continuation it is
+// given, and Block returns once that continuation has run. Every blocking
+// call of this package and of the libraries above it is Block (or Await)
+// of its F form. A step-function body has no goroutine to park, so there
+// Block panics, naming the form to use.
+func (r *Rank) Block(name string, call func(next sim.StepFunc) sim.StepFunc) {
+	if r.proc == nil {
+		panic(fmt.Sprintf("mpi: %s is a blocking call and the body of rank %d is a step function: use F%s, or start the body with Run or Start", name, r.rs.rank, name))
+	}
+	r.proc.Await(call)
+}
+
+// Await is Block for a form that delivers one result to its continuation.
+func Await[T any](r *Rank, name string, call func(then func(T) sim.StepFunc) sim.StepFunc) (out T) {
+	r.Block(name, func(next sim.StepFunc) sim.StepFunc {
+		return call(func(v T) sim.StepFunc {
+			out = v
+			return next
+		})
+	})
+	return out
+}
+
+// Blocking returns a step that runs fn — blocking code, such as a stream
+// operator that computes — on r's body goroutine in the middle of a chain
+// started by Block, and continues with next.
+func (r *Rank) Blocking(fn func(), next sim.StepFunc) sim.StepFunc {
+	return r.proc.Blocking(fn, next)
 }
 
 // ID reports this process's rank in the world communicator.
@@ -1071,33 +1066,13 @@ func (r *Rank) Compute(d sim.Time) { r.ComputeLabeled(d, "comp") }
 
 // ComputeLabeled is Compute with an explicit trace label.
 func (r *Rank) ComputeLabeled(d sim.Time, label string) {
-	if d <= 0 {
-		return
-	}
-	scaled := sim.Time(float64(d) * r.rs.speed)
-	// The zero noise model ignores its random source and adds nothing;
-	// skipping it avoids materializing a per-process generator at all.
-	if _, zero := r.w.cfg.Noise.(netmodel.None); !zero {
-		scaled += r.w.cfg.Noise.Jitter(r.proc.Rand(), scaled)
-	}
-	// Fault bursts layer on top of speed and jitter: the noise-perturbed
-	// duration is integrated through the rank's slowdown windows from the
-	// current instant. Pure window arithmetic — FComputeLabeled mirrors
-	// it exactly, so faulted trajectories stay representation-neutral.
-	if len(r.rs.faults) > 0 {
-		scaled = sim.StretchThrough(r.proc.Now(), scaled, r.rs.faults)
-	}
-	start := r.proc.Now()
-	r.proc.Advance(scaled)
-	r.trace("comp", label, start)
+	r.Block("ComputeLabeled", func(next sim.StepFunc) sim.StepFunc { return r.FComputeLabeled(d, label, next) })
 }
 
 // Idle consumes d of virtual time without noise scaling, modelling
 // deliberate waiting.
 func (r *Rank) Idle(d sim.Time) {
-	if d > 0 {
-		r.proc.Advance(d)
-	}
+	r.Block("Idle", func(next sim.StepFunc) sim.StepFunc { return r.FIdle(d, next) })
 }
 
 // trace emits a span from start to the current instant if a tracer is
@@ -1116,7 +1091,7 @@ func (r *Rank) traceWait(label string, start sim.Time) {
 	}
 }
 
-// ftrace is trace for the continuation forms: next wrapped to first emit
+// ftrace is trace in continuation form: next wrapped to first emit
 // the span from start to the instant it runs. Without a tracer it is
 // next itself, so the untraced path pays one nil check and no allocation.
 func (r *Rank) ftrace(category, label string, start sim.Time, next sim.StepFunc) sim.StepFunc {
@@ -1129,44 +1104,38 @@ func (r *Rank) ftrace(category, label string, start sim.Time, next sim.StepFunc)
 	}
 }
 
-// ctx returns the rank's execution context — its proc or its fiber —
-// for representation-neutral overhead accounting.
-func (r *Rank) ctx() exec {
-	if r.proc != nil {
-		return r.proc
-	}
-	return r.fib
-}
+// AddDebt records d of CPU overhead on the rank without suspending it.
+// Libraries layered on the runtime (for example, the stream library's
+// per-element injection overhead) use it.
+func (r *Rank) AddDebt(d sim.Time) { r.fib.AddDebt(d) }
 
-// AddDebt records d of CPU overhead on the rank's execution context
-// without yielding, whichever representation backs the rank. Libraries
-// layered on the runtime (for example, the stream library's per-element
-// injection overhead) use it to stay representation-neutral.
-func (r *Rank) AddDebt(d sim.Time) { r.ctx().AddDebt(d) }
-
-// FCompute is Compute for fiber-backed ranks: it consumes d of scaled,
-// noise-perturbed virtual time and continues with next.
+// FCompute consumes d of scaled, noise-perturbed virtual time and
+// continues with next.
 func (r *Rank) FCompute(d sim.Time, next sim.StepFunc) sim.StepFunc {
 	return r.FComputeLabeled(d, "comp", next)
 }
 
-// FComputeLabeled is FCompute with an explicit trace label, mirroring
-// ComputeLabeled's cost arithmetic and span exactly.
+// FComputeLabeled is FCompute with an explicit trace label.
 func (r *Rank) FComputeLabeled(d sim.Time, label string, next sim.StepFunc) sim.StepFunc {
 	if d <= 0 {
 		return next
 	}
 	scaled := sim.Time(float64(d) * r.rs.speed)
+	// The zero noise model ignores its random source and adds nothing;
+	// skipping it avoids materializing a per-process generator at all.
 	if _, zero := r.w.cfg.Noise.(netmodel.None); !zero {
 		scaled += r.w.cfg.Noise.Jitter(r.fib.Rand(), scaled)
 	}
+	// Fault bursts layer on top of speed and jitter: the noise-perturbed
+	// duration is integrated through the rank's slowdown windows from the
+	// current instant. Pure window arithmetic, no draws and no events.
 	if len(r.rs.faults) > 0 {
 		scaled = sim.StretchThrough(r.fib.Now(), scaled, r.rs.faults)
 	}
 	return r.fib.Advance(scaled, r.ftrace("comp", label, r.fib.Now(), next))
 }
 
-// FIdle is Idle for fiber-backed ranks.
+// FIdle is Idle in continuation form.
 func (r *Rank) FIdle(d sim.Time, next sim.StepFunc) sim.StepFunc {
 	if d > 0 {
 		return r.fib.Advance(d, next)
@@ -1174,11 +1143,7 @@ func (r *Rank) FIdle(d sim.Time, next sim.StepFunc) sim.StepFunc {
 	return next
 }
 
-// Proc exposes the underlying simulated process (for advanced callers such
-// as the stream library). It is nil on fiber-backed ranks.
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
-// Fiber exposes the underlying fiber on fiber-backed ranks, nil otherwise.
+// Fiber exposes the rank's fiber.
 func (r *Rank) Fiber() *sim.Fiber { return r.fib }
 
 // Stash is a world-wide scratch space for libraries built on the runtime

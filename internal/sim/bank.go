@@ -281,7 +281,7 @@ func (b *Bank) Group() *ShardGroup { return b.group }
 type BankReq struct {
 	b      *Bank
 	src    *Engine
-	target Runnable
+	target *Fiber
 	job    int
 	dur    Time
 	pri    uint64
@@ -315,7 +315,7 @@ func (r *BankReq) Fire() {
 // src's current instant with the slot in the returned request's
 // Start/End. The caller parks target (keeping any debt) immediately
 // after posting and settles to End on resume.
-func (b *Bank) PostReserve(src *Engine, job int, dur Time, pri uint64, target Runnable) *BankReq {
+func (b *Bank) PostReserve(src *Engine, job int, dur Time, pri uint64, target *Fiber) *BankReq {
 	r := &BankReq{b: b, src: src, target: target, job: job, dur: dur, pri: pri}
 	src.Post(b.group.engines[b.owner], src.now+b.group.lookahead, pri, r)
 	return r

@@ -39,7 +39,7 @@ func TestShardedBankReservationHandoff(t *testing.T) {
 					for i := 0; i < rounds; i++ {
 						p.Advance(Time(17 + 3*r))
 						b.PostIOBegin(eng, job, pri())
-						req := b.PostReserve(eng, job, Time(40+5*r), pri(), p)
+						req := b.PostReserve(eng, job, Time(40+5*r), pri(), p.Fiber)
 						p.ParkKeepingDebt("bank grant")
 						grants[r] = append(grants[r], grant{req.Start, req.End})
 						p.AdvanceTo(req.End)

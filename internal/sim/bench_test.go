@@ -2,8 +2,8 @@ package sim
 
 import "testing"
 
-// BenchmarkDispatch measures one process resume cycle (event schedule +
-// two coroutine handoffs) — the simulator's fundamental cost.
+// BenchmarkDispatch measures Advance on a sole blocking body: the host's
+// cost when a call completes inline (one Await, no goroutine switch).
 func BenchmarkDispatch(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("p", func(p *Proc) {
@@ -62,9 +62,9 @@ func reportEventRate(b *testing.B, e *Engine) {
 	b.ReportMetric(float64(e.Events())/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkAdvanceInline measures the inline-advance fast path: a sole
-// runnable process moving the clock with zero goroutine switches and zero
-// heap traffic.
+// BenchmarkAdvanceInline measures the inline-advance fast path through
+// the host: a sole blocking body moving the clock with zero goroutine
+// switches and zero heap traffic.
 func BenchmarkAdvanceInline(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("p", func(p *Proc) {
@@ -79,9 +79,13 @@ func BenchmarkAdvanceInline(b *testing.B) {
 	reportEventRate(b, e)
 }
 
-// BenchmarkHandoffPingPong measures the direct process-to-process token
-// handoff: two processes advancing in strict alternation, so every event
-// is a cross-goroutine switch — the simulator's worst-case dispatch.
+// BenchmarkHandoffPingPong measures the worst case of a blocking call: two
+// blocking bodies advancing in strict alternation, so every event resumes
+// a hosted fiber whose last continuation wakes its parked body goroutine,
+// which runs to its next Advance, suspends and hands control back — two
+// goroutine switches per event (~1,150 ns, against ~640 ns for the token
+// handoff between process goroutines this replaced and ~110 ns for
+// BenchmarkFiberPingPong). Nothing measured runs blocking bodies.
 func BenchmarkHandoffPingPong(b *testing.B) {
 	e := NewEngine(1)
 	for i := 0; i < 2; i++ {
@@ -127,8 +131,9 @@ func BenchmarkSameTimeCallbacks(b *testing.B) {
 
 // BenchmarkFiberPingPong measures fiber-to-fiber cross-process dispatch:
 // two fibers advancing in strict alternation, so every event is a resume
-// of the *other* fiber — the pattern that costs a goroutine switch
-// (~600ns) under the Proc representation and a plain method call here.
+// of the *other* fiber — the pattern that costs two goroutine switches
+// between blocking bodies (BenchmarkHandoffPingPong) and a plain method
+// call here.
 func BenchmarkFiberPingPong(b *testing.B) {
 	e := NewEngine(1)
 	for i := 0; i < 2; i++ {
@@ -177,8 +182,10 @@ func BenchmarkFiberAdvanceInline(b *testing.B) {
 	reportEventRate(b, e)
 }
 
-// BenchmarkManyFibersStaggered is BenchmarkManyProcsStaggered with fibers:
-// heap-dominated dispatch with zero goroutine switches.
+// BenchmarkManyFibersStaggered measures heap-dominated dispatch: many
+// fibers advancing with co-prime strides, so resumes interleave through
+// the event heap like a large lockstep simulation, with zero goroutine
+// switches.
 func BenchmarkManyFibersStaggered(b *testing.B) {
 	const fibers = 64
 	e := NewEngine(1)
@@ -236,9 +243,9 @@ func BenchmarkBroadcastAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkManyProcsStaggered measures heap-dominated dispatch: many
-// processes advancing with co-prime strides, so resumes interleave
-// through the event heap like a large lockstep simulation.
+// BenchmarkManyProcsStaggered is BenchmarkManyFibersStaggered with
+// blocking bodies: nearly every resume pays the host's two goroutine
+// switches on top of the heap traffic.
 func BenchmarkManyProcsStaggered(b *testing.B) {
 	const procs = 64
 	e := NewEngine(1)

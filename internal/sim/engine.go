@@ -38,8 +38,8 @@ type funcAction func()
 
 func (f funcAction) Fire() { f() }
 
-// event is a scheduled occurrence in virtual time: either a process resume
-// (proc != nil) or an action (act != nil). Events with equal time fire in
+// event is a scheduled occurrence in virtual time: an action to fire (a
+// process's resume is its fiber). Events with equal time fire in
 // priority then scheduling order (pri, seq), which makes runs
 // deterministic. pri is zero for every ordinary event — the classic
 // contract is pure (t, seq) order — and non-zero only for cross-rank
@@ -49,11 +49,10 @@ func (f funcAction) Fire() { f() }
 // Events are stored by value in the heap to avoid one allocation per
 // event.
 type event struct {
-	t    Time
-	pri  uint64
-	seq  uint64
-	proc *Proc
-	act  Action
+	t   Time
+	pri uint64
+	seq uint64
+	act Action
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap of events ordered by (t, pri,
@@ -64,7 +63,7 @@ type event struct {
 //
 // Both sifts move a hole instead of swapping: the travelling event stays
 // in a local while parents (push) or smallest children (pop) slide into
-// the hole, so each level costs one 48-byte copy instead of three. Keys
+// the hole, so each level costs one 40-byte copy instead of three. Keys
 // are unique (seq is), so the result is the heap the swapping version
 // built and pop order is unchanged.
 type eventHeap []event
@@ -137,10 +136,12 @@ func (h *eventHeap) pop() event {
 //
 // All simulated code (process bodies and event callbacks) runs under the
 // engine's single logical thread of control, so it may freely mutate
-// shared simulation state without locking.
+// shared simulation state without locking. Events fire on the goroutine
+// that called Run; a process with a blocking body (Proc) borrows that
+// thread for as long as its body runs and gives it back when the body
+// blocks.
 //
-// Two fast paths keep the hot loop off the heap and off the goroutine
-// handshake:
+// Two fast paths keep the hot loop off the heap:
 //
 //   - Same-timestamp events: an event scheduled at the current instant
 //     while nothing else in the heap shares that instant goes into a FIFO
@@ -153,50 +154,24 @@ func (h *eventHeap) pop() event {
 //   - Inline advance: when the running process advances to an instant
 //     strictly before everything queued (heap and ring), the engine loop
 //     would pop that process's own resume next anyway, so Advance moves
-//     the clock directly and keeps running — no event, no park/dispatch
+//     the clock directly and keeps running — no event, no suspend/resume
 //     round trip. See Engine.canAdvanceInline.
-//   - Direct handoff: there is no dedicated event-loop goroutine while the
-//     simulation runs. A single logical "token" of control moves between
-//     goroutines: whichever goroutine holds it executes simulation code
-//     and, on yield, pops and fires subsequent events itself (callbacks
-//     run inline; a resume of another process hands the token straight to
-//     that process's goroutine). A process-to-process handoff therefore
-//     costs one goroutine switch instead of the two a central loop needs,
-//     and popping one's own resume costs none. The token returns to the
-//     Run goroutine only when the queue drains, the run limit is reached,
-//     or a process panics.
 type Engine struct {
 	now     Time
 	queue   eventHeap
 	imm     []event // FIFO of events at t == now; see invariant above
 	immHead int
 	seq     uint64
-	limit   Time          // RunUntil bound (MaxTime under Run)
-	runWake chan struct{} // token handoff back to the Run goroutine
+	limit   Time // RunUntil bound (MaxTime under Run)
 	seed    int64
 
-	procs     []*Proc
-	fibs      []*Fiber
-	live      int // procs and fibers spawned and not yet finished
-	nextProc  int // shared id counter for both process representations
-	running   bool
-	fired     uint64
-	reported  uint64 // events already added to the global counter
-	stopped   bool
-	panicked  interface{}
-	panicProc *Proc
-
-	// Crash-stop support (Engine.Kill). driving is the proc whose
-	// schedule loop currently holds the token (nil on the Run
-	// goroutine's drive loop): killing it must not wake it — its own
-	// loop notices killed and unwinds in place, consuming no extra
-	// events. killing/killWake form the handshake that waits for a
-	// non-driving victim's goroutine to finish unwinding before the
-	// killer proceeds, so a kill is synchronous and mutates no state
-	// concurrently.
-	driving  *Proc
-	killing  bool
-	killWake chan struct{}
+	fibs     []*Fiber
+	live     int // processes spawned and not yet finished
+	nextProc int // id counter shared by Spawn and SpawnFiber
+	running  bool
+	fired    uint64
+	reported uint64 // events already added to the global counter
+	stopped  bool
 
 	// Conservative parallel mode (parallel.go): engines built by a
 	// ShardGroup carry their group and shard index so cross-shard event
@@ -210,32 +185,7 @@ type Engine struct {
 // seed. Two engines built with the same seed and driven by the same code
 // produce identical trajectories.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		runWake:  make(chan struct{}),
-		killWake: make(chan struct{}),
-		seed:     seed,
-	}
-}
-
-// Runnable is the scheduling contract shared by the engine's two process
-// representations: goroutine-backed processes (Proc) and step-function
-// fibers (Fiber). Both are resumed via events ordered by (t, seq) in the
-// same heap and same-timestamp ring, so wait queues and wake-ups treat
-// them uniformly; only the final dispatch differs (a token handoff for a
-// Proc, an inline call for a Fiber). Code that parks either representation
-// stores the Runnable and wakes it with Engine.WakeAt.
-type Runnable interface {
-	// Name reports the spawn name, for deadlock diagnostics.
-	Name() string
-	// ID reports the engine-unique spawn-order identifier.
-	ID() int
-	// resumeAt schedules the runnable's resume event at virtual time t.
-	resumeAt(t Time)
-	// blockedOn reports whether the runnable is blocked awaiting an
-	// external wake, and the reason shown in deadlock reports.
-	blockedOn() (bool, string)
-	// engine returns the owning engine.
-	engine() *Engine
+	return &Engine{seed: seed}
 }
 
 // Reset returns the engine to its initial state with a new seed, keeping
@@ -245,16 +195,16 @@ type Runnable interface {
 // event counters restart from zero, so trajectories are independent of
 // reuse.
 //
-// Reset must not be called while the engine is running, and every
-// goroutine-backed process must have finished or been unwound (as Run
-// guarantees on return); fibers have no stacks and are simply dropped.
+// Reset must not be called while the engine is running, and every body
+// goroutine must have exited (as Run and Abort guarantee on return);
+// pending continuations are simply dropped.
 func (e *Engine) Reset(seed int64) {
 	if e.running {
 		panic("sim: Reset called while the engine is running")
 	}
-	for _, p := range e.procs {
-		if p.state != procDone {
-			panic(fmt.Sprintf("sim: Reset with process %q still live (after RunUntil?)", p.name))
+	for _, f := range e.fibs {
+		if f.host != nil && f.host.live {
+			panic(fmt.Sprintf("sim: Reset with process %q still live (after RunUntil?)", f.name))
 		}
 	}
 	e.flushGlobalEvents()
@@ -267,10 +217,6 @@ func (e *Engine) Reset(seed int64) {
 	}
 	e.imm = e.imm[:0]
 	e.immHead = 0
-	for i := range e.procs {
-		e.procs[i] = nil
-	}
-	e.procs = e.procs[:0]
 	for i := range e.fibs {
 		e.fibs[i] = nil
 	}
@@ -284,10 +230,6 @@ func (e *Engine) Reset(seed int64) {
 	e.fired = 0
 	e.reported = 0
 	e.stopped = false
-	e.panicked = nil
-	e.panicProc = nil
-	e.driving = nil
-	e.killing = false
 }
 
 // Now reports the current virtual time.
@@ -366,20 +308,6 @@ func (e *Engine) nextEventTime() Time {
 	return e.queue[0].t
 }
 
-// atProc schedules a resume of p at virtual time t without allocating a
-// closure.
-func (e *Engine) atProc(t Time, p *Proc) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling resume at %v before now %v", t, e.now))
-	}
-	e.seq++
-	if e.running && t == e.now && (len(e.queue) == 0 || e.queue[0].t > t) {
-		e.imm = append(e.imm, event{t: t, seq: e.seq, proc: p})
-		return
-	}
-	e.queue.push(event{t: t, seq: e.seq, proc: p})
-}
-
 // canAdvanceInline reports whether the running process may move virtual
 // time to target directly without parking: the engine is mid-run, target
 // does not exceed the run bound, and nothing else (ring or heap) is
@@ -427,69 +355,6 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(t, fn)
 }
 
-// Spawn creates a new simulated process executing body. The process starts
-// at the current virtual time (or at time 0 if the engine has not started
-// running yet). Spawn may be called before Run or from inside running
-// simulation code.
-func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	id := e.nextProc
-	e.nextProc++
-	return e.SpawnID(id, name, body)
-}
-
-// SpawnID is Spawn with a caller-chosen process id. Sharded worlds use it
-// to give every rank its world rank as id on whichever shard engine hosts
-// it, so per-process random streams (seeded from the id) are independent
-// of the partitioning; the engine's own id counter is not consumed. The
-// caller is responsible for id uniqueness within the engine — see
-// SetIDBase for keeping auto-assigned helper ids clear of a reserved
-// range.
-func (e *Engine) SpawnID(id int, name string, body func(*Proc)) *Proc {
-	p := &Proc{
-		e:     e,
-		name:  name,
-		id:    id,
-		wake:  make(chan struct{}),
-		state: procNew,
-	}
-	e.procs = append(e.procs, p)
-	e.live++
-	go func() {
-		<-p.wake
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isStop := r.(stopSignal); !isStop && e.panicked == nil {
-					e.panicked = r
-					e.panicProc = p
-				}
-			}
-			p.state = procDone
-			p.doneAt = e.now
-			e.live--
-			// A goroutine unwound by Kill hands control back to the
-			// killer, which still holds the simulation token.
-			if e.killing {
-				e.killWake <- struct{}{}
-				return
-			}
-			// The goroutine exits holding the token: pass it on. During
-			// unwind (or after a panic) it goes straight back to Run;
-			// otherwise keep driving the event loop from here.
-			if e.stopped || e.panicked != nil {
-				e.runWake <- struct{}{}
-				return
-			}
-			e.schedule(nil)
-		}()
-		if !e.stopped && !p.killed {
-			p.state = procRunning
-			body(p)
-		}
-	}()
-	e.atProc(e.now, p)
-	return p
-}
-
 // SetIDBase moves the engine's automatic id counter to at least base, so
 // subsequently Spawned processes and fibers take ids >= base. Sharded
 // worlds reserve the low range for explicit rank ids (SpawnID) and start
@@ -499,10 +364,6 @@ func (e *Engine) SetIDBase(base int) {
 		e.nextProc = base
 	}
 }
-
-// stopSignal is panicked inside proc goroutines to unwind them when the
-// engine is stopped with procs still blocked.
-type stopSignal struct{}
 
 // popNext removes and returns the next runnable event: the
 // same-timestamp ring first, then the heap, advancing the clock for heap
@@ -523,80 +384,28 @@ func (e *Engine) popNext() (event, bool) {
 	return ev, true
 }
 
-// schedule drives the event loop on the calling goroutine (the current
-// token holder) until self's own resume event is popped (self-resume: no
-// goroutine switch) or the token is handed elsewhere. Callback events run
-// inline; a resume of another process wakes that process's goroutine and
-// parks this one until its own resume is popped by a later token holder.
-// When the queue drains or only events beyond the run limit remain, the
-// token returns to the Run goroutine.
-//
-// self == nil means the caller is a finished process goroutine: the loop
-// hands the token onward without parking, and the goroutine exits.
-func (e *Engine) schedule(self *Proc) {
-	e.driving = self
-	for {
-		// A crash event fired by this loop may have killed the driving
-		// process itself: return so yield unwinds it in place — no wake
-		// event, identical event consumption to the fiber representation.
-		if self != nil && self.killed {
-			return
-		}
-		ev, ok := e.popNext()
-		if !ok {
-			e.runWake <- struct{}{}
-			if self == nil {
-				return
-			}
-			<-self.wake
-			return
-		}
-		e.fired++
-		if ev.act != nil {
-			ev.act.Fire()
-			continue
-		}
-		q := ev.proc
-		if q == self {
-			return
-		}
-		if q.state == procDone {
-			continue
-		}
-		e.driving = q
-		q.wake <- struct{}{}
-		if self == nil {
-			return
-		}
-		<-self.wake
-		return
-	}
-}
-
-// drive runs the event loop on the Run goroutine until the first handoff
-// to a process, then parks until the token returns (queue drained, limit
-// reached, or a process panicked). Pure-callback simulations (no
-// processes) complete entirely in this loop with zero goroutine switches.
+// drive runs the event loop up to e.limit on the calling goroutine. If
+// simulation code panics, the parked body goroutines are released before
+// the panic leaves: a panicking rank body in one job of a multi-world run
+// must not leak the parked ranks of every other job.
 func (e *Engine) drive() {
-	e.driving = nil
+	e.running = true
+	defer func() {
+		e.flushGlobalEvents()
+		if e.running {
+			e.running = false
+			e.unwind()
+		}
+	}()
 	for {
 		ev, ok := e.popNext()
 		if !ok {
-			return
+			break
 		}
 		e.fired++
-		if ev.act != nil {
-			ev.act.Fire()
-			continue
-		}
-		if ev.proc.state == procDone {
-			continue
-		}
-		e.driving = ev.proc
-		ev.proc.wake <- struct{}{}
-		<-e.runWake
-		return
+		ev.act.Fire()
 	}
+	e.running = false
 }
 
 // Run executes events until the queue is empty, then returns the final
@@ -606,64 +415,36 @@ func (e *Engine) Run() (Time, error) {
 	if e.running {
 		return e.now, fmt.Errorf("sim: Run called reentrantly")
 	}
-	e.running = true
 	e.limit = MaxTime
-	defer func() {
-		e.running = false
-		e.flushGlobalEvents()
-	}()
 	e.drive()
-	if e.panicked != nil {
-		// Unwind the other, still-parked process goroutines before
-		// re-raising: without this a panicking rank body in one job of a
-		// multi-world run would leak every parked rank of every other
-		// job. unwind captures and clears the panic state, so take the
-		// message first.
-		msg := fmt.Sprintf("sim: process %q panicked: %v", e.panicProc.name, e.panicked)
-		e.unwind()
-		panic(msg)
-	}
+	var err error
 	if e.live > 0 {
-		err := e.deadlockError()
-		e.unwind()
-		return e.now, err
+		err = e.deadlockError()
 	}
 	e.unwind()
-	return e.now, nil
+	return e.now, err
 }
 
 // RunUntil executes events up to and including virtual time limit and
-// stops there, leaving remaining events queued.
+// stops there, leaving remaining events queued and blocked bodies parked.
 func (e *Engine) RunUntil(limit Time) (Time, error) {
 	if e.running {
 		return e.now, fmt.Errorf("sim: RunUntil called reentrantly")
 	}
-	e.running = true
 	e.limit = limit
-	defer func() {
-		e.running = false
-		e.flushGlobalEvents()
-	}()
 	e.drive()
-	if e.panicked != nil {
-		// As in Run: a panicked engine cannot be resumed, so unwind the
-		// parked goroutines before re-raising rather than leaking them.
-		msg := fmt.Sprintf("sim: process %q panicked: %v", e.panicProc.name, e.panicked)
-		e.unwind()
-		panic(msg)
-	}
 	if e.now < limit {
 		e.now = limit
 	}
 	return e.now, nil
 }
 
-// Abort terminates every spawned-but-unfinished process and fiber without
-// running the simulation: goroutine-backed processes are unwound via the
-// stop signal, fibers' pending continuations are dropped. It exists for
-// callers that spawn work across several worlds and hit an error before
-// Run (a co-scheduled job failing to start must not leak the goroutines
-// of the jobs spawned before it). The engine must be Reset before reuse.
+// Abort terminates every spawned-but-unfinished process without running
+// the simulation: pending continuations are dropped and body goroutines
+// unwound. It exists for callers that spawn work across several worlds and
+// hit an error before Run (a co-scheduled job failing to start must not
+// leak the goroutines of the jobs spawned before it). The engine must be
+// Reset before reuse.
 func (e *Engine) Abort() {
 	if e.running {
 		panic("sim: Abort called while the engine is running")
@@ -671,87 +452,64 @@ func (e *Engine) Abort() {
 	e.unwind()
 }
 
-// Kill terminates one runnable at the current instant — the crash-stop
+// Kill terminates one process at the current instant — the crash-stop
 // primitive under fault campaigns (see the failure/recovery contract in
-// the package comment). A fiber is marked done and its pending
-// continuation dropped; a goroutine-backed process unwinds through the
-// same stopSignal machinery Abort uses, synchronously — Kill returns
-// once the victim's goroutine has exited. Killing the process the
-// engine is currently dispatching (a rank crashing inside its own event
-// window) defers the unwind to its next yield without waking it, so no
-// extra event is consumed and both representations observe the kill at
-// the same (t, seq) position. Stale resume events of a killed runnable
-// are popped and counted as fired, identically for both
-// representations. Killing a finished runnable is a no-op. Kill must be
-// called from simulation context (an event callback or a process body),
-// never from outside a running engine.
-func (e *Engine) Kill(r Runnable) {
-	switch x := r.(type) {
-	case *Fiber:
-		if x.done {
-			return
-		}
-		x.done = true
-		x.doneAt = e.now
-		x.next = nil
-		x.parked = false
-		e.live--
-	case *Proc:
-		if x.state == procDone || x.killed {
-			return
-		}
-		x.killed = true
-		if x == e.driving {
-			// The victim holds (or is being handed) the token: its own
-			// schedule loop or next yield notices killed and unwinds in
-			// place.
-			return
-		}
-		e.killing = true
-		x.wake <- struct{}{}
-		<-e.killWake
-		e.killing = false
+// the package comment). The fiber is marked done and its pending
+// continuation dropped; a body goroutine parked in a blocking call unwinds
+// and exits before Kill returns. A body that kills itself keeps running
+// to its next blocking call and finishes there. Kill fires no event;
+// stale resume events of a killed process are popped and counted as
+// fired. Killing a finished process is a no-op. Kill must be called from
+// simulation context (an event callback or a process body), never from
+// outside a running engine.
+func (e *Engine) Kill(f *Fiber) {
+	if f.done || (f.host != nil && !f.host.stop()) {
+		return
 	}
+	f.done = true
+	f.doneAt = e.now
+	f.next = nil
+	f.parked = false
+	e.live--
 }
 
-// unwind terminates any still-blocked process goroutines so they do not
-// leak after the simulation ends. Each woken goroutine unwinds via
-// stopSignal and hands the token straight back here. Fibers have no
-// goroutine to unwind: their pending continuations are simply dropped.
+// unwind drops every pending continuation and releases every parked body
+// goroutine, so nothing outlives the run.
 func (e *Engine) unwind() {
 	e.stopped = true
-	for _, p := range e.procs {
-		if p.state == procBlocked || p.state == procNew {
-			p.wake <- struct{}{}
-			<-e.runWake
-		}
-	}
 	for _, f := range e.fibs {
 		f.next = nil
+		if f.host != nil {
+			f.host.stop()
+		}
 	}
-	e.panicked = nil
 }
 
-// deadlockError builds a descriptive error naming all blocked processes
-// and fibers.
-func (e *Engine) deadlockError() error {
-	var blocked []string
-	for _, p := range e.procs {
-		if p.state == procBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockReason))
-		}
-	}
+// blockedNames appends the engine's blocked processes as "name (reason)".
+func (e *Engine) blockedNames(blocked []string) []string {
 	for _, f := range e.fibs {
-		if isBlocked, reason := f.blockedOn(); isBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", f.name, reason))
+		if f.parked && !f.done {
+			blocked = append(blocked, fmt.Sprintf("%s (%s)", f.name, f.blockReason))
 		}
 	}
+	return blocked
+}
+
+// newDeadlockError builds the report from the blocked set of one engine
+// or, for a ShardGroup, of all its shards: sorted and capped, so a
+// deadlock reads the same regardless of shard count.
+func newDeadlockError(blocked []string, at Time) error {
 	sort.Strings(blocked)
 	const max = 12
 	if len(blocked) > max {
 		blocked = append(blocked[:max], fmt.Sprintf("... and %d more", len(blocked)-max))
 	}
-	return &DeadlockError{Blocked: blocked, At: e.now}
+	return &DeadlockError{Blocked: blocked, At: at}
+}
+
+// deadlockError names all blocked processes of a drained engine.
+func (e *Engine) deadlockError() error {
+	return newDeadlockError(e.blockedNames(nil), e.now)
 }
 
 // DeadlockError reports that the event queue drained while processes were

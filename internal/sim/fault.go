@@ -40,7 +40,7 @@ func ValidateWindows(ws []FaultWindow) error {
 // every window work progresses at nominal rate, inside a window at
 // 1/Factor of it. The result is a pure function of its arguments — no
 // random draws — so faulted trajectories stay bit-identical across
-// process representations and repeated runs.
+// repeated runs.
 func StretchThrough(now, d Time, ws []FaultWindow) Time {
 	if d <= 0 || len(ws) == 0 {
 		return d

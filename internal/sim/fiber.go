@@ -18,26 +18,21 @@ import (
 // and nothing else.
 type StepFunc func(f *Fiber) StepFunc
 
-// Fiber is the engine's second process representation: an explicit
-// continuation state machine that the dispatcher resumes with a plain
-// function call instead of a goroutine handoff. A cross-process dispatch
-// to a fiber therefore costs a method call on the current token holder's
-// stack, not a goroutine switch — the difference between ~600ns and a few
-// nanoseconds per dispatch on message-dominated workloads.
+// Fiber is a simulated process: an explicit continuation state machine
+// that the engine resumes with a plain function call. It is the one thing
+// the engine schedules — a resume is an ordinary Action event, fired
+// inline by the event loop — and every blocking primitive of the simulator
+// and of the runtimes above it is written once, against Fiber, in
+// continuation-passing form.
 //
-// Fibers and goroutine-backed processes (Proc) schedule through the same
-// event heap and same-timestamp ring and share the (t, seq) determinism
-// contract: a fiber port of a process body that performs the same sequence
-// of simulation operations produces a bit-identical trajectory
-// (TestFiberMatchesProcTrajectory here and the runBothWays tests in
-// internal/mpi assert this).
-//
-// The price is the programming model: fiber bodies cannot block mid-call,
-// so every blocking point splits the body into explicit steps (StepFunc).
-// A primitive that suspends must have its return value returned from the
-// current step immediately; executing further simulation actions after a
-// suspension and before returning is a programming error (the work would
-// happen before the fiber's resume instant).
+// The price is the programming model: a step-function body cannot block
+// mid-call, so every blocking point splits it into explicit steps
+// (StepFunc). A primitive that suspends must have its return value
+// returned from the current step immediately; executing further simulation
+// actions after a suspension and before returning is a programming error
+// (the work would happen before the fiber's resume instant). Bodies that
+// would rather block are hosted: a Proc is a goroutine that runs the same
+// primitives on a fiber of its own and sleeps until each has completed.
 type Fiber struct {
 	e           *Engine
 	name        string
@@ -49,13 +44,13 @@ type Fiber struct {
 	parked      bool     // suspended without a scheduled resume (awaits a wake)
 	blockReason string
 	done        bool
-	doneAt      Time // virtual time at which the body finished
+	doneAt      Time  // virtual time at which the body finished
+	host        *Proc // the goroutine whose blocking body runs on this fiber, if any
 }
 
-// SpawnFiber creates a fiber executing start. Like Spawn, the fiber starts
-// at the current virtual time (or time 0 if the engine has not started
-// yet), and spawn order determines the identifier that seeds the fiber's
-// random stream — a fiber spawned in place of a Proc inherits the same
+// SpawnFiber creates a fiber executing start. The fiber starts at the
+// current virtual time (or time 0 if the engine has not started yet), and
+// spawn order determines the identifier that seeds the fiber's random
 // stream.
 func (e *Engine) SpawnFiber(name string, start StepFunc) *Fiber {
 	id := e.nextProc
@@ -63,10 +58,12 @@ func (e *Engine) SpawnFiber(name string, start StepFunc) *Fiber {
 	return e.SpawnFiberID(id, name, start)
 }
 
-// SpawnFiberID is SpawnFiber with a caller-chosen id, the fiber
-// counterpart of SpawnID: sharded worlds give each rank its world rank as
-// id regardless of which shard engine hosts it, keeping the id-seeded
-// random streams independent of the partitioning.
+// SpawnFiberID is SpawnFiber with a caller-chosen id: sharded worlds give
+// each rank its world rank as id regardless of which shard engine hosts
+// it, keeping the id-seeded random streams independent of the
+// partitioning; the engine's own id counter is not consumed. The caller is
+// responsible for id uniqueness within the engine — see SetIDBase for
+// keeping auto-assigned helper ids clear of a reserved range.
 func (e *Engine) SpawnFiberID(id int, name string, start StepFunc) *Fiber {
 	f := &Fiber{
 		e:    e,
@@ -83,7 +80,7 @@ func (e *Engine) SpawnFiberID(id int, name string, start StepFunc) *Fiber {
 // Name reports the fiber name given to SpawnFiber.
 func (f *Fiber) Name() string { return f.name }
 
-// ID reports the engine-unique identifier, shared with Proc spawn order.
+// ID reports the engine-unique identifier, in spawn order.
 func (f *Fiber) ID() int { return f.id }
 
 // Engine returns the engine this fiber belongs to.
@@ -100,8 +97,9 @@ func (f *Fiber) Done() bool { return f.done }
 // for per-job makespans.
 func (f *Fiber) FinishedAt() Time { return f.doneAt }
 
-// Rand returns the fiber's deterministic random source, derived from the
-// engine seed and the fiber id exactly as Proc.Rand derives its stream.
+// Rand returns a deterministic per-process random source, derived from the
+// engine seed and the fiber id. The source is created lazily so that
+// processes that never draw random numbers do not perturb others.
 func (f *Fiber) Rand() *rand.Rand {
 	if f.rng == nil {
 		f.rng = newRand(f.e.seed, int64(f.id))
@@ -109,21 +107,9 @@ func (f *Fiber) Rand() *rand.Rand {
 	return f.rng
 }
 
-// resumeAt schedules the fiber's resume event (Runnable contract).
-func (f *Fiber) resumeAt(t Time) { f.e.AtAction(t, f) }
-
-// blockedOn reports deadlock-diagnostic state (Runnable contract).
-func (f *Fiber) blockedOn() (bool, string) {
-	return f.parked && !f.done, f.blockReason
-}
-
-// engine returns the owning engine (Runnable contract).
-func (f *Fiber) engine() *Engine { return f.e }
-
 // Fire resumes the fiber: it runs steps until one suspends or the body
-// finishes. It implements Action so that fiber resumes flow through the
-// engine's ordinary event dispatch — inline on the current token holder,
-// no goroutine switch. Fire is invoked by the engine; application code
+// finishes. It implements Action so that resumes flow through the engine's
+// ordinary event dispatch. Fire is invoked by the engine; application code
 // never calls it.
 func (f *Fiber) Fire() {
 	if f.done || f.e.stopped {
@@ -161,8 +147,8 @@ func (f *Fiber) suspend(parked bool, reason string) {
 // Advance consumes d of virtual time (plus accumulated debt) and continues
 // with next. When nothing else is scheduled at or before the target the
 // clock moves inline and next is executed immediately; otherwise the fiber
-// suspends until its resume event fires. Mirrors Proc.Advance decision for
-// decision, so trajectories are bit-identical across representations.
+// suspends until its resume event fires. Negative durations are a
+// programming error.
 func (f *Fiber) Advance(d Time, next StepFunc) StepFunc {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Advance(%v) with negative duration in fiber %q", d, f.name))
@@ -183,8 +169,8 @@ func (f *Fiber) Advance(d Time, next StepFunc) StepFunc {
 	return next
 }
 
-// AdvanceTo consumes virtual time until max(t, now+debt), mirroring
-// Proc.AdvanceTo.
+// AdvanceTo consumes virtual time until max(t, now+debt). If the target is
+// in the past it only flushes outstanding debt.
 func (f *Fiber) AdvanceTo(t Time, next StepFunc) StepFunc {
 	target := Max(t, f.e.now+f.debt)
 	f.debt = 0
@@ -200,8 +186,10 @@ func (f *Fiber) AdvanceTo(t Time, next StepFunc) StepFunc {
 }
 
 // SettleTo consumes all outstanding debt and advances to t, which the
-// caller asserts already accounts for that debt. The fiber counterpart of
-// Proc.SettleTo — the one-yield settling step of blocking waits.
+// caller asserts already accounts for that debt (and any further charges
+// it wants folded into a single clock advance). It is the one-suspension
+// form of FlushDebt-then-AdvanceTo-then-Advance sequences on hot
+// completion paths, and the settling half of ParkKeepingDebt.
 func (f *Fiber) SettleTo(t Time, next StepFunc) StepFunc {
 	if t < f.e.now {
 		panic(fmt.Sprintf("sim: SettleTo(%v) before now %v in fiber %q", t, f.e.now, f.name))
@@ -218,8 +206,12 @@ func (f *Fiber) SettleTo(t Time, next StepFunc) StepFunc {
 	return next
 }
 
-// AddDebt records d of CPU time consumed without yielding, exactly like
-// Proc.AddDebt.
+// AddDebt records d of CPU time consumed without suspending. Debt is a
+// performance fast path for sub-microsecond overheads (for example,
+// per-message send overhead): it accumulates until the next
+// Advance/AdvanceTo or FlushDebt, at which point it is converted into real
+// virtual time. Blocking primitives must flush it before their first
+// condition check.
 func (f *Fiber) AddDebt(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: AddDebt(%v) negative in fiber %q", d, f.name))
@@ -231,8 +223,9 @@ func (f *Fiber) AddDebt(d Time) {
 func (f *Fiber) Debt() Time { return f.debt }
 
 // FlushDebt converts accumulated debt into virtual time and continues with
-// next. Like Proc.FlushDebt it must run before a blocking wait's first
-// condition check.
+// next. It must run before a blocking wait's first condition check, never
+// between the check and the park (that would either miss wakeups or
+// double-resume).
 func (f *Fiber) FlushDebt(next StepFunc) StepFunc {
 	return f.Advance(0, next)
 }
@@ -265,8 +258,9 @@ func Then(fn func(), next *StepFunc) StepFunc {
 }
 
 // Park suspends the fiber until another piece of simulation code wakes it
-// with Engine.WakeAt, then continues with next. Parking with unflushed
-// debt is a programming error, as for Proc.Park.
+// with Engine.WakeAt, then continues with next. reason is shown in deadlock
+// reports. Parking with unflushed debt is a programming error: the debt
+// would silently vanish from the timeline.
 func (f *Fiber) Park(reason string, next StepFunc) StepFunc {
 	if f.debt != 0 {
 		panic(fmt.Sprintf("sim: fiber %q parked with %v of unflushed debt", f.name, f.debt))
@@ -275,9 +269,11 @@ func (f *Fiber) Park(reason string, next StepFunc) StepFunc {
 	return next
 }
 
-// ParkKeepingDebt parks like Park but leaves accumulated debt pending; the
-// waker must fold the debt into the SettleTo target on resume, exactly as
-// with Proc.ParkKeepingDebt.
+// ParkKeepingDebt parks like Park but leaves accumulated debt pending: the
+// busy window overlaps the blocked period instead of preceding it. The
+// caller must fold the debt into a SettleTo target on wake — observe
+// nothing earlier than park-time now plus the debt — which yields the same
+// resume instant as flushing before the park, one suspension cheaper.
 func (f *Fiber) ParkKeepingDebt(reason string, next StepFunc) StepFunc {
 	f.suspend(true, reason)
 	return next

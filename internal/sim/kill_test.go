@@ -14,8 +14,8 @@ func TestKillParkedProc(t *testing.T) {
 		resumed = true
 	})
 	e.At(50, func() {
-		q.Remove(victim)
-		e.Kill(victim)
+		q.Remove(victim.Fiber)
+		e.Kill(victim.Fiber)
 	})
 	e.Spawn("bystander", func(p *Proc) { p.Advance(100) })
 	end, err := e.Run()
@@ -55,8 +55,8 @@ func TestKillWithStaleWake(t *testing.T) {
 				p.Park("test wait")
 				t.Error("killed process resumed")
 			})
-			e.At(10, func() { e.WakeAt(100, pr) })
-			e.At(50, func() { e.Kill(pr) })
+			e.At(10, func() { e.WakeAt(100, pr.Fiber) })
+			e.At(50, func() { e.Kill(pr.Fiber) })
 		}
 		end, err := e.Run()
 		if err != nil {
@@ -75,9 +75,9 @@ func TestKillWithStaleWake(t *testing.T) {
 	}
 }
 
-// TestKillDrivingProcDefersToYield kills the process currently being
-// dispatched (a body killing itself from its own event window): the
-// unwind happens at the next yield, with no extra event.
+// TestKillDrivingProcDefersToYield kills the process whose body is running
+// (a body killing itself): the unwind happens at its next blocking call,
+// with no extra event.
 func TestKillDrivingProcDefersToYield(t *testing.T) {
 	e := NewEngine(1)
 	reachedKill := false
@@ -85,7 +85,7 @@ func TestKillDrivingProcDefersToYield(t *testing.T) {
 	var self *Proc
 	self = e.Spawn("self-crash", func(p *Proc) {
 		p.Advance(10)
-		e.Kill(self) // victim == driving: deferred
+		e.Kill(self.Fiber) // the body kills itself: deferred
 		reachedKill = true
 		p.Advance(10) // unwinds here
 		passedYield = true
@@ -111,7 +111,7 @@ func TestKillDrivingProcDefersToYield(t *testing.T) {
 func TestKillRespawnSharedIDs(t *testing.T) {
 	run := func(fiber bool) (victimID, bystanderID, respawnID int, end Time) {
 		e := NewEngine(1)
-		var victim, bystander, respawn Runnable
+		var victim, bystander, respawn *Fiber
 		if fiber {
 			victim = e.SpawnFiber("victim", func(f *Fiber) StepFunc {
 				return f.Advance(100, func(*Fiber) StepFunc { return nil })
@@ -120,8 +120,8 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 				return f.Advance(200, func(*Fiber) StepFunc { return nil })
 			})
 		} else {
-			victim = e.Spawn("victim", func(p *Proc) { p.Advance(100) })
-			bystander = e.Spawn("bystander", func(p *Proc) { p.Advance(200) })
+			victim = e.Spawn("victim", func(p *Proc) { p.Advance(100) }).Fiber
+			bystander = e.Spawn("bystander", func(p *Proc) { p.Advance(200) }).Fiber
 		}
 		e.At(50, func() {
 			e.Kill(victim)
@@ -131,7 +131,7 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 						return f.Advance(40, func(*Fiber) StepFunc { return nil })
 					})
 				} else {
-					respawn = e.Spawn("victim'", func(p *Proc) { p.Advance(40) })
+					respawn = e.Spawn("victim'", func(p *Proc) { p.Advance(40) }).Fiber
 				}
 			})
 		})
@@ -159,7 +159,7 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 func TestKillFinishedIsNoop(t *testing.T) {
 	e := NewEngine(1)
 	p := e.Spawn("quick", func(p *Proc) { p.Advance(5) })
-	e.At(10, func() { e.Kill(p) })
+	e.At(10, func() { e.Kill(p.Fiber) })
 	e.Spawn("bystander", func(p *Proc) { p.Advance(20) })
 	end, err := e.Run()
 	if err != nil {
@@ -179,17 +179,17 @@ func TestKillTokenHolder(t *testing.T) {
 	holder := e.Spawn("holder", func(p *Proc) {
 		tok.Acquire(p, "token")
 		p.Advance(1000) // would hold until 1000
-		tok.Release(p)
+		tok.Release(p.Fiber)
 	})
 	e.Spawn("waiter", func(p *Proc) {
 		p.Advance(10)
 		tok.Acquire(p, "token")
 		acquiredAt = p.Now()
-		tok.Release(p)
+		tok.Release(p.Fiber)
 	})
 	e.At(50, func() {
-		tok.Evict(holder, e)
-		e.Kill(holder)
+		tok.Evict(holder.Fiber, e)
+		e.Kill(holder.Fiber)
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -125,7 +124,7 @@ func (g *ShardGroup) AllocRanks(n int) int {
 }
 
 // Abort unwinds every shard engine without running the group, releasing
-// any process goroutines spawned onto the shards. It is the group
+// any body goroutines started on the shards. It is the group
 // counterpart of Engine.Abort, for error paths between attachment and
 // Run.
 func (g *ShardGroup) Abort() { g.unwindAll() }
@@ -168,8 +167,8 @@ func (g *ShardGroup) applyInboxes() {
 }
 
 // runShard executes one shard's window on the calling goroutine,
-// capturing a panic (RunUntil re-raises after unwinding the shard's own
-// processes) into slot for the barrier to handle deterministically.
+// capturing a panic (which has already unwound the shard's own processes)
+// into slot for the barrier to handle deterministically.
 func runShard(e *Engine, limit Time, slot *interface{}) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -183,7 +182,7 @@ func runShard(e *Engine, limit Time, slot *interface{}) {
 
 // Run executes the group to completion and returns the final virtual time
 // (the maximum over shards) — the parallel counterpart of Engine.Run. If
-// processes or fibers remain blocked when every queue drains, Run returns
+// processes remain blocked when every queue drains, Run returns
 // a DeadlockError aggregating the blocked set across shards. On return
 // (or panic) every shard engine is unwound, exactly as Engine.Run
 // guarantees for a single engine.
@@ -258,35 +257,19 @@ func (g *ShardGroup) Run() (Time, error) {
 	return now, nil
 }
 
-// unwindAll terminates still-blocked process goroutines on every shard.
+// unwindAll releases the parked body goroutines of every shard.
 func (g *ShardGroup) unwindAll() {
 	for _, e := range g.engines {
 		e.unwind()
 	}
 }
 
-// deadlockError aggregates the blocked processes and fibers of every
-// shard into one DeadlockError, in the same sorted, capped shape
-// Engine.deadlockError produces, so a deadlock reads the same regardless
-// of shard count.
+// deadlockError aggregates the blocked processes of every shard into one
+// DeadlockError.
 func (g *ShardGroup) deadlockError(at Time) error {
 	var blocked []string
 	for _, e := range g.engines {
-		for _, p := range e.procs {
-			if p.state == procBlocked {
-				blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockReason))
-			}
-		}
-		for _, f := range e.fibs {
-			if isBlocked, reason := f.blockedOn(); isBlocked {
-				blocked = append(blocked, fmt.Sprintf("%s (%s)", f.name, reason))
-			}
-		}
+		blocked = e.blockedNames(blocked)
 	}
-	sort.Strings(blocked)
-	const max = 12
-	if len(blocked) > max {
-		blocked = append(blocked[:max], fmt.Sprintf("... and %d more", len(blocked)-max))
-	}
-	return &DeadlockError{Blocked: blocked, At: at}
+	return newDeadlockError(blocked, at)
 }

@@ -139,7 +139,7 @@ func TestShardGroupProcHandoff(t *testing.T) {
 				b := boxes[dst]
 				b.ready = true
 				if b.proc != nil {
-					engs[dst].WakeAt(engs[dst].Now(), b.proc)
+					engs[dst].WakeAt(engs[dst].Now(), b.proc.Fiber)
 					b.proc = nil
 				}
 			})

@@ -5,72 +5,250 @@ import (
 	"math/rand"
 )
 
-type procState int
-
-const (
-	procNew procState = iota
-	procRunning
-	procBlocked
-	procDone
-)
-
-// Proc is a simulated process: a goroutine that runs under the engine's
-// event loop. Process bodies call Proc methods to consume virtual time and
-// to block on simulation conditions; while a process runs, no other
-// simulation code runs.
+// Proc is a simulated process whose body is ordinary blocking Go code: a
+// goroutine that hosts a Fiber. The fiber is what the engine schedules —
+// its resume events, its clock debt, its wait-queue entries and its
+// deadlock reason are the fiber's own — and the body goroutine is only a
+// stack to block on. Every blocking Proc method runs the Fiber primitive
+// of the same name through Await, so there is one scheduler and one
+// implementation of each primitive; a body that makes the same calls as a
+// step-function body fires the same events at the same instants.
+//
+// Who runs when: simulation code runs on one goroutine at a time. The
+// goroutine that called Run fires every event. When the hosted fiber
+// reaches the last continuation of a blocking call (resume), that
+// goroutine hands control to the body goroutine and sleeps until the body
+// blocks again or returns; while the body has control it runs its own
+// code and, inside Await, the steps of the call it made, up to the step
+// that suspends the fiber. A blocking call that completes without
+// suspending (an inline clock advance, a wait on a completed request)
+// therefore costs no goroutine switch, and one that suspends costs two.
 type Proc struct {
-	e           *Engine
-	name        string
-	id          int
-	wake        chan struct{}
-	state       procState
-	blockReason string
-	rng         *rand.Rand
-	debt        Time
-	doneAt      Time // virtual time at which the body returned
-	killed      bool // Engine.Kill hit this process; unwind at next yield
+	*Fiber
+	body   func(*Proc)
+	toBody chan struct{} // the engine side gives the body goroutine control
+	toHost chan struct{} // the body goroutine gives it back: blocked, or exited
+
+	live     bool        // the body goroutine exists and has not exited
+	running  bool        // the body goroutine has control
+	killed   bool        // unwind at the next Await
+	step     StepFunc    // what the hosted fiber continues with once the body gives control back
+	nested   func()      // Blocking: code for the parked body goroutine to run
+	after    StepFunc    // ... and the step that follows it
+	thrown   interface{} // Throw: what the pending Await panics with
+	panicked interface{} // what the body panicked with, for wait to re-raise
 }
 
-// Name reports the process name given to Spawn.
-func (p *Proc) Name() string { return p.name }
+// stopSignal is panicked on a body goroutine to unwind it when its process
+// is killed or the engine stops with the body still blocked.
+type stopSignal struct{}
 
-// ID reports the engine-unique process id, in spawn order.
-func (p *Proc) ID() int { return p.id }
-
-// FinishedAt reports the virtual time at which the process body returned.
-// It is meaningful only once the body has finished (after Run returns);
-// multi-world setups use it for per-job makespans.
-func (p *Proc) FinishedAt() Time { return p.doneAt }
-
-// Done reports whether the process body has finished (returned, unwound,
-// or been killed), mirroring Fiber.Done.
-func (p *Proc) Done() bool { return p.state == procDone }
-
-// resumeAt schedules the process's resume event (Runnable contract).
-func (p *Proc) resumeAt(t Time) { p.e.atProc(t, p) }
-
-// blockedOn reports deadlock-diagnostic state (Runnable contract).
-func (p *Proc) blockedOn() (bool, string) {
-	return p.state == procBlocked, p.blockReason
+// Spawn creates a new simulated process executing body. The process starts
+// at the current virtual time (or at time 0 if the engine has not started
+// running yet). Spawn may be called before Run or from inside running
+// simulation code.
+func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
+	id := e.nextProc
+	e.nextProc++
+	return e.SpawnID(id, name, body)
 }
 
-// engine returns the owning engine (Runnable contract).
-func (p *Proc) engine() *Engine { return p.e }
+// SpawnID is Spawn with a caller-chosen process id, as SpawnFiberID is for
+// SpawnFiber.
+func (e *Engine) SpawnID(id int, name string, body func(*Proc)) *Proc {
+	p := newProc(body)
+	p.Fiber = e.SpawnFiberID(id, name, p.start)
+	p.Fiber.host = p
+	return p
+}
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
+// Host gives the fiber a blocking body: the returned step, which the
+// fiber's running step must return, starts body on a goroutine of its own.
+// It is how a layer that spawns fibers (mpi.World.StartFibers) runs a
+// blocking rank body on one of them.
+func (f *Fiber) Host(body func(*Proc)) StepFunc {
+	p := newProc(body)
+	p.Fiber = f
+	f.host = p
+	return p.start
+}
 
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.e.now }
+func newProc(body func(*Proc)) *Proc {
+	return &Proc{body: body, toBody: make(chan struct{}), toHost: make(chan struct{})}
+}
 
-// Rand returns a deterministic per-process random source, derived from the
-// engine seed and the process id. The source is created lazily so that
-// processes that never draw random numbers do not perturb others.
-func (p *Proc) Rand() *rand.Rand {
-	if p.rng == nil {
-		p.rng = newRand(p.e.seed, int64(p.id))
+// Spawn starts a child process at the current virtual time. It is a
+// convenience wrapper over Engine.Spawn for forking helpers.
+func (p *Proc) Spawn(name string, body func(*Proc)) *Proc {
+	return p.e.Spawn(name, body)
+}
+
+// start is the hosted fiber's first step: create the body goroutine, then
+// wait for it like any resume.
+func (p *Proc) start(*Fiber) StepFunc {
+	p.live = true
+	p.running = true
+	go p.run()
+	return p.wait()
+}
+
+// run is the body goroutine.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, stop := r.(stopSignal); !stop {
+				p.panicked = r
+			}
+		}
+		p.live = false
+		p.toHost <- struct{}{}
+	}()
+	p.body(p)
+}
+
+// resume is the last continuation of every blocking call. On the engine
+// side it gives the parked body goroutine control; when the chain got here
+// without suspending, the body goroutine is the one running it, and the
+// chain ending tells it so.
+func (p *Proc) resume(*Fiber) StepFunc {
+	if p.running {
+		return nil
 	}
-	return p.rng
+	p.running = true
+	p.toBody <- struct{}{}
+	return p.wait()
+}
+
+// wait sleeps on the engine side until the body goroutine blocks again or
+// exits, and returns what the hosted fiber continues with: the suspended
+// call's next step, or nil at the end of the body. A body that panicked
+// re-raises here, on the goroutine that called Run.
+func (p *Proc) wait() StepFunc {
+	<-p.toHost
+	p.running = false
+	if r := p.panicked; r != nil {
+		p.panicked = nil
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+	}
+	step := p.step
+	p.step = nil
+	return step
+}
+
+// Await runs a chain of fiber steps as one blocking call: call builds the
+// chain, ending in the continuation it is given, and Await returns when
+// that continuation has run. It is the whole of the blocking API: every
+// blocking method here, and every blocking call of the layers above, is
+// Await of the step-function form. Await must be called from the body.
+func (p *Proc) Await(call func(next StepFunc) StepFunc) {
+	if p.killed {
+		panic(stopSignal{})
+	}
+	step := call(p.resume)
+	for {
+		// The chain runs here until it suspends the fiber or ends in resume.
+		for step != nil && !p.susp {
+			step = step(p.Fiber)
+		}
+		if step == nil {
+			break
+		}
+		// Suspended: the engine side keeps step as the fiber's pending
+		// continuation, and this goroutine parks until the chain reaches
+		// resume or a Blocking step.
+		p.step = step
+		p.toHost <- struct{}{}
+		<-p.toBody
+		if p.killed {
+			panic(stopSignal{})
+		}
+		if p.nested == nil {
+			break
+		}
+		fn := p.nested
+		step, p.nested, p.after = p.after, nil, nil
+		fn()
+	}
+	if v := p.thrown; v != nil {
+		p.thrown = nil
+		panic(v)
+	}
+}
+
+// Blocking returns a step that runs fn, which may make blocking calls of
+// its own, on the body goroutine and continues with next. It is how a
+// blocking callback (a stream operator that computes) runs in the middle
+// of the chain of the blocking call it was passed to.
+func (p *Proc) Blocking(fn func(), next StepFunc) StepFunc {
+	return func(*Fiber) StepFunc {
+		if p.running {
+			fn()
+			return next
+		}
+		p.nested, p.after = fn, next
+		p.running = true
+		p.toBody <- struct{}{}
+		return p.wait()
+	}
+}
+
+// Throw returns the step that ends the pending blocking call by panicking
+// with v on the body goroutine. The runtime's failure continuation uses it
+// to unwind a blocking body to its recovery point.
+func (p *Proc) Throw(v interface{}) StepFunc {
+	p.thrown = v
+	return p.resume
+}
+
+// stop releases the body goroutine of a process that is being killed or
+// whose engine is stopping: parked, it unwinds and exits before stop
+// returns; running (a body that killed itself), it unwinds at its next
+// blocking call. It reports whether the goroutine is gone.
+func (p *Proc) stop() bool {
+	if !p.live {
+		return true
+	}
+	p.killed = true
+	if p.running {
+		return false
+	}
+	p.toBody <- struct{}{}
+	<-p.toHost
+	return true
+}
+
+// Advance consumes d of virtual time (plus any accumulated debt),
+// modelling computation or any other busy activity.
+func (p *Proc) Advance(d Time) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Advance(d, next) })
+}
+
+// AdvanceTo consumes virtual time until max(t, now+debt).
+func (p *Proc) AdvanceTo(t Time) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.AdvanceTo(t, next) })
+}
+
+// SettleTo consumes all outstanding debt and advances to t (see
+// Fiber.SettleTo).
+func (p *Proc) SettleTo(t Time) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.SettleTo(t, next) })
+}
+
+// FlushDebt converts accumulated debt into virtual time.
+func (p *Proc) FlushDebt() {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.FlushDebt(next) })
+}
+
+// Park blocks the process until another piece of simulation code wakes it
+// with Engine.WakeAt. reason is shown in deadlock reports.
+func (p *Proc) Park(reason string) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Park(reason, next) })
+}
+
+// ParkKeepingDebt parks like Park but leaves accumulated debt pending (see
+// Fiber.ParkKeepingDebt).
+func (p *Proc) ParkKeepingDebt(reason string) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.ParkKeepingDebt(reason, next) })
 }
 
 // newRand builds the per-process random stream for (seed, id): a
@@ -87,7 +265,7 @@ func newRand(seed, id int64) *rand.Rand {
 
 // NewSplitMix returns a splitmix64 rand.Source64 seeded with seed in
 // O(1). It is the generator behind every deterministic stream in the
-// tree: the engine's per-process streams use it via Proc.Rand/Fiber.Rand,
+// tree: the engine's per-process streams use it via Fiber.Rand,
 // and packages that derive streams outside the engine (noise models,
 // workload generators) share it so no path pays the stdlib default
 // source's 607-word seeding.
@@ -124,182 +302,27 @@ func Mix64(seed, id int64) int64 {
 	return int64(z)
 }
 
-// yield hands the control token to the event loop and waits to be
-// dispatched again. The loop runs on this goroutine (see Engine.schedule):
-// if the next runnable event is this process's own resume, yield returns
-// without any goroutine switch; otherwise the token moves to the next
-// event's goroutine and this one parks. All blocking primitives are built
-// on yield.
-func (p *Proc) yield(reason string) {
-	p.state = procBlocked
-	p.blockReason = reason
-	p.e.schedule(p)
-	if p.e.stopped || p.killed {
-		panic(stopSignal{})
-	}
-	p.state = procRunning
-	p.blockReason = ""
-}
+// WakeAt schedules f — parked via Park (or a WaitQueue) — to resume at
+// virtual time t. It must be called from simulation context (another
+// process or an event callback).
+func (e *Engine) WakeAt(t Time, f *Fiber) { e.AtAction(t, f) }
 
-// Advance consumes d of virtual time (plus any accumulated debt),
-// modelling computation or any other busy activity. Negative durations are
-// a programming error.
-func (p *Proc) Advance(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: Advance(%v) with negative duration in %q", d, p.name))
-	}
-	d += p.debt
-	p.debt = 0
-	if d == 0 {
-		return
-	}
-	e := p.e
-	target := e.now + d
-	// Fast path: nothing else is scheduled at or before target, so the
-	// engine would pop this process's own resume next — move the clock
-	// directly and keep running, skipping the park/dispatch round trip.
-	// A killed process still unwinds here: the jump consumes the same
-	// clock motion as the queued path, so the two are trajectory-equal.
-	if e.canAdvanceInline(target) {
-		e.jumpTo(target)
-		if p.killed {
-			panic(stopSignal{})
-		}
-		return
-	}
-	e.atProc(target, p)
-	p.yield("advancing")
-}
-
-// AdvanceTo consumes virtual time until max(t, now+debt). If the target is
-// in the past it only flushes outstanding debt.
-func (p *Proc) AdvanceTo(t Time) {
-	target := Max(t, p.e.now+p.debt)
-	p.debt = 0
-	if target > p.e.now {
-		if p.e.canAdvanceInline(target) {
-			p.e.jumpTo(target)
-			if p.killed {
-				panic(stopSignal{})
-			}
-			return
-		}
-		p.e.atProc(target, p)
-		p.yield("advancing")
-	}
-}
-
-// SettleTo consumes all outstanding debt and advances to t, which the
-// caller asserts already accounts for that debt (and any further charges
-// it wants folded into a single clock advance). It is the one-yield form
-// of FlushDebt-then-AdvanceTo-then-Advance sequences on hot completion
-// paths, and the settling half of ParkKeepingDebt.
-func (p *Proc) SettleTo(t Time) {
-	if t < p.e.now {
-		panic(fmt.Sprintf("sim: SettleTo(%v) before now %v in %q", t, p.e.now, p.name))
-	}
-	p.debt = 0
-	if t > p.e.now {
-		if p.e.canAdvanceInline(t) {
-			p.e.jumpTo(t)
-			if p.killed {
-				panic(stopSignal{})
-			}
-			return
-		}
-		p.e.atProc(t, p)
-		p.yield("advancing")
-	}
-}
-
-// AddDebt records d of CPU time consumed by p without yielding to the
-// engine. Debt is a performance fast path for sub-microsecond overheads
-// (for example, per-message send overhead): it accumulates until the next
-// Advance/AdvanceTo or FlushDebt, at which point it is converted into real
-// virtual time. Blocking primitives must call FlushDebt before their first
-// condition check.
-func (p *Proc) AddDebt(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: AddDebt(%v) negative in %q", d, p.name))
-	}
-	p.debt += d
-}
-
-// Debt reports the accumulated unflushed CPU time.
-func (p *Proc) Debt() Time { return p.debt }
-
-// FlushDebt converts accumulated debt into virtual time. It must be called
-// before a blocking wait's first condition check, never between the check
-// and the park (that would either miss wakeups or double-resume).
-func (p *Proc) FlushDebt() {
-	if p.debt > 0 {
-		p.Advance(0)
-	}
-}
-
-// park blocks the process until another piece of simulation code calls
-// unpark. reason is shown in deadlock reports. Parking with unflushed debt
-// is a programming error: the debt would silently vanish from the
-// timeline.
-func (p *Proc) park(reason string) {
-	if p.debt != 0 {
-		panic(fmt.Sprintf("sim: %q parked with %v of unflushed debt", p.name, p.debt))
-	}
-	p.yield(reason)
-}
-
-// Park blocks the process until another piece of simulation code wakes it
-// with Engine.WakeAt. It is the raw primitive under WaitQueue for callers
-// that track their single waiter themselves and can wake it directly.
-func (p *Proc) Park(reason string) { p.park(reason) }
-
-// ParkKeepingDebt parks like Park but leaves accumulated debt pending:
-// the process's busy window overlaps the blocked period instead of
-// preceding it. The caller must fold the debt into a SettleTo target on
-// wake — observe nothing earlier than park-time now plus the debt — which
-// yields the same resume instant as flushing before the park, one yield
-// cheaper.
-func (p *Proc) ParkKeepingDebt(reason string) { p.yield(reason) }
-
-// WakeAt schedules r — a Proc or Fiber parked via Park (or a WaitQueue) —
-// to resume at virtual time t. Either representation consumes exactly one
-// event with the next sequence number, so wake-ups are trajectory-neutral
-// across representations.
-func (e *Engine) WakeAt(t Time, r Runnable) { r.resumeAt(t) }
-
-// unpark schedules r to resume at the current virtual time. It must be
-// called from simulation context (another process or an event callback)
-// and r must be parked.
-func (e *Engine) unpark(r Runnable) {
-	r.resumeAt(e.now)
-}
-
-// Spawn starts a child process at the current virtual time. It is a
-// convenience wrapper over Engine.Spawn for forking helpers (for example,
-// progress threads for nonblocking collectives).
-func (p *Proc) Spawn(name string, body func(*Proc)) *Proc {
-	return p.e.Spawn(name, body)
-}
-
-// WaitQueue is a FIFO list of processes or fibers blocked on a condition.
-// The zero value is ready to use. Signal and Broadcast reuse the backing
+// WaitQueue is a FIFO list of processes blocked on a condition. The zero
+// value is ready to use. Signal and Broadcast reuse the backing
 // array across fill/drain cycles, so steady-state waiting allocates
 // nothing.
 type WaitQueue struct {
-	waiters []Runnable
+	waiters []*Fiber
 }
 
 // Wait blocks the calling process until Signal releases it. reason is
 // shown in deadlock reports.
 func (q *WaitQueue) Wait(p *Proc, reason string) {
-	q.waiters = append(q.waiters, p)
-	p.park(reason)
+	p.Await(func(next StepFunc) StepFunc { return q.WaitFiber(p.Fiber, reason, next) })
 }
 
 // WaitFiber parks f on the queue until Signal or Broadcast releases it,
-// then continues with next. The fiber counterpart of Wait: it occupies the
-// same FIFO position a Proc would, so mixed queues wake in arrival order
-// regardless of representation.
+// then continues with next.
 func (q *WaitQueue) WaitFiber(f *Fiber, reason string, next StepFunc) StepFunc {
 	if f.debt != 0 {
 		panic(fmt.Sprintf("sim: fiber %q waited with %v of unflushed debt", f.name, f.debt))
@@ -318,7 +341,7 @@ func (q *WaitQueue) Signal(e *Engine) bool {
 	copy(q.waiters, q.waiters[1:])
 	q.waiters[len(q.waiters)-1] = nil
 	q.waiters = q.waiters[:len(q.waiters)-1]
-	e.unpark(r)
+	e.WakeAt(e.now, r)
 	return true
 }
 
@@ -326,7 +349,7 @@ func (q *WaitQueue) Signal(e *Engine) bool {
 // array is retained (entries cleared) for reuse by later waiters.
 func (q *WaitQueue) Broadcast(e *Engine) {
 	for i, r := range q.waiters {
-		e.unpark(r)
+		e.WakeAt(e.now, r)
 		q.waiters[i] = nil
 	}
 	q.waiters = q.waiters[:0]
@@ -337,8 +360,8 @@ func (q *WaitQueue) Len() int { return len(q.waiters) }
 
 // Remove deletes r from the queue preserving FIFO order and reports
 // whether it was present. Failure handling uses it to pull a killed
-// runnable out of resource queues so it is never woken post-mortem.
-func (q *WaitQueue) Remove(r Runnable) bool {
+// process out of resource queues so it is never woken post-mortem.
+func (q *WaitQueue) Remove(r *Fiber) bool {
 	for i, w := range q.waiters {
 		if w == r {
 			copy(q.waiters[i:], q.waiters[i+1:])

@@ -85,26 +85,20 @@ func (s *Striped) Busy() Time {
 
 // Token is a distributed mutual-exclusion resource with FIFO hand-off and
 // a fixed per-acquisition cost, used to model shared-file-pointer
-// serialization. Unlike Link it blocks the acquirer, which may be either
-// process representation.
+// serialization. Unlike Link it blocks the acquirer.
 type Token struct {
-	holder  Runnable
+	holder  *Fiber
 	waiters WaitQueue
 	grants  uint64
 }
 
 // Acquire blocks p until the token is free, then takes it.
 func (t *Token) Acquire(p *Proc, reason string) {
-	p.FlushDebt()
-	for t.holder != nil {
-		t.waiters.Wait(p, reason)
-	}
-	t.holder = p
-	t.grants++
+	p.Await(func(next StepFunc) StepFunc { return t.FAcquire(p.Fiber, reason, next) })
 }
 
-// FAcquire is Acquire for fibers: it takes the token and continues with
-// next, queueing in the same FIFO positions a Proc would.
+// FAcquire takes the token, queueing FIFO while it is held, and continues
+// with next.
 func (t *Token) FAcquire(f *Fiber, reason string, next StepFunc) StepFunc {
 	var loop StepFunc
 	loop = func(_ *Fiber) StepFunc {
@@ -120,23 +114,23 @@ func (t *Token) FAcquire(f *Fiber, reason string, next StepFunc) StepFunc {
 
 // Release frees the token and wakes the next waiter. Releasing a token the
 // caller does not hold is a programming error.
-func (t *Token) Release(r Runnable) {
+func (t *Token) Release(r *Fiber) {
 	if t.holder != r {
 		panic("sim: Token released by non-holder")
 	}
 	t.holder = nil
-	t.waiters.Signal(r.engine())
+	t.waiters.Signal(r.e)
 }
 
 // Grants reports how many times the token has been acquired.
 func (t *Token) Grants() uint64 { return t.grants }
 
-// Evict removes a killed runnable from the token: if r holds the token
+// Evict removes a killed process from the token: if r holds the token
 // it is released on r's behalf (waking the next waiter); if r is queued
 // it is dropped from the FIFO. Failure handling calls this for every
 // token a crashed rank might touch so the hand-off chain never wedges
 // on — or wakes — a dead process.
-func (t *Token) Evict(r Runnable, e *Engine) {
+func (t *Token) Evict(r *Fiber, e *Engine) {
 	if t.holder == r {
 		t.holder = nil
 		t.waiters.Signal(e)

@@ -100,7 +100,7 @@ func TestTokenMutualExclusion(t *testing.T) {
 			}
 			p.Advance(100)
 			inside--
-			tok.Release(p)
+			tok.Release(p.Fiber)
 		})
 	}
 	end, err := e.Run()
@@ -124,7 +124,7 @@ func TestTokenReleaseByNonHolderPanics(t *testing.T) {
 	e.Spawn("holder", func(p *Proc) {
 		tok.Acquire(p, "cs")
 		p.Advance(100)
-		tok.Release(p)
+		tok.Release(p.Fiber)
 	})
 	e.Spawn("thief", func(p *Proc) {
 		p.Advance(10)
@@ -133,7 +133,7 @@ func TestTokenReleaseByNonHolderPanics(t *testing.T) {
 				t.Error("Release by non-holder did not panic")
 			}
 		}()
-		tok.Release(p)
+		tok.Release(p.Fiber)
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)

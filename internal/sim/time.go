@@ -2,19 +2,16 @@
 // simulator. It is the substrate on which the MPI-like runtime
 // (internal/mpi) and everything above it run.
 //
-// Simulated processes are goroutines that execute one at a time under the
-// control of a single event loop, so simulations are fully deterministic:
-// the same seed and configuration always produce the same virtual-time
-// trajectory, regardless of host scheduling.
+// Simulated processes execute one at a time under the control of a single
+// event loop, so simulations are fully deterministic: the same seed and
+// configuration always produce the same virtual-time trajectory,
+// regardless of host scheduling.
 //
 // # Fast-path invariants
 //
-// Three fast paths keep the hot loop cheap without changing any
-// trajectory (see Engine for details):
+// Two fast paths keep the hot loop cheap without changing any trajectory
+// (see Engine for details):
 //
-//   - Direct handoff: control passes straight between process goroutines;
-//     there is no event-loop goroutine in the middle. Exactly one
-//     goroutine — the token holder — touches engine state at a time.
 //   - Same-timestamp ring: events scheduled at the current instant bypass
 //     the heap when no heap entry shares that instant, preserving seq
 //     (scheduling) order. Invariant: while the ring is non-empty, every
@@ -25,19 +22,29 @@
 //     loop's next pop would be that process's own resume.
 //
 // Equal-time events always fire in scheduling (seq) order, whichever path
-// they take; all three fast paths preserve that order, which is what
-// keeps optimized runs bit-identical to the naive loop.
+// they take; both fast paths preserve that order, which is what keeps
+// optimized runs bit-identical to the naive loop.
 //
-// # Process representations
+// # Processes
 //
-// Simulated processes come in two interchangeable representations:
-// goroutine-backed processes (Proc), whose bodies block naturally, and
-// step-function fibers (Fiber), explicit continuation state machines that
-// the dispatcher resumes with a plain function call — roughly two orders
-// of magnitude cheaper than a goroutine handoff on cross-process
-// dispatch. Both schedule resume events through the same heap and ring
-// and share the (t, seq) contract, so a faithfully ported body produces
-// the same trajectory under either representation.
+// A simulated process is a Fiber: an explicit continuation state machine
+// of step functions that the event loop resumes with a plain function
+// call. Fibers are the only thing the engine schedules, and every blocking
+// primitive (Advance, Park, wait queues, tokens, and the runtimes above)
+// is written once, in continuation-passing form, against Fiber.
+//
+// A body that would rather block — the paper's API is blocking C calls,
+// and the examples and most tests are written that way — is a Proc: a
+// goroutine hosting a fiber. Each blocking Proc call runs the Fiber
+// primitive of the same name and parks the goroutine until the chain of
+// steps reaches its last continuation. Events still fire on the goroutine
+// that called Run; the body goroutine is handed control for as long as its
+// code runs and hands it back when it blocks, so exactly one of them is
+// ever awake. A body making the same calls as a step-function body
+// therefore fires the same events at the same instants; it pays two
+// goroutine switches per call that suspends (about ten times a fiber
+// resume) and none for one that completes inline. See Proc for the
+// protocol.
 //
 // # Multi-world runs
 //
@@ -54,10 +61,10 @@
 //
 // What counts as a trajectory for a cluster run: the tuple
 // (TrajectoryVersion, engine seed, the ordered job list — each job's
-// full configuration, representation aside — and the shared bank's
+// full configuration, blocking or step-function bodies aside — and the shared bank's
 // policy, weights and width) produces exactly one (t, seq) sequence and
 // therefore one set of per-job completion times. As for single worlds,
-// the process representation (goroutine or fiber), worker counts, and
+// how a body is written (blocking or step functions), worker counts, and
 // world/engine pooling are never part of the trajectory. Bank
 // arbitration arithmetic (Bank.Reserve's pacing and placement) is part
 // of it: changing that arithmetic is trajectory-breaking for multi-world
@@ -87,8 +94,7 @@
 // cost arithmetic is window-list integration (StretchThrough,
 // Bank.slotEnd) with no random draws and no scheduled events of its own
 // — the faulted run is exactly as deterministic as a clean one, across
-// both process representations and across pool-reused engines and
-// banks. With no faults installed, every fault-aware code path reduces
+// pool-reused engines and banks. With no faults installed, every fault-aware code path reduces
 // to the historical arithmetic, so fault-free trajectories are
 // byte-identical to pre-fault builds and the feature did NOT bump
 // TrajectoryVersion (still 2). Changing the integration arithmetic or
@@ -103,24 +109,22 @@
 // configuration: the consuming layer schedules one ordinary engine
 // event per crash at its At instant, whose callback calls Engine.Kill
 // on the victim and schedules the restart event at At+Restart. Kill
-// itself fires no events — a fiber is marked done in place, and a
-// goroutine unwinds through the Abort stopSignal machinery before Kill
-// returns (or, when the victim is the process currently being
-// dispatched, at its next yield) — so the kill occupies exactly the
-// (t, seq) position of the crash callback in both representations.
-// Stale resume events left behind by the victim are popped and counted
-// as fired, identically for procs and fibers. The restart respawns the
-// body via Spawn/SpawnFiber, drawing the next shared process id; since
-// both representations share one id counter and consume events
-// identically up to the crash, the respawned process has the same id,
-// stream, and resume positions under either representation.
+// itself fires no events — the fiber is marked done in place, and the
+// goroutine of a blocking body, parked in its pending call, unwinds and
+// exits before Kill returns (a body that kills itself unwinds at its next
+// blocking call) — so the kill occupies exactly the (t, seq) position of
+// the crash callback. Stale resume events left behind by the victim are
+// popped and counted as fired. The restart respawns the body via
+// SpawnFiber (Spawn for a blocking body), drawing the next process id
+// from the engine's one counter, so the respawned process has the same
+// id, stream, and resume positions however its body is written.
 //
 // With no crashes scheduled, none of the failure paths runs — the
 // guards are eventless boolean checks — so crash-free trajectories are
 // byte-identical to pre-crash builds and the feature did NOT bump
 // TrajectoryVersion (still 2). A fixed crash campaign replays
-// bit-for-bit across representations, repeated runs, and pooled-engine
-// reuse; changing kill/restart event placement, the peer-notification
+// bit-for-bit across repeated runs, pooled-engine reuse, and blocking
+// and step-function bodies; changing kill/restart event placement, the peer-notification
 // order in the mpi layer, or respawn id assignment IS
 // trajectory-breaking for runs with crashes scheduled and follows the
 // versioning policy below.
@@ -144,7 +148,7 @@
 // timers exist — so zero-loss trajectories are byte-identical to
 // pre-protocol builds and the feature did NOT bump TrajectoryVersion
 // (still 2). A fixed lossy campaign replays bit-for-bit across
-// representations, repeated runs, and pooled-engine reuse, with the
+// repeated runs and pooled-engine reuse, with the
 // acks and timers part of the schedule like any other event; changing
 // the verdict hash derivation, ack event placement, the timeout and
 // backoff arithmetic, or the receiver's in-order release rule IS
@@ -237,8 +241,9 @@
 // changing a collective algorithm, changing how random streams derive
 // from seeds, or changing cost arithmetic. A change is NOT breaking when
 // it preserves event order exactly: taking a different dispatch path for
-// the same events (inline advance, ring versus heap, fiber versus
-// goroutine), pooling or reusing memory, or pure API additions.
+// the same events (inline advance, ring versus heap, a blocking body
+// hosted on its fiber versus step functions), pooling or reusing memory,
+// or pure API additions.
 //
 // A bump is recorded by (1) incrementing TrajectoryVersion with a comment
 // naming what changed and why, (2) regenerating the checked-in trajectory
@@ -246,10 +251,11 @@
 // new version, which TestFiberRowsBitIdentical compares byte for byte) in
 // the same change, and (3) noting the bump in ROADMAP.md so sweep results
 // from different versions are never compared as if equal.
-// Cross-representation equivalence of the runtime's blocking and
-// continuation forms is enforced separately by the differential tests in
-// internal/sim and internal/mpi, which must pass unconditionally —
-// representation is never an excuse for a version bump.
+// That a blocking body fires the events of the continuation forms it runs,
+// no more and at no other instant, is enforced separately by the
+// differential tests in internal/sim, internal/mpi and internal/stream,
+// which must pass unconditionally — how a body is written is never an
+// excuse for a version bump.
 package sim
 
 import "fmt"
@@ -261,10 +267,10 @@ import "fmt"
 // the package comment's determinism-versioning policy.
 //
 // Version 1: the seed trajectory contract (PR 1 event order; PR 2's
-// fiber representation reproduces it exactly and did not bump).
+// fibers reproduce it exactly and did not bump).
 //
-// Version 2: direct-wake request completion. WaitAny and WaitColl (both
-// representations) moved from parking on the rank-wide progress queue to
+// Version 2: direct-wake request completion. WaitAny and WaitColl moved
+// from parking on the rank-wide progress queue to
 // per-request/per-collective waiter registration (sim.Waker): a completing
 // message resumes exactly the blocked process waiting on that request, at
 // the completion instant, with no broadcast event and no re-scan of the

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Waker is the direct-wake primitive under waits that register one parked
-// process or fiber on several completion sources at once (the runtime's
+// process on several completion sources at once (the runtime's
 // WaitAny and friends). Each source that completes calls WakeAt with its
 // completion instant; the first call schedules the target's resume event
 // at exactly that instant and every later call is a no-op, so the target
@@ -20,21 +20,20 @@ import "fmt"
 // (ready immediately) overtakes an earlier-scheduled in-flight completion,
 // in which case the target resumes at the first-scheduled instant and
 // observes both completions then. Either way the trajectory is a pure
-// function of (t, seq) order, and both process representations consume
-// the identical event.
+// function of (t, seq) order.
 //
 // A Waker is armed for one park, disarmed on resume, and is immediately
 // reusable (it owns no scheduled events of its own — the single resume
 // event belongs to the target). The zero value is ready to arm.
 type Waker struct {
 	e      *Engine
-	target Runnable
+	target *Fiber
 	woken  bool
 }
 
 // Arm readies the waker to wake target exactly once. The caller parks
 // target after registering the armed waker with its completion sources.
-func (k *Waker) Arm(e *Engine, target Runnable) {
+func (k *Waker) Arm(e *Engine, target *Fiber) {
 	if k.target != nil {
 		panic(fmt.Sprintf("sim: Waker armed for %q while still armed for %q", target.Name(), k.target.Name()))
 	}
@@ -52,7 +51,7 @@ func (k *Waker) WakeAt(t Time) {
 		return
 	}
 	k.woken = true
-	k.target.resumeAt(t)
+	k.e.WakeAt(t, k.target)
 }
 
 // Disarm detaches the target after it resumed. The waker may be rearmed

@@ -11,7 +11,7 @@ func TestWakerWakesOnce(t *testing.T) {
 	wakes := 0
 	var wokenAt Time
 	e.Spawn("waiter", func(p *Proc) {
-		wk.Arm(e, p)
+		wk.Arm(e, p.Fiber)
 		p.Park("waiting")
 		wk.Disarm()
 		wakes++
@@ -57,7 +57,7 @@ func TestWakerFiberParity(t *testing.T) {
 			})
 		} else {
 			e.Spawn("waiter", func(p *Proc) {
-				wk.Arm(e, p)
+				wk.Arm(e, p.Fiber)
 				p.Park("waiting")
 				wk.Disarm()
 				wokenAt = p.Now()
@@ -85,7 +85,7 @@ func TestWakerDisarmedIsNoop(t *testing.T) {
 	e := NewEngine(3)
 	var wk Waker
 	e.Spawn("waiter", func(p *Proc) {
-		wk.Arm(e, p)
+		wk.Arm(e, p.Fiber)
 		p.Park("waiting")
 		wk.Disarm()
 		p.Advance(100)
@@ -106,7 +106,7 @@ func TestWakerRearmAfterPool(t *testing.T) {
 	spawnWaiter := func(name string, at Time) {
 		e.Spawn(name, func(p *Proc) {
 			p.AdvanceTo(at)
-			wk.Arm(e, p)
+			wk.Arm(e, p.Fiber)
 			p.Park("waiting")
 			wk.Disarm()
 			order = append(order, name)

@@ -73,7 +73,7 @@ type channelRegistry struct {
 }
 
 // newChannel builds me's descriptor of the channel whose gathered roles
-// are given, shared by CreateChannel and FCreateChannel: it draws the
+// are given: it draws the
 // deterministic channel sequence number (channel creation is collective,
 // so every rank's counter is in the same state) and joins the channel's
 // membership, which the first member to arrive builds from roles and the
@@ -136,15 +136,9 @@ func groupColors(role Role) (prodColor, consColor int) {
 // originates is the producer group; the group to which data flows is the
 // consumer group (paper Section III-A, step 1).
 func CreateChannel(r *mpi.Rank, parent *mpi.Comm, role Role) *Channel {
-	me := parent.RankOf(r)
-	roles := parent.Allgatherv(r, mpi.Part{Bytes: 4, Data: role})
-	ch := newChannel(r, parent, role, me, roles)
-	// Sub-communicators for group-internal coordination (consumers use
-	// theirs for termination detection).
-	prodColor, consColor := groupColors(role)
-	ch.prodComm = parent.Split(r, prodColor, me)
-	ch.consComm = parent.Split(r, consColor, me)
-	return ch
+	return mpi.Await(r, "CreateChannel", func(then func(*Channel) sim.StepFunc) sim.StepFunc {
+		return FCreateChannel(r, parent, role, then)
+	})
 }
 
 // Role reports this rank's role in the channel.
@@ -213,12 +207,7 @@ func (ch *Channel) homeProducers(ci int) (lo, hi int) {
 // (paper step 5: MPIStream_FreeChannel). Freeing the channel more than
 // once on the same rank is a programming error.
 func (ch *Channel) Free(r *mpi.Rank) {
-	me := ch.parent.RankOf(r)
-	ch.freeSeq[me]++
-	if ch.freeSeq[me] > 1 {
-		panic("stream: channel freed twice")
-	}
-	ch.parent.Barrier(r)
+	r.Block("Free", func(next sim.StepFunc) sim.StepFunc { return ch.FFree(r, next) })
 }
 
 // Options configures a stream attached to a channel.

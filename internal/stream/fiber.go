@@ -1,11 +1,9 @@
-// Fiber-backed stream entry points.
-//
-// Producer-side calls (Isend, IsendTo, Flush, Terminate) never block and
-// are representation-neutral already; this file adds the continuation
-// forms of the operations that do block — channel setup, the consumer
-// loop and channel teardown — for ranks run with mpi.World.RunFibers.
-// Each mirrors its goroutine twin operation for operation, preserving the
-// engine's (t, seq) determinism contract across representations.
+// The stream operations that block — channel setup, the consumer loop and
+// channel teardown — in continuation-passing form. This file is their one
+// implementation: step-function rank bodies (mpi.World.RunFibers) call the
+// F forms directly, and CreateChannel, Operate and Free run them on a
+// blocking body's fiber (mpi.Rank.Block). Producer-side calls (Isend,
+// IsendTo, Flush, Terminate) never block and have one form.
 package stream
 
 import (
@@ -13,18 +11,20 @@ import (
 	"repro/internal/sim"
 )
 
-// FOperator is the fiber form of Operator: it processes one arrived
+// FOperator is the continuation form of Operator: it processes one arrived
 // element and continues with then. Operators that only do bookkeeping
 // (no virtual-time consumption) return then directly; operators that
 // compute per element return r.FCompute(..., then).
 type FOperator func(r *mpi.Rank, elem Element, src int, then sim.StepFunc) sim.StepFunc
 
-// FCreateChannel is CreateChannel for fiber-backed ranks, delivering the
+// FCreateChannel is CreateChannel in continuation form, delivering the
 // established channel to then.
 func FCreateChannel(r *mpi.Rank, parent *mpi.Comm, role Role, then func(*Channel) sim.StepFunc) sim.StepFunc {
 	me := parent.RankOf(r)
 	return parent.FAllgatherv(r, mpi.Part{Bytes: 4, Data: role}, func(roles []mpi.Part) sim.StepFunc {
 		ch := newChannel(r, parent, role, me, roles)
+		// Sub-communicators for group-internal coordination (consumers use
+		// theirs for termination detection).
 		prodColor, consColor := groupColors(role)
 		return parent.FSplit(r, prodColor, me, func(pc *mpi.Comm) sim.StepFunc {
 			ch.prodComm = pc
@@ -36,7 +36,7 @@ func FCreateChannel(r *mpi.Rank, parent *mpi.Comm, role Role, then func(*Channel
 	})
 }
 
-// FFree is Channel.Free for fiber-backed ranks.
+// FFree is Channel.Free in continuation form.
 func (ch *Channel) FFree(r *mpi.Rank, then sim.StepFunc) sim.StepFunc {
 	me := ch.parent.RankOf(r)
 	ch.freeSeq[me]++
@@ -46,7 +46,8 @@ func (ch *Channel) FFree(r *mpi.Rank, then sim.StepFunc) sim.StepFunc {
 	return ch.parent.FBarrier(r, then)
 }
 
-// fexchangeTotals is exchangeTotals in continuation form.
+// fexchangeTotals allgathers the per-consumer element totals over the
+// consumer group and delivers how many elements this consumer owes.
 func (s *Stream) fexchangeTotals(r *mpi.Rank, totals []int64, then func(int64) sim.StepFunc) sim.StepFunc {
 	return s.ch.consComm.FAllgatherv(r, mpi.Part{
 		Bytes: int64(8 * len(totals)),
@@ -60,10 +61,13 @@ func (s *Stream) fexchangeTotals(r *mpi.Rank, totals []int64, then func(int64) s
 	})
 }
 
-// FOperate is Operate for fiber-backed ranks: the same first-come-first-
-// served consumer loop and termination detection, with the operator and
-// all waits in continuation form. The final statistics are delivered to
-// then.
+// FOperate is Operate in continuation form, the operator included. The
+// final statistics are delivered to then.
+//
+// Termination detection: each producer's termination record reaches its
+// home consumer; once a consumer holds all its home producers' records,
+// the consumer group allgathers the per-consumer totals, after which each
+// consumer knows exactly how many elements it still owes processing.
 func (s *Stream) FOperate(r *mpi.Rank, op FOperator, then func(Stats) sim.StepFunc) sim.StepFunc {
 	if s.consIdx < 0 {
 		panic("stream: FOperate called on a non-consumer rank")
@@ -147,15 +151,16 @@ func (s *Stream) FOperate(r *mpi.Rank, op FOperator, then func(Stats) sim.StepFu
 	}
 	if homeTerms == 0 {
 		// No producer terminates through this consumer: join the
-		// termination exchange immediately, as Operate does.
+		// termination exchange immediately (contributing zeros) so the
+		// consumer group agrees on per-consumer totals.
 		return s.fexchangeTotals(r, totals, exchanged)
 	}
 	return loop
 }
 
-// foperateFixed is operateFixed in continuation form: home producers are
-// drained in a fixed round-robin order, so a slow producer stalls
-// consumption of already-arrived data from the others.
+// foperateFixed is the ablation consumer: it drains home producers in a
+// fixed round-robin order instead of first-come-first-served, so a slow
+// producer stalls consumption of already-arrived data from the others.
 func (s *Stream) foperateFixed(r *mpi.Rank, op FOperator, then func(Stats) sim.StepFunc) sim.StepFunc {
 	c := s.ch.parent
 	type srcState struct {

@@ -189,144 +189,11 @@ func (s *Stream) Terminate(r *mpi.Rank) {
 // elements are processed first-come-first-served as they arrive, applying
 // op on the fly, until every producer has terminated and every element
 // addressed to this consumer has been processed. It returns the consumer's
-// statistics.
-//
-// Termination detection: each producer's termination record reaches its
-// home consumer; once a consumer holds all its home producers' records,
-// the consumer group allgathers the per-consumer totals, after which each
-// consumer knows exactly how many elements it still owes processing.
+// statistics. op may itself block (compute per element).
 func (s *Stream) Operate(r *mpi.Rank, op Operator) Stats {
-	if s.consIdx < 0 {
-		panic("stream: Operate called on a non-consumer rank")
-	}
-	if s.opts.FixedOrder {
-		return s.operateFixed(r, op)
-	}
-	c := s.ch.parent
-	lo, hi := s.ch.homeProducers(s.consIdx)
-	homeTerms := hi - lo
-	expected := int64(-1)
-	var received int64
-	// Accumulated per-consumer totals from my home producers' records.
-	totals := make([]int64, len(s.ch.consumers))
-
-	elemReq := c.Irecv(r, mpi.AnySource, s.elemTag)
-	termReq := c.Irecv(r, mpi.AnySource, s.termTag)
-	if homeTerms == 0 {
-		// No producer terminates through this consumer: join the
-		// termination exchange immediately (contributing zeros) so the
-		// consumer group agrees on per-consumer totals.
-		expected = s.exchangeTotals(r, totals)
-	}
-	reqs := make([]*mpi.Request, 2)
-	for expected < 0 || received < expected {
-		waitStart := r.Now()
-		reqs[0], reqs[1] = elemReq, termReq
-		idx, st := c.WaitAny(r, reqs)
-		s.stats.WaitTime += r.Now() - waitStart
-		if idx == 0 {
-			b := s.unpack(st)
-			for _, elem := range b.elems {
-				received++
-				s.stats.ElementsReceived++
-				s.stats.Bytes += elem.Bytes
-				if s.stats.FirstAt == 0 {
-					s.stats.FirstAt = r.Now()
-				}
-				s.stats.LastAt = r.Now()
-				op(r, elem, b.src)
-			}
-			s.stats.Messages++
-			elemReq = c.Irecv(r, mpi.AnySource, s.elemTag)
-			continue
-		}
-		tm := st.Data.(termMsg)
-		for ci, n := range tm.sentTo {
-			totals[ci] += n
-		}
-		homeTerms--
-		if homeTerms > 0 {
-			termReq = c.Irecv(r, mpi.AnySource, s.termTag)
-			continue
-		}
-		// All home producers terminated: agree on global totals. The
-		// winning wait consumed (recycled) termReq, so drop the handle —
-		// later loop passes must not offer the stale pointer to WaitAny
-		// (nil entries are skipped).
-		termReq = nil
-		expected = s.exchangeTotals(r, totals)
-	}
-	return s.stats
-}
-
-// exchangeTotals allgathers the per-consumer element totals over the
-// consumer group and returns how many elements this consumer owes.
-func (s *Stream) exchangeTotals(r *mpi.Rank, totals []int64) int64 {
-	parts := s.ch.consComm.Allgatherv(r, mpi.Part{
-		Bytes: int64(8 * len(totals)),
-		Data:  totals,
+	return mpi.Await(r, "Operate", func(then func(Stats) sim.StepFunc) sim.StepFunc {
+		return s.FOperate(r, func(r *mpi.Rank, elem Element, src int, next sim.StepFunc) sim.StepFunc {
+			return r.Blocking(func() { op(r, elem, src) }, next)
+		}, then)
 	})
-	var expected int64
-	for _, part := range parts {
-		expected += part.Data.([]int64)[s.consIdx]
-	}
-	return expected
-}
-
-// operateFixed is the ablation consumer: it drains home producers in a
-// fixed round-robin order instead of first-come-first-served, so a slow
-// producer stalls consumption of already-arrived data from others.
-func (s *Stream) operateFixed(r *mpi.Rank, op Operator) Stats {
-	c := s.ch.parent
-	type srcState struct {
-		pi       int
-		elemReq  *mpi.Request
-		termReq  *mpi.Request
-		finished bool
-	}
-	var states []*srcState
-	for pi, hi := s.ch.homeProducers(s.consIdx); pi < hi; pi++ {
-		states = append(states, &srcState{pi: pi})
-	}
-	remaining := len(states)
-	reqs := make([]*mpi.Request, 2)
-	for remaining > 0 {
-		for _, st := range states {
-			if st.finished {
-				continue
-			}
-			src := s.ch.producers[st.pi]
-			// Posted requests persist across passes; never double-post.
-			if st.elemReq == nil {
-				st.elemReq = c.Irecv(r, src, s.elemTag)
-			}
-			if st.termReq == nil {
-				st.termReq = c.Irecv(r, src, s.termTag)
-			}
-			waitStart := r.Now()
-			reqs[0], reqs[1] = st.elemReq, st.termReq
-			idx, status := c.WaitAny(r, reqs)
-			s.stats.WaitTime += r.Now() - waitStart
-			if idx == 1 {
-				// Non-overtaking per (source, tag) plus issue order on
-				// the producer guarantee no element follows the term.
-				st.finished = true
-				remaining--
-				continue
-			}
-			b := s.unpack(status)
-			for _, elem := range b.elems {
-				s.stats.ElementsReceived++
-				s.stats.Bytes += elem.Bytes
-				if s.stats.FirstAt == 0 {
-					s.stats.FirstAt = r.Now()
-				}
-				s.stats.LastAt = r.Now()
-				op(r, elem, b.src)
-			}
-			s.stats.Messages++
-			st.elemReq = nil
-		}
-	}
-	return s.stats
 }
