@@ -62,8 +62,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // checkFlags validates what can be validated before any experiment runs,
 // so a sweep is never spent on a request that cannot be answered. set
 // names the flags given on the command line: the sweep sizes have
-// defaults, and only an explicit value is held to be positive.
-func checkFlags(set map[string]bool, format string, maxProcs, runs, workers int) error {
+// defaults, and only an explicit value is held to be positive. -cores and
+// -jobs give 0 a meaning of its own, so only a negative one is refused.
+func checkFlags(set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
 	}
@@ -74,6 +75,12 @@ func checkFlags(set map[string]bool, format string, maxProcs, runs, workers int)
 		if set[f.name] && f.value <= 0 {
 			return fmt.Errorf("-%s: %d is not a positive count", f.name, f.value)
 		}
+	}
+	if cores < 0 {
+		return fmt.Errorf("-cores: %d is negative, want 0 (classic mode) or a worker count", cores)
+	}
+	if jobs < 0 {
+		return fmt.Errorf("-jobs: %d is negative, want 0 (the built-in set) or a job count", jobs)
 	}
 	return nil
 }
@@ -134,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(set, *format, *maxProcs, *runs, *workers); err != nil {
+	if err := checkFlags(set, *format, *maxProcs, *runs, *workers, *cores, *jobs); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

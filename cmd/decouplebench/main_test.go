@@ -93,11 +93,12 @@ func TestCoresFlagSweep(t *testing.T) {
 
 // TestRefusedBeforeAnySweep: a request that cannot be answered — an
 // unknown -format, an -out that cannot be opened, an explicit sweep size
-// that is not positive — is refused with exit status 2 and an error
-// naming the flag, before any experiment starts. The requests below ask
-// for every experiment at 8192 processes, so running even one of them
-// first (the old behaviour: run the sweep, then fail with status 1, or
-// silently fall back to the default size) would outlast the test timeout.
+// that is not positive, a negative -cores or -jobs — is refused with exit
+// status 2 and an error naming the flag, before any experiment starts.
+// The requests below ask for every experiment at 8192 processes, so
+// running even one of them first (the old behaviour: run the sweep, then
+// fail with status 1, or silently fall back to the default size) would
+// outlast the test timeout.
 func TestRefusedBeforeAnySweep(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "rows.csv")
 	for _, c := range []struct {
@@ -110,6 +111,8 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-runs", "0"}, "-runs"},
 		{[]string{"-workers", "0"}, "-workers"},
 		{[]string{"-workers", "-2"}, "-workers"},
+		{[]string{"-cores", "-1"}, "-cores"},
+		{[]string{"-jobs", "-2"}, "-jobs"},
 	} {
 		args := append([]string{"-experiment", "all", "-max-procs", "8192", "-quiet"}, c.args...)
 		var stdout, stderr bytes.Buffer

@@ -237,8 +237,7 @@ const relWindow = 8
 // multi-world runs (internal/cluster): StartIO spawns the rank bodies but
 // does not run the engine.
 type IOJob struct {
-	run *ioRun
-	w   *mpi.World
+	w *mpi.World
 }
 
 // StartIO builds a world for the Fig. 8 job of variant v attached to the
@@ -247,7 +246,7 @@ type IOJob struct {
 // base carries a shard group (a sharded co-scheduled run), the job's
 // ranks are placed onto the group's shards by groupPlace. The caller —
 // normally a cluster.Job's Start hook — runs the shared engine or group
-// once every job is started; Result is valid after that run completes.
+// once every job is started.
 func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -289,15 +288,11 @@ func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 	}
 	w := mpi.NewWorld(base)
 	w.StartFibers(s.body())
-	return &IOJob{run: s, w: w}, nil
+	return &IOJob{w: w}, nil
 }
 
 // World reports the job's world (for per-job makespans via Makespan).
 func (j *IOJob) World() *mpi.World { return j.w }
-
-// Result reports the job's outcome; call it only after the shared engine
-// has run to completion.
-func (j *IOJob) Result() Result { return j.run.result(j.w) }
 
 // referenceBody: every process moves its particles, then saves them with
 // the chosen MPI-IO path before the next step.

@@ -79,7 +79,8 @@ type Job struct {
 	// spawns its rank bodies without running the engine (World.Start /
 	// World.StartFibers, or an app-level starter such as ipic3d.StartIO).
 	// It returns the started world, whose Makespan becomes the job's
-	// completion time.
+	// completion time. Run releases the world (mpi.World.Release) once it
+	// has read that, so nothing may touch it after Run returns.
 	Start func(base mpi.Config) (*mpi.World, error)
 }
 
@@ -152,9 +153,9 @@ func getEngine(seed int64) *sim.Engine {
 
 // Run starts every job on one shared engine (or, with Cores >= 1, one
 // shared shard group) and bank and runs the simulation to completion.
-// Worlds created by the jobs are externally owned (never pooled);
-// classic engines are recycled across Run calls, shard groups are built
-// per run.
+// Classic engines and the jobs' worlds are recycled across Run calls
+// (a clean run releases its worlds); shard groups and sharded worlds are
+// built per run.
 func Run(cfg Config) (Result, error) {
 	n := len(cfg.Jobs)
 	if n == 0 {
@@ -251,6 +252,7 @@ func Run(cfg Config) (Result, error) {
 		res.JobTimes[i] = w.Makespan()
 		res.JobBusy[i] = bank.JobBusy(i)
 		res.JobDemand[i] = bank.JobDemand(i)
+		w.Release()
 	}
 	if !sharded {
 		enginePool.Put(eng)

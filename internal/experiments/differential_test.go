@@ -43,18 +43,23 @@ func TestFiberRowsBitIdentical(t *testing.T) {
 			}
 			_, got, _ := strings.Cut(buf.String(), "\n")
 			all.WriteString(got)
-			var want strings.Builder
-			for _, line := range strings.SplitAfter(string(golden), "\n") {
-				if strings.HasPrefix(line, name+",") {
-					want.WriteString(line)
-				}
-			}
-			if got != want.String() {
-				t.Errorf("rows differ from testdata/rows_v2.csv\n--- golden ---\n%s--- got ---\n%s", want.String(), got)
+			if want := goldenRows(golden, name); got != want {
+				t.Errorf("rows differ from testdata/rows_v2.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
 			}
 		})
 	}
 	if all.String() != string(golden) && !t.Failed() {
 		t.Errorf("every experiment's rows match, yet the rendering differs from testdata/rows_v2.csv (preamble or row order)")
 	}
+}
+
+// goldenRows returns the rows of one experiment from the golden CSV.
+func goldenRows(golden []byte, name string) string {
+	var rows strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if strings.HasPrefix(line, name+",") {
+			rows.WriteString(line)
+		}
+	}
+	return rows.String()
 }

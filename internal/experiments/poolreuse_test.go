@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -44,12 +46,16 @@ func TestWorldPoolReuseAcrossExperiments(t *testing.T) {
 	}
 }
 
-// TestClusterPoolReuseAcrossExperiments: the cosched experiment draws
-// recycled worlds out of the pool into shared-engine (external) service
-// and recycles engines through the cluster pool; its rows must be
-// independent of both pools' prior contents — and the single-world
-// experiments must be unaffected by cosched having marked pooled worlds
-// external.
+// TestClusterPoolReuseAcrossExperiments: the cosched experiment recycles
+// its shared-engine worlds through a pool of their own and its engines
+// through the cluster pool; its rows must be independent of both pools'
+// prior contents, and the single-world experiments must be unaffected by
+// cosched having run. A recycled world moves between clusters that differ
+// in everything it adopts from them — engine, bank width, policy, job
+// count and its own job index, a degraded bank — so the last rendering,
+// after churn through all of those, is held to the cosched rows of
+// testdata/rows_v2.csv, which were recorded when every shared-engine world
+// was built fresh.
 func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
 	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, CoschedJobs: 2, CoschedPolicy: "fair"}
 	cosched := renderRows(t, "cosched", opts)
@@ -62,6 +68,17 @@ func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
 	fig8Again := renderRows(t, "fig8", opts)
 	if !bytes.Equal(fig8, fig8Again) {
 		t.Errorf("fig8 rows changed after cosched ran\n--- before ---\n%s--- after ---\n%s", fig8, fig8Again)
+	}
+
+	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 2, CoschedJobs: 3, CoschedPolicy: "priority-wc", FaultSpec: "default"})
+	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 1, CoschedJobs: 1, CoschedPolicy: "fcfs"})
+	golden, err := os.ReadFile("testdata/rows_v2.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, _ := strings.Cut(string(renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 2, Workers: 2})), "\n")
+	if want := goldenRows(golden, "cosched"); got != want {
+		t.Errorf("cosched rows from recycled worlds differ from testdata/rows_v2.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
 	}
 }
 

@@ -91,3 +91,83 @@ func TestMessageRecycleAcrossShards(t *testing.T) {
 		t.Errorf("finish instants differ between 2 and 4 shards:\n  2: %v\n  4: %v", two, four)
 	}
 }
+
+// TestSharedWorldRecycleAcrossClusters moves a released shared-engine
+// world into a cluster that differs in everything the world adopts —
+// engine, bank width and policy, job count, its own job index, its size
+// and name — and requires the run to equal that of a world built fresh for
+// the second cluster. sync.Pool may drop a world (it does so at random
+// under the race detector), so the hand-over is retried until the pool
+// returns the released world itself.
+func TestSharedWorldRecycleAcrossClusters(t *testing.T) {
+	type outcome struct {
+		finish []sim.Time
+		busy   sim.Time
+	}
+	// run starts a job that mixes unexpected messages, a collective and
+	// shared-file writes on w and runs its engine.
+	run := func(w *World, e *sim.Engine, bank *sim.Bank) outcome {
+		p := w.Size()
+		out := outcome{finish: make([]sim.Time, p)}
+		w.StartFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+			c, me := r.World(), r.ID()
+			return c.FOpen(r, "out.dat", func(f *File) sim.StepFunc {
+				i := 0
+				var loop sim.StepFunc
+				loop = func(*sim.Fiber) sim.StepFunc {
+					if i == 6 {
+						out.finish[me] = r.Now()
+						return nil
+					}
+					i++
+					c.IsendAndFree(r, (me+1)%p, 0, 512, me)
+					return r.FCompute(sim.Time(me%3+1)*5*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
+						return c.FRecv(r, AnySource, 0, func(Status) sim.StepFunc {
+							return c.FAllreduce(r, Part{Bytes: 8, Data: int64(me)}, SumInt64, nil, func(Part) sim.StepFunc {
+								return f.FWriteShared(r, int64(me+1)<<14, loop)
+							})
+						})
+					})
+				}
+				return loop
+			})
+		})
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out.busy = bank.JobBusy(w.Config().Job)
+		return out
+	}
+	first := func() (Config, *sim.Engine, *sim.Bank) {
+		e, bank := sim.NewEngine(3), sim.NewBank(4, 2, sim.BankFair)
+		return Config{Procs: 8, Seed: 3, Engine: e, Bank: bank, Job: 1, Name: "first"}, e, bank
+	}
+	second := func() (Config, *sim.Engine, *sim.Bank) {
+		e, bank := sim.NewEngine(5), sim.NewBank(2, 3, sim.BankWeighted)
+		bank.SetWeight(2, 4)
+		return Config{Procs: 6, Seed: 5, Engine: e, Bank: bank, Job: 2, Name: "second"}, e, bank
+	}
+	// The reference runs on a world built from scratch: the pool is
+	// drained first.
+	for sharedWorldPool.Get() != nil {
+	}
+	cfg, e, bank := second()
+	want := run(NewWorld(cfg), e, bank)
+
+	for attempt := 0; attempt < 50; attempt++ {
+		cfg, e, bank := first()
+		old := NewWorld(cfg)
+		run(old, e, bank)
+		old.Release()
+		cfg, e, bank = second()
+		w := NewWorld(cfg)
+		if w != old {
+			continue
+		}
+		if got := run(w, e, bank); !reflect.DeepEqual(got, want) {
+			t.Errorf("recycled world: %+v\nfresh world:    %+v", got, want)
+		}
+		return
+	}
+	t.Fatal("the pool never handed the released world back")
+}

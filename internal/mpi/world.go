@@ -154,9 +154,9 @@ type Config struct {
 	// instead of owning one: several worlds (co-scheduled jobs) place
 	// their ranks across the same group's shard engines and run as one
 	// sharded simulation (see internal/cluster). It is the parallel-mode
-	// counterpart of a shared Engine, and like it marks the world
-	// external: the group's owner runs it, so worlds with a shared group
-	// must be started with Start/StartFibers, not Run. Requires a shared
+	// counterpart of a shared Engine, and like it leaves running to the
+	// owner: worlds with a shared group must be started with
+	// Start/StartFibers, not Run. Requires a shared
 	// Bank attached to the same group (sim.Bank.AttachGroup) — the bank
 	// is the only cross-world state, and it must use the window-boundary
 	// reservation protocol. Shards, if set, must equal the group's shard
@@ -247,10 +247,6 @@ type World struct {
 	// (coll.go), keyed by communicator and collective tag.
 	gathers map[gatherKey]*gatherState
 
-	// external marks a world attached to a shared engine or bank: its
-	// lifecycle belongs to the owning cluster, so Release never returns it
-	// to the process-wide pool.
-	external bool
 	// signalDemand marks a world whose file operations bracket themselves
 	// with the bank's IOBegin/IOEnd demand hooks: set exactly when the
 	// bank is shared (cfg.Bank != nil) — a private single-job bank has no
@@ -577,7 +573,22 @@ func cannotShard(feature, flag string) *CannotShardError {
 // matching-index and message-pool capacity across points instead of
 // reallocating per simulation. sync.Pool handles cross-goroutine reuse;
 // a reset world is behaviourally identical to a fresh one.
-var worldPool sync.Pool
+//
+// sharedWorldPool does the same for worlds attached to a shared engine
+// (Config.Engine), which a co-scheduling sweep builds by the thousand.
+// They circulate apart from the worlds that own their engine: one of
+// those adopted into a cluster would throw its warm engine away, and one
+// of these has no engine to run alone on.
+var worldPool, sharedWorldPool sync.Pool
+
+// poolFor picks the pool a classic world of this configuration circulates
+// through.
+func poolFor(cfg Config) *sync.Pool {
+	if cfg.Engine != nil {
+		return &sharedWorldPool
+	}
+	return &worldPool
+}
 
 // NewWorld builds a world with cfg.Procs ranks (recycling a released world
 // when one is available). Run starts them.
@@ -680,14 +691,10 @@ func NewWorld(cfg Config) *World {
 			panic(cannotShard("message-fault campaigns", "-cores"))
 		}
 	}
-	// External worlds (shared engine or bank) are never returned to the
-	// pool, so drawing one out would permanently drain it and discard the
-	// pooled world's capacity-warm engine; build them fresh instead.
-	// Sharded worlds are external too: a pooled world's warm engine is the
-	// classic single one.
-	external := cfg.Engine != nil || sharded
-	if !external {
-		if v := worldPool.Get(); v != nil {
+	// Sharded worlds are built fresh and never pooled: a pooled world's
+	// ranks, matchers and freelists are laid out for one engine.
+	if !sharded {
+		if v := poolFor(cfg).Get(); v != nil {
 			w := v.(*World)
 			w.reset(cfg)
 			return w
@@ -703,7 +710,6 @@ func NewWorld(cfg Config) *World {
 		fs:      cfg.Bank,
 		stash:   make(map[string]interface{}),
 	}
-	w.external = external
 	w.signalDemand = cfg.Bank != nil
 	w.ioShard = -1
 	if sharded {
@@ -793,17 +799,20 @@ func (w *World) buildRanks() {
 	w.world = newComm(w, members, nil)
 }
 
-// reset reinitializes a recycled world for cfg, retaining engine, ranks,
-// matching-index and freelist capacity. The result is behaviourally
-// indistinguishable from NewWorld building from scratch. Only worlds that
-// own their engine and bank circulate through the pool (NewWorld builds
-// external worlds fresh), so reset never sees a shared engine or bank.
+// reset reinitializes a recycled world for cfg, retaining ranks,
+// matching-index and freelist capacity and, for a world that owns them,
+// its engine and bank. The result is behaviourally indistinguishable from
+// NewWorld building from scratch. A shared engine or bank is adopted as it
+// is: its owner resets it, and other worlds may already be attached.
 func (w *World) reset(cfg Config) {
 	w.cfg = cfg
-	w.signalDemand = cfg.Bank != nil // always false: external worlds never pool
+	w.signalDemand = cfg.Bank != nil
 	w.ioShard = -1
-	w.priBase = 0 // always already 0: shared-group worlds never pool
-	w.eng.Reset(cfg.Seed)
+	if cfg.Engine != nil {
+		w.eng = cfg.Engine
+	} else {
+		w.eng.Reset(cfg.Seed)
+	}
 	w.comms = 0
 	clear(w.splits)
 	clear(w.gathers)
@@ -820,9 +829,12 @@ func (w *World) reset(cfg Config) {
 		w.allComms[i] = nil
 	}
 	w.allComms = w.allComms[:0]
-	if w.fs.Width() == cfg.FS.Stripes {
+	switch {
+	case cfg.Bank != nil:
+		w.fs = cfg.Bank
+	case w.fs != nil && w.fs.Width() == cfg.FS.Stripes:
 		w.fs.Reset()
-	} else {
+	default:
 		w.fs = sim.NewBank(cfg.FS.Stripes, 1, sim.BankFCFS)
 	}
 	w.applyStripeFaults()
@@ -830,15 +842,26 @@ func (w *World) reset(cfg Config) {
 }
 
 // Release returns the world to the process-wide pool for reuse by a later
-// NewWorld. Only call it after Run returned cleanly, and do not touch the
-// world (or any Rank, Comm or Request derived from it) afterwards. Sweeps
-// that release worlds between points cut per-point allocation churn to
-// near zero; forgetting to release is safe, just slower.
+// NewWorld. Only call it after its run (Run, or the shared engine's)
+// returned cleanly, and do not touch the world (or any Rank, Comm or
+// Request derived from it) afterwards. Sweeps that release worlds between
+// points cut per-point allocation churn to near zero; forgetting to
+// release is safe, just slower. Releasing a sharded world does nothing.
 func (w *World) Release() {
-	if w.eng == nil || w.external {
+	if w.group != nil {
 		return
 	}
-	worldPool.Put(w)
+	pool := poolFor(w.cfg)
+	if w.cfg.Engine != nil {
+		// Let go of what belongs to the cluster: the next NewWorld brings
+		// its own.
+		w.eng = nil
+		if w.cfg.Bank != nil {
+			w.fs = nil
+		}
+		w.cfg = Config{}
+	}
+	pool.Put(w)
 }
 
 func (w *World) nextCommID() int {

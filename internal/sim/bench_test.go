@@ -264,3 +264,65 @@ func BenchmarkManyProcsStaggered(b *testing.B) {
 	}
 	reportEventRate(b, e)
 }
+
+// windowTick fires once per lookahead on its shard, through depth extra
+// call frames of about 300 bytes each: the runtime's events fire through a
+// chain this deep (drive, Fire, a step, the mpi continuation under it),
+// which a fresh goroutine stack has to grow into and a parked worker's
+// stack already holds.
+type windowTick struct {
+	e     *Engine
+	la    Time
+	left  int
+	depth int
+	sink  byte // keeps the frames' contents live; per tick, as shards fire concurrently
+}
+
+func (t *windowTick) Fire() { t.sink += t.fire(t.depth) }
+
+//go:noinline
+func (t *windowTick) fire(depth int) byte {
+	var frame [256]byte
+	frame[depth] = byte(t.left)
+	if depth > 0 {
+		return frame[depth] + t.fire(depth-1)
+	}
+	if t.left > 0 {
+		t.left--
+		t.e.AtAction(t.e.Now()+t.la, t)
+	}
+	return frame[0]
+}
+
+// benchShardWindows runs b.N windows of a 2-shard group with one trivial
+// action per busy shard per window.
+func benchShardWindows(b *testing.B, busyShards, depth int) {
+	const la = Time(100)
+	g := NewShardGroup(1, 2, la)
+	for s := 0; s < busyShards; s++ {
+		g.Shard(s).AtAction(la, &windowTick{e: g.Shard(s), la: la, left: b.N, depth: depth})
+	}
+	b.ResetTimer()
+	if _, err := g.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkShardWindowBothBusy measures one window of the barrier
+// protocol with both shards busy: the hand-off to shard 1's worker and
+// back. Run with -cpu 1,2: at 1 the hand-off is two goroutine switches on
+// one thread (the benchmark's pinned configuration), at 2 it crosses
+// threads. deep fires through a 12-frame call chain, which is what a
+// window of the real runtime does.
+func BenchmarkShardWindowBothBusy(b *testing.B) {
+	b.Run("shallow", func(b *testing.B) { benchShardWindows(b, 2, 0) })
+	b.Run("deep", func(b *testing.B) { benchShardWindows(b, 2, 12) })
+}
+
+// BenchmarkShardWindowLone measures a window with one busy shard, which
+// runs on Run's caller and involves no other goroutine (most windows of
+// the measured sweeps: see DESIGN.md, "The window barrier"). Run with
+// -cpu 1,2; the two should agree.
+func BenchmarkShardWindowLone(b *testing.B) {
+	benchShardWindows(b, 1, 0)
+}

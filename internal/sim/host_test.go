@@ -18,7 +18,7 @@ func settleGoroutines(t *testing.T, base int) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines, %d before the run: a body goroutine outlived it", n, base)
+		t.Errorf("%d goroutines, %d before the run: a goroutine of the run outlived it", n, base)
 	}
 }
 

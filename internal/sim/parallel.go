@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // post is one buffered cross-shard event delivery: an action to schedule
 // on the destination shard at (t, pri) once the running window's barrier
@@ -31,7 +28,11 @@ type post struct {
 //     executes events at instants >= G arrives at or after W (the
 //     lookahead is a lower bound on cross-shard latency), so events
 //     strictly before W are safe to execute without further
-//     coordination: shards run RunUntil(W-1) concurrently.
+//     coordination: the busy shards — those with an event before W — run
+//     RunUntil(W-1) concurrently. Run's caller executes the lowest busy
+//     shard itself, and hands each other one to that shard's worker, a
+//     goroutine that lives as long as the Run (shardWorkers). Most
+//     windows have one busy shard and involve no other goroutine.
 //  4. Collect the window's outboxes and loop.
 //
 // Determinism does not depend on the barrier's goroutine interleaving:
@@ -58,6 +59,11 @@ type ShardGroup struct {
 	// rankBase is the next engine-global rank identity handed out by
 	// AllocRanks, for multi-world (co-scheduled) sharded runs.
 	rankBase int
+	// busyHist[k] counts the windows that had k busy shards and posts the
+	// deliveries merged at window boundaries (Stats). Only Run's caller
+	// touches them, between windows.
+	busyHist []uint64
+	posts    uint64
 }
 
 // NewShardGroup builds n engines sharing one seed and one conservative
@@ -75,6 +81,7 @@ func NewShardGroup(seed int64, n int, lookahead Time) *ShardGroup {
 		engines:   make([]*Engine, n),
 		lookahead: lookahead,
 		outbox:    make([][][]post, n),
+		busyHist:  make([]uint64, n+1),
 	}
 	for i := range g.engines {
 		e := NewEngine(seed)
@@ -129,6 +136,39 @@ func (g *ShardGroup) AllocRanks(n int) int {
 // Run.
 func (g *ShardGroup) Abort() { g.unwindAll() }
 
+// ShardStats counts what the window barrier of a group did. The counts
+// are functions of the simulated program, the lookahead and, where noted,
+// the placement — never of timing — so a test can pin them exactly.
+type ShardStats struct {
+	// Windows is the number of windows executed. The window sequence
+	// follows from the global next-event time and the lookahead alone, so
+	// it is the same for every shard count and placement.
+	Windows uint64
+	// LoneWindows is the number of windows with exactly one busy shard,
+	// which Run's caller executes with no barrier (BusyShards[1]).
+	LoneWindows uint64
+	// BusyShards[k] is the number of windows in which k shards had an
+	// event to execute; it depends on the placement.
+	BusyShards []uint64
+	// Posts is the number of cross-shard deliveries merged at window
+	// boundaries; it depends on the placement.
+	Posts uint64
+}
+
+// Stats reports the group's window counts so far. Call it after Run (or
+// Abort), not while a window may be executing.
+func (g *ShardGroup) Stats() ShardStats {
+	st := ShardStats{
+		LoneWindows: g.busyHist[1],
+		BusyShards:  append([]uint64(nil), g.busyHist...),
+		Posts:       g.posts,
+	}
+	for _, n := range g.busyHist {
+		st.Windows += n
+	}
+	return st
+}
+
 // Shards reports the number of shard engines in the group.
 func (g *ShardGroup) Shards() int { return len(g.engines) }
 
@@ -139,7 +179,7 @@ func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
 // post buffers a cross-shard delivery (Engine.Post's cross-engine arm).
-// Called from src's shard goroutine while a window executes.
+// Called from the goroutine running shard src's window.
 func (g *ShardGroup) post(src, dst int, t Time, pri uint64, act Action) {
 	if t < g.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard post at %v inside the current window (end %v): lookahead exceeds the actual cross-shard latency", t, g.windowEnd))
@@ -156,6 +196,7 @@ func (g *ShardGroup) applyInboxes() {
 	for dst, e := range g.engines {
 		for src := range g.engines {
 			row := g.outbox[src][dst]
+			g.posts += uint64(len(row))
 			for i := range row {
 				p := row[i]
 				e.AtActionPri(p.t, p.pri, p.act)
@@ -180,18 +221,74 @@ func runShard(e *Engine, limit Time, slot *interface{}) {
 	}
 }
 
+// shardWorkers are the goroutines of one Run that execute the windows of
+// the shards its caller does not run itself. They live from the run's
+// first window with several busy shards until Run returns, parked between
+// windows on a channel of their own, so a window costs a hand-off to a
+// warm stack instead of a goroutine and the stack growth of its first
+// event.
+type shardWorkers struct {
+	// limit[s] hands shard s's worker one window's RunUntil bound; closing
+	// it ends the worker. Shard 0, when busy, is the lowest busy shard and
+	// runs on the caller, so limit[0] stays nil.
+	limit []chan Time
+	// done carries one token per finished window and one per exited
+	// worker; its buffer holds one per worker, so a worker never waits for
+	// the caller to finish its own shard.
+	done chan struct{}
+}
+
+// startWorkers starts one worker per shard index >= 1; worker s records a
+// failed window in panics[s].
+func (g *ShardGroup) startWorkers(panics []interface{}) *shardWorkers {
+	n := len(g.engines)
+	ws := &shardWorkers{limit: make([]chan Time, n), done: make(chan struct{}, n-1)}
+	for s := 1; s < n; s++ {
+		ws.limit[s] = make(chan Time)
+		go ws.run(g.engines[s], &panics[s])
+	}
+	return ws
+}
+
+func (ws *shardWorkers) run(e *Engine, slot *interface{}) {
+	for limit := range ws.limit[e.shard] {
+		runShard(e, limit, slot)
+		ws.done <- struct{}{}
+	}
+	ws.done <- struct{}{}
+}
+
+// stop ends every worker and returns once all have exited. The workers
+// must be parked (no window in flight).
+func (ws *shardWorkers) stop() {
+	for _, c := range ws.limit[1:] {
+		close(c)
+	}
+	for range ws.limit[1:] {
+		<-ws.done
+	}
+}
+
 // Run executes the group to completion and returns the final virtual time
 // (the maximum over shards) — the parallel counterpart of Engine.Run. If
 // processes remain blocked when every queue drains, Run returns
 // a DeadlockError aggregating the blocked set across shards. On return
 // (or panic) every shard engine is unwound, exactly as Engine.Run
-// guarantees for a single engine.
+// guarantees for a single engine, and every goroutine Run started has
+// exited.
 func (g *ShardGroup) Run() (Time, error) {
 	if g.deferred {
 		panic("sim: ShardGroup.Run on a deferred group whose lookahead was never tightened (TightenLookahead)")
 	}
 	panics := make([]interface{}, len(g.engines))
 	busy := make([]*Engine, 0, len(g.engines))
+	var workers *shardWorkers
+	defer func() {
+		// Every worker has exited before Run returns or panics.
+		if workers != nil {
+			workers.stop()
+		}
+	}()
 	for {
 		g.applyInboxes()
 		gmin := MaxTime
@@ -214,20 +311,23 @@ func (g *ShardGroup) Run() (Time, error) {
 				busy = append(busy, e)
 			}
 		}
-		if len(busy) == 1 {
-			// A lone busy shard needs no barrier: run it inline and skip
-			// the goroutine round trip.
-			runShard(busy[0], w-1, &panics[busy[0].shard])
-		} else {
-			var wg sync.WaitGroup
-			for _, e := range busy {
-				wg.Add(1)
-				go func(e *Engine) {
-					defer wg.Done()
-					runShard(e, w-1, &panics[e.shard])
-				}(e)
+		g.busyHist[len(busy)]++
+		if len(busy) > 1 {
+			// busy[0] is the lowest busy shard, so every other busy shard
+			// has an index >= 1 and a worker of its own.
+			if workers == nil {
+				workers = g.startWorkers(panics)
 			}
-			wg.Wait()
+			for _, e := range busy[1:] {
+				workers.limit[e.shard] <- w - 1
+			}
+		}
+		// The caller runs the lowest busy shard itself: a lone busy shard
+		// (most windows) needs no barrier at all, and with several it has
+		// one hand-off less to wait for.
+		runShard(busy[0], w-1, &panics[busy[0].shard])
+		for range busy[1:] {
+			<-workers.done
 		}
 		for _, r := range panics {
 			if r != nil {

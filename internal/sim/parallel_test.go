@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -61,6 +63,14 @@ func (n *testNode) recv(payload int) {
 // on shards by place, returning every rank's receive trace.
 func runParallelWorkload(t *testing.T, ranks, shards int, place func(rank int) int) [][]string {
 	t.Helper()
+	_, traces := runParallelGroup(t, ranks, shards, place)
+	return traces
+}
+
+// runParallelGroup is runParallelWorkload that also returns the group it
+// ran, for its window statistics.
+func runParallelGroup(t *testing.T, ranks, shards int, place func(rank int) int) (*ShardGroup, [][]string) {
+	t.Helper()
 	g := NewShardGroup(1, shards, testLat)
 	nodes := make([]*testNode, ranks)
 	for r := range nodes {
@@ -78,7 +88,7 @@ func runParallelWorkload(t *testing.T, ranks, shards int, place func(rank int) i
 	for r, n := range nodes {
 		traces[r] = n.trace
 	}
-	return traces
+	return g, traces
 }
 
 // TestShardGroupDeterminism checks the tentpole invariant at the engine
@@ -196,6 +206,153 @@ func TestShardGroupDeadlockAggregates(t *testing.T) {
 	}
 	if len(de.Blocked) != 2 {
 		t.Fatalf("blocked set %v, want both shards' procs", de.Blocked)
+	}
+}
+
+// TestShardGroupStats pins the window counters of the fan-in + ring
+// workload: one window for the eight sends, one for the fan-in at rank 0,
+// and one per hop of the 33-hop ring. The window count follows from the
+// global next-event time and the lookahead alone, so it is the same at
+// every shard count; the busy-shard histogram and the posts follow the
+// placement.
+func TestShardGroupStats(t *testing.T) {
+	const ranks = 8
+	g2, _ := runParallelGroup(t, ranks, 2, func(r int) int { return r / 4 })
+	// Four of the eight reports cross to shard 0, and the ring crosses the
+	// shard boundary twice a lap (3 -> 4, 7 -> 0) for four laps.
+	want := ShardStats{Windows: 35, LoneWindows: 34, BusyShards: []uint64{0, 34, 1}, Posts: 12}
+	if got := g2.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("2 shards: stats %+v, want %+v", got, want)
+	}
+	g4, _ := runParallelGroup(t, ranks, 4, func(r int) int { return r / 2 })
+	want = ShardStats{Windows: 35, LoneWindows: 34, BusyShards: []uint64{0, 34, 0, 0, 1}, Posts: 22}
+	if got := g4.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("4 shards: stats %+v, want %+v", got, want)
+	}
+}
+
+// tickEvery keeps shard e busy: an event every period up to and including
+// instant until.
+func tickEvery(e *Engine, period, until Time) {
+	var tick func()
+	tick = func() {
+		if e.Now()+period <= until {
+			e.After(period, tick)
+		}
+	}
+	e.At(0, tick)
+}
+
+// TestHostLifetimeShardGroup ends a sharded run every way it can end and
+// requires, each time, that neither a shard worker nor a body goroutine is
+// left. Every case but the abort has windows with both shards busy, so the
+// workers exist when the run ends.
+func TestHostLifetimeShardGroup(t *testing.T) {
+	parked := func(e *Engine, name string) {
+		e.Spawn(name, func(p *Proc) { p.Park("never woken") })
+	}
+	bombAt := func(e *Engine, at Time, v string) {
+		e.SpawnFiber("bomb "+v, func(f *Fiber) StepFunc {
+			return f.Advance(at, func(*Fiber) StepFunc { panic(v) })
+		})
+	}
+	expectPanic := func(t *testing.T, g *ShardGroup, want string) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != want {
+				t.Errorf("recovered %v, want %v", r, want)
+			}
+		}()
+		g.Run()
+	}
+	multiBusy := func(t *testing.T, g *ShardGroup) {
+		t.Helper()
+		if st := g.Stats(); st.Windows == st.LoneWindows {
+			t.Errorf("no window had both shards busy (%+v): the workers never started", st)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, g *ShardGroup)
+	}{
+		{"clean", func(t *testing.T, g *ShardGroup) {
+			tickEvery(g.Shard(0), testLat, 10*testLat)
+			tickEvery(g.Shard(1), testLat, 10*testLat)
+			if _, err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			multiBusy(t, g)
+		}},
+		{"deadlock", func(t *testing.T, g *ShardGroup) {
+			for s := 0; s < 2; s++ {
+				parked(g.Shard(s), fmt.Sprintf("stuck%d", s))
+				tickEvery(g.Shard(s), testLat, 5*testLat)
+			}
+			var dl *DeadlockError
+			if _, err := g.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 2 {
+				t.Fatalf("Run: %v, want a deadlock of 2", err)
+			}
+			multiBusy(t, g)
+		}},
+		{"step panic on shard 1", func(t *testing.T, g *ShardGroup) {
+			// The bomb goes off in the third window, on the worker, with
+			// shard 0 busy in the same window and a body parked on each
+			// shard.
+			for s := 0; s < 2; s++ {
+				parked(g.Shard(s), fmt.Sprintf("bystander%d", s))
+				tickEvery(g.Shard(s), testLat, 10*testLat)
+			}
+			bombAt(g.Shard(1), 2*testLat+50, "boom1")
+			expectPanic(t, g, "boom1")
+			multiBusy(t, g)
+		}},
+		{"step panics on both shards", func(t *testing.T, g *ShardGroup) {
+			// Both go off in one window, shard 1's first in virtual time;
+			// the lowest shard's is the one re-raised.
+			for s := 0; s < 2; s++ {
+				parked(g.Shard(s), fmt.Sprintf("bystander%d", s))
+				tickEvery(g.Shard(s), testLat, 10*testLat)
+			}
+			bombAt(g.Shard(0), 2*testLat+60, "boom0")
+			bombAt(g.Shard(1), 2*testLat+50, "boom1")
+			expectPanic(t, g, "boom0")
+			multiBusy(t, g)
+		}},
+		{"abort without run", func(t *testing.T, g *ShardGroup) {
+			parked(g.Shard(0), "a")
+			parked(g.Shard(1), "b")
+			g.Abort()
+		}},
+		{"bodies resumed by caller and worker in turn", func(t *testing.T, g *ShardGroup) {
+			// Shard 1's body suspends once per lookahead, shard 0's once
+			// per two: shard 1 runs on its worker in the windows shard 0
+			// shares and on Run's caller in the windows it has alone.
+			const rounds = 8
+			var end [2]Time
+			for s := 0; s < 2; s++ {
+				s := s
+				g.Shard(s).Spawn(fmt.Sprintf("body%d", s), func(p *Proc) {
+					for i := 0; i < rounds*(1+s); i++ {
+						p.Advance(testLat * Time(2-s))
+					}
+					end[s] = p.Now()
+				})
+			}
+			if _, err := g.Run(); err != nil || end[0] != 2*rounds*testLat || end[1] != 2*rounds*testLat {
+				t.Fatalf("Run: err %v, bodies finished at %v", err, end)
+			}
+			want := ShardStats{Windows: 2*rounds + 1, LoneWindows: rounds, BusyShards: []uint64{0, rounds, rounds + 1}}
+			if got := g.Stats(); !reflect.DeepEqual(got, want) {
+				t.Errorf("stats %+v, want %+v", got, want)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			tc.run(t, NewShardGroup(1, 2, testLat))
+			settleGoroutines(t, base)
+		})
 	}
 }
 

@@ -169,6 +169,17 @@
 // every event before G has been merged, where G is the global minimum
 // pending event time.
 //
+// A window runs the shards that have an event before G+L. The goroutine
+// that called ShardGroup.Run executes the lowest of them itself; each
+// other busy shard runs on a worker goroutine of its own that lives for
+// the length of the Run, parked on a channel between windows, so a window
+// costs one hand-off per extra busy shard and no goroutine creation.
+// Hosted bodies (Proc) do not care which goroutine drives their shard: a
+// body parked in one window by the caller may be resumed in the next by a
+// worker. ShardGroup.Stats counts windows, busy shards per window and
+// merged posts; DESIGN.md ("The window barrier") has the protocol and the
+// measurements behind it.
+//
 // Worker-count invariance — byte-identical trajectories for every shard
 // count and every placement of ranks onto shards — comes from one
 // extension of the heap key: events order by (t, pri, seq), where pri is
