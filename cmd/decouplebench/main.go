@@ -60,13 +60,21 @@ type benchEntry struct {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // checkFlags validates what can be validated before any experiment runs,
-// so a sweep is never spent on a request that cannot be answered. set
-// names the flags given on the command line: the sweep sizes have
-// defaults, and only an explicit value is held to be positive. -cores and
-// -jobs give 0 a meaning of its own, so only a negative one is refused.
-func checkFlags(set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int) error {
+// so a sweep is never spent on a request that cannot be answered. names
+// are the selected experiments, all registered; set names the flags given
+// on the command line: the sweep sizes have defaults, and only an explicit
+// value is held to be positive. -cores and -jobs give 0 a meaning of its
+// own, so only a negative one is refused.
+func checkFlags(names []string, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
+	}
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if seen[name] {
+			return fmt.Errorf("-experiment: %s is named twice; its rows would be printed twice and its -json entry once", name)
+		}
+		seen[name] = true
 	}
 	for _, f := range []struct {
 		name  string
@@ -78,6 +86,14 @@ func checkFlags(set map[string]bool, format string, maxProcs, runs, workers, cor
 	}
 	if cores < 0 {
 		return fmt.Errorf("-cores: %d is negative, want 0 (classic mode) or a worker count", cores)
+	}
+	for _, name := range names {
+		if cores >= 1 && !experiments.Shardable[name] {
+			return fmt.Errorf("-cores: %w", experiments.CoresError(name))
+		}
+		if set["max-procs"] && maxProcs < experiments.SweepFloor && experiments.WeakScaling[name] {
+			return fmt.Errorf("-max-procs: %d is below %d, where the weak-scaling sweep of %s starts: it would print no rows", maxProcs, experiments.SweepFloor, name)
+		}
 	}
 	if jobs < 0 {
 		return fmt.Errorf("-jobs: %d is negative, want 0 (the built-in set) or a job count", jobs)
@@ -141,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(set, *format, *maxProcs, *runs, *workers, *cores, *jobs); err != nil {
+	if err := checkFlags(names, set, *format, *maxProcs, *runs, *workers, *cores, *jobs); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

@@ -93,8 +93,11 @@ func TestCoresFlagSweep(t *testing.T) {
 
 // TestRefusedBeforeAnySweep: a request that cannot be answered — an
 // unknown -format, an -out that cannot be opened, an explicit sweep size
-// that is not positive, a negative -cores or -jobs — is refused with exit
-// status 2 and an error naming the flag, before any experiment starts.
+// that is not positive, a negative -cores or -jobs, -cores with an
+// experiment that cannot shard, a -max-procs below the first point of a
+// selected weak-scaling sweep, an experiment named twice — is refused with
+// exit status 2 and an error starting with the flag, before any experiment
+// starts.
 // The requests below ask for every experiment at 8192 processes, so
 // running even one of them first (the old behaviour: run the sweep, then
 // fail with status 1, or silently fall back to the default size) would
@@ -113,14 +116,21 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-workers", "-2"}, "-workers"},
 		{[]string{"-cores", "-1"}, "-cores"},
 		{[]string{"-jobs", "-2"}, "-jobs"},
+		// Later flags win: these three replace the -experiment (and the
+		// size) every case starts with. Each used to run fig5 first: then
+		// exit 1 with "model: model: ...", print a header and no rows with
+		// exit 0, or print every row twice.
+		{[]string{"-experiment", "fig5,model", "-cores", "2"}, "-cores"},
+		{[]string{"-experiment", "fig5", "-max-procs", "16"}, "-max-procs"},
+		{[]string{"-experiment", "fig5,fig5"}, "-experiment"},
 	} {
 		args := append([]string{"-experiment", "all", "-max-procs", "8192", "-quiet"}, c.args...)
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit status %d, want 2", c.args, code)
 		}
-		if !strings.Contains(stderr.String(), c.flag+":") {
-			t.Errorf("%v: error %q does not name %s", c.args, stderr.String(), c.flag)
+		if !strings.HasPrefix(stderr.String(), c.flag+":") {
+			t.Errorf("%v: error %q does not start with %s", c.args, stderr.String(), c.flag)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: wrote %q to stdout", c.args, stdout.String())
@@ -130,6 +140,16 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-experiment", "all", "-max-procs", "0", "-quiet"}, io.Discard, &stderr); code != 2 || !strings.Contains(stderr.String(), "-max-procs:") {
 		t.Errorf("-max-procs 0: exit status %d, error %q; want 2 and the flag named", code, stderr.String())
+	}
+	// The -cores refusal names the first experiment that cannot shard, once.
+	stderr.Reset()
+	run([]string{"-experiment", "fig5,model,lossy", "-cores", "2", "-quiet"}, io.Discard, &stderr)
+	if got := stderr.String(); strings.Count(got, "model") != 1 || strings.Contains(got, "lossy") {
+		t.Errorf("-cores with fig5,model,lossy: error %q, want the model experiment named once and no other", got)
+	}
+	// A small -max-procs is refused only for a sweep it would empty.
+	if code := run([]string{"-experiment", "ablation-alpha", "-max-procs", "16", "-runs", "1", "-quiet", "-format", "csv"}, io.Discard, &stderr); code != 0 {
+		t.Errorf("ablation-alpha at -max-procs 16: exit status %d, want 0 (it clamps, it does not sweep)", code)
 	}
 }
 

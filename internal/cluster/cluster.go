@@ -137,7 +137,7 @@ type Result struct {
 }
 
 // enginePool recycles engines across cluster runs, so co-scheduling
-// sweeps reuse event-heap and ring capacity the way single-world sweeps
+// sweeps reuse event-queue and ring capacity the way single-world sweeps
 // reuse pooled worlds. A reset engine is behaviourally identical to a
 // fresh one.
 var enginePool sync.Pool

@@ -96,10 +96,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// SweepFloor is the smallest process count of a weak-scaling sweep (the
+// paper's first point). A sweep capped below it has no points at all, so
+// the CLI refuses such a cap for the experiments in WeakScaling.
+const SweepFloor = 32
+
+// WeakScaling marks the experiments that sweep the process count from
+// SweepFloor up to Options.MaxProcs. The others run at sizes of their own
+// and at most clamp to MaxProcs.
+var WeakScaling = map[string]bool{
+	"fig5":  true,
+	"fig6":  true,
+	"fig7":  true,
+	"fig8":  true,
+	"model": true,
+}
+
 // sweep returns the paper's process counts up to max: 32, 64, ..., max.
 func sweep(max int) []int {
 	var out []int
-	for p := 32; p <= max; p *= 2 {
+	for p := SweepFloor; p <= max; p *= 2 {
 		out = append(out, p)
 	}
 	return out
@@ -260,13 +276,22 @@ var Shardable = map[string]bool{
 	"cosched": true,
 }
 
-// rejectCores wraps a non-shardable experiment's runner with the uniform
-// parallel-mode rejection, so a -cores request fails loudly up front
-// instead of being silently ignored (or panicking deep inside a sweep).
+// CoresError is the uniform parallel-mode rejection of the non-shardable
+// experiment name. The CLI refuses with it before any sweep starts; the
+// runners in Registry return it to library callers.
+func CoresError(name string) error {
+	return &mpi.CannotShardError{Feature: "the " + name + " experiment", Flag: "-cores"}
+}
+
+// rejectCores wraps a non-shardable experiment's runner with CoresError,
+// so a Cores request fails loudly up front instead of being silently
+// ignored (or panicking deep inside a sweep). The error names the
+// experiment once; callers that report errors under the experiment's name
+// add no second one.
 func rejectCores(name string, fn func(Options) ([]Row, error)) func(Options) ([]Row, error) {
 	return func(opts Options) ([]Row, error) {
 		if opts.Cores >= 1 {
-			return nil, fmt.Errorf("%s: %w", name, &mpi.CannotShardError{Feature: "the " + name + " experiment", Flag: "-cores"})
+			return nil, CoresError(name)
 		}
 		return fn(opts)
 	}

@@ -25,6 +25,21 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestWeakScalingSweepsStartAtFloor: the experiments the CLI refuses a
+// -max-procs below SweepFloor for are exactly those such a cap leaves
+// without a point.
+func TestWeakScalingSweepsStartAtFloor(t *testing.T) {
+	for name := range WeakScaling {
+		rows, err := Registry[name](Options{MaxProcs: SweepFloor - 1, Runs: 1, Workers: 1})
+		if err != nil || len(rows) != 0 {
+			t.Errorf("%s capped at %d: %d rows, error %v; want no rows", name, SweepFloor-1, len(rows), err)
+		}
+	}
+	if got := sweep(SweepFloor); len(got) != 1 || got[0] != SweepFloor {
+		t.Errorf("sweep(%d) = %v, want its floor alone", SweepFloor, got)
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	for _, name := range []string{"fig5", "fig6", "fig7", "fig8",
 		"ablation-granularity", "ablation-alpha", "ablation-fcfs", "model",

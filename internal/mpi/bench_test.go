@@ -135,3 +135,33 @@ func BenchmarkWaitAllAllocs(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkMatchTable measures what a collective round asks of a rank's
+// bucket table: a single-use collective tag is inserted, found and deleted
+// again, beside a lookup of a reused application tag, with live other keys
+// resident (a rank of the figure sweeps mostly holds 1-7 keys, one of the
+// co-scheduling sweep 16-31).
+func BenchmarkMatchTable(b *testing.B) {
+	for _, live := range []int{4, 24} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			var tab keyTable[recvFIFO]
+			q := &recvFIFO{}
+			for i := 0; i < live; i++ {
+				tab.put(matchKey{comm: 1, src: i, tag: 7}, q)
+			}
+			hits := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := matchKey{comm: 1, src: i % live, tag: collTagBase + i}
+				tab.put(k, q)
+				if tab.get(k) != nil && tab.get(matchKey{comm: 1, src: (i + 1) % live, tag: 7}) != nil {
+					hits++
+				}
+				tab.del(k)
+			}
+			if hits != b.N || tab.len() != live {
+				b.Fatalf("%d of %d rounds found both keys; %d keys left, want %d", hits, b.N, tab.len(), live)
+			}
+		})
+	}
+}

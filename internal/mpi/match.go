@@ -9,7 +9,8 @@ import "sort"
 // deletions, which dominated profiles at scale: a consumer that falls
 // behind its producers accumulates thousands of unexpected messages, and
 // every match memmoved the whole tail. The matchIndex replaces both scans
-// with hash buckets keyed by (communicator, source, tag):
+// with buckets keyed by (communicator, source, tag), held in flat
+// open-addressed tables (keyTable):
 //
 //   - Posted receives are bucketed by their selector verbatim, wildcards
 //     included, so a (comm, AnySource, tag) receive lives in its own
@@ -39,11 +40,13 @@ import "sort"
 // pool, so lazy deletion never meets a reused message.
 //
 // Bucket lifecycle (DESIGN.md): application and stream tags are reused, so
-// their buckets stay in the maps once created and the one-entry caches in
-// front of the maps keep hitting. Collective tags (retires) are used for
-// one collective and never again, so their buckets leave the maps the
-// moment they drain and recycle through the index's freelists: the maps
-// hold live traffic only, however many collective epochs a run executes.
+// their buckets stay in the tables once created and the one-entry caches in
+// front of the tables keep hitting. Collective tags (retires) are used for
+// one collective and never again, so their buckets leave the tables the
+// moment they drain and recycle through the index's freelists: the tables
+// hold live traffic only, however many collective epochs a run executes,
+// and since a deletion leaves no tombstone behind, neither does their cost
+// per lookup depend on it.
 
 // matchKey identifies a matching bucket: communicator context plus source
 // and tag selectors. Posted receives use their selector values verbatim
@@ -154,7 +157,7 @@ type matchIndex struct {
 	pool *pools
 
 	postSeq uint64
-	posted  map[matchKey]*recvFIFO
+	posted  keyTable[recvFIFO]
 	// shapes counts posted receives by selector shape (see shapeOf), so
 	// message delivery probes only the selector keys that can exist —
 	// usually one — instead of all four.
@@ -163,23 +166,23 @@ type matchIndex struct {
 	// built, gating the extra pushes in addUnexpected.
 	sideShapes [4]bool
 
-	queued map[matchKey]*msgFIFO // concrete (comm, src, tag) buckets
+	queued keyTable[msgFIFO] // concrete (comm, src, tag) buckets
 	// side holds wildcard-selector views of the unexpected queue — keys
 	// are (comm, AnySource, tag), (comm, src, AnyTag) or (comm,
 	// AnySource, AnyTag) — in arrival order. Each is built on first use
 	// from the arrival list and maintained incrementally afterwards, so
 	// repeated wildcard receives (the stream library posts AnySource
 	// receives continuously) match in O(1) instead of rescanning.
-	side       map[matchKey]*msgFIFO
+	side       keyTable[msgFIFO]
 	arrivals   []*message // arrival order, lazily deleted via m.consumed
 	arrHead    int
 	live       int // unconsumed messages in arrivals
 	selfQueued int // live queued self-sends (always ready; break readyAt monotonicity)
 
-	// One-entry caches in front of the bucket maps: steady-state traffic
+	// One-entry caches in front of the bucket tables: steady-state traffic
 	// reuses one selector per rank (a consumer reposting the same
 	// receive, a neighbour exchange on one tag). A cached pointer stays
-	// valid while its bucket is in the map; retiring a bucket drops it.
+	// valid while its bucket is in the table; retiring a bucket drops it.
 	lastPostKey matchKey
 	lastPostQ   *recvFIFO
 	lastSelKey  matchKey
@@ -197,12 +200,9 @@ type matchIndex struct {
 func retires(tag int) bool { return tag >= collTagBase }
 
 // postedBucket returns k's posted-receive bucket, taking a retired one or
-// allocating when the map has none.
+// allocating when the table has none.
 func (x *matchIndex) postedBucket(k matchKey) *recvFIFO {
-	if x.posted == nil {
-		x.posted = make(map[matchKey]*recvFIFO)
-	}
-	q := x.posted[k]
+	q := x.posted.get(k)
 	if q == nil {
 		if n := len(x.recvQFree); n > 0 {
 			q = x.recvQFree[n-1]
@@ -210,14 +210,14 @@ func (x *matchIndex) postedBucket(k matchKey) *recvFIFO {
 		} else {
 			q = &recvFIFO{}
 		}
-		x.posted[k] = q
+		x.posted.put(k, q)
 	}
 	return q
 }
 
 // retirePosted removes k's drained bucket q from the index.
 func (x *matchIndex) retirePosted(k matchKey, q *recvFIFO) {
-	delete(x.posted, k)
+	x.posted.del(k)
 	x.recvQFree = append(x.recvQFree, q)
 	if x.lastPostQ == q {
 		x.lastPostQ = nil
@@ -226,10 +226,7 @@ func (x *matchIndex) retirePosted(k matchKey, q *recvFIFO) {
 
 // queuedBucket is postedBucket for the unexpected-message buckets.
 func (x *matchIndex) queuedBucket(k matchKey) *msgFIFO {
-	if x.queued == nil {
-		x.queued = make(map[matchKey]*msgFIFO)
-	}
-	q := x.queued[k]
+	q := x.queued.get(k)
 	if q == nil {
 		if n := len(x.msgQFree); n > 0 {
 			q = x.msgQFree[n-1]
@@ -237,14 +234,14 @@ func (x *matchIndex) queuedBucket(k matchKey) *msgFIFO {
 		} else {
 			q = &msgFIFO{}
 		}
-		x.queued[k] = q
+		x.queued.put(k, q)
 	}
 	return q
 }
 
 // retireQueued removes k's drained bucket q from the index.
 func (x *matchIndex) retireQueued(k matchKey, q *msgFIFO) {
-	delete(x.queued, k)
+	x.queued.del(k)
 	x.msgQFree = append(x.msgQFree, q)
 	if x.lastSelQ == q {
 		x.lastSelQ = nil
@@ -252,14 +249,14 @@ func (x *matchIndex) retireQueued(k matchKey, q *msgFIFO) {
 }
 
 // reset returns the index to its initial state for world reuse, keeping
-// bucket-map, queue and freelist capacity. Entries still referenced
+// bucket-table, queue and freelist capacity. Entries still referenced
 // (receives posted but never matched, messages never received or not yet
 // trimmed at the end of a run) are dropped for the GC; pooled recycling
 // only ever happens on the matched paths.
 // Single-use buckets a run left undrained retire here.
 func (x *matchIndex) reset() {
 	x.postSeq = 0
-	for k, q := range x.posted {
+	for k, q := range x.posted.all() {
 		clear(q.items)
 		q.items = q.items[:0]
 		q.head = 0
@@ -267,7 +264,7 @@ func (x *matchIndex) reset() {
 			x.retirePosted(k, q)
 		}
 	}
-	for k, q := range x.queued {
+	for k, q := range x.queued.all() {
 		clear(q.items)
 		q.items = q.items[:0]
 		q.head = 0
@@ -276,7 +273,7 @@ func (x *matchIndex) reset() {
 		}
 	}
 	// Side lists are views rebuilt on demand; drop them wholesale.
-	x.side = nil
+	x.side.clear()
 	x.shapes = [4]int{}
 	x.sideShapes = [4]bool{}
 	for i := range x.arrivals {
@@ -332,7 +329,7 @@ func (x *matchIndex) post(p *postedRecv) {
 // selector accepts m, or nil. Only four selector keys can accept a
 // concrete message, so the search is four bucket-head peeks.
 func (x *matchIndex) takePosted(m *message) *postedRecv {
-	if len(x.posted) == 0 {
+	if x.posted.len() == 0 {
 		return nil
 	}
 	var best *recvFIFO
@@ -349,7 +346,7 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 		}
 		q := x.lastPostQ
 		if q == nil || k != x.lastPostKey {
-			q = x.posted[k]
+			q = x.posted.get(k)
 		}
 		if q != nil && !q.empty() {
 			if best == nil || q.peek().seq < best.peek().seq {
@@ -374,19 +371,19 @@ func (x *matchIndex) addUnexpected(m *message) {
 	q.push(m)
 	q.maybeCompact(x.live+1, x.pool)
 	if x.sideShapes[1] {
-		if s := x.side[matchKey{m.commID, AnySource, m.tag}]; s != nil {
+		if s := x.side.get(matchKey{m.commID, AnySource, m.tag}); s != nil {
 			s.push(m)
 			s.maybeCompact(x.live+1, x.pool)
 		}
 	}
 	if x.sideShapes[2] {
-		if s := x.side[matchKey{m.commID, m.src, AnyTag}]; s != nil {
+		if s := x.side.get(matchKey{m.commID, m.src, AnyTag}); s != nil {
 			s.push(m)
 			s.maybeCompact(x.live+1, x.pool)
 		}
 	}
 	if x.sideShapes[3] {
-		if s := x.side[matchKey{m.commID, AnySource, AnyTag}]; s != nil {
+		if s := x.side.get(matchKey{m.commID, AnySource, AnyTag}); s != nil {
 			s.push(m)
 			s.maybeCompact(x.live+1, x.pool)
 		}
@@ -418,7 +415,7 @@ func (x *matchIndex) consume(m *message) {
 // sideList returns (building on first use) the arrival-ordered view of
 // the unexpected queue for a wildcard selector key.
 func (x *matchIndex) sideList(k matchKey) *msgFIFO {
-	if q := x.side[k]; q != nil {
+	if q := x.side.get(k); q != nil {
 		return q
 	}
 	q := &msgFIFO{}
@@ -427,10 +424,7 @@ func (x *matchIndex) sideList(k matchKey) *msgFIFO {
 			q.push(m)
 		}
 	}
-	if x.side == nil {
-		x.side = make(map[matchKey]*msgFIFO)
-	}
-	x.side[k] = q
+	x.side.put(k, q)
 	x.sideShapes[shapeOf(k.src, k.tag)] = true
 	return q
 }
@@ -476,7 +470,7 @@ func (x *matchIndex) selectorQueue(commID, src, tag int) *msgFIFO {
 	}
 	var q *msgFIFO
 	if !wildcard(src, tag) {
-		q = x.queued[k]
+		q = x.queued.get(k)
 	} else {
 		q = x.sideList(k)
 	}
@@ -532,7 +526,7 @@ func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) (st Status, 
 		// q is m's concrete bucket unless the selector read a side-list.
 		bucket := q
 		if wildcard(src, tag) {
-			bucket = x.queued[k]
+			bucket = x.queued.get(k)
 			left = bucket.first(x.pool)
 		}
 		if left == nil {
@@ -543,12 +537,12 @@ func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) (st Status, 
 }
 
 // pendingPosted appends every pending posted receive to buf in posting
-// (seq) order and returns it. Bucket-map iteration order is
-// nondeterministic, so the collected entries are sorted by seq before
+// (seq) order and returns it. The table iterates in slot order, not
+// posting order, so the collected entries are sorted by seq before
 // returning — the failure path (killRank) fails them in that order, which
 // keeps peer-notification wake events at deterministic (t, seq) positions.
 func (x *matchIndex) pendingPosted(buf []*postedRecv) []*postedRecv {
-	for _, q := range x.posted {
+	for _, q := range x.posted.all() {
 		for _, p := range q.items[q.head:] {
 			if p != nil {
 				buf = append(buf, p)

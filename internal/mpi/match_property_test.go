@@ -336,15 +336,15 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 }
 
 // checkBucketLifecycle asserts the index's structural invariants: a
-// single-use bucket in a map holds a live entry, a retired bucket holds
-// none, and a one-entry cache names the bucket its map holds for that key.
+// single-use bucket in a table holds a live entry, a retired bucket holds
+// none, and a one-entry cache names the bucket its table holds for that key.
 func checkBucketLifecycle(x *matchIndex) error {
-	for k, q := range x.posted {
+	for k, q := range x.posted.all() {
 		if retires(k.tag) && q.empty() {
 			return fmt.Errorf("drained posted bucket %+v was not retired", k)
 		}
 	}
-	for k, q := range x.queued {
+	for k, q := range x.queued.all() {
 		if retires(k.tag) && q.first(x.pool) == nil {
 			return fmt.Errorf("drained queued bucket %+v was not retired", k)
 		}
@@ -359,13 +359,13 @@ func checkBucketLifecycle(x *matchIndex) error {
 			return fmt.Errorf("a retired queued bucket still holds messages")
 		}
 	}
-	if q := x.lastPostQ; q != nil && x.posted[x.lastPostKey] != q {
+	if q := x.lastPostQ; q != nil && x.posted.get(x.lastPostKey) != q {
 		return fmt.Errorf("posted cache names a bucket %+v no longer maps to", x.lastPostKey)
 	}
 	if q, k := x.lastSelQ, x.lastSelKey; q != nil {
-		held := x.queued[k]
+		held := x.queued.get(k)
 		if wildcard(k.src, k.tag) {
-			held = x.side[k]
+			held = x.side.get(k)
 		}
 		if held != q {
 			return fmt.Errorf("selector cache names a bucket %+v no longer maps to", k)
@@ -399,12 +399,12 @@ func checkMessageLifetime(x *matchIndex) error {
 		}
 		return nil
 	}
-	for k, q := range x.queued {
+	for k, q := range x.queued.all() {
 		if err := walk(fmt.Sprintf("bucket %+v", k), q.items[q.head:]); err != nil {
 			return err
 		}
 	}
-	for k, q := range x.side {
+	for k, q := range x.side.all() {
 		if err := walk(fmt.Sprintf("side-list %+v", k), q.items[q.head:]); err != nil {
 			return err
 		}

@@ -62,7 +62,7 @@ func matchBucketsAfterEpochs(t *testing.T, procs, epochs int) int {
 		i := 0
 		var loop sim.StepFunc
 		sample := func() {
-			if n := len(r.rs.match.posted) + len(r.rs.match.queued); n > high[r.ID()] {
+			if n := r.rs.match.posted.len() + r.rs.match.queued.len(); n > high[r.ID()] {
 				high[r.ID()] = n
 			}
 		}
@@ -97,7 +97,7 @@ func matchBucketsAfterEpochs(t *testing.T, procs, epochs int) int {
 
 // TestMatchIndexBoundedAcrossEpochs pins bucket retirement: every
 // collective epoch uses a fresh tag, and the index used to keep one dead
-// bucket per (peer, epoch). The bucket maps must hold live traffic only,
+// bucket per (peer, epoch). The bucket tables must hold live traffic only,
 // so their high-water mark does not depend on how long the run is.
 func TestMatchIndexBoundedAcrossEpochs(t *testing.T) {
 	for _, procs := range []int{16, 12} { // recursive doubling; reduce + broadcast

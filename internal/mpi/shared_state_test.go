@@ -263,17 +263,17 @@ func TestSharedStateAllgathervAcrossShards(t *testing.T) {
 func collectiveBuckets(w *World) (collective, all int) {
 	for _, rs := range w.ranks {
 		x := &rs.match
-		for k := range x.posted {
+		for k := range x.posted.all() {
 			if retires(k.tag) {
 				collective++
 			}
 		}
-		for k := range x.queued {
+		for k := range x.queued.all() {
 			if retires(k.tag) {
 				collective++
 			}
 		}
-		all += len(x.posted) + len(x.queued) + len(x.recvQFree) + len(x.msgQFree)
+		all += x.posted.len() + x.queued.len() + len(x.recvQFree) + len(x.msgQFree)
 	}
 	return collective, all
 }
@@ -334,7 +334,7 @@ func TestPooledWorldSeesNothingOfAbandonedCollective(t *testing.T) {
 }
 
 // TestPoolReuseAllocatesNoBuckets pins the match index's freelists across
-// world reuse: reset keeps every bucket (reused tags' in the maps,
+// world reuse: reset keeps every bucket (reused tags' in the tables,
 // single-use ones retired), so an identical second run builds none.
 func TestPoolReuseAllocatesNoBuckets(t *testing.T) {
 	cfg := Config{Procs: 8, Seed: 9}.withDefaults()
@@ -368,7 +368,7 @@ func TestPoolReuseAllocatesNoBuckets(t *testing.T) {
 		w.reset(cfg)
 		coll, all := collectiveBuckets(w)
 		if coll != 0 {
-			t.Errorf("reset left %d collective buckets in the maps", coll)
+			t.Errorf("reset left %d collective buckets in the tables", coll)
 		}
 		return all
 	}

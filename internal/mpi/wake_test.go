@@ -6,20 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
-// runDirectWake runs body on procs ranks and returns the final time and
-// the engine's event count. The counts the callers pin were recorded at
-// PR 12, the last commit that could still run the legacy broadcast wake
-// beside the direct one (it fired 5.4% more events on the Fig. 8 shape):
-// a literal keeps the guard machine-neutral now that there is nothing
-// left to compare against.
-func runDirectWake(t *testing.T, procs int, body func(*Rank)) (sim.Time, uint64) {
+// runDirectWake runs body on procs ranks and returns the final time, the
+// engine's event count and what its event queue did. The event counts the
+// callers pin were recorded at PR 12, the last commit that could still run
+// the legacy broadcast wake beside the direct one (it fired 5.4% more
+// events on the Fig. 8 shape): a literal keeps the guard machine-neutral
+// now that there is nothing left to compare against.
+func runDirectWake(t *testing.T, procs int, body func(*Rank)) (sim.Time, uint64, sim.QueueStats) {
 	t.Helper()
 	w := NewWorld(Config{Procs: procs, Seed: 11})
 	end, err := w.Run(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return end, w.Engine().Events()
+	return end, w.Engine().Events(), w.Engine().QueueStats()
 }
 
 // TestDirectWakeWaitAny drives a fan-in consumer (the Fig. 8 shape: many
@@ -54,12 +54,18 @@ func TestDirectWakeWaitAny(t *testing.T) {
 			}
 		}
 	}
-	end, events := runDirectWake(t, producers+1, body)
+	end, events, queue := runDirectWake(t, producers+1, body)
 	if total != producers*msgs {
 		t.Fatalf("consumer drained %d messages, want %d", total, producers*msgs)
 	}
 	if events != 236 {
 		t.Errorf("direct wake fired %d events, PR 12 recorded 236", events)
+	}
+	// Of the 236 events, the ones that did not ride the same-instant ring or
+	// an inline advance went through the queue; the counts are exact for
+	// this program, like the event count.
+	if want := (sim.QueueStats{Pushes: 202, Redistributions: 92, Moves: 286, HighWater: 8}); queue != want {
+		t.Errorf("event queue did %+v, want %+v", queue, want)
 	}
 	if end <= 0 {
 		t.Fatalf("degenerate end time %v", end)
@@ -86,7 +92,7 @@ func TestDirectWakeWaitColl(t *testing.T) {
 			panic("bad allreduce value")
 		}
 	}
-	if _, events := runDirectWake(t, 6, body); events != 153 {
+	if _, events, _ := runDirectWake(t, 6, body); events != 153 {
 		t.Errorf("direct wake fired %d events, PR 12 recorded 153", events)
 	}
 }

@@ -569,7 +569,7 @@ func cannotShard(feature, flag string) *CannotShardError {
 	return &CannotShardError{Feature: feature, Flag: flag}
 }
 
-// worldPool recycles released worlds so that sweeps reuse event-heap,
+// worldPool recycles released worlds so that sweeps reuse event-queue,
 // matching-index and message-pool capacity across points instead of
 // reallocating per simulation. sync.Pool handles cross-goroutine reuse;
 // a reset world is behaviourally identical to a fresh one.

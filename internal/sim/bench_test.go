@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkDispatch measures Advance on a sole blocking body: the host's
 // cost when a call completes inline (one Await, no goroutine switch).
@@ -17,23 +21,53 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEventHeap measures raw event scheduling without process
-// switches.
-func BenchmarkEventHeap(b *testing.B) {
-	e := NewEngine(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		if n < b.N {
-			n++
-			e.After(Time(n%64+1), tick)
+// queueTick is a self-rescheduling action: the event queue's cost per
+// event with no fiber and no closure in the way. All ticks of one run
+// share left.
+type queueTick struct {
+	e      *Engine
+	period Time
+	left   *int
+}
+
+func (k *queueTick) Fire() {
+	if *k.left > 0 {
+		*k.left--
+		k.e.AtAction(k.e.Now()+k.period, k)
+	}
+}
+
+// BenchmarkEventQueue measures one pop plus one push with n events
+// pending, each rescheduling itself with a period of its own (a seeded
+// permutation, so instants rarely collide): 2 is the fiber ping-pong's
+// queue, 200 what the figure sweeps hold, 262144 far beyond cache. burst
+// gives all 256 tickers one period and one phase, so every instant is a
+// same-instant burst the queue hands out in scheduling order.
+func BenchmarkEventQueue(b *testing.B) {
+	run := func(b *testing.B, pending int, period func(i int) Time, start func(i int) Time) {
+		e := NewEngine(1)
+		left := b.N
+		ticks := make([]queueTick, pending)
+		for i := range ticks {
+			ticks[i] = queueTick{e: e, period: period(i), left: &left}
+			e.AtAction(start(i), &ticks[i])
 		}
+		b.ResetTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		st := e.QueueStats()
+		b.ReportMetric(float64(st.Moves)/float64(st.Pushes), "moves/event")
 	}
-	e.After(1, tick)
-	b.ResetTimer()
-	if _, err := e.Run(); err != nil {
-		b.Fatal(err)
+	for _, n := range []int{2, 200, 262144} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			perm := rand.New(rand.NewSource(1)).Perm(n)
+			run(b, n, func(i int) Time { return Time(1009 + 2*perm[i]) }, func(i int) Time { return Time(i + 1) })
+		})
 	}
+	b.Run("burst", func(b *testing.B) {
+		run(b, 256, func(int) Time { return 1000 }, func(int) Time { return 1 })
+	})
 }
 
 // BenchmarkDebtFastPath measures AddDebt (the no-yield overhead path used
@@ -184,7 +218,7 @@ func BenchmarkFiberAdvanceInline(b *testing.B) {
 
 // BenchmarkManyFibersStaggered measures heap-dominated dispatch: many
 // fibers advancing with co-prime strides, so resumes interleave through
-// the event heap like a large lockstep simulation, with zero goroutine
+// the event queue like a large lockstep simulation, with zero goroutine
 // switches.
 func BenchmarkManyFibersStaggered(b *testing.B) {
 	const fibers = 64

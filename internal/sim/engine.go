@@ -46,89 +46,15 @@ func (f funcAction) Fire() { f() }
 // message deliveries under the conservative parallel mode (see
 // ShardGroup), where it carries a canonical partition-independent key so
 // same-instant delivery order does not depend on how ranks were sharded.
-// Events are stored by value in the heap to avoid one allocation per
-// event.
+// seq, the order of scheduling, is not a field: every bucket of the queue
+// (eventQueue) holds its events in the order they were scheduled, as the
+// ring holds its actions, so events are popped in exactly (t, pri, seq)
+// order without two of them ever being compared. Events are stored by
+// value, 32 bytes each, so nothing is allocated per event.
 type event struct {
 	t   Time
 	pri uint64
-	seq uint64
 	act Action
-}
-
-// eventHeap is a hand-rolled 4-ary min-heap of events ordered by (t, pri,
-// seq). It avoids container/heap's interface costs on the hottest path in
-// the simulator; the wide fan-out halves the tree depth of the binary
-// version, which cuts the sift-down compares and cache misses that
-// dominate pop on big event populations.
-//
-// Both sifts move a hole instead of swapping: the travelling event stays
-// in a local while parents (push) or smallest children (pop) slide into
-// the hole, so each level costs one 40-byte copy instead of three. Keys
-// are unique (seq is), so the result is the heap the swapping version
-// built and pop order is unchanged.
-type eventHeap []event
-
-// before reports whether a orders strictly ahead of b.
-func (a *event) before(b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	ev := q[n] // the last event travels down from the root
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		smallest := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q[c].before(&q[smallest]) {
-				smallest = c
-			}
-		}
-		if !q[smallest].before(&ev) {
-			break
-		}
-		q[i] = q[smallest]
-		i = smallest
-	}
-	q[i] = ev
-	return top
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -141,29 +67,37 @@ func (h *eventHeap) pop() event {
 // thread for as long as its body runs and gives it back when the body
 // blocks.
 //
-// Two fast paths keep the hot loop off the heap:
+// Pending events wait in queue, a monotone radix queue (eventQueue). It
+// may assume that no event is scheduled before the instant of its latest
+// pop, which never exceeds now: AtAction and AtActionPri refuse instants
+// before now, jumpTo and RunUntil only move now forward, and a ShardGroup
+// posts at or after the end of the window its shards have run. The queue
+// checks that itself and panics rather than fire events out of order.
+//
+// Two fast paths keep the hot loop off the queue:
 //
 //   - Same-timestamp events: an event scheduled at the current instant
-//     while nothing else in the heap shares that instant goes into a FIFO
-//     ring (imm) that the loop drains before consulting the heap. The ring
+//     while nothing else in the queue shares that instant goes into a FIFO
+//     ring (imm) that the loop drains before consulting the queue. The ring
 //     preserves scheduling (seq) order, so firing order is identical to
-//     the heap path; its backing array is reused across drains, so bursts
+//     the queue path; its backing array is reused across drains, so bursts
 //     of immediate events (self-sends, deliveries) allocate nothing.
-//     Invariant: whenever imm is non-empty, every heap entry is strictly
-//     later than now.
+//     Invariant: whenever imm is non-empty, every queued event is strictly
+//     later than now. The queue's own bucket of events at its latest pop
+//     does the same job only until an inline advance moves now past that
+//     instant, so the ring stays.
 //   - Inline advance: when the running process advances to an instant
-//     strictly before everything queued (heap and ring), the engine loop
+//     strictly before everything queued (queue and ring), the engine loop
 //     would pop that process's own resume next anyway, so Advance moves
 //     the clock directly and keeps running — no event, no suspend/resume
 //     round trip. See Engine.canAdvanceInline.
 type Engine struct {
 	now     Time
-	queue   eventHeap
-	imm     []event // FIFO of events at t == now; see invariant above
+	imm     []Action // FIFO of the events at t == now; see invariant above
 	immHead int
-	seq     uint64
 	limit   Time // RunUntil bound (MaxTime under Run)
 	seed    int64
+	queue   eventQueue
 
 	fibs     []*Fiber
 	live     int // processes spawned and not yet finished
@@ -185,15 +119,17 @@ type Engine struct {
 // seed. Two engines built with the same seed and driven by the same code
 // produce identical trajectories.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed}
+	e := &Engine{seed: seed}
+	e.queue.init()
+	return e
 }
 
 // Reset returns the engine to its initial state with a new seed, keeping
-// the event-heap and ring capacity so that reusing one engine across many
+// the event-queue and ring capacity so that reusing one engine across many
 // simulation runs allocates nothing per run. A reset engine behaves
-// exactly like a fresh NewEngine(seed): virtual time, sequence numbers and
-// event counters restart from zero, so trajectories are independent of
-// reuse.
+// exactly like a fresh NewEngine(seed): virtual time, process ids, event
+// counters and QueueStats restart from zero, so trajectories are
+// independent of reuse.
 //
 // Reset must not be called while the engine is running, and every body
 // goroutine must have exited (as Run and Abort guarantee on return);
@@ -208,13 +144,8 @@ func (e *Engine) Reset(seed int64) {
 		}
 	}
 	e.flushGlobalEvents()
-	for i := range e.queue {
-		e.queue[i] = event{}
-	}
-	e.queue = e.queue[:0]
-	for i := range e.imm {
-		e.imm[i] = event{}
-	}
+	e.queue.reset()
+	clear(e.imm)
 	e.imm = e.imm[:0]
 	e.immHead = 0
 	for i := range e.fibs {
@@ -222,7 +153,6 @@ func (e *Engine) Reset(seed int64) {
 	}
 	e.fibs = e.fibs[:0]
 	e.now = 0
-	e.seq = 0
 	e.limit = 0
 	e.seed = seed
 	e.live = 0
@@ -241,6 +171,11 @@ func (e *Engine) Seed() int64 { return e.seed }
 // Events reports how many events have fired so far.
 func (e *Engine) Events() uint64 { return e.fired }
 
+// QueueStats reports what the event queue has done since the engine was
+// built or last Reset. Call it between runs, not from another goroutine
+// while the engine runs.
+func (e *Engine) QueueStats() QueueStats { return e.queue.stats }
+
 // At schedules fn to run at virtual time t. Scheduling in the past is a
 // programming error and panics.
 func (e *Engine) At(t Time, fn func()) { e.AtAction(t, funcAction(fn)) }
@@ -251,12 +186,11 @@ func (e *Engine) AtAction(t Time, act Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	if e.running && t == e.now && (len(e.queue) == 0 || e.queue[0].t > t) {
-		e.imm = append(e.imm, event{t: t, seq: e.seq, act: act})
+	if e.running && t == e.now && e.queue.noneThrough(t) {
+		e.imm = append(e.imm, act)
 		return
 	}
-	e.queue.push(event{t: t, seq: e.seq, act: act})
+	e.queue.push(event{t: t, act: act})
 }
 
 // AtActionPri schedules act at virtual time t with an explicit event
@@ -266,14 +200,14 @@ func (e *Engine) AtAction(t Time, act Action) {
 // the property the conservative parallel mode needs to make same-instant
 // cross-rank delivery order independent of rank partitioning. t must be
 // strictly in the future: pri events never ride the same-timestamp ring,
-// so the ring's invariant (heap entries strictly later than now while it
-// is non-empty) is preserved without consulting it.
+// so the ring's invariant (queued events strictly later than now while it
+// is non-empty) is preserved without consulting it, and the queue orders
+// the pri events of an instant once, when it reaches that instant.
 func (e *Engine) AtActionPri(t Time, pri uint64, act Action) {
 	if t <= e.now {
 		panic(fmt.Sprintf("sim: scheduling pri event at %v not after now %v", t, e.now))
 	}
-	e.seq++
-	e.queue.push(event{t: t, pri: pri, seq: e.seq, act: act})
+	e.queue.push(event{t: t, pri: pri, act: act})
 }
 
 // Post schedules act on dst at virtual time t with priority pri, routing
@@ -296,28 +230,24 @@ func (e *Engine) Post(dst *Engine, t Time, pri uint64, act Action) {
 
 // nextEventTime reports the instant of the earliest pending event, or
 // MaxTime when nothing is queued. The same-timestamp ring is always empty
-// between windows (RunUntil drains it before returning), so the heap top
-// is authoritative.
+// between windows (RunUntil drains it before returning), so the queue's
+// minimum is authoritative.
 func (e *Engine) nextEventTime() Time {
 	if e.immHead < len(e.imm) {
 		return e.now
 	}
-	if len(e.queue) == 0 {
-		return MaxTime
-	}
-	return e.queue[0].t
+	return e.queue.minT()
 }
 
 // canAdvanceInline reports whether the running process may move virtual
 // time to target directly without parking: the engine is mid-run, target
-// does not exceed the run bound, and nothing else (ring or heap) is
+// does not exceed the run bound, and nothing else (ring or queue) is
 // scheduled at or before target, so the loop's next pop would be that
 // process's own resume anyway. Must only be consulted by the process the
 // engine is currently dispatching.
 func (e *Engine) canAdvanceInline(target Time) bool {
 	return e.running && target <= e.limit &&
-		e.immHead >= len(e.imm) &&
-		(len(e.queue) == 0 || e.queue[0].t > target)
+		e.immHead >= len(e.imm) && e.queue.noneThrough(target)
 }
 
 // jumpTo is the inline-advance commit: the clock moves and the skipped
@@ -329,15 +259,15 @@ func (e *Engine) jumpTo(target Time) {
 
 // nextImm pops the front of the same-timestamp ring, recycling the backing
 // array once drained. It must only be called when the ring is non-empty.
-func (e *Engine) nextImm() event {
-	ev := e.imm[e.immHead]
-	e.imm[e.immHead] = event{}
+func (e *Engine) nextImm() Action {
+	act := e.imm[e.immHead]
+	e.imm[e.immHead] = nil
 	e.immHead++
 	if e.immHead == len(e.imm) {
 		e.imm = e.imm[:0]
 		e.immHead = 0
 	}
-	return ev
+	return act
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -365,23 +295,23 @@ func (e *Engine) SetIDBase(base int) {
 	}
 }
 
-// popNext removes and returns the next runnable event: the
-// same-timestamp ring first, then the heap, advancing the clock for heap
-// events. ok is false when nothing (left) is runnable within the run
+// popNext removes the next runnable event and returns its action: the
+// same-timestamp ring first, then the queue, advancing the clock for
+// queued events. ok is false when nothing (left) is runnable within the run
 // limit.
-func (e *Engine) popNext() (event, bool) {
+func (e *Engine) popNext() (act Action, ok bool) {
 	if e.immHead < len(e.imm) {
 		return e.nextImm(), true
 	}
-	if len(e.queue) == 0 || e.queue[0].t > e.limit {
-		return event{}, false
+	if e.queue.noneThrough(e.limit) {
+		return nil, false
 	}
-	ev := e.queue.pop()
-	if ev.t < e.now {
-		panic("sim: event heap yielded an event in the past")
+	t, act := e.queue.pop()
+	if t < e.now {
+		panic("sim: event queue yielded an event in the past")
 	}
-	e.now = ev.t
-	return ev, true
+	e.now = t
+	return act, true
 }
 
 // drive runs the event loop up to e.limit on the calling goroutine. If
@@ -398,12 +328,12 @@ func (e *Engine) drive() {
 		}
 	}()
 	for {
-		ev, ok := e.popNext()
+		act, ok := e.popNext()
 		if !ok {
 			break
 		}
 		e.fired++
-		ev.act.Fire()
+		act.Fire()
 	}
 	e.running = false
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -421,43 +419,6 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEventHeapAgainstSort interleaves random pushes and pops, with many
-// duplicate instants and mixed priorities, and checks every pop against a
-// sorted reference: the hole-moving sifts must yield exactly the (t, pri,
-// seq) order, whatever the heap's shape when an event enters or leaves.
-func TestEventHeapAgainstSort(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var h eventHeap
-		var ref []event // kept sorted
-		var seq uint64
-		for op := 0; op < 2000; op++ {
-			if len(ref) == 0 || rng.Intn(5) < 3 {
-				seq++
-				ev := event{t: Time(rng.Intn(8)), seq: seq}
-				if rng.Intn(3) == 0 {
-					ev.pri = uint64(rng.Intn(4))
-				}
-				h.push(ev)
-				at := sort.Search(len(ref), func(i int) bool { return ev.before(&ref[i]) })
-				ref = append(ref, event{})
-				copy(ref[at+1:], ref[at:])
-				ref[at] = ev
-				continue
-			}
-			got, want := h.pop(), ref[0]
-			ref = ref[1:]
-			if got.t != want.t || got.pri != want.pri || got.seq != want.seq {
-				t.Fatalf("seed %d op %d: pop = (%v, %d, %d), want (%v, %d, %d)",
-					seed, op, got.t, got.pri, got.seq, want.t, want.pri, want.seq)
-			}
-		}
-		if len(h) != len(ref) {
-			t.Fatalf("seed %d: heap holds %d events, reference %d", seed, len(h), len(ref))
-		}
 	}
 }
 

@@ -16,14 +16,14 @@ type post struct {
 // across the group's shard engines; each window, every shard executes
 // independently up to a barrier that the group's lookahead proves safe,
 // and cross-shard event deliveries buffered during the window are merged
-// into the destination heaps between windows.
+// into the destination event queues between windows.
 //
 // The protocol is classic conservative (CMB-style) windowing:
 //
 //  1. Apply every buffered cross-shard post to its destination engine
 //     via AtActionPri.
 //  2. G = min over shards of the earliest pending event time. G == MaxTime
-//     means global termination (all heaps empty, no posts in flight).
+//     means global termination (all queues empty, no posts in flight).
 //  3. W = G + lookahead. Every cross-shard delivery created while a shard
 //     executes events at instants >= G arrives at or after W (the
 //     lookahead is a lower bound on cross-shard latency), so events
@@ -38,7 +38,7 @@ type post struct {
 // Determinism does not depend on the barrier's goroutine interleaving:
 // shards only touch their own state during a window, each (src, dst)
 // outbox row is written by src's goroutine alone, and merged deliveries
-// are ordered by the (t, pri, seq) heap key in which pri is a canonical
+// are ordered by the (t, pri, seq) event key in which pri is a canonical
 // partition-independent value supplied by the sender (see
 // Engine.AtActionPri). The group's trajectory is therefore a pure
 // function of the simulated program, byte-identical for every shard
@@ -187,7 +187,7 @@ func (g *ShardGroup) post(src, dst int, t Time, pri uint64, act Action) {
 	g.outbox[src][dst] = append(g.outbox[src][dst], post{t: t, pri: pri, act: act})
 }
 
-// applyInboxes merges every buffered post into its destination heap and
+// applyInboxes merges every buffered post into its destination queue and
 // recycles the outbox rows. Application order is deterministic (dst-major,
 // src order, append order) but does not influence the trajectory: merged
 // events are ordered by (t, pri, seq) and every post's (t, pri) is unique

@@ -13,11 +13,11 @@
 // (see Engine for details):
 //
 //   - Same-timestamp ring: events scheduled at the current instant bypass
-//     the heap when no heap entry shares that instant, preserving seq
-//     (scheduling) order. Invariant: while the ring is non-empty, every
-//     heap entry is strictly later than now.
+//     the event queue when no queued event shares that instant, preserving
+//     seq (scheduling) order. Invariant: while the ring is non-empty, every
+//     queued event is strictly later than now.
 //   - Inline advance: a process may move the clock directly only when
-//     nothing else (ring or heap) is scheduled at or before the target
+//     nothing else (ring or queue) is scheduled at or before the target
 //     and the target does not exceed the run limit, i.e. exactly when the
 //     loop's next pop would be that process's own resume.
 //
@@ -50,7 +50,7 @@
 //
 // Several worlds (jobs) may share one engine (mpi.Config.Engine, driven
 // by internal/cluster): every world's events schedule through the same
-// heap and ring, so one (t, seq) stream orders the whole co-scheduled
+// queue and ring, so one (t, seq) stream orders the whole co-scheduled
 // simulation. Cross-world event identity follows from that stream plus
 // engine-global process identifiers — Spawn and SpawnFiber number
 // processes in spawn order across all worlds, so job start order fixes
@@ -182,7 +182,7 @@
 //
 // Worker-count invariance — byte-identical trajectories for every shard
 // count and every placement of ranks onto shards — comes from one
-// extension of the heap key: events order by (t, pri, seq), where pri is
+// extension of the event key: events order by (t, pri, seq), where pri is
 // zero for every ordinary event and, for cross-rank deliveries in a
 // sharded run, encodes the sending rank and its per-rank send counter.
 // Same-instant delivery order at a rank is then a pure function of who
@@ -252,7 +252,7 @@
 // changing a collective algorithm, changing how random streams derive
 // from seeds, or changing cost arithmetic. A change is NOT breaking when
 // it preserves event order exactly: taking a different dispatch path for
-// the same events (inline advance, ring versus heap, a blocking body
+// the same events (inline advance, ring versus queue, a blocking body
 // hosted on its fiber versus step functions), pooling or reusing memory,
 // or pure API additions.
 //
