@@ -91,6 +91,40 @@ func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
 	}
 }
 
+// TestMakespanSameAtEveryCoreCount: the makespan of a sharded run is the
+// instant of its last event, which the program fixes — not the bound of the
+// window that event fired in, which follows the placement. Cores >= 1 is
+// its own trajectory family, so the shard counts are compared with each
+// other.
+func TestMakespanSameAtEveryCoreCount(t *testing.T) {
+	run := func(cores int) Result {
+		res, err := Run(Config{
+			Seed:    7,
+			Stripes: 2,
+			Policy:  sim.BankFair,
+			Cores:   cores,
+			Jobs:    []Job{decJob(16, 11, true), decJob(8, 13, false)},
+		})
+		if err != nil {
+			t.Fatalf("cores %d: %v", cores, err)
+		}
+		return res
+	}
+	ref := run(1)
+	latest := sim.Time(0)
+	for _, jt := range ref.JobTimes {
+		latest = max(latest, jt)
+	}
+	if ref.Makespan < latest {
+		t.Errorf("makespan %v before the last job finished at %v", ref.Makespan, latest)
+	}
+	for _, cores := range []int{2, 4} {
+		if got := run(cores); got.Makespan != ref.Makespan {
+			t.Errorf("cores %d: makespan %v, %v at one core", cores, got.Makespan, ref.Makespan)
+		}
+	}
+}
+
 // writerJob is a minimal I/O-bound job for policy tests: procs ranks
 // each issue writes independent writes of bytes, separated by gap of
 // compute — sustained bank pressure whose contention window is easy to

@@ -334,15 +334,17 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 	}
 	var best *recvFIFO
 	var bestKey matchKey
-	candidates := [4]matchKey{
-		{m.commID, m.src, m.tag},
-		{m.commID, AnySource, m.tag},
-		{m.commID, m.src, AnyTag},
-		{m.commID, AnySource, AnyTag},
-	}
-	for shape, k := range candidates {
+	for shape := range x.shapes {
 		if x.shapes[shape] == 0 {
 			continue
+		}
+		// The one key of this shape that accepts m (shapeOf's bits).
+		k := m.key()
+		if shape&1 != 0 {
+			k.src = AnySource
+		}
+		if shape&2 != 0 {
+			k.tag = AnyTag
 		}
 		q := x.lastPostQ
 		if q == nil || k != x.lastPostKey {

@@ -303,14 +303,19 @@ func BenchmarkManyProcsStaggered(b *testing.B) {
 // call frames of about 300 bytes each: the runtime's events fire through a
 // chain this deep (drive, Fire, a step, the mpi continuation under it),
 // which a fresh goroutine stack has to grow into and a parked worker's
-// stack already holds.
+// stack already holds. With a peer it also posts one delivery per tick to
+// the peer's shard, one lookahead out.
 type windowTick struct {
-	e     *Engine
-	la    Time
-	left  int
-	depth int
-	sink  byte // keeps the frames' contents live; per tick, as shards fire concurrently
+	e, peer *Engine
+	la      Time
+	left    int
+	depth   int
+	seq     uint64
+	sink    byte // keeps the frames' contents live; per tick, as shards fire concurrently
 }
+
+// windowNop is what a windowTick posts: nothing to fire, nothing to allocate.
+var windowNop mark
 
 func (t *windowTick) Fire() { t.sink += t.fire(t.depth) }
 
@@ -323,40 +328,66 @@ func (t *windowTick) fire(depth int) byte {
 	}
 	if t.left > 0 {
 		t.left--
-		t.e.AtAction(t.e.Now()+t.la, t)
+		at := t.e.Now() + t.la
+		if t.peer != nil {
+			t.seq++
+			t.e.Post(t.peer, at, uint64(t.e.shard+1)<<40|t.seq, &windowNop)
+		}
+		t.e.AtAction(at, t)
 	}
 	return frame[0]
 }
 
-// benchShardWindows runs b.N windows of a 2-shard group with one trivial
-// action per busy shard per window.
-func benchShardWindows(b *testing.B, busyShards, depth int) {
+// benchShardWindows runs a 2-shard group with one ticker of b.N ticks per
+// busy shard, shard s starting at one lookahead plus s times offset, and
+// reports how many windows the run took per tick of a shard.
+func benchShardWindows(b *testing.B, busyShards, depth int, offset Time, post bool) {
 	const la = Time(100)
 	g := NewShardGroup(1, 2, la)
 	for s := 0; s < busyShards; s++ {
-		g.Shard(s).AtAction(la, &windowTick{e: g.Shard(s), la: la, left: b.N, depth: depth})
+		t := &windowTick{e: g.Shard(s), la: la, left: b.N, depth: depth}
+		if post {
+			t.peer = g.Shard(1 - s)
+		}
+		t.e.AtAction(la+Time(s)*offset, t)
 	}
 	b.ResetTimer()
 	if _, err := g.Run(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(g.Stats().Windows)/float64(b.N), "windows/tick")
 }
 
 // BenchmarkShardWindowBothBusy measures one window of the barrier
 // protocol with both shards busy: the hand-off to shard 1's worker and
-// back. Run with -cpu 1,2: at 1 the hand-off is two goroutine switches on
-// one thread (the benchmark's pinned configuration), at 2 it crosses
-// threads. deep fires through a 12-frame call chain, which is what a
-// window of the real runtime does.
+// back. The two tick at equal instants, and a tie gives neither a longer
+// horizon, so every tick is a window. Run with -cpu 1,2: at 1 the hand-off
+// is two goroutine switches on one thread (the benchmark's pinned
+// configuration), at 2 it crosses threads. deep fires through a 12-frame
+// call chain, which is what a window of the real runtime does.
 func BenchmarkShardWindowBothBusy(b *testing.B) {
-	b.Run("shallow", func(b *testing.B) { benchShardWindows(b, 2, 0) })
-	b.Run("deep", func(b *testing.B) { benchShardWindows(b, 2, 12) })
+	b.Run("shallow", func(b *testing.B) { benchShardWindows(b, 2, 0, 0, false) })
+	b.Run("deep", func(b *testing.B) { benchShardWindows(b, 2, 12, 0, false) })
 }
 
-// BenchmarkShardWindowLone measures a window with one busy shard, which
-// runs on Run's caller and involves no other goroutine (most windows of
-// the measured sweeps: see DESIGN.md, "The window barrier"). Run with
-// -cpu 1,2; the two should agree.
-func BenchmarkShardWindowLone(b *testing.B) {
-	benchShardWindows(b, 1, 0)
+// BenchmarkShardWindowAlternating measures two shards ticking half a
+// lookahead apart, per tick of one shard. quiet is the case a horizon per
+// shard helps: the shard with the earlier tick runs until one lookahead
+// past the other's, so a window carries three ticks (2/3 windows/tick)
+// where the one global window carried two. In post every tick also posts to
+// the other shard at exactly one lookahead, which pulls the poster's limit
+// in to where the global window ended: a window per tick again, and the
+// price of the pull-in itself. Run with -cpu 1,2.
+func BenchmarkShardWindowAlternating(b *testing.B) {
+	b.Run("quiet", func(b *testing.B) { benchShardWindows(b, 2, 0, 50, false) })
+	b.Run("post", func(b *testing.B) { benchShardWindows(b, 2, 0, 50, true) })
+}
+
+// BenchmarkShardWindowUnreachable is the witness that a shard nobody can
+// reach costs what a plain engine costs: with the other shard idle the
+// ticker's whole run is one window on Run's caller (0 windows/tick), so
+// this measures an event, not a window. Compare with
+// BenchmarkEventQueue/n=2; run with -cpu 1,2, which should agree.
+func BenchmarkShardWindowUnreachable(b *testing.B) {
+	benchShardWindows(b, 1, 0, 0, false)
 }

@@ -71,8 +71,9 @@ type event struct {
 // may assume that no event is scheduled before the instant of its latest
 // pop, which never exceeds now: AtAction and AtActionPri refuse instants
 // before now, jumpTo and RunUntil only move now forward, and a ShardGroup
-// posts at or after the end of the window its shards have run. The queue
-// checks that itself and panics rather than fire events out of order.
+// merges a post into a shard only at an instant past the limit that shard
+// has run to. The queue checks that itself and panics rather than fire
+// events out of order.
 //
 // Two fast paths keep the hot loop off the queue:
 //
@@ -95,7 +96,7 @@ type Engine struct {
 	now     Time
 	imm     []Action // FIFO of the events at t == now; see invariant above
 	immHead int
-	limit   Time // RunUntil bound (MaxTime under Run)
+	limit   Time // last instant drive may run; ShardGroup.post lowers it mid-window
 	seed    int64
 	queue   eventQueue
 
@@ -230,7 +231,7 @@ func (e *Engine) Post(dst *Engine, t Time, pri uint64, act Action) {
 
 // nextEventTime reports the instant of the earliest pending event, or
 // MaxTime when nothing is queued. The same-timestamp ring is always empty
-// between windows (RunUntil drains it before returning), so the queue's
+// between windows (drive drains it before returning), so the queue's
 // minimum is authoritative.
 func (e *Engine) nextEventTime() Time {
 	if e.immHead < len(e.imm) {

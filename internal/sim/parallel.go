@@ -14,35 +14,44 @@ type post struct {
 // ShardGroup runs several engines as one conservative parallel
 // simulation. Ranks (and any other simulated state) are partitioned
 // across the group's shard engines; each window, every shard executes
-// independently up to a barrier that the group's lookahead proves safe,
-// and cross-shard event deliveries buffered during the window are merged
-// into the destination event queues between windows.
+// independently up to a horizon of its own that the group's lookahead
+// proves safe, and cross-shard event deliveries buffered during the window
+// are merged into the destination event queues between windows.
 //
-// The protocol is classic conservative (CMB-style) windowing:
+// The protocol is conservative (CMB-style) windowing in which a shard
+// waits only for what can reach it:
 //
 //  1. Apply every buffered cross-shard post to its destination engine
 //     via AtActionPri.
-//  2. G = min over shards of the earliest pending event time. G == MaxTime
-//     means global termination (all queues empty, no posts in flight).
-//  3. W = G + lookahead. Every cross-shard delivery created while a shard
-//     executes events at instants >= G arrives at or after W (the
-//     lookahead is a lower bound on cross-shard latency), so events
-//     strictly before W are safe to execute without further
-//     coordination: the busy shards — those with an event before W — run
-//     RunUntil(W-1) concurrently. Run's caller executes the lowest busy
-//     shard itself, and hands each other one to that shard's worker, a
-//     goroutine that lives as long as the Run (shardWorkers). Most
-//     windows have one busy shard and involve no other goroutine.
+//  2. In one pass over the shards find G, the earliest pending event
+//     time, first, the shard that holds it (the lowest index on ties), and
+//     G2, the earliest pending event time of every other shard. G ==
+//     MaxTime means global termination (all queues empty, no posts in
+//     flight).
+//  3. W = G + lookahead. The lookahead is a lower bound on cross-shard
+//     latency, so whatever a shard does at an instant >= G reaches another
+//     shard at or after W: the busy shards — those with an event before W
+//     — run concurrently, every one but first through W-1. Nothing but
+//     first's own posts can make another shard act before G2, so first
+//     runs through G2+lookahead-1, which is at least W-1 and unbounded
+//     when no other shard has anything queued; a cross-shard post at
+//     instant t pulls the posting shard's own limit in to t+lookahead-1
+//     (post), the earliest the destination could answer, and chains
+//     through third shards only arrive later. Run's caller executes the
+//     lowest busy shard itself, and hands each other one to that shard's
+//     worker, a goroutine that lives as long as the Run (shardWorkers).
+//     Most windows have one busy shard and involve no other goroutine,
+//     and a group of one shard runs to completion in one window.
 //  4. Collect the window's outboxes and loop.
 //
-// Determinism does not depend on the barrier's goroutine interleaving:
-// shards only touch their own state during a window, each (src, dst)
-// outbox row is written by src's goroutine alone, and merged deliveries
-// are ordered by the (t, pri, seq) event key in which pri is a canonical
-// partition-independent value supplied by the sender (see
-// Engine.AtActionPri). The group's trajectory is therefore a pure
-// function of the simulated program, byte-identical for every shard
-// count.
+// Determinism does not depend on the barrier's goroutine interleaving, or
+// on where a window ends: shards only touch their own state during a
+// window, each (src, dst) outbox row is written by src's goroutine alone,
+// and merged deliveries are ordered by the (t, pri, seq) event key in
+// which pri is a canonical partition-independent value supplied by the
+// sender (see Engine.AtActionPri). The group's trajectory is therefore a
+// pure function of the simulated program, byte-identical for every shard
+// count; only the number of windows it took follows the placement.
 type ShardGroup struct {
 	engines   []*Engine
 	lookahead Time
@@ -50,8 +59,9 @@ type ShardGroup struct {
 	// during the running window. Only src's goroutine appends to row src,
 	// so no locking is needed while a window executes.
 	outbox [][][]post
-	// windowEnd is the exclusive upper bound of the running window; posts
-	// below it would violate the lookahead guarantee and panic.
+	// windowEnd is G + lookahead of the running window, the earliest instant
+	// anything done in it may reach another shard; posts below it would
+	// violate the lookahead guarantee and panic.
 	windowEnd Time
 	// deferred marks a group built by NewShardGroupDeferred whose
 	// lookahead has not been tightened yet; Run refuses to start one.
@@ -59,11 +69,13 @@ type ShardGroup struct {
 	// rankBase is the next engine-global rank identity handed out by
 	// AllocRanks, for multi-world (co-scheduled) sharded runs.
 	rankBase int
-	// busyHist[k] counts the windows that had k busy shards and posts the
-	// deliveries merged at window boundaries (Stats). Only Run's caller
-	// touches them, between windows.
+	// busyHist[k] counts the windows that had k busy shards, posts the
+	// deliveries merged at window boundaries and extended the windows whose
+	// first shard used its longer horizon (Stats). Only Run's caller touches
+	// them, between windows.
 	busyHist []uint64
 	posts    uint64
+	extended uint64
 }
 
 // NewShardGroup builds n engines sharing one seed and one conservative
@@ -140,9 +152,10 @@ func (g *ShardGroup) Abort() { g.unwindAll() }
 // are functions of the simulated program, the lookahead and, where noted,
 // the placement — never of timing — so a test can pin them exactly.
 type ShardStats struct {
-	// Windows is the number of windows executed. The window sequence
-	// follows from the global next-event time and the lookahead alone, so
-	// it is the same for every shard count and placement.
+	// Windows is the number of windows executed. The shard holding the
+	// earliest event runs until another shard could reach it, so the count
+	// depends on the placement: from one window for a group of one shard up
+	// to one per lookahead of virtual time in which anything happens.
 	Windows uint64
 	// LoneWindows is the number of windows with exactly one busy shard,
 	// which Run's caller executes with no barrier (BusyShards[1]).
@@ -153,6 +166,11 @@ type ShardStats struct {
 	// Posts is the number of cross-shard deliveries merged at window
 	// boundaries; it depends on the placement.
 	Posts uint64
+	// Extended is the number of windows in which the shard holding the
+	// earliest event fired an event at or past G + lookahead, the bound every
+	// shard stopped at before shards had horizons of their own; it depends on
+	// the placement.
+	Extended uint64
 }
 
 // Stats reports the group's window counts so far. Call it after Run (or
@@ -162,6 +180,7 @@ func (g *ShardGroup) Stats() ShardStats {
 		LoneWindows: g.busyHist[1],
 		BusyShards:  append([]uint64(nil), g.busyHist...),
 		Posts:       g.posts,
+		Extended:    g.extended,
 	}
 	for _, n := range g.busyHist {
 		st.Windows += n
@@ -179,10 +198,16 @@ func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
 // post buffers a cross-shard delivery (Engine.Post's cross-engine arm).
-// Called from the goroutine running shard src's window.
+// Called from the goroutine running shard src's window, it also pulls src's
+// own run limit in to t+lookahead-1: the destination acts on the delivery
+// at t, so nothing it causes reaches src earlier. Only the shard running
+// past the window end (Run's first) has a limit that far out.
 func (g *ShardGroup) post(src, dst int, t Time, pri uint64, act Action) {
 	if t < g.windowEnd {
 		panic(fmt.Sprintf("sim: cross-shard post at %v inside the current window (end %v): lookahead exceeds the actual cross-shard latency", t, g.windowEnd))
+	}
+	if e := g.engines[src]; t <= e.limit-g.lookahead {
+		e.limit = t + g.lookahead - 1
 	}
 	g.outbox[src][dst] = append(g.outbox[src][dst], post{t: t, pri: pri, act: act})
 }
@@ -209,16 +234,17 @@ func (g *ShardGroup) applyInboxes() {
 
 // runShard executes one shard's window on the calling goroutine,
 // capturing a panic (which has already unwound the shard's own processes)
-// into slot for the barrier to handle deterministically.
+// into slot for the barrier to handle deterministically. Unlike RunUntil
+// it leaves the shard's clock at the last event fired: a limit is how far
+// the shard may run, not an instant anything happened at.
 func runShard(e *Engine, limit Time, slot *interface{}) {
 	defer func() {
 		if r := recover(); r != nil {
 			*slot = r
 		}
 	}()
-	if _, err := e.RunUntil(limit); err != nil {
-		*slot = err
-	}
+	e.limit = limit
+	e.drive()
 }
 
 // shardWorkers are the goroutines of one Run that execute the windows of
@@ -228,7 +254,7 @@ func runShard(e *Engine, limit Time, slot *interface{}) {
 // warm stack instead of a goroutine and the stack growth of its first
 // event.
 type shardWorkers struct {
-	// limit[s] hands shard s's worker one window's RunUntil bound; closing
+	// limit[s] hands shard s's worker one window's run limit; closing
 	// it ends the worker. Shard 0, when busy, is the lowest busy shard and
 	// runs on the caller, so limit[0] stays nil.
 	limit []chan Time
@@ -270,12 +296,12 @@ func (ws *shardWorkers) stop() {
 }
 
 // Run executes the group to completion and returns the final virtual time
-// (the maximum over shards) — the parallel counterpart of Engine.Run. If
-// processes remain blocked when every queue drains, Run returns
-// a DeadlockError aggregating the blocked set across shards. On return
-// (or panic) every shard engine is unwound, exactly as Engine.Run
-// guarantees for a single engine, and every goroutine Run started has
-// exited.
+// — the instant of the last event fired on any shard, as Engine.Run
+// reports it for one engine. If processes remain blocked when every queue
+// drains, Run returns a DeadlockError aggregating the blocked set across
+// shards. On return (or panic) every shard engine is unwound, exactly as
+// Engine.Run guarantees for a single engine, and every goroutine Run
+// started has exited.
 func (g *ShardGroup) Run() (Time, error) {
 	if g.deferred {
 		panic("sim: ShardGroup.Run on a deferred group whose lookahead was never tightened (TightenLookahead)")
@@ -291,13 +317,18 @@ func (g *ShardGroup) Run() (Time, error) {
 	}()
 	for {
 		g.applyInboxes()
-		gmin := MaxTime
+		// first holds the earliest pending event, at gmin; gmin2 is the
+		// earliest pending event of the other shards.
+		var first *Engine
+		gmin, gmin2 := MaxTime, MaxTime
 		for _, e := range g.engines {
 			if t := e.nextEventTime(); t < gmin {
-				gmin = t
+				first, gmin, gmin2 = e, t, gmin
+			} else if t < gmin2 {
+				gmin2 = t
 			}
 		}
-		if gmin == MaxTime {
+		if first == nil {
 			break
 		}
 		w := gmin + g.lookahead
@@ -305,6 +336,19 @@ func (g *ShardGroup) Run() (Time, error) {
 			panic(fmt.Sprintf("sim: window end overflows virtual time (G %v, lookahead %v)", gmin, g.lookahead))
 		}
 		g.windowEnd = w
+		// Nothing reaches first before one lookahead past the others'
+		// earliest event (post covers what first itself sets off), so that,
+		// not w, bounds its window.
+		horizon := gmin2 + g.lookahead - 1
+		if horizon < gmin2 {
+			horizon = MaxTime
+		}
+		limit := func(e *Engine) Time {
+			if e == first {
+				return horizon
+			}
+			return w - 1
+		}
 		busy = busy[:0]
 		for _, e := range g.engines {
 			if e.nextEventTime() < w {
@@ -319,13 +363,13 @@ func (g *ShardGroup) Run() (Time, error) {
 				workers = g.startWorkers(panics)
 			}
 			for _, e := range busy[1:] {
-				workers.limit[e.shard] <- w - 1
+				workers.limit[e.shard] <- limit(e)
 			}
 		}
 		// The caller runs the lowest busy shard itself: a lone busy shard
 		// (most windows) needs no barrier at all, and with several it has
 		// one hand-off less to wait for.
-		runShard(busy[0], w-1, &panics[busy[0].shard])
+		runShard(busy[0], limit(busy[0]), &panics[busy[0].shard])
 		for range busy[1:] {
 			<-workers.done
 		}
@@ -338,6 +382,9 @@ func (g *ShardGroup) Run() (Time, error) {
 				g.unwindAll()
 				panic(r)
 			}
+		}
+		if first.now >= w {
+			g.extended++
 		}
 	}
 	now := Time(0)

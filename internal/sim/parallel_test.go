@@ -210,22 +210,30 @@ func TestShardGroupDeadlockAggregates(t *testing.T) {
 }
 
 // TestShardGroupStats pins the window counters of the fan-in + ring
-// workload: one window for the eight sends, one for the fan-in at rank 0,
-// and one per hop of the 33-hop ring. The window count follows from the
-// global next-event time and the lookahead alone, so it is the same at
-// every shard count; the busy-shard histogram and the posts follow the
-// placement.
+// workload under the horizon rule: a shard that holds the earliest event
+// runs until another shard's earliest event plus a lookahead, or until one
+// lookahead after the first delivery it posts across. The eight sends at
+// instant 0 tie, so that window stops every shard at the lookahead; from
+// then on one shard at a time holds the token and runs the fan-in and every
+// ring hop between its own ranks in one window, ending at the hop that
+// leaves the shard. The window count therefore follows the placement, as
+// the busy-shard histogram and the posts do, and every window but the
+// first is Extended.
 func TestShardGroupStats(t *testing.T) {
 	const ranks = 8
 	g2, _ := runParallelGroup(t, ranks, 2, func(r int) int { return r / 4 })
 	// Four of the eight reports cross to shard 0, and the ring crosses the
-	// shard boundary twice a lap (3 -> 4, 7 -> 0) for four laps.
-	want := ShardStats{Windows: 35, LoneWindows: 34, BusyShards: []uint64{0, 34, 1}, Posts: 12}
+	// shard boundary twice a lap (3 -> 4, 7 -> 0) for four laps: the sends,
+	// the fan-in with hops 1-3, and eight windows for hops 4-33, four hops
+	// each.
+	want := ShardStats{Windows: 10, LoneWindows: 9, BusyShards: []uint64{0, 9, 1}, Posts: 12, Extended: 9}
 	if got := g2.Stats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("2 shards: stats %+v, want %+v", got, want)
 	}
+	// Two ranks a shard: six reports cross, every second hop does, and
+	// hops 2-33 take sixteen windows of two.
 	g4, _ := runParallelGroup(t, ranks, 4, func(r int) int { return r / 2 })
-	want = ShardStats{Windows: 35, LoneWindows: 34, BusyShards: []uint64{0, 34, 0, 0, 1}, Posts: 22}
+	want = ShardStats{Windows: 18, LoneWindows: 17, BusyShards: []uint64{0, 17, 0, 0, 1}, Posts: 22, Extended: 17}
 	if got := g4.Stats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("4 shards: stats %+v, want %+v", got, want)
 	}
@@ -324,24 +332,27 @@ func TestHostLifetimeShardGroup(t *testing.T) {
 			g.Abort()
 		}},
 		{"bodies resumed by caller and worker in turn", func(t *testing.T, g *ShardGroup) {
-			// Shard 1's body suspends once per lookahead, shard 0's once
-			// per two: shard 1 runs on its worker in the windows shard 0
-			// shares and on Run's caller in the windows it has alone.
+			// Both bodies suspend once per lookahead, at equal instants, for
+			// shard 0's rounds: a tie gives neither shard a longer horizon,
+			// so every one of those windows has both busy and shard 1's body
+			// is resumed by its worker. It then carries on alone, resumed by
+			// Run's caller, in one window nobody else can reach.
 			const rounds = 8
 			var end [2]Time
 			for s := 0; s < 2; s++ {
 				s := s
 				g.Shard(s).Spawn(fmt.Sprintf("body%d", s), func(p *Proc) {
 					for i := 0; i < rounds*(1+s); i++ {
-						p.Advance(testLat * Time(2-s))
+						p.Advance(testLat)
 					}
 					end[s] = p.Now()
 				})
 			}
-			if _, err := g.Run(); err != nil || end[0] != 2*rounds*testLat || end[1] != 2*rounds*testLat {
-				t.Fatalf("Run: err %v, bodies finished at %v", err, end)
+			now, err := g.Run()
+			if err != nil || end[0] != rounds*testLat || end[1] != 2*rounds*testLat || now != end[1] {
+				t.Fatalf("Run: %v, err %v, bodies finished at %v", now, err, end)
 			}
-			want := ShardStats{Windows: 2*rounds + 1, LoneWindows: rounds, BusyShards: []uint64{0, rounds, rounds + 1}}
+			want := ShardStats{Windows: rounds + 2, LoneWindows: 1, BusyShards: []uint64{0, 1, rounds + 1}, Extended: 1}
 			if got := g.Stats(); !reflect.DeepEqual(got, want) {
 				t.Errorf("stats %+v, want %+v", got, want)
 			}

@@ -162,12 +162,18 @@
 // (internal/mpi places each rank, with its matcher and pools, on one
 // shard), and the group alternates windows of independent shard
 // execution with barriers that merge cross-shard event deliveries. The
-// window bound is classic conservative lookahead: with L a lower bound
-// on the virtual-time latency of every cross-shard interaction (the
+// bounds are conservative lookahead, per shard: with L a lower bound on
+// the virtual-time latency of every cross-shard interaction (the
 // netmodel's minimum link latency, derated by any latency-stretching
-// fault windows), events strictly before G+L are safe to execute once
-// every event before G has been merged, where G is the global minimum
-// pending event time.
+// fault windows) and G the global minimum pending event time, events
+// strictly before G+L are safe to execute on every shard once every
+// event before G has been merged. The shard that holds the event at G
+// need not stop there: nothing another shard does can reach it before
+// G2+L, G2 being the earliest pending event of the other shards, so it
+// runs until then — without bound when the others are idle — except that
+// a delivery it posts across at instant t may be answered at t+L, which
+// pulls its own limit in to t+L-1. A shard waits only for what can reach
+// it, and a group of one shard runs in one window.
 //
 // A window runs the shards that have an event before G+L. The goroutine
 // that called ShardGroup.Run executes the lowest of them itself; each
@@ -175,10 +181,13 @@
 // the length of the Run, parked on a channel between windows, so a window
 // costs one hand-off per extra busy shard and no goroutine creation.
 // Hosted bodies (Proc) do not care which goroutine drives their shard: a
-// body parked in one window by the caller may be resumed in the next by a
-// worker. ShardGroup.Stats counts windows, busy shards per window and
-// merged posts; DESIGN.md ("The window barrier") has the protocol and the
-// measurements behind it.
+// body parked in one window by a worker may be resumed in the next by the
+// caller. A window leaves each shard's clock at the last event it fired,
+// so Run reports the instant of the last event, as Engine.Run does.
+// ShardGroup.Stats counts windows, busy shards per window, merged posts
+// and the windows a shard ran past G+L; the counts follow the placement
+// (the trajectory does not). DESIGN.md ("The window barrier") has the
+// protocol, the safety argument and the measurements behind it.
 //
 // Worker-count invariance — byte-identical trajectories for every shard
 // count and every placement of ranks onto shards — comes from one

@@ -255,12 +255,11 @@ func (ch *Channel) Attach(r *mpi.Rank, opts Options) *Stream {
 		opts:    opts.withDefaults(),
 		elemTag: base,
 		termTag: base + 1,
-		sent:    make(map[int]int64),
+		prodIdx: ch.ProducerIndex(r),
 	}
-	if pi := ch.ProducerIndex(r); pi >= 0 {
-		s.prodIdx = pi
-	} else {
-		s.prodIdx = -1
+	if s.prodIdx >= 0 {
+		s.home = ch.HomeConsumer(s.prodIdx)
+		s.sent = make([]int64, len(ch.consumers))
 	}
 	s.consIdx = ch.ConsumerIndex(r)
 	return s

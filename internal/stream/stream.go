@@ -49,7 +49,7 @@ type batch struct {
 // producer sent to consumer index ci over the stream's lifetime.
 type termMsg struct {
 	src    int
-	sentTo map[int]int64
+	sentTo []int64
 }
 
 // Stream is one directed data flow over a channel. Producer ranks inject
@@ -65,8 +65,9 @@ type Stream struct {
 	consIdx int // -1 on non-consumers
 
 	// Producer state.
-	sent       map[int]int64 // consumer index -> elements sent
-	pending    []Element     // batch under construction
+	home       int       // HomeConsumer(prodIdx)
+	sent       []int64   // elements sent, by consumer index
+	pending    []Element // batch under construction
 	pendingDst int
 	terminated bool
 
@@ -89,7 +90,7 @@ func (s *Stream) Isend(r *mpi.Rank, elem Element) {
 	if s.prodIdx < 0 {
 		panic("stream: Isend called on a non-producer rank")
 	}
-	s.IsendTo(r, elem, s.ch.HomeConsumer(s.prodIdx))
+	s.IsendTo(r, elem, s.home)
 }
 
 // IsendTo injects one element toward an explicit consumer index. Explicit
@@ -105,7 +106,7 @@ func (s *Stream) IsendTo(r *mpi.Rank, elem Element, consumer int) {
 	if consumer < 0 || consumer >= len(s.ch.consumers) {
 		panic(fmt.Sprintf("stream: consumer index %d of %d", consumer, len(s.ch.consumers)))
 	}
-	if s.opts.FixedOrder && consumer != s.ch.HomeConsumer(s.prodIdx) {
+	if s.opts.FixedOrder && consumer != s.home {
 		panic("stream: explicit routing is incompatible with FixedOrder consumption")
 	}
 	if elem.Bytes <= 0 {
@@ -176,13 +177,8 @@ func (s *Stream) Terminate(r *mpi.Rank) {
 	}
 	s.Flush(r)
 	s.terminated = true
-	counts := make(map[int]int64, len(s.sent))
-	for ci, n := range s.sent {
-		counts[ci] = n
-	}
-	home := s.ch.HomeConsumer(s.prodIdx)
-	dst := s.ch.consumers[home]
-	s.ch.parent.IsendAndFree(r, dst, s.termTag, 64, termMsg{src: s.prodIdx, sentTo: counts})
+	// The counts travel as they are: a terminated stream sends nothing more.
+	s.ch.parent.IsendAndFree(r, s.ch.consumers[s.home], s.termTag, 64, termMsg{src: s.prodIdx, sentTo: s.sent})
 }
 
 // Operate runs the consumer loop (paper step 4: MPIStream_Operate):
