@@ -37,9 +37,13 @@ func benchOptions() experiments.Options {
 // logs its rows.
 func runFigure(b *testing.B, name string) {
 	b.Helper()
+	e, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("experiment %q not registered", name)
+	}
 	opts := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Registry[name](opts)
+		rows, err := e.Run(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -60,21 +60,21 @@ type benchEntry struct {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // checkFlags validates what can be validated before any experiment runs,
-// so a sweep is never spent on a request that cannot be answered. names
-// are the selected experiments, all registered; set names the flags given
-// on the command line: the sweep sizes have defaults, and only an explicit
-// value is held to be positive. -cores and -jobs give 0 a meaning of its
-// own, so only a negative one is refused.
-func checkFlags(names []string, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int) error {
+// so a sweep is never spent on a request that cannot be answered. selected
+// are the chosen experiments; set names the flags given on the command
+// line: the sweep sizes have defaults, and only an explicit value is held
+// to be positive. -cores and -jobs give 0 a meaning of its own, so only a
+// negative one is refused.
+func checkFlags(selected []experiments.Experiment, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
 	}
-	seen := make(map[string]bool, len(names))
-	for _, name := range names {
-		if seen[name] {
-			return fmt.Errorf("-experiment: %s is named twice; its rows would be printed twice and its -json entry once", name)
+	seen := make(map[string]bool, len(selected))
+	for _, e := range selected {
+		if seen[e.Name] {
+			return fmt.Errorf("-experiment: %s is named twice; its rows would be printed twice and its -json entry once", e.Name)
 		}
-		seen[name] = true
+		seen[e.Name] = true
 	}
 	for _, f := range []struct {
 		name  string
@@ -87,12 +87,12 @@ func checkFlags(names []string, set map[string]bool, format string, maxProcs, ru
 	if cores < 0 {
 		return fmt.Errorf("-cores: %d is negative, want 0 (classic mode) or a worker count", cores)
 	}
-	for _, name := range names {
-		if cores >= 1 && !experiments.Shardable[name] {
-			return fmt.Errorf("-cores: %w", experiments.CoresError(name))
+	for _, e := range selected {
+		if cores >= 1 && !e.Shardable {
+			return fmt.Errorf("-cores: %w", experiments.CoresError(e.Name))
 		}
-		if set["max-procs"] && maxProcs < experiments.SweepFloor && experiments.WeakScaling[name] {
-			return fmt.Errorf("-max-procs: %d is below %d, where the weak-scaling sweep of %s starts: it would print no rows", maxProcs, experiments.SweepFloor, name)
+		if set["max-procs"] && maxProcs < experiments.SweepFloor && e.WeakScaling {
+			return fmt.Errorf("-max-procs: %d is below %d, where the weak-scaling sweep of %s starts: it would print no rows", maxProcs, experiments.SweepFloor, e.Name)
 		}
 	}
 	if jobs < 0 {
@@ -131,33 +131,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		for _, name := range experiments.Names() {
+			e, _ := experiments.Lookup(name)
 			mark := " "
-			if experiments.Shardable[name] {
+			if e.Shardable {
 				mark = "*" // runs under -cores (conservative parallel mode)
 			}
-			fmt.Fprintf(stdout, "%s %-22s %s\n", mark, name, experiments.Descriptions[name])
+			fmt.Fprintf(stdout, "%s %-22s %s\n", mark, name, e.Description)
 		}
 		fmt.Fprintln(stdout, "\n* supports -cores (conservative parallel mode)")
 		return 0
 	}
 
-	var names []string
-	if *experiment == "all" {
-		names = experiments.Names()
-	} else {
-		for _, name := range strings.Split(*experiment, ",") {
-			if experiments.Registry[name] == nil {
-				fmt.Fprintf(stderr, "unknown experiment %q; available: %s\n",
-					name, strings.Join(experiments.Names(), ", "))
-				return 2
-			}
-			names = append(names, name)
+	names := experiments.Names()
+	if *experiment != "all" {
+		names = strings.Split(*experiment, ",")
+	}
+	var selected []experiments.Experiment
+	for _, name := range names {
+		e, ok := experiments.Lookup(name)
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q; available: %s\n",
+				name, strings.Join(experiments.Names(), ", "))
+			return 2
 		}
+		selected = append(selected, e)
 	}
 
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(names, set, *format, *maxProcs, *runs, *workers, *cores, *jobs); err != nil {
+	if err := checkFlags(selected, set, *format, *maxProcs, *runs, *workers, *cores, *jobs); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -187,8 +189,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var rows []experiments.Row
-	report := make(map[string]benchEntry, len(names))
-	for _, name := range names {
+	report := make(map[string]benchEntry, len(selected))
+	for _, e := range selected {
 		// Collect before each experiment so its ns/op does not absorb the
 		// marking of the previous experiments' garbage (under the relaxed
 		// sweep GC target a cycle can otherwise land mid-experiment and
@@ -197,14 +199,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runtime.GC()
 		ev0 := sim.GlobalEvents()
 		t0 := time.Now()
-		r, err := experiments.Registry[name](opts)
+		r, err := e.Run(opts)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
 			return 1
 		}
 		elapsed := time.Since(t0)
 		events := sim.GlobalEvents() - ev0
-		report[name] = benchEntry{
+		report[e.Name] = benchEntry{
 			NsPerOp:      elapsed.Nanoseconds(),
 			Events:       events,
 			EventsPerSec: float64(events) / elapsed.Seconds(),

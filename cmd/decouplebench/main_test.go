@@ -45,27 +45,6 @@ func TestFaultsEcho(t *testing.T) {
 	}
 }
 
-// TestListRegistrySync: the -list output (Names + Descriptions) covers
-// every registered experiment and nothing else, including the sweeps
-// added after the seed (recovery, resilience, lossy).
-func TestListRegistrySync(t *testing.T) {
-	for _, name := range experiments.Names() {
-		if experiments.Descriptions[name] == "" {
-			t.Errorf("experiment %q has no -list description", name)
-		}
-	}
-	for name := range experiments.Descriptions {
-		if experiments.Registry[name] == nil {
-			t.Errorf("description for unregistered experiment %q", name)
-		}
-	}
-	for _, want := range []string{"recovery", "resilience", "lossy"} {
-		if experiments.Registry[want] == nil {
-			t.Errorf("experiment %q not registered", want)
-		}
-	}
-}
-
 // TestCoresFlagSweep drives the same Options plumbing main builds from
 // the -cores flag through a small sharded fig8 sweep, so the race job
 // exercises the CLI-side path into parallel-mode worlds (sweep workers
@@ -74,7 +53,8 @@ func TestCoresFlagSweep(t *testing.T) {
 	opts := experiments.Options{
 		MaxProcs: 32, Runs: 1, Workers: 2, Cores: 2,
 	}
-	rows, err := experiments.Registry["fig8"](opts)
+	fig8, _ := experiments.Lookup("fig8")
+	rows, err := fig8.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -18,18 +20,30 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the model's predictions to
+// stdout and returns the exit status (2 for flags or parameters it
+// refuses).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("modelcalc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		w0    = flag.Duration("w0", 100*time.Millisecond, "per-process time of the retained operation Op0")
-		w1    = flag.Duration("w1", 50*time.Millisecond, "per-process time of the decoupled operation Op1 (conventional)")
-		sigma = flag.Duration("sigma", 5*time.Millisecond, "expected process-imbalance time")
-		alpha = flag.Float64("alpha", 0.0625, "fraction of processes dedicated to Op1")
-		d     = flag.Int64("d", 1<<30, "total streamed volume D in bytes")
-		s     = flag.Int64("s", 64<<10, "stream element granularity S in bytes")
-		o     = flag.Duration("o", 200*time.Nanosecond, "per-element overhead o")
-		gain  = flag.Float64("gain", 1, "Op1 speedup on the dedicated group (T'W1 = TW1/gain)")
+		w0    = fs.Duration("w0", 100*time.Millisecond, "per-process time of the retained operation Op0")
+		w1    = fs.Duration("w1", 50*time.Millisecond, "per-process time of the decoupled operation Op1 (conventional)")
+		sigma = fs.Duration("sigma", 5*time.Millisecond, "expected process-imbalance time")
+		alpha = fs.Float64("alpha", 0.0625, "fraction of processes dedicated to Op1")
+		d     = fs.Int64("d", 1<<30, "total streamed volume D in bytes")
+		s     = fs.Int64("s", 64<<10, "stream element granularity S in bytes")
+		o     = fs.Duration("o", 200*time.Nanosecond, "per-element overhead o")
+		gain  = fs.Float64("gain", 1, "Op1 speedup on the dedicated group (T'W1 = TW1/gain)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	p := model.Params{
 		TW0:      sim.FromSeconds(w0.Seconds()),
@@ -46,11 +60,11 @@ func main() {
 		}
 	}
 	if err := p.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "Eq. 1 conventional Tc\t%v\n", model.Conventional(p))
 	fmt.Fprintf(tw, "Eq. 2 ideal decoupled Td\t%v\n", model.DecoupledIdeal(p))
 	fmt.Fprintf(tw, "Eq. 3 pipelined Td\t%v\n", model.DecoupledPipelined(p))
@@ -66,5 +80,9 @@ func main() {
 	grains := []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 	bestS, tS := model.OptimalGranularity(p, grains)
 	fmt.Fprintf(tw, "optimal S over 1KiB..16MiB\t%d bytes (Td %v)\n", bestS, tS)
-	tw.Flush()
+	if err := tw.Flush(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }

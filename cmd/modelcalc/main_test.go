@@ -1,0 +1,42 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
+// TestDefaultMatchesGolden holds the default output — the Eq. 1-4 lines,
+// the memory bounds and both optima — to testdata/default.golden, byte for
+// byte.
+func TestDefaultMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/default.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("output differs from testdata/default.golden:\n%s", stdout.String())
+	}
+}
+
+// TestInvalidParamsRefused: parameters the model refuses exit 2 with
+// model.Params.Validate's error and print no prediction.
+func TestInvalidParamsRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-alpha", "1.5"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-alpha 1.5: exit %d, want 2", code)
+	}
+	if want := "model: alpha 1.5 outside (0,1)\n"; stderr.String() != want {
+		t.Errorf("-alpha 1.5: stderr %q, want %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-alpha 1.5: wrote %q to stdout", stdout.String())
+	}
+	if code := run([]string{"-gain", "x"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-gain x: exit %d, want 2", code)
+	}
+}

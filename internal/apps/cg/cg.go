@@ -81,7 +81,8 @@ type Config struct {
 	ScanCostPerRank sim.Time
 	// Cores, when >= 1, runs the solver in the engine's conservative
 	// parallel mode with that many workers. Rows are byte-identical for
-	// any Cores >= 1; Cores == 0 keeps the classic single-engine mode.
+	// any Cores >= 1, one worker included (a one-shard world is the same
+	// trajectory family); Cores == 0 keeps the classic single-engine mode.
 	// CG does no file I/O, so placement is unconstrained: the reference
 	// variants spread all ranks evenly, the decoupled variant spreads
 	// the compute and helper groups each evenly. Incompatible with

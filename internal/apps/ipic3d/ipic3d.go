@@ -59,9 +59,10 @@ type Config struct {
 	// Cores, when >= 1, runs the I/O (RunIO) and particle-communication
 	// (RunCommReference/RunCommDecoupled) experiments in the engine's
 	// conservative parallel mode with that many workers. Rows are
-	// byte-identical for any Cores >= 1; Cores == 0 keeps the classic
+	// byte-identical for any Cores >= 1, one worker included (a one-shard
+	// world is the same trajectory family); Cores == 0 keeps the classic
 	// single-engine mode. The reference I/O variants share one file among
-	// all ranks, which pins every rank to one worker (no speedup, by
+	// all ranks, which pins every rank to one shard (no speedup, by
 	// construction); the decoupled I/O variant spreads the compute group
 	// across workers; the comm experiments touch no files and spread all
 	// groups evenly. Incompatible with Tracer and crash campaigns, like

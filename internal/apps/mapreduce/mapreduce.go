@@ -82,7 +82,8 @@ type Config struct {
 	ImbalanceCoV float64
 	// Cores, when >= 1, runs the job in the engine's conservative
 	// parallel mode with that many workers. Rows are byte-identical for
-	// any Cores >= 1; Cores == 0 keeps the classic single-engine mode.
+	// any Cores >= 1, one worker included (a one-shard world is the same
+	// trajectory family); Cores == 0 keeps the classic single-engine mode.
 	// MapReduce does no file I/O, so placement is unconstrained: the
 	// reference spreads all ranks evenly, the decoupled run spreads the
 	// map and reduce groups each evenly. Incompatible with Tracer, like

@@ -30,7 +30,8 @@
 // sim.ShardGroup and the bank arbitrates stripe time through its
 // window-boundary reservation protocol. That family's trajectory is
 // byte-identical for every Cores >= 1 (the shard count only picks the
-// worker parallelism) but distinct from the classic Cores == 0 family,
+// worker parallelism; Cores == 1 is a group of one shard, like a lone
+// world's -cores 1) but distinct from the classic Cores == 0 family,
 // because reservations ride boundary events. Both families share the
 // purity guarantee above.
 package cluster

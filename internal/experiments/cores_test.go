@@ -75,27 +75,27 @@ func TestCoschedCoresRowsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNonShardableExperimentsRejectCores: every experiment outside the
-// Shardable set must reject -cores with the unified CannotShardError
-// (naming the feature and the flag to drop) instead of silently ignoring
-// it or failing deep inside a run.
+// TestNonShardableExperimentsRejectCores: every experiment not marked
+// Shardable must reject -cores with the unified CannotShardError (naming
+// the feature and the flag to drop) instead of silently ignoring it or
+// failing deep inside a run.
 func TestNonShardableExperimentsRejectCores(t *testing.T) {
-	for name := range Registry {
-		if Shardable[name] {
+	for _, e := range table {
+		if e.Shardable {
 			continue
 		}
-		_, err := Registry[name](Options{MaxProcs: 32, Runs: 1, Workers: 1, Cores: 2})
+		_, err := e.Run(Options{MaxProcs: 32, Runs: 1, Workers: 1, Cores: 2})
 		if err == nil {
-			t.Errorf("%s: no error with Cores=2", name)
+			t.Errorf("%s: no error with Cores=2", e.Name)
 			continue
 		}
 		var cse *mpi.CannotShardError
 		if !errors.As(err, &cse) {
-			t.Errorf("%s: error %v is not a CannotShardError", name, err)
+			t.Errorf("%s: error %v is not a CannotShardError", e.Name, err)
 			continue
 		}
 		if cse.Flag != "-cores" {
-			t.Errorf("%s: CannotShardError names flag %q, want -cores", name, cse.Flag)
+			t.Errorf("%s: CannotShardError names flag %q, want -cores", e.Name, cse.Flag)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/apps/ipic3d"
 	"repro/internal/cluster"
@@ -85,58 +84,14 @@ func coschedJob(i int, seed int64) cluster.Job {
 	}
 }
 
-// coschedBaselines caches each job's single-job (idle-bank) completion
-// time, keyed by (job, stripes, seed). The baseline is policy- and
-// job-count-independent — a single-job bank never paces, whatever the
-// policy — so every configuration of the sweep shares one computation
-// per key instead of re-running it per policy and per job count.
-type coschedBaselines struct {
-	// cores is the cluster's parallel-mode worker count (0 = classic).
-	// One baseline set serves one Cosched invocation, so it is fixed for
-	// every entry; baselines must run in the same trajectory family as
-	// the shared runs they normalize.
-	cores   int
-	mu      sync.Mutex
-	entries map[coschedBaseKey]*coschedBaseEntry
-}
-
+// coschedBaseKey names one single-job (idle-bank) baseline. The baseline
+// is policy- and job-count-independent — a single-job bank never paces,
+// whatever the policy — so every configuration of the sweep shares one
+// computation per key instead of re-running it per policy and per job
+// count.
 type coschedBaseKey struct {
 	job, stripes int
 	seed         int64
-}
-
-type coschedBaseEntry struct {
-	once sync.Once
-	t    float64
-	err  error
-}
-
-func (b *coschedBaselines) get(job, stripes int, seed int64) (float64, error) {
-	key := coschedBaseKey{job, stripes, seed}
-	b.mu.Lock()
-	if b.entries == nil {
-		b.entries = make(map[coschedBaseKey]*coschedBaseEntry)
-	}
-	e := b.entries[key]
-	if e == nil {
-		e = &coschedBaseEntry{}
-		b.entries[key] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() {
-		alone, err := cluster.Run(cluster.Config{
-			Jobs:    []cluster.Job{coschedJob(job, seed)},
-			Stripes: stripes,
-			Seed:    seed,
-			Cores:   b.cores,
-		})
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.t = alone.JobTimes[0].Seconds()
-	})
-	return e.t, e.err
 }
 
 // coschedOutcome is one shared run's derived metrics: per-job slowdowns
@@ -161,14 +116,15 @@ func slowdownRatio(shared, alone float64) float64 {
 	return shared / alone
 }
 
-// coschedRun runs the shared cluster, divides each job's completion time
-// by its cached single-job baseline on an identical bank, and measures
+// coschedRun runs the shared cluster with cores parallel-mode workers (0:
+// classic), divides each job's completion time by its memoized single-job
+// baseline on an identical bank, and measures
 // the hog's tail (how long job 0 outlives the last light job, >= 0).
 // A non-nil fault spec degrades the shared bank's stripes — the
 // campaign's stripe events compiled per seed — while the baselines stay
 // clean, so the slowdown rows then read "co-scheduling plus faults over
 // an idle healthy bank".
-func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, base *coschedBaselines, spec *faults.Spec) (coschedOutcome, error) {
+func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, cores int, base *memo[coschedBaseKey, float64], spec *faults.Spec) (coschedOutcome, error) {
 	cjobs := make([]cluster.Job, jobs)
 	for i := range cjobs {
 		cjobs[i] = coschedJob(i, seed)
@@ -183,13 +139,13 @@ func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, base *cosc
 		}
 		sf = inj.Stripe
 	}
-	shared, err := cluster.Run(cluster.Config{Jobs: cjobs, Policy: policy, Stripes: stripes, Seed: seed, StripeFaults: sf, Cores: base.cores})
+	shared, err := cluster.Run(cluster.Config{Jobs: cjobs, Policy: policy, Stripes: stripes, Seed: seed, StripeFaults: sf, Cores: cores})
 	if err != nil {
 		return coschedOutcome{}, err
 	}
 	out := coschedOutcome{slowdowns: make([]float64, jobs)}
 	for i := range out.slowdowns {
-		alone, err := base.get(i, stripes, seed)
+		alone, err := base.get(coschedBaseKey{i, stripes, seed})
 		if err != nil {
 			return coschedOutcome{}, err
 		}
@@ -210,39 +166,6 @@ func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, base *cosc
 		}
 	}
 	return out, nil
-}
-
-// coschedMemo shares one coschedRun computation per (configuration,
-// seed) between that configuration's jc+2 points — the per-job rows, the
-// fairness row and the hog-tail row all read the same outcome, instead
-// of each re-running the identical cluster and baselines. Safe under the
-// sweep worker pool; results are pure functions of the seed, so which
-// worker fills the memo never matters.
-type coschedMemo struct {
-	compute func(seed int64) (coschedOutcome, error)
-	mu      sync.Mutex
-	entries map[int64]*coschedEntry
-}
-
-type coschedEntry struct {
-	once sync.Once
-	out  coschedOutcome
-	err  error
-}
-
-func (m *coschedMemo) get(seed int64) (coschedOutcome, error) {
-	m.mu.Lock()
-	if m.entries == nil {
-		m.entries = make(map[int64]*coschedEntry)
-	}
-	e := m.entries[seed]
-	if e == nil {
-		e = &coschedEntry{}
-		m.entries[seed] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.out, e.err = m.compute(seed) })
-	return e.out, e.err
 }
 
 // jain is Jain's fairness index over xs: (sum x)^2 / (n * sum x^2),
@@ -292,54 +215,38 @@ func Cosched(opts Options) ([]Row, error) {
 			fspec = &sp
 		}
 	}
-	base := &coschedBaselines{cores: opts.Cores}
+	// The baselines run in the same trajectory family as the shared runs
+	// they normalize.
+	base := newMemo(func(k coschedBaseKey) (float64, error) {
+		alone, err := cluster.Run(cluster.Config{
+			Jobs:    []cluster.Job{coschedJob(k.job, k.seed)},
+			Stripes: k.stripes,
+			Seed:    k.seed,
+			Cores:   opts.Cores,
+		})
+		if err != nil {
+			return 0, err
+		}
+		return alone.JobTimes[0].Seconds(), nil
+	})
 	var points []point
 	for _, jc := range jobCounts {
 		for _, stripes := range []int{1, 4} {
 			for _, pol := range policies {
-				jc, stripes, pol := jc, stripes, pol
-				memo := &coschedMemo{compute: func(seed int64) (coschedOutcome, error) {
-					return coschedRun(jc, stripes, pol, seed, base, fspec)
-				}}
-				for j := 0; j < jc; j++ {
-					j := j
-					points = append(points, point{
-						row: Row{Experiment: "cosched",
-							Series: fmt.Sprintf("%s jobs=%d %s slowdown", pol, jc, coschedJobName(j)),
-							Procs:  jc * coschedPerJobProcs, Param: float64(stripes)},
-						fn: func(seed int64) (float64, error) {
-							out, err := memo.get(seed)
-							if err != nil {
-								return 0, err
-							}
-							return out.slowdowns[j], nil
-						},
-					})
+				out := newMemo(func(seed int64) (coschedOutcome, error) {
+					return coschedRun(jc, stripes, pol, seed, opts.Cores, base, fspec)
+				})
+				row := func(series string) Row {
+					return Row{Experiment: "cosched", Series: fmt.Sprintf("%s jobs=%d %s", pol, jc, series),
+						Procs: jc * coschedPerJobProcs, Param: float64(stripes)}
 				}
-				points = append(points, point{
-					row: Row{Experiment: "cosched",
-						Series: fmt.Sprintf("%s jobs=%d fairness", pol, jc),
-						Procs:  jc * coschedPerJobProcs, Param: float64(stripes)},
-					fn: func(seed int64) (float64, error) {
-						out, err := memo.get(seed)
-						if err != nil {
-							return 0, err
-						}
-						return jain(out.slowdowns), nil
-					},
-				})
-				points = append(points, point{
-					row: Row{Experiment: "cosched",
-						Series: fmt.Sprintf("%s jobs=%d hog-tail", pol, jc),
-						Procs:  jc * coschedPerJobProcs, Param: float64(stripes)},
-					fn: func(seed int64) (float64, error) {
-						out, err := memo.get(seed)
-						if err != nil {
-							return 0, err
-						}
-						return out.hogTail, nil
-					},
-				})
+				for j := 0; j < jc; j++ {
+					points = append(points, point{row: row(coschedJobName(j) + " slowdown"),
+						fn: read(out, func(o coschedOutcome) float64 { return o.slowdowns[j] })})
+				}
+				points = append(points,
+					point{row: row("fairness"), fn: read(out, func(o coschedOutcome) float64 { return jain(o.slowdowns) })},
+					point{row: row("hog-tail"), fn: read(out, func(o coschedOutcome) float64 { return o.hogTail })})
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func TestFiberRowsBitIdentical(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			rows, err := Registry[name](Options{MaxProcs: 32, Runs: 2, Workers: 2})
+			rows, err := runExperiment(t, name, Options{MaxProcs: 32, Runs: 2, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

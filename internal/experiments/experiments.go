@@ -11,7 +11,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"text/tabwriter"
@@ -54,13 +53,14 @@ type Options struct {
 	Workers int
 	// Cores, when >= 1, runs each point's simulation in the engine's
 	// conservative parallel mode with that many workers (rows are
-	// byte-identical for any Cores >= 1; see internal/sim's parallel-mode
-	// contract). Zero keeps the classic single-engine mode. The sharded
-	// experiments are listed in Shardable (the weak-scaling figures and
-	// the co-scheduling contention sweep); the rest — crash recovery,
-	// fault campaigns, lossy fabrics, the ablations and the analytic
-	// model — reject a Cores >= 1 request with mpi.CannotShardError
-	// rather than silently ignoring it.
+	// byte-identical for any Cores >= 1, one worker included; see
+	// internal/sim's parallel-mode contract). Zero keeps the classic
+	// single-engine mode. The experiments that shard are marked
+	// Experiment.Shardable (the weak-scaling figures and the co-scheduling
+	// contention sweep); Experiment.Run refuses a Cores >= 1 request for
+	// the rest — crash recovery, fault campaigns, lossy fabrics, the
+	// ablations and the analytic model — with mpi.CannotShardError rather
+	// than silently ignoring it.
 	Cores int
 	// CoschedJobs restricts the cosched experiment to one concurrent-job
 	// count (0: sweep the built-in set).
@@ -98,19 +98,8 @@ func (o Options) withDefaults() Options {
 
 // SweepFloor is the smallest process count of a weak-scaling sweep (the
 // paper's first point). A sweep capped below it has no points at all, so
-// the CLI refuses such a cap for the experiments in WeakScaling.
+// the CLI refuses such a cap for the experiments marked WeakScaling.
 const SweepFloor = 32
-
-// WeakScaling marks the experiments that sweep the process count from
-// SweepFloor up to Options.MaxProcs. The others run at sizes of their own
-// and at most clamp to MaxProcs.
-var WeakScaling = map[string]bool{
-	"fig5":  true,
-	"fig6":  true,
-	"fig7":  true,
-	"fig8":  true,
-	"model": true,
-}
 
 // sweep returns the paper's process counts up to max: 32, 64, ..., max.
 func sweep(max int) []int {
@@ -201,6 +190,73 @@ func runPoints(opts Options, points []point) ([]Row, error) {
 	return rows, firstErr
 }
 
+// memo computes one value per key, once, however many sweep points ask
+// for it from however many pool workers. A sweep whose rows are several
+// readings of one simulation (per-job slowdowns and fairness of one
+// cluster run, every ratio and the slope of one intensity sweep) puts
+// that simulation behind a memo keyed by seed, instead of re-running it
+// per row. Values are pure functions of the key, so which worker fills an
+// entry never matters.
+type memo[K comparable, V any] struct {
+	compute func(K) (V, error)
+	mu      sync.Mutex
+	entries map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func newMemo[K comparable, V any](compute func(K) (V, error)) *memo[K, V] {
+	return &memo[K, V]{compute: compute, entries: make(map[K]*memoEntry[V])}
+}
+
+func (m *memo[K, V]) get(key K) (V, error) {
+	m.mu.Lock()
+	e := m.entries[key]
+	if e == nil {
+		e = &memoEntry[V]{}
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = m.compute(key) })
+	return e.v, e.err
+}
+
+// read is a derived row's measurement: the value field reads off the
+// memoized outcome at the point's seed.
+func read[V any](m *memo[int64, V], field func(V) float64) func(seed int64) (float64, error) {
+	return func(seed int64) (float64, error) {
+		v, err := m.get(seed)
+		if err != nil {
+			return 0, err
+		}
+		return field(v), nil
+	}
+}
+
+// slope is the least-squares slope of y over xs.
+func slope(xs []float64, y func(x float64) float64) float64 {
+	n := float64(len(xs))
+	var sx, sy float64
+	for _, x := range xs {
+		sx += x
+		sy += y(x)
+	}
+	xbar, ybar := sx/n, sy/n
+	var num, den float64
+	for _, x := range xs {
+		num += (x - xbar) * (y(x) - ybar)
+		den += (x - xbar) * (x - xbar)
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
 // gcPercent reports the GC target used while sweeps run: REPRO_GOGC if
 // set, else 1000. Simulation working sets are bounded by in-flight
 // messages, so a high target mostly stops the collector from re-marking
@@ -259,83 +315,93 @@ func FormatCSV(w io.Writer, rows []Row) error {
 	return nil
 }
 
-// Shardable marks the experiments whose simulations run in the
-// conservative parallel mode when Options.Cores >= 1: the weak-scaling
-// figures (fig5-fig7 spread their rank groups over the workers; fig8's
-// decoupled variant spreads its compute group) and the co-scheduling
-// contention sweep (whose jobs share a window-safe bank across the
-// workers). Every other experiment depends on a classic-only feature —
-// crash campaigns, message faults, tracing, or a single-engine
-// co-scheduling baseline — and rejects Cores >= 1 with
-// mpi.CannotShardError. Keep in sync with Registry.
-var Shardable = map[string]bool{
-	"fig5":    true,
-	"fig6":    true,
-	"fig7":    true,
-	"fig8":    true,
-	"cosched": true,
+// Experiment is one registered sweep, declared once in the table below:
+// everything the CLI, the benchmark harness and the tests need to know
+// about it.
+type Experiment struct {
+	// Name is the -experiment name and the rows' Experiment column.
+	Name string
+	// Description is the one-line summary -list prints.
+	Description string
+	// Shardable marks a sweep whose simulations run in the conservative
+	// parallel mode when Options.Cores >= 1: the weak-scaling figures
+	// (fig5-fig7 spread their rank groups over the workers; fig8's
+	// decoupled variant spreads its compute group) and the co-scheduling
+	// contention sweep (whose jobs share a window-safe bank across the
+	// workers). Every other sweep depends on a classic-only feature —
+	// crash campaigns, message faults, tracing, or a single-engine
+	// co-scheduling baseline — and Run refuses Cores >= 1 for it.
+	Shardable bool
+	// WeakScaling marks a sweep of the process count from SweepFloor up to
+	// Options.MaxProcs. The others run at sizes of their own and at most
+	// clamp to MaxProcs.
+	WeakScaling bool
+
+	run func(Options) ([]Row, error)
+}
+
+// Run runs the sweep. A Cores >= 1 request for a sweep that cannot shard
+// fails with CoresError before anything runs, instead of being silently
+// ignored or panicking deep inside a sweep; this is the one place that
+// refusal is made. The error names the experiment once; callers that
+// report errors under the experiment's name add no second one.
+func (e Experiment) Run(opts Options) ([]Row, error) {
+	if opts.Cores >= 1 && !e.Shardable {
+		return nil, CoresError(e.Name)
+	}
+	return e.run(opts)
 }
 
 // CoresError is the uniform parallel-mode rejection of the non-shardable
-// experiment name. The CLI refuses with it before any sweep starts; the
-// runners in Registry return it to library callers.
+// experiment name. The CLI refuses with it before any sweep starts;
+// Experiment.Run returns it to library callers.
 func CoresError(name string) error {
 	return &mpi.CannotShardError{Feature: "the " + name + " experiment", Flag: "-cores"}
 }
 
-// rejectCores wraps a non-shardable experiment's runner with CoresError,
-// so a Cores request fails loudly up front instead of being silently
-// ignored (or panicking deep inside a sweep). The error names the
-// experiment once; callers that report errors under the experiment's name
-// add no second one.
-func rejectCores(name string, fn func(Options) ([]Row, error)) func(Options) ([]Row, error) {
-	return func(opts Options) ([]Row, error) {
-		if opts.Cores >= 1 {
-			return nil, CoresError(name)
+// table declares every experiment, sorted by name.
+var table = []Experiment{
+	{Name: "ablation-alpha", run: AblationAlpha,
+		Description: "decoupled group fraction (alpha) sweep on MapReduce beyond the paper's three values"},
+	{Name: "ablation-fcfs", run: AblationFCFS,
+		Description: "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)"},
+	{Name: "ablation-granularity", run: AblationGranularity,
+		Description: "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction"},
+	{Name: "cosched", run: Cosched, Shardable: true,
+		Description: "co-scheduled multi-job contention on a shared bank"},
+	{Name: "fig5", run: Fig5, Shardable: true, WeakScaling: true,
+		Description: "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)"},
+	{Name: "fig6", run: Fig6, Shardable: true, WeakScaling: true,
+		Description: "CG weak scaling: blocking and non-blocking halo exchange against the decoupled one (paper Fig. 6)"},
+	{Name: "fig7", run: Fig7, Shardable: true, WeakScaling: true,
+		Description: "iPIC3D particle communication weak scaling: reference against decoupling (paper Fig. 7)"},
+	{Name: "fig8", run: Fig8, Shardable: true, WeakScaling: true,
+		Description: "iPIC3D particle I/O weak scaling: collective and shared-pointer writes against a decoupled I/O group (paper Fig. 8)"},
+	{Name: "lossy", run: Lossy,
+		Description: "fabric loss-rate sweep under the reliable-delivery protocol (ack/timeout/backoff/retransmit)"},
+	{Name: "model", run: ModelValidation, WeakScaling: true,
+		Description: "analytic cost-model validation against simulated makespans"},
+	{Name: "recovery", run: Recovery,
+		Description: "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)"},
+	{Name: "resilience", run: Resilience,
+		Description: "fault-campaign intensity sweep (bursts, outages, stripe derates, link flaps)"},
+}
+
+// Lookup returns the experiment registered under name.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range table {
+		if e.Name == name {
+			return e, true
 		}
-		return fn(opts)
 	}
-}
-
-// Registry maps experiment names to their runners, for the CLI.
-var Registry = map[string]func(Options) ([]Row, error){
-	"fig5":                 Fig5,
-	"fig6":                 Fig6,
-	"fig7":                 Fig7,
-	"fig8":                 Fig8,
-	"ablation-granularity": rejectCores("ablation-granularity", AblationGranularity),
-	"ablation-alpha":       rejectCores("ablation-alpha", AblationAlpha),
-	"ablation-fcfs":        rejectCores("ablation-fcfs", AblationFCFS),
-	"cosched":              Cosched,
-	"model":                rejectCores("model", ModelValidation),
-	"recovery":             rejectCores("recovery", Recovery),
-	"resilience":           rejectCores("resilience", Resilience),
-	"lossy":                rejectCores("lossy", Lossy),
-}
-
-// Descriptions gives every registered experiment a one-line summary,
-// for the CLI's -list output. Keep in sync with Registry.
-var Descriptions = map[string]string{
-	"fig5":                 "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)",
-	"fig6":                 "CG weak scaling: blocking and non-blocking halo exchange against the decoupled one (paper Fig. 6)",
-	"fig7":                 "iPIC3D particle communication weak scaling: reference against decoupling (paper Fig. 7)",
-	"fig8":                 "iPIC3D particle I/O weak scaling: collective and shared-pointer writes against a decoupled I/O group (paper Fig. 8)",
-	"ablation-granularity": "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction",
-	"ablation-alpha":       "decoupled group fraction (alpha) sweep on MapReduce beyond the paper's three values",
-	"ablation-fcfs":        "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)",
-	"cosched":              "co-scheduled multi-job contention on a shared bank",
-	"model":                "analytic cost-model validation against simulated makespans",
-	"recovery":             "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)",
-	"resilience":           "fault-campaign intensity sweep (bursts, outages, stripe derates, link flaps)",
-	"lossy":                "fabric loss-rate sweep under the reliable-delivery protocol (ack/timeout/backoff/retransmit)",
+	return Experiment{}, false
 }
 
 // Names returns the registered experiment names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(Registry))
-	for name := range Registry {
-		out = append(out, name)
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.Name
 	}
-	sort.Strings(out)
 	return out
 }

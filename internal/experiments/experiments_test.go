@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,31 +26,51 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// runExperiment runs the experiment registered under name, as the CLI
+// does.
+func runExperiment(t testing.TB, name string, opts Options) ([]Row, error) {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q not registered", name)
+	}
+	return e.Run(opts)
+}
+
+// TestTable: the table is the only registry, so what is left to check is
+// that every entry is whole and that the names are the sorted, unique set
+// the CLI, the benchmark and testdata/rows_v2.csv know.
+func TestTable(t *testing.T) {
+	want := []string{"ablation-alpha", "ablation-fcfs", "ablation-granularity", "cosched",
+		"fig5", "fig6", "fig7", "fig8", "lossy", "model", "recovery", "resilience"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %q, want %q", got, want)
+	}
+	for _, e := range table {
+		if e.Description == "" || e.run == nil {
+			t.Errorf("experiment %q: description %q, runner set %v", e.Name, e.Description, e.run != nil)
+		}
+	}
+	if _, ok := Lookup("fig9"); ok {
+		t.Error("Lookup found an unregistered experiment")
+	}
+}
+
 // TestWeakScalingSweepsStartAtFloor: the experiments the CLI refuses a
 // -max-procs below SweepFloor for are exactly those such a cap leaves
 // without a point.
 func TestWeakScalingSweepsStartAtFloor(t *testing.T) {
-	for name := range WeakScaling {
-		rows, err := Registry[name](Options{MaxProcs: SweepFloor - 1, Runs: 1, Workers: 1})
+	for _, e := range table {
+		if !e.WeakScaling {
+			continue
+		}
+		rows, err := e.Run(Options{MaxProcs: SweepFloor - 1, Runs: 1, Workers: 1})
 		if err != nil || len(rows) != 0 {
-			t.Errorf("%s capped at %d: %d rows, error %v; want no rows", name, SweepFloor-1, len(rows), err)
+			t.Errorf("%s capped at %d: %d rows, error %v; want no rows", e.Name, SweepFloor-1, len(rows), err)
 		}
 	}
 	if got := sweep(SweepFloor); len(got) != 1 || got[0] != SweepFloor {
 		t.Errorf("sweep(%d) = %v, want its floor alone", SweepFloor, got)
-	}
-}
-
-func TestRegistryComplete(t *testing.T) {
-	for _, name := range []string{"fig5", "fig6", "fig7", "fig8",
-		"ablation-granularity", "ablation-alpha", "ablation-fcfs", "model",
-		"cosched", "recovery", "resilience", "lossy"} {
-		if Registry[name] == nil {
-			t.Errorf("experiment %q not registered", name)
-		}
-	}
-	if len(Names()) != len(Registry) {
-		t.Error("Names() incomplete")
 	}
 }
 

@@ -15,7 +15,6 @@ func Fig5(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	var points []point
 	for _, p := range sweep(opts.MaxProcs) {
-		p := p
 		points = append(points, point{
 			row: Row{Experiment: "fig5", Series: "Reference", Procs: p},
 			fn: func(seed int64) (float64, error) {
@@ -27,7 +26,6 @@ func Fig5(opts Options) ([]Row, error) {
 			},
 		})
 		for _, alpha := range []float64{0.125, 0.0625, 0.03125} {
-			alpha := alpha
 			points = append(points, point{
 				row: Row{Experiment: "fig5",
 					Series: fmt.Sprintf("Decoupling (alpha=%g%%)", alpha*100),
@@ -58,7 +56,6 @@ func Fig6(opts Options) ([]Row, error) {
 	const iterScale = 10.0
 	for _, p := range sweep(opts.MaxProcs) {
 		for _, v := range variants {
-			p, v := p, v
 			points = append(points, point{
 				row: Row{Experiment: "fig6", Series: v.String(), Procs: p},
 				fn: func(seed int64) (float64, error) {
@@ -87,7 +84,6 @@ func Fig7(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	var points []point
 	for _, p := range sweep(opts.MaxProcs) {
-		p := p
 		points = append(points, point{
 			row: Row{Experiment: "fig7", Series: "Reference", Procs: p},
 			fn: func(seed int64) (float64, error) {
@@ -120,7 +116,6 @@ func Fig8(opts Options) ([]Row, error) {
 	variants := []ipic3d.IOVariant{ipic3d.IOCollective, ipic3d.IOShared, ipic3d.IODecoupled}
 	for _, p := range sweep(opts.MaxProcs) {
 		for _, v := range variants {
-			p, v := p, v
 			points = append(points, point{
 				row: Row{Experiment: "fig8", Series: v.String(), Procs: p},
 				fn: func(seed int64) (float64, error) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/apps/ipic3d"
 	"repro/internal/faults"
@@ -71,27 +70,6 @@ func (o lossyOutcome) goodput(rate float64) float64 {
 	return o.messages[rate] / total
 }
 
-// slope is the least-squares slope of inflation over loss rate across
-// the whole sweep (the clean point contributes inflation 1 at rate 0).
-func (o lossyOutcome) slope() float64 {
-	n := float64(len(lossyRates))
-	var sx, sy float64
-	for _, x := range lossyRates {
-		sx += x
-		sy += o.inflation(x)
-	}
-	xbar, ybar := sx/n, sy/n
-	var num, den float64
-	for _, x := range lossyRates {
-		num += (x - xbar) * (o.inflation(x) - ybar)
-		den += (x - xbar) * (x - xbar)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // lossyRun measures one variant under every loss rate at one seed. The
 // sweep runs classic single-engine mode: the reliable protocol's ack and
 // timer machinery is engine-local and RunIO rejects sharded lossy runs.
@@ -124,36 +102,6 @@ func lossyRun(v ipic3d.IOVariant, seed int64) (lossyOutcome, error) {
 	return out, nil
 }
 
-// lossyMemo shares one lossyRun per (variant, seed) between that
-// variant's rows — the per-rate ratios and the slope all read the same
-// sweep. Same shape and safety argument as resilienceMemo.
-type lossyMemo struct {
-	compute func(seed int64) (lossyOutcome, error)
-	mu      sync.Mutex
-	entries map[int64]*lossyEntry
-}
-
-type lossyEntry struct {
-	once sync.Once
-	out  lossyOutcome
-	err  error
-}
-
-func (m *lossyMemo) get(seed int64) (lossyOutcome, error) {
-	m.mu.Lock()
-	if m.entries == nil {
-		m.entries = make(map[int64]*lossyEntry)
-	}
-	e := m.entries[seed]
-	if e == nil {
-		e = &lossyEntry{}
-		m.entries[seed] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.out, e.err = m.compute(seed) })
-	return e.out, e.err
-}
-
 // Lossy regenerates the fabric loss-rate sweep: Fig. 8 variant x drop
 // probability, with makespan-inflation, retransmit-count, goodput and
 // degradation-slope rows. Param carries the loss rate (0 for the slope
@@ -163,57 +111,22 @@ func Lossy(opts Options) ([]Row, error) {
 	variants := []ipic3d.IOVariant{ipic3d.IOCollective, ipic3d.IOShared, ipic3d.IODecoupled}
 	var points []point
 	for _, v := range variants {
-		v := v
-		memo := &lossyMemo{compute: func(seed int64) (lossyOutcome, error) {
+		out := newMemo(func(seed int64) (lossyOutcome, error) {
 			return lossyRun(v, seed)
-		}}
-		for _, rate := range lossyRates[1:] {
-			rate := rate
-			points = append(points, point{
-				row: Row{Experiment: "lossy", Series: fmt.Sprintf("%s inflation", v),
-					Procs: lossyProcs, Param: rate},
-				fn: func(seed int64) (float64, error) {
-					out, err := memo.get(seed)
-					if err != nil {
-						return 0, err
-					}
-					return out.inflation(rate), nil
-				},
-			})
-			points = append(points, point{
-				row: Row{Experiment: "lossy", Series: fmt.Sprintf("%s retransmits", v),
-					Procs: lossyProcs, Param: rate},
-				fn: func(seed int64) (float64, error) {
-					out, err := memo.get(seed)
-					if err != nil {
-						return 0, err
-					}
-					return out.retransmits[rate], nil
-				},
-			})
-			points = append(points, point{
-				row: Row{Experiment: "lossy", Series: fmt.Sprintf("%s goodput", v),
-					Procs: lossyProcs, Param: rate},
-				fn: func(seed int64) (float64, error) {
-					out, err := memo.get(seed)
-					if err != nil {
-						return 0, err
-					}
-					return out.goodput(rate), nil
-				},
-			})
-		}
-		points = append(points, point{
-			row: Row{Experiment: "lossy", Series: fmt.Sprintf("%s degradation-slope", v),
-				Procs: lossyProcs},
-			fn: func(seed int64) (float64, error) {
-				out, err := memo.get(seed)
-				if err != nil {
-					return 0, err
-				}
-				return out.slope(), nil
-			},
 		})
+		row := func(series string, rate float64) Row {
+			return Row{Experiment: "lossy", Series: fmt.Sprintf("%s %s", v, series),
+				Procs: lossyProcs, Param: rate}
+		}
+		for _, rate := range lossyRates[1:] {
+			points = append(points,
+				point{row: row("inflation", rate), fn: read(out, func(o lossyOutcome) float64 { return o.inflation(rate) })},
+				point{row: row("retransmits", rate), fn: read(out, func(o lossyOutcome) float64 { return o.retransmits[rate] })},
+				point{row: row("goodput", rate), fn: read(out, func(o lossyOutcome) float64 { return o.goodput(rate) })})
+		}
+		// The clean point contributes inflation 1 at rate 0.
+		points = append(points, point{row: row("degradation-slope", 0),
+			fn: read(out, func(o lossyOutcome) float64 { return slope(lossyRates, o.inflation) })})
 	}
 	return runPoints(opts, points)
 }

@@ -19,7 +19,7 @@ import (
 // renderRows renders an experiment's rows at reduced scale.
 func renderRows(t *testing.T, name string, opts Options) []byte {
 	t.Helper()
-	rows, err := Registry[name](opts)
+	rows, err := runExperiment(t, name, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/apps/ipic3d"
 	"repro/internal/faults"
@@ -158,35 +157,6 @@ func recoveryRun(v ipic3d.IOVariant, spec faults.Spec, seed int64) (recoveryOutc
 	return out, nil
 }
 
-// recoveryMemo shares one recoveryRun per (variant, seed) between that
-// variant's rows; same shape and safety argument as resilienceMemo.
-type recoveryMemo struct {
-	compute func(seed int64) (recoveryOutcome, error)
-	mu      sync.Mutex
-	entries map[int64]*recoveryEntry
-}
-
-type recoveryEntry struct {
-	once sync.Once
-	out  recoveryOutcome
-	err  error
-}
-
-func (m *recoveryMemo) get(seed int64) (recoveryOutcome, error) {
-	m.mu.Lock()
-	if m.entries == nil {
-		m.entries = make(map[int64]*recoveryEntry)
-	}
-	e := m.entries[seed]
-	if e == nil {
-		e = &recoveryEntry{}
-		m.entries[seed] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.out, e.err = m.compute(seed) })
-	return e.out, e.err
-}
-
 // Recovery regenerates the checkpoint/restart sweep: Fig. 8 variant x
 // checkpoint interval x crash intensity, with effective-makespan,
 // wasted-work, recovery-overhead and crash-inflation rows. Param
@@ -201,53 +171,24 @@ func Recovery(opts Options) ([]Row, error) {
 	variants := []ipic3d.IOVariant{ipic3d.IOCollective, ipic3d.IOShared, ipic3d.IODecoupled}
 	var points []point
 	for _, v := range variants {
-		v := v
-		memo := &recoveryMemo{compute: func(seed int64) (recoveryOutcome, error) {
+		out := newMemo(func(seed int64) (recoveryOutcome, error) {
 			return recoveryRun(v, spec, seed)
-		}}
-		read := func(fn func(recoveryOutcome) float64) func(int64) (float64, error) {
-			return func(seed int64) (float64, error) {
-				out, err := memo.get(seed)
-				if err != nil {
-					return 0, err
-				}
-				return fn(out), nil
-			}
+		})
+		row := func(series string, param float64) Row {
+			return Row{Experiment: "recovery", Series: fmt.Sprintf("%s %s", v, series),
+				Procs: recoveryProcs, Param: param}
 		}
 		for _, k := range recoveryIntervals {
-			k := k
 			points = append(points,
-				point{
-					row: Row{Experiment: "recovery", Series: fmt.Sprintf("%s effective-makespan", v),
-						Procs: recoveryProcs, Param: float64(k)},
-					fn: read(func(o recoveryOutcome) float64 { return o.crashed[k] }),
-				},
-				point{
-					row: Row{Experiment: "recovery", Series: fmt.Sprintf("%s wasted-frac", v),
-						Procs: recoveryProcs, Param: float64(k)},
-					fn: read(func(o recoveryOutcome) float64 { return o.wasted[k] }),
-				},
-				point{
-					row: Row{Experiment: "recovery", Series: fmt.Sprintf("%s recovery-overhead", v),
-						Procs: recoveryProcs, Param: float64(k)},
-					fn: read(func(o recoveryOutcome) float64 { return o.overhead(k) }),
-				})
+				point{row: row("effective-makespan", float64(k)), fn: read(out, func(o recoveryOutcome) float64 { return o.crashed[k] })},
+				point{row: row("wasted-frac", float64(k)), fn: read(out, func(o recoveryOutcome) float64 { return o.wasted[k] })},
+				point{row: row("recovery-overhead", float64(k)), fn: read(out, func(o recoveryOutcome) float64 { return o.overhead(k) })})
 		}
 		for _, x := range recoveryIntensities[1:] {
-			x := x
-			points = append(points, point{
-				row: Row{Experiment: "recovery", Series: fmt.Sprintf("%s crash-inflation", v),
-					Procs: recoveryProcs, Param: x},
-				fn: read(func(o recoveryOutcome) float64 {
-					return slowdownRatio(o.byX[x], o.byX[0])
-				}),
-			})
+			points = append(points, point{row: row("crash-inflation", x),
+				fn: read(out, func(o recoveryOutcome) float64 { return slowdownRatio(o.byX[x], o.byX[0]) })})
 		}
-		points = append(points, point{
-			row: Row{Experiment: "recovery", Series: fmt.Sprintf("%s recovery-overhead-best", v),
-				Procs: recoveryProcs},
-			fn: read(recoveryOutcome.bestOverhead),
-		})
+		points = append(points, point{row: row("recovery-overhead-best", 0), fn: read(out, recoveryOutcome.bestOverhead)})
 	}
 	return runPoints(opts, points)
 }

@@ -44,18 +44,3 @@ func TestRecoverySmokeAndDeterminism(t *testing.T) {
 			d, best["RefColl"], best["RefShared"])
 	}
 }
-
-// TestDescriptionsCoverRegistry keeps the -list help in sync with the
-// experiment registry.
-func TestDescriptionsCoverRegistry(t *testing.T) {
-	for name := range Registry {
-		if Descriptions[name] == "" {
-			t.Errorf("experiment %q has no description", name)
-		}
-	}
-	for name := range Descriptions {
-		if Registry[name] == nil {
-			t.Errorf("description for unregistered experiment %q", name)
-		}
-	}
-}

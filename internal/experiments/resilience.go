@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/apps/ipic3d"
 	"repro/internal/faults"
@@ -58,27 +57,6 @@ func (o resilienceOutcome) tailStretch(x float64) float64 {
 	return slowdownRatio(o.tail[x], o.tail[0])
 }
 
-// slope is the least-squares slope of inflation over intensity across
-// the whole sweep (the clean point contributes inflation 1 at x = 0).
-func (o resilienceOutcome) slope() float64 {
-	n := float64(len(resilienceIntensities))
-	var sx, sy float64
-	for _, x := range resilienceIntensities {
-		sx += x
-		sy += o.inflation(x)
-	}
-	xbar, ybar := sx/n, sy/n
-	var num, den float64
-	for _, x := range resilienceIntensities {
-		num += (x - xbar) * (o.inflation(x) - ybar)
-		den += (x - xbar) * (x - xbar)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // resilienceRun measures one variant under every intensity at one seed.
 // Intensity 0 runs with Faults == nil — the exact fault-free code path —
 // so the baseline is byte-identical to a plain Fig. 8 run.
@@ -110,36 +88,6 @@ func resilienceRun(v ipic3d.IOVariant, spec faults.Spec, seed int64) (resilience
 	return out, nil
 }
 
-// resilienceMemo shares one resilienceRun per (variant, seed) between
-// that variant's rows — the per-intensity ratios and the slope all read
-// the same sweep. Same shape and safety argument as coschedMemo.
-type resilienceMemo struct {
-	compute func(seed int64) (resilienceOutcome, error)
-	mu      sync.Mutex
-	entries map[int64]*resilienceEntry
-}
-
-type resilienceEntry struct {
-	once sync.Once
-	out  resilienceOutcome
-	err  error
-}
-
-func (m *resilienceMemo) get(seed int64) (resilienceOutcome, error) {
-	m.mu.Lock()
-	if m.entries == nil {
-		m.entries = make(map[int64]*resilienceEntry)
-	}
-	e := m.entries[seed]
-	if e == nil {
-		e = &resilienceEntry{}
-		m.entries[seed] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.out, e.err = m.compute(seed) })
-	return e.out, e.err
-}
-
 // Resilience regenerates the fault-campaign intensity sweep: Fig. 8
 // variant x campaign intensity, with makespan-inflation, I/O-tail and
 // degradation-slope rows. Param carries the intensity (0 for the slope
@@ -153,46 +101,21 @@ func Resilience(opts Options) ([]Row, error) {
 	variants := []ipic3d.IOVariant{ipic3d.IOCollective, ipic3d.IOShared, ipic3d.IODecoupled}
 	var points []point
 	for _, v := range variants {
-		v := v
-		memo := &resilienceMemo{compute: func(seed int64) (resilienceOutcome, error) {
+		out := newMemo(func(seed int64) (resilienceOutcome, error) {
 			return resilienceRun(v, spec, seed)
-		}}
-		for _, x := range resilienceIntensities[1:] {
-			x := x
-			points = append(points, point{
-				row: Row{Experiment: "resilience", Series: fmt.Sprintf("%s inflation", v),
-					Procs: resilienceProcs, Param: x},
-				fn: func(seed int64) (float64, error) {
-					out, err := memo.get(seed)
-					if err != nil {
-						return 0, err
-					}
-					return out.inflation(x), nil
-				},
-			})
-			points = append(points, point{
-				row: Row{Experiment: "resilience", Series: fmt.Sprintf("%s io-tail-stretch", v),
-					Procs: resilienceProcs, Param: x},
-				fn: func(seed int64) (float64, error) {
-					out, err := memo.get(seed)
-					if err != nil {
-						return 0, err
-					}
-					return out.tailStretch(x), nil
-				},
-			})
-		}
-		points = append(points, point{
-			row: Row{Experiment: "resilience", Series: fmt.Sprintf("%s degradation-slope", v),
-				Procs: resilienceProcs},
-			fn: func(seed int64) (float64, error) {
-				out, err := memo.get(seed)
-				if err != nil {
-					return 0, err
-				}
-				return out.slope(), nil
-			},
 		})
+		row := func(series string, x float64) Row {
+			return Row{Experiment: "resilience", Series: fmt.Sprintf("%s %s", v, series),
+				Procs: resilienceProcs, Param: x}
+		}
+		for _, x := range resilienceIntensities[1:] {
+			points = append(points,
+				point{row: row("inflation", x), fn: read(out, func(o resilienceOutcome) float64 { return o.inflation(x) })},
+				point{row: row("io-tail-stretch", x), fn: read(out, func(o resilienceOutcome) float64 { return o.tailStretch(x) })})
+		}
+		// The clean point contributes inflation 1 at intensity 0.
+		points = append(points, point{row: row("degradation-slope", 0),
+			fn: read(out, func(o resilienceOutcome) float64 { return slope(resilienceIntensities, o.inflation) })})
 	}
 	return runPoints(opts, points)
 }

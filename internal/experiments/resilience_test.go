@@ -10,7 +10,7 @@ import (
 // bytes (renderRows in poolreuse_test.go returns the bytes alone).
 func runAndRender(t *testing.T, name string, opts Options) ([]Row, []byte) {
 	t.Helper()
-	rows, err := Registry[name](opts)
+	rows, err := runExperiment(t, name, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

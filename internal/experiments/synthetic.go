@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/apps/mapreduce"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
@@ -110,7 +111,7 @@ func RunSyntheticConventional(c SyntheticConfig) (sim.Time, error) {
 		return 0, err
 	}
 	factors := workload.Imbalance(c.Procs, c.ImbalanceCoV, c.Seed+5)
-	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: noiseOrNone(c.Noise), Tracer: c.Tracer})
+	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer})
 	var makespan sim.Time
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
@@ -140,6 +141,14 @@ func RunSyntheticConventional(c SyntheticConfig) (sim.Time, error) {
 // stream elements throughout; consumers apply Op1 to elements first-come-
 // first-served.
 func RunSyntheticDecoupled(c SyntheticConfig) (sim.Time, error) {
+	return runSyntheticStream(c, stream.Options{ElementBytes: c.S, InjectOverhead: c.Overhead}, 1, nil)
+}
+
+// runSyntheticStream is the decoupled model's one body, with the streams
+// attached under so. straggle multiplies the first producer's share of
+// Op0, and onStats, if non-nil, receives every consumer's final
+// statistics. It returns the makespan.
+func runSyntheticStream(c SyntheticConfig, so stream.Options, straggle float64, onStats func(stream.Stats)) (sim.Time, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
@@ -149,7 +158,8 @@ func RunSyntheticDecoupled(c SyntheticConfig) (sim.Time, error) {
 	}
 	producers := c.Procs - consumers
 	factors := workload.Imbalance(producers, c.ImbalanceCoV, c.Seed+5)
-	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: noiseOrNone(c.Noise), Tracer: c.Tracer})
+	factors[0] *= straggle
+	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer})
 	var makespan sim.Time
 	perProducer := c.D / int64(producers)
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
@@ -159,7 +169,7 @@ func RunSyntheticDecoupled(c SyntheticConfig) (sim.Time, error) {
 			role = stream.Consumer
 		}
 		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
-			st := ch.Attach(r, stream.Options{ElementBytes: c.S, InjectOverhead: c.Overhead})
+			st := ch.Attach(r, so)
 			finish := func(_ *sim.Fiber) sim.StepFunc {
 				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
 					if t := r.Now(); t > makespan {
@@ -180,7 +190,12 @@ func RunSyntheticDecoupled(c SyntheticConfig) (sim.Time, error) {
 			rate := c.Op1Rate * c.DecoupledRateGain
 			return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
 				return rr.FComputeLabeled(sim.FromSeconds(float64(e.Bytes)/rate), "op1", then)
-			}, func(stream.Stats) sim.StepFunc { return finish })
+			}, func(stats stream.Stats) sim.StepFunc {
+				if onStats != nil {
+					onStats(stats)
+				}
+				return finish
+			})
 		})
 	})
 	if err == nil {
@@ -209,13 +224,6 @@ func syntheticProducer(r *mpi.Rank, st *stream.Stream, myW0 sim.Time, elements i
 	return loop
 }
 
-func noiseOrNone(n netmodel.Noise) netmodel.Noise {
-	if n == nil {
-		return netmodel.None{}
-	}
-	return n
-}
-
 // AblationGranularity sweeps the stream element size S on the synthetic
 // application, exposing Eq. 4's pipelining-versus-overhead trade-off
 // (design choice 1 in DESIGN.md). Param carries S in bytes.
@@ -225,7 +233,6 @@ func AblationGranularity(opts Options) ([]Row, error) {
 	sizes := []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 	var points []point
 	for _, s := range sizes {
-		s := s
 		points = append(points, point{
 			row: Row{Experiment: "ablation-granularity", Series: "Decoupling",
 				Procs: procs, Param: float64(s)},
@@ -265,13 +272,15 @@ func AblationAlpha(opts Options) ([]Row, error) {
 	}
 	var points []point
 	for _, alpha := range []float64{0.015625, 0.03125, 0.0625, 0.125, 0.25} {
-		alpha := alpha
 		points = append(points, point{
 			row: Row{Experiment: "ablation-alpha", Series: "Decoupling",
 				Procs: procs, Param: alpha * 100},
 			fn: func(seed int64) (float64, error) {
-				c := mapreduceConfigForAblation(procs, seed, alpha)
-				return runMapreduceDecoupled(c)
+				c := mapreduce.DefaultConfig(procs)
+				c.Seed = seed
+				c.Alpha = alpha
+				res, err := mapreduce.RunDecoupled(c)
+				return res.Time.Seconds(), err
 			},
 		})
 	}
@@ -291,7 +300,6 @@ func AblationFCFS(opts Options) ([]Row, error) {
 	procs := 64
 	var points []point
 	for _, fixed := range []bool{false, true} {
-		fixed := fixed
 		series := "FCFS"
 		if fixed {
 			series = "Fixed order"
@@ -300,72 +308,28 @@ func AblationFCFS(opts Options) ([]Row, error) {
 			row: Row{Experiment: "ablation-fcfs", Series: series + " (consumer idle)",
 				Procs: procs},
 			fn: func(seed int64) (float64, error) {
-				wait, err := runSyntheticOrdered(procs, seed, fixed)
-				return wait.Seconds(), err
+				c := DefaultSynthetic(procs)
+				c.Seed = seed
+				c.ImbalanceCoV = 0.3
+				// Slow consumers: processing is comparable to the arrival
+				// rate, so the queueing discipline matters.
+				c.Op1Rate = 0.5e6
+				// The first producer straggles with four times its share.
+				var maxWait sim.Time
+				_, err := runSyntheticStream(c, stream.Options{
+					ElementBytes:   c.S,
+					InjectOverhead: c.Overhead,
+					FixedOrder:     fixed,
+				}, 4, func(stats stream.Stats) {
+					if stats.WaitTime > maxWait {
+						maxWait = stats.WaitTime
+					}
+				})
+				return maxWait.Seconds(), err
 			},
 		})
 	}
 	return runPoints(opts, points)
-}
-
-// runSyntheticOrdered is RunSyntheticDecoupled with selectable consumption
-// order and a deliberate straggler; it returns the maximum consumer idle
-// (wait) time.
-func runSyntheticOrdered(procs int, seed int64, fixedOrder bool) (sim.Time, error) {
-	c := DefaultSynthetic(procs)
-	c.Seed = seed
-	c.ImbalanceCoV = 0.3
-	// Slow consumers: processing is comparable to the arrival rate, so
-	// the queueing discipline matters.
-	c.Op1Rate = 0.5e6
-	consumers := int(float64(c.Procs)*c.Alpha + 0.5)
-	if consumers < 1 {
-		consumers = 1
-	}
-	producers := c.Procs - consumers
-	factors := workload.Imbalance(producers, c.ImbalanceCoV, c.Seed+5)
-	factors[0] *= 4 // the straggler
-	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed})
-	var maxWait sim.Time
-	perProducer := c.D / int64(producers)
-	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
-		world := r.World()
-		role := stream.Producer
-		if r.ID() >= producers {
-			role = stream.Consumer
-		}
-		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
-			st := ch.Attach(r, stream.Options{
-				ElementBytes:   c.S,
-				InjectOverhead: c.Overhead,
-				FixedOrder:     fixedOrder,
-			})
-			finish := func(_ *sim.Fiber) sim.StepFunc {
-				return ch.FFree(r, nil)
-			}
-			if role == stream.Producer {
-				myW0 := sim.Time(float64(c.W0) * factors[r.ID()] * float64(c.Procs) / float64(producers))
-				elements := perProducer / c.S
-				if elements < 1 {
-					elements = 1
-				}
-				return syntheticProducer(r, st, myW0, elements, c.S, finish)
-			}
-			rate := c.Op1Rate * c.DecoupledRateGain
-			return st.FOperate(r, func(rr *mpi.Rank, e stream.Element, src int, then sim.StepFunc) sim.StepFunc {
-				return rr.FComputeLabeled(sim.FromSeconds(float64(e.Bytes)/rate), "op1", then)
-			}, func(stats stream.Stats) sim.StepFunc {
-				if stats.WaitTime > maxWait {
-					maxWait = stats.WaitTime
-				}
-				return finish
-			})
-		})
-	})
-	if err == nil {
-		w.Release()
-	}
-	return maxWait, err
 }
 
 // ModelValidation compares Eq. 1 and Eq. 4 predictions against simulator
@@ -379,7 +343,6 @@ func ModelValidation(opts Options) ([]Row, error) {
 	procs := sweep(max)
 	var points []point
 	for _, p := range procs {
-		p := p
 		points = append(points, point{
 			row: Row{Experiment: "model", Series: "Conventional (measured)", Procs: p},
 			fn: func(seed int64) (float64, error) {

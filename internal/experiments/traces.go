@@ -5,27 +5,12 @@ import (
 	"io"
 
 	"repro/internal/apps/ipic3d"
-	"repro/internal/apps/mapreduce"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// mapreduceConfigForAblation builds the alpha-sweep configuration.
-func mapreduceConfigForAblation(procs int, seed int64, alpha float64) mapreduce.Config {
-	c := mapreduce.DefaultConfig(procs)
-	c.Seed = seed
-	c.Alpha = alpha
-	return c
-}
-
-// runMapreduceDecoupled runs one decoupled MapReduce and returns seconds.
-func runMapreduceDecoupled(c mapreduce.Config) (float64, error) {
-	res, err := mapreduce.RunDecoupled(c)
-	return res.Time.Seconds(), err
-}
 
 // Fig2 renders the paper's Fig. 2: HPCToolkit-style execution traces of
 // the iPIC3D particle communication on seven processes, reference on top
@@ -128,7 +113,7 @@ func runSyntheticNonblocking(c SyntheticConfig, tracer *trace.Recorder) (sim.Tim
 		return 0, err
 	}
 	factors := workload.Imbalance(c.Procs, c.ImbalanceCoV, c.Seed+5)
-	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: noiseOrNone(c.Noise), Tracer: tracer})
+	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: tracer})
 	var makespan sim.Time
 	_, err := w.Run(func(r *mpi.Rank) {
 		world := r.World()

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Part is a per-rank contribution to (or result of) a collective: a byte
 // count for costing plus an optional real payload.
@@ -153,33 +149,6 @@ func (c *Comm) gatherLeave(tag int, st *gatherState) []Part {
 		delete(w.gathers, k)
 	}
 	return st.parts
-}
-
-// Alltoallv sends parts[i] to comm rank i and returns the parts received
-// from every rank (pairwise exchange, P-1 rounds).
-func (c *Comm) Alltoallv(r *Rank, parts []Part) []Part {
-	me := c.RankOf(r)
-	return c.alltoallvOn(r, me, parts, c.nextCollTag(me))
-}
-
-// alltoallvOn runs the exchange on r, which is the rank's own handle or
-// that of a helper process of the rank (Ialltoallv).
-func (c *Comm) alltoallvOn(r *Rank, me int, parts []Part, tag int) []Part {
-	p := len(c.members)
-	if len(parts) != p {
-		panic(fmt.Sprintf("mpi: Alltoallv with %d parts on comm of size %d", len(parts), p))
-	}
-	out := make([]Part, p)
-	out[me] = parts[me]
-	for round := 1; round < p; round++ {
-		dst := (me + round) % p
-		src := (me - round + p) % p
-		sreq := c.Isend(r, dst, tag, parts[dst].Bytes, parts[dst].Data)
-		st := c.Recv(r, src, tag)
-		c.Wait(r, sreq)
-		out[src] = Part{Bytes: st.Bytes, Data: st.Data}
-	}
-	return out
 }
 
 func maxI64(a, b int64) int64 {

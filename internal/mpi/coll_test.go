@@ -173,27 +173,6 @@ func TestAllgathervAllRanksSeeAll(t *testing.T) {
 	}
 }
 
-func TestAlltoallvExchanges(t *testing.T) {
-	for _, p := range commSizes {
-		w := testWorld(t, p)
-		results := make([][]Part, p)
-		mustRun(t, w, func(r *Rank) {
-			parts := make([]Part, p)
-			for dst := 0; dst < p; dst++ {
-				parts[dst] = Part{Bytes: 8, Data: r.ID()*100 + dst}
-			}
-			results[r.ID()] = r.World().Alltoallv(r, parts)
-		})
-		for rank, parts := range results {
-			for src, part := range parts {
-				if part.Data.(int) != src*100+rank {
-					t.Fatalf("p=%d rank %d from %d = %v, want %d", p, rank, src, part.Data, src*100+rank)
-				}
-			}
-		}
-	}
-}
-
 func TestReduceCostChargesTime(t *testing.T) {
 	run := func(cost CostFn) sim.Time {
 		w := testWorld(t, 8)
@@ -283,26 +262,6 @@ func TestIreduceResultAtRoot(t *testing.T) {
 	}
 }
 
-func TestIalltoallvMatchesBlocking(t *testing.T) {
-	w := testWorld(t, 5)
-	results := make([][]Part, 5)
-	mustRun(t, w, func(r *Rank) {
-		parts := make([]Part, 5)
-		for dst := 0; dst < 5; dst++ {
-			parts[dst] = Part{Bytes: 8, Data: r.ID()*10 + dst}
-		}
-		cr := r.World().Ialltoallv(r, parts)
-		results[r.ID()] = r.World().WaitColl(r, cr).([]Part)
-	})
-	for rank, parts := range results {
-		for src, part := range parts {
-			if part.Data.(int) != src*10+rank {
-				t.Fatalf("rank %d from %d = %v", rank, src, part.Data)
-			}
-		}
-	}
-}
-
 func TestIbarrierCompletes(t *testing.T) {
 	w := testWorld(t, 6)
 	mustRun(t, w, func(r *Rank) {
@@ -310,20 +269,6 @@ func TestIbarrierCompletes(t *testing.T) {
 		r.Compute(sim.Millisecond)
 		r.World().WaitColl(r, cr)
 	})
-}
-
-func TestIallreduceAgrees(t *testing.T) {
-	w := testWorld(t, 7) // non-power-of-two path
-	got := make([]int64, 7)
-	mustRun(t, w, func(r *Rank) {
-		cr := r.World().Iallreduce(r, Part{Bytes: 8, Data: int64(r.ID())}, SumInt64, nil)
-		got[r.ID()] = r.World().WaitColl(r, cr).(Part).Data.(int64)
-	})
-	for i, g := range got {
-		if g != 21 {
-			t.Fatalf("rank %d = %d, want 21", i, g)
-		}
-	}
 }
 
 func TestBackToBackCollectivesDoNotCrossTalk(t *testing.T) {

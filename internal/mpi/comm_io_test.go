@@ -185,21 +185,6 @@ func TestWriteAtIndependent(t *testing.T) {
 	}
 }
 
-func TestReadAtConsumesTime(t *testing.T) {
-	w := NewWorld(Config{Procs: 1, Seed: 1})
-	var end sim.Time
-	if _, err := w.Run(func(r *Rank) {
-		f := r.World().Open(r, "in.dat")
-		f.ReadAt(r, 100<<20) // 100 MB at 1 GB/s stripe = 100ms
-		end = r.Now()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if end < 90*sim.Millisecond {
-		t.Fatalf("100MB read took only %v", end)
-	}
-}
-
 func TestOpenReturnsSharedHandle(t *testing.T) {
 	w := NewWorld(Config{Procs: 3, Seed: 1})
 	handles := make([]*File, 3)

@@ -198,44 +198,12 @@ func TestFiberCollectivesMatchProcs(t *testing.T) {
 	runBothWays(t, procs, procBody, fibBody)
 }
 
-// falltoallv is alltoallvOn's pairwise exchange as steps on f: what the
-// hosted helper process of Ialltoallv is compared with.
-func falltoallv(c *Comm, r *Rank, f *sim.Fiber, me int, parts []Part, tag int, then func([]Part) sim.StepFunc) sim.StepFunc {
-	p := len(c.members)
-	out := make([]Part, p)
-	out[me] = parts[me]
-	round := 1
-	var loop sim.StepFunc
-	loop = func(*sim.Fiber) sim.StepFunc {
-		if round >= p {
-			return then(out)
-		}
-		dst, src := (me+round)%p, (me-round+p)%p
-		round++
-		sreq := c.isendOv(r, f, dst, tag, parts[dst].Bytes, parts[dst].Data, r.w.cfg.Net.SendOverhead)
-		return c.fwaitOn(r, f, c.irecvFor(r, src, tag), func(st Status) sim.StepFunc {
-			out[src] = Part{Bytes: st.Bytes, Data: st.Data}
-			return c.fwaitOnStep(r, f, sreq, loop)
-		})
-	}
-	return loop
-}
-
-// TestFiberNonblockingCollectivesMatchProcs starts each of the five
+// TestFiberNonblockingCollectivesMatchProcs starts each of the three
 // nonblocking collectives, computes, and waits for it: WaitColl against
-// FWaitColl. Ibarrier, Iallreduce and Ialltoallv have no public F form, so
-// the step-function body starts their helpers with fstartColl itself,
-// without a host; Ialltoallv's blocking helper is a hosted process of its own and
-// is compared with a plain helper fiber running falltoallv.
+// FWaitColl. Ibarrier has no public F form, so the step-function body
+// starts its helper with fstartColl itself, without a host.
 func TestFiberNonblockingCollectivesMatchProcs(t *testing.T) {
 	const procs = 6
-	allParts := func(me int) []Part {
-		parts := make([]Part, procs)
-		for i := range parts {
-			parts[i] = Part{Bytes: int64(64 * (i + 1)), Data: me*100 + i}
-		}
-		return parts
-	}
 	kinds := []struct {
 		name   string
 		start  func(c *Comm, r *Rank) *CollRequest
@@ -275,36 +243,6 @@ func TestFiberNonblockingCollectivesMatchProcs(t *testing.T) {
 				}
 				return parts
 			}},
-		{"Ialltoallv",
-			func(c *Comm, r *Rank) *CollRequest { return c.Ialltoallv(r, allParts(r.ID())) },
-			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-				return c.fstartColl(r, "ialltoallv", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
-					return falltoallv(c, r, hf, me, allParts(me), tag, func(out []Part) sim.StepFunc {
-						cr.value = out
-						return c.finishColl(r, cr)
-					})
-				}, then)
-			},
-			func(me int) interface{} {
-				parts := make([]Part, procs)
-				for i := range parts {
-					parts[i] = Part{Bytes: int64(64 * (me + 1)), Data: i*100 + me}
-				}
-				return parts
-			}},
-		{"Iallreduce",
-			func(c *Comm, r *Rank) *CollRequest {
-				return c.Iallreduce(r, Part{Bytes: 8, Data: int64(r.ID())}, SumInt64, nil)
-			},
-			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-				return c.fstartColl(r, "iallreduce", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
-					return c.fallreduceOn(r, hf, me, Part{Bytes: 8, Data: int64(r.ID())}, SumInt64, nil, tag, func(res Part) sim.StepFunc {
-						cr.value = res
-						return c.finishColl(r, cr)
-					})
-				}, then)
-			},
-			func(int) interface{} { return Part{Bytes: 8, Data: int64(15)} }},
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {

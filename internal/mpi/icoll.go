@@ -56,7 +56,6 @@ func (c *Comm) finishColl(r *Rank, cr *CollRequest) sim.StepFunc {
 //	Ibarrier   -> nil
 //	Ireduce    -> Part (zero Part on non-root ranks)
 //	Iallgatherv-> []Part
-//	Ialltoallv -> []Part
 func (c *Comm) WaitColl(r *Rank, cr *CollRequest) interface{} {
 	return Await(r, "WaitColl", func(then func(interface{}) sim.StepFunc) sim.StepFunc { return c.FWaitColl(r, cr, then) })
 }
@@ -86,31 +85,5 @@ func (c *Comm) Ireduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn) *
 func (c *Comm) Iallgatherv(r *Rank, part Part) *CollRequest {
 	return Await(r, "Iallgatherv", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
 		return c.FIallgatherv(r, part, then)
-	})
-}
-
-// Ialltoallv starts a nonblocking all-to-all exchange. The result value is
-// []Part. The exchange is blocking code, so its helper is a process with a
-// goroutine of its own, acting for the rank through a handle of its own.
-func (c *Comm) Ialltoallv(r *Rank, parts []Part) *CollRequest {
-	return Await(r, "Ialltoallv", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-		return c.fstartColl(r, "ialltoallv", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
-			return hf.Host(func(p *sim.Proc) {
-				cr.value = c.alltoallvOn(&Rank{w: r.w, rs: r.rs, fib: hf, proc: p}, me, parts, tag)
-				c.finishColl(r, cr)
-			})
-		}, then)
-	})
-}
-
-// Iallreduce starts a nonblocking allreduce. The result value is a Part.
-func (c *Comm) Iallreduce(r *Rank, part Part, op ReduceOp, cost CostFn) *CollRequest {
-	return Await(r, "Iallreduce", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-		return c.fstartColl(r, "iallreduce", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
-			return c.fallreduceOn(r, hf, me, part, op, cost, tag, func(res Part) sim.StepFunc {
-				cr.value = res
-				return c.finishColl(r, cr)
-			})
-		}, then)
 	})
 }

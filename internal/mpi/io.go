@@ -52,15 +52,6 @@ func (f *File) BytesWritten() int64 { return f.bytesWritten }
 // WriteAt writes bytes at an explicit offset: a per-operation latency,
 // then occupancy of one stripe.
 func (f *File) WriteAt(r *Rank, bytes int64) {
-	f.transfer(r, bytes, "WriteAt", "write")
-}
-
-// ReadAt reads bytes from the file, with the same cost shape as WriteAt.
-func (f *File) ReadAt(r *Rank, bytes int64) {
-	f.transfer(r, bytes, "ReadAt", "read")
-}
-
-func (f *File) transfer(r *Rank, bytes int64, call, label string) {
 	if bytes < 0 {
 		panic("mpi: negative I/O size")
 	}
@@ -69,7 +60,7 @@ func (f *File) transfer(r *Rank, bytes int64, call, label string) {
 	}
 	fs := f.w.cfg.FS
 	start := r.Now()
-	r.Block(call, func(next sim.StepFunc) sim.StepFunc {
+	r.Block("WriteAt", func(next sim.StepFunc) sim.StepFunc {
 		f.w.ioBegin(r.rs)
 		return r.fib.Advance(fs.PerOpLatency, func(*sim.Fiber) sim.StepFunc {
 			return f.fReserveEnd(r, fs.WriteTime(bytes), func(end sim.Time) sim.StepFunc {
@@ -79,11 +70,9 @@ func (f *File) transfer(r *Rank, bytes int64, call, label string) {
 	})
 	f.w.ioEnd(r.rs)
 	f.ops++
-	if label == "write" {
-		f.size += bytes
-		f.bytesWritten += bytes
-	}
-	r.trace("io", label, start)
+	f.size += bytes
+	f.bytesWritten += bytes
+	r.trace("io", "write", start)
 }
 
 // WriteShared appends bytes through the shared file pointer. The pointer

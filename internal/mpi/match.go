@@ -1,6 +1,10 @@
 package mpi
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/sim"
+)
 
 // Message-matching index.
 //
@@ -117,7 +121,7 @@ func (q *msgFIFO) first(pl *pools) *message {
 // instants are monotonic in arrival order (self-sends are ready
 // immediately and may sit behind in-flight network messages), so it scans
 // live entries.
-func (q *msgFIFO) firstReady(now simTimeT) *message {
+func (q *msgFIFO) firstReady(now sim.Time) *message {
 	for _, m := range q.items[q.head:] {
 		if !m.consumed && m.readyAt <= now {
 			return m
@@ -487,7 +491,7 @@ func (x *matchIndex) selectorQueue(commID, src, tag int) *msgFIFO {
 // monotonic in arrival order, so only the head needs checking; queued
 // self-sends are always ready but may sit behind in-flight network
 // messages, forcing a scan.
-func (x *matchIndex) firstReadyIn(q *msgFIFO, now simTimeT) *message {
+func (x *matchIndex) firstReadyIn(q *msgFIFO, now sim.Time) *message {
 	if x.selfQueued == 0 {
 		if m := q.first(x.pool); m != nil && m.readyAt <= now {
 			return m
@@ -504,7 +508,7 @@ func (x *matchIndex) firstReadyIn(q *msgFIFO, now simTimeT) *message {
 // else the earliest-arrived in-flight message, which the caller completes
 // at its readiness instant. The message itself stays with the index,
 // which recycles it once no list holds it.
-func (x *matchIndex) takeQueued(commID, src, tag int, now simTimeT) (st Status, readyAt simTimeT, ok bool) {
+func (x *matchIndex) takeQueued(commID, src, tag int, now sim.Time) (st Status, readyAt sim.Time, ok bool) {
 	if x.live == 0 {
 		return st, 0, false
 	}
@@ -574,7 +578,7 @@ func (x *matchIndex) findQueued(commID, src, tag int) *message {
 // earlier-arrived network message is still on the receiver NIC; a
 // receive posted after the Probe takes the same message (takeQueued
 // prefers ready messages with the same scan order).
-func (x *matchIndex) findQueuedReady(commID, src, tag int, now simTimeT) *message {
+func (x *matchIndex) findQueuedReady(commID, src, tag int, now sim.Time) *message {
 	if x.live == 0 {
 		return nil
 	}

@@ -78,7 +78,7 @@ func TestDirectWakeWaitAny(t *testing.T) {
 func TestDirectWakeWaitColl(t *testing.T) {
 	body := func(r *Rank) {
 		c := r.World()
-		cr := c.Iallreduce(r, Part{Bytes: 8, Data: float64(r.ID())}, SumFloat64, nil)
+		cr := c.Iallgatherv(r, Part{Bytes: 8, Data: float64(r.ID())})
 		// Unrelated traffic while the collective is in flight.
 		next := (r.ID() + 1) % r.Size()
 		prev := (r.ID() - 1 + r.Size()) % r.Size()
@@ -86,14 +86,15 @@ func TestDirectWakeWaitColl(t *testing.T) {
 			c.Send(r, next, 5, 4096, nil)
 			c.Recv(r, prev, 5)
 		}
-		v := c.WaitColl(r, cr).(Part)
-		want := float64(r.Size()*(r.Size()-1)) / 2
-		if got := v.Data.(float64); got != want {
-			panic("bad allreduce value")
+		for i, p := range c.WaitColl(r, cr).([]Part) {
+			if p.Data.(float64) != float64(i) {
+				panic("bad allgatherv value")
+			}
 		}
 	}
-	if _, events, _ := runDirectWake(t, 6, body); events != 153 {
-		t.Errorf("direct wake fired %d events, PR 12 recorded 153", events)
+	// Recorded with this body at the last commit that had Iallreduce.
+	if _, events, _ := runDirectWake(t, 6, body); events != 210 {
+		t.Errorf("direct wake fired %d events, want 210", events)
 	}
 }
 

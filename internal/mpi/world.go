@@ -93,7 +93,7 @@ type Config struct {
 	// reliable.go). Nil means a lossless fabric with the protocol
 	// disarmed, byte-identical to a build without it. Message-fault
 	// campaigns are incompatible with tracing and with the sharded
-	// parallel mode (Shards > 1).
+	// parallel mode (Shards >= 1).
 	MsgFaults *netmodel.MsgFaults
 	// AckTimeout is the reliable protocol's base retransmission slack:
 	// attempt n retransmits AckTimeout << n after the expected ack
@@ -133,7 +133,7 @@ type Config struct {
 	// deadlock reports and traces identify the world in multi-world runs.
 	Name string
 
-	// Shards, when > 1, runs the world in the conservative parallel mode:
+	// Shards, when >= 1, runs the world in the conservative parallel mode:
 	// ranks are partitioned across Shards engines (sim.ShardGroup) that
 	// execute lookahead-bounded windows concurrently, with cross-rank
 	// deliveries carrying canonical partition-independent priorities so
@@ -142,8 +142,8 @@ type Config struct {
 	// lookahead is the network's minimum link latency, derated by any
 	// latency-shrinking LinkFaults window. Sharded worlds are incompatible
 	// with a shared Engine or Bank, with tracing and with crash campaigns,
-	// and are never pooled.
-	// 0 or 1 means the classic single-engine mode.
+	// and are never pooled. One shard is the same trajectory family run as
+	// one window; 0 means the classic single-engine mode.
 	Shards int
 	// Place maps a rank to its shard in [0, Shards); nil means contiguous
 	// blocks (rank*Shards/Procs). Trajectories do not depend on the
@@ -211,7 +211,7 @@ func (c Config) lookahead() sim.Time {
 		}
 	}
 	if la <= 0 {
-		panic(fmt.Sprintf("mpi: Shards > 1 needs a positive minimum link latency for lookahead, got %v", la))
+		panic(fmt.Sprintf("mpi: Shards >= 1 needs a positive minimum link latency for lookahead, got %v", la))
 	}
 	return la
 }
@@ -253,7 +253,7 @@ type World struct {
 	// contenders to redistribute entitlement between.
 	signalDemand bool
 
-	// Conservative parallel mode (Config.Shards > 1): the shard group
+	// Conservative parallel mode (Config.Shards >= 1): the shard group
 	// whose engines host the ranks, and one pool set per shard so
 	// concurrently executing shards never share freelists. Both are nil in
 	// classic mode, where every rank's pool pointer aims at the embedded
@@ -664,7 +664,7 @@ func NewWorld(cfg Config) *World {
 			panic("mpi: message-fault campaigns do not support tracing")
 		}
 	}
-	sharded := cfg.Shards > 1 || cfg.Group != nil
+	sharded := cfg.Shards >= 1 || cfg.Group != nil
 	if sharded {
 		// The parallel mode partitions per-rank state across concurrently
 		// executing shard engines; the features below all assume one
@@ -673,10 +673,10 @@ func NewWorld(cfg Config) *World {
 		// misordered — with the one shared rejection type so every layer
 		// reports the conflict the same way.
 		if cfg.Engine != nil {
-			panic("mpi: Shards > 1 with a shared Engine; co-scheduled sharded worlds share a Group instead")
+			panic("mpi: Shards >= 1 with a shared Engine; co-scheduled sharded worlds share a Group instead")
 		}
 		if cfg.Bank != nil && cfg.Group == nil {
-			panic("mpi: Shards > 1 with a shared Bank but no shared Group; attach the bank and the worlds to one sim.ShardGroup")
+			panic("mpi: Shards >= 1 with a shared Bank but no shared Group; attach the bank and the worlds to one sim.ShardGroup")
 		}
 		if cfg.Tracer != nil {
 			panic(cannotShard("tracing", "-cores"))
@@ -892,7 +892,7 @@ func (w *World) checkIOShard(c *Comm) {
 }
 
 // Engine exposes the underlying simulation engine. It is nil for a world
-// in the conservative parallel mode (Config.Shards > 1), which has one
+// in the conservative parallel mode (Config.Shards >= 1), which has one
 // engine per shard rather than one per world.
 func (w *World) Engine() *sim.Engine { return w.eng }
 

@@ -204,6 +204,12 @@
 // run — including deliveries between ranks that happen to share a shard
 // — because placement must not decide which ordering rule applies.
 //
+// A group of one shard is the parallel mode too, run in one window:
+// mpi.Config.Shards >= 1 (decouplebench -cores 1 included) selects the
+// sharded family, and only Shards == 0 is classic. The two families can
+// order same-instant arrivals at a rank differently, so a one-shard world
+// built classic would break worker-count invariance.
+//
 // Classic (unsharded) runs schedule nothing with a non-zero pri, so
 // their (t, seq) trajectories are byte-identical to pre-parallel builds
 // and the feature did NOT bump TrajectoryVersion (still 2). The sharded

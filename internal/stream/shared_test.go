@@ -139,10 +139,11 @@ func runSharedChannels(t *testing.T, shards int, fibers bool) []sharedChannelTra
 // membership under the parallel mode: members on different shards join
 // through the world stash concurrently (CI runs this under -race
 // -count=10), and group indices, delivered elements and finish instants
-// are identical for 2, 3 and 4 shards and for both representations. The
-// classic single-engine world (1 shard) is its own trajectory family: it
-// orders same-instant arrivals at a consumer differently, so it is held to
-// the same record less the consumers' arrival logs.
+// are identical for 1, 2, 3 and 4 shards and for both representations. A
+// lone world of one shard must be the sharded trajectory family: the
+// classic one orders same-instant arrivals at a consumer differently (rank
+// 7 sees "50 from 4" before "40 from 3"). The sweeps show the families
+// part only at scale (fig7 at 2,048 ranks); this program shows it at 12.
 func TestSharedStateCreateChannelAcrossShards(t *testing.T) {
 	ref := runSharedChannels(t, 2, false)
 	for rank, tr := range ref {
@@ -165,12 +166,6 @@ func TestSharedStateCreateChannelAcrossShards(t *testing.T) {
 			got := runSharedChannels(t, shards, fibers)
 			for rank := range ref {
 				g, want := got[rank], ref[rank]
-				if shards == 1 {
-					g.Received, want.Received = nil, nil
-					if len(got[rank].Received) != len(ref[rank].Received) {
-						t.Errorf("shards=1 fibers=%v rank %d received %d elements, want %d", fibers, rank, len(got[rank].Received), len(ref[rank].Received))
-					}
-				}
 				if !reflect.DeepEqual(g, want) {
 					t.Errorf("shards=%d fibers=%v rank %d diverged from the 2-shard goroutine reference:\n  ref %+v\n  got %+v", shards, fibers, rank, want, g)
 				}
