@@ -65,7 +65,7 @@ func coschedScenario(t *testing.T, policy sim.BankPolicy, stripes int) cluster.R
 // per-job completion times recorded from the PR 4 build. The work-conserving policies and their
 // demand plumbing are additive: the demand hooks are pure bookkeeping,
 // so the pre-existing policies must not move by a nanosecond (and
-// TrajectoryVersion stays at 2).
+// TrajectoryVersion stayed at 2).
 func TestCoschedStaticPoliciesByteIdenticalToPR4(t *testing.T) {
 	want := map[sim.BankPolicy]map[int][3]sim.Time{
 		sim.BankFCFS: {

@@ -10,17 +10,17 @@ import (
 // TestFiberRowsBitIdentical is the trajectory pin: every registered
 // experiment — the figures, the ablations, the fault sweeps and the
 // multi-world cosched sweep — rendered at reduced scale must reproduce
-// testdata/rows_v2.csv byte for byte. The file is the output of
+// testdata/rows_v3.csv byte for byte. The file is the output of
 //
 //	decouplebench -experiment all -max-procs 32 -runs 2 -workers 2 -format csv
 //
 // at PR 12, where goroutine rank bodies and fiber rank bodies both
-// produced exactly these bytes; it is TrajectoryVersion 2's checked-in
-// artefact (see the versioning policy in internal/sim/time.go).
-// Regenerate it with that command, and only together with a
-// TrajectoryVersion bump.
+// produced exactly these bytes. TrajectoryVersion 3 moved events without
+// moving a row, so the file is version 2's bytes under version 3's name
+// (see the versioning policy in internal/sim/time.go). Regenerate it with
+// that command, and only together with a TrajectoryVersion bump.
 func TestFiberRowsBitIdentical(t *testing.T) {
-	golden, err := os.ReadFile("testdata/rows_v2.csv")
+	golden, err := os.ReadFile("testdata/rows_v3.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,12 @@ func TestFiberRowsBitIdentical(t *testing.T) {
 			_, got, _ := strings.Cut(buf.String(), "\n")
 			all.WriteString(got)
 			if want := goldenRows(golden, name); got != want {
-				t.Errorf("rows differ from testdata/rows_v2.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
+				t.Errorf("rows differ from testdata/rows_v3.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
 			}
 		})
 	}
 	if all.String() != string(golden) && !t.Failed() {
-		t.Errorf("every experiment's rows match, yet the rendering differs from testdata/rows_v2.csv (preamble or row order)")
+		t.Errorf("every experiment's rows match, yet the rendering differs from testdata/rows_v3.csv (preamble or row order)")
 	}
 }
 

@@ -39,7 +39,7 @@ func runExperiment(t testing.TB, name string, opts Options) ([]Row, error) {
 
 // TestTable: the table is the only registry, so what is left to check is
 // that every entry is whole and that the names are the sorted, unique set
-// the CLI, the benchmark and testdata/rows_v2.csv know.
+// the CLI, the benchmark and testdata/rows_v3.csv know.
 func TestTable(t *testing.T) {
 	want := []string{"ablation-alpha", "ablation-fcfs", "ablation-granularity", "cosched",
 		"fig5", "fig6", "fig7", "fig8", "lossy", "model", "recovery", "resilience"}

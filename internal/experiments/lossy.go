@@ -13,9 +13,8 @@ import (
 // particle-I/O implementations at a fixed scale. Each non-zero rate
 // arms the reliable-delivery protocol (ack, virtual-time timeout,
 // exponential backoff, retransmit) with a uniform per-transmission drop
-// probability and a quarter-rate duplication probability; rate 0 runs
-// with Faults == nil — the exact fault-free code path — so the baseline
-// is byte-identical to a plain Fig. 8 run. It reports, per variant:
+// probability and a quarter-rate duplication probability; rate 0 is the
+// clean run the resilience sweep divides by too. It reports, per variant:
 //
 //   - one "inflation" row per non-zero rate whose Seconds column carries
 //     makespan(rate) / makespan(clean) — how much the retransmission
@@ -38,9 +37,9 @@ import (
 // The verdict-stream seeds fold the run seed (sim.Mix64), so repetitions
 // see different loss placements while everything stays replayable.
 
-// lossyProcs is the sweep's fixed world size (matching the resilience
-// sweep, for comparable rows).
-const lossyProcs = 64
+// lossyProcs is the sweep's fixed world size: the resilience sweep's, for
+// comparable rows and one shared clean run.
+const lossyProcs = resilienceProcs
 
 // lossyRates are the per-transmission drop probabilities swept per
 // variant. Rate 0 is the clean baseline every ratio divides by. The top
@@ -80,18 +79,16 @@ func lossyRun(v ipic3d.IOVariant, seed int64) (lossyOutcome, error) {
 		messages:    make(map[float64]float64, len(lossyRates)),
 	}
 	for _, rate := range lossyRates {
-		c := ipic3d.DefaultConfig(lossyProcs)
-		c.Seed = seed
+		var inj *faults.Injection
 		if rate > 0 {
-			mf := &netmodel.MsgFaults{
+			inj = &faults.Injection{Msg: &netmodel.MsgFaults{
 				DropSeed: sim.Mix64(0x1055, seed),
 				DropRate: rate,
 				DupSeed:  sim.Mix64(0xd0b1e, seed),
 				DupRate:  rate / 4,
-			}
-			c.Faults = &faults.Injection{Msg: mf}
+			}}
 		}
-		res, err := ipic3d.RunIO(c, v)
+		res, err := fig8Faulted(v, seed, inj)
 		if err != nil {
 			return lossyOutcome{}, err
 		}

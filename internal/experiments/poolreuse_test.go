@@ -54,7 +54,7 @@ func TestWorldPoolReuseAcrossExperiments(t *testing.T) {
 // in everything it adopts from them — engine, bank width, policy, job
 // count and its own job index, a degraded bank — so the last rendering,
 // after churn through all of those, is held to the cosched rows of
-// testdata/rows_v2.csv, which were recorded when every shared-engine world
+// testdata/rows_v3.csv, which were recorded when every shared-engine world
 // was built fresh.
 func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
 	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, CoschedJobs: 2, CoschedPolicy: "fair"}
@@ -72,13 +72,13 @@ func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
 
 	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 2, CoschedJobs: 3, CoschedPolicy: "priority-wc", FaultSpec: "default"})
 	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 1, CoschedJobs: 1, CoschedPolicy: "fcfs"})
-	golden, err := os.ReadFile("testdata/rows_v2.csv")
+	golden, err := os.ReadFile("testdata/rows_v3.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, got, _ := strings.Cut(string(renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 2, Workers: 2})), "\n")
 	if want := goldenRows(golden, "cosched"); got != want {
-		t.Errorf("cosched rows from recycled worlds differ from testdata/rows_v2.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
+		t.Errorf("cosched rows from recycled worlds differ from testdata/rows_v3.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
 	}
 }
 

@@ -36,6 +36,35 @@ import (
 // settings; the contended resource is the striped bank, not scale.
 const resilienceProcs = 64
 
+// cleanKey names one fault-free Fig. 8 run at the fault sweeps' scale.
+type cleanKey struct {
+	v    ipic3d.IOVariant
+	seed int64
+}
+
+// clean is the fault-free Fig. 8 run at resilienceProcs ranks, simulated
+// once per (variant, seed) however many sweeps divide by it: it is both
+// resilience's intensity-0 baseline and lossy's rate-0 one. It runs with
+// Faults == nil — the exact fault-free code path — so the baseline is
+// byte-identical to a plain Fig. 8 run.
+var clean = newMemo(func(k cleanKey) (ipic3d.Result, error) {
+	c := ipic3d.DefaultConfig(resilienceProcs)
+	c.Seed = k.seed
+	return ipic3d.RunIO(c, k.v)
+})
+
+// fig8Faulted runs one Fig. 8 variant at resilienceProcs ranks under inj,
+// or reads the clean run for a nil inj.
+func fig8Faulted(v ipic3d.IOVariant, seed int64, inj *faults.Injection) (ipic3d.Result, error) {
+	if inj == nil {
+		return clean.get(cleanKey{v, seed})
+	}
+	c := ipic3d.DefaultConfig(resilienceProcs)
+	c.Seed = seed
+	c.Faults = inj
+	return ipic3d.RunIO(c, v)
+}
+
 // resilienceIntensities are the campaign scale factors swept per
 // variant. Intensity 0 is the clean baseline every ratio divides by.
 var resilienceIntensities = []float64{0, 1, 2, 4}
@@ -58,8 +87,7 @@ func (o resilienceOutcome) tailStretch(x float64) float64 {
 }
 
 // resilienceRun measures one variant under every intensity at one seed.
-// Intensity 0 runs with Faults == nil — the exact fault-free code path —
-// so the baseline is byte-identical to a plain Fig. 8 run.
+// Intensity 0 is the clean run.
 func resilienceRun(v ipic3d.IOVariant, spec faults.Spec, seed int64) (resilienceOutcome, error) {
 	stripes := netmodel.LustreLike().Stripes
 	out := resilienceOutcome{
@@ -67,18 +95,17 @@ func resilienceRun(v ipic3d.IOVariant, spec faults.Spec, seed int64) (resilience
 		tail:     make(map[float64]float64, len(resilienceIntensities)),
 	}
 	for _, x := range resilienceIntensities {
-		c := ipic3d.DefaultConfig(resilienceProcs)
-		c.Seed = seed
+		var inj *faults.Injection
 		if x > 0 {
 			sp := spec.Scale(x)
 			sp.Seed = sim.Mix64(spec.Seed, seed)
-			inj, err := sp.Plan(c.Procs, stripes).Compile(c.Procs, stripes)
+			compiled, err := sp.Plan(resilienceProcs, stripes).Compile(resilienceProcs, stripes)
 			if err != nil {
 				return resilienceOutcome{}, err
 			}
-			c.Faults = &inj
+			inj = &compiled
 		}
-		res, err := ipic3d.RunIO(c, v)
+		res, err := fig8Faulted(v, seed, inj)
 		if err != nil {
 			return resilienceOutcome{}, err
 		}

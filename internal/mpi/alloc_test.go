@@ -17,13 +17,15 @@ const allocTrials = 5
 // another P's scheduler lands in the difference, which is how a
 // zero-alloc path used to read 0.01 allocs/round in one run of three. So
 // the measurement pins one P and takes the minimum over allocTrials runs
-// of f. Such noise only ever adds, and f is deterministic, so the minimum
-// is f's own count.
-func heapDuring(f func()) (mallocs, bytes uint64) {
+// of f, each right after an unmeasured call of prep. Such noise only ever
+// adds, and f after prep is deterministic, so the minimum is its own
+// count.
+func heapDuring(prep, f func()) (mallocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	for trial := 0; trial < allocTrials; trial++ {
+		prep()
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
@@ -43,16 +45,24 @@ func heapDuring(f func()) (mallocs, bytes uint64) {
 // run lengths: fixed set-up costs (world construction, goroutine spawning,
 // lazily-built wait-state pools) cancel, leaving only the per-round cost.
 // run must build, run and Release a world performing `rounds` rounds.
+//
+// A run reuses the world the run before it released, so what it allocates
+// can depend on that run: when a world's matching index dropped the
+// messages a run left in its lists instead of recycling them, the stream
+// element guard's run cost 246 objects after a 600-round run and 202
+// after a 200-round one, whatever its own length. So every measured run of
+// either length follows an unmeasured long run, which also warms every
+// pool past the long run's high-water mark. When only some trials followed
+// a run of the other length, a minimum that fell on one of them made that
+// guard fail about once in 40 runs.
 func heapPerRound(t *testing.T, short, long int, run func(rounds int)) (mallocs, bytes float64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation guards are meaningless under the race detector")
 	}
-	// Warm every pool past the long run's high-water mark.
-	run(long)
-	run(long)
-	mShort, bShort := heapDuring(func() { run(short) })
-	mLong, bLong := heapDuring(func() { run(long) })
+	prep := func() { run(long) }
+	mShort, bShort := heapDuring(prep, func() { run(short) })
+	mLong, bLong := heapDuring(prep, func() { run(long) })
 	per := func(s, l uint64) float64 {
 		if l < s {
 			return 0

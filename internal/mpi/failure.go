@@ -167,7 +167,7 @@ func (w *World) killRank(target int, restart sim.Time) {
 			req.timed = false
 			req.status = Status{Err: w.failure}
 			if req.waiter != nil {
-				e.WakeAt(now, req.waiter)
+				e.WakeAt(now, req.waiter.f)
 			} else if req.anyw != nil {
 				req.anyw.WakeAt(now)
 				req.anyw = nil

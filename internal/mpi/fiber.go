@@ -9,11 +9,11 @@
 // same events at the same instants and reports the same spans to a Tracer
 // (asserted by the runBothWays tests in fiber_test.go).
 //
-// A wait that cannot complete stores the fiber on the request (the
-// Request.waiter slot delivery wakes) and returns, unwinding to the engine
-// loop. Delivery then resumes the fiber with a plain function call — no
-// goroutine switch anywhere on a message path between step-function
-// bodies.
+// A wait that cannot complete stores itself on the request (the
+// Request.waiter slot delivery resumes) and returns, unwinding to the
+// engine loop. Delivery then resumes the fiber with a plain function call,
+// once, at the instant the wait settles to — no goroutine switch anywhere
+// on a message path between step-function bodies.
 package mpi
 
 import "repro/internal/sim"
@@ -75,9 +75,9 @@ func (s *fwait) checkStep(_ *sim.Fiber) sim.StepFunc {
 	req := s.req
 	req.checkLive()
 	if !req.done && !req.timed {
-		// The park registers this fiber on the request, so delivery
-		// wakes exactly this fiber at exactly the right instant.
-		req.waiter = s.f
+		// The park registers this wait on the request, so delivery
+		// resumes exactly this fiber at exactly the right instant.
+		req.waiter = s
 		return s.f.ParkKeepingDebt("mpi wait", s.wake)
 	}
 	e := s.r.rs.eng
@@ -109,6 +109,24 @@ func (s *fwait) checkStep(_ *sim.Fiber) sim.StepFunc {
 func (s *fwait) wakeStep(_ *sim.Fiber) sim.StepFunc {
 	s.req.waiter = nil
 	return s.check
+}
+
+// resumeAt is delivery binding a message that becomes ready at the
+// future instant ready to the parked wait's request. What checkStep would
+// compute on a wake at ready is already known — the request completes
+// cleanly at ready, so the wait settles at max(ready, floor) plus the
+// receive overhead — so the fiber resumes once, at that instant, straight
+// into the settle step. The failure sweeps and completions at the current
+// instant still wake it into checkStep.
+func (s *fwait) resumeAt(ready sim.Time) {
+	req := s.req
+	req.waiter = nil
+	target := sim.Max(ready, s.floor)
+	if req.isRecv && !req.ovCharged {
+		req.ovCharged = true
+		target += s.ov
+	}
+	s.f.ResumeAt(target, s.settle)
 }
 
 // settleStep finishes the wait: recycle the state and the consumed
@@ -363,11 +381,12 @@ func (c *Comm) FWaitAny(r *Rank, reqs []*Request, then func(int, Status) sim.Ste
 	return s.f.FlushDebt(s.loop)
 }
 
-// fcoll is the pooled state of one fiber barrier, broadcast, reduce or
-// allreduce: the closure environment of the collective's rounds hoisted
-// into a struct, as fwait is for a wait, so a collective allocates nothing
-// per round and nothing per call once the pool is warm, whatever the
-// communicator size. One round is in flight at a time, so one set of
+// fcoll is the pooled state of one fiber barrier, broadcast, reduce,
+// allreduce or allgatherv: the closure environment of the collective's
+// rounds hoisted into a struct, as fwait is for a wait, so a collective
+// allocates nothing per round and nothing per call once the pool is warm,
+// whatever the communicator size (an allgatherv's one shared result
+// aside). One round is in flight at a time, so one set of
 // round fields serves every round. The struct returns to the rank's pool
 // just before the caller's continuation runs.
 type fcoll struct {
@@ -379,24 +398,26 @@ type fcoll struct {
 	tag int
 
 	root, vr int    // tree collectives: the root, and me relative to it
-	mask     int    // dissemination distance, tree mask or doubling mask
+	mask     int    // dissemination distance, tree mask, doubling mask or ring round
 	peer     int    // allreduce: this round's partner
 	acc      Part   // the running reduction, or the part being broadcast
-	got      Status // reduce, allreduce: what this round received
+	got      Status // reduce, allreduce, allgatherv: what this round received
 	op       ReduceOp
 	cost     CostFn
-	// Both requests of a round are posted before either is waited on:
-	// sreq is the allreduce's send, waited on after its receive; rreq is
-	// the barrier's receive, waited on after its send.
-	sreq, rreq *Request
+	// sreq is the allreduce's and the allgatherv's send, posted with its
+	// round's receive and waited on after it.
+	sreq *Request
+	// gather is the allgatherv's shared result.
+	gather *gatherState
 	// bcastAfter marks the allreduce of a non-power-of-two communicator: a
 	// reduce to rank 0 whose result is then broadcast on the same tag.
 	bcastAfter bool
 
 	// The caller's continuation: exactly one is set.
-	thenStep sim.StepFunc                  // barrier
-	thenPart func(Part) sim.StepFunc       // bcast, allreduce
-	thenRoot func(Part, bool) sim.StepFunc // reduce
+	thenStep  sim.StepFunc                  // barrier
+	thenPart  func(Part) sim.StepFunc       // bcast, allreduce
+	thenRoot  func(Part, bool) sim.StepFunc // reduce
+	thenParts func([]Part) sim.StepFunc     // allgatherv
 
 	steps fcollSteps
 }
@@ -404,13 +425,15 @@ type fcoll struct {
 // fcollSteps holds an fcoll's bound-method values, created once per struct
 // lifetime.
 type fcollSteps struct {
-	barRound, barSent        sim.StepFunc
+	barRound                 sim.StepFunc
 	bcSend                   sim.StepFunc
 	bcRecvd                  func(Status) sim.StepFunc
 	rdRound, rdSent, rdApply sim.StepFunc
 	rdRecvd                  func(Status) sim.StepFunc
 	arRound, arSent, arApply sim.StepFunc
 	arRecvd                  func(Status) sim.StepFunc
+	agRound, agSent          sim.StepFunc
+	agRecvd                  func(Status) sim.StepFunc
 }
 
 // newFcoll readies a pooled (or fresh) collective state for a call by
@@ -424,10 +447,11 @@ func (c *Comm) newFcoll(r *Rank, f *sim.Fiber, me, tag int) *fcoll {
 	} else {
 		s = &fcoll{}
 		s.steps = fcollSteps{
-			barRound: s.barRound, barSent: s.barSent,
-			bcSend: s.bcSend, bcRecvd: s.bcRecvd,
+			barRound: s.barRound,
+			bcSend:   s.bcSend, bcRecvd: s.bcRecvd,
 			rdRound: s.rdRound, rdSent: s.rdSent, rdApply: s.rdApply, rdRecvd: s.rdRecvd,
 			arRound: s.arRound, arSent: s.arSent, arApply: s.arApply, arRecvd: s.arRecvd,
+			agRound: s.agRound, agSent: s.agSent, agRecvd: s.agRecvd,
 		}
 	}
 	s.c, s.r, s.f, s.me, s.p, s.tag = c, r, f, me, len(c.members), tag
@@ -470,12 +494,21 @@ func (s *fcoll) barRound(_ *sim.Fiber) sim.StepFunc {
 	src := (s.me - s.mask + s.p) % s.p
 	s.mask <<= 1
 	sreq := s.send(dst)
-	s.rreq = s.c.irecvFor(s.r, src, s.tag)
-	return s.c.fwaitOnStep(s.r, s.f, sreq, s.steps.barSent)
-}
-
-func (s *fcoll) barSent(_ *sim.Fiber) sim.StepFunc {
-	return s.c.fwaitOnStep(s.r, s.f, s.rreq, s.steps.barRound)
+	rreq := s.c.irecvFor(s.r, src, s.tag)
+	// The send completes at an instant known at issue, which is all its
+	// wait would settle to: it becomes the floor of the receive's wait
+	// instead of a suspension of its own, and keeps its span. On a revoked
+	// world both requests fail at once, and the receive's wait surfaces
+	// the failure at the instant the send's would have.
+	start := s.r.rs.eng.Now() + s.f.Debt()
+	sent := sim.Max(start, sreq.doneAt)
+	if s.f == s.r.rs.fib {
+		s.r.traceWaitUntil("wait", start, sent)
+	}
+	s.r.rs.pool.freeRequest(sreq)
+	ws := s.c.w.newFwait(s.r, s.f, rreq, nil, s.steps.barRound)
+	ws.floor = sent
+	return ws.check
 }
 
 // FBcast is Bcast in continuation form: binomial tree, result delivered
@@ -667,46 +700,46 @@ func (c *Comm) fallgathervOn(r *Rank, f *sim.Fiber, me int, part Part, tag int, 
 	if p == 1 {
 		return then([]Part{part})
 	}
-	st := c.gatherEnter(me, tag, part)
-	ov := r.w.cfg.Net.SendOverhead
-	doubling := p&(p-1) == 0
-	// Recursive doubling exchanges with me^mask and accumulates the byte
-	// count; the ring sends right, receives from the left for P-1 steps
-	// and forwards the neighbour's latest part. One round is in flight at
-	// a time, so the continuations are built once per call.
-	dst, src := (me+1)%p, (me-1+p)%p
-	have := part.Bytes
-	mask, step := 1, 0
-	var sreq *Request
-	var got int64
-	var round sim.StepFunc
-	onSent := func(Status) sim.StepFunc {
-		if doubling {
-			have += got
-			mask <<= 1
-		} else {
-			have = got
-			step++
-		}
-		return round
+	s := c.newFcoll(r, f, me, tag)
+	s.gather = c.gatherEnter(me, tag, part)
+	s.acc = Part{Bytes: part.Bytes} // the parts travel through s.gather
+	s.thenParts = then
+	return s.steps.agRound
+}
+
+// agRound is one allgatherv round. Recursive doubling exchanges with
+// me^mask and accumulates the byte count; the ring sends right, receives
+// from the left and forwards the neighbour's latest part, counting its
+// P-1 rounds in mask.
+func (s *fcoll) agRound(_ *sim.Fiber) sim.StepFunc {
+	if s.mask >= s.p {
+		then, res := s.thenParts, s.c.gatherLeave(s.tag, s.gather)
+		s.release()
+		return then(res)
 	}
-	onRecv := func(rst Status) sim.StepFunc {
-		got = rst.Bytes
-		return c.fwaitOn(r, f, sreq, onSent)
+	dst, src := (s.me+1)%s.p, (s.me-1+s.p)%s.p
+	if s.p&(s.p-1) == 0 {
+		dst, src = s.me^s.mask, s.me^s.mask
 	}
-	round = func(_ *sim.Fiber) sim.StepFunc {
-		if doubling {
-			if mask >= p {
-				return then(c.gatherLeave(tag, st))
-			}
-			dst, src = me^mask, me^mask
-		} else if step >= p-1 {
-			return then(c.gatherLeave(tag, st))
-		}
-		sreq = c.isendOv(r, f, dst, tag, have, nil, ov)
-		return c.fwaitOn(r, f, c.irecvFor(r, src, tag), onRecv)
+	s.sreq = s.send(dst)
+	return s.c.fwaitOn(s.r, s.f, s.c.irecvFor(s.r, src, s.tag), s.steps.agRecvd)
+}
+
+func (s *fcoll) agRecvd(st Status) sim.StepFunc {
+	s.got = st
+	return s.c.fwaitOnStep(s.r, s.f, s.sreq, s.steps.agSent)
+}
+
+func (s *fcoll) agSent(_ *sim.Fiber) sim.StepFunc {
+	if s.p&(s.p-1) == 0 {
+		s.acc.Bytes += s.got.Bytes
+		s.mask <<= 1
+	} else {
+		s.acc.Bytes = s.got.Bytes
+		s.mask++
 	}
-	return round
+	s.got = Status{}
+	return s.steps.agRound
 }
 
 // FSplit is Split in continuation form: the rendezvous costs a barrier on

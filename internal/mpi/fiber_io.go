@@ -74,6 +74,70 @@ func (f *File) fReserveEnd(r *Rank, dur sim.Time, then func(end sim.Time) sim.St
 	})
 }
 
+// fwrite is the pooled state of one shared-pointer or collective write:
+// the closure environment of its steps hoisted into a struct, as fcoll is
+// for a collective, so a write builds no continuation per call. Its steps
+// are bound once per struct lifetime, and it returns to the rank's pool
+// just before the caller's continuation runs.
+type fwrite struct {
+	f     *File
+	r     *Rank
+	bytes int64
+	then  sim.StepFunc // the caller's continuation, traced if a tracer is set
+
+	// FWriteAll: the allgathered sizes; a non-aggregator's one send, or an
+	// aggregator's receives with the index of the next to wait on and the
+	// running total it writes.
+	sizes []Part
+	reqs  []*Request
+	next  int
+	total int64
+
+	steps fwriteSteps
+}
+
+// fwriteSteps holds an fwrite's bound-method values.
+type fwriteSteps struct {
+	done                         sim.StepFunc
+	wsGranted, wsReserve         sim.StepFunc
+	wsReserved, waReserved       func(end sim.Time) sim.StepFunc
+	waGathered                   func([]Part) sim.StepFunc
+	waCollect, waWrite, waFinish sim.StepFunc
+	waCollected                  func(Status) sim.StepFunc
+	waWaited                     func([]Status) sim.StepFunc
+}
+
+// newWrite readies a pooled (or fresh) write state for a call by r.
+func (f *File) newWrite(r *Rank, bytes int64, then sim.StepFunc) *fwrite {
+	pl := r.rs.pool
+	var s *fwrite
+	if n := len(pl.fioFree); n > 0 {
+		s = pl.fioFree[n-1]
+		pl.fioFree = pl.fioFree[:n-1]
+	} else {
+		s = &fwrite{}
+		s.steps = fwriteSteps{
+			done:      s.doneStep,
+			wsGranted: s.wsGrantedStep, wsReserve: s.wsReserveStep, wsReserved: s.wsReservedStep,
+			waGathered: s.waGatheredStep, waCollect: s.waCollectStep, waCollected: s.waCollectedStep,
+			waWrite: s.waWriteStep, waReserved: s.waReservedStep, waFinish: s.waFinishStep, waWaited: s.waWaitedStep,
+		}
+	}
+	s.f, s.r, s.bytes, s.then = f, r, bytes, then
+	return s
+}
+
+// doneStep ends either write: the demand interval closes, the state
+// returns to the pool and the caller's continuation runs.
+func (s *fwrite) doneStep(_ *sim.Fiber) sim.StepFunc {
+	s.f.w.ioEnd(s.r.rs)
+	then, pl := s.then, s.r.rs.pool
+	clear(s.reqs)
+	*s = fwrite{steps: s.steps, reqs: s.reqs[:0]}
+	pl.fioFree = append(pl.fioFree, s)
+	return then
+}
+
 // FWriteShared is WriteShared in continuation form: token-serialized
 // shared-pointer append, then stripe occupancy.
 func (f *File) FWriteShared(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
@@ -83,27 +147,30 @@ func (f *File) FWriteShared(r *Rank, bytes int64, then sim.StepFunc) sim.StepFun
 	if f.w.revoked {
 		return r.failNow()
 	}
-	fs := f.w.cfg.FS
-	fib := r.fib
-	then = r.ftrace("io", "write_shared", fib.Now(), then)
+	s := f.newWrite(r, bytes, r.ftrace("io", "write_shared", r.fib.Now(), then))
 	// Demand spans the whole operation, including the queue for the
 	// shared-pointer token: a rank serialized behind the pointer has
 	// queued I/O the bank should count.
 	f.w.ioBegin(r.rs)
-	return f.token.FAcquire(fib, "shared file pointer", func(_ *sim.Fiber) sim.StepFunc {
-		return fib.Advance(fs.SharedPointerLatency+fs.PerOpLatency, func(_ *sim.Fiber) sim.StepFunc {
-			f.size += bytes
-			f.bytesWritten += bytes
-			f.ops++
-			return f.fReserveEnd(r, fs.WriteTime(bytes), func(end sim.Time) sim.StepFunc {
-				f.token.Release(fib)
-				return fib.AdvanceTo(end, func(f2 *sim.Fiber) sim.StepFunc {
-					f.w.ioEnd(r.rs)
-					return then(f2)
-				})
-			})
-		})
-	})
+	return f.token.FAcquire(r.fib, "shared file pointer", s.steps.wsGranted)
+}
+
+func (s *fwrite) wsGrantedStep(_ *sim.Fiber) sim.StepFunc {
+	fs := &s.f.w.cfg.FS
+	return s.r.fib.Advance(fs.SharedPointerLatency+fs.PerOpLatency, s.steps.wsReserve)
+}
+
+func (s *fwrite) wsReserveStep(_ *sim.Fiber) sim.StepFunc {
+	f := s.f
+	f.size += s.bytes
+	f.bytesWritten += s.bytes
+	f.ops++
+	return f.fReserveEnd(s.r, f.w.cfg.FS.WriteTime(s.bytes), s.steps.wsReserved)
+}
+
+func (s *fwrite) wsReservedStep(end sim.Time) sim.StepFunc {
+	s.f.token.Release(s.r.fib)
+	return s.r.fib.AdvanceTo(end, s.steps.done)
 }
 
 // FWriteAll is WriteAll in continuation form: allgather the sizes, ship
@@ -116,81 +183,81 @@ func (f *File) FWriteAll(r *Rank, bytes int64, then sim.StepFunc) sim.StepFunc {
 	if f.w.revoked {
 		return r.failNow()
 	}
-	c := f.comm
-	me := c.RankOf(r)
-	p := c.Size()
-	fs := f.w.cfg.FS
-	fib := r.fib
-	then = r.ftrace("io", "write_all", fib.Now(), then)
+	s := f.newWrite(r, bytes, r.ftrace("io", "write_all", r.fib.Now(), then))
 	// Every member is I/O-active for the duration of the collective: the
 	// view exchange and the shipping to aggregators are part of the file
 	// operation even for ranks that never touch a stripe.
 	f.w.ioBegin(r.rs)
-
 	// Phase 0: file-view recalculation. Every rank learns every size.
-	return c.FAllgatherv(r, Part{Bytes: 8, Data: bytes}, func(sizes []Part) sim.StepFunc {
-		// Phase 1: ship data to aggregators (one per stripe, at most P).
-		na := fs.Stripes
-		if na > p {
-			na = p
+	return f.comm.FAllgatherv(r, Part{Bytes: 8, Data: bytes}, s.steps.waGathered)
+}
+
+// waGatheredStep is phase 1: ship data to aggregators (one per stripe, at
+// most P). An aggregator posts a receive for every rank it aggregates.
+func (s *fwrite) waGatheredStep(sizes []Part) sim.StepFunc {
+	f, r := s.f, s.r
+	c := f.comm
+	me, p := c.RankOf(r), c.Size()
+	na := min(f.w.cfg.FS.Stripes, p)
+	agg := me * na / p
+	aggRank := (agg*p + na - 1) / na
+	tag := c.nextCollTag(me)
+	if me != aggRank {
+		s.reqs = append(s.reqs, c.Isend(r, aggRank, tag, s.bytes, nil))
+		return s.steps.waFinish
+	}
+	s.sizes = sizes
+	for other := 0; other < p; other++ {
+		if other == me {
+			s.total += s.bytes
+			continue
 		}
-		agg := me * na / p
-		aggRank := (agg*p + na - 1) / na
-		tag := c.nextCollTag(me)
-		var myReqs []*Request
-		if me != aggRank {
-			myReqs = append(myReqs, c.Isend(r, aggRank, tag, bytes, nil))
+		if other*na/p == agg {
+			s.reqs = append(s.reqs, c.irecvFor(r, other, tag))
 		}
-		finish := func(_ *sim.Fiber) sim.StepFunc {
-			return c.FWaitAll(r, myReqs, func([]Status) sim.StepFunc {
-				// The collective completes together.
-				return c.FBarrier(r, func(f2 *sim.Fiber) sim.StepFunc {
-					f.w.ioEnd(r.rs)
-					return then(f2)
-				})
-			})
-		}
-		if me != aggRank {
-			return finish
-		}
-		// Collect from all ranks whose aggregator is me.
-		var total int64
-		var reqs []*Request
-		for other := 0; other < p; other++ {
-			if other == me {
-				total += bytes
-				continue
-			}
-			if other*na/p == agg {
-				reqs = append(reqs, c.irecvFor(r, other, tag))
-			}
-		}
-		i := 0
-		var collect sim.StepFunc
-		// Hoisted out of the collect loop: one closure per WriteAll, not
-		// one per collected contribution.
-		onCollected := func(st Status) sim.StepFunc {
-			sz, _ := sizes[st.Source].Data.(int64)
-			total += sz
-			return collect
-		}
-		collect = func(_ *sim.Fiber) sim.StepFunc {
-			if i < len(reqs) {
-				q := reqs[i]
-				i++
-				return c.fwaitOn(r, fib, q, onCollected)
-			}
-			// Phase 2: one large write per aggregator. Interleaved per-rank
-			// regions defeat stripe sequentiality (CollInterleaveFactor).
-			return fib.Advance(fs.PerOpLatency, func(_ *sim.Fiber) sim.StepFunc {
-				return f.fReserveEnd(r, fs.CollWriteTime(total), func(end sim.Time) sim.StepFunc {
-					f.ops++
-					f.size += total
-					f.bytesWritten += total
-					return fib.AdvanceTo(end, finish)
-				})
-			})
-		}
-		return collect
-	})
+	}
+	return s.steps.waCollect
+}
+
+func (s *fwrite) waCollectStep(_ *sim.Fiber) sim.StepFunc {
+	if s.next < len(s.reqs) {
+		q := s.reqs[s.next]
+		s.next++
+		return s.f.comm.fwaitOn(s.r, s.r.fib, q, s.steps.waCollected)
+	}
+	// Every receive is consumed: the aggregator has no send to wait for.
+	clear(s.reqs)
+	s.reqs = s.reqs[:0]
+	// Phase 2: one large write per aggregator. Interleaved per-rank
+	// regions defeat stripe sequentiality (CollInterleaveFactor).
+	return s.r.fib.Advance(s.f.w.cfg.FS.PerOpLatency, s.steps.waWrite)
+}
+
+func (s *fwrite) waCollectedStep(st Status) sim.StepFunc {
+	sz, _ := s.sizes[st.Source].Data.(int64)
+	s.total += sz
+	return s.steps.waCollect
+}
+
+func (s *fwrite) waWriteStep(_ *sim.Fiber) sim.StepFunc {
+	return s.f.fReserveEnd(s.r, s.f.w.cfg.FS.CollWriteTime(s.total), s.steps.waReserved)
+}
+
+func (s *fwrite) waReservedStep(end sim.Time) sim.StepFunc {
+	f := s.f
+	f.ops++
+	f.size += s.total
+	f.bytesWritten += s.total
+	return s.r.fib.AdvanceTo(end, s.steps.waFinish)
+}
+
+// waFinishStep waits for a non-aggregator's send and closes the
+// collective with a barrier.
+func (s *fwrite) waFinishStep(_ *sim.Fiber) sim.StepFunc {
+	return s.f.comm.FWaitAll(s.r, s.reqs, s.steps.waWaited)
+}
+
+func (s *fwrite) waWaitedStep([]Status) sim.StepFunc {
+	// The collective completes together.
+	return s.f.comm.FBarrier(s.r, s.steps.done)
 }

@@ -153,6 +153,16 @@ func (q *msgFIFO) maybeCompact(liveBound int, pl *pools) {
 	}
 }
 
+// release lets go of every message the queue still holds and empties it.
+func (q *msgFIFO) release(pl *pools) {
+	for _, m := range q.items[q.head:] {
+		pl.dropRef(m)
+	}
+	clear(q.items)
+	q.items = q.items[:0]
+	q.head = 0
+}
+
 // matchIndex is one rank's matching state: posted receives and unexpected
 // messages, both indexed for O(1) matching on the concrete paths.
 type matchIndex struct {
@@ -252,12 +262,15 @@ func (x *matchIndex) retireQueued(k matchKey, q *msgFIFO) {
 	}
 }
 
-// reset returns the index to its initial state for world reuse, keeping
-// bucket-table, queue and freelist capacity. Entries still referenced
-// (receives posted but never matched, messages never received or not yet
-// trimmed at the end of a run) are dropped for the GC; pooled recycling
-// only ever happens on the matched paths.
-// Single-use buckets a run left undrained retire here.
+// reset returns the index to its initial state for world reuse or a
+// revocation, keeping bucket-table, queue and freelist capacity. Receives
+// posted but never matched are dropped for the GC. Every list lets go of
+// the messages it still holds — never received, or consumed and not yet
+// trimmed — so each returns to the pool once, when its last list does: a
+// run leaves none of them behind, and the next run on the world does not
+// allocate replacements for them (how many were left used to depend on
+// how long that run was). Single-use buckets a run left undrained retire
+// here.
 func (x *matchIndex) reset() {
 	x.postSeq = 0
 	for k, q := range x.posted.all() {
@@ -269,17 +282,21 @@ func (x *matchIndex) reset() {
 		}
 	}
 	for k, q := range x.queued.all() {
-		clear(q.items)
-		q.items = q.items[:0]
-		q.head = 0
+		q.release(x.pool)
 		if retires(k.tag) {
 			x.retireQueued(k, q)
 		}
 	}
 	// Side lists are views rebuilt on demand; drop them wholesale.
+	for _, q := range x.side.all() {
+		q.release(x.pool)
+	}
 	x.side.clear()
 	x.shapes = [4]int{}
 	x.sideShapes = [4]bool{}
+	for _, m := range x.arrivals[x.arrHead:] {
+		x.pool.dropRef(m)
+	}
 	for i := range x.arrivals {
 		x.arrivals[i] = nil
 	}

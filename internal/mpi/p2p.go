@@ -38,13 +38,10 @@ type message struct {
 	ser  sim.Time
 	self bool
 
-	// Reliable-delivery fields (reliable.go), set only when the world's
-	// message-fault campaign arms the protocol: seq is the per-(src, dst)
-	// send sequence number, sender the acking target. Zero on lossless
-	// worlds.
-	rel    bool
-	seq    uint64
-	sender *rankState
+	// rel is the sender's in-flight entry of a reliably-sent message
+	// (reliable.go): its sequence number, its sender to ack and its timer.
+	// Nil on lossless worlds.
+	rel *relEntry
 }
 
 // Fire delivers the message: self-sends deliver immediately; network
@@ -61,7 +58,7 @@ func (m *message) Fire() {
 		return
 	}
 	_, recvEnd := m.dst.recvLink.Reserve(e.Now(), m.ser)
-	if m.rel {
+	if m.rel != nil {
 		// Reliable transmission: ack, suppress duplicates, release to
 		// matching in sequence order (reliable.go).
 		w.relArrive(m, recvEnd)
@@ -122,10 +119,11 @@ type Request struct {
 	doneAt    sim.Time
 	isRecv    bool
 	ovCharged bool // receive overhead charged (exactly once per request)
-	// waiter is the process parked in Wait on this request, if any.
-	// Delivery wakes it directly at the completion instant — no spurious
-	// wakeups of unrelated waiters.
-	waiter *sim.Fiber
+	// waiter is the wait parked on this request, if any. Delivery resumes
+	// its fiber directly — no spurious wakeups of unrelated waiters — and,
+	// when the completion instant is still ahead, straight into the settle
+	// step at the instant the wait settles to (fwait.resumeAt).
+	waiter *fwait
 	// anyw is the waker of a process parked in WaitAny with this
 	// request in its set, if any: the multi-request counterpart of waiter.
 	// Delivery wakes the waker's target once at the completion instant,
@@ -313,14 +311,13 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 		if ready > e.Now() {
 			req.timed = true
 			req.doneAt = ready
-			// Nobody can act on the completion before ready; wake waiters
-			// then, not now (a waiter woken early would only re-park or
-			// burn a yield advancing to ready). A process parked in Wait
-			// on this request resumes directly, as does a WaitAny waiter
-			// registered on it; waiters that arrive after this instant see
-			// the timed request directly.
+			// Nobody can act on the completion before ready. A wait parked
+			// on this request settles at a known instant from here, so its
+			// fiber resumes once, at that instant, in its settle step; a
+			// WaitAny waiter registered on it wakes at ready; waiters that
+			// arrive after this instant see the timed request directly.
 			if req.waiter != nil {
-				e.WakeAt(ready, req.waiter)
+				req.waiter.resumeAt(ready)
 			} else if req.anyw != nil {
 				req.anyw.WakeAt(ready)
 				req.anyw = nil
@@ -329,7 +326,7 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 		}
 		req.done = true
 		if req.waiter != nil {
-			e.WakeAt(e.Now(), req.waiter)
+			e.WakeAt(e.Now(), req.waiter.f)
 		} else if req.anyw != nil {
 			req.anyw.WakeAt(e.Now())
 			req.anyw = nil

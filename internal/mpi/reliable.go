@@ -29,14 +29,22 @@
 // a payload phenomenon here; an unreliable ack channel would only cause
 // extra retransmissions the duplicate suppression already absorbs.
 //
+// The protocol pays per loss, not per message. A timer whose ack is
+// known to fire first would only find its entry acked, so it is never
+// scheduled: a transmission arms its timer when it is sent only if its
+// copy is dropped or arrives no earlier than the deadline, and otherwise
+// at the first arrival of any copy of the message, only if that copy's
+// ack is due no earlier than the deadline (at equal instants the timer
+// fires first, as it always has). Which ack retires the entry, and which
+// timers retransmit, are unchanged; only no-op timers are gone.
+//
 // Determinism: with Config.MsgFaults nil nothing in this file runs — no
 // sequence numbers, no acks, no timers — so zero-loss campaigns are
-// byte-identical to an unfaulted build (TrajectoryVersion stays 2). A
-// non-nil table is its own trajectory family (the protocol's acks and
-// timer events are part of the schedule), deterministic for a fixed
-// (table, seed): replays are bit-for-bit across repeats and pooled
-// reuse. See the lossy-delivery contract in the internal/sim
-// package comment.
+// byte-identical to an unfaulted build. A non-nil table is its own
+// trajectory family (the protocol's acks and timer events are part of
+// the schedule), deterministic for a fixed (table, seed): replays are
+// bit-for-bit across repeats and pooled reuse. See the lossy-delivery
+// contract in the internal/sim package comment.
 package mpi
 
 import (
@@ -75,14 +83,9 @@ func (e *RankUnreachableError) Error() string {
 
 func (e *RankUnreachableError) rankFailure() {}
 
-// relKey identifies one unacked in-flight message on its sender.
-type relKey struct {
-	dst int
-	seq uint64
-}
-
 // relEntry is the sender-side in-flight record of one reliably-sent
-// message. It doubles as its own retransmission timer (sim.Action): the
+// message, which every copy of it in flight and every ack of a copy
+// points at. It doubles as its own retransmission timer (sim.Action): a
 // pending timer event keeps it alive until the ack (or the retry cap)
 // retires it.
 type relEntry struct {
@@ -99,6 +102,50 @@ type relEntry struct {
 	// attempt counts transmissions so far (1 after the initial send).
 	attempt int
 	acked   bool
+	// deadline is the latest transmission's timer instant. armOnArrival
+	// marks that timer as not yet scheduled: the first copy to arrive
+	// decides whether it is needed (relArrive).
+	deadline     sim.Time
+	armOnArrival bool
+}
+
+// relAck is one ack on its way back to the sender of en: a pooled event,
+// drawn from the receiver's pool at the arrival it acknowledges and
+// returned there when it fires.
+type relAck struct {
+	en *relEntry
+}
+
+// newAck returns a recycled or fresh ack of en.
+func (pl *pools) newAck(en *relEntry) *relAck {
+	var a *relAck
+	if n := len(pl.ackFree); n > 0 {
+		a = pl.ackFree[n-1]
+		pl.ackFree = pl.ackFree[:n-1]
+	} else {
+		a = &relAck{}
+	}
+	a.en = en
+	return a
+}
+
+// Fire delivers the ack: it retires the entry unless it is stale (an
+// earlier epoch) or already retired by another copy's ack, and wakes the
+// sender's send-window waiter when the backlog has drained to its target.
+func (a *relAck) Fire() {
+	en := a.en
+	a.en = nil
+	pl := en.dst.pool
+	pl.ackFree = append(pl.ackFree, a)
+	sender := en.sender
+	if en.acked || en.epoch != sender.world.epoch {
+		return
+	}
+	en.acked = true
+	sender.relUnacked--
+	if sender.drainQ.Len() > 0 && sender.relUnacked <= sender.drainTarget {
+		sender.drainQ.Broadcast(sender.eng)
+	}
 }
 
 // heldMsg is an out-of-order arrival parked in the reorder buffer with
@@ -126,7 +173,7 @@ func (r *Rank) Reliable() bool { return r.w.reliable() }
 
 // UnackedSends reports how many of this rank's reliably-sent messages
 // are still awaiting acknowledgement. Always 0 on a lossless world.
-func (r *Rank) UnackedSends() int { return len(r.rs.relOut) }
+func (r *Rank) UnackedSends() int { return r.rs.relUnacked }
 
 // Retransmits reports the total number of timer-driven retransmissions
 // across all ranks. Always 0 on a lossless world.
@@ -157,34 +204,41 @@ func (w *World) relTimerAt(sendEnd, ser sim.Time, attempt int) sim.Time {
 
 // relSend runs the sender half of the protocol for a freshly issued
 // cross-rank message: assigns its sequence number, registers the
-// in-flight entry, applies the attempt-0 verdict, and arms the
-// retransmission timer. Called from isendOv in place of scheduling the
-// delivery directly; the NIC slot and the request's completion instant
-// are already fixed, so the send-side cost model is untouched.
+// in-flight entry and transmits attempt 0. Called from isendOv in place of
+// scheduling the delivery directly; the NIC slot and the request's
+// completion instant are already fixed, so the send-side cost model is
+// untouched.
 func (src *rankState) relSend(m *message, sendEnd, arrive sim.Time) {
 	w := src.world
-	e := src.eng
-	if src.relNextSeq == nil {
-		src.relNextSeq = make(map[int]uint64)
-		src.relOut = make(map[relKey]*relEntry)
+	if len(src.relNextSeq) < len(w.ranks) {
+		src.relNextSeq = make([]uint64, len(w.ranks))
 	}
 	seq := src.relNextSeq[m.dst.rank]
 	src.relNextSeq[m.dst.rank] = seq + 1
-	m.rel = true
-	m.seq = seq
-	m.sender = src
-
+	src.relUnacked++
 	en := &relEntry{
 		sender: src, dst: m.dst,
 		commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, data: m.data,
 		ser: w.cfg.Net.SerializationTime(m.bytes),
 		seq: seq, epoch: m.epoch, attempt: 1,
 	}
-	src.relOut[relKey{dst: m.dst.rank, seq: seq}] = en
+	m.rel = en
+	en.transmit(m, arrive, w.relTimerAt(sendEnd, m.ser, 0), 0)
+}
 
-	switch w.cfg.MsgFaults.Verdict(src.rank, m.dst.rank, seq, 0) {
+// transmit puts one attempt's copy m on the wire as its verdict says and
+// arms the attempt's timer for deadline: at once when no ack can beat it
+// (the copy is dropped, or arrives no earlier than the deadline), else at
+// the first arrival of a copy (relArrive).
+func (en *relEntry) transmit(m *message, arrive, deadline sim.Time, attempt int) {
+	src := en.sender
+	e := src.eng
+	en.deadline = deadline
+	switch src.world.cfg.MsgFaults.Verdict(src.rank, en.dst.rank, en.seq, attempt) {
 	case netmodel.VerdictDrop:
 		src.pool.freeMessage(m)
+		e.AtAction(deadline, en)
+		return
 	case netmodel.VerdictDup:
 		d := src.pool.newMessage()
 		*d = *m
@@ -193,7 +247,11 @@ func (src *rankState) relSend(m *message, sendEnd, arrive sim.Time) {
 	default:
 		e.AtAction(arrive, m)
 	}
-	e.AtAction(w.relTimerAt(sendEnd, m.ser, 0), en)
+	if arrive >= deadline {
+		e.AtAction(deadline, en)
+	} else {
+		en.armOnArrival = true
+	}
 }
 
 // Fire is the retransmission timer: a no-op for acked or superseded
@@ -210,8 +268,7 @@ func (en *relEntry) Fire() {
 		w.unreachable(en)
 		return
 	}
-	e := src.eng
-	now := e.Now()
+	now := src.eng.Now()
 	attempt := en.attempt
 	en.attempt++
 	src.retransmits++
@@ -227,17 +284,7 @@ func (en *relEntry) Fire() {
 	if lf := w.cfg.LinkFaults; lf != nil {
 		lat = lf.StretchLatency(lat, sendEnd)
 	}
-	arrive := sendEnd + lat
-
-	switch w.cfg.MsgFaults.Verdict(src.rank, en.dst.rank, en.seq, attempt) {
-	case netmodel.VerdictDrop:
-	case netmodel.VerdictDup:
-		e.AtAction(arrive, en.remsg(ser))
-		e.AtAction(arrive, en.remsg(ser))
-	default:
-		e.AtAction(arrive, en.remsg(ser))
-	}
-	e.AtAction(w.relTimerAt(sendEnd, ser, attempt), en)
+	en.transmit(en.remsg(ser), sendEnd+lat, w.relTimerAt(sendEnd, ser, attempt), attempt)
 }
 
 // remsg builds a pool message carrying the entry's payload for one
@@ -248,9 +295,7 @@ func (en *relEntry) remsg(ser sim.Time) *message {
 	m.dst = en.dst
 	m.epoch = en.epoch
 	m.ser = ser
-	m.rel = true
-	m.seq = en.seq
-	m.sender = en.sender
+	m.rel = en
 	return m
 }
 
@@ -261,6 +306,7 @@ func (en *relEntry) remsg(ser sim.Time) *message {
 func (w *World) relArrive(m *message, ready sim.Time) {
 	dst := m.dst
 	e := dst.eng
+	en := m.rel
 	if m.epoch != w.epoch {
 		// Superseded traffic: no ack (the sender-side entry is equally
 		// stale and its timer will retire it).
@@ -268,32 +314,39 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 		return
 	}
 	// Ack at the instant the payload is fully received plus one wire hop
-	// back. Epoch and identity are captured now; the closure survives the
-	// message's recycling.
+	// back.
 	ackLat := w.cfg.Net.Latency
 	if lf := w.cfg.LinkFaults; lf != nil {
 		ackLat = lf.StretchLatency(ackLat, ready)
 	}
-	sender, dstRank, seq, epoch := m.sender, dst.rank, m.seq, m.epoch
-	e.At(ready+ackLat, func() { w.relAck(sender, dstRank, seq, epoch) })
-
-	if dst.relIn == nil {
-		dst.relIn = make(map[int]*relRecvBuf)
+	ackAt := ready + ackLat
+	if en.armOnArrival {
+		// The first copy to arrive since the transmission decides its
+		// timer: if this copy's ack is due before the deadline it retires
+		// the entry first and the timer would find nothing to do. Armed,
+		// the timer is pushed ahead of the ack, so that at equal instants
+		// it fires first, as it did when every timer was armed at
+		// transmission.
+		en.armOnArrival = false
+		if !en.acked && ackAt >= en.deadline {
+			en.sender.eng.AtAction(en.deadline, en)
+		}
 	}
-	// The buffer is keyed by the sender's WORLD rank, matching the seq
+	e.AtAction(ackAt, dst.pool.newAck(en))
+
+	// The buffer is indexed by the sender's WORLD rank, matching the seq
 	// counter's (world src, world dst) pair — m.src is comm-relative, and
 	// one pair's stream spans every communicator the two ranks share.
-	rb := dst.relIn[m.sender.rank]
-	if rb == nil {
-		rb = &relRecvBuf{}
-		dst.relIn[m.sender.rank] = rb
+	if len(dst.relIn) < len(w.ranks) {
+		dst.relIn = make([]relRecvBuf, len(w.ranks))
 	}
+	rb := &dst.relIn[en.sender.rank]
 	switch {
-	case m.seq < rb.next:
+	case en.seq < rb.next:
 		// Duplicate of an already-released message (a retransmission that
 		// crossed its ack, or a VerdictDup copy): acked above, dropped here.
 		dst.pool.freeMessage(m)
-	case m.seq == rb.next:
+	case en.seq == rb.next:
 		rb.next++
 		w.deliverAt(dst, m, ready)
 		// Drain any directly following held arrivals. Their NIC slots
@@ -314,33 +367,14 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 			w.deliverAt(dst, h.m, relready)
 		}
 	default:
-		if _, dup := rb.held[m.seq]; dup {
+		if _, dup := rb.held[en.seq]; dup {
 			dst.pool.freeMessage(m)
 			return
 		}
 		if rb.held == nil {
 			rb.held = make(map[uint64]heldMsg)
 		}
-		rb.held[m.seq] = heldMsg{m: m, ready: ready}
-	}
-}
-
-// relAck retires the sender-side entry for an acknowledged message and
-// wakes the sender's send-window waiter when the backlog has drained to
-// its target.
-func (w *World) relAck(sender *rankState, dstRank int, seq uint64, epoch int) {
-	if epoch != w.epoch {
-		return
-	}
-	key := relKey{dst: dstRank, seq: seq}
-	en := sender.relOut[key]
-	if en == nil {
-		return // duplicate ack; the entry is already retired
-	}
-	en.acked = true
-	delete(sender.relOut, key)
-	if sender.drainQ.Len() > 0 && len(sender.relOut) <= sender.drainTarget {
-		sender.drainQ.Broadcast(sender.eng)
+		rb.held[en.seq] = heldMsg{m: m, ready: ready}
 	}
 }
 
@@ -373,7 +407,7 @@ func (w *World) unreachable(en *relEntry) {
 			req.timed = false
 			req.status = Status{Err: w.failure}
 			if req.waiter != nil {
-				e.WakeAt(now, req.waiter)
+				e.WakeAt(now, req.waiter.f)
 			} else if req.anyw != nil {
 				req.anyw.WakeAt(now)
 				req.anyw = nil
@@ -398,8 +432,9 @@ func (w *World) relReset() {
 	}
 	for _, rs := range w.ranks {
 		clear(rs.relNextSeq)
-		clear(rs.relOut)
-		for _, rb := range rs.relIn {
+		rs.relUnacked = 0
+		for i := range rs.relIn {
+			rb := &rs.relIn[i]
 			for _, h := range rb.held {
 				rs.pool.freeMessage(h.m)
 			}
@@ -429,7 +464,7 @@ func (r *Rank) WaitSendWindow(max int) {
 // rank's failure continuation on revocation.
 func (r *Rank) FWaitSendWindow(max int, next sim.StepFunc) sim.StepFunc {
 	rs := r.rs
-	if len(rs.relOut) <= max {
+	if rs.relUnacked <= max {
 		return next
 	}
 	f := r.fib
@@ -437,7 +472,7 @@ func (r *Rank) FWaitSendWindow(max int, next sim.StepFunc) sim.StepFunc {
 		rs.drainTarget = max
 		var loop sim.StepFunc
 		loop = func(_ *sim.Fiber) sim.StepFunc {
-			if len(rs.relOut) > max {
+			if rs.relUnacked > max {
 				if r.w.revoked {
 					return r.failNow()
 				}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
@@ -358,7 +359,7 @@ func TestKillWithUnackedSends(t *testing.T) {
 		t.Errorf("rank 0 restarts %d, want 1", st.restarts[0])
 	}
 	for i, rs := range w.ranks {
-		if n := len(rs.relOut); n != 0 {
+		if n := rs.relUnacked; n != 0 {
 			t.Errorf("rank %d leaked %d unacked entries across the rebuild", i, n)
 		}
 		for src, rb := range rs.relIn {
@@ -371,6 +372,95 @@ func TestKillWithUnackedSends(t *testing.T) {
 		}
 	}
 	w.Release()
+}
+
+// lossyFanIn is eight senders streaming 12 KiB messages into rank 0, close
+// enough together that the receiver NIC queues them and some acks come
+// back later than their timers, then a barrier and an allreduce.
+func lossyFanIn(r *Rank) {
+	const msgs = 12
+	c := r.World()
+	if r.ID() == 0 {
+		for i := 0; i < msgs*(r.Size()-1); i++ {
+			c.Recv(r, AnySource, 3)
+			r.Compute(2 * sim.Microsecond)
+		}
+	} else {
+		for i := 0; i < msgs; i++ {
+			c.Send(r, 0, 3, 12<<10, nil)
+			r.Compute(sim.Time(2*r.ID()) * sim.Microsecond)
+		}
+	}
+	c.Barrier(r)
+	c.Allreduce(r, Part{Bytes: 8, Data: float64(r.ID())}, SumFloat64, nil)
+}
+
+// TestLossyProtocolPinned holds the reliable protocol to the makespan,
+// retransmission count and per-rank finish instants recorded when every
+// transmission armed its timer at once: a timer is now scheduled only
+// when its ack cannot beat it, and that must change no outcome. The empty
+// table arms the protocol on a lossless fabric, so every retransmission
+// there is an ack that lost to its timer at the congested receiver.
+func TestLossyProtocolPinned(t *testing.T) {
+	cases := []struct {
+		mf          *netmodel.MsgFaults
+		makespan    sim.Time
+		retransmits int64
+		finish      []sim.Time
+	}{
+		{&netmodel.MsgFaults{}, 247156, 85,
+			[]sim.Time{241606, 243456, 243456, 245306, 243456, 245306, 245306, 247156, 242406}},
+		{&netmodel.MsgFaults{DropSeed: 17, DropRate: 0.02, DupSeed: 19, DupRate: 0.005}, 246256, 61,
+			[]sim.Time{240706, 242556, 242556, 244406, 242556, 244406, 244406, 246256, 241506}},
+		{&netmodel.MsgFaults{DropSeed: 17, DropRate: 0.1, DupSeed: 19, DupRate: 0.025}, 287756, 79,
+			[]sim.Time{267106, 268956, 268956, 270806, 284056, 285906, 285906, 287756, 267906}},
+	}
+	for _, tc := range cases {
+		w := NewWorld(Config{Procs: 9, Seed: 7, MsgFaults: tc.mf})
+		mustRun(t, w, lossyFanIn)
+		finish := make([]sim.Time, len(w.ranks))
+		for i, rs := range w.ranks {
+			finish[i] = rs.fib.FinishedAt()
+		}
+		if w.Makespan() != tc.makespan || w.Retransmits() != tc.retransmits || !reflect.DeepEqual(finish, tc.finish) {
+			t.Errorf("drop rate %v: makespan %d, %d retransmits, finish %v;\nwant %d, %d, %v",
+				tc.mf.DropRate, w.Makespan(), w.Retransmits(), finish, tc.makespan, tc.retransmits, tc.finish)
+		}
+		w.Release()
+	}
+}
+
+// TestAckTieGoesToTimer sets up an ack due exactly at its message's
+// retransmission deadline: rank 2's empty message queues at rank 0's NIC
+// behind rank 1's megabyte, and rank 2 sends it at the one instant where
+// the queueing delay equals the timeout slack. At equal instants the
+// timer fires first, so the message is sent again; a nanosecond later the
+// ack wins and nothing is. Recorded when every timer was armed at
+// transmission.
+func TestAckTieGoesToTimer(t *testing.T) {
+	for _, tc := range []struct {
+		at          sim.Time // when rank 2 sends
+		retransmits int64
+	}{{188049, 1}, {188050, 1}, {188051, 0}} {
+		w := NewWorld(Config{Procs: 3, Seed: 1, MsgFaults: &netmodel.MsgFaults{}})
+		mustRun(t, w, func(r *Rank) {
+			c := r.World()
+			switch r.ID() {
+			case 0:
+				c.Recv(r, AnySource, 0)
+				c.Recv(r, AnySource, 0)
+			case 1:
+				c.Send(r, 0, 0, 1000000, nil)
+			case 2:
+				r.Compute(tc.at)
+				c.Send(r, 0, 0, 0, nil)
+			}
+		})
+		if w.Retransmits() != tc.retransmits || w.Makespan() != 202500 {
+			t.Errorf("send at %v: %d retransmits, makespan %v; want %d, 202.500us",
+				tc.at, w.Retransmits(), w.Makespan(), tc.retransmits)
+		}
+	}
 }
 
 // TestMsgFaultConfigValidation checks the loud guards: message-fault

@@ -140,6 +140,77 @@ func collectiveAllocsPerCall(t *testing.T, procs int, starter func(c *Comm, r *R
 	return mallocs / float64(procs)
 }
 
+// fileCallAllocs reports the objects a procs-rank world allocates per
+// call of the operation starter starts (on every rank, on one file opened
+// over the world communicator), summed over the ranks.
+func fileCallAllocs(t *testing.T, procs int, starter func(f *File, c *Comm, r *Rank, next *sim.StepFunc) sim.StepFunc) float64 {
+	t.Helper()
+	mallocs, _ := heapPerRound(t, 4, 12, func(calls int) {
+		w := NewWorld(Config{Procs: procs, Seed: 3})
+		_, err := w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+			c := r.World()
+			return c.FOpen(r, "guard.dat", func(f *File) sim.StepFunc {
+				i := 0
+				var loop sim.StepFunc
+				start := starter(f, c, r, &loop)
+				loop = func(*sim.Fiber) sim.StepFunc {
+					if i >= calls {
+						return nil
+					}
+					i++
+					return r.FCompute(sim.Time(r.ID()%5)*10*sim.Microsecond, start)
+				}
+				return loop
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Release()
+	})
+	return mallocs
+}
+
+// TestFileCollectiveAllocsPerCall pins what the Fig. 8 write paths
+// allocate per call. FWriteShared and FWriteAll keep their steps in a
+// pooled struct and FAllgatherv its rounds in the pooled collective state,
+// so what is left is: the allgatherv's one shared result (its registry
+// entry and its parts, two objects per call over the whole world),
+// FWriteAll's size boxed for that allgatherv (one per rank), and the
+// shared-pointer token's wait loop (internal/sim's Token.FAcquire, two per
+// rank). Each rank call used to build its continuations as closures: at
+// 16 ranks the world allocated 96 objects per FWriteShared call, 370 per
+// FWriteAll and 178 per FAllgatherv, and at 12 ranks (the allgatherv's
+// ring) 72, 278 and 134.
+func TestFileCollectiveAllocsPerCall(t *testing.T) {
+	ops := []struct {
+		name    string
+		perRank float64 // objects per rank call
+		shared  float64 // objects per call over the world
+		starter func(f *File, c *Comm, r *Rank, next *sim.StepFunc) sim.StepFunc
+	}{
+		{"FWriteShared", 2, 0, func(f *File, _ *Comm, r *Rank, next *sim.StepFunc) sim.StepFunc {
+			return func(*sim.Fiber) sim.StepFunc { return f.FWriteShared(r, 4096, *next) }
+		}},
+		{"FWriteAll", 1, 2, func(f *File, _ *Comm, r *Rank, next *sim.StepFunc) sim.StepFunc {
+			return func(*sim.Fiber) sim.StepFunc { return f.FWriteAll(r, 4096, *next) }
+		}},
+		{"FAllgatherv", 0, 2, func(_ *File, c *Comm, r *Rank, next *sim.StepFunc) sim.StepFunc {
+			then := func([]Part) sim.StepFunc { return *next }
+			return func(*sim.Fiber) sim.StepFunc { return c.FAllgatherv(r, Part{Bytes: 64}, then) }
+		}},
+	}
+	for _, op := range ops {
+		for _, procs := range []int{16, 12} { // power of two; not
+			got := fileCallAllocs(t, procs, op.starter)
+			t.Logf("%s allocates %.0f objects per call over %d ranks", op.name, got, procs)
+			if want := op.perRank*float64(procs) + op.shared; got != want {
+				t.Errorf("%s allocates %.2f objects per call over %d ranks, want %.0f", op.name, got, procs, want)
+			}
+		}
+	}
+}
+
 // TestCollectiveAllocsPerCallIndependentOfP pins the pooled collective
 // state: a fiber barrier, broadcast, reduce or allreduce draws its round
 // state from the rank's pool and builds no continuation per round, so a

@@ -366,6 +366,9 @@ type pools struct {
 	fwAllFree []*fwaitAll
 	fwAnyFree []*fwaitAny
 	fcFree    []*fcoll
+	fioFree   []*fwrite // file writes (fiber_io.go)
+
+	ackFree []*relAck // reliable-delivery acks (reliable.go)
 }
 
 // newMessage returns a recycled or fresh message. Callers must set all
@@ -393,9 +396,7 @@ func (pl *pools) freeMessage(m *message) {
 	m.consumed = false
 	m.readyAt = 0
 	m.self = false
-	m.rel = false
-	m.seq = 0
-	m.sender = nil
+	m.rel = nil
 	pl.msgFree = append(pl.msgFree, m)
 }
 
@@ -482,13 +483,14 @@ type rankState struct {
 
 	// Reliable-delivery state (reliable.go), touched only when
 	// Config.MsgFaults arms the protocol: relNextSeq assigns per-
-	// destination send sequence numbers, relOut holds the unacked
-	// in-flight entries, relIn the per-source reorder buffers,
-	// retransmits counts timer-driven re-sends, and drainQ parks this
-	// rank's body in WaitSendWindow until relOut drains to drainTarget.
-	relNextSeq  map[int]uint64
-	relOut      map[relKey]*relEntry
-	relIn       map[int]*relRecvBuf
+	// destination send sequence numbers and relIn holds the per-source
+	// reorder buffers, both indexed by world rank and built on first use;
+	// relUnacked counts the in-flight entries not yet acked, retransmits
+	// the timer-driven re-sends, and drainQ parks this rank's body in
+	// WaitSendWindow until relUnacked drains to drainTarget.
+	relNextSeq  []uint64
+	relIn       []relRecvBuf
+	relUnacked  int
 	retransmits int64
 	drainQ      sim.WaitQueue
 	drainTarget int
@@ -524,8 +526,8 @@ func (rs *rankState) reset(speed float64) {
 	rs.ioDepth = 0
 	rs.failStep = nil
 	clear(rs.relNextSeq)
-	clear(rs.relOut)
 	clear(rs.relIn)
+	rs.relUnacked = 0
 	rs.retransmits = 0
 	rs.drainQ = sim.WaitQueue{}
 	rs.drainTarget = 0
@@ -1109,8 +1111,14 @@ func (r *Rank) trace(category, label string, start sim.Time) {
 // traceWait emits a communication-wait span from start to the current
 // instant; a wait that consumed no virtual time is not reported.
 func (r *Rank) traceWait(label string, start sim.Time) {
-	if t := r.w.cfg.Tracer; t != nil && r.rs.eng.Now() > start {
-		t.Span(r.rs.rank, "comm", label, start, r.rs.eng.Now())
+	r.traceWaitUntil(label, start, r.rs.eng.Now())
+}
+
+// traceWaitUntil is traceWait for a wait whose end is known before it is
+// reached: a barrier round's send, folded into its receive's wait.
+func (r *Rank) traceWaitUntil(label string, start, end sim.Time) {
+	if t := r.w.cfg.Tracer; t != nil && end > start {
+		t.Span(r.rs.rank, "comm", label, start, end)
 	}
 }
 

@@ -278,3 +278,19 @@ func (f *Fiber) ParkKeepingDebt(reason string, next StepFunc) StepFunc {
 	f.suspend(true, reason)
 	return next
 }
+
+// ResumeAt schedules a parked fiber to resume at t with next instead of the
+// continuation it parked with, its kept debt settled: the wake and the
+// SettleTo of the woken step in one event, for a waker that already knows
+// the instant that step would settle to. t must not be before now. A fiber
+// killed while parked ignores the resume, as it ignores a wake.
+func (f *Fiber) ResumeAt(t Time, next StepFunc) {
+	if !f.done {
+		if !f.parked {
+			panic(fmt.Sprintf("sim: ResumeAt on fiber %q, which is not parked", f.name))
+		}
+		f.debt = 0
+		f.next = next
+	}
+	f.e.AtAction(t, f)
+}

@@ -79,7 +79,7 @@
 // Only the work-conserving policies (BankFairWC, BankWeightedWC) read
 // the signal when granting; they are new configurations, not changed
 // ones. Their introduction therefore did NOT bump TrajectoryVersion
-// (still 2): fcfs/fair/priority multi-world trajectories are
+// (it stayed 2): fcfs/fair/priority multi-world trajectories are
 // byte-identical to the pre-signalling build, which
 // internal/experiments pins against recorded PR 4 values.
 //
@@ -97,7 +97,7 @@
 // pool-reused engines and banks. With no faults installed, every fault-aware code path reduces
 // to the historical arithmetic, so fault-free trajectories are
 // byte-identical to pre-fault builds and the feature did NOT bump
-// TrajectoryVersion (still 2). Changing the integration arithmetic or
+// TrajectoryVersion (it stayed 2). Changing the integration arithmetic or
 // the faulted placement rules IS trajectory-breaking for runs with
 // faults scheduled and follows the versioning policy below.
 //
@@ -122,7 +122,7 @@
 // With no crashes scheduled, none of the failure paths runs — the
 // guards are eventless boolean checks — so crash-free trajectories are
 // byte-identical to pre-crash builds and the feature did NOT bump
-// TrajectoryVersion (still 2). A fixed crash campaign replays
+// TrajectoryVersion (it stayed 2). A fixed crash campaign replays
 // bit-for-bit across repeated runs, pooled-engine reuse, and blocking
 // and step-function bodies; changing kill/restart event placement, the peer-notification
 // order in the mpi layer, or respawn id assignment IS
@@ -147,7 +147,7 @@
 // eventless boolean checks, no sequence numbers are assigned and no
 // timers exist — so zero-loss trajectories are byte-identical to
 // pre-protocol builds and the feature did NOT bump TrajectoryVersion
-// (still 2). A fixed lossy campaign replays bit-for-bit across
+// (it stayed 2). A fixed lossy campaign replays bit-for-bit across
 // repeated runs and pooled-engine reuse, with the
 // acks and timers part of the schedule like any other event; changing
 // the verdict hash derivation, ack event placement, the timeout and
@@ -212,7 +212,7 @@
 //
 // Classic (unsharded) runs schedule nothing with a non-zero pri, so
 // their (t, seq) trajectories are byte-identical to pre-parallel builds
-// and the feature did NOT bump TrajectoryVersion (still 2). The sharded
+// and the feature did NOT bump TrajectoryVersion (it stayed 2). The sharded
 // configuration is a new configuration — like a different wake strategy,
 // its rows are pinned against each other across worker counts (the
 // cross-worker-count tests in internal/experiments), not against the
@@ -243,7 +243,7 @@
 // The sharded bank is its own trajectory family, like the parallel mode
 // it rides on: classic runs never attach a bank to a group, reserve
 // synchronously with pri-0 trajectories byte-identical to pre-sharding
-// builds, and TrajectoryVersion stays 2. A sharded reservation costs two
+// builds, and TrajectoryVersion stayed 2. A sharded reservation costs two
 // lookaheads of virtual latency that the classic path does not pay, so
 // sharded-bank rows are pinned against each other across worker counts,
 // never against classic rows. Changing the request/grant event placement,
@@ -273,10 +273,12 @@
 //
 // A bump is recorded by (1) incrementing TrajectoryVersion with a comment
 // naming what changed and why, (2) regenerating the checked-in trajectory
-// artifact (internal/experiments/testdata/rows_v2.csv, renamed for the
+// artifact (internal/experiments/testdata/rows_v3.csv, renamed for the
 // new version, which TestFiberRowsBitIdentical compares byte for byte) in
 // the same change, and (3) noting the bump in ROADMAP.md so sweep results
-// from different versions are never compared as if equal.
+// from different versions are never compared as if equal. A bump that
+// moves events but no row renames the artifact with its bytes unchanged,
+// as version 3 did.
 // That a blocking body fires the events of the continuation forms it runs,
 // no more and at no other instant, is enforced separately by the
 // differential tests in internal/sim, internal/mpi and internal/stream,
@@ -306,7 +308,20 @@ import "fmt"
 // everything downstream of them, e.g. shared-file token FIFO order in the
 // Fig. 8 stream workloads) moved. The version-1 broadcast wake no longer
 // exists (DESIGN.md, "One body, one wake").
-const TrajectoryVersion = 2
+//
+// Version 3: known outcomes are simulated once (DESIGN.md, "Known
+// outcomes"). A wait whose request is bound to a message that is not yet
+// ready resumes once, in its settle step, at the settle instant instead of
+// waking at the ready instant to compute it; a barrier round's send is
+// the floor of its receive's wait instead of a suspension of its own; and
+// the reliable protocol arms a retransmission timer only when its ack
+// cannot fire first, pushing the timers that stay armed at the first
+// arrival instead of at transmission. Events are gone and same-instant
+// positions moved: a settle's, among events at its instant pushed between
+// arrival and ready, and an armed timer's, among events at its deadline
+// pushed between transmission and arrival. No row moved; rows_v3.csv is
+// version 2's file under the new name.
+const TrajectoryVersion = 3
 
 // Time is a point in virtual time, measured in nanoseconds from the start
 // of the simulation. Durations are also expressed as Time values.
