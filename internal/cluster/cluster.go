@@ -34,10 +34,27 @@
 // world's -cores 1) but distinct from the classic Cores == 0 family,
 // because reservations ride boundary events. Both families share the
 // purity guarantee above.
+//
+// # One run for several policies
+//
+// RunPolicies returns the Results of one configuration under a list of
+// bank policies, and Run is its one-policy case. A policy reaches a run
+// only through the slots the bank grants: no world reads it, and the
+// IOBegin/IOEnd demand signals are the same under every policy. So the
+// run under the first policy carries a shadow bank for each of the others
+// (sim.Bank.Shadow), fed the same calls; a shadow that granted every
+// reservation with the real bank's (start, end) proves, by induction over
+// the grants, that a run under its policy would have made the same calls
+// and ended with the same Result, and takes a copy of it. The policies
+// whose shadows dropped run next, in list order, shadowing each other.
+// Only the policy may differ: a different bank width changes what the
+// worlds ask for (collective writes read FS.Stripes), so widths are never
+// certified this way.
 package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/mpi"
@@ -73,7 +90,8 @@ type Job struct {
 	// Weight is the job's bank share weight under the priority policy
 	// (sim.BankWeighted): a weight-4 job may consume four times the
 	// stripe time of a weight-1 job before the bank pushes it back.
-	// Zero means 1; other policies ignore it.
+	// Zero means 1; other policies ignore it. A negative, NaN or
+	// infinite weight is refused.
 	Weight float64
 	// Start builds the job's world from base — which carries the shared
 	// Engine, Bank, Job index, Name and cluster-wide FS cost model — and
@@ -82,6 +100,7 @@ type Job struct {
 	// It returns the started world, whose Makespan becomes the job's
 	// completion time. Run releases the world (mpi.World.Release) once it
 	// has read that, so nothing may touch it after Run returns.
+	// RunPolicies calls Start once per simulation it makes.
 	Start func(base mpi.Config) (*mpi.World, error)
 }
 
@@ -89,7 +108,8 @@ type Job struct {
 type Config struct {
 	// Jobs are started in order; order is part of the trajectory.
 	Jobs []Job
-	// Policy arbitrates stripe time between jobs.
+	// Policy arbitrates stripe time between jobs. RunPolicies takes its
+	// policies from its own list instead.
 	Policy sim.BankPolicy
 	// FS is the shared file-system cost model. The zero value is replaced
 	// by netmodel.LustreLike.
@@ -103,7 +123,8 @@ type Config struct {
 	// stripes: StripeFaults[i] holds stripe i's outage/derate windows
 	// (sim.ValidateStripeFaults). The bank is built per run, so faults
 	// are installed fresh each Run; nil schedules nothing and keeps
-	// trajectories byte-identical to the fault-free build.
+	// trajectories byte-identical to the fault-free build. Invalid
+	// windows, and windows on a stripe beyond the bank, are refused.
 	StripeFaults [][]sim.StripeFault
 	// Cores >= 1 runs the cluster in the conservative parallel mode:
 	// every job's ranks are spread across Cores shard engines sharing
@@ -156,11 +177,70 @@ func getEngine(seed int64) *sim.Engine {
 // shared shard group) and bank and runs the simulation to completion.
 // Classic engines and the jobs' worlds are recycled across Run calls
 // (a clean run releases its worlds); shard groups and sharded worlds are
-// built per run.
+// built per run. It is RunPolicies with the one policy cfg.Policy.
 func Run(cfg Config) (Result, error) {
-	n := len(cfg.Jobs)
-	if n == 0 {
-		return Result{}, fmt.Errorf("cluster: no jobs")
+	res, err := RunPolicies(cfg, []sim.BankPolicy{cfg.Policy})
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// RunPolicies runs cfg under each of policies in turn, in place of
+// cfg.Policy, and returns one Result per policy in list order. It
+// simulates each distinct run once: the first policy without a result
+// runs with a shadow bank (sim.Bank.Shadow) for every later policy
+// without one, and each shadow that granted every reservation exactly as
+// the real bank did receives a copy of that run's Result. The others go
+// on to the next run. The results equal separate Run calls, one per
+// policy; the first error ends the list.
+func RunPolicies(cfg Config, policies []sim.BankPolicy) ([]Result, error) {
+	fs, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(policies))
+	done := make([]bool, len(policies))
+	for i, p := range policies {
+		if done[i] {
+			continue
+		}
+		var rest []int
+		var others []sim.BankPolicy
+		for k := i + 1; k < len(policies); k++ {
+			if !done[k] {
+				rest = append(rest, k)
+				others = append(others, policies[k])
+			}
+		}
+		res, same, err := run(cfg, fs, p, others)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+		for j, k := range rest {
+			if same[j] {
+				out[k] = res.clone()
+				done[k] = true
+			}
+		}
+	}
+	return out, nil
+}
+
+// clone copies r with slices of its own.
+func (r Result) clone() Result {
+	r.JobTimes = append([]sim.Time(nil), r.JobTimes...)
+	r.JobBusy = append([]sim.Time(nil), r.JobBusy...)
+	r.JobDemand = append([]sim.Time(nil), r.JobDemand...)
+	return r
+}
+
+// validate checks cfg before any world starts and returns the file-system
+// model the run uses.
+func (cfg Config) validate() (netmodel.FSParams, error) {
+	if len(cfg.Jobs) == 0 {
+		return netmodel.FSParams{}, fmt.Errorf("cluster: no jobs")
 	}
 	fs := cfg.FS
 	if fs == (netmodel.FSParams{}) {
@@ -170,8 +250,40 @@ func Run(cfg Config) (Result, error) {
 		fs.Stripes = cfg.Stripes
 	}
 	if err := fs.Validate(); err != nil {
-		return Result{}, err
+		return netmodel.FSParams{}, err
 	}
+	for i, sf := range cfg.StripeFaults {
+		if len(sf) == 0 {
+			continue
+		}
+		if i >= fs.Stripes {
+			return netmodel.FSParams{}, fmt.Errorf("cluster: stripe faults on stripe %d of a %d-stripe bank", i, fs.Stripes)
+		}
+		if err := sim.ValidateStripeFaults(sf); err != nil {
+			return netmodel.FSParams{}, fmt.Errorf("cluster: stripe %d: %w", i, err)
+		}
+	}
+	for i, job := range cfg.Jobs {
+		if w := job.Weight; !(w >= 0) || math.IsInf(w, 1) {
+			return netmodel.FSParams{}, fmt.Errorf("cluster: job %d (%s): weight %v is not a finite non-negative number", i, jobName(job, i), w)
+		}
+	}
+	return fs, nil
+}
+
+// jobName is job i's Name, or "job<i>" when it has none.
+func jobName(job Job, i int) string {
+	if job.Name == "" {
+		return fmt.Sprintf("job%d", i)
+	}
+	return job.Name
+}
+
+// run is one simulation of cfg under policy, with a shadow bank under
+// each of others; same[j] reports whether others[j]'s shadow reproduced
+// the run.
+func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.BankPolicy) (res Result, same []bool, err error) {
+	n := len(cfg.Jobs)
 	sharded := cfg.Cores >= 1
 	var eng *sim.Engine
 	var group *sim.ShardGroup
@@ -182,12 +294,16 @@ func Run(cfg Config) (Result, error) {
 	} else {
 		eng = getEngine(cfg.Seed)
 	}
-	bank := sim.NewBank(fs.Stripes, n, cfg.Policy)
+	bank := sim.NewBank(fs.Stripes, n, policy)
 	if sharded {
 		bank.AttachGroup(group, 0)
 	}
+	shadows := make([]*sim.Bank, len(others))
+	for j, p := range others {
+		shadows[j] = bank.Shadow(p)
+	}
 	for i, sf := range cfg.StripeFaults {
-		if i < bank.Width() {
+		if len(sf) > 0 {
 			bank.SetStripeFaults(i, sf)
 		}
 	}
@@ -207,10 +323,7 @@ func Run(cfg Config) (Result, error) {
 		if w := job.Weight; w > 0 {
 			bank.SetWeight(i, w)
 		}
-		name := job.Name
-		if name == "" {
-			name = fmt.Sprintf("job%d", i)
-		}
+		name := jobName(job, i)
 		base := mpi.Config{Bank: bank, Job: i, Name: name, FS: fs}
 		if sharded {
 			base.Group = group
@@ -220,12 +333,11 @@ func Run(cfg Config) (Result, error) {
 		w, err := job.Start(base)
 		if err != nil {
 			abort()
-			return Result{}, fmt.Errorf("cluster: job %d (%s): %w", i, name, err)
+			return Result{}, nil, fmt.Errorf("cluster: job %d (%s): %w", i, name, err)
 		}
 		worlds[i] = w
 	}
 	var makespan sim.Time
-	var err error
 	if sharded {
 		makespan, err = group.Run()
 	} else {
@@ -240,9 +352,9 @@ func Run(cfg Config) (Result, error) {
 		// reset engine is behaviourally identical to a fresh one, so the
 		// error path no longer drops the warmed heap/ring capacity.
 		abort()
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	res := Result{
+	res = Result{
 		Makespan:  makespan,
 		JobTimes:  make([]sim.Time, n),
 		JobBusy:   make([]sim.Time, n),
@@ -258,5 +370,9 @@ func Run(cfg Config) (Result, error) {
 	if !sharded {
 		enginePool.Put(eng)
 	}
-	return res, nil
+	same = make([]bool, len(shadows))
+	for j, s := range shadows {
+		same[j] = bank.Reproduced(s)
+	}
+	return res, same, nil
 }

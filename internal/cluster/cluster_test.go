@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -413,6 +414,166 @@ func TestWorkConservingReleasesHog(t *testing.T) {
 		if wc.JobBusy[0] != st.JobBusy[0] || wc.JobBusy[1] != st.JobBusy[1] {
 			t.Errorf("%v: per-job busy time moved: %v/%v vs %v/%v",
 				pair.wc, wc.JobBusy[0], wc.JobBusy[1], st.JobBusy[0], st.JobBusy[1])
+		}
+	}
+}
+
+var allPolicies = []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankWeighted, sim.BankFairWC, sim.BankWeightedWC}
+
+// contendedJob is job i of a bank-bound mix: a fast mover that flushes
+// every step, job 0 saving its whole particle population and the others
+// a quarter, with the light jobs outranking job 0 4:1 under priority.
+func contendedJob(i int, seed int64) Job {
+	c := ipic3d.DefaultConfig(8)
+	c.Seed = seed*101 + int64(i)
+	c.MoveRate = 4e6
+	c.BufferSteps = 1
+	c.SaveFraction = 0.25
+	weight := 4.0
+	if i == 0 {
+		c.SaveFraction = 1
+		weight = 1
+	}
+	return Job{Name: fmt.Sprintf("j%d", i), Weight: weight, Start: func(base mpi.Config) (*mpi.World, error) {
+		j, err := ipic3d.StartIO(c, ipic3d.IODecoupled, base)
+		if err != nil {
+			return nil, err
+		}
+		return j.World(), nil
+	}}
+}
+
+// stripeCampaign puts an outage and a half-rate derate on every stripe,
+// staggered so that bookings land in and around them.
+func stripeCampaign(stripes int) [][]sim.StripeFault {
+	sf := make([][]sim.StripeFault, stripes)
+	for i := range sf {
+		off := sim.Time(i) * 150 * sim.Millisecond
+		sf[i] = []sim.StripeFault{
+			{Start: 100*sim.Millisecond + off, End: 400*sim.Millisecond + off},
+			{Start: 900*sim.Millisecond + off, End: 1500*sim.Millisecond + off, Rate: 0.5},
+		}
+	}
+	return sf
+}
+
+// eventsOf reports how many events f fires.
+func eventsOf(f func()) uint64 {
+	ev0 := sim.GlobalEvents()
+	f()
+	return sim.GlobalEvents() - ev0
+}
+
+// TestRunPoliciesMatchesRun is the certificate's differential: for every
+// policy, RunPolicies returns the Result a separate Run under that policy
+// returns — over 1, 2 and 3 jobs, 1 and 4 stripes, with and without a
+// stripe-fault campaign, classic and sharded. The matrix must both share
+// runs (fewer events than the separate runs) and separate policies
+// (results that differ), or it would not test the certificate.
+func TestRunPoliciesMatchesRun(t *testing.T) {
+	var shared, distinct int
+	for _, jobs := range []int{1, 2, 3} {
+		for _, stripes := range []int{1, 4} {
+			for _, faulted := range []bool{false, true} {
+				for _, cores := range []int{0, 2} {
+					name := fmt.Sprintf("jobs=%d stripes=%d faulted=%v cores=%d", jobs, stripes, faulted, cores)
+					cfg := Config{Seed: 5, Stripes: stripes, Cores: cores}
+					for i := 0; i < jobs; i++ {
+						cfg.Jobs = append(cfg.Jobs, contendedJob(i, 5))
+					}
+					if faulted {
+						cfg.StripeFaults = stripeCampaign(stripes)
+					}
+					var got []Result
+					together := eventsOf(func() {
+						var err error
+						if got, err = RunPolicies(cfg, allPolicies); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+					})
+					var apart uint64
+					for i, p := range allPolicies {
+						cfg.Policy = p
+						var want Result
+						apart += eventsOf(func() {
+							var err error
+							if want, err = Run(cfg); err != nil {
+								t.Fatalf("%s %v: %v", name, p, err)
+							}
+						})
+						if !reflect.DeepEqual(got[i], want) {
+							t.Errorf("%s %v: RunPolicies gave %+v, Run gives %+v", name, p, got[i], want)
+						}
+						if !reflect.DeepEqual(got[i], got[0]) {
+							distinct++
+						}
+					}
+					if together < apart {
+						shared++
+					}
+					// A certified copy shares no slice with the run it came from.
+					got[0].JobTimes[0]++
+					for i := 1; i < len(got); i++ {
+						if got[i].JobTimes[0] == got[0].JobTimes[0] {
+							t.Errorf("%s: %v's JobTimes aliases %v's", name, allPolicies[i], allPolicies[0])
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of 24 configurations shared runs; %d results differed from fcfs's", shared, distinct)
+	if shared == 0 || distinct == 0 {
+		t.Errorf("the matrix does not exercise the certificate: %d configurations shared runs, %d results differed from fcfs", shared, distinct)
+	}
+}
+
+// TestRunRejectsBadConfig: stripe faults that are unsorted, overlapping or
+// placed beyond the bank, and a negative job weight, are refused with an
+// error naming the stripe or job — by Run and RunPolicies alike, before
+// any job starts, and without a panic.
+func TestRunRejectsBadConfig(t *testing.T) {
+	var started bool
+	probe := Job{Name: "probe", Start: func(base mpi.Config) (*mpi.World, error) {
+		started = true
+		return nil, errors.New("started")
+	}}
+	w := func(a, b sim.Time) sim.StripeFault {
+		return sim.StripeFault{Start: a * sim.Millisecond, End: b * sim.Millisecond}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"unsorted", Config{Stripes: 2, Jobs: []Job{probe}, StripeFaults: [][]sim.StripeFault{nil, {w(50, 60), w(10, 20)}}}, "stripe 1"},
+		{"overlapping", Config{Stripes: 2, Jobs: []Job{probe}, StripeFaults: [][]sim.StripeFault{{w(10, 30), w(20, 40)}}}, "stripe 0"},
+		{"beyond the bank", Config{Stripes: 2, Jobs: []Job{probe}, StripeFaults: [][]sim.StripeFault{nil, nil, {w(10, 20)}}}, "stripe 2"},
+		{"negative weight", Config{Jobs: []Job{probe, {Name: "heavy", Weight: -2, Start: probe.Start}}}, "job 1 (heavy)"},
+	}
+	for _, c := range cases {
+		for _, via := range []string{"Run", "RunPolicies"} {
+			started = false
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+						t.Errorf("%s via %s panicked: %v", c.name, via, r)
+					}
+				}()
+				if via == "Run" {
+					_, err = Run(c.cfg)
+				} else {
+					_, err = RunPolicies(c.cfg, allPolicies)
+				}
+				return err
+			}()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s via %s: error %v does not name %q", c.name, via, err, c.want)
+			}
+			if started {
+				t.Errorf("%s via %s: a job started before the configuration was refused", c.name, via)
+			}
 		}
 	}
 }

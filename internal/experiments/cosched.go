@@ -116,15 +116,16 @@ func slowdownRatio(shared, alone float64) float64 {
 	return shared / alone
 }
 
-// coschedRun runs the shared cluster with cores parallel-mode workers (0:
-// classic), divides each job's completion time by its memoized single-job
-// baseline on an identical bank, and measures
+// coschedRun runs the shared cluster under each of policies with cores
+// parallel-mode workers (0: classic) — one simulation per distinct
+// outcome (cluster.RunPolicies) — divides each job's completion time by
+// its memoized single-job baseline on an identical bank, and measures
 // the hog's tail (how long job 0 outlives the last light job, >= 0).
 // A non-nil fault spec degrades the shared bank's stripes — the
 // campaign's stripe events compiled per seed — while the baselines stay
 // clean, so the slowdown rows then read "co-scheduling plus faults over
-// an idle healthy bank".
-func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, cores int, base *memo[coschedBaseKey, float64], spec *faults.Spec) (coschedOutcome, error) {
+// an idle healthy bank". The outcomes come back in policy order.
+func coschedRun(jobs, stripes int, policies []sim.BankPolicy, seed int64, cores int, base *memo[coschedBaseKey, float64], spec *faults.Spec) ([]coschedOutcome, error) {
 	cjobs := make([]cluster.Job, jobs)
 	for i := range cjobs {
 		cjobs[i] = coschedJob(i, seed)
@@ -135,37 +136,43 @@ func coschedRun(jobs, stripes int, policy sim.BankPolicy, seed int64, cores int,
 		sp.Seed = sim.Mix64(spec.Seed, seed)
 		inj, err := sp.Plan(0, stripes).Compile(0, stripes)
 		if err != nil {
-			return coschedOutcome{}, err
+			return nil, err
 		}
 		sf = inj.Stripe
 	}
-	shared, err := cluster.Run(cluster.Config{Jobs: cjobs, Policy: policy, Stripes: stripes, Seed: seed, StripeFaults: sf, Cores: cores})
+	shared, err := cluster.RunPolicies(cluster.Config{Jobs: cjobs, Stripes: stripes, Seed: seed, StripeFaults: sf, Cores: cores}, policies)
 	if err != nil {
-		return coschedOutcome{}, err
+		return nil, err
 	}
-	out := coschedOutcome{slowdowns: make([]float64, jobs)}
-	for i := range out.slowdowns {
-		alone, err := base.get(coschedBaseKey{i, stripes, seed})
-		if err != nil {
-			return coschedOutcome{}, err
+	alone := make([]float64, jobs)
+	for i := range alone {
+		if alone[i], err = base.get(coschedBaseKey{i, stripes, seed}); err != nil {
+			return nil, err
 		}
-		out.slowdowns[i] = slowdownRatio(shared.JobTimes[i].Seconds(), alone)
 	}
-	// The tail is only meaningful against at least one light job; a
-	// single-job sweep (-jobs 1) has no lights to outlive, so its tail
-	// is zero rather than the hog's whole runtime.
-	if jobs > 1 {
-		var lastLight sim.Time
-		for i := 1; i < jobs; i++ {
-			if t := shared.JobTimes[i]; t > lastLight {
-				lastLight = t
+	outs := make([]coschedOutcome, len(shared))
+	for pi, res := range shared {
+		out := coschedOutcome{slowdowns: make([]float64, jobs)}
+		for i := range out.slowdowns {
+			out.slowdowns[i] = slowdownRatio(res.JobTimes[i].Seconds(), alone[i])
+		}
+		// The tail is only meaningful against at least one light job; a
+		// single-job sweep (-jobs 1) has no lights to outlive, so its tail
+		// is zero rather than the hog's whole runtime.
+		if jobs > 1 {
+			var lastLight sim.Time
+			for i := 1; i < jobs; i++ {
+				if t := res.JobTimes[i]; t > lastLight {
+					lastLight = t
+				}
+			}
+			if tail := res.JobTimes[0] - lastLight; tail > 0 {
+				out.hogTail = tail.Seconds()
 			}
 		}
-		if tail := shared.JobTimes[0] - lastLight; tail > 0 {
-			out.hogTail = tail.Seconds()
-		}
+		outs[pi] = out
 	}
-	return out, nil
+	return outs, nil
 }
 
 // jain is Jain's fairness index over xs: (sum x)^2 / (n * sum x^2),
@@ -232,21 +239,23 @@ func Cosched(opts Options) ([]Row, error) {
 	var points []point
 	for _, jc := range jobCounts {
 		for _, stripes := range []int{1, 4} {
-			for _, pol := range policies {
-				out := newMemo(func(seed int64) (coschedOutcome, error) {
-					return coschedRun(jc, stripes, pol, seed, opts.Cores, base, fspec)
-				})
+			// One memo per (jobs, stripes, seed) holds the outcome of every
+			// policy; each policy's rows read their own.
+			out := newMemo(func(seed int64) ([]coschedOutcome, error) {
+				return coschedRun(jc, stripes, policies, seed, opts.Cores, base, fspec)
+			})
+			for pi, pol := range policies {
 				row := func(series string) Row {
 					return Row{Experiment: "cosched", Series: fmt.Sprintf("%s jobs=%d %s", pol, jc, series),
 						Procs: jc * coschedPerJobProcs, Param: float64(stripes)}
 				}
 				for j := 0; j < jc; j++ {
 					points = append(points, point{row: row(coschedJobName(j) + " slowdown"),
-						fn: read(out, func(o coschedOutcome) float64 { return o.slowdowns[j] })})
+						fn: read(out, func(o []coschedOutcome) float64 { return o[pi].slowdowns[j] })})
 				}
 				points = append(points,
-					point{row: row("fairness"), fn: read(out, func(o coschedOutcome) float64 { return jain(o.slowdowns) })},
-					point{row: row("hog-tail"), fn: read(out, func(o coschedOutcome) float64 { return o.hogTail })})
+					point{row: row("fairness"), fn: read(out, func(o []coschedOutcome) float64 { return jain(o[pi].slowdowns) })},
+					point{row: row("hog-tail"), fn: read(out, func(o []coschedOutcome) float64 { return o[pi].hogTail })})
 			}
 		}
 	}

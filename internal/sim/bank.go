@@ -156,6 +156,12 @@ type Bank struct {
 	// never of which shard asked first. Reset clears the attachment.
 	group *ShardGroup
 	owner int
+
+	// shadows are the private banks under other policies that still
+	// agree with every grant this bank has made (Shadow). They are
+	// touched only from this bank's own methods, so in sharded mode only
+	// on the owner shard. Reset drops them.
+	shadows []*Bank
 }
 
 // NewBank creates a bank of stripes links arbitrated between jobs jobs
@@ -190,6 +196,44 @@ func (b *Bank) SetWeight(job int, w float64) {
 		panic(fmt.Sprintf("sim: Bank weight %v for job %d", w, job))
 	}
 	b.weights[job] = w
+	for _, s := range b.shadows {
+		s.SetWeight(job, w)
+	}
+}
+
+// Shadow attaches a private bank under policy p that receives every
+// Reserve, IOBegin, IOEnd, SetWeight and SetStripeFaults call this bank
+// receives, starting from a copy of its weights and stripe faults, and
+// compares each of its grants with this bank's. The first grant whose
+// (start, end) differs drops the shadow for the rest of the run.
+//
+// No world reads the policy: it reaches a run only through the slots
+// Reserve grants, and the demand signals do not depend on it. So while
+// the shadow survives, a run whose bank had policy p would have made the
+// same calls and received the same grants, and its outcome is this run's
+// (Reproduced). Attach shadows before the run's first reservation or
+// demand signal; Reset drops them.
+func (b *Bank) Shadow(p BankPolicy) *Bank {
+	s := NewBank(b.s.Width(), len(b.svc), p)
+	copy(s.weights, b.weights)
+	for i, fs := range b.sfaults {
+		if len(fs) > 0 {
+			s.SetStripeFaults(i, fs)
+		}
+	}
+	b.shadows = append(b.shadows, s)
+	return s
+}
+
+// Reproduced reports whether shadow s has granted every reservation so
+// far exactly as this bank did.
+func (b *Bank) Reproduced(s *Bank) bool {
+	for _, live := range b.shadows {
+		if live == s {
+			return true
+		}
+	}
+	return false
 }
 
 // Width reports the number of stripes.
@@ -219,6 +263,9 @@ func (b *Bank) IOBegin(job int, at Time) {
 		b.demandSince[job] = at
 	}
 	b.demand[job]++
+	for _, s := range b.shadows {
+		s.IOBegin(job, at)
+	}
 }
 
 // IOEnd closes the demand interval opened by the matching IOBegin at
@@ -231,6 +278,9 @@ func (b *Bank) IOEnd(job int, at Time) {
 	b.demand[job]--
 	if b.demand[job] == 0 {
 		b.demandTime[job] += at - b.demandSince[job]
+	}
+	for _, s := range b.shadows {
+		s.IOEnd(job, at)
 	}
 }
 
@@ -368,6 +418,9 @@ func (b *Bank) SetStripeFaults(stripe int, fs []StripeFault) {
 	if err := ValidateStripeFaults(fs); err != nil {
 		panic(err.Error())
 	}
+	for _, s := range b.shadows {
+		s.SetStripeFaults(stripe, fs)
+	}
 	if len(fs) == 0 {
 		if b.sfaults != nil {
 			b.sfaults[stripe] = nil
@@ -425,6 +478,7 @@ func (b *Bank) Reset() {
 	// them).
 	b.group = nil
 	b.owner = 0
+	b.shadows = nil
 }
 
 // share reports job's static timeline share: equal splits under the fair
@@ -496,7 +550,23 @@ func (b *Bank) otherDemand(job int) bool {
 // service clock rebaselines to the request instant, forgiving pacing
 // debt accumulated under contention, because holding slots open for
 // absent contenders would leave stripes idle against queued demand.
+//
+// Every shadow (Shadow) books the same request, and one whose grant
+// differs from this bank's is dropped.
 func (b *Bank) Reserve(job int, at, dur Time) (start, end Time) {
+	start, end = b.grant(job, at, dur)
+	live := b.shadows[:0]
+	for _, s := range b.shadows {
+		if s0, e0 := s.grant(job, at, dur); s0 == start && e0 == end {
+			live = append(live, s)
+		}
+	}
+	b.shadows = live
+	return start, end
+}
+
+// grant is Reserve's booking under this bank's own policy.
+func (b *Bank) grant(job int, at, dur Time) (start, end Time) {
 	if at < b.lastAt {
 		panic(fmt.Sprintf("sim: Bank reservation instants must be non-decreasing: job %d reserves at %v after an earlier reservation at %v", job, at, b.lastAt))
 	}

@@ -308,3 +308,158 @@ func FuzzBank(f *testing.F) {
 		runBankProgram(t, p, s, j, seed, 300, faulted)
 	})
 }
+
+// runShadowProgram drives a bank under policy, shadowing every policy,
+// and a separate bank per policy through one random program of Reserve
+// calls and demand signals. After every grant, the shadow under q must
+// still be attached exactly when q's own bank has granted every slot so
+// far as the real bank did. Shadows are attached before the weights and
+// faults are installed on even seeds (forwarding) and after them on odd
+// ones (copying). It returns how many shadows of other policies
+// survived and how many were dropped.
+func runShadowProgram(t *testing.T, policy BankPolicy, stripes, jobs int, seed int64, ops int, faulted bool) (kept, dropped int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBank(stripes, jobs, policy)
+	own := make([]*Bank, len(allBankPolicies))
+	for i, q := range allBankPolicies {
+		own[i] = NewBank(stripes, jobs, q)
+	}
+	shadows := make([]*Bank, len(allBankPolicies))
+	attach := func() {
+		for i, q := range allBankPolicies {
+			shadows[i] = b.Shadow(q)
+		}
+	}
+	if seed%2 == 0 {
+		attach()
+	}
+	for j := 0; j < jobs; j++ {
+		w := float64(1 + (j*j)%7)
+		b.SetWeight(j, w)
+		for _, o := range own {
+			o.SetWeight(j, w)
+		}
+	}
+	if faulted {
+		for i := 0; i < stripes; i++ {
+			fs := []StripeFault{{Start: Time(rng.Intn(3000)), Rate: []float64{0, 0.5}[rng.Intn(2)]}}
+			fs[0].End = fs[0].Start + Time(rng.Intn(1500)+50)
+			b.SetStripeFaults(i, fs)
+			for _, o := range own {
+				o.SetStripeFaults(i, fs)
+			}
+		}
+	}
+	if seed%2 != 0 {
+		attach()
+	}
+	agree := make([]bool, len(allBankPolicies))
+	for i := range agree {
+		agree[i] = true
+	}
+	demand := make([]int, jobs)
+	var at Time
+	for op := 0; op < ops; op++ {
+		j := rng.Intn(jobs)
+		switch k := rng.Intn(10); {
+		case k < 2:
+			b.IOBegin(j, at)
+			for _, o := range own {
+				o.IOBegin(j, at)
+			}
+			demand[j]++
+		case k < 4:
+			if demand[j] > 0 {
+				b.IOEnd(j, at)
+				for _, o := range own {
+					o.IOEnd(j, at)
+				}
+				demand[j]--
+			}
+		default:
+			at += Time(rng.Intn(400))
+			dur := Time(rng.Intn(900) + 1)
+			start, end := b.Reserve(j, at, dur)
+			for i, o := range own {
+				if s0, e0 := o.Reserve(j, at, dur); s0 != start || e0 != end {
+					agree[i] = false
+				}
+				if got := b.Reproduced(shadows[i]); got != agree[i] {
+					t.Fatalf("%v bank, seed %d, op %d: shadow under %v attached %v, its own bank agrees %v",
+						policy, seed, op, allBankPolicies[i], got, agree[i])
+				}
+			}
+		}
+	}
+	for i, q := range allBankPolicies {
+		switch {
+		case q == policy:
+		case agree[i]:
+			kept++
+		default:
+			dropped++
+		}
+	}
+	return kept, dropped
+}
+
+// TestBankShadowMatchesIndependentBank: a shadow is a certificate, so it
+// must survive exactly as long as a bank under its policy, fed the same
+// calls on its own, would have granted the same slots — on healthy and
+// faulted banks of every shape — and the programs must both keep and
+// drop shadows.
+func TestBankShadowMatchesIndependentBank(t *testing.T) {
+	var kept, dropped int
+	for _, faulted := range []bool{false, true} {
+		for _, policy := range allBankPolicies {
+			for _, shape := range []struct{ stripes, jobs int }{{1, 1}, {1, 2}, {4, 2}, {2, 3}, {8, 2}} {
+				for seed := int64(0); seed < 6; seed++ {
+					ops := 10 + int(seed)*40
+					k, d := runShadowProgram(t, policy, shape.stripes, shape.jobs, seed, ops, faulted)
+					kept += k
+					dropped += d
+				}
+			}
+		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Errorf("programs do not separate the policies: %d shadows kept, %d dropped", kept, dropped)
+	}
+}
+
+// TestBankShadowDroppedByReset: shadows are per-run state like faults and
+// the shard attachment, so Reset detaches them.
+func TestBankShadowDroppedByReset(t *testing.T) {
+	b := NewBank(2, 2, BankFCFS)
+	s := b.Shadow(BankFair)
+	b.Reserve(0, 0, 10)
+	if !b.Reproduced(s) {
+		t.Fatal("shadow dropped on the first grant of an idle bank")
+	}
+	b.Reset()
+	if b.Reproduced(s) {
+		t.Error("Reset kept the shadow attached")
+	}
+}
+
+// TestBankShadowComparesStart: a grant is its whole slot. Under an outage
+// two policies can start the same request at different instants that
+// both finish when the outage lifts; the world reads only the end, but
+// the bank's busy time reads the start, so the shadow must drop there.
+func TestBankShadowComparesStart(t *testing.T) {
+	b := NewBank(1, 2, BankFCFS)
+	s := b.Shadow(BankFair)
+	b.SetStripeFaults(0, []StripeFault{{Start: 100, End: 500}})
+	if st, en := b.Reserve(0, 0, 100); st != 0 || en != 100 || !b.Reproduced(s) {
+		t.Fatalf("first grant [%v,%v), shadow attached %v; want [0,100) on both", st, en, b.Reproduced(s))
+	}
+	// FCFS starts at the frontier, 100, inside the outage; fair paces job
+	// 0 to its service clock, 200. Both finish at 600.
+	if st, en := b.Reserve(0, 100, 100); st != 100 || en != 600 {
+		t.Fatalf("second grant [%v,%v), want [100,600)", st, en)
+	}
+	if b.Reproduced(s) {
+		t.Errorf("shadow under fair survived a grant that started at another instant (busy %v here, %v there)", b.JobBusy(0), s.JobBusy(0))
+	}
+}
