@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxProcs   = fs.Int("max-procs", 1024, "largest process count in the weak-scaling sweeps (paper: 8192)")
 		runs       = fs.Int("runs", 3, "repetitions per data point (paper: 10)")
 		workers    = fs.Int("workers", 0, "concurrent sweep points, at least 1 (unset: REPRO_WORKERS or one per CPU)")
-		cores      = fs.Int("cores", 0, "fig5-fig8, cosched: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
+		cores      = fs.Int("cores", 0, "fig5-fig8: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
 		jobs       = fs.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
 		coschedPol = fs.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")
 		faultSpec  = fs.String("faults", "", "fault-campaign spec: comma-separated key=value overrides of the default campaign, e.g. bursts=16,outage-len=1s or crashes=2,restart-cost=100ms; durations use Go syntax; keys: "+strings.Join(faults.SpecKeys(), ", ")+"; \"default\"/empty keeps the base campaign, \"none\" disables it (resilience/recovery: scaled base campaign; cosched: degrade the shared bank's stripes, empty means none)")

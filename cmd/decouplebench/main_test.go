@@ -74,7 +74,8 @@ func TestCoresFlagSweep(t *testing.T) {
 // TestRefusedBeforeAnySweep: a request that cannot be answered — an
 // unknown -format, an -out that cannot be opened, an explicit sweep size
 // that is not positive, a negative -cores or -jobs, -cores with an
-// experiment that cannot shard, a -max-procs below the first point of a
+// experiment that cannot shard (cosched included: it runs on one engine),
+// a -max-procs below the first point of a
 // selected weak-scaling sweep, an experiment named twice — is refused with
 // exit status 2 and an error starting with the flag, before any experiment
 // starts.
@@ -87,30 +88,33 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		flag string
+		// names, if set, is what the error must also name.
+		names string
 	}{
-		{[]string{"-format", "xml"}, "-format"},
-		{[]string{"-format", "csv", "-out", missing}, "-out"},
-		{[]string{"-runs", "-3"}, "-runs"},
-		{[]string{"-runs", "0"}, "-runs"},
-		{[]string{"-workers", "0"}, "-workers"},
-		{[]string{"-workers", "-2"}, "-workers"},
-		{[]string{"-cores", "-1"}, "-cores"},
-		{[]string{"-jobs", "-2"}, "-jobs"},
-		// Later flags win: these three replace the -experiment (and the
-		// size) every case starts with. Each used to run fig5 first: then
-		// exit 1 with "model: model: ...", print a header and no rows with
-		// exit 0, or print every row twice.
-		{[]string{"-experiment", "fig5,model", "-cores", "2"}, "-cores"},
-		{[]string{"-experiment", "fig5", "-max-procs", "16"}, "-max-procs"},
-		{[]string{"-experiment", "fig5,fig5"}, "-experiment"},
+		{[]string{"-format", "xml"}, "-format", ""},
+		{[]string{"-format", "csv", "-out", missing}, "-out", ""},
+		{[]string{"-runs", "-3"}, "-runs", ""},
+		{[]string{"-runs", "0"}, "-runs", ""},
+		{[]string{"-workers", "0"}, "-workers", ""},
+		{[]string{"-workers", "-2"}, "-workers", ""},
+		{[]string{"-cores", "-1"}, "-cores", ""},
+		{[]string{"-jobs", "-2"}, "-jobs", ""},
+		// Later flags win: these replace the -experiment (and the size)
+		// every case starts with. The fig5 cases each used to run fig5
+		// first: then exit 1 with "model: model: ...", print a header and
+		// no rows with exit 0, or print every row twice.
+		{[]string{"-experiment", "cosched", "-cores", "2"}, "-cores", "cosched"},
+		{[]string{"-experiment", "fig5,model", "-cores", "2"}, "-cores", ""},
+		{[]string{"-experiment", "fig5", "-max-procs", "16"}, "-max-procs", ""},
+		{[]string{"-experiment", "fig5,fig5"}, "-experiment", ""},
 	} {
 		args := append([]string{"-experiment", "all", "-max-procs", "8192", "-quiet"}, c.args...)
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit status %d, want 2", c.args, code)
 		}
-		if !strings.HasPrefix(stderr.String(), c.flag+":") {
-			t.Errorf("%v: error %q does not start with %s", c.args, stderr.String(), c.flag)
+		if !strings.HasPrefix(stderr.String(), c.flag+":") || !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("%v: error %q does not start with %s and name %q", c.args, stderr.String(), c.flag, c.names)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: wrote %q to stdout", c.args, stdout.String())
@@ -130,6 +134,28 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 	// A small -max-procs is refused only for a sweep it would empty.
 	if code := run([]string{"-experiment", "ablation-alpha", "-max-procs", "16", "-runs", "1", "-quiet", "-format", "csv"}, io.Discard, &stderr); code != 0 {
 		t.Errorf("ablation-alpha at -max-procs 16: exit status %d, want 0 (it clamps, it does not sweep)", code)
+	}
+}
+
+// TestListMarksShardable: -list marks exactly the experiments that run
+// under -cores, the weak-scaling figures fig5-fig8.
+func TestListMarksShardable(t *testing.T) {
+	var stdout bytes.Buffer
+	if code := run([]string{"-list"}, &stdout, io.Discard); code != 0 {
+		t.Fatalf("-list: exit status %d", code)
+	}
+	var marked []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[0] != "*" {
+			continue
+		}
+		if _, ok := experiments.Lookup(f[1]); ok {
+			marked = append(marked, f[1])
+		}
+	}
+	if got, want := strings.Join(marked, ","), "fig5,fig6,fig7,fig8"; got != want {
+		t.Errorf("-list marks %s with *, want %s", got, want)
 	}
 }
 

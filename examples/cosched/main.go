@@ -15,7 +15,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -69,21 +68,15 @@ func job(i int) cluster.Job {
 }
 
 func main() {
-	cores := flag.Int("cores", 0, "run each cluster in conservative parallel mode with this many workers (0: classic single-engine mode; results are identical for any value >= 1)")
-	flag.Parse()
-
 	const jobs = 3
 
-	// Baseline: each job alone on an identical (idle) bank. The baselines
-	// share the shared runs' -cores setting so both sides of every
-	// slowdown ratio come from the same trajectory family.
+	// Baseline: each job alone on an identical (idle) bank.
 	alone := make([]sim.Time, jobs)
 	for i := range alone {
 		res, err := cluster.Run(cluster.Config{
 			Jobs:    []cluster.Job{job(i)},
 			Stripes: stripes,
 			Seed:    1,
-			Cores:   *cores,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -104,7 +97,6 @@ func main() {
 		Jobs:    cjobs,
 		Stripes: stripes,
 		Seed:    1,
-		Cores:   *cores,
 	}, policies)
 	if err != nil {
 		log.Fatal(err)

@@ -157,30 +157,6 @@ func (s *ioRun) placement(cores int) (int, func(rank int) int) {
 	}
 }
 
-// groupPlace maps a co-scheduled job's ranks onto the shards of the
-// cluster's shared group. The reference variants write one shared file
-// from every rank, so the whole job is pinned to a single shard, chosen
-// by job index so different jobs land on different workers. The
-// decoupled variant spreads its compute group evenly and pins its I/O
-// group to one shard (a file's users must share a worker), with the
-// whole layout rotated by job index so the pinned I/O groups — the
-// ranks actually contending for the shared bank — do not all pile onto
-// one worker.
-func (s *ioRun) groupPlace(shards, job int) func(rank int) int {
-	if s.v != IODecoupled {
-		home := job % shards
-		return func(rank int) int { return home }
-	}
-	computes := s.computes
-	return func(rank int) int {
-		sh := shards - 1
-		if rank < computes {
-			sh = rank * shards / computes
-		}
-		return (sh + job) % shards
-	}
-}
-
 // newIORun derives the job's particle layout for the chosen variant.
 func newIORun(c Config, v IOVariant) *ioRun {
 	s := &ioRun{c: c, v: v, finished: make([]sim.Time, c.Procs), lastCompute: make([]sim.Time, c.Procs)}
@@ -241,12 +217,10 @@ type IOJob struct {
 }
 
 // StartIO builds a world for the Fig. 8 job of variant v attached to the
-// shared simulation resources in base (Engine or Group, Bank, Job, Name
-// and the cluster-wide FS cost model) and spawns its rank bodies. When
-// base carries a shard group (a sharded co-scheduled run), the job's
-// ranks are placed onto the group's shards by groupPlace. The caller —
-// normally a cluster.Job's Start hook — runs the shared engine or group
-// once every job is started.
+// shared simulation resources in base (Engine, Bank, Job, Name and the
+// cluster-wide FS cost model) and spawns its rank bodies. The caller —
+// normally a cluster.Job's Start hook — runs the shared engine once every
+// job is started.
 func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -283,9 +257,6 @@ func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 		base.LinkFaults = c.Faults.Link
 	}
 	s := newIORun(c, v)
-	if base.Group != nil {
-		base.Place = s.groupPlace(base.Group.Shards(), base.Job)
-	}
 	w := mpi.NewWorld(base)
 	w.StartFibers(s.body())
 	return &IOJob{w: w}, nil

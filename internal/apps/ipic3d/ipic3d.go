@@ -67,8 +67,8 @@ type Config struct {
 	// across workers; the comm experiments touch no files and spread all
 	// groups evenly. Incompatible with Tracer and crash campaigns, like
 	// the underlying mpi.Config.Shards. Co-scheduled runs (StartIO)
-	// ignore it: the cluster's worker count arrives via the shared group
-	// in the base configuration (cluster.Config.Cores).
+	// ignore it: every co-scheduled job runs on the cluster's one shared
+	// engine.
 	Cores int
 	// Faults, if non-nil, is a compiled fault campaign (rank slowdown
 	// bursts, stripe outage/derate windows, link degradation) injected

@@ -25,15 +25,11 @@
 // representation (goroutine or fiber rank bodies) does not change the
 // trajectory, exactly as for single-world runs.
 //
-// With Config.Cores >= 1 the cluster runs in the conservative parallel
-// mode instead: every job's ranks are spread across one shared
-// sim.ShardGroup and the bank arbitrates stripe time through its
-// window-boundary reservation protocol. That family's trajectory is
-// byte-identical for every Cores >= 1 (the shard count only picks the
-// worker parallelism; Cores == 1 is a group of one shard, like a lone
-// world's -cores 1) but distinct from the classic Cores == 0 family,
-// because reservations ride boundary events. Both families share the
-// purity guarantee above.
+// A cluster always runs on one engine. Its worlds are small (16 ranks in
+// the cosched sweep), so a sharded run's windows hold too few events to
+// pay for their barriers, and a sweep fills the host's cores with
+// concurrent sweep points instead (DESIGN.md, "Co-scheduling runs on one
+// engine").
 //
 // # One run for several policies
 //
@@ -126,15 +122,6 @@ type Config struct {
 	// trajectories byte-identical to the fault-free build. Invalid
 	// windows, and windows on a stripe beyond the bank, are refused.
 	StripeFaults [][]sim.StripeFault
-	// Cores >= 1 runs the cluster in the conservative parallel mode:
-	// every job's ranks are spread across Cores shard engines sharing
-	// one group, and the bank arbitrates stripe time through its
-	// window-boundary reservation protocol (sim.Bank.AttachGroup). The
-	// sharded trajectory family is byte-identical for every Cores >= 1 —
-	// Cores only picks the worker count — but differs from the classic
-	// family, because cross-shard reservations ride window-boundary
-	// events: Cores == 0 keeps the classic shared-engine run unchanged.
-	Cores int
 }
 
 // Result is one co-scheduled run's outcome.
@@ -173,11 +160,10 @@ func getEngine(seed int64) *sim.Engine {
 	return sim.NewEngine(seed)
 }
 
-// Run starts every job on one shared engine (or, with Cores >= 1, one
-// shared shard group) and bank and runs the simulation to completion.
-// Classic engines and the jobs' worlds are recycled across Run calls
-// (a clean run releases its worlds); shard groups and sharded worlds are
-// built per run. It is RunPolicies with the one policy cfg.Policy.
+// Run starts every job on one shared engine and bank and runs the
+// simulation to completion. Engines and the jobs' worlds are recycled
+// across Run calls (a clean run releases its worlds). It is RunPolicies
+// with the one policy cfg.Policy.
 func Run(cfg Config) (Result, error) {
 	res, err := RunPolicies(cfg, []sim.BankPolicy{cfg.Policy})
 	if err != nil {
@@ -284,20 +270,8 @@ func jobName(job Job, i int) string {
 // the run.
 func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.BankPolicy) (res Result, same []bool, err error) {
 	n := len(cfg.Jobs)
-	sharded := cfg.Cores >= 1
-	var eng *sim.Engine
-	var group *sim.ShardGroup
-	if sharded {
-		// The group's lookahead is deferred: each job's world tightens it
-		// with its own network's minimum cross-shard latency at Start.
-		group = sim.NewShardGroupDeferred(cfg.Seed, cfg.Cores)
-	} else {
-		eng = getEngine(cfg.Seed)
-	}
+	eng := getEngine(cfg.Seed)
 	bank := sim.NewBank(fs.Stripes, n, policy)
-	if sharded {
-		bank.AttachGroup(group, 0)
-	}
 	shadows := make([]*sim.Bank, len(others))
 	for j, p := range others {
 		shadows[j] = bank.Shadow(p)
@@ -308,13 +282,8 @@ func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.B
 		}
 	}
 	// abort unwinds whatever processes have been spawned so their
-	// goroutines do not leak. Classic engines are repooled (getEngine
-	// resets them); shard groups are built per run and simply dropped.
+	// goroutines do not leak, and repools the engine (getEngine resets it).
 	abort := func() {
-		if sharded {
-			group.Abort()
-			return
-		}
 		eng.Abort()
 		enginePool.Put(eng)
 	}
@@ -324,33 +293,21 @@ func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.B
 			bank.SetWeight(i, w)
 		}
 		name := jobName(job, i)
-		base := mpi.Config{Bank: bank, Job: i, Name: name, FS: fs}
-		if sharded {
-			base.Group = group
-		} else {
-			base.Engine = eng
-		}
-		w, err := job.Start(base)
+		w, err := job.Start(mpi.Config{Engine: eng, Bank: bank, Job: i, Name: name, FS: fs})
 		if err != nil {
 			abort()
 			return Result{}, nil, fmt.Errorf("cluster: job %d (%s): %w", i, name, err)
 		}
 		worlds[i] = w
 	}
-	var makespan sim.Time
-	if sharded {
-		makespan, err = group.Run()
-	} else {
-		makespan, err = eng.Run()
-	}
+	makespan, err := eng.Run()
 	if err != nil {
 		// A failed run unwinds like a failed start. Run itself unwinds
 		// parked goroutines before returning a deadlock error, so the
 		// Abort is defensive belt-and-braces (idempotent: its unwind is
-		// a no-op when nothing is parked); the load-bearing half for the
-		// classic path is repooling — getEngine resets the engine, and a
-		// reset engine is behaviourally identical to a fresh one, so the
-		// error path no longer drops the warmed heap/ring capacity.
+		// a no-op when nothing is parked); the load-bearing half is
+		// repooling — a reset engine is behaviourally identical to a
+		// fresh one, so the error path keeps the warmed heap/ring capacity.
 		abort()
 		return Result{}, nil, err
 	}
@@ -367,9 +324,7 @@ func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.B
 		res.JobDemand[i] = bank.JobDemand(i)
 		w.Release()
 	}
-	if !sharded {
-		enginePool.Put(eng)
-	}
+	enginePool.Put(eng)
 	same = make([]bool, len(shadows))
 	for j, s := range shadows {
 		same[j] = bank.Reproduced(s)

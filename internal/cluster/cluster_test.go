@@ -92,40 +92,6 @@ func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
 	}
 }
 
-// TestMakespanSameAtEveryCoreCount: the makespan of a sharded run is the
-// instant of its last event, which the program fixes — not the bound of the
-// window that event fired in, which follows the placement. Cores >= 1 is
-// its own trajectory family, so the shard counts are compared with each
-// other.
-func TestMakespanSameAtEveryCoreCount(t *testing.T) {
-	run := func(cores int) Result {
-		res, err := Run(Config{
-			Seed:    7,
-			Stripes: 2,
-			Policy:  sim.BankFair,
-			Cores:   cores,
-			Jobs:    []Job{decJob(16, 11, true), decJob(8, 13, false)},
-		})
-		if err != nil {
-			t.Fatalf("cores %d: %v", cores, err)
-		}
-		return res
-	}
-	ref := run(1)
-	latest := sim.Time(0)
-	for _, jt := range ref.JobTimes {
-		latest = max(latest, jt)
-	}
-	if ref.Makespan < latest {
-		t.Errorf("makespan %v before the last job finished at %v", ref.Makespan, latest)
-	}
-	for _, cores := range []int{2, 4} {
-		if got := run(cores); got.Makespan != ref.Makespan {
-			t.Errorf("cores %d: makespan %v, %v at one core", cores, got.Makespan, ref.Makespan)
-		}
-	}
-}
-
 // writerJob is a minimal I/O-bound job for policy tests: procs ranks
 // each issue writes independent writes of bytes, separated by gap of
 // compute — sustained bank pressure whose contention window is easy to
@@ -467,62 +433,60 @@ func eventsOf(f func()) uint64 {
 // TestRunPoliciesMatchesRun is the certificate's differential: for every
 // policy, RunPolicies returns the Result a separate Run under that policy
 // returns — over 1, 2 and 3 jobs, 1 and 4 stripes, with and without a
-// stripe-fault campaign, classic and sharded. The matrix must both share
-// runs (fewer events than the separate runs) and separate policies
-// (results that differ), or it would not test the certificate.
+// stripe-fault campaign. The matrix must both share runs (fewer events
+// than the separate runs) and separate policies (results that differ), or
+// it would not test the certificate.
 func TestRunPoliciesMatchesRun(t *testing.T) {
 	var shared, distinct int
 	for _, jobs := range []int{1, 2, 3} {
 		for _, stripes := range []int{1, 4} {
 			for _, faulted := range []bool{false, true} {
-				for _, cores := range []int{0, 2} {
-					name := fmt.Sprintf("jobs=%d stripes=%d faulted=%v cores=%d", jobs, stripes, faulted, cores)
-					cfg := Config{Seed: 5, Stripes: stripes, Cores: cores}
-					for i := 0; i < jobs; i++ {
-						cfg.Jobs = append(cfg.Jobs, contendedJob(i, 5))
+				name := fmt.Sprintf("jobs=%d stripes=%d faulted=%v", jobs, stripes, faulted)
+				cfg := Config{Seed: 5, Stripes: stripes}
+				for i := 0; i < jobs; i++ {
+					cfg.Jobs = append(cfg.Jobs, contendedJob(i, 5))
+				}
+				if faulted {
+					cfg.StripeFaults = stripeCampaign(stripes)
+				}
+				var got []Result
+				together := eventsOf(func() {
+					var err error
+					if got, err = RunPolicies(cfg, allPolicies); err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					if faulted {
-						cfg.StripeFaults = stripeCampaign(stripes)
-					}
-					var got []Result
-					together := eventsOf(func() {
+				})
+				var apart uint64
+				for i, p := range allPolicies {
+					cfg.Policy = p
+					var want Result
+					apart += eventsOf(func() {
 						var err error
-						if got, err = RunPolicies(cfg, allPolicies); err != nil {
-							t.Fatalf("%s: %v", name, err)
+						if want, err = Run(cfg); err != nil {
+							t.Fatalf("%s %v: %v", name, p, err)
 						}
 					})
-					var apart uint64
-					for i, p := range allPolicies {
-						cfg.Policy = p
-						var want Result
-						apart += eventsOf(func() {
-							var err error
-							if want, err = Run(cfg); err != nil {
-								t.Fatalf("%s %v: %v", name, p, err)
-							}
-						})
-						if !reflect.DeepEqual(got[i], want) {
-							t.Errorf("%s %v: RunPolicies gave %+v, Run gives %+v", name, p, got[i], want)
-						}
-						if !reflect.DeepEqual(got[i], got[0]) {
-							distinct++
-						}
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("%s %v: RunPolicies gave %+v, Run gives %+v", name, p, got[i], want)
 					}
-					if together < apart {
-						shared++
+					if !reflect.DeepEqual(got[i], got[0]) {
+						distinct++
 					}
-					// A certified copy shares no slice with the run it came from.
-					got[0].JobTimes[0]++
-					for i := 1; i < len(got); i++ {
-						if got[i].JobTimes[0] == got[0].JobTimes[0] {
-							t.Errorf("%s: %v's JobTimes aliases %v's", name, allPolicies[i], allPolicies[0])
-						}
+				}
+				if together < apart {
+					shared++
+				}
+				// A certified copy shares no slice with the run it came from.
+				got[0].JobTimes[0]++
+				for i := 1; i < len(got); i++ {
+					if got[i].JobTimes[0] == got[0].JobTimes[0] {
+						t.Errorf("%s: %v's JobTimes aliases %v's", name, allPolicies[i], allPolicies[0])
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d of 24 configurations shared runs; %d results differed from fcfs's", shared, distinct)
+	t.Logf("%d of 12 configurations shared runs; %d results differed from fcfs's", shared, distinct)
 	if shared == 0 || distinct == 0 {
 		t.Errorf("the matrix does not exercise the certificate: %d configurations shared runs, %d results differed from fcfs", shared, distinct)
 	}

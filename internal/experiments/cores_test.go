@@ -55,26 +55,6 @@ func TestFigCoresRowsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoschedCoresRowsBitIdentical is the sharded co-scheduling
-// determinism contract: the cosched sweep — all five inter-job bank
-// policies, with their cross-shard reservation and demand-signal
-// traffic — regenerated with 1, 2, 4 and 8 workers must produce
-// byte-identical row output. (The sharded bank spends a lookahead window
-// each way per reservation, so Cores >= 1 is its own trajectory family;
-// the classic Cores == 0 rows are pinned by the cosched golden suite,
-// not compared here.)
-func TestCoschedCoresRowsBitIdentical(t *testing.T) {
-	// CoschedPolicy left empty sweeps all five policies.
-	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, CoschedJobs: 2}
-	ref := renderCores(t, "cosched", opts, 1)
-	for _, cores := range []int{2, 4, 8} {
-		if got := renderCores(t, "cosched", opts, cores); !bytes.Equal(got, ref) {
-			t.Errorf("cosched rows differ between cores=1 and cores=%d\n--- cores=1 ---\n%s--- cores=%d ---\n%s",
-				cores, ref, cores, got)
-		}
-	}
-}
-
 // TestNonShardableExperimentsRejectCores: every experiment not marked
 // Shardable must reject -cores with the unified CannotShardError (naming
 // the feature and the flag to drop) instead of silently ignoring it or

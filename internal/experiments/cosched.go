@@ -116,16 +116,15 @@ func slowdownRatio(shared, alone float64) float64 {
 	return shared / alone
 }
 
-// coschedRun runs the shared cluster under each of policies with cores
-// parallel-mode workers (0: classic) — one simulation per distinct
-// outcome (cluster.RunPolicies) — divides each job's completion time by
+// coschedRun runs the shared cluster under each of policies — one
+// simulation per distinct outcome (cluster.RunPolicies) — divides each job's completion time by
 // its memoized single-job baseline on an identical bank, and measures
 // the hog's tail (how long job 0 outlives the last light job, >= 0).
 // A non-nil fault spec degrades the shared bank's stripes — the
 // campaign's stripe events compiled per seed — while the baselines stay
 // clean, so the slowdown rows then read "co-scheduling plus faults over
 // an idle healthy bank". The outcomes come back in policy order.
-func coschedRun(jobs, stripes int, policies []sim.BankPolicy, seed int64, cores int, base *memo[coschedBaseKey, float64], spec *faults.Spec) ([]coschedOutcome, error) {
+func coschedRun(jobs, stripes int, policies []sim.BankPolicy, seed int64, base *memo[coschedBaseKey, float64], spec *faults.Spec) ([]coschedOutcome, error) {
 	cjobs := make([]cluster.Job, jobs)
 	for i := range cjobs {
 		cjobs[i] = coschedJob(i, seed)
@@ -140,7 +139,7 @@ func coschedRun(jobs, stripes int, policies []sim.BankPolicy, seed int64, cores 
 		}
 		sf = inj.Stripe
 	}
-	shared, err := cluster.RunPolicies(cluster.Config{Jobs: cjobs, Stripes: stripes, Seed: seed, StripeFaults: sf, Cores: cores}, policies)
+	shared, err := cluster.RunPolicies(cluster.Config{Jobs: cjobs, Stripes: stripes, Seed: seed, StripeFaults: sf}, policies)
 	if err != nil {
 		return nil, err
 	}
@@ -222,14 +221,11 @@ func Cosched(opts Options) ([]Row, error) {
 			fspec = &sp
 		}
 	}
-	// The baselines run in the same trajectory family as the shared runs
-	// they normalize.
 	base := newMemo(func(k coschedBaseKey) (float64, error) {
 		alone, err := cluster.Run(cluster.Config{
 			Jobs:    []cluster.Job{coschedJob(k.job, k.seed)},
 			Stripes: k.stripes,
 			Seed:    k.seed,
-			Cores:   opts.Cores,
 		})
 		if err != nil {
 			return 0, err
@@ -242,7 +238,7 @@ func Cosched(opts Options) ([]Row, error) {
 			// One memo per (jobs, stripes, seed) holds the outcome of every
 			// policy; each policy's rows read their own.
 			out := newMemo(func(seed int64) ([]coschedOutcome, error) {
-				return coschedRun(jc, stripes, policies, seed, opts.Cores, base, fspec)
+				return coschedRun(jc, stripes, policies, seed, base, fspec)
 			})
 			for pi, pol := range policies {
 				row := func(series string) Row {

@@ -56,11 +56,11 @@ type Options struct {
 	// byte-identical for any Cores >= 1, one worker included; see
 	// internal/sim's parallel-mode contract). Zero keeps the classic
 	// single-engine mode. The experiments that shard are marked
-	// Experiment.Shardable (the weak-scaling figures and the co-scheduling
-	// contention sweep); Experiment.Run refuses a Cores >= 1 request for
-	// the rest — crash recovery, fault campaigns, lossy fabrics, the
-	// ablations and the analytic model — with mpi.CannotShardError rather
-	// than silently ignoring it.
+	// Experiment.Shardable (the weak-scaling figures fig5-fig8);
+	// Experiment.Run refuses a Cores >= 1 request for the rest — the
+	// co-scheduling sweep, crash recovery, fault campaigns, lossy fabrics,
+	// the ablations and the analytic model — with mpi.CannotShardError
+	// rather than silently ignoring it.
 	Cores int
 	// CoschedJobs restricts the cosched experiment to one concurrent-job
 	// count (0: sweep the built-in set).
@@ -326,11 +326,11 @@ type Experiment struct {
 	// Shardable marks a sweep whose simulations run in the conservative
 	// parallel mode when Options.Cores >= 1: the weak-scaling figures
 	// (fig5-fig7 spread their rank groups over the workers; fig8's
-	// decoupled variant spreads its compute group) and the co-scheduling
-	// contention sweep (whose jobs share a window-safe bank across the
-	// workers). Every other sweep depends on a classic-only feature —
-	// crash campaigns, message faults, tracing, or a single-engine
-	// co-scheduling baseline — and Run refuses Cores >= 1 for it.
+	// decoupled variant spreads its compute group). Every other sweep runs
+	// on one engine — co-scheduling, whose 16-rank worlds are too small
+	// for shard windows to pay, or a classic-only feature: crash
+	// campaigns, message faults, tracing — and Run refuses Cores >= 1 for
+	// it.
 	Shardable bool
 	// WeakScaling marks a sweep of the process count from SweepFloor up to
 	// Options.MaxProcs. The others run at sizes of their own and at most
@@ -367,7 +367,7 @@ var table = []Experiment{
 		Description: "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)"},
 	{Name: "ablation-granularity", run: AblationGranularity,
 		Description: "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction"},
-	{Name: "cosched", run: Cosched, Shardable: true,
+	{Name: "cosched", run: Cosched,
 		Description: "co-scheduled multi-job contention on a shared bank"},
 	{Name: "fig5", run: Fig5, Shardable: true, WeakScaling: true,
 		Description: "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)"},

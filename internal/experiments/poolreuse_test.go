@@ -81,28 +81,3 @@ func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
 		t.Errorf("cosched rows from recycled worlds differ from testdata/rows_v3.csv\n--- golden ---\n%s--- got ---\n%s", want, got)
 	}
 }
-
-// TestShardedCoschedPoolReuse: a sharded cosched run builds its worlds
-// against a shard group and a group-attached bank, while recycling those
-// worlds through the same process-wide pool the classic runs draw from.
-// Nothing sharded may survive into later runs (Bank.Reset drops the
-// attachment; sharded runs never borrow pooled cluster engines), so
-// classic renderings after a sharded run — and a second sharded
-// rendering after classic churn — must not change by a byte.
-func TestShardedCoschedPoolReuse(t *testing.T) {
-	classicOpts := Options{MaxProcs: 32, Runs: 2, Workers: 2, CoschedJobs: 2, CoschedPolicy: "fair"}
-	shardedOpts := classicOpts
-	shardedOpts.Cores = 4
-	classic := renderRows(t, "cosched", classicOpts)
-	fig8 := renderRows(t, "fig8", classicOpts)
-	sharded := renderRows(t, "cosched", shardedOpts)
-	if classicAgain := renderRows(t, "cosched", classicOpts); !bytes.Equal(classic, classicAgain) {
-		t.Errorf("classic cosched rows changed after a sharded run\n--- before ---\n%s--- after ---\n%s", classic, classicAgain)
-	}
-	if fig8Again := renderRows(t, "fig8", classicOpts); !bytes.Equal(fig8, fig8Again) {
-		t.Errorf("fig8 rows changed after a sharded cosched run\n--- before ---\n%s--- after ---\n%s", fig8, fig8Again)
-	}
-	if shardedAgain := renderRows(t, "cosched", shardedOpts); !bytes.Equal(sharded, shardedAgain) {
-		t.Errorf("sharded cosched rows changed after classic churn\n--- before ---\n%s--- after ---\n%s", sharded, shardedAgain)
-	}
-}

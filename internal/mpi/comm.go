@@ -50,12 +50,6 @@ func (c *Comm) RankOf(r *Rank) int {
 	return cr
 }
 
-// Member reports whether r belongs to this communicator.
-func (c *Comm) Member(r *Rank) bool {
-	_, ok := c.commRank(r.rs.rank)
-	return ok
-}
-
 // commRank translates a world rank to its rank in c, if it is a member.
 func (c *Comm) commRank(worldRank int) (int, bool) {
 	if c.index == nil {
@@ -64,9 +58,6 @@ func (c *Comm) commRank(worldRank int) (int, bool) {
 	cr, ok := c.index[worldRank]
 	return cr, ok
 }
-
-// WorldRank translates a comm rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 
 // splitState accumulates one collective Split call over a parent comm.
 type splitState struct {

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
 
@@ -432,6 +434,43 @@ func TestCrashConfigValidation(t *testing.T) {
 	mustPanic("target out of range", Config{Procs: 2, Crashes: []sim.CrashEvent{{At: 1, Target: 2}}})
 	mustPanic("negative time", Config{Procs: 2, Crashes: []sim.CrashEvent{{At: -1, Target: 0}}})
 	mustPanic("tracing", Config{Procs: 2, Tracer: nopTracer{}, Crashes: []sim.CrashEvent{{At: 1, Target: 0}}})
+}
+
+// TestFaultWindowTargets: NewWorld refuses slowdown and stripe windows
+// aimed at a rank or stripe the world does not have, naming the index,
+// instead of dropping them; empty entries past the end stay legal.
+func TestFaultWindowTargets(t *testing.T) {
+	fs := netmodel.LustreLike()
+	fs.Stripes = 2
+	slow := []sim.FaultWindow{{Start: 10, End: 20, Factor: 2}}
+	outage := []sim.StripeFault{{Start: 10, End: 20}}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string // panic message substring; empty means no panic
+	}{
+		{"rank in range", Config{RankFaults: [][]sim.FaultWindow{nil, slow}}, ""},
+		{"rank beyond the world", Config{RankFaults: [][]sim.FaultWindow{nil, nil, slow}}, "RankFaults[2] targets rank 2 of 2"},
+		{"empty rank entry beyond the world", Config{RankFaults: [][]sim.FaultWindow{nil, nil, {}}}, ""},
+		{"stripe in range", Config{StripeFaults: [][]sim.StripeFault{nil, outage}}, ""},
+		{"stripe beyond the bank", Config{StripeFaults: [][]sim.StripeFault{nil, nil, outage}}, "StripeFaults[2] targets stripe 2 of 2"},
+		{"empty stripe entry beyond the bank", Config{StripeFaults: [][]sim.StripeFault{nil, nil, nil}}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				switch {
+				case c.want == "" && r != nil:
+					t.Errorf("NewWorld panicked: %v", r)
+				case c.want != "" && !strings.Contains(msg, c.want):
+					t.Errorf("NewWorld panic %v, want one naming %q", r, c.want)
+				}
+			}()
+			c.cfg.Procs, c.cfg.FS = 2, fs
+			NewWorld(c.cfg)
+		})
+	}
 }
 
 type nopTracer struct{}

@@ -52,26 +52,12 @@ func (c *Comm) FOpen(r *Rank, name string, then func(*File) sim.StepFunc) sim.St
 	})
 }
 
-// fReserveEnd books dur of stripe time for the world's job at the rank's
-// current instant and delivers the granted slot's end, which the caller
-// advances to. It is the single reservation seam of every write path. On
-// a classic (or single-world sharded) bank the grant is the synchronous
-// Reserve call. On a bank attached to a shard group the reservation is
-// the two-phase window-boundary protocol: the request travels to the owner
-// shard carrying this rank's delivery priority, the rank parks (keeping
-// any accumulated debt — AdvanceTo folds it after the wake), and the grant
-// wakes it two lookaheads later with the slot.
-func (f *File) fReserveEnd(r *Rank, dur sim.Time, then func(end sim.Time) sim.StepFunc) sim.StepFunc {
-	w := f.w
-	fib := r.fib
-	if !w.fs.Sharded() {
-		_, end := w.fs.Reserve(w.cfg.Job, fib.Now(), dur)
-		return then(end)
-	}
-	req := w.fs.PostReserve(r.rs.eng, w.cfg.Job, dur, r.rs.deliveryPri(), fib)
-	return fib.ParkKeepingDebt("bank reservation", func(_ *sim.Fiber) sim.StepFunc {
-		return then(req.End)
-	})
+// reserveEnd books dur of stripe time for the world's job at the rank's
+// current instant and reports the granted slot's end, which the caller
+// advances to. It is the single reservation seam of every write path.
+func (f *File) reserveEnd(r *Rank, dur sim.Time) sim.Time {
+	_, end := f.w.fs.Reserve(f.w.cfg.Job, r.fib.Now(), dur)
+	return end
 }
 
 // fwrite is the pooled state of one shared-pointer or collective write:
@@ -100,7 +86,6 @@ type fwrite struct {
 type fwriteSteps struct {
 	done                         sim.StepFunc
 	wsGranted, wsReserve         sim.StepFunc
-	wsReserved, waReserved       func(end sim.Time) sim.StepFunc
 	waGathered                   func([]Part) sim.StepFunc
 	waCollect, waWrite, waFinish sim.StepFunc
 	waCollected                  func(Status) sim.StepFunc
@@ -118,9 +103,9 @@ func (f *File) newWrite(r *Rank, bytes int64, then sim.StepFunc) *fwrite {
 		s = &fwrite{}
 		s.steps = fwriteSteps{
 			done:      s.doneStep,
-			wsGranted: s.wsGrantedStep, wsReserve: s.wsReserveStep, wsReserved: s.wsReservedStep,
+			wsGranted: s.wsGrantedStep, wsReserve: s.wsReserveStep,
 			waGathered: s.waGatheredStep, waCollect: s.waCollectStep, waCollected: s.waCollectedStep,
-			waWrite: s.waWriteStep, waReserved: s.waReservedStep, waFinish: s.waFinishStep, waWaited: s.waWaitedStep,
+			waWrite: s.waWriteStep, waFinish: s.waFinishStep, waWaited: s.waWaitedStep,
 		}
 	}
 	s.f, s.r, s.bytes, s.then = f, r, bytes, then
@@ -165,11 +150,8 @@ func (s *fwrite) wsReserveStep(_ *sim.Fiber) sim.StepFunc {
 	f.size += s.bytes
 	f.bytesWritten += s.bytes
 	f.ops++
-	return f.fReserveEnd(s.r, f.w.cfg.FS.WriteTime(s.bytes), s.steps.wsReserved)
-}
-
-func (s *fwrite) wsReservedStep(end sim.Time) sim.StepFunc {
-	s.f.token.Release(s.r.fib)
+	end := f.reserveEnd(s.r, f.w.cfg.FS.WriteTime(s.bytes))
+	f.token.Release(s.r.fib)
 	return s.r.fib.AdvanceTo(end, s.steps.done)
 }
 
@@ -240,11 +222,8 @@ func (s *fwrite) waCollectedStep(st Status) sim.StepFunc {
 }
 
 func (s *fwrite) waWriteStep(_ *sim.Fiber) sim.StepFunc {
-	return s.f.fReserveEnd(s.r, s.f.w.cfg.FS.CollWriteTime(s.total), s.steps.waReserved)
-}
-
-func (s *fwrite) waReservedStep(end sim.Time) sim.StepFunc {
 	f := s.f
+	end := f.reserveEnd(s.r, f.w.cfg.FS.CollWriteTime(s.total))
 	f.ops++
 	f.size += s.total
 	f.bytesWritten += s.total

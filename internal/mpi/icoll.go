@@ -60,9 +60,6 @@ func (c *Comm) WaitColl(r *Rank, cr *CollRequest) interface{} {
 	return Await(r, "WaitColl", func(then func(interface{}) sim.StepFunc) sim.StepFunc { return c.FWaitColl(r, cr, then) })
 }
 
-// TestColl reports whether cr has completed.
-func (c *Comm) TestColl(r *Rank, cr *CollRequest) bool { return cr.done }
-
 // Ibarrier starts a nonblocking barrier.
 func (c *Comm) Ibarrier(r *Rank) *CollRequest {
 	return Await(r, "Ibarrier", func(then func(*CollRequest) sim.StepFunc) sim.StepFunc {

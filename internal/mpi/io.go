@@ -63,9 +63,7 @@ func (f *File) WriteAt(r *Rank, bytes int64) {
 	r.Block("WriteAt", func(next sim.StepFunc) sim.StepFunc {
 		f.w.ioBegin(r.rs)
 		return r.fib.Advance(fs.PerOpLatency, func(*sim.Fiber) sim.StepFunc {
-			return f.fReserveEnd(r, fs.WriteTime(bytes), func(end sim.Time) sim.StepFunc {
-				return r.fib.AdvanceTo(end, next)
-			})
+			return r.fib.AdvanceTo(f.reserveEnd(r, fs.WriteTime(bytes)), next)
 		})
 	})
 	f.w.ioEnd(r.rs)

@@ -34,40 +34,9 @@ func SumInt64(a, b interface{}) interface{} {
 	return av + bv
 }
 
-// MaxInt64 takes the maximum of two int64 payloads.
-func MaxInt64(a, b interface{}) interface{} {
-	av, _ := a.(int64)
-	bv, _ := b.(int64)
-	if av > bv {
-		return av
-	}
-	return bv
-}
-
 // SumFloat64 adds two scalar float64 payloads.
 func SumFloat64(a, b interface{}) interface{} {
 	av, _ := a.(float64)
 	bv, _ := b.(float64)
 	return av + bv
-}
-
-// MergeCounts merges two map[string]int64 payloads (word-count
-// histograms), allocating a fresh map so inputs stay untouched.
-func MergeCounts(a, b interface{}) interface{} {
-	am, _ := a.(map[string]int64)
-	bm, _ := b.(map[string]int64)
-	if am == nil {
-		return bm
-	}
-	if bm == nil {
-		return am
-	}
-	out := make(map[string]int64, len(am)+len(bm))
-	for k, v := range am {
-		out[k] = v
-	}
-	for k, v := range bm {
-		out[k] += v
-	}
-	return out
 }

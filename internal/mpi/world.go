@@ -150,20 +150,6 @@ type Config struct {
 	// placement — only wall-clock balance does. Ranks sharing simulated
 	// files must share a shard (File.Open enforces this).
 	Place func(rank int) int
-	// Group, if non-nil, attaches the world to an existing shard group
-	// instead of owning one: several worlds (co-scheduled jobs) place
-	// their ranks across the same group's shard engines and run as one
-	// sharded simulation (see internal/cluster). It is the parallel-mode
-	// counterpart of a shared Engine, and like it leaves running to the
-	// owner: worlds with a shared group must be started with
-	// Start/StartFibers, not Run. Requires a shared
-	// Bank attached to the same group (sim.Bank.AttachGroup) — the bank
-	// is the only cross-world state, and it must use the window-boundary
-	// reservation protocol. Shards, if set, must equal the group's shard
-	// count (zero adopts it); a shared group with one shard is still the
-	// sharded trajectory family, which is what keeps co-scheduled rows
-	// byte-identical for every worker count >= 1.
-	Group *sim.ShardGroup
 }
 
 func (c Config) withDefaults() Config {
@@ -178,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Bank == nil {
 		c.Job = 0 // a private bank has exactly one job
-	}
-	if c.Group != nil && c.Shards == 0 {
-		c.Shards = c.Group.Shards()
 	}
 	if c.MsgFaults != nil {
 		if c.AckTimeout <= 0 {
@@ -260,12 +243,6 @@ type World struct {
 	// pools below.
 	group      *sim.ShardGroup
 	shardPools []pools
-	// priBase offsets this world's rank identities into the group-global
-	// id and delivery-priority spaces when several worlds share one group
-	// (allocated contiguously in job start order by AllocRanks, matching
-	// the classic shared-engine spawn order). Zero for a world that owns
-	// its group, preserving the single-world sharded family unchanged.
-	priBase int
 	// ioShard is the single shard allowed to touch the file-system bank in
 	// parallel mode (-1 until the first Open): stripe reservations and
 	// shared-pointer tokens are engine-local state, so every file-using
@@ -316,15 +293,6 @@ func (w *World) ioBegin(rs *rankState) {
 	if !w.signalDemand {
 		return
 	}
-	if w.fs.Sharded() {
-		// Sharded shared bank: the demand edge travels to the owner shard
-		// as a boundary event carrying this rank's delivery priority, so
-		// the demand sequence the work-conserving policies read is
-		// partition-independent (see the sharded-bank contract in the sim
-		// package comment).
-		w.fs.PostIOBegin(rs.eng, w.cfg.Job, rs.deliveryPri())
-		return
-	}
 	w.fs.IOBegin(w.cfg.Job, rs.eng.Now())
 }
 
@@ -332,10 +300,6 @@ func (w *World) ioBegin(rs *rankState) {
 func (w *World) ioEnd(rs *rankState) {
 	rs.ioDepth--
 	if !w.signalDemand {
-		return
-	}
-	if w.fs.Sharded() {
-		w.fs.PostIOEnd(rs.eng, w.cfg.Job, rs.deliveryPri())
 		return
 	}
 	w.fs.IOEnd(w.cfg.Job, rs.eng.Now())
@@ -534,14 +498,13 @@ func (rs *rankState) reset(speed float64) {
 }
 
 // deliveryPri returns the canonical priority for this rank's next
-// cross-rank delivery in parallel mode: the sending rank (offset into
-// the group-global identity space when several worlds share the group)
-// and its send counter, both functions of the simulated program alone,
-// so same-instant delivery order at the receiver never depends on shard
-// placement. The shift leaves room for 2^40 sends per rank before
-// neighbouring ranks' key ranges could touch.
+// cross-rank delivery in parallel mode: the sending rank and its send
+// counter, both functions of the simulated program alone, so same-instant
+// delivery order at the receiver never depends on shard placement. The
+// shift leaves room for 2^40 sends per rank before neighbouring ranks' key
+// ranges could touch.
 func (rs *rankState) deliveryPri() uint64 {
-	pri := (uint64(rs.world.priBase+rs.rank)+1)<<40 | rs.sendSeq
+	pri := (uint64(rs.rank)+1)<<40 | rs.sendSeq
 	rs.sendSeq++
 	return pri
 }
@@ -608,26 +571,11 @@ func NewWorld(cfg Config) *World {
 	if cfg.Bank != nil && (cfg.Job < 0 || cfg.Job >= cfg.Bank.Jobs()) {
 		panic(fmt.Sprintf("mpi: job %d outside shared bank's %d jobs", cfg.Job, cfg.Bank.Jobs()))
 	}
-	if cfg.Bank != nil && cfg.Engine == nil && cfg.Group == nil {
-		// A shared bank orders reservations by the shared engine's clock
-		// (or, sharded, by the owner shard's); feeding it from worlds with
-		// private engines would rewind its reservation instants between
-		// runs and grant nonsense.
-		panic("mpi: a shared Bank requires a shared Engine or a shared Group")
-	}
-	if cfg.Group != nil {
-		if cfg.Engine != nil {
-			panic("mpi: Group with a shared Engine; a sharded cluster shares the group, not an engine")
-		}
-		if cfg.Shards != cfg.Group.Shards() {
-			panic(fmt.Sprintf("mpi: Shards %d differs from the shared group's %d", cfg.Shards, cfg.Group.Shards()))
-		}
-		if cfg.Bank == nil {
-			panic("mpi: Group without a shared Bank; a lone sharded world owns its group (set Config.Shards instead)")
-		}
-		if cfg.Bank.Group() != cfg.Group {
-			panic("mpi: shared Bank is not attached to this world's shard group (sim.Bank.AttachGroup)")
-		}
+	if cfg.Bank != nil && cfg.Engine == nil {
+		// A shared bank orders reservations by the shared engine's clock;
+		// feeding it from worlds with private engines would rewind its
+		// reservation instants between runs and grant nonsense.
+		panic("mpi: a shared Bank requires a shared Engine")
 	}
 	if cfg.Bank != nil && cfg.StripeFaults != nil {
 		panic("mpi: StripeFaults on a world with a shared Bank; install faults on the bank via its owner")
@@ -636,10 +584,16 @@ func NewWorld(cfg Config) *World {
 		if err := sim.ValidateWindows(ws); err != nil {
 			panic(fmt.Sprintf("mpi: RankFaults[%d]: %v", i, err))
 		}
+		if len(ws) > 0 && i >= cfg.Procs {
+			panic(fmt.Sprintf("mpi: RankFaults[%d] targets rank %d of %d", i, i, cfg.Procs))
+		}
 	}
 	for i, fs := range cfg.StripeFaults {
 		if err := sim.ValidateStripeFaults(fs); err != nil {
 			panic(fmt.Sprintf("mpi: StripeFaults[%d]: %v", i, err))
+		}
+		if len(fs) > 0 && i >= cfg.FS.Stripes {
+			panic(fmt.Sprintf("mpi: StripeFaults[%d] targets stripe %d of %d", i, i, cfg.FS.Stripes))
 		}
 	}
 	if err := cfg.LinkFaults.Validate(); err != nil {
@@ -666,7 +620,7 @@ func NewWorld(cfg Config) *World {
 			panic("mpi: message-fault campaigns do not support tracing")
 		}
 	}
-	sharded := cfg.Shards >= 1 || cfg.Group != nil
+	sharded := cfg.Shards >= 1
 	if sharded {
 		// The parallel mode partitions per-rank state across concurrently
 		// executing shard engines; the features below all assume one
@@ -674,11 +628,8 @@ func NewWorld(cfg Config) *World {
 		// ordered trace stream), so they are refused rather than silently
 		// misordered — with the one shared rejection type so every layer
 		// reports the conflict the same way.
-		if cfg.Engine != nil {
-			panic("mpi: Shards >= 1 with a shared Engine; co-scheduled sharded worlds share a Group instead")
-		}
-		if cfg.Bank != nil && cfg.Group == nil {
-			panic("mpi: Shards >= 1 with a shared Bank but no shared Group; attach the bank and the worlds to one sim.ShardGroup")
+		if cfg.Engine != nil { // a shared Bank has required one above
+			panic("mpi: Shards >= 1 with a shared Engine or Bank; a sharded world owns both")
 		}
 		if cfg.Tracer != nil {
 			panic(cannotShard("tracing", "-cores"))
@@ -715,18 +666,7 @@ func NewWorld(cfg Config) *World {
 	w.signalDemand = cfg.Bank != nil
 	w.ioShard = -1
 	if sharded {
-		if cfg.Group != nil {
-			// Attach to the shared group: tighten its lookahead with this
-			// world's own cross-shard latency bound (commutative, so job
-			// attachment order never matters) and draw a contiguous block
-			// of engine-global rank identities, so spawn ids and delivery
-			// priorities follow classic job start order.
-			w.group = cfg.Group
-			w.group.TightenLookahead(cfg.lookahead())
-			w.priBase = w.group.AllocRanks(cfg.Procs)
-		} else {
-			w.group = sim.NewShardGroup(cfg.Seed, cfg.Shards, cfg.lookahead())
-		}
+		w.group = sim.NewShardGroup(cfg.Seed, cfg.Shards, cfg.lookahead())
 		w.shardPools = make([]pools, cfg.Shards)
 		for i := 0; i < cfg.Shards; i++ {
 			// Ranks take their world rank as process id (SpawnID); helper
@@ -751,7 +691,8 @@ func NewWorld(cfg Config) *World {
 // applyStripeFaults installs cfg.StripeFaults on the world's private
 // bank. Faults are per-run state (Bank.Reset drops them), so both the
 // fresh-build and pool-reuse paths must call this after the bank is
-// ready. Stripes beyond the bank width are ignored.
+// ready. NewWorld has refused windows on stripes beyond the bank width;
+// empty entries there are skipped.
 func (w *World) applyStripeFaults() {
 	for i, fs := range w.cfg.StripeFaults {
 		if i < w.fs.Width() {
@@ -956,8 +897,8 @@ func (w *World) Start(main func(r *Rank)) {
 // to completion, returning the final virtual time. Worlds attached to a
 // shared engine must not Run it (the owning cluster does); use Start.
 func (w *World) Run(main func(r *Rank)) (sim.Time, error) {
-	if w.cfg.Engine != nil || w.cfg.Group != nil {
-		panic("mpi: Run on a world with a shared engine or group; Start it and run from its owner")
+	if w.cfg.Engine != nil {
+		panic("mpi: Run on a world with a shared engine; Start it and run from its owner")
 	}
 	w.Start(main)
 	if w.group != nil {
@@ -978,8 +919,8 @@ type FiberMain func(r *Rank, f *sim.Fiber) sim.StepFunc
 // cross-rank dispatch costs a method call instead of two goroutine
 // switches. Every measured path runs this way.
 func (w *World) RunFibers(main FiberMain) (sim.Time, error) {
-	if w.cfg.Engine != nil || w.cfg.Group != nil {
-		panic("mpi: RunFibers on a world with a shared engine or group; StartFibers it and run from its owner")
+	if w.cfg.Engine != nil {
+		panic("mpi: RunFibers on a world with a shared engine; StartFibers it and run from its owner")
 	}
 	w.StartFibers(main)
 	if w.group != nil {
@@ -999,7 +940,7 @@ func (w *World) StartFibers(main FiberMain) {
 			return main(rank, f)
 		}
 		if w.group != nil {
-			rank.fib = rs.eng.SpawnFiberID(w.priBase+rs.rank, w.rankName(rs.rank), start)
+			rank.fib = rs.eng.SpawnFiberID(rs.rank, w.rankName(rs.rank), start)
 		} else {
 			rank.fib = w.eng.SpawnFiber(w.rankName(rs.rank), start)
 		}
@@ -1177,17 +1118,13 @@ func (r *Rank) FIdle(d sim.Time, next sim.StepFunc) sim.StepFunc {
 // Fiber exposes the rank's fiber.
 func (r *Rank) Fiber() *sim.Fiber { return r.fib }
 
-// Stash is a world-wide scratch space for libraries built on the runtime
-// (for example, the stream library's channel registry). Classic-mode
-// simulation code runs single-threaded, so direct map access is safe; in
-// parallel mode ranks on different shards may run concurrently, so
-// libraries must use StashLocked instead.
-func (r *Rank) Stash() map[string]interface{} { return r.w.stash }
-
-// StashLocked runs fn with exclusive access to the world stash, the
-// parallel-mode-safe form of Stash. Updates keyed (directly or in nested
-// maps) by the calling rank stay deterministic under concurrency; fn must
-// not block or touch simulation time.
+// StashLocked runs fn with exclusive access to the world stash, a
+// world-wide scratch space for libraries built on the runtime (for
+// example, the stream library's channel registry). The lock is needed in
+// parallel mode, where ranks on different shards may run concurrently.
+// Updates keyed (directly or in nested maps) by the calling rank stay
+// deterministic under concurrency; fn must not block or touch simulation
+// time.
 func (r *Rank) StashLocked(fn func(stash map[string]interface{})) {
 	r.w.mu.Lock()
 	defer r.w.mu.Unlock()

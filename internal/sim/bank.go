@@ -149,18 +149,9 @@ type Bank struct {
 	// timelines without re-deriving placement.
 	lastStripe int
 
-	// group/owner are the sharded-mode attachment (AttachGroup): when
-	// group is non-nil, every reservation and demand signal reaches the
-	// bank as a window-boundary event on the owner shard's engine, so
-	// grant order is a pure function of the (t, pri, seq) event key and
-	// never of which shard asked first. Reset clears the attachment.
-	group *ShardGroup
-	owner int
-
 	// shadows are the private banks under other policies that still
 	// agree with every grant this bank has made (Shadow). They are
-	// touched only from this bank's own methods, so in sharded mode only
-	// on the owner shard. Reset drops them.
+	// touched only from this bank's own methods. Reset drops them.
 	shadows []*Bank
 }
 
@@ -293,119 +284,6 @@ func (b *Bank) Demanding(job int) bool { return b.demand[job] > 0 }
 // accounting the cluster layer reports alongside JobBusy.
 func (b *Bank) JobDemand(job int) Time { return b.demandTime[job] }
 
-// AttachGroup places the bank into sharded mode for the coming run: the
-// bank's arbitration state becomes owned by shard owner of g, and callers
-// on any shard reach it through the PostReserve/PostIOBegin/PostIOEnd
-// event protocol instead of calling Reserve/IOBegin/IOEnd directly. The
-// attachment is per-run configuration, like fault windows: Reset drops
-// it.
-func (b *Bank) AttachGroup(g *ShardGroup, owner int) {
-	if g == nil {
-		panic("sim: Bank.AttachGroup with nil group")
-	}
-	if owner < 0 || owner >= g.Shards() {
-		panic(fmt.Sprintf("sim: Bank.AttachGroup owner shard %d of %d", owner, g.Shards()))
-	}
-	b.group = g
-	b.owner = owner
-}
-
-// Sharded reports whether the bank is attached to a shard group (all
-// access must go through the Post* event protocol).
-func (b *Bank) Sharded() bool { return b.group != nil }
-
-// Group returns the attached shard group, nil in classic mode.
-func (b *Bank) Group() *ShardGroup { return b.group }
-
-// BankReq is one in-flight reservation under the sharded-bank protocol:
-// a two-phase event that carries the request to the owner shard and the
-// grant back. Phase one fires on the owner's engine one lookahead after
-// the request instant — in (t, pri, seq) order, where pri is the
-// requesting rank's delivery priority, so grant order is sender program
-// order regardless of sharding — and books via Reserve at the owner's
-// clock. Phase two fires on the requesting shard another lookahead later
-// and wakes the parked requester, which reads the granted slot from
-// Start/End. At one worker both phases degenerate to same-engine pri
-// events with identical times and keys, which is what makes sharded rows
-// byte-identical for every worker count.
-type BankReq struct {
-	b      *Bank
-	src    *Engine
-	target *Fiber
-	job    int
-	dur    Time
-	pri    uint64
-	booked bool
-	// Start and End are the granted slot, valid once the requester has
-	// been woken.
-	Start, End Time
-}
-
-// Fire advances the request through its two phases (Action contract).
-func (r *BankReq) Fire() {
-	own := r.b.group.engines[r.b.owner]
-	if !r.booked {
-		// On the owner shard: grant at the owner's clock, which is
-		// monotone across requests, satisfying Reserve's non-decreasing
-		// contract; then send the grant home with the same priority.
-		r.Start, r.End = r.b.Reserve(r.job, own.now, r.dur)
-		r.booked = true
-		own.Post(r.src, own.now+r.b.group.lookahead, r.pri, r)
-		return
-	}
-	// Back on the requesting shard: wake the parked requester at the
-	// grant's arrival instant.
-	r.src.WakeAt(r.src.now, r.target)
-}
-
-// PostReserve books dur of stripe time for job through the sharded-bank
-// protocol: the request travels to the owner shard as a boundary event
-// carrying pri (the requesting rank's delivery priority) and the grant
-// travels back the same way, so the caller resumes two lookaheads after
-// src's current instant with the slot in the returned request's
-// Start/End. The caller parks target (keeping any debt) immediately
-// after posting and settles to End on resume.
-func (b *Bank) PostReserve(src *Engine, job int, dur Time, pri uint64, target *Fiber) *BankReq {
-	r := &BankReq{b: b, src: src, target: target, job: job, dur: dur, pri: pri}
-	src.Post(b.group.engines[b.owner], src.now+b.group.lookahead, pri, r)
-	return r
-}
-
-// bankSignal carries one demand-signal edge (IOBegin or IOEnd) to the
-// owner shard under the sharded-bank protocol.
-type bankSignal struct {
-	b     *Bank
-	job   int
-	begin bool
-}
-
-// Fire applies the edge on the owner shard (Action contract).
-func (s *bankSignal) Fire() {
-	own := s.b.group.engines[s.b.owner]
-	if s.begin {
-		s.b.IOBegin(s.job, own.now)
-	} else {
-		s.b.IOEnd(s.job, own.now)
-	}
-}
-
-// PostIOBegin is IOBegin under the sharded-bank protocol: the demand edge
-// reaches the owner shard one lookahead after src's current instant,
-// ordered by pri like every other cross-shard event, so the demand
-// sequence the work-conserving policies read is partition-independent.
-func (b *Bank) PostIOBegin(src *Engine, job int, pri uint64) {
-	b.postSignal(src, job, pri, true)
-}
-
-// PostIOEnd is IOEnd under the sharded-bank protocol.
-func (b *Bank) PostIOEnd(src *Engine, job int, pri uint64) {
-	b.postSignal(src, job, pri, false)
-}
-
-func (b *Bank) postSignal(src *Engine, job int, pri uint64, begin bool) {
-	src.Post(b.group.engines[b.owner], src.now+b.group.lookahead, pri, &bankSignal{b: b, job: job, begin: begin})
-}
-
 // SetStripeFaults installs stripe's degradation windows for the current
 // run. The windows must be sorted and non-overlapping
 // (ValidateStripeFaults); passing an empty list clears the stripe's
@@ -472,12 +350,6 @@ func (b *Bank) Reset() {
 	}
 	b.lastAt = 0
 	b.lastStripe = 0
-	// The sharded attachment is per-run configuration like fault
-	// windows: a pooled bank must never carry a dead run's shard group
-	// (pending BankReq state lives in that group's engines and dies with
-	// them).
-	b.group = nil
-	b.owner = 0
 	b.shadows = nil
 }
 

@@ -63,12 +63,6 @@ type ShardGroup struct {
 	// anything done in it may reach another shard; posts below it would
 	// violate the lookahead guarantee and panic.
 	windowEnd Time
-	// deferred marks a group built by NewShardGroupDeferred whose
-	// lookahead has not been tightened yet; Run refuses to start one.
-	deferred bool
-	// rankBase is the next engine-global rank identity handed out by
-	// AllocRanks, for multi-world (co-scheduled) sharded runs.
-	rankBase int
 	// busyHist[k] counts the windows that had k busy shards, posts the
 	// deliveries merged at window boundaries and extended the windows whose
 	// first shard used its longer horizon (Stats). Only Run's caller touches
@@ -105,49 +99,6 @@ func NewShardGroup(seed int64, n int, lookahead Time) *ShardGroup {
 	return g
 }
 
-// NewShardGroupDeferred builds n engines whose conservative lookahead is
-// not yet known: the layers attaching simulated state to the group each
-// call TightenLookahead with their own lower bound before Run. Several
-// worlds of a co-scheduled cluster attach to one group this way — each
-// knows only its own network's minimum cross-shard latency, and the
-// group's lookahead is the minimum over all of them.
-func NewShardGroupDeferred(seed int64, n int) *ShardGroup {
-	g := NewShardGroup(seed, n, MaxTime)
-	g.deferred = true
-	return g
-}
-
-// TightenLookahead lowers the group's lookahead to la if la is smaller.
-// Tightening is commutative (a running minimum), so attachment order
-// never matters; la must be a positive lower bound on the attaching
-// layer's cross-shard latency.
-func (g *ShardGroup) TightenLookahead(la Time) {
-	if la <= 0 {
-		panic(fmt.Sprintf("sim: TightenLookahead with non-positive lookahead %v", la))
-	}
-	if la < g.lookahead {
-		g.lookahead = la
-	}
-	g.deferred = false
-}
-
-// AllocRanks reserves a contiguous block of n engine-global rank
-// identities and returns its base. Worlds sharing one group (co-scheduled
-// jobs) draw their blocks in job start order, so process ids — and every
-// id-seeded random stream and delivery priority — match the classic
-// shared-engine spawn order regardless of how ranks are sharded.
-func (g *ShardGroup) AllocRanks(n int) int {
-	base := g.rankBase
-	g.rankBase += n
-	return base
-}
-
-// Abort unwinds every shard engine without running the group, releasing
-// any body goroutines started on the shards. It is the group
-// counterpart of Engine.Abort, for error paths between attachment and
-// Run.
-func (g *ShardGroup) Abort() { g.unwindAll() }
-
 // ShardStats counts what the window barrier of a group did. The counts
 // are functions of the simulated program, the lookahead and, where noted,
 // the placement — never of timing — so a test can pin them exactly.
@@ -173,8 +124,8 @@ type ShardStats struct {
 	Extended uint64
 }
 
-// Stats reports the group's window counts so far. Call it after Run (or
-// Abort), not while a window may be executing.
+// Stats reports the group's window counts so far. Call it after Run, not
+// while a window may be executing.
 func (g *ShardGroup) Stats() ShardStats {
 	st := ShardStats{
 		LoneWindows: g.busyHist[1],
@@ -193,9 +144,6 @@ func (g *ShardGroup) Shards() int { return len(g.engines) }
 
 // Shard returns the i'th shard engine.
 func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
-
-// Lookahead reports the group's conservative lookahead.
-func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
 // post buffers a cross-shard delivery (Engine.Post's cross-engine arm).
 // Called from the goroutine running shard src's window, it also pulls src's
@@ -303,9 +251,6 @@ func (ws *shardWorkers) stop() {
 // Engine.Run guarantees for a single engine, and every goroutine Run
 // started has exited.
 func (g *ShardGroup) Run() (Time, error) {
-	if g.deferred {
-		panic("sim: ShardGroup.Run on a deferred group whose lookahead was never tightened (TightenLookahead)")
-	}
 	panics := make([]interface{}, len(g.engines))
 	busy := make([]*Engine, 0, len(g.engines))
 	var workers *shardWorkers

@@ -253,8 +253,8 @@ func tickEvery(e *Engine, period, until Time) {
 
 // TestHostLifetimeShardGroup ends a sharded run every way it can end and
 // requires, each time, that neither a shard worker nor a body goroutine is
-// left. Every case but the abort has windows with both shards busy, so the
-// workers exist when the run ends.
+// left. Every case has windows with both shards busy, so the workers exist
+// when the run ends.
 func TestHostLifetimeShardGroup(t *testing.T) {
 	parked := func(e *Engine, name string) {
 		e.Spawn(name, func(p *Proc) { p.Park("never woken") })
@@ -325,11 +325,6 @@ func TestHostLifetimeShardGroup(t *testing.T) {
 			bombAt(g.Shard(1), 2*testLat+50, "boom1")
 			expectPanic(t, g, "boom0")
 			multiBusy(t, g)
-		}},
-		{"abort without run", func(t *testing.T, g *ShardGroup) {
-			parked(g.Shard(0), "a")
-			parked(g.Shard(1), "b")
-			g.Abort()
 		}},
 		{"bodies resumed by caller and worker in turn", func(t *testing.T, g *ShardGroup) {
 			// Both bodies suspend once per lookahead, at equal instants, for

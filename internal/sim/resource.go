@@ -20,9 +20,6 @@ func (l *Link) Reserve(at, dur Time) (start, end Time) {
 	return start, end
 }
 
-// NextFree reports when the link next becomes idle.
-func (l *Link) NextFree() Time { return l.nextFree }
-
 // Busy reports the total reserved time on this link.
 func (l *Link) Busy() Time { return l.busy }
 

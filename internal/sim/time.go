@@ -220,37 +220,6 @@
 // the barrier merge order IS trajectory-breaking for sharded runs and
 // follows the versioning policy below.
 //
-// # Sharded bank reservations
-//
-// A Bank shared by several shards (co-scheduled jobs spread across a
-// group) extends the same contract to resource arbitration. The bank is
-// attached to the group with one owner shard (Bank.AttachGroup), and
-// every reservation and demand-signal edge becomes a window-boundary
-// event instead of a synchronous call: PostReserve sends the request to
-// the owner one lookahead out, the owner books via Reserve at its own
-// (monotone) clock and sends the grant back another lookahead out, and
-// PostIOBegin/PostIOEnd carry the demand edges the work-conserving
-// policies read. Each of these events carries the requesting rank's
-// delivery priority — the same (t, pri, seq) sender-program-order
-// tie-break as cross-rank message deliveries — so the order in which the
-// owner grants (and therefore every pacing decision, gap placement and
-// demand split) is a pure function of who asked when, never of which
-// shard hosted the asker or which shard's window ran first. At one
-// worker the posts degenerate to same-engine pri events with identical
-// times and keys, so sharded-bank rows are byte-identical for every
-// worker count >= 1.
-//
-// The sharded bank is its own trajectory family, like the parallel mode
-// it rides on: classic runs never attach a bank to a group, reserve
-// synchronously with pri-0 trajectories byte-identical to pre-sharding
-// builds, and TrajectoryVersion stayed 2. A sharded reservation costs two
-// lookaheads of virtual latency that the classic path does not pay, so
-// sharded-bank rows are pinned against each other across worker counts,
-// never against classic rows. Changing the request/grant event placement,
-// the priorities they carry, or the owner-clock booking rule IS
-// trajectory-breaking for sharded-bank runs and follows the versioning
-// policy below.
-//
 // # Determinism versioning
 //
 // The simulator's determinism contract is: one (code version, seed,

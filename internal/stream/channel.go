@@ -152,9 +152,6 @@ func (ch *Channel) ProducerComm() *mpi.Comm { return ch.prodComm }
 // ranks outside the consumer group).
 func (ch *Channel) ConsumerComm() *mpi.Comm { return ch.consComm }
 
-// ParentComm returns the communicator the channel was created over.
-func (ch *Channel) ParentComm() *mpi.Comm { return ch.parent }
-
 // Producers reports the number of producer ranks.
 func (ch *Channel) Producers() int { return len(ch.producers) }
 

@@ -86,15 +86,10 @@ func (c Corpus) TotalBytes() int64 {
 	return total
 }
 
-// WordsIn estimates the number of words in file i.
-func (c Corpus) WordsIn(i int) int64 {
-	return c.FileBytes(i) / int64(c.MeanWordLen)
-}
-
 // Words returns a deterministic pseudo-text sample of n words from file i
 // as vocabulary indices (rank 0 is the most frequent word). It is used by
 // correctness tests and the real word-count kernels; the at-scale
-// simulation uses WordsIn and Histogram instead of materializing text.
+// simulation works from file sizes instead of materializing text.
 func (c Corpus) Words(i, n int) []int {
 	rng := rand.New(sim.NewSplitMix(sim.Mix64(c.Seed, int64(i)+1_000_003)))
 	z := rand.NewZipf(rng, c.ZipfS, 1, uint64(c.Vocabulary-1))
