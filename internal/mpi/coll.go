@@ -71,7 +71,9 @@ func (c *Comm) Gatherv(r *Rank, root int, part Part) []Part {
 	tag := c.nextCollTag(me)
 	p := len(c.members)
 	if me != root {
-		c.Send(r, root, tag, part.Bytes, part.Data)
+		r.Block("Send", func(next sim.StepFunc) sim.StepFunc {
+			return c.fwaitOnStep(r, r.fib, c.isend(r, root, tag, part.Bytes, part.Data), next)
+		})
 		return nil
 	}
 	out := make([]Part, p)
@@ -82,7 +84,7 @@ func (c *Comm) Gatherv(r *Rank, root int, part Part) []Part {
 		if src == me {
 			continue
 		}
-		reqs = append(reqs, c.Irecv(r, src, tag))
+		reqs = append(reqs, c.irecvFor(r, src, tag))
 		srcs = append(srcs, src)
 	}
 	for i, q := range reqs {

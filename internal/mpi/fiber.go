@@ -171,6 +171,7 @@ func (c *Comm) FSend(r *Rank, dst, tag int, bytes int64, data interface{}, then 
 
 // FRecv is the blocking receive: Irecv then FWait.
 func (c *Comm) FRecv(r *Rank, src, tag int, then func(Status) sim.StepFunc) sim.StepFunc {
+	checkAppTag("FRecv", tag)
 	req := c.irecvFor(r, src, tag)
 	return c.fwaitOn(r, r.fib, req, then)
 }

@@ -185,7 +185,7 @@ func (s *fwrite) waGatheredStep(sizes []Part) sim.StepFunc {
 	aggRank := (agg*p + na - 1) / na
 	tag := c.nextCollTag(me)
 	if me != aggRank {
-		s.reqs = append(s.reqs, c.Isend(r, aggRank, tag, s.bytes, nil))
+		s.reqs = append(s.reqs, c.isend(r, aggRank, tag, s.bytes, nil))
 		return s.steps.waFinish
 	}
 	s.sizes = sizes

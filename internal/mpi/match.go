@@ -22,26 +22,35 @@ import (
 //     selector keys — (src,tag), (Any,tag), (src,Any), (Any,Any) — and the
 //     earliest-posted among those four bucket heads wins, which is exactly
 //     the posting-order scan the linear version performed.
-//   - Unexpected messages are bucketed by their concrete (comm, src, tag)
-//     key in arrival order, so a concrete receive pops its bucket head in
-//     O(1). For wildcard receives the index additionally keeps a global
-//     arrival list; the earliest live arrival that matches the selector is
-//     necessarily the head of its own bucket (any earlier message in that
-//     bucket would match too), so removal is still a bucket pop-front.
+//   - Unexpected messages are listed in arrival order: in one global
+//     arrival list, and in an arrival-ordered list per selector key a
+//     receive reads. The earliest live arrival that matches a selector is
+//     necessarily the head of that selector's list (any earlier message in
+//     the list would match too), so a receive is a pop-front. A concrete
+//     (comm, src, tag) list is a bucket: a collective (single-use) tag's
+//     bucket is kept from the first arrival, so a fresh collective tag
+//     never scans a backlog; a reused tag's bucket is built from the
+//     arrival list on the first concrete receive or probe of its key, so
+//     traffic read only through wildcards builds none. Wildcard lists
+//     (side lists) are built the same way on first use.
 //
 // Both directions preserve MPI's non-overtaking guarantee per (source,
 // tag) and reproduce the linear scans' match order exactly: the same
-// simulation produces bit-identical virtual-time trajectories.
+// simulation produces bit-identical virtual-time trajectories. AnyTag
+// selects application tags only: collective traffic lives in its own tag
+// range (collTagBase), as MPI keeps collectives in a separate context.
 //
-// Bucket queues use head indices instead of slice deletions, and the
-// arrival list uses lazy deletion (consumed flags) with periodic
-// compaction, so steady-state matching allocates nothing.
+// Bucket queues use head indices instead of slice deletions, so
+// steady-state matching allocates nothing.
 //
 // Message lifetime (DESIGN.md): a queued message counts the lists that
-// hold it (message.held: its concrete bucket, the arrival list, any
-// wildcard side-lists). Lists only ever let go of consumed messages, and
-// the list that lets go of the last reference returns the message to the
-// pool, so lazy deletion never meets a reused message.
+// hold it (message.held: the arrival list, its concrete bucket if built,
+// any wildcard side lists). A receive that consumes a message trims it off
+// the front of every list it heads at once; a list where it sits behind a
+// live entry drops it when that entry goes, or when it compacts. Lists only
+// ever let go of consumed messages, and the list that lets go of the last
+// reference returns the message to the pool, so no list ever meets a
+// reused message.
 //
 // Bucket lifecycle (DESIGN.md): application and stream tags are reused, so
 // their buckets stay in the tables once created and the one-entry caches in
@@ -87,8 +96,9 @@ func (q *recvFIFO) pop() *postedRecv {
 // msgFIFO is an arrival-ordered queue of unexpected messages with O(1)
 // pop-front. A message can sit in several queues at once (its concrete
 // bucket plus any wildcard side-lists), so consumption is recorded on the
-// message and queues skip consumed entries lazily when their head is
-// inspected. Every entry is one reference on its message (message.held);
+// message; the consuming receive trims it off every queue it heads, and a
+// queue where it sits behind a live entry skips it when its head gets
+// there. Every entry is one reference on its message (message.held);
 // the methods that let entries go hand them to pl.dropRef.
 type msgFIFO struct {
 	items []*message
@@ -181,6 +191,10 @@ type matchIndex struct {
 	sideShapes [4]bool
 
 	queued keyTable[msgFIFO] // concrete (comm, src, tag) buckets
+	// appBuckets counts the reused-tag buckets in queued, which are built
+	// on first read: while there are none, addUnexpected looks up only
+	// collective tags.
+	appBuckets int
 	// side holds wildcard-selector views of the unexpected queue — keys
 	// are (comm, AnySource, tag), (comm, src, AnyTag) or (comm,
 	// AnySource, AnyTag) — in arrival order. Each is built on first use
@@ -325,11 +339,11 @@ func shapeOf(src, tag int) int {
 }
 
 // selectorMatches reports whether a (src, tag) selector accepts m within
-// commID's context.
+// commID's context. AnyTag accepts application tags only.
 func selectorMatches(commID, src, tag int, m *message) bool {
 	return commID == m.commID &&
 		(src == AnySource || src == m.src) &&
-		(tag == AnyTag || tag == m.tag)
+		(tag == m.tag || tag == AnyTag && !retires(m.tag))
 }
 
 // post registers a pending receive, stamping it with posting order.
@@ -348,14 +362,19 @@ func (x *matchIndex) post(p *postedRecv) {
 
 // takePosted removes and returns the earliest-posted receive whose
 // selector accepts m, or nil. Only four selector keys can accept a
-// concrete message, so the search is four bucket-head peeks.
+// concrete message (two for a collective tag, which AnyTag does not
+// select), so the search is at most four bucket-head peeks.
 func (x *matchIndex) takePosted(m *message) *postedRecv {
 	if x.posted.len() == 0 {
 		return nil
 	}
+	shapes := len(x.shapes)
+	if retires(m.tag) {
+		shapes = 2 // the shapes without the AnyTag bit
+	}
 	var best *recvFIFO
 	var bestKey matchKey
-	for shape := range x.shapes {
+	for shape := range shapes {
 		if x.shapes[shape] == 0 {
 			continue
 		}
@@ -388,27 +407,25 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 	return p
 }
 
-// addUnexpected queues a message that found no posted receive.
+// addUnexpected queues a message that found no posted receive: in the
+// arrival list and in every list already built for a selector that
+// accepts it.
 func (x *matchIndex) addUnexpected(m *message) {
-	q := x.queuedBucket(m.key())
-	q.push(m)
-	q.maybeCompact(x.live+1, x.pool)
+	k := m.key()
+	if retires(k.tag) {
+		x.enter(x.queuedBucket(k), m)
+	} else if x.appBuckets > 0 {
+		x.enter(x.queued.get(k), m)
+	}
 	if x.sideShapes[1] {
-		if s := x.side.get(matchKey{m.commID, AnySource, m.tag}); s != nil {
-			s.push(m)
-			s.maybeCompact(x.live+1, x.pool)
-		}
+		x.enter(x.side.get(matchKey{k.comm, AnySource, k.tag}), m)
 	}
-	if x.sideShapes[2] {
-		if s := x.side.get(matchKey{m.commID, m.src, AnyTag}); s != nil {
-			s.push(m)
-			s.maybeCompact(x.live+1, x.pool)
+	if !retires(k.tag) {
+		if x.sideShapes[2] {
+			x.enter(x.side.get(matchKey{k.comm, k.src, AnyTag}), m)
 		}
-	}
-	if x.sideShapes[3] {
-		if s := x.side.get(matchKey{m.commID, AnySource, AnyTag}); s != nil {
-			s.push(m)
-			s.maybeCompact(x.live+1, x.pool)
+		if x.sideShapes[3] {
+			x.enter(x.side.get(matchKey{k.comm, AnySource, AnyTag}), m)
 		}
 	}
 	m.held++
@@ -419,19 +436,72 @@ func (x *matchIndex) addUnexpected(m *message) {
 	}
 }
 
-// consume marks m matched. Queues it still sits in skip it lazily, and the
-// last of them to let go recycles it.
+// enter appends m to q, unless q has not been built (nil).
+func (x *matchIndex) enter(q *msgFIFO, m *message) {
+	if q != nil {
+		q.push(m)
+		q.maybeCompact(x.live+1, x.pool)
+	}
+}
+
+// consume marks m matched and trims it off the front of every list it
+// heads, so a received message is back in the pool as soon as no list
+// keeps a live entry in front of it. A drained collective bucket retires.
 func (x *matchIndex) consume(m *message) {
+	k := m.key() // m may be recycled by the trims below
 	m.consumed = true
 	x.live--
 	if m.self {
 		x.selfQueued--
 	}
+	if retires(k.tag) || x.appBuckets > 0 {
+		if q := x.listOf(&x.queued, k); q != nil && q.first(x.pool) == nil && retires(k.tag) {
+			x.retireQueued(k, q)
+		}
+	}
+	if x.sideShapes[1] {
+		x.trimSide(matchKey{k.comm, AnySource, k.tag})
+	}
+	if !retires(k.tag) {
+		if x.sideShapes[2] {
+			x.trimSide(matchKey{k.comm, k.src, AnyTag})
+		}
+		if x.sideShapes[3] {
+			x.trimSide(matchKey{k.comm, AnySource, AnyTag})
+		}
+	}
 	x.advanceArrHead()
-	// Compact the arrival list when lazy deletions dominate it, so a
-	// long-running rank's memory stays proportional to its live backlog.
+	// Compact the arrival list when consumed entries behind live ones
+	// dominate it, so a long-running rank's memory stays proportional to
+	// its live backlog.
 	if len(x.arrivals) >= 64 && x.live*4 < len(x.arrivals)-x.arrHead {
 		x.compact()
+	}
+}
+
+// listOf returns tab's list for k, or nil, reading the selector cache
+// first: the list a take just read is usually the one to trim.
+func (x *matchIndex) listOf(tab *keyTable[msgFIFO], k matchKey) *msgFIFO {
+	if x.lastSelQ != nil && k == x.lastSelKey {
+		return x.lastSelQ
+	}
+	return tab.get(k)
+}
+
+// trimSide drops consumed entries off the front of k's side list, if built.
+func (x *matchIndex) trimSide(k matchKey) {
+	if q := x.listOf(&x.side, k); q != nil {
+		q.first(x.pool)
+	}
+}
+
+// fill enters in q, in arrival order, every live message that the
+// selector key k accepts: how a list built on first read catches up.
+func (x *matchIndex) fill(q *msgFIFO, k matchKey) {
+	for _, m := range x.arrivals[x.arrHead:] {
+		if !m.consumed && selectorMatches(k.comm, k.src, k.tag, m) {
+			q.push(m)
+		}
 	}
 }
 
@@ -442,11 +512,7 @@ func (x *matchIndex) sideList(k matchKey) *msgFIFO {
 		return q
 	}
 	q := &msgFIFO{}
-	for _, m := range x.arrivals[x.arrHead:] {
-		if !m.consumed && selectorMatches(k.comm, k.src, k.tag, m) {
-			q.push(m)
-		}
-	}
+	x.fill(q, k)
 	x.side.put(k, q)
 	x.sideShapes[shapeOf(k.src, k.tag)] = true
 	return q
@@ -485,17 +551,25 @@ func (x *matchIndex) compact() {
 }
 
 // selectorQueue returns the arrival-ordered queue the (src, tag) selector
-// reads from: the concrete bucket, or a wildcard side-list.
+// reads from: the concrete bucket, or a wildcard side-list. A reused tag's
+// bucket is built here, on its key's first read.
 func (x *matchIndex) selectorQueue(commID, src, tag int) *msgFIFO {
 	k := matchKey{commID, src, tag}
 	if x.lastSelQ != nil && k == x.lastSelKey {
 		return x.lastSelQ
 	}
 	var q *msgFIFO
-	if !wildcard(src, tag) {
-		q = x.queued.get(k)
-	} else {
+	switch {
+	case wildcard(src, tag):
 		q = x.sideList(k)
+	case retires(tag):
+		q = x.queued.get(k)
+	default:
+		if q = x.queued.get(k); q == nil {
+			q = x.queuedBucket(k)
+			x.fill(q, k)
+			x.appBuckets++
+		}
 	}
 	if q != nil {
 		x.lastSelKey, x.lastSelQ = k, q
@@ -541,21 +615,7 @@ func (x *matchIndex) takeQueued(commID, src, tag int, now sim.Time) (st Status, 
 		return st, 0, false
 	}
 	st, readyAt = m.status(), m.readyAt
-	k := m.key()
 	x.consume(m)
-	// Trim m off q if it was the head; behind the head it waits its turn.
-	left := q.first(x.pool)
-	if retires(k.tag) {
-		// q is m's concrete bucket unless the selector read a side-list.
-		bucket := q
-		if wildcard(src, tag) {
-			bucket = x.queued.get(k)
-			left = bucket.first(x.pool)
-		}
-		if left == nil {
-			x.retireQueued(k, bucket)
-		}
-	}
 	return st, readyAt, true
 }
 

@@ -22,15 +22,19 @@ import (
 // and come back from the freelists (match.go), which the reference knows
 // nothing about, so retirement and the invalidation of the one-entry
 // caches are checked against it like everything else. After every
-// operation the index must hold no drained single-use bucket and no cache
-// entry that has left its map.
+// operation the index must hold no drained single-use bucket, no cache
+// entry that has left its map, and no reused-tag bucket for a key that no
+// concrete receive or probe has read (those are built on first read, from
+// the arrival list, which the reference checks by answering every read).
 //
 // Messages are drawn from the index's pool and recycle through it, as in
 // the runtime, so after every operation the message-lifetime invariant is
 // checked too: no pooled message is reachable from any bucket, side-list
 // or the arrival list, every queued message counts exactly the lists that
-// hold it, and a pooled message is as clean as a fresh one. Two seeded
-// mutants of the recycling rule must be caught (TestMatchRecycleMutants).
+// hold it, no list is headed by a consumed message (a receive trims what
+// it consumes off every list it heads), and a pooled message is as clean
+// as a fresh one. Two seeded mutants of the recycling rule must be caught
+// (TestMatchRecycleMutants).
 //
 // The program generator respects the runtime's invariants, because the
 // index's fast paths assume them: virtual time never goes backwards,
@@ -112,6 +116,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 	var ref refMatcher
 
 	var now, lastReady sim.Time
+	read := make(map[matchKey]bool) // concrete selectors a receive or probe read
 	recvID := make(map[*postedRecv]int)
 	nextID := 0
 
@@ -205,6 +210,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 	}
 	deliver := func(op int) { deliverMsg(op, pick(2), pick(3), tagOf()) }
 	postRecv := func(op, commID, src, tag int) {
+		read[matchKey{commID, src, tag}] = true
 		var doomed *message // what the receive is about to consume
 		if mutant == freeOnConsume {
 			if doomed = idx.findQueuedReady(commID, src, tag, now); doomed == nil {
@@ -251,6 +257,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 	}
 	post := func(op int) { postRecv(op, pick(2), srcSel(), tagSel()) }
 	probe := func(op, commID, src, tag int) {
+		read[matchKey{commID, src, tag}] = true
 		gm := idx.findQueuedReady(commID, src, tag, now)
 		_, wm := ref.findQueuedReady(commID, src, tag, now)
 		if msgOf(gm) != msgOf(wm) {
@@ -325,7 +332,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 				}
 			}
 		}
-		if err := checkBucketLifecycle(&idx); err != nil {
+		if err := checkBucketLifecycle(&idx, read); err != nil {
 			fail("op %d: %v", op, err)
 		}
 		if err := checkMessageLifetime(&idx); err != nil {
@@ -337,17 +344,28 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 
 // checkBucketLifecycle asserts the index's structural invariants: a
 // single-use bucket in a table holds a live entry, a retired bucket holds
-// none, and a one-entry cache names the bucket its table holds for that key.
-func checkBucketLifecycle(x *matchIndex) error {
+// none, a reused-tag bucket exists only for a key in read, and a one-entry
+// cache names the bucket its table holds for that key.
+func checkBucketLifecycle(x *matchIndex, read map[matchKey]bool) error {
 	for k, q := range x.posted.all() {
 		if retires(k.tag) && q.empty() {
 			return fmt.Errorf("drained posted bucket %+v was not retired", k)
 		}
 	}
+	apps := 0
 	for k, q := range x.queued.all() {
-		if retires(k.tag) && q.first(x.pool) == nil {
+		if retires(k.tag) && !holdsLive(q) {
 			return fmt.Errorf("drained queued bucket %+v was not retired", k)
 		}
+		if !retires(k.tag) {
+			apps++
+			if !read[k] {
+				return fmt.Errorf("bucket %+v was built before any receive or probe read its key", k)
+			}
+		}
+	}
+	if apps != x.appBuckets {
+		return fmt.Errorf("%d reused-tag buckets, counted %d", apps, x.appBuckets)
 	}
 	for _, q := range x.recvQFree {
 		if !q.empty() {
@@ -355,7 +373,7 @@ func checkBucketLifecycle(x *matchIndex) error {
 		}
 	}
 	for _, q := range x.msgQFree {
-		if q.first(x.pool) != nil {
+		if len(q.items) != 0 {
 			return fmt.Errorf("a retired queued bucket still holds messages")
 		}
 	}
@@ -374,10 +392,22 @@ func checkBucketLifecycle(x *matchIndex) error {
 	return nil
 }
 
+// holdsLive reports whether q holds an unconsumed message. Unlike q.first
+// it trims nothing, so checking an index does not change it.
+func holdsLive(q *msgFIFO) bool {
+	for _, m := range q.items[q.head:] {
+		if !m.consumed {
+			return true
+		}
+	}
+	return false
+}
+
 // checkMessageLifetime asserts the recycling invariant: no pooled message
 // is reachable from any bucket, side-list or the arrival list; a message
-// that is reachable counts exactly the lists holding it; and a pooled
-// message is pooled once and looks like a fresh one.
+// that is reachable counts exactly the lists holding it; no list is headed
+// by a consumed message; and a pooled message is pooled once and looks
+// like a fresh one.
 func checkMessageLifetime(x *matchIndex) error {
 	pooled := make(map[*message]bool, len(x.pool.msgFree))
 	for _, m := range x.pool.msgFree {
@@ -391,6 +421,9 @@ func checkMessageLifetime(x *matchIndex) error {
 	}
 	refs := make(map[*message]int32)
 	walk := func(where string, items []*message) error {
+		if len(items) > 0 && items[0].consumed {
+			return fmt.Errorf("consumed msg %d still heads %s", items[0].bytes, where)
+		}
 		for _, m := range items {
 			if pooled[m] {
 				return fmt.Errorf("pooled msg %d is reachable from %s", m.bytes, where)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -257,4 +258,63 @@ func TestTestThenWaitChargesOverheadOnce(t *testing.T) {
 			t.Fatalf("Wait after Test charged %v more (double charge)", r.Now()-afterTest)
 		}
 	})
+}
+
+// TestAnyTagSkipsCollectiveTraffic: an application AnyTag receive must not
+// take one of a collective's round messages (MPI keeps collectives in a
+// context of their own), whether it is posted before the collective's
+// message arrives or finds it queued. It takes the application message
+// sent after the collective. Both ranks used to deadlock.
+func TestAnyTagSkipsCollectiveTraffic(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
+			w := testWorld(t, 2)
+			mustRun(t, w, func(r *Rank) {
+				c := r.World()
+				var req *Request
+				if r.ID() == 0 {
+					if queued {
+						r.Idle(1e6) // rank 1's round message arrives first
+					}
+					req = c.Irecv(r, AnySource, AnyTag)
+				}
+				if got := c.Allreduce(r, Part{Bytes: 8, Data: int64(r.ID() + 1)}, SumInt64, nil); got.Data.(int64) != 3 {
+					t.Errorf("rank %d: allreduce = %v, want 3", r.ID(), got.Data)
+				}
+				if r.ID() == 1 {
+					c.Send(r, 0, 5, 64, "app")
+					return
+				}
+				if st := c.Wait(r, req); st.Tag != 5 || st.Data != "app" {
+					t.Errorf("wildcard receive got %+v, want the application message", st)
+				}
+			})
+		})
+	}
+}
+
+// TestCollectiveTagRefused: the public point-to-point calls refuse a tag in
+// the collectives' range with a panic naming the tag.
+func TestCollectiveTagRefused(t *testing.T) {
+	tag := collTagBase + 3
+	for name, call := range map[string]func(c *Comm, r *Rank){
+		"Isend":        func(c *Comm, r *Rank) { c.Isend(r, 1, tag, 8, nil) },
+		"IsendAndFree": func(c *Comm, r *Rank) { c.IsendAndFree(r, 1, tag, 8, nil) },
+		"Irecv":        func(c *Comm, r *Rank) { c.Irecv(r, 1, tag) },
+		"Probe":        func(c *Comm, r *Rank) { c.Probe(r, 1, tag) },
+	} {
+		func() {
+			defer func() {
+				if rec := fmt.Sprint(recover()); !strings.Contains(rec, fmt.Sprint(tag)) || !strings.Contains(rec, name) {
+					t.Errorf("%s: panic %q, want one naming the call and tag %d", name, rec, tag)
+				}
+			}()
+			w := testWorld(t, 2)
+			w.Run(func(r *Rank) {
+				if r.ID() == 0 {
+					call(r.World(), r)
+				}
+			})
+		}()
+	}
 }

@@ -158,9 +158,23 @@ func (q *Request) Done(now sim.Time) bool { return q.completedBy(now) }
 // data) to dst with the given tag. The caller pays the configured send
 // overhead immediately; the returned request completes when the message
 // has been handed to the network (buffered-send semantics). Isend never
-// blocks.
+// blocks. Tags at or above collTagBase are the collectives' and panic.
 func (c *Comm) Isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Request {
+	checkAppTag("Isend", tag)
+	return c.isend(r, dst, tag, bytes, data)
+}
+
+// isend is Isend for any tag, the collectives' included.
+func (c *Comm) isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Request {
 	return c.isendOv(r, r.fib, dst, tag, bytes, data, r.w.cfg.Net.SendOverhead)
+}
+
+// checkAppTag panics unless tag is an application tag: the range from
+// collTagBase up is reserved for collectives, which AnyTag never selects.
+func checkAppTag(op string, tag int) {
+	if tag >= collTagBase {
+		panic(fmt.Sprintf("mpi: %s with tag %d, in the range reserved for collectives (>= %d)", op, tag, collTagBase))
+	}
 }
 
 // IsendAndFree is Isend followed by immediately releasing the request —
@@ -170,7 +184,8 @@ func (c *Comm) Isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Requ
 // it at once is safe and the send costs no allocation. The stream
 // library's element path and the apps' aggregate forwards use it.
 func (c *Comm) IsendAndFree(r *Rank, dst, tag int, bytes int64, data interface{}) {
-	req := c.Isend(r, dst, tag, bytes, data)
+	checkAppTag("IsendAndFree", tag)
+	req := c.isend(r, dst, tag, bytes, data)
 	r.rs.pool.freeRequest(req)
 }
 
@@ -341,8 +356,9 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 }
 
 // Irecv posts a nonblocking receive from src (or AnySource) with the given
-// tag (or AnyTag).
+// application tag (or AnyTag, which selects application tags only).
 func (c *Comm) Irecv(r *Rank, src, tag int) *Request {
+	checkAppTag("Irecv", tag)
 	return c.irecvFor(r, src, tag)
 }
 
@@ -442,6 +458,7 @@ func (c *Comm) Test(r *Rank, req *Request) (ok bool, st Status) {
 // receiving it. A message still being serialized by the receiver NIC is
 // not yet visible.
 func (c *Comm) Probe(r *Rank, src, tag int) (bool, Status) {
+	checkAppTag("Probe", tag)
 	if m := r.rs.match.findQueuedReady(c.id, src, tag, r.rs.eng.Now()); m != nil {
 		return true, m.status()
 	}

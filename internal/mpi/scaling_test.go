@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -253,6 +254,87 @@ func TestCollectiveAllocsPerCallIndependentOfP(t *testing.T) {
 			if small != 0 || large != 0 {
 				t.Errorf("%s allocates %.2f objects per rank call at %d ranks and %.2f at %d, want 0 at both",
 					coll.name, small, sizes[0], large, sizes[1])
+			}
+		}
+	}
+}
+
+// haloMessagesPerRank runs rounds of a six-neighbour halo on a procs-rank
+// ring, each rank receiving its neighbours' messages through AnySource, and
+// reports the messages the world allocated per rank and how many ranks
+// built a concrete bucket for the halo tag.
+func haloMessagesPerRank(t *testing.T, procs, rounds int) (perRank float64, buckets int) {
+	t.Helper()
+	const tag = 9
+	w := NewWorld(Config{Procs: procs, Seed: 3})
+	w.msgFree = nil // a recycled world brings the previous run's messages
+	_, err := w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
+		c := r.World()
+		me, i, got := r.ID(), 0, 0
+		var loop, recv sim.StepFunc
+		received := func(Status) sim.StepFunc {
+			if got++; got < 6 {
+				return recv
+			}
+			return loop
+		}
+		recv = func(*sim.Fiber) sim.StepFunc { return c.FRecv(r, AnySource, tag, received) }
+		exchange := func(*sim.Fiber) sim.StepFunc {
+			for d := 1; d <= 3; d++ {
+				c.IsendAndFree(r, (me+d)%procs, tag, 64, nil)
+				c.IsendAndFree(r, (me-d+procs)%procs, tag, 64, nil)
+			}
+			got = 0
+			return recv
+		}
+		loop = func(*sim.Fiber) sim.StepFunc {
+			if i >= rounds {
+				return nil
+			}
+			i++
+			// Skewed compute: the fast ranks' messages wait unexpected.
+			return r.FCompute(sim.Time(me%4)*10*sim.Microsecond, exchange)
+		}
+		return loop
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range w.ranks {
+		for k := range rs.match.queued.all() {
+			if k.tag == tag {
+				buckets++
+				break
+			}
+		}
+		rs.match.reset() // every list lets go: each message is in the pool once
+	}
+	return float64(len(w.msgFree)) / float64(procs), buckets
+}
+
+// TestHaloMessagesIndependentOfP pins message lifetime: a received
+// message goes back to the pool at once, so a halo read only through
+// AnySource allocates the same few messages per rank at 64 ranks as at
+// 512, over 50 rounds as over 500. The pool is the world's, so its size is
+// set by the world's busiest instant, whose same-instant order differs by a
+// few messages between world sizes: the counts agree to 0.1 per rank.
+// Traffic that no concrete receive reads builds no concrete bucket. (The
+// concrete buckets used to be built for it and each pinned up to 64
+// received messages: 176 per rank after 50 rounds, 222 after 500.)
+func TestHaloMessagesIndependentOfP(t *testing.T) {
+	var want float64
+	for _, procs := range []int{64, 512} {
+		for _, rounds := range []int{50, 500} {
+			got, buckets := haloMessagesPerRank(t, procs, rounds)
+			t.Logf("%d ranks, %d rounds: %.2f messages per rank, %d ranks with a halo bucket", procs, rounds, got, buckets)
+			if want == 0 {
+				want = got
+			}
+			if math.Abs(got-want) > 0.1 || got > 8 {
+				t.Errorf("%d ranks, %d rounds: %.2f messages allocated per rank, want the same small constant as the first run (%.2f)", procs, rounds, got, want)
+			}
+			if buckets != 0 {
+				t.Errorf("%d ranks, %d rounds: %d ranks built a concrete bucket for the AnySource halo", procs, rounds, buckets)
 			}
 		}
 	}
