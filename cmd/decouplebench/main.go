@@ -19,23 +19,27 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
 // faultsEcho renders the canonical campaign spec as a CSV comment when a
-// selected experiment consumed it, so result files record the campaign
-// they were measured under (and a round trip through -faults reproduces
-// them). resilience and recovery fall back to the default campaign on an
-// empty spec; cosched schedules faults only when one is given.
+// selected experiment consumed it (Experiment.Flags), so result files
+// record the campaign they were measured under (and a round trip through
+// -faults reproduces them). resilience and recovery fall back to the
+// default campaign on an empty spec; cosched schedules faults only when
+// one is given.
 func faultsEcho(names []string, spec string) string {
 	uses := false
 	for _, n := range names {
-		if n == "resilience" || n == "recovery" || (n == "cosched" && spec != "") {
+		e, _ := experiments.Lookup(n)
+		if slices.Contains(e.Flags, "faults") && (spec != "" || n != "cosched") {
 			uses = true
 		}
 	}
@@ -64,8 +68,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // are the chosen experiments; set names the flags given on the command
 // line: the sweep sizes have defaults, and only an explicit value is held
 // to be positive. -cores and -jobs give 0 a meaning of its own, so only a
-// negative one is refused.
-func checkFlags(selected []experiments.Experiment, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int) error {
+// negative one is refused. A flag that no selected experiment reads
+// (Experiment.Flags) is refused rather than silently dropped.
+func checkFlags(selected []experiments.Experiment, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int, faultSpec, coschedPol string) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
 	}
@@ -97,6 +102,19 @@ func checkFlags(selected []experiments.Experiment, set map[string]bool, format s
 	}
 	if jobs < 0 {
 		return fmt.Errorf("-jobs: %d is negative, want 0 (the built-in set) or a job count", jobs)
+	}
+	if _, err := faults.ParseSpec(faultSpec); err != nil {
+		return fmt.Errorf("-faults: %v", err)
+	}
+	if coschedPol != "" {
+		if _, err := cluster.ParsePolicy(coschedPol); err != nil {
+			return fmt.Errorf("-cosched-policy: %v", err)
+		}
+	}
+	for _, flag := range []string{"faults", "jobs", "cosched-policy"} {
+		if set[flag] && !slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return slices.Contains(e.Flags, flag) }) {
+			return fmt.Errorf("-%s: none of the selected experiments reads it", flag)
+		}
 	}
 	return nil
 }
@@ -159,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(selected, set, *format, *maxProcs, *runs, *workers, *cores, *jobs); err != nil {
+	if err := checkFlags(selected, set, *format, *maxProcs, *runs, *workers, *cores, *jobs, *faultSpec, *coschedPol); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

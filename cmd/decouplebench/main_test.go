@@ -76,7 +76,9 @@ func TestCoresFlagSweep(t *testing.T) {
 // that is not positive, a negative -cores or -jobs, -cores with an
 // experiment that cannot shard (cosched included: it runs on one engine),
 // a -max-procs below the first point of a
-// selected weak-scaling sweep, an experiment named twice — is refused with
+// selected weak-scaling sweep, an experiment named twice, a -faults or
+// -cosched-policy that does not parse, a -faults, -jobs or -cosched-policy
+// that no selected experiment reads — is refused with
 // exit status 2 and an error starting with the flag, before any experiment
 // starts.
 // The requests below ask for every experiment at 8192 processes, so
@@ -107,6 +109,17 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-experiment", "fig5,model", "-cores", "2"}, "-cores", ""},
 		{[]string{"-experiment", "fig5", "-max-procs", "16"}, "-max-procs", ""},
 		{[]string{"-experiment", "fig5,fig5"}, "-experiment", ""},
+		// Values that used to fail only once their experiment ran: under
+		// all, after the sweeps ahead of it.
+		{[]string{"-faults", "bogus=1"}, "-faults", "bogus"},
+		{[]string{"-cosched-policy", "bogus"}, "-cosched-policy", "bogus"},
+		{[]string{"-experiment", "cosched", "-cosched-policy", "bogus"}, "-cosched-policy", "bogus"},
+		// Flags no selected experiment reads, which used to be dropped
+		// with exit 0: lossy and the figures never read -faults.
+		{[]string{"-experiment", "lossy", "-faults", "bursts=2"}, "-faults", ""},
+		{[]string{"-experiment", "fig5,model,ablation-alpha", "-faults", "none"}, "-faults", ""},
+		{[]string{"-experiment", "fig5", "-jobs", "3"}, "-jobs", ""},
+		{[]string{"-experiment", "fig5", "-cosched-policy", "fair"}, "-cosched-policy", ""},
 	} {
 		args := append([]string{"-experiment", "all", "-max-procs", "8192", "-quiet"}, c.args...)
 		var stdout, stderr bytes.Buffer

@@ -110,14 +110,7 @@ func (c Config) saveBytes(count int64) int64 {
 type ioRun struct {
 	c Config
 	v IOVariant
-
-	// computes is the number of ranks holding particles: all of them for
-	// the reference variants, Procs minus the I/O group for IODecoupled.
-	computes int
-	// ioProcs is the decoupled I/O group size (0 for reference variants).
-	ioProcs int
-	dims    [3]int
-	field   workload.ParticleField
+	layout
 
 	// finished and lastCompute are per-world-rank records: rank i writes
 	// only slot i, so ranks hosted on different parallel-mode workers
@@ -159,19 +152,31 @@ func (s *ioRun) placement(cores int) (int, func(rank int) int) {
 
 // newIORun derives the job's particle layout for the chosen variant.
 func newIORun(c Config, v IOVariant) *ioRun {
-	s := &ioRun{c: c, v: v, finished: make([]sim.Time, c.Procs), lastCompute: make([]sim.Time, c.Procs)}
+	return &ioRun{c: c, v: v, layout: newLayout(c, v),
+		finished: make([]sim.Time, c.Procs), lastCompute: make([]sim.Time, c.Procs)}
+}
+
+// layout is the particle layout of a Fig. 8 run, shared by the I/O bodies
+// and the crash-recovery bodies.
+type layout struct {
+	// computes is the number of ranks holding particles: all of them for
+	// the reference variants, Procs minus the I/O group for IODecoupled.
+	computes int
+	// ioProcs is the decoupled I/O group size (0 for reference variants).
+	ioProcs int
+	dims    [3]int
+	field   workload.ParticleField
+}
+
+func newLayout(c Config, v IOVariant) layout {
+	l := layout{computes: c.Procs}
 	if v == IODecoupled {
-		s.ioProcs = int(float64(c.Procs)*c.Alpha + 0.5)
-		if s.ioProcs < 1 {
-			s.ioProcs = 1
-		}
-		s.computes = c.Procs - s.ioProcs
-	} else {
-		s.computes = c.Procs
+		l.ioProcs = max(int(float64(c.Procs)*c.Alpha+0.5), 1)
+		l.computes = c.Procs - l.ioProcs
 	}
-	s.dims = dims3(s.computes)
-	s.field = c.field(s.dims, s.computes)
-	return s
+	l.dims = dims3(l.computes)
+	l.field = c.field(l.dims, l.computes)
+	return l
 }
 
 // body returns the rank body for the job's variant.

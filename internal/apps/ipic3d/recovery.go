@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // recCkptTag carries checkpoint shipments (and their committed-to step)
@@ -121,12 +120,7 @@ type recRun struct {
 	c         Config
 	v         IOVariant
 	ckptEvery int
-
-	// computes/ioProcs/dims/field: particle layout, as in ioRun.
-	computes int
-	ioProcs  int
-	dims     [3]int
-	field    workload.ParticleField
+	layout
 
 	// committed is the restart point: every rank replays from here after
 	// a failure. The reference variants advance it at the barrier closing
@@ -146,22 +140,8 @@ type recRun struct {
 	file         *mpi.File
 }
 
-// newRecRun derives the particle layout for the chosen variant, exactly
-// as newIORun does for the Fig. 8 bodies.
 func newRecRun(c Config, v IOVariant, ckptEvery int) *recRun {
-	s := &recRun{c: c, v: v, ckptEvery: ckptEvery}
-	if v == IODecoupled {
-		s.ioProcs = int(float64(c.Procs)*c.Alpha + 0.5)
-		if s.ioProcs < 1 {
-			s.ioProcs = 1
-		}
-		s.computes = c.Procs - s.ioProcs
-	} else {
-		s.computes = c.Procs
-	}
-	s.dims = dims3(s.computes)
-	s.field = c.field(s.dims, s.computes)
-	return s
+	return &recRun{c: c, v: v, ckptEvery: ckptEvery, layout: newLayout(c, v)}
 }
 
 // segEnd is the step the next checkpoint commits, from the current

@@ -135,7 +135,7 @@ func (c Config) Validate() error {
 	if c.Cores < 0 {
 		return fmt.Errorf("mapreduce: negative core count %d", c.Cores)
 	}
-	return nil
+	return c.corpus().Validate()
 }
 
 // decoupledPlace spreads the map and reduce groups each evenly over

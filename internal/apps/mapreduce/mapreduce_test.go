@@ -34,6 +34,13 @@ func TestValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero map rate accepted")
 	}
+	// The corpus draws file sizes from [MeanFileBytes/2, 2*MeanFileBytes],
+	// which is empty at the bottom for a one-byte mean.
+	bad = DefaultConfig(32)
+	bad.MeanFileBytes = 1
+	if bad.Validate() == nil {
+		t.Error("one-byte mean file accepted")
+	}
 }
 
 func TestReferenceRuns(t *testing.T) {

@@ -336,6 +336,11 @@ type Experiment struct {
 	// Options.MaxProcs. The others run at sizes of their own and at most
 	// clamp to MaxProcs.
 	WeakScaling bool
+	// Flags names the CLI flags, beyond the sweep sizes and -cores, whose
+	// values the sweep reads: "faults" (Options.FaultSpec), "jobs"
+	// (Options.CoschedJobs) and "cosched-policy" (Options.CoschedPolicy).
+	// The CLI refuses one of them when no selected sweep reads it.
+	Flags []string
 
 	run func(Options) ([]Row, error)
 }
@@ -367,7 +372,7 @@ var table = []Experiment{
 		Description: "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)"},
 	{Name: "ablation-granularity", run: AblationGranularity,
 		Description: "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction"},
-	{Name: "cosched", run: Cosched,
+	{Name: "cosched", run: Cosched, Flags: []string{"faults", "jobs", "cosched-policy"},
 		Description: "co-scheduled multi-job contention on a shared bank"},
 	{Name: "fig5", run: Fig5, Shardable: true, WeakScaling: true,
 		Description: "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)"},
@@ -381,9 +386,9 @@ var table = []Experiment{
 		Description: "fabric loss-rate sweep under the reliable-delivery protocol (ack/timeout/backoff/retransmit)"},
 	{Name: "model", run: ModelValidation, WeakScaling: true,
 		Description: "analytic cost-model validation against simulated makespans"},
-	{Name: "recovery", run: Recovery,
+	{Name: "recovery", run: Recovery, Flags: []string{"faults"},
 		Description: "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)"},
-	{Name: "resilience", run: Resilience,
+	{Name: "resilience", run: Resilience, Flags: []string{"faults"},
 		Description: "fault-campaign intensity sweep (bursts, outages, stripe derates, link flaps)"},
 }
 

@@ -116,9 +116,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Empty reports whether the plan schedules no events.
-func (p Plan) Empty() bool { return len(p.Events) == 0 }
-
 // Validate checks every event's shape (non-negative start, positive
 // duration, factor in the kind's legal range, non-negative target).
 func (p Plan) Validate() error {

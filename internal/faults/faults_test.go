@@ -16,7 +16,7 @@ func TestPlanPure(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("equal specs produced different plans")
 	}
-	if a.Empty() {
+	if len(a.Events) == 0 {
 		t.Fatal("default campaign is empty")
 	}
 	if err := a.Validate(); err != nil {
@@ -66,7 +66,7 @@ func TestScale(t *testing.T) {
 	if d.BurstFactor != s.BurstFactor || d.DerateRate != s.DerateRate || d.BurstLen != s.BurstLen {
 		t.Fatalf("Scale(2) moved a severity knob: %+v", d)
 	}
-	if !s.Scale(0).Plan(64, 16).Empty() {
+	if len(s.Scale(0).Plan(64, 16).Events) != 0 {
 		t.Fatal("Scale(0) plan is not empty")
 	}
 	defer func() {

@@ -151,30 +151,3 @@ func (ct *Cart) fillUnitShifts(rank int) {
 	}
 	ct.cachedRank = rank
 }
-
-// Neighbors returns the comm ranks of the 2*ndims face neighbours of
-// rank, omitting missing neighbours on non-periodic boundaries. Order:
-// (-dim0, +dim0, -dim1, +dim1, ...).
-func (ct *Cart) Neighbors(rank int) []int {
-	var out []int
-	for dim := range ct.Dims {
-		src, dst := ct.Shift(rank, dim, 1)
-		if src >= 0 {
-			out = append(out, src)
-		}
-		if dst >= 0 {
-			out = append(out, dst)
-		}
-	}
-	return out
-}
-
-// ForwardSteps reports the paper's bound on iterative neighbour forwarding
-// for this topology: DimX + DimY + ... (Section IV-D1).
-func (ct *Cart) ForwardSteps() int {
-	total := 0
-	for _, d := range ct.Dims {
-		total += d
-	}
-	return total
-}

@@ -112,39 +112,6 @@ func TestCartShiftPeriodic(t *testing.T) {
 	}
 }
 
-func TestCartNeighborsCountInterior(t *testing.T) {
-	c := cartWorld(t, 27)
-	ct := NewCart(c, []int{3, 3, 3}, false)
-	center := ct.RankAt([]int{1, 1, 1})
-	nb := ct.Neighbors(center)
-	if len(nb) != 6 {
-		t.Fatalf("interior rank has %d neighbours, want 6", len(nb))
-	}
-	corner := ct.RankAt([]int{0, 0, 0})
-	nb = ct.Neighbors(corner)
-	if len(nb) != 3 {
-		t.Fatalf("corner rank has %d neighbours, want 3", len(nb))
-	}
-}
-
-func TestCartNeighborsPeriodicAlwaysSix(t *testing.T) {
-	c := cartWorld(t, 27)
-	ct := NewCart(c, []int{3, 3, 3}, true)
-	for rank := 0; rank < 27; rank++ {
-		if nb := ct.Neighbors(rank); len(nb) != 6 {
-			t.Fatalf("periodic rank %d has %d neighbours", rank, len(nb))
-		}
-	}
-}
-
-func TestCartForwardSteps(t *testing.T) {
-	c := cartWorld(t, 1000)
-	ct := NewCart(c, []int{10, 10, 10}, true)
-	if got := ct.ForwardSteps(); got != 30 {
-		t.Fatalf("ForwardSteps = %d, want 30 (paper's 10x10x10 example)", got)
-	}
-}
-
 func TestCartSizeMismatchPanics(t *testing.T) {
 	c := cartWorld(t, 8)
 	defer func() {

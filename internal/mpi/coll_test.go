@@ -118,7 +118,7 @@ func TestAllreduceVector(t *testing.T) {
 	got := make([][]float64, 8)
 	mustRun(t, w, func(r *Rank) {
 		vec := []float64{float64(r.ID()), 1}
-		res := r.World().Allreduce(r, Part{Bytes: 16, Data: vec}, SumFloat64s, nil)
+		res := r.World().Allreduce(r, Part{Bytes: 16, Data: vec}, sumFloat64s, nil)
 		got[r.ID()] = res.Data.([]float64)
 	})
 	for i, g := range got {

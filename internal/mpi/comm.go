@@ -135,12 +135,3 @@ func (c *Comm) splitRegister(r *Rank, color, key int) *splitState {
 	}
 	return st
 }
-
-// Translate returns the rank in other of the process that is commRank in
-// c, or -1 if it is not a member of other.
-func (c *Comm) Translate(commRank int, other *Comm) int {
-	if or, ok := other.commRank(c.members[commRank]); ok {
-		return or
-	}
-	return -1
-}

@@ -76,26 +76,6 @@ func TestSplitCommsCommunicateIndependently(t *testing.T) {
 	}
 }
 
-func TestTranslate(t *testing.T) {
-	w := testWorld(t, 6)
-	mustRun(t, w, func(r *Rank) {
-		world := r.World()
-		sub := world.Split(r, r.ID()%2, r.ID())
-		if r.ID() == 0 {
-			// Sub rank 1 of the even comm is world rank 2.
-			if wr := sub.Translate(1, world); wr != 2 {
-				t.Errorf("Translate(1, world) = %d, want 2", wr)
-			}
-		}
-		if r.ID() == 1 {
-			// World rank 0 is not in the odd comm.
-			if or := world.Translate(0, sub); or != -1 {
-				t.Errorf("Translate(0, odd) = %d, want -1", or)
-			}
-		}
-	})
-}
-
 func TestWriteSharedSerializes(t *testing.T) {
 	run := func(p int) sim.Time {
 		w := NewWorld(Config{Procs: p, Seed: 1})

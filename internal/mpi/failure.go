@@ -235,11 +235,6 @@ func (w *World) failedRequest() *Request {
 // restore state from their last checkpoint.
 func (r *Rank) Incarnation() int { return r.rs.incarnation }
 
-// Failed reports whether the world is currently revoked by a crash. It
-// is a pure query (no clock movement); CheckFailed is the panicking
-// form used at commit points.
-func (r *Rank) Failed() bool { return r.w.revoked }
-
 // CheckFailed panics with the pending *RankFailedError if the world is
 // revoked. Rank bodies call it inside Protect after their final
 // synchronization, so a crash that slips in before the run commits sends

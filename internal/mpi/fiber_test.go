@@ -391,8 +391,8 @@ func TestFiberWaitAnyMatchesProcs(t *testing.T) {
 func TestWorldPoolReuseDeterminism(t *testing.T) {
 	body := func(r *Rank) {
 		c := r.World()
-		next := (r.ID() + 1) % r.Size()
-		prev := (r.ID() - 1 + r.Size()) % r.Size()
+		next := (r.ID() + 1) % r.World().Size()
+		prev := (r.ID() - 1 + r.World().Size()) % r.World().Size()
 		for i := 0; i < 4; i++ {
 			c.Send(r, next, 0, 8192, nil)
 			c.Recv(r, prev, 0)

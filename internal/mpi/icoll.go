@@ -22,9 +22,6 @@ type CollRequest struct {
 	waiter *sim.Fiber
 }
 
-// Done reports whether the collective has completed on this rank.
-func (cr *CollRequest) Done() bool { return cr.done }
-
 // fstartColl starts a nonblocking collective: it draws the collective's
 // tag and spawns the helper fiber, which runs the algorithm from run as
 // comm rank me and ends in finishColl. Initiating one costs the rank one

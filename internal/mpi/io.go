@@ -37,12 +37,6 @@ func (c *Comm) Open(r *Rank, name string) *File {
 	return Await(r, "Open", func(then func(*File) sim.StepFunc) sim.StepFunc { return c.FOpen(r, name, then) })
 }
 
-// Name reports the file name.
-func (f *File) Name() string { return f.name }
-
-// Size reports the current file size (bytes appended so far).
-func (f *File) Size() int64 { return f.size }
-
 // Ops reports the number of write operations issued.
 func (f *File) Ops() int64 { return f.ops }
 

@@ -167,7 +167,7 @@ func TestProbeDoesNotConsume(t *testing.T) {
 		r.Idle(1e9)
 		for _, selector := range [][2]int{{0, 4}, {AnySource, 4}, {0, AnyTag}, {AnySource, AnyTag}} {
 			for rep := 0; rep < 2; rep++ {
-				ok, st := c.Probe(r, selector[0], selector[1])
+				ok, st := c.probe(r, selector[0], selector[1])
 				if !ok {
 					t.Fatalf("Probe(%v) found nothing", selector)
 				}
@@ -182,7 +182,7 @@ func TestProbeDoesNotConsume(t *testing.T) {
 		if st := c.Recv(r, 0, 4); st.Data.(string) != "m1" {
 			t.Fatalf("second Recv = %+v, want m1", st)
 		}
-		if ok, _ := c.Probe(r, AnySource, AnyTag); ok {
+		if ok, _ := c.probe(r, AnySource, AnyTag); ok {
 			t.Fatal("Probe found a message after both were received")
 		}
 	})
@@ -206,7 +206,7 @@ func TestProbeSeesSelfSendBehindInFlightMessage(t *testing.T) {
 		r.Idle(5e6)
 		c.Isend(r, 0, 3, 8, "self")
 		r.Idle(1e3) // let the self-send delivery event fire
-		ok, st := c.Probe(r, AnySource, 3)
+		ok, st := c.probe(r, AnySource, 3)
 		if !ok {
 			t.Fatal("Probe missed the delivered self-send behind the in-flight message")
 		}
@@ -230,7 +230,7 @@ func TestProbeSeesSelfSendBehindInFlightMessage(t *testing.T) {
 func TestTestThenWaitChargesOverheadOnce(t *testing.T) {
 	cfg := Config{Procs: 2, Seed: 1}
 	w := NewWorld(cfg)
-	ov := w.Config().Net.RecvOverhead
+	ov := w.cfg.Net.RecvOverhead
 	mustRun(t, w, func(r *Rank) {
 		c := r.World()
 		if r.ID() == 0 {
@@ -301,7 +301,7 @@ func TestCollectiveTagRefused(t *testing.T) {
 		"Isend":        func(c *Comm, r *Rank) { c.Isend(r, 1, tag, 8, nil) },
 		"IsendAndFree": func(c *Comm, r *Rank) { c.IsendAndFree(r, 1, tag, 8, nil) },
 		"Irecv":        func(c *Comm, r *Rank) { c.Irecv(r, 1, tag) },
-		"Probe":        func(c *Comm, r *Rank) { c.Probe(r, 1, tag) },
+		"Probe":        func(c *Comm, r *Rank) { c.probe(r, 1, tag) },
 	} {
 		func() {
 			defer func() {

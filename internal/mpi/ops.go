@@ -4,9 +4,9 @@ package mpi
 // identity, so cost-only simulations (nil Data) can reuse the same
 // collectives as payload-carrying code.
 
-// SumFloat64s adds two []float64 payloads elementwise. Shorter inputs are
+// sumFloat64s adds two []float64 payloads elementwise. Shorter inputs are
 // treated as zero-padded.
-func SumFloat64s(a, b interface{}) interface{} {
+func sumFloat64s(a, b interface{}) interface{} {
 	av, _ := a.([]float64)
 	bv, _ := b.([]float64)
 	if av == nil {

@@ -150,10 +150,6 @@ func (q *Request) completedBy(now sim.Time) bool {
 	return q.done || (q.timed && now >= q.doneAt)
 }
 
-// Done reports whether the operation has completed; it is a pure query
-// and consumes no overhead.
-func (q *Request) Done(now sim.Time) bool { return q.completedBy(now) }
-
 // Isend starts a nonblocking send of bytes payload bytes (and optional
 // data) to dst with the given tag. The caller pays the configured send
 // overhead immediately; the returned request completes when the message
@@ -215,7 +211,6 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 	// bursts of sends cost one engine yield instead of one per message.
 	proc.AddDebt(overhead)
 	src.msgsSent++
-	src.bytesSent += bytes
 
 	e := src.eng
 	msg := src.pool.newMessage()
@@ -454,10 +449,10 @@ func (c *Comm) Test(r *Rank, req *Request) (ok bool, st Status) {
 	return ok, st
 }
 
-// Probe reports whether a matching message has already arrived, without
+// probe reports whether a matching message has already arrived, without
 // receiving it. A message still being serialized by the receiver NIC is
 // not yet visible.
-func (c *Comm) Probe(r *Rank, src, tag int) (bool, Status) {
+func (c *Comm) probe(r *Rank, src, tag int) (bool, Status) {
 	checkAppTag("Probe", tag)
 	if m := r.rs.match.findQueuedReady(c.id, src, tag, r.rs.eng.Now()); m != nil {
 		return true, m.status()

@@ -107,7 +107,7 @@ func TestSharedWorldRecycleAcrossClusters(t *testing.T) {
 	// run starts a job that mixes unexpected messages, a collective and
 	// shared-file writes on w and runs its engine.
 	run := func(w *World, e *sim.Engine, bank *sim.Bank) outcome {
-		p := w.Size()
+		p := len(w.ranks)
 		out := outcome{finish: make([]sim.Time, p)}
 		w.StartFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
 			c, me := r.World(), r.ID()
@@ -135,7 +135,7 @@ func TestSharedWorldRecycleAcrossClusters(t *testing.T) {
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		out.busy = bank.JobBusy(w.Config().Job)
+		out.busy = bank.JobBusy(w.cfg.Job)
 		return out
 	}
 	first := func() (Config, *sim.Engine, *sim.Bank) {

@@ -171,10 +171,6 @@ func (w *World) reliable() bool { return w.cfg.MsgFaults != nil }
 // protocol-aware behavior such as send-window pacing.
 func (r *Rank) Reliable() bool { return r.w.reliable() }
 
-// UnackedSends reports how many of this rank's reliably-sent messages
-// are still awaiting acknowledgement. Always 0 on a lossless world.
-func (r *Rank) UnackedSends() int { return r.rs.relUnacked }
-
 // Retransmits reports the total number of timer-driven retransmissions
 // across all ranks. Always 0 on a lossless world.
 func (w *World) Retransmits() int64 {

@@ -62,7 +62,7 @@ func TestReliableDupSuppression(t *testing.T) {
 			sum += c.Recv(r, 0, 7).Data.(int64)
 		}
 		r.Idle(sim.Second) // let any stray duplicate arrive
-		extra, _ = c.Probe(r, 0, 7)
+		extra, _ = c.probe(r, 0, 7)
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -151,11 +151,11 @@ func TestWaitSendWindow(t *testing.T) {
 		if r.ID() == 0 {
 			for i := 0; i < msgs; i++ {
 				c.IsendAndFree(r, 1, 7, 64, int64(i))
-				if n := r.UnackedSends(); n > maxSeen {
+				if n := r.rs.relUnacked; n > maxSeen {
 					maxSeen = n
 				}
 				r.WaitSendWindow(window)
-				if n := r.UnackedSends(); n > window {
+				if n := r.rs.relUnacked; n > window {
 					t.Fatalf("backlog %d after WaitSendWindow(%d)", n, window)
 				}
 			}
@@ -178,7 +178,7 @@ func TestWaitSendWindow(t *testing.T) {
 		if r.ID() == 0 {
 			r.World().IsendAndFree(r, 1, 7, 64, nil)
 			r.WaitSendWindow(0)
-			if r.UnackedSends() != 0 {
+			if r.rs.relUnacked != 0 {
 				t.Errorf("lossless world reports unacked sends")
 			}
 		} else {
@@ -381,7 +381,7 @@ func lossyFanIn(r *Rank) {
 	const msgs = 12
 	c := r.World()
 	if r.ID() == 0 {
-		for i := 0; i < msgs*(r.Size()-1); i++ {
+		for i := 0; i < msgs*(r.World().Size()-1); i++ {
 			c.Recv(r, AnySource, 3)
 			r.Compute(2 * sim.Microsecond)
 		}

@@ -24,7 +24,7 @@ type shardTrace struct {
 func shardWorkloadMain(traces []shardTrace) func(*Rank) {
 	return func(r *Rank) {
 		c := r.World()
-		me, p := r.ID(), r.Size()
+		me, p := r.ID(), r.World().Size()
 		tr := &traces[me]
 		right, left := (me+1)%p, (me-1+p)%p
 		for round := 0; round < 4; round++ {
@@ -113,7 +113,7 @@ func runShardWorkloadFibers(t *testing.T, shards int) []shardTrace {
 	w := NewWorld(Config{Procs: procs, Seed: 7, Shards: shards})
 	_, err := w.RunFibers(func(r *Rank, f *sim.Fiber) sim.StepFunc {
 		c := r.World()
-		me, p := r.ID(), r.Size()
+		me, p := r.ID(), r.World().Size()
 		tr := &traces[me]
 		right, left := (me+1)%p, (me-1+p)%p
 		round := 0
@@ -154,7 +154,7 @@ func runShardWorkloadSimple(t *testing.T, shards int) []shardTrace {
 	w := NewWorld(Config{Procs: procs, Seed: 7, Shards: shards})
 	if _, err := w.Run(func(r *Rank) {
 		c := r.World()
-		me, p := r.ID(), r.Size()
+		me, p := r.ID(), r.World().Size()
 		tr := &traces[me]
 		right, left := (me+1)%p, (me-1+p)%p
 		for rd := 0; rd < 3; rd++ {

@@ -340,7 +340,7 @@ func TestPoolReuseAllocatesNoBuckets(t *testing.T) {
 	cfg := Config{Procs: 8, Seed: 9}.withDefaults()
 	body := func(r *Rank, _ *sim.Fiber) sim.StepFunc {
 		c := r.World()
-		next, prev := (r.ID()+1)%r.Size(), (r.ID()-1+r.Size())%r.Size()
+		next, prev := (r.ID()+1)%r.World().Size(), (r.ID()-1+r.World().Size())%r.World().Size()
 		i := 0
 		var loop sim.StepFunc
 		loop = func(*sim.Fiber) sim.StepFunc {

@@ -80,8 +80,8 @@ func TestDirectWakeWaitColl(t *testing.T) {
 		c := r.World()
 		cr := c.Iallgatherv(r, Part{Bytes: 8, Data: float64(r.ID())})
 		// Unrelated traffic while the collective is in flight.
-		next := (r.ID() + 1) % r.Size()
-		prev := (r.ID() - 1 + r.Size()) % r.Size()
+		next := (r.ID() + 1) % r.World().Size()
+		prev := (r.ID() - 1 + r.World().Size()) % r.World().Size()
 		for i := 0; i < 4; i++ {
 			c.Send(r, next, 5, 4096, nil)
 			c.Recv(r, prev, 5)

@@ -426,8 +426,7 @@ type rankState struct {
 	// (Config.RankFaults), nil when the rank is fault-free.
 	faults []sim.FaultWindow
 
-	bytesSent int64
-	msgsSent  int64
+	msgsSent int64
 
 	// statuses is the rank-owned scratch backing for WaitAll results,
 	// reused across calls so the collective hot path allocates nothing.
@@ -482,7 +481,6 @@ func (rs *rankState) reset(speed float64) {
 	rs.recvLink = sim.Link{}
 	rs.match.reset()
 	rs.speed = speed
-	rs.bytesSent = 0
 	rs.msgsSent = 0
 	rs.dead = false
 	rs.incarnation = 0
@@ -669,7 +667,7 @@ func NewWorld(cfg Config) *World {
 		w.group = sim.NewShardGroup(cfg.Seed, cfg.Shards, cfg.lookahead())
 		w.shardPools = make([]pools, cfg.Shards)
 		for i := 0; i < cfg.Shards; i++ {
-			// Ranks take their world rank as process id (SpawnID); helper
+			// Ranks take their world rank as process id (SpawnFiberID); helper
 			// processes draw automatic ids from a per-shard base far above
 			// any rank id, so the two ranges never collide whatever the
 			// placement. Helper ids are placement-dependent, which is
@@ -839,22 +837,6 @@ func (w *World) checkIOShard(c *Comm) {
 // engine per shard rather than one per world.
 func (w *World) Engine() *sim.Engine { return w.eng }
 
-// Config returns the world configuration (after defaulting).
-func (w *World) Config() Config { return w.cfg }
-
-// Size reports the world size.
-func (w *World) Size() int { return len(w.ranks) }
-
-// BytesSent reports the total bytes injected into the network by all
-// ranks, for utilization reporting.
-func (w *World) BytesSent() int64 {
-	var total int64
-	for _, rs := range w.ranks {
-		total += rs.bytesSent
-	}
-	return total
-}
-
 // MessagesSent reports the total number of point-to-point messages.
 func (w *World) MessagesSent() int64 {
 	var total int64
@@ -1011,18 +993,12 @@ func (r *Rank) Blocking(fn func(), next sim.StepFunc) sim.StepFunc {
 // ID reports this process's rank in the world communicator.
 func (r *Rank) ID() int { return r.rs.rank }
 
-// Size reports the world size.
-func (r *Rank) Size() int { return len(r.w.ranks) }
-
 // World returns the world communicator.
 func (r *Rank) World() *Comm { return r.w.world }
 
 // Now reports the current virtual time (of the rank's engine — in
 // parallel mode each shard's clock advances within its own window).
 func (r *Rank) Now() sim.Time { return r.rs.eng.Now() }
-
-// SpeedFactor reports the static noise-model slowdown of this rank.
-func (r *Rank) SpeedFactor() float64 { return r.rs.speed }
 
 // Compute consumes d of virtual time scaled by this rank's speed factor
 // and perturbed by the configured noise model. All application computation
@@ -1114,9 +1090,6 @@ func (r *Rank) FIdle(d sim.Time, next sim.StepFunc) sim.StepFunc {
 	}
 	return next
 }
-
-// Fiber exposes the rank's fiber.
-func (r *Rank) Fiber() *sim.Fiber { return r.fib }
 
 // StashLocked runs fn with exclusive access to the world stash, a
 // world-wide scratch space for libraries built on the runtime (for

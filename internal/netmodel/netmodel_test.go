@@ -12,9 +12,6 @@ func TestParamsValidate(t *testing.T) {
 	if err := AriesLike().Validate(); err != nil {
 		t.Fatalf("AriesLike invalid: %v", err)
 	}
-	if err := GigabitEthernetLike().Validate(); err != nil {
-		t.Fatalf("GigabitEthernetLike invalid: %v", err)
-	}
 	bad := Params{BytesPerSecond: 0}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero bandwidth accepted")

@@ -73,18 +73,6 @@ func AriesLike() Params {
 	}
 }
 
-// GigabitEthernetLike returns parameters shaped like commodity gigabit
-// Ethernet, useful for contrast in examples and tests.
-func GigabitEthernetLike() Params {
-	return Params{
-		SendOverhead:   5 * sim.Microsecond,
-		RecvOverhead:   5 * sim.Microsecond,
-		Latency:        30 * sim.Microsecond,
-		MessageGap:     1 * sim.Microsecond,
-		BytesPerSecond: 0.125e9,
-	}
-}
-
 // FSParams parameterizes the striped parallel file system model.
 //
 // Independent writes pay PerOpLatency then occupy one stripe for

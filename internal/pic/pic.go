@@ -1,14 +1,12 @@
 // Package pic is a real (miniature) particle-in-cell substrate standing in
 // for iPIC3D (paper Section IV-D): particles with positions and
 // velocities, the Boris pusher for trajectories in electromagnetic fields,
-// charge deposition onto a grid, and subdomain-exit detection. The
-// at-scale experiments cost these kernels through the simulator; the tests
-// here verify the physics (energy conservation, gyro motion, deposition
-// conservation) for real.
+// and subdomain-exit detection. The at-scale experiments cost these
+// kernels through the simulator; the tests here verify the physics (energy
+// conservation, gyro motion, drifts) for real.
 package pic
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -37,9 +35,6 @@ func (a Vec3) Cross(b Vec3) Vec3 {
 // Dot returns a · b.
 func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
-// Norm returns |a|.
-func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
-
 // Particle is one computational particle.
 type Particle struct {
 	Pos Vec3
@@ -54,11 +49,11 @@ type Field interface {
 	EB(pos Vec3) (e Vec3, b Vec3)
 }
 
-// UniformField is a constant E and B field.
-type UniformField struct{ E, B Vec3 }
+// uniformField is a constant E and B field, the tests' reference field.
+type uniformField struct{ E, B Vec3 }
 
 // EB returns the uniform field values.
-func (f UniformField) EB(Vec3) (Vec3, Vec3) { return f.E, f.B }
+func (f uniformField) EB(Vec3) (Vec3, Vec3) { return f.E, f.B }
 
 // HarrisField is the GEM-challenge magnetic configuration: Bx reverses
 // across a current sheet at y = Y0 with half-width W, i.e.
@@ -109,117 +104,6 @@ func (d Domain) Contains(pos Vec3) bool {
 	return pos.X >= d.Lo.X && pos.X < d.Hi.X &&
 		pos.Y >= d.Lo.Y && pos.Y < d.Hi.Y &&
 		pos.Z >= d.Lo.Z && pos.Z < d.Hi.Z
-}
-
-// ExitDirection classifies where pos left the box: for each axis -1, 0 or
-// +1. The zero vector means the position is still inside.
-func (d Domain) ExitDirection(pos Vec3) [3]int {
-	var dir [3]int
-	switch {
-	case pos.X < d.Lo.X:
-		dir[0] = -1
-	case pos.X >= d.Hi.X:
-		dir[0] = 1
-	}
-	switch {
-	case pos.Y < d.Lo.Y:
-		dir[1] = -1
-	case pos.Y >= d.Hi.Y:
-		dir[1] = 1
-	}
-	switch {
-	case pos.Z < d.Lo.Z:
-		dir[2] = -1
-	case pos.Z >= d.Hi.Z:
-		dir[2] = 1
-	}
-	return dir
-}
-
-// Grid is a uniform 3-D charge-deposition grid over a domain.
-type Grid struct {
-	Domain Domain
-	N      [3]int
-	rho    []float64
-}
-
-// NewGrid builds an n[0] x n[1] x n[2] grid over dom.
-func NewGrid(dom Domain, n [3]int) *Grid {
-	for _, d := range n {
-		if d <= 0 {
-			panic(fmt.Sprintf("pic: grid dims %v", n))
-		}
-	}
-	return &Grid{Domain: dom, N: n, rho: make([]float64, n[0]*n[1]*n[2])}
-}
-
-// Rho returns the deposited density at cell (i, j, k).
-func (g *Grid) Rho(i, j, k int) float64 {
-	return g.rho[(i*g.N[1]+j)*g.N[2]+k]
-}
-
-// TotalCharge sums the deposited density over all cells.
-func (g *Grid) TotalCharge() float64 {
-	var total float64
-	for _, v := range g.rho {
-		total += v
-	}
-	return total
-}
-
-// Reset clears the deposition.
-func (g *Grid) Reset() {
-	for i := range g.rho {
-		g.rho[i] = 0
-	}
-}
-
-// Deposit adds charge q at pos using cloud-in-cell (trilinear) weighting,
-// the deposition scheme of PIC moment gathering. Positions outside the
-// domain are clamped to the boundary cell.
-func (g *Grid) Deposit(pos Vec3, q float64) {
-	ext := g.Domain.Hi.Sub(g.Domain.Lo)
-	fx := (pos.X - g.Domain.Lo.X) / ext.X * float64(g.N[0])
-	fy := (pos.Y - g.Domain.Lo.Y) / ext.Y * float64(g.N[1])
-	fz := (pos.Z - g.Domain.Lo.Z) / ext.Z * float64(g.N[2])
-	// Cell-centered weighting: shift to cell centers.
-	fx -= 0.5
-	fy -= 0.5
-	fz -= 0.5
-	i0, wx := splitWeight(fx, g.N[0])
-	j0, wy := splitWeight(fy, g.N[1])
-	k0, wz := splitWeight(fz, g.N[2])
-	for di := 0; di < 2; di++ {
-		for dj := 0; dj < 2; dj++ {
-			for dk := 0; dk < 2; dk++ {
-				i, j, k := clampIdx(i0+di, g.N[0]), clampIdx(j0+dj, g.N[1]), clampIdx(k0+dk, g.N[2])
-				w := weight(wx, di) * weight(wy, dj) * weight(wz, dk)
-				g.rho[(i*g.N[1]+j)*g.N[2]+k] += q * w
-			}
-		}
-	}
-}
-
-func splitWeight(f float64, n int) (int, float64) {
-	i := int(math.Floor(f))
-	return i, f - float64(i)
-}
-
-func weight(w float64, d int) float64 {
-	if d == 0 {
-		return 1 - w
-	}
-	return w
-}
-
-func clampIdx(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }
 
 // LoadHarris samples n particles over dom with a Harris-sheet density

@@ -17,16 +17,13 @@ func TestVec3Algebra(t *testing.T) {
 	if a.Cross(b) != (Vec3{-3, 6, -3}) {
 		t.Fatal("cross broken")
 	}
-	if math.Abs(Vec3{3, 4, 0}.Norm()-5) > 1e-12 {
-		t.Fatal("norm broken")
-	}
 }
 
 func TestBorisConservesEnergyInPureB(t *testing.T) {
 	// With E = 0 the Boris rotation conserves kinetic energy exactly
 	// (up to floating point), no matter how many steps.
 	p := Particle{Vel: Vec3{1, 0.5, -0.25}, QoverM: -1}
-	f := UniformField{B: Vec3{0, 0, 2}}
+	f := uniformField{B: Vec3{0, 0, 2}}
 	e0 := KineticEnergy(p)
 	for i := 0; i < 10_000; i++ {
 		BorisPush(&p, f, 0.05)
@@ -42,7 +39,7 @@ func TestBorisGyroRadius(t *testing.T) {
 	// radius r = v / (|q/m| B).
 	v, b := 1.0, 2.0
 	p := Particle{Pos: Vec3{}, Vel: Vec3{X: v}, QoverM: -1}
-	f := UniformField{B: Vec3{Z: b}}
+	f := uniformField{B: Vec3{Z: b}}
 	dt := 0.001
 	minX, maxX := 0.0, 0.0
 	for i := 0; i < 100_000; i++ {
@@ -60,7 +57,7 @@ func TestBorisGyroRadius(t *testing.T) {
 func TestBorisEAcceleration(t *testing.T) {
 	// Pure E field: dv/dt = (q/m) E.
 	p := Particle{QoverM: 2}
-	f := UniformField{E: Vec3{X: 3}}
+	f := uniformField{E: Vec3{X: 3}}
 	for i := 0; i < 1000; i++ {
 		BorisPush(&p, f, 0.001)
 	}
@@ -73,7 +70,7 @@ func TestBorisEAcceleration(t *testing.T) {
 func TestBorisExBDrift(t *testing.T) {
 	// Crossed fields: guiding center drifts at v_d = E x B / B^2,
 	// independent of charge sign.
-	f := UniformField{E: Vec3{Y: 0.2}, B: Vec3{Z: 1}}
+	f := uniformField{E: Vec3{Y: 0.2}, B: Vec3{Z: 1}}
 	wantVx := 0.2 // (E x B)/B^2 = (0.2*1)/1 in +x
 	for _, qm := range []float64{-1, 1} {
 		p := Particle{Vel: Vec3{}, QoverM: qm}
@@ -106,46 +103,6 @@ func TestDomainContainsAndExit(t *testing.T) {
 	d := Domain{Lo: Vec3{0, 0, 0}, Hi: Vec3{1, 1, 1}}
 	if !d.Contains(Vec3{0.5, 0.5, 0.5}) || d.Contains(Vec3{1, 0.5, 0.5}) {
 		t.Fatal("Contains broken")
-	}
-	if dir := d.ExitDirection(Vec3{-0.1, 0.5, 1.2}); dir != [3]int{-1, 0, 1} {
-		t.Fatalf("ExitDirection = %v", dir)
-	}
-	if dir := d.ExitDirection(Vec3{0.5, 0.5, 0.5}); dir != [3]int{0, 0, 0} {
-		t.Fatalf("inside point exit = %v", dir)
-	}
-}
-
-func TestDepositConservesCharge(t *testing.T) {
-	d := Domain{Lo: Vec3{0, 0, 0}, Hi: Vec3{2, 2, 2}}
-	g := NewGrid(d, [3]int{8, 8, 8})
-	total := 0.0
-	parts := LoadHarris(d, 500, 0.12, 0.2, 0.1, 3)
-	for _, p := range parts {
-		g.Deposit(p.Pos, 1.0)
-		total += 1.0
-	}
-	if math.Abs(g.TotalCharge()-total)/total > 1e-9 {
-		t.Fatalf("deposited %v, want %v", g.TotalCharge(), total)
-	}
-}
-
-func TestDepositLocality(t *testing.T) {
-	d := Domain{Lo: Vec3{0, 0, 0}, Hi: Vec3{1, 1, 1}}
-	g := NewGrid(d, [3]int{4, 4, 4})
-	// Deposit exactly at the center of cell (1,1,1).
-	g.Deposit(Vec3{0.375, 0.375, 0.375}, 8)
-	if got := g.Rho(1, 1, 1); math.Abs(got-8) > 1e-9 {
-		t.Fatalf("cell-centered deposit spread out: rho=%v", got)
-	}
-}
-
-func TestGridReset(t *testing.T) {
-	d := Domain{Lo: Vec3{}, Hi: Vec3{1, 1, 1}}
-	g := NewGrid(d, [3]int{2, 2, 2})
-	g.Deposit(Vec3{0.5, 0.5, 0.5}, 1)
-	g.Reset()
-	if g.TotalCharge() != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -191,7 +148,7 @@ func TestMoveAllPartitions(t *testing.T) {
 		{Pos: Vec3{0.5, 0.5, 0.5}, Vel: Vec3{X: 100}, QoverM: -1}, // will exit
 		{Pos: Vec3{0.5, 0.5, 0.5}, Vel: Vec3{X: 0.001}, QoverM: -1},
 	}
-	stay, leave := MoveAll(parts, UniformField{}, 0.01, d)
+	stay, leave := MoveAll(parts, uniformField{}, 0.01, d)
 	if len(stay) != 1 || len(leave) != 1 {
 		t.Fatalf("stay=%d leave=%d", len(stay), len(leave))
 	}
@@ -211,10 +168,11 @@ func TestBallisticProperty(t *testing.T) {
 		n := int(steps)%50 + 1
 		dt := 0.01
 		for i := 0; i < n; i++ {
-			BorisPush(&p, UniformField{}, dt)
+			BorisPush(&p, uniformField{}, dt)
 		}
 		want := v.Scale(float64(n) * dt)
-		return p.Pos.Sub(want).Norm() < 1e-9 && p.Vel == v
+		d := p.Pos.Sub(want)
+		return math.Sqrt(d.Dot(d)) < 1e-9 && p.Vel == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

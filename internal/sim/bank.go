@@ -233,9 +233,6 @@ func (b *Bank) Width() int { return b.s.Width() }
 // Jobs reports the number of jobs the bank arbitrates between.
 func (b *Bank) Jobs() int { return len(b.svc) }
 
-// Policy reports the inter-job arbitration policy.
-func (b *Bank) Policy() BankPolicy { return b.policy }
-
 // Busy reports the total reserved stripe time across all links.
 func (b *Bank) Busy() Time { return b.s.Busy() }
 
@@ -275,9 +272,6 @@ func (b *Bank) IOEnd(job int, at Time) {
 	}
 }
 
-// Demanding reports whether job currently has signalled I/O demand.
-func (b *Bank) Demanding(job int) bool { return b.demand[job] > 0 }
-
 // JobDemand reports the cumulative virtual time job has spent with
 // signalled I/O demand (closed IOBegin/IOEnd intervals only; an interval
 // still open contributes once it closes). It is the per-job demand
@@ -309,16 +303,6 @@ func (b *Bank) SetStripeFaults(stripe int, fs []StripeFault) {
 		b.sfaults = make([][]StripeFault, b.s.Width())
 	}
 	b.sfaults[stripe] = append([]StripeFault(nil), fs...)
-}
-
-// Faulted reports whether any stripe currently carries fault windows.
-func (b *Bank) Faulted() bool {
-	for _, fs := range b.sfaults {
-		if len(fs) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // slotEnd reports when a booking of dur starting at st on stripe i

@@ -21,7 +21,7 @@ func TestBankFCFSMatchesStriped(t *testing.T) {
 			at += Time(rng.Intn(1000))
 			dur := Time(rng.Intn(2000) + 1)
 			bs, be := b.Reserve(0, at, dur)
-			ss, se := s.Reserve(at, dur)
+			ss, se, _ := s.reserve(at, dur)
 			if bs != ss || be != se {
 				t.Fatalf("stripes=%d op %d: bank granted [%v,%v), striped [%v,%v)", stripes, i, bs, be, ss, se)
 			}
@@ -45,7 +45,7 @@ func TestBankMultiJobFCFSIsArrivalOrder(t *testing.T) {
 		dur := Time(rng.Intn(1500) + 1)
 		job := rng.Intn(3)
 		bs, be := b.Reserve(job, at, dur)
-		ss, se := s.Reserve(at, dur)
+		ss, se, _ := s.reserve(at, dur)
 		if bs != ss || be != se {
 			t.Fatalf("op %d: bank granted [%v,%v), striped [%v,%v)", i, bs, be, ss, se)
 		}
@@ -330,23 +330,23 @@ func TestBankWCDebtForgiveness(t *testing.T) {
 func TestBankDemandAccounting(t *testing.T) {
 	b := NewBank(2, 2, BankFairWC)
 	b.IOBegin(0, 100)
-	if !b.Demanding(0) || b.Demanding(1) {
-		t.Fatalf("demand flags wrong after IOBegin(0): %v %v", b.Demanding(0), b.Demanding(1))
+	if b.demand[0] == 0 || b.demand[1] > 0 {
+		t.Fatalf("demand counts wrong after IOBegin(0): %v %v", b.demand[0], b.demand[1])
 	}
 	b.IOBegin(0, 150) // second rank of the same job: nested
 	b.IOEnd(0, 300)
-	if !b.Demanding(0) {
+	if b.demand[0] == 0 {
 		t.Fatal("job 0 stopped demanding while one operation is still open")
 	}
 	b.IOEnd(0, 400)
-	if b.Demanding(0) {
+	if b.demand[0] > 0 {
 		t.Fatal("job 0 still demanding after both operations ended")
 	}
 	if got := b.JobDemand(0); got != 300 {
 		t.Errorf("JobDemand(0) = %v, want 300 (one closed interval [100,400))", got)
 	}
 	b.Reset()
-	if b.Demanding(0) || b.JobDemand(0) != 0 {
+	if b.demand[0] > 0 || b.JobDemand(0) != 0 {
 		t.Error("Reset did not clear demand state")
 	}
 	defer func() {
@@ -394,11 +394,11 @@ func TestBankResetDropsFaultsAndDemand(t *testing.T) {
 	}
 	b := NewBank(2, 2, BankFairWC)
 	faulted := run(b, true)
-	if !b.Faulted() {
-		t.Fatal("bank does not report installed fault windows")
+	if len(b.sfaults[1]) == 0 {
+		t.Fatal("bank does not hold the installed fault windows")
 	}
 	b.Reset()
-	if b.Faulted() {
+	if b.sfaults != nil {
 		t.Fatal("Reset kept fault windows")
 	}
 	clean := run(b, false)

@@ -10,9 +10,9 @@ import (
 // cost when a call completes inline (one Await, no goroutine switch).
 func BenchmarkDispatch(b *testing.B) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Advance(10)
+			advance(p, 10)
 		}
 	})
 	b.ResetTimer()
@@ -74,14 +74,14 @@ func BenchmarkEventQueue(b *testing.B) {
 // by message sends).
 func BenchmarkDebtFastPath(b *testing.B) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.AddDebt(1)
 			if i%1024 == 1023 {
-				p.FlushDebt()
+				flushDebt(p)
 			}
 		}
-		p.FlushDebt()
+		flushDebt(p)
 	})
 	b.ResetTimer()
 	if _, err := e.Run(); err != nil {
@@ -101,9 +101,9 @@ func reportEventRate(b *testing.B, e *Engine) {
 // switches and zero heap traffic.
 func BenchmarkAdvanceInline(b *testing.B) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Advance(10)
+			advance(p, 10)
 		}
 	})
 	b.ResetTimer()
@@ -124,10 +124,10 @@ func BenchmarkHandoffPingPong(b *testing.B) {
 	e := NewEngine(1)
 	for i := 0; i < 2; i++ {
 		i := i
-		e.Spawn("p", func(p *Proc) {
-			p.Advance(Time(i + 1)) // offset so the two strictly interleave
+		e.spawn("p", func(p *Proc) {
+			advance(p, Time(i+1)) // offset so the two strictly interleave
 			for n := 0; n < b.N; n++ {
-				p.Advance(2)
+				advance(p, 2)
 			}
 		})
 	}
@@ -152,10 +152,10 @@ func BenchmarkSameTimeCallbacks(b *testing.B) {
 		}
 		if n < b.N {
 			n++
-			e.After(1, tick)
+			e.At(e.Now()+1, tick)
 		}
 	}
-	e.After(1, tick)
+	e.At(e.Now()+1, tick)
 	b.ResetTimer()
 	if _, err := e.Run(); err != nil {
 		b.Fatal(err)
@@ -266,15 +266,15 @@ func BenchmarkBroadcastAllocs(b *testing.B) {
 		if n < b.N {
 			n++
 			q.Broadcast(e)
-			e.After(1, tick)
+			e.At(e.Now()+1, tick)
 		}
 	}
-	e.After(1, tick)
+	e.At(e.Now()+1, tick)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := e.RunUntil(Time(b.N) + 2); err != nil {
-		b.Fatal(err)
-	}
+	// The waiters never finish: run to the last tick, not to a deadlock.
+	e.limit = Time(b.N) + 2
+	e.drive()
 }
 
 // BenchmarkManyProcsStaggered is BenchmarkManyFibersStaggered with
@@ -286,9 +286,9 @@ func BenchmarkManyProcsStaggered(b *testing.B) {
 	per := b.N/procs + 1
 	for i := 0; i < procs; i++ {
 		i := i
-		e.Spawn("p", func(p *Proc) {
+		e.spawn("p", func(p *Proc) {
 			for n := 0; n < per; n++ {
-				p.Advance(Time(97 + i%7))
+				advance(p, Time(97+i%7))
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 
 // globalEvents accumulates events fired by every engine in the process,
 // for throughput reporting (events/sec) across concurrent simulations.
-// Engines flush their local counts when Run/RunUntil return.
+// Engines flush their local counts when a run returns.
 var globalEvents atomic.Uint64
 
 // GlobalEvents reports the total number of events fired by all engines in
@@ -70,9 +70,9 @@ type event struct {
 // Pending events wait in queue, a monotone radix queue (eventQueue). It
 // may assume that no event is scheduled before the instant of its latest
 // pop, which never exceeds now: AtAction and AtActionPri refuse instants
-// before now, jumpTo and RunUntil only move now forward, and a ShardGroup
-// merges a post into a shard only at an instant past the limit that shard
-// has run to. The queue checks that itself and panics rather than fire
+// before now, jumpTo only moves now forward, and a ShardGroup merges a
+// post into a shard only at an instant past the limit that shard has run
+// to. The queue checks that itself and panics rather than fire
 // events out of order.
 //
 // Two fast paths keep the hot loop off the queue:
@@ -102,7 +102,7 @@ type Engine struct {
 
 	fibs     []*Fiber
 	live     int // processes spawned and not yet finished
-	nextProc int // id counter shared by Spawn and SpawnFiber
+	nextProc int // id counter of SpawnFiber
 	running  bool
 	fired    uint64
 	reported uint64 // events already added to the global counter
@@ -141,7 +141,7 @@ func (e *Engine) Reset(seed int64) {
 	}
 	for _, f := range e.fibs {
 		if f.host != nil && f.host.live {
-			panic(fmt.Sprintf("sim: Reset with process %q still live (after RunUntil?)", f.name))
+			panic(fmt.Sprintf("sim: Reset with process %q still live (after a shard window?)", f.name))
 		}
 	}
 	e.flushGlobalEvents()
@@ -165,9 +165,6 @@ func (e *Engine) Reset(seed int64) {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Seed reports the engine's base seed.
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Events reports how many events have fired so far.
 func (e *Engine) Events() uint64 { return e.fired }
@@ -271,21 +268,6 @@ func (e *Engine) nextImm() Action {
 	return act
 }
 
-// After schedules fn to run d after the current virtual time. Negative
-// durations are a programming error and panic naming the duration (rather
-// than surfacing later as a confusing scheduling-in-the-past panic), as
-// does a duration large enough to overflow virtual time.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: After called with negative duration %v", d))
-	}
-	t := e.now + d
-	if t < e.now {
-		panic(fmt.Sprintf("sim: After duration %v overflows virtual time (now %v)", d, e.now))
-	}
-	e.At(t, fn)
-}
-
 // SetIDBase moves the engine's automatic id counter to at least base, so
 // subsequently Spawned processes and fibers take ids >= base. Sharded
 // worlds reserve the low range for explicit rank ids (SpawnID) and start
@@ -354,20 +336,6 @@ func (e *Engine) Run() (Time, error) {
 	}
 	e.unwind()
 	return e.now, err
-}
-
-// RunUntil executes events up to and including virtual time limit and
-// stops there, leaving remaining events queued and blocked bodies parked.
-func (e *Engine) RunUntil(limit Time) (Time, error) {
-	if e.running {
-		return e.now, fmt.Errorf("sim: RunUntil called reentrantly")
-	}
-	e.limit = limit
-	e.drive()
-	if e.now < limit {
-		e.now = limit
-	}
-	return e.now, nil
 }
 
 // Abort terminates every spawned-but-unfinished process without running

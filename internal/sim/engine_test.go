@@ -71,10 +71,10 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestProcAdvance(t *testing.T) {
 	e := NewEngine(1)
 	var at1, at2 Time
-	e.Spawn("p", func(p *Proc) {
-		p.Advance(100)
+	e.spawn("p", func(p *Proc) {
+		advance(p, 100)
 		at1 = p.Now()
-		p.Advance(250)
+		advance(p, 250)
 		at2 = p.Now()
 	})
 	end, err := e.Run()
@@ -88,8 +88,8 @@ func TestProcAdvance(t *testing.T) {
 
 func TestAdvanceZeroIsNoop(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		p.Advance(0)
+	e.spawn("p", func(p *Proc) {
+		advance(p, 0)
 		if p.Now() != 0 {
 			t.Errorf("now = %v after Advance(0)", p.Now())
 		}
@@ -101,13 +101,13 @@ func TestAdvanceZeroIsNoop(t *testing.T) {
 
 func TestAdvanceNegativePanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		defer func() {
 			if recover() == nil {
 				t.Error("negative Advance did not panic")
 			}
 		}()
-		p.Advance(-1)
+		advance(p, -1)
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -116,12 +116,12 @@ func TestAdvanceNegativePanics(t *testing.T) {
 
 func TestAdvanceTo(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		p.AdvanceTo(500)
+	e.spawn("p", func(p *Proc) {
+		advanceTo(p, 500)
 		if p.Now() != 500 {
 			t.Errorf("now = %v, want 500", p.Now())
 		}
-		p.AdvanceTo(100) // in the past: no-op
+		advanceTo(p, 100) // in the past: no-op
 		if p.Now() != 500 {
 			t.Errorf("now = %v after past AdvanceTo, want 500", p.Now())
 		}
@@ -137,9 +137,9 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		var log []string
 		for i := 0; i < 4; i++ {
 			i := i
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			e.spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for step := 0; step < 3; step++ {
-					p.Advance(Time(10 * (i + 1)))
+					advance(p, Time(10*(i+1)))
 					log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
 				}
 			})
@@ -166,16 +166,16 @@ func TestWaitQueueSignalOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Advance(Time(i + 1)) // deterministic arrival order
-			q.Wait(p, "test")
+		e.spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			advance(p, Time(i+1)) // deterministic arrival order
+			waitOn(&q, p, "test")
 			order = append(order, i)
 		})
 	}
-	e.Spawn("signaller", func(p *Proc) {
-		p.Advance(100)
+	e.spawn("signaller", func(p *Proc) {
+		advance(p, 100)
 		for q.Signal(p.e) {
-			p.Advance(1)
+			advance(p, 1)
 		}
 	})
 	if _, err := e.Run(); err != nil {
@@ -191,13 +191,13 @@ func TestWaitQueueBroadcast(t *testing.T) {
 	var q WaitQueue
 	released := 0
 	for i := 0; i < 5; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			q.Wait(p, "test")
+		e.spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			waitOn(&q, p, "test")
 			released++
 		})
 	}
-	e.Spawn("b", func(p *Proc) {
-		p.Advance(10)
+	e.spawn("b", func(p *Proc) {
+		advance(p, 10)
 		q.Broadcast(p.e)
 	})
 	if _, err := e.Run(); err != nil {
@@ -208,59 +208,11 @@ func TestWaitQueueBroadcast(t *testing.T) {
 	}
 }
 
-func TestCompletionReleasesWaitersAndLateWaiters(t *testing.T) {
-	e := NewEngine(1)
-	var c Completion
-	var earlyAt, lateAt Time
-	e.Spawn("early", func(p *Proc) {
-		c.Wait(p, "early")
-		earlyAt = p.Now()
-	})
-	e.Spawn("completer", func(p *Proc) {
-		p.Advance(100)
-		c.Complete(p.e)
-	})
-	e.Spawn("late", func(p *Proc) {
-		p.Advance(200)
-		c.Wait(p, "late") // already done: returns immediately
-		lateAt = p.Now()
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if earlyAt != 100 {
-		t.Errorf("early waiter released at %v, want 100", earlyAt)
-	}
-	if lateAt != 200 {
-		t.Errorf("late waiter released at %v, want 200", lateAt)
-	}
-	if !c.Done() || c.DoneAt() != 100 {
-		t.Errorf("Done=%v DoneAt=%v", c.Done(), c.DoneAt())
-	}
-}
-
-func TestCompletionDoubleCompletePanics(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		var c Completion
-		c.Complete(p.e)
-		defer func() {
-			if recover() == nil {
-				t.Error("double Complete did not panic")
-			}
-		}()
-		c.Complete(p.e)
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
-	e.Spawn("stuck", func(p *Proc) {
-		q.Wait(p, "never signalled")
+	e.spawn("stuck", func(p *Proc) {
+		waitOn(&q, p, "never signalled")
 	})
 	_, err := e.Run()
 	var dl *DeadlockError
@@ -275,16 +227,16 @@ func TestDeadlockDetection(t *testing.T) {
 func TestSpawnDuringRun(t *testing.T) {
 	e := NewEngine(1)
 	childRan := false
-	e.Spawn("parent", func(p *Proc) {
-		p.Advance(50)
-		p.Spawn("child", func(c *Proc) {
+	e.spawn("parent", func(p *Proc) {
+		advance(p, 50)
+		p.e.spawn("child", func(c *Proc) {
 			if c.Now() != 50 {
 				t.Errorf("child started at %v, want 50", c.Now())
 			}
-			c.Advance(25)
+			advance(c, 25)
 			childRan = true
 		})
-		p.Advance(100)
+		advance(p, 100)
 	})
 	end, err := e.Run()
 	if err != nil {
@@ -295,35 +247,10 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsAtLimit(t *testing.T) {
-	e := NewEngine(1)
-	var ticks []Time
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(100)
-			ticks = append(ticks, p.Now())
-		}
-	})
-	now, err := e.RunUntil(350)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now != 350 || len(ticks) != 3 {
-		t.Fatalf("now=%v ticks=%v", now, ticks)
-	}
-	// Continue to the end.
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ticks) != 10 {
-		t.Fatalf("after full run ticks=%d, want 10", len(ticks))
-	}
-}
-
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("bomb", func(p *Proc) {
-		p.Advance(10)
+	e.spawn("bomb", func(p *Proc) {
+		advance(p, 10)
 		panic("boom")
 	})
 	defer func() {
@@ -338,8 +265,8 @@ func TestPerProcRandIsDeterministicAndDistinct(t *testing.T) {
 	draw := func(seed int64) [2]float64 {
 		e := NewEngine(seed)
 		var out [2]float64
-		e.Spawn("a", func(p *Proc) { out[0] = p.Rand().Float64() })
-		e.Spawn("b", func(p *Proc) { out[1] = p.Rand().Float64() })
+		e.spawn("a", func(p *Proc) { out[0] = p.Rand().Float64() })
+		e.spawn("b", func(p *Proc) { out[1] = p.Rand().Float64() })
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -381,9 +308,9 @@ func TestAdvanceSumProperty(t *testing.T) {
 			want += Time(r)
 		}
 		var end Time
-		e.Spawn("p", func(p *Proc) {
+		e.spawn("p", func(p *Proc) {
 			for _, r := range raw {
-				p.Advance(Time(r))
+				advance(p, Time(r))
 			}
 			end = p.Now()
 		})

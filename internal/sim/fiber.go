@@ -80,12 +80,6 @@ func (e *Engine) SpawnFiberID(id int, name string, start StepFunc) *Fiber {
 // Name reports the fiber name given to SpawnFiber.
 func (f *Fiber) Name() string { return f.name }
 
-// ID reports the engine-unique identifier, in spawn order.
-func (f *Fiber) ID() int { return f.id }
-
-// Engine returns the engine this fiber belongs to.
-func (f *Fiber) Engine() *Engine { return f.e }
-
 // Now reports the current virtual time.
 func (f *Fiber) Now() Time { return f.e.now }
 

@@ -44,10 +44,10 @@ func TestFiberMatchesProcTrajectory(t *testing.T) {
 		{"advance", func(e *Engine, times *[]Time) {
 			for i := 0; i < 2; i++ {
 				i := i
-				e.Spawn("p", func(p *Proc) {
-					p.Advance(Time(i + 1))
+				e.spawn("p", func(p *Proc) {
+					advance(p, Time(i+1))
 					for n := 0; n < iters; n++ {
-						p.Advance(2)
+						advance(p, 2)
 						*times = append(*times, p.Now())
 					}
 				})
@@ -66,28 +66,28 @@ func TestFiberMatchesProcTrajectory(t *testing.T) {
 			note := func(p *Proc) { *times = append(*times, p.Now()) }
 			for i := 0; i < 3; i++ {
 				i := i
-				e.Spawn("p", func(p *Proc) {
+				e.spawn("p", func(p *Proc) {
 					p.AddDebt(Time(i + 1))
-					p.AdvanceTo(4)
+					advanceTo(p, 4)
 					note(p)
-					tok.Acquire(p, "token")
+					acquire(&tok, p, "token")
 					p.AddDebt(2)
-					p.FlushDebt()
+					flushDebt(p)
 					note(p)
-					p.Advance(3)
+					advance(p, 3)
 					tok.Release(p.Fiber)
 					p.AddDebt(5)
 					floor := p.Now() + p.Debt()
 					if i == 0 {
-						p.ParkKeepingDebt("for the others")
+						parkKeepingDebt(p, "for the others")
 					} else {
-						p.SettleTo(floor + Time(i))
-						q.Wait(p, "for the last")
+						settleTo(p, floor+Time(i))
+						waitOn(&q, p, "for the last")
 					}
-					p.SettleTo(Max(floor, p.Now()))
+					settleTo(p, Max(floor, p.Now()))
 					note(p)
 					if i == 2 {
-						p.Park("until woken")
+						park(p, "until woken")
 						note(p)
 					}
 				})
@@ -197,8 +197,8 @@ func TestFiberDeadlockReported(t *testing.T) {
 	e.SpawnFiber("stuck-fiber", func(f *Fiber) StepFunc {
 		return f.Park("never woken", nil)
 	})
-	e.Spawn("stuck-proc", func(p *Proc) {
-		p.Park("also never woken")
+	e.spawn("stuck-proc", func(p *Proc) {
+		park(p, "also never woken")
 	})
 	_, err := e.Run()
 	var dl *DeadlockError
@@ -217,8 +217,8 @@ func TestWaitQueueMixedFIFO(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	var order []string
-	e.Spawn("proc-first", func(p *Proc) {
-		q.Wait(p, "mixed")
+	e.spawn("proc-first", func(p *Proc) {
+		waitOn(&q, p, "mixed")
 		order = append(order, "proc-first")
 	})
 	e.SpawnFiber("fiber-second", func(f *Fiber) StepFunc {
@@ -227,9 +227,9 @@ func TestWaitQueueMixedFIFO(t *testing.T) {
 			return nil
 		})
 	})
-	e.Spawn("proc-third", func(p *Proc) {
-		p.Advance(1) // ensure it queues after the first two
-		q.Wait(p, "mixed")
+	e.spawn("proc-third", func(p *Proc) {
+		advance(p, 1) // ensure it queues after the first two
+		waitOn(&q, p, "mixed")
 		order = append(order, "proc-third")
 	})
 	e.At(10, func() { q.Broadcast(e) })
@@ -344,7 +344,7 @@ func TestFiberDoubleSuspendPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine(1)
-	e.Spawn("driver", func(p *Proc) { p.Advance(1) }) // force non-inline advances
+	e.spawn("driver", func(p *Proc) { advance(p, 1) }) // force non-inline advances
 	e.SpawnFiber("bad", func(f *Fiber) StepFunc {
 		f.Advance(5, nil)
 		f.Advance(5, nil) // second real suspension in one step

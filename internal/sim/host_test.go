@@ -27,7 +27,7 @@ func settleGoroutines(t *testing.T, base int) {
 // the engine back.
 func TestHostLifetime(t *testing.T) {
 	parked := func(e *Engine, name string) *Proc {
-		return e.Spawn(name, func(p *Proc) { p.Park("never woken") })
+		return e.spawn(name, func(p *Proc) { park(p, "never woken") })
 	}
 	cases := []struct {
 		name string
@@ -36,7 +36,7 @@ func TestHostLifetime(t *testing.T) {
 		{"deadlock", func(t *testing.T, e *Engine) {
 			parked(e, "a")
 			parked(e, "b")
-			e.Spawn("c", func(p *Proc) { p.Advance(5) })
+			e.spawn("c", func(p *Proc) { advance(p, 5) })
 			var dl *DeadlockError
 			if _, err := e.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 2 {
 				t.Fatalf("Run: %v, want a deadlock of 2", err)
@@ -44,8 +44,8 @@ func TestHostLifetime(t *testing.T) {
 		}},
 		{"body panic", func(t *testing.T, e *Engine) {
 			parked(e, "bystander")
-			e.Spawn("bomb", func(p *Proc) {
-				p.Advance(3)
+			e.spawn("bomb", func(p *Proc) {
+				advance(p, 3)
 				panic("boom")
 			})
 			defer func() {
@@ -72,8 +72,8 @@ func TestHostLifetime(t *testing.T) {
 			resumed := false
 			e.At(10, func() {
 				e.Kill(victim.Fiber)
-				e.Spawn("victim'", func(p *Proc) {
-					p.Advance(5)
+				e.spawn("victim'", func(p *Proc) {
+					advance(p, 5)
 					resumed = true
 				})
 			})
@@ -89,17 +89,18 @@ func TestHostLifetime(t *testing.T) {
 		{"killed before its first step", func(t *testing.T, e *Engine) {
 			var victim *Proc
 			e.At(0, func() { e.Kill(victim.Fiber) })
-			victim = e.Spawn("victim", func(p *Proc) { t.Error("killed body ran") })
+			victim = e.spawn("victim", func(p *Proc) { t.Error("killed body ran") })
 			if _, err := e.Run(); err != nil || !victim.Done() {
 				t.Fatalf("Run: %v, victim done %v", err, victim.Done())
 			}
 		}},
 		{"window boundary", func(t *testing.T, e *Engine) {
-			// RunUntil leaves a blocked body parked for the next window; the
-			// engine is not reusable until something ends it.
-			p := e.Spawn("sleeper", func(p *Proc) { p.Advance(100) })
-			if _, err := e.RunUntil(10); err != nil || p.Done() {
-				t.Fatalf("RunUntil: %v, done %v", err, p.Done())
+			// A shard window leaves a blocked body parked for the next one;
+			// the engine is not reusable until something ends it.
+			p := e.spawn("sleeper", func(p *Proc) { advance(p, 100) })
+			var panicked interface{}
+			if runShard(e, 10, &panicked); panicked != nil || p.Done() {
+				t.Fatalf("window: panic %v, done %v", panicked, p.Done())
 			}
 			func() {
 				defer func() {
@@ -123,8 +124,8 @@ func TestHostLifetime(t *testing.T) {
 			e.Reset(2)
 			// The reset engine is as good as new.
 			var at Time
-			e.Spawn("after", func(p *Proc) {
-				p.Advance(7)
+			e.spawn("after", func(p *Proc) {
+				advance(p, 7)
 				at = p.Now()
 			})
 			if end, err := e.Run(); err != nil || end != 7 || at != 7 {
@@ -143,12 +144,12 @@ func TestHostDeadlockReportMatchesFiber(t *testing.T) {
 		var q WaitQueue
 		var tok Token
 		if hosted {
-			e.Spawn("holder", func(p *Proc) {
-				tok.Acquire(p, "token")
-				p.Park("holding the token")
+			e.spawn("holder", func(p *Proc) {
+				acquire(&tok, p, "token")
+				park(p, "holding the token")
 			})
-			e.Spawn("queued", func(p *Proc) { q.Wait(p, "on the queue") })
-			e.Spawn("second", func(p *Proc) { tok.Acquire(p, "token") })
+			e.spawn("queued", func(p *Proc) { waitOn(&q, p, "on the queue") })
+			e.spawn("second", func(p *Proc) { acquire(&tok, p, "token") })
 		} else {
 			e.SpawnFiber("holder", func(f *Fiber) StepFunc {
 				return tok.FAcquire(f, "token", func(f *Fiber) StepFunc { return f.Park("holding the token", nil) })
@@ -183,9 +184,9 @@ func TestHostNestedBlocking(t *testing.T) {
 	e.At(5, func() {})
 	e.At(14, func() {})
 	var log []Time
-	e.Spawn("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		note := func() {
-			p.Advance(3)
+			advance(p, 3)
 			log = append(log, p.Now())
 		}
 		p.Await(func(next StepFunc) StepFunc {
@@ -211,7 +212,7 @@ func TestHostThrow(t *testing.T) {
 	e := NewEngine(1)
 	var caught []interface{}
 	var end Time
-	e.Spawn("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		try := func(call func(next StepFunc) StepFunc) {
 			defer func() { caught = append(caught, recover()) }()
 			p.Await(call)
@@ -220,7 +221,7 @@ func TestHostThrow(t *testing.T) {
 		try(func(StepFunc) StepFunc {
 			return p.Fiber.Park("until thrown at", func(*Fiber) StepFunc { return p.Throw("parked") })
 		})
-		p.Advance(5)
+		advance(p, 5)
 		end = p.Now()
 	})
 	e.At(20, func() { e.WakeAt(20, e.fibs[0]) })
@@ -230,4 +231,39 @@ func TestHostThrow(t *testing.T) {
 	if want := []interface{}{"inline", "parked"}; !reflect.DeepEqual(caught, want) || end != 25 {
 		t.Fatalf("caught %v, body finished at %v; want %v and 25", caught, end, want)
 	}
+}
+
+// The blocking calls the tests make are Proc.Await of a Fiber primitive,
+// as every blocking call of the runtime above is built.
+
+func advance(p *Proc, d Time) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Advance(d, next) })
+}
+
+func advanceTo(p *Proc, t Time) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.AdvanceTo(t, next) })
+}
+
+func settleTo(p *Proc, t Time) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.SettleTo(t, next) })
+}
+
+func flushDebt(p *Proc) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.FlushDebt(next) })
+}
+
+func park(p *Proc, reason string) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Park(reason, next) })
+}
+
+func parkKeepingDebt(p *Proc, reason string) {
+	p.Await(func(next StepFunc) StepFunc { return p.Fiber.ParkKeepingDebt(reason, next) })
+}
+
+func waitOn(q *WaitQueue, p *Proc, reason string) {
+	p.Await(func(next StepFunc) StepFunc { return q.WaitFiber(p.Fiber, reason, next) })
+}
+
+func acquire(t *Token, p *Proc, reason string) {
+	p.Await(func(next StepFunc) StepFunc { return t.FAcquire(p.Fiber, reason, next) })
 }

@@ -9,15 +9,15 @@ func TestKillParkedProc(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	resumed := false
-	victim := e.Spawn("victim", func(p *Proc) {
-		q.Wait(p, "test wait")
+	victim := e.spawn("victim", func(p *Proc) {
+		waitOn(&q, p, "test wait")
 		resumed = true
 	})
 	e.At(50, func() {
 		q.Remove(victim.Fiber)
 		e.Kill(victim.Fiber)
 	})
-	e.Spawn("bystander", func(p *Proc) { p.Advance(100) })
+	e.spawn("bystander", func(p *Proc) { advance(p, 100) })
 	end, err := e.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -51,8 +51,8 @@ func TestKillWithStaleWake(t *testing.T) {
 			e.At(50, func() { e.Kill(fb) })
 		} else {
 			var pr *Proc
-			pr = e.Spawn("victim", func(p *Proc) {
-				p.Park("test wait")
+			pr = e.spawn("victim", func(p *Proc) {
+				park(p, "test wait")
 				t.Error("killed process resumed")
 			})
 			e.At(10, func() { e.WakeAt(100, pr.Fiber) })
@@ -83,14 +83,14 @@ func TestKillDrivingProcDefersToYield(t *testing.T) {
 	reachedKill := false
 	passedYield := false
 	var self *Proc
-	self = e.Spawn("self-crash", func(p *Proc) {
-		p.Advance(10)
+	self = e.spawn("self-crash", func(p *Proc) {
+		advance(p, 10)
 		e.Kill(self.Fiber) // the body kills itself: deferred
 		reachedKill = true
-		p.Advance(10) // unwinds here
+		advance(p, 10) // unwinds here
 		passedYield = true
 	})
-	e.Spawn("bystander", func(p *Proc) { p.Advance(30) })
+	e.spawn("bystander", func(p *Proc) { advance(p, 30) })
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -120,8 +120,8 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 				return f.Advance(200, func(*Fiber) StepFunc { return nil })
 			})
 		} else {
-			victim = e.Spawn("victim", func(p *Proc) { p.Advance(100) }).Fiber
-			bystander = e.Spawn("bystander", func(p *Proc) { p.Advance(200) }).Fiber
+			victim = e.spawn("victim", func(p *Proc) { advance(p, 100) }).Fiber
+			bystander = e.spawn("bystander", func(p *Proc) { advance(p, 200) }).Fiber
 		}
 		e.At(50, func() {
 			e.Kill(victim)
@@ -131,7 +131,7 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 						return f.Advance(40, func(*Fiber) StepFunc { return nil })
 					})
 				} else {
-					respawn = e.Spawn("victim'", func(p *Proc) { p.Advance(40) }).Fiber
+					respawn = e.spawn("victim'", func(p *Proc) { advance(p, 40) }).Fiber
 				}
 			})
 		})
@@ -140,7 +140,7 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return victim.ID(), bystander.ID(), respawn.ID(), end
+		return victim.id, bystander.id, respawn.id, end
 	}
 	v1, b1, r1, e1 := run(false)
 	v2, b2, r2, e2 := run(true)
@@ -158,9 +158,9 @@ func TestKillRespawnSharedIDs(t *testing.T) {
 // TestKillFinishedIsNoop kills an already-finished runnable.
 func TestKillFinishedIsNoop(t *testing.T) {
 	e := NewEngine(1)
-	p := e.Spawn("quick", func(p *Proc) { p.Advance(5) })
+	p := e.spawn("quick", func(p *Proc) { advance(p, 5) })
 	e.At(10, func() { e.Kill(p.Fiber) })
-	e.Spawn("bystander", func(p *Proc) { p.Advance(20) })
+	e.spawn("bystander", func(p *Proc) { advance(p, 20) })
 	end, err := e.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -176,14 +176,14 @@ func TestKillTokenHolder(t *testing.T) {
 	e := NewEngine(1)
 	var tok Token
 	var acquiredAt Time
-	holder := e.Spawn("holder", func(p *Proc) {
-		tok.Acquire(p, "token")
-		p.Advance(1000) // would hold until 1000
+	holder := e.spawn("holder", func(p *Proc) {
+		acquire(&tok, p, "token")
+		advance(p, 1000) // would hold until 1000
 		tok.Release(p.Fiber)
 	})
-	e.Spawn("waiter", func(p *Proc) {
-		p.Advance(10)
-		tok.Acquire(p, "token")
+	e.spawn("waiter", func(p *Proc) {
+		advance(p, 10)
+		acquire(&tok, p, "token")
 		acquiredAt = p.Now()
 		tok.Release(p.Fiber)
 	})

@@ -182,9 +182,9 @@ func (g *ShardGroup) applyInboxes() {
 
 // runShard executes one shard's window on the calling goroutine,
 // capturing a panic (which has already unwound the shard's own processes)
-// into slot for the barrier to handle deterministically. Unlike RunUntil
-// it leaves the shard's clock at the last event fired: a limit is how far
-// the shard may run, not an instant anything happened at.
+// into slot for the barrier to handle deterministically. It leaves the
+// shard's clock at the last event fired: a limit is how far the shard may
+// run, not an instant anything happened at.
 func runShard(e *Engine, limit Time, slot *interface{}) {
 	defer func() {
 		if r := recover(); r != nil {

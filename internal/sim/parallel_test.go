@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -156,24 +155,25 @@ func TestShardGroupProcHandoff(t *testing.T) {
 		}
 		for r := 0; r < ranks; r++ {
 			r := r
-			engs[r].SpawnID(r, fmt.Sprintf("rank%d", r), func(p *Proc) {
+			body := func(p *Proc) {
 				var sendSeq uint64
 				for i := 0; i < rounds; i++ {
 					if r != 0 || i != 0 {
 						for !boxes[r].ready {
 							boxes[r].proc = p
-							p.Park("token")
+							park(p, "token")
 						}
 						boxes[r].ready = false
 					}
-					p.Advance(Time(10 + r))
+					advance(p, Time(10+r))
 					dst := (r + 1) % ranks
 					pri := (uint64(r)+1)<<40 | sendSeq
 					sendSeq++
 					engs[r].Post(engs[dst], p.Now()+testLat, pri, deliver(dst))
 				}
 				finished[r] = p.Now()
-			})
+			}
+			engs[r].SpawnFiberID(r, fmt.Sprintf("rank%d", r), func(f *Fiber) StepFunc { return f.Host(body) })
 		}
 		if _, err := g.Run(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -195,8 +195,8 @@ func TestShardGroupDeadlockAggregates(t *testing.T) {
 	g := NewShardGroup(1, 2, testLat)
 	for s := 0; s < 2; s++ {
 		s := s
-		g.Shard(s).Spawn(fmt.Sprintf("stuck%d", s), func(p *Proc) {
-			p.Park("waiting forever")
+		g.Shard(s).spawn(fmt.Sprintf("stuck%d", s), func(p *Proc) {
+			park(p, "waiting forever")
 		})
 	}
 	_, err := g.Run()
@@ -245,7 +245,7 @@ func tickEvery(e *Engine, period, until Time) {
 	var tick func()
 	tick = func() {
 		if e.Now()+period <= until {
-			e.After(period, tick)
+			e.At(e.Now()+period, tick)
 		}
 	}
 	e.At(0, tick)
@@ -257,7 +257,7 @@ func tickEvery(e *Engine, period, until Time) {
 // when the run ends.
 func TestHostLifetimeShardGroup(t *testing.T) {
 	parked := func(e *Engine, name string) {
-		e.Spawn(name, func(p *Proc) { p.Park("never woken") })
+		e.spawn(name, func(p *Proc) { park(p, "never woken") })
 	}
 	bombAt := func(e *Engine, at Time, v string) {
 		e.SpawnFiber("bomb "+v, func(f *Fiber) StepFunc {
@@ -336,9 +336,9 @@ func TestHostLifetimeShardGroup(t *testing.T) {
 			var end [2]Time
 			for s := 0; s < 2; s++ {
 				s := s
-				g.Shard(s).Spawn(fmt.Sprintf("body%d", s), func(p *Proc) {
+				g.Shard(s).spawn(fmt.Sprintf("body%d", s), func(p *Proc) {
 					for i := 0; i < rounds*(1+s); i++ {
-						p.Advance(testLat)
+						advance(p, testLat)
 					}
 					end[s] = p.Now()
 				})
@@ -359,36 +359,6 @@ func TestHostLifetimeShardGroup(t *testing.T) {
 			tc.run(t, NewShardGroup(1, 2, testLat))
 			settleGoroutines(t, base)
 		})
-	}
-}
-
-// TestAfterValidation pins the Engine.After contract: negative durations
-// and overflowing durations panic with messages naming the duration.
-func TestAfterValidation(t *testing.T) {
-	expectPanic := func(name, want string, fn func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("%s: no panic", name)
-				return
-			}
-			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
-				t.Errorf("%s: panic %q does not mention %q", name, msg, want)
-			}
-		}()
-		fn()
-	}
-	e := NewEngine(1)
-	expectPanic("negative", "negative duration -5", func() { e.After(-5, func() {}) })
-	eo := NewEngine(1)
-	eo.At(1, func() { eo.After(MaxTime, func() {}) })
-	expectPanic("overflow", "overflows virtual time", func() { eo.Run() })
-	// A valid After still works.
-	fired := false
-	e.After(3, func() { fired = true })
-	if _, err := e.Run(); err != nil || !fired {
-		t.Fatalf("valid After: fired=%v err=%v", fired, err)
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 // goroutine that hosts a Fiber. The fiber is what the engine schedules —
 // its resume events, its clock debt, its wait-queue entries and its
 // deadlock reason are the fiber's own — and the body goroutine is only a
-// stack to block on. Every blocking Proc method runs the Fiber primitive
-// of the same name through Await, so there is one scheduler and one
-// implementation of each primitive; a body that makes the same calls as a
-// step-function body fires the same events at the same instants.
+// stack to block on. A blocking call is Await of the step-function form of
+// the call (mpi.Rank.Block for the runtime's calls), so there is one
+// scheduler and one implementation of each primitive; a body that makes the
+// same calls as a step-function body fires the same events at the same
+// instants.
 //
 // Who runs when: simulation code runs on one goroutine at a time. The
 // goroutine that called Run fires every event. When the hosted fiber
@@ -43,21 +44,12 @@ type Proc struct {
 // is killed or the engine stops with the body still blocked.
 type stopSignal struct{}
 
-// Spawn creates a new simulated process executing body. The process starts
-// at the current virtual time (or at time 0 if the engine has not started
-// running yet). Spawn may be called before Run or from inside running
-// simulation code.
-func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	id := e.nextProc
-	e.nextProc++
-	return e.SpawnID(id, name, body)
-}
-
-// SpawnID is Spawn with a caller-chosen process id, as SpawnFiberID is for
-// SpawnFiber.
-func (e *Engine) SpawnID(id int, name string, body func(*Proc)) *Proc {
+// spawn creates a process executing the blocking body, numbered like a
+// fiber from SpawnFiber. The runtime hosts its blocking bodies on fibers it
+// spawns itself (Fiber.Host); the engine's tests spawn them here.
+func (e *Engine) spawn(name string, body func(*Proc)) *Proc {
 	p := newProc(body)
-	p.Fiber = e.SpawnFiberID(id, name, p.start)
+	p.Fiber = e.SpawnFiber(name, p.start)
 	p.Fiber.host = p
 	return p
 }
@@ -75,12 +67,6 @@ func (f *Fiber) Host(body func(*Proc)) StepFunc {
 
 func newProc(body func(*Proc)) *Proc {
 	return &Proc{body: body, toBody: make(chan struct{}), toHost: make(chan struct{})}
-}
-
-// Spawn starts a child process at the current virtual time. It is a
-// convenience wrapper over Engine.Spawn for forking helpers.
-func (p *Proc) Spawn(name string, body func(*Proc)) *Proc {
-	return p.e.Spawn(name, body)
 }
 
 // start is the hosted fiber's first step: create the body goroutine, then
@@ -217,40 +203,6 @@ func (p *Proc) stop() bool {
 	return true
 }
 
-// Advance consumes d of virtual time (plus any accumulated debt),
-// modelling computation or any other busy activity.
-func (p *Proc) Advance(d Time) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Advance(d, next) })
-}
-
-// AdvanceTo consumes virtual time until max(t, now+debt).
-func (p *Proc) AdvanceTo(t Time) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.AdvanceTo(t, next) })
-}
-
-// SettleTo consumes all outstanding debt and advances to t (see
-// Fiber.SettleTo).
-func (p *Proc) SettleTo(t Time) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.SettleTo(t, next) })
-}
-
-// FlushDebt converts accumulated debt into virtual time.
-func (p *Proc) FlushDebt() {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.FlushDebt(next) })
-}
-
-// Park blocks the process until another piece of simulation code wakes it
-// with Engine.WakeAt. reason is shown in deadlock reports.
-func (p *Proc) Park(reason string) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Park(reason, next) })
-}
-
-// ParkKeepingDebt parks like Park but leaves accumulated debt pending (see
-// Fiber.ParkKeepingDebt).
-func (p *Proc) ParkKeepingDebt(reason string) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.ParkKeepingDebt(reason, next) })
-}
-
 // newRand builds the per-process random stream for (seed, id): a
 // splitmix64 generator whose state is the mixed seed. The stdlib's
 // default source seeds a 607-word lagged-Fibonacci table per process,
@@ -302,7 +254,7 @@ func Mix64(seed, id int64) int64 {
 	return int64(z)
 }
 
-// WakeAt schedules f — parked via Park (or a WaitQueue) — to resume at
+// WakeAt schedules f — parked via Fiber.Park (or a WaitQueue) — to resume at
 // virtual time t. It must be called from simulation context (another
 // process or an event callback).
 func (e *Engine) WakeAt(t Time, f *Fiber) { e.AtAction(t, f) }
@@ -313,12 +265,6 @@ func (e *Engine) WakeAt(t Time, f *Fiber) { e.AtAction(t, f) }
 // nothing.
 type WaitQueue struct {
 	waiters []*Fiber
-}
-
-// Wait blocks the calling process until Signal releases it. reason is
-// shown in deadlock reports.
-func (q *WaitQueue) Wait(p *Proc, reason string) {
-	p.Await(func(next StepFunc) StepFunc { return q.WaitFiber(p.Fiber, reason, next) })
 }
 
 // WaitFiber parks f on the queue until Signal or Broadcast releases it,
@@ -371,40 +317,4 @@ func (q *WaitQueue) Remove(r *Fiber) bool {
 		}
 	}
 	return false
-}
-
-// Completion is a one-shot event that processes can wait on. It is used to
-// implement requests (nonblocking operation handles).
-type Completion struct {
-	done    bool
-	at      Time
-	waiters WaitQueue
-}
-
-// Done reports whether the completion has fired.
-func (c *Completion) Done() bool { return c.done }
-
-// DoneAt reports the virtual time at which the completion fired; it is
-// meaningful only when Done is true.
-func (c *Completion) DoneAt() Time { return c.at }
-
-// Complete fires the completion, releasing all waiters. Completing twice
-// is a programming error.
-func (c *Completion) Complete(e *Engine) {
-	if c.done {
-		panic("sim: Completion completed twice")
-	}
-	c.done = true
-	c.at = e.now
-	c.waiters.Broadcast(e)
-}
-
-// Wait blocks p until the completion fires. Returns immediately if it
-// already has.
-func (c *Completion) Wait(p *Proc, reason string) {
-	p.FlushDebt()
-	if c.done {
-		return
-	}
-	c.waiters.Wait(p, reason)
 }

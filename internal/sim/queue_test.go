@@ -302,7 +302,7 @@ func TestQueueStatsPinned(t *testing.T) {
 		tick = func() {
 			if left > 0 {
 				left--
-				e.After(period, tick)
+				e.At(e.Now()+period, tick)
 			}
 		}
 		e.At(Time(i+1), tick)

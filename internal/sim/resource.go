@@ -20,9 +20,6 @@ func (l *Link) Reserve(at, dur Time) (start, end Time) {
 	return start, end
 }
 
-// Busy reports the total reserved time on this link.
-func (l *Link) Busy() Time { return l.busy }
-
 // Striped is a bank of identical serial links with least-loaded placement,
 // modelling a striped resource such as a parallel file system with
 // multiple storage targets.
@@ -49,15 +46,9 @@ func (s *Striped) Reset() {
 	}
 }
 
-// Reserve books dur on the link that can start earliest (ties broken by
-// lowest index, for determinism).
-func (s *Striped) Reserve(at, dur Time) (start, end Time) {
-	start, end, _ = s.reserve(at, dur)
-	return start, end
-}
-
-// reserve is Reserve also reporting the chosen link index, for callers
-// (Bank) whose tests shadow per-stripe timelines.
+// reserve books dur on the link that can start earliest (ties broken by
+// lowest index, for determinism), reporting the chosen link index too,
+// for callers (Bank) whose tests shadow per-stripe timelines.
 func (s *Striped) reserve(at, dur Time) (start, end Time, link int) {
 	best := 0
 	bestStart := Max(at, s.links[0].nextFree)
@@ -86,12 +77,6 @@ func (s *Striped) Busy() Time {
 type Token struct {
 	holder  *Fiber
 	waiters WaitQueue
-	grants  uint64
-}
-
-// Acquire blocks p until the token is free, then takes it.
-func (t *Token) Acquire(p *Proc, reason string) {
-	p.Await(func(next StepFunc) StepFunc { return t.FAcquire(p.Fiber, reason, next) })
 }
 
 // FAcquire takes the token, queueing FIFO while it is held, and continues
@@ -103,7 +88,6 @@ func (t *Token) FAcquire(f *Fiber, reason string, next StepFunc) StepFunc {
 			return t.waiters.WaitFiber(f, reason, loop)
 		}
 		t.holder = f
-		t.grants++
 		return next
 	}
 	return f.FlushDebt(loop)
@@ -118,9 +102,6 @@ func (t *Token) Release(r *Fiber) {
 	t.holder = nil
 	t.waiters.Signal(r.e)
 }
-
-// Grants reports how many times the token has been acquired.
-func (t *Token) Grants() uint64 { return t.grants }
 
 // Evict removes a killed process from the token: if r holds the token
 // it is released on r's behalf (waking the next waiter); if r is queued

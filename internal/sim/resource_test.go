@@ -21,8 +21,8 @@ func TestLinkReserveSequential(t *testing.T) {
 	if s3 != 500 || e3 != 510 {
 		t.Fatalf("third slot [%v,%v], want [500,510]", s3, e3)
 	}
-	if l.Busy() != 140 {
-		t.Fatalf("Busy = %v, want 140", l.Busy())
+	if l.busy != 140 {
+		t.Fatalf("Busy = %v, want 140", l.busy)
 	}
 }
 
@@ -50,13 +50,13 @@ func TestStripedSpreadsLoad(t *testing.T) {
 	s := NewStriped(4)
 	// Four simultaneous requests: all should start at 0 on distinct links.
 	for i := 0; i < 4; i++ {
-		st, _ := s.Reserve(0, 100)
+		st, _, _ := s.reserve(0, 100)
 		if st != 0 {
 			t.Fatalf("request %d started at %v, want 0", i, st)
 		}
 	}
 	// Fifth queues behind the earliest.
-	st, _ := s.Reserve(0, 100)
+	st, _, _ := s.reserve(0, 100)
 	if st != 100 {
 		t.Fatalf("fifth request started at %v, want 100", st)
 	}
@@ -70,8 +70,8 @@ func TestStripedSpreadsLoad(t *testing.T) {
 
 func TestStripedSingleDegeneratesToLink(t *testing.T) {
 	s := NewStriped(1)
-	s.Reserve(0, 50)
-	st, _ := s.Reserve(0, 50)
+	s.reserve(0, 50)
+	st, _, _ := s.reserve(0, 50)
 	if st != 50 {
 		t.Fatalf("second request started at %v, want 50", st)
 	}
@@ -91,14 +91,16 @@ func TestTokenMutualExclusion(t *testing.T) {
 	var tok Token
 	inside := 0
 	maxInside := 0
+	grants := 0
 	for i := 0; i < 5; i++ {
-		e.Spawn("p", func(p *Proc) {
-			tok.Acquire(p, "cs")
+		e.spawn("p", func(p *Proc) {
+			acquire(&tok, p, "cs")
+			grants++
 			inside++
 			if inside > maxInside {
 				maxInside = inside
 			}
-			p.Advance(100)
+			advance(p, 100)
 			inside--
 			tok.Release(p.Fiber)
 		})
@@ -113,21 +115,21 @@ func TestTokenMutualExclusion(t *testing.T) {
 	if end != 500 {
 		t.Fatalf("end = %v, want fully serialized 500", end)
 	}
-	if tok.Grants() != 5 {
-		t.Fatalf("grants = %d, want 5", tok.Grants())
+	if grants != 5 {
+		t.Fatalf("grants = %d, want 5", grants)
 	}
 }
 
 func TestTokenReleaseByNonHolderPanics(t *testing.T) {
 	e := NewEngine(1)
 	var tok Token
-	e.Spawn("holder", func(p *Proc) {
-		tok.Acquire(p, "cs")
-		p.Advance(100)
+	e.spawn("holder", func(p *Proc) {
+		acquire(&tok, p, "cs")
+		advance(p, 100)
 		tok.Release(p.Fiber)
 	})
-	e.Spawn("thief", func(p *Proc) {
-		p.Advance(10)
+	e.spawn("thief", func(p *Proc) {
+		advance(p, 10)
 		defer func() {
 			if recover() == nil {
 				t.Error("Release by non-holder did not panic")

@@ -35,12 +35,12 @@
 //
 // A body that would rather block — the paper's API is blocking C calls,
 // and the examples and most tests are written that way — is a Proc: a
-// goroutine hosting a fiber. Each blocking Proc call runs the Fiber
-// primitive of the same name and parks the goroutine until the chain of
-// steps reaches its last continuation. Events still fire on the goroutine
-// that called Run; the body goroutine is handed control for as long as its
-// code runs and hands it back when it blocks, so exactly one of them is
-// ever awake. A body making the same calls as a step-function body
+// goroutine hosting a fiber. Proc.Await runs a chain of Fiber steps as one
+// blocking call and parks the goroutine until the chain reaches its last
+// continuation; every blocking call of the runtimes above is Await of its
+// step-function form. Events still fire on the goroutine that called Run;
+// the body goroutine is handed control for as long as its code runs and
+// hands it back when it blocks, so exactly one of them is ever awake. A body making the same calls as a step-function body
 // therefore fires the same events at the same instants; it pays two
 // goroutine switches per call that suspends (about ten times a fiber
 // resume) and none for one that completes inline. See Proc for the
@@ -52,8 +52,8 @@
 // by internal/cluster): every world's events schedule through the same
 // queue and ring, so one (t, seq) stream orders the whole co-scheduled
 // simulation. Cross-world event identity follows from that stream plus
-// engine-global process identifiers — Spawn and SpawnFiber number
-// processes in spawn order across all worlds, so job start order fixes
+// engine-global process identifiers — SpawnFiber numbers processes in
+// spawn order across all worlds, so job start order fixes
 // both the identifier space and every derived random stream. Deadlock
 // reports name blocked processes with their world prefix ("job0/rank3",
 // from mpi.Config.Name), so a report from a 4-job cluster attributes
@@ -115,9 +115,9 @@
 // blocking call) — so the kill occupies exactly the (t, seq) position of
 // the crash callback. Stale resume events left behind by the victim are
 // popped and counted as fired. The restart respawns the body via
-// SpawnFiber (Spawn for a blocking body), drawing the next process id
-// from the engine's one counter, so the respawned process has the same
-// id, stream, and resume positions however its body is written.
+// SpawnFiber (a blocking body is hosted on the new fiber), drawing the next
+// process id from the engine's one counter, so the respawned process has
+// the same id, stream, and resume positions however its body is written.
 //
 // With no crashes scheduled, none of the failure paths runs — the
 // guards are eventless boolean checks — so crash-free trajectories are

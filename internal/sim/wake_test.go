@@ -10,16 +10,16 @@ func TestWakerWakesOnce(t *testing.T) {
 	var wk Waker
 	wakes := 0
 	var wokenAt Time
-	e.Spawn("waiter", func(p *Proc) {
+	e.spawn("waiter", func(p *Proc) {
 		wk.Arm(e, p.Fiber)
-		p.Park("waiting")
+		park(p, "waiting")
 		wk.Disarm()
 		wakes++
 		wokenAt = p.Now()
 		// Survive past the instant of the duplicate WakeAt calls: a
 		// second (erroneous) resume event would fire while blocked here
 		// and corrupt this park.
-		p.Advance(50)
+		advance(p, 50)
 	})
 	e.At(10, func() {
 		wk.WakeAt(12)
@@ -56,12 +56,12 @@ func TestWakerFiberParity(t *testing.T) {
 				})
 			})
 		} else {
-			e.Spawn("waiter", func(p *Proc) {
+			e.spawn("waiter", func(p *Proc) {
 				wk.Arm(e, p.Fiber)
-				p.Park("waiting")
+				park(p, "waiting")
 				wk.Disarm()
 				wokenAt = p.Now()
-				p.Advance(5)
+				advance(p, 5)
 			})
 		}
 		e.At(3, func() { wk.WakeAt(9) })
@@ -84,11 +84,11 @@ func TestWakerFiberParity(t *testing.T) {
 func TestWakerDisarmedIsNoop(t *testing.T) {
 	e := NewEngine(3)
 	var wk Waker
-	e.Spawn("waiter", func(p *Proc) {
+	e.spawn("waiter", func(p *Proc) {
 		wk.Arm(e, p.Fiber)
-		p.Park("waiting")
+		park(p, "waiting")
 		wk.Disarm()
-		p.Advance(100)
+		advance(p, 100)
 	})
 	e.At(5, func() { wk.WakeAt(5) })
 	e.At(20, func() { wk.WakeAt(20) }) // after disarm: must be a no-op
@@ -104,10 +104,10 @@ func TestWakerRearmAfterPool(t *testing.T) {
 	var wk Waker
 	order := make([]string, 0, 2)
 	spawnWaiter := func(name string, at Time) {
-		e.Spawn(name, func(p *Proc) {
-			p.AdvanceTo(at)
+		e.spawn(name, func(p *Proc) {
+			advanceTo(p, at)
 			wk.Arm(e, p.Fiber)
-			p.Park("waiting")
+			park(p, "waiting")
 			wk.Disarm()
 			order = append(order, name)
 		})

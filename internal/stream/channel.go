@@ -141,9 +141,6 @@ func CreateChannel(r *mpi.Rank, parent *mpi.Comm, role Role) *Channel {
 	})
 }
 
-// Role reports this rank's role in the channel.
-func (ch *Channel) Role() Role { return ch.role }
-
 // ProducerComm returns the producer group's own communicator (nil on
 // ranks outside the producer group).
 func (ch *Channel) ProducerComm() *mpi.Comm { return ch.prodComm }
@@ -152,17 +149,8 @@ func (ch *Channel) ProducerComm() *mpi.Comm { return ch.prodComm }
 // ranks outside the consumer group).
 func (ch *Channel) ConsumerComm() *mpi.Comm { return ch.consComm }
 
-// Producers reports the number of producer ranks.
-func (ch *Channel) Producers() int { return len(ch.producers) }
-
 // Consumers reports the number of consumer ranks.
 func (ch *Channel) Consumers() int { return len(ch.consumers) }
-
-// Alpha reports the fraction of channel ranks dedicated to consumption —
-// the α of the paper's Eq. 2-4.
-func (ch *Channel) Alpha() float64 {
-	return float64(len(ch.consumers)) / float64(len(ch.producers)+len(ch.consumers))
-}
 
 // ProducerIndex translates r into its index within the producer group, or
 // -1 if r is not a producer.

@@ -86,7 +86,7 @@ func runSharedChannels(t *testing.T, shards int, fibers bool) []sharedChannelTra
 				channel++
 				return FCreateChannel(r, r.World(), role, func(ch *Channel) sim.StepFunc {
 					tr.ProdIdx, tr.ConsIdx = ch.ProducerIndex(r), ch.ConsumerIndex(r)
-					tr.Groups = [2]int{ch.Producers(), ch.Consumers()}
+					tr.Groups = [2]int{len(ch.producers), ch.Consumers()}
 					s := ch.Attach(r, Options{})
 					free := func(*sim.Fiber) sim.StepFunc { return ch.FFree(r, next) }
 					if role == Consumer {
@@ -111,7 +111,7 @@ func runSharedChannels(t *testing.T, shards int, fibers bool) []sharedChannelTra
 				role := roleOf(r.ID(), channel)
 				ch := CreateChannel(r, r.World(), role)
 				tr.ProdIdx, tr.ConsIdx = ch.ProducerIndex(r), ch.ConsumerIndex(r)
-				tr.Groups = [2]int{ch.Producers(), ch.Consumers()}
+				tr.Groups = [2]int{len(ch.producers), ch.Consumers()}
 				s := ch.Attach(r, Options{})
 				if role == Consumer {
 					s.Operate(r, func(r *mpi.Rank, e Element, src int) {

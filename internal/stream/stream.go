@@ -77,12 +77,6 @@ type Stream struct {
 	stats Stats
 }
 
-// Options reports the stream's effective (defaulted) options.
-func (s *Stream) Options() Options { return s.opts }
-
-// Stats reports endpoint statistics gathered so far.
-func (s *Stream) Stats() Stats { return s.stats }
-
 // Isend injects one element toward the producer's home consumer, as soon
 // as the data for the element is ready (paper step 4). It never blocks:
 // the element is handed to the network asynchronously.

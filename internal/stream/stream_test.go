@@ -31,11 +31,8 @@ func runChannel(t *testing.T, procs, producers int, noise netmodel.Noise,
 
 func TestChannelGroups(t *testing.T) {
 	runChannel(t, 6, 4, nil, func(r *mpi.Rank, ch *Channel) {
-		if ch.Producers() != 4 || ch.Consumers() != 2 {
-			t.Errorf("groups = %d/%d, want 4/2", ch.Producers(), ch.Consumers())
-		}
-		if a := ch.Alpha(); a < 0.33 || a > 0.34 {
-			t.Errorf("alpha = %v, want 1/3", a)
+		if len(ch.producers) != 4 || ch.Consumers() != 2 {
+			t.Errorf("groups = %d/%d, want 4/2", len(ch.producers), ch.Consumers())
 		}
 		switch {
 		case r.ID() < 4:
@@ -69,7 +66,7 @@ func TestStreamDeliversAllElementsExactlyOnce(t *testing.T) {
 	seen := map[string]int{}
 	runChannel(t, producers+consumers, producers, nil, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{ElementBytes: 512})
-		switch ch.Role() {
+		switch ch.role {
 		case Producer:
 			for i := 0; i < perProducer; i++ {
 				s.Isend(r, Element{Data: fmt.Sprintf("p%d-e%d", ch.ProducerIndex(r), i)})
@@ -97,7 +94,7 @@ func TestPerProducerOrderPreserved(t *testing.T) {
 	violations := 0
 	runChannel(t, producers+1, producers, nil, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
-		if ch.Role() == Producer {
+		if ch.role == Producer {
 			for i := 0; i < perProducer; i++ {
 				s.Isend(r, Element{Data: i})
 			}
@@ -125,7 +122,7 @@ func TestExplicitRoutingByKey(t *testing.T) {
 	}
 	runChannel(t, producers+consumers, producers, nil, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
-		if ch.Role() == Producer {
+		if ch.role == Producer {
 			for key := 0; key < 30; key++ {
 				s.IsendTo(r, Element{Data: key}, key%consumers)
 			}
@@ -153,7 +150,7 @@ func TestBatchingReducesMessages(t *testing.T) {
 	count := func(batch int) (msgs int64) {
 		runChannel(t, 3, 2, nil, func(r *mpi.Rank, ch *Channel) {
 			s := ch.Attach(r, Options{BatchElements: batch})
-			if ch.Role() == Producer {
+			if ch.role == Producer {
 				for i := 0; i < 64; i++ {
 					s.Isend(r, Element{})
 				}
@@ -179,7 +176,7 @@ func TestInjectOverheadCharged(t *testing.T) {
 		var end sim.Time
 		runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
 			s := ch.Attach(r, Options{InjectOverhead: overhead})
-			if ch.Role() == Producer {
+			if ch.role == Producer {
 				for i := 0; i < 1000; i++ {
 					s.Isend(r, Element{})
 				}
@@ -242,7 +239,7 @@ func TestFCFSAbsorbsImbalance(t *testing.T) {
 func TestConsumerStatsTimeline(t *testing.T) {
 	runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
-		if ch.Role() == Producer {
+		if ch.role == Producer {
 			for i := 0; i < 10; i++ {
 				r.Compute(sim.Millisecond)
 				s.Isend(r, Element{Bytes: 2048})
@@ -268,7 +265,7 @@ func TestTwoStreamsOnOneChannelDoNotMix(t *testing.T) {
 	runChannel(t, 3, 2, nil, func(r *mpi.Rank, ch *Channel) {
 		a := ch.Attach(r, Options{})
 		b := ch.Attach(r, Options{})
-		if ch.Role() == Producer {
+		if ch.role == Producer {
 			for i := 0; i < 5; i++ {
 				a.Isend(r, Element{Data: "A"})
 				b.Isend(r, Element{Data: "B"})
@@ -298,7 +295,7 @@ func TestTwoStreamsOnOneChannelDoNotMix(t *testing.T) {
 func TestProducerAPIOnConsumerPanics(t *testing.T) {
 	runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
-		if ch.Role() == Consumer {
+		if ch.role == Consumer {
 			for _, fn := range []func(){
 				func() { s.Isend(r, Element{}) },
 				func() { s.Terminate(r) },
@@ -324,7 +321,7 @@ func TestProducerAPIOnConsumerPanics(t *testing.T) {
 func TestIsendAfterTerminatePanics(t *testing.T) {
 	runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
-		if ch.Role() == Producer {
+		if ch.role == Producer {
 			s.Terminate(r)
 			defer func() {
 				if recover() == nil {

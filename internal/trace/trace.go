@@ -38,9 +38,6 @@ func (rec *Recorder) Span(rank int, category, label string, start, end sim.Time)
 // Spans returns the recorded spans in recording order.
 func (rec *Recorder) Spans() []Span { return rec.spans }
 
-// Reset discards all recorded spans.
-func (rec *Recorder) Reset() { rec.spans = rec.spans[:0] }
-
 // Len reports the number of recorded spans.
 func (rec *Recorder) Len() int { return len(rec.spans) }
 
@@ -179,19 +176,4 @@ func (rec *Recorder) Timeline(w io.Writer, opts TimelineOptions) error {
 	_, err := fmt.Fprintf(w, "      %s\n      legend: #=compute .=comm-wait ~=I/O  window %v .. %v\n",
 		strings.Repeat("-", width+2), lo, hi)
 	return err
-}
-
-// CSV writes the spans as "rank,category,label,start_ns,end_ns" rows for
-// external plotting.
-func (rec *Recorder) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "rank,category,label,start_ns,end_ns"); err != nil {
-		return err
-	}
-	for _, s := range rec.spans {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%d,%d\n",
-			s.Rank, s.Category, s.Label, int64(s.Start), int64(s.End)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -94,25 +94,3 @@ func TestTimelineRankFilter(t *testing.T) {
 		t.Fatal("requested rank missing")
 	}
 }
-
-func TestCSVFormat(t *testing.T) {
-	var rec Recorder
-	rec.Span(3, "io", "write_shared", 10, 20)
-	var buf bytes.Buffer
-	if err := rec.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "rank,category,label,start_ns,end_ns\n3,io,write_shared,10,20\n"
-	if buf.String() != want {
-		t.Fatalf("CSV = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestReset(t *testing.T) {
-	var rec Recorder
-	rec.Span(0, "comp", "", 0, 10)
-	rec.Reset()
-	if rec.Len() != 0 {
-		t.Fatal("Reset did not clear spans")
-	}
-}

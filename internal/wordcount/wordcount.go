@@ -1,37 +1,11 @@
 // Package wordcount implements the real map/reduce kernels of the paper's
-// MapReduce case study (Section IV-B): tokenizing text into words,
-// emitting (word, 1) pairs, combining partial histograms, and sharding
-// keys over reducers. The at-scale simulation costs these kernels with the
-// runtime's compute model; correctness tests run them for real.
+// MapReduce case study (Section IV-B): emitting (word, 1) pairs,
+// combining partial histograms, and sharding keys over reducers. The
+// at-scale simulation costs these kernels with the runtime's compute model;
+// correctness tests run them for real.
 package wordcount
 
-import (
-	"sort"
-	"strings"
-	"unicode"
-)
-
-// Tokenize splits text into lowercase word tokens, treating any
-// non-letter, non-digit rune as a separator.
-func Tokenize(text string) []string {
-	var words []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			words = append(words, b.String())
-			b.Reset()
-		}
-	}
-	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-		} else {
-			flush()
-		}
-	}
-	flush()
-	return words
-}
+import "sort"
 
 // Map emits the word histogram of one input chunk — the (w, 1) pairs of
 // the paper, pre-combined per chunk as real MapReduce implementations do.
@@ -101,13 +75,4 @@ func Top(hist map[string]int64, n int) []Pair {
 		n = len(pairs)
 	}
 	return pairs[:n]
-}
-
-// Total sums all counts in a histogram.
-func Total(hist map[string]int64) int64 {
-	var total int64
-	for _, c := range hist {
-		total += c
-	}
-	return total
 }

@@ -6,28 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestTokenize(t *testing.T) {
-	got := Tokenize("Hello, World! go-go GO 3rd")
-	want := []string{"hello", "world", "go", "go", "go", "3rd"}
-	if len(got) != len(want) {
-		t.Fatalf("tokens = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tokens = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestTokenizeEmptyAndSeparators(t *testing.T) {
-	if got := Tokenize(""); len(got) != 0 {
-		t.Fatalf("empty text gave %v", got)
-	}
-	if got := Tokenize("...!!!   \n\t"); len(got) != 0 {
-		t.Fatalf("separators gave %v", got)
-	}
-}
-
 func TestMapCounts(t *testing.T) {
 	hist := Map([]string{"a", "b", "a", "a"})
 	if hist["a"] != 3 || hist["b"] != 1 {
@@ -80,12 +58,6 @@ func TestTopOrdering(t *testing.T) {
 	}
 	if len(Top(hist, 100)) != 4 {
 		t.Fatal("Top should clamp to histogram size")
-	}
-}
-
-func TestTotal(t *testing.T) {
-	if Total(map[string]int64{"a": 2, "b": 3}) != 5 {
-		t.Fatal("Total broken")
 	}
 }
 

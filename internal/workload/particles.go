@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -39,22 +38,6 @@ func DefaultGEM(dims [3]int, perProcMean int64, seed int64) ParticleField {
 	}
 }
 
-// Validate reports whether the field is usable.
-func (f ParticleField) Validate() error {
-	for _, d := range f.Dims {
-		if d <= 0 {
-			return fmt.Errorf("workload: particle field dims %v", f.Dims)
-		}
-	}
-	if f.PerProcMean <= 0 {
-		return fmt.Errorf("workload: PerProcMean %d", f.PerProcMean)
-	}
-	if f.SheetWidth <= 0 || f.Background < 0 || f.Background > 1 {
-		return fmt.Errorf("workload: sheet width %v / background %v", f.SheetWidth, f.Background)
-	}
-	return nil
-}
-
 // density evaluates the unnormalized Harris-sheet density at fractional
 // position y in [0,1).
 func (f ParticleField) density(y float64) float64 {
@@ -88,8 +71,8 @@ func (f ParticleField) Count(coords [3]int) int64 {
 	return n
 }
 
-// Total sums the particle counts over the whole process grid.
-func (f ParticleField) Total() int64 {
+// total sums the particle counts over the whole process grid.
+func (f ParticleField) total() int64 {
 	var total int64
 	for x := 0; x < f.Dims[0]; x++ {
 		for y := 0; y < f.Dims[1]; y++ {
@@ -99,29 +82,6 @@ func (f ParticleField) Total() int64 {
 		}
 	}
 	return total
-}
-
-// CoV reports the coefficient of variation of per-process counts — the
-// imbalance measure that makes particle operations good decoupling
-// candidates (Section II-E, "large execution time variance").
-func (f ParticleField) CoV() float64 {
-	n := f.Dims[0] * f.Dims[1] * f.Dims[2]
-	var sum, sumsq float64
-	for x := 0; x < f.Dims[0]; x++ {
-		for y := 0; y < f.Dims[1]; y++ {
-			for z := 0; z < f.Dims[2]; z++ {
-				c := float64(f.Count([3]int{x, y, z}))
-				sum += c
-				sumsq += c * c
-			}
-		}
-	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return math.Sqrt(variance) / mean
 }
 
 // ExitFraction reports the deterministic fraction of a process's particles

@@ -102,17 +102,3 @@ func (c Corpus) Words(i, n int) []int {
 
 // WordString renders vocabulary index v as a word token.
 func WordString(v int) string { return fmt.Sprintf("w%06d", v) }
-
-// DistinctEstimate estimates the number of distinct words in a sample of n
-// Zipf draws, using the harmonic approximation. It drives the size of the
-// intermediate key set in the simulated MapReduce.
-func (c Corpus) DistinctEstimate(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	// Fraction of vocabulary seen saturates as n grows; a standard
-	// coupon-collector-with-skew approximation.
-	v := float64(c.Vocabulary)
-	est := v * (1 - math.Exp(-float64(n)/v))
-	return int64(est)
-}

@@ -1,0 +1,13 @@
+package main
+
+import (
+	"fmt"
+
+	"fixture/internal/a"
+	"fixture/internal/b"
+)
+
+func main() {
+	a.FWait()
+	fmt.Println(b.Helper(), a.Live())
+}
