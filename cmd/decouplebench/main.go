@@ -146,6 +146,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q: decouplebench takes flags only, and would ignore every flag after it\n", fs.Arg(0))
+		return 2
+	}
 
 	if *list {
 		for _, name := range experiments.Names() {

@@ -120,6 +120,9 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-experiment", "fig5,model,ablation-alpha", "-faults", "none"}, "-faults", ""},
 		{[]string{"-experiment", "fig5", "-jobs", "3"}, "-jobs", ""},
 		{[]string{"-experiment", "fig5", "-cosched-policy", "fair"}, "-cosched-policy", ""},
+		// A stray argument, where flag parsing used to stop: fig5 ran at
+		// 32 ranks with exit 0 and the -runs after it was dropped.
+		{[]string{"-experiment", "fig5", "-max-procs", "32", "-runs", "1", "fig6", "-runs", "2"}, `unexpected argument "fig6"`, ""},
 	} {
 		args := append([]string{"-experiment", "all", "-max-procs", "8192", "-quiet"}, c.args...)
 		var stdout, stderr bytes.Buffer

@@ -44,6 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q: modelcalc takes flags only, and would ignore every flag after it\n", fs.Arg(0))
+		return 2
+	}
 
 	p := model.Params{
 		TW0:      sim.FromSeconds(w0.Seconds()),

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -38,5 +39,11 @@ func TestInvalidParamsRefused(t *testing.T) {
 	}
 	if code := run([]string{"-gain", "x"}, &stdout, &stderr); code != 2 {
 		t.Errorf("-gain x: exit %d, want 2", code)
+	}
+	// A stray argument ends flag parsing; it used to be ignored with exit 0.
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"extra", "-alpha", "0.25"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `"extra"`) {
+		t.Errorf("extra: exit %d, stdout %q, stderr %q; want exit 2 and only an error naming it", code, stdout.String(), stderr.String())
 	}
 }

@@ -34,6 +34,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected argument %q: traceviz takes flags only, and would ignore every flag after it\n", fs.Arg(0))
+		return 2
+	}
+	if *width < 1 {
+		fmt.Fprintf(stderr, "-width: %d is not a positive column count\n", *width)
+		return 2
+	}
 
 	var err error
 	switch *fig {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -28,9 +29,24 @@ func TestFiguresMatchGoldens(t *testing.T) {
 	}
 }
 
+// TestUnknownFigureRefused: an unknown figure fails (exit 1); a stray
+// argument, which ends flag parsing, and a width below one column are
+// refused before any rendering (exit 2). The last three used to render
+// the figure at the default width with exit 0.
 func TestUnknownFigureRefused(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fig", "9"}, &stdout, &stderr); code != 1 || stdout.Len() != 0 || stderr.Len() == 0 {
-		t.Errorf("-fig 9: exit %d, stdout %q, stderr %q; want exit 1 and only an error", code, stdout.String(), stderr.String())
+	for _, c := range []struct {
+		args  []string
+		code  int
+		names string
+	}{
+		{[]string{"-fig", "9"}, 1, "9"},
+		{[]string{"-fig", "2", "extra"}, 2, `"extra"`},
+		{[]string{"-width", "0"}, 2, "-width"},
+		{[]string{"-width", "-5"}, 2, "-width"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != c.code || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.names) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d and only an error naming %s", c.args, code, stdout.String(), stderr.String(), c.code, c.names)
+		}
 	}
 }

@@ -143,27 +143,3 @@ func TestCoschedWorkConservingHogTail(t *testing.T) {
 		}
 	}
 }
-
-// TestCoschedEventsPinned pins the events a two-seed cosched sweep fires,
-// healthy and under a stripe-outage campaign: a machine-neutral gate on
-// how many shared runs the policies' shadow banks certify. A shadow that
-// drops when it should not — one that misses the stripe faults, say —
-// costs runs but no row, so only a count sees it. parent is the count
-// from before one run served several policies.
-func TestCoschedEventsPinned(t *testing.T) {
-	for _, c := range []struct {
-		spec         string
-		want, parent uint64
-	}{
-		{"", 227451, 277463},
-		{"outages=4,outage-len=1s", 201271, 274642},
-	} {
-		ev0 := sim.GlobalEvents()
-		if _, err := Cosched(Options{Runs: 2, Workers: 1, FaultSpec: c.spec}); err != nil {
-			t.Fatalf("faults %q: %v", c.spec, err)
-		}
-		if got := sim.GlobalEvents() - ev0; got != c.want {
-			t.Errorf("faults %q: cosched fired %d events, want %d (%d when every policy ran on its own)", c.spec, got, c.want, c.parent)
-		}
-	}
-}

@@ -1,23 +1,20 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
 
-// TestRecoverySmokeAndDeterminism is the recovery sweep's acceptance
-// check: the decoupled variant's best-interval recovery overhead must
-// undercut both references — its checkpoints ship to the I/O group off
-// the critical path and its per-step memory commits bound the replay,
-// while the references re-execute and re-write whole segments — and the
-// sweep must replay byte-identically across invocations.
-func TestRecoverySmokeAndDeterminism(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2}
-	rows, first := runAndRender(t, "recovery", opts)
-	second := renderRows(t, "recovery", opts)
-	if !bytes.Equal(first, second) {
-		t.Errorf("recovery rows differ between invocations\n--- first ---\n%s--- second ---\n%s", first, second)
+// TestRecoverySmoke is the recovery sweep's acceptance check: the
+// decoupled variant's best-interval recovery overhead must undercut both
+// references — its checkpoints ship to the I/O group off the critical path
+// and its per-step memory commits bound the replay, while the references
+// re-execute and re-write whole segments. That the sweep replays is
+// TestTrajectoryManifest's job.
+func TestRecoverySmoke(t *testing.T) {
+	rows, err := runExperiment(t, "recovery", Options{Runs: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	best := map[string]float64{}
 	for _, r := range rows {

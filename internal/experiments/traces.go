@@ -15,11 +15,8 @@ import (
 // Fig2 renders the paper's Fig. 2: HPCToolkit-style execution traces of
 // the iPIC3D particle communication on seven processes, reference on top
 // (computation and communication serialized on every rank) and decoupled
-// below (P0-P5 compute while P6 communicates).
+// below (P0-P5 compute while P6 communicates), width columns wide.
 func Fig2(w io.Writer, width int) error {
-	if width <= 0 {
-		width = 100
-	}
 	c := ipic3d.DefaultConfig(7)
 	c.Steps = 4
 	c.ParticlesPerProc = 150_000
@@ -40,11 +37,11 @@ func Fig2(w io.Writer, width int) error {
 
 	fmt.Fprintf(w, "Fig. 2 — iPIC3D particle communication on 7 processes\n\n")
 	fmt.Fprintf(w, "Reference implementation (total %v):\n", refRes.Time)
-	if err := recRef.Timeline(w, trace.TimelineOptions{Width: width}); err != nil {
+	if err := recRef.Timeline(w, width); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nDecoupled implementation (total %v; P6 is the communication group):\n", decRes.Time)
-	if err := recDec.Timeline(w, trace.TimelineOptions{Width: width}); err != nil {
+	if err := recDec.Timeline(w, width); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nThe decoupled run finishes earlier and its compute ranks show no\ncommunication-phase blocks; the paper's Fig. 2 shows the same contrast.\n")
@@ -54,11 +51,8 @@ func Fig2(w io.Writer, width int) error {
 // Fig3 renders the paper's Fig. 3: the conceptual schedules of (a) the
 // conventional model, (b) non-blocking operations, and (c) the decoupled
 // approach, generated by actually executing a two-operation application on
-// four processes.
+// four processes, width columns wide.
 func Fig3(w io.Writer, width int) error {
-	if width <= 0 {
-		width = 100
-	}
 	const procs = 4
 	base := DefaultSynthetic(procs)
 	base.Alpha = 0.25 // one of four processes, like the figure's P3
@@ -93,15 +87,15 @@ func Fig3(w io.Writer, width int) error {
 
 	fmt.Fprintf(w, "Fig. 3 — two operations on four processes (#=Op0/compute, .=wait)\n\n")
 	fmt.Fprintf(w, "(a) conventional model, all operations sequential on all processes (total %v):\n", ta)
-	if err := recA.Timeline(w, trace.TimelineOptions{Width: width}); err != nil {
+	if err := recA.Timeline(w, width); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n(b) non-blocking operations absorb imbalance but do not pipeline (total %v):\n", tb)
-	if err := recB.Timeline(w, trace.TimelineOptions{Width: width}); err != nil {
+	if err := recB.Timeline(w, width); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n(c) decoupled: Op1 moved to the last process, operations pipeline (total %v):\n", tc)
-	return recC.Timeline(w, trace.TimelineOptions{Width: width})
+	return recC.Timeline(w, width)
 }
 
 // runSyntheticNonblocking is the middle panel of Fig. 3: Op1 still runs on

@@ -242,12 +242,12 @@
 //
 // A bump is recorded by (1) incrementing TrajectoryVersion with a comment
 // naming what changed and why, (2) regenerating the checked-in trajectory
-// artifact (internal/experiments/testdata/rows_v3.csv, renamed for the
-// new version, which TestFiberRowsBitIdentical compares byte for byte) in
-// the same change, and (3) noting the bump in ROADMAP.md so sweep results
-// from different versions are never compared as if equal. A bump that
-// moves events but no row renames the artifact with its bytes unchanged,
-// as version 3 did.
+// artifacts (internal/experiments/testdata/rows_v3.csv and manifest_v3.txt,
+// renamed for the new version, which TestFiberRowsBitIdentical and
+// TestTrajectoryManifest check) in the same change, and (3) noting the bump
+// in ROADMAP.md so sweep results from different versions are never
+// compared as if equal. A bump that moves events but no row renames the
+// CSV with its bytes unchanged, as version 3 did.
 // That a blocking body fires the events of the continuation forms it runs,
 // no more and at no other instant, is enforced separately by the
 // differential tests in internal/sim, internal/mpi and internal/stream,

@@ -77,78 +77,47 @@ var categoryRunes = map[string]rune{
 	"io":   '~', // file I/O
 }
 
-// TimelineOptions configures ASCII rendering.
-type TimelineOptions struct {
-	// Width is the number of time buckets (columns). Default 100.
-	Width int
-	// Ranks restricts the rendering to these ranks (nil = all seen).
-	Ranks []int
-	// From/To crop the time window (zero values = full window).
-	From, To sim.Time
-}
-
 // Timeline renders the recording as one text row per rank, bucketing time
-// into columns and showing each bucket's dominant category:
+// into width (at least 1) columns and showing each bucket's dominant
+// category:
 //
 //	rank 0 |####..####..####|
 //	rank 1 |######....######|
 //
 // '#' is computation, '.' is communication wait, '~' is I/O, ' ' is idle.
-func (rec *Recorder) Timeline(w io.Writer, opts TimelineOptions) error {
-	width := opts.Width
-	if width <= 0 {
-		width = 100
-	}
+func (rec *Recorder) Timeline(w io.Writer, width int) error {
 	lo, hi := rec.Window()
-	if opts.To > 0 {
-		hi = opts.To
-	}
-	if opts.From > 0 || opts.From > lo {
-		lo = opts.From
-	}
 	if hi <= lo {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err
 	}
-	ranks := opts.Ranks
-	if ranks == nil {
-		seen := map[int]bool{}
-		for _, s := range rec.spans {
-			seen[s.Rank] = true
-		}
-		for r := range seen {
-			ranks = append(ranks, r)
-		}
-		sort.Ints(ranks)
+	seen := map[int]bool{}
+	for _, s := range rec.spans {
+		seen[s.Rank] = true
 	}
+	var ranks []int
+	for r := range seen {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
 	span := hi - lo
-	bucket := func(t sim.Time) int {
-		b := int(int64(t-lo) * int64(width) / int64(span))
-		if b >= width {
-			b = width - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		return b
-	}
+	// Every span lies inside the window, so its buckets are in [0, width).
+	bucket := func(t sim.Time) int { return int(int64(t-lo) * int64(width) / int64(span)) }
 	// Per rank, per bucket, time per category.
 	for _, rank := range ranks {
 		occupancy := make([]map[rune]sim.Time, width)
 		for _, s := range rec.spans {
-			if s.Rank != rank || s.End <= lo || s.Start >= hi {
+			if s.Rank != rank {
 				continue
 			}
 			glyph, ok := categoryRunes[s.Category]
 			if !ok {
 				glyph = '?'
 			}
-			start, end := sim.Max(s.Start, lo), sim.Min(s.End, hi)
-			b0, b1 := bucket(start), bucket(end-1)
-			for b := b0; b <= b1; b++ {
+			for b := bucket(s.Start); b <= bucket(s.End-1); b++ {
 				bLo := lo + sim.Time(int64(span)*int64(b)/int64(width))
 				bHi := lo + sim.Time(int64(span)*int64(b+1)/int64(width))
-				overlap := sim.Min(end, bHi) - sim.Max(start, bLo)
+				overlap := sim.Min(s.End, bHi) - sim.Max(s.Start, bLo)
 				if overlap <= 0 {
 					continue
 				}

@@ -50,7 +50,7 @@ func TestTimelineShape(t *testing.T) {
 	rec.Span(0, "comm", "", 50*sim.Millisecond, 100*sim.Millisecond)
 	rec.Span(1, "comp", "", 0, 100*sim.Millisecond)
 	var buf bytes.Buffer
-	if err := rec.Timeline(&buf, TimelineOptions{Width: 20}); err != nil {
+	if err := rec.Timeline(&buf, 20); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -71,26 +71,10 @@ func TestTimelineShape(t *testing.T) {
 func TestTimelineEmpty(t *testing.T) {
 	var rec Recorder
 	var buf bytes.Buffer
-	if err := rec.Timeline(&buf, TimelineOptions{}); err != nil {
+	if err := rec.Timeline(&buf, 10); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "empty") {
 		t.Fatalf("empty trace output: %q", buf.String())
-	}
-}
-
-func TestTimelineRankFilter(t *testing.T) {
-	var rec Recorder
-	rec.Span(0, "comp", "", 0, 100)
-	rec.Span(5, "comp", "", 0, 100)
-	var buf bytes.Buffer
-	if err := rec.Timeline(&buf, TimelineOptions{Width: 10, Ranks: []int{5}}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "P0 ") {
-		t.Fatal("rank filter ignored")
-	}
-	if !strings.Contains(buf.String(), "P5") {
-		t.Fatal("requested rank missing")
 	}
 }
