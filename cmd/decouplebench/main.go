@@ -30,7 +30,7 @@ import (
 )
 
 // faultsEcho renders the canonical campaign spec as a CSV comment when a
-// selected experiment consumed it (Experiment.Flags), so result files
+// selected experiment consumed it (Experiment.FaultKeys), so result files
 // record the campaign they were measured under (and a round trip through
 // -faults reproduces them). resilience and recovery fall back to the
 // default campaign on an empty spec; cosched schedules faults only when
@@ -39,7 +39,7 @@ func faultsEcho(names []string, spec string) string {
 	uses := false
 	for _, n := range names {
 		e, _ := experiments.Lookup(n)
-		if slices.Contains(e.Flags, "faults") && (spec != "" || n != "cosched") {
+		if len(e.FaultKeys) > 0 && (spec != "" || n != "cosched") {
 			uses = true
 		}
 	}
@@ -69,7 +69,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // line: the sweep sizes have defaults, and only an explicit value is held
 // to be positive. -cores and -jobs give 0 a meaning of its own, so only a
 // negative one is refused. A flag that no selected experiment reads
-// (Experiment.Flags) is refused rather than silently dropped.
+// (Experiment.Flags, Experiment.FaultKeys), and a -faults key that a
+// selected experiment reading -faults does not read, are refused rather
+// than silently dropped.
 func checkFlags(selected []experiments.Experiment, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int, faultSpec, coschedPol string) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
@@ -106,12 +108,20 @@ func checkFlags(selected []experiments.Experiment, set map[string]bool, format s
 	if _, err := faults.ParseSpec(faultSpec); err != nil {
 		return fmt.Errorf("-faults: %v", err)
 	}
+	for _, e := range selected {
+		if err := e.CheckFaultSpec(faultSpec); err != nil {
+			return fmt.Errorf("-faults: %w", err)
+		}
+	}
+	if set["faults"] && !slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return len(e.FaultKeys) > 0 }) {
+		return fmt.Errorf("-faults: none of the selected experiments reads it")
+	}
 	if coschedPol != "" {
 		if _, err := cluster.ParsePolicy(coschedPol); err != nil {
 			return fmt.Errorf("-cosched-policy: %v", err)
 		}
 	}
-	for _, flag := range []string{"faults", "jobs", "cosched-policy"} {
+	for _, flag := range []string{"jobs", "cosched-policy"} {
 		if set[flag] && !slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return slices.Contains(e.Flags, flag) }) {
 			return fmt.Errorf("-%s: none of the selected experiments reads it", flag)
 		}
@@ -133,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cores      = fs.Int("cores", 0, "fig5-fig8: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
 		jobs       = fs.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
 		coschedPol = fs.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")
-		faultSpec  = fs.String("faults", "", "fault-campaign spec: comma-separated key=value overrides of the default campaign, e.g. bursts=16,outage-len=1s or crashes=2,restart-cost=100ms; durations use Go syntax; keys: "+strings.Join(faults.SpecKeys(), ", ")+"; \"default\"/empty keeps the base campaign, \"none\" disables it (resilience/recovery: scaled base campaign; cosched: degrade the shared bank's stripes, empty means none)")
+		faultSpec  = fs.String("faults", "", "fault-campaign spec: comma-separated key=value overrides of the default campaign, e.g. bursts=16,outage-len=1s or crashes=2,restart-cost=100ms; durations use Go syntax; keys: "+strings.Join(faults.SpecKeys(), ", ")+"; \"default\"/empty keeps the base campaign, \"none\" disables it (resilience/recovery: scaled base campaign; cosched: degrade the shared bank's stripes, empty means none); each refuses a key it does not read")
 		list       = fs.Bool("list", false, "print the registered experiment names with one-line descriptions and exit")
 		format     = fs.String("format", "table", "output format: table or csv")
 		out        = fs.String("out", "", "output file (default stdout)")

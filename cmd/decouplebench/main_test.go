@@ -24,7 +24,7 @@ func TestFaultsEcho(t *testing.T) {
 		want  string
 	}{
 		{[]string{"resilience"}, "", def},
-		{[]string{"recovery", "fig8"}, "bursts=16", "bursts=16"},
+		{[]string{"recovery", "fig8"}, "crashes=3", "crashes=3"},
 		{[]string{"fig8"}, "bursts=16", ""},
 		{[]string{"resilience"}, "bursts=-1", ""},
 		{[]string{"resilience"}, "bursts=1,bursts=2", ""},
@@ -78,7 +78,8 @@ func TestCoresFlagSweep(t *testing.T) {
 // a -max-procs below the first point of a
 // selected weak-scaling sweep, an experiment named twice, a -faults or
 // -cosched-policy that does not parse, a -faults, -jobs or -cosched-policy
-// that no selected experiment reads — is refused with
+// that no selected experiment reads, a -faults key that a selected
+// experiment reading -faults does not read — is refused with
 // exit status 2 and an error starting with the flag, before any experiment
 // starts.
 // The requests below ask for every experiment at 8192 processes, so
@@ -120,6 +121,25 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-experiment", "fig5,model,ablation-alpha", "-faults", "none"}, "-faults", ""},
 		{[]string{"-experiment", "fig5", "-jobs", "3"}, "-jobs", ""},
 		{[]string{"-experiment", "fig5", "-cosched-policy", "fair"}, "-cosched-policy", ""},
+		// Keys a selected sweep does not read. recovery panicked in a rank
+		// body on the message keys, and printed the default campaign's
+		// rows for the others; cosched printed them too; resilience exited
+		// 1 mid-sweep on crash-mtbf and printed them on restart-cost.
+		{[]string{"-experiment", "recovery", "-faults", "drop-rate=0.001"}, "-faults", "recovery experiment does not read key drop-rate"},
+		{[]string{"-experiment", "recovery", "-faults", "dup-rate=0.2"}, "-faults", "recovery experiment does not read key dup-rate"},
+		{[]string{"-experiment", "recovery", "-faults", "drops=3"}, "-faults", "recovery experiment does not read key drops"},
+		{[]string{"-experiment", "recovery", "-faults", "bursts=64"}, "-faults", "recovery experiment does not read key bursts"},
+		{[]string{"-experiment", "recovery", "-faults", "flaps=16"}, "-faults", "recovery experiment does not read key flaps"},
+		{[]string{"-experiment", "recovery", "-faults", "outages=9"}, "-faults", "recovery experiment does not read key outages"},
+		{[]string{"-experiment", "recovery", "-faults", "horizon=1s"}, "-faults", "recovery experiment does not read key horizon"},
+		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "flaps=16"}, "-faults", "cosched experiment does not read key flaps"},
+		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "bursts=64"}, "-faults", "cosched experiment does not read key bursts"},
+		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "crashes=3"}, "-faults", "cosched experiment does not read key crashes"},
+		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "dup-rate=0.2"}, "-faults", "cosched experiment does not read key dup-rate"},
+		{[]string{"-experiment", "resilience", "-faults", "crash-mtbf=1s"}, "-faults", "resilience experiment does not read key crash-mtbf"},
+		{[]string{"-experiment", "resilience", "-faults", "restart-cost=1s"}, "-faults", "resilience experiment does not read key restart-cost"},
+		// Under all, a key must be read by every sweep that reads -faults.
+		{[]string{"-faults", "crashes=2"}, "-faults", "cosched experiment does not read key crashes"},
 		// A stray argument, where flag parsing used to stop: fig5 ran at
 		// 32 ranks with exit 0 and the -runs after it was dropped.
 		{[]string{"-experiment", "fig5", "-max-procs", "32", "-runs", "1", "fig6", "-runs", "2"}, `unexpected argument "fig6"`, ""},

@@ -85,14 +85,14 @@ type Config struct {
 	// trajectory family); Cores == 0 keeps the classic single-engine mode.
 	// CG does no file I/O, so placement is unconstrained: the reference
 	// variants spread all ranks evenly, the decoupled variant spreads
-	// the compute and helper groups each evenly. Incompatible with
-	// Tracer, like the underlying mpi.Config.Shards.
+	// the compute and helper groups each evenly.
 	Cores int
 	// Seed and Noise drive the imbalance injection.
 	Seed  int64
 	Noise netmodel.Noise
-	// Tracer optionally records execution spans.
-	Tracer mpi.Tracer
+	// tracer optionally records execution spans; the package's tests set
+	// it, since no flag traces this application.
+	tracer mpi.Tracer
 }
 
 // DefaultConfig returns paper-shaped parameters for the given scale.
@@ -169,7 +169,7 @@ func decoupledPlace(cores, computes, helpers int) func(rank int) int {
 // parallel-mode worker count (and, for the decoupled variant, its group
 // placement) when Cores is set.
 func (c Config) worldConfig(computes, helpers int) mpi.Config {
-	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer}
+	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.tracer}
 	if c.Cores >= 1 {
 		mc.Shards = c.Cores
 		if helpers > 0 {
@@ -183,9 +183,6 @@ func (c Config) worldConfig(computes, helpers int) mpi.Config {
 func Run(c Config, v Variant) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
-	}
-	if c.Cores >= 1 && c.Tracer != nil {
-		return Result{}, &mpi.CannotShardError{Feature: "tracing", Flag: "-cores"}
 	}
 	switch v {
 	case Blocking, Nonblocking:

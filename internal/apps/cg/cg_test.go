@@ -100,7 +100,7 @@ func TestBlockingDegradesOthersFlat(t *testing.T) {
 func TestTracerSeesPhases(t *testing.T) {
 	c := quickConfig(18)
 	var rec trace.Recorder
-	c.Tracer = &rec
+	c.tracer = &rec
 	if _, err := Run(c, Nonblocking); err != nil {
 		t.Fatal(err)
 	}

@@ -66,18 +66,6 @@ func RunIO(c Config, v IOVariant) (Result, error) {
 	}
 	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer}
 	if c.Faults != nil {
-		if c.Faults.Msg != nil {
-			// The reliable-delivery layer posts acks and retransmission
-			// timers from arrival callbacks, which the sharded engine and
-			// the tracer cannot replay; refuse loudly rather than letting
-			// mpi.NewWorld panic deep inside a sweep.
-			if c.Cores >= 1 {
-				return Result{}, &mpi.CannotShardError{Feature: "message-fault campaigns", Flag: "-cores"}
-			}
-			if c.Tracer != nil {
-				return Result{}, fmt.Errorf("ipic3d: message-fault campaigns do not support tracing")
-			}
-		}
 		mc.RankFaults = c.Faults.Rank
 		mc.StripeFaults = c.Faults.Stripe
 		mc.LinkFaults = c.Faults.Link
@@ -85,10 +73,12 @@ func RunIO(c Config, v IOVariant) (Result, error) {
 	}
 	s := newIORun(c, v)
 	if c.Cores >= 1 {
-		if c.Tracer != nil {
-			return Result{}, &mpi.CannotShardError{Feature: "tracing", Flag: "-cores"}
-		}
 		mc.Shards, mc.Place = s.placement(c.Cores)
+	}
+	// Message faults with tracing or -cores, and tracing with -cores, are
+	// refused here rather than by a panic deep inside a sweep.
+	if err := mc.Validate(); err != nil {
+		return Result{}, err
 	}
 	w := mpi.NewWorld(mc)
 	if _, err := w.RunFibers(s.body()); err != nil {

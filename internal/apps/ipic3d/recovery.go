@@ -95,13 +95,18 @@ func RunRecovery(c Config, v IOVariant, ckptEvery int) (RecoveryResult, error) {
 		// recovery run traces the same as a crashing one would.
 		return RecoveryResult{}, fmt.Errorf("ipic3d: tracing is not supported for recovery runs")
 	}
+	if c.Faults != nil && c.Faults.Msg != nil {
+		// An unreachable rank revokes the world with an error the bodies
+		// do not recover from: they rebuild after a crash, not a link
+		// the protocol gave up on.
+		return RecoveryResult{}, fmt.Errorf("ipic3d: message-fault campaign on a recovery run; it recovers from crashes only")
+	}
 	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise}
 	if c.Faults != nil {
 		mc.RankFaults = c.Faults.Rank
 		mc.StripeFaults = c.Faults.Stripe
 		mc.LinkFaults = c.Faults.Link
 		mc.Crashes = c.Faults.Crash
-		mc.MsgFaults = c.Faults.Msg
 	}
 	w := mpi.NewWorld(mc)
 	s := newRecRun(c, v, ckptEvery)

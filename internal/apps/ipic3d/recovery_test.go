@@ -1,10 +1,12 @@
 package ipic3d
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/mpi"
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
 
@@ -114,5 +116,16 @@ func TestRunIORejectsCrashCampaign(t *testing.T) {
 	}
 	if _, err := StartIO(c, IOShared, mpi.Config{}); err == nil {
 		t.Error("StartIO accepted a crash campaign")
+	}
+}
+
+// TestRunRecoveryRejectsMessageFaults: the recovery runner must refuse a
+// message-fault campaign, whose unreachable rank its bodies cannot
+// recover from, before any rank runs.
+func TestRunRecoveryRejectsMessageFaults(t *testing.T) {
+	c := recTestConfig()
+	c.Faults = &faults.Injection{Msg: &netmodel.MsgFaults{DropSeed: 1, DropRate: 0.001}}
+	if _, err := RunRecovery(c, IODecoupled, 2); err == nil || !strings.Contains(err.Error(), "message-fault") {
+		t.Errorf("RunRecovery with message faults: error %v, want a message-fault refusal", err)
 	}
 }

@@ -86,14 +86,14 @@ type Config struct {
 	// trajectory family); Cores == 0 keeps the classic single-engine mode.
 	// MapReduce does no file I/O, so placement is unconstrained: the
 	// reference spreads all ranks evenly, the decoupled run spreads the
-	// map and reduce groups each evenly. Incompatible with Tracer, like
-	// the underlying mpi.Config.Shards.
+	// map and reduce groups each evenly.
 	Cores int
 	// Seed drives all randomness; Noise is the compute noise model.
 	Seed  int64
 	Noise netmodel.Noise
-	// Tracer optionally records execution spans.
-	Tracer mpi.Tracer
+	// tracer optionally records execution spans; the package's tests set
+	// it, since no flag traces this application.
+	tracer mpi.Tracer
 }
 
 // DefaultConfig returns paper-shaped parameters for the given scale.
@@ -156,7 +156,7 @@ func decoupledPlace(cores, mappers, reducers int) func(rank int) int {
 // parallel-mode worker count (and, for the decoupled run, its group
 // placement) when Cores is set.
 func (c Config) worldConfig(mappers, reducers int) mpi.Config {
-	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer}
+	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.tracer}
 	if c.Cores >= 1 {
 		mc.Shards = c.Cores
 		if reducers > 0 {
@@ -248,9 +248,6 @@ func RunReference(c Config) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
-	if c.Cores >= 1 && c.Tracer != nil {
-		return Result{}, &mpi.CannotShardError{Feature: "tracing", Flag: "-cores"}
-	}
 	corpus := c.corpus()
 	w := mpi.NewWorld(c.worldConfig(c.Procs, 0))
 	// finished[i] is the instant rank i's body ended: rank i writes only
@@ -297,9 +294,6 @@ func RunDecoupled(c Config) (Result, error) {
 	}
 	if c.Alpha <= 0 {
 		return Result{}, fmt.Errorf("mapreduce: decoupled run needs alpha > 0")
-	}
-	if c.Cores >= 1 && c.Tracer != nil {
-		return Result{}, &mpi.CannotShardError{Feature: "tracing", Flag: "-cores"}
 	}
 	corpus := c.corpus()
 	reducers := int(float64(c.Procs)*c.Alpha + 0.5)

@@ -156,7 +156,7 @@ func TestAlphaOrderingAtScale(t *testing.T) {
 func TestTracerReceivesSpans(t *testing.T) {
 	c := quickConfig(8)
 	var rec trace.Recorder
-	c.Tracer = &rec
+	c.tracer = &rec
 	if _, err := RunDecoupled(c); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@
 // # One run for several policies
 //
 // RunPolicies returns the Results of one configuration under a list of
-// bank policies, and Run is its one-policy case. A policy reaches a run
+// bank policies, and Run is its FCFS case. A policy reaches a run
 // only through the slots the bank grants: no world reads it, and the
 // IOBegin/IOEnd demand signals are the same under every policy. So the
 // run under the first policy carries a shadow bank for each of the others
@@ -104,13 +104,8 @@ type Job struct {
 type Config struct {
 	// Jobs are started in order; order is part of the trajectory.
 	Jobs []Job
-	// Policy arbitrates stripe time between jobs. RunPolicies takes its
-	// policies from its own list instead.
-	Policy sim.BankPolicy
-	// FS is the shared file-system cost model. The zero value is replaced
-	// by netmodel.LustreLike.
-	FS netmodel.FSParams
-	// Stripes overrides FS.Stripes when positive.
+	// Stripes overrides the bank width of the shared file-system cost
+	// model (netmodel.LustreLike) when positive.
 	Stripes int
 	// Seed seeds the shared engine (per-process random streams). Each
 	// job's application seed travels in its own configuration.
@@ -160,20 +155,20 @@ func getEngine(seed int64) *sim.Engine {
 	return sim.NewEngine(seed)
 }
 
-// Run starts every job on one shared engine and bank and runs the
+// Run starts every job on one shared engine and an FCFS bank and runs the
 // simulation to completion. Engines and the jobs' worlds are recycled
 // across Run calls (a clean run releases its worlds). It is RunPolicies
-// with the one policy cfg.Policy.
+// with the one policy sim.BankFCFS.
 func Run(cfg Config) (Result, error) {
-	res, err := RunPolicies(cfg, []sim.BankPolicy{cfg.Policy})
+	res, err := RunPolicies(cfg, []sim.BankPolicy{sim.BankFCFS})
 	if err != nil {
 		return Result{}, err
 	}
 	return res[0], nil
 }
 
-// RunPolicies runs cfg under each of policies in turn, in place of
-// cfg.Policy, and returns one Result per policy in list order. It
+// RunPolicies runs cfg under each of policies in turn and returns one
+// Result per policy in list order. It
 // simulates each distinct run once: the first policy without a result
 // runs with a shadow bank (sim.Bank.Shadow) for every later policy
 // without one, and each shadow that granted every reservation exactly as
@@ -228,15 +223,9 @@ func (cfg Config) validate() (netmodel.FSParams, error) {
 	if len(cfg.Jobs) == 0 {
 		return netmodel.FSParams{}, fmt.Errorf("cluster: no jobs")
 	}
-	fs := cfg.FS
-	if fs == (netmodel.FSParams{}) {
-		fs = netmodel.LustreLike()
-	}
+	fs := netmodel.LustreLike()
 	if cfg.Stripes > 0 {
 		fs.Stripes = cfg.Stripes
-	}
-	if err := fs.Validate(); err != nil {
-		return netmodel.FSParams{}, err
 	}
 	for i, sf := range cfg.StripeFaults {
 		if len(sf) == 0 {

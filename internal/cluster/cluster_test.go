@@ -62,7 +62,6 @@ func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
 		return Config{
 			Seed:    7,
 			Stripes: 2,
-			Policy:  sim.BankFair,
 			Jobs: []Job{
 				decJob(16, 11, true),
 				decJob(16, 12, false),
@@ -70,7 +69,7 @@ func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
 			},
 		}
 	}
-	first, err := Run(build())
+	first, err := runUnder(build(), sim.BankFair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestClusterDeterministicAcrossRunsAndRepresentations(t *testing.T) {
 	if _, err := Run(Config{Seed: 1, Jobs: []Job{decJob(8, 5, false)}}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(build())
+	again, err := runUnder(build(), sim.BankFair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +121,14 @@ func writerJob(procs, writes int, bytes int64, gap sim.Time, seed int64) Job {
 // than before).
 func TestFairShareProtectsLightJob(t *testing.T) {
 	run := func(policy sim.BankPolicy) Result {
-		res, err := Run(Config{
+		res, err := runUnder(Config{
 			Seed:    5,
 			Stripes: 1,
-			Policy:  policy,
 			Jobs: []Job{
 				writerJob(4, 100, 64<<20, 0, 21),                 // hog: ~4 writes always in flight
 				writerJob(1, 20, 8<<20, 100*sim.Millisecond, 22), // light
 			},
-		})
+		}, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,14 +156,14 @@ func TestPriorityWeightsShiftService(t *testing.T) {
 		b.Name = "best-effort"
 		return []Job{a, b}
 	}
-	prio, err := Run(Config{Seed: 9, Stripes: 1, Policy: sim.BankWeighted, Jobs: jobs()})
+	prio, err := runUnder(Config{Seed: 9, Stripes: 1, Jobs: jobs()}, sim.BankWeighted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prio.JobTimes[0] >= prio.JobTimes[1] {
 		t.Errorf("weight-8 job finished at %v, not before its weight-1 twin at %v", prio.JobTimes[0], prio.JobTimes[1])
 	}
-	fair, err := Run(Config{Seed: 9, Stripes: 1, Policy: sim.BankFair, Jobs: jobs()})
+	fair, err := runUnder(Config{Seed: 9, Stripes: 1, Jobs: jobs()}, sim.BankFair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func TestWorkConservingReleasesHog(t *testing.T) {
 		return []Job{hog, light}
 	}
 	run := func(policy sim.BankPolicy) Result {
-		res, err := Run(Config{Seed: 13, Stripes: 1, Policy: policy, Jobs: jobs()})
+		res, err := runUnder(Config{Seed: 13, Stripes: 1, Jobs: jobs()}, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,6 +421,15 @@ func stripeCampaign(stripes int) [][]sim.StripeFault {
 	return sf
 }
 
+// runUnder is Run under one bank policy.
+func runUnder(cfg Config, p sim.BankPolicy) (Result, error) {
+	res, err := RunPolicies(cfg, []sim.BankPolicy{p})
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
 // eventsOf reports how many events f fires.
 func eventsOf(f func()) uint64 {
 	ev0 := sim.GlobalEvents()
@@ -431,8 +438,8 @@ func eventsOf(f func()) uint64 {
 }
 
 // TestRunPoliciesMatchesRun is the certificate's differential: for every
-// policy, RunPolicies returns the Result a separate Run under that policy
-// returns — over 1, 2 and 3 jobs, 1 and 4 stripes, with and without a
+// policy, RunPolicies returns the Result a separate run under that policy
+// alone returns — over 1, 2 and 3 jobs, 1 and 4 stripes, with and without a
 // stripe-fault campaign. The matrix must both share runs (fewer events
 // than the separate runs) and separate policies (results that differ), or
 // it would not test the certificate.
@@ -458,11 +465,10 @@ func TestRunPoliciesMatchesRun(t *testing.T) {
 				})
 				var apart uint64
 				for i, p := range allPolicies {
-					cfg.Policy = p
 					var want Result
 					apart += eventsOf(func() {
 						var err error
-						if want, err = Run(cfg); err != nil {
+						if want, err = runUnder(cfg, p); err != nil {
 							t.Fatalf("%s %v: %v", name, p, err)
 						}
 					})

@@ -53,11 +53,11 @@ func coschedScenario(t *testing.T, policy sim.BankPolicy, stripes int) cluster.R
 	for i := range cjobs {
 		cjobs[i] = coschedJob(i, 1)
 	}
-	res, err := cluster.Run(cluster.Config{Jobs: cjobs, Policy: policy, Stripes: stripes, Seed: 1})
+	res, err := cluster.RunPolicies(cluster.Config{Jobs: cjobs, Stripes: stripes, Seed: 1}, []sim.BankPolicy{policy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res[0]
 }
 
 // TestCoschedStaticPoliciesByteIdenticalToPR4 pins the fcfs, fair and

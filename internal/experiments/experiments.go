@@ -11,10 +11,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"text/tabwriter"
 
+	"repro/internal/faults"
 	"repro/internal/mpi"
 )
 
@@ -69,11 +72,13 @@ type Options struct {
 	// bank policy — "fcfs", "fair", "priority", "fair-wc" or
 	// "priority-wc" (empty: all five).
 	CoschedPolicy string
-	// FaultSpec is a fault-campaign spec in faults.ParseSpec syntax. The
-	// resilience experiment scales it across its intensity sweep (empty
-	// means the default campaign); the cosched experiment degrades the
-	// shared bank's stripes with it when non-empty, and schedules no
-	// faults when empty.
+	// FaultSpec is a fault-campaign spec in faults.ParseSpec syntax,
+	// read by the sweeps that list Experiment.FaultKeys; each refuses a
+	// spec that sets another key. The resilience experiment scales it
+	// across its intensity sweep and the recovery experiment its crash
+	// family (empty means the default campaign); the cosched experiment
+	// degrades the shared bank's stripes with it when non-empty, and
+	// schedules no faults when empty.
 	FaultSpec string
 	// Log, if non-nil, receives progress lines.
 	Log io.Writer
@@ -336,11 +341,16 @@ type Experiment struct {
 	// Options.MaxProcs. The others run at sizes of their own and at most
 	// clamp to MaxProcs.
 	WeakScaling bool
-	// Flags names the CLI flags, beyond the sweep sizes and -cores, whose
-	// values the sweep reads: "faults" (Options.FaultSpec), "jobs"
-	// (Options.CoschedJobs) and "cosched-policy" (Options.CoschedPolicy).
-	// The CLI refuses one of them when no selected sweep reads it.
+	// Flags names the CLI flags, beyond the sweep sizes, -cores and
+	// -faults, whose values the sweep reads: "jobs" (Options.CoschedJobs)
+	// and "cosched-policy" (Options.CoschedPolicy). The CLI refuses one of
+	// them when no selected sweep reads it.
 	Flags []string
+	// FaultKeys lists the keys of a fault spec (faults.SpecKeys) that the
+	// sweep reads from Options.FaultSpec; nil for a sweep that ignores
+	// the spec. A spec that sets any other key is refused
+	// (CheckFaultSpec), since the sweep would drop it silently.
+	FaultKeys []string
 
 	run func(Options) ([]Row, error)
 }
@@ -354,7 +364,30 @@ func (e Experiment) Run(opts Options) ([]Row, error) {
 	if opts.Cores >= 1 && !e.Shardable {
 		return nil, CoresError(e.Name)
 	}
+	if err := e.CheckFaultSpec(opts.FaultSpec); err != nil {
+		return nil, err
+	}
 	return e.run(opts)
+}
+
+// CheckFaultSpec refuses a fault spec that sets a key a sweep reading
+// Options.FaultSpec does not read, naming the key and the sweep. The CLI
+// refuses with it before any sweep starts; Run returns it to library
+// callers. "default", "none" and an empty spec set no key.
+func (e Experiment) CheckFaultSpec(spec string) error {
+	if len(e.FaultKeys) == 0 {
+		return nil
+	}
+	_, keys, err := faults.ParseSpecKeys(spec)
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if !slices.Contains(e.FaultKeys, k) {
+			return fmt.Errorf("the %s experiment does not read key %s; it reads %s", e.Name, k, strings.Join(e.FaultKeys, ", "))
+		}
+	}
+	return nil
 }
 
 // CoresError is the uniform parallel-mode rejection of the non-shardable
@@ -372,7 +405,8 @@ var table = []Experiment{
 		Description: "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)"},
 	{Name: "ablation-granularity", run: AblationGranularity,
 		Description: "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction"},
-	{Name: "cosched", run: Cosched, Flags: []string{"faults", "jobs", "cosched-policy"},
+	{Name: "cosched", run: Cosched, Flags: []string{"jobs", "cosched-policy"},
+		FaultKeys:   []string{"seed", "horizon", "outages", "outage-len", "derate-stripes", "derate-len", "derate-rate"},
 		Description: "co-scheduled multi-job contention on a shared bank"},
 	{Name: "fig5", run: Fig5, Shardable: true, WeakScaling: true,
 		Description: "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)"},
@@ -386,9 +420,13 @@ var table = []Experiment{
 		Description: "fabric loss-rate sweep under the reliable-delivery protocol (ack/timeout/backoff/retransmit)"},
 	{Name: "model", run: ModelValidation, WeakScaling: true,
 		Description: "analytic cost-model validation against simulated makespans"},
-	{Name: "recovery", run: Recovery, Flags: []string{"faults"},
+	{Name: "recovery", run: Recovery,
+		FaultKeys:   []string{"seed", "crashes", "crash-mtbf", "restart-cost"},
 		Description: "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)"},
-	{Name: "resilience", run: Resilience, Flags: []string{"faults"},
+	{Name: "resilience", run: Resilience,
+		FaultKeys: []string{"seed", "horizon", "bursts", "burst-len", "burst-factor", "outages", "outage-len",
+			"derate-stripes", "derate-len", "derate-rate", "flaps", "flap-len", "lat-factor", "bw-factor",
+			"drop-rate", "drops", "dup-rate"},
 		Description: "fault-campaign intensity sweep (bursts, outages, stripe derates, link flaps)"},
 }
 

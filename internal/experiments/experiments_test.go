@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -53,6 +55,43 @@ func TestTable(t *testing.T) {
 	}
 	if _, ok := Lookup("fig9"); ok {
 		t.Error("Lookup found an unregistered experiment")
+	}
+}
+
+// TestCheckFaultSpec: a sweep that reads the fault spec accepts exactly
+// the keys in its FaultKeys, and refuses any other naming the key and the
+// sweep; "default", "none" and an empty spec set no key, and a sweep that
+// ignores the spec refuses nothing. Run refuses with the same error
+// before any point runs.
+func TestCheckFaultSpec(t *testing.T) {
+	for _, e := range table {
+		for _, spec := range []string{"", "default", "none"} {
+			if err := e.CheckFaultSpec(spec); err != nil {
+				t.Errorf("%s: spec %q refused: %v", e.Name, spec, err)
+			}
+		}
+		for _, k := range e.FaultKeys {
+			if !slices.Contains(faults.SpecKeys(), k) {
+				t.Errorf("%s: FaultKeys names %q, which is no spec key", e.Name, k)
+			}
+		}
+		for _, k := range faults.SpecKeys() {
+			spec := k + "=1"
+			if _, err := faults.ParseSpec(spec); err != nil {
+				spec = k + "=1s"
+			}
+			err := e.CheckFaultSpec(spec)
+			switch reads := len(e.FaultKeys) == 0 || slices.Contains(e.FaultKeys, k); {
+			case reads && err != nil:
+				t.Errorf("%s: spec %q refused: %v", e.Name, spec, err)
+			case !reads && (err == nil || !strings.Contains(err.Error(), e.Name) || !strings.Contains(err.Error(), " "+k+";")):
+				t.Errorf("%s: spec %q: error %v, want one naming the key and the sweep", e.Name, spec, err)
+			}
+		}
+	}
+	recovery, _ := Lookup("recovery")
+	if _, err := recovery.Run(Options{MaxProcs: 8192, Runs: 1, FaultSpec: "drop-rate=0.001"}); err == nil || err.Error() != recovery.CheckFaultSpec("drop-rate=0.001").Error() {
+		t.Errorf("recovery.Run with drop-rate: error %v, want CheckFaultSpec's", err)
 	}
 }
 

@@ -51,8 +51,8 @@ func Fig6(opts Options) ([]Row, error) {
 	var points []point
 	variants := []cg.Variant{cg.Blocking, cg.Nonblocking, cg.Decoupled}
 	// The paper runs 300 iterations; per-iteration behaviour is
-	// stationary, so we run 30 and report x10 (documented in
-	// EXPERIMENTS.md).
+	// stationary, so we run 30 and report x10 (DESIGN.md, "Sweeps as
+	// data").
 	const iterScale = 10.0
 	for _, p := range sweep(opts.MaxProcs) {
 		for _, v := range variants {

@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -369,19 +370,26 @@ func (s Spec) String() string {
 // must be non-negative (only "seed" may be negative); violations are
 // errors naming the offending key rather than silently-planned nonsense.
 func ParseSpec(text string) (Spec, error) {
+	s, _, err := ParseSpecKeys(text)
+	return s, err
+}
+
+// ParseSpecKeys is ParseSpec that also returns the keys text sets, in the
+// order given: none for "default", "none" or an empty text.
+func ParseSpecKeys(text string) (Spec, []string, error) {
 	s := DefaultSpec()
 	text = strings.TrimSpace(text)
 	switch text {
 	case "", "default":
-		return s, nil
+		return s, nil, nil
 	case "none":
-		return Spec{}, nil
+		return Spec{}, nil, nil
 	}
-	seen := make(map[string]bool, 8)
+	var keys []string
 	for _, kv := range strings.Split(text, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
-			return Spec{}, fmt.Errorf("faults: bad spec element %q (want key=value)", kv)
+			return Spec{}, nil, fmt.Errorf("faults: bad spec element %q (want key=value)", kv)
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
@@ -428,20 +436,20 @@ func ParseSpec(text string) (Spec, error) {
 		case "dup-rate":
 			s.DupRate, err = parseProb(val)
 		default:
-			return Spec{}, fmt.Errorf("faults: unknown spec key %q (valid keys: %s)", key, strings.Join(specKeys, ", "))
+			return Spec{}, nil, fmt.Errorf("faults: unknown spec key %q (valid keys: %s)", key, strings.Join(specKeys, ", "))
 		}
 		if err != nil {
-			return Spec{}, fmt.Errorf("faults: bad value for %q: %v", key, err)
+			return Spec{}, nil, fmt.Errorf("faults: bad value for %q: %v", key, err)
 		}
 		// A repeated key is almost always an edited-in-place campaign where
 		// the old override was meant to go; last-wins would silently run a
 		// different campaign than the one the operator thinks they asked for.
-		if seen[key] {
-			return Spec{}, fmt.Errorf("faults: duplicate spec key %q", key)
+		if slices.Contains(keys, key) {
+			return Spec{}, nil, fmt.Errorf("faults: duplicate spec key %q", key)
 		}
-		seen[key] = true
+		keys = append(keys, key)
 	}
-	return s, nil
+	return s, keys, nil
 }
 
 // parseCount reads a non-negative event count. Campaign generation treats

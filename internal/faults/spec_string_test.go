@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,6 +66,26 @@ func TestUnknownKeyListsValidKeys(t *testing.T) {
 	for _, key := range SpecKeys() {
 		if !strings.Contains(err.Error(), key) {
 			t.Errorf("unknown-key error %q does not mention %q", err, key)
+		}
+	}
+}
+
+// TestParseSpecKeys: the keys are those the text sets, in the order
+// given, and the special forms set none.
+func TestParseSpecKeys(t *testing.T) {
+	for text, want := range map[string][]string{
+		"":                          nil,
+		"default":                   nil,
+		"none":                      nil,
+		"seed=3, bursts=2":          {"seed", "bursts"},
+		"restart-cost=1s,crashes=0": {"restart-cost", "crashes"},
+	} {
+		s, keys, err := ParseSpecKeys(text)
+		if err != nil || !reflect.DeepEqual(keys, want) {
+			t.Errorf("ParseSpecKeys(%q) keys %q, error %v; want %q", text, keys, err, want)
+		}
+		if ps, _ := ParseSpec(text); ps != s {
+			t.Errorf("ParseSpecKeys(%q) spec %+v, ParseSpec's %+v", text, s, ps)
 		}
 	}
 }

@@ -22,10 +22,10 @@ type Params struct {
 	TSigma sim.Time
 	// Alpha is the fraction of processes dedicated to Op1 (0 < α < 1).
 	Alpha float64
-	// Beta is the non-overlapped fraction of Op0 as a function of the
-	// stream granularity S (β(S) in Eq. 4). Nil means BetaOf is used
-	// with DefaultBeta.
-	Beta func(S int64) float64
+	// beta replaces DefaultBeta's β(S) in Eq. 4, the non-overlapped
+	// fraction of Op0 as a function of the stream granularity S. The
+	// tests pin Eq. 3 at β = 0 and β = 1 with it, values no S reaches.
+	beta func(S int64) float64
 	// DecoupledTW1 is T'W1: the per-process time of Op1 once it runs on
 	// the decoupled group (after optimization / complexity reduction).
 	// Nil means Op1 keeps its conventional per-process time.
@@ -64,10 +64,10 @@ func (p Params) tw1Decoupled() sim.Time {
 	return p.TW1
 }
 
-// beta resolves β(S).
-func (p Params) beta() float64 {
-	if p.Beta != nil {
-		return clamp01(p.Beta(p.S))
+// nonOverlap resolves β(S).
+func (p Params) nonOverlap() float64 {
+	if p.beta != nil {
+		return clamp01(p.beta(p.S))
 	}
 	return DefaultBeta.Of(p.S)
 }
@@ -91,7 +91,7 @@ func DecoupledIdeal(p Params) sim.Time {
 func DecoupledPipelined(p Params) sim.Time {
 	op0 := scale(p.TW0, 1/(1-p.Alpha)) + p.TSigma
 	op1 := scale(p.tw1Decoupled(), 1/p.Alpha)
-	return scale(op0, p.beta()) + op1
+	return scale(op0, p.nonOverlap()) + op1
 }
 
 // Decoupled is Eq. 4: Eq. 3 plus the streaming overhead (D/S)·o, with β a
@@ -104,7 +104,7 @@ func Decoupled(p Params) sim.Time {
 	}
 	op0 := scale(p.TW0, 1/(1-p.Alpha)) + p.TSigma + overhead
 	op1 := scale(p.tw1Decoupled(), 1/p.Alpha)
-	return scale(op0, p.beta()) + op1
+	return scale(op0, p.nonOverlap()) + op1
 }
 
 // Speedup is Tc / Td under Eq. 4.

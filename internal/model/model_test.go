@@ -57,13 +57,13 @@ func TestEq3LimitsMatchPaper(t *testing.T) {
 	// Paper: β=1 (no pipelining) gives the sum of the two operations;
 	// β=0 (perfect pipelining) leaves only the decoupled operation.
 	p := base()
-	p.Beta = func(int64) float64 { return 1 }
+	p.beta = func(int64) float64 { return 1 }
 	op0 := sim.Time(float64(p.TW0)/(1-p.Alpha)) + p.TSigma
 	op1 := sim.Time(float64(p.TW1) / p.Alpha)
 	if got := DecoupledPipelined(p); got != op0+op1 {
 		t.Fatalf("beta=1: got %v, want %v", got, op0+op1)
 	}
-	p.Beta = func(int64) float64 { return 0 }
+	p.beta = func(int64) float64 { return 0 }
 	if got := DecoupledPipelined(p); got != op1 {
 		t.Fatalf("beta=0: got %v, want %v", got, op1)
 	}
@@ -87,7 +87,7 @@ func TestEq2MaxSemantics(t *testing.T) {
 
 func TestOverheadGrowsAsGranularityShrinks(t *testing.T) {
 	p := base()
-	p.Beta = func(int64) float64 { return 0.5 } // isolate the overhead term
+	p.beta = func(int64) float64 { return 0.5 } // isolate the overhead term
 	p.S = 1 << 20
 	coarse := Decoupled(p)
 	p.S = 1 << 10
@@ -167,7 +167,7 @@ func TestEq3BoundsProperty(t *testing.T) {
 			TW1:    sim.Time(w1),
 			TSigma: sim.Time(sig),
 			Alpha:  alpha,
-			Beta:   func(int64) float64 { return beta },
+			beta:   func(int64) float64 { return beta },
 		}
 		got := DecoupledPipelined(p)
 		op0 := sim.Time(float64(p.TW0)/(1-alpha)) + p.TSigma

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -420,23 +421,59 @@ func TestCrashAfterCompletionDropped(t *testing.T) {
 	}
 }
 
-// TestCrashConfigValidation covers NewWorld's campaign checks.
-func TestCrashConfigValidation(t *testing.T) {
-	mustPanic := func(name string, cfg Config) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: NewWorld did not panic", name)
-			}
-		}()
-		NewWorld(cfg)
-	}
-	mustPanic("target out of range", Config{Procs: 2, Crashes: []sim.CrashEvent{{At: 1, Target: 2}}})
-	mustPanic("negative time", Config{Procs: 2, Crashes: []sim.CrashEvent{{At: -1, Target: 0}}})
-	mustPanic("tracing", Config{Procs: 2, Tracer: nopTracer{}, Crashes: []sim.CrashEvent{{At: 1, Target: 0}}})
+// validateCase is one input check of Config.Validate.
+type validateCase struct {
+	name  string
+	cfg   Config
+	want  string // error substring; empty means valid
+	shard bool   // the error is a *CannotShardError
 }
 
-// TestFaultWindowTargets: NewWorld refuses slowdown and stripe windows
+// checkValidate runs each case through Config.Validate: a refusal names
+// its field, and a feature the parallel mode cannot run is a
+// *CannotShardError.
+func checkValidate(t *testing.T, cases []validateCase) {
+	t.Helper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.cfg.Validate()
+			var cse *CannotShardError
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("Validate: %v, want nil", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("Validate: %v, want an error naming %q", err, c.want)
+			case c.shard != errors.As(err, &cse):
+				t.Errorf("Validate: %v (%T), CannotShardError %v", err, err, c.shard)
+			}
+		})
+	}
+}
+
+// TestConfigValidate: a world needs ranks, and NewWorld panics with
+// Validate's error.
+func TestConfigValidate(t *testing.T) {
+	checkValidate(t, []validateCase{{"no ranks", Config{}, "Procs 0", false}})
+	bad := Config{Procs: 2, Crashes: []sim.CrashEvent{{At: 1, Target: 2}}}
+	defer func() {
+		want := bad.Validate()
+		if err, ok := recover().(error); !ok || err.Error() != want.Error() {
+			t.Errorf("NewWorld panicked with %v, want Validate's error %v", err, want)
+		}
+	}()
+	NewWorld(bad)
+}
+
+// TestCrashConfigValidation covers Validate's crash-campaign checks.
+func TestCrashConfigValidation(t *testing.T) {
+	checkValidate(t, []validateCase{
+		{"crash beyond the world", Config{Procs: 2, Crashes: []sim.CrashEvent{{At: 1, Target: 2}}}, "Crashes[0] targets rank 2 of 2", false},
+		{"crash at a negative time", Config{Procs: 2, Crashes: []sim.CrashEvent{{At: -1, Target: 0}}}, "Crashes[0] has negative time", false},
+		{"crashes with tracing", Config{Procs: 2, Tracer: nopTracer{}, Crashes: []sim.CrashEvent{{At: 1, Target: 0}}}, "Tracer with Crashes", false},
+	})
+}
+
+// TestFaultWindowTargets: Validate refuses slowdown and stripe windows
 // aimed at a rank or stripe the world does not have, naming the index,
 // instead of dropping them; empty entries past the end stay legal.
 func TestFaultWindowTargets(t *testing.T) {
@@ -444,33 +481,33 @@ func TestFaultWindowTargets(t *testing.T) {
 	fs.Stripes = 2
 	slow := []sim.FaultWindow{{Start: 10, End: 20, Factor: 2}}
 	outage := []sim.StripeFault{{Start: 10, End: 20}}
-	for _, c := range []struct {
-		name string
-		cfg  Config
-		want string // panic message substring; empty means no panic
-	}{
-		{"rank in range", Config{RankFaults: [][]sim.FaultWindow{nil, slow}}, ""},
-		{"rank beyond the world", Config{RankFaults: [][]sim.FaultWindow{nil, nil, slow}}, "RankFaults[2] targets rank 2 of 2"},
-		{"empty rank entry beyond the world", Config{RankFaults: [][]sim.FaultWindow{nil, nil, {}}}, ""},
-		{"stripe in range", Config{StripeFaults: [][]sim.StripeFault{nil, outage}}, ""},
-		{"stripe beyond the bank", Config{StripeFaults: [][]sim.StripeFault{nil, nil, outage}}, "StripeFaults[2] targets stripe 2 of 2"},
-		{"empty stripe entry beyond the bank", Config{StripeFaults: [][]sim.StripeFault{nil, nil, nil}}, ""},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				msg, _ := r.(string)
-				switch {
-				case c.want == "" && r != nil:
-					t.Errorf("NewWorld panicked: %v", r)
-				case c.want != "" && !strings.Contains(msg, c.want):
-					t.Errorf("NewWorld panic %v, want one naming %q", r, c.want)
-				}
-			}()
-			c.cfg.Procs, c.cfg.FS = 2, fs
-			NewWorld(c.cfg)
-		})
-	}
+	checkValidate(t, []validateCase{
+		{"rank in range", Config{Procs: 2, RankFaults: [][]sim.FaultWindow{nil, slow}}, "", false},
+		{"rank beyond the world", Config{Procs: 2, RankFaults: [][]sim.FaultWindow{nil, nil, slow}}, "RankFaults[2] targets rank 2 of 2", false},
+		{"empty rank entry beyond the world", Config{Procs: 2, RankFaults: [][]sim.FaultWindow{nil, nil, {}}}, "", false},
+		{"stripe in range", Config{Procs: 2, FS: fs, StripeFaults: [][]sim.StripeFault{nil, outage}}, "", false},
+		{"stripe beyond the bank", Config{Procs: 2, FS: fs, StripeFaults: [][]sim.StripeFault{nil, nil, outage}}, "StripeFaults[2] targets stripe 2 of 2", false},
+		{"empty stripe entry beyond the bank", Config{Procs: 2, FS: fs, StripeFaults: [][]sim.StripeFault{nil, nil, nil}}, "", false},
+	})
+}
+
+// TestMsgFaultConfigValidation: message-fault campaigns refuse tracing
+// and malformed tables, each with an error naming the field.
+func TestMsgFaultConfigValidation(t *testing.T) {
+	checkValidate(t, []validateCase{
+		{"message faults with tracing", Config{Procs: 2, Tracer: nopTracer{}, MsgFaults: &netmodel.MsgFaults{DropSeed: 1, DropRate: 0.1}}, "Tracer with MsgFaults", false},
+		{"drop rate above one", Config{Procs: 2, MsgFaults: &netmodel.MsgFaults{DropRate: 1.5}}, "MsgFaults: netmodel: message drop rate 1.5", false},
+	})
+}
+
+// TestShardedWorldGuards pins the configurations parallel mode refuses.
+func TestShardedWorldGuards(t *testing.T) {
+	checkValidate(t, []validateCase{
+		{"sharded on a shared engine", Config{Procs: 2, Shards: 2, Engine: sim.NewEngine(1)}, "Shards with a shared Engine", false},
+		{"sharded tracing", Config{Procs: 2, Shards: 2, Tracer: nopTracer{}}, "tracing cannot run", true},
+		{"sharded crashes", Config{Procs: 2, Shards: 2, Crashes: []sim.CrashEvent{{At: 1, Target: 0}}}, "crash campaigns cannot run", true},
+		{"sharded message faults", Config{Procs: 4, Shards: 2, MsgFaults: &netmodel.MsgFaults{DropSeed: 1, DropRate: 0.1}}, "message-fault campaigns cannot run", true},
+	})
 }
 
 type nopTracer struct{}

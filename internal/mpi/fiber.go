@@ -64,7 +64,7 @@ func (w *World) newFwait(r *Rank, f *sim.Fiber, req *Request, then func(Status) 
 	}
 	s.r, s.f, s.req, s.then, s.thenStep = r, f, req, then, thenStep
 	s.floor = r.rs.eng.Now() + f.Debt()
-	s.ov = w.cfg.Net.RecvOverhead
+	s.ov = fabric.RecvOverhead
 	return s
 }
 
@@ -194,7 +194,7 @@ type fwaitAll struct {
 
 func (s *fwaitAll) loopStep(_ *sim.Fiber) sim.StepFunc {
 	e := s.r.rs.eng
-	ov := s.c.w.cfg.Net.RecvOverhead
+	ov := fabric.RecvOverhead
 	for s.i < len(s.reqs) {
 		q := s.reqs[s.i]
 		q.checkLive()
@@ -313,7 +313,7 @@ func (s *fwaitAny) loopStep(_ *sim.Fiber) sim.StepFunc {
 		if q.isRecv && !q.ovCharged {
 			q.ovCharged = true
 			s.won = won
-			return s.f.Advance(s.c.w.cfg.Net.RecvOverhead, s.charged)
+			return s.f.Advance(fabric.RecvOverhead, s.charged)
 		}
 		return s.finish(won)
 	}
@@ -470,7 +470,7 @@ func (s *fcoll) release() {
 
 // send posts this round's send of acc to comm rank dst.
 func (s *fcoll) send(dst int) *Request {
-	return s.c.isendOv(s.r, s.f, dst, s.tag, s.acc.Bytes, s.acc.Data, s.r.w.cfg.Net.SendOverhead)
+	return s.c.isendOv(s.r, s.f, dst, s.tag, s.acc.Bytes, s.acc.Data, fabric.SendOverhead)
 }
 
 // FBarrier is Barrier in continuation form.

@@ -23,7 +23,7 @@ func (c *Comm) FTest(r *Rank, req *Request, then func(bool, Status) sim.StepFunc
 	req.done = true
 	if req.isRecv && !req.ovCharged {
 		req.ovCharged = true
-		return r.fib.Advance(r.w.cfg.Net.RecvOverhead, func(_ *sim.Fiber) sim.StepFunc {
+		return r.fib.Advance(fabric.RecvOverhead, func(_ *sim.Fiber) sim.StepFunc {
 			return then(true, req.status)
 		})
 	}

@@ -34,7 +34,7 @@ func (c *Comm) fstartColl(r *Rank, kind string, run func(hf *sim.Fiber, me, tag 
 	r.rs.eng.SpawnFiber(fmt.Sprintf("rank%d/%s", r.rs.rank, kind), func(hf *sim.Fiber) sim.StepFunc {
 		return run(hf, me, tag, cr)
 	})
-	return r.fib.Advance(r.w.cfg.Net.SendOverhead, func(*sim.Fiber) sim.StepFunc { return then(cr) })
+	return r.fib.Advance(fabric.SendOverhead, func(*sim.Fiber) sim.StepFunc { return then(cr) })
 }
 
 // finishColl ends a helper: mark the collective done and wake the rank's

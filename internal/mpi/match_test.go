@@ -230,7 +230,7 @@ func TestProbeSeesSelfSendBehindInFlightMessage(t *testing.T) {
 func TestTestThenWaitChargesOverheadOnce(t *testing.T) {
 	cfg := Config{Procs: 2, Seed: 1}
 	w := NewWorld(cfg)
-	ov := w.cfg.Net.RecvOverhead
+	ov := fabric.RecvOverhead
 	mustRun(t, w, func(r *Rank) {
 		c := r.World()
 		if r.ID() == 0 {

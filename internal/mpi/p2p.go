@@ -162,7 +162,7 @@ func (c *Comm) Isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Requ
 
 // isend is Isend for any tag, the collectives' included.
 func (c *Comm) isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Request {
-	return c.isendOv(r, r.fib, dst, tag, bytes, data, r.w.cfg.Net.SendOverhead)
+	return c.isendOv(r, r.fib, dst, tag, bytes, data, fabric.SendOverhead)
 }
 
 // checkAppTag panics unless tag is an application tag: the range from
@@ -201,7 +201,6 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 		// with failure — no overhead, no counters, no wire traffic.
 		return w.failedRequest()
 	}
-	net := w.cfg.Net
 	me := c.RankOf(r)
 	src := r.rs
 	dstState := w.ranks[c.members[dst]]
@@ -234,7 +233,7 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 	// request inflates serialization and the latency window covering the
 	// flight start inflates the wire hop; the guards keep the fault-free
 	// hot path byte-identical.
-	ser := net.SerializationTime(bytes)
+	ser := fabric.SerializationTime(bytes)
 	if lf := w.cfg.LinkFaults; lf != nil {
 		ser = lf.StretchSerialization(ser, e.Now()+proc.Debt())
 	}
@@ -249,7 +248,7 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 	// needs one event per message instead of two, and the known completion
 	// instant lets waiting receivers advance their clock instead of
 	// parking.
-	lat := net.Latency
+	lat := fabric.Latency
 	if lf := w.cfg.LinkFaults; lf != nil {
 		lat = lf.StretchLatency(lat, sendEnd)
 	}

@@ -44,7 +44,6 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 func TestMessageCostMatchesModel(t *testing.T) {
 	cfg := Config{Procs: 2, Seed: 1}
 	w := NewWorld(cfg)
-	net := w.cfg.Net
 	var recvAt sim.Time
 	mustRun(t, w, func(r *Rank) {
 		c := r.World()
@@ -57,7 +56,7 @@ func TestMessageCostMatchesModel(t *testing.T) {
 	})
 	// Expected: send overhead + sender NIC + latency + receiver NIC +
 	// receive overhead.
-	want := net.SendOverhead + 2*net.SerializationTime(1000) + net.Latency + net.RecvOverhead
+	want := fabric.SendOverhead + 2*fabric.SerializationTime(1000) + fabric.Latency + fabric.RecvOverhead
 	if recvAt != want {
 		t.Fatalf("recv completed at %v, want %v", recvAt, want)
 	}

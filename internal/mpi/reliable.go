@@ -18,8 +18,8 @@
 //     in a reorder buffer.
 //   - The sender keeps an in-flight entry per unacked message and
 //     retransmits on a virtual-time timer with exponential backoff:
-//     attempt n fires Config.AckTimeout << n after the expected ack
-//     instant. After Config.RetryLimit failed attempts the destination
+//     attempt n fires ackSlack << n after the expected ack instant.
+//     After retryLimit failed attempts the destination
 //     is declared unreachable: the world is revoked exactly as a crash
 //     would revoke it (failure.go), surfacing *RankUnreachableError
 //     through the same Protect/CheckFailed/Rebuild machinery.
@@ -54,8 +54,16 @@ import (
 	"repro/internal/sim"
 )
 
+// retryLimit caps the retransmissions of one message: the timer after the
+// last one revokes the world with *RankUnreachableError.
+const retryLimit = 8
+
+// ackSlack is the base retransmission slack, 8x the wire latency: attempt
+// n retransmits ackSlack << n after the expected ack instant.
+var ackSlack = 8 * fabric.Latency
+
 // RankUnreachableError reports that the reliable-delivery protocol gave
-// up on a destination: RetryLimit retransmissions of one message all
+// up on a destination: retryLimit retransmissions of one message all
 // went unacknowledged. It revokes the world like a crash does and
 // surfaces through the same wait entry points and Protect/FProtect
 // recovery paths as *RankFailedError.
@@ -187,7 +195,7 @@ func (w *World) Retransmits() int64 {
 // estimate; only determinism matters, not tightness) plus the
 // exponentially backed-off slack for this attempt.
 func (w *World) relTimerAt(sendEnd, ser sim.Time, attempt int) sim.Time {
-	slack := w.cfg.AckTimeout
+	slack := ackSlack
 	if attempt > 0 {
 		shift := attempt
 		if shift > 20 {
@@ -195,7 +203,7 @@ func (w *World) relTimerAt(sendEnd, ser sim.Time, attempt int) sim.Time {
 		}
 		slack <<= uint(shift)
 	}
-	return sendEnd + 2*w.cfg.Net.Latency + ser + slack
+	return sendEnd + 2*fabric.Latency + ser + slack
 }
 
 // relSend runs the sender half of the protocol for a freshly issued
@@ -215,7 +223,7 @@ func (src *rankState) relSend(m *message, sendEnd, arrive sim.Time) {
 	en := &relEntry{
 		sender: src, dst: m.dst,
 		commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, data: m.data,
-		ser: w.cfg.Net.SerializationTime(m.bytes),
+		ser: fabric.SerializationTime(m.bytes),
 		seq: seq, epoch: m.epoch, attempt: 1,
 	}
 	m.rel = en
@@ -260,7 +268,7 @@ func (en *relEntry) Fire() {
 	if en.acked || en.epoch != w.epoch {
 		return
 	}
-	if en.attempt > w.cfg.RetryLimit {
+	if en.attempt > retryLimit {
 		w.unreachable(en)
 		return
 	}
@@ -276,7 +284,7 @@ func (en *relEntry) Fire() {
 		ser = lf.StretchSerialization(ser, now)
 	}
 	_, sendEnd := src.sendLink.Reserve(now, ser)
-	lat := w.cfg.Net.Latency
+	lat := fabric.Latency
 	if lf := w.cfg.LinkFaults; lf != nil {
 		lat = lf.StretchLatency(lat, sendEnd)
 	}
@@ -311,7 +319,7 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 	}
 	// Ack at the instant the payload is fully received plus one wire hop
 	// back.
-	ackLat := w.cfg.Net.Latency
+	ackLat := fabric.Latency
 	if lf := w.cfg.LinkFaults; lf != nil {
 		ackLat = lf.StretchLatency(ackLat, ready)
 	}

@@ -58,7 +58,7 @@ func TestCreateChannelBytesLinearInP(t *testing.T) {
 	}
 }
 
-// streamElementAllocs reports the allocations one unbatched stream element
+// streamElementAllocs reports the allocations one stream element
 // costs end to end (Isend on one of three producers to the operator on
 // the one consumer), with producers computing gap between elements and the
 // operator computing work on each.
@@ -104,7 +104,7 @@ func streamElementAllocs(t *testing.T, gap, work sim.Time) float64 {
 	return mallocs / producers
 }
 
-// TestStreamElementAllocsPerCall pins the unwrapped element: it travels
+// TestStreamElementAllocsPerCall pins the stream element: it travels
 // as the message's own size and payload, so an element that meets a posted
 // receive allocates nothing, and neither does one that lands unexpected
 // while the consumer keeps pace, because the message it waits in recycles
@@ -117,7 +117,7 @@ func TestStreamElementAllocsPerCall(t *testing.T) {
 	matched := streamElementAllocs(t, 50*us, us)  // consumer idle on arrival
 	queued := streamElementAllocs(t, 30*us, 9*us) // consumer 90% busy: arrivals queue, backlog steady
 	flooded := streamElementAllocs(t, us, 50*us)  // backlog grows with the run
-	t.Logf("an unbatched element allocates %.2f objects matched on arrival, %.2f queued behind a busy consumer, %.2f flooding it",
+	t.Logf("an element allocates %.2f objects matched on arrival, %.2f queued behind a busy consumer, %.2f flooding it",
 		matched, queued, flooded)
 	if matched != 0 || queued != 0 {
 		t.Errorf("an element allocates %.2f objects matched on arrival and %.2f queued at a steady backlog, want 0 and 0", matched, queued)

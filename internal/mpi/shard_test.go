@@ -188,22 +188,3 @@ func TestShardedWorldFiberEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedWorldGuards pins the configurations parallel mode refuses.
-func TestShardedWorldGuards(t *testing.T) {
-	expectPanicMsg := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanicMsg("shared engine", func() {
-		NewWorld(Config{Procs: 2, Shards: 2, Engine: sim.NewEngine(1)})
-	})
-	expectPanicMsg("crashes", func() {
-		NewWorld(Config{Procs: 2, Shards: 2, Crashes: []sim.CrashEvent{{Target: 0, At: 1}}})
-	})
-}

@@ -17,6 +17,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -50,9 +51,6 @@ type Tracer interface {
 type Config struct {
 	// Procs is the total number of MPI processes (world size).
 	Procs int
-	// Net is the network cost model. Zero value is replaced by
-	// netmodel.AriesLike.
-	Net netmodel.Params
 	// FS is the file-system cost model. Zero value is replaced by
 	// netmodel.LustreLike.
 	FS netmodel.FSParams
@@ -95,15 +93,6 @@ type Config struct {
 	// campaigns are incompatible with tracing and with the sharded
 	// parallel mode (Shards >= 1).
 	MsgFaults *netmodel.MsgFaults
-	// AckTimeout is the reliable protocol's base retransmission slack:
-	// attempt n retransmits AckTimeout << n after the expected ack
-	// instant. Zero defaults to 8x the network latency. Ignored when
-	// MsgFaults is nil.
-	AckTimeout sim.Time
-	// RetryLimit caps transmission attempts per message; exceeding it
-	// revokes the world with *RankUnreachableError. Zero defaults to 8.
-	// Ignored when MsgFaults is nil.
-	RetryLimit int
 
 	// Engine, if non-nil, attaches the world to an existing engine instead
 	// of owning one: several worlds (jobs) spawned on the same engine run
@@ -152,10 +141,11 @@ type Config struct {
 	Place func(rank int) int
 }
 
+// fabric is the network cost model of every world: a Cray Aries-like NIC
+// (netmodel.AriesLike).
+var fabric = netmodel.AriesLike()
+
 func (c Config) withDefaults() Config {
-	if c.Net == (netmodel.Params{}) {
-		c.Net = netmodel.AriesLike()
-	}
 	if c.FS == (netmodel.FSParams{}) {
 		c.FS = netmodel.LustreLike()
 	}
@@ -165,15 +155,97 @@ func (c Config) withDefaults() Config {
 	if c.Bank == nil {
 		c.Job = 0 // a private bank has exactly one job
 	}
-	if c.MsgFaults != nil {
-		if c.AckTimeout <= 0 {
-			c.AckTimeout = 8 * c.Net.Latency
+	return c
+}
+
+// Validate reports the first input error of c, naming the field: a
+// non-positive world size, a file-system model, fault schedule or job
+// index that does not validate, a fault aimed at a rank or stripe the
+// world lacks, and features that cannot run together. A feature the
+// parallel mode (Shards >= 1) cannot run is refused with
+// *CannotShardError. Zero fields take their defaults first, as in
+// NewWorld, which panics with this error.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.Procs <= 0 {
+		return fmt.Errorf("mpi: Procs %d is not a positive world size", c.Procs)
+	}
+	if err := c.FS.Validate(); err != nil {
+		return fmt.Errorf("mpi: FS: %w", err)
+	}
+	if c.Bank != nil {
+		if c.Job < 0 || c.Job >= c.Bank.Jobs() {
+			return fmt.Errorf("mpi: Job %d outside shared Bank's %d jobs", c.Job, c.Bank.Jobs())
 		}
-		if c.RetryLimit <= 0 {
-			c.RetryLimit = 8
+		if c.Engine == nil {
+			// A shared bank orders reservations by the shared engine's
+			// clock; feeding it from worlds with private engines would
+			// rewind its reservation instants between runs.
+			return errors.New("mpi: a shared Bank requires a shared Engine")
+		}
+		if c.StripeFaults != nil {
+			return errors.New("mpi: StripeFaults on a world with a shared Bank; install faults on the bank via its owner")
 		}
 	}
-	return c
+	for i, ws := range c.RankFaults {
+		if err := sim.ValidateWindows(ws); err != nil {
+			return fmt.Errorf("mpi: RankFaults[%d]: %w", i, err)
+		}
+		if len(ws) > 0 && i >= c.Procs {
+			return fmt.Errorf("mpi: RankFaults[%d] targets rank %d of %d", i, i, c.Procs)
+		}
+	}
+	for i, fs := range c.StripeFaults {
+		if err := sim.ValidateStripeFaults(fs); err != nil {
+			return fmt.Errorf("mpi: StripeFaults[%d]: %w", i, err)
+		}
+		if len(fs) > 0 && i >= c.FS.Stripes {
+			return fmt.Errorf("mpi: StripeFaults[%d] targets stripe %d of %d", i, i, c.FS.Stripes)
+		}
+	}
+	if err := c.LinkFaults.Validate(); err != nil {
+		return fmt.Errorf("mpi: LinkFaults: %w", err)
+	}
+	for i, ce := range c.Crashes {
+		if ce.Target < 0 || ce.Target >= c.Procs {
+			return fmt.Errorf("mpi: Crashes[%d] targets rank %d of %d", i, ce.Target, c.Procs)
+		}
+		if ce.At < 0 || ce.Restart < 0 {
+			return fmt.Errorf("mpi: Crashes[%d] has negative time (at %v, restart %v)", i, ce.At, ce.Restart)
+		}
+	}
+	if c.MsgFaults != nil {
+		if err := c.MsgFaults.Validate(); err != nil {
+			return fmt.Errorf("mpi: MsgFaults: %w", err)
+		}
+	}
+	// Tracing observes one ordered span stream: a killed rank's spans
+	// would dangle, and the reliable protocol's timers fire outside any
+	// rank's program.
+	if c.Tracer != nil && len(c.Crashes) > 0 {
+		return errors.New("mpi: Tracer with Crashes: crash campaigns do not support tracing")
+	}
+	if c.Tracer != nil && c.MsgFaults != nil {
+		return errors.New("mpi: Tracer with MsgFaults: message-fault campaigns do not support tracing")
+	}
+	if c.Shards < 1 {
+		return nil
+	}
+	// The parallel mode partitions per-rank state across concurrently
+	// executing shard engines; the features below all assume one engine
+	// (a shared clock, a global kill/rebuild rendezvous, an ordered trace
+	// stream, the reliable protocol's engine-local acks and timers).
+	switch {
+	case c.Engine != nil: // a shared Bank has required one above
+		return errors.New("mpi: Shards with a shared Engine or Bank; a sharded world owns both")
+	case c.Tracer != nil:
+		return cannotShard("tracing", "-cores")
+	case len(c.Crashes) > 0:
+		return cannotShard("crash campaigns", "-cores")
+	case c.MsgFaults != nil:
+		return cannotShard("message-fault campaigns", "-cores")
+	}
+	return nil
 }
 
 // lookahead computes the parallel mode's conservative window bound: a
@@ -183,11 +255,11 @@ func (c Config) withDefaults() Config {
 // computed with the same float arithmetic StretchLatency applies so the
 // bound is never optimistic.
 func (c Config) lookahead() sim.Time {
-	la := c.Net.Latency
+	la := fabric.Latency
 	if c.LinkFaults != nil {
 		for _, w := range c.LinkFaults.Latency {
 			if w.Factor < 1 {
-				if cand := sim.Time(float64(c.Net.Latency) * w.Factor); cand < la {
+				if cand := sim.Time(float64(fabric.Latency) * w.Factor); cand < la {
 					la = cand
 				}
 			}
@@ -511,9 +583,9 @@ func (rs *rankState) deliveryPri() uint64 {
 // single-engine mode: a run asking for both the conservative parallel
 // mode and the feature is refused with this error rather than silently
 // dropping either. Every classic-only rejection — crash campaigns,
-// message-fault campaigns, tracing — uses this one type, at the app layer as a returned error and in
-// NewWorld's last-resort guards as a panic value, so the message always
-// names the feature and the flag to drop.
+// message-fault campaigns, tracing — uses this one type, returned by
+// Config.Validate and the app layer (NewWorld panics with it), so the
+// message always names the feature and the flag to drop.
 type CannotShardError struct {
 	// Feature names the classic-only feature, e.g. "crash campaigns".
 	Feature string
@@ -556,92 +628,11 @@ func poolFor(cfg Config) *sync.Pool {
 // NewWorld builds a world with cfg.Procs ranks (recycling a released world
 // when one is available). Run starts them.
 func NewWorld(cfg Config) *World {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.withDefaults()
-	if cfg.Procs <= 0 {
-		panic(fmt.Sprintf("mpi: world size %d", cfg.Procs))
-	}
-	if err := cfg.Net.Validate(); err != nil {
-		panic(err)
-	}
-	if err := cfg.FS.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Bank != nil && (cfg.Job < 0 || cfg.Job >= cfg.Bank.Jobs()) {
-		panic(fmt.Sprintf("mpi: job %d outside shared bank's %d jobs", cfg.Job, cfg.Bank.Jobs()))
-	}
-	if cfg.Bank != nil && cfg.Engine == nil {
-		// A shared bank orders reservations by the shared engine's clock;
-		// feeding it from worlds with private engines would rewind its
-		// reservation instants between runs and grant nonsense.
-		panic("mpi: a shared Bank requires a shared Engine")
-	}
-	if cfg.Bank != nil && cfg.StripeFaults != nil {
-		panic("mpi: StripeFaults on a world with a shared Bank; install faults on the bank via its owner")
-	}
-	for i, ws := range cfg.RankFaults {
-		if err := sim.ValidateWindows(ws); err != nil {
-			panic(fmt.Sprintf("mpi: RankFaults[%d]: %v", i, err))
-		}
-		if len(ws) > 0 && i >= cfg.Procs {
-			panic(fmt.Sprintf("mpi: RankFaults[%d] targets rank %d of %d", i, i, cfg.Procs))
-		}
-	}
-	for i, fs := range cfg.StripeFaults {
-		if err := sim.ValidateStripeFaults(fs); err != nil {
-			panic(fmt.Sprintf("mpi: StripeFaults[%d]: %v", i, err))
-		}
-		if len(fs) > 0 && i >= cfg.FS.Stripes {
-			panic(fmt.Sprintf("mpi: StripeFaults[%d] targets stripe %d of %d", i, i, cfg.FS.Stripes))
-		}
-	}
-	if err := cfg.LinkFaults.Validate(); err != nil {
-		panic(fmt.Sprintf("mpi: LinkFaults: %v", err))
-	}
-	if len(cfg.Crashes) > 0 {
-		if cfg.Tracer != nil {
-			panic("mpi: crash campaigns do not support tracing")
-		}
-		for i, ce := range cfg.Crashes {
-			if ce.Target < 0 || ce.Target >= cfg.Procs {
-				panic(fmt.Sprintf("mpi: Crashes[%d] targets rank %d of %d", i, ce.Target, cfg.Procs))
-			}
-			if ce.At < 0 || ce.Restart < 0 {
-				panic(fmt.Sprintf("mpi: Crashes[%d] has negative time (at %v, restart %v)", i, ce.At, ce.Restart))
-			}
-		}
-	}
-	if cfg.MsgFaults != nil {
-		if err := cfg.MsgFaults.Validate(); err != nil {
-			panic(fmt.Sprintf("mpi: MsgFaults: %v", err))
-		}
-		if cfg.Tracer != nil {
-			panic("mpi: message-fault campaigns do not support tracing")
-		}
-	}
 	sharded := cfg.Shards >= 1
-	if sharded {
-		// The parallel mode partitions per-rank state across concurrently
-		// executing shard engines; the features below all assume one
-		// engine (a shared clock, a global kill/rebuild rendezvous, an
-		// ordered trace stream), so they are refused rather than silently
-		// misordered — with the one shared rejection type so every layer
-		// reports the conflict the same way.
-		if cfg.Engine != nil { // a shared Bank has required one above
-			panic("mpi: Shards >= 1 with a shared Engine or Bank; a sharded world owns both")
-		}
-		if cfg.Tracer != nil {
-			panic(cannotShard("tracing", "-cores"))
-		}
-		if len(cfg.Crashes) > 0 {
-			panic(cannotShard("crash campaigns", "-cores"))
-		}
-		if cfg.MsgFaults != nil {
-			// The reliable protocol's acks, reorder buffers and timers are
-			// engine-local sender/receiver state; the shard windows have no
-			// reverse ack channel, so the family is refused loudly.
-			panic(cannotShard("message-fault campaigns", "-cores"))
-		}
-	}
 	// Sharded worlds are built fresh and never pooled: a pooled world's
 	// ranks, matchers and freelists are laid out for one engine.
 	if !sharded {

@@ -8,21 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestParamsValidate(t *testing.T) {
-	if err := AriesLike().Validate(); err != nil {
-		t.Fatalf("AriesLike invalid: %v", err)
-	}
-	bad := Params{BytesPerSecond: 0}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero bandwidth accepted")
-	}
-	neg := AriesLike()
-	neg.Latency = -1
-	if err := neg.Validate(); err == nil {
-		t.Fatal("negative latency accepted")
-	}
-}
-
 func TestSerializationTimeScalesWithSize(t *testing.T) {
 	p := AriesLike()
 	small := p.SerializationTime(1000)

@@ -39,17 +39,6 @@ type Params struct {
 	BytesPerSecond float64
 }
 
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
-	if p.BytesPerSecond <= 0 {
-		return fmt.Errorf("netmodel: BytesPerSecond must be positive, got %v", p.BytesPerSecond)
-	}
-	if p.Latency < 0 || p.SendOverhead < 0 || p.RecvOverhead < 0 || p.MessageGap < 0 {
-		return fmt.Errorf("netmodel: negative time parameter")
-	}
-	return nil
-}
-
 // SerializationTime is the NIC occupancy of an n-byte message: the
 // per-message gap plus the size-proportional term.
 func (p Params) SerializationTime(bytes int64) sim.Time {

@@ -203,10 +203,6 @@ type Options struct {
 	// InjectOverhead is the per-element producer-side overhead o of
 	// Eq. 4: building the element and calling the injection function.
 	InjectOverhead sim.Time
-	// BatchElements, when > 1, aggregates this many elements into one
-	// message (the "data aggregation scheme" optimization the paper
-	// applies to communication-intensive decoupled operations).
-	BatchElements int
 	// FixedOrder disables first-come-first-served consumption: the
 	// consumer drains its home producers in a fixed round-robin order.
 	// It exists to ablate the imbalance-absorption mechanism and only
@@ -220,9 +216,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.InjectOverhead <= 0 {
 		o.InjectOverhead = 200 * sim.Nanosecond
-	}
-	if o.BatchElements <= 0 {
-		o.BatchElements = 1
 	}
 	return o
 }

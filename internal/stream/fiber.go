@@ -3,7 +3,7 @@
 // implementation: step-function rank bodies (mpi.World.RunFibers) call the
 // F forms directly, and CreateChannel, Operate and Free run them on a
 // blocking body's fiber (mpi.Rank.Block). Producer-side calls (Isend,
-// IsendTo, Flush, Terminate) never block and have one form.
+// IsendTo, Terminate) never block and have one form.
 package stream
 
 import (
@@ -61,6 +61,19 @@ func (s *Stream) fexchangeTotals(r *mpi.Rank, totals []int64, then func(int64) s
 	})
 }
 
+// arrived decodes one arrived element and counts it in the consumer's
+// statistics.
+func (s *Stream) arrived(r *mpi.Rank, st mpi.Status) (Element, int) {
+	elem, src := s.unpack(st)
+	s.stats.ElementsReceived++
+	s.stats.Bytes += elem.Bytes
+	if s.stats.FirstAt == 0 {
+		s.stats.FirstAt = r.Now()
+	}
+	s.stats.LastAt = r.Now()
+	return elem, src
+}
+
 // FOperate is Operate in continuation form, the operator included. The
 // final statistics are delivered to then.
 //
@@ -86,40 +99,25 @@ func (s *Stream) FOperate(r *mpi.Rank, op FOperator, then func(Stats) sim.StepFu
 	termReq := c.Irecv(r, mpi.AnySource, s.termTag)
 	reqs := make([]*mpi.Request, 2)
 	// Every continuation of the consumer loop is built here, once: the
-	// loop is the per-message hot path of the decoupled experiments, and a
-	// closure built inside it would allocate per message (per element, for
-	// the batch walker). State the hoisted steps need per message lives in
-	// the captured variables (b, ei, waitStart).
-	var loop, elems sim.StepFunc
+	// loop is the per-element hot path of the decoupled experiments, and a
+	// closure built inside it would allocate per element. State the
+	// hoisted steps need per element lives in captured variables
+	// (waitStart).
+	var loop, next sim.StepFunc
 	var onAny func(int, mpi.Status) sim.StepFunc
 	var exchanged func(int64) sim.StepFunc
-	var b batch
-	var ei int
 	var waitStart sim.Time
-	elems = func(_ *sim.Fiber) sim.StepFunc {
-		if ei >= len(b.elems) {
-			s.stats.Messages++
-			b = batch{}
-			elemReq = c.Irecv(r, mpi.AnySource, s.elemTag)
-			return loop
-		}
-		elem := b.elems[ei]
-		ei++
-		received++
-		s.stats.ElementsReceived++
-		s.stats.Bytes += elem.Bytes
-		if s.stats.FirstAt == 0 {
-			s.stats.FirstAt = r.Now()
-		}
-		s.stats.LastAt = r.Now()
-		return op(r, elem, b.src, elems)
+	// next re-posts the element receive once the operator is done.
+	next = func(_ *sim.Fiber) sim.StepFunc {
+		elemReq = c.Irecv(r, mpi.AnySource, s.elemTag)
+		return loop
 	}
 	onAny = func(idx int, st mpi.Status) sim.StepFunc {
 		s.stats.WaitTime += r.Now() - waitStart
 		if idx == 0 {
-			b = s.unpack(st)
-			ei = 0
-			return elems
+			elem, src := s.arrived(r, st)
+			received++
+			return op(r, elem, src, next)
 		}
 		tm := st.Data.(termMsg)
 		for ci, n := range tm.sentTo {
@@ -177,31 +175,18 @@ func (s *Stream) foperateFixed(r *mpi.Rank, op FOperator, then func(Stats) sim.S
 	reqs := make([]*mpi.Request, 2)
 	si := 0
 	// As in FOperate, every continuation is built once, ahead of the
-	// loop; the current source (st) and batch (b, ei) live in captured
-	// variables since only one wait is ever in flight.
-	var pass, elems sim.StepFunc
+	// loop; the current source (cur) lives in a captured variable since
+	// only one wait is ever in flight.
+	var pass, next sim.StepFunc
 	var onAny func(int, mpi.Status) sim.StepFunc
 	var cur *srcState
-	var b batch
-	var ei int
 	var waitStart sim.Time
-	elems = func(_ *sim.Fiber) sim.StepFunc {
-		if ei >= len(b.elems) {
-			s.stats.Messages++
-			b = batch{}
-			cur.elemReq = nil
-			si++
-			return pass
-		}
-		elem := b.elems[ei]
-		ei++
-		s.stats.ElementsReceived++
-		s.stats.Bytes += elem.Bytes
-		if s.stats.FirstAt == 0 {
-			s.stats.FirstAt = r.Now()
-		}
-		s.stats.LastAt = r.Now()
-		return op(r, elem, b.src, elems)
+	// next moves on to the next source once the operator is done; the
+	// source's element receive is posted again on its next pass.
+	next = func(_ *sim.Fiber) sim.StepFunc {
+		cur.elemReq = nil
+		si++
+		return pass
 	}
 	onAny = func(idx int, status mpi.Status) sim.StepFunc {
 		s.stats.WaitTime += r.Now() - waitStart
@@ -213,9 +198,8 @@ func (s *Stream) foperateFixed(r *mpi.Rank, op FOperator, then func(Stats) sim.S
 			si++
 			return pass
 		}
-		b = s.unpack(status)
-		ei = 0
-		return elems
+		elem, src := s.arrived(r, status)
+		return op(r, elem, src, next)
 	}
 	pass = func(_ *sim.Fiber) sim.StepFunc {
 		if remaining == 0 {

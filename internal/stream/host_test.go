@@ -17,7 +17,7 @@ import (
 // the blocking Operate — against FCreateChannel/FOperate/FFree with an
 // operator that returns FCompute. End time, event count, traced busy time
 // per rank and category and the consumers' statistics must be equal,
-// first-come-first-served and fixed-order, batched and unbatched.
+// first-come-first-served and fixed-order.
 func TestOperateBothForms(t *testing.T) {
 	const procs, producers, elems = 6, 4, 12
 	type outcome struct {
@@ -100,28 +100,26 @@ func TestOperateBothForms(t *testing.T) {
 		return o
 	}
 	for _, fixed := range []bool{false, true} {
-		for _, batch := range []int{1, 4} {
-			opts := Options{ElementBytes: 2048, FixedOrder: fixed, BatchElements: batch}
-			t.Run(fmt.Sprintf("fixed=%v/batch=%d", fixed, batch), func(t *testing.T) {
-				ref := run(t, opts, false, false)
-				if got := ref.stats[procs-1].ElementsReceived; got != elems*producers/(procs-producers) {
-					t.Fatalf("consumer %d received %d elements", procs-1, got)
+		opts := Options{ElementBytes: 2048, FixedOrder: fixed}
+		t.Run(fmt.Sprintf("fixed=%v", fixed), func(t *testing.T) {
+			ref := run(t, opts, false, false)
+			if got := ref.stats[procs-1].ElementsReceived; got != elems*producers/(procs-producers) {
+				t.Fatalf("consumer %d received %d elements", procs-1, got)
+			}
+			for _, traced := range []bool{false, true} {
+				b, f := run(t, opts, true, traced), run(t, opts, false, traced)
+				if b.end != ref.end || f.end != ref.end || b.events != ref.events || f.events != ref.events {
+					t.Errorf("traced=%v: blocking ends %v after %d events, step functions %v after %d, untraced step functions %v after %d",
+						traced, b.end, b.events, f.end, f.events, ref.end, ref.events)
 				}
-				for _, traced := range []bool{false, true} {
-					b, f := run(t, opts, true, traced), run(t, opts, false, traced)
-					if b.end != ref.end || f.end != ref.end || b.events != ref.events || f.events != ref.events {
-						t.Errorf("traced=%v: blocking ends %v after %d events, step functions %v after %d, untraced step functions %v after %d",
-							traced, b.end, b.events, f.end, f.events, ref.end, ref.events)
-					}
-					if b.stats != f.stats {
-						t.Errorf("traced=%v: consumer statistics differ:\n blocking       %+v\n step functions %+v", traced, b.stats, f.stats)
-					}
-					if traced && (len(b.busy[0]) == 0 || !reflect.DeepEqual(b.busy, f.busy)) {
-						t.Errorf("busy time per rank and category:\n blocking       %v\n step functions %v", b.busy, f.busy)
-					}
+				if b.stats != f.stats {
+					t.Errorf("traced=%v: consumer statistics differ:\n blocking       %+v\n step functions %+v", traced, b.stats, f.stats)
 				}
-			})
-		}
+				if traced && (len(b.busy[0]) == 0 || !reflect.DeepEqual(b.busy, f.busy)) {
+					t.Errorf("busy time per rank and category:\n blocking       %v\n step functions %v", b.busy, f.busy)
+				}
+			}
+		})
 	}
 }
 

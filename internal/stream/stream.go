@@ -26,23 +26,11 @@ type Stats struct {
 	ElementsReceived int64
 	// Bytes counts element payload bytes at this endpoint.
 	Bytes int64
-	// Messages counts network messages (smaller than elements when
-	// batching is enabled).
-	Messages int64
 	// FirstAt / LastAt bracket element arrival times on the consumer.
 	FirstAt, LastAt sim.Time
 	// WaitTime is the total time the consumer spent blocked waiting for
 	// data.
 	WaitTime sim.Time
-}
-
-// batch is the wire format of one message of a batched stream: elements
-// plus their producer index. An unbatched stream sends no wrapper: the
-// element's size and payload are the message's own, and the consumer
-// recovers the producer index from the message's source (unpack).
-type batch struct {
-	src   int
-	elems []Element
 }
 
 // termMsg closes a producer's stream: sentTo[ci] is how many elements this
@@ -65,14 +53,9 @@ type Stream struct {
 	consIdx int // -1 on non-consumers
 
 	// Producer state.
-	home       int       // HomeConsumer(prodIdx)
-	sent       []int64   // elements sent, by consumer index
-	pending    []Element // batch under construction
-	pendingDst int
+	home       int     // HomeConsumer(prodIdx)
+	sent       []int64 // elements sent, by consumer index
 	terminated bool
-
-	// Consumer state: where unpack puts an element that arrived unwrapped.
-	lone [1]Element
 
 	stats Stats
 }
@@ -111,57 +94,19 @@ func (s *Stream) IsendTo(r *mpi.Rank, elem Element, consumer int) {
 	s.stats.ElementsSent++
 	s.stats.Bytes += elem.Bytes
 	s.sent[consumer]++
-
-	if s.opts.BatchElements > 1 {
-		if len(s.pending) > 0 && s.pendingDst != consumer {
-			s.flush(r)
-		}
-		s.pending = append(s.pending, elem)
-		s.pendingDst = consumer
-		if len(s.pending) >= s.opts.BatchElements {
-			s.flush(r)
-		}
-		return
-	}
 	s.ch.parent.IsendAndFree(r, s.ch.consumers[consumer], s.elemTag, elem.Bytes, elem.Data)
-	s.stats.Messages++
 }
 
-// Flush sends any batched elements immediately.
-func (s *Stream) Flush(r *mpi.Rank) {
-	if len(s.pending) > 0 {
-		s.flush(r)
-	}
-}
-
-func (s *Stream) flush(r *mpi.Rank) {
-	elems := s.pending
-	s.pending = nil
-	var bytes int64
-	for _, e := range elems {
-		bytes += e.Bytes
-	}
-	dst := s.ch.consumers[s.pendingDst]
-	s.ch.parent.IsendAndFree(r, dst, s.elemTag, bytes, batch{src: s.prodIdx, elems: elems})
-	s.stats.Messages++
-}
-
-// unpack decodes one arrived stream message. A batch is returned as sent;
-// an unwrapped element is rebuilt in the stream's one-element scratch,
-// valid until the next call. The batch type is unexported, so no
-// application payload can be mistaken for one.
-func (s *Stream) unpack(st mpi.Status) batch {
-	if b, ok := st.Data.(batch); ok {
-		return b
-	}
-	s.lone[0] = Element{Bytes: st.Bytes, Data: st.Data}
-	return batch{src: indexOf(s.ch.producers, st.Source), elems: s.lone[:]}
+// unpack decodes one arrived stream message: the element is the message,
+// its size and payload the message's own, and its producer index that of
+// the message's source.
+func (s *Stream) unpack(st mpi.Status) (Element, int) {
+	return Element{Bytes: st.Bytes, Data: st.Data}, indexOf(s.ch.producers, st.Source)
 }
 
 // Terminate closes the producer's side of the stream (paper step 5:
-// MPIStream_Terminate). Any batched elements are flushed first, then a
-// termination record carrying the producer's per-consumer element counts
-// goes to its home consumer.
+// MPIStream_Terminate): a termination record carrying the producer's
+// per-consumer element counts goes to its home consumer.
 func (s *Stream) Terminate(r *mpi.Rank) {
 	if s.prodIdx < 0 {
 		panic("stream: Terminate called on a non-producer rank")
@@ -169,7 +114,6 @@ func (s *Stream) Terminate(r *mpi.Rank) {
 	if s.terminated {
 		panic("stream: Terminate called twice")
 	}
-	s.Flush(r)
 	s.terminated = true
 	// The counts travel as they are: a terminated stream sends nothing more.
 	s.ch.parent.IsendAndFree(r, s.ch.consumers[s.home], s.termTag, 64, termMsg{src: s.prodIdx, sentTo: s.sent})

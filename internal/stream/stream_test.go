@@ -146,31 +146,6 @@ func TestExplicitRoutingByKey(t *testing.T) {
 	}
 }
 
-func TestBatchingReducesMessages(t *testing.T) {
-	count := func(batch int) (msgs int64) {
-		runChannel(t, 3, 2, nil, func(r *mpi.Rank, ch *Channel) {
-			s := ch.Attach(r, Options{BatchElements: batch})
-			if ch.role == Producer {
-				for i := 0; i < 64; i++ {
-					s.Isend(r, Element{})
-				}
-				s.Terminate(r)
-				return
-			}
-			st := s.Operate(r, func(*mpi.Rank, Element, int) {})
-			msgs = st.Messages
-			if st.ElementsReceived != 128 {
-				t.Fatalf("received %d elements, want 128", st.ElementsReceived)
-			}
-		})
-		return msgs
-	}
-	unbatched, batched := count(1), count(16)
-	if batched >= unbatched/8 {
-		t.Fatalf("batching did not reduce messages: %d vs %d", batched, unbatched)
-	}
-}
-
 func TestInjectOverheadCharged(t *testing.T) {
 	elapsed := func(overhead sim.Time) sim.Time {
 		var end sim.Time
@@ -337,7 +312,7 @@ func TestIsendAfterTerminatePanics(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.ElementBytes != 1024 || o.InjectOverhead != 200*sim.Nanosecond || o.BatchElements != 1 {
+	if o.ElementBytes != 1024 || o.InjectOverhead != 200*sim.Nanosecond {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
@@ -384,25 +359,20 @@ func TestDeliveryCountProperty(t *testing.T) {
 	}
 }
 
-// TestUnpackZeroAlloc pins the wire format of an unbatched stream: the
-// element arrives as the message's own size and payload, unpack rebuilds
-// it in the stream's scratch without allocating, and the producer index
-// comes from the message's source. A batch passes through as sent.
+// TestUnpackZeroAlloc pins the stream's wire format: the element arrives
+// as the message's own size and payload, unpack rebuilds it without
+// allocating, and the producer index comes from the message's source.
 func TestUnpackZeroAlloc(t *testing.T) {
 	s := &Stream{ch: &Channel{membership: &membership{producers: []int{2, 5, 7}, consumers: []int{9}}}}
 	payload := interface{}("particles")
-	lone := mpi.Status{Source: 5, Bytes: 64, Data: payload}
-	sent := batch{src: 2, elems: []Element{{Bytes: 8}, {Bytes: 16}}}
-	wrapped := mpi.Status{Source: 7, Bytes: 24, Data: sent}
+	st := mpi.Status{Source: 5, Bytes: 64, Data: payload}
 
-	var b batch
-	if n := testing.AllocsPerRun(100, func() { b = s.unpack(lone) }); n != 0 {
-		t.Errorf("unpacking an unwrapped element allocates %.0f objects, want 0", n)
+	var elem Element
+	var src int
+	if n := testing.AllocsPerRun(100, func() { elem, src = s.unpack(st) }); n != 0 {
+		t.Errorf("unpacking an element allocates %.0f objects, want 0", n)
 	}
-	if b.src != 1 || len(b.elems) != 1 || b.elems[0].Bytes != 64 || b.elems[0].Data != payload {
-		t.Errorf("unwrapped element from parent rank 5 unpacked as %+v, want producer 1 with 64 bytes of %v", b, payload)
-	}
-	if b = s.unpack(wrapped); b.src != 2 || len(b.elems) != 2 || b.elems[1].Bytes != 16 {
-		t.Errorf("batch unpacked as %+v, want it as sent (%+v)", b, sent)
+	if src != 1 || elem.Bytes != 64 || elem.Data != payload {
+		t.Errorf("element from parent rank 5 unpacked as %+v from producer %d, want producer 1 with 64 bytes of %v", elem, src, payload)
 	}
 }

@@ -48,16 +48,17 @@ var surfaceAllow = map[string]string{
 }
 
 // TestExportedSurface fails on an exported func, method or type declared
-// under internal/ that nothing calls but its own package's tests, and on an
-// allow-list entry that names nothing or has gained a caller (DESIGN.md,
-// "The exported surface").
+// under internal/ that nothing calls but its own package's tests, on an
+// option field that no non-test code sets outside its type's withDefaults,
+// and on an allow-list entry that names nothing or has gained a caller
+// (DESIGN.md, "The exported surface").
 func TestExportedSurface(t *testing.T) {
 	rep, err := scanSurface(".", "repro", []string{"internal", "cmd", "examples", "bench/layers"}, surfaceAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range rep.dead {
-		t.Errorf("%s: exported, but nothing outside its own package's tests uses it", d)
+		t.Errorf("%s: exported, but nothing outside its own package's tests uses it (for an option: no non-test code sets it outside withDefaults)", d)
 	}
 	for _, s := range rep.stale {
 		t.Errorf("stale allow-list entry: %s", s)
@@ -67,9 +68,11 @@ func TestExportedSurface(t *testing.T) {
 // TestSurfaceRules runs the guard over a fixture tree that holds one
 // declaration per rule: no caller, a caller only in its own package's test,
 // a caller only in another package's test, a method called only through an
-// interface, a type named only by its own method, and allow-list entries
-// that pass, name nothing, have a caller and name a missing step-function
-// form.
+// interface, a type named only by its own method, allow-list entries that
+// pass, name nothing, have a caller and name a missing step-function form,
+// and option fields set only by withDefaults, set only by their own
+// package's test, set by a literal in another package and set by an
+// assignment in their own package.
 func TestSurfaceRules(t *testing.T) {
 	allow := map[string]string{
 		"a.Allowed": "kept without a caller",
@@ -95,12 +98,21 @@ func TestSurfaceRules(t *testing.T) {
 		"a.Named":         "live",
 		"a.Named.String":  "live",
 		"b.Helper":        "live",
+		"a.Configure":     "live",
+		"a.Options":       "live",
+
+		"a.Options.Defaulted":  "dead",
+		"a.Options.OwnTestSet": "dead",
+		"a.Options.Literal":    "live",
+		"a.Options.Assigned":   "live",
 	}
 	if !reflect.DeepEqual(rep.class, want) {
 		t.Errorf("classified %v, want %v", rep.class, want)
 	}
 	wantDead := []string{
 		"internal/a/a.go:28 a.Orphan",
+		"internal/a/a.go:44 a.Options.Defaulted",
+		"internal/a/a.go:46 a.Options.OwnTestSet",
 		"internal/a/a.go:5 a.Dead",
 		"internal/a/a.go:8 a.OwnTestOnly",
 	}
@@ -131,7 +143,16 @@ type surfaceDecl struct {
 	obj    types.Object    // the declaration in its non-test package
 	own    [][2]token.Pos  // its own declarations: uses inside them do not count
 	recv   *types.TypeName // a method's receiver type
-	caller string          // the first use that keeps it live
+	option bool            // a field of an option type: only a set counts
+	caller string          // the first use (for an option, set) that keeps it live
+}
+
+// isOptionType reports whether an exported type's fields are options: a
+// struct whose name ends in Config, Options or Params.
+func isOptionType(tn *types.TypeName) bool {
+	_, ok := tn.Type().Underlying().(*types.Struct)
+	name := tn.Name()
+	return ok && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Params"))
 }
 
 // surfaceScan type-checks the packages of one module tree.
@@ -153,8 +174,9 @@ type surfaceDir struct {
 // surfaceCheck is one type-checked package: a non-test package, its
 // in-package test variant or its external test package.
 type surfaceCheck struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 // scanSurface type-checks every package under the walked directories of the
@@ -331,7 +353,7 @@ func (s *surfaceScan) check(path string, files []*ast.File, imp types.Importer) 
 	if err != nil {
 		return nil, err
 	}
-	s.checked = append(s.checked, &surfaceCheck{pkg: pkg, info: info})
+	s.checked = append(s.checked, &surfaceCheck{pkg: pkg, info: info, files: files})
 	return pkg, nil
 }
 
@@ -372,11 +394,15 @@ func (s *surfaceScan) checkAll(d *surfaceDir) error {
 	return nil
 }
 
-// decls lists the exported funcs, methods of exported types and exported
-// types declared in the non-test files under internal/.
+// decls lists the exported funcs, methods of exported types, exported
+// types and exported fields of option types declared in the non-test files
+// under internal/. An option's own declaration is its type's withDefaults
+// method: a default fills the field's zero value, it sets nothing.
 func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 	out := map[token.Pos]*surfaceDecl{}
 	byType := map[*types.TypeName]*surfaceDecl{}
+	defaults := map[*types.TypeName][][2]token.Pos{}
+	var options []*surfaceDecl
 	var methods []*ast.FuncDecl
 	info := map[*types.Package]*types.Info{}
 	for _, c := range s.checked {
@@ -414,6 +440,9 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 							own: [][2]token.Pos{{ts.Pos(), ts.End()}}}
 						out[obj.Pos()] = sd
 						byType[obj] = sd
+						if isOptionType(obj) {
+							options = append(options, sd)
+						}
 					}
 				}
 			}
@@ -434,6 +463,9 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 			}
 			span := [2]token.Pos{m.Pos(), m.End()}
 			td.own = append(td.own, span)
+			if m.Name.Name == "withDefaults" {
+				defaults[named.Obj()] = append(defaults[named.Obj()], span)
+			}
 			if m.Name.IsExported() {
 				out[fn.Pos()] = &surfaceDecl{key: td.key + "." + m.Name.Name, dir: d.rel, obj: fn,
 					own: [][2]token.Pos{span}, recv: named.Obj()}
@@ -441,12 +473,24 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 		}
 		methods = methods[:0]
 	}
+	for _, td := range options {
+		tn := td.obj.(*types.TypeName)
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				out[f.Pos()] = &surfaceDecl{key: td.key + "." + f.Name(), dir: td.dir, obj: f,
+					own: defaults[tn], option: true}
+			}
+		}
+	}
 	return out
 }
 
-// use marks decl live if a use at pos counts.
-func (s *surfaceScan) use(decl *surfaceDecl, pos token.Pos) {
-	if decl == nil || decl.caller != "" {
+// use marks decl live if a use at pos counts: set reports whether the use
+// sets a field, the only use that counts for an option. A test never sets
+// an option: a knob that only tests turn is not one a caller has.
+func (s *surfaceScan) use(decl *surfaceDecl, pos token.Pos, set bool) {
+	if decl == nil || decl.caller != "" || decl.option && !set {
 		return
 	}
 	for _, r := range decl.own {
@@ -456,7 +500,7 @@ func (s *surfaceScan) use(decl *surfaceDecl, pos token.Pos) {
 	}
 	p := s.fset.Position(pos)
 	rel, _ := filepath.Rel(s.root, p.Filename)
-	if strings.HasSuffix(p.Filename, "_test.go") && filepath.Dir(rel) == decl.dir {
+	if strings.HasSuffix(p.Filename, "_test.go") && (decl.option || filepath.Dir(rel) == decl.dir) {
 		return
 	}
 	decl.caller = fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)
@@ -488,8 +532,9 @@ func (s *surfaceScan) classify(allow map[string]string) *surfaceReport {
 	addIface(types.Universe.Lookup("error").Type())
 	for _, c := range s.checked {
 		for id, obj := range c.info.Uses {
-			s.use(lookup(obj), id.Pos())
+			s.use(lookup(obj), id.Pos(), false)
 		}
+		s.sets(c, lookup)
 		for e, tv := range c.info.Types {
 			t := tv.Type
 			if t == nil {
@@ -500,7 +545,7 @@ func (s *surfaceScan) classify(allow map[string]string) *surfaceReport {
 				t = p.Elem()
 			}
 			if n, ok := t.(*types.Named); ok {
-				s.use(lookup(n.Origin().Obj()), e.Pos())
+				s.use(lookup(n.Origin().Obj()), e.Pos(), false)
 			}
 		}
 		for _, pkg := range append([]*types.Package{c.pkg}, c.pkg.Imports()...) {
@@ -555,6 +600,45 @@ func (s *surfaceScan) classify(allow map[string]string) *surfaceReport {
 	sort.Strings(rep.dead)
 	sort.Strings(rep.stale)
 	return rep
+}
+
+// sets marks the fields that c's files set: a key of a composite literal,
+// the target of an assignment or increment, or an operand whose address is
+// taken, since a pointer to a field is how a flag or a decoder sets it.
+func (s *surfaceScan) sets(c *surfaceCheck, lookup func(types.Object) *surfaceDecl) {
+	set := func(e ast.Expr) {
+		var id *ast.Ident
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			id = e.Sel
+		case *ast.Ident:
+			id = e
+		default:
+			return
+		}
+		if obj := c.info.Uses[id]; obj != nil {
+			s.use(lookup(obj), id.Pos(), true)
+		}
+	}
+	for _, f := range c.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				set(n.Key)
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					set(l)
+				}
+			case *ast.IncDecStmt:
+				set(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					set(n.X)
+				}
+			}
+			return true
+		})
+	}
 }
 
 func hasMethod(it *types.Interface, name string) bool {

@@ -10,4 +10,5 @@ import (
 func main() {
 	a.FWait()
 	fmt.Println(b.Helper(), a.Live())
+	fmt.Println(a.Configure(a.Options{Literal: 2}))
 }

@@ -37,3 +37,29 @@ func FWait() {}
 
 // Poll is allow-listed as the blocking form of an FPoll that is missing.
 func Poll() {}
+
+// Options holds one option per rule of the field guard.
+type Options struct {
+	// Defaulted is set only by withDefaults.
+	Defaulted int
+	// OwnTestSet is set only by this package's test.
+	OwnTestSet int
+	// Literal is set by a literal in another package.
+	Literal int
+	// Assigned is set by an assignment in this package.
+	Assigned int
+}
+
+func (o Options) withDefaults() Options {
+	if o.Defaulted == 0 {
+		o.Defaulted = 1
+	}
+	return o
+}
+
+// Configure fills o's defaults and derives Assigned.
+func Configure(o Options) Options {
+	o = o.withDefaults()
+	o.Assigned = o.Literal + o.OwnTestSet
+	return o
+}

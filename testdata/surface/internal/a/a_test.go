@@ -2,4 +2,7 @@ package a
 
 import "testing"
 
-func TestOwn(t *testing.T) { OwnTestOnly() }
+func TestOwn(t *testing.T) {
+	OwnTestOnly()
+	Configure(Options{OwnTestSet: 1})
+}
