@@ -6,9 +6,8 @@
 // The sweeps default to 256 processes so `go test -bench=.` stays
 // affordable; set REPRO_MAX_PROCS (e.g. 8192 for the paper's full scale)
 // to extend them, and REPRO_RUNS to average over more seeds. Sweep points
-// run concurrently across REPRO_WORKERS goroutines (default: one per
-// CPU) with bit-identical output for any worker count, and under a
-// relaxed GC target tunable with REPRO_GOGC.
+// run concurrently on one goroutine per CPU with bit-identical output for
+// any worker count, and under a relaxed GC target tunable with REPRO_GOGC.
 // The full-scale sweep is also available through cmd/decouplebench.
 package repro
 

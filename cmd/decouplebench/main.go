@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		experiment = fs.String("experiment", "all", "experiment to run: "+strings.Join(experiments.Names(), ", ")+", or all")
 		maxProcs   = fs.Int("max-procs", 1024, "largest process count in the weak-scaling sweeps (paper: 8192)")
 		runs       = fs.Int("runs", 3, "repetitions per data point (paper: 10)")
-		workers    = fs.Int("workers", 0, "concurrent sweep points, at least 1 (unset: REPRO_WORKERS or one per CPU)")
+		workers    = fs.Int("workers", 0, "concurrent sweep points, at least 1 (unset: one per CPU)")
 		cores      = fs.Int("cores", 0, "fig5-fig8: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
 		jobs       = fs.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
 		coschedPol = fs.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")

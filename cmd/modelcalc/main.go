@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -21,6 +22,11 @@ import (
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// labelWidth is the width of the output's label column, padding
+// included: wider than every label, and fixed so that the value column
+// stays put when a label changes.
+const labelWidth = 61
 
 // run is the command: it parses args, writes the model's predictions to
 // stdout and returns the exit status (2 for flags or parameters it
@@ -49,26 +55,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if !(*gain > 0) || math.IsInf(*gain, 1) {
+		fmt.Fprintf(stderr, "-gain %v: the Op1 speedup must be positive and finite\n", *gain)
+		return 2
+	}
+	tw1 := sim.FromSeconds(w1.Seconds())
 	p := model.Params{
-		TW0:      sim.FromSeconds(w0.Seconds()),
-		TW1:      sim.FromSeconds(w1.Seconds()),
-		TSigma:   sim.FromSeconds(sigma.Seconds()),
-		Alpha:    *alpha,
+		TW0:    sim.FromSeconds(w0.Seconds()),
+		TW1:    tw1,
+		TSigma: sim.FromSeconds(sigma.Seconds()),
+		Alpha:  *alpha,
+		DecoupledTW1: func(float64) sim.Time {
+			return sim.Time(float64(tw1) / *gain)
+		},
 		D:        *d,
 		S:        *s,
 		Overhead: sim.FromSeconds(o.Seconds()),
-	}
-	if *gain > 1 {
-		p.DecoupledTW1 = func(float64) sim.Time {
-			return sim.Time(float64(p.TW1) / *gain)
-		}
 	}
 	if err := p.Validate(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, labelWidth, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "Eq. 1 conventional Tc\t%v\n", model.Conventional(p))
 	fmt.Fprintf(tw, "Eq. 2 ideal decoupled Td\t%v\n", model.DecoupledIdeal(p))
 	fmt.Fprintf(tw, "Eq. 3 pipelined Td\t%v\n", model.DecoupledPipelined(p))
@@ -77,9 +86,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(tw, "memory bound (streaming)\t%d bytes\n", model.MemoryBound(p, false))
 	fmt.Fprintf(tw, "memory bound (buffered)\t%d bytes\n", model.MemoryBound(p, true))
 
-	alphas := []float64{0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5}
+	alphas := make([]float64, 63)
+	for k := range alphas {
+		alphas[k] = float64(k+1) / 64
+	}
 	bestA, tA := model.OptimalAlpha(p, alphas)
-	fmt.Fprintf(tw, "optimal alpha over %v\t%g (Td %v)\n", alphas, bestA, tA)
+	fmt.Fprintf(tw, "optimal alpha over 1/64..63/64\t%g (Td %v)\n", bestA, tA)
 
 	grains := []int64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 	bestS, tS := model.OptimalGranularity(p, grains)

@@ -200,10 +200,6 @@ const haloTag = 3
 func runReference(c Config, nonblocking bool) (Result, error) {
 	w := mpi.NewWorld(c.worldConfig(c.Procs, 0))
 	dims := mpi.BalancedDims(c.Procs, 3)
-	// finished[i] is the instant rank i's body ended: rank i writes only
-	// slot i, so ranks hosted on different parallel-mode workers never
-	// share a word. The makespan folds after the engines stop.
-	finished := make([]sim.Time, c.Procs)
 	inner, boundary := c.iterCompute()
 	face := c.faceBytes()
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
@@ -223,10 +219,6 @@ func runReference(c Config, nonblocking bool) (Result, error) {
 		reqs := make([]*mpi.Request, 0, 12)
 		k := 0
 		var exchSrc int
-		record := func(_ *sim.Fiber) sim.StepFunc {
-			finished[r.ID()] = r.Now()
-			return nil
-		}
 		// Residual aggregation: two global dot products per CG iteration.
 		onDot1 = func(mpi.Part) sim.StepFunc {
 			return world.FAllreduce(r, mpi.Part{Bytes: 8}, mpi.SumFloat64, nil, onDot2)
@@ -259,7 +251,7 @@ func runReference(c Config, nonblocking bool) (Result, error) {
 		}
 		iter = func(_ *sim.Fiber) sim.StepFunc {
 			if it >= c.Iterations {
-				return record
+				return nil
 			}
 			it++
 			if nonblocking {
@@ -287,20 +279,9 @@ func runReference(c Config, nonblocking bool) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Time: maxTime(finished), Messages: w.MessagesSent()}
+	res := Result{Time: w.Makespan(), Messages: w.MessagesSent()}
 	w.Release()
 	return res, nil
-}
-
-// maxTime folds a per-rank instant slice into its maximum.
-func maxTime(ts []sim.Time) sim.Time {
-	var m sim.Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }
 
 // faceMsg is one streamed boundary face.
@@ -322,7 +303,6 @@ func runDecoupled(c Config) (Result, error) {
 	dims := mpi.BalancedDims(computes, 3)
 	inner, boundary := c.iterCompute()
 	face := c.faceBytes()
-	finished := make([]sim.Time, c.Procs)
 	const aggTag = 4
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
@@ -332,12 +312,7 @@ func runDecoupled(c Config) (Result, error) {
 		}
 		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
 			st := ch.Attach(r, stream.Options{ElementBytes: face})
-			finish := func(_ *sim.Fiber) sim.StepFunc {
-				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
-					finished[r.ID()] = r.Now()
-					return nil
-				})
-			}
+			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			if role == stream.Producer {
 				// Compute ranks occupy world ranks 0..computes-1, so the
 				// producer index equals the world rank and the Cartesian
@@ -408,7 +383,7 @@ func runDecoupled(c Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Time: maxTime(finished), Messages: w.MessagesSent()}
+	res := Result{Time: w.Makespan(), Messages: w.MessagesSent()}
 	w.Release()
 	return res, nil
 }

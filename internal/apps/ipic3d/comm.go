@@ -40,17 +40,6 @@ func (c Config) commWorldConfig(computes, helpers int) mpi.Config {
 	return mc
 }
 
-// maxTime folds a per-rank instant slice into its maximum.
-func maxTime(ts []sim.Time) sim.Time {
-	var m sim.Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // RunCommReference executes the reference particle communication (Fig. 7,
 // blue bars): after the mover, every process forwards exiting particles to
 // its six direct neighbours; forwarding repeats (diagonal movers travel
@@ -67,10 +56,7 @@ func RunCommReference(c Config) (Result, error) {
 	w := mpi.NewWorld(c.commWorldConfig(c.Procs, 0))
 	dims := dims3(c.Procs)
 	field := c.field(dims, c.Procs)
-	// finished[i] is the instant rank i's body ended: rank i writes only
-	// slot i, so ranks hosted on different parallel-mode workers never
-	// share a word. totalRounds is written by rank 0 alone.
-	finished := make([]sim.Time, c.Procs)
+	// totalRounds is written by rank 0 alone.
 	totalRounds := 0
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
@@ -100,7 +86,6 @@ func RunCommReference(c Config) (Result, error) {
 		}, &roundLoop)
 		stepLoop = func(_ *sim.Fiber) sim.StepFunc {
 			if step >= c.Steps {
-				finished[r.ID()] = r.Now()
 				return nil
 			}
 			step++
@@ -162,7 +147,7 @@ func RunCommReference(c Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Time: maxTime(finished), Messages: w.MessagesSent(), ForwardRounds: totalRounds}
+	res := Result{Time: w.Makespan(), Messages: w.MessagesSent(), ForwardRounds: totalRounds}
 	w.Release()
 	return res, nil
 }
@@ -194,7 +179,6 @@ func RunCommDecoupled(c Config) (Result, error) {
 	w := mpi.NewWorld(c.commWorldConfig(computes, helpers))
 	dims := dims3(computes)
 	field := c.field(dims, computes)
-	finished := make([]sim.Time, c.Procs)
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		role := stream.Producer
@@ -203,12 +187,7 @@ func RunCommDecoupled(c Config) (Result, error) {
 		}
 		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
 			st := ch.Attach(r, stream.Options{ElementBytes: c.ParticleBytes})
-			finish := func(_ *sim.Fiber) sim.StepFunc {
-				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
-					finished[r.ID()] = r.Now()
-					return nil
-				})
-			}
+			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			if role == stream.Producer {
 				g0 := ch.ProducerComm()
 				cart := mpi.NewCart(g0, dims[:], true)
@@ -323,7 +302,7 @@ func RunCommDecoupled(c Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Time: maxTime(finished), Messages: w.MessagesSent()}
+	res := Result{Time: w.Makespan(), Messages: w.MessagesSent()}
 	w.Release()
 	return res, nil
 }

@@ -1,12 +1,15 @@
 package ipic3d
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // ioVariants is the Fig. 8 sweep order used by the fault tests.
@@ -110,5 +113,69 @@ func TestStartIORejectsStripeFaults(t *testing.T) {
 	base := mpi.Config{Engine: eng, Bank: sim.NewBank(4, 1, sim.BankFCFS), FS: netmodel.LustreLike()}
 	if _, err := StartIO(c, IODecoupled, base); err == nil {
 		t.Fatal("StartIO accepted stripe faults on a shared bank")
+	}
+}
+
+// TestTracingNeutralUnderFaults: tracing observes a faulted run without
+// moving it. For every variant, a recovery run through a crash and
+// restart, a RunIO at 5 % message loss and a co-scheduled StartIO job
+// each return the same result and fire the same number of events traced
+// as untraced, and the traced run records spans.
+func TestTracingNeutralUnderFaults(t *testing.T) {
+	for _, v := range ioVariants {
+		clean, err := RunRecovery(recTestConfig(), v, 3)
+		if err != nil {
+			t.Fatalf("%v clean: %v", v, err)
+		}
+		runs := []struct {
+			name string
+			run  func(tr mpi.Tracer) (any, error)
+		}{
+			{"recovery", func(tr mpi.Tracer) (any, error) {
+				c := recTestConfig()
+				c.Faults = crashAtThird(clean.Time, 2)
+				c.Tracer = tr
+				return RunRecovery(c, v, 3)
+			}},
+			{"lossy", func(tr mpi.Tracer) (any, error) {
+				c := quickConfig(17)
+				c.Faults = &faults.Injection{Msg: &netmodel.MsgFaults{DropSeed: 1, DropRate: 0.05}}
+				c.Tracer = tr
+				return RunIO(c, v)
+			}},
+			{"cosched", func(tr mpi.Tracer) (any, error) {
+				c := quickConfig(16)
+				c.Tracer = tr
+				return cluster.Run(cluster.Config{Seed: c.Seed, Jobs: []cluster.Job{{Start: func(base mpi.Config) (*mpi.World, error) {
+					j, err := StartIO(c, v, base)
+					if err != nil {
+						return nil, err
+					}
+					return j.World(), nil
+				}}}})
+			}},
+		}
+		for _, r := range runs {
+			before := sim.GlobalEvents()
+			plain, err := r.run(nil)
+			if err != nil {
+				t.Fatalf("%v %s untraced: %v", v, r.name, err)
+			}
+			plainEvents := sim.GlobalEvents() - before
+			var rec trace.Recorder
+			before = sim.GlobalEvents()
+			traced, err := r.run(&rec)
+			if err != nil {
+				t.Fatalf("%v %s traced: %v", v, r.name, err)
+			}
+			tracedEvents := sim.GlobalEvents() - before
+			if !reflect.DeepEqual(traced, plain) || tracedEvents != plainEvents {
+				t.Errorf("%v %s: tracing moved the run: %+v in %d events, untraced %+v in %d",
+					v, r.name, traced, tracedEvents, plain, plainEvents)
+			}
+			if rec.Len() == 0 {
+				t.Errorf("%v %s: traced run recorded no spans", v, r.name)
+			}
+		}
 	}
 }

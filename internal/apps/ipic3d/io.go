@@ -2,6 +2,7 @@ package ipic3d
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -75,8 +76,8 @@ func RunIO(c Config, v IOVariant) (Result, error) {
 	if c.Cores >= 1 {
 		mc.Shards, mc.Place = s.placement(c.Cores)
 	}
-	// Message faults with tracing or -cores, and tracing with -cores, are
-	// refused here rather than by a panic deep inside a sweep.
+	// Message faults or tracing with -cores are refused here rather than
+	// by a panic deep inside a sweep.
 	if err := mc.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -102,12 +103,10 @@ type ioRun struct {
 	v IOVariant
 	layout
 
-	// finished and lastCompute are per-world-rank records: rank i writes
-	// only slot i, so ranks hosted on different parallel-mode workers
-	// never share a word. finished[i] is the instant rank i's body ended;
-	// lastCompute[i] is when it finished its final mover slice. The run's
-	// makespan and I/O tail are folded from them after the engines stop.
-	finished    []sim.Time
+	// lastCompute[i] is when rank i finished its final mover slice: rank
+	// i writes only slot i, so ranks hosted on different parallel-mode
+	// workers never share a word. The I/O tail is folded from it after
+	// the engines stop.
 	lastCompute []sim.Time
 	file        *mpi.File
 }
@@ -115,11 +114,6 @@ type ioRun struct {
 // noteCompute records the end of a rank's final mover.
 func (s *ioRun) noteCompute(r *mpi.Rank) {
 	s.lastCompute[r.ID()] = r.Now()
-}
-
-// noteFinish records the end of a rank's body.
-func (s *ioRun) noteFinish(r *mpi.Rank) {
-	s.finished[r.ID()] = r.Now()
 }
 
 // placement maps the job's ranks onto cores workers: the decoupled
@@ -142,8 +136,7 @@ func (s *ioRun) placement(cores int) (int, func(rank int) int) {
 
 // newIORun derives the job's particle layout for the chosen variant.
 func newIORun(c Config, v IOVariant) *ioRun {
-	return &ioRun{c: c, v: v, layout: newLayout(c, v),
-		finished: make([]sim.Time, c.Procs), lastCompute: make([]sim.Time, c.Procs)}
+	return &ioRun{c: c, v: v, layout: newLayout(c, v), lastCompute: make([]sim.Time, c.Procs)}
 }
 
 // layout is the particle layout of a Fig. 8 run, shared by the I/O bodies
@@ -179,19 +172,8 @@ func (s *ioRun) body() mpi.FiberMain {
 
 // result collects the job's outcome once the engine has run.
 func (s *ioRun) result(w *mpi.World) Result {
-	var makespan, lastCompute sim.Time
-	for i := range s.finished {
-		if s.finished[i] > makespan {
-			makespan = s.finished[i]
-		}
-		if s.lastCompute[i] > lastCompute {
-			lastCompute = s.lastCompute[i]
-		}
-	}
-	tail := makespan - lastCompute
-	if tail < 0 {
-		tail = 0
-	}
+	makespan := w.Makespan()
+	tail := max(makespan-slices.Max(s.lastCompute), 0)
 	return Result{Time: makespan, Messages: w.MessagesSent(), BytesWritten: s.file.BytesWritten(), IOTail: tail, Retransmits: w.Retransmits()}
 }
 
@@ -223,15 +205,10 @@ func StartIO(c Config, v IOVariant, base mpi.Config) (*IOJob, error) {
 	if err := validIOVariant(v); err != nil {
 		return nil, err
 	}
-	if c.Tracer != nil {
-		// Spans carry a rank but no job, so co-scheduled worlds would
-		// interleave on one timeline; refuse rather than silently
-		// dropping the tracer.
-		return nil, fmt.Errorf("ipic3d: tracing is not supported in co-scheduled runs")
-	}
 	base.Procs = c.Procs
 	base.Seed = c.Seed
 	base.Noise = c.Noise
+	base.Tracer = c.Tracer
 	if c.Faults != nil {
 		if c.Faults.Stripe != nil {
 			// Stripe faults in a co-scheduled run degrade the shared bank,
@@ -289,7 +266,6 @@ func (s *ioRun) referenceBody() mpi.FiberMain {
 			}
 			stepLoop = func(_ *sim.Fiber) sim.StepFunc {
 				if step >= c.Steps {
-					s.noteFinish(r)
 					return nil
 				}
 				step++
@@ -315,12 +291,7 @@ func (s *ioRun) decoupledBody() mpi.FiberMain {
 		}
 		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
 			st := ch.Attach(r, stream.Options{})
-			finish := func(_ *sim.Fiber) sim.StepFunc {
-				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
-					s.noteFinish(r)
-					return nil
-				})
-			}
+			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			if role == stream.Producer {
 				g0 := ch.ProducerComm()
 				cart := mpi.NewCart(g0, s.dims[:], true)

@@ -89,19 +89,13 @@ func RunRecovery(c Config, v IOVariant, ckptEvery int) (RecoveryResult, error) {
 	if ckptEvery < 1 {
 		return RecoveryResult{}, fmt.Errorf("ipic3d: checkpoint interval %d", ckptEvery)
 	}
-	if c.Tracer != nil {
-		// NewWorld rejects tracing under a crash campaign (spans of
-		// killed ranks would dangle); refuse uniformly so a crash-free
-		// recovery run traces the same as a crashing one would.
-		return RecoveryResult{}, fmt.Errorf("ipic3d: tracing is not supported for recovery runs")
-	}
 	if c.Faults != nil && c.Faults.Msg != nil {
 		// An unreachable rank revokes the world with an error the bodies
 		// do not recover from: they rebuild after a crash, not a link
 		// the protocol gave up on.
 		return RecoveryResult{}, fmt.Errorf("ipic3d: message-fault campaign on a recovery run; it recovers from crashes only")
 	}
-	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise}
+	mc := mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer}
 	if c.Faults != nil {
 		mc.RankFaults = c.Faults.Rank
 		mc.StripeFaults = c.Faults.Stripe
@@ -138,7 +132,6 @@ type recRun struct {
 	// when an I/O rank — the memory tier — is the crash victim.
 	bankCommitted int
 
-	makespan     sim.Time
 	totalCompute sim.Time
 	restarts     int64
 	failovers    int64
@@ -211,7 +204,7 @@ func (s *recRun) usefulCompute() sim.Time {
 func (s *recRun) result(w *mpi.World) RecoveryResult {
 	useful := s.usefulCompute()
 	return RecoveryResult{
-		Time:            s.makespan,
+		Time:            w.Makespan(),
 		TotalCompute:    s.totalCompute,
 		UsefulCompute:   useful,
 		WastedCompute:   s.totalCompute - useful,
@@ -255,16 +248,6 @@ func (s *recRun) body() mpi.FiberMain {
 	}
 }
 
-// recFinish records the rank's completion instant.
-func (s *recRun) recFinish(r *mpi.Rank) sim.StepFunc {
-	return func(_ *sim.Fiber) sim.StepFunc {
-		if t := r.Now(); t > s.makespan {
-			s.makespan = t
-		}
-		return nil
-	}
-}
-
 // referenceAttempt is one protected pass of a coupled variant: mover
 // steps, then a full-state checkpoint through WriteAll or WriteShared,
 // closed by a commit barrier. Every (re)entry starts with the collective
@@ -278,7 +261,6 @@ func (s *recRun) referenceAttempt(r *mpi.Rank) sim.StepFunc {
 	myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
 	mt := c.moverTime(myCount)
 	out := s.ckptBytes(myCount)
-	finish := s.recFinish(r)
 	return func(_ *sim.Fiber) sim.StepFunc {
 		return world.FOpen(r, recCkptFile, func(f *mpi.File) sim.StepFunc {
 			s.file = f
@@ -290,7 +272,7 @@ func (s *recRun) referenceAttempt(r *mpi.Rank) sim.StepFunc {
 			}
 			segLoop = func(_ *sim.Fiber) sim.StepFunc {
 				if s.committed >= c.Steps {
-					return finish
+					return nil
 				}
 				i = s.committed
 				to = s.segEnd(i)
@@ -348,7 +330,7 @@ func (s *recRun) decoupledAttempt(r *mpi.Rank) sim.StepFunc {
 			return world.FSplit(r, color, r.ID(), func(group *mpi.Comm) sim.StepFunc {
 				finish := func(_ *sim.Fiber) sim.StepFunc {
 					return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
-						return r.FCheckFailed(s.recFinish(r))
+						return r.FCheckFailed(nil)
 					})
 				}
 				if color == 0 {

@@ -166,17 +166,6 @@ func (c Config) worldConfig(mappers, reducers int) mpi.Config {
 	return mc
 }
 
-// maxTime folds a per-rank instant slice into its maximum.
-func maxTime(ts []sim.Time) sim.Time {
-	var m sim.Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // Result reports one run's outcome.
 type Result struct {
 	// Time is the application makespan in virtual time.
@@ -250,10 +239,6 @@ func RunReference(c Config) (Result, error) {
 	}
 	corpus := c.corpus()
 	w := mpi.NewWorld(c.worldConfig(c.Procs, 0))
-	// finished[i] is the instant rank i's body ended: rank i writes only
-	// slot i, so ranks hosted on different parallel-mode workers never
-	// share a word. The makespan folds after the engines stop.
-	finished := make([]sim.Time, c.Procs)
 	shares := c.inputShares(c.Procs)
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
@@ -269,10 +254,7 @@ func RunReference(c Config) (Result, error) {
 					return world.FIreduce(r, 0, mpi.Part{Bytes: c.GlobalKeyBytes}, mpi.SumInt64,
 						mpi.LinearCost(sim.Time(float64(sim.Second)/c.MergeRate)),
 						func(rr *mpi.CollRequest) sim.StepFunc {
-							return world.FWaitColl(r, rr, func(interface{}) sim.StepFunc {
-								finished[r.ID()] = r.Now()
-								return nil
-							})
+							return world.FWaitColl(r, rr, func(interface{}) sim.StepFunc { return nil })
 						})
 				})
 			})
@@ -281,7 +263,7 @@ func RunReference(c Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Time: maxTime(finished), TotalBytes: corpus.TotalBytes(), Messages: w.MessagesSent()}
+	res := Result{Time: w.Makespan(), TotalBytes: corpus.TotalBytes(), Messages: w.MessagesSent()}
 	w.Release()
 	return res, nil
 }
@@ -302,9 +284,8 @@ func RunDecoupled(c Config) (Result, error) {
 	}
 	mappers := c.Procs - reducers
 	w := mpi.NewWorld(c.worldConfig(mappers, reducers))
-	finished := make([]sim.Time, c.Procs)
-	// elems[i] is rank i's stream-element count (consumers only); like
-	// finished it is strictly per-rank, so sharded workers never race.
+	// elems[i] is rank i's stream-element count (consumers only): rank i
+	// writes only slot i, so sharded workers never race.
 	elems := make([]int64, c.Procs)
 	shares := c.inputShares(mappers)
 	// masterWorld is the world rank of the reduce group's master: the
@@ -324,12 +305,7 @@ func RunDecoupled(c Config) (Result, error) {
 			mergeCost := func(bytes int64) sim.Time {
 				return sim.FromSeconds(float64(bytes) / c.StreamMergeRate)
 			}
-			finish := func(_ *sim.Fiber) sim.StepFunc {
-				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
-					finished[r.ID()] = r.Now()
-					return nil
-				})
-			}
+			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			switch {
 			case role == stream.Producer:
 				pi := ch.ProducerIndex(r)
@@ -422,7 +398,7 @@ func RunDecoupled(c Config) (Result, error) {
 		elements += e
 	}
 	res := Result{
-		Time:       maxTime(finished),
+		Time:       w.Makespan(),
 		TotalBytes: corpus.TotalBytes(),
 		Messages:   w.MessagesSent(),
 		Elements:   elements,

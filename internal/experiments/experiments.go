@@ -51,8 +51,8 @@ type Options struct {
 	Runs int
 	// Workers is the number of sweep points simulated concurrently. Each
 	// simulation owns its engine, so points are embarrassingly parallel
-	// and results are bit-identical to a serial sweep. Zero means the
-	// REPRO_WORKERS environment variable, or else one worker per CPU.
+	// and results are bit-identical to a serial sweep. Zero means one
+	// worker per CPU.
 	Workers int
 	// Cores, when >= 1, runs each point's simulation in the engine's
 	// conservative parallel mode with that many workers (rows are
@@ -92,11 +92,7 @@ func (o Options) withDefaults() Options {
 		o.Runs = 3
 	}
 	if o.Workers <= 0 {
-		if v, err := strconv.Atoi(os.Getenv("REPRO_WORKERS")); err == nil && v > 0 {
-			o.Workers = v
-		} else {
-			o.Workers = runtime.NumCPU()
-		}
+		o.Workers = runtime.NumCPU()
 	}
 	return o
 }

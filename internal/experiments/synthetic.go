@@ -112,7 +112,6 @@ func RunSyntheticConventional(c SyntheticConfig) (sim.Time, error) {
 	}
 	factors := workload.Imbalance(c.Procs, c.ImbalanceCoV, c.Seed+5)
 	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer})
-	var makespan sim.Time
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
 		return r.FComputeLabeled(sim.Time(float64(c.W0)*factors[r.ID()]), "op0", func(_ *sim.Fiber) sim.StepFunc {
@@ -120,20 +119,16 @@ func RunSyntheticConventional(c SyntheticConfig) (sim.Time, error) {
 			// the completion of the operation (Section II-A).
 			return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
 				return r.FComputeLabeled(c.tw1(), "op1", func(_ *sim.Fiber) sim.StepFunc {
-					return world.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
-						if t := r.Now(); t > makespan {
-							makespan = t
-						}
-						return nil
-					})
+					return world.FBarrier(r, nil)
 				})
 			})
 		})
 	})
-	if err == nil {
-		w.Release()
+	if err != nil {
+		return 0, err
 	}
-	return makespan, err
+	defer w.Release()
+	return w.Makespan(), nil
 }
 
 // RunSyntheticDecoupled executes the decoupled model: producers compute
@@ -160,7 +155,6 @@ func runSyntheticStream(c SyntheticConfig, so stream.Options, straggle float64, 
 	factors := workload.Imbalance(producers, c.ImbalanceCoV, c.Seed+5)
 	factors[0] *= straggle
 	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: c.Tracer})
-	var makespan sim.Time
 	perProducer := c.D / int64(producers)
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
@@ -170,14 +164,7 @@ func runSyntheticStream(c SyntheticConfig, so stream.Options, straggle float64, 
 		}
 		return stream.FCreateChannel(r, world, role, func(ch *stream.Channel) sim.StepFunc {
 			st := ch.Attach(r, so)
-			finish := func(_ *sim.Fiber) sim.StepFunc {
-				return ch.FFree(r, func(_ *sim.Fiber) sim.StepFunc {
-					if t := r.Now(); t > makespan {
-						makespan = t
-					}
-					return nil
-				})
-			}
+			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			if role == stream.Producer {
 				// Op0 grows by P/(P - alpha P) on the remaining processes.
 				myW0 := sim.Time(float64(c.W0) * factors[r.ID()] * float64(c.Procs) / float64(producers))
@@ -198,10 +185,11 @@ func runSyntheticStream(c SyntheticConfig, so stream.Options, straggle float64, 
 			})
 		})
 	})
-	if err == nil {
-		w.Release()
+	if err != nil {
+		return 0, err
 	}
-	return makespan, err
+	defer w.Release()
+	return w.Makespan(), nil
 }
 
 // syntheticProducer returns the producer-side step: compute a slice of

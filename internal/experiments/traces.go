@@ -108,7 +108,6 @@ func runSyntheticNonblocking(c SyntheticConfig, tracer *trace.Recorder) (sim.Tim
 	}
 	factors := workload.Imbalance(c.Procs, c.ImbalanceCoV, c.Seed+5)
 	w := mpi.NewWorld(mpi.Config{Procs: c.Procs, Seed: c.Seed, Noise: c.Noise, Tracer: tracer})
-	var makespan sim.Time
 	_, err := w.Run(func(r *mpi.Rank) {
 		world := r.World()
 		// Op0 with imbalance; the exchange is posted nonblocking halfway
@@ -120,9 +119,9 @@ func runSyntheticNonblocking(c SyntheticConfig, tracer *trace.Recorder) (sim.Tim
 		world.WaitColl(r, done)
 		r.ComputeLabeled(c.tw1(), "op1")
 		world.Barrier(r)
-		if t := r.Now(); t > makespan {
-			makespan = t
-		}
 	})
-	return makespan, err
+	if err != nil {
+		return 0, err
+	}
+	return w.Makespan(), nil
 }

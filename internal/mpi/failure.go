@@ -34,13 +34,14 @@
 // dropped at delivery when the epoch has moved on, so traffic from a
 // pre-crash attempt can never match a post-rebuild receive.
 //
-// Limitations: crash campaigns do not compose with tracing (NewWorld
-// rejects the combination) or with nonblocking collectives in flight at
-// a crash instant (their helper processes are not enrolled in the kill).
+// Limitations: crash campaigns do not compose with nonblocking
+// collectives in flight at a crash instant (their helper processes are
+// not enrolled in the kill).
 package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -96,19 +97,55 @@ func (rs *rankState) finished() bool {
 	return !rs.dead && rs.fib != nil && rs.fib.Done()
 }
 
+// committed reports whether any rank body has returned. Under the commit
+// protocol the run's output is then final and a late failure (crash or
+// unreachable peer) is dropped — otherwise a finished rank could never
+// rejoin the rebuild rendezvous.
+func (w *World) committed() bool {
+	return slices.ContainsFunc(w.ranks, (*rankState).finished)
+}
+
+// failPosted is the peer-failure notification of a revocation: every
+// pending posted receive of every rank but skip completes now with the
+// world's failure, waking any parked waiter, and every rank's matching
+// state is reset, skip's last. Posting order (seq) fixes the wake order
+// within a rank; rank order fixes it across ranks.
+func (w *World) failPosted(skip *rankState) {
+	e := w.eng
+	now := e.Now()
+	for _, peer := range w.ranks {
+		if peer == skip {
+			continue
+		}
+		w.prScratch = peer.match.pendingPosted(w.prScratch[:0])
+		for _, p := range w.prScratch {
+			req := p.req
+			req.done = true
+			req.doneAt = now
+			req.timed = false
+			req.status = Status{Err: w.failure}
+			if req.waiter != nil {
+				e.WakeAt(now, req.waiter.f)
+			} else if req.anyw != nil {
+				req.anyw.WakeAt(now)
+				req.anyw = nil
+			}
+		}
+		peer.match.reset()
+	}
+	if skip != nil {
+		skip.match.reset()
+	}
+}
+
 // killRank is the crash event: it kills rank target at the current
 // instant, revokes the world, fails every pending receive, and schedules
 // the restart. Every step is ordered deterministically (sorted file
 // keys, rank order, posting order), so a fixed campaign replays
 // bit-for-bit.
 func (w *World) killRank(target int, restart sim.Time) {
-	// Commit protocol: once any rank body has returned, the run's output
-	// is final and a late crash is dropped — otherwise a finished rank
-	// could never rejoin the rebuild rendezvous.
-	for _, rs := range w.ranks {
-		if rs.finished() {
-			return
-		}
+	if w.committed() {
+		return
 	}
 	rs := w.ranks[target]
 	if rs.dead {
@@ -151,31 +188,7 @@ func (w *World) killRank(target int, restart sim.Time) {
 	// never wedges on a dead rank.
 	w.drainIO(rs)
 
-	// Peer-failure notification: every pending posted receive on every
-	// surviving rank completes now with the failure error, waking any
-	// parked waiter. Posting order (seq) fixes the wake order within a
-	// rank; rank order fixes it across ranks.
-	for _, peer := range w.ranks {
-		if peer == rs {
-			continue
-		}
-		w.prScratch = peer.match.pendingPosted(w.prScratch[:0])
-		for _, p := range w.prScratch {
-			req := p.req
-			req.done = true
-			req.doneAt = now
-			req.timed = false
-			req.status = Status{Err: w.failure}
-			if req.waiter != nil {
-				e.WakeAt(now, req.waiter.f)
-			} else if req.anyw != nil {
-				req.anyw.WakeAt(now)
-				req.anyw = nil
-			}
-		}
-		peer.match.reset()
-	}
-	rs.match.reset()
+	w.failPosted(rs)
 	// A rank dying with unacked reliable sends (or held out-of-order
 	// arrivals) must not leak them into the rebuilt world: sequence
 	// counters, in-flight entries and reorder buffers all restart at

@@ -387,38 +387,16 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 // posted-receive sweep in rank/posting order — but kills and restarts
 // nobody; recovery is the application's Protect/Rebuild round trip.
 func (w *World) unreachable(en *relEntry) {
-	// Commit protocol: once any rank body has returned, the run's output
-	// is final and a late failure is dropped (mirrors killRank).
-	for _, rs := range w.ranks {
-		if rs.finished() {
-			return
-		}
+	if w.committed() {
+		return
 	}
-	e := w.eng
-	now := e.Now()
 	w.epoch++
 	w.revoked = true
 	w.failure = &RankUnreachableError{
 		World: w.cfg.Name, Src: en.sender.rank, Dst: en.dst.rank,
 		Seq: en.seq, Attempts: en.attempt, Epoch: w.epoch,
 	}
-	for _, peer := range w.ranks {
-		w.prScratch = peer.match.pendingPosted(w.prScratch[:0])
-		for _, p := range w.prScratch {
-			req := p.req
-			req.done = true
-			req.doneAt = now
-			req.timed = false
-			req.status = Status{Err: w.failure}
-			if req.waiter != nil {
-				e.WakeAt(now, req.waiter.f)
-			} else if req.anyw != nil {
-				req.anyw.WakeAt(now)
-				req.anyw = nil
-			}
-		}
-		peer.match.reset()
-	}
+	w.failPosted(nil)
 	w.relReset()
 }
 

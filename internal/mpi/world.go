@@ -82,16 +82,15 @@ type Config struct {
 	// failure.go for the failure and recovery semantics). Events must be
 	// sorted by (At, Target) — internal/faults compiles them that way —
 	// so kill order is deterministic. Nil schedules nothing and leaves
-	// trajectories byte-identical to a crash-free build. Crash campaigns
-	// are incompatible with tracing.
+	// trajectories byte-identical to a crash-free build.
 	Crashes []sim.CrashEvent
 	// MsgFaults makes the fabric lose or duplicate individual message
 	// transmissions and arms the reliable-delivery protocol (sequence
 	// numbers, acks, virtual-time retransmission timers — see
 	// reliable.go). Nil means a lossless fabric with the protocol
 	// disarmed, byte-identical to a build without it. Message-fault
-	// campaigns are incompatible with tracing and with the sharded
-	// parallel mode (Shards >= 1).
+	// campaigns are incompatible with the sharded parallel mode
+	// (Shards >= 1).
 	MsgFaults *netmodel.MsgFaults
 
 	// Engine, if non-nil, attaches the world to an existing engine instead
@@ -218,15 +217,6 @@ func (c Config) Validate() error {
 		if err := c.MsgFaults.Validate(); err != nil {
 			return fmt.Errorf("mpi: MsgFaults: %w", err)
 		}
-	}
-	// Tracing observes one ordered span stream: a killed rank's spans
-	// would dangle, and the reliable protocol's timers fire outside any
-	// rank's program.
-	if c.Tracer != nil && len(c.Crashes) > 0 {
-		return errors.New("mpi: Tracer with Crashes: crash campaigns do not support tracing")
-	}
-	if c.Tracer != nil && c.MsgFaults != nil {
-		return errors.New("mpi: Tracer with MsgFaults: message-fault campaigns do not support tracing")
 	}
 	if c.Shards < 1 {
 		return nil
@@ -923,9 +913,12 @@ func (w *World) StartFibers(main FiberMain) {
 }
 
 // Makespan reports the latest virtual time at which one of the world's
-// rank bodies finished — the job's completion time in a multi-world run,
-// where the engine's final time covers every job. It is meaningful only
-// after the engine has run to completion.
+// rank bodies finished. It is every run's completion time, single-world
+// and co-scheduled alike, so rank bodies record none of their own. It
+// reads each rank's current fiber (after a respawn, the incarnation that
+// finished) and no helper fibers; the engine's final time, which also
+// covers pending retransmission timers and other jobs, is not it. It is
+// meaningful only after the engine has run to completion.
 func (w *World) Makespan() sim.Time {
 	var t sim.Time
 	for _, rs := range w.ranks {

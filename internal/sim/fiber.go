@@ -87,8 +87,8 @@ func (f *Fiber) Now() Time { return f.e.now }
 func (f *Fiber) Done() bool { return f.done }
 
 // FinishedAt reports the virtual time at which the fiber body finished.
-// It is meaningful only once Done reports true; multi-world setups use it
-// for per-job makespans.
+// It is meaningful only once Done reports true; every run reads its
+// makespan from it (mpi.World.Makespan).
 func (f *Fiber) FinishedAt() Time { return f.doneAt }
 
 // Rand returns a deterministic per-process random source, derived from the
