@@ -106,7 +106,7 @@ func DefaultConfig(procs int) Config {
 		InnerFraction:   0.9,
 		ScanCostPerRank: 2500 * sim.Nanosecond,
 		Seed:            1,
-		Noise:           netmodel.DefaultCluster(),
+		Noise:           netmodel.DefaultNoise(),
 	}
 }
 

@@ -298,6 +298,7 @@ func (s *ioRun) decoupledBody() mpi.FiberMain {
 				coords := cart.Coords(g0.RankOf(r))
 				myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
 				out := c.saveBytes(myCount)
+				burstTime := c.moverTime(myCount) / 4
 				step, burst := 0, 0
 				var stepLoop sim.StepFunc
 				emit := func(_ *sim.Fiber) sim.StepFunc {
@@ -325,7 +326,7 @@ func (s *ioRun) decoupledBody() mpi.FiberMain {
 						return stepLoop
 					}
 					burst++
-					return r.FComputeLabeled(c.moverTime(myCount)/4, "mover", emit)
+					return r.FComputeLabeled(burstTime, "mover", emit)
 				}
 				return stepLoop
 			}

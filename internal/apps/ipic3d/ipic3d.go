@@ -96,7 +96,7 @@ func DefaultConfig(procs int) Config {
 		SaveFraction:     0.1,
 		BufferSteps:      4,
 		Seed:             1,
-		Noise:            netmodel.DefaultCluster(),
+		Noise:            netmodel.DefaultNoise(),
 	}
 }
 

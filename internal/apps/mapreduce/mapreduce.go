@@ -114,7 +114,7 @@ func DefaultConfig(procs int) Config {
 		UpdateCost:      20 * sim.Microsecond,
 		ImbalanceCoV:    0.25,
 		Seed:            1,
-		Noise:           netmodel.DefaultCluster(),
+		Noise:           netmodel.DefaultNoise(),
 	}
 }
 

@@ -98,7 +98,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 
 func TestElementCountMatchesChunks(t *testing.T) {
 	c := quickConfig(16)
-	c.Noise = netmodel.None{}
+	c.Noise = netmodel.Noise{}
 	res, err := RunDecoupled(c)
 	if err != nil {
 		t.Fatal(err)

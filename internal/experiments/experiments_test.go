@@ -269,12 +269,17 @@ func TestModelValidationAgreement(t *testing.T) {
 			t.Errorf("procs=%d conventional measured/Eq1 = %.3f", p, ratio)
 		}
 	}
+	// The decoupled time is held to the form that holds for the critical
+	// group (model.Bracket): the predicted gain must have the measured
+	// gain's sign, and the time must be right to 1 %.
 	for p, measured := range bySeries["Decoupled (measured)"] {
-		predicted := bySeries["Decoupled (Eq4)"][p]
-		// Eq4 is deliberately pessimistic (it assumes Op1 always
-		// finishes last), so measurement may be faster.
-		if ratio := measured / predicted; ratio < 0.3 || ratio > 1.5 {
-			t.Errorf("procs=%d decoupled measured/Eq4 = %.3f", p, ratio)
+		bracket, critical := model.Bracket(DefaultSynthetic(p).ModelParams())
+		predicted := bracket.Seconds()
+		if gain, predictedGain := bySeries["Conventional (measured)"][p]-measured, bySeries["Conventional (Eq1)"][p]-predicted; (gain > 0) != (predictedGain > 0) {
+			t.Errorf("procs=%d: measured Tc-Td = %.4f s, but Eq. 1 - Bracket = %.4f s", p, gain, predictedGain)
+		}
+		if ratio := measured / predicted; ratio < 0.99 || ratio > 1.01 {
+			t.Errorf("procs=%d decoupled measured/Bracket (Op%d critical) = %.4f, want within 1 %%", p, critical, ratio)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func DefaultSynthetic(procs int) SyntheticConfig {
 		Overhead:          500 * sim.Nanosecond,
 		ImbalanceCoV:      0.15,
 		Seed:              1,
-		Noise:             netmodel.None{},
+		Noise:             netmodel.Noise{},
 	}
 }
 

@@ -20,7 +20,7 @@ func Fig2(w io.Writer, width int) error {
 	c := ipic3d.DefaultConfig(7)
 	c.Steps = 4
 	c.ParticlesPerProc = 150_000
-	c.Noise = netmodel.DefaultCluster()
+	c.Noise = netmodel.DefaultNoise()
 
 	var recRef trace.Recorder
 	c.Tracer = &recRef

@@ -107,6 +107,21 @@ func Decoupled(p Params) sim.Time {
 	return scale(op0, p.nonOverlap()) + op1
 }
 
+// Bracket predicts the decoupled time by the form that holds for the
+// critical group, and names that group: 1 when Op1 is critical, 0 when
+// Op0 is. Eq. 3 and Eq. 4 assume Op1 finishes after Op0 has fed it all
+// its data. When T'W1/α >= TW0/(1-α) + Tσ, Op1 is the critical path and
+// the producers' time hides under it, so the time is Eq. 2's max; one
+// element of pipeline fill would need the group sizes, which Params does
+// not carry. Otherwise Op0 is critical and the form is Eq. 4.
+func Bracket(p Params) (sim.Time, int) {
+	op0 := scale(p.TW0, 1/(1-p.Alpha)) + p.TSigma
+	if op1 := scale(p.tw1Decoupled(), 1/p.Alpha); op1 >= op0 {
+		return op1, 1
+	}
+	return Decoupled(p), 0
+}
+
 // Speedup is Tc / Td under Eq. 4.
 func Speedup(p Params) float64 {
 	td := Decoupled(p)

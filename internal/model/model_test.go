@@ -85,6 +85,25 @@ func TestEq2MaxSemantics(t *testing.T) {
 	}
 }
 
+// TestBracketNamesTheCriticalGroup checks both arms: with Op1 critical
+// the bracket is Eq. 2's max, below Eq. 3 and Eq. 4; with Op0 critical
+// it is Eq. 4.
+func TestBracketNamesTheCriticalGroup(t *testing.T) {
+	p := base() // T'W1/α = 800 ms against TW0/(1-α)+Tσ = 111.7 ms
+	got, critical := Bracket(p)
+	if critical != 1 || got != DecoupledIdeal(p) {
+		t.Errorf("Op1 critical: Bracket = %v, group %d; want Eq. 2's %v, group 1", got, critical, DecoupledIdeal(p))
+	}
+	if got >= DecoupledPipelined(p) || got >= Decoupled(p) {
+		t.Errorf("Op1 critical: Bracket %v not below Eq. 3 %v and Eq. 4 %v", got, DecoupledPipelined(p), Decoupled(p))
+	}
+	p.DecoupledTW1 = func(alpha float64) sim.Time { return 5 * sim.Millisecond } // T'W1/α = 80 ms
+	got, critical = Bracket(p)
+	if critical != 0 || got != Decoupled(p) {
+		t.Errorf("Op0 critical: Bracket = %v, group %d; want Eq. 4's %v, group 0", got, critical, Decoupled(p))
+	}
+}
+
 func TestOverheadGrowsAsGranularityShrinks(t *testing.T) {
 	p := base()
 	p.beta = func(int64) float64 { return 0.5 } // isolate the overhead term

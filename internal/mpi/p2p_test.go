@@ -310,7 +310,7 @@ func TestHotReceiverCongestion(t *testing.T) {
 }
 
 func TestNoiseSlowsComputeDeterministically(t *testing.T) {
-	cfg := Config{Procs: 4, Seed: 5, Noise: netmodel.DefaultCluster()}
+	cfg := Config{Procs: 4, Seed: 5, Noise: netmodel.DefaultNoise()}
 	run := func() []sim.Time {
 		w := NewWorld(cfg)
 		times := make([]sim.Time, 4)

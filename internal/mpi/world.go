@@ -54,7 +54,7 @@ type Config struct {
 	// FS is the file-system cost model. Zero value is replaced by
 	// netmodel.LustreLike.
 	FS netmodel.FSParams
-	// Noise perturbs compute operations. Nil means netmodel.None.
+	// Noise perturbs compute operations. The zero value perturbs nothing.
 	Noise netmodel.Noise
 	// Seed drives every random stream in the simulation.
 	Seed int64
@@ -147,9 +147,6 @@ var fabric = netmodel.AriesLike()
 func (c Config) withDefaults() Config {
 	if c.FS == (netmodel.FSParams{}) {
 		c.FS = netmodel.LustreLike()
-	}
-	if c.Noise == nil {
-		c.Noise = netmodel.None{}
 	}
 	if c.Bank == nil {
 		c.Job = 0 // a private bank has exactly one job
@@ -1055,7 +1052,7 @@ func (r *Rank) FComputeLabeled(d sim.Time, label string, next sim.StepFunc) sim.
 	scaled := sim.Time(float64(d) * r.rs.speed)
 	// The zero noise model ignores its random source and adds nothing;
 	// skipping it avoids materializing a per-process generator at all.
-	if _, zero := r.w.cfg.Noise.(netmodel.None); !zero {
+	if r.w.cfg.Noise != (netmodel.Noise{}) {
 		scaled += r.w.cfg.Noise.Jitter(r.fib.Rand(), scaled)
 	}
 	// Fault bursts layer on top of speed and jitter: the noise-perturbed

@@ -1,7 +1,7 @@
 package netmodel
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -78,19 +78,8 @@ func TestFSWriteTime(t *testing.T) {
 	}
 }
 
-func TestNoneNoise(t *testing.T) {
-	var n None
-	if n.SpeedFactor(1, 5) != 1 {
-		t.Fatal("None speed factor != 1")
-	}
-	rng := rand.New(rand.NewSource(1))
-	if n.Jitter(rng, sim.Second) != 0 {
-		t.Fatal("None jitter != 0")
-	}
-}
-
 func TestClusterSpeedFactorDeterministicAndBounded(t *testing.T) {
-	c := DefaultCluster()
+	c := DefaultNoise()
 	for rank := 0; rank < 200; rank++ {
 		a := c.SpeedFactor(42, rank)
 		b := c.SpeedFactor(42, rank)
@@ -107,7 +96,7 @@ func TestClusterSpeedFactorDeterministicAndBounded(t *testing.T) {
 }
 
 func TestClusterSpeedFactorsVaryAcrossRanks(t *testing.T) {
-	c := DefaultCluster()
+	c := DefaultNoise()
 	seen := map[float64]bool{}
 	for rank := 0; rank < 50; rank++ {
 		seen[c.SpeedFactor(7, rank)] = true
@@ -118,8 +107,8 @@ func TestClusterSpeedFactorsVaryAcrossRanks(t *testing.T) {
 }
 
 func TestClusterJitterNonNegative(t *testing.T) {
-	c := DefaultCluster()
-	rng := rand.New(rand.NewSource(3))
+	c := DefaultNoise()
+	rng := sim.NewRand(3)
 	for i := 0; i < 1000; i++ {
 		j := c.Jitter(rng, 10*sim.Millisecond)
 		if j < 0 {
@@ -129,16 +118,16 @@ func TestClusterJitterNonNegative(t *testing.T) {
 }
 
 func TestClusterJitterZeroForZeroDuration(t *testing.T) {
-	c := DefaultCluster()
-	rng := rand.New(rand.NewSource(3))
+	c := DefaultNoise()
+	rng := sim.NewRand(3)
 	if j := c.Jitter(rng, 0); j != 0 {
 		t.Fatalf("jitter on zero-length op = %v", j)
 	}
 }
 
 func TestClusterDetoursScaleWithDuration(t *testing.T) {
-	c := Cluster{DetourEvery: sim.Millisecond, DetourLen: 10 * sim.Microsecond}
-	rng := rand.New(rand.NewSource(9))
+	c := Noise{DetourEvery: sim.Millisecond, DetourLen: 10 * sim.Microsecond}
+	rng := sim.NewRand(9)
 	var short, long sim.Time
 	for i := 0; i < 300; i++ {
 		short += c.Jitter(rng, sim.Millisecond)
@@ -149,31 +138,48 @@ func TestClusterDetoursScaleWithDuration(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, lambda := range []float64{0.5, 4, 40, 200} {
-		n := 3000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += poisson(rng, lambda)
-		}
-		mean := float64(sum) / float64(n)
-		if mean < lambda*0.9 || mean > lambda*1.1 {
-			t.Fatalf("poisson(%v) sample mean = %v", lambda, mean)
-		}
-	}
-	if poisson(rng, 0) != 0 || poisson(rng, -1) != 0 {
-		t.Fatal("poisson of non-positive lambda should be 0")
-	}
-}
-
 func TestZeroClusterIsQuiet(t *testing.T) {
-	var c Cluster // all fields zero
-	rng := rand.New(rand.NewSource(1))
+	var c Noise // all fields zero
+	rng := sim.NewRand(1)
 	if c.SpeedFactor(1, 3) != 1 {
 		t.Fatal("zero cluster speed factor != 1")
 	}
 	if c.Jitter(rng, sim.Second) != 0 {
 		t.Fatal("zero cluster jitter != 0")
+	}
+}
+
+// TestJitterZeroAlloc pins the noise draw at zero allocations in every
+// detour regime the workloads reach (BenchmarkJitter's means).
+func TestJitterZeroAlloc(t *testing.T) {
+	c := DefaultNoise()
+	rng := sim.NewRand(5)
+	for _, mean := range jitterMeans {
+		d := sim.Time(mean * float64(c.DetourEvery))
+		if n := testing.AllocsPerRun(100, func() { c.Jitter(rng, d) }); n != 0 {
+			t.Errorf("Jitter at detour mean %v allocates %.0f objects, want 0", mean, n)
+		}
+	}
+}
+
+// jitterMeans are detour means (slice length over DetourEvery) the
+// workloads draw at: a short slice, cosched's [1, 4), the Knuth regime's
+// top [16, 32) that large reaches, and the normal approximation above 32.
+var jitterMeans = []float64{1.0 / 512, 2, 24, 40}
+
+// BenchmarkJitter times one per-slice noise draw of DefaultNoise at each
+// of jitterMeans, the same slice length every call as a rank's repeated
+// compute slices have.
+func BenchmarkJitter(b *testing.B) {
+	c := DefaultNoise()
+	for _, mean := range jitterMeans {
+		d := sim.Time(mean * float64(c.DetourEvery))
+		b.Run(fmt.Sprintf("mean=%g", mean), func(b *testing.B) {
+			rng := sim.NewRand(7)
+			b.ReportAllocs()
+			for b.Loop() {
+				c.Jitter(rng, d)
+			}
+		})
 	}
 }

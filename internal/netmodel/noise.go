@@ -2,40 +2,20 @@ package netmodel
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/sim"
 )
 
 // Noise perturbs compute durations to model the system noise, OS
 // interference and temperature-induced speed variance that the paper's
-// decoupling strategy absorbs (Section I and II-B). Implementations must
-// be deterministic functions of their inputs: per-rank state derives from
-// (seed, rank) and per-operation state from the caller's rand source.
-type Noise interface {
-	// SpeedFactor returns a fixed multiplicative slowdown (>= ~1) for the
-	// given rank, modelling static heterogeneity between processors.
-	SpeedFactor(seed int64, rank int) float64
-	// Jitter returns additional time for one compute operation of nominal
-	// duration d, modelling per-operation interference.
-	Jitter(rng *rand.Rand, d sim.Time) sim.Time
-}
-
-// None is a Noise that perturbs nothing; useful for correctness tests and
-// for isolating the pipelining effect from the imbalance effect.
-type None struct{}
-
-// SpeedFactor returns 1 for every rank.
-func (None) SpeedFactor(int64, int) float64 { return 1 }
-
-// Jitter returns 0 for every operation.
-func (None) Jitter(*rand.Rand, sim.Time) sim.Time { return 0 }
-
-// Cluster models a production machine: a lognormal static per-rank speed
-// spread, Gaussian per-operation jitter proportional to the operation
-// length, and Poisson-arriving OS detours (daemon wakeups) that steal
-// fixed-length slices.
-type Cluster struct {
+// decoupling strategy absorbs (Section I and II-B), as a production
+// machine shows them: a lognormal static per-rank speed spread, Gaussian
+// per-operation jitter proportional to the operation length, and
+// Poisson-arriving OS detours (daemon wakeups) that steal fixed-length
+// slices. The zero value perturbs nothing. Every draw is a deterministic
+// function of its inputs: per-rank state derives from (seed, rank) and
+// per-operation state from the caller's random stream.
+type Noise struct {
 	// SpeedSigma is the sigma of the lognormal per-rank speed factor.
 	// 0 disables static heterogeneity. Typical: 0.02-0.08.
 	SpeedSigma float64
@@ -49,10 +29,10 @@ type Cluster struct {
 	DetourLen sim.Time
 }
 
-// DefaultCluster returns noise levels shaped like the paper's testbed
+// DefaultNoise returns noise levels shaped like the paper's testbed
 // observations: a few percent static spread plus occasional OS detours.
-func DefaultCluster() Cluster {
-	return Cluster{
+func DefaultNoise() Noise {
+	return Noise{
 		SpeedSigma:  0.04,
 		JitterFrac:  0.03,
 		DetourEvery: 10 * sim.Millisecond,
@@ -63,12 +43,11 @@ func DefaultCluster() Cluster {
 // SpeedFactor draws a deterministic lognormal factor for rank. The factor
 // is normalized to be >= 1 so noise never makes a rank faster than the
 // nominal cost model (slowdowns only, as with real interference).
-func (c Cluster) SpeedFactor(seed int64, rank int) float64 {
+func (c Noise) SpeedFactor(seed int64, rank int) float64 {
 	if c.SpeedSigma <= 0 {
 		return 1
 	}
-	rng := rand.New(sim.NewSplitMix(sim.Mix64(seed, int64(rank))))
-	f := math.Exp(rng.NormFloat64() * c.SpeedSigma)
+	f := math.Exp(sim.NewRand(sim.Mix64(seed, int64(rank))).NormFloat64() * c.SpeedSigma)
 	if f < 1 {
 		f = 1 / f
 	}
@@ -76,9 +55,9 @@ func (c Cluster) SpeedFactor(seed int64, rank int) float64 {
 	return 1 + (f-1)/2
 }
 
-// Jitter applies Gaussian jitter and Poisson OS detours to an operation of
-// duration d.
-func (c Cluster) Jitter(rng *rand.Rand, d sim.Time) sim.Time {
+// Jitter returns the extra time Gaussian jitter and Poisson OS detours add
+// to one compute operation of nominal duration d.
+func (c Noise) Jitter(rng *sim.Rand, d sim.Time) sim.Time {
 	if d <= 0 {
 		return 0
 	}
@@ -90,31 +69,8 @@ func (c Cluster) Jitter(rng *rand.Rand, d sim.Time) sim.Time {
 		}
 	}
 	if c.DetourEvery > 0 && c.DetourLen > 0 {
-		n := poisson(rng, float64(d)/float64(c.DetourEvery))
+		n := rng.Poisson(float64(d) / float64(c.DetourEvery))
 		extra += sim.Time(n) * c.DetourLen
 	}
 	return extra
-}
-
-// poisson draws a Poisson(lambda) variate using Knuth's method for small
-// lambda and a Gaussian approximation for large lambda.
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 32 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-lambda)
-	p := 1.0
-	n := -1
-	for p > limit {
-		p *= rng.Float64()
-		n++
-	}
-	return n
 }

@@ -265,8 +265,8 @@ func TestPerProcRandIsDeterministicAndDistinct(t *testing.T) {
 	draw := func(seed int64) [2]float64 {
 		e := NewEngine(seed)
 		var out [2]float64
-		e.spawn("a", func(p *Proc) { out[0] = p.Rand().Float64() })
-		e.spawn("b", func(p *Proc) { out[1] = p.Rand().Float64() })
+		e.spawn("a", func(p *Proc) { out[0] = p.Rand().uniform() })
+		e.spawn("b", func(p *Proc) { out[1] = p.Rand().uniform() })
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

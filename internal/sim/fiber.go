@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // StepFunc is one segment of a fiber body: code that runs to the fiber's
 // next suspension point (or to the end of the body) and returns the
@@ -37,7 +34,7 @@ type Fiber struct {
 	e           *Engine
 	name        string
 	id          int
-	rng         *rand.Rand
+	rng         *Rand
 	debt        Time
 	next        StepFunc // pending continuation while suspended
 	susp        bool     // the running step hit a suspension point
@@ -94,9 +91,9 @@ func (f *Fiber) FinishedAt() Time { return f.doneAt }
 // Rand returns a deterministic per-process random source, derived from the
 // engine seed and the fiber id. The source is created lazily so that
 // processes that never draw random numbers do not perturb others.
-func (f *Fiber) Rand() *rand.Rand {
+func (f *Fiber) Rand() *Rand {
 	if f.rng == nil {
-		f.rng = newRand(f.e.seed, int64(f.id))
+		f.rng = NewRand(Mix64(f.e.seed, int64(f.id)))
 	}
 	return f.rng
 }

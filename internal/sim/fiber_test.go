@@ -311,7 +311,7 @@ func TestEngineResetIdenticalTrajectory(t *testing.T) {
 						return nil
 					}
 					n++
-					draws += f.Rand().Int63n(3)
+					draws += int64(f.Rand().Poisson(1))
 					return f.Advance(Time(1+n%3), step)
 				}
 				return step

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Proc is a simulated process whose body is ordinary blocking Go code: a
 // goroutine that hosts a Fiber. The fiber is what the engine schedules —
@@ -203,58 +200,6 @@ func (p *Proc) stop() bool {
 	return true
 }
 
-// newRand builds the per-process random stream for (seed, id): a
-// splitmix64 generator whose state is the mixed seed. The stdlib's
-// default source seeds a 607-word lagged-Fibonacci table per process,
-// which at thousands of short-lived processes per sweep dominated
-// stream-experiment profiles; splitmix64 seeds in O(1), draws in a few
-// instructions, and passes the statistical tests that matter for noise
-// jitter. Changing the stream derivation was trajectory-breaking and
-// rode the TrajectoryVersion 2 bump.
-func newRand(seed, id int64) *rand.Rand {
-	return rand.New(&splitMix{state: uint64(Mix64(seed, id))})
-}
-
-// NewSplitMix returns a splitmix64 rand.Source64 seeded with seed in
-// O(1). It is the generator behind every deterministic stream in the
-// tree: the engine's per-process streams use it via Fiber.Rand,
-// and packages that derive streams outside the engine (noise models,
-// workload generators) share it so no path pays the stdlib default
-// source's 607-word seeding.
-func NewSplitMix(seed int64) rand.Source64 {
-	return &splitMix{state: uint64(seed)}
-}
-
-// splitMix is a splitmix64 rand.Source64.
-type splitMix struct{ state uint64 }
-
-func (s *splitMix) Seed(seed int64) { s.state = uint64(seed) }
-
-func (s *splitMix) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// Mix64 combines a seed and a stream id with a splitmix64 finalizer so
-// that adjacent ids yield uncorrelated streams. It is the canonical
-// stream-derivation mixer: the engine's per-process streams use it, and
-// packages that derive streams outside the engine (noise models, workload
-// generators, fault campaigns) must use it too, so that every stream in a
-// run is a pure function of (seed, stream id).
-func Mix64(seed, id int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(id+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
-}
-
-// WakeAt schedules f — parked via Fiber.Park (or a WaitQueue) — to resume at
 // virtual time t. It must be called from simulation context (another
 // process or an event callback).
 func (e *Engine) WakeAt(t Time, f *Fiber) { e.AtAction(t, f) }

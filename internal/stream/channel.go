@@ -20,7 +20,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -61,7 +60,38 @@ type Channel struct {
 type membership struct {
 	producers []int // parent comm ranks, in rank order
 	consumers []int // parent comm ranks, in rank order
+	index     []int // parent comm rank -> position in its own group, or -1
 	left      int   // members that have not joined yet
+}
+
+// newMembership sorts the parent comm's ranks into the two groups by their
+// gathered roles and indexes each rank's position in its group.
+func newMembership(roles []mpi.Part) *membership {
+	m := &membership{index: make([]int, len(roles)), left: len(roles)}
+	for rank, part := range roles {
+		m.index[rank] = -1
+		switch part.Data.(Role) {
+		case Producer:
+			m.index[rank] = len(m.producers)
+			m.producers = append(m.producers, rank)
+		case Consumer:
+			m.index[rank] = len(m.consumers)
+			m.consumers = append(m.consumers, rank)
+		}
+	}
+	if len(m.producers) == 0 || len(m.consumers) == 0 {
+		panic("stream: channel needs at least one producer and one consumer")
+	}
+	return m
+}
+
+// position returns parent rank's index in group (m.producers or
+// m.consumers), or -1 if it is not a member of that group.
+func (m *membership) position(group []int, rank int) int {
+	if i := m.index[rank]; i >= 0 && i < len(group) && group[i] == rank {
+		return i
+	}
+	return -1
 }
 
 // channelRegistry is the per-parent-communicator channel bookkeeping kept
@@ -96,18 +126,7 @@ func newChannel(r *mpi.Rank, parent *mpi.Comm, role Role, me int, roles []mpi.Pa
 		ch.seq = reg.seqs[me]
 		m := reg.joining[ch.seq]
 		if m == nil {
-			m = &membership{left: len(roles)}
-			for rank, part := range roles {
-				switch part.Data.(Role) {
-				case Producer:
-					m.producers = append(m.producers, rank)
-				case Consumer:
-					m.consumers = append(m.consumers, rank)
-				}
-			}
-			if len(m.producers) == 0 || len(m.consumers) == 0 {
-				panic("stream: channel needs at least one producer and one consumer")
-			}
+			m = newMembership(roles)
 			reg.joining[ch.seq] = m
 		}
 		if m.left--; m.left == 0 {
@@ -155,22 +174,13 @@ func (ch *Channel) Consumers() int { return len(ch.consumers) }
 // ProducerIndex translates r into its index within the producer group, or
 // -1 if r is not a producer.
 func (ch *Channel) ProducerIndex(r *mpi.Rank) int {
-	return indexOf(ch.producers, ch.parent.RankOf(r))
+	return ch.position(ch.producers, ch.parent.RankOf(r))
 }
 
 // ConsumerIndex translates r into its index within the consumer group, or
 // -1 if r is not a consumer.
 func (ch *Channel) ConsumerIndex(r *mpi.Rank) int {
-	return indexOf(ch.consumers, ch.parent.RankOf(r))
-}
-
-// indexOf returns the position of rank in a group list (ascending, as
-// newChannel builds them), or -1.
-func indexOf(group []int, rank int) int {
-	if i := sort.SearchInts(group, rank); i < len(group) && group[i] == rank {
-		return i
-	}
-	return -1
+	return ch.position(ch.consumers, ch.parent.RankOf(r))
 }
 
 // HomeConsumer reports the consumer index that producer index pi streams

@@ -101,7 +101,7 @@ func (s *Stream) IsendTo(r *mpi.Rank, elem Element, consumer int) {
 // its size and payload the message's own, and its producer index that of
 // the message's source.
 func (s *Stream) unpack(st mpi.Status) (Element, int) {
-	return Element{Bytes: st.Bytes, Data: st.Data}, indexOf(s.ch.producers, st.Source)
+	return Element{Bytes: st.Bytes, Data: st.Data}, s.ch.position(s.ch.producers, st.Source)
 }
 
 // Terminate closes the producer's side of the stream (paper step 5:

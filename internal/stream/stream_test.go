@@ -6,16 +6,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/mpi"
-	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
 
 // runChannel spawns a world of p ranks where ranks with id < producers are
 // producers and the rest are consumers, then runs body.
-func runChannel(t *testing.T, procs, producers int, noise netmodel.Noise,
-	body func(r *mpi.Rank, ch *Channel)) {
+func runChannel(t *testing.T, procs, producers int, body func(r *mpi.Rank, ch *Channel)) {
 	t.Helper()
-	w := mpi.NewWorld(mpi.Config{Procs: procs, Seed: 11, Noise: noise})
+	w := mpi.NewWorld(mpi.Config{Procs: procs, Seed: 11})
 	if _, err := w.Run(func(r *mpi.Rank) {
 		role := Consumer
 		if r.ID() < producers {
@@ -30,7 +28,7 @@ func runChannel(t *testing.T, procs, producers int, noise netmodel.Noise,
 }
 
 func TestChannelGroups(t *testing.T) {
-	runChannel(t, 6, 4, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, 6, 4, func(r *mpi.Rank, ch *Channel) {
 		if len(ch.producers) != 4 || ch.Consumers() != 2 {
 			t.Errorf("groups = %d/%d, want 4/2", len(ch.producers), ch.Consumers())
 		}
@@ -47,8 +45,48 @@ func TestChannelGroups(t *testing.T) {
 	})
 }
 
+// TestMembershipInterleavedRoles checks the index table against the
+// group lists on a channel whose roles interleave (P, C, P, none, P, C):
+// every rank's producer and consumer index is its position in the sorted
+// group list or -1, and an element from each parent rank unpacks to that
+// rank's producer index.
+func TestMembershipInterleavedRoles(t *testing.T) {
+	roles := []Role{Producer, Consumer, Producer, None, Producer, Consumer}
+	position := func(group []int, rank int) int {
+		for i, g := range group {
+			if g == rank {
+				return i
+			}
+		}
+		return -1
+	}
+	wantProducers, wantConsumers := []int{0, 2, 4}, []int{1, 5}
+	w := mpi.NewWorld(mpi.Config{Procs: len(roles), Seed: 11})
+	if _, err := w.Run(func(r *mpi.Rank) {
+		ch := CreateChannel(r, r.World(), roles[r.ID()])
+		s := ch.Attach(r, Options{})
+		if fmt.Sprint(ch.producers, ch.consumers) != fmt.Sprint(wantProducers, wantConsumers) {
+			t.Errorf("rank %d: groups %v %v, want %v %v", r.ID(), ch.producers, ch.consumers, wantProducers, wantConsumers)
+		}
+		if got, want := ch.ProducerIndex(r), position(wantProducers, r.ID()); got != want {
+			t.Errorf("rank %d: ProducerIndex = %d, want %d", r.ID(), got, want)
+		}
+		if got, want := ch.ConsumerIndex(r), position(wantConsumers, r.ID()); got != want {
+			t.Errorf("rank %d: ConsumerIndex = %d, want %d", r.ID(), got, want)
+		}
+		for src := range roles {
+			if _, got := s.unpack(mpi.Status{Source: src}); got != position(wantProducers, src) {
+				t.Errorf("rank %d: element from parent rank %d unpacked as producer %d, want %d", r.ID(), src, got, position(wantProducers, src))
+			}
+		}
+		ch.Free(r)
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestHomeConsumerBlockMapping(t *testing.T) {
-	runChannel(t, 6, 4, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, 6, 4, func(r *mpi.Rank, ch *Channel) {
 		if r.ID() != 0 {
 			return
 		}
@@ -64,7 +102,7 @@ func TestHomeConsumerBlockMapping(t *testing.T) {
 func TestStreamDeliversAllElementsExactlyOnce(t *testing.T) {
 	const producers, consumers, perProducer = 6, 2, 25
 	seen := map[string]int{}
-	runChannel(t, producers+consumers, producers, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, producers+consumers, producers, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{ElementBytes: 512})
 		switch ch.role {
 		case Producer:
@@ -92,7 +130,7 @@ func TestPerProducerOrderPreserved(t *testing.T) {
 	const producers, perProducer = 4, 30
 	lastSeen := map[int]int{}
 	violations := 0
-	runChannel(t, producers+1, producers, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, producers+1, producers, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
 		if ch.role == Producer {
 			for i := 0; i < perProducer; i++ {
@@ -120,7 +158,7 @@ func TestExplicitRoutingByKey(t *testing.T) {
 	for i := range received {
 		received[i] = map[int]bool{}
 	}
-	runChannel(t, producers+consumers, producers, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, producers+consumers, producers, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
 		if ch.role == Producer {
 			for key := 0; key < 30; key++ {
@@ -149,7 +187,7 @@ func TestExplicitRoutingByKey(t *testing.T) {
 func TestInjectOverheadCharged(t *testing.T) {
 	elapsed := func(overhead sim.Time) sim.Time {
 		var end sim.Time
-		runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
+		runChannel(t, 2, 1, func(r *mpi.Rank, ch *Channel) {
 			s := ch.Attach(r, Options{InjectOverhead: overhead})
 			if ch.role == Producer {
 				for i := 0; i < 1000; i++ {
@@ -212,7 +250,7 @@ func TestFCFSAbsorbsImbalance(t *testing.T) {
 }
 
 func TestConsumerStatsTimeline(t *testing.T) {
-	runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, 2, 1, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
 		if ch.role == Producer {
 			for i := 0; i < 10; i++ {
@@ -237,7 +275,7 @@ func TestConsumerStatsTimeline(t *testing.T) {
 
 func TestTwoStreamsOnOneChannelDoNotMix(t *testing.T) {
 	countA, countB := 0, 0
-	runChannel(t, 3, 2, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, 3, 2, func(r *mpi.Rank, ch *Channel) {
 		a := ch.Attach(r, Options{})
 		b := ch.Attach(r, Options{})
 		if ch.role == Producer {
@@ -268,7 +306,7 @@ func TestTwoStreamsOnOneChannelDoNotMix(t *testing.T) {
 }
 
 func TestProducerAPIOnConsumerPanics(t *testing.T) {
-	runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, 2, 1, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
 		if ch.role == Consumer {
 			for _, fn := range []func(){
@@ -294,7 +332,7 @@ func TestProducerAPIOnConsumerPanics(t *testing.T) {
 }
 
 func TestIsendAfterTerminatePanics(t *testing.T) {
-	runChannel(t, 2, 1, nil, func(r *mpi.Rank, ch *Channel) {
+	runChannel(t, 2, 1, func(r *mpi.Rank, ch *Channel) {
 		s := ch.Attach(r, Options{})
 		if ch.role == Producer {
 			s.Terminate(r)
@@ -363,7 +401,15 @@ func TestDeliveryCountProperty(t *testing.T) {
 // as the message's own size and payload, unpack rebuilds it without
 // allocating, and the producer index comes from the message's source.
 func TestUnpackZeroAlloc(t *testing.T) {
-	s := &Stream{ch: &Channel{membership: &membership{producers: []int{2, 5, 7}, consumers: []int{9}}}}
+	roles := make([]mpi.Part, 10)
+	for rank := range roles {
+		roles[rank].Data = None
+	}
+	for _, rank := range []int{2, 5, 7} {
+		roles[rank].Data = Producer
+	}
+	roles[9].Data = Consumer
+	s := &Stream{ch: &Channel{membership: newMembership(roles)}}
 	payload := interface{}("particles")
 	st := mpi.Status{Source: 5, Bytes: 64, Data: payload}
 
