@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -210,4 +212,39 @@ func TestRunWritesOut(t *testing.T) {
 	if !strings.HasPrefix(string(data), "experiment,") || strings.Count(string(data), "\n") < 2 {
 		t.Errorf("-out holds %q, want a CSV header and rows", data)
 	}
+}
+
+// TestBuiltWithProfile: the CLI is compiled against default.pgo, a CPU
+// profile of its own sweeps (DESIGN.md, "The CLI is compiled against a
+// profile of its own sweeps"). A default build of this package, this test
+// binary's included, must name the file in its -pgo build setting. The go
+// command refuses to build against a file that does not parse as a CPU
+// profile, but it builds against an empty one, which must fail here.
+func TestBuiltWithProfile(t *testing.T) {
+	f, err := os.Open("default.pgo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("default.pgo is not gzip'd: %v", err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Fatalf("default.pgo: %d bytes of profile, error %v", n, err)
+	}
+
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		t.Fatal("no build info")
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-pgo" {
+			if !strings.HasSuffix(s.Value, filepath.Join("cmd", "decouplebench", "default.pgo")) {
+				t.Fatalf("built with -pgo=%s, want cmd/decouplebench/default.pgo", s.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("built without a -pgo profile: go build/test of this package should pick up default.pgo")
 }

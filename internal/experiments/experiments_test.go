@@ -284,6 +284,51 @@ func TestModelValidationAgreement(t *testing.T) {
 	}
 }
 
+// lastComp records each rank's latest compute-span end.
+type lastComp []sim.Time
+
+func (l lastComp) Span(rank int, category, _ string, _, end sim.Time) {
+	if category == "comp" && end > l[rank] {
+		l[rank] = end
+	}
+}
+
+// TestSyntheticCriticalGroup reads which group of the decoupled synthetic
+// application finishes last, beyond ModelValidation's 512-rank cap, and
+// holds model.Bracket to naming it. Consumers that were the critical path
+// end a backlog after the producers; consumers that kept pace end one
+// element's Op1 time after them. The critical group flips between 512 and
+// 1,024 ranks, where Eq. 4 overshoots (DESIGN.md, "The critical group of
+// the synthetic model flips between 512 and 1,024 ranks").
+func TestSyntheticCriticalGroup(t *testing.T) {
+	for _, p := range []int{256, 512, 1024} {
+		c := DefaultSynthetic(p)
+		ends := make(lastComp, p)
+		c.Tracer = ends
+		td, err := RunSyntheticDecoupled(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		consumers := int(float64(p)*c.Alpha + 0.5)
+		producersEnd := slices.Max(ends[:p-consumers])
+		consumersEnd := slices.Max(ends[p-consumers:])
+		drain := sim.FromSeconds(float64(c.S) / (c.Op1Rate * c.DecoupledRateGain))
+		measured := 1
+		if consumersEnd-producersEnd <= 2*drain {
+			measured = 0
+		}
+		bracket, critical := model.Bracket(c.ModelParams())
+		t.Logf("procs=%d: producers end %v, consumers %v, makespan %v; Bracket %v (Op%d critical), measured/Bracket %.4f",
+			p, producersEnd, consumersEnd, td, bracket, critical, td.Seconds()/bracket.Seconds())
+		if critical != measured {
+			t.Errorf("procs=%d: Bracket names Op%d critical, the groups' finish instants name Op%d", p, critical, measured)
+		}
+		if consumersEnd > td || td-consumersEnd > drain {
+			t.Errorf("procs=%d: consumers end %v, makespan %v: the run should end with the last element's Op1", p, consumersEnd, td)
+		}
+	}
+}
+
 func TestFig2Renders(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Fig2(&buf, 60); err != nil {
