@@ -109,7 +109,6 @@ func TestStartIORejectsStripeFaults(t *testing.T) {
 	c := quickConfig(17)
 	c.Faults = inj
 	eng := sim.NewEngine(1)
-	defer eng.Abort()
 	base := mpi.Config{Engine: eng, Bank: sim.NewBank(4, 1, sim.BankFCFS), FS: netmodel.LustreLike()}
 	if _, err := StartIO(c, IODecoupled, base); err == nil {
 		t.Fatal("StartIO accepted stripe faults on a shared bank")

@@ -270,12 +270,9 @@ func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.B
 			bank.SetStripeFaults(i, sf)
 		}
 	}
-	// abort unwinds whatever processes have been spawned so their
-	// goroutines do not leak, and repools the engine (getEngine resets it).
-	abort := func() {
-		eng.Abort()
-		enginePool.Put(eng)
-	}
+	// A job's processes start their body goroutines only once the engine
+	// runs, so a start that fails leaves nothing to unwind: the engine goes
+	// back to the pool (getEngine resets it).
 	worlds := make([]*mpi.World, n)
 	for i, job := range cfg.Jobs {
 		if w := job.Weight; w > 0 {
@@ -284,20 +281,17 @@ func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.B
 		name := jobName(job, i)
 		w, err := job.Start(mpi.Config{Engine: eng, Bank: bank, Job: i, Name: name, FS: fs})
 		if err != nil {
-			abort()
+			enginePool.Put(eng)
 			return Result{}, nil, fmt.Errorf("cluster: job %d (%s): %w", i, name, err)
 		}
 		worlds[i] = w
 	}
 	makespan, err := eng.Run()
 	if err != nil {
-		// A failed run unwinds like a failed start. Run itself unwinds
-		// parked goroutines before returning a deadlock error, so the
-		// Abort is defensive belt-and-braces (idempotent: its unwind is
-		// a no-op when nothing is parked); the load-bearing half is
-		// repooling — a reset engine is behaviourally identical to a
-		// fresh one, so the error path keeps the warmed heap/ring capacity.
-		abort()
+		// Run unwinds parked goroutines before returning a deadlock
+		// error; a reset engine is behaviourally identical to a fresh one,
+		// so the error path repools it and keeps its warmed capacity.
+		enginePool.Put(eng)
 		return Result{}, nil, err
 	}
 	res = Result{

@@ -31,7 +31,9 @@ type Row struct {
 	// ablations; see Param).
 	Procs int
 	// Param carries the swept non-procs parameter for ablations
-	// (element bytes, alpha in percent, ...); 0 otherwise.
+	// (element bytes, alpha in percent, ...), and the critical group of
+	// the model's "Decoupled (Bracket)" rows (0 for Op0, 1 for Op1); 0
+	// otherwise.
 	Param float64
 	// Seconds is the mean execution time over Runs runs.
 	Seconds float64

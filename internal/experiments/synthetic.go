@@ -320,8 +320,9 @@ func AblationFCFS(opts Options) ([]Row, error) {
 	return runPoints(opts, points)
 }
 
-// ModelValidation compares Eq. 1 and Eq. 4 predictions against simulator
-// measurements of the synthetic application across scales.
+// ModelValidation compares the predictions of Eq. 1, Eq. 4 and
+// model.Bracket (whose critical group its rows carry in Param) against
+// simulator measurements of the synthetic application across scales.
 func ModelValidation(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	max := opts.MaxProcs
@@ -354,11 +355,13 @@ func ModelValidation(opts Options) ([]Row, error) {
 	var rows []Row
 	for i, p := range procs {
 		params := DefaultSynthetic(p).ModelParams()
+		bracket, critical := model.Bracket(params)
 		rows = append(rows,
 			measured[2*i],
 			Row{Experiment: "model", Series: "Conventional (Eq1)", Procs: p, Seconds: model.Conventional(params).Seconds(), Runs: 1},
 			measured[2*i+1],
 			Row{Experiment: "model", Series: "Decoupled (Eq4)", Procs: p, Seconds: model.Decoupled(params).Seconds(), Runs: 1},
+			Row{Experiment: "model", Series: "Decoupled (Bracket)", Procs: p, Param: float64(critical), Seconds: bracket.Seconds(), Runs: 1},
 		)
 	}
 	return rows, err

@@ -71,133 +71,6 @@ func runBothWays(t *testing.T, procs int, procBody func(*Rank), fibBody FiberMai
 	return f.end
 }
 
-// TestFiberPingPongMatchesProcs exercises FSend/FRecv against Send/Recv:
-// a two-rank request-reply loop with interleaved compute must produce a
-// bit-identical trajectory under both representations.
-func TestFiberPingPongMatchesProcs(t *testing.T) {
-	const rounds = 20
-	procBody := func(r *Rank) {
-		c := r.World()
-		for i := 0; i < rounds; i++ {
-			if r.ID() == 0 {
-				r.Compute(3 * sim.Microsecond)
-				c.Send(r, 1, 7, 1024, i)
-				c.Recv(r, 1, 8)
-			} else {
-				c.Recv(r, 0, 7)
-				r.Compute(5 * sim.Microsecond)
-				c.Send(r, 0, 8, 512, i)
-			}
-		}
-	}
-	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		i := 0
-		var loop sim.StepFunc
-		loop = func(_ *sim.Fiber) sim.StepFunc {
-			if i >= rounds {
-				return nil
-			}
-			n := i
-			i++
-			if r.ID() == 0 {
-				return r.FCompute(3*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-					return c.FSend(r, 1, 7, 1024, n, func(_ *sim.Fiber) sim.StepFunc {
-						return c.FRecv(r, 1, 8, func(Status) sim.StepFunc { return loop })
-					})
-				})
-			}
-			return c.FRecv(r, 0, 7, func(Status) sim.StepFunc {
-				return r.FCompute(5*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-					return c.FSend(r, 0, 8, 512, n, func(_ *sim.Fiber) sim.StepFunc { return loop })
-				})
-			})
-		}
-		return loop
-	}
-	runBothWays(t, 2, procBody, fibBody)
-}
-
-// TestFiberCollectivesMatchProcs drives barrier, allreduce and allgatherv
-// through both representations at a non-power-of-two size (covering the
-// reduce+bcast fallback) and checks payload correctness on the fiber side.
-// It closes with a nonblocking reduce waited on after more compute, with
-// Open and both shared-file write paths, and with a Split whose halves
-// then synchronise, so runBothWays' traced pass compares every span kind
-// the runtime emits (comp, wait, waitcoll, write_shared, write_all; the
-// WaitAny tests add waitany).
-func TestFiberCollectivesMatchProcs(t *testing.T) {
-	const procs = 6
-	procBody := func(r *Rank) {
-		c := r.World()
-		c.Barrier(r)
-		r.Compute(sim.Time(r.ID()+1) * sim.Microsecond)
-		sum := c.Allreduce(r, Part{Bytes: 8, Data: float64(r.ID())}, SumFloat64, nil)
-		if got := sum.Data.(float64); got != 15 {
-			t.Errorf("proc allreduce sum %v, want 15", got)
-		}
-		parts := c.Allgatherv(r, Part{Bytes: 8, Data: r.ID() * 10})
-		for i, p := range parts {
-			if p.Data.(int) != i*10 {
-				t.Errorf("proc allgather[%d] = %v", i, p.Data)
-			}
-		}
-		c.Barrier(r)
-		cr := c.Ireduce(r, 0, Part{Bytes: 1 << 16, Data: int64(1)}, SumInt64, nil)
-		r.Compute(sim.Time(procs-r.ID()) * sim.Microsecond)
-		c.WaitColl(r, cr)
-		file := c.Open(r, "out.dat")
-		file.WriteShared(r, 1<<20)
-		file.WriteAll(r, 1<<18)
-		half := c.Split(r, r.ID()%2, -r.ID())
-		if half.Size() != procs/2 || half.RankOf(r) != (procs-1-r.ID())/2 {
-			t.Errorf("proc split: rank %d is %d of %d", r.ID(), half.RankOf(r), half.Size())
-		}
-		half.Barrier(r)
-	}
-	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		tail := func(_ *sim.Fiber) sim.StepFunc {
-			return c.FIreduce(r, 0, Part{Bytes: 1 << 16, Data: int64(1)}, SumInt64, nil, func(cr *CollRequest) sim.StepFunc {
-				return r.FCompute(sim.Time(procs-r.ID())*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-					return c.FWaitColl(r, cr, func(interface{}) sim.StepFunc {
-						return c.FOpen(r, "out.dat", func(file *File) sim.StepFunc {
-							return file.FWriteShared(r, 1<<20, func(_ *sim.Fiber) sim.StepFunc {
-								return file.FWriteAll(r, 1<<18, func(*sim.Fiber) sim.StepFunc {
-									return c.FSplit(r, r.ID()%2, -r.ID(), func(half *Comm) sim.StepFunc {
-										if half.Size() != procs/2 || half.RankOf(r) != (procs-1-r.ID())/2 {
-											t.Errorf("fiber split: rank %d is %d of %d", r.ID(), half.RankOf(r), half.Size())
-										}
-										return half.FBarrier(r, nil)
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		}
-		return c.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
-			return r.FCompute(sim.Time(r.ID()+1)*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-				return c.FAllreduce(r, Part{Bytes: 8, Data: float64(r.ID())}, SumFloat64, nil, func(sum Part) sim.StepFunc {
-					if got := sum.Data.(float64); got != 15 {
-						t.Errorf("fiber allreduce sum %v, want 15", got)
-					}
-					return c.FAllgatherv(r, Part{Bytes: 8, Data: r.ID() * 10}, func(parts []Part) sim.StepFunc {
-						for i, p := range parts {
-							if p.Data.(int) != i*10 {
-								t.Errorf("fiber allgather[%d] = %v", i, p.Data)
-							}
-						}
-						return c.FBarrier(r, tail)
-					})
-				})
-			})
-		})
-	}
-	runBothWays(t, procs, procBody, fibBody)
-}
-
 // TestFiberNonblockingCollectivesMatchProcs starts each of the three
 // nonblocking collectives, computes, and waits for it: WaitColl against
 // FWaitColl. Ibarrier has no public F form, so the step-function body
@@ -273,116 +146,6 @@ func TestFiberNonblockingCollectivesMatchProcs(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestFiberWaitAllMatchesProcs exercises the coalescing FWaitAll against
-// WaitAll with a mix of sends and receives.
-func TestFiberWaitAllMatchesProcs(t *testing.T) {
-	const procs = 4
-	procBody := func(r *Rank) {
-		c := r.World()
-		next := (r.ID() + 1) % procs
-		prev := (r.ID() - 1 + procs) % procs
-		for it := 0; it < 5; it++ {
-			reqs := []*Request{
-				c.Isend(r, next, 1, 2048, nil),
-				c.Isend(r, prev, 2, 2048, nil),
-				c.Irecv(r, prev, 1),
-				c.Irecv(r, next, 2),
-			}
-			r.Compute(2 * sim.Microsecond)
-			c.WaitAll(r, reqs...)
-		}
-	}
-	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		next := (r.ID() + 1) % procs
-		prev := (r.ID() - 1 + procs) % procs
-		it := 0
-		var loop sim.StepFunc
-		loop = func(_ *sim.Fiber) sim.StepFunc {
-			if it >= 5 {
-				return nil
-			}
-			it++
-			reqs := []*Request{
-				c.FIsend(r, next, 1, 2048, nil),
-				c.FIsend(r, prev, 2, 2048, nil),
-				c.Irecv(r, prev, 1),
-				c.Irecv(r, next, 2),
-			}
-			return r.FCompute(2*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-				return c.FWaitAll(r, reqs, func([]Status) sim.StepFunc { return loop })
-			})
-		}
-		return loop
-	}
-	runBothWays(t, procs, procBody, fibBody)
-}
-
-// TestFiberWaitAnyMatchesProcs exercises FWaitAny ordering against
-// WaitAny: a consumer draining two producers first-come-first-served.
-func TestFiberWaitAnyMatchesProcs(t *testing.T) {
-	const msgs = 8
-	procBody := func(r *Rank) {
-		c := r.World()
-		switch r.ID() {
-		case 0, 1:
-			for i := 0; i < msgs; i++ {
-				r.Compute(sim.Time(1+r.ID()*3) * sim.Microsecond)
-				c.Send(r, 2, r.ID(), 4096, nil)
-			}
-		case 2:
-			reqs := []*Request{c.Irecv(r, 0, 0), c.Irecv(r, 1, 1)}
-			for got := 0; got < 2*msgs; got++ {
-				idx, _ := c.WaitAny(r, reqs)
-				r.Compute(2 * sim.Microsecond)
-				reqs[idx] = c.Irecv(r, idx, idx)
-				if rem := 2*msgs - got - 1; rem < 2 {
-					reqs[1-idx] = nil
-				}
-			}
-		}
-	}
-	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		switch r.ID() {
-		case 0, 1:
-			i := 0
-			var loop sim.StepFunc
-			loop = func(_ *sim.Fiber) sim.StepFunc {
-				if i >= msgs {
-					return nil
-				}
-				i++
-				return r.FCompute(sim.Time(1+r.ID()*3)*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-					return c.FSend(r, 2, r.ID(), 4096, nil, loop)
-				})
-			}
-			return loop
-		default:
-			reqs := []*Request{c.Irecv(r, 0, 0), c.Irecv(r, 1, 1)}
-			got := 0
-			var loop sim.StepFunc
-			loop = func(_ *sim.Fiber) sim.StepFunc {
-				if got >= 2*msgs {
-					return nil
-				}
-				return c.FWaitAny(r, reqs, func(idx int, _ Status) sim.StepFunc {
-					got++
-					return r.FCompute(2*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-						reqs[idx] = c.Irecv(r, idx, idx)
-						if rem := 2*msgs - got; rem < 2 {
-							reqs[1-idx] = nil
-						}
-						return loop
-					})
-				})
-			}
-			return loop
-		}
-	}
-	runBothWays(t, 3, procBody, fibBody)
 }
 
 // TestWorldPoolReuseDeterminism checks that a world recycled through

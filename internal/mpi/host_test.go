@@ -138,7 +138,6 @@ func TestHostLifetime(t *testing.T) {
 			e := sim.NewEngine(1)
 			w := NewWorld(Config{Procs: 4, Seed: 1, Engine: e})
 			w.Start(stuck)
-			e.Abort()
 			return e
 		}},
 		{"release and pooled reuse", func(t *testing.T) *sim.Engine {

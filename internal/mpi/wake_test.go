@@ -126,104 +126,3 @@ func TestConsumedRequestPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWaitAnyTestThenWaitBitIdentical drives WaitAny/Test-then-Wait
-// interleavings — the pattern that exercises the per-request waiter lists
-// — through both process representations and asserts bit-identical
-// trajectories (final time and event count).
-func TestWaitAnyTestThenWaitBitIdentical(t *testing.T) {
-	const msgs = 10
-	procBody := func(r *Rank) {
-		c := r.World()
-		switch r.ID() {
-		case 0, 1:
-			for i := 0; i < msgs; i++ {
-				r.Compute(sim.Time(2+3*r.ID()) * sim.Microsecond)
-				c.Send(r, 2, r.ID(), 1024*int64(1+i%3), i)
-			}
-		case 2:
-			reqs := []*Request{c.Irecv(r, 0, 0), c.Irecv(r, 1, 1)}
-			left := []int{msgs, msgs}
-			got := 0
-			consume := func(idx int) {
-				got++
-				left[idx]--
-				if left[idx] > 0 {
-					reqs[idx] = c.Irecv(r, idx, idx)
-				} else {
-					reqs[idx] = nil
-				}
-				r.Compute(1 * sim.Microsecond)
-			}
-			for got < 2*msgs {
-				if reqs[0] != nil {
-					// Test-then-Wait: poll the first request, then block
-					// in WaitAny over both.
-					if ok, _ := c.Test(r, reqs[0]); ok {
-						consume(0)
-						continue
-					}
-					idx, _ := c.WaitAny(r, reqs)
-					consume(idx)
-					continue
-				}
-				idx, _ := c.WaitAny(r, reqs[1:])
-				consume(idx + 1)
-			}
-		}
-	}
-	fibBody := func(r *Rank, f *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		switch r.ID() {
-		case 0, 1:
-			i := 0
-			var loop sim.StepFunc
-			loop = func(_ *sim.Fiber) sim.StepFunc {
-				if i >= msgs {
-					return nil
-				}
-				n := i
-				i++
-				return r.FCompute(sim.Time(2+3*r.ID())*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-					return c.FSend(r, 2, r.ID(), 1024*int64(1+n%3), n, loop)
-				})
-			}
-			return loop
-		default:
-			reqs := []*Request{c.Irecv(r, 0, 0), c.Irecv(r, 1, 1)}
-			left := []int{msgs, msgs}
-			got := 0
-			var loop sim.StepFunc
-			consume := func(idx int) sim.StepFunc {
-				got++
-				left[idx]--
-				if left[idx] > 0 {
-					reqs[idx] = c.Irecv(r, idx, idx)
-				} else {
-					reqs[idx] = nil
-				}
-				return r.FCompute(1*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc { return loop })
-			}
-			loop = func(_ *sim.Fiber) sim.StepFunc {
-				if got >= 2*msgs {
-					return nil
-				}
-				if reqs[0] != nil {
-					return c.FTest(r, reqs[0], func(ok bool, _ Status) sim.StepFunc {
-						if ok {
-							return consume(0)
-						}
-						return c.FWaitAny(r, reqs, func(idx int, _ Status) sim.StepFunc {
-							return consume(idx)
-						})
-					})
-				}
-				return c.FWaitAny(r, reqs[1:], func(idx int, _ Status) sim.StepFunc {
-					return consume(idx + 1)
-				})
-			}
-			return loop
-		}
-	}
-	runBothWays(t, 3, procBody, fibBody)
-}

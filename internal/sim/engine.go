@@ -9,21 +9,14 @@ import (
 
 // globalEvents accumulates events fired by every engine in the process,
 // for throughput reporting (events/sec) across concurrent simulations.
-// Engines flush their local counts when a run returns.
+// An engine adds the events of each drive of its loop when the drive
+// returns.
 var globalEvents atomic.Uint64
 
 // GlobalEvents reports the total number of events fired by all engines in
 // this process since start (or since the last counter read delta taken by
 // the caller). It is safe to call from any goroutine.
 func GlobalEvents() uint64 { return globalEvents.Load() }
-
-// flushGlobalEvents publishes this engine's not-yet-reported event count.
-func (e *Engine) flushGlobalEvents() {
-	if d := e.fired - e.reported; d > 0 {
-		globalEvents.Add(d)
-		e.reported = e.fired
-	}
-}
 
 // Action is a schedulable occurrence. Scheduling a pointer-shaped Action
 // with AtAction stores it directly in the event (no closure allocation),
@@ -105,7 +98,6 @@ type Engine struct {
 	nextProc int // id counter of SpawnFiber
 	running  bool
 	fired    uint64
-	reported uint64 // events already added to the global counter
 	stopped  bool
 
 	// Conservative parallel mode (parallel.go): engines built by a
@@ -133,8 +125,9 @@ func NewEngine(seed int64) *Engine {
 // independent of reuse.
 //
 // Reset must not be called while the engine is running, and every body
-// goroutine must have exited (as Run and Abort guarantee on return);
-// pending continuations are simply dropped.
+// goroutine must have exited (as Run guarantees on return; a body
+// goroutine starts only when the engine runs); pending continuations are
+// simply dropped.
 func (e *Engine) Reset(seed int64) {
 	if e.running {
 		panic("sim: Reset called while the engine is running")
@@ -144,7 +137,6 @@ func (e *Engine) Reset(seed int64) {
 			panic(fmt.Sprintf("sim: Reset with process %q still live (after a shard window?)", f.name))
 		}
 	}
-	e.flushGlobalEvents()
 	e.queue.reset()
 	clear(e.imm)
 	e.imm = e.imm[:0]
@@ -159,7 +151,6 @@ func (e *Engine) Reset(seed int64) {
 	e.live = 0
 	e.nextProc = 0
 	e.fired = 0
-	e.reported = 0
 	e.stopped = false
 }
 
@@ -303,8 +294,9 @@ func (e *Engine) popNext() (act Action, ok bool) {
 // must not leak the parked ranks of every other job.
 func (e *Engine) drive() {
 	e.running = true
+	from := e.fired // every event is counted inside a drive
 	defer func() {
-		e.flushGlobalEvents()
+		globalEvents.Add(e.fired - from)
 		if e.running {
 			e.running = false
 			e.unwind()
@@ -336,19 +328,6 @@ func (e *Engine) Run() (Time, error) {
 	}
 	e.unwind()
 	return e.now, err
-}
-
-// Abort terminates every spawned-but-unfinished process without running
-// the simulation: pending continuations are dropped and body goroutines
-// unwound. It exists for callers that spawn work across several worlds and
-// hit an error before Run (a co-scheduled job failing to start must not
-// leak the goroutines of the jobs spawned before it). The engine must be
-// Reset before reuse.
-func (e *Engine) Abort() {
-	if e.running {
-		panic("sim: Abort called while the engine is running")
-	}
-	e.unwind()
 }
 
 // Kill terminates one process at the current instant — the crash-stop

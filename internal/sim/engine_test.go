@@ -121,9 +121,11 @@ func TestAdvanceTo(t *testing.T) {
 		if p.Now() != 500 {
 			t.Errorf("now = %v, want 500", p.Now())
 		}
+		fired := e.Events()
 		advanceTo(p, 100) // in the past: no-op
-		if p.Now() != 500 {
-			t.Errorf("now = %v after past AdvanceTo, want 500", p.Now())
+		advanceTo(p, 500) // now: no-op too, not a zero-length advance
+		if p.Now() != 500 || e.Events() != fired {
+			t.Errorf("now = %v and %d events after AdvanceTo at or before now, want 500 and none", p.Now(), e.Events()-fired)
 		}
 	})
 	if _, err := e.Run(); err != nil {
@@ -211,16 +213,19 @@ func TestWaitQueueBroadcast(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
-	e.spawn("stuck", func(p *Proc) {
-		waitOn(&q, p, "never signalled")
-	})
+	// Twelve is the most blocked processes the report names in full.
+	for i := 0; i < 12; i++ {
+		e.spawn("stuck", func(p *Proc) {
+			waitOn(&q, p, "never signalled")
+		})
+	}
 	_, err := e.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(dl.Blocked) != 1 {
-		t.Fatalf("blocked = %v, want one entry", dl.Blocked)
+	if len(dl.Blocked) != 12 {
+		t.Fatalf("blocked = %v, want twelve entries, none elided", dl.Blocked)
 	}
 }
 

@@ -2,170 +2,9 @@ package sim
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// loopStep builds a self-returning step that advances d per iteration for
-// iters iterations, appending the time after each advance to out.
-func loopStep(iters int, d Time, out *[]Time) StepFunc {
-	n := 0
-	var step StepFunc
-	step = func(f *Fiber) StepFunc {
-		if n >= iters {
-			return nil
-		}
-		n++
-		return f.Advance(d, func(f *Fiber) StepFunc {
-			*out = append(*out, f.Now())
-			return step
-		})
-	}
-	return step
-}
-
-// TestFiberMatchesProcTrajectory runs the same program once as blocking
-// bodies and once as step functions and asserts identical trajectories:
-// same per-step times, same final time, same event count. The blocking
-// calls run the step-function primitives through the host, so this pins
-// that the host adds no event and moves no instant. The first program is
-// a two-party alternating advance; the second goes through every other
-// blocking call of the package (AdvanceTo, SettleTo and FlushDebt with
-// debt pending, Park and ParkKeepingDebt with an external wake,
-// WaitQueue.Wait, Token.Acquire under contention).
-func TestFiberMatchesProcTrajectory(t *testing.T) {
-	const iters = 200
-	programs := []struct {
-		name   string
-		procs  func(e *Engine, times *[]Time)
-		fibers func(e *Engine, times *[]Time)
-	}{
-		{"advance", func(e *Engine, times *[]Time) {
-			for i := 0; i < 2; i++ {
-				i := i
-				e.spawn("p", func(p *Proc) {
-					advance(p, Time(i+1))
-					for n := 0; n < iters; n++ {
-						advance(p, 2)
-						*times = append(*times, p.Now())
-					}
-				})
-			}
-		}, func(e *Engine, times *[]Time) {
-			for i := 0; i < 2; i++ {
-				i := i
-				e.SpawnFiber("f", func(f *Fiber) StepFunc {
-					return f.Advance(Time(i+1), loopStep(iters, 2, times))
-				})
-			}
-		}},
-		{"primitives", func(e *Engine, times *[]Time) {
-			var q WaitQueue
-			var tok Token
-			note := func(p *Proc) { *times = append(*times, p.Now()) }
-			for i := 0; i < 3; i++ {
-				i := i
-				e.spawn("p", func(p *Proc) {
-					p.AddDebt(Time(i + 1))
-					advanceTo(p, 4)
-					note(p)
-					acquire(&tok, p, "token")
-					p.AddDebt(2)
-					flushDebt(p)
-					note(p)
-					advance(p, 3)
-					tok.Release(p.Fiber)
-					p.AddDebt(5)
-					floor := p.Now() + p.Debt()
-					if i == 0 {
-						parkKeepingDebt(p, "for the others")
-					} else {
-						settleTo(p, floor+Time(i))
-						waitOn(&q, p, "for the last")
-					}
-					settleTo(p, Max(floor, p.Now()))
-					note(p)
-					if i == 2 {
-						park(p, "until woken")
-						note(p)
-					}
-				})
-			}
-			e.At(40, func() { q.Broadcast(e) })
-			e.At(50, func() { e.WakeAt(55, e.fibs[0]); e.WakeAt(60, e.fibs[2]) })
-		}, func(e *Engine, times *[]Time) {
-			var q WaitQueue
-			var tok Token
-			for i := 0; i < 3; i++ {
-				i := i
-				e.SpawnFiber("f", func(f *Fiber) StepFunc {
-					note := func() { *times = append(*times, f.Now()) }
-					var floor Time
-					settled := func(*Fiber) StepFunc {
-						note()
-						if i == 2 {
-							return f.Park("until woken", func(*Fiber) StepFunc {
-								note()
-								return nil
-							})
-						}
-						return nil
-					}
-					woken := func(*Fiber) StepFunc { return f.SettleTo(Max(floor, f.Now()), settled) }
-					f.AddDebt(Time(i + 1))
-					return f.AdvanceTo(4, func(*Fiber) StepFunc {
-						note()
-						return tok.FAcquire(f, "token", func(*Fiber) StepFunc {
-							f.AddDebt(2)
-							return f.FlushDebt(func(*Fiber) StepFunc {
-								note()
-								return f.Advance(3, func(*Fiber) StepFunc {
-									tok.Release(f)
-									f.AddDebt(5)
-									floor = f.Now() + f.Debt()
-									if i == 0 {
-										return f.ParkKeepingDebt("for the others", woken)
-									}
-									return f.SettleTo(floor+Time(i), func(*Fiber) StepFunc {
-										return q.WaitFiber(f, "for the last", woken)
-									})
-								})
-							})
-						})
-					})
-				})
-			}
-			e.At(40, func() { q.Broadcast(e) })
-			e.At(50, func() { e.WakeAt(55, e.fibs[0]); e.WakeAt(60, e.fibs[2]) })
-		}},
-	}
-	for _, prog := range programs {
-		t.Run(prog.name, func(t *testing.T) {
-			run := func(spawn func(e *Engine, times *[]Time)) ([]Time, Time, uint64) {
-				e := NewEngine(7)
-				var times []Time
-				spawn(e, &times)
-				end, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return times, end, e.Events()
-			}
-			pt, pend, pev := run(prog.procs)
-			ft, fend, fev := run(prog.fibers)
-			if pend != fend {
-				t.Fatalf("final time: procs %v, fibers %v", pend, fend)
-			}
-			if pev != fev {
-				t.Fatalf("event count: procs %d, fibers %d", pev, fev)
-			}
-			if len(pt) == 0 || !reflect.DeepEqual(pt, ft) {
-				t.Fatalf("step times:\n procs  %v\n fibers %v", pt, ft)
-			}
-		})
-	}
-}
 
 // TestFiberParkWake checks the external wake path: a parked fiber resumes
 // exactly at the WakeAt instant.

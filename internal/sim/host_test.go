@@ -10,8 +10,7 @@ import (
 )
 
 // settleGoroutines waits for the goroutine count to come back to base: a
-// body goroutine has signalled its exit by the time Run, Kill or Abort
-// returns, but may not have been descheduled for the last time yet.
+// body goroutine has signalled its exit by the time Run or Kill returns, but may not have been descheduled for the last time yet.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
@@ -82,9 +81,10 @@ func TestHostLifetime(t *testing.T) {
 			}
 		}},
 		{"abort before run", func(t *testing.T, e *Engine) {
+			// Giving up before Run leaves nothing to unwind: a body
+			// goroutine starts with the body's first step.
 			parked(e, "a")
 			parked(e, "b")
-			e.Abort()
 		}},
 		{"killed before its first step", func(t *testing.T, e *Engine) {
 			var victim *Proc
@@ -133,43 +133,6 @@ func TestHostLifetime(t *testing.T) {
 			}
 			settleGoroutines(t, base)
 		})
-	}
-}
-
-// TestHostDeadlockReportMatchesFiber requires a blocked blocking body to
-// be reported exactly as the step function making the same call is.
-func TestHostDeadlockReportMatchesFiber(t *testing.T) {
-	report := func(hosted bool) []string {
-		e := NewEngine(1)
-		var q WaitQueue
-		var tok Token
-		if hosted {
-			e.spawn("holder", func(p *Proc) {
-				acquire(&tok, p, "token")
-				park(p, "holding the token")
-			})
-			e.spawn("queued", func(p *Proc) { waitOn(&q, p, "on the queue") })
-			e.spawn("second", func(p *Proc) { acquire(&tok, p, "token") })
-		} else {
-			e.SpawnFiber("holder", func(f *Fiber) StepFunc {
-				return tok.FAcquire(f, "token", func(f *Fiber) StepFunc { return f.Park("holding the token", nil) })
-			})
-			e.SpawnFiber("queued", func(f *Fiber) StepFunc { return q.WaitFiber(f, "on the queue", nil) })
-			e.SpawnFiber("second", func(f *Fiber) StepFunc { return tok.FAcquire(f, "token", nil) })
-		}
-		_, err := e.Run()
-		var dl *DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("hosted=%v: %v, want a deadlock", hosted, err)
-		}
-		return dl.Blocked
-	}
-	want := []string{"holder (holding the token)", "queued (on the queue)", "second (token)"}
-	if got := report(false); !reflect.DeepEqual(got, want) {
-		t.Errorf("step functions report %q, want %q", got, want)
-	}
-	if got := report(true); !reflect.DeepEqual(got, want) {
-		t.Errorf("blocking bodies report %q, want %q", got, want)
 	}
 }
 
@@ -244,20 +207,12 @@ func advanceTo(p *Proc, t Time) {
 	p.Await(func(next StepFunc) StepFunc { return p.Fiber.AdvanceTo(t, next) })
 }
 
-func settleTo(p *Proc, t Time) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.SettleTo(t, next) })
-}
-
 func flushDebt(p *Proc) {
 	p.Await(func(next StepFunc) StepFunc { return p.Fiber.FlushDebt(next) })
 }
 
 func park(p *Proc, reason string) {
 	p.Await(func(next StepFunc) StepFunc { return p.Fiber.Park(reason, next) })
-}
-
-func parkKeepingDebt(p *Proc, reason string) {
-	p.Await(func(next StepFunc) StepFunc { return p.Fiber.ParkKeepingDebt(reason, next) })
 }
 
 func waitOn(q *WaitQueue, p *Proc, reason string) {

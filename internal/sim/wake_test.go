@@ -37,48 +37,6 @@ func TestWakerWakesOnce(t *testing.T) {
 	}
 }
 
-// TestWakerFiberParity checks that a fiber woken through a Waker resumes
-// at the same instant, with the same engine event count, as a goroutine
-// process — the representation-equivalence contract for the direct-wake
-// path.
-func TestWakerFiberParity(t *testing.T) {
-	run := func(fiber bool) (Time, uint64, Time) {
-		e := NewEngine(7)
-		var wk Waker
-		var wokenAt Time
-		if fiber {
-			e.SpawnFiber("waiter", func(f *Fiber) StepFunc {
-				wk.Arm(e, f)
-				return f.Park("waiting", func(f *Fiber) StepFunc {
-					wk.Disarm()
-					wokenAt = f.Now()
-					return f.Advance(5, nil)
-				})
-			})
-		} else {
-			e.spawn("waiter", func(p *Proc) {
-				wk.Arm(e, p.Fiber)
-				park(p, "waiting")
-				wk.Disarm()
-				wokenAt = p.Now()
-				advance(p, 5)
-			})
-		}
-		e.At(3, func() { wk.WakeAt(9) })
-		end, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return end, e.Events(), wokenAt
-	}
-	pEnd, pEvents, pAt := run(false)
-	fEnd, fEvents, fAt := run(true)
-	if pEnd != fEnd || pEvents != fEvents || pAt != fAt {
-		t.Fatalf("proc (end %v events %d woken %v) != fiber (end %v events %d woken %v)",
-			pEnd, pEvents, pAt, fEnd, fEvents, fAt)
-	}
-}
-
 // TestWakerDisarmedIsNoop checks that completions arriving after the
 // waiter moved on (disarmed waker) schedule nothing.
 func TestWakerDisarmedIsNoop(t *testing.T) {

@@ -1,0 +1,39 @@
+// Package fixture is what TestMutateFixture points the mutation tool at: one
+// mutant of each operator, a test that kills two of them, a test whose only
+// kill the first also makes, and a statement no test observes.
+package fixture
+
+// Full reports whether n items fill a buffer of max.
+func Full(n, max int) bool {
+	return n >= max
+}
+
+// Larger returns the larger of a and b.
+func Larger(a, b int) int {
+	if a > b {
+		return a
+	} else {
+		return b
+	}
+}
+
+var calls int
+
+// Count counts a call; no test reads the count.
+func Count() { calls++ }
+
+// Sum adds xs up.
+func Sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
+	}
+	Count()
+	return t
+}
+
+// Never cannot return: dropping its panic leaves a mutant that does not
+// build.
+func Never() int {
+	panic("unreachable")
+}

@@ -1,0 +1,28 @@
+package fixture
+
+import "testing"
+
+func TestFullAtMax(t *testing.T) {
+	if !Full(3, 3) || Full(2, 3) {
+		t.Fatal("Full is wrong at its boundary")
+	}
+}
+
+// TestFullExample is redundant: TestFullAtMax kills its one mutant too.
+func TestFullExample(t *testing.T) {
+	if !Full(5, 3) {
+		t.Fatal("Full(5, 3) = false")
+	}
+}
+
+func TestLarger(t *testing.T) {
+	if Larger(1, 2) != 2 {
+		t.Fatal("Larger(1, 2) != 2")
+	}
+}
+
+func TestSum(t *testing.T) {
+	if Sum([]int{1, 2}) != 3 {
+		t.Fatal("Sum(1, 2) != 3")
+	}
+}
