@@ -214,7 +214,9 @@ func syntheticProducer(r *mpi.Rank, st *stream.Stream, myW0 sim.Time, elements i
 
 // AblationGranularity sweeps the stream element size S on the synthetic
 // application, exposing Eq. 4's pipelining-versus-overhead trade-off
-// (design choice 1 in DESIGN.md). Param carries S in bytes.
+// (design choice 1 in DESIGN.md). Param carries S in bytes. Neither
+// prediction models the one-element pipeline fill, which grows with S and
+// dominates their error from S = 1 MiB on.
 func AblationGranularity(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
 	procs := 64
@@ -235,16 +237,20 @@ func AblationGranularity(opts Options) ([]Row, error) {
 		})
 	}
 	measured, err := runPoints(opts, points)
-	// Interleave each measured point with its analytic prediction.
+	// Interleave each measured point with its analytic predictions: Eq. 4
+	// and model.Bracket, which names Op1 critical at every S here.
 	var rows []Row
 	for i, s := range sizes {
-		rows = append(rows, measured[i])
 		c := DefaultSynthetic(procs)
 		c.S = s
 		c.Overhead = 20 * sim.Microsecond
-		rows = append(rows, Row{Experiment: "ablation-granularity", Series: "Eq4 prediction",
-			Procs: procs, Param: float64(s),
-			Seconds: model.Decoupled(c.ModelParams()).Seconds(), Runs: 1})
+		params := c.ModelParams()
+		bracket, _ := model.Bracket(params)
+		rows = append(rows, measured[i],
+			Row{Experiment: "ablation-granularity", Series: "Eq4 prediction",
+				Procs: procs, Param: float64(s), Seconds: model.Decoupled(params).Seconds(), Runs: 1},
+			Row{Experiment: "ablation-granularity", Series: "Bracket prediction",
+				Procs: procs, Param: float64(s), Seconds: bracket.Seconds(), Runs: 1})
 	}
 	return rows, err
 }

@@ -153,6 +153,66 @@ func TestWildcardVsConcretePostingOrder(t *testing.T) {
 	}
 }
 
+// TestPostedCacheServesOnlyItsKey: the match table caches the bucket of the
+// last posted receive. A message for an earlier-posted key must look its
+// own bucket up rather than take the cached one.
+func TestPostedCacheServesOnlyItsKey(t *testing.T) {
+	w := testWorld(t, 3)
+	mustRun(t, w, func(r *Rank) {
+		c := r.World()
+		switch r.ID() {
+		case 0:
+			from1 := c.Irecv(r, 1, 5)
+			from2 := c.Irecv(r, 2, 5) // the cached key
+			if st := c.Wait(r, from1); st.Source != 1 {
+				t.Errorf("Irecv(1, 5) completed with source %d", st.Source)
+			}
+			if st := c.Wait(r, from2); st.Source != 2 {
+				t.Errorf("Irecv(2, 5) completed with source %d", st.Source)
+			}
+		case 1:
+			c.Send(r, 0, 5, 64, nil)
+		case 2:
+			r.Idle(1e6) // arrive after rank 1's message
+			c.Send(r, 0, 5, 64, nil)
+		}
+	})
+}
+
+// TestSideListCompactionKeepsLiveMessages: a wildcard side list keeps the
+// entries that concrete receives consumed behind its live head, and drops
+// them once they dominate it. The compaction that runs when the next
+// message enters the list must keep the live head and the newcomer.
+func TestSideListCompactionKeepsLiveMessages(t *testing.T) {
+	const consumed = 80
+	w := testWorld(t, 2)
+	mustRun(t, w, func(r *Rank) {
+		c := r.World()
+		if r.ID() == 1 {
+			c.Send(r, 0, 3, 8, nil) // read first, through (1, AnyTag)
+			c.Send(r, 0, 1, 8, nil) // the live head of that side list
+			for i := 0; i < consumed; i++ {
+				c.Send(r, 0, 2, 8, nil)
+			}
+			r.Idle(1500e3)
+			c.Send(r, 0, 2, 8, nil) // enters the side list and compacts it
+			return
+		}
+		r.Idle(1e6) // everything but the last message has arrived
+		if st := c.Recv(r, 1, AnyTag); st.Tag != 3 {
+			t.Fatalf("first wildcard receive got tag %d, want 3", st.Tag)
+		}
+		for i := 0; i < consumed; i++ {
+			c.Recv(r, 1, 2)
+		}
+		r.Idle(2e6) // the last message arrives meanwhile
+		if st := c.Recv(r, 1, AnyTag); st.Tag != 1 {
+			t.Errorf("wildcard receive after the compaction got tag %d, want 1", st.Tag)
+		}
+		c.Recv(r, 1, 2)
+	})
+}
+
 // TestProbeDoesNotConsume: Probe must report a queued message without
 // removing it, repeatedly, and a later Recv still gets it in order.
 func TestProbeDoesNotConsume(t *testing.T) {

@@ -334,11 +334,13 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 			return
 		}
 		req.done = true
+		// No WaitAny waiter can be registered here. A network delivery is
+		// ready at least one MessageGap after it arrives, so only a
+		// self-send completes a receive now, and its SendOverhead is debt:
+		// FWaitAny flushes that debt, which suspends until the
+		// self-delivery has fired, before it registers its waker.
 		if req.waiter != nil {
 			e.WakeAt(e.Now(), req.waiter.f)
-		} else if req.anyw != nil {
-			req.anyw.WakeAt(e.Now())
-			req.anyw = nil
 		}
 		return
 	}

@@ -61,9 +61,9 @@ func TestDirectWakeWaitAny(t *testing.T) {
 	if events != 236 {
 		t.Errorf("direct wake fired %d events, PR 12 recorded 236", events)
 	}
-	// Of the 236 events, the ones that did not ride the same-instant ring or
-	// an inline advance went through the queue; the counts are exact for
-	// this program, like the event count.
+	// Of the 236 events, the ones that were not an inline advance went
+	// through the queue; the counts are exact for this program, like the
+	// event count.
 	if want := (sim.QueueStats{Pushes: 202, Redistributions: 92, Moves: 286, HighWater: 8}); queue != want {
 		t.Errorf("event queue did %+v, want %+v", queue, want)
 	}

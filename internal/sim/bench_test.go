@@ -138,9 +138,9 @@ func BenchmarkHandoffPingPong(b *testing.B) {
 	reportEventRate(b, e)
 }
 
-// BenchmarkSameTimeCallbacks measures the same-timestamp FIFO ring:
-// bursts of callbacks scheduled at the current instant bypass the heap
-// entirely.
+// BenchmarkSameTimeCallbacks measures bursts of callbacks scheduled at the
+// current instant: each joins the queue's bucket 0, a FIFO, and pops
+// without being moved.
 func BenchmarkSameTimeCallbacks(b *testing.B) {
 	e := NewEngine(1)
 	n := 0
@@ -248,7 +248,7 @@ func BenchmarkManyFibersStaggered(b *testing.B) {
 
 // BenchmarkBroadcastAllocs guards the collective wake hot path: waking a
 // full queue of parked fibers must not allocate beyond the wake events
-// themselves (whose ring storage is reused across drains).
+// themselves (whose queue storage is reused across pops).
 func BenchmarkBroadcastAllocs(b *testing.B) {
 	const waiters = 32
 	e := NewEngine(1)

@@ -40,9 +40,9 @@ func (f funcAction) Fire() { f() }
 // ShardGroup), where it carries a canonical partition-independent key so
 // same-instant delivery order does not depend on how ranks were sharded.
 // seq, the order of scheduling, is not a field: every bucket of the queue
-// (eventQueue) holds its events in the order they were scheduled, as the
-// ring holds its actions, so events are popped in exactly (t, pri, seq)
-// order without two of them ever being compared. Events are stored by
+// (eventQueue) holds its events in the order they were scheduled, so
+// events are popped in exactly (t, pri, seq) order without two of them
+// ever being compared. Events are stored by
 // value, 32 bytes each, so nothing is allocated per event.
 type event struct {
 	t   Time
@@ -68,30 +68,22 @@ type event struct {
 // to. The queue checks that itself and panics rather than fire
 // events out of order.
 //
-// Two fast paths keep the hot loop off the queue:
+// Every event goes through the queue. The one fast path skips an event
+// altogether:
 //
-//   - Same-timestamp events: an event scheduled at the current instant
-//     while nothing else in the queue shares that instant goes into a FIFO
-//     ring (imm) that the loop drains before consulting the queue. The ring
-//     preserves scheduling (seq) order, so firing order is identical to
-//     the queue path; its backing array is reused across drains, so bursts
-//     of immediate events (self-sends, deliveries) allocate nothing.
-//     Invariant: whenever imm is non-empty, every queued event is strictly
-//     later than now. The queue's own bucket of events at its latest pop
-//     does the same job only until an inline advance moves now past that
-//     instant, so the ring stays.
 //   - Inline advance: when the running process advances to an instant
-//     strictly before everything queued (queue and ring), the engine loop
-//     would pop that process's own resume next anyway, so Advance moves
-//     the clock directly and keeps running — no event, no suspend/resume
-//     round trip. See Engine.canAdvanceInline.
+//     strictly before everything queued, the engine loop would pop that
+//     process's own resume next anyway, so Advance moves the clock directly
+//     and keeps running — no event, no suspend/resume round trip. See
+//     Engine.canAdvanceInline. An event scheduled at now afterwards, while
+//     now is ahead of the queue's latest pop, lands in the lowest non-empty
+//     bucket as that bucket's minimum and so pops first, in scheduling
+//     order with the others at now.
 type Engine struct {
-	now     Time
-	imm     []Action // FIFO of the events at t == now; see invariant above
-	immHead int
-	limit   Time // last instant drive may run; ShardGroup.post lowers it mid-window
-	seed    int64
-	queue   eventQueue
+	now   Time
+	limit Time // last instant drive may run; ShardGroup.post lowers it mid-window
+	seed  int64
+	queue eventQueue
 
 	fibs     []*Fiber
 	live     int // processes spawned and not yet finished
@@ -118,7 +110,7 @@ func NewEngine(seed int64) *Engine {
 }
 
 // Reset returns the engine to its initial state with a new seed, keeping
-// the event-queue and ring capacity so that reusing one engine across many
+// the event queue's capacity so that reusing one engine across many
 // simulation runs allocates nothing per run. A reset engine behaves
 // exactly like a fresh NewEngine(seed): virtual time, process ids, event
 // counters and QueueStats restart from zero, so trajectories are
@@ -138,9 +130,6 @@ func (e *Engine) Reset(seed int64) {
 		}
 	}
 	e.queue.reset()
-	clear(e.imm)
-	e.imm = e.imm[:0]
-	e.immHead = 0
 	for i := range e.fibs {
 		e.fibs[i] = nil
 	}
@@ -175,10 +164,6 @@ func (e *Engine) AtAction(t Time, act Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if e.running && t == e.now && e.queue.noneThrough(t) {
-		e.imm = append(e.imm, act)
-		return
-	}
 	e.queue.push(event{t: t, act: act})
 }
 
@@ -188,10 +173,9 @@ func (e *Engine) AtAction(t Time, act Action) {
 // after every same-instant pri-0 event regardless of scheduling order —
 // the property the conservative parallel mode needs to make same-instant
 // cross-rank delivery order independent of rank partitioning. t must be
-// strictly in the future: pri events never ride the same-timestamp ring,
-// so the ring's invariant (queued events strictly later than now while it
-// is non-empty) is preserved without consulting it, and the queue orders
-// the pri events of an instant once, when it reaches that instant.
+// strictly in the future: the queue orders the pri events of an instant
+// once, when it reaches that instant, so none may join an instant it has
+// reached.
 func (e *Engine) AtActionPri(t Time, pri uint64, act Action) {
 	if t <= e.now {
 		panic(fmt.Sprintf("sim: scheduling pri event at %v not after now %v", t, e.now))
@@ -217,26 +201,14 @@ func (e *Engine) Post(dst *Engine, t Time, pri uint64, act Action) {
 	e.group.post(e.shard, dst.shard, t, pri, act)
 }
 
-// nextEventTime reports the instant of the earliest pending event, or
-// MaxTime when nothing is queued. The same-timestamp ring is always empty
-// between windows (drive drains it before returning), so the queue's
-// minimum is authoritative.
-func (e *Engine) nextEventTime() Time {
-	if e.immHead < len(e.imm) {
-		return e.now
-	}
-	return e.queue.minT()
-}
-
 // canAdvanceInline reports whether the running process may move virtual
 // time to target directly without parking: the engine is mid-run, target
-// does not exceed the run bound, and nothing else (ring or queue) is
-// scheduled at or before target, so the loop's next pop would be that
-// process's own resume anyway. Must only be consulted by the process the
-// engine is currently dispatching.
+// does not exceed the run bound, and nothing else is queued at or before
+// target, so the loop's next pop would be that process's own resume
+// anyway. Must only be consulted by the process the engine is currently
+// dispatching.
 func (e *Engine) canAdvanceInline(target Time) bool {
-	return e.running && target <= e.limit &&
-		e.immHead >= len(e.imm) && e.queue.noneThrough(target)
+	return e.running && target <= e.limit && e.queue.noneThrough(target)
 }
 
 // jumpTo is the inline-advance commit: the clock moves and the skipped
@@ -244,19 +216,6 @@ func (e *Engine) canAdvanceInline(target Time) bool {
 func (e *Engine) jumpTo(target Time) {
 	e.now = target
 	e.fired++
-}
-
-// nextImm pops the front of the same-timestamp ring, recycling the backing
-// array once drained. It must only be called when the ring is non-empty.
-func (e *Engine) nextImm() Action {
-	act := e.imm[e.immHead]
-	e.imm[e.immHead] = nil
-	e.immHead++
-	if e.immHead == len(e.imm) {
-		e.imm = e.imm[:0]
-		e.immHead = 0
-	}
-	return act
 }
 
 // SetIDBase moves the engine's automatic id counter to at least base, so
@@ -269,14 +228,10 @@ func (e *Engine) SetIDBase(base int) {
 	}
 }
 
-// popNext removes the next runnable event and returns its action: the
-// same-timestamp ring first, then the queue, advancing the clock for
-// queued events. ok is false when nothing (left) is runnable within the run
-// limit.
+// popNext removes the next runnable event and returns its action,
+// advancing the clock to its instant. ok is false when nothing (left) is
+// runnable within the run limit.
 func (e *Engine) popNext() (act Action, ok bool) {
-	if e.immHead < len(e.imm) {
-		return e.nextImm(), true
-	}
 	if e.queue.noneThrough(e.limit) {
 		return nil, false
 	}

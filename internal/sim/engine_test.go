@@ -68,6 +68,41 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	}
 }
 
+// TestSchedulingBeforeNowAfterInlineAdvancePanics checks the engine's own
+// refusal of the past. After an inline advance the queue's latest pop lags
+// behind now, so an instant between the two passes the queue's check and
+// only AtAction can refuse it at the call.
+func TestSchedulingBeforeNowAfterInlineAdvancePanics(t *testing.T) {
+	e := NewEngine(1)
+	e.spawn("p", func(p *Proc) {
+		advance(p, 100) // inline: nothing else is queued
+		defer func() {
+			if recover() == nil {
+				t.Error("At before now after an inline advance did not panic")
+			}
+		}()
+		e.At(50, func() {})
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestResetWhileRunningPanics(t *testing.T) {
+	e := NewEngine(1)
+	e.At(10, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset from a running event did not panic")
+			}
+		}()
+		e.Reset(2)
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestProcAdvance(t *testing.T) {
 	e := NewEngine(1)
 	var at1, at2 Time

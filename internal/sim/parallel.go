@@ -267,7 +267,7 @@ func (g *ShardGroup) Run() (Time, error) {
 		var first *Engine
 		gmin, gmin2 := MaxTime, MaxTime
 		for _, e := range g.engines {
-			if t := e.nextEventTime(); t < gmin {
+			if t := e.queue.minT(); t < gmin {
 				first, gmin, gmin2 = e, t, gmin
 			} else if t < gmin2 {
 				gmin2 = t
@@ -296,7 +296,7 @@ func (g *ShardGroup) Run() (Time, error) {
 		}
 		busy = busy[:0]
 		for _, e := range g.engines {
-			if e.nextEventTime() < w {
+			if e.queue.minT() < w {
 				busy = append(busy, e)
 			}
 		}

@@ -70,9 +70,9 @@ type eventQueue struct {
 
 // QueueStats counts what an engine's event queue did since the engine was
 // built or last Reset. The counts are functions of the simulated program
-// alone — never of timing — so a test can pin them exactly. Events that
-// ride the same-timestamp ring, and advances that move the clock inline,
-// never reach the queue and are not counted.
+// alone — never of timing — so a test can pin them exactly. Every event
+// is pushed; an advance that moves the clock inline schedules no event and
+// is not counted.
 type QueueStats struct {
 	// Pushes is the number of events that entered the queue.
 	Pushes uint64

@@ -7,23 +7,19 @@
 // configuration always produce the same virtual-time trajectory,
 // regardless of host scheduling.
 //
-// # Fast-path invariants
+// # Fast-path invariant
 //
-// Two fast paths keep the hot loop cheap without changing any trajectory
-// (see Engine for details):
+// Every event goes through one event queue. One fast path keeps the hot
+// loop cheap without changing any trajectory (see Engine for details):
 //
-//   - Same-timestamp ring: events scheduled at the current instant bypass
-//     the event queue when no queued event shares that instant, preserving
-//     seq (scheduling) order. Invariant: while the ring is non-empty, every
-//     queued event is strictly later than now.
 //   - Inline advance: a process may move the clock directly only when
-//     nothing else (ring or queue) is scheduled at or before the target
-//     and the target does not exceed the run limit, i.e. exactly when the
-//     loop's next pop would be that process's own resume.
+//     nothing is queued at or before the target and the target does not
+//     exceed the run limit, i.e. exactly when the loop's next pop would be
+//     that process's own resume.
 //
-// Equal-time events always fire in scheduling (seq) order, whichever path
-// they take; both fast paths preserve that order, which is what keeps
-// optimized runs bit-identical to the naive loop.
+// Equal-time events always fire in scheduling (seq) order; the inline
+// advance preserves that order, which is what keeps optimized runs
+// bit-identical to the naive loop.
 //
 // # Processes
 //
@@ -50,7 +46,7 @@
 //
 // Several worlds (jobs) may share one engine (mpi.Config.Engine, driven
 // by internal/cluster): every world's events schedule through the same
-// queue and ring, so one (t, seq) stream orders the whole co-scheduled
+// queue, so one (t, seq) stream orders the whole co-scheduled
 // simulation. Cross-world event identity follows from that stream plus
 // engine-global process identifiers — SpawnFiber numbers processes in
 // spawn order across all worlds, so job start order fixes
@@ -236,7 +232,7 @@
 // changing a collective algorithm, changing how random streams derive
 // from seeds, or changing cost arithmetic. A change is NOT breaking when
 // it preserves event order exactly: taking a different dispatch path for
-// the same events (inline advance, ring versus queue, a blocking body
+// the same events (inline advance versus a resume event, a blocking body
 // hosted on its fiber versus step functions), pooling or reusing memory,
 // or pure API additions.
 //
