@@ -413,3 +413,47 @@ func TestBankResetDropsFaultsAndDemand(t *testing.T) {
 		t.Fatal("re-applied campaign diverges from the first faulted run")
 	}
 }
+
+// TestBankPlacementTies: when two stripes would complete a request at the
+// same instant, the one that starts it earlier gets it, on the faulted
+// FCFS path (reserveFaulted) and on the paced one (place), whichever of
+// the two stripes that is, and the lower index breaks a tie in both. In
+// the first four rows one stripe is busy until 400 and the other has an
+// outage over [150, 450), so a request for 100 at 100 ends at 500 on both:
+// [100, 500) across the outage, or [400, 500) behind the booking.
+func TestBankPlacementTies(t *testing.T) {
+	type req struct {
+		job     int
+		at, dur Time
+	}
+	cases := []struct {
+		name       string
+		policy     BankPolicy
+		jobs       int
+		outage     int // of the two stripes, the one with the outage
+		setup      []req
+		req        req
+		start, end Time
+		stripe     int
+	}{
+		{"faulted FCFS, second stripe starts earlier", BankFCFS, 1, 1, []req{{0, 0, 400}}, req{0, 100, 100}, 100, 500, 1},
+		{"faulted FCFS, first stripe starts earlier", BankFCFS, 1, 0, []req{{0, 0, 400}}, req{0, 100, 100}, 100, 500, 0},
+		{"paced, second stripe starts earlier", BankFair, 2, 1, []req{{0, 0, 400}}, req{1, 100, 100}, 100, 500, 1},
+		{"paced, first stripe starts earlier", BankFair, 2, 0, []req{{0, 0, 400}}, req{1, 100, 100}, 100, 500, 0},
+		{"faulted FCFS, full tie goes to the first stripe", BankFCFS, 1, 1, nil, req{0, 0, 100}, 0, 100, 0},
+		{"paced, full tie goes to the first stripe", BankFair, 2, 1, nil, req{1, 0, 100}, 0, 100, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBank(2, tc.jobs, tc.policy)
+			b.SetStripeFaults(tc.outage, []StripeFault{{Start: 150, End: 450}})
+			for _, r := range tc.setup {
+				b.Reserve(r.job, r.at, r.dur)
+			}
+			s, e := b.Reserve(tc.req.job, tc.req.at, tc.req.dur)
+			if s != tc.start || e != tc.end || b.lastStripe != tc.stripe {
+				t.Errorf("granted [%v,%v) on stripe %d, want [%v,%v) on stripe %d", s, e, b.lastStripe, tc.start, tc.end, tc.stripe)
+			}
+		})
+	}
+}

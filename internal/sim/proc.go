@@ -1,11 +1,14 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process whose body is ordinary blocking Go code: a
-// goroutine that hosts a Fiber. The fiber is what the engine schedules —
+// coroutine that hosts a Fiber. The fiber is what the engine schedules —
 // its resume events, its clock debt, its wait-queue entries and its
-// deadlock reason are the fiber's own — and the body goroutine is only a
+// deadlock reason are the fiber's own — and the body coroutine is only a
 // stack to block on. A blocking call is Await of the step-function form of
 // the call (mpi.Rank.Block for the runtime's calls), so there is one
 // scheduler and one implementation of each primitive; a body that makes the
@@ -13,108 +16,97 @@ import "fmt"
 // instants.
 //
 // Who runs when: simulation code runs on one goroutine at a time. The
-// goroutine that called Run fires every event. When the hosted fiber
-// reaches the last continuation of a blocking call (resume), that
-// goroutine hands control to the body goroutine and sleeps until the body
-// blocks again or returns; while the body has control it runs its own
-// code and, inside Await, the steps of the call it made, up to the step
-// that suspends the fiber. A blocking call that completes without
-// suspending (an inline clock advance, a wait on a completed request)
-// therefore costs no goroutine switch, and one that suspends costs two.
+// goroutine that called Run fires every event. The body is an iter.Pull
+// coroutine on a goroutine of its own, whose sequence yields the step each
+// blocking call suspends on. When the hosted fiber reaches the last
+// continuation of a blocking call (resume), the engine side calls next,
+// which switches to the body until it yields again or returns; while the
+// body has control it runs its own code and, inside Await, the steps of the
+// call it made, up to the step that suspends the fiber. A blocking call
+// that completes without suspending (an inline clock advance, a wait on a
+// completed request) therefore costs no switch, and one that suspends
+// costs two coroutine switches.
 type Proc struct {
 	*Fiber
-	body   func(*Proc)
-	toBody chan struct{} // the engine side gives the body goroutine control
-	toHost chan struct{} // the body goroutine gives it back: blocked, or exited
+	body  func(*Proc)
+	next  func() (StepFunc, bool) // the engine side gives the body control until it yields or returns
+	yield func(StepFunc) bool     // the body gives it back, suspended on a step; false once stopped
+	halt  func()                  // unwind a parked body: its pending yield returns false
 
-	live     bool        // the body goroutine exists and has not exited
-	running  bool        // the body goroutine has control
-	killed   bool        // unwind at the next Await
-	step     StepFunc    // what the hosted fiber continues with once the body gives control back
-	nested   func()      // Blocking: code for the parked body goroutine to run
-	after    StepFunc    // ... and the step that follows it
-	thrown   interface{} // Throw: what the pending Await panics with
-	panicked interface{} // what the body panicked with, for wait to re-raise
+	live    bool        // the body coroutine exists and has not returned
+	running bool        // the body coroutine has control
+	killed  bool        // unwind at the next Await
+	nested  func()      // Blocking: code for the parked body to run
+	after   StepFunc    // ... and the step that follows it
+	thrown  interface{} // Throw: what the pending Await panics with
 }
 
-// stopSignal is panicked on a body goroutine to unwind it when its process
-// is killed or the engine stops with the body still blocked.
+// stopSignal is panicked in a body to unwind it when its process is killed
+// or the engine stops with the body still blocked.
 type stopSignal struct{}
 
 // spawn creates a process executing the blocking body, numbered like a
 // fiber from SpawnFiber. The runtime hosts its blocking bodies on fibers it
 // spawns itself (Fiber.Host); the engine's tests spawn them here.
 func (e *Engine) spawn(name string, body func(*Proc)) *Proc {
-	p := newProc(body)
+	p := &Proc{body: body}
 	p.Fiber = e.SpawnFiber(name, p.start)
 	p.Fiber.host = p
 	return p
 }
 
 // Host gives the fiber a blocking body: the returned step, which the
-// fiber's running step must return, starts body on a goroutine of its own.
+// fiber's running step must return, starts body as a coroutine of its own.
 // It is how a layer that spawns fibers (mpi.World.StartFibers) runs a
 // blocking rank body on one of them.
 func (f *Fiber) Host(body func(*Proc)) StepFunc {
-	p := newProc(body)
-	p.Fiber = f
+	p := &Proc{Fiber: f, body: body}
 	f.host = p
 	return p.start
 }
 
-func newProc(body func(*Proc)) *Proc {
-	return &Proc{body: body, toBody: make(chan struct{}), toHost: make(chan struct{})}
-}
-
-// start is the hosted fiber's first step: create the body goroutine, then
-// wait for it like any resume.
+// start is the hosted fiber's first step: create the body coroutine, then
+// give it control like any resume.
 func (p *Proc) start(*Fiber) StepFunc {
+	p.next, p.halt = iter.Pull(p.run)
 	p.live = true
-	p.running = true
-	go p.run()
 	return p.wait()
 }
 
-// run is the body goroutine.
-func (p *Proc) run() {
+// run is the body coroutine's sequence. A body panic other than a stop is
+// re-raised here, and iter.Pull carries it out of next to the goroutine
+// that called Run.
+func (p *Proc) run(yield func(StepFunc) bool) {
+	p.yield = yield
 	defer func() {
+		p.live = false
 		if r := recover(); r != nil {
 			if _, stop := r.(stopSignal); !stop {
-				p.panicked = r
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
-		p.live = false
-		p.toHost <- struct{}{}
 	}()
 	p.body(p)
 }
 
 // resume is the last continuation of every blocking call. On the engine
-// side it gives the parked body goroutine control; when the chain got here
-// without suspending, the body goroutine is the one running it, and the
-// chain ending tells it so.
+// side it gives the parked body control; when the chain got here without
+// suspending, the body is the one running it, and the chain ending tells
+// it so.
 func (p *Proc) resume(*Fiber) StepFunc {
 	if p.running {
 		return nil
 	}
-	p.running = true
-	p.toBody <- struct{}{}
 	return p.wait()
 }
 
-// wait sleeps on the engine side until the body goroutine blocks again or
-// exits, and returns what the hosted fiber continues with: the suspended
-// call's next step, or nil at the end of the body. A body that panicked
-// re-raises here, on the goroutine that called Run.
+// wait gives the body control until it yields again or returns, and
+// returns what the hosted fiber continues with: the suspended call's next
+// step, or nil at the end of the body.
 func (p *Proc) wait() StepFunc {
-	<-p.toHost
+	p.running = true
+	step, _ := p.next()
 	p.running = false
-	if r := p.panicked; r != nil {
-		p.panicked = nil
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-	}
-	step := p.step
-	p.step = nil
 	return step
 }
 
@@ -137,12 +129,9 @@ func (p *Proc) Await(call func(next StepFunc) StepFunc) {
 			break
 		}
 		// Suspended: the engine side keeps step as the fiber's pending
-		// continuation, and this goroutine parks until the chain reaches
-		// resume or a Blocking step.
-		p.step = step
-		p.toHost <- struct{}{}
-		<-p.toBody
-		if p.killed {
+		// continuation, and the body yields until the chain reaches resume
+		// or a Blocking step.
+		if !p.yield(step) || p.killed {
 			panic(stopSignal{})
 		}
 		if p.nested == nil {
@@ -159,9 +148,9 @@ func (p *Proc) Await(call func(next StepFunc) StepFunc) {
 }
 
 // Blocking returns a step that runs fn, which may make blocking calls of
-// its own, on the body goroutine and continues with next. It is how a
-// blocking callback (a stream operator that computes) runs in the middle
-// of the chain of the blocking call it was passed to.
+// its own, in the body and continues with next. It is how a blocking
+// callback (a stream operator that computes) runs in the middle of the
+// chain of the blocking call it was passed to.
 func (p *Proc) Blocking(fn func(), next StepFunc) StepFunc {
 	return func(*Fiber) StepFunc {
 		if p.running {
@@ -169,24 +158,22 @@ func (p *Proc) Blocking(fn func(), next StepFunc) StepFunc {
 			return next
 		}
 		p.nested, p.after = fn, next
-		p.running = true
-		p.toBody <- struct{}{}
 		return p.wait()
 	}
 }
 
 // Throw returns the step that ends the pending blocking call by panicking
-// with v on the body goroutine. The runtime's failure continuation uses it
-// to unwind a blocking body to its recovery point.
+// with v in the body. The runtime's failure continuation uses it to unwind
+// a blocking body to its recovery point.
 func (p *Proc) Throw(v interface{}) StepFunc {
 	p.thrown = v
 	return p.resume
 }
 
-// stop releases the body goroutine of a process that is being killed or
-// whose engine is stopping: parked, it unwinds and exits before stop
-// returns; running (a body that killed itself), it unwinds at its next
-// blocking call. It reports whether the goroutine is gone.
+// stop releases the body of a process that is being killed or whose
+// engine is stopping: parked, it unwinds and returns before stop returns;
+// running (a body that killed itself), it unwinds at its next blocking
+// call. It reports whether the body is gone.
 func (p *Proc) stop() bool {
 	if !p.live {
 		return true
@@ -195,11 +182,11 @@ func (p *Proc) stop() bool {
 	if p.running {
 		return false
 	}
-	p.toBody <- struct{}{}
-	<-p.toHost
+	p.halt()
 	return true
 }
 
+// WakeAt schedules f, a fiber parked by Park or on a WaitQueue, to resume at
 // virtual time t. It must be called from simulation context (another
 // process or an event callback).
 func (e *Engine) WakeAt(t Time, f *Fiber) { e.AtAction(t, f) }

@@ -30,17 +30,17 @@
 // is written once, in continuation-passing form, against Fiber.
 //
 // A body that would rather block — the paper's API is blocking C calls,
-// and the examples and most tests are written that way — is a Proc: a
-// goroutine hosting a fiber. Proc.Await runs a chain of Fiber steps as one
-// blocking call and parks the goroutine until the chain reaches its last
+// and the examples and most tests are written that way — is a Proc: an
+// iter.Pull coroutine hosting a fiber. Proc.Await runs a chain of Fiber
+// steps as one blocking call and yields until the chain reaches its last
 // continuation; every blocking call of the runtimes above is Await of its
 // step-function form. Events still fire on the goroutine that called Run;
-// the body goroutine is handed control for as long as its code runs and
-// hands it back when it blocks, so exactly one of them is ever awake. A body making the same calls as a step-function body
-// therefore fires the same events at the same instants; it pays two
-// goroutine switches per call that suspends (about ten times a fiber
-// resume) and none for one that completes inline. See Proc for the
-// protocol.
+// the body coroutine is switched to for as long as its code runs and
+// yields back when it blocks, so exactly one of them is ever running. A
+// body making the same calls as a step-function body therefore fires the
+// same events at the same instants; it pays two coroutine switches per
+// call that suspends (about eight times a fiber resume) and none for one
+// that completes inline. See Proc for the protocol.
 //
 // # Multi-world runs
 //
