@@ -7,20 +7,21 @@
 //
 //   - A crash revokes the whole world at the kill instant: every pending
 //     posted receive on every surviving rank completes immediately with a
-//     *RankFailedError in its status, and every send or receive posted
-//     while the world is revoked returns an already-failed request. The
-//     error surfaces through the wait entry points: they divert to the
-//     rank's failure continuation (collectives are built on the same
-//     waits and fail the same way) — the one FProtect registered, or for
-//     a blocking body the step that panics with the *RankFailedError out
-//     of its pending call — so no rank ever deadlocks on a dead peer.
+//     *RankFailedError in its status, every rank's matching state is
+//     cleared, and every send or receive posted while the world is
+//     revoked returns an already-failed request. The error surfaces
+//     through the wait entry points: they divert to the rank's failure
+//     continuation (collectives are built on the same waits and fail the
+//     same way) — the one FProtect registered, or for a blocking body the
+//     step that panics with the *RankFailedError out of its pending call
+//     — so no rank ever deadlocks on a dead peer.
 //   - Rank bodies run their failure-prone section under FProtect (Protect
 //     for blocking bodies, which converts the unwind into an error
 //     return), and then rendezvous in Rebuild: once every rank —
 //     including the restarted incarnation of the victim — has arrived,
-//     matching state and collective tag counters reset, the revocation
-//     lifts, and all ranks resume together. CheckFailed is the commit-protocol query: a
-//     rank that passed its final barrier calls it before returning, so
+//     collective tag counters reset, the revocation lifts, and all ranks
+//     resume together. CheckFailed is the commit-protocol query: a rank
+//     that passed its final barrier calls it before returning, so
 //     either every rank commits the run or every rank observes the
 //     failure. A crash event that fires after any rank body has finished
 //     is dropped — completed output is never retroactively revoked.
@@ -41,8 +42,8 @@ package mpi
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -62,10 +63,16 @@ type RankFailedError struct {
 }
 
 func (e *RankFailedError) Error() string {
-	if e.World != "" {
-		return fmt.Sprintf("mpi: %s: rank %d failed (epoch %d)", e.World, e.Rank, e.Epoch)
+	return fmt.Sprintf("%srank %d failed (epoch %d)", errPrefix(e.World), e.Rank, e.Epoch)
+}
+
+// errPrefix starts the message of a world-revoking failure: the package,
+// then the world's name if it has one.
+func errPrefix(world string) string {
+	if world == "" {
+		return "mpi: "
 	}
-	return fmt.Sprintf("mpi: rank %d failed (epoch %d)", e.Rank, e.Epoch)
+	return "mpi: " + world + ": "
 }
 
 func (e *RankFailedError) rankFailure() {}
@@ -164,24 +171,16 @@ func (w *World) killRank(target int, restart sim.Time) {
 	// Pull the victim out of every queue that could wake or wait on it
 	// post-mortem: the rebuild rendezvous and the shared-file-pointer
 	// tokens (file keys sorted so a token hand-off to the next waiter
-	// fires at a deterministic position).
+	// fires at a deterministic position). A victim parked in
+	// WaitSendWindow stays on its own drainQ: relReset's wake of it fires
+	// on a finished fiber and does nothing.
 	if rs.inRebuild {
 		rs.inRebuild = false
 		w.rebuildArrived--
 		w.rebuildQ.Remove(victim)
 	}
-	// A victim parked in WaitSendWindow waits on its own drainQ; pull it
-	// out before the kill so relReset's wake never touches a dead body.
-	rs.drainQ.Remove(victim)
-	if len(w.files) > 0 {
-		keys := make([]string, 0, len(w.files))
-		for k := range w.files {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			w.files[k].token.Evict(victim, e)
-		}
+	for _, k := range slices.Sorted(maps.Keys(w.files)) {
+		w.files[k].token.Evict(victim, e)
 	}
 	e.Kill(victim)
 	// Balance the victim's open demand intervals so the bank's signal
@@ -196,9 +195,6 @@ func (w *World) killRank(target int, restart sim.Time) {
 	// failure. Stale acks and timers retire on the epoch bump above.
 	w.relReset()
 
-	if restart < 0 {
-		restart = 0
-	}
 	e.At(now+restart, func() { w.restartRank(target) })
 }
 
@@ -315,10 +311,10 @@ func (r *Rank) failNow() sim.StepFunc {
 
 // Rebuild is the world-level revoke-and-rebuild rendezvous: it blocks
 // until every rank of the world — survivors and restarted incarnations
-// alike — has arrived, then atomically resets all matching state, zeroes
-// every communicator's collective tag counters, discards in-flight Split
-// rendezvous and allgatherv results, lifts the revocation, and releases
-// all ranks together. Survivors call it after Protect reports a failure;
+// alike — has arrived, then atomically zeroes every communicator's
+// collective tag counters, discards in-flight Split rendezvous and
+// allgatherv results, lifts the revocation, and releases all ranks
+// together. Survivors call it after Protect reports a failure;
 // restarted bodies call it first (Incarnation > 0).
 func (r *Rank) Rebuild() {
 	r.Block("Rebuild", r.FRebuild)
@@ -348,11 +344,12 @@ func (r *Rank) FRebuild(then sim.StepFunc) sim.StepFunc {
 
 // completeRebuild finishes the rendezvous on the last arrival: pure
 // state surgery (no clock movement), then one broadcast that wakes the
-// parked ranks in arrival order.
+// parked ranks in arrival order. Matching state needs no reset here:
+// failPosted cleared it at the revocation, and a revoked world posts no
+// receive and drops every delivery of the superseded epoch.
 func (w *World) completeRebuild() {
 	for _, rs := range w.ranks {
 		rs.inRebuild = false
-		rs.match.reset()
 	}
 	for _, c := range w.allComms {
 		for i := range c.collSeq {

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,42 +60,6 @@ func recProcBody(st *recShared) func(r *Rank) {
 	}
 }
 
-// recFiberBody is recProcBody ported to the continuation representation,
-// operation for operation.
-func recFiberBody(st *recShared) FiberMain {
-	return func(r *Rank, f *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		var step sim.StepFunc
-		step = func(_ *sim.Fiber) sim.StepFunc {
-			if st.committed >= st.iters {
-				return nil
-			}
-			i := st.committed
-			return r.FCompute(40*sim.Microsecond, func(_ *sim.Fiber) sim.StepFunc {
-				return c.FAllreduce(r, Part{Bytes: 8, Data: int64(1)}, sumI64, nil, func(Part) sim.StepFunc {
-					return c.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
-						return r.FCheckFailed(func(_ *sim.Fiber) sim.StepFunc {
-							st.committed = i + 1
-							return step
-						})
-					})
-				})
-			})
-		}
-		var onFail func(error) sim.StepFunc
-		onFail = func(error) sim.StepFunc {
-			st.fails[r.ID()]++
-			return r.FRebuild(r.FProtect(step, onFail))
-		}
-		start := r.FProtect(step, onFail)
-		if r.Incarnation() > 0 {
-			st.restarts[r.ID()]++
-			return r.FRebuild(start)
-		}
-		return start
-	}
-}
-
 func allFinished(t *testing.T, w *World) {
 	t.Helper()
 	for i, rs := range w.ranks {
@@ -142,10 +108,8 @@ func TestCrashRecoveryCompletes(t *testing.T) {
 
 // TestCrashReplayDeterministic asserts the replay contract: a fixed crash
 // campaign produces the identical trajectory — end time and event count,
-// through Protect, CheckFailed and Rebuild and their F forms — across
-// repeated runs, pooled-world reuse, and blocking and step-function
-// bodies. (Crash campaigns refuse a Tracer, so there is no busy time to
-// compare.)
+// through Protect, CheckFailed and Rebuild — across repeated runs and
+// pooled-world reuse.
 func TestCrashReplayDeterministic(t *testing.T) {
 	const procs, iters = 4, 16
 	base := baselineMakespan(t, procs, iters)
@@ -168,28 +132,12 @@ func TestCrashReplayDeterministic(t *testing.T) {
 		end := mustRun(t, w, recProcBody(st))
 		allFinished(t, w)
 		var o outcome
-		o.end, o.events, o.committed = end, w.Engine().Events(), st.committed
+		o.end, o.events, o.committed = end, w.eng.Events(), st.committed
 		w.Release()
 		copy(o.restarts[:], st.restarts)
 		copy(o.fails[:], st.fails)
 		return o
 	}
-	runFiber := func() outcome {
-		st := newRecShared(iters, procs)
-		w := NewWorld(cfg)
-		end, err := w.RunFibers(recFiberBody(st))
-		if err != nil {
-			t.Fatalf("RunFibers: %v", err)
-		}
-		allFinished(t, w)
-		var o outcome
-		o.end, o.events, o.committed = end, w.Engine().Events(), st.committed
-		w.Release()
-		copy(o.restarts[:], st.restarts)
-		copy(o.fails[:], st.fails)
-		return o
-	}
-
 	first := runProc()
 	if first.committed != iters {
 		t.Fatalf("committed %d of %d", first.committed, iters)
@@ -197,49 +145,18 @@ func TestCrashReplayDeterministic(t *testing.T) {
 	if got := runProc(); got != first {
 		t.Errorf("pooled-reuse replay diverged: %+v vs %+v", got, first)
 	}
-	if got := runFiber(); got != first {
-		t.Errorf("fiber replay diverged: %+v vs %+v", got, first)
-	}
-	if got := runFiber(); got != first {
-		t.Errorf("pooled fiber replay diverged: %+v vs %+v", got, first)
-	}
 }
 
 // TestCrashMidCollectiveNoLeak kills a rank while the world is deep in a
-// barrier storm: every survivor is parked mid-collective at the kill
-// instant. The run must complete with no deadlock and no rank left
-// parked, under both representations.
+// storm of barriers and collective writes: every survivor is parked
+// mid-collective at the kill instant. The step-function bodies recover
+// through FProtect and FRebuild; the run must complete with no deadlock,
+// no rank left parked and no demand interval left open.
 func TestCrashMidCollectiveNoLeak(t *testing.T) {
 	const procs, iters = 6, 60
-	// Barrier-only body: almost all virtual time is spent inside
-	// collectives, so a mid-run crash lands mid-barrier.
-	procBody := func(st *recShared) func(r *Rank) {
-		return func(r *Rank) {
-			c := r.World()
-			if r.Incarnation() > 0 {
-				st.restarts[r.ID()]++
-				r.Rebuild()
-			}
-			for {
-				err := r.Protect(func() {
-					for st.committed < st.iters {
-						i := st.committed
-						c.Barrier(r)
-						c.Barrier(r)
-						r.CheckFailed()
-						st.committed = i + 1
-					}
-				})
-				if err == nil {
-					return
-				}
-				st.fails[r.ID()]++
-				r.Rebuild()
-			}
-		}
-	}
-	fiberBody := func(st *recShared) FiberMain {
-		return func(r *Rank, f *sim.Fiber) sim.StepFunc {
+	var file *File
+	body := func(st *recShared) FiberMain {
+		return func(r *Rank, _ *sim.Fiber) sim.StepFunc {
 			c := r.World()
 			var step sim.StepFunc
 			step = func(_ *sim.Fiber) sim.StepFunc {
@@ -248,7 +165,7 @@ func TestCrashMidCollectiveNoLeak(t *testing.T) {
 				}
 				i := st.committed
 				return c.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
-					return c.FBarrier(r, func(_ *sim.Fiber) sim.StepFunc {
+					return file.FWriteAll(r, 1<<12, func(_ *sim.Fiber) sim.StepFunc {
 						return r.FCheckFailed(func(_ *sim.Fiber) sim.StepFunc {
 							st.committed = i + 1
 							return step
@@ -266,46 +183,47 @@ func TestCrashMidCollectiveNoLeak(t *testing.T) {
 				st.restarts[r.ID()]++
 				return r.FRebuild(start)
 			}
-			return start
+			return c.FOpen(r, "ckpt", func(fl *File) sim.StepFunc {
+				file = fl
+				return start
+			})
 		}
 	}
-
-	st0 := newRecShared(iters, procs)
-	w0 := NewWorld(Config{Procs: procs, Seed: 3})
-	base := mustRun(t, w0, procBody(st0))
-	crashes := []sim.CrashEvent{{At: base / 2, Target: 4, Restart: 60 * sim.Microsecond}}
-
-	t.Run("proc", func(t *testing.T) {
-		st := newRecShared(iters, procs)
+	run := func(st *recShared, crashes []sim.CrashEvent) (*World, sim.Time) {
 		w := NewWorld(Config{Procs: procs, Seed: 3, Crashes: crashes})
-		mustRun(t, w, procBody(st))
-		allFinished(t, w)
-		if st.committed != iters {
-			t.Fatalf("committed %d of %d", st.committed, iters)
-		}
-		if st.restarts[4] != 1 {
-			t.Errorf("victim restarts = %d, want 1", st.restarts[4])
-		}
-	})
-	t.Run("fiber", func(t *testing.T) {
-		st := newRecShared(iters, procs)
-		w := NewWorld(Config{Procs: procs, Seed: 3, Crashes: crashes})
-		if _, err := w.RunFibers(fiberBody(st)); err != nil {
+		end, err := w.RunFibers(body(st))
+		if err != nil {
 			t.Fatalf("RunFibers: %v", err)
 		}
-		allFinished(t, w)
-		if st.committed != iters {
-			t.Fatalf("committed %d of %d", st.committed, iters)
+		return w, end
+	}
+	_, base := run(newRecShared(iters, procs), nil)
+	st := newRecShared(iters, procs)
+	w, _ := run(st, []sim.CrashEvent{{At: base / 2, Target: 4, Restart: 60 * sim.Microsecond}})
+	allFinished(t, w)
+	if st.committed != iters {
+		t.Fatalf("committed %d of %d", st.committed, iters)
+	}
+	if st.restarts[4] != 1 {
+		t.Errorf("victim restarts = %d, want 1", st.restarts[4])
+	}
+	for i, rs := range w.ranks {
+		if rs.ioDepth != 0 {
+			t.Errorf("rank %d leaks ioDepth %d", i, rs.ioDepth)
 		}
-	})
+	}
 }
 
-// TestCrashSharedPointerFailover kills a rank during a shared-file-pointer
-// write phase, exercising the token eviction path: the dead rank must not
-// wedge the pointer token, and the world must recover and finish.
+// TestCrashSharedPointerFailover kills a rank inside one of its
+// shared-file-pointer writes, exercising the token eviction path: the dead
+// rank must not wedge the pointer token, the world must recover and
+// finish, and neither the write the kill cut short nor the collective
+// writes the failure unwinds on the survivors may leave a demand interval
+// open.
 func TestCrashSharedPointerFailover(t *testing.T) {
 	const procs, iters = 4, 12
 	var file *File
+	var writeAt sim.Time // when rank 1 starts its middle write, crash-free
 	body := func(st *recShared) func(r *Rank) {
 		return func(r *Rank) {
 			c := r.World()
@@ -320,8 +238,11 @@ func TestCrashSharedPointerFailover(t *testing.T) {
 				err := r.Protect(func() {
 					for st.committed < st.iters {
 						i := st.committed
+						if r.ID() == 1 && i == iters/2 && writeAt == 0 {
+							writeAt = r.Now()
+						}
 						file.WriteShared(r, 1<<16)
-						c.Barrier(r)
+						file.WriteAll(r, 1<<16)
 						r.CheckFailed()
 						st.committed = i + 1
 					}
@@ -335,16 +256,22 @@ func TestCrashSharedPointerFailover(t *testing.T) {
 		}
 	}
 
-	st0 := newRecShared(iters, procs)
-	w0 := NewWorld(Config{Procs: procs, Seed: 21})
-	file = nil
-	base := mustRun(t, w0, body(st0))
-	crashes := []sim.CrashEvent{{At: base / 2, Target: 1, Restart: 90 * sim.Microsecond}}
-
+	// The job has the file system to itself, through a shared bank, so
+	// its writes signal their demand.
+	fs := netmodel.LustreLike()
+	run := func(st *recShared, crashes []sim.CrashEvent) (*World, *sim.Bank) {
+		e, bank := sim.NewEngine(21), sim.NewBank(fs.Stripes, 1, sim.BankFairWC)
+		w := NewWorld(Config{Procs: procs, Seed: 21, Engine: e, Bank: bank, FS: fs, Crashes: crashes})
+		file = nil
+		w.Start(body(st))
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("engine run: %v", err)
+		}
+		return w, bank
+	}
+	run(newRecShared(iters, procs), nil)
 	st := newRecShared(iters, procs)
-	w := NewWorld(Config{Procs: procs, Seed: 21, Crashes: crashes})
-	file = nil
-	mustRun(t, w, body(st))
+	w, bank := run(st, []sim.CrashEvent{{At: writeAt + 1, Target: 1, Restart: 90 * sim.Microsecond}})
 	allFinished(t, w)
 	if st.committed != iters {
 		t.Fatalf("committed %d of %d", st.committed, iters)
@@ -353,6 +280,13 @@ func TestCrashSharedPointerFailover(t *testing.T) {
 		if rs.ioDepth != 0 {
 			t.Errorf("rank %d leaks ioDepth %d", i, rs.ioDepth)
 		}
+	}
+	// With every interval closed, one more opens and closes on its own.
+	end, demand := w.Makespan(), bank.JobDemand(0)
+	bank.IOBegin(0, end)
+	bank.IOEnd(0, end+1)
+	if bank.JobDemand(0) != demand+1 {
+		t.Error("a write the failure cut short left the job's demand interval open")
 	}
 }
 
@@ -514,3 +448,140 @@ func TestShardedWorldGuards(t *testing.T) {
 type nopTracer struct{}
 
 func (nopTracer) Span(rank int, category, label string, start, end sim.Time) {}
+
+// TestFailureErrorsNameTheirWorld: both world-revoking errors name the
+// world when it has a name and leave it out when it has none.
+func TestFailureErrorsNameTheirWorld(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{&RankFailedError{World: "jobA", Rank: 2, Epoch: 1}, "mpi: jobA: rank 2 failed (epoch 1)"},
+		{&RankFailedError{Rank: 2, Epoch: 1}, "mpi: rank 2 failed (epoch 1)"},
+		{&RankUnreachableError{World: "jobA", Src: 0, Dst: 1, Seq: 3, Attempts: 9, Epoch: 1},
+			"mpi: jobA: rank 1 unreachable from rank 0 (seq 3, 9 attempts, epoch 1)"},
+		{&RankUnreachableError{Src: 0, Dst: 1, Seq: 3, Attempts: 9, Epoch: 1},
+			"mpi: rank 1 unreachable from rank 0 (seq 3, 9 attempts, epoch 1)"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("%T: %q, want %q", c.err, got, c.want)
+		}
+	}
+}
+
+// TestRevocationFailsPendingTraffic: a crash completes every pending
+// receive of the survivors at the kill instant, one that WaitAny waits on
+// and one posted and not yet waited for, and drops the message its rank
+// had queued, so a probe before the rebuild finds nothing of the failed
+// attempt. The world then rebuilds and finishes.
+func TestRevocationFailsPendingTraffic(t *testing.T) {
+	crash := sim.CrashEvent{At: 100 * sim.Microsecond, Target: 3, Restart: 10 * sim.Microsecond}
+	w := NewWorld(Config{Procs: 4, Seed: 1, Crashes: []sim.CrashEvent{crash}})
+	var waitAnyErr error
+	var failedAt sim.Time
+	var queued bool
+	mustRun(t, w, func(r *Rank) {
+		c := r.World()
+		if r.Incarnation() > 0 {
+			r.Rebuild()
+		}
+		for {
+			err := r.Protect(func() {
+				if w.epoch == 0 {
+					switch r.ID() {
+					case 0:
+						c.WaitAny(r, []*Request{c.Irecv(r, 1, 1), c.Irecv(r, 2, 1)})
+					case 1:
+						c.Send(r, 0, 9, 64, nil)
+						c.Irecv(r, 2, 1)
+					}
+					r.Compute(200 * sim.Microsecond)
+				}
+				c.Barrier(r)
+				r.CheckFailed()
+			})
+			if err == nil {
+				return
+			}
+			if r.ID() == 0 {
+				waitAnyErr, failedAt = err, r.Now()
+				queued, _ = c.probe(r, 1, 9)
+			}
+			r.Rebuild()
+		}
+	})
+	allFinished(t, w)
+	if fe, ok := waitAnyErr.(*RankFailedError); !ok || fe.Rank != crash.Target || failedAt != crash.At {
+		t.Errorf("WaitAny failed with %v at %v, want rank %d's failure at %v", waitAnyErr, failedAt, crash.Target, crash.At)
+	}
+	if queued {
+		t.Error("a message of the failed attempt is still queued after the revocation")
+	}
+}
+
+// TestRebuildDiscardsInterruptedSplit: a crash lands while two of four
+// members have registered for a Split, and a third registers while the
+// world is revoked. After the rebuild a fresh Split builds its
+// communicators from the new registrations alone.
+func TestRebuildDiscardsInterruptedSplit(t *testing.T) {
+	const procs = 4
+	w := NewWorld(Config{Procs: procs, Seed: 1, Crashes: []sim.CrashEvent{{At: 50 * sim.Microsecond, Target: 3, Restart: 10 * sim.Microsecond}}})
+	members := make([][]int, procs)
+	mustRun(t, w, func(r *Rank) {
+		c := r.World()
+		if r.Incarnation() > 0 {
+			r.Rebuild()
+		}
+		for r.Protect(func() {
+			if w.epoch == 0 && r.ID() >= 2 {
+				r.Compute(100 * sim.Microsecond) // rank 3 dies in here
+			}
+			members[r.ID()] = c.Split(r, r.ID()%2, r.ID()).members
+			c.Barrier(r)
+			r.CheckFailed()
+		}) != nil {
+			r.Rebuild()
+		}
+	})
+	allFinished(t, w)
+	for me, got := range members {
+		if want := []int{me % 2, me%2 + 2}; !slices.Equal(got, want) {
+			t.Errorf("rank %d: post-rebuild Split gave members %v, want %v", me, got, want)
+		}
+	}
+}
+
+// TestFailureRecoveryIsScoped: Protect re-raises a panic that is not a
+// world-revoking failure; on a revoked world CheckFailed fails a blocking
+// body that has nothing else in flight, and a step-function body that
+// meets the revocation outside FProtect panics with the failure.
+func TestFailureRecoveryIsScoped(t *testing.T) {
+	panicOf := func(run func()) (rec any) {
+		defer func() { rec = recover() }()
+		run()
+		return nil
+	}
+	w := NewWorld(Config{Procs: 1, Seed: 1})
+	rec := panicOf(func() { w.Run(func(r *Rank) { r.Protect(func() { panic("boom") }) }) })
+	if !strings.Contains(fmt.Sprint(rec), "boom") {
+		t.Errorf("Protect around a plain panic: recovered %v, want the panic re-raised", rec)
+	}
+	crash := []sim.CrashEvent{{At: sim.Microsecond, Target: 1, Restart: sim.Microsecond}}
+	var err error
+	mustRun(t, NewWorld(Config{Procs: 2, Seed: 1, Crashes: crash}), func(r *Rank) {
+		r.Compute(2 * sim.Microsecond)
+		if e := r.Protect(r.CheckFailed); r.ID() == 0 {
+			err = e
+		}
+	})
+	if _, ok := err.(*RankFailedError); !ok {
+		t.Errorf("CheckFailed on a revoked world returned %v, want the *RankFailedError", err)
+	}
+	w = NewWorld(Config{Procs: 2, Seed: 1, Crashes: crash})
+	rec = panicOf(func() {
+		w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc { return r.FCompute(2*sim.Microsecond, r.FCheckFailed(nil)) })
+	})
+	if _, ok := rec.(*RankFailedError); !ok {
+		t.Errorf("a step-function body outside FProtect met a revoked world: recovered %v, want the *RankFailedError", rec)
+	}
+}

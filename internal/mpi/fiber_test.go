@@ -1,150 +1,44 @@
 package mpi
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// busyTracer sums span time per (rank, category), the quantity a trace
-// summary reports; zero-length spans count for nothing, as in
-// trace.Recorder.
-type busyTracer map[int]map[string]sim.Time
-
-func (b busyTracer) Span(rank int, category, label string, start, end sim.Time) {
-	if b[rank] == nil {
-		b[rank] = map[string]sim.Time{}
-	}
-	b[rank][category] += end - start
-}
-
-// runBothWays runs the same logical program once as blocking rank bodies
-// and once as step-function bodies and asserts identical final virtual
-// time and identical engine event counts: the blocking calls run the F
-// forms on a hosted fiber, and the host must add no event and move no
-// instant. It then repeats the pair under a Tracer: tracing observes the
-// one path, so it must leave time and event count where they were, and
-// both kinds of body must report equal busy time per rank and category.
-func runBothWays(t *testing.T, procs int, procBody func(*Rank), fibBody FiberMain) sim.Time {
-	t.Helper()
-	type outcome struct {
-		end    sim.Time
-		events uint64
-		busy   busyTracer
-	}
-	run := func(fibers, traced bool) outcome {
-		cfg := Config{Procs: procs, Seed: 42}
-		var busy busyTracer
-		if traced {
-			busy = busyTracer{}
-			cfg.Tracer = busy
-		}
-		w := NewWorld(cfg)
-		var end sim.Time
-		var err error
-		if fibers {
-			end, err = w.RunFibers(fibBody)
-		} else {
-			end, err = w.Run(procBody)
-		}
-		if err != nil {
-			t.Fatalf("fibers=%v traced=%v: %v", fibers, traced, err)
-		}
-		return outcome{end, w.Engine().Events(), busy}
-	}
-	p, f := run(false, false), run(true, false)
-	if p.end != f.end {
-		t.Fatalf("final time: procs %v, fibers %v", p.end, f.end)
-	}
-	if p.events != f.events {
-		t.Fatalf("event count: procs %d, fibers %d", p.events, f.events)
-	}
-	tp, tf := run(false, true), run(true, true)
-	if tp.end != p.end || tf.end != p.end || tp.events != p.events || tf.events != p.events {
-		t.Fatalf("tracing moved the trajectory: end %v/%v events %d/%d, untraced %v and %d",
-			tp.end, tf.end, tp.events, tf.events, p.end, p.events)
-	}
-	if len(tp.busy) == 0 || !reflect.DeepEqual(tp.busy, tf.busy) {
-		t.Errorf("traced busy time per rank and category:\n procs  %v\n fibers %v", tp.busy, tf.busy)
-	}
-	return f.end
-}
-
-// TestFiberNonblockingCollectivesMatchProcs starts each of the three
-// nonblocking collectives, computes, and waits for it: WaitColl against
-// FWaitColl. Ibarrier has no public F form, so the step-function body
-// starts its helper with fstartColl itself, without a host.
-func TestFiberNonblockingCollectivesMatchProcs(t *testing.T) {
+// TestTracingObservesOnePath runs a barrier after uneven compute traced
+// and untraced. Tracing must leave the end instant and the event count
+// where they were, and each rank's traced waits must cover its barrier
+// from entry to exit, the send wait of each round included, all but the
+// CPU overhead of its three sends.
+func TestTracingObservesOnePath(t *testing.T) {
 	const procs = 6
-	kinds := []struct {
-		name   string
-		start  func(c *Comm, r *Rank) *CollRequest
-		fstart func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc
-		want   func(me int) interface{}
-	}{
-		{"Ibarrier",
-			func(c *Comm, r *Rank) *CollRequest { return c.Ibarrier(r) },
-			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-				return c.fstartColl(r, "ibarrier", func(hf *sim.Fiber, me, tag int, cr *CollRequest) sim.StepFunc {
-					return c.fbarrierOn(r, hf, me, tag, func(*sim.Fiber) sim.StepFunc { return c.finishColl(r, cr) })
-				}, then)
-			},
-			func(int) interface{} { return nil }},
-		{"Ireduce",
-			func(c *Comm, r *Rank) *CollRequest {
-				return c.Ireduce(r, 2, Part{Bytes: 1 << 14, Data: int64(r.ID())}, SumInt64, LinearCost(sim.Nanosecond))
-			},
-			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-				return c.FIreduce(r, 2, Part{Bytes: 1 << 14, Data: int64(r.ID())}, SumInt64, LinearCost(sim.Nanosecond), then)
-			},
-			func(me int) interface{} {
-				if me == 2 {
-					return Part{Bytes: 1 << 14, Data: int64(15)}
-				}
-				return Part{}
-			}},
-		{"Iallgatherv",
-			func(c *Comm, r *Rank) *CollRequest { return c.Iallgatherv(r, Part{Bytes: 256, Data: r.ID()}) },
-			func(c *Comm, r *Rank, then func(*CollRequest) sim.StepFunc) sim.StepFunc {
-				return c.FIallgatherv(r, Part{Bytes: 256, Data: r.ID()}, then)
-			},
-			func(int) interface{} {
-				parts := make([]Part, procs)
-				for i := range parts {
-					parts[i] = Part{Bytes: 256, Data: i}
-				}
-				return parts
-			}},
-	}
-	for _, k := range kinds {
-		t.Run(k.name, func(t *testing.T) {
-			check := func(form string, me int, got interface{}) {
-				if want := k.want(me); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s, rank %d: result %v, want %v", form, me, got, want)
-				}
-			}
-			runBothWays(t, procs, func(r *Rank) {
-				c := r.World()
-				c.Barrier(r)
-				cr := k.start(c, r)
-				r.Compute(sim.Time(procs-r.ID()) * sim.Microsecond)
-				check("blocking", r.ID(), c.WaitColl(r, cr))
-				c.Barrier(r)
-			}, func(r *Rank, _ *sim.Fiber) sim.StepFunc {
-				c := r.World()
-				return c.FBarrier(r, func(*sim.Fiber) sim.StepFunc {
-					return k.fstart(c, r, func(cr *CollRequest) sim.StepFunc {
-						return r.FCompute(sim.Time(procs-r.ID())*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
-							return c.FWaitColl(r, cr, func(v interface{}) sim.StepFunc {
-								check("step function", r.ID(), v)
-								return c.FBarrier(r, nil)
-							})
-						})
-					})
-				})
-			})
+	run := func(tr Tracer) (sim.Time, uint64, []sim.Time) {
+		barrier := make([]sim.Time, procs)
+		w := NewWorld(Config{Procs: procs, Seed: 42, Tracer: tr})
+		end, err := w.Run(func(r *Rank) {
+			c := r.World()
+			r.Compute(sim.Time(procs-r.ID()) * sim.Microsecond)
+			start := r.Now()
+			c.Barrier(r)
+			barrier[r.ID()] = r.Now() - start
 		})
+		if err != nil {
+			t.Fatalf("traced %v: %v", tr != nil, err)
+		}
+		return end, w.eng.Events(), barrier
+	}
+	plainEnd, plainEvents, _ := run(nil)
+	var rec trace.Recorder
+	end, events, barrier := run(&rec)
+	if end != plainEnd || events != plainEvents {
+		t.Fatalf("tracing moved the trajectory: end %v after %d events, untraced %v after %d", end, events, plainEnd, plainEvents)
+	}
+	for rank, d := range barrier {
+		if got, want := rec.Busy(rank)["comm"], d-3*fabric.SendOverhead; got != want {
+			t.Errorf("rank %d: traced barrier waits %v, want %v of its %v", rank, got, want, d)
+		}
 	}
 }
 

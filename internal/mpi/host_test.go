@@ -103,11 +103,11 @@ func TestHostLifetime(t *testing.T) {
 			if !errors.As(ferr, &fdl) || !reflect.DeepEqual(dl.Blocked, want) || !reflect.DeepEqual(fdl.Blocked, want) {
 				t.Errorf("blocked: blocking bodies %q, step functions %q (%v), want %q", dl.Blocked, fdl, ferr, want)
 			}
-			return w.Engine()
+			return w.eng
 		}},
 		{"body panic", func(t *testing.T) (e *sim.Engine) {
 			w := NewWorld(Config{Procs: 4, Seed: 1})
-			e = w.Engine()
+			e = w.eng
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, `process "rank0" panicked: boom`) {
 					t.Errorf("recovered %q, want rank 0's panic", msg)
@@ -132,7 +132,7 @@ func TestHostLifetime(t *testing.T) {
 			if st.committed != iters || st.restarts[1] != 1 || st.restarts[3] != 1 {
 				t.Fatalf("committed %d of %d, restarts %v", st.committed, iters, st.restarts)
 			}
-			return w.Engine()
+			return w.eng
 		}},
 		{"abort before run", func(t *testing.T) *sim.Engine {
 			e := sim.NewEngine(1)
@@ -153,7 +153,7 @@ func TestHostLifetime(t *testing.T) {
 			if again := mustRun(t, w, body); again != first {
 				t.Errorf("reused world ended at %v, fresh one at %v", again, first)
 			}
-			return w.Engine()
+			return w.eng
 		}},
 	}
 	for _, tc := range cases {
@@ -204,7 +204,7 @@ func TestBlockingOnlyOperationsPinned(t *testing.T) {
 		"0 6 at 916584",
 		"0 6 at 916584",
 	}
-	if end != wantEnd || w.Engine().Events() != wantEvents || !reflect.DeepEqual(results, wantResults) {
-		t.Errorf("end %d, %d events, results %q;\nwant %d, %d, %q", end, w.Engine().Events(), results, wantEnd, wantEvents, wantResults)
+	if end != wantEnd || w.eng.Events() != wantEvents || !reflect.DeepEqual(results, wantResults) {
+		t.Errorf("end %d, %d events, results %q;\nwant %d, %d, %q", end, w.eng.Events(), results, wantEnd, wantEvents, wantResults)
 	}
 }

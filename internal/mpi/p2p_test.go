@@ -377,6 +377,7 @@ func TestBadArgumentsPanic(t *testing.T) {
 			func() { c.Isend(r, 5, 0, 8, nil) },
 			func() { c.Isend(r, 1, 0, -1, nil) },
 			func() { c.Irecv(r, 17, 0) },
+			func() { c.Recv(r, 1, collTagBase) },
 			func() { c.WaitAny(r, nil) },
 		} {
 			func() {

@@ -81,12 +81,8 @@ type RankUnreachableError struct {
 }
 
 func (e *RankUnreachableError) Error() string {
-	if e.World != "" {
-		return fmt.Sprintf("mpi: %s: rank %d unreachable from rank %d (seq %d, %d attempts, epoch %d)",
-			e.World, e.Dst, e.Src, e.Seq, e.Attempts, e.Epoch)
-	}
-	return fmt.Sprintf("mpi: rank %d unreachable from rank %d (seq %d, %d attempts, epoch %d)",
-		e.Dst, e.Src, e.Seq, e.Attempts, e.Epoch)
+	return fmt.Sprintf("%srank %d unreachable from rank %d (seq %d, %d attempts, epoch %d)",
+		errPrefix(e.World), e.Dst, e.Src, e.Seq, e.Attempts, e.Epoch)
 }
 
 func (e *RankUnreachableError) rankFailure() {}
@@ -151,23 +147,16 @@ func (a *relAck) Fire() {
 	}
 	en.acked = true
 	sender.relUnacked--
-	if sender.drainQ.Len() > 0 && sender.relUnacked <= sender.drainTarget {
+	if sender.relUnacked <= sender.drainTarget {
 		sender.drainQ.Broadcast(sender.eng)
 	}
-}
-
-// heldMsg is an out-of-order arrival parked in the reorder buffer with
-// the instant its receiver-NIC slot completed.
-type heldMsg struct {
-	m     *message
-	ready sim.Time
 }
 
 // relRecvBuf is the receiver's per-source reorder state: next is the
 // sequence number owed to matching, held parks later arrivals.
 type relRecvBuf struct {
 	next uint64
-	held map[uint64]heldMsg
+	held map[uint64]*message
 }
 
 // reliable reports whether the world runs the reliable-delivery
@@ -193,17 +182,10 @@ func (w *World) Retransmits() int64 {
 // whose NIC slot ends at sendEnd: the expected ack instant (wire hop,
 // receiver serialization, ack hop back, all at base latency — an
 // estimate; only determinism matters, not tightness) plus the
-// exponentially backed-off slack for this attempt.
-func (w *World) relTimerAt(sendEnd, ser sim.Time, attempt int) sim.Time {
-	slack := ackSlack
-	if attempt > 0 {
-		shift := attempt
-		if shift > 20 {
-			shift = 20 // backoff saturates; virtual-time overflow guard
-		}
-		slack <<= uint(shift)
-	}
-	return sendEnd + 2*fabric.Latency + ser + slack
+// exponentially backed-off slack for this attempt. The attempt is at most
+// retryLimit, so the shift cannot overflow.
+func relTimerAt(sendEnd, ser sim.Time, attempt int) sim.Time {
+	return sendEnd + 2*fabric.Latency + ser + ackSlack<<attempt
 }
 
 // relSend runs the sender half of the protocol for a freshly issued
@@ -227,7 +209,7 @@ func (src *rankState) relSend(m *message, sendEnd, arrive sim.Time) {
 		seq: seq, epoch: m.epoch, attempt: 1,
 	}
 	m.rel = en
-	en.transmit(m, arrive, w.relTimerAt(sendEnd, m.ser, 0), 0)
+	en.transmit(m, arrive, relTimerAt(sendEnd, m.ser, 0), 0)
 }
 
 // transmit puts one attempt's copy m on the wire as its verdict says and
@@ -288,7 +270,7 @@ func (en *relEntry) Fire() {
 	if lf := w.cfg.LinkFaults; lf != nil {
 		lat = lf.StretchLatency(lat, sendEnd)
 	}
-	en.transmit(en.remsg(ser), sendEnd+lat, w.relTimerAt(sendEnd, ser, attempt), attempt)
+	en.transmit(en.remsg(ser), sendEnd+lat, relTimerAt(sendEnd, ser, attempt), attempt)
 }
 
 // remsg builds a pool message carrying the entry's payload for one
@@ -353,11 +335,10 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 	case en.seq == rb.next:
 		rb.next++
 		w.deliverAt(dst, m, ready)
-		// Drain any directly following held arrivals. Their NIC slots
-		// completed earlier (reservations are made in arrival order), but
-		// in-order release means none is observable before its
-		// predecessor: readiness is the running maximum.
-		relready := ready
+		// Release any directly following held arrivals. The receiver NIC
+		// reserves its slots in arrival order, so theirs ended no later
+		// than this one's; in-order release makes each observable when
+		// its predecessor is, at ready.
 		for {
 			h, ok := rb.held[rb.next]
 			if !ok {
@@ -365,10 +346,7 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 			}
 			delete(rb.held, rb.next)
 			rb.next++
-			if h.ready > relready {
-				relready = h.ready
-			}
-			w.deliverAt(dst, h.m, relready)
+			w.deliverAt(dst, h, ready)
 		}
 	default:
 		if _, dup := rb.held[en.seq]; dup {
@@ -376,9 +354,9 @@ func (w *World) relArrive(m *message, ready sim.Time) {
 			return
 		}
 		if rb.held == nil {
-			rb.held = make(map[uint64]heldMsg)
+			rb.held = make(map[uint64]*message)
 		}
-		rb.held[en.seq] = heldMsg{m: m, ready: ready}
+		rb.held[en.seq] = m
 	}
 }
 
@@ -418,14 +396,12 @@ func (w *World) relReset() {
 		for i := range rs.relIn {
 			rb := &rs.relIn[i]
 			for _, h := range rb.held {
-				rs.pool.freeMessage(h.m)
+				rs.pool.freeMessage(h)
 			}
 			clear(rb.held)
 			rb.next = 0
 		}
-		if rs.drainQ.Len() > 0 {
-			rs.drainQ.Broadcast(rs.eng)
-		}
+		rs.drainQ.Broadcast(rs.eng)
 	}
 }
 

@@ -77,7 +77,8 @@ func TestReliableDupSuppression(t *testing.T) {
 // TestReliableOrderingUnderLoss streams sequence-stamped payloads
 // through a 30%-lossy fabric and checks the receiver sees them in
 // order: the protocol's per-source in-order release preserves MPI's
-// non-overtaking guarantee however the retransmissions interleave.
+// non-overtaking guarantee however the retransmissions interleave, and
+// the reorder buffer lets go of every arrival it released.
 func TestReliableOrderingUnderLoss(t *testing.T) {
 	const msgs = 64
 	mf := &netmodel.MsgFaults{DropSeed: 9, DropRate: 0.3}
@@ -101,6 +102,9 @@ func TestReliableOrderingUnderLoss(t *testing.T) {
 	}
 	if w.Retransmits() == 0 {
 		t.Errorf("a 30%% loss rate over %d messages retransmitted nothing", msgs)
+	}
+	if held := w.ranks[1].relIn[0].held; len(held) != 0 {
+		t.Errorf("the reorder buffer still holds %d released arrivals", len(held))
 	}
 }
 
@@ -138,8 +142,10 @@ func TestReliableUnreachable(t *testing.T) {
 
 // TestWaitSendWindow checks the ack'd sliding window bounds in-flight
 // state under loss: after each WaitSendWindow(2) at most two sends are
-// unacked, so the backlog never exceeds three, and on a lossless world
-// the call is a no-op returning a zero backlog.
+// unacked, so the backlog never exceeds three; WaitSendWindow(0) returns
+// once the last ack is in; a backlog already within the window returns
+// without flushing the rank's debt; and on a lossless world the call is a
+// no-op returning a zero backlog.
 func TestWaitSendWindow(t *testing.T) {
 	const msgs, window = 32, 2
 	mf := &netmodel.MsgFaults{DropSeed: 4, DropRate: 0.3}
@@ -158,9 +164,19 @@ func TestWaitSendWindow(t *testing.T) {
 					t.Fatalf("backlog %d after WaitSendWindow(%d)", n, window)
 				}
 			}
+			r.WaitSendWindow(0)
+			if n := r.rs.relUnacked; n != 0 {
+				t.Fatalf("backlog %d after WaitSendWindow(0)", n)
+			}
+			c.IsendAndFree(r, 1, 7, 64, int64(msgs))
+			now := r.Now()
+			r.WaitSendWindow(1)
+			if r.Now() != now {
+				t.Errorf("WaitSendWindow(1) with one send unacked moved the clock from %v to %v", now, r.Now())
+			}
 			return
 		}
-		for i := 0; i < msgs; i++ {
+		for i := 0; i <= msgs; i++ {
 			c.Recv(r, 0, 7)
 		}
 	})
@@ -198,32 +214,21 @@ type lossyOutcome struct {
 }
 
 // runLossy executes the checkpoint-aware collective body (shared with
-// the crash tests) under cfg with either representation and fingerprints
-// the run.
-func runLossy(t *testing.T, cfg Config, iters int, fibers bool) lossyOutcome {
+// the crash tests) under cfg and fingerprints the run.
+func runLossy(t *testing.T, cfg Config, iters int) lossyOutcome {
 	t.Helper()
 	st := newRecShared(iters, cfg.Procs)
 	w := NewWorld(cfg)
-	var end sim.Time
-	if fibers {
-		var err error
-		end, err = w.RunFibers(recFiberBody(st))
-		if err != nil {
-			t.Fatalf("RunFibers: %v", err)
-		}
-	} else {
-		end = mustRun(t, w, recProcBody(st))
-	}
+	end := mustRun(t, w, recProcBody(st))
 	allFinished(t, w)
 	o := lossyOutcome{end: end, committed: st.committed, retransmits: w.Retransmits()}
 	w.Release()
 	return o
 }
 
-// TestLossyReplayDeterministic pins the tentpole's replay contract: a
-// fixed lossy campaign (drop and duplication rates compiled through the
-// faults pipeline) yields bit-identical outcomes across the goroutine
-// and fiber representations and across pooled-world reuse.
+// TestLossyReplayDeterministic pins the replay contract: a fixed lossy
+// campaign (drop and duplication rates compiled through the faults
+// pipeline) yields bit-identical outcomes across pooled-world reuse.
 func TestLossyReplayDeterministic(t *testing.T) {
 	const procs, iters = 4, 16
 	spec := faults.Spec{Seed: 5, Horizon: 4 * sim.Second, DropRate: 0.25, DupRate: 0.1, Drops: 3}
@@ -236,28 +241,22 @@ func TestLossyReplayDeterministic(t *testing.T) {
 	}
 	cfg := Config{Procs: procs, Seed: 11, MsgFaults: inj.Msg}
 
-	first := runLossy(t, cfg, iters, false)
+	first := runLossy(t, cfg, iters)
 	if first.committed != iters {
 		t.Fatalf("committed %d of %d", first.committed, iters)
 	}
 	if first.retransmits == 0 {
 		t.Fatalf("a 25%% loss campaign retransmitted nothing")
 	}
-	if got := runLossy(t, cfg, iters, false); got != first {
+	if got := runLossy(t, cfg, iters); got != first {
 		t.Errorf("pooled-reuse replay diverged: %+v vs %+v", got, first)
-	}
-	if got := runLossy(t, cfg, iters, true); got != first {
-		t.Errorf("fiber replay diverged: %+v vs %+v", got, first)
-	}
-	if got := runLossy(t, cfg, iters, true); got != first {
-		t.Errorf("pooled fiber replay diverged: %+v vs %+v", got, first)
 	}
 }
 
 // TestCrashDuringRetransmitReplay composes the crash and message-fault
 // families: a rank dies mid-run while the lossy fabric keeps sends
 // unacked, recovery rebuilds, and the whole dance replays bit-for-bit
-// across representations and pooled reuse.
+// across pooled reuse.
 func TestCrashDuringRetransmitReplay(t *testing.T) {
 	const procs, iters = 4, 16
 	base := baselineMakespan(t, procs, iters)
@@ -268,18 +267,12 @@ func TestCrashDuringRetransmitReplay(t *testing.T) {
 			{At: base / 3, Target: 2, Restart: 100 * sim.Microsecond},
 		},
 	}
-	first := runLossy(t, cfg, iters, false)
+	first := runLossy(t, cfg, iters)
 	if first.committed != iters {
 		t.Fatalf("committed %d of %d", first.committed, iters)
 	}
-	if got := runLossy(t, cfg, iters, false); got != first {
+	if got := runLossy(t, cfg, iters); got != first {
 		t.Errorf("pooled-reuse replay diverged: %+v vs %+v", got, first)
-	}
-	if got := runLossy(t, cfg, iters, true); got != first {
-		t.Errorf("fiber replay diverged: %+v vs %+v", got, first)
-	}
-	if got := runLossy(t, cfg, iters, true); got != first {
-		t.Errorf("pooled fiber replay diverged: %+v vs %+v", got, first)
 	}
 }
 
@@ -296,23 +289,21 @@ func TestLossUnderLinkFlapReplay(t *testing.T) {
 			Bandwidth: []sim.FaultWindow{{Start: sim.Second / 2, End: sim.Second, Factor: 4}},
 		},
 	}
-	first := runLossy(t, cfg, iters, false)
+	first := runLossy(t, cfg, iters)
 	if first.committed != iters {
 		t.Fatalf("committed %d of %d", first.committed, iters)
 	}
-	if got := runLossy(t, cfg, iters, false); got != first {
+	if got := runLossy(t, cfg, iters); got != first {
 		t.Errorf("pooled-reuse replay diverged: %+v vs %+v", got, first)
-	}
-	if got := runLossy(t, cfg, iters, true); got != first {
-		t.Errorf("fiber replay diverged: %+v vs %+v", got, first)
 	}
 }
 
 // TestKillWithUnackedSends extends the kill-collective leak test to the
 // reliable protocol: rank 0 dies holding a window's worth of unacked
-// sends (its peer never posts the receives), the failure surfaces, the
-// world rebuilds, and every body finishes with no rank left parked and
-// no reliable state leaking across the rebuild.
+// sends (its peer never posts the receives), while rank 2, holding its
+// own, waits for their acks; the revocation wakes rank 2, the failure
+// surfaces, the world rebuilds, and every body finishes with no rank left
+// parked and no reliable state leaking across the rebuild.
 func TestKillWithUnackedSends(t *testing.T) {
 	const procs = 4
 	mf := &netmodel.MsgFaults{DropSeed: 7, DropRate: 0.5}
@@ -325,12 +316,12 @@ func TestKillWithUnackedSends(t *testing.T) {
 			}
 			for {
 				err := r.Protect(func() {
-					if st.committed == 0 && r.Incarnation() == 0 && r.ID() == 0 {
+					if st.committed == 0 && r.Incarnation() == 0 && r.ID()%2 == 0 {
 						// Fire-and-forget sends nobody receives: they sit
 						// unacked (half the transmissions drop) until the
-						// crash below kills this rank mid-window.
+						// crash below kills rank 0 mid-window.
 						for i := 0; i < 8; i++ {
-							c.IsendAndFree(r, 1, 99, 1<<16, nil)
+							c.IsendAndFree(r, r.ID()+1, 99, 1<<16, nil)
 						}
 						r.WaitSendWindow(0) // parked here at the kill instant
 					}
@@ -458,6 +449,73 @@ func TestAckTieGoesToTimer(t *testing.T) {
 		if w.Retransmits() != tc.retransmits || w.Makespan() != 202500 {
 			t.Errorf("send at %v: %d retransmits, makespan %v; want %d, 202.500us",
 				tc.at, w.Retransmits(), w.Makespan(), tc.retransmits)
+		}
+	}
+}
+
+// TestLinkFaultsStretchTheProtocol loses the first copy of one 4 KiB
+// message on a link whose latency is stretched 32 times and its bandwidth
+// 4 times. Each retransmission pays both stretches and arrives after its
+// own timer's deadline, so that timer is armed at transmission and fires
+// before the ack, which pays the stretched latency too, comes back. The
+// retransmit count and both ranks' finish instants are pinned.
+func TestLinkFaultsStretchTheProtocol(t *testing.T) {
+	w := NewWorld(Config{Procs: 2, Seed: 1,
+		MsgFaults: &netmodel.MsgFaults{Drops: map[netmodel.MsgDropKey]bool{{Src: 0, Dst: 1, Seq: 0}: true}},
+		LinkFaults: &netmodel.LinkFaults{
+			Latency:   []sim.FaultWindow{{Start: 0, End: sim.Second, Factor: 32}},
+			Bandwidth: []sim.FaultWindow{{Start: 0, End: sim.Second, Factor: 4}},
+		}})
+	var finish [2]sim.Time
+	mustRun(t, w, func(r *Rank) {
+		if r.ID() == 0 {
+			r.World().Send(r, 1, 7, 1<<12, nil)
+			r.WaitSendWindow(0)
+		} else {
+			r.World().Recv(r, 0, 7)
+		}
+		finish[r.ID()] = r.Now()
+	})
+	if w.Retransmits() != 3 || finish != [2]sim.Time{118644, 70944} {
+		t.Errorf("%d retransmits, finish %v; want 3, [118.644us 70.944us]", w.Retransmits(), finish)
+	}
+}
+
+// TestUnreachableThenRebuild: a latency flap makes every copy of the
+// first messages arrive after the last retransmission timer, so the
+// protocol gives up and revokes the world. After the flap the ranks
+// rebuild and exchange the same messages again; both sides of every pair
+// must restart their sequence numbers, or the new messages would wait
+// behind the lost ones for ever.
+func TestUnreachableThenRebuild(t *testing.T) {
+	w := NewWorld(Config{Procs: 2, Seed: 1, MsgFaults: &netmodel.MsgFaults{},
+		LinkFaults: &netmodel.LinkFaults{Latency: []sim.FaultWindow{{Start: 0, End: 5 * sim.Millisecond, Factor: 10000}}}})
+	var errs []error
+	mustRun(t, w, func(r *Rank) {
+		c := r.World()
+		for {
+			err := r.Protect(func() {
+				if r.ID() == 0 {
+					c.Send(r, 1, 7, 64, nil)
+				} else {
+					c.Recv(r, 0, 7)
+				}
+				c.Barrier(r)
+				r.CheckFailed()
+			})
+			if err == nil {
+				return
+			}
+			errs = append(errs, err)
+			r.Rebuild()
+		}
+	})
+	if len(errs) != 2 {
+		t.Fatalf("failures %v, want one per rank", errs)
+	}
+	for _, err := range errs {
+		if _, ok := err.(*RankUnreachableError); !ok {
+			t.Errorf("failure %v (%T), want *RankUnreachableError", err, err)
 		}
 	}
 }

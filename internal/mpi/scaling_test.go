@@ -53,7 +53,9 @@ func TestAllgathervBytesPerCallIndependentOfP(t *testing.T) {
 
 // matchBucketsAfterEpochs runs epochs FAllreduce calls on a procs-rank
 // world and reports the largest len(posted)+len(queued) any rank's match
-// index showed on entering or leaving any of its epochs.
+// index showed on entering or leaving any of its epochs, less what it held
+// at the start: a pooled world keeps the reused-tag buckets of its
+// previous run.
 func matchBucketsAfterEpochs(t *testing.T, procs, epochs int) int {
 	t.Helper()
 	high := make([]int, procs)
@@ -62,8 +64,9 @@ func matchBucketsAfterEpochs(t *testing.T, procs, epochs int) int {
 		c := r.World()
 		i := 0
 		var loop sim.StepFunc
+		kept := r.rs.match.posted.len() + r.rs.match.queued.len()
 		sample := func() {
-			if n := r.rs.match.posted.len() + r.rs.match.queued.len(); n > high[r.ID()] {
+			if n := r.rs.match.posted.len() + r.rs.match.queued.len() - kept; n > high[r.ID()] {
 				high[r.ID()] = n
 			}
 		}

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -80,88 +79,53 @@ func gatherRecProcBody(o *gatherRecObs) func(*Rank) {
 	}
 }
 
-func gatherRecFiberBody(o *gatherRecObs) FiberMain {
-	return func(r *Rank, _ *sim.Fiber) sim.StepFunc {
-		c := r.World()
-		attempt := func(*sim.Fiber) sim.StepFunc {
-			return r.FCompute(sim.Time(1+r.ID())*10*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
-				return c.FAllgatherv(r, gatherRecPart(r), func(parts []Part) sim.StepFunc {
-					o.note(r, parts)
-					return c.FBarrier(r, func(*sim.Fiber) sim.StepFunc {
-						return r.FCheckFailed(nil)
-					})
-				})
-			})
-		}
-		var onFail func(error) sim.StepFunc
-		onFail = func(error) sim.StepFunc { return r.FRebuild(r.FProtect(attempt, onFail)) }
-		start := r.FProtect(attempt, onFail)
-		if r.Incarnation() > 0 {
-			return r.FRebuild(start)
-		}
-		return start
-	}
-}
-
 // TestAllgathervAfterRebuildReturnsFreshParts kills a rank while an
 // allgatherv is half finished — some members already hold its result,
 // others are still inside — and rebuilds. Collective tags restart at zero,
 // so the first post-rebuild allgatherv has the interrupted one's registry
 // key: it must return only post-rebuild parts, in a result of its own (the
 // pre-crash result early finishers kept must not be written to), and
-// leave nothing in the registry. Both process representations.
+// leave nothing in the registry.
 func TestAllgathervAfterRebuildReturnsFreshParts(t *testing.T) {
 	const procs = 4
-	run := func(t *testing.T, fibers bool, crashes []sim.CrashEvent) (*gatherRecObs, *World) {
+	run := func(crashes []sim.CrashEvent) (*gatherRecObs, *World) {
 		o := newGatherRecObs(procs)
 		w := NewWorld(Config{Procs: procs, Seed: 11, Crashes: crashes})
-		var err error
-		if fibers {
-			_, err = w.RunFibers(gatherRecFiberBody(o))
-		} else {
-			_, err = w.Run(gatherRecProcBody(o))
-		}
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
+		mustRun(t, w, gatherRecProcBody(o))
 		allFinished(t, w)
 		return o, w
 	}
-	for _, fibers := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fibers=%v", fibers), func(t *testing.T) {
-			clean, _ := run(t, fibers, nil)
-			first, last := clean.finish0[0], clean.finish0[0]
-			for _, at := range clean.finish0 {
-				first, last = min(first, at), max(last, at)
+	clean, _ := run(nil)
+	first, last := clean.finish0[0], clean.finish0[0]
+	for _, at := range clean.finish0 {
+		first, last = min(first, at), max(last, at)
+	}
+	if last-first < 2 {
+		t.Fatalf("the clean run's ranks finish the allgatherv within %v of each other; the crash cannot land mid-collective", last-first)
+	}
+	o, w := run([]sim.CrashEvent{{At: (first + last) / 2, Target: 1, Restart: 50 * sim.Microsecond}})
+	early := 0
+	for me := 0; me < procs; me++ {
+		if o.kept[me] != nil {
+			early++
+			if !reflect.DeepEqual(o.kept[me], o.snap[me]) {
+				t.Errorf("rank %d: the pre-crash result it kept was overwritten after the rebuild:\n  was %v\n  now %v", me, o.snap[me], o.kept[me])
 			}
-			if last-first < 2 {
-				t.Fatalf("the clean run's ranks finish the allgatherv within %v of each other; the crash cannot land mid-collective", last-first)
+		}
+		if len(o.fresh[me]) != procs {
+			t.Fatalf("rank %d: post-rebuild allgatherv returned %d parts, want %d", me, len(o.fresh[me]), procs)
+		}
+		for i, part := range o.fresh[me] {
+			if part.Data != (gatherMark{i, 1}) {
+				t.Errorf("rank %d: post-rebuild part %d is %v, want rank %d's epoch-1 part", me, i, part.Data, i)
 			}
-			o, w := run(t, fibers, []sim.CrashEvent{{At: (first + last) / 2, Target: 1, Restart: 50 * sim.Microsecond}})
-			early := 0
-			for me := 0; me < procs; me++ {
-				if o.kept[me] != nil {
-					early++
-					if !reflect.DeepEqual(o.kept[me], o.snap[me]) {
-						t.Errorf("rank %d: the pre-crash result it kept was overwritten after the rebuild:\n  was %v\n  now %v", me, o.snap[me], o.kept[me])
-					}
-				}
-				if len(o.fresh[me]) != procs {
-					t.Fatalf("rank %d: post-rebuild allgatherv returned %d parts, want %d", me, len(o.fresh[me]), procs)
-				}
-				for i, part := range o.fresh[me] {
-					if part.Data != (gatherMark{i, 1}) {
-						t.Errorf("rank %d: post-rebuild part %d is %v, want rank %d's epoch-1 part", me, i, part.Data, i)
-					}
-				}
-			}
-			if early == 0 || early == procs {
-				t.Fatalf("%d of %d ranks had finished the allgatherv at the crash; the test needs some but not all", early, procs)
-			}
-			if n := len(w.gathers); n != 0 {
-				t.Errorf("%d allgatherv results left in the registry after the run", n)
-			}
-		})
+		}
+	}
+	if early == 0 || early == procs {
+		t.Fatalf("%d of %d ranks had finished the allgatherv at the crash; the test needs some but not all", early, procs)
+	}
+	if n := len(w.gathers); n != 0 {
+		t.Errorf("%d allgatherv results left in the registry after the run", n)
 	}
 }
 
@@ -174,60 +138,25 @@ type sharedGatherTrace struct {
 // runSharedGather runs blocking and nonblocking allgathervs on the world
 // communicator and on an odd-sized sub-communicator, so both algorithms
 // and several registry keys are in flight across shard boundaries.
-func runSharedGather(t *testing.T, procs, shards int, fibers bool) []sharedGatherTrace {
+func runSharedGather(t *testing.T, procs, shards int) []sharedGatherTrace {
 	t.Helper()
 	traces := make([]sharedGatherTrace, procs)
 	w := NewWorld(Config{Procs: procs, Seed: 7, Shards: shards, Place: func(rank int) int { return rank % shards }})
-	var err error
-	if fibers {
-		_, err = w.RunFibers(func(r *Rank, _ *sim.Fiber) sim.StepFunc {
-			c, me := r.World(), r.ID()
-			tr := &traces[me]
-			keep := func(then sim.StepFunc) func([]Part) sim.StepFunc {
-				return func(parts []Part) sim.StepFunc {
-					tr.Parts = append(tr.Parts, append([]Part(nil), parts...))
-					return then
-				}
-			}
-			return r.FCompute(sim.Time(me*13%7)*sim.Microsecond, func(*sim.Fiber) sim.StepFunc {
-				return c.FAllgatherv(r, Part{Bytes: int64(8 + me), Data: me}, keep(func(*sim.Fiber) sim.StepFunc {
-					return c.FSplit(r, me%3, me, func(sub *Comm) sim.StepFunc {
-						return sub.FAllgatherv(r, Part{Bytes: 16, Data: -me}, keep(func(*sim.Fiber) sim.StepFunc {
-							return c.FIallgatherv(r, Part{Bytes: 32, Data: me * me}, func(cr *CollRequest) sim.StepFunc {
-								return c.FWaitColl(r, cr, func(v interface{}) sim.StepFunc {
-									return keep(func(*sim.Fiber) sim.StepFunc {
-										return c.FBarrier(r, func(*sim.Fiber) sim.StepFunc {
-											tr.Finish = r.Now()
-											return nil
-										})
-									})(v.([]Part))
-								})
-							})
-						}))
-					})
-				}))
-			})
-		})
-	} else {
-		_, err = w.Run(func(r *Rank) {
-			c, me := r.World(), r.ID()
-			tr := &traces[me]
-			keep := func(parts []Part) { tr.Parts = append(tr.Parts, append([]Part(nil), parts...)) }
-			r.Compute(sim.Time(me*13%7) * sim.Microsecond)
-			keep(c.Allgatherv(r, Part{Bytes: int64(8 + me), Data: me}))
-			sub := c.Split(r, me%3, me)
-			keep(sub.Allgatherv(r, Part{Bytes: 16, Data: -me}))
-			cr := c.Iallgatherv(r, Part{Bytes: 32, Data: me * me})
-			keep(c.WaitColl(r, cr).([]Part))
-			c.Barrier(r)
-			tr.Finish = r.Now()
-		})
-	}
-	if err != nil {
-		t.Fatalf("procs=%d shards=%d fibers=%v: %v", procs, shards, fibers, err)
-	}
+	mustRun(t, w, func(r *Rank) {
+		c, me := r.World(), r.ID()
+		tr := &traces[me]
+		keep := func(parts []Part) { tr.Parts = append(tr.Parts, append([]Part(nil), parts...)) }
+		r.Compute(sim.Time(me*13%7) * sim.Microsecond)
+		keep(c.Allgatherv(r, Part{Bytes: int64(8 + me), Data: me}))
+		sub := c.Split(r, me%3, me)
+		keep(sub.Allgatherv(r, Part{Bytes: 16, Data: -me}))
+		cr := c.Iallgatherv(r, Part{Bytes: 32, Data: me * me})
+		keep(c.WaitColl(r, cr).([]Part))
+		c.Barrier(r)
+		tr.Finish = r.Now()
+	})
 	if n := len(w.gathers); n != 0 {
-		t.Errorf("procs=%d shards=%d fibers=%v: %d allgatherv results left in the registry", procs, shards, fibers, n)
+		t.Errorf("procs=%d shards=%d: %d allgatherv results left in the registry", procs, shards, n)
 	}
 	return traces
 }
@@ -235,12 +164,12 @@ func runSharedGather(t *testing.T, procs, shards int, fibers bool) []sharedGathe
 // TestSharedStateAllgathervAcrossShards checks the shared result under
 // the parallel mode: members on different shards enter and leave the
 // registry concurrently (CI runs this under -race -count=10), and the
-// gathered parts and finish instants are identical for 1, 2 and 4 shards
-// and for both representations. 8 ranks take recursive doubling, 6 the
-// ring; the color-by-3 sub-communicators are rings of 2 or 3.
+// gathered parts and finish instants are identical for 1, 2 and 4 shards.
+// 8 ranks take recursive doubling, 6 the ring; the color-by-3
+// sub-communicators are rings of 2 or 3.
 func TestSharedStateAllgathervAcrossShards(t *testing.T) {
 	for _, procs := range []int{8, 6} {
-		ref := runSharedGather(t, procs, 1, false)
+		ref := runSharedGather(t, procs, 1)
 		for me, tr := range ref {
 			for i, part := range tr.Parts[0] {
 				if part.Data != i || part.Bytes != int64(8+i) {
@@ -248,11 +177,9 @@ func TestSharedStateAllgathervAcrossShards(t *testing.T) {
 				}
 			}
 		}
-		for _, shards := range []int{1, 2, 4} {
-			for _, fibers := range []bool{false, true} {
-				if got := runSharedGather(t, procs, shards, fibers); !reflect.DeepEqual(got, ref) {
-					t.Errorf("procs=%d shards=%d fibers=%v diverged from the 1-shard goroutine reference:\n  ref %+v\n  got %+v", procs, shards, fibers, ref, got)
-				}
+		for _, shards := range []int{2, 4} {
+			if got := runSharedGather(t, procs, shards); !reflect.DeepEqual(got, ref) {
+				t.Errorf("procs=%d shards=%d diverged from the 1-shard reference:\n  ref %+v\n  got %+v", procs, shards, ref, got)
 			}
 		}
 	}

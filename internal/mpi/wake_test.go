@@ -19,7 +19,7 @@ func runDirectWake(t *testing.T, procs int, body func(*Rank)) (sim.Time, uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return end, w.Engine().Events(), w.Engine().QueueStats()
+	return end, w.eng.Events(), w.eng.QueueStats()
 }
 
 // TestDirectWakeWaitAny drives a fan-in consumer (the Fig. 8 shape: many
@@ -106,23 +106,31 @@ func TestDirectWakeWaitColl(t *testing.T) {
 // rank's live request, as the stream consumer loop once risked with its
 // final termination request).
 func TestConsumedRequestPanics(t *testing.T) {
-	w := NewWorld(Config{Procs: 2, Seed: 3})
-	_, err := w.Run(func(r *Rank) {
-		c := r.World()
-		if r.ID() == 0 {
-			c.Send(r, 1, 0, 64, nil)
-			return
-		}
-		req := c.Irecv(r, 0, 0)
-		c.Wait(r, req)
-		defer func() {
-			if recover() == nil {
-				t.Error("Test on a consumed request did not panic")
+	for _, call := range []string{"Test", "Wait", "WaitAll", "WaitAny"} {
+		w := NewWorld(Config{Procs: 2, Seed: 3})
+		mustRun(t, w, func(r *Rank) {
+			c := r.World()
+			if r.ID() == 0 {
+				c.Send(r, 1, 0, 64, nil)
+				return
 			}
-		}()
-		c.Test(r, req)
-	})
-	if err != nil {
-		t.Fatal(err)
+			req := c.Irecv(r, 0, 0)
+			c.Wait(r, req)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a consumed request did not panic", call)
+				}
+			}()
+			switch call {
+			case "Test":
+				c.Test(r, req)
+			case "Wait":
+				c.Wait(r, req)
+			case "WaitAll":
+				c.WaitAll(r, req)
+			case "WaitAny":
+				c.WaitAny(r, []*Request{req})
+			}
+		})
 	}
 }

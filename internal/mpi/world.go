@@ -810,11 +810,6 @@ func (w *World) checkIOShard(c *Comm) {
 	}
 }
 
-// Engine exposes the underlying simulation engine. It is nil for a world
-// in the conservative parallel mode (Config.Shards >= 1), which has one
-// engine per shard rather than one per world.
-func (w *World) Engine() *sim.Engine { return w.eng }
-
 // MessagesSent reports the total number of point-to-point messages.
 func (w *World) MessagesSent() int64 {
 	var total int64

@@ -233,9 +233,6 @@ func (q *WaitQueue) Broadcast(e *Engine) {
 	q.waiters = q.waiters[:0]
 }
 
-// Len reports how many processes are waiting.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
-
 // Remove deletes r from the queue preserving FIFO order and reports
 // whether it was present. Failure handling uses it to pull a killed
 // process out of resource queues so it is never woken post-mortem.
