@@ -9,6 +9,29 @@ import (
 	"repro/internal/sim"
 )
 
+// sumFloat64s adds two []float64 payloads elementwise. Shorter inputs are
+// treated as zero-padded.
+func sumFloat64s(a, b interface{}) interface{} {
+	av, _ := a.([]float64)
+	bv, _ := b.([]float64)
+	if av == nil {
+		return bv
+	}
+	if bv == nil {
+		return av
+	}
+	n := len(av)
+	if len(bv) > n {
+		n = len(bv)
+	}
+	out := make([]float64, n)
+	copy(out, av)
+	for i, v := range bv {
+		out[i] += v
+	}
+	return out
+}
+
 // commSizes exercises power-of-two (recursive doubling) and non-power-of-
 // two (fallback) code paths.
 var commSizes = []int{1, 2, 3, 4, 5, 7, 8, 16}

@@ -472,8 +472,8 @@ func TestFailureErrorsNameTheirWorld(t *testing.T) {
 // TestRevocationFailsPendingTraffic: a crash completes every pending
 // receive of the survivors at the kill instant, one that WaitAny waits on
 // and one posted and not yet waited for, and drops the message its rank
-// had queued, so a probe before the rebuild finds nothing of the failed
-// attempt. The world then rebuilds and finishes.
+// had queued, so its queue holds nothing of the failed attempt before the
+// rebuild. The world then rebuilds and finishes.
 func TestRevocationFailsPendingTraffic(t *testing.T) {
 	crash := sim.CrashEvent{At: 100 * sim.Microsecond, Target: 3, Restart: 10 * sim.Microsecond}
 	w := NewWorld(Config{Procs: 4, Seed: 1, Crashes: []sim.CrashEvent{crash}})
@@ -505,7 +505,7 @@ func TestRevocationFailsPendingTraffic(t *testing.T) {
 			}
 			if r.ID() == 0 {
 				waitAnyErr, failedAt = err, r.Now()
-				queued, _ = c.probe(r, 1, 9)
+				queued = r.rs.match.live > 0
 			}
 			r.Rebuild()
 		}

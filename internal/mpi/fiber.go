@@ -4,10 +4,10 @@
 // debt floors, settle targets, the order in which requests are posted and
 // waited on. Step-function rank bodies (World.RunFibers) call the F forms
 // directly; the blocking calls in p2p.go, coll.go and icoll.go run the
-// same F forms on the rank's fiber and park the body goroutine until the
-// last continuation (Rank.Block), so a body written either way fires the
-// same events at the same instants and reports the same spans to a Tracer
-// (asserted by the runBothWays tests in fiber_test.go).
+// same F forms on the rank's fiber and suspend the body's coroutine until
+// the last continuation (Rank.Block), so a body written either way fires
+// the same events at the same instants and reports the same spans to a
+// Tracer: a blocking call has no code of its own to diverge.
 //
 // A wait that cannot complete stores itself on the request (the
 // Request.waiter slot delivery resumes) and returns, unwinding to the

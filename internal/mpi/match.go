@@ -30,7 +30,7 @@ import (
 //     (comm, src, tag) list is a bucket: a collective (single-use) tag's
 //     bucket is kept from the first arrival, so a fresh collective tag
 //     never scans a backlog; a reused tag's bucket is built from the
-//     arrival list on the first concrete receive or probe of its key, so
+//     arrival list on the first concrete receive of its key, so
 //     traffic read only through wildcards builds none. Wildcard lists
 //     (side lists) are built the same way on first use.
 //
@@ -126,20 +126,6 @@ func (q *msgFIFO) first(pl *pools) *message {
 	return q.items[q.head]
 }
 
-// firstReady returns the earliest live message that is fully received as
-// of now (readyAt <= now), or nil. Unlike first it does not assume ready
-// instants are monotonic in arrival order (self-sends are ready
-// immediately and may sit behind in-flight network messages), so it scans
-// live entries.
-func (q *msgFIFO) firstReady(now sim.Time) *message {
-	for _, m := range q.items[q.head:] {
-		if !m.consumed && m.readyAt <= now {
-			return m
-		}
-	}
-	return nil
-}
-
 // maybeCompact drops consumed entries when they dominate the queue.
 // liveBound is an upper bound on the queue's live entries (the rank's
 // total live count works); keeping the queue within a factor of it bounds
@@ -201,11 +187,10 @@ type matchIndex struct {
 	// from the arrival list and maintained incrementally afterwards, so
 	// repeated wildcard receives (the stream library posts AnySource
 	// receives continuously) match in O(1) instead of rescanning.
-	side       keyTable[msgFIFO]
-	arrivals   []*message // arrival order, lazily deleted via m.consumed
-	arrHead    int
-	live       int // unconsumed messages in arrivals
-	selfQueued int // live queued self-sends (always ready; break readyAt monotonicity)
+	side     keyTable[msgFIFO]
+	arrivals []*message // arrival order, lazily deleted via m.consumed
+	arrHead  int
+	live     int // unconsumed messages in arrivals
 
 	// One-entry caches in front of the bucket tables: steady-state traffic
 	// reuses one selector per rank (a consumer reposting the same
@@ -317,7 +302,6 @@ func (x *matchIndex) reset() {
 	x.arrivals = x.arrivals[:0]
 	x.arrHead = 0
 	x.live = 0
-	x.selfQueued = 0
 	x.lastPostKey, x.lastPostQ = matchKey{}, nil
 	x.lastSelKey, x.lastSelQ = matchKey{}, nil
 }
@@ -431,9 +415,6 @@ func (x *matchIndex) addUnexpected(m *message) {
 	m.held++
 	x.arrivals = append(x.arrivals, m)
 	x.live++
-	if m.self {
-		x.selfQueued++
-	}
 }
 
 // enter appends m to q, unless q has not been built (nil).
@@ -451,9 +432,6 @@ func (x *matchIndex) consume(m *message) {
 	k := m.key() // m may be recycled by the trims below
 	m.consumed = true
 	x.live--
-	if m.self {
-		x.selfQueued--
-	}
 	if retires(k.tag) || x.appBuckets > 0 {
 		if q := x.listOf(&x.queued, k); q != nil && q.first(x.pool) == nil && retires(k.tag) {
 			x.retireQueued(k, q)
@@ -577,29 +555,12 @@ func (x *matchIndex) selectorQueue(commID, src, tag int) *msgFIFO {
 	return q
 }
 
-// firstReadyIn returns the earliest live message in q that is fully
-// received as of now, or nil. With no self-sends queued, readiness is
-// monotonic in arrival order, so only the head needs checking; queued
-// self-sends are always ready but may sit behind in-flight network
-// messages, forcing a scan.
-func (x *matchIndex) firstReadyIn(q *msgFIFO, now sim.Time) *message {
-	if x.selfQueued == 0 {
-		if m := q.first(x.pool); m != nil && m.readyAt <= now {
-			return m
-		}
-		return nil
-	}
-	return q.firstReady(now)
-}
-
-// takeQueued removes the unexpected message the (src, tag) selector
-// matches in commID's context and returns its status and readiness
-// instant, or ok false: the earliest-arrived fully-received message if one
-// exists (so a receive always takes the message a Probe just reported),
-// else the earliest-arrived in-flight message, which the caller completes
-// at its readiness instant. The message itself stays with the index,
-// which recycles it once no list holds it.
-func (x *matchIndex) takeQueued(commID, src, tag int, now sim.Time) (st Status, readyAt sim.Time, ok bool) {
+// takeQueued removes the earliest-arrived live message the (src, tag)
+// selector matches in commID's context and returns its status and
+// readiness instant, or ok false. The caller completes the receive at that
+// instant, as deliverAt completes a receive bound at arrival. The message
+// itself stays with the index, which recycles it once no list holds it.
+func (x *matchIndex) takeQueued(commID, src, tag int) (st Status, readyAt sim.Time, ok bool) {
 	if x.live == 0 {
 		return st, 0, false
 	}
@@ -607,10 +568,7 @@ func (x *matchIndex) takeQueued(commID, src, tag int, now sim.Time) (st Status, 
 	if q == nil {
 		return st, 0, false
 	}
-	m := x.firstReadyIn(q, now)
-	if m == nil {
-		m = q.first(x.pool)
-	}
+	m := q.first(x.pool)
 	if m == nil {
 		return st, 0, false
 	}
@@ -634,34 +592,4 @@ func (x *matchIndex) pendingPosted(buf []*postedRecv) []*postedRecv {
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i].seq < buf[j].seq })
 	return buf
-}
-
-// findQueued returns the earliest-arrived live message accepted by the
-// selector without removing it, or nil.
-func (x *matchIndex) findQueued(commID, src, tag int) *message {
-	if x.live == 0 {
-		return nil
-	}
-	q := x.selectorQueue(commID, src, tag)
-	if q == nil {
-		return nil
-	}
-	return q.first(x.pool)
-}
-
-// findQueuedReady returns the earliest-arrived live message accepted by
-// the selector that is fully received as of now, without removing it, or
-// nil. Used by Probe, which must see a delivered self-send even when an
-// earlier-arrived network message is still on the receiver NIC; a
-// receive posted after the Probe takes the same message (takeQueued
-// prefers ready messages with the same scan order).
-func (x *matchIndex) findQueuedReady(commID, src, tag int, now sim.Time) *message {
-	if x.live == 0 {
-		return nil
-	}
-	q := x.selectorQueue(commID, src, tag)
-	if q == nil {
-		return nil
-	}
-	return x.firstReadyIn(q, now)
 }

@@ -13,19 +13,18 @@ import (
 // and in-flight network messages — are executed against both the
 // matchIndex and a naive linear-scan reference that implements the
 // documented semantics directly (earliest-posted receive wins a message;
-// a receive takes the earliest-arrived ready message, else the
-// earliest-arrived in-flight one; FIFO per arrival order throughout).
+// a receive takes the earliest-arrived message, ready or in flight).
 // Every decision the two matchers make must be identical.
 //
-// Tags are drawn on both sides of collTagBase, wildcard receives and
-// probes included: buckets of collective-range tags retire when they drain
+// Tags are drawn on both sides of collTagBase, wildcard receives
+// included: buckets of collective-range tags retire when they drain
 // and come back from the freelists (match.go), which the reference knows
 // nothing about, so retirement and the invalidation of the one-entry
 // caches are checked against it like everything else. After every
 // operation the index must hold no drained single-use bucket, no cache
 // entry that has left its map, and no reused-tag bucket for a key that no
-// concrete receive or probe has read (those are built on first read, from
-// the arrival list, which the reference checks by answering every read).
+// concrete receive has read (those are built on first read, from the
+// arrival list, which the reference checks by answering every read).
 //
 // Messages are drawn from the index's pool and recycle through it, as in
 // the runtime, so after every operation the message-lifetime invariant is
@@ -62,34 +61,14 @@ func (rm *refMatcher) takePosted(m *message) *postedRecv {
 
 func (rm *refMatcher) addUnexpected(m *message) { rm.queued = append(rm.queued, m) }
 
-func (rm *refMatcher) findQueued(commID, src, tag int) (int, *message) {
+func (rm *refMatcher) takeQueued(commID, src, tag int) *message {
 	for i, m := range rm.queued {
 		if selectorMatches(commID, src, tag, m) {
-			return i, m
+			rm.queued = append(rm.queued[:i], rm.queued[i+1:]...)
+			return m
 		}
 	}
-	return -1, nil
-}
-
-func (rm *refMatcher) findQueuedReady(commID, src, tag int, now sim.Time) (int, *message) {
-	for i, m := range rm.queued {
-		if m.readyAt <= now && selectorMatches(commID, src, tag, m) {
-			return i, m
-		}
-	}
-	return -1, nil
-}
-
-func (rm *refMatcher) takeQueued(commID, src, tag int, now sim.Time) *message {
-	i, m := rm.findQueuedReady(commID, src, tag, now)
-	if m == nil {
-		i, m = rm.findQueued(commID, src, tag)
-	}
-	if m == nil {
-		return nil
-	}
-	rm.queued = append(rm.queued[:i], rm.queued[i+1:]...)
-	return m
+	return nil
 }
 
 // recycleMutant selects a seeded defect in the message-recycling rule,
@@ -116,7 +95,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 	var ref refMatcher
 
 	var now, lastReady sim.Time
-	read := make(map[matchKey]bool) // concrete selectors a receive or probe read
+	read := make(map[matchKey]bool) // concrete selectors a receive read
 	recvID := make(map[*postedRecv]int)
 	nextID := 0
 
@@ -182,8 +161,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 		m := idx.pool.newMessage()
 		m.commID, m.src, m.tag, m.bytes = commID, src, tag, int64(nextID)
 		if pick(4) == 0 {
-			m.self = true
-			m.readyAt = now
+			m.readyAt = now // a self-send: ready at delivery
 		} else {
 			// Receiver-NIC slots are granted in arrival order, so
 			// ready instants are monotonic for network messages.
@@ -194,7 +172,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 			m.readyAt = r + sim.Time(pick(8))
 			lastReady = m.readyAt
 		}
-		rc := &message{commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, readyAt: m.readyAt, self: m.self}
+		rc := &message{commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, readyAt: m.readyAt}
 		gp := idx.takePosted(m)
 		wp := ref.takePosted(rc)
 		if recvOf(gp) != recvOf(wp) {
@@ -212,13 +190,13 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 	postRecv := func(op, commID, src, tag int) {
 		read[matchKey{commID, src, tag}] = true
 		var doomed *message // what the receive is about to consume
-		if mutant == freeOnConsume {
-			if doomed = idx.findQueuedReady(commID, src, tag, now); doomed == nil {
-				doomed = idx.findQueued(commID, src, tag)
+		if mutant == freeOnConsume && idx.live > 0 {
+			if q := idx.selectorQueue(commID, src, tag); q != nil {
+				doomed = q.first(idx.pool)
 			}
 		}
-		gst, gready, ok := idx.takeQueued(commID, src, tag, now)
-		wm := ref.takeQueued(commID, src, tag, now)
+		gst, gready, ok := idx.takeQueued(commID, src, tag)
+		wm := ref.takeQueued(commID, src, tag)
 		got := int64(-1)
 		if ok {
 			got = gst.Bytes
@@ -256,29 +234,13 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 		ref.post(rp)
 	}
 	post := func(op int) { postRecv(op, pick(2), srcSel(), tagSel()) }
-	probe := func(op, commID, src, tag int) {
-		read[matchKey{commID, src, tag}] = true
-		gm := idx.findQueuedReady(commID, src, tag, now)
-		_, wm := ref.findQueuedReady(commID, src, tag, now)
-		if msgOf(gm) != msgOf(wm) {
-			fail("op %d: probe-ready (comm=%d src=%d tag=%d now=%v) saw msg %d, reference says %d",
-				op, commID, src, tag, now, msgOf(gm), msgOf(wm))
-		}
-		gm = idx.findQueued(commID, src, tag)
-		_, wm = ref.findQueued(commID, src, tag)
-		if msgOf(gm) != msgOf(wm) {
-			fail("op %d: probe-any (comm=%d src=%d tag=%d) saw msg %d, reference says %d",
-				op, commID, src, tag, msgOf(gm), msgOf(wm))
-		}
-	}
-
 	for op := 0; op < ops; op++ {
 		switch pick(7) {
 		case 0: // time passes
 			now += sim.Time(pick(16))
 		case 1, 2: // a message is delivered (the deliverAt flow)
 			deliver(op)
-		case 3: // a receive is posted (the Irecv flow)
+		case 3, 4: // a receive is posted (the Irecv flow)
 			post(op)
 		case 5: // a WaitAny/Test-then-Wait burst
 			// The shape the per-request waiter lists produce: a consumer
@@ -299,30 +261,23 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 					post(op) // the Test-then-Wait style repost
 				}
 			}
-		case 4: // probes (Probe and the in-flight variant)
-			probe(op, pick(2), srcSel(), tagSel())
 		case 6: // a ring-allgatherv-shaped epoch on one collective tag
 			// Every step posts a receive from the same neighbour on the
 			// same single-use tag and one message with that key arrives,
 			// in either order: the posted bucket (receive first) or the
 			// queued bucket (message first) drains, retires and is
-			// rebuilt from the freelist by the next step. Probes and
-			// wildcard receives on the tag land between steps, while the
-			// caches may still name a bucket that has just retired.
+			// rebuilt from the freelist by the next step. Wildcard
+			// receives on the tag land between steps, while the caches
+			// may still name a bucket that has just retired.
 			commID, src, tag := pick(2), pick(3), collTagBase+pick(2)
 			for steps := 2 + pick(4); steps > 0; steps-- {
-				switch pick(4) {
+				switch pick(3) {
 				case 0:
 					deliverMsg(op, commID, src, tag)
 					postRecv(op, commID, src, tag)
 				case 1:
 					deliverMsg(op, commID, src, tag)
-					probe(op, commID, src, tag)
 					postRecv(op, commID, AnySource, tag)
-				case 2:
-					probe(op, commID, AnySource, tag)
-					postRecv(op, commID, src, tag)
-					deliverMsg(op, commID, src, tag)
 				default:
 					postRecv(op, commID, src, tag)
 					deliverMsg(op, commID, src, tag)
@@ -360,7 +315,7 @@ func checkBucketLifecycle(x *matchIndex, read map[matchKey]bool) error {
 		if !retires(k.tag) {
 			apps++
 			if !read[k] {
-				return fmt.Errorf("bucket %+v was built before any receive or probe read its key", k)
+				return fmt.Errorf("bucket %+v was built before any receive read its key", k)
 			}
 		}
 	}
@@ -509,7 +464,7 @@ func FuzzMatchIndex(f *testing.F) {
 	f.Add([]byte{5, 2, 1, 3, 0, 0, 3, 1, 3, 0, 5, 0, 0, 1, 1, 2, 2, 0, 1, 0, 0, 3, 3, 5})
 	f.Add([]byte{5, 0, 3, 3, 0, 5, 1, 1, 2, 0, 0, 5, 2, 3, 0, 1, 5, 3, 2, 2, 1, 1, 0, 0})
 	// Ring-allgatherv-shaped epochs (op 6): one single-use tag drains and
-	// refills step after step, with probes and wildcard receives between.
+	// refills step after step, with wildcard receives between.
 	f.Add([]byte{6, 0, 1, 0, 3, 0, 1, 1, 0, 2, 2, 3, 0, 6, 1, 2, 1, 2, 1, 0, 2, 3, 3, 1})
 	f.Add([]byte{1, 0, 1, 2, 6, 1, 1, 1, 1, 2, 0, 1, 1, 3, 0, 4, 0, 3, 2, 6, 0, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, program []byte) {

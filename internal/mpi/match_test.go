@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestNonOvertakingPerSourceAndTag: messages between one (source, tag)
@@ -213,73 +215,38 @@ func TestSideListCompactionKeepsLiveMessages(t *testing.T) {
 	})
 }
 
-// TestProbeDoesNotConsume: Probe must report a queued message without
-// removing it, repeatedly, and a later Recv still gets it in order.
-func TestProbeDoesNotConsume(t *testing.T) {
-	w := testWorld(t, 2)
-	mustRun(t, w, func(r *Rank) {
-		c := r.World()
-		if r.ID() == 0 {
-			c.Send(r, 1, 4, 64, "m0")
-			c.Send(r, 1, 4, 64, "m1")
-			return
-		}
-		r.Idle(1e9)
-		for _, selector := range [][2]int{{0, 4}, {AnySource, 4}, {0, AnyTag}, {AnySource, AnyTag}} {
-			for rep := 0; rep < 2; rep++ {
-				ok, st := c.probe(r, selector[0], selector[1])
-				if !ok {
-					t.Fatalf("Probe(%v) found nothing", selector)
-				}
-				if st.Data.(string) != "m0" {
-					t.Fatalf("Probe(%v) = %+v, want earliest message m0", selector, st)
-				}
-			}
-		}
-		if st := c.Recv(r, 0, 4); st.Data.(string) != "m0" {
-			t.Fatalf("Recv after Probe = %+v, want m0 (Probe consumed it?)", st)
-		}
-		if st := c.Recv(r, 0, 4); st.Data.(string) != "m1" {
-			t.Fatalf("second Recv = %+v, want m1", st)
-		}
-		if ok, _ := c.probe(r, AnySource, AnyTag); ok {
-			t.Fatal("Probe found a message after both were received")
-		}
-	})
-}
-
-// TestProbeSeesSelfSendBehindInFlightMessage: a delivered self-send must
-// be visible to Probe even while an earlier-arrived network message is
-// still being serialized by the receiver NIC (ready instants are not
-// monotonic across self-sends).
-func TestProbeSeesSelfSendBehindInFlightMessage(t *testing.T) {
+// TestQueuedReceiveTakesEarliestArrival: a receive posted over the queue
+// takes the earliest-arrived message it accepts, even when a later
+// self-send is ready first. The 100 MiB message is on rank 0's NIC from
+// about 10.5 ms to about 21 ms; the self-send lands at 15 ms, between its
+// arrival and its readiness. The receive completes at the network
+// message's readiness, and the next one takes the self-send at once.
+func TestQueuedReceiveTakesEarliestArrival(t *testing.T) {
+	const big = 100 << 20
+	ser := fabric.SerializationTime(big)
 	w := testWorld(t, 2)
 	mustRun(t, w, func(r *Rank) {
 		c := r.World()
 		if r.ID() == 1 {
-			// Big message: arrives quickly, serializes for a long time.
-			c.Isend(r, 0, 3, 100<<20, "big")
+			c.Isend(r, 0, 3, big, "big")
 			return
 		}
-		// Let the big message reach rank 0's NIC, then self-send while it
-		// is still serializing.
-		r.Idle(5e6)
+		r.Idle(15 * sim.Millisecond)
 		c.Isend(r, 0, 3, 8, "self")
-		r.Idle(1e3) // let the self-send delivery event fire
-		ok, st := c.probe(r, AnySource, 3)
-		if !ok {
-			t.Fatal("Probe missed the delivered self-send behind the in-flight message")
+		r.Idle(sim.Microsecond) // the self-send is delivered and ready
+		if got := c.Recv(r, AnySource, 3); got.Data != "big" {
+			t.Fatalf("first Recv = %+v, want the earlier-arrived network message", got)
 		}
-		if st.Data.(string) != "self" {
-			t.Fatalf("Probe = %+v, want the ready self-send", st)
+		ready := fabric.SendOverhead + 2*ser + fabric.Latency
+		if want := ready + fabric.RecvOverhead; r.Now() != want {
+			t.Errorf("first Recv returned at %v, want the network message's readiness plus the receive overhead, %v", r.Now(), want)
 		}
-		// MPI's probe-then-receive guarantee: the next matching receive
-		// must return the probed message, not the in-flight one.
-		if got := c.Recv(r, AnySource, 3); got.Data.(string) != "self" {
-			t.Fatalf("Recv after Probe = %+v, want the probed self-send", got)
+		before := r.Now()
+		if got := c.Recv(r, AnySource, 3); got.Data != "self" {
+			t.Fatalf("second Recv = %+v, want the self-send", got)
 		}
-		if got := c.Recv(r, AnySource, 3); got.Data.(string) != "big" {
-			t.Fatalf("second Recv = %+v, want the network message", got)
+		if r.Now() != before+fabric.RecvOverhead {
+			t.Errorf("second Recv took %v, want only the receive overhead %v", r.Now()-before, fabric.RecvOverhead)
 		}
 	})
 }
@@ -361,7 +328,6 @@ func TestCollectiveTagRefused(t *testing.T) {
 		"Isend":        func(c *Comm, r *Rank) { c.Isend(r, 1, tag, 8, nil) },
 		"IsendAndFree": func(c *Comm, r *Rank) { c.IsendAndFree(r, 1, tag, 8, nil) },
 		"Irecv":        func(c *Comm, r *Rank) { c.Irecv(r, 1, tag) },
-		"Probe":        func(c *Comm, r *Rank) { c.probe(r, 1, tag) },
 	} {
 		func() {
 			defer func() {

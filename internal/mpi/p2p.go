@@ -292,17 +292,11 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 // find the message in the unexpected queue (with its readiness instant)
 // themselves.
 //
-// Self-sends are the one exception to that monotonicity: they are ready
-// immediately and may deliver while an earlier-arrived network message is
-// still on the NIC. A receive already posted when the network message
-// arrived keeps its early binding even though strict delivery order would
-// have handed it the self-send. That is a valid MPI outcome — matching
-// order across different sources is unspecified, and non-overtaking only
-// constrains one (source, tag) pair, which a self-send (src == me) and a
-// network message (src != me) never share. Queue-side visibility IS kept
-// delivery-faithful: Probe reports only fully-received messages and a
-// receive posted over the queue prefers them in the same order
-// (firstReadyIn), so probe-then-receive always agrees.
+// One rule binds on both sides: a message goes to the earliest-posted
+// receive that accepts it, and a receive to the earliest-arrived message
+// it accepts, completing at that message's readiness even when a
+// self-send, ready at once, arrived behind it (matching order across
+// sources is unspecified in MPI).
 func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 	if m.epoch != w.epoch {
 		// Traffic from a superseded epoch (sent before a crash revoked the
@@ -374,7 +368,7 @@ func (c *Comm) irecvFor(r *Rank, src, tag int) *Request {
 	// preserves MPI's non-overtaking guarantee per (source, tag)). A
 	// message still on the receiver NIC completes the request at its
 	// readiness instant.
-	if st, readyAt, ok := rs.match.takeQueued(c.id, src, tag, rs.eng.Now()); ok {
+	if st, readyAt, ok := rs.match.takeQueued(c.id, src, tag); ok {
 		req.status = st
 		if readyAt > rs.eng.Now() {
 			req.timed = true
@@ -448,15 +442,4 @@ func (c *Comm) Test(r *Rank, req *Request) (ok bool, st Status) {
 		})
 	})
 	return ok, st
-}
-
-// probe reports whether a matching message has already arrived, without
-// receiving it. A message still being serialized by the receiver NIC is
-// not yet visible.
-func (c *Comm) probe(r *Rank, src, tag int) (bool, Status) {
-	checkAppTag("Probe", tag)
-	if m := r.rs.match.findQueuedReady(c.id, src, tag, r.rs.eng.Now()); m != nil {
-		return true, m.status()
-	}
-	return false, Status{}
 }

@@ -209,23 +209,6 @@ func TestTestReturnsFalseThenTrue(t *testing.T) {
 	})
 }
 
-func TestProbeSeesArrivedMessage(t *testing.T) {
-	w := testWorld(t, 2)
-	mustRun(t, w, func(r *Rank) {
-		c := r.World()
-		if r.ID() == 0 {
-			c.Send(r, 1, 4, 16, "x")
-		} else {
-			r.Idle(10 * sim.Millisecond)
-			ok, st := c.probe(r, 0, 4)
-			if !ok || st.Bytes != 16 {
-				t.Errorf("Probe = %v %+v", ok, st)
-			}
-			c.Recv(r, 0, 4)
-		}
-	})
-}
-
 func TestSelfSend(t *testing.T) {
 	w := testWorld(t, 1)
 	mustRun(t, w, func(r *Rank) {

@@ -171,3 +171,37 @@ func TestSharedWorldRecycleAcrossClusters(t *testing.T) {
 	}
 	t.Fatal("the pool never handed the released world back")
 }
+
+// TestBacklogBehindLiveHeadStaysBounded: one message stays queued at the
+// head of the arrival list and of a wildcard side list while 1,000 more
+// arrive and are received behind it. Both lists compact the consumed
+// entries, so each stays within 64 entries, and every message a
+// compaction lets go of returns to the pool.
+func TestBacklogBehindLiveHeadStaysBounded(t *testing.T) {
+	x := matchIndex{pool: &pools{}}
+	made := map[*message]bool{}
+	arrive := func(tag int) {
+		m := x.pool.newMessage()
+		m.src, m.tag = 1, tag
+		made[m] = true
+		x.addUnexpected(m)
+	}
+	arrive(1)                             // never received
+	side := x.selectorQueue(0, 1, AnyTag) // a wildcard list it heads
+	for i := 0; i < 1000; i++ {
+		arrive(2)
+		if _, _, ok := x.takeQueued(0, 1, 2); !ok {
+			t.Fatalf("receive %d found nothing", i)
+		}
+		if n := len(x.arrivals) - x.arrHead; n > 64 {
+			t.Fatalf("after %d receives the arrival list holds %d entries for 1 live message", i+1, n)
+		}
+		if n := len(side.items) - side.head; n > 64 {
+			t.Fatalf("after %d receives the side list holds %d entries for 1 live message", i+1, n)
+		}
+	}
+	x.reset()
+	if len(x.pool.msgFree) != len(made) {
+		t.Errorf("%d of the %d messages made are back in the pool after reset", len(x.pool.msgFree), len(made))
+	}
+}

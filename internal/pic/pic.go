@@ -49,12 +49,6 @@ type Field interface {
 	EB(pos Vec3) (e Vec3, b Vec3)
 }
 
-// uniformField is a constant E and B field, the tests' reference field.
-type uniformField struct{ E, B Vec3 }
-
-// EB returns the uniform field values.
-func (f uniformField) EB(Vec3) (Vec3, Vec3) { return f.E, f.B }
-
 // HarrisField is the GEM-challenge magnetic configuration: Bx reverses
 // across a current sheet at y = Y0 with half-width W, i.e.
 // Bx(y) = B0 * tanh((y-Y0)/W).

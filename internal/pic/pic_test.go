@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// uniformField is a constant E and B field, the reference field of these tests.
+type uniformField struct{ E, B Vec3 }
+
+// EB returns the uniform field values.
+func (f uniformField) EB(Vec3) (Vec3, Vec3) { return f.E, f.B }
+
 func TestVec3Algebra(t *testing.T) {
 	a, b := Vec3{1, 2, 3}, Vec3{4, 5, 6}
 	if a.Add(b) != (Vec3{5, 7, 9}) || b.Sub(a) != (Vec3{3, 3, 3}) {

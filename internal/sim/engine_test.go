@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// spawn creates a process executing the blocking body, numbered like a
+// fiber from SpawnFiber. The runtime hosts its blocking bodies on fibers it
+// spawns itself (Fiber.Host); the package's tests spawn them here.
+func (e *Engine) spawn(name string, body func(*Proc)) *Proc {
+	p := &Proc{body: body}
+	p.Fiber = e.SpawnFiber(name, p.start)
+	p.Fiber.host = p
+	return p
+}
+
 func TestEngineEmptyRun(t *testing.T) {
 	e := NewEngine(1)
 	end, err := e.Run()

@@ -45,16 +45,6 @@ type Proc struct {
 // or the engine stops with the body still blocked.
 type stopSignal struct{}
 
-// spawn creates a process executing the blocking body, numbered like a
-// fiber from SpawnFiber. The runtime hosts its blocking bodies on fibers it
-// spawns itself (Fiber.Host); the engine's tests spawn them here.
-func (e *Engine) spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{body: body}
-	p.Fiber = e.SpawnFiber(name, p.start)
-	p.Fiber.host = p
-	return p
-}
-
 // Host gives the fiber a blocking body: the returned step, which the
 // fiber's running step must return, starts body as a coroutine of its own.
 // It is how a layer that spawns fibers (mpi.World.StartFibers) runs a

@@ -71,19 +71,6 @@ func (f ParticleField) Count(coords [3]int) int64 {
 	return n
 }
 
-// total sums the particle counts over the whole process grid.
-func (f ParticleField) total() int64 {
-	var total int64
-	for x := 0; x < f.Dims[0]; x++ {
-		for y := 0; y < f.Dims[1]; y++ {
-			for z := 0; z < f.Dims[2]; z++ {
-				total += f.Count([3]int{x, y, z})
-			}
-		}
-	}
-	return total
-}
-
 // ExitFraction reports the deterministic fraction of a process's particles
 // that leave its subdomain per step, given a nominal CFL-like mobility.
 // Processes in the high-gradient sheet region shed slightly more.

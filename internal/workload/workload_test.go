@@ -6,6 +6,19 @@ import (
 	"testing/quick"
 )
 
+// total sums the particle counts over the whole process grid.
+func (f ParticleField) total() int64 {
+	var total int64
+	for x := 0; x < f.Dims[0]; x++ {
+		for y := 0; y < f.Dims[1]; y++ {
+			for z := 0; z < f.Dims[2]; z++ {
+				total += f.Count([3]int{x, y, z})
+			}
+		}
+	}
+	return total
+}
+
 func TestCorpusValidate(t *testing.T) {
 	c := DefaultCorpus(100, 1<<20, 1)
 	if err := c.Validate(); err != nil {

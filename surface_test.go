@@ -18,7 +18,7 @@ import (
 	"testing"
 )
 
-// surfaceAllow names the exported declarations under internal/ that stay
+// surfaceAllow names the declarations under internal/ that stay
 // without a caller, each with its reason. A key is the package's path below
 // internal/, then the receiver type for a method, then the name.
 //
@@ -47,18 +47,18 @@ var surfaceAllow = map[string]string{
 	"sim.ShardGroup.Stats":    "parallel mode, deleted with it (ROADMAP item 1)",
 }
 
-// TestExportedSurface fails on an exported func, method or type declared
-// under internal/ that nothing calls but its own package's tests, on an
-// option field that no non-test code sets outside its type's withDefaults,
-// and on an allow-list entry that names nothing or has gained a caller
-// (DESIGN.md, "The exported surface").
+// TestExportedSurface fails on a func, method or type declared under
+// internal/, exported or not, that nothing calls but its own package's
+// tests, on an option field that no non-test code sets outside its type's
+// withDefaults, and on an allow-list entry that names nothing or has gained
+// a caller (DESIGN.md, "The exported surface").
 func TestExportedSurface(t *testing.T) {
 	rep, err := scanSurface(".", "repro", []string{"internal", "cmd", "examples", "bench/layers"}, surfaceAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range rep.dead {
-		t.Errorf("%s: exported, but nothing outside its own package's tests uses it (for an option: no non-test code sets it outside withDefaults)", d)
+		t.Errorf("%s: nothing outside its own package's tests uses it (for an option: no non-test code sets it outside withDefaults)", d)
 	}
 	for _, s := range rep.stale {
 		t.Errorf("stale allow-list entry: %s", s)
@@ -66,11 +66,12 @@ func TestExportedSurface(t *testing.T) {
 }
 
 // TestSurfaceRules runs the guard over a fixture tree that holds one
-// declaration per rule: no caller, a caller only in its own package's test,
-// a caller only in another package's test, a method called only through an
-// interface, a type named only by its own method, allow-list entries that
-// pass, name nothing, have a caller and name a missing step-function form,
-// and option fields set only by withDefaults, set only by their own
+// declaration per rule: no caller, a caller only in its own package's test
+// (an exported and an unexported func), a caller only in another package's
+// test, a method called only through an interface, an unexported method
+// with no caller, a type named only by its own method, allow-list entries
+// that pass, name nothing, have a caller and name a missing step-function
+// form, and option fields set only by withDefaults, set only by their own
 // package's test, set by a literal in another package and set by an
 // assignment in their own package.
 func TestSurfaceRules(t *testing.T) {
@@ -97,6 +98,9 @@ func TestSurfaceRules(t *testing.T) {
 		"a.Live":          "live",
 		"a.Named":         "live",
 		"a.Named.String":  "live",
+		"a.Named.unused":  "dead",
+		"a.Orphan.self":   "dead",
+		"a.ownTestHelper": "dead",
 		"b.Helper":        "live",
 		"a.Configure":     "live",
 		"a.Options":       "live",
@@ -105,22 +109,27 @@ func TestSurfaceRules(t *testing.T) {
 		"a.Options.OwnTestSet": "dead",
 		"a.Options.Literal":    "live",
 		"a.Options.Assigned":   "live",
+
+		"a.Options.withDefaults": "live",
 	}
 	if !reflect.DeepEqual(rep.class, want) {
 		t.Errorf("classified %v, want %v", rep.class, want)
 	}
 	wantDead := []string{
+		"internal/a/a.go:25 a.Named.unused",
 		"internal/a/a.go:28 a.Orphan",
+		"internal/a/a.go:30 a.Orphan.self",
 		"internal/a/a.go:44 a.Options.Defaulted",
 		"internal/a/a.go:46 a.Options.OwnTestSet",
 		"internal/a/a.go:5 a.Dead",
+		"internal/a/a.go:68 a.ownTestHelper",
 		"internal/a/a.go:8 a.OwnTestOnly",
 	}
 	if !reflect.DeepEqual(rep.dead, wantDead) {
 		t.Errorf("dead = %q, want %q", rep.dead, wantDead)
 	}
 	wantStale := []string{
-		"a.Gone names no exported declaration",
+		"a.Gone names no declaration",
 		"a.Live has a caller: cmd/tool/main.go:12",
 		"a.Poll is the blocking form of FPoll, which does not exist",
 	}
@@ -136,7 +145,7 @@ type surfaceReport struct {
 	stale []string          // allow-list entries that name nothing or have a caller
 }
 
-// surfaceDecl is one exported declaration under internal/.
+// surfaceDecl is one declaration under internal/.
 type surfaceDecl struct {
 	key    string
 	dir    string          // directory relative to the root
@@ -182,7 +191,7 @@ type surfaceCheck struct {
 // scanSurface type-checks every package under the walked directories of the
 // module rooted at root, whose imports of module resolve to the tree and
 // whose other imports resolve to the standard library from source, and
-// classifies each exported func, method and type declared under internal/.
+// classifies each func, method and type declared under internal/.
 //
 // A declaration is live when a use outside its own declaration sits in a
 // non-test file or in a test file of another directory, or when it is a
@@ -394,8 +403,8 @@ func (s *surfaceScan) checkAll(d *surfaceDir) error {
 	return nil
 }
 
-// decls lists the exported funcs, methods of exported types, exported
-// types and exported fields of option types declared in the non-test files
+// decls lists the funcs, methods and types, exported or not, and the
+// exported fields of exported option types declared in the non-test files
 // under internal/. An option's own declaration is its type's withDefaults
 // method: a default fills the field's zero value, it sets nothing.
 func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
@@ -424,7 +433,7 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 						methods = append(methods, decl)
 						continue
 					}
-					if decl.Name.IsExported() {
+					if name := decl.Name.Name; name != "init" && name != "_" {
 						obj := defs[decl.Name]
 						out[obj.Pos()] = &surfaceDecl{key: prefix + decl.Name.Name, dir: d.rel, obj: obj,
 							own: [][2]token.Pos{{decl.Pos(), decl.End()}}}
@@ -432,7 +441,7 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 				case *ast.GenDecl:
 					for _, spec := range decl.Specs {
 						ts, ok := spec.(*ast.TypeSpec)
-						if !ok || !ts.Name.IsExported() {
+						if !ok || ts.Name.Name == "_" {
 							continue
 						}
 						obj := defs[ts.Name].(*types.TypeName)
@@ -440,7 +449,7 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 							own: [][2]token.Pos{{ts.Pos(), ts.End()}}}
 						out[obj.Pos()] = sd
 						byType[obj] = sd
-						if isOptionType(obj) {
+						if ts.Name.IsExported() && isOptionType(obj) {
 							options = append(options, sd)
 						}
 					}
@@ -466,7 +475,7 @@ func (s *surfaceScan) decls() map[token.Pos]*surfaceDecl {
 			if m.Name.Name == "withDefaults" {
 				defaults[named.Obj()] = append(defaults[named.Obj()], span)
 			}
-			if m.Name.IsExported() {
+			if m.Name.Name != "_" {
 				out[fn.Pos()] = &surfaceDecl{key: td.key + "." + m.Name.Name, dir: d.rel, obj: fn,
 					own: [][2]token.Pos{span}, recv: named.Obj()}
 			}
@@ -589,7 +598,7 @@ func (s *surfaceScan) classify(allow map[string]string) *surfaceReport {
 	for key, reason := range allow {
 		switch d := keys[key]; {
 		case d == nil:
-			rep.stale = append(rep.stale, key+" names no exported declaration")
+			rep.stale = append(rep.stale, key+" names no declaration")
 		case d.caller != "":
 			rep.stale = append(rep.stale, key+" has a caller: "+d.caller)
 		}

@@ -1,6 +1,7 @@
 // Package fixture is what TestMutateFixture points the mutation tool at: one
 // mutant of each operator, a test that kills two of them, a test whose only
-// kill the first also makes, and a statement no test observes.
+// kill the first also makes, a statement no test observes, and a pair of
+// tests of which the second fails only when it runs right after the first.
 package fixture
 
 // Full reports whether n items fill a buffer of max.
@@ -36,4 +37,15 @@ func Sum(xs []int) int {
 // build.
 func Never() int {
 	panic("unreachable")
+}
+
+var primed int
+
+func prime() { primed++ }
+
+// Prime primes the package and returns how often it has been primed;
+// nothing resets the count.
+func Prime() int {
+	prime()
+	return primed
 }

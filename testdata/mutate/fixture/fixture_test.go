@@ -26,3 +26,13 @@ func TestSum(t *testing.T) {
 		t.Fatal("Sum(1, 2) != 3")
 	}
 }
+
+func TestPrime(t *testing.T) { Prime() }
+
+// TestUnprimed is order-dependent: on its own it passes, right after
+// TestPrime it fails, mutant or not.
+func TestUnprimed(t *testing.T) {
+	if n := Prime(); n != 1 {
+		t.Fatalf("primed %d times, want once", n)
+	}
+}

@@ -13,8 +13,12 @@
 // Stage 1 runs the tests of the mutated file's own package that execute the
 // mutated code, read off a coverage profile of each test run on its own
 // against the unmutated package: a test that never reaches the code cannot
-// kill it. A mutant that survives them, or that only one of them kills,
-// then runs the trajectory manifest's package (internal/experiments) and,
+// kill it. Each distinct subset of tests so selected runs once on the
+// unmutated tree first: a test that fails there fails because of the tests
+// run before it, not because of a mutant, so it earns no kill in that
+// subset and the report lists it as order-dependent. A mutant that survives
+// them, or that only one of them kills, then runs the trajectory manifest's
+// package (internal/experiments) and,
 // if that misses it too, every other package of ./... whose test binary
 // imports the mutated package: a package that does not import the mutated
 // code cannot kill it. A test binary that panics or times out is run again
@@ -36,6 +40,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,13 +66,19 @@ const (
 	manifestPkg  = "repro/internal/experiments" // stage 2 runs it first
 )
 
+// A subset is one package's covering tests, as stage 1 selects them.
+type subset struct {
+	pkg, tests string   // import path, and the tests joined by |
+	fails      []string // the tests that fail on the unmutated tree
+}
+
 // A mutant is one edit of one file.
 type mutant struct {
 	file, pkg string // slash path from the module root, import path
 	pos, op   string // file:line:col of the edit, and the edit
 	line, col int
-	src       []byte   // the whole mutated file
-	covering  []string // the package's tests that execute the edited code
+	src       []byte  // the whole mutated file
+	covering  *subset // the package's tests that execute the edited code, if any
 
 	noBuild  bool
 	killers  []string // killing tests, in-package ones first
@@ -95,6 +106,8 @@ func main() {
 	var ms []*mutant
 	deps := map[string][]string{}              // the packages that import each mutated one
 	covers := map[string]map[string][]string{} // each mutated package's blocks
+	subsets := map[[2]string]*subset{}
+	var order []*subset
 	for i, f := range files {
 		files[i] = filepath.ToSlash(filepath.Clean(f))
 		fm, err := mutants(files[i])
@@ -106,39 +119,59 @@ func main() {
 				covers[m.pkg], err = coverage(filepath.Dir(m.file), tmp)
 				check(err)
 			}
-			m.covering = covering(covers[m.pkg], m)
+			tests := covering(covers[m.pkg], m)
+			if len(tests) == 0 {
+				continue
+			}
+			key := [2]string{m.pkg, strings.Join(tests, "|")}
+			if subsets[key] == nil {
+				subsets[key] = &subset{pkg: key[0], tests: key[1]}
+				order = append(order, subsets[key])
+			}
+			m.covering = subsets[key]
 		}
 		ms = append(ms, fm...)
 	}
 
-	var (
-		mu   sync.Mutex
-		next = make(chan int)
-		wg   sync.WaitGroup
-		done int
-	)
+	each(len(order), func(i int) {
+		sub := order[i]
+		res, err := goTest("", "^("+sub.tests+")$", sub.pkg)
+		check(err)
+		sub.fails = res[sub.pkg].tests("fail", "run")
+	})
+	var mu sync.Mutex
+	done := 0
+	each(len(ms), func(i int) {
+		m := ms[i]
+		check(m.run(filepath.Join(tmp, strconv.Itoa(i)), deps[m.pkg]))
+		mu.Lock()
+		done++
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s: %s\n", done, len(ms), m.pos, m.op, m.verdict())
+		mu.Unlock()
+	})
+	if !report(files, ms, order, base) {
+		os.Exit(1)
+	}
+}
+
+// each calls f(0) to f(n-1), on one worker per CPU.
+func each(n int, f func(i int)) {
+	next := make(chan int)
+	var wg sync.WaitGroup
 	for w := 0; w < runtime.NumCPU(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				m := ms[i]
-				check(m.run(filepath.Join(tmp, strconv.Itoa(i)), deps[m.pkg]))
-				mu.Lock()
-				done++
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s %s: %s\n", done, len(ms), m.pos, m.op, m.verdict())
-				mu.Unlock()
+				f(i)
 			}
 		}()
 	}
-	for i := range ms {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	if !report(files, ms, base) {
-		os.Exit(1)
-	}
 }
 
 var negate = map[token.Token]token.Token{
@@ -228,13 +261,13 @@ func (m *mutant) run(dir string, dependents []string) error {
 	if err := os.WriteFile(overlay, spec, 0o644); err != nil {
 		return err
 	}
-	if len(m.covering) == 0 {
+	if m.covering == nil {
 		// No test of the package reaches the edit; it must still build.
 		if m.noBuild = exec.Command("go", "build", "-overlay", overlay, "./"+filepath.Dir(m.file)).Run() != nil; m.noBuild {
 			return nil
 		}
 	} else {
-		res, err := goTest(overlay, "^("+strings.Join(m.covering, "|")+")$", m.pkg)
+		res, err := goTest(overlay, "^("+m.covering.tests+")$", m.pkg)
 		if err != nil {
 			return err
 		}
@@ -242,9 +275,15 @@ func (m *mutant) run(dir string, dependents []string) error {
 		if m.noBuild = own.noBuild; m.noBuild {
 			return nil
 		}
-		m.killers, m.passedBy = own.tests("fail", "run"), own.tests("pass")
+		failed := own.tests("fail", "run")
+		for _, t := range failed {
+			if !slices.Contains(m.covering.fails, t) {
+				m.killers = append(m.killers, t)
+			}
+		}
+		m.passedBy = own.tests("pass")
 		m.inPkg = len(m.killers)
-		if m.inPkg == 0 && own.failed {
+		if len(failed) == 0 && own.failed {
 			m.killers = []string{"TestMain"} // the binary failed outside every test
 		}
 	}
@@ -391,9 +430,10 @@ func (r *pkgRun) tests(states ...string) []string {
 	return out
 }
 
-// goTest runs the packages' tests under an overlay. A package whose test
-// binary crashed is run again, skipping every test that already ran, until
-// it ends cleanly, no test is left to skip or maxReruns runs have been made.
+// goTest runs the packages' tests, under an overlay unless it is "". A
+// package whose test binary crashed is run again, skipping every test that
+// already ran, until it ends cleanly, no test is left to skip or maxReruns
+// runs have been made.
 func goTest(overlay, run string, pkgs ...string) (map[string]*pkgRun, error) {
 	res, err := goTestOnce(overlay, run, nil, pkgs)
 	if err != nil {
@@ -422,7 +462,10 @@ func goTest(overlay, run string, pkgs ...string) (map[string]*pkgRun, error) {
 }
 
 func goTestOnce(overlay, run string, skip, pkgs []string) (map[string]*pkgRun, error) {
-	args := []string{"test", "-count=1", "-json", "-vet=off", "-timeout", timeout.String(), "-overlay", overlay}
+	args := []string{"test", "-count=1", "-json", "-vet=off", "-timeout", timeout.String()}
+	if overlay != "" {
+		args = append(args, "-overlay", overlay)
+	}
 	if run != "" {
 		args = append(args, "-run", run)
 	}
@@ -469,10 +512,10 @@ func goTestOnce(overlay, run string, skip, pkgs []string) (map[string]*pkgRun, e
 	return res, nil
 }
 
-// report prints the kill matrix, each file's rate against its baseline and
-// each in-package test's kills, and reports whether every file holds its
-// baseline.
-func report(files []string, ms []*mutant, base map[string]float64) bool {
+// report prints the kill matrix, each file's rate against its baseline,
+// each in-package test's kills and the order-dependent tests, and reports
+// whether every file holds its baseline.
+func report(files []string, ms []*mutant, subsets []*subset, base map[string]float64) bool {
 	fmt.Println("# kill matrix: mutant, then the tests that kill it (pkg.Test: stage 2)")
 	for _, m := range ms {
 		fmt.Printf("%s %s: %s\n", m.pos, m.op, m.verdict())
@@ -531,6 +574,28 @@ func report(files []string, ms []*mutant, base map[string]float64) bool {
 			note = " REDUNDANT"
 		}
 		fmt.Printf("%s %d %d%s\n", t, kills[t], unique[t], note)
+	}
+
+	// A test that fails in a subset on the unmutated tree is listed with
+	// the smallest such subset.
+	smallest := map[string]*subset{}
+	for _, sub := range subsets {
+		for _, t := range sub.fails {
+			if s := smallest[t]; s == nil || strings.Count(sub.tests, "|") < strings.Count(s.tests, "|") {
+				smallest[t] = sub
+			}
+		}
+	}
+	if len(smallest) > 0 {
+		fmt.Println("\n# order-dependent: fail on the unmutated tree among the selected tests, earn no kill there")
+		names = names[:0]
+		for t := range smallest {
+			names = append(names, t)
+		}
+		sort.Strings(names)
+		for _, t := range names {
+			fmt.Printf("%s %s: fails with %s\n", smallest[t].pkg, t, strings.ReplaceAll(smallest[t].tests, "|", " "))
+		}
 	}
 	return ok
 }

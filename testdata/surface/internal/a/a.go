@@ -1,4 +1,4 @@
-// Package a holds one exported declaration per rule of the surface guard.
+// Package a holds one declaration per rule of the surface guard.
 package a
 
 // Dead has no caller.
@@ -22,7 +22,7 @@ type Named struct{}
 
 func (Named) String() string { return "named" }
 
-func (Named) unchecked() {}
+func (Named) unused() {}
 
 // Orphan is named only by its own method.
 type Orphan struct{}
@@ -63,3 +63,6 @@ func Configure(o Options) Options {
 	o.Assigned = o.Literal + o.OwnTestSet
 	return o
 }
+
+// ownTestHelper is unexported and called only by this package's test.
+func ownTestHelper() {}

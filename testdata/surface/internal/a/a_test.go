@@ -4,5 +4,6 @@ import "testing"
 
 func TestOwn(t *testing.T) {
 	OwnTestOnly()
+	ownTestHelper()
 	Configure(Options{OwnTestSet: 1})
 }
