@@ -1,6 +1,11 @@
 package mpi
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/sim"
+)
 
 // Part is a per-rank contribution to (or result of) a collective: a byte
 // count for costing plus an optional real payload.
@@ -25,12 +30,20 @@ func LinearCost(perByte sim.Time) CostFn {
 
 // nextCollTag reserves a collective tag for the calling rank. Collectives
 // must be invoked in the same order by every member (the usual MPI rule),
-// which keeps the per-rank counters in lockstep.
+// which keeps the per-rank counters in lockstep. A message carries its
+// tag in 32 bits, so a communicator that runs more collectives than the
+// range above collTagBase holds panics instead of reusing a tag.
 func (c *Comm) nextCollTag(me int) int {
+	if c.collSeq[me] > math.MaxInt32-collTagBase {
+		panic(tooManyCollectives)
+	}
 	t := collTagBase + c.collSeq[me]
 	c.collSeq[me]++
 	return t
 }
+
+// tooManyCollectives is nextCollTag's panic message.
+var tooManyCollectives = fmt.Sprintf("mpi: more than %d collectives on one communicator, the most the int32 tag range above %d holds", math.MaxInt32-collTagBase+1, collTagBase)
 
 // Barrier blocks until all members have entered it (dissemination
 // algorithm: ceil(log2 P) rounds of zero-byte messages).

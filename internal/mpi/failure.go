@@ -43,6 +43,7 @@ package mpi
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/sim"
@@ -163,9 +164,9 @@ func (w *World) killRank(target int, restart sim.Time) {
 	e := w.eng
 	now := e.Now()
 	rs.dead = true
-	w.epoch++
+	w.bumpEpoch()
 	w.revoked = true
-	w.failure = &RankFailedError{World: w.cfg.Name, Rank: target, Epoch: w.epoch}
+	w.failure = &RankFailedError{World: w.cfg.Name, Rank: target, Epoch: int(w.epoch)}
 
 	victim := rs.fib
 	// Pull the victim out of every queue that could wake or wait on it
@@ -225,6 +226,16 @@ func (w *World) drainIO(rs *rankState) {
 			w.fs.IOEnd(w.cfg.Job, w.eng.Now())
 		}
 	}
+}
+
+// bumpEpoch opens the next revocation epoch. A message carries its epoch
+// in 16 bits, so a world revoked more often than that panics instead of
+// letting the stamp wrap onto an old epoch's traffic.
+func (w *World) bumpEpoch() {
+	if w.epoch == math.MaxUint16 {
+		panic(fmt.Sprintf("mpi: world %q revoked %d times, the most a message's 16-bit epoch holds", w.cfg.Name, math.MaxUint16))
+	}
+	w.epoch++
 }
 
 // failedRequest returns a request already completed with the world's

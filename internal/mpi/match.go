@@ -68,7 +68,7 @@ type matchKey struct {
 	comm, src, tag int
 }
 
-func (m *message) key() matchKey { return matchKey{m.commID, m.src, m.tag} }
+func (m *message) key() matchKey { return matchKey{int(m.commID), int(m.src), int(m.tag)} }
 
 // recvFIFO is a posting-ordered queue of pending receives with O(1)
 // pop-front via a head index.
@@ -325,9 +325,10 @@ func shapeOf(src, tag int) int {
 // selectorMatches reports whether a (src, tag) selector accepts m within
 // commID's context. AnyTag accepts application tags only.
 func selectorMatches(commID, src, tag int, m *message) bool {
-	return commID == m.commID &&
-		(src == AnySource || src == m.src) &&
-		(tag == m.tag || tag == AnyTag && !retires(m.tag))
+	k := m.key()
+	return commID == k.comm &&
+		(src == AnySource || src == k.src) &&
+		(tag == k.tag || tag == AnyTag && !retires(k.tag))
 }
 
 // post registers a pending receive, stamping it with posting order.
@@ -352,8 +353,9 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 	if x.posted.len() == 0 {
 		return nil
 	}
+	mk := m.key()
 	shapes := len(x.shapes)
-	if retires(m.tag) {
+	if retires(mk.tag) {
 		shapes = 2 // the shapes without the AnyTag bit
 	}
 	var best *recvFIFO
@@ -363,7 +365,7 @@ func (x *matchIndex) takePosted(m *message) *postedRecv {
 			continue
 		}
 		// The one key of this shape that accepts m (shapeOf's bits).
-		k := m.key()
+		k := mk
 		if shape&1 != 0 {
 			k.src = AnySource
 		}
@@ -556,25 +558,27 @@ func (x *matchIndex) selectorQueue(commID, src, tag int) *msgFIFO {
 }
 
 // takeQueued removes the earliest-arrived live message the (src, tag)
-// selector matches in commID's context and returns its status and
-// readiness instant, or ok false. The caller completes the receive at that
-// instant, as deliverAt completes a receive bound at arrival. The message
-// itself stays with the index, which recycles it once no list holds it.
-func (x *matchIndex) takeQueued(commID, src, tag int) (st Status, readyAt sim.Time, ok bool) {
+// selector matches in commID's context, records its status in the
+// receiving request req and returns its readiness instant, or ok false.
+// The caller completes the receive at that instant, as deliverAt
+// completes a receive bound at arrival. The message itself stays with the
+// index, which recycles it once no list holds it.
+func (x *matchIndex) takeQueued(commID, src, tag int, req *Request) (readyAt sim.Time, ok bool) {
 	if x.live == 0 {
-		return st, 0, false
+		return 0, false
 	}
 	q := x.selectorQueue(commID, src, tag)
 	if q == nil {
-		return st, 0, false
+		return 0, false
 	}
 	m := q.first(x.pool)
 	if m == nil {
-		return st, 0, false
+		return 0, false
 	}
-	st, readyAt = m.status(), m.readyAt
+	req.setStatus(int(m.src), int(m.tag), m.bytes, m.data)
+	readyAt = m.slot
 	x.consume(m)
-	return st, readyAt, true
+	return readyAt, true
 }
 
 // pendingPosted appends every pending posted receive to buf in posting

@@ -159,9 +159,9 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 	deliverMsg := func(op, commID, src, tag int) {
 		nextID++
 		m := idx.pool.newMessage()
-		m.commID, m.src, m.tag, m.bytes = commID, src, tag, int64(nextID)
+		m.commID, m.src, m.tag, m.bytes = int32(commID), int32(src), int32(tag), int64(nextID)
 		if pick(4) == 0 {
-			m.readyAt = now // a self-send: ready at delivery
+			m.slot = now // a self-send: ready at delivery
 		} else {
 			// Receiver-NIC slots are granted in arrival order, so
 			// ready instants are monotonic for network messages.
@@ -169,10 +169,10 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 			if now > r {
 				r = now
 			}
-			m.readyAt = r + sim.Time(pick(8))
-			lastReady = m.readyAt
+			m.slot = r + sim.Time(pick(8))
+			lastReady = m.slot
 		}
-		rc := &message{commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, readyAt: m.readyAt}
+		rc := &message{commID: m.commID, src: m.src, tag: m.tag, bytes: m.bytes, slot: m.slot}
 		gp := idx.takePosted(m)
 		wp := ref.takePosted(rc)
 		if recvOf(gp) != recvOf(wp) {
@@ -195,7 +195,9 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 				doomed = q.first(idx.pool)
 			}
 		}
-		gst, gready, ok := idx.takeQueued(commID, src, tag)
+		var req Request
+		gready, ok := idx.takeQueued(commID, src, tag, &req)
+		gst := req.status
 		wm := ref.takeQueued(commID, src, tag)
 		got := int64(-1)
 		if ok {
@@ -206,7 +208,7 @@ func matchProgram(next func() byte, ops int, mutant recycleMutant) (fired bool, 
 				op, commID, src, tag, now, got, msgOf(wm))
 		}
 		if ok {
-			if gready != wm.readyAt || gst.Source != wm.src || gst.Tag != wm.tag {
+			if gready != wm.slot || gst.Source != int(wm.src) || gst.Tag != int(wm.tag) {
 				fail("op %d: matched msg %d disagrees on fields", op, got)
 			}
 			switch mutant {
@@ -401,7 +403,7 @@ func checkMessageLifetime(x *matchIndex) error {
 		return err
 	}
 	for m, n := range refs {
-		if m.held != n {
+		if int32(m.held) != n {
 			return fmt.Errorf("msg %d is held by %d lists but counts %d", m.bytes, n, m.held)
 		}
 	}

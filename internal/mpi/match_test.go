@@ -321,26 +321,34 @@ func TestAnyTagSkipsCollectiveTraffic(t *testing.T) {
 }
 
 // TestCollectiveTagRefused: the public point-to-point calls refuse a tag in
-// the collectives' range with a panic naming the tag.
+// the collectives' range, from its first tag on, with a panic naming the
+// call, the tag and the range.
 func TestCollectiveTagRefused(t *testing.T) {
-	tag := collTagBase + 3
-	for name, call := range map[string]func(c *Comm, r *Rank){
-		"Isend":        func(c *Comm, r *Rank) { c.Isend(r, 1, tag, 8, nil) },
-		"IsendAndFree": func(c *Comm, r *Rank) { c.IsendAndFree(r, 1, tag, 8, nil) },
-		"Irecv":        func(c *Comm, r *Rank) { c.Irecv(r, 1, tag) },
-	} {
-		func() {
-			defer func() {
-				if rec := fmt.Sprint(recover()); !strings.Contains(rec, fmt.Sprint(tag)) || !strings.Contains(rec, name) {
-					t.Errorf("%s: panic %q, want one naming the call and tag %d", name, rec, tag)
-				}
-			}()
-			w := testWorld(t, 2)
-			w.Run(func(r *Rank) {
-				if r.ID() == 0 {
-					call(r.World(), r)
-				}
-			})
-		}()
+	for _, tag := range []int{collTagBase, collTagBase + 3} {
+		for name, call := range map[string]func(c *Comm, r *Rank){
+			"Isend":        func(c *Comm, r *Rank) { c.Isend(r, 1, tag, 8, nil) },
+			"IsendAndFree": func(c *Comm, r *Rank) { c.IsendAndFree(r, 1, tag, 8, nil) },
+			"Irecv":        func(c *Comm, r *Rank) { c.Irecv(r, 1, tag) },
+		} {
+			collectiveTagRefused(t, name, tag, call)
+		}
 	}
+}
+
+// collectiveTagRefused runs call on rank 0 of a fresh world and checks its
+// panic.
+func collectiveTagRefused(t *testing.T, name string, tag int, call func(c *Comm, r *Rank)) {
+	t.Helper()
+	defer func() {
+		rec := fmt.Sprint(recover())
+		if !strings.Contains(rec, fmt.Sprint(tag)) || !strings.Contains(rec, name) || !strings.Contains(rec, "reserved for collectives") {
+			t.Errorf("%s: panic %q, want one naming the call, tag %d and the collectives' range", name, rec, tag)
+		}
+	}()
+	w := testWorld(t, 2)
+	w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			call(r.World(), r)
+		}
+	})
 }

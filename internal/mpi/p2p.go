@@ -2,74 +2,81 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
 
 // message is an in-flight or delivered point-to-point message. src is the
-// sender's rank within the communicator identified by commID. readyAt is
-// the end of the receiver-NIC serialization slot: the instant the payload
-// is fully received. Messages are bound to receives at arrival time (one
-// event earlier than readyAt), but completion is never observable before
-// readyAt — see deliverAt. consumed marks messages already matched out of
-// the unexpected queue (lazy deletion in the index's lists); held counts
-// the lists that still hold it, and the last to let go recycles it.
+// sender's rank within the communicator identified by commID. Messages
+// are bound to receives at arrival time (one event earlier than the end of
+// the receiver-NIC slot), but completion is never observable before the
+// slot ends — see deliverAt. consumed marks messages already matched out
+// of the unexpected queue (lazy deletion in the index's lists); held
+// counts the lists that still hold it, and the last to let go recycles it.
 //
 // Messages are pooled per shard (see pools.newMessage) and double as
 // their own delivery events (sim.Action), so the steady-state send path
-// allocates nothing.
+// allocates nothing. The layout is one 64-byte cache line on 64-bit
+// hosts (DESIGN.md, "Continuations and message lifetime"): fields that
+// are never live together share a word, self-sends are their own action
+// type (selfMessage) rather than a flag, and the narrowed fields are
+// guarded where their values are made (nextCommID, nextCollTag,
+// checkAppTag, Config.Validate, bumpEpoch).
 type message struct {
-	commID   int
-	src      int
-	tag      int
-	bytes    int64
-	data     interface{}
-	readyAt  sim.Time
-	consumed bool
-	held     int32
-	// epoch is the world's revocation epoch when the message was sent;
-	// delivery drops messages from a superseded epoch (failure.go), so
-	// traffic from a pre-crash attempt never matches a post-rebuild
-	// receive. Always 0 on crash-free runs.
-	epoch int
-
-	// Delivery state for Fire.
-	dst  *rankState
-	ser  sim.Time
-	self bool
-
+	data  interface{}
+	bytes int64
+	// dst is the receiving rank, read when the delivery event fires.
+	dst *rankState
 	// rel is the sender's in-flight entry of a reliably-sent message
 	// (reliable.go): its sequence number, its sender to ack and its timer.
 	// Nil on lossless worlds.
 	rel *relEntry
+	// slot is the receiver-NIC slot: its length (the serialization time)
+	// from the send until the delivery event fires, and its end (the
+	// instant the payload is fully received) from then on, once the
+	// message waits in the unexpected queue.
+	slot   sim.Time
+	commID int32
+	src    int32
+	tag    int32
+	// epoch is the world's revocation epoch when the message was sent;
+	// delivery drops messages from a superseded epoch (failure.go), so
+	// traffic from a pre-crash attempt never matches a post-rebuild
+	// receive. Always 0 on crash-free runs.
+	epoch uint16
+	// held is at most five: the arrival list, the concrete bucket and
+	// the three wildcard side lists.
+	held     uint8
+	consumed bool
 }
 
-// Fire delivers the message: self-sends deliver immediately; network
-// messages fire at wire arrival, reserve the receiver NIC and become
-// observable when its serialization slot ends.
+// Fire delivers a network message: it fires at wire arrival, reserves the
+// receiver NIC and becomes observable when its serialization slot ends.
 func (m *message) Fire() {
 	// Delivery events fire on the destination rank's engine (its shard's,
 	// in parallel mode), so the receiver NIC and matching state are only
 	// ever touched by that engine's thread of control.
-	w := m.dst.world
-	e := m.dst.eng
-	if m.self {
-		w.deliverAt(m.dst, m, e.Now())
-		return
-	}
-	_, recvEnd := m.dst.recvLink.Reserve(e.Now(), m.ser)
+	dst := m.dst
+	_, recvEnd := dst.recvLink.Reserve(dst.eng.Now(), m.slot)
 	if m.rel != nil {
 		// Reliable transmission: ack, suppress duplicates, release to
 		// matching in sequence order (reliable.go).
-		w.relArrive(m, recvEnd)
+		dst.world.relArrive(m, recvEnd)
 		return
 	}
-	w.deliverAt(m.dst, m, recvEnd)
+	dst.world.deliverAt(dst, m, recvEnd)
 }
 
-// status is what a receive matched with m reports.
-func (m *message) status() Status {
-	return Status{Source: m.src, Tag: m.tag, Bytes: m.bytes, Data: m.data}
+// selfMessage is a message a rank sends to itself, scheduled as its own
+// action type: it involves no NIC or wire and is delivered, ready, when
+// it fires.
+type selfMessage message
+
+// Fire delivers the self-send at once.
+func (s *selfMessage) Fire() {
+	m := (*message)(s)
+	m.dst.world.deliverAt(m.dst, m, m.dst.eng.Now())
 }
 
 // postedRecv is a pending receive waiting for a matching message. seq is
@@ -150,6 +157,14 @@ func (q *Request) completedBy(now sim.Time) bool {
 	return q.done || (q.timed && now >= q.doneAt)
 }
 
+// setStatus records what the request reports on completion. The
+// completion paths write it into the request in place: a Status built
+// and copied by value goes through stack temporaries that wait behind
+// the request's and the message's cache lines.
+func (q *Request) setStatus(src, tag int, bytes int64, data interface{}) {
+	q.status.Source, q.status.Tag, q.status.Bytes, q.status.Data = src, tag, bytes, data
+}
+
 // Isend starts a nonblocking send of bytes payload bytes (and optional
 // data) to dst with the given tag. The caller pays the configured send
 // overhead immediately; the returned request completes when the message
@@ -166,35 +181,46 @@ func (c *Comm) isend(r *Rank, dst, tag int, bytes int64, data interface{}) *Requ
 }
 
 // checkAppTag panics unless tag is an application tag: the range from
-// collTagBase up is reserved for collectives, which AnyTag never selects.
+// collTagBase up is reserved for collectives, which AnyTag never selects,
+// and a message carries its tag in 32 bits.
 func checkAppTag(op string, tag int) {
-	if tag >= collTagBase {
-		panic(fmt.Sprintf("mpi: %s with tag %d, in the range reserved for collectives (>= %d)", op, tag, collTagBase))
+	if tag >= collTagBase || tag < math.MinInt32 {
+		panic(fmt.Sprintf("mpi: %s with tag %d, outside the application tags [%d, %d): int32, below the range reserved for collectives", op, tag, math.MinInt32, collTagBase))
 	}
 }
 
 // IsendAndFree is Isend followed by immediately releasing the request —
 // the MPI_Request_free idiom for fire-and-forget sends under buffered
-// semantics. Send completion is never observable through a request (send
-// requests are timed at issue and referenced nowhere else), so recycling
-// it at once is safe and the send costs no allocation. The stream
-// library's element path and the apps' aggregate forwards use it.
+// semantics. Send completion is never observable through a freed
+// request, so none is built: the message is injected and the call
+// returns, and on a revoked world it returns at once, which is all a
+// failed-then-freed request amounted to. The stream library's element
+// path and the apps' aggregate forwards use it.
 func (c *Comm) IsendAndFree(r *Rank, dst, tag int, bytes int64, data interface{}) {
 	checkAppTag("IsendAndFree", tag)
-	req := c.isend(r, dst, tag, bytes, data)
-	r.rs.pool.freeRequest(req)
+	c.checkSend(dst, bytes)
+	if r.w.revoked {
+		return
+	}
+	c.inject(r, r.fib, c.RankOf(r), dst, tag, bytes, data, fabric.SendOverhead)
 }
 
-// isendOv is Isend on behalf of proc, which may be a helper process of the
-// same rank (nonblocking collectives), with an explicit sender CPU
-// overhead (persistent requests pay a reduced per-start cost).
-func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data interface{}, overhead sim.Time) *Request {
+// checkSend panics on a destination outside c or a negative size.
+func (c *Comm) checkSend(dst int, bytes int64) {
 	if dst < 0 || dst >= len(c.members) {
 		panic(fmt.Sprintf("mpi: Isend to rank %d of %d", dst, len(c.members)))
 	}
 	if bytes < 0 {
 		panic("mpi: negative message size")
 	}
+}
+
+// isendOv is Isend on behalf of proc, which may be a helper process of the
+// same rank (nonblocking collectives), with an explicit sender CPU
+// overhead (persistent requests pay a reduced per-start cost): the
+// request around inject.
+func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data interface{}, overhead sim.Time) *Request {
+	c.checkSend(dst, bytes)
 	w := r.w
 	if w.revoked {
 		// The world is revoked by a crash: the send completes immediately
@@ -202,9 +228,28 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 		return w.failedRequest()
 	}
 	me := c.RankOf(r)
+	req := r.rs.pool.newRequest()
+	if sendEnd, self := c.inject(r, proc, me, dst, tag, bytes, data, overhead); self {
+		req.done = true
+	} else {
+		// The sender's NIC slot is granted at injection, so the send
+		// request's completion instant is already known: no event needed.
+		req.timed = true
+		req.doneAt = sendEnd
+	}
+	req.setStatus(me, tag, bytes, data)
+	return req
+}
+
+// inject sends one message from r, rank me of c, to comm rank dst on
+// behalf of proc: it charges the sender CPU overhead, counts the send and
+// schedules the delivery. It reports the end of the sender's NIC slot,
+// or self true for a self-send, which involves no NIC. The world must not
+// be revoked.
+func (c *Comm) inject(r *Rank, proc *sim.Fiber, me, dst, tag int, bytes int64, data interface{}, overhead sim.Time) (sendEnd sim.Time, self bool) {
+	w := r.w
 	src := r.rs
 	dstState := w.ranks[c.members[dst]]
-	req := src.pool.newRequest()
 
 	// Sender CPU overhead (the LogGP "o"), accumulated as debt so that
 	// bursts of sends cost one engine yield instead of one per message.
@@ -213,34 +258,26 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 
 	e := src.eng
 	msg := src.pool.newMessage()
-	msg.commID, msg.src, msg.tag, msg.bytes, msg.data = c.id, me, tag, bytes, data
+	msg.commID, msg.src, msg.tag, msg.bytes, msg.data = int32(c.id), int32(me), int32(tag), bytes, data
 	msg.dst = dstState
 	msg.epoch = w.epoch
 
 	if dstState == src {
 		// Self-send: no NIC or wire involvement.
-		req.done = true
-		req.status = Status{Source: me, Tag: tag, Bytes: bytes, Data: data}
-		msg.self = true
-		e.AtAction(e.Now(), msg)
-		return req
+		e.AtAction(e.Now(), (*selfMessage)(msg))
+		return 0, true
 	}
 
 	// Sender NIC serialization, starting after any CPU debt the sending
-	// process has accumulated. The slot is granted now, so the send
-	// request's completion instant is already known: no event needed.
-	// With link faults scheduled, the bandwidth window covering the slot
-	// request inflates serialization and the latency window covering the
-	// flight start inflates the wire hop; the guards keep the fault-free
-	// hot path byte-identical.
+	// process has accumulated. With link faults scheduled, the bandwidth
+	// window covering the slot request inflates serialization and the
+	// latency window covering the flight start inflates the wire hop; the
+	// guards keep the fault-free hot path byte-identical.
 	ser := fabric.SerializationTime(bytes)
 	if lf := w.cfg.LinkFaults; lf != nil {
 		ser = lf.StretchSerialization(ser, e.Now()+proc.Debt())
 	}
-	_, sendEnd := src.sendLink.Reserve(e.Now()+proc.Debt(), ser)
-	req.timed = true
-	req.doneAt = sendEnd
-	req.status = Status{Source: me, Tag: tag, Bytes: bytes, Data: data}
+	_, sendEnd = src.sendLink.Reserve(e.Now()+proc.Debt(), ser)
 	// Wire latency after the slot, then receiver NIC serialization at
 	// arrival time (arrivals occur in sendEnd order, so receiver-side
 	// reservations are made in arrival order). The message is bound to a
@@ -253,16 +290,16 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 		lat = lf.StretchLatency(lat, sendEnd)
 	}
 	arrive := sendEnd + lat
-	msg.ser = ser
+	msg.slot = ser
 	if w.reliable() {
 		// Lossy fabric: the reliable protocol takes over delivery —
 		// sequence number, attempt-0 verdict, retransmission timer. The
-		// request's completion instant (the NIC slot) is already fixed
-		// above, so buffered-send semantics and send-side cost are
-		// unchanged. Incompatible with the sharded mode, so this branch
-		// never races the Post path below.
+		// send's completion instant (the NIC slot) is already fixed above,
+		// so buffered-send semantics and send-side cost are unchanged.
+		// Incompatible with the sharded mode, so this branch never races
+		// the Post path below.
 		src.relSend(msg, sendEnd, arrive)
-		return req
+		return sendEnd, false
 	}
 	if w.group != nil {
 		// Parallel mode: every cross-rank delivery is keyed by the sender's
@@ -274,7 +311,7 @@ func (c *Comm) isendOv(r *Rank, proc *sim.Fiber, dst, tag int, bytes int64, data
 	} else {
 		e.AtAction(arrive, msg)
 	}
-	return req
+	return sendEnd, false
 }
 
 // deliverAt matches a message against posted receives or queues it. The
@@ -308,7 +345,7 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 	e := dst.eng
 	if p := dst.match.takePosted(m); p != nil {
 		req := p.req
-		req.status = m.status()
+		req.setStatus(int(m.src), int(m.tag), m.bytes, m.data)
 		dst.pool.freePostedRecv(p)
 		dst.pool.freeMessage(m)
 		if ready > e.Now() {
@@ -341,7 +378,7 @@ func (w *World) deliverAt(dst *rankState, m *message, ready sim.Time) {
 	// An unmatched arrival completes no request, so nobody needs waking: a
 	// blocked WaitAny waiter's requests are all posted receives, which
 	// this message just failed to match.
-	m.readyAt = ready
+	m.slot = ready
 	dst.match.addUnexpected(m)
 }
 
@@ -368,8 +405,7 @@ func (c *Comm) irecvFor(r *Rank, src, tag int) *Request {
 	// preserves MPI's non-overtaking guarantee per (source, tag)). A
 	// message still on the receiver NIC completes the request at its
 	// readiness instant.
-	if st, readyAt, ok := rs.match.takeQueued(c.id, src, tag); ok {
-		req.status = st
+	if readyAt, ok := rs.match.takeQueued(c.id, src, tag, req); ok {
 		if readyAt > rs.eng.Now() {
 			req.timed = true
 			req.doneAt = readyAt

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -153,7 +155,10 @@ func TestIsendIrecvWaitAll(t *testing.T) {
 				c.Isend(r, 1, 0, 8, 10),
 				c.Isend(r, 1, 1, 8, 20),
 			}
-			c.WaitAll(r, reqs...)
+			// A send reports what it sent.
+			if sts := c.WaitAll(r, reqs...); sts[1] != (Status{Source: 0, Tag: 1, Bytes: 8, Data: 20}) {
+				t.Errorf("send status %+v", sts[1])
+			}
 		} else {
 			a := c.Irecv(r, 0, 0)
 			b := c.Irecv(r, 0, 1)
@@ -215,7 +220,9 @@ func TestSelfSend(t *testing.T) {
 		c := r.World()
 		req := c.Isend(r, 0, 0, 8, "self")
 		st := c.Recv(r, 0, 0)
-		c.Wait(r, req)
+		if sst := c.Wait(r, req); sst != (Status{Source: 0, Tag: 0, Bytes: 8, Data: "self"}) {
+			t.Errorf("self-send status %+v", sst)
+		}
 		if st.Data.(string) != "self" {
 			t.Errorf("self-send payload %v", st.Data)
 		}
@@ -358,19 +365,95 @@ func TestBadArgumentsPanic(t *testing.T) {
 		c := r.World()
 		for _, fn := range []func(){
 			func() { c.Isend(r, 5, 0, 8, nil) },
+			func() { c.Isend(r, 2, 0, 8, nil) },
 			func() { c.Isend(r, 1, 0, -1, nil) },
+			func() { c.IsendAndFree(r, 5, 0, 8, nil) },
+			func() { c.IsendAndFree(r, 1, 0, -1, nil) },
 			func() { c.Irecv(r, 17, 0) },
+			func() { c.Irecv(r, 2, 0) },
 			func() { c.Recv(r, 1, collTagBase) },
 			func() { c.WaitAny(r, nil) },
 		} {
 			func() {
 				defer func() {
-					if recover() == nil {
-						t.Error("bad argument did not panic")
+					// The argument check panics, not the code it guards.
+					if rec := fmt.Sprint(recover()); !strings.HasPrefix(rec, "mpi: ") {
+						t.Errorf("bad argument panicked with %q, want the mpi package's check", rec)
 					}
 				}()
 				fn()
 			}()
 		}
 	})
+}
+
+// TestIsendAndFreeBuildsNoRequest: a fire-and-forget send injects the
+// message and nothing else. With the message pool and the event queue warm
+// from an earlier burst of the same size, a burst allocates nothing and
+// takes no request from the pool (its freelist, emptied for the burst,
+// stays empty). On a revoked world the call returns at once: no send
+// counted, no overhead charged, no event scheduled.
+func TestIsendAndFreeBuildsNoRequest(t *testing.T) {
+	const burst, runs = 64, 3
+	const total = burst * (runs + 1) // AllocsPerRun calls once more to warm up
+	w := testWorld(t, 2)
+	var allocs float64
+	freed := -1
+	got := 0
+	_, err := w.RunFibers(func(r *Rank, f *sim.Fiber) sim.StepFunc {
+		c := r.World()
+		if r.ID() == 1 {
+			var loop sim.StepFunc
+			loop = func(*sim.Fiber) sim.StepFunc {
+				if got == 2*total {
+					return nil
+				}
+				return c.FRecv(r, 0, 5, func(Status) sim.StepFunc {
+					got++
+					return loop
+				})
+			}
+			return loop(f)
+		}
+		send := func(n int) {
+			for range n {
+				c.IsendAndFree(r, 1, 5, 8, nil)
+			}
+		}
+		send(total)
+		return r.FCompute(sim.Millisecond, func(*sim.Fiber) sim.StepFunc {
+			pl := r.rs.pool
+			saved := pl.reqFree
+			pl.reqFree = nil
+			if raceEnabled {
+				send(total)
+			} else {
+				allocs = testing.AllocsPerRun(runs, func() { send(burst) })
+			}
+			freed = len(pl.reqFree)
+			pl.reqFree = saved
+
+			sent, debt, pushes := r.rs.msgsSent, f.Debt(), r.rs.eng.QueueStats().Pushes
+			w.revoked = true
+			c.IsendAndFree(r, 1, 5, 8, nil)
+			w.revoked = false
+			if r.rs.msgsSent != sent || f.Debt() != debt || r.rs.eng.QueueStats().Pushes != pushes {
+				t.Errorf("IsendAndFree on a revoked world: sends %d -> %d, debt %v -> %v, pushes %d -> %d",
+					sent, r.rs.msgsSent, debt, f.Debt(), pushes, r.rs.eng.QueueStats().Pushes)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 2*total {
+		t.Errorf("rank 1 received %d messages, want %d", got, 2*total)
+	}
+	if allocs != 0 {
+		t.Errorf("a burst of %d IsendAndFree allocated %v times", burst, allocs)
+	}
+	if freed != 0 {
+		t.Errorf("a burst of IsendAndFree left %d requests in an emptied freelist", freed)
+	}
 }

@@ -182,7 +182,7 @@ func TestBacklogBehindLiveHeadStaysBounded(t *testing.T) {
 	made := map[*message]bool{}
 	arrive := func(tag int) {
 		m := x.pool.newMessage()
-		m.src, m.tag = 1, tag
+		m.src, m.tag = 1, int32(tag)
 		made[m] = true
 		x.addUnexpected(m)
 	}
@@ -190,7 +190,7 @@ func TestBacklogBehindLiveHeadStaysBounded(t *testing.T) {
 	side := x.selectorQueue(0, 1, AnyTag) // a wildcard list it heads
 	for i := 0; i < 1000; i++ {
 		arrive(2)
-		if _, _, ok := x.takeQueued(0, 1, 2); !ok {
+		if _, ok := x.takeQueued(0, 1, 2, &Request{}); !ok {
 			t.Fatalf("receive %d found nothing", i)
 		}
 		if n := len(x.arrivals) - x.arrHead; n > 64 {

@@ -95,14 +95,14 @@ func (e *RankUnreachableError) rankFailure() {}
 type relEntry struct {
 	sender *rankState
 	dst    *rankState
-	commID int
-	src    int // sender's rank within commID
-	tag    int
+	commID int32
+	src    int32 // sender's rank within commID
+	tag    int32
 	bytes  int64
 	data   interface{}
 	ser    sim.Time // unstretched payload serialization time
 	seq    uint64
-	epoch  int
+	epoch  uint16
 	// attempt counts transmissions so far (1 after the initial send).
 	attempt int
 	acked   bool
@@ -209,7 +209,7 @@ func (src *rankState) relSend(m *message, sendEnd, arrive sim.Time) {
 		seq: seq, epoch: m.epoch, attempt: 1,
 	}
 	m.rel = en
-	en.transmit(m, arrive, relTimerAt(sendEnd, m.ser, 0), 0)
+	en.transmit(m, arrive, relTimerAt(sendEnd, m.slot, 0), 0)
 }
 
 // transmit puts one attempt's copy m on the wire as its verdict says and
@@ -280,7 +280,7 @@ func (en *relEntry) remsg(ser sim.Time) *message {
 	m.commID, m.src, m.tag, m.bytes, m.data = en.commID, en.src, en.tag, en.bytes, en.data
 	m.dst = en.dst
 	m.epoch = en.epoch
-	m.ser = ser
+	m.slot = ser
 	m.rel = en
 	return m
 }
@@ -368,11 +368,11 @@ func (w *World) unreachable(en *relEntry) {
 	if w.committed() {
 		return
 	}
-	w.epoch++
+	w.bumpEpoch()
 	w.revoked = true
 	w.failure = &RankUnreachableError{
 		World: w.cfg.Name, Src: en.sender.rank, Dst: en.dst.rank,
-		Seq: en.seq, Attempts: en.attempt, Epoch: w.epoch,
+		Seq: en.seq, Attempts: en.attempt, Epoch: int(w.epoch),
 	}
 	w.failPosted(nil)
 	w.relReset()

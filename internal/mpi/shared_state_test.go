@@ -55,7 +55,7 @@ func gatherRecPart(r *Rank) Part {
 	if r.ID() == 3 {
 		bytes = 1 << 20
 	}
-	return Part{Bytes: bytes, Data: gatherMark{r.ID(), r.w.epoch}}
+	return Part{Bytes: bytes, Data: gatherMark{r.ID(), int(r.w.epoch)}}
 }
 
 func gatherRecProcBody(o *gatherRecObs) func(*Rank) {

@@ -19,6 +19,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/netmodel"
@@ -165,6 +166,10 @@ func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Procs <= 0 {
 		return fmt.Errorf("mpi: Procs %d is not a positive world size", c.Procs)
+	}
+	if c.Procs > math.MaxInt32 {
+		// A message carries its sender's comm rank in 32 bits.
+		return fmt.Errorf("mpi: Procs %d exceeds the int32 rank range (at most %d)", c.Procs, math.MaxInt32)
 	}
 	if err := c.FS.Validate(); err != nil {
 		return fmt.Errorf("mpi: FS: %w", err)
@@ -331,7 +336,7 @@ type World struct {
 	// allComms tracks every communicator ever built on the world so
 	// completeRebuild can zero their collective tag counters.
 	revoked        bool
-	epoch          int
+	epoch          uint16
 	failure        failureError
 	rebuildArrived int
 	rebuildQ       sim.WaitQueue
@@ -417,8 +422,6 @@ func (pl *pools) dropRef(m *message) {
 func (pl *pools) freeMessage(m *message) {
 	m.data = nil
 	m.consumed = false
-	m.readyAt = 0
-	m.self = false
 	m.rel = nil
 	pl.msgFree = append(pl.msgFree, m)
 }
@@ -783,10 +786,19 @@ func (w *World) Release() {
 	pool.Put(w)
 }
 
+// nextCommID returns a fresh communicator context id. A message carries
+// its context in 32 bits, so a world that builds more communicators than
+// that panics instead of reusing an id.
 func (w *World) nextCommID() int {
+	if w.comms == math.MaxInt32 {
+		panic(tooManyComms)
+	}
 	w.comms++
 	return w.comms
 }
+
+// tooManyComms is nextCommID's panic message.
+var tooManyComms = fmt.Sprintf("mpi: more than %d communicators on one world, the most a message's int32 context id holds", math.MaxInt32)
 
 // checkIOShard enforces the parallel-mode file-system constraint: every
 // rank that opens simulated files must live on one shard, because the
