@@ -58,7 +58,9 @@ func rowsDigest(rows []Row) string {
 // TestTrajectoryManifest holds every experiment's rows and event count to
 // testdata/manifest_v3.txt. The file's first section is this test's
 // output; the section after its first blank line lists CLI sweeps at
-// larger scale, which CI checks and this test copies through unread.
+// larger scale, which CI checks and this test copies through unread. The
+// fault-free rows then answer each claim of testdata/claims.csv, so the
+// claims cost no sweep of their own.
 func TestTrajectoryManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at 128 ranks")
@@ -83,6 +85,7 @@ func TestTrajectoryManifest(t *testing.T) {
 
 	var got strings.Builder
 	fmt.Fprintf(&got, "%sversion %d\n", manifestHeader, sim.TrajectoryVersion)
+	byName := map[string][]Row{} // the fault-free rows, for testdata/claims.csv
 	for _, e := range manifestEntries() {
 		opts := Options{MaxProcs: 128, Runs: 2, Workers: 3}
 		if e.faults != "-" {
@@ -95,6 +98,9 @@ func TestTrajectoryManifest(t *testing.T) {
 		rows, err := runExperiment(t, e.name, opts)
 		if err != nil {
 			t.Fatalf("%s %s: %v", e.name, e.faults, err)
+		}
+		if e.faults == "-" {
+			byName[e.name] = rows
 		}
 		digest, events := rowsDigest(rows), strconv.FormatUint(sim.GlobalEvents()-ev0, 10)
 		fmt.Fprintf(&got, "%s %s %s %s\n", e.name, e.faults, digest, events)
@@ -112,5 +118,8 @@ func TestTrajectoryManifest(t *testing.T) {
 	}
 	if got.String() != pinned+"\n" {
 		t.Errorf("testdata/manifest_v3.txt should read:\n%s\n%s", got.String(), larger)
+	}
+	for _, f := range claimFailures(readClaims(t), byName) {
+		t.Error(f)
 	}
 }

@@ -288,6 +288,18 @@ func TestCrashSharedPointerFailover(t *testing.T) {
 	if bank.JobDemand(0) != demand+1 {
 		t.Error("a write the failure cut short left the job's demand interval open")
 	}
+
+	// Wherever in rank 1's middle write the crash lands, holding the
+	// shared-pointer token or queued for it, the rebuilt world finishes: a
+	// token left held by the dead rank deadlocks it.
+	for d := sim.Time(1); d <= 2*(fs.SharedPointerLatency+fs.PerOpLatency); d += 50 * sim.Microsecond {
+		st := newRecShared(iters, procs)
+		w, _ := run(st, []sim.CrashEvent{{At: writeAt + d, Target: 1, Restart: 90 * sim.Microsecond}})
+		allFinished(t, w)
+		if st.committed != iters {
+			t.Fatalf("crash at +%v: committed %d of %d", d, st.committed, iters)
+		}
+	}
 }
 
 // TestCrashCoScheduledNeighborUntouched runs two worlds on one engine and

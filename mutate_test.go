@@ -1,7 +1,12 @@
 package repro
 
 import (
+	"errors"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +17,9 @@ import (
 // fixture's baseline and flag TestFullExample, whose one kill
 // TestFullAtMax also makes, as redundant. TestUnprimed fails right after
 // TestPrime on the unmutated tree, so it must earn no kill of the prime
-// call they both cover and be listed as order-dependent.
+// call they both cover and be listed as order-dependent. Due's comparison
+// calls tick, which counts: TestDue fails with no mutant selected, and
+// the tool exits 2, if the schema evaluates that operand twice.
 func TestMutateFixture(t *testing.T) {
 	out, err := exec.Command("go", "run", "./testdata/mutate", "testdata/mutate/fixture/fixture.go").Output()
 	if err != nil {
@@ -27,11 +34,14 @@ testdata/mutate/fixture/fixture.go:14:7 boundary > to >=: SURVIVED
 testdata/mutate/fixture/fixture.go:32:2 drop statement: SURVIVED
 testdata/mutate/fixture/fixture.go:39:2 drop statement: does not build
 testdata/mutate/fixture/fixture.go:49:2 drop statement: SURVIVED
+testdata/mutate/fixture/fixture.go:63:16 negate >= to <: killed by TestDue
+testdata/mutate/fixture/fixture.go:63:16 boundary >= to >: killed by TestDue
 
 # kill rate per file: killed/built (mutants that do not build are left out)
-testdata/mutate/fixture/fixture.go 4/7 57.1% (baseline 57.1%)
+testdata/mutate/fixture/fixture.go 6/9 66.7% (baseline 66.7%)
 
 # in-package tests: kills, kills no other test makes, redundant when 0 of >0
+TestDue 2 2
 TestFullAtMax 2 1
 TestFullExample 1 0 REDUNDANT
 TestLarger 2 2
@@ -43,5 +53,63 @@ repro/testdata/mutate/fixture TestUnprimed: fails with TestPrime TestUnprimed
 `
 	if string(out) != want {
 		t.Errorf("mutation report differs\n--- want ---\n%s--- got ---\n%s", want, out)
+	}
+}
+
+// TestMutateRemovesItsTempDir runs the mutation tool on a file that does not
+// exist, which it reads after making its temporary directory, and requires
+// exit status 2 and nothing left in TMPDIR.
+func TestMutateRemovesItsTempDir(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "mutate")
+	if out, err := exec.Command("go", "build", "-o", bin, "./testdata/mutate").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./testdata/mutate: %v\n%s", err, out)
+	}
+	tmp := t.TempDir()
+	cmd := exec.Command(bin, "testdata/mutate/no-such-file.go")
+	cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+	out, err := cmd.CombinedOutput()
+	if exit := new(exec.ExitError); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("mutate on a missing file: %v, want exit status 2\n%s", err, out)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left %s in TMPDIR", e.Name())
+	}
+}
+
+// TestMutationJobRunsEveryBaselinedFile holds the file list of CI's
+// mutation job to testdata/mutate/baseline.txt, the fixture aside.
+func TestMutationJobRunsEveryBaselinedFile(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job, _ := strings.Cut(string(ci), "\n  mutation:\n")
+	_, list, _ := strings.Cut(job, "\n        file:\n")
+	var matrix []string
+	for _, line := range strings.Split(list, "\n") {
+		f, ok := strings.CutPrefix(line, "          - ")
+		if !ok {
+			break
+		}
+		matrix = append(matrix, f)
+	}
+	base, err := os.ReadFile("testdata/mutate/baseline.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, line := range strings.Split(string(base), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") && f[0] != "testdata/mutate/fixture/fixture.go" {
+			files = append(files, f[0])
+		}
+	}
+	slices.Sort(matrix)
+	slices.Sort(files)
+	if len(files) == 0 || !slices.Equal(matrix, files) {
+		t.Errorf("ci.yml's mutation matrix lists\n%q\nbaseline.txt (fixture aside) names\n%q", matrix, files)
 	}
 }

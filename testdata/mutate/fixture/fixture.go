@@ -1,7 +1,7 @@
 // Package fixture is what TestMutateFixture points the mutation tool at: one
 // mutant of each operator, a test that kills two of them, a test whose only
-// kill the first also makes, a statement no test observes, and a pair of
-// tests of which the second fails only when it runs right after the first.
+// kill the first also makes, a statement no test observes, two tests of which
+// the second fails only right after the first, and a counting operand.
 package fixture
 
 // Full reports whether n items fill a buffer of max.
@@ -48,4 +48,17 @@ func prime() { primed++ }
 func Prime() int {
 	prime()
 	return primed
+}
+
+var ticks int
+
+func tick() int {
+	ticks++
+	return ticks
+}
+
+// Due advances a clock by one tick and reports whether it has reached at.
+// Its boundary mutant's schema must call tick once, as Due does.
+func Due(at int) bool {
+	return tick() >= at
 }

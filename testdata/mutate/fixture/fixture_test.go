@@ -36,3 +36,12 @@ func TestUnprimed(t *testing.T) {
 		t.Fatalf("primed %d times, want once", n)
 	}
 }
+
+// TestDue reaches the clock's boundary and counts the ticks: a schema that
+// evaluated tick twice would fail it with no mutant selected.
+func TestDue(t *testing.T) {
+	at := ticks + 1
+	if !Due(at) || ticks != at {
+		t.Fatalf("Due(%d) with the clock at %d", at, ticks)
+	}
+}

@@ -1,43 +1,50 @@
-// Command mutate measures what a package's tests catch. It changes the named
-// Go files one small edit (a mutant) at a time, runs the tests against each
-// mutant through go test -overlay, and prints which tests kill which mutant
-// and the kill rate of each file:
+// Command mutate measures what a package's tests catch. It makes small edits
+// (mutants) of the named Go files, runs the tests against each, and prints
+// which tests kill which mutant and the kill rate of each file:
 //
 //	go run ./testdata/mutate internal/mpi/match.go internal/sim/queue.go
 //
-// Run it from the module root. The operators, applied in source order, are:
-// negate a comparison, move a comparison's boundary (< and <=, > and >=),
-// swap the arms of an if with a plain else, and drop an expression
-// statement. A mutant that does not build is left out of the rate.
+// Run it from the module root. The operators, in source order, negate a
+// comparison, move its boundary (< and <=, > and >=), swap the arms of an if
+// with a plain else and drop an expression statement. Each file becomes one
+// schema (Untch, Offutt and Harrold, ISSTA 1993) that guards mutant k with
+// mutant(k), true only in a run that selects k:
 //
-// Stage 1 runs the tests of the mutated file's own package that execute the
-// mutated code, read off a coverage profile of each test run on its own
-// against the unmutated package: a test that never reaches the code cannot
-// kill it. Each distinct subset of tests so selected runs once on the
-// unmutated tree first: a test that fails there fails because of the tests
-// run before it, not because of a mutant, so it earns no kill in that
-// subset and the report lists it as order-dependent. A mutant that survives
-// them, or that only one of them kills, then runs the trajectory manifest's
-// package (internal/experiments) and,
-// if that misses it too, every other package of ./... whose test binary
-// imports the mutated package: a package that does not import the mutated
-// code cannot kill it. A test binary that panics or times out is run again
-// without the tests that already ran, so the tests after the crash run too.
+//	negate     mutant(k) != (a < b)
+//	boundary   (mutant(k) && a <= b) || (!mutant(k) && a < b)
+//	swap arms  if mutant(k) != (cond) {
+//	drop       if !mutant(k) { stmt }
 //
-// It exits 1 when a file's kill rate falls below the rate recorded for it in
-// testdata/mutate/baseline.txt (DESIGN.md, "Mutation budget").
+// Each package's test binary is built once against the schemata, and each
+// mutant is a run of prebuilt binaries. Dropping the panic that ends a
+// function with results leaves a missing return: that mutant does not build
+// and is left out of the rate.
+//
+// Stage 1 runs the tests of the file's package whose coverage profile, each
+// test run alone on the unmutated package, reaches the edit. Each distinct
+// subset so selected runs once with no mutant selected: a test failing there
+// fails because of the tests before it and earns no kill in that subset. A
+// mutant that survives stage 1, or that one test alone kills, runs the
+// manifest's package (internal/experiments), then, if that misses it too,
+// every other package of ./... whose test binary imports the mutated one. A
+// crashed test binary is run again without the tests that already ran. It
+// exits 2, naming the test, when a schema with no mutant selected fails a
+// test that passes on the unmutated package, or TestTrajectoryManifest; and
+// 1 when a file's kill rate falls below testdata/mutate/baseline.txt.
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -45,10 +52,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// timeout bounds one go test run of a mutant. The slowest package of the
+// timeout bounds one test binary run of a mutant. The slowest package of the
 // module passes in about ten seconds on an idle CPU, and a run shares the
 // CPUs with as many others as there are; a run that times out counts its
 // running test as a killer, so the bound leaves a wide margin.
@@ -62,14 +70,20 @@ const timeout = 60 * time.Second
 const maxReruns = 3
 
 const (
+	module       = "repro"
 	baselineFile = "testdata/mutate/baseline.txt"
-	manifestPkg  = "repro/internal/experiments" // stage 2 runs it first
+	manifestPkg  = module + "/internal/experiments" // stage 2 runs it first
+	selector     = "REPRO_MUTANT"                   // names the mutant a run selects; only this tool sets it
 )
+
+// guardSrc is a file the overlay adds to each mutated package.
+const guardSrc = "package %s\n\nimport (\"os\"; \"strconv\")\n\n// mutantOn is the mutant this run selects; 0 selects none.\n" +
+	"var mutantOn, _ = strconv.Atoi(os.Getenv(%q))\n\nfunc mutant(k int) bool { return k == mutantOn }\n"
 
 // A subset is one package's covering tests, as stage 1 selects them.
 type subset struct {
 	pkg, tests string   // import path, and the tests joined by |
-	fails      []string // the tests that fail on the unmutated tree
+	fails      []string // the tests that fail with no mutant selected
 }
 
 // A mutant is one edit of one file.
@@ -77,85 +91,178 @@ type mutant struct {
 	file, pkg string // slash path from the module root, import path
 	pos, op   string // file:line:col of the edit, and the edit
 	line, col int
-	src       []byte  // the whole mutated file
+	k         int     // its number in the schema; 0 if it does not build
 	covering  *subset // the package's tests that execute the edited code, if any
 
-	noBuild  bool
 	killers  []string // killing tests, in-package ones first
 	inPkg    int      // how many of killers are the package's own tests
 	passedBy []string // the package's own tests that passed
 }
 
+// A build is one package's test binary, built at most once, against every
+// schema; cover is a mutated package's unmutated one, built with coverage.
+type build struct {
+	pkg, dir, bin, cover string
+	deps                 []string // what the test binary imports
+	once                 sync.Once
+	err                  error
+}
+
+// A campaign is one run of the tool.
+type campaign struct {
+	tmp, overlay string
+	builds       map[string]*build // by import path
+	built        atomic.Int32
+}
+
 func main() {
-	files := os.Args[1:]
+	os.Exit(run(os.Args[1:]))
+}
+
+// run runs the campaign and returns the exit status; the temporary
+// directory goes on every path.
+func run(files []string) int {
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: go run ./testdata/mutate file.go...")
-		os.Exit(2)
+		return 2
 	}
-	check := func(err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mutate:", err)
-			os.Exit(2)
-		}
-	}
-	base, err := readBaseline()
-	check(err)
 	tmp, err := os.MkdirTemp("", "mutate")
-	check(err)
-	defer os.RemoveAll(tmp)
+	ok := false
+	if err == nil {
+		defer os.RemoveAll(tmp)
+		ok, err = (&campaign{tmp: tmp}).run(files)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mutate:", err)
+		return 2
+	}
+	if !ok {
+		return 1
+	}
+	return 0
+}
+
+func (c *campaign) run(files []string) (bool, error) {
+	base, err := readBaseline()
+	if err != nil {
+		return false, err
+	}
 	var ms []*mutant
+	dirs := []string{"./..."}
+	replace := map[string]string{} // the overlay: a source path, then its stand-in
+	for i, f := range files {
+		files[i] = filepath.ToSlash(filepath.Clean(f))
+		fm, schema, name, err := mutants(files[i], len(ms))
+		if err != nil {
+			return false, err
+		}
+		guard := filepath.Join(filepath.Dir(files[i]), "zz_mutant_guard.go")
+		replace[files[i]], replace[guard] = filepath.Join(c.tmp, fmt.Sprint(i, ".go")), filepath.Join(c.tmp, fmt.Sprint(i, "guard.go"))
+		if err := cmp.Or(os.WriteFile(replace[files[i]], []byte(schema), 0o644),
+			os.WriteFile(replace[guard], fmt.Appendf(nil, guardSrc, name, selector), 0o644)); err != nil {
+			return false, err
+		}
+		ms = append(ms, fm...)
+		dirs = append(dirs, "./"+filepath.Dir(files[i]))
+	}
+	spec, _ := json.Marshal(map[string]map[string]string{"Replace": replace})
+	c.overlay = filepath.Join(c.tmp, "overlay.json")
+	if err := os.WriteFile(c.overlay, spec, 0o644); err != nil {
+		return false, err
+	}
+	if c.builds, err = testPackages(dirs); err != nil {
+		return false, err
+	}
+
 	deps := map[string][]string{}              // the packages that import each mutated one
 	covers := map[string]map[string][]string{} // each mutated package's blocks
 	subsets := map[[2]string]*subset{}
 	var order []*subset
-	for i, f := range files {
-		files[i] = filepath.ToSlash(filepath.Clean(f))
-		fm, err := mutants(files[i])
-		check(err)
-		for _, m := range fm {
-			if _, ok := deps[m.pkg]; !ok {
-				deps[m.pkg], err = importers(m.pkg)
-				check(err)
-				covers[m.pkg], err = coverage(filepath.Dir(m.file), tmp)
-				check(err)
+	for _, m := range ms {
+		if _, ok := deps[m.pkg]; !ok {
+			deps[m.pkg] = c.importers(m.pkg)
+			if covers[m.pkg], err = c.coverage(m.pkg); err != nil {
+				return false, err
 			}
-			tests := covering(covers[m.pkg], m)
-			if len(tests) == 0 {
-				continue
-			}
-			key := [2]string{m.pkg, strings.Join(tests, "|")}
-			if subsets[key] == nil {
-				subsets[key] = &subset{pkg: key[0], tests: key[1]}
-				order = append(order, subsets[key])
-			}
-			m.covering = subsets[key]
 		}
-		ms = append(ms, fm...)
+		tests := covering(covers[m.pkg], m)
+		if len(tests) == 0 || m.k == 0 {
+			continue
+		}
+		key := [2]string{m.pkg, strings.Join(tests, "|")}
+		if subsets[key] == nil {
+			subsets[key] = &subset{pkg: key[0], tests: key[1]}
+			order = append(order, subsets[key])
+		}
+		m.covering = subsets[key]
 	}
 
-	each(len(order), func(i int) {
-		sub := order[i]
-		res, err := goTest("", "^("+sub.tests+")$", sub.pkg)
-		check(err)
-		sub.fails = res[sub.pkg].tests("fail", "run")
-	})
-	var mu sync.Mutex
-	done := 0
-	each(len(ms), func(i int) {
-		m := ms[i]
-		check(m.run(filepath.Join(tmp, strconv.Itoa(i)), deps[m.pkg]))
-		mu.Lock()
-		done++
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s: %s\n", done, len(ms), m.pos, m.op, m.verdict())
-		mu.Unlock()
-	})
-	if !report(files, ms, order, base) {
-		os.Exit(1)
+	if err := c.baseline(order); err != nil {
+		return false, err
 	}
+	var done atomic.Int32
+	err = each(len(ms)+1, func(i int) error {
+		if i == 0 { // beside the mutants, off the longest one's path
+			return c.manifestPasses(deps)
+		}
+		m := ms[i-1]
+		if err := c.mutant(m, deps[m.pkg]); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s %s: %s\n", done.Add(1), len(ms), m.pos, m.op, m.verdict())
+		return nil
+	})
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprintf(os.Stderr, "mutate: %d test binaries built against the schemata (%d mutated package(s) and the importers run)\n",
+		c.built.Load(), len(deps))
+	return report(files, ms, order, base), nil
 }
 
-// each calls f(0) to f(n-1), on one worker per CPU.
-func each(n int, f func(i int)) {
+// baseline runs each subset with no mutant selected. A test that fails
+// there fails because of the tests run before it, so it must fail on the
+// unmutated package too, or the schema is not the file.
+func (c *campaign) baseline(order []*subset) error {
+	return each(len(order), func(i int) error {
+		sub, run := order[i], "^("+order[i].tests+")$"
+		res, err := c.test(sub.pkg, 0, run)
+		if err != nil {
+			return err
+		}
+		if sub.fails = res.tests("fail", "run"); len(sub.fails) == 0 {
+			return nil
+		}
+		plain, err := c.once(c.builds[sub.pkg].cover, c.builds[sub.pkg], 0, run, nil)
+		for _, t := range sub.fails {
+			if err == nil && !slices.Contains(plain.tests("fail", "run"), t) {
+				err = fmt.Errorf("schema not faithful: %s %s fails with no mutant selected, not on the unmutated package (with %s)",
+					sub.pkg, t, strings.ReplaceAll(sub.tests, "|", " "))
+			}
+		}
+		return err
+	})
+}
+
+// manifestPasses runs TestTrajectoryManifest with no mutant selected, when
+// its package imports a mutated one.
+func (c *campaign) manifestPasses(deps map[string][]string) error {
+	for _, ds := range deps {
+		if slices.Contains(ds, manifestPkg) {
+			res, err := c.test(manifestPkg, 0, "^TestTrajectoryManifest$")
+			if err == nil && res.failed {
+				err = fmt.Errorf("schema not faithful: %s TestTrajectoryManifest fails with no mutant selected", manifestPkg)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// each calls f(0) to f(n-1), on one worker per CPU, and returns the first
+// error.
+func each(n int, f func(i int) error) error {
+	errs := make([]error, n)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < runtime.NumCPU(); w++ {
@@ -163,7 +270,7 @@ func each(n int, f func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				f(i)
+				errs[i] = f(i)
 			}
 		}()
 	}
@@ -172,6 +279,7 @@ func each(n int, f func(i int)) {
 	}
 	close(next)
 	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 var negate = map[token.Token]token.Token{
@@ -185,95 +293,99 @@ var boundary = map[token.Token]token.Token{
 	token.GTR: token.GEQ, token.GEQ: token.GTR,
 }
 
-// mutants parses one file and lists its mutants in source order.
-func mutants(file string) ([]*mutant, error) {
+// mutants parses one file and lists its mutants in source order, numbering
+// those that build from first+1, and returns the file's schema and its
+// package's name.
+func mutants(file string, first int) ([]*mutant, string, string, error) {
 	src, err := os.ReadFile(file)
 	if err != nil {
-		return nil, err
+		return nil, "", "", err
 	}
-	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}", "./"+filepath.Dir(file)).Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v", filepath.Dir(file), err)
-	}
-	pkg := strings.TrimSpace(string(out))
+	pkg := path.Join(module, filepath.Dir(file))
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
 	if err != nil {
-		return nil, err
+		return nil, "", "", err
 	}
 	off := func(p token.Pos) int { return fset.Position(p).Offset }
 	var ms []*mutant
-	// add records a mutant that replaces the spans [from, to) of src, given
-	// in order, by texts.
-	add := func(at token.Pos, op string, spans [][2]token.Pos, texts ...string) {
-		var b bytes.Buffer
-		last := 0
-		for i, s := range spans {
-			b.Write(src[last:off(s[0])])
-			b.WriteString(texts[i])
-			last = off(s[1])
-		}
-		b.Write(src[last:])
-		p := fset.Position(at)
-		ms = append(ms, &mutant{file: file, pkg: pkg, op: op, line: p.Line, col: p.Column,
-			pos: fmt.Sprintf("%s:%d:%d", file, p.Line, p.Column), src: b.Bytes()})
+	// A guard opens at the start of the node it wraps and closes at its end.
+	// At one offset, closings go before openings, inner closings first and
+	// outer openings first; ast.Inspect meets the outer node first.
+	type insert struct {
+		at, order int
+		text      string
 	}
-	text := func(n ast.Node) string { return string(src[off(n.Pos()):off(n.End())]) }
+	var ins []insert
+	add := func(n ast.Node, at token.Pos, op string, builds bool, open, close string) {
+		p := fset.Position(at)
+		m := &mutant{file: file, pkg: pkg, op: op, line: p.Line, col: p.Column,
+			pos: fmt.Sprintf("%s:%d:%d", file, p.Line, p.Column)}
+		if builds {
+			m.k = first + len(ms) + 1
+			ins = append(ins, insert{off(n.Pos()), m.k, fmt.Sprintf(open, m.k)}, insert{off(n.End()), -m.k, close})
+		}
+		ms = append(ms, m)
+	}
+	// A function with results that ends in a panic needs it: dropping it
+	// leaves a missing return. A panic ending an if/else or switch that
+	// ends such a function would too; the tree has none, and its schema
+	// would fail to build.
+	fixed := map[ast.Stmt]bool{}
+	ends := func(t *ast.FuncType, body *ast.BlockStmt) {
+		if body != nil && t.Results != nil && len(body.List) > 0 {
+			fixed[body.List[len(body.List)-1]] = true
+		}
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			ends(n.Type, n.Body)
+		case *ast.FuncLit:
+			ends(n.Type, n.Body)
 		case *ast.BinaryExpr:
-			span := [][2]token.Pos{{n.OpPos, n.OpPos + token.Pos(len(n.Op.String()))}}
 			if to, ok := negate[n.Op]; ok {
-				add(n.OpPos, "negate "+n.Op.String()+" to "+to.String(), span, to.String())
+				add(n, n.OpPos, "negate "+n.Op.String()+" to "+to.String(), true, "(mutant(%d) != (", "))")
 			}
 			if to, ok := boundary[n.Op]; ok {
-				add(n.OpPos, "boundary "+n.Op.String()+" to "+to.String(), span, to.String())
+				// The moved comparison copies the operands unguarded: it
+				// runs only when this mutant is selected, and no other is.
+				at := off(n.OpPos)
+				moved := string(src[off(n.Pos()):at]) + to.String() + string(src[at+len(n.Op.String()):off(n.End())])
+				add(n, n.OpPos, "boundary "+n.Op.String()+" to "+to.String(), true,
+					"((mutant(%[1]d) && "+strings.ReplaceAll(moved, "%", "%%")+") || (!mutant(%[1]d) && ", "))")
 			}
 		case *ast.IfStmt:
-			if els, ok := n.Else.(*ast.BlockStmt); ok {
-				add(n.Pos(), "swap if arms", [][2]token.Pos{{n.Body.Pos(), n.Body.End()}, {els.Pos(), els.End()}},
-					text(els), text(n.Body))
+			if _, ok := n.Else.(*ast.BlockStmt); ok {
+				add(n.Cond, n.Pos(), "swap if arms", true, "(mutant(%d) != (", "))")
 			}
 		case *ast.ExprStmt:
-			add(n.Pos(), "drop statement", [][2]token.Pos{{n.Pos(), n.End()}}, "")
+			add(n, n.Pos(), "drop statement", !fixed[n], "if !mutant(%d) { ", " }")
 		}
 		return true
 	})
-	return ms, nil
+	slices.SortFunc(ins, func(a, b insert) int { return cmp.Or(a.at-b.at, a.order-b.order) })
+	var schema strings.Builder
+	last := 0
+	for _, in := range ins {
+		schema.Write(src[last:in.at])
+		schema.WriteString(in.text)
+		last = in.at
+	}
+	schema.Write(src[last:])
+	return ms, schema.String(), f.Name.Name, nil
 }
 
-// run tests one mutant: stage 1 against its package, stage 2 against the
+// mutant tests one mutant: stage 1 against its package, stage 2 against the
 // packages that import it when stage 1 leaves it alive or to one test.
-func (m *mutant) run(dir string, dependents []string) error {
-	abs, err := filepath.Abs(m.file)
-	if err != nil {
-		return err
+func (c *campaign) mutant(m *mutant, dependents []string) error {
+	if m.k == 0 {
+		return nil
 	}
-	mutated, overlay := filepath.Join(dir, filepath.Base(m.file)), filepath.Join(dir, "overlay.json")
-	spec, _ := json.Marshal(map[string]map[string]string{"Replace": {abs: mutated}})
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	if err := os.WriteFile(mutated, m.src, 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(overlay, spec, 0o644); err != nil {
-		return err
-	}
-	if m.covering == nil {
-		// No test of the package reaches the edit; it must still build.
-		if m.noBuild = exec.Command("go", "build", "-overlay", overlay, "./"+filepath.Dir(m.file)).Run() != nil; m.noBuild {
-			return nil
-		}
-	} else {
-		res, err := goTest(overlay, "^("+m.covering.tests+")$", m.pkg)
+	if m.covering != nil {
+		own, err := c.test(m.pkg, m.k, "^("+m.covering.tests+")$")
 		if err != nil {
 			return err
-		}
-		own := res[m.pkg]
-		if m.noBuild = own.noBuild; m.noBuild {
-			return nil
 		}
 		failed := own.tests("fail", "run")
 		for _, t := range failed {
@@ -289,24 +401,24 @@ func (m *mutant) run(dir string, dependents []string) error {
 	}
 	// The manifest first: a mutant it kills has a killer outside its
 	// package, and the rest of ./... is not run for it.
-	var first, rest []string
-	for _, p := range dependents {
-		if p == manifestPkg {
-			first = append(first, p)
-		} else {
-			rest = append(rest, p)
-		}
+	stages := [][]string{nil, slices.DeleteFunc(slices.Clone(dependents), func(p string) bool { return p == manifestPkg })}
+	if len(stages[1]) < len(dependents) {
+		stages[0] = []string{manifestPkg}
 	}
-	for _, pkgs := range [][]string{first, rest} {
+	for _, pkgs := range stages {
 		if len(pkgs) == 0 || len(m.killers) > 1 || len(m.killers) > m.inPkg {
 			continue
 		}
-		res, err := goTest(overlay, "", pkgs...)
-		if err != nil {
+		// The packages run side by side, as go test runs them.
+		res := make([]*pkgRun, len(pkgs))
+		if err := each(len(pkgs), func(i int) (err error) {
+			res[i], err = c.test(pkgs[i], m.k, "")
+			return err
+		}); err != nil {
 			return err
 		}
-		for _, p := range pkgs {
-			for _, t := range res[p].tests("fail", "run") {
+		for i, p := range pkgs {
+			for _, t := range res[i].tests("fail", "run") {
 				m.killers = append(m.killers, p[strings.LastIndex(p, "/")+1:]+"."+t)
 			}
 		}
@@ -316,7 +428,7 @@ func (m *mutant) run(dir string, dependents []string) error {
 
 func (m *mutant) verdict() string {
 	switch {
-	case m.noBuild:
+	case m.k == 0:
 		return "does not build"
 	case len(m.killers) == 0:
 		return "SURVIVED"
@@ -324,54 +436,64 @@ func (m *mutant) verdict() string {
 	return "killed by " + strings.Join(m.killers, " ")
 }
 
-// importers lists the packages of ./... whose test binary imports pkg,
-// pkg itself left out.
-func importers(pkg string) ([]string, error) {
-	out, err := exec.Command("go", "list", "-test", "-f", "{{.ImportPath}};{{join .Deps \";\"}}", "./...").Output()
+// testPackages lists the packages of dirs that have tests, with what their
+// test binaries import.
+func testPackages(dirs []string) (map[string]*build, error) {
+	out, err := exec.Command("go", append([]string{"list", "-test", "-f", "{{.ImportPath}};{{.Dir}};{{join .Deps \";\"}}"}, dirs...)...).Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list ./...: %v", err)
+		return nil, fmt.Errorf("go list %s: %v", strings.Join(dirs, " "), err)
 	}
-	var pkgs []string
+	builds := map[string]*build{}
 	for _, line := range strings.Split(string(out), "\n") {
 		fields := strings.Split(line, ";")
-		p, ok := strings.CutSuffix(fields[0], ".test")
-		if !ok || p == pkg {
-			continue
+		if p, ok := strings.CutSuffix(fields[0], ".test"); ok {
+			builds[p] = &build{pkg: p, dir: fields[1], deps: fields[2:]}
 		}
-		for _, d := range fields[1:] {
-			if d == pkg || strings.HasPrefix(d, pkg+" [") {
-				pkgs = append(pkgs, p)
-				break
-			}
+	}
+	return builds, nil
+}
+
+// importers lists the packages whose test binary imports pkg, pkg itself
+// left out.
+func (c *campaign) importers(pkg string) []string {
+	var pkgs []string
+	for p, b := range c.builds {
+		if p != pkg && slices.ContainsFunc(b.deps, func(d string) bool { return d == pkg || strings.HasPrefix(d, pkg+" [") }) {
+			pkgs = append(pkgs, p)
 		}
 	}
 	sort.Strings(pkgs)
-	return pkgs, nil
+	return pkgs
 }
 
-// coverage runs each test of the package in dir on its own, built with
-// coverage, and returns the tests that execute each block, by the profile's
+// coverage runs each test of pkg on its own, built with coverage, and
+// returns the tests that execute each block, by the profile's
 // "path/file.go:line.col,line.col".
-func coverage(dir, tmp string) (map[string][]string, error) {
-	bin, prof := filepath.Join(tmp, "cover.test"), filepath.Join(tmp, "cover.out")
-	if out, err := exec.Command("go", "test", "-c", "-cover", "-covermode=set", "-o", bin, "./"+dir).CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("go test -c -cover ./%s: %v\n%s", dir, err, out)
+func (c *campaign) coverage(pkg string) (map[string][]string, error) {
+	b := c.builds[pkg]
+	if b == nil {
+		return nil, fmt.Errorf("%s has no tests", pkg)
 	}
-	cmd := exec.Command(bin, "-test.list", ".")
-	cmd.Dir = dir
+	b.cover = filepath.Join(c.tmp, strings.ReplaceAll(pkg, "/", "_")+".cover")
+	prof := filepath.Join(c.tmp, "cover.out")
+	if out, err := exec.Command("go", "test", "-c", "-cover", "-covermode=set", "-o", b.cover, pkg).CombinedOutput(); err != nil {
+		return nil, fmt.Errorf("go test -c -cover %s: %v\n%s", pkg, err, out)
+	}
+	cmd := exec.Command(b.cover, "-test.list", ".")
+	cmd.Dir = b.dir
 	list, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("%s -test.list: %v", dir, err)
+		return nil, fmt.Errorf("%s -test.list: %v", pkg, err)
 	}
 	blocks := map[string][]string{}
 	for _, t := range strings.Fields(string(list)) {
 		if strings.HasPrefix(t, "Benchmark") {
 			continue
 		}
-		cmd := exec.Command(bin, "-test.run", "^"+t+"$", "-test.coverprofile", prof, "-test.timeout", timeout.String())
-		cmd.Dir = dir
+		cmd := exec.Command(b.cover, "-test.run", "^"+t+"$", "-test.coverprofile", prof, "-test.timeout", timeout.String())
+		cmd.Dir = b.dir
 		if out, err := cmd.CombinedOutput(); err != nil {
-			return nil, fmt.Errorf("%s %s on its own: %v\n%s", dir, t, err, out)
+			return nil, fmt.Errorf("%s %s on its own: %v\n%s", pkg, t, err, out)
 		}
 		data, err := os.ReadFile(prof)
 		if err != nil {
@@ -389,30 +511,24 @@ func coverage(dir, tmp string) (map[string][]string, error) {
 // covering lists, sorted, the tests that execute a block holding m's edit.
 func covering(blocks map[string][]string, m *mutant) []string {
 	at, seen := m.line<<16|m.col, map[string]bool{}
-	var out []string
 	for block, tests := range blocks {
 		name, span, _ := strings.Cut(block, ":")
 		var l0, c0, l1, c1 int
 		fmt.Sscanf(span, "%d.%d,%d.%d", &l0, &c0, &l1, &c1)
-		if filepath.Base(name) != filepath.Base(m.file) || at < l0<<16|c0 || at > l1<<16|c1 {
-			continue
-		}
-		for _, t := range tests {
-			if !seen[t] {
+		if filepath.Base(name) == filepath.Base(m.file) && at >= l0<<16|c0 && at <= l1<<16|c1 {
+			for _, t := range tests {
 				seen[t] = true
-				out = append(out, t)
 			}
 		}
 	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
-// pkgRun is what go test -json reported of one package's top-level tests.
+// pkgRun is what one package's test binary reported of its top-level tests.
 type pkgRun struct {
-	noBuild, failed bool
-	crashed         bool              // the binary panicked, timed out or exited mid-test
-	state           map[string]string // "run", "pass", "fail" or "skip", by test
+	failed  bool              // the binary exited non-zero
+	crashed bool              // the binary panicked, timed out or exited mid-test
+	state   map[string]string // "run", "pass", "fail" or "skip", by test
 }
 
 // tests lists, sorted, the tests whose state is one of states; a test left
@@ -420,96 +536,68 @@ type pkgRun struct {
 func (r *pkgRun) tests(states ...string) []string {
 	var out []string
 	for t, s := range r.state {
-		for _, want := range states {
-			if s == want {
-				out = append(out, t)
-			}
+		if slices.Contains(states, s) {
+			out = append(out, t)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// goTest runs the packages' tests, under an overlay unless it is "". A
-// package whose test binary crashed is run again, skipping every test that
-// already ran, until it ends cleanly, no test is left to skip or maxReruns
-// runs have been made.
-func goTest(overlay, run string, pkgs ...string) (map[string]*pkgRun, error) {
-	res, err := goTestOnce(overlay, run, nil, pkgs)
-	if err != nil {
-		return nil, err
+// test runs the tests of pkg that match run ("" runs all) with mutant k (0
+// for none) selected, on the binary the first call builds against the
+// overlay. A binary that crashed is run again without the tests that ran,
+// until it ends cleanly, no test is left or maxReruns reruns have been made.
+func (c *campaign) test(pkg string, k int, run string) (*pkgRun, error) {
+	b := c.builds[pkg]
+	b.once.Do(func() {
+		bin := filepath.Join(c.tmp, strings.ReplaceAll(pkg, "/", "_")+".test")
+		if out, err := exec.Command("go", "test", "-c", "-overlay", c.overlay, "-o", bin, pkg).CombinedOutput(); err != nil {
+			b.err = fmt.Errorf("go test -c %s against the schemata: %v\n%s", pkg, err, out)
+		}
+		b.bin = bin
+		c.built.Add(1)
+	})
+	if b.err != nil {
+		return nil, b.err
 	}
-	for _, p := range pkgs {
-		r := res[p]
-		for i := 0; r.crashed && i < maxReruns; i++ {
-			skip := make([]string, 0, len(r.state))
-			for t := range r.state {
-				skip = append(skip, t)
-			}
-			sort.Strings(skip)
-			again, err := goTestOnce(overlay, run, skip, []string{p})
-			if err != nil {
-				return nil, err
-			}
-			a := again[p]
+	r, err := c.once(b.bin, b, k, run, nil)
+	for i := 0; err == nil && r.crashed && i < maxReruns; i++ {
+		var a *pkgRun
+		if a, err = c.once(b.bin, b, k, run, slices.Sorted(maps.Keys(r.state))); err == nil {
 			r.crashed, r.failed = a.crashed && len(a.state) > 0, r.failed || a.failed
-			for t, s := range a.state {
-				r.state[t] = s
-			}
+			maps.Copy(r.state, a.state)
 		}
 	}
-	return res, nil
+	return r, err
 }
 
-func goTestOnce(overlay, run string, skip, pkgs []string) (map[string]*pkgRun, error) {
-	args := []string{"test", "-count=1", "-json", "-vet=off", "-timeout", timeout.String()}
-	if overlay != "" {
-		args = append(args, "-overlay", overlay)
-	}
-	if run != "" {
-		args = append(args, "-run", run)
-	}
-	if len(skip) > 0 {
-		args = append(args, "-skip", "^("+strings.Join(skip, "|")+")$")
-	}
-	var stderr bytes.Buffer
-	cmd := exec.Command("go", append(args, pkgs...)...)
-	cmd.Stderr = &stderr
+// once runs bin, a test binary of b's package, once through test2json, as
+// go test -json does; the binary's own timeout ends a hung run.
+func (c *campaign) once(bin string, b *build, k int, run string, skip []string) (*pkgRun, error) {
+	cmd := exec.Command("go", "tool", "test2json", "-p", b.pkg, bin, "-test.v=test2json", "-test.paniconexit0",
+		"-test.timeout="+timeout.String(), "-test.run="+run, "-test.skip=^("+strings.Join(skip, "|")+")$") // ^()$ skips none
+	cmd.Dir, cmd.Env = b.dir, append(os.Environ(), selector+"="+strconv.Itoa(k))
 	out, err := cmd.Output()
 	if _, exit := err.(*exec.ExitError); err != nil && !exit {
-		return nil, err
+		return nil, fmt.Errorf("%s: %v", bin, err)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("go test printed nothing: %s", stderr.String())
-	}
-	res := map[string]*pkgRun{}
-	for _, p := range pkgs {
-		res[p] = &pkgRun{state: map[string]string{}}
-	}
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	sc.Buffer(nil, 1<<24)
-	for sc.Scan() {
-		var ev struct{ Action, Package, Test, Output, FailedBuild string }
-		if json.Unmarshal(sc.Bytes(), &ev) != nil || res[ev.Package] == nil {
-			continue
+	r := &pkgRun{failed: err != nil, state: map[string]string{}}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var ev struct{ Action, Test, Output string }
+		if dec.Decode(&ev) != nil {
+			break
 		}
-		r := res[ev.Package]
 		top := ev.Test != "" && !strings.Contains(ev.Test, "/")
 		switch {
-		case ev.FailedBuild != "":
-			r.noBuild = true
-		case ev.Test == "" && ev.Action == "fail":
-			r.failed = true
 		case ev.Action == "output" && strings.HasPrefix(ev.Output, "panic: "):
 			r.crashed = true
 		case top && (ev.Action == "run" || ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip"):
 			r.state[ev.Test] = ev.Action
 		}
 	}
-	for _, r := range res {
-		r.crashed = r.crashed || len(r.tests("run")) > 0
-	}
-	return res, nil
+	r.crashed = r.crashed || len(r.tests("run")) > 0
+	return r, nil
 }
 
 // report prints the kill matrix, each file's rate against its baseline,
@@ -525,7 +613,7 @@ func report(files []string, ms []*mutant, subsets []*subset, base map[string]flo
 	for _, f := range files {
 		var built, killed int
 		for _, m := range ms {
-			if m.file == f && !m.noBuild {
+			if m.file == f && m.k != 0 {
 				built++
 				if len(m.killers) > 0 {
 					killed++
@@ -560,12 +648,7 @@ func report(files []string, ms []*mutant, subsets []*subset, base map[string]flo
 			}
 		}
 	}
-	names := make([]string, 0, len(kills))
-	for t := range kills {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
+	for _, t := range slices.Sorted(maps.Keys(kills)) {
 		note := ""
 		switch {
 		case kills[t] == 0:
@@ -576,7 +659,7 @@ func report(files []string, ms []*mutant, subsets []*subset, base map[string]flo
 		fmt.Printf("%s %d %d%s\n", t, kills[t], unique[t], note)
 	}
 
-	// A test that fails in a subset on the unmutated tree is listed with
+	// A test that fails in a subset with no mutant selected is listed with
 	// the smallest such subset.
 	smallest := map[string]*subset{}
 	for _, sub := range subsets {
@@ -588,12 +671,7 @@ func report(files []string, ms []*mutant, subsets []*subset, base map[string]flo
 	}
 	if len(smallest) > 0 {
 		fmt.Println("\n# order-dependent: fail on the unmutated tree among the selected tests, earn no kill there")
-		names = names[:0]
-		for t := range smallest {
-			names = append(names, t)
-		}
-		sort.Strings(names)
-		for _, t := range names {
+		for _, t := range slices.Sorted(maps.Keys(smallest)) {
 			fmt.Printf("%s %s: fails with %s\n", smallest[t].pkg, t, strings.ReplaceAll(smallest[t].tests, "|", " "))
 		}
 	}
