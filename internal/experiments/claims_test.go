@@ -151,8 +151,8 @@ func claimFailures(claims []claim, rows map[string][]Row) []string {
 }
 
 // TestClaimsNameTheBrokenRow holds the claim check to rows made to break
-// each claim in turn: every break must fail its own claim, by line, and
-// the unbroken rows none.
+// each claim in turn: every break must fail the claim it names, by that
+// claim's line, and the unbroken rows none.
 func TestClaimsNameTheBrokenRow(t *testing.T) {
 	claims := readClaims(t)
 	rows := func() map[string][]Row {
@@ -177,14 +177,18 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 		fig, series string
 		procs       int
 		seconds     float64
-		claims      []int // the claims.csv lines that must fail
+		quantity    string // of the one claim of fig that must fail
 	}{
-		{"ablation-alpha", "Decoupling", 128, 17, []int{9}}, // 6.25 %, now slower than 12.5 %
-		{"fig5", "Decoupling (alpha=6.25%)", 64, 45, []int{10}},
-		{"fig5", "Reference", 128, 40, []int{11}},
-		{"fig6", "Reference (Non-blocking)", 32, 28.8, []int{12}},
-		{"fig6", "Decoupling", 128, 31, []int{13}},
+		{"ablation-alpha", "Decoupling", 128, 17, "argmin Decoupling"}, // 6.25 %, now slower than 12.5 %
+		{"fig5", "Decoupling (alpha=6.25%)", 64, 45, "Decoupling (alpha=6.25%) / Reference @32-128"},
+		{"fig5", "Reference", 128, 40, "Reference / Decoupling (alpha=6.25%) @128"},
+		{"fig6", "Reference (Non-blocking)", 32, 28.8, "Reference (Non-blocking) - Reference (Blocking)"},
+		{"fig6", "Decoupling", 128, 31, "Decoupling - Reference (Non-blocking)"},
 	} {
+		i := slices.IndexFunc(claims, func(c claim) bool { return c.figure == b.fig && c.quantity == b.quantity })
+		if i < 0 {
+			t.Fatalf("claims.csv has no %s claim %q", b.fig, b.quantity)
+		}
 		rs := rows()
 		for i, r := range rs[b.fig] {
 			if r.Series == b.series && r.Procs == b.procs && (b.fig != "ablation-alpha" || r.Param == 6.25) {
@@ -198,9 +202,9 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 			fmt.Sscanf(f, "claims.csv:%d:", &l)
 			lines = append(lines, l)
 		}
-		if !slices.Equal(lines, b.claims) {
-			t.Errorf("%s %s at %d procs set to %g: failed claims on lines %v, want %v\n%s",
-				b.fig, b.series, b.procs, b.seconds, lines, b.claims, strings.Join(fails, "\n"))
+		if want := []int{claims[i].line}; !slices.Equal(lines, want) {
+			t.Errorf("%s %s at %d procs set to %g: failed claims on lines %v, want %v (%v)\n%s",
+				b.fig, b.series, b.procs, b.seconds, lines, want, claims[i], strings.Join(fails, "\n"))
 		}
 	}
 }

@@ -42,6 +42,39 @@ func TestTracingObservesOnePath(t *testing.T) {
 	}
 }
 
+// TestTracingRecordsWaitColl: rank 0 starts a nonblocking barrier while
+// the others still compute, so its WaitColl parks; the wait is traced as
+// one "waitcoll" span that starts after Ibarrier returned and ends when
+// WaitColl does.
+func TestTracingRecordsWaitColl(t *testing.T) {
+	var rec trace.Recorder
+	var posted, done sim.Time
+	w := NewWorld(Config{Procs: 4, Seed: 42, Tracer: &rec})
+	if _, err := w.Run(func(r *Rank) {
+		c := r.World()
+		r.Compute(sim.Time(r.ID()) * sim.Millisecond)
+		cr := c.Ibarrier(r)
+		if r.ID() == 0 {
+			posted = r.Now()
+		}
+		c.WaitColl(r, cr)
+		if r.ID() == 0 {
+			done = r.Now()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var waits []trace.Span
+	for _, s := range rec.Spans() {
+		if s.Rank == 0 && s.Label == "waitcoll" {
+			waits = append(waits, s)
+		}
+	}
+	if len(waits) != 1 || waits[0].Start < posted || waits[0].End != done {
+		t.Errorf("rank 0 posted at %v and left WaitColl at %v; its waitcoll spans: %+v", posted, done, waits)
+	}
+}
+
 // TestWorldPoolReuseDeterminism checks that a world recycled through
 // Release/NewWorld reproduces a fresh world's trajectory exactly, across
 // different sizes and both representations.

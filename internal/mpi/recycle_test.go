@@ -205,3 +205,34 @@ func TestBacklogBehindLiveHeadStaysBounded(t *testing.T) {
 		t.Errorf("%d of the %d messages made are back in the pool after reset", len(x.pool.msgFree), len(made))
 	}
 }
+
+// TestResetKeepsNoReferences: the posted and queued lists of an
+// application tag stay in their tables across reset, backing arrays and
+// all, so a pooled world would otherwise keep the last run's receives
+// and messages reachable from slots past each list's end. After reset no
+// slot of such a list points at anything.
+func TestResetKeepsNoReferences(t *testing.T) {
+	x := matchIndex{pool: &pools{}}
+	for tag := 1; tag <= 3; tag++ {
+		x.post(&postedRecv{src: 1, tag: tag})
+		x.selectorQueue(0, 2, tag) // builds the queued list the message enters
+		m := x.pool.newMessage()
+		m.src, m.tag = 2, int32(tag)
+		x.addUnexpected(m)
+	}
+	x.reset()
+	for k, q := range x.posted.all() {
+		for i, p := range q.items[:cap(q.items)] {
+			if p != nil {
+				t.Errorf("posted list %v keeps a receive in slot %d after reset", k, i)
+			}
+		}
+	}
+	for k, q := range x.queued.all() {
+		for i, m := range q.items[:cap(q.items)] {
+			if m != nil {
+				t.Errorf("queued list %v keeps a message in slot %d after reset", k, i)
+			}
+		}
+	}
+}

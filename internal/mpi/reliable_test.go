@@ -518,3 +518,25 @@ func TestUnreachableThenRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestRelResetFreesHeldArrivals: a revocation empties every reorder
+// buffer, and each arrival a buffer held goes back to its rank's message
+// pool, where the rebuilt world's next send finds it.
+func TestRelResetFreesHeldArrivals(t *testing.T) {
+	w := NewWorld(Config{Procs: 2, Seed: 3, MsgFaults: &netmodel.MsgFaults{DropSeed: 9, DropRate: 0.3}})
+	rs := w.ranks[1]
+	rs.relIn = make([]relRecvBuf, 2) // as rank 1's first reliable arrival makes it
+	rb := &rs.relIn[0]
+	rb.held = map[uint64]*message{}
+	for seq := uint64(1); seq <= 3; seq++ {
+		rb.held[seq] = rs.pool.newMessage()
+	}
+	free := len(rs.pool.msgFree)
+	w.relReset()
+	if len(rb.held) != 0 {
+		t.Errorf("the reorder buffer still holds %d arrivals after the reset", len(rb.held))
+	}
+	if n := len(rs.pool.msgFree) - free; n != 3 {
+		t.Errorf("%d of the 3 held arrivals are back in the pool after the reset", n)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -258,9 +259,11 @@ func TestWaitQueueBroadcast(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
-	// Twelve is the most blocked processes the report names in full.
-	for i := 0; i < 12; i++ {
-		e.spawn("stuck", func(p *Proc) {
+	// Twelve is the most blocked processes the report names in full. They
+	// are spawned in reverse name order: the report sorts them by name, so
+	// it reads the same however they are spread over shards.
+	for i := 12; i > 0; i-- {
+		e.spawn(fmt.Sprintf("stuck %02d", i), func(p *Proc) {
 			waitOn(&q, p, "never signalled")
 		})
 	}
@@ -269,8 +272,8 @@ func TestDeadlockDetection(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(dl.Blocked) != 12 {
-		t.Fatalf("blocked = %v, want twelve entries, none elided", dl.Blocked)
+	if len(dl.Blocked) != 12 || !sort.StringsAreSorted(dl.Blocked) {
+		t.Fatalf("blocked = %q, want twelve entries by name, none elided", dl.Blocked)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -77,39 +75,5 @@ func TestMutateRemovesItsTempDir(t *testing.T) {
 	}
 	for _, e := range left {
 		t.Errorf("left %s in TMPDIR", e.Name())
-	}
-}
-
-// TestMutationJobRunsEveryBaselinedFile holds the file list of CI's
-// mutation job to testdata/mutate/baseline.txt, the fixture aside.
-func TestMutationJobRunsEveryBaselinedFile(t *testing.T) {
-	ci, err := os.ReadFile(".github/workflows/ci.yml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, job, _ := strings.Cut(string(ci), "\n  mutation:\n")
-	_, list, _ := strings.Cut(job, "\n        file:\n")
-	var matrix []string
-	for _, line := range strings.Split(list, "\n") {
-		f, ok := strings.CutPrefix(line, "          - ")
-		if !ok {
-			break
-		}
-		matrix = append(matrix, f)
-	}
-	base, err := os.ReadFile("testdata/mutate/baseline.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []string
-	for _, line := range strings.Split(string(base), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") && f[0] != "testdata/mutate/fixture/fixture.go" {
-			files = append(files, f[0])
-		}
-	}
-	slices.Sort(matrix)
-	slices.Sort(files)
-	if len(files) == 0 || !slices.Equal(matrix, files) {
-		t.Errorf("ci.yml's mutation matrix lists\n%q\nbaseline.txt (fixture aside) names\n%q", matrix, files)
 	}
 }
