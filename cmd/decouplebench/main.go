@@ -5,7 +5,7 @@
 //
 //	decouplebench -experiment fig5 -max-procs 8192 -runs 10
 //	decouplebench -experiment all -format csv -out results.csv
-//	decouplebench -experiment cosched -jobs 3 -cosched-policy fair-wc
+//	decouplebench -experiment cosched -faults outages=4,outage-len=1s
 //	decouplebench -experiment fig8 -json -out fig8.json
 //
 // Figure 2 and 3 are trace renderings; use cmd/traceviz for those.
@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -67,12 +66,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // so a sweep is never spent on a request that cannot be answered. selected
 // are the chosen experiments; set names the flags given on the command
 // line: the sweep sizes have defaults, and only an explicit value is held
-// to be positive. -cores and -jobs give 0 a meaning of its own, so only a
-// negative one is refused. A flag that no selected experiment reads
-// (Experiment.Flags, Experiment.FaultKeys), and a -faults key that a
-// selected experiment reading -faults does not read, are refused rather
-// than silently dropped.
-func checkFlags(selected []experiments.Experiment, set map[string]bool, format string, maxProcs, runs, workers, cores, jobs int, faultSpec, coschedPol string) error {
+// to be positive. -cores gives 0 a meaning of its own, so only a negative
+// one is refused. A -faults that no selected experiment reads
+// (Experiment.FaultKeys), and a -faults key that a selected experiment
+// reading -faults does not read, are refused rather than silently dropped.
+func checkFlags(selected []experiments.Experiment, set map[string]bool, format string, maxProcs, runs, workers, cores int, faultSpec string) error {
 	if format != "table" && format != "csv" {
 		return fmt.Errorf("-format: unknown format %q, want table or csv", format)
 	}
@@ -102,9 +100,6 @@ func checkFlags(selected []experiments.Experiment, set map[string]bool, format s
 			return fmt.Errorf("-max-procs: %d is below %d, where the weak-scaling sweep of %s starts: it would print no rows", maxProcs, experiments.SweepFloor, e.Name)
 		}
 	}
-	if jobs < 0 {
-		return fmt.Errorf("-jobs: %d is negative, want 0 (the built-in set) or a job count", jobs)
-	}
 	if _, err := faults.ParseSpec(faultSpec); err != nil {
 		return fmt.Errorf("-faults: %v", err)
 	}
@@ -115,16 +110,6 @@ func checkFlags(selected []experiments.Experiment, set map[string]bool, format s
 	}
 	if set["faults"] && !slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return len(e.FaultKeys) > 0 }) {
 		return fmt.Errorf("-faults: none of the selected experiments reads it")
-	}
-	if coschedPol != "" {
-		if _, err := cluster.ParsePolicy(coschedPol); err != nil {
-			return fmt.Errorf("-cosched-policy: %v", err)
-		}
-	}
-	for _, flag := range []string{"jobs", "cosched-policy"} {
-		if set[flag] && !slices.ContainsFunc(selected, func(e experiments.Experiment) bool { return slices.Contains(e.Flags, flag) }) {
-			return fmt.Errorf("-%s: none of the selected experiments reads it", flag)
-		}
 	}
 	return nil
 }
@@ -141,8 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runs       = fs.Int("runs", 3, "repetitions per data point (paper: 10)")
 		workers    = fs.Int("workers", 0, "concurrent sweep points, at least 1 (unset: one per CPU)")
 		cores      = fs.Int("cores", 0, "fig5-fig8: run each point's simulation in conservative parallel mode with this many workers (rows byte-identical for any value >= 1; 0: classic single-engine mode; other experiments reject it)")
-		jobs       = fs.Int("jobs", 0, "cosched: concurrent jobs per point (0: sweep the built-in set)")
-		coschedPol = fs.String("cosched-policy", "", "cosched: inter-job bank policy fcfs, fair, priority, fair-wc or priority-wc (empty: all)")
 		faultSpec  = fs.String("faults", "", "fault-campaign spec: comma-separated key=value overrides of the default campaign, e.g. bursts=16,outage-len=1s or crashes=2,restart-cost=100ms; durations use Go syntax; keys: "+strings.Join(faults.SpecKeys(), ", ")+"; \"default\"/empty keeps the base campaign, \"none\" disables it (resilience/recovery: scaled base campaign; cosched: degrade the shared bank's stripes, empty means none); each refuses a key it does not read")
 		list       = fs.Bool("list", false, "print the registered experiment names with one-line descriptions and exit")
 		format     = fs.String("format", "table", "output format: table or csv")
@@ -191,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(selected, set, *format, *maxProcs, *runs, *workers, *cores, *jobs, *faultSpec, *coschedPol); err != nil {
+	if err := checkFlags(selected, set, *format, *maxProcs, *runs, *workers, *cores, *faultSpec); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
@@ -208,13 +191,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := experiments.Options{
-		MaxProcs:      *maxProcs,
-		Runs:          *runs,
-		Workers:       *workers,
-		Cores:         *cores,
-		CoschedJobs:   *jobs,
-		CoschedPolicy: *coschedPol,
-		FaultSpec:     *faultSpec,
+		MaxProcs:  *maxProcs,
+		Runs:      *runs,
+		Workers:   *workers,
+		Cores:     *cores,
+		FaultSpec: *faultSpec,
 	}
 	if !*quiet {
 		opts.Log = stderr

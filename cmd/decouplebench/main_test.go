@@ -33,7 +33,7 @@ func TestFaultsEcho(t *testing.T) {
 		// The lossy sweep builds its verdict tables from its swept rates,
 		// not from -faults, so no campaign echo: echoing an unconsumed
 		// spec would record a campaign the rows were never measured under.
-		{[]string{"lossy"}, "drop-rate=0.5", ""},
+		{[]string{"lossy"}, "bursts=2", ""},
 		// cosched derates the shared bank with a non-empty spec and
 		// schedules nothing on an empty one, so only the former echoes.
 		{[]string{"cosched"}, "outages=4", "outages=4"},
@@ -75,15 +75,14 @@ func TestCoresFlagSweep(t *testing.T) {
 
 // TestRefusedBeforeAnySweep: a request that cannot be answered — an
 // unknown -format, an -out that cannot be opened, an explicit sweep size
-// that is not positive, a negative -cores or -jobs, -cores with an
-// experiment that cannot shard (cosched included: it runs on one engine),
-// a -max-procs below the first point of a
-// selected weak-scaling sweep, an experiment named twice, a -faults or
-// -cosched-policy that does not parse, a -faults, -jobs or -cosched-policy
-// that no selected experiment reads, a -faults key that a selected
-// experiment reading -faults does not read — is refused with
-// exit status 2 and an error starting with the flag, before any experiment
-// starts.
+// that is not positive, a negative -cores, -cores with an experiment that
+// cannot shard (cosched included: it runs on one engine), a -max-procs
+// below the first point of a selected weak-scaling sweep, an experiment
+// named twice, a -faults that does not parse (a key the spec does not
+// have included), a -faults that no selected experiment reads, a -faults
+// key that a selected experiment reading -faults does not read — is
+// refused with exit status 2 and an error starting with the flag, before
+// any experiment starts.
 // The requests below ask for every experiment at 8192 processes, so
 // running even one of them first (the old behaviour: run the sweep, then
 // fail with status 1, or silently fall back to the default size) would
@@ -103,7 +102,6 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-workers", "0"}, "-workers", ""},
 		{[]string{"-workers", "-2"}, "-workers", ""},
 		{[]string{"-cores", "-1"}, "-cores", ""},
-		{[]string{"-jobs", "-2"}, "-jobs", ""},
 		// Later flags win: these replace the -experiment (and the size)
 		// every case starts with. The fig5 cases each used to run fig5
 		// first: then exit 1 with "model: model: ...", print a header and
@@ -115,30 +113,26 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		// Values that used to fail only once their experiment ran: under
 		// all, after the sweeps ahead of it.
 		{[]string{"-faults", "bogus=1"}, "-faults", "bogus"},
-		{[]string{"-cosched-policy", "bogus"}, "-cosched-policy", "bogus"},
-		{[]string{"-experiment", "cosched", "-cosched-policy", "bogus"}, "-cosched-policy", "bogus"},
+		// Keys no campaign set, deleted from the spec: refused as unknown,
+		// with the valid keys listed.
+		{[]string{"-experiment", "recovery", "-faults", "drop-rate=0.001"}, "-faults", `unknown spec key "drop-rate" (valid keys: seed, horizon,`},
+		{[]string{"-experiment", "recovery", "-faults", "crash-mtbf=1s"}, "-faults", `unknown spec key "crash-mtbf"`},
+		{[]string{"-experiment", "cosched", "-faults", "derate-len=1s"}, "-faults", `unknown spec key "derate-len"`},
 		// Flags no selected experiment reads, which used to be dropped
 		// with exit 0: lossy and the figures never read -faults.
 		{[]string{"-experiment", "lossy", "-faults", "bursts=2"}, "-faults", ""},
 		{[]string{"-experiment", "fig5,model,ablation-alpha", "-faults", "none"}, "-faults", ""},
-		{[]string{"-experiment", "fig5", "-jobs", "3"}, "-jobs", ""},
-		{[]string{"-experiment", "fig5", "-cosched-policy", "fair"}, "-cosched-policy", ""},
-		// Keys a selected sweep does not read. recovery panicked in a rank
-		// body on the message keys, and printed the default campaign's
-		// rows for the others; cosched printed them too; resilience exited
-		// 1 mid-sweep on crash-mtbf and printed them on restart-cost.
-		{[]string{"-experiment", "recovery", "-faults", "drop-rate=0.001"}, "-faults", "recovery experiment does not read key drop-rate"},
-		{[]string{"-experiment", "recovery", "-faults", "dup-rate=0.2"}, "-faults", "recovery experiment does not read key dup-rate"},
-		{[]string{"-experiment", "recovery", "-faults", "drops=3"}, "-faults", "recovery experiment does not read key drops"},
+		// Keys a selected sweep does not read. recovery printed the default
+		// campaign's rows for them; cosched printed them too; resilience
+		// printed them on restart-cost.
 		{[]string{"-experiment", "recovery", "-faults", "bursts=64"}, "-faults", "recovery experiment does not read key bursts"},
 		{[]string{"-experiment", "recovery", "-faults", "flaps=16"}, "-faults", "recovery experiment does not read key flaps"},
 		{[]string{"-experiment", "recovery", "-faults", "outages=9"}, "-faults", "recovery experiment does not read key outages"},
 		{[]string{"-experiment", "recovery", "-faults", "horizon=1s"}, "-faults", "recovery experiment does not read key horizon"},
-		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "flaps=16"}, "-faults", "cosched experiment does not read key flaps"},
-		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "bursts=64"}, "-faults", "cosched experiment does not read key bursts"},
-		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "crashes=3"}, "-faults", "cosched experiment does not read key crashes"},
-		{[]string{"-experiment", "cosched", "-jobs", "2", "-cosched-policy", "fcfs", "-faults", "dup-rate=0.2"}, "-faults", "cosched experiment does not read key dup-rate"},
-		{[]string{"-experiment", "resilience", "-faults", "crash-mtbf=1s"}, "-faults", "resilience experiment does not read key crash-mtbf"},
+		{[]string{"-experiment", "cosched", "-faults", "flaps=16"}, "-faults", "cosched experiment does not read key flaps"},
+		{[]string{"-experiment", "cosched", "-faults", "bursts=64"}, "-faults", "cosched experiment does not read key bursts"},
+		{[]string{"-experiment", "cosched", "-faults", "crashes=3"}, "-faults", "cosched experiment does not read key crashes"},
+		{[]string{"-experiment", "resilience", "-faults", "crashes=1"}, "-faults", "resilience experiment does not read key crashes"},
 		{[]string{"-experiment", "resilience", "-faults", "restart-cost=1s"}, "-faults", "resilience experiment does not read key restart-cost"},
 		// Under all, a key must be read by every sweep that reads -faults.
 		{[]string{"-faults", "crashes=2"}, "-faults", "cosched experiment does not read key crashes"},

@@ -58,26 +58,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ParsePolicy maps the cosched CLI names onto bank policies: "fcfs",
-// "fair", "priority" and the work-conserving variants "fair-wc" and
-// "priority-wc".
-func ParsePolicy(s string) (sim.BankPolicy, error) {
-	switch s {
-	case "fcfs":
-		return sim.BankFCFS, nil
-	case "fair":
-		return sim.BankFair, nil
-	case "priority":
-		return sim.BankWeighted, nil
-	case "fair-wc":
-		return sim.BankFairWC, nil
-	case "priority-wc":
-		return sim.BankWeightedWC, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown policy %q (want fcfs, fair, priority, fair-wc or priority-wc)", s)
-	}
-}
-
 // Job is one co-scheduled job.
 type Job struct {
 	// Name labels the job's ranks in deadlock reports ("name/rank3").

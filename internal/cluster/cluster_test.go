@@ -212,30 +212,6 @@ func TestStartFailureUnwinds(t *testing.T) {
 	}
 }
 
-// TestParsePolicyNames: every CLI policy name round-trips onto its bank
-// policy, including the work-conserving variants.
-func TestParsePolicyNames(t *testing.T) {
-	want := map[string]sim.BankPolicy{
-		"fcfs":        sim.BankFCFS,
-		"fair":        sim.BankFair,
-		"priority":    sim.BankWeighted,
-		"fair-wc":     sim.BankFairWC,
-		"priority-wc": sim.BankWeightedWC,
-	}
-	for name, policy := range want {
-		got, err := ParsePolicy(name)
-		if err != nil || got != policy {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, policy)
-		}
-		if got.String() != name {
-			t.Errorf("%v.String() = %q, want %q", policy, got.String(), name)
-		}
-	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Error("ParsePolicy accepted an unknown name")
-	}
-}
-
 // settleGoroutines waits for the goroutine count to drop back to the
 // baseline (plus slack for the test runtime's own helpers).
 func settleGoroutines(t *testing.T, baseline int) int {

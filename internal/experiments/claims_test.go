@@ -168,7 +168,15 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 				Row{Series: "Reference (Non-blocking)", Procs: p, Seconds: 28.6, StdDev: 1.3},
 				Row{Series: "Decoupling", Procs: p, Seconds: 28.65, StdDev: 1.2})
 		}
-		return map[string][]Row{"ablation-alpha": alpha, "fig5": fig5, "fig6": fig6}
+		var resilience, recovery []Row
+		for _, v := range []struct {
+			variant     string
+			slope, best float64
+		}{{"RefColl", 0.0279, 4.70}, {"RefShared", 0.0051, 4.69}, {"Decoupling", 0, 2.14}} {
+			resilience = append(resilience, Row{Series: v.variant + " degradation-slope", Procs: 64, Seconds: v.slope})
+			recovery = append(recovery, Row{Series: v.variant + " recovery-overhead-best", Procs: 64, Seconds: v.best})
+		}
+		return map[string][]Row{"ablation-alpha": alpha, "fig5": fig5, "fig6": fig6, "resilience": resilience, "recovery": recovery}
 	}
 	if fails := claimFailures(claims, rows()); len(fails) > 0 {
 		t.Fatalf("rows that hold every claim fail:\n%s", strings.Join(fails, "\n"))
@@ -184,6 +192,12 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 		{"fig5", "Reference", 128, 40, "Reference / Decoupling (alpha=6.25%) @128"},
 		{"fig6", "Reference (Non-blocking)", 32, 28.8, "Reference (Non-blocking) - Reference (Blocking)"},
 		{"fig6", "Decoupling", 128, 31, "Decoupling - Reference (Non-blocking)"},
+		// A reference that stops degrading (or recovers as cheaply) ties
+		// decoupling: only the claim against it fails.
+		{"resilience", "RefShared degradation-slope", 64, 0, "Decoupling degradation-slope - RefShared degradation-slope"},
+		{"resilience", "RefColl degradation-slope", 64, 0, "Decoupling degradation-slope - RefColl degradation-slope"},
+		{"recovery", "RefShared recovery-overhead-best", 64, 2.14, "Decoupling recovery-overhead-best - RefShared recovery-overhead-best"},
+		{"recovery", "RefColl recovery-overhead-best", 64, 2.0, "Decoupling recovery-overhead-best - RefColl recovery-overhead-best"},
 	} {
 		i := slices.IndexFunc(claims, func(c claim) bool { return c.figure == b.fig && c.quantity == b.quantity })
 		if i < 0 {

@@ -155,19 +155,12 @@ func coschedRun(jobs, stripes int, policies []sim.BankPolicy, seed int64, base *
 		for i := range out.slowdowns {
 			out.slowdowns[i] = slowdownRatio(res.JobTimes[i].Seconds(), alone[i])
 		}
-		// The tail is only meaningful against at least one light job; a
-		// single-job sweep (-jobs 1) has no lights to outlive, so its tail
-		// is zero rather than the hog's whole runtime.
-		if jobs > 1 {
-			var lastLight sim.Time
-			for i := 1; i < jobs; i++ {
-				if t := res.JobTimes[i]; t > lastLight {
-					lastLight = t
-				}
-			}
-			if tail := res.JobTimes[0] - lastLight; tail > 0 {
-				out.hogTail = tail.Seconds()
-			}
+		var lastLight sim.Time
+		for _, t := range res.JobTimes[1:] {
+			lastLight = max(lastLight, t)
+		}
+		if tail := res.JobTimes[0] - lastLight; tail > 0 {
+			out.hogTail = tail.Seconds()
 		}
 		outs[pi] = out
 	}
@@ -197,18 +190,7 @@ func jain(xs []float64) float64 {
 // width.
 func Cosched(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
-	jobCounts := []int{2, 3}
-	if opts.CoschedJobs > 0 {
-		jobCounts = []int{opts.CoschedJobs}
-	}
 	policies := []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankWeighted, sim.BankFairWC, sim.BankWeightedWC}
-	if opts.CoschedPolicy != "" {
-		p, err := cluster.ParsePolicy(opts.CoschedPolicy)
-		if err != nil {
-			return nil, err
-		}
-		policies = []sim.BankPolicy{p}
-	}
 	var fspec *faults.Spec
 	if opts.FaultSpec != "" {
 		sp, err := faults.ParseSpec(opts.FaultSpec)
@@ -233,7 +215,7 @@ func Cosched(opts Options) ([]Row, error) {
 		return alone.JobTimes[0].Seconds(), nil
 	})
 	var points []point
-	for _, jc := range jobCounts {
+	for _, jc := range []int{2, 3} {
 		for _, stripes := range []int{1, 4} {
 			// One memo per (jobs, stripes, seed) holds the outcome of every
 			// policy; each policy's rows read their own.

@@ -67,13 +67,6 @@ type Options struct {
 	// the ablations and the analytic model — with mpi.CannotShardError
 	// rather than silently ignoring it.
 	Cores int
-	// CoschedJobs restricts the cosched experiment to one concurrent-job
-	// count (0: sweep the built-in set).
-	CoschedJobs int
-	// CoschedPolicy restricts the cosched experiment to one inter-job
-	// bank policy — "fcfs", "fair", "priority", "fair-wc" or
-	// "priority-wc" (empty: all five).
-	CoschedPolicy string
 	// FaultSpec is a fault-campaign spec in faults.ParseSpec syntax,
 	// read by the sweeps that list Experiment.FaultKeys; each refuses a
 	// spec that sets another key. The resilience experiment scales it
@@ -339,11 +332,6 @@ type Experiment struct {
 	// Options.MaxProcs. The others run at sizes of their own and at most
 	// clamp to MaxProcs.
 	WeakScaling bool
-	// Flags names the CLI flags, beyond the sweep sizes, -cores and
-	// -faults, whose values the sweep reads: "jobs" (Options.CoschedJobs)
-	// and "cosched-policy" (Options.CoschedPolicy). The CLI refuses one of
-	// them when no selected sweep reads it.
-	Flags []string
 	// FaultKeys lists the keys of a fault spec (faults.SpecKeys) that the
 	// sweep reads from Options.FaultSpec; nil for a sweep that ignores
 	// the spec. A spec that sets any other key is refused
@@ -403,8 +391,8 @@ var table = []Experiment{
 		Description: "first-come-first-served against fixed-order consumption behind a straggling producer (consumer idle time)"},
 	{Name: "ablation-granularity", run: AblationGranularity,
 		Description: "stream element size S sweep on the synthetic application, beside the Eq. 4 prediction"},
-	{Name: "cosched", run: Cosched, Flags: []string{"jobs", "cosched-policy"},
-		FaultKeys:   []string{"seed", "horizon", "outages", "outage-len", "derate-stripes", "derate-len", "derate-rate"},
+	{Name: "cosched", run: Cosched,
+		FaultKeys:   []string{"seed", "horizon", "outages", "outage-len", "derate-stripes", "derate-rate"},
 		Description: "co-scheduled multi-job contention on a shared bank"},
 	{Name: "fig5", run: Fig5, Shardable: true, WeakScaling: true,
 		Description: "MapReduce weak scaling: reference against the decoupled variant at three alpha values (paper Fig. 5)"},
@@ -419,12 +407,11 @@ var table = []Experiment{
 	{Name: "model", run: ModelValidation, WeakScaling: true,
 		Description: "analytic cost-model validation against simulated makespans"},
 	{Name: "recovery", run: Recovery,
-		FaultKeys:   []string{"seed", "crashes", "crash-mtbf", "restart-cost"},
+		FaultKeys:   []string{"seed", "crashes", "restart-cost"},
 		Description: "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)"},
 	{Name: "resilience", run: Resilience,
 		FaultKeys: []string{"seed", "horizon", "bursts", "burst-len", "burst-factor", "outages", "outage-len",
-			"derate-stripes", "derate-len", "derate-rate", "flaps", "flap-len", "lat-factor", "bw-factor",
-			"drop-rate", "drops", "dup-rate"},
+			"derate-stripes", "derate-rate", "flaps", "flap-len", "lat-factor", "bw-factor"},
 		Description: "fault-campaign intensity sweep (bursts, outages, stripe derates, link flaps)"},
 }
 

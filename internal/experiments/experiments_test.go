@@ -90,8 +90,8 @@ func TestCheckFaultSpec(t *testing.T) {
 		}
 	}
 	recovery, _ := Lookup("recovery")
-	if _, err := recovery.Run(Options{MaxProcs: 8192, Runs: 1, FaultSpec: "drop-rate=0.001"}); err == nil || err.Error() != recovery.CheckFaultSpec("drop-rate=0.001").Error() {
-		t.Errorf("recovery.Run with drop-rate: error %v, want CheckFaultSpec's", err)
+	if _, err := recovery.Run(Options{MaxProcs: 8192, Runs: 1, FaultSpec: "bursts=64"}); err == nil || err.Error() != recovery.CheckFaultSpec("bursts=64").Error() {
+		t.Errorf("recovery.Run with bursts: error %v, want CheckFaultSpec's", err)
 	}
 }
 

@@ -52,12 +52,13 @@ func TestWorldPoolReuseAcrossExperiments(t *testing.T) {
 // prior contents, and the single-world experiments must be unaffected by
 // cosched having run. A recycled world moves between clusters that differ
 // in everything it adopts from them — engine, bank width, policy, job
-// count and its own job index, a degraded bank — so the last rendering,
+// count and its own job index, a degraded bank — within one sweep and
+// across sweeps and worker counts, so the last rendering,
 // after churn through all of those, is held to the cosched rows of
 // testdata/rows_v3.csv, which were recorded when every shared-engine world
 // was built fresh.
 func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
-	opts := Options{MaxProcs: 32, Runs: 2, Workers: 2, CoschedJobs: 2, CoschedPolicy: "fair"}
+	opts := Options{MaxProcs: 32, Runs: 1, Workers: 2}
 	cosched := renderRows(t, "cosched", opts)
 	fig8 := renderRows(t, "fig8", opts)
 	renderRows(t, "model", opts)
@@ -70,8 +71,8 @@ func TestClusterPoolReuseAcrossExperiments(t *testing.T) {
 		t.Errorf("fig8 rows changed after cosched ran\n--- before ---\n%s--- after ---\n%s", fig8, fig8Again)
 	}
 
-	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 2, CoschedJobs: 3, CoschedPolicy: "priority-wc", FaultSpec: "default"})
-	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 1, CoschedJobs: 1, CoschedPolicy: "fcfs"})
+	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 2, FaultSpec: "default"})
+	renderRows(t, "cosched", Options{MaxProcs: 32, Runs: 1, Workers: 1})
 	golden, err := os.ReadFile("testdata/rows_v3.csv")
 	if err != nil {
 		t.Fatal(err)

@@ -91,8 +91,7 @@ func (o recoveryOutcome) bestOverhead() float64 {
 func crashOnly(spec faults.Spec) faults.Spec {
 	sp := spec
 	sp.Bursts, sp.Outages, sp.DerateStripes, sp.Flaps = 0, 0, 0, 0
-	sp.DropRate, sp.Drops, sp.DupRate = 0, 0, 0
-	if sp.Crashes == 0 && sp.CrashMTBF == 0 {
+	if sp.Crashes == 0 {
 		sp.Crashes = 2
 	}
 	return sp

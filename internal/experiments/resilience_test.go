@@ -49,7 +49,7 @@ const coschedFaultSpec = "horizon=3s,outages=3,outage-len=800ms,derate-stripes=8
 // sweep replays byte-identically, actually perturbs the clean sweep,
 // and the "none" spec keeps the sweep on the exact fault-free path.
 func TestCoschedFaultedBankDeterminismAndNeutrality(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2, CoschedJobs: 2}
+	opts := Options{Runs: 1, Workers: 2}
 	clean := renderRows(t, "cosched", opts)
 	opts.FaultSpec = "none"
 	none := renderRows(t, "cosched", opts)
@@ -74,12 +74,12 @@ func TestCoschedFaultedBankDeterminismAndNeutrality(t *testing.T) {
 // variants stays at or below its slowdown under FCFS, where the hog's
 // backlog and the outages stack up in front of everyone.
 func TestCoschedFaultedBankLightIsolation(t *testing.T) {
-	opts := Options{Runs: 1, Workers: 2, CoschedJobs: 3, FaultSpec: coschedFaultSpec}
+	opts := Options{Runs: 1, Workers: 2, FaultSpec: coschedFaultSpec}
 	rows, err := runExperiment(t, "cosched", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// slowdown[policy][job] on the stripes=1 points.
+	// slowdown[policy]["jobs=N job"] on the stripes=1 points.
 	slowdown := map[string]map[string]float64{}
 	for _, r := range rows {
 		if r.Param != 1 || !strings.HasSuffix(r.Series, " slowdown") {
@@ -89,7 +89,7 @@ func TestCoschedFaultedBankLightIsolation(t *testing.T) {
 		if len(fields) != 4 {
 			t.Fatalf("unexpected series shape %q", r.Series)
 		}
-		pol, job := fields[0], fields[2]
+		pol, job := fields[0], fields[1]+" "+fields[2]
 		if slowdown[pol] == nil {
 			slowdown[pol] = map[string]float64{}
 		}
@@ -107,7 +107,10 @@ func TestCoschedFaultedBankLightIsolation(t *testing.T) {
 		if got == nil {
 			t.Fatalf("no %s slowdown rows found", pol)
 		}
-		for _, job := range []string{"j1", "j2"} {
+		for _, job := range []string{"jobs=2 j1", "jobs=3 j1", "jobs=3 j2"} {
+			if _, ok := got[job]; !ok {
+				t.Fatalf("no %s %s slowdown row found", pol, job)
+			}
 			if got[job] > fcfs[job] {
 				t.Errorf("light %s under %s slowed %v on the faulted stripe, above FCFS's %v — isolation lost",
 					job, pol, got[job], fcfs[job])

@@ -1,11 +1,13 @@
 // Package faults turns failure campaigns into deterministic, replayable
 // event schedules. A Plan is an ordered list of timed fault events in
-// five injector families — rank compute-slowdown bursts, file-system
-// stripe outages/derates, link latency/bandwidth degradation,
-// crash-stop rank failures with restart, and message loss/duplication —
-// that compiles into the per-target schedules the runtime layers consume
-// (mpi.Config.RankFaults/StripeFaults/LinkFaults/Crashes/MsgFaults,
-// sim.Bank stripe faults, netmodel.LinkFaults, netmodel.MsgFaults).
+// four injector families — rank compute-slowdown bursts, file-system
+// stripe outages/derates, link latency/bandwidth degradation, and
+// crash-stop rank failures with restart — that compiles into the
+// per-target schedules the runtime layers consume
+// (mpi.Config.RankFaults/StripeFaults/LinkFaults/Crashes, sim.Bank stripe
+// faults, netmodel.LinkFaults). Message loss and duplication are not a
+// planned family: a lossy fabric is a netmodel.MsgFaults verdict table
+// its caller builds directly and hands over in Injection.Msg.
 //
 // Every random draw in campaign generation derives from a
 // (seed, event-id) stream via sim.Mix64, so a campaign is a pure
@@ -49,21 +51,6 @@ const (
 	// Duration (the restart cost). Factor is ignored. Crash events
 	// compile to sim.CrashEvent lists consumed by mpi.Config.Crashes.
 	RankCrash
-	// MsgDropRate loses each message transmission independently with
-	// probability Factor. Seq carries the verdict-stream seed: per-message
-	// decisions are pure hashes of (seed, src, dst, sendSeq, attempt)
-	// evaluated at send time by netmodel.MsgFaults, so the event itself is
-	// the whole family — no per-message draws at plan time. At/Duration
-	// are informational (the campaign horizon); loss applies to every
-	// transmission while the injection is armed.
-	MsgDropRate
-	// MsgDupRate duplicates each delivered transmission independently
-	// with probability Factor, same verdict-stream shape as MsgDropRate.
-	MsgDupRate
-	// MsgDrop loses one specific transmission: the first attempt of send
-	// sequence Seq on the Target -> Peer rank pair. A planned coupon
-	// rather than a probability, for campaigns that need a named loss.
-	MsgDrop
 )
 
 // String names the kind for logs and error messages.
@@ -81,12 +68,6 @@ func (k Kind) String() string {
 		return "link-bandwidth"
 	case RankCrash:
 		return "rank-crash"
-	case MsgDropRate:
-		return "msg-drop-rate"
-	case MsgDupRate:
-		return "msg-dup-rate"
-	case MsgDrop:
-		return "msg-drop"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -94,20 +75,15 @@ func (k Kind) String() string {
 
 // Event is one timed fault: Kind decides the injector family, Target the
 // rank or stripe index (ignored for the link kinds), and Factor the
-// slowdown multiplier (RankBurst, LinkLatency, LinkBandwidth), the
-// remaining throughput fraction (StripeDerate; StripeOutage ignores it),
-// or the loss/duplication probability (MsgDropRate, MsgDupRate). The
-// message kinds also use Peer (MsgDrop: destination rank) and Seq
-// (MsgDrop: the send sequence to lose; rate kinds: the verdict-stream
-// seed); both are zero for every other kind.
+// slowdown multiplier (RankBurst, LinkLatency, LinkBandwidth) or the
+// remaining throughput fraction (StripeDerate; StripeOutage and RankCrash
+// ignore it).
 type Event struct {
 	Kind     Kind
 	At       sim.Time
 	Duration sim.Time
 	Target   int
 	Factor   float64
-	Peer     int
-	Seq      uint64
 }
 
 // Plan is an ordered fault-event schedule. The zero Plan schedules
@@ -121,11 +97,8 @@ type Plan struct {
 func (p Plan) Validate() error {
 	for i, e := range p.Events {
 		// Crash durations are restart costs and may be zero (instant
-		// respawn), and the message kinds are not windows at all (a
-		// coupon names one transmission; a rate's duration is
-		// informational); every windowed kind needs a positive duration.
-		zeroOK := e.Kind == RankCrash || e.Kind == MsgDrop || e.Kind == MsgDropRate || e.Kind == MsgDupRate
-		if e.At < 0 || e.Duration < 0 || (e.Duration == 0 && !zeroOK) {
+		// respawn); every windowed kind needs a positive duration.
+		if e.At < 0 || e.Duration < 0 || (e.Duration == 0 && e.Kind != RankCrash) {
 			return fmt.Errorf("faults: event %d (%v) has window [%v, +%v)", i, e.Kind, e.At, e.Duration)
 		}
 		switch e.Kind {
@@ -139,14 +112,6 @@ func (p Plan) Validate() error {
 			}
 		case StripeOutage, RankCrash:
 			// no factor
-		case MsgDropRate, MsgDupRate:
-			if e.Factor <= 0 || e.Factor > 1 {
-				return fmt.Errorf("faults: event %d (%v) probability %v outside (0, 1]", i, e.Kind, e.Factor)
-			}
-		case MsgDrop:
-			if e.Peer < 0 {
-				return fmt.Errorf("faults: event %d (%v) peer %d", i, e.Kind, e.Peer)
-			}
 		default:
 			return fmt.Errorf("faults: event %d has unknown kind %d", i, int(e.Kind))
 		}
@@ -172,8 +137,9 @@ type Injection struct {
 	// by (At, Target); nil when the plan schedules no crashes.
 	Crash []sim.CrashEvent
 	// Msg holds the message loss/duplication verdict table
-	// (mpi.Config.MsgFaults); nil when the plan schedules no message
-	// faults, which keeps the reliable-delivery protocol disarmed.
+	// (mpi.Config.MsgFaults). Compile never fills it: a caller running a
+	// lossy fabric builds the table and sets it here. nil keeps the
+	// reliable-delivery protocol disarmed.
 	Msg *netmodel.MsgFaults
 }
 
@@ -242,13 +208,6 @@ func (p Plan) Compile(ranks, stripes int) (Injection, error) {
 	stripeWs := make(map[int][]window)
 	var latWs, bwWs []window
 	var crashes []sim.CrashEvent
-	var msg *netmodel.MsgFaults
-	ensureMsg := func() *netmodel.MsgFaults {
-		if msg == nil {
-			msg = &netmodel.MsgFaults{}
-		}
-		return msg
-	}
 	for _, e := range p.Events {
 		w := window{e.At, e.At + e.Duration, e.Factor}
 		switch e.Kind {
@@ -272,22 +231,6 @@ func (p Plan) Compile(ranks, stripes int) (Injection, error) {
 		case RankCrash:
 			if e.Target < ranks {
 				crashes = append(crashes, sim.CrashEvent{At: e.At, Target: e.Target, Restart: e.Duration})
-			}
-		case MsgDropRate:
-			m := ensureMsg()
-			m.DropRate = e.Factor
-			m.DropSeed = int64(e.Seq)
-		case MsgDupRate:
-			m := ensureMsg()
-			m.DupRate = e.Factor
-			m.DupSeed = int64(e.Seq)
-		case MsgDrop:
-			if e.Target < ranks && e.Peer < ranks {
-				m := ensureMsg()
-				if m.Drops == nil {
-					m.Drops = make(map[netmodel.MsgDropKey]bool)
-				}
-				m.Drops[netmodel.MsgDropKey{Src: e.Target, Dst: e.Peer, Seq: e.Seq}] = true
 			}
 		}
 	}
@@ -326,9 +269,6 @@ func (p Plan) Compile(ranks, stripes int) (Injection, error) {
 			return crashes[i].Target < crashes[j].Target
 		})
 		inj.Crash = crashes
-	}
-	if !msg.Empty() {
-		inj.Msg = msg
 	}
 	return inj, nil
 }

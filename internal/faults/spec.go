@@ -36,9 +36,8 @@ type Spec struct {
 	OutageLen sim.Time
 
 	// DerateStripes stripes degraded to DerateRate of nominal throughput
-	// for DerateLen (0 means the whole horizon).
+	// for the whole horizon.
 	DerateStripes int
-	DerateLen     sim.Time
 	DerateRate    float64
 
 	// Flaps link degradation windows of FlapLen, multiplying wire
@@ -50,24 +49,9 @@ type Spec struct {
 
 	// Crashes crash-stop rank failures scattered uniformly over the
 	// horizon, each killing one uniformly drawn rank and restarting it
-	// after RestartCost. When CrashMTBF is positive it takes precedence:
-	// crash instants are drawn as exponential inter-arrivals with that
-	// mean until the horizon is exhausted, the memoryless model the
-	// Young/Daly checkpoint-interval analysis assumes.
+	// after RestartCost.
 	Crashes     int
-	CrashMTBF   sim.Time
 	RestartCost sim.Time
-
-	// DropRate / DupRate lose or duplicate each network message
-	// transmission independently with the given probability; Drops plans
-	// that many targeted single-message losses (one specific (src, dst,
-	// sequence) transmission each). Any non-zero knob arms the reliable
-	// delivery protocol in internal/mpi (acks, virtual-time retransmission
-	// timeouts); all three default to zero so the fabric stays lossless
-	// unless a campaign asks otherwise.
-	DropRate float64
-	Drops    int
-	DupRate  float64
 }
 
 // DefaultSpec is the reference campaign the resilience experiment and
@@ -110,20 +94,6 @@ func (s Spec) Scale(x float64) Spec {
 	s.DerateStripes = int(float64(s.DerateStripes) * x)
 	s.Flaps = int(float64(s.Flaps) * x)
 	s.Crashes = int(float64(s.Crashes) * x)
-	s.Drops = int(float64(s.Drops) * x)
-	// Loss/duplication probabilities scale with intensity but saturate at
-	// certain loss; Scale(0) must yield an empty (lossless) plan.
-	s.DropRate = min(s.DropRate*x, 1)
-	s.DupRate = min(s.DupRate*x, 1)
-	// Higher intensity means more frequent crashes, so the mean time
-	// between failures divides; RestartCost is a severity knob and stays.
-	if s.CrashMTBF > 0 {
-		if x == 0 {
-			s.CrashMTBF = 0
-		} else {
-			s.CrashMTBF = sim.Time(float64(s.CrashMTBF) / x)
-		}
-	}
 	if x == 0 {
 		s.Outages = 0
 	}
@@ -138,7 +108,6 @@ const (
 	derateStreamBase = 2 << 20
 	flapStreamBase   = 3 << 20
 	crashStreamBase  = 4 << 20
-	msgStreamBase    = 5 << 20
 )
 
 // eventRand is the (seed, event-id) stream: every event draws its start
@@ -195,13 +164,8 @@ func (s Spec) Plan(ranks, stripes int) Plan {
 		rng := eventRand(s.Seed, derateStreamBase)
 		perm := rng.Perm(stripes)
 		for k := 0; k < n; k++ {
-			length := s.DerateLen
-			if length <= 0 {
-				length = s.Horizon
-			}
-			at, length := startIn(rng, s.Horizon, length)
 			p.Events = append(p.Events, Event{
-				Kind: StripeDerate, At: at, Duration: length,
+				Kind: StripeDerate, Duration: s.Horizon,
 				Target: perm[k], Factor: s.DerateRate,
 			})
 		}
@@ -220,65 +184,12 @@ func (s Spec) Plan(ranks, stripes int) Plan {
 			})
 		}
 	}
-	if ranks > 0 {
-		if s.CrashMTBF > 0 {
-			// Memoryless arrivals: event k's stream draws the gap since
-			// the previous crash and the victim rank. The running sum
-			// makes later events depend on earlier gaps — within the
-			// family only, which is the contract (families never move
-			// each other).
-			var t sim.Time
-			for k := 0; ; k++ {
-				rng := eventRand(s.Seed, crashStreamBase+int64(k))
-				t += sim.Time(rng.ExpFloat64() * float64(s.CrashMTBF))
-				if t >= s.Horizon || t < 0 {
-					break
-				}
-				p.Events = append(p.Events, Event{
-					Kind: RankCrash, At: t, Duration: s.RestartCost,
-					Target: rng.Intn(ranks),
-				})
-			}
-		} else {
-			for k := 0; k < s.Crashes; k++ {
-				rng := eventRand(s.Seed, crashStreamBase+int64(k))
-				at, _ := startIn(rng, s.Horizon, 0)
-				p.Events = append(p.Events, Event{
-					Kind: RankCrash, At: at, Duration: s.RestartCost,
-					Target: rng.Intn(ranks),
-				})
-			}
-		}
-	}
-	// Message family: losses and duplications. The rate kinds carry the
-	// verdict-stream seed in Seq — per-transmission decisions are then
-	// pure hashes of (seed, src, dst, sendSeq, attempt) made at send time
-	// in netmodel, with no draws here — so the family adds at most two
-	// events regardless of traffic volume and never moves another
-	// family's stream. Targeted drops are coupon events: each plans the
-	// loss of one specific (src, dst, sendSeq) first transmission.
-	if s.DropRate > 0 {
+	for k := 0; k < s.Crashes && ranks > 0; k++ {
+		rng := eventRand(s.Seed, crashStreamBase+int64(k))
+		at, _ := startIn(rng, s.Horizon, 0)
 		p.Events = append(p.Events, Event{
-			Kind: MsgDropRate, Duration: s.Horizon, Factor: s.DropRate,
-			Seq: uint64(sim.Mix64(s.Seed, msgStreamBase)),
-		})
-	}
-	if s.DupRate > 0 {
-		p.Events = append(p.Events, Event{
-			Kind: MsgDupRate, Duration: s.Horizon, Factor: s.DupRate,
-			Seq: uint64(sim.Mix64(s.Seed, msgStreamBase+1)),
-		})
-	}
-	for k := 0; k < s.Drops && ranks > 1; k++ {
-		rng := eventRand(s.Seed, msgStreamBase+2+int64(k))
-		src := rng.Intn(ranks)
-		dst := rng.Intn(ranks)
-		if dst == src {
-			// Self-sends bypass the fabric; nudge to a real link.
-			dst = (dst + 1) % ranks
-		}
-		p.Events = append(p.Events, Event{
-			Kind: MsgDrop, Target: src, Peer: dst, Seq: uint64(rng.Int63n(64)),
+			Kind: RankCrash, At: at, Duration: s.RestartCost,
+			Target: rng.Intn(ranks),
 		})
 	}
 	return p
@@ -290,10 +201,9 @@ var specKeys = []string{
 	"seed", "horizon",
 	"bursts", "burst-len", "burst-factor",
 	"outages", "outage-len",
-	"derate-stripes", "derate-len", "derate-rate",
+	"derate-stripes", "derate-rate",
 	"flaps", "flap-len", "lat-factor", "bw-factor",
-	"crashes", "crash-mtbf", "restart-cost",
-	"drop-rate", "drops", "dup-rate",
+	"crashes", "restart-cost",
 }
 
 // SpecKeys returns the keys ParseSpec accepts, in canonical order, for
@@ -341,18 +251,13 @@ func (s Spec) String() string {
 	num("outages", s.Outages, def.Outages)
 	dur("outage-len", s.OutageLen, def.OutageLen)
 	num("derate-stripes", s.DerateStripes, def.DerateStripes)
-	dur("derate-len", s.DerateLen, def.DerateLen)
 	flt("derate-rate", s.DerateRate, def.DerateRate)
 	num("flaps", s.Flaps, def.Flaps)
 	dur("flap-len", s.FlapLen, def.FlapLen)
 	flt("lat-factor", s.LatencyFactor, def.LatencyFactor)
 	flt("bw-factor", s.BandwidthFactor, def.BandwidthFactor)
 	num("crashes", s.Crashes, def.Crashes)
-	dur("crash-mtbf", s.CrashMTBF, def.CrashMTBF)
 	dur("restart-cost", s.RestartCost, def.RestartCost)
-	flt("drop-rate", s.DropRate, def.DropRate)
-	num("drops", s.Drops, def.Drops)
-	flt("dup-rate", s.DupRate, def.DupRate)
 	return strings.Join(parts, ",")
 }
 
@@ -411,8 +316,6 @@ func ParseSpecKeys(text string) (Spec, []string, error) {
 			s.OutageLen, err = parseDuration(val)
 		case "derate-stripes":
 			s.DerateStripes, err = parseCount(val)
-		case "derate-len":
-			s.DerateLen, err = parseDuration(val)
 		case "derate-rate":
 			s.DerateRate, err = parseFactor(val)
 		case "flaps":
@@ -425,16 +328,8 @@ func ParseSpecKeys(text string) (Spec, []string, error) {
 			s.BandwidthFactor, err = parseFactor(val)
 		case "crashes":
 			s.Crashes, err = parseCount(val)
-		case "crash-mtbf":
-			s.CrashMTBF, err = parseDuration(val)
 		case "restart-cost":
 			s.RestartCost, err = parseDuration(val)
-		case "drop-rate":
-			s.DropRate, err = parseProb(val)
-		case "drops":
-			s.Drops, err = parseCount(val)
-		case "dup-rate":
-			s.DupRate, err = parseProb(val)
 		default:
 			return Spec{}, nil, fmt.Errorf("faults: unknown spec key %q (valid keys: %s)", key, strings.Join(specKeys, ", "))
 		}
@@ -476,20 +371,6 @@ func parseFactor(val string) (float64, error) {
 	}
 	if f < 0 {
 		return 0, fmt.Errorf("factor %v is negative", f)
-	}
-	return f, nil
-}
-
-// parseProb reads a probability. Loss and duplication knobs are
-// per-transmission probabilities, so values above 1 are as nonsensical as
-// negative ones.
-func parseProb(val string) (float64, error) {
-	f, err := parseFactor(val)
-	if err != nil {
-		return 0, err
-	}
-	if f > 1 {
-		return 0, fmt.Errorf("probability %v exceeds 1", f)
 	}
 	return f, nil
 }

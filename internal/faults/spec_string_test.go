@@ -15,18 +15,11 @@ func TestStringRoundTrip(t *testing.T) {
 	crashy := def
 	crashy.Crashes = 3
 	crashy.RestartCost = 100 * sim.Millisecond
-	mtbf := def
-	mtbf.CrashMTBF = 750 * sim.Millisecond
-	lossy := def
-	lossy.DropRate = 0.25
-	lossy.Drops = 4
-	lossy.DupRate = 0.0625
 	custom := Spec{
 		Seed: 42, Horizon: 2 * sim.Second,
 		Bursts: 1, BurstLen: 10 * sim.Millisecond, BurstFactor: 3,
 		DerateStripes: 2, DerateRate: 0.5,
 		Crashes: 5, RestartCost: sim.Second,
-		DropRate: 0.1, Drops: 2, DupRate: 0.05,
 	}
 	cases := []struct {
 		name string
@@ -37,8 +30,6 @@ func TestStringRoundTrip(t *testing.T) {
 		{"default", def, "default"},
 		{"scaled", def.Scale(2), ""},
 		{"crashes", crashy, "crashes=3,restart-cost=100ms"},
-		{"mtbf", mtbf, "crash-mtbf=750ms"},
-		{"lossy", lossy, "drop-rate=0.25,drops=4,dup-rate=0.0625"},
 		{"custom", custom, ""},
 	}
 	for _, c := range cases {
@@ -57,15 +48,22 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 // TestUnknownKeyListsValidKeys: the error for a bad key teaches the
-// grammar.
+// grammar. The keys of the message family, MTBF crash arrivals and the
+// derate length are unknown keys like any typo: no campaign read them.
 func TestUnknownKeyListsValidKeys(t *testing.T) {
-	_, err := ParseSpec("crashse=2")
-	if err == nil {
-		t.Fatal("unknown key accepted")
-	}
-	for _, key := range SpecKeys() {
-		if !strings.Contains(err.Error(), key) {
-			t.Errorf("unknown-key error %q does not mention %q", err, key)
+	for _, text := range []string{"crashse=2", "drop-rate=0.1", "drops=3", "dup-rate=0.2", "crash-mtbf=1s", "derate-len=1s"} {
+		_, err := ParseSpec(text)
+		if err == nil {
+			t.Fatalf("unknown key in %q accepted", text)
+		}
+		key, _, _ := strings.Cut(text, "=")
+		if !strings.Contains(err.Error(), `unknown spec key "`+key+`"`) {
+			t.Errorf("ParseSpec(%q) error %q is not the unknown-key error", text, err)
+		}
+		for _, valid := range SpecKeys() {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("unknown-key error %q does not mention %q", err, valid)
+			}
 		}
 	}
 }
@@ -110,18 +108,11 @@ func TestParseSpecRejects(t *testing.T) {
 		{"horizon=-1s", "horizon"},
 		{"burst-len=-200ms", "burst-len"},
 		{"outage-len=-1ns", "outage-len"},
-		{"derate-len=-4ms", "derate-len"},
 		{"flap-len=-250ms", "flap-len"},
-		{"crash-mtbf=-1ms", "crash-mtbf"},
 		{"restart-cost=-100ms", "restart-cost"},
 		{"bursts=16,bursts=2", "bursts"},
 		{"seed=1,bursts=4,seed=2", "seed"},
 		{"crashes=3, crashes=3", "crashes"}, // even an agreeing repeat
-		{"drops=-2", "drops"},
-		{"drop-rate=-0.1", "drop-rate"},
-		{"dup-rate=-1", "dup-rate"},
-		{"drop-rate=1.5", "drop-rate"}, // probabilities cap at 1
-		{"dup-rate=2", "dup-rate"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.text)
@@ -141,36 +132,33 @@ func TestParseSpecRejects(t *testing.T) {
 }
 
 // TestCrashPlanDeterministic: equal specs yield equal crash schedules,
-// and both the uniform and MTBF generators stay inside the horizon.
+// and every crash lands inside the horizon.
 func TestCrashPlanDeterministic(t *testing.T) {
-	for _, mtbf := range []sim.Time{0, 300 * sim.Millisecond} {
-		s := DefaultSpec()
-		s.Crashes = 4
-		s.CrashMTBF = mtbf
-		a := s.Plan(64, 16)
-		b := s.Plan(64, 16)
-		var crashes int
-		for i, e := range a.Events {
-			if e != b.Events[i] {
-				t.Fatalf("mtbf=%v: plans diverge at event %d: %+v vs %+v", mtbf, i, e, b.Events[i])
-			}
-			if e.Kind != RankCrash {
-				continue
-			}
-			crashes++
-			if e.At < 0 || e.At >= s.Horizon {
-				t.Errorf("mtbf=%v: crash at %v outside horizon %v", mtbf, e.At, s.Horizon)
-			}
-			if e.Target < 0 || e.Target >= 64 {
-				t.Errorf("mtbf=%v: crash target %d out of range", mtbf, e.Target)
-			}
-			if e.Duration != s.RestartCost {
-				t.Errorf("mtbf=%v: crash restart %v, want %v", mtbf, e.Duration, s.RestartCost)
-			}
+	s := DefaultSpec()
+	s.Crashes = 4
+	a := s.Plan(64, 16)
+	b := s.Plan(64, 16)
+	var crashes int
+	for i, e := range a.Events {
+		if e != b.Events[i] {
+			t.Fatalf("plans diverge at event %d: %+v vs %+v", i, e, b.Events[i])
 		}
-		if crashes == 0 {
-			t.Errorf("mtbf=%v: no crash events planned", mtbf)
+		if e.Kind != RankCrash {
+			continue
 		}
+		crashes++
+		if e.At < 0 || e.At >= s.Horizon {
+			t.Errorf("crash at %v outside horizon %v", e.At, s.Horizon)
+		}
+		if e.Target < 0 || e.Target >= 64 {
+			t.Errorf("crash target %d out of range", e.Target)
+		}
+		if e.Duration != s.RestartCost {
+			t.Errorf("crash restart %v, want %v", e.Duration, s.RestartCost)
+		}
+	}
+	if crashes != s.Crashes {
+		t.Errorf("%d crash events planned, want %d", crashes, s.Crashes)
 	}
 }
 
@@ -212,24 +200,20 @@ func TestCrashFamilyIndependent(t *testing.T) {
 	}
 }
 
-// TestScaleCrashes: Scale multiplies the crash count and divides the
-// MTBF, leaving RestartCost alone.
+// TestScaleCrashes: Scale multiplies the crash count, leaving
+// RestartCost alone.
 func TestScaleCrashes(t *testing.T) {
 	s := DefaultSpec()
 	s.Crashes = 2
-	s.CrashMTBF = sim.Second
 	x := s.Scale(2)
 	if x.Crashes != 4 {
 		t.Errorf("Scale(2).Crashes = %d, want 4", x.Crashes)
-	}
-	if x.CrashMTBF != 500*sim.Millisecond {
-		t.Errorf("Scale(2).CrashMTBF = %v, want 500ms", x.CrashMTBF)
 	}
 	if x.RestartCost != s.RestartCost {
 		t.Errorf("Scale changed RestartCost: %v vs %v", x.RestartCost, s.RestartCost)
 	}
 	z := s.Scale(0)
-	if z.Crashes != 0 || z.CrashMTBF != 0 {
+	if z.Crashes != 0 {
 		t.Errorf("Scale(0) kept crashes: %+v", z)
 	}
 }
@@ -241,7 +225,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("none")
 	f.Add("bursts=16,burst-factor=20,outage-len=1s")
 	f.Add("crashes=3,restart-cost=100ms")
-	f.Add("crash-mtbf=250ms,seed=9")
+	f.Add("restart-cost=0s,seed=9")
 	f.Add("crashes=x")
 	f.Add("horizon=2s,derate-stripes=8,derate-rate=0.1")
 	f.Add("bursts=-1")
@@ -249,10 +233,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("restart-cost=-100ms")
 	f.Add("bursts=16,bursts=2")
 	f.Add("seed=-7,crashes=0")
-	f.Add("drop-rate=0.25,drops=4,dup-rate=0.0625")
-	f.Add("drop-rate=1.5")
-	f.Add("drops=-2,dup-rate=0.5")
-	f.Add("crashes=2,drop-rate=0.1,seed=3")
+	f.Add("flaps=8,flap-len=100ms,lat-factor=3,bw-factor=2")
+	f.Add("derate-rate=1.5")
+	f.Add("drops=3")
+	f.Add("crashes=2,outages=1,seed=3")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSpec(text)
 		if err != nil {

@@ -116,8 +116,8 @@ func (w *World) committed() bool {
 // failPosted is the peer-failure notification of a revocation: every
 // pending posted receive of every rank but skip completes now with the
 // world's failure, waking any parked waiter, and every rank's matching
-// state is reset, skip's last. Posting order (seq) fixes the wake order
-// within a rank; rank order fixes it across ranks.
+// state is reset, skip's last. The match table's order fixes the wake
+// order within a rank (pendingPosted); rank order fixes it across ranks.
 func (w *World) failPosted(skip *rankState) {
 	e := w.eng
 	now := e.Now()
@@ -149,7 +149,7 @@ func (w *World) failPosted(skip *rankState) {
 // killRank is the crash event: it kills rank target at the current
 // instant, revokes the world, fails every pending receive, and schedules
 // the restart. Every step is ordered deterministically (sorted file
-// keys, rank order, posting order), so a fixed campaign replays
+// keys, rank order, match-table order), so a fixed campaign replays
 // bit-for-bit.
 func (w *World) killRank(target int, restart sim.Time) {
 	if w.committed() {

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Message-matching index.
 //
@@ -581,11 +577,13 @@ func (x *matchIndex) takeQueued(commID, src, tag int, req *Request) (readyAt sim
 	return readyAt, true
 }
 
-// pendingPosted appends every pending posted receive to buf in posting
-// (seq) order and returns it. The table iterates in slot order, not
-// posting order, so the collected entries are sorted by seq before
-// returning — the failure path (killRank) fails them in that order, which
-// keeps peer-notification wake events at deterministic (t, seq) positions.
+// pendingPosted appends every pending posted receive to buf and returns
+// it, in the table's slot order and each list's posting order. Slot order
+// is a function of the keys and operations alone, so the failure path
+// (failPosted) wakes the receives' waiters at deterministic (t, seq)
+// positions. It is not posting order across lists, which no supported run
+// observes: a crash campaign leaves a rank one fiber waiting on receives,
+// woken once at the kill instant whatever the order.
 func (x *matchIndex) pendingPosted(buf []*postedRecv) []*postedRecv {
 	for _, q := range x.posted.all() {
 		for _, p := range q.items[q.head:] {
@@ -594,6 +592,5 @@ func (x *matchIndex) pendingPosted(buf []*postedRecv) []*postedRecv {
 			}
 		}
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].seq < buf[j].seq })
 	return buf
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
@@ -226,19 +225,16 @@ func runLossy(t *testing.T, cfg Config, iters int) lossyOutcome {
 }
 
 // TestLossyReplayDeterministic pins the replay contract: a fixed lossy
-// campaign (drop and duplication rates compiled through the faults
-// pipeline) yields bit-identical outcomes across pooled-world reuse.
+// campaign (drop and duplication rates plus three planned single-message
+// losses) yields bit-identical outcomes across pooled-world reuse.
 func TestLossyReplayDeterministic(t *testing.T) {
 	const procs, iters = 4, 16
-	spec := faults.Spec{Seed: 5, Horizon: 4 * sim.Second, DropRate: 0.25, DupRate: 0.1, Drops: 3}
-	inj, err := spec.Plan(procs, 4).Compile(procs, 4)
-	if err != nil {
-		t.Fatal(err)
+	mf := &netmodel.MsgFaults{
+		DropSeed: 5504686884045531332, DropRate: 0.25,
+		DupSeed: -4899736365754075266, DupRate: 0.1,
+		Drops: map[netmodel.MsgDropKey]bool{{Src: 0, Dst: 1, Seq: 6}: true, {Src: 0, Dst: 1, Seq: 43}: true, {Src: 1, Dst: 2, Seq: 29}: true},
 	}
-	if inj.Msg == nil {
-		t.Fatal("campaign compiled no message faults")
-	}
-	cfg := Config{Procs: procs, Seed: 11, MsgFaults: inj.Msg}
+	cfg := Config{Procs: procs, Seed: 11, MsgFaults: mf}
 
 	first := runLossy(t, cfg, iters)
 	if first.committed != iters {

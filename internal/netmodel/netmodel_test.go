@@ -183,3 +183,39 @@ func BenchmarkJitter(b *testing.B) {
 		})
 	}
 }
+
+// TestVerdictPurity: verdicts are pure functions of (table, src, dst,
+// seq, attempt) — planned coupons match attempt 0 only, rate decisions
+// are stable across calls, and a nil table always delivers.
+func TestVerdictPurity(t *testing.T) {
+	m := &MsgFaults{
+		DropSeed: 11, DropRate: 0.5,
+		DupSeed: 13, DupRate: 0.25,
+		Drops: map[MsgDropKey]bool{{Src: 1, Dst: 2, Seq: 5}: true},
+	}
+	if v := m.Verdict(1, 2, 5, 0); v != VerdictDrop {
+		t.Errorf("coupon ignored on attempt 0: %v", v)
+	}
+	if v := m.Verdict(1, 2, 5, 1); v == VerdictDrop &&
+		m.Verdict(1, 2, 5, 1) != m.Verdict(1, 2, 5, 1) {
+		t.Error("retransmission verdict unstable")
+	}
+	for src := 0; src < 4; src++ {
+		for seq := uint64(0); seq < 16; seq++ {
+			for attempt := 0; attempt < 3; attempt++ {
+				a := m.Verdict(src, src+1, seq, attempt)
+				b := m.Verdict(src, src+1, seq, attempt)
+				if a != b {
+					t.Fatalf("verdict(%d,%d,%d,%d) unstable: %v vs %v", src, src+1, seq, attempt, a, b)
+				}
+			}
+		}
+	}
+	var nilTable *MsgFaults
+	if v := nilTable.Verdict(0, 1, 0, 0); v != VerdictDeliver {
+		t.Errorf("nil table verdict %v, want deliver", v)
+	}
+	if !nilTable.Empty() {
+		t.Error("nil table not empty")
+	}
+}

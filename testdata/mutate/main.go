@@ -27,10 +27,12 @@
 // mutant that survives stage 1, or that one test alone kills, runs the
 // manifest's package (internal/experiments), then, if that misses it too,
 // every other package of ./... whose test binary imports the mutated one. A
-// crashed test binary is run again without the tests that already ran. It
-// exits 2, naming the test, when a schema with no mutant selected fails a
-// test that passes on the unmutated package, or TestTrajectoryManifest; and
-// 1 when a file's kill rate falls below testdata/mutate/baseline.txt.
+// test binary that panicked is run again without the tests that already ran;
+// one that timed out is not, and its mutant goes no further: the hung test
+// is its one recorded killer. It exits 2, naming the test, when a schema with
+// no mutant selected fails a test that passes on the unmutated package, or
+// TestTrajectoryManifest; and 1 when a file's kill rate falls below
+// testdata/mutate/baseline.txt.
 package main
 
 import (
@@ -62,11 +64,14 @@ import (
 // running test as a killer, so the bound leaves a wide margin.
 const timeout = 60 * time.Second
 
-// maxReruns is how many times a package whose test binary crashed is run
+// maxReruns is how many times a package whose test binary panicked is run
 // again. A mutant that breaks a path every test takes crashes each test in
-// turn, and a hang costs timeout each; after maxReruns the tests that have
-// not run yet are left unrun. The mutant is killed either way, and the
-// crashes recorded name up to maxReruns+1 of its killers.
+// turn; after maxReruns the tests that have not run yet are left unrun. The
+// mutant is killed either way, and the crashes recorded name up to
+// maxReruns+1 of its killers. A binary that timed out is not run again: each
+// further hang would cost a whole timeout, and the one hung test recorded is
+// a lower bound on the killers, which can only make fewer tests look
+// redundant.
 const maxReruns = 3
 
 const (
@@ -382,6 +387,7 @@ func (c *campaign) mutant(m *mutant, dependents []string) error {
 	if m.k == 0 {
 		return nil
 	}
+	hung := false
 	if m.covering != nil {
 		own, err := c.test(m.pkg, m.k, "^("+m.covering.tests+")$")
 		if err != nil {
@@ -395,6 +401,7 @@ func (c *campaign) mutant(m *mutant, dependents []string) error {
 		}
 		m.passedBy = own.tests("pass")
 		m.inPkg = len(m.killers)
+		hung = own.timedOut
 		if len(failed) == 0 && own.failed {
 			m.killers = []string{"TestMain"} // the binary failed outside every test
 		}
@@ -406,7 +413,7 @@ func (c *campaign) mutant(m *mutant, dependents []string) error {
 		stages[0] = []string{manifestPkg}
 	}
 	for _, pkgs := range stages {
-		if len(pkgs) == 0 || len(m.killers) > 1 || len(m.killers) > m.inPkg {
+		if len(pkgs) == 0 || hung || len(m.killers) > 1 || len(m.killers) > m.inPkg {
 			continue
 		}
 		// The packages run side by side, as go test runs them.
@@ -526,9 +533,10 @@ func covering(blocks map[string][]string, m *mutant) []string {
 
 // pkgRun is what one package's test binary reported of its top-level tests.
 type pkgRun struct {
-	failed  bool              // the binary exited non-zero
-	crashed bool              // the binary panicked, timed out or exited mid-test
-	state   map[string]string // "run", "pass", "fail" or "skip", by test
+	failed   bool              // the binary exited non-zero
+	crashed  bool              // the binary panicked, timed out or exited mid-test
+	timedOut bool              // the binary's own -test.timeout ended it
+	state    map[string]string // "run", "pass", "fail" or "skip", by test
 }
 
 // tests lists, sorted, the tests whose state is one of states; a test left
@@ -547,7 +555,8 @@ func (r *pkgRun) tests(states ...string) []string {
 // test runs the tests of pkg that match run ("" runs all) with mutant k (0
 // for none) selected, on the binary the first call builds against the
 // overlay. A binary that crashed is run again without the tests that ran,
-// until it ends cleanly, no test is left or maxReruns reruns have been made.
+// until it ends cleanly, times out, no test is left or maxReruns reruns have
+// been made.
 func (c *campaign) test(pkg string, k int, run string) (*pkgRun, error) {
 	b := c.builds[pkg]
 	b.once.Do(func() {
@@ -562,10 +571,10 @@ func (c *campaign) test(pkg string, k int, run string) (*pkgRun, error) {
 		return nil, b.err
 	}
 	r, err := c.once(b.bin, b, k, run, nil)
-	for i := 0; err == nil && r.crashed && i < maxReruns; i++ {
+	for i := 0; err == nil && r.crashed && !r.timedOut && i < maxReruns; i++ {
 		var a *pkgRun
 		if a, err = c.once(b.bin, b, k, run, slices.Sorted(maps.Keys(r.state))); err == nil {
-			r.crashed, r.failed = a.crashed && len(a.state) > 0, r.failed || a.failed
+			r.crashed, r.failed, r.timedOut = a.crashed && len(a.state) > 0, r.failed || a.failed, a.timedOut
 			maps.Copy(r.state, a.state)
 		}
 	}
@@ -592,6 +601,7 @@ func (c *campaign) once(bin string, b *build, k int, run string, skip []string) 
 		switch {
 		case ev.Action == "output" && strings.HasPrefix(ev.Output, "panic: "):
 			r.crashed = true
+			r.timedOut = r.timedOut || strings.HasPrefix(ev.Output, "panic: test timed out after ")
 		case top && (ev.Action == "run" || ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip"):
 			r.state[ev.Test] = ev.Action
 		}
