@@ -80,7 +80,8 @@ func TestCoresFlagSweep(t *testing.T) {
 // below the first point of a selected weak-scaling sweep, an experiment
 // named twice, a -faults that does not parse (a key the spec does not
 // have included), a -faults that no selected experiment reads, a -faults
-// key that a selected experiment reading -faults does not read — is
+// key that a selected experiment reading -faults does not read, a
+// recovery campaign with no crash — is
 // refused with exit status 2 and an error starting with the flag, before
 // any experiment starts.
 // The requests below ask for every experiment at 8192 processes, so
@@ -129,6 +130,11 @@ func TestRefusedBeforeAnySweep(t *testing.T) {
 		{[]string{"-experiment", "recovery", "-faults", "flaps=16"}, "-faults", "recovery experiment does not read key flaps"},
 		{[]string{"-experiment", "recovery", "-faults", "outages=9"}, "-faults", "recovery experiment does not read key outages"},
 		{[]string{"-experiment", "recovery", "-faults", "horizon=1s"}, "-faults", "recovery experiment does not read key horizon"},
+		// A recovery campaign with no crash, which ran two crashes (and
+		// under none a zero restart cost and seed).
+		{[]string{"-experiment", "recovery", "-faults", "crashes=0"}, "-faults", "recovery experiment needs key crashes"},
+		{[]string{"-experiment", "recovery", "-faults", "none"}, "-faults", "recovery experiment needs key crashes"},
+		{[]string{"-experiment", "recovery,cosched", "-faults", "none"}, "-faults", "recovery experiment needs key crashes"},
 		{[]string{"-experiment", "cosched", "-faults", "flaps=16"}, "-faults", "cosched experiment does not read key flaps"},
 		{[]string{"-experiment", "cosched", "-faults", "bursts=64"}, "-faults", "cosched experiment does not read key bursts"},
 		{[]string{"-experiment", "cosched", "-faults", "crashes=3"}, "-faults", "cosched experiment does not read key crashes"},

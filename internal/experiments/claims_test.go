@@ -69,7 +69,13 @@ func readClaims(t testing.TB) []claim {
 func claimFailures(claims []claim, rows map[string][]Row) []string {
 	var out []string
 	for _, c := range claims {
-		q, procs, ranged := strings.Cut(c.quantity, " @")
+		q, param, byParam := strings.Cut(c.quantity, " param=")
+		pv, err := strconv.ParseFloat(param, 64)
+		if byParam && err != nil {
+			out = append(out, fmt.Sprintf("%v: bad param %q", c, param))
+			continue
+		}
+		q, procs, ranged := strings.Cut(q, " @")
 		lo, hi := 0, math.MaxInt
 		if ranged {
 			from, to, _ := strings.Cut(procs, "-")
@@ -83,7 +89,7 @@ func claimFailures(claims []claim, rows map[string][]Row) []string {
 		series := func(name string) map[int][]Row {
 			at := map[int][]Row{}
 			for _, r := range rows[c.figure] {
-				if r.Series == name && r.Procs >= lo && r.Procs <= hi {
+				if r.Series == name && r.Procs >= lo && r.Procs <= hi && (!byParam || r.Param == pv) {
 					at[r.Procs] = append(at[r.Procs], r)
 				}
 			}
@@ -168,6 +174,19 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 				Row{Series: "Reference (Non-blocking)", Procs: p, Seconds: 28.6, StdDev: 1.3},
 				Row{Series: "Decoupling", Procs: p, Seconds: 28.65, StdDev: 1.2})
 		}
+		var cosched []Row
+		for _, j := range []struct {
+			jobs         int
+			fair, fairWC float64
+		}{{2, 2.62, 1.45}, {3, 4.72, 1.90}} {
+			fair, wc, procs := fmt.Sprintf("fair jobs=%d hog-tail", j.jobs), fmt.Sprintf("fair-wc jobs=%d hog-tail", j.jobs), 16*j.jobs
+			// The 4-stripe rows come first and tie: a claim that read them
+			// in place of the 1-stripe rows would fail.
+			cosched = append(cosched, Row{Series: fair, Procs: procs, Param: 4, Seconds: 1.38},
+				Row{Series: wc, Procs: procs, Param: 4, Seconds: 1.38},
+				Row{Series: fair, Procs: procs, Param: 1, Seconds: j.fair},
+				Row{Series: wc, Procs: procs, Param: 1, Seconds: j.fairWC})
+		}
 		var resilience, recovery []Row
 		for _, v := range []struct {
 			variant     string
@@ -176,7 +195,7 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 			resilience = append(resilience, Row{Series: v.variant + " degradation-slope", Procs: 64, Seconds: v.slope})
 			recovery = append(recovery, Row{Series: v.variant + " recovery-overhead-best", Procs: 64, Seconds: v.best})
 		}
-		return map[string][]Row{"ablation-alpha": alpha, "fig5": fig5, "fig6": fig6, "resilience": resilience, "recovery": recovery}
+		return map[string][]Row{"ablation-alpha": alpha, "fig5": fig5, "fig6": fig6, "cosched": cosched, "resilience": resilience, "recovery": recovery}
 	}
 	if fails := claimFailures(claims, rows()); len(fails) > 0 {
 		t.Fatalf("rows that hold every claim fail:\n%s", strings.Join(fails, "\n"))
@@ -184,20 +203,25 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 	for _, b := range []struct {
 		fig, series string
 		procs       int
+		param       float64 // of the row to break
 		seconds     float64
 		quantity    string // of the one claim of fig that must fail
 	}{
-		{"ablation-alpha", "Decoupling", 128, 17, "argmin Decoupling"}, // 6.25 %, now slower than 12.5 %
-		{"fig5", "Decoupling (alpha=6.25%)", 64, 45, "Decoupling (alpha=6.25%) / Reference @32-128"},
-		{"fig5", "Reference", 128, 40, "Reference / Decoupling (alpha=6.25%) @128"},
-		{"fig6", "Reference (Non-blocking)", 32, 28.8, "Reference (Non-blocking) - Reference (Blocking)"},
-		{"fig6", "Decoupling", 128, 31, "Decoupling - Reference (Non-blocking)"},
+		{"ablation-alpha", "Decoupling", 128, 6.25, 17, "argmin Decoupling"}, // 6.25 %, now slower than 12.5 %
+		{"fig5", "Decoupling (alpha=6.25%)", 64, 0, 45, "Decoupling (alpha=6.25%) / Reference @32-128"},
+		{"fig5", "Reference", 128, 0, 40, "Reference / Decoupling (alpha=6.25%) @128"},
+		{"fig6", "Reference (Non-blocking)", 32, 0, 28.8, "Reference (Non-blocking) - Reference (Blocking)"},
+		{"fig6", "Decoupling", 128, 0, 31, "Decoupling - Reference (Non-blocking)"},
+		// A work-conserving hog tail as long as the static one's, on the
+		// one stripe where the two policies part.
+		{"cosched", "fair-wc jobs=2 hog-tail", 32, 1, 2.62, "fair-wc jobs=2 hog-tail - fair jobs=2 hog-tail param=1"},
+		{"cosched", "fair-wc jobs=3 hog-tail", 48, 1, 4.8, "fair-wc jobs=3 hog-tail - fair jobs=3 hog-tail param=1"},
 		// A reference that stops degrading (or recovers as cheaply) ties
 		// decoupling: only the claim against it fails.
-		{"resilience", "RefShared degradation-slope", 64, 0, "Decoupling degradation-slope - RefShared degradation-slope"},
-		{"resilience", "RefColl degradation-slope", 64, 0, "Decoupling degradation-slope - RefColl degradation-slope"},
-		{"recovery", "RefShared recovery-overhead-best", 64, 2.14, "Decoupling recovery-overhead-best - RefShared recovery-overhead-best"},
-		{"recovery", "RefColl recovery-overhead-best", 64, 2.0, "Decoupling recovery-overhead-best - RefColl recovery-overhead-best"},
+		{"resilience", "RefShared degradation-slope", 64, 0, 0, "Decoupling degradation-slope - RefShared degradation-slope"},
+		{"resilience", "RefColl degradation-slope", 64, 0, 0, "Decoupling degradation-slope - RefColl degradation-slope"},
+		{"recovery", "RefShared recovery-overhead-best", 64, 0, 2.14, "Decoupling recovery-overhead-best - RefShared recovery-overhead-best"},
+		{"recovery", "RefColl recovery-overhead-best", 64, 0, 2.0, "Decoupling recovery-overhead-best - RefColl recovery-overhead-best"},
 	} {
 		i := slices.IndexFunc(claims, func(c claim) bool { return c.figure == b.fig && c.quantity == b.quantity })
 		if i < 0 {
@@ -205,7 +229,7 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 		}
 		rs := rows()
 		for i, r := range rs[b.fig] {
-			if r.Series == b.series && r.Procs == b.procs && (b.fig != "ablation-alpha" || r.Param == 6.25) {
+			if r.Series == b.series && r.Procs == b.procs && r.Param == b.param {
 				rs[b.fig][i].Seconds = b.seconds
 			}
 		}

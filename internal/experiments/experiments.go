@@ -339,6 +339,9 @@ type Experiment struct {
 	FaultKeys []string
 
 	run func(Options) ([]Row, error)
+	// checkSpec, when set, refuses a fault spec the sweep reads but cannot
+	// run, given the spec and the keys it sets (CheckFaultSpec).
+	checkSpec func(faults.Spec, []string) error
 }
 
 // Run runs the sweep. A Cores >= 1 request for a sweep that cannot shard
@@ -357,14 +360,15 @@ func (e Experiment) Run(opts Options) ([]Row, error) {
 }
 
 // CheckFaultSpec refuses a fault spec that sets a key a sweep reading
-// Options.FaultSpec does not read, naming the key and the sweep. The CLI
-// refuses with it before any sweep starts; Run returns it to library
-// callers. "default", "none" and an empty spec set no key.
+// Options.FaultSpec does not read, naming the key and the sweep, and one
+// the sweep cannot run (recovery's without a crash). The CLI refuses with
+// it before any sweep starts; Run returns it to library callers.
+// "default", "none" and an empty spec set no key.
 func (e Experiment) CheckFaultSpec(spec string) error {
 	if len(e.FaultKeys) == 0 {
 		return nil
 	}
-	_, keys, err := faults.ParseSpecKeys(spec)
+	sp, keys, err := faults.ParseSpecKeys(spec)
 	if err != nil {
 		return err
 	}
@@ -372,6 +376,9 @@ func (e Experiment) CheckFaultSpec(spec string) error {
 		if !slices.Contains(e.FaultKeys, k) {
 			return fmt.Errorf("the %s experiment does not read key %s; it reads %s", e.Name, k, strings.Join(e.FaultKeys, ", "))
 		}
+	}
+	if e.checkSpec != nil {
+		return e.checkSpec(sp, keys)
 	}
 	return nil
 }
@@ -406,7 +413,7 @@ var table = []Experiment{
 		Description: "fabric loss-rate sweep under the reliable-delivery protocol (ack/timeout/backoff/retransmit)"},
 	{Name: "model", run: ModelValidation, WeakScaling: true,
 		Description: "analytic cost-model validation against simulated makespans"},
-	{Name: "recovery", run: Recovery,
+	{Name: "recovery", run: Recovery, checkSpec: checkRecoverySpec,
 		FaultKeys:   []string{"seed", "crashes", "restart-cost"},
 		Description: "checkpoint interval x crash intensity sweep with restart/replay (wasted work, recovery overhead)"},
 	{Name: "resilience", run: Resilience,

@@ -61,12 +61,19 @@ func TestTable(t *testing.T) {
 // TestCheckFaultSpec: a sweep that reads the fault spec accepts exactly
 // the keys in its FaultKeys, and refuses any other naming the key and the
 // sweep; "default", "none" and an empty spec set no key, and a sweep that
-// ignores the spec refuses nothing. Run refuses with the same error
-// before any point runs.
+// ignores the spec refuses nothing. recovery alone refuses a spec with no
+// crash, "none" or crashes=0, naming the key. Run refuses with the same
+// error before any point runs.
 func TestCheckFaultSpec(t *testing.T) {
 	for _, e := range table {
 		for _, spec := range []string{"", "default", "none"} {
-			if err := e.CheckFaultSpec(spec); err != nil {
+			err := e.CheckFaultSpec(spec)
+			switch {
+			case e.Name == "recovery" && spec == "none":
+				if err == nil || !strings.Contains(err.Error(), "recovery") || !strings.Contains(err.Error(), " crashes ") {
+					t.Errorf("recovery: spec none: error %v, want one naming the key crashes and the sweep", err)
+				}
+			case err != nil:
 				t.Errorf("%s: spec %q refused: %v", e.Name, spec, err)
 			}
 		}
@@ -90,8 +97,20 @@ func TestCheckFaultSpec(t *testing.T) {
 		}
 	}
 	recovery, _ := Lookup("recovery")
-	if _, err := recovery.Run(Options{MaxProcs: 8192, Runs: 1, FaultSpec: "bursts=64"}); err == nil || err.Error() != recovery.CheckFaultSpec("bursts=64").Error() {
-		t.Errorf("recovery.Run with bursts: error %v, want CheckFaultSpec's", err)
+	for _, spec := range []string{"crashes=0", "seed=3,crashes=0,restart-cost=1s"} {
+		if err := recovery.CheckFaultSpec(spec); err == nil || !strings.Contains(err.Error(), " crashes ") {
+			t.Errorf("recovery: spec %q: error %v, want one naming the key crashes", spec, err)
+		}
+	}
+	for _, spec := range []string{"seed=3", "restart-cost=0s", "crashes=1"} {
+		if err := recovery.CheckFaultSpec(spec); err != nil {
+			t.Errorf("recovery: spec %q refused: %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"bursts=64", "crashes=0", "none"} {
+		if _, err := recovery.Run(Options{MaxProcs: 8192, Runs: 1, FaultSpec: spec}); err == nil || err.Error() != recovery.CheckFaultSpec(spec).Error() {
+			t.Errorf("recovery.Run with %q: error %v, want CheckFaultSpec's", spec, err)
+		}
 	}
 }
 

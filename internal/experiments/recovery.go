@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/apps/ipic3d"
 	"repro/internal/faults"
@@ -13,8 +15,9 @@ import (
 // intensity for the three Fig. 8 particle-I/O implementations running
 // the checkpoint/restart bodies (ipic3d.RunRecovery). The campaign is
 // the crash-only projection of Options.FaultSpec: every non-crash family
-// is zeroed, and a spec that schedules no crashes gets two so the sweep
-// is never vacuous. Crash instants are scattered over the variant's own
+// is zeroed, a spec that leaves crashes unset gets two, and one that
+// schedules none ("none", crashes=0) is refused, so the sweep is never
+// vacuous. Crash instants are scattered over the variant's own
 // clean makespan at that checkpoint interval, so every configuration
 // faces the same per-unit-time hazard.
 //
@@ -86,8 +89,19 @@ func (o recoveryOutcome) bestOverhead() float64 {
 	return best
 }
 
-// crashOnly projects a campaign spec onto its crash family, defaulting
-// to two crashes when the spec schedules none.
+// checkRecoverySpec refuses a campaign with no crash to recover from:
+// one that sets crashes to 0, or "none", the zero spec. A spec that
+// leaves crashes unset, the default among them, runs two (crashOnly).
+func checkRecoverySpec(spec faults.Spec, keys []string) error {
+	if spec.Crashes == 0 && (spec == faults.Spec{} || slices.Contains(keys, "crashes")) {
+		return errors.New("the recovery experiment needs key crashes of at least 1; this spec schedules no crash")
+	}
+	return nil
+}
+
+// crashOnly projects a campaign spec onto its crash family, with two
+// crashes when the spec leaves crashes unset (checkRecoverySpec has
+// refused one that sets it to 0).
 func crashOnly(spec faults.Spec) faults.Spec {
 	sp := spec
 	sp.Bursts, sp.Outages, sp.DerateStripes, sp.Flaps = 0, 0, 0, 0

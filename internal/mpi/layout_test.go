@@ -26,7 +26,7 @@ func TestHotStructSizes(t *testing.T) {
 	}{
 		{"message", unsafe.Sizeof(message{}), 64},
 		{"Request", unsafe.Sizeof(Request{}), 104},
-		{"rankState", unsafe.Sizeof(rankState{}), 624},
+		{"rankState", unsafe.Sizeof(rankState{}), 608},
 		{"fwait", unsafe.Sizeof(fwait{}), 80},
 		{"fcoll", unsafe.Sizeof(fcoll{}), 344},
 		{"sim.Fiber", unsafe.Sizeof(sim.Fiber{}), 104},

@@ -625,25 +625,19 @@ func NewWorld(cfg Config) *World {
 	sharded := cfg.Shards >= 1
 	// Sharded worlds are built fresh and never pooled: a pooled world's
 	// ranks, matchers and freelists are laid out for one engine.
+	var w *World
 	if !sharded {
-		if v := poolFor(cfg).Get(); v != nil {
-			w := v.(*World)
-			w.reset(cfg)
-			return w
+		w, _ = poolFor(cfg).Get().(*World)
+	}
+	if w == nil {
+		w = &World{
+			splits:  make(map[string]*splitState),
+			gathers: make(map[gatherKey]*gatherState),
+			opens:   make(map[string]*openState),
+			files:   make(map[string]*File),
+			stash:   make(map[string]interface{}),
 		}
 	}
-	w := &World{
-		cfg:     cfg,
-		eng:     cfg.Engine,
-		splits:  make(map[string]*splitState),
-		gathers: make(map[gatherKey]*gatherState),
-		opens:   make(map[string]*openState),
-		files:   make(map[string]*File),
-		fs:      cfg.Bank,
-		stash:   make(map[string]interface{}),
-	}
-	w.signalDemand = cfg.Bank != nil
-	w.ioShard = -1
 	if sharded {
 		w.group = sim.NewShardGroup(cfg.Seed, cfg.Shards, cfg.lookahead())
 		w.shardPools = make([]pools, cfg.Shards)
@@ -656,22 +650,16 @@ func NewWorld(cfg Config) *World {
 			// streams.
 			w.group.Shard(i).SetIDBase(1<<30 + i<<20)
 		}
-	} else if w.eng == nil {
-		w.eng = sim.NewEngine(cfg.Seed)
 	}
-	if w.fs == nil {
-		w.fs = sim.NewBank(cfg.FS.Stripes, 1, sim.BankFCFS)
-	}
-	w.applyStripeFaults()
-	w.buildRanks()
+	w.reset(cfg)
 	return w
 }
 
 // applyStripeFaults installs cfg.StripeFaults on the world's private
-// bank. Faults are per-run state (Bank.Reset drops them), so both the
-// fresh-build and pool-reuse paths must call this after the bank is
-// ready. NewWorld has refused windows on stripes beyond the bank width;
-// empty entries there are skipped.
+// bank. Faults are per-run state (Bank.Reset drops them), so reset
+// applies them to every bank, fresh or reused. NewWorld has refused
+// windows on stripes beyond the bank width; empty entries there are
+// skipped.
 func (w *World) applyStripeFaults() {
 	for i, fs := range w.cfg.StripeFaults {
 		if i < w.fs.Width() {
@@ -681,8 +669,8 @@ func (w *World) applyStripeFaults() {
 }
 
 // buildRanks (re)creates the rank array and world communicator for the
-// current configuration, reusing rankState objects where the slice
-// already holds them.
+// current configuration: each rank's rankState, taken from the slice
+// where it already holds one and built empty where not, is reset.
 func (w *World) buildRanks() {
 	cfg := w.cfg
 	if cap(w.ranks) >= cfg.Procs {
@@ -692,48 +680,51 @@ func (w *World) buildRanks() {
 	}
 	members := make([]int, cfg.Procs)
 	for i := range w.ranks {
-		speed := cfg.Noise.SpeedFactor(cfg.Seed, i)
-		if rs := w.ranks[i]; rs != nil {
-			rs.world = w
-			rs.rank = i
-			rs.reset(speed)
-		} else {
-			w.ranks[i] = &rankState{world: w, rank: i, speed: speed}
+		rs := w.ranks[i]
+		if rs == nil {
+			rs = &rankState{}
+			w.ranks[i] = rs
 		}
+		rs.world = w
+		rs.rank = i
+		rs.reset(cfg.Noise.SpeedFactor(cfg.Seed, i))
 		if w.group != nil {
-			s := cfg.placeOf(i)
-			w.ranks[i].shard = s
-			w.ranks[i].eng = w.group.Shard(s)
-			w.ranks[i].pool = &w.shardPools[s]
+			rs.shard = cfg.placeOf(i)
+			rs.eng = w.group.Shard(rs.shard)
+			rs.pool = &w.shardPools[rs.shard]
 		} else {
-			w.ranks[i].shard = 0
-			w.ranks[i].eng = w.eng
-			w.ranks[i].pool = &w.pools
+			rs.shard = 0
+			rs.eng = w.eng
+			rs.pool = &w.pools
 		}
-		w.ranks[i].match.pool = w.ranks[i].pool
+		rs.match.pool = rs.pool
+		rs.faults = nil
 		if i < len(cfg.RankFaults) {
-			w.ranks[i].faults = cfg.RankFaults[i]
-		} else {
-			w.ranks[i].faults = nil
+			rs.faults = cfg.RankFaults[i]
 		}
 		members[i] = i
 	}
 	w.world = newComm(w, members, nil)
 }
 
-// reset reinitializes a recycled world for cfg, retaining ranks,
-// matching-index and freelist capacity and, for a world that owns them,
-// its engine and bank. The result is behaviourally indistinguishable from
-// NewWorld building from scratch. A shared engine or bank is adopted as it
-// is: its owner resets it, and other worlds may already be attached.
+// reset initializes a world for cfg, fresh from NewWorld or recycled
+// from the pool. A recycled world keeps its ranks, matching-index and
+// freelist capacity and, for a world that owns them, its engine and bank;
+// a fresh one gets its engine (unless it is sharded: its shard group
+// hosts the ranks) and its bank here. A shared engine or bank is adopted
+// as it is: its owner resets it, and other worlds may already be
+// attached.
 func (w *World) reset(cfg Config) {
 	w.cfg = cfg
 	w.signalDemand = cfg.Bank != nil
 	w.ioShard = -1
-	if cfg.Engine != nil {
+	switch {
+	case cfg.Engine != nil:
 		w.eng = cfg.Engine
-	} else {
+	case w.eng != nil:
 		w.eng.Reset(cfg.Seed)
+	case w.group == nil:
+		w.eng = sim.NewEngine(cfg.Seed)
 	}
 	w.comms = 0
 	clear(w.splits)

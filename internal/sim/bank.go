@@ -17,10 +17,9 @@ type BankPolicy int
 
 const (
 	// BankFCFS grants reservations in pure arrival order on the
-	// least-loaded stripe. With a single job this is byte-identical to
-	// the historical per-world Striped behavior; it is also the baseline
-	// inter-job policy (no isolation: a hog job's booked backlog delays
-	// everyone behind it).
+	// least-loaded stripe, with no pacing. Every lone world books under
+	// it; it is also the baseline inter-job policy (no isolation: a hog
+	// job's booked backlog delays everyone behind it).
 	BankFCFS BankPolicy = iota
 	// BankFair is equal-share pacing: with k jobs registered, each job's
 	// sustained bookings may occupy at most 1/k of the timeline, so a
@@ -94,25 +93,27 @@ type gap struct {
 	start, end Time
 }
 
-// bankLink is the per-stripe gap list maintained under the fair policies
-// (FCFS never creates or fills gaps). Gaps are kept sorted by start and
-// non-overlapping; reservation instants only move forward in virtual
-// time, so after every Reserve call the surviving gaps lie entirely at
-// or after the reservation instant — expired gaps are dropped and a gap
-// straddling the instant is trimmed to its usable future part.
-type bankLink struct {
-	gaps []gap
+// stripe is one stripe's timeline: the end of its latest tail booking,
+// the stripe time booked on it, and the pacing gaps left behind that
+// frontier. Gaps are kept sorted by start and non-overlapping;
+// reservation instants only move forward in virtual time, so after every
+// Reserve call the surviving gaps lie entirely at or after the
+// reservation instant — expired gaps are dropped and a gap straddling the
+// instant is trimmed to its usable future part. Only pacing creates gaps,
+// so under BankFCFS and on a single-job bank the list stays empty.
+type stripe struct {
+	nextFree, busy Time
+	gaps           []gap
 }
 
-// Bank is a striped-FS bank shared by one or more jobs (worlds): the
-// Striped link array plus per-job pacing state and an inter-job
-// arbitration policy. A single-job BankFCFS bank behaves exactly like the
-// bare Striped it wraps, which is what keeps single-world trajectories
-// byte-identical across the extraction.
+// Bank is a striped file system shared by one or more jobs (worlds): its
+// stripes' timelines plus per-job pacing state and an inter-job
+// arbitration policy. Every grant, paced or not, is made by one
+// placement rule (place); a lone world books under BankFCFS, whose
+// grants go to the stripe finishing the request earliest.
 type Bank struct {
-	s      Striped
-	glinks []bankLink
-	policy BankPolicy
+	stripes []stripe
+	policy  BankPolicy
 
 	// svc is each job's virtual service clock: the earliest instant its
 	// next reservation may start. It advances by dur/share per grant and
@@ -155,14 +156,17 @@ type Bank struct {
 	shadows []*Bank
 }
 
-// NewBank creates a bank of stripes links arbitrated between jobs jobs
+// NewBank creates a bank of stripes stripes arbitrated between jobs jobs
 // under the given policy. Both counts must be positive.
 func NewBank(stripes, jobs int, policy BankPolicy) *Bank {
+	if stripes <= 0 {
+		panic(fmt.Sprintf("sim: Bank needs at least one stripe, got %d", stripes))
+	}
 	if jobs <= 0 {
 		panic(fmt.Sprintf("sim: Bank needs at least one job, got %d", jobs))
 	}
 	b := &Bank{
-		s:           *NewStriped(stripes),
+		stripes:     make([]stripe, stripes),
 		policy:      policy,
 		svc:         make([]Time, jobs),
 		total:       make([]Time, jobs),
@@ -170,9 +174,6 @@ func NewBank(stripes, jobs int, policy BankPolicy) *Bank {
 		demand:      make([]int, jobs),
 		demandSince: make([]Time, jobs),
 		demandTime:  make([]Time, jobs),
-	}
-	if policy != BankFCFS {
-		b.glinks = make([]bankLink, stripes)
 	}
 	for i := range b.weights {
 		b.weights[i] = 1
@@ -205,7 +206,7 @@ func (b *Bank) SetWeight(job int, w float64) {
 // (Reproduced). Attach shadows before the run's first reservation or
 // demand signal; Reset drops them.
 func (b *Bank) Shadow(p BankPolicy) *Bank {
-	s := NewBank(b.s.Width(), len(b.svc), p)
+	s := NewBank(len(b.stripes), len(b.svc), p)
 	copy(s.weights, b.weights)
 	for i, fs := range b.sfaults {
 		if len(fs) > 0 {
@@ -228,13 +229,19 @@ func (b *Bank) Reproduced(s *Bank) bool {
 }
 
 // Width reports the number of stripes.
-func (b *Bank) Width() int { return b.s.Width() }
+func (b *Bank) Width() int { return len(b.stripes) }
 
 // Jobs reports the number of jobs the bank arbitrates between.
 func (b *Bank) Jobs() int { return len(b.svc) }
 
-// Busy reports the total reserved stripe time across all links.
-func (b *Bank) Busy() Time { return b.s.Busy() }
+// Busy reports the total reserved stripe time across all stripes.
+func (b *Bank) Busy() Time {
+	var total Time
+	for i := range b.stripes {
+		total += b.stripes[i].busy
+	}
+	return total
+}
 
 // JobBusy reports the total stripe time job has reserved over the bank's
 // lifetime.
@@ -284,8 +291,8 @@ func (b *Bank) JobDemand(job int) Time { return b.demandTime[job] }
 // faults. Fault windows are per-run configuration: Reset drops them, so a
 // pooled bank must have them re-applied before reuse.
 func (b *Bank) SetStripeFaults(stripe int, fs []StripeFault) {
-	if stripe < 0 || stripe >= b.s.Width() {
-		panic(fmt.Sprintf("sim: SetStripeFaults on stripe %d of %d", stripe, b.s.Width()))
+	if stripe < 0 || stripe >= len(b.stripes) {
+		panic(fmt.Sprintf("sim: SetStripeFaults on stripe %d of %d", stripe, len(b.stripes)))
 	}
 	if err := ValidateStripeFaults(fs); err != nil {
 		panic(err.Error())
@@ -300,7 +307,7 @@ func (b *Bank) SetStripeFaults(stripe int, fs []StripeFault) {
 		return
 	}
 	if b.sfaults == nil {
-		b.sfaults = make([][]StripeFault, b.s.Width())
+		b.sfaults = make([][]StripeFault, len(b.stripes))
 	}
 	b.sfaults[stripe] = append([]StripeFault(nil), fs...)
 }
@@ -320,10 +327,9 @@ func (b *Bank) slotEnd(i int, st, dur Time) Time {
 // runs. Weights are retained; fault windows are not (they are per-run
 // campaign state — the owner re-applies them via SetStripeFaults).
 func (b *Bank) Reset() {
-	b.s.Reset()
 	b.sfaults = nil
-	for i := range b.glinks {
-		b.glinks[i].gaps = b.glinks[i].gaps[:0]
+	for i := range b.stripes {
+		b.stripes[i] = stripe{gaps: b.stripes[i].gaps[:0]}
 	}
 	for i := range b.svc {
 		b.svc[i] = 0
@@ -337,27 +343,14 @@ func (b *Bank) Reset() {
 	b.shadows = nil
 }
 
-// share reports job's static timeline share: equal splits under the fair
-// policies, its weight over the weights of every registered job under
-// the weighted ones.
+// share reports job's timeline share: its weight over the weights of
+// the jobs it competes with, every weight 1 unless the policy is
+// weighted. Under the static policies every registered job competes.
+// Under the work-conserving ones only job itself (it is asking right
+// now, whether or not its demand hook fired) and the currently-demanding
+// jobs do, so idle jobs' entitlement is re-split over the demanding ones
+// by weight and the result is in (0, 1].
 func (b *Bank) share(job int) float64 {
-	if !b.policy.weighted() {
-		return 1 / float64(len(b.svc))
-	}
-	var sum float64
-	for _, w := range b.weights {
-		sum += w
-	}
-	return b.weights[job] / sum
-}
-
-// wcShare reports job's dynamic share under the work-conserving
-// policies: its weight over the weights of the currently-demanding jobs.
-// The reserving job always counts as demanding (it is asking right now,
-// whether or not its demand hook fired), so the result is in (0, 1].
-// Idle jobs contribute nothing to the denominator — their entitlement is
-// re-split over the demanding jobs by weight.
-func (b *Bank) wcShare(job int) float64 {
 	var sum, mine float64
 	for k := range b.svc {
 		w := 1.0
@@ -367,7 +360,7 @@ func (b *Bank) wcShare(job int) float64 {
 		if k == job {
 			mine = w
 			sum += w
-		} else if b.demand[k] > 0 {
+		} else if !b.policy.workConserving() || b.demand[k] > 0 {
 			sum += w
 		}
 	}
@@ -390,18 +383,20 @@ func (b *Bank) otherDemand(job int) bool {
 // time); a violating caller panics rather than silently corrupting the
 // per-stripe gap lists, whose pruning assumes time moves forward.
 //
-// Under BankFCFS the request goes straight to the least-loaded stripe,
-// identically to Striped.Reserve. Under the fair policies the request may
-// not start before the job's virtual service clock — which advances by
-// dur/share per grant, so a job sustaining more than its share has its
-// bookings paced out with idle holes — and is then placed in the earliest
-// hole (or tail) across stripes, so under-share jobs overtake a hog's
-// spread-out backlog instead of queueing behind all of it. A job whose
+// Every grant is made by one placement rule (place). Under BankFCFS, and
+// on a bank with one job, the request is placed at its instant with no
+// pacing: it goes to the stripe that finishes it earliest. Under the
+// fair policies the request may not start before the job's virtual
+// service clock — which advances by dur/share per grant, so a job
+// sustaining more than its share has its bookings paced out with idle
+// holes — and is then placed in the earliest hole (or tail) across
+// stripes, so under-share jobs overtake a hog's spread-out backlog
+// instead of queueing behind all of it. A job whose
 // clock has fallen behind the request instant (it was idle or under its
 // share) rebaselines and pays no pacing on its next write.
 //
 // The work-conserving policies differ in the share used: it is computed
-// per grant over the currently-demanding jobs (wcShare), and when no
+// per grant over the currently-demanding jobs (share), and when no
 // other job is demanding the request is not paced at all — the job's
 // service clock rebaselines to the request instant, forgiving pacing
 // debt accumulated under contention, because holding slots open for
@@ -427,72 +422,31 @@ func (b *Bank) grant(job int, at, dur Time) (start, end Time) {
 		panic(fmt.Sprintf("sim: Bank reservation instants must be non-decreasing: job %d reserves at %v after an earlier reservation at %v", job, at, b.lastAt))
 	}
 	b.lastAt = at
-	if b.policy == BankFCFS || len(b.svc) == 1 {
-		if b.sfaults == nil {
-			start, end, b.lastStripe = b.s.reserve(at, dur)
-			b.total[job] += dur
-			return start, end
+	eff := at
+	if b.policy != BankFCFS && len(b.svc) > 1 {
+		// A clock behind the request instant rebaselines to it. Under the
+		// work-conserving policies, so does a clock ahead of it when no
+		// other job is demanding: every other job's entitlement is
+		// unused, so it all flows here (share is 1). Pacing would leave
+		// stripes idle that no contender can fill; book at the earliest
+		// feasible instant and clear accumulated pacing debt (contention
+		// resuming later paces from now, not from past sins).
+		if !b.policy.workConserving() || b.otherDemand(job) {
+			eff = Max(at, b.svc[job])
 		}
-		start, end = b.reserveFaulted(at, dur)
-		b.total[job] += end - start
-		return start, end
+		// The entitlement is a fraction of the aggregate bank (share x
+		// width stripes), so on a wide bank a job streaming to a single
+		// stripe at a time stays inside its share and is never paced —
+		// pacing only bites when the job's parallel demand exceeds its
+		// slice of the whole bank. The service clock advances by the
+		// nominal duration: a stripe fault inflating a booking's
+		// occupancy is the bank's failure, not extra demand, so it does
+		// not count against the job's entitlement.
+		b.svc[job] = eff + Time(float64(dur)/(b.share(job)*float64(len(b.stripes))))
 	}
-	if b.svc[job] < at {
-		b.svc[job] = at
-	}
-	var share float64
-	switch {
-	case !b.policy.workConserving():
-		share = b.share(job)
-	case b.otherDemand(job):
-		share = b.wcShare(job)
-	default:
-		// Idle-share redistribution, sole-demander case: every other
-		// job's entitlement is unused, so it all flows here. Pacing
-		// would leave stripes idle that no contender can fill; book
-		// at the earliest feasible instant and clear accumulated
-		// pacing debt (contention resuming later paces from now, not
-		// from past sins).
-		b.svc[job] = at
-		share = 1
-	}
-	eff := b.svc[job]
 	start, end = b.place(at, eff, dur)
-	// The entitlement is a fraction of the aggregate bank (share x width
-	// stripes), so on a wide bank a job streaming to a single stripe at a
-	// time stays inside its share and is never paced — pacing only bites
-	// when the job's parallel demand exceeds its slice of the whole bank.
-	// The service clock advances by the nominal duration: a stripe fault
-	// inflating a booking's occupancy is the bank's failure, not extra
-	// demand, so it does not count against the job's entitlement.
-	b.svc[job] = eff + Time(float64(dur)/(share*float64(b.s.Width())))
 	b.total[job] += end - start
 	return start, end
-}
-
-// reserveFaulted is the FCFS/single-job path with stripe faults present:
-// least-loaded placement like Striped.reserve, except that each stripe's
-// completion is integrated through its fault windows and the stripe
-// finishing earliest wins (ties by earlier start, then lowest index) —
-// so requests skip a stripe mid-outage whenever a healthy stripe would
-// finish sooner. With no faults the completion ordering equals the start
-// ordering and the choice matches Striped.reserve exactly.
-func (b *Bank) reserveFaulted(at, dur Time) (start, end Time) {
-	best := 0
-	bestStart := Max(at, b.s.links[0].nextFree)
-	bestEnd := b.slotEnd(0, bestStart, dur)
-	for i := 1; i < len(b.s.links); i++ {
-		st := Max(at, b.s.links[i].nextFree)
-		en := b.slotEnd(i, st, dur)
-		if en < bestEnd || (en == bestEnd && st < bestStart) {
-			best, bestStart, bestEnd = i, st, en
-		}
-	}
-	l := &b.s.links[best]
-	l.nextFree = bestEnd
-	l.busy += bestEnd - bestStart
-	b.lastStripe = best
-	return bestStart, bestEnd
 }
 
 // place books dur on the stripe completing earliest for a start at or
@@ -503,8 +457,9 @@ func (b *Bank) reserveFaulted(at, dur Time) (start, end Time) {
 // lowest index. Completion is integrated through the stripe's fault
 // windows (slotEnd), so requests flow around a stripe mid-outage to
 // whichever healthy stripe finishes first; with no faults completion
-// order equals start order and the selection is byte-identical to the
-// historical earliest-start rule.
+// order equals start order, so the least-loaded stripe wins. An unpaced
+// request (eff == at) never leaves a gap and, with no gaps booked before
+// it, always books at a stripe tail.
 //
 // Before searching, each stripe's gap list is pruned against at (the
 // current virtual time): gaps that ended at or before at are dropped,
@@ -518,25 +473,23 @@ func (b *Bank) place(at, eff, dur Time) (start, end Time) {
 	best := -1
 	bestGap := -1
 	var bestStart, bestEnd Time
-	for i := range b.s.links {
-		gl := &b.glinks[i]
+	for i := range b.stripes {
+		sp := &b.stripes[i]
 		// Expire gaps the clock has passed: no future request can start
 		// before at.
-		keep := gl.gaps[:0]
-		for _, g := range gl.gaps {
+		keep := sp.gaps[:0]
+		for _, g := range sp.gaps {
 			if g.end <= at {
 				continue
 			}
-			if g.start < at {
-				g.start = at
-			}
+			g.start = Max(g.start, at)
 			keep = append(keep, g)
 		}
-		gl.gaps = keep
-		st := Max(eff, b.s.links[i].nextFree)
+		sp.gaps = keep
+		st := Max(eff, sp.nextFree)
 		en := b.slotEnd(i, st, dur)
 		gi := -1
-		for j, g := range gl.gaps {
+		for j, g := range sp.gaps {
 			s0 := Max(g.start, eff)
 			e0 := b.slotEnd(i, s0, dur)
 			if e0 <= g.end && s0 < st {
@@ -548,14 +501,13 @@ func (b *Bank) place(at, eff, dur Time) (start, end Time) {
 			best, bestGap, bestStart, bestEnd = i, gi, st, en
 		}
 	}
-	l := &b.s.links[best]
+	sp := &b.stripes[best]
 	b.lastStripe = best
 	start = bestStart
 	end = bestEnd
 	if bestGap >= 0 {
 		// Split the gap around the booking, keeping nonempty remainders.
-		gl := &b.glinks[best]
-		g := gl.gaps[bestGap]
+		g := sp.gaps[bestGap]
 		rest := make([]gap, 0, 2)
 		if g.start < start {
 			rest = append(rest, gap{g.start, start})
@@ -563,8 +515,8 @@ func (b *Bank) place(at, eff, dur Time) (start, end Time) {
 		if end < g.end {
 			rest = append(rest, gap{end, g.end})
 		}
-		gl.gaps = append(gl.gaps[:bestGap], append(rest, gl.gaps[bestGap+1:]...)...)
-		l.busy += end - start
+		sp.gaps = append(sp.gaps[:bestGap], append(rest, sp.gaps[bestGap+1:]...)...)
+		sp.busy += end - start
 		return start, end
 	}
 	// Tail booking: pacing past the frontier leaves a new gap behind it.
@@ -572,11 +524,10 @@ func (b *Bank) place(at, eff, dur Time) (start, end Time) {
 	// past would otherwise donate a hole no future request (whose instant
 	// is >= at) could ever use, violating the never-in-the-past invariant
 	// until the next prune.
-	if gs := Max(l.nextFree, at); start > gs {
-		gl := &b.glinks[best]
-		gl.gaps = append(gl.gaps, gap{gs, start})
+	if gs := Max(sp.nextFree, at); start > gs {
+		sp.gaps = append(sp.gaps, gap{gs, start})
 	}
-	l.nextFree = end
-	l.busy += end - start
+	sp.nextFree = end
+	sp.busy += end - start
 	return start, end
 }

@@ -133,7 +133,7 @@ func (r *refTimeline) frontier(i int) Time {
 // path uses: per stripe the candidate starts at max(at, frontier), and
 // the earliest fault-integrated completion wins (ties earlier start,
 // then lowest index). On a healthy bank completion order equals start
-// order and this is Striped.Reserve's historical rule exactly.
+// order and this is the least-loaded rule.
 func (r *refTimeline) fcfsGrant(at, dur Time) (start, end Time) {
 	start = Max(at, r.frontier(0))
 	end = r.finish(0, start, dur)
@@ -165,8 +165,8 @@ func (r *refTimeline) record(t *testing.T, op int, job, i int, start, end Time) 
 // space.
 func checkGapLists(t *testing.T, op int, b *Bank, ref *refTimeline, at Time) {
 	t.Helper()
-	for i := range b.glinks {
-		gaps := b.glinks[i].gaps
+	for i := range b.stripes {
+		gaps := b.stripes[i].gaps
 		for j, g := range gaps {
 			if g.start >= g.end {
 				t.Fatalf("op %d stripe %d: empty/inverted gap %v", op, i, g)

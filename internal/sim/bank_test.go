@@ -8,36 +8,56 @@ import (
 	"testing"
 )
 
-// TestBankFCFSMatchesStriped: the single-job FCFS bank must reproduce the
-// bare Striped grant-for-grant — that equivalence is what keeps
-// single-world trajectories byte-identical across the bank extraction.
-func TestBankFCFSMatchesStriped(t *testing.T) {
-	for _, stripes := range []int{1, 3, 16} {
-		b := NewBank(stripes, 1, BankFCFS)
-		s := NewStriped(stripes)
-		rng := rand.New(rand.NewSource(42))
-		var at Time
-		for i := 0; i < 500; i++ {
-			at += Time(rng.Intn(1000))
-			dur := Time(rng.Intn(2000) + 1)
-			bs, be := b.Reserve(0, at, dur)
-			ss, se, _ := s.reserve(at, dur)
-			if bs != ss || be != se {
-				t.Fatalf("stripes=%d op %d: bank granted [%v,%v), striped [%v,%v)", stripes, i, bs, be, ss, se)
-			}
+// leastLoaded is the FCFS reference: each stripe's frontier (the end of
+// its last booking), a request going to the stripe that can start it
+// earliest and, on a tie, to the lowest index.
+type leastLoaded []Time
+
+func (l leastLoaded) reserve(at, dur Time) (start, end Time) {
+	best := 0
+	for i := range l {
+		if Max(at, l[i]) < Max(at, l[best]) {
+			best = i
 		}
-		if b.Busy() != s.Busy() {
-			t.Errorf("stripes=%d: busy %v != %v", stripes, b.Busy(), s.Busy())
+	}
+	start = Max(at, l[best])
+	l[best] = start + dur
+	return start, l[best]
+}
+
+// TestBankLoneJobIsLeastLoaded: a one-job bank, the kind every lone
+// world books on, grants each request on the least-loaded stripe under
+// every policy: with no other job there is nothing to pace for.
+func TestBankLoneJobIsLeastLoaded(t *testing.T) {
+	for _, policy := range allBankPolicies {
+		for _, stripes := range []int{1, 3, 16} {
+			b := NewBank(stripes, 1, policy)
+			ref := make(leastLoaded, stripes)
+			rng := rand.New(rand.NewSource(42))
+			var at, busy Time
+			for i := 0; i < 500; i++ {
+				at += Time(rng.Intn(1000))
+				dur := Time(rng.Intn(2000) + 1)
+				bs, be := b.Reserve(0, at, dur)
+				ss, se := ref.reserve(at, dur)
+				if bs != ss || be != se {
+					t.Fatalf("%v stripes=%d op %d: bank granted [%v,%v), least-loaded reference [%v,%v)", policy, stripes, i, bs, be, ss, se)
+				}
+				busy += dur
+			}
+			if b.Busy() != busy {
+				t.Errorf("%v stripes=%d: busy %v != %v", policy, stripes, b.Busy(), busy)
+			}
 		}
 	}
 }
 
 // TestBankMultiJobFCFSIsArrivalOrder: FCFS with several jobs applies no
-// pacing at all — grants match a bare Striped regardless of which job
-// asks.
+// pacing at all — grants are the least-loaded reference's regardless of
+// which job asks.
 func TestBankMultiJobFCFSIsArrivalOrder(t *testing.T) {
 	b := NewBank(4, 3, BankFCFS)
-	s := NewStriped(4)
+	ref := make(leastLoaded, 4)
 	rng := rand.New(rand.NewSource(7))
 	var at Time
 	for i := 0; i < 300; i++ {
@@ -45,11 +65,62 @@ func TestBankMultiJobFCFSIsArrivalOrder(t *testing.T) {
 		dur := Time(rng.Intn(1500) + 1)
 		job := rng.Intn(3)
 		bs, be := b.Reserve(job, at, dur)
-		ss, se, _ := s.reserve(at, dur)
+		ss, se := ref.reserve(at, dur)
 		if bs != ss || be != se {
-			t.Fatalf("op %d: bank granted [%v,%v), striped [%v,%v)", i, bs, be, ss, se)
+			t.Fatalf("op %d: bank granted [%v,%v), least-loaded reference [%v,%v)", i, bs, be, ss, se)
 		}
 	}
+}
+
+// TestBankSpreadsLoad: simultaneous requests start at once on distinct
+// stripes until every stripe is busy; the next queues behind the
+// earliest to free.
+func TestBankSpreadsLoad(t *testing.T) {
+	b := NewBank(4, 1, BankFCFS)
+	for i := 0; i < 4; i++ {
+		if st, _ := b.Reserve(0, 0, 100); st != 0 {
+			t.Fatalf("request %d started at %v, want 0", i, st)
+		}
+	}
+	if st, _ := b.Reserve(0, 0, 100); st != 100 {
+		t.Fatalf("fifth request started at %v, want 100", st)
+	}
+	if b.Width() != 4 {
+		t.Fatalf("Width = %d", b.Width())
+	}
+	if b.Busy() != 500 {
+		t.Fatalf("Busy = %v, want 500", b.Busy())
+	}
+}
+
+// TestBankSingleStripeDegeneratesToLink: a one-stripe bank books like a
+// Link, whatever the policy and however many jobs ask.
+func TestBankSingleStripeDegeneratesToLink(t *testing.T) {
+	for _, policy := range allBankPolicies {
+		b := NewBank(1, 1, policy)
+		var l Link
+		rng := rand.New(rand.NewSource(int64(policy)))
+		var at Time
+		for i := 0; i < 200; i++ {
+			at += Time(rng.Intn(300))
+			dur := Time(rng.Intn(400) + 1)
+			bs, be := b.Reserve(0, at, dur)
+			ls, le := l.Reserve(at, dur)
+			if bs != ls || be != le {
+				t.Fatalf("%v op %d: bank granted [%v,%v), link [%v,%v)", policy, i, bs, be, ls, le)
+			}
+		}
+	}
+}
+
+// TestBankZeroStripesPanics: a bank needs at least one stripe.
+func TestBankZeroStripesPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewBank(0, 1, BankFCFS) did not panic")
+		}
+	}()
+	NewBank(0, 1, BankFCFS)
 }
 
 // TestBankGrantsNeverOverlap: on a single stripe, grants from any mix of
@@ -222,7 +293,7 @@ func TestBankGapTrimOnPartialExpiry(t *testing.T) {
 	if s != 300 {
 		t.Fatalf("oversized request granted at %v, want 300 (stripe tail)", s)
 	}
-	gaps := b.glinks[0].gaps
+	gaps := b.stripes[0].gaps
 	if len(gaps) != 1 || gaps[0].start != 150 || gaps[0].end != 200 {
 		t.Errorf("gap list after straddling prune: %v, want [{150 200}]", gaps)
 	}
@@ -415,9 +486,9 @@ func TestBankResetDropsFaultsAndDemand(t *testing.T) {
 }
 
 // TestBankPlacementTies: when two stripes would complete a request at the
-// same instant, the one that starts it earlier gets it, on the faulted
-// FCFS path (reserveFaulted) and on the paced one (place), whichever of
-// the two stripes that is, and the lower index breaks a tie in both. In
+// same instant, the one that starts it earlier gets it, for an unpaced
+// (FCFS) request and a paced one, whichever of the two stripes that is,
+// and the lower index breaks a tie in both. In
 // the first four rows one stripe is busy until 400 and the other has an
 // outage over [150, 450), so a request for 100 at 100 ends at 500 on both:
 // [100, 500) across the outage, or [400, 500) behind the booking.

@@ -21,9 +21,6 @@ func TestLinkReserveSequential(t *testing.T) {
 	if s3 != 500 || e3 != 510 {
 		t.Fatalf("third slot [%v,%v], want [500,510]", s3, e3)
 	}
-	if l.busy != 140 {
-		t.Fatalf("Busy = %v, want 140", l.busy)
-	}
 }
 
 // Property: link reservations never overlap and never start before
@@ -44,46 +41,6 @@ func TestLinkNoOverlapProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestStripedSpreadsLoad(t *testing.T) {
-	s := NewStriped(4)
-	// Four simultaneous requests: all should start at 0 on distinct links.
-	for i := 0; i < 4; i++ {
-		st, _, _ := s.reserve(0, 100)
-		if st != 0 {
-			t.Fatalf("request %d started at %v, want 0", i, st)
-		}
-	}
-	// Fifth queues behind the earliest.
-	st, _, _ := s.reserve(0, 100)
-	if st != 100 {
-		t.Fatalf("fifth request started at %v, want 100", st)
-	}
-	if s.Width() != 4 {
-		t.Fatalf("Width = %d", s.Width())
-	}
-	if s.Busy() != 500 {
-		t.Fatalf("Busy = %v, want 500", s.Busy())
-	}
-}
-
-func TestStripedSingleDegeneratesToLink(t *testing.T) {
-	s := NewStriped(1)
-	s.reserve(0, 50)
-	st, _, _ := s.reserve(0, 50)
-	if st != 50 {
-		t.Fatalf("second request started at %v, want 50", st)
-	}
-}
-
-func TestStripedZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewStriped(0) did not panic")
-		}
-	}()
-	NewStriped(0)
 }
 
 func TestTokenMutualExclusion(t *testing.T) {

@@ -64,9 +64,10 @@
 // world/engine pooling are never part of the trajectory. Bank
 // arbitration arithmetic (Bank.Reserve's pacing and placement) is part
 // of it: changing that arithmetic is trajectory-breaking for multi-world
-// runs and follows the versioning policy below, while single-world runs
-// only ever exercise the FCFS path, which is frozen byte-identical to
-// the pre-bank Striped behavior.
+// runs and follows the versioning policy below. Single-world runs book
+// unpaced (BankFCFS on a one-job bank): each request goes to the
+// least-loaded stripe, or with stripe faults to the stripe finishing it
+// earliest, and that placement is frozen byte-identical too.
 //
 // Demand signalling (Bank.IOBegin/IOEnd, fed by the mpi file-I/O paths)
 // is pure bookkeeping: the hooks schedule no events and move no clocks,
