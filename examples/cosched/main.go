@@ -3,15 +3,13 @@
 // independent worlds on one simulation engine, their I/O groups all
 // contending for the same striped file-system bank. The example runs the
 // same job mix under each inter-job arbitration policy — FCFS, fair
-// share, priority (light jobs outrank the hog 4:1), and the
-// work-conserving variants fair-wc and priority-wc — and prints how
-// each job's completion time moves relative to running alone on an idle
-// bank, plus the hog's tail: how long it runs on after the last light
-// job finishes. Under the static policies the tail crawls at the hog's
-// capped share even though the bank is otherwise idle; under the
-// work-conserving policies the lights' unused entitlement flows back
-// and the tail proceeds at the full bank rate. See README.md for the
-// walkthrough.
+// share and its work-conserving variant fair-wc — and prints how each
+// job's completion time moves relative to running alone on an idle bank,
+// plus the hog's tail: how long it runs on after the last light job
+// finishes. Under fair share the tail crawls at the hog's capped share
+// even though the bank is otherwise idle; under fair-wc the lights'
+// unused entitlement flows back and the tail proceeds at the full bank
+// rate. See README.md for the walkthrough.
 package main
 
 import (
@@ -50,13 +48,8 @@ func job(i int) cluster.Job {
 	if i == 0 {
 		name = "hog"
 	}
-	weight := 4.0
-	if i == 0 {
-		weight = 1.0
-	}
 	return cluster.Job{
-		Name:   name,
-		Weight: weight,
+		Name: name,
 		Start: func(base mpi.Config) (*mpi.World, error) {
 			j, err := ipic3d.StartIO(c, ipic3d.IODecoupled, base)
 			if err != nil {
@@ -84,15 +77,15 @@ func main() {
 		alone[i] = res.JobTimes[0]
 	}
 
-	// One call runs the job mix under all five policies. A run under one
+	// One call runs the job mix under all three policies. A run under one
 	// policy stands in for another only if that policy's bank would have
 	// granted every reservation identically; on this one-stripe bank none
-	// would, so all five are simulated.
+	// would, so all three are simulated.
 	cjobs := make([]cluster.Job, jobs)
 	for i := range cjobs {
 		cjobs[i] = job(i)
 	}
-	policies := []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankWeighted, sim.BankFairWC, sim.BankWeightedWC}
+	policies := []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankFairWC}
 	results, err := cluster.RunPolicies(cluster.Config{
 		Jobs:    cjobs,
 		Stripes: stripes,

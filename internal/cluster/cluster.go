@@ -8,12 +8,12 @@
 // storage stripes. A Cluster models exactly that regime: every job keeps
 // its private network, matching state and files, while stripe time is
 // arbitrated between jobs by a pluggable inter-job policy (FCFS,
-// fair-share, priority, and their work-conserving demand-signalled
-// variants fair-wc/priority-wc — sim.BankPolicy) layered over the
-// per-stripe least-loaded placement each job already used alone. Worlds
-// attached to the shared bank bracket every file operation with the
-// bank's demand hooks, so the work-conserving policies re-split idle
-// jobs' entitlement over the jobs that currently have queued writes.
+// fair-share and its work-conserving demand-signalled variant fair-wc —
+// sim.BankPolicy) layered over the per-stripe least-loaded placement
+// each job already used alone. Worlds attached to the shared bank
+// bracket every file operation with the bank's demand hooks, so the
+// work-conserving policy re-splits idle jobs' entitlement over the jobs
+// that currently have queued writes.
 //
 // # Determinism
 //
@@ -50,7 +50,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/mpi"
@@ -63,12 +62,6 @@ type Job struct {
 	// Name labels the job's ranks in deadlock reports ("name/rank3").
 	// Empty means "job<i>".
 	Name string
-	// Weight is the job's bank share weight under the priority policy
-	// (sim.BankWeighted): a weight-4 job may consume four times the
-	// stripe time of a weight-1 job before the bank pushes it back.
-	// Zero means 1; other policies ignore it. A negative, NaN or
-	// infinite weight is refused.
-	Weight float64
 	// Start builds the job's world from base — which carries the shared
 	// Engine, Bank, Job index, Name and cluster-wide FS cost model — and
 	// spawns its rank bodies without running the engine (World.Start /
@@ -218,11 +211,6 @@ func (cfg Config) validate() (netmodel.FSParams, error) {
 			return netmodel.FSParams{}, fmt.Errorf("cluster: stripe %d: %w", i, err)
 		}
 	}
-	for i, job := range cfg.Jobs {
-		if w := job.Weight; !(w >= 0) || math.IsInf(w, 1) {
-			return netmodel.FSParams{}, fmt.Errorf("cluster: job %d (%s): weight %v is not a finite non-negative number", i, jobName(job, i), w)
-		}
-	}
 	return fs, nil
 }
 
@@ -255,9 +243,6 @@ func run(cfg Config, fs netmodel.FSParams, policy sim.BankPolicy, others []sim.B
 	// back to the pool (getEngine resets it).
 	worlds := make([]*mpi.World, n)
 	for i, job := range cfg.Jobs {
-		if w := job.Weight; w > 0 {
-			bank.SetWeight(i, w)
-		}
 		name := jobName(job, i)
 		w, err := job.Start(mpi.Config{Engine: eng, Bank: bank, Job: i, Name: name, FS: fs})
 		if err != nil {

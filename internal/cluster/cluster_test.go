@@ -144,34 +144,6 @@ func TestFairShareProtectsLightJob(t *testing.T) {
 	}
 }
 
-// TestPriorityWeightsShiftService: two identical I/O-bound jobs on a
-// narrow bank; under the priority policy the heavily-weighted job must
-// finish first, and earlier than it does under equal shares.
-func TestPriorityWeightsShiftService(t *testing.T) {
-	jobs := func() []Job {
-		a := writerJob(2, 60, 32<<20, 0, 31)
-		b := writerJob(2, 60, 32<<20, 0, 31)
-		a.Weight = 8
-		a.Name = "gold"
-		b.Name = "best-effort"
-		return []Job{a, b}
-	}
-	prio, err := runUnder(Config{Seed: 9, Stripes: 1, Jobs: jobs()}, sim.BankWeighted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prio.JobTimes[0] >= prio.JobTimes[1] {
-		t.Errorf("weight-8 job finished at %v, not before its weight-1 twin at %v", prio.JobTimes[0], prio.JobTimes[1])
-	}
-	fair, err := runUnder(Config{Seed: 9, Stripes: 1, Jobs: jobs()}, sim.BankFair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prio.JobTimes[0] >= fair.JobTimes[0] {
-		t.Errorf("priority weight did not help: %v under priority vs %v under fair", prio.JobTimes[0], fair.JobTimes[0])
-	}
-}
-
 // TestDeadlockNamesWorld: a blocked rank in a co-scheduled job shows up
 // in the deadlock report under its world-prefixed name.
 func TestDeadlockNamesWorld(t *testing.T) {
@@ -296,23 +268,22 @@ func TestPanickingJobUnwindsOthers(t *testing.T) {
 }
 
 // TestWorkConservingReleasesHog: a hog contending with a short-lived,
-// intermittently-demanding light job stays throttled forever under the
-// static policies but runs at full bank rate whenever the light job's
-// demand is absent under the work-conserving variants — its completion
-// time must drop strictly. The light job's protection follows the
-// classic work-conserving bound: each of its requests can queue behind
-// at most the hog's in-flight writes (the quanta already booked when it
-// arrived), never behind pre-reserved future headroom — so it is never
-// worse off than under FCFS, the no-isolation baseline. (A light job
-// with *continuous* demand keeps its full static protection; that case
-// is asserted against the cosched scenario in internal/experiments.)
+// intermittently-demanding light job stays throttled forever under fair
+// share but runs at full bank rate whenever the light job's demand is
+// absent under fair-wc — its completion time must drop strictly. The
+// light job's protection follows the classic work-conserving bound: each
+// of its requests can queue behind at most the hog's in-flight writes
+// (the quanta already booked when it arrived), never behind pre-reserved
+// future headroom — so it is never worse off than under FCFS, the
+// no-isolation baseline. (A light job with *continuous* demand keeps its
+// full static protection; that case is asserted against the cosched
+// scenario in internal/experiments.)
 func TestWorkConservingReleasesHog(t *testing.T) {
 	jobs := func() []Job {
 		hog := writerJob(2, 80, 32<<20, 0, 41)
 		hog.Name = "hog"
 		light := writerJob(1, 6, 8<<20, 50*sim.Millisecond, 42)
 		light.Name = "light"
-		light.Weight = 4
 		return []Job{hog, light}
 	}
 	run := func(policy sim.BankPolicy) Result {
@@ -323,58 +294,49 @@ func TestWorkConservingReleasesHog(t *testing.T) {
 		return res
 	}
 	fcfs := run(sim.BankFCFS)
-	for _, pair := range []struct{ static, wc sim.BankPolicy }{
-		{sim.BankFair, sim.BankFairWC},
-		{sim.BankWeighted, sim.BankWeightedWC},
-	} {
-		st := run(pair.static)
-		wc := run(pair.wc)
-		if wc.JobTimes[0] >= st.JobTimes[0] {
-			t.Errorf("%v did not shorten the hog's tail: %v vs %v under %v",
-				pair.wc, wc.JobTimes[0], st.JobTimes[0], pair.static)
-		}
-		// Work conservation: the hog must come out at (or better than)
-		// the unthrottled FCFS rate within a small placement tolerance —
-		// nothing holds stripes idle for the mostly-absent light job.
-		if limit := fcfs.JobTimes[0] + fcfs.JobTimes[0]/20; wc.JobTimes[0] > limit {
-			t.Errorf("%v left the hog throttled without contending demand: %v vs %v under fcfs",
-				pair.wc, wc.JobTimes[0], fcfs.JobTimes[0])
-		}
-		// The light job never does worse than the no-isolation baseline.
-		if wc.JobTimes[1] > fcfs.JobTimes[1] {
-			t.Errorf("%v left the light job worse than FCFS: %v vs %v",
-				pair.wc, wc.JobTimes[1], fcfs.JobTimes[1])
-		}
-		// Demand accounting: the hog spends less time demand-active when
-		// served faster, and per-job busy time is policy-independent
-		// (the same bytes cross the bank either way).
-		if wc.JobDemand[0] >= st.JobDemand[0] {
-			t.Errorf("%v: hog demand time %v did not drop vs %v", pair.wc, wc.JobDemand[0], st.JobDemand[0])
-		}
-		if wc.JobBusy[0] != st.JobBusy[0] || wc.JobBusy[1] != st.JobBusy[1] {
-			t.Errorf("%v: per-job busy time moved: %v/%v vs %v/%v",
-				pair.wc, wc.JobBusy[0], wc.JobBusy[1], st.JobBusy[0], st.JobBusy[1])
-		}
+	st := run(sim.BankFair)
+	wc := run(sim.BankFairWC)
+	if wc.JobTimes[0] >= st.JobTimes[0] {
+		t.Errorf("fair-wc did not shorten the hog's tail: %v vs %v under fair", wc.JobTimes[0], st.JobTimes[0])
+	}
+	// Work conservation: the hog must come out at (or better than) the
+	// unthrottled FCFS rate within a small placement tolerance — nothing
+	// holds stripes idle for the mostly-absent light job.
+	if limit := fcfs.JobTimes[0] + fcfs.JobTimes[0]/20; wc.JobTimes[0] > limit {
+		t.Errorf("fair-wc left the hog throttled without contending demand: %v vs %v under fcfs",
+			wc.JobTimes[0], fcfs.JobTimes[0])
+	}
+	// The light job never does worse than the no-isolation baseline.
+	if wc.JobTimes[1] > fcfs.JobTimes[1] {
+		t.Errorf("fair-wc left the light job worse than FCFS: %v vs %v", wc.JobTimes[1], fcfs.JobTimes[1])
+	}
+	// Demand accounting: the hog spends less time demand-active when
+	// served faster, and per-job busy time is policy-independent (the
+	// same bytes cross the bank either way).
+	if wc.JobDemand[0] >= st.JobDemand[0] {
+		t.Errorf("fair-wc: hog demand time %v did not drop vs %v", wc.JobDemand[0], st.JobDemand[0])
+	}
+	if wc.JobBusy[0] != st.JobBusy[0] || wc.JobBusy[1] != st.JobBusy[1] {
+		t.Errorf("fair-wc: per-job busy time moved: %v/%v vs %v/%v",
+			wc.JobBusy[0], wc.JobBusy[1], st.JobBusy[0], st.JobBusy[1])
 	}
 }
 
-var allPolicies = []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankWeighted, sim.BankFairWC, sim.BankWeightedWC}
+var allPolicies = []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankFairWC}
 
 // contendedJob is job i of a bank-bound mix: a fast mover that flushes
 // every step, job 0 saving its whole particle population and the others
-// a quarter, with the light jobs outranking job 0 4:1 under priority.
+// a quarter.
 func contendedJob(i int, seed int64) Job {
 	c := ipic3d.DefaultConfig(8)
 	c.Seed = seed*101 + int64(i)
 	c.MoveRate = 4e6
 	c.BufferSteps = 1
 	c.SaveFraction = 0.25
-	weight := 4.0
 	if i == 0 {
 		c.SaveFraction = 1
-		weight = 1
 	}
-	return Job{Name: fmt.Sprintf("j%d", i), Weight: weight, Start: func(base mpi.Config) (*mpi.World, error) {
+	return Job{Name: fmt.Sprintf("j%d", i), Start: func(base mpi.Config) (*mpi.World, error) {
 		j, err := ipic3d.StartIO(c, ipic3d.IODecoupled, base)
 		if err != nil {
 			return nil, err
@@ -475,9 +437,9 @@ func TestRunPoliciesMatchesRun(t *testing.T) {
 }
 
 // TestRunRejectsBadConfig: stripe faults that are unsorted, overlapping or
-// placed beyond the bank, and a negative job weight, are refused with an
-// error naming the stripe or job — by Run and RunPolicies alike, before
-// any job starts, and without a panic.
+// placed beyond the bank are refused with an error naming the stripe —
+// by Run and RunPolicies alike, before any job starts, and without a
+// panic.
 func TestRunRejectsBadConfig(t *testing.T) {
 	var started bool
 	probe := Job{Name: "probe", Start: func(base mpi.Config) (*mpi.World, error) {
@@ -495,7 +457,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"unsorted", Config{Stripes: 2, Jobs: []Job{probe}, StripeFaults: [][]sim.StripeFault{nil, {w(50, 60), w(10, 20)}}}, "stripe 1"},
 		{"overlapping", Config{Stripes: 2, Jobs: []Job{probe}, StripeFaults: [][]sim.StripeFault{{w(10, 30), w(20, 40)}}}, "stripe 0"},
 		{"beyond the bank", Config{Stripes: 2, Jobs: []Job{probe}, StripeFaults: [][]sim.StripeFault{nil, nil, {w(10, 20)}}}, "stripe 2"},
-		{"negative weight", Config{Jobs: []Job{probe, {Name: "heavy", Weight: -2, Start: probe.Start}}}, "job 1 (heavy)"},
 	}
 	for _, c := range cases {
 		for _, via := range []string{"Run", "RunPolicies"} {

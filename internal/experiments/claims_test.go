@@ -21,7 +21,23 @@ type claim struct {
 	value, tolerance float64
 	stddev           bool // the tolerance is the larger stddev of the two rows
 	source           string
+
+	// The quantity parsed: the series expression, the procs range it is
+	// taken over (every procs when it has no "@") and the param its rows
+	// must carry, when it ends in "param=".
+	expr    string
+	lo, hi  int
+	byParam bool
+	param   float64
 }
+
+// manifestProcs is the scale TestTrajectoryManifest runs every experiment
+// at. A claim whose procs range starts above it is checked by
+// TestIPIC3DCrossoverClaims instead.
+const manifestProcs = 128
+
+// aboveManifest reports whether c reads only rows above manifestProcs.
+func (c claim) aboveManifest() bool { return c.lo > manifestProcs }
 
 func (c claim) String() string {
 	return fmt.Sprintf("claims.csv:%d: %s %q %s %g (source: %s)", c.line, c.figure, c.quantity, c.relation, c.value, c.source)
@@ -60,8 +76,34 @@ func readClaims(t testing.TB) []claim {
 		if err != nil || !slices.Contains([]string{"<", "<=", "="}, c.relation) {
 			t.Fatalf("testdata/claims.csv:%d: want a relation (<, <= or =), a value and a tolerance, got %q", line, rec)
 		}
+		if err := c.parseQuantity(); err != nil {
+			t.Fatalf("testdata/claims.csv:%d: %v", line, err)
+		}
 		out = append(out, c)
 	}
+}
+
+// parseQuantity splits c.quantity into its series expression, procs
+// range and param.
+func (c *claim) parseQuantity() error {
+	q, param, byParam := strings.Cut(c.quantity, " param=")
+	if byParam {
+		pv, err := strconv.ParseFloat(param, 64)
+		if err != nil {
+			return fmt.Errorf("bad param %q", param)
+		}
+		c.byParam, c.param = true, pv
+	}
+	q, procs, ranged := strings.Cut(q, " @")
+	c.expr, c.lo, c.hi = q, 0, math.MaxInt
+	if ranged {
+		from, to, _ := strings.Cut(procs, "-")
+		c.lo, _ = strconv.Atoi(from)
+		if c.hi, _ = strconv.Atoi(cmp.Or(to, from)); c.hi == 0 {
+			return fmt.Errorf("bad procs range %q", procs)
+		}
+	}
+	return nil
 }
 
 // claimFailures checks each claim against rows, by experiment, and
@@ -69,27 +111,11 @@ func readClaims(t testing.TB) []claim {
 func claimFailures(claims []claim, rows map[string][]Row) []string {
 	var out []string
 	for _, c := range claims {
-		q, param, byParam := strings.Cut(c.quantity, " param=")
-		pv, err := strconv.ParseFloat(param, 64)
-		if byParam && err != nil {
-			out = append(out, fmt.Sprintf("%v: bad param %q", c, param))
-			continue
-		}
-		q, procs, ranged := strings.Cut(q, " @")
-		lo, hi := 0, math.MaxInt
-		if ranged {
-			from, to, _ := strings.Cut(procs, "-")
-			lo, _ = strconv.Atoi(from)
-			if hi, _ = strconv.Atoi(cmp.Or(to, from)); hi == 0 {
-				out = append(out, fmt.Sprintf("%v: bad procs range %q", c, procs))
-				continue
-			}
-		}
 		// series finds one series' row at each procs in range.
 		series := func(name string) map[int][]Row {
 			at := map[int][]Row{}
 			for _, r := range rows[c.figure] {
-				if r.Series == name && r.Procs >= lo && r.Procs <= hi && (!byParam || r.Param == pv) {
+				if r.Series == name && r.Procs >= c.lo && r.Procs <= c.hi && (!c.byParam || r.Param == c.param) {
 					at[r.Procs] = append(at[r.Procs], r)
 				}
 			}
@@ -100,7 +126,7 @@ func claimFailures(claims []claim, rows map[string][]Row) []string {
 			got, tol float64
 		}
 		var points []point
-		if s, ok := strings.CutPrefix(q, "argmin "); ok {
+		if s, ok := strings.CutPrefix(c.expr, "argmin "); ok {
 			for p, rs := range series(s) {
 				best := rs[0]
 				for _, r := range rs[1:] {
@@ -112,10 +138,10 @@ func claimFailures(claims []claim, rows map[string][]Row) []string {
 			}
 		} else {
 			op := " / "
-			a, b, ok := strings.Cut(q, op)
+			a, b, ok := strings.Cut(c.expr, op)
 			if !ok {
 				op = " - "
-				a, b, _ = strings.Cut(q, op)
+				a, b, _ = strings.Cut(c.expr, op)
 			}
 			as, bs := series(a), series(b)
 			for p, ra := range as {
@@ -174,6 +200,19 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 				Row{Series: "Reference (Non-blocking)", Procs: p, Seconds: 28.6, StdDev: 1.3},
 				Row{Series: "Decoupling", Procs: p, Seconds: 28.65, StdDev: 1.2})
 		}
+		// fig7 and fig8 at the CLI's -runs 2 seconds: decoupling loses at
+		// 128 ranks, and fig8's against RefShared at 256 too.
+		var fig7, fig8 []Row
+		for _, r := range []struct {
+			procs                        int
+			ref, dec, coll, shared, fdec float64
+		}{{128, 9.05, 9.34, 8.26, 7.75, 9.48}, {256, 10.64, 9.22, 10.20, 9.19, 9.33}, {512, 10.22, 9.55, 10.83, 10.99, 9.73}, {1024, 10.59, 9.42, 13.24, 18.56, 9.69}} {
+			fig7 = append(fig7, Row{Series: "Reference", Procs: r.procs, Seconds: r.ref},
+				Row{Series: "Decoupling", Procs: r.procs, Seconds: r.dec})
+			fig8 = append(fig8, Row{Series: "RefColl", Procs: r.procs, Seconds: r.coll},
+				Row{Series: "RefShared", Procs: r.procs, Seconds: r.shared},
+				Row{Series: "Decoupling", Procs: r.procs, Seconds: r.fdec})
+		}
 		var cosched []Row
 		for _, j := range []struct {
 			jobs         int
@@ -195,7 +234,8 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 			resilience = append(resilience, Row{Series: v.variant + " degradation-slope", Procs: 64, Seconds: v.slope})
 			recovery = append(recovery, Row{Series: v.variant + " recovery-overhead-best", Procs: 64, Seconds: v.best})
 		}
-		return map[string][]Row{"ablation-alpha": alpha, "fig5": fig5, "fig6": fig6, "cosched": cosched, "resilience": resilience, "recovery": recovery}
+		return map[string][]Row{"ablation-alpha": alpha, "fig5": fig5, "fig6": fig6, "fig7": fig7, "fig8": fig8,
+			"cosched": cosched, "resilience": resilience, "recovery": recovery}
 	}
 	if fails := claimFailures(claims, rows()); len(fails) > 0 {
 		t.Fatalf("rows that hold every claim fail:\n%s", strings.Join(fails, "\n"))
@@ -212,6 +252,10 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 		{"fig5", "Reference", 128, 0, 40, "Reference / Decoupling (alpha=6.25%) @128"},
 		{"fig6", "Reference (Non-blocking)", 32, 0, 28.8, "Reference (Non-blocking) - Reference (Blocking)"},
 		{"fig6", "Decoupling", 128, 0, 31, "Decoupling - Reference (Non-blocking)"},
+		// Decoupling that ties a reference inside the claim's range.
+		{"fig7", "Decoupling", 512, 0, 10.22, "Decoupling / Reference @256-1024"},
+		{"fig8", "RefColl", 256, 0, 9.33, "Decoupling / RefColl @256-1024"},
+		{"fig8", "RefShared", 512, 0, 9.73, "Decoupling / RefShared @512-1024"},
 		// A work-conserving hog tail as long as the static one's, on the
 		// one stripe where the two policies part.
 		{"cosched", "fair-wc jobs=2 hog-tail", 32, 1, 2.62, "fair-wc jobs=2 hog-tail - fair jobs=2 hog-tail param=1"},
@@ -244,5 +288,33 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 			t.Errorf("%s %s at %d procs set to %g: failed claims on lines %v, want %v (%v)\n%s",
 				b.fig, b.series, b.procs, b.seconds, lines, want, claims[i], strings.Join(fails, "\n"))
 		}
+	}
+}
+
+// TestIPIC3DCrossoverClaims runs fig7 and fig8 to 1,024 ranks, past the
+// crossovers where the paper's decoupled iPIC3D starts to win and which
+// the manifest's 128 ranks do not reach, and checks every claim of
+// testdata/claims.csv whose procs range starts above manifestProcs.
+func TestIPIC3DCrossoverClaims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig7 and fig8 to 1,024 ranks")
+	}
+	claims := slices.DeleteFunc(readClaims(t), func(c claim) bool { return !c.aboveManifest() })
+	rows := map[string][]Row{}
+	for _, c := range claims {
+		if rows[c.figure] != nil {
+			continue
+		}
+		rs, err := runExperiment(t, c.figure, Options{MaxProcs: 1024, Runs: 2, Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", c.figure, err)
+		}
+		rows[c.figure] = rs
+	}
+	if rows["fig7"] == nil || rows["fig8"] == nil {
+		t.Fatalf("claims.csv has no fig7 or no fig8 claim above %d ranks", manifestProcs)
+	}
+	for _, f := range claimFailures(claims, rows) {
+		t.Error(f)
 	}
 }

@@ -28,9 +28,8 @@ import (
 // Job 0 ("hog") writes its full particle population every step; the
 // other jobs are ordinary down-sampled writers. Under FCFS the hog's
 // booked backlog delays everyone; fair share caps each job's stripe
-// fraction; priority additionally weights the light jobs over the hog;
-// the fair-wc/priority-wc variants keep those shares while contenders
-// demand but redistribute idle entitlement, so the hog's tail runs at
+// fraction; the fair-wc variant keeps those shares while contenders
+// demand but redistributes idle entitlement, so the hog's tail runs at
 // the full bank rate once the lights drain.
 
 // coschedPerJobProcs is each job's world size. Fixed (like the ablation
@@ -63,17 +62,11 @@ func coschedJobName(i int) string {
 	return fmt.Sprintf("j%d", i)
 }
 
-// coschedJob wraps job i as a cluster job. Under the priority policy the
-// light jobs outrank the hog 4:1.
+// coschedJob wraps job i as a cluster job.
 func coschedJob(i int, seed int64) cluster.Job {
 	c := coschedJobConfig(i, seed)
-	weight := 4.0
-	if i == 0 {
-		weight = 1.0
-	}
 	return cluster.Job{
-		Name:   coschedJobName(i),
-		Weight: weight,
+		Name: coschedJobName(i),
 		Start: func(base mpi.Config) (*mpi.World, error) {
 			j, err := ipic3d.StartIO(c, ipic3d.IODecoupled, base)
 			if err != nil {
@@ -190,7 +183,7 @@ func jain(xs []float64) float64 {
 // width.
 func Cosched(opts Options) ([]Row, error) {
 	opts = opts.withDefaults()
-	policies := []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankWeighted, sim.BankFairWC, sim.BankWeightedWC}
+	policies := []sim.BankPolicy{sim.BankFCFS, sim.BankFair, sim.BankFairWC}
 	var fspec *faults.Spec
 	if opts.FaultSpec != "" {
 		sp, err := faults.ParseSpec(opts.FaultSpec)

@@ -60,12 +60,12 @@ func coschedScenario(t *testing.T, policy sim.BankPolicy, stripes int) cluster.R
 	return res[0]
 }
 
-// TestCoschedStaticPoliciesByteIdenticalToPR4 pins the fcfs, fair and
-// priority trajectories of the cosched hog + 2-lights scenario to the
-// per-job completion times recorded from the PR 4 build. The work-conserving policies and their
-// demand plumbing are additive: the demand hooks are pure bookkeeping,
-// so the pre-existing policies must not move by a nanosecond (and
-// TrajectoryVersion stayed at 2).
+// TestCoschedStaticPoliciesByteIdenticalToPR4 pins the fcfs and fair
+// trajectories of the cosched hog + 2-lights scenario to the
+// per-job completion times recorded from the PR 4 build. The
+// work-conserving policy and its demand plumbing are additive: the demand
+// hooks are pure bookkeeping, so the pre-existing policies must not move
+// by a nanosecond (and TrajectoryVersion stayed at 2).
 func TestCoschedStaticPoliciesByteIdenticalToPR4(t *testing.T) {
 	want := map[sim.BankPolicy]map[int][3]sim.Time{
 		sim.BankFCFS: {
@@ -75,10 +75,6 @@ func TestCoschedStaticPoliciesByteIdenticalToPR4(t *testing.T) {
 		sim.BankFair: {
 			1: {7300235443, 2630435123, 2593278099},
 			4: {2603231451, 1259593676, 1126918276},
-		},
-		sim.BankWeighted: {
-			1: {21442742419, 1660241947, 1612776511},
-			4: {5532422071, 1259593676, 1126918276},
 		},
 	}
 	for policy, byStripes := range want {
@@ -97,49 +93,40 @@ func TestCoschedStaticPoliciesByteIdenticalToPR4(t *testing.T) {
 // TestCoschedWorkConservingHogTail is the headline acceptance check: in
 // the hog + 2-lights scenario on one stripe, once both light jobs
 // finish, the hog's remaining I/O proceeds at the full bank rate under
-// the work-conserving policies — its makespan lands strictly below the
-// static-share policy's, the light jobs keep their static protection
+// fair-wc — its makespan lands strictly below fair's, the light jobs keep their static protection
 // (their demand is continuous, so their share never shrinks), and the
 // hog's tail beyond the last light collapses.
 func TestCoschedWorkConservingHogTail(t *testing.T) {
-	for _, pair := range []struct{ static, wc sim.BankPolicy }{
-		{sim.BankFair, sim.BankFairWC},
-		{sim.BankWeighted, sim.BankWeightedWC},
-	} {
-		st := coschedScenario(t, pair.static, 1)
-		wc := coschedScenario(t, pair.wc, 1)
-		if wc.JobTimes[0] >= st.JobTimes[0] {
-			t.Errorf("hog makespan %v under %v is not strictly below %v under %v",
-				wc.JobTimes[0], pair.wc, st.JobTimes[0], pair.static)
+	st := coschedScenario(t, sim.BankFair, 1)
+	wc := coschedScenario(t, sim.BankFairWC, 1)
+	if wc.JobTimes[0] >= st.JobTimes[0] {
+		t.Errorf("hog makespan %v under fair-wc is not strictly below %v under fair", wc.JobTimes[0], st.JobTimes[0])
+	}
+	for i := 1; i < 3; i++ {
+		if wc.JobTimes[i] > st.JobTimes[i] {
+			t.Errorf("light job %d degraded under fair-wc: %v vs %v", i, wc.JobTimes[i], st.JobTimes[i])
 		}
-		for i := 1; i < 3; i++ {
-			if wc.JobTimes[i] > st.JobTimes[i] {
-				t.Errorf("light job %d degraded under %v: %v vs %v",
-					i, pair.wc, wc.JobTimes[i], st.JobTimes[i])
-			}
+	}
+	tail := func(r cluster.Result) sim.Time {
+		last := sim.Max(r.JobTimes[1], r.JobTimes[2])
+		if r.JobTimes[0] <= last {
+			return 0
 		}
-		tail := func(r cluster.Result) sim.Time {
-			last := sim.Max(r.JobTimes[1], r.JobTimes[2])
-			if r.JobTimes[0] <= last {
-				return 0
-			}
-			return r.JobTimes[0] - last
-		}
-		stTail, wcTail := tail(st), tail(wc)
-		if wcTail*2 > stTail {
-			t.Errorf("hog tail %v under %v did not collapse vs %v under %v (want at least 2x shorter)",
-				wcTail, pair.wc, stTail, pair.static)
-		}
-		// "Full bank rate" quantified against the unthrottled baseline:
-		// under FCFS the hog is never paced at all, so its completion
-		// time is the floor. The work-conserving hog pays only its share
-		// while the lights are present and must land within 1.5x of that
-		// floor; the static policies sit at ~1.9x (fair) and ~5.7x
-		// (priority) on this scenario because their pacing never relents.
-		fcfs := coschedScenario(t, sim.BankFCFS, 1)
-		if limit := fcfs.JobTimes[0] + fcfs.JobTimes[0]/2; wc.JobTimes[0] > limit {
-			t.Errorf("%v hog makespan %v is not within 1.5x of the unthrottled %v — tail not at full rate",
-				pair.wc, wc.JobTimes[0], fcfs.JobTimes[0])
-		}
+		return r.JobTimes[0] - last
+	}
+	stTail, wcTail := tail(st), tail(wc)
+	if wcTail*2 > stTail {
+		t.Errorf("hog tail %v under fair-wc did not collapse vs %v under fair (want at least 2x shorter)", wcTail, stTail)
+	}
+	// "Full bank rate" quantified against the unthrottled baseline:
+	// under FCFS the hog is never paced at all, so its completion time
+	// is the floor. The work-conserving hog pays only its share while
+	// the lights are present and must land within 1.5x of that floor;
+	// fair sits at ~1.9x on this scenario because its pacing never
+	// relents.
+	fcfs := coschedScenario(t, sim.BankFCFS, 1)
+	if limit := fcfs.JobTimes[0] + fcfs.JobTimes[0]/2; wc.JobTimes[0] > limit {
+		t.Errorf("fair-wc hog makespan %v is not within 1.5x of the unthrottled %v — tail not at full rate",
+			wc.JobTimes[0], fcfs.JobTimes[0])
 	}
 }

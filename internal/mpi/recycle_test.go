@@ -143,8 +143,7 @@ func TestSharedWorldRecycleAcrossClusters(t *testing.T) {
 		return Config{Procs: 8, Seed: 3, Engine: e, Bank: bank, Job: 1, Name: "first"}, e, bank
 	}
 	second := func() (Config, *sim.Engine, *sim.Bank) {
-		e, bank := sim.NewEngine(5), sim.NewBank(2, 3, sim.BankWeighted)
-		bank.SetWeight(2, 4)
+		e, bank := sim.NewEngine(5), sim.NewBank(2, 3, sim.BankFairWC)
 		return Config{Procs: 6, Seed: 5, Engine: e, Bank: bank, Job: 2, Name: "second"}, e, bank
 	}
 	// The reference runs on a world built from scratch: the pool is

@@ -109,10 +109,10 @@ type Config struct {
 	// A world attached to a shared bank also signals its I/O demand to
 	// it: every file operation (File.WriteAt/WriteShared/WriteAll and the
 	// fiber forms) is bracketed with Bank.IOBegin/IOEnd, so the bank's
-	// work-conserving policies can re-split idle jobs' entitlement over
+	// work-conserving policy can re-split idle jobs' entitlement over
 	// the jobs that currently have queued writes. The signalling is pure
 	// bookkeeping — no events, no clock movement — so the static policies
-	// (fcfs, fair, priority) produce byte-identical trajectories whether
+	// (fcfs, fair) produce byte-identical trajectories whether
 	// or not the hooks fire.
 	Bank *sim.Bank
 	// Job is this world's job index within a shared Bank (ignored for a
@@ -350,7 +350,7 @@ type World struct {
 // On worlds with a private bank the bank hook is a no-op. Pure
 // bookkeeping — the hooks schedule no events and move no clocks, so
 // firing them never perturbs a trajectory; only the bank's
-// work-conserving policies read the signal. The per-rank depth counter
+// work-conserving policy reads the signal. The per-rank depth counter
 // lets failure handling close intervals a crash left open (drainIO).
 func (w *World) ioBegin(rs *rankState) {
 	rs.ioDepth++

@@ -10,7 +10,7 @@ import "fmt"
 // policies are the production example): an over-share job's reservations
 // are paced onto the timeline with gaps, and under-share jobs' requests
 // fill those gaps. All policies are deterministic pure functions of the
-// reservation call sequence — and, for the work-conserving policies, of
+// reservation call sequence — and, for the work-conserving policy, of
 // the interleaved demand-signal sequence (IOBegin/IOEnd) — which the
 // engine's (t, seq) event order fixes.
 type BankPolicy int
@@ -29,13 +29,8 @@ const (
 	// coming off idle gets one unpaced burst, then pacing resumes, and a
 	// sustained hog stays paced even while the other jobs underuse their
 	// shares — the deliberate, non-work-conserving trade real QoS engines
-	// (Lustre's TBF) make for isolation. Per-job weights are ignored
-	// (all 1).
+	// (Lustre's TBF) make for isolation.
 	BankFair
-	// BankWeighted is BankFair with per-job share weights: a weight-4
-	// job is entitled to four times the timeline fraction of a weight-1
-	// job. This is the priority policy: priority ranks map to weights.
-	BankWeighted
 	// BankFairWC is BankFair made work-conserving through demand
 	// signalling: jobs bracket their file operations with IOBegin/IOEnd,
 	// and a reserving job's entitlement is recomputed per grant as an
@@ -49,13 +44,7 @@ const (
 	// full static share, while a job arriving after an idle period can
 	// queue behind the grants already booked at its arrival (the
 	// in-flight quanta) — never behind pre-reserved future headroom.
-	// As under BankFair, weights are ignored.
 	BankFairWC
-	// BankWeightedWC is BankWeighted made work-conserving the same way:
-	// a reserving job's entitlement is its weight over the weights of the
-	// currently-demanding jobs, so an idle job's weighted share flows to
-	// whoever is asking, proportionally to weight.
-	BankWeightedWC
 )
 
 // String names the policy as the cosched experiment series do.
@@ -65,12 +54,8 @@ func (p BankPolicy) String() string {
 		return "fcfs"
 	case BankFair:
 		return "fair"
-	case BankWeighted:
-		return "priority"
 	case BankFairWC:
 		return "fair-wc"
-	case BankWeightedWC:
-		return "priority-wc"
 	default:
 		return fmt.Sprintf("BankPolicy(%d)", int(p))
 	}
@@ -79,12 +64,7 @@ func (p BankPolicy) String() string {
 // workConserving reports whether the policy redistributes idle
 // entitlement over demanding jobs.
 func (p BankPolicy) workConserving() bool {
-	return p == BankFairWC || p == BankWeightedWC
-}
-
-// weighted reports whether per-job weights participate in the share.
-func (p BankPolicy) weighted() bool {
-	return p == BankWeighted || p == BankWeightedWC
+	return p == BankFairWC
 }
 
 // gap is an unreserved hole in a stripe's timeline, left by pacing an
@@ -121,12 +101,11 @@ type Bank struct {
 	// (idle periods refill its burst credit).
 	svc []Time
 	// total is each job's lifetime reserved stripe time, for reporting.
-	total   []Time
-	weights []float64
+	total []Time
 
 	// demand is each job's count of in-flight file operations, fed by
 	// IOBegin/IOEnd. A job with a positive count has queued I/O demand;
-	// the work-conserving policies re-split idle jobs' entitlement over
+	// the work-conserving policy re-splits idle jobs' entitlement over
 	// the demanding ones. The static policies never read it, so the
 	// signalling is trajectory-neutral for them.
 	demand []int
@@ -170,32 +149,16 @@ func NewBank(stripes, jobs int, policy BankPolicy) *Bank {
 		policy:      policy,
 		svc:         make([]Time, jobs),
 		total:       make([]Time, jobs),
-		weights:     make([]float64, jobs),
 		demand:      make([]int, jobs),
 		demandSince: make([]Time, jobs),
 		demandTime:  make([]Time, jobs),
 	}
-	for i := range b.weights {
-		b.weights[i] = 1
-	}
 	return b
 }
 
-// SetWeight sets job's share weight for the weighted policies. Weights
-// must be positive; the other policies ignore them.
-func (b *Bank) SetWeight(job int, w float64) {
-	if w <= 0 {
-		panic(fmt.Sprintf("sim: Bank weight %v for job %d", w, job))
-	}
-	b.weights[job] = w
-	for _, s := range b.shadows {
-		s.SetWeight(job, w)
-	}
-}
-
 // Shadow attaches a private bank under policy p that receives every
-// Reserve, IOBegin, IOEnd, SetWeight and SetStripeFaults call this bank
-// receives, starting from a copy of its weights and stripe faults, and
+// Reserve, IOBegin, IOEnd and SetStripeFaults call this bank receives,
+// starting from a copy of its stripe faults, and
 // compares each of its grants with this bank's. The first grant whose
 // (start, end) differs drops the shadow for the rest of the run.
 //
@@ -207,7 +170,6 @@ func (b *Bank) SetWeight(job int, w float64) {
 // demand signal; Reset drops them.
 func (b *Bank) Shadow(p BankPolicy) *Bank {
 	s := NewBank(len(b.stripes), len(b.svc), p)
-	copy(s.weights, b.weights)
 	for i, fs := range b.sfaults {
 		if len(fs) > 0 {
 			s.SetStripeFaults(i, fs)
@@ -252,7 +214,7 @@ func (b *Bank) JobBusy(job int) Time { return b.total[job] }
 // IOEnd. Demand is a per-job reference count, so concurrent operations
 // from several ranks of one job nest. Signalling is pure bookkeeping —
 // it schedules no events and moves no clocks — so it never perturbs
-// trajectories; only the work-conserving policies read it when granting.
+// trajectories; only the work-conserving policy reads it when granting.
 func (b *Bank) IOBegin(job int, at Time) {
 	if b.demand[job] == 0 {
 		b.demandSince[job] = at
@@ -324,8 +286,8 @@ func (b *Bank) slotEnd(i int, st, dur Time) Time {
 
 // Reset clears all reservations, pacing, demand and fault state,
 // returning the bank to its initial state for reuse across simulation
-// runs. Weights are retained; fault windows are not (they are per-run
-// campaign state — the owner re-applies them via SetStripeFaults).
+// runs. Fault windows are per-run campaign state: the owner re-applies
+// them via SetStripeFaults.
 func (b *Bank) Reset() {
 	b.sfaults = nil
 	for i := range b.stripes {
@@ -343,28 +305,20 @@ func (b *Bank) Reset() {
 	b.shadows = nil
 }
 
-// share reports job's timeline share: its weight over the weights of
-// the jobs it competes with, every weight 1 unless the policy is
-// weighted. Under the static policies every registered job competes.
-// Under the work-conserving ones only job itself (it is asking right
-// now, whether or not its demand hook fired) and the currently-demanding
-// jobs do, so idle jobs' entitlement is re-split over the demanding ones
-// by weight and the result is in (0, 1].
+// share reports job's timeline share: one over the number of jobs it
+// competes with. Under the static policies every registered job
+// competes. Under the work-conserving one only job itself (it is asking
+// right now, whether or not its demand hook fired) and the
+// currently-demanding jobs do, so idle jobs' entitlement is re-split
+// equally over the demanding ones and the result is in (0, 1].
 func (b *Bank) share(job int) float64 {
-	var sum, mine float64
+	n := 0
 	for k := range b.svc {
-		w := 1.0
-		if b.policy.weighted() {
-			w = b.weights[k]
-		}
-		if k == job {
-			mine = w
-			sum += w
-		} else if !b.policy.workConserving() || b.demand[k] > 0 {
-			sum += w
+		if k == job || !b.policy.workConserving() || b.demand[k] > 0 {
+			n++
 		}
 	}
-	return mine / sum
+	return 1 / float64(n)
 }
 
 // otherDemand reports whether any job besides job has signalled demand.
@@ -395,7 +349,7 @@ func (b *Bank) otherDemand(job int) bool {
 // clock has fallen behind the request instant (it was idle or under its
 // share) rebaselines and pays no pacing on its next write.
 //
-// The work-conserving policies differ in the share used: it is computed
+// The work-conserving policy differs in the share used: it is computed
 // per grant over the currently-demanding jobs (share), and when no
 // other job is demanding the request is not paced at all — the job's
 // service clock rebaselines to the request instant, forgiving pacing
@@ -425,7 +379,7 @@ func (b *Bank) grant(job int, at, dur Time) (start, end Time) {
 	eff := at
 	if b.policy != BankFCFS && len(b.svc) > 1 {
 		// A clock behind the request instant rebaselines to it. Under the
-		// work-conserving policies, so does a clock ahead of it when no
+		// work-conserving policy, so does a clock ahead of it when no
 		// other job is demanding: every other job's entitlement is
 		// unused, so it all flows here (share is 1). Pacing would leave
 		// stripes idle that no contender can fill; book at the earliest

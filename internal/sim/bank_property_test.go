@@ -10,7 +10,7 @@ import (
 // (no gap lists, no service clocks, no fault integrator state) and
 // recomputes feasibility by linear scan. Random multi-job reservation
 // programs — interleaved Reserve calls and IOBegin/IOEnd demand signals
-// under all five policies, with or without stripe outage/derate windows
+// under all three policies, with or without stripe outage/derate windows
 // installed — must satisfy, after every call:
 //
 //   - no grant starts before its request instant, and every grant's
@@ -32,7 +32,7 @@ import (
 //     timeline allows — the bank never holds a stripe idle against the
 //     only queued demand, and never parks a booking on a faulted stripe
 //     when a healthy one would finish it sooner. (Under contention the
-//     WC policies pace deliberately, so the bound applies exactly when
+//     WC policy paces deliberately, so the bound applies exactly when
 //     the demand set says no one else is waiting.)
 
 // refTimeline is the brute-force reference: per-stripe booked intervals
@@ -194,9 +194,6 @@ func checkGapLists(t *testing.T, op int, b *Bank, ref *refTimeline, at Time) {
 func runBankProgram(t *testing.T, policy BankPolicy, stripes, jobs int, seed int64, ops int, faulted bool) {
 	t.Helper()
 	b := NewBank(stripes, jobs, policy)
-	for j := 0; j < jobs; j++ {
-		b.SetWeight(j, float64(1+(j*j)%7))
-	}
 	ref := newRefTimeline(stripes, jobs)
 	demand := make([]int, jobs)
 	rng := rand.New(rand.NewSource(seed))
@@ -280,7 +277,7 @@ func runBankProgram(t *testing.T, policy BankPolicy, stripes, jobs int, seed int
 	}
 }
 
-var allBankPolicies = []BankPolicy{BankFCFS, BankFair, BankWeighted, BankFairWC, BankWeightedWC}
+var allBankPolicies = []BankPolicy{BankFCFS, BankFair, BankFairWC}
 
 // TestBankPropertyVsBruteForce sweeps random reservation programs over
 // every policy and several bank shapes, healthy and fault-ridden.
@@ -313,9 +310,9 @@ func FuzzBank(f *testing.F) {
 // and a separate bank per policy through one random program of Reserve
 // calls and demand signals. After every grant, the shadow under q must
 // still be attached exactly when q's own bank has granted every slot so
-// far as the real bank did. Shadows are attached before the weights and
-// faults are installed on even seeds (forwarding) and after them on odd
-// ones (copying). It returns how many shadows of other policies
+// far as the real bank did. Shadows are attached before the faults are
+// installed on even seeds (forwarding) and after them on odd ones
+// (copying). It returns how many shadows of other policies
 // survived and how many were dropped.
 func runShadowProgram(t *testing.T, policy BankPolicy, stripes, jobs int, seed int64, ops int, faulted bool) (kept, dropped int) {
 	t.Helper()
@@ -333,13 +330,6 @@ func runShadowProgram(t *testing.T, policy BankPolicy, stripes, jobs int, seed i
 	}
 	if seed%2 == 0 {
 		attach()
-	}
-	for j := 0; j < jobs; j++ {
-		w := float64(1 + (j*j)%7)
-		b.SetWeight(j, w)
-		for _, o := range own {
-			o.SetWeight(j, w)
-		}
 	}
 	if faulted {
 		for i := 0; i < stripes; i++ {

@@ -58,7 +58,7 @@
 // What counts as a trajectory for a cluster run: the tuple
 // (TrajectoryVersion, engine seed, the ordered job list — each job's
 // full configuration, blocking or step-function bodies aside — and the shared bank's
-// policy, weights and width) produces exactly one (t, seq) sequence and
+// policy and width) produces exactly one (t, seq) sequence and
 // therefore one set of per-job completion times. As for single worlds,
 // how a body is written (blocking or step functions), worker counts, and
 // world/engine pooling are never part of the trajectory. Bank
@@ -73,10 +73,10 @@
 // is pure bookkeeping: the hooks schedule no events and move no clocks,
 // so firing them changes no trajectory, and the signal sequence itself
 // is fixed by the (t, seq) order of the file operations that emit it.
-// Only the work-conserving policies (BankFairWC, BankWeightedWC) read
-// the signal when granting; they are new configurations, not changed
-// ones. Their introduction therefore did NOT bump TrajectoryVersion
-// (it stayed 2): fcfs/fair/priority multi-world trajectories are
+// Only the work-conserving policy (BankFairWC) reads the signal when
+// granting; it is a new configuration, not a changed one. Its
+// introduction therefore did NOT bump TrajectoryVersion (it stayed 2):
+// fcfs/fair multi-world trajectories are
 // byte-identical to the pre-signalling build, which
 // internal/experiments pins against recorded PR 4 values.
 //
