@@ -1,39 +1,16 @@
-// Halo demonstrates the CG case study: first a real distributed Poisson
-// solve through the simulated MPI runtime (actual floating-point halo
-// faces and dot products), verified against a single-rank solve; then a
-// miniature Fig. 6 comparing the blocking, non-blocking and decoupled
-// halo-exchange implementations at simulated scale.
+// Halo demonstrates the CG case study: a miniature Fig. 6 comparing the
+// blocking, non-blocking and decoupled halo-exchange implementations at
+// simulated scale.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/apps/cg"
 )
 
 func main() {
-	// Real solve: 8 ranks on a 16^3 grid.
-	parallel, err := cg.SolveReal(cg.RealConfig{Procs: 8, N: 16, MaxIter: 600, Tol: 1e-9, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	serial, err := cg.SolveReal(cg.RealConfig{Procs: 1, N: 16, MaxIter: 600, Tol: 1e-9, Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var maxDiff float64
-	for i := range serial.Solution {
-		if d := math.Abs(serial.Solution[i] - parallel.Solution[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	fmt.Printf("real distributed CG: converged in %d iterations, residual %.2e\n",
-		parallel.Iterations, parallel.Residual)
-	fmt.Printf("max deviation from the serial solution: %.2e\n\n", maxDiff)
-
-	// Miniature Fig. 6.
 	fmt.Println("miniature Fig. 6 (weak scaling, 120^3 points/proc, 30 iterations):")
 	for _, p := range []int{32, 128, 512} {
 		cfg := cg.DefaultConfig(p)

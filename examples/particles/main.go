@@ -1,8 +1,6 @@
-// Particles demonstrates the iPIC3D case study: real Boris-pusher physics
-// from the PIC substrate (gyro motion in a Harris sheet, with subdomain
-// exits feeding the particle-communication operation), then the Fig. 2
-// traces contrasting the reference and decoupled particle communication on
-// seven processes, and a miniature Fig. 7/8 scaling comparison.
+// Particles demonstrates the iPIC3D case study: the Fig. 2 traces
+// contrasting the reference and decoupled particle communication on seven
+// processes, then a miniature Fig. 7/8 scaling comparison.
 package main
 
 import (
@@ -12,41 +10,9 @@ import (
 
 	"repro/internal/apps/ipic3d"
 	"repro/internal/experiments"
-	"repro/internal/pic"
 )
 
 func main() {
-	// Real physics: push particles through a Harris-sheet field and
-	// count subdomain exits, the events the communication operation
-	// carries.
-	dom := pic.Domain{Lo: pic.Vec3{}, Hi: pic.Vec3{X: 1, Y: 1, Z: 1}}
-	parts := pic.LoadHarris(dom, 5000, 0.22, 0.35, 0.4, 11)
-	field := pic.HarrisField{B0: 2, Y0: 0.5, W: 0.22}
-	e0 := 0.0
-	for _, p := range parts {
-		e0 += pic.KineticEnergy(p)
-	}
-	var exited int
-	for step := 0; step < 20; step++ {
-		var leave []pic.Particle
-		parts, leave = pic.MoveAll(parts, field, 0.002, dom)
-		exited += len(leave)
-		// Re-inject leavers on the opposite side (periodic domain), as
-		// the communication operation would after delivery.
-		for _, p := range leave {
-			p.Pos.X = wrap(p.Pos.X)
-			p.Pos.Y = wrap(p.Pos.Y)
-			p.Pos.Z = wrap(p.Pos.Z)
-			parts = append(parts, p)
-		}
-	}
-	e1 := 0.0
-	for _, p := range parts {
-		e1 += pic.KineticEnergy(p)
-	}
-	fmt.Printf("Boris pusher: %d particles, %d subdomain exits over 20 steps\n", len(parts), exited)
-	fmt.Printf("kinetic energy drift in pure B field: %.2e (relative)\n\n", (e1-e0)/e0)
-
 	// Fig. 2: the execution traces.
 	if err := experiments.Fig2(os.Stdout, 88); err != nil {
 		log.Fatal(err)
@@ -80,15 +46,4 @@ func main() {
 		}
 		fmt.Printf("  procs=%4d  %s %s %s\n", p, times[0], times[1], times[2])
 	}
-}
-
-// wrap maps a coordinate back into [0,1).
-func wrap(x float64) float64 {
-	for x < 0 {
-		x++
-	}
-	for x >= 1 {
-		x--
-	}
-	return x
 }

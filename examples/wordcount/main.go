@@ -1,117 +1,17 @@
-// Wordcount runs the paper's MapReduce case study end to end with real
-// data at laptop scale: mappers tokenize a synthetic Zipf corpus and
-// stream real (word, count) histograms to reducers sharded by hash;
-// reducers merge on the fly and a master aggregates the global histogram.
-// The result is verified against a serial count of the same corpus, then
-// the decoupled and reference implementations are compared at simulated
-// scale (a miniature Fig. 5).
+// Wordcount demonstrates the MapReduce case study: a miniature Fig. 5
+// comparing the reference and decoupled implementations at simulated
+// scale.
 package main
 
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"repro/internal/apps/mapreduce"
-	"repro/internal/mpi"
-	"repro/internal/stream"
-	"repro/internal/wordcount"
-	"repro/internal/workload"
-)
-
-const (
-	procs    = 12
-	reducers = 3
-	mappers  = procs - reducers
-	files    = 24
-	wordsPer = 4000
 )
 
 func main() {
-	corpus := workload.DefaultCorpus(files, 1<<20, 7)
-
-	// Serial reference answer.
-	serial := make(map[string]int64)
-	for f := 0; f < files; f++ {
-		for _, v := range corpus.Words(f, wordsPer) {
-			serial[workload.WordString(v)]++
-		}
-	}
-
-	// Distributed decoupled run with real payloads.
-	w := mpi.NewWorld(mpi.Config{Procs: procs, Seed: 1})
-	global := make(map[string]int64)
-	end, err := w.Run(func(r *mpi.Rank) {
-		world := r.World()
-		role := stream.Producer
-		if r.ID() >= mappers {
-			role = stream.Consumer
-		}
-		ch := stream.CreateChannel(r, world, role)
-		st := ch.Attach(r, stream.Options{ElementBytes: 2048})
-		if role == stream.Producer {
-			for f := r.ID(); f < files; f += mappers {
-				words := make([]string, 0, wordsPer)
-				for _, v := range corpus.Words(f, wordsPer) {
-					words = append(words, workload.WordString(v))
-				}
-				hist := wordcount.Map(words)
-				// Shard the chunk's histogram over the reducers.
-				shards := make([]map[string]int64, reducers)
-				for word, n := range hist {
-					s := wordcount.Shard(word, reducers)
-					if shards[s] == nil {
-						shards[s] = make(map[string]int64)
-					}
-					shards[s][word] = n
-				}
-				for s, shard := range shards {
-					if shard != nil {
-						st.IsendTo(r, stream.Element{Data: shard}, s)
-					}
-				}
-			}
-			st.Terminate(r)
-		} else {
-			local := make(map[string]int64)
-			st.Operate(r, func(rr *mpi.Rank, e stream.Element, src int) {
-				local = wordcount.Combine(local, e.Data.(map[string]int64))
-			})
-			// Second level: reducers feed the shared global histogram
-			// through a gather at reducer 0.
-			cons := ch.ConsumerComm()
-			parts := cons.Gatherv(r, 0, mpi.Part{Bytes: int64(16 * len(local)), Data: local})
-			if parts != nil {
-				for _, part := range parts {
-					wordcount.Combine(global, part.Data.(map[string]int64))
-				}
-			}
-		}
-		ch.Free(r)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Verify against the serial answer.
-	if len(global) != len(serial) {
-		log.Fatalf("distinct words: distributed %d vs serial %d", len(global), len(serial))
-	}
-	for word, n := range serial {
-		if global[word] != n {
-			log.Fatalf("count mismatch for %q: %d vs %d", word, global[word], n)
-		}
-	}
-	top := wordcount.Top(global, 5)
-	var bits []string
-	for _, p := range top {
-		bits = append(bits, fmt.Sprintf("%s:%d", p.Word, p.Count))
-	}
-	fmt.Printf("verified %d distinct words against the serial count (virtual time %v)\n", len(global), end)
-	fmt.Printf("top words: %s\n", strings.Join(bits, " "))
-
-	// Miniature Fig. 5: reference vs decoupled at simulated scale.
-	fmt.Println("\nminiature Fig. 5 (weak scaling, simulated):")
+	fmt.Println("miniature Fig. 5 (weak scaling, simulated):")
 	for _, p := range []int{32, 128} {
 		cfg := mapreduce.DefaultConfig(p)
 		ref, err := mapreduce.RunReference(cfg)

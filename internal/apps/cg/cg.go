@@ -14,11 +14,6 @@
 //     aggregates the six neighbour faces per compute rank and returns them
 //     in a single message, while the compute group works on the inner
 //     stencil (the paper's decoupled implementation, alpha = 6.25%).
-//
-// The package also contains a real distributed CG (real.go) that solves
-// the Poisson equation with actual floating-point payloads through the
-// same runtime, verifying that the communication substrate is correct, not
-// just costed.
 package cg
 
 import (
@@ -204,7 +199,7 @@ func runReference(c Config, nonblocking bool) (Result, error) {
 	face := c.faceBytes()
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
-		cart := mpi.NewCart(world, dims, true)
+		cart := mpi.NewCart(world, dims)
 		me := world.RankOf(r)
 		it := 0
 		// Every per-iteration continuation (halo-exchange steps, stencil
@@ -318,7 +313,7 @@ func runDecoupled(c Config) (Result, error) {
 				// producer index equals the world rank and the Cartesian
 				// topology lives on the producer communicator.
 				g0 := ch.ProducerComm()
-				cart := mpi.NewCart(g0, dims, true)
+				cart := mpi.NewCart(g0, dims)
 				me := g0.RankOf(r)
 				it := 0
 				// The per-iteration continuation chain (aggregated

@@ -1,7 +1,6 @@
 package cg
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -110,64 +109,5 @@ func TestTracerSeesPhases(t *testing.T) {
 	}
 	if !saw["stencil-inner"] || !saw["stencil-boundary"] {
 		t.Fatalf("missing stencil spans: %v", saw)
-	}
-}
-
-func TestSolveRealConverges(t *testing.T) {
-	res, err := SolveReal(RealConfig{Procs: 8, N: 16, MaxIter: 500, Tol: 1e-8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Residual > 1e-8 {
-		t.Fatalf("did not converge: residual %v after %d iters", res.Residual, res.Iterations)
-	}
-	if res.Iterations <= 0 || res.Iterations >= 500 {
-		t.Fatalf("suspicious iteration count %d", res.Iterations)
-	}
-}
-
-// The decisive substrate test: an 8-rank distributed solve through the
-// simulated MPI must produce the same solution as a single-rank solve.
-func TestDistributedMatchesSerial(t *testing.T) {
-	serial, err := SolveReal(RealConfig{Procs: 1, N: 12, MaxIter: 800, Tol: 1e-10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := SolveReal(RealConfig{Procs: 8, N: 12, MaxIter: 800, Tol: 1e-10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Solution) != len(parallel.Solution) {
-		t.Fatalf("solution sizes differ: %d vs %d", len(serial.Solution), len(parallel.Solution))
-	}
-	var maxDiff, norm float64
-	for i := range serial.Solution {
-		d := math.Abs(serial.Solution[i] - parallel.Solution[i])
-		if d > maxDiff {
-			maxDiff = d
-		}
-		if a := math.Abs(serial.Solution[i]); a > norm {
-			norm = a
-		}
-	}
-	if maxDiff > 1e-6*norm {
-		t.Fatalf("solutions diverge: max diff %v vs norm %v", maxDiff, norm)
-	}
-}
-
-func TestSolveRealNonCubicDecomposition(t *testing.T) {
-	// 6 ranks factor as 3x2x1: exercises unequal dims.
-	res, err := SolveReal(RealConfig{Procs: 6, N: 12, MaxIter: 500, Tol: 1e-8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Residual > 1e-8 {
-		t.Fatalf("3x2x1 decomposition did not converge: %v", res.Residual)
-	}
-}
-
-func TestSolveRealRejectsBadGrid(t *testing.T) {
-	if _, err := SolveReal(RealConfig{Procs: 8, N: 15, MaxIter: 10, Tol: 1e-3}); err == nil {
-		t.Fatal("indivisible grid accepted")
 	}
 }

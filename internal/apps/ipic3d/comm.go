@@ -60,7 +60,7 @@ func RunCommReference(c Config) (Result, error) {
 	totalRounds := 0
 	_, err := w.RunFibers(func(r *mpi.Rank, f *sim.Fiber) sim.StepFunc {
 		world := r.World()
-		cart := mpi.NewCart(world, dims[:], true)
+		cart := mpi.NewCart(world, dims[:])
 		me := world.RankOf(r)
 		coords := cart.Coords(me)
 		myCount := field.Count([3]int{coords[0], coords[1], coords[2]})
@@ -190,7 +190,7 @@ func RunCommDecoupled(c Config) (Result, error) {
 			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			if role == stream.Producer {
 				g0 := ch.ProducerComm()
-				cart := mpi.NewCart(g0, dims[:], true)
+				cart := mpi.NewCart(g0, dims[:])
 				me := g0.RankOf(r)
 				coords := cart.Coords(me)
 				myCount := field.Count([3]int{coords[0], coords[1], coords[2]})

@@ -243,7 +243,7 @@ func (s *ioRun) referenceBody() mpi.FiberMain {
 	c, v := s.c, s.v
 	return func(r *mpi.Rank, fib *sim.Fiber) sim.StepFunc {
 		world := r.World()
-		cart := mpi.NewCart(world, s.dims[:], true)
+		cart := mpi.NewCart(world, s.dims[:])
 		coords := cart.Coords(world.RankOf(r))
 		myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
 		return world.FOpen(r, "particles.dat", func(f *mpi.File) sim.StepFunc {
@@ -294,7 +294,7 @@ func (s *ioRun) decoupledBody() mpi.FiberMain {
 			finish := func(_ *sim.Fiber) sim.StepFunc { return ch.FFree(r, nil) }
 			if role == stream.Producer {
 				g0 := ch.ProducerComm()
-				cart := mpi.NewCart(g0, s.dims[:], true)
+				cart := mpi.NewCart(g0, s.dims[:])
 				coords := cart.Coords(g0.RankOf(r))
 				myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
 				out := c.saveBytes(myCount)

@@ -3,11 +3,10 @@
 // (Fig. 7, plus the Fig. 2 execution traces) and the particle-I/O
 // experiment (Fig. 8).
 //
-// The physics kernels the costs stand for (Boris mover, deposition,
-// Harris-sheet loading) are implemented for real in internal/pic; the
-// skewed per-process particle loads come from workload.ParticleField,
-// which mirrors the GEM magnetic-reconnection challenge setup the paper
-// evaluates.
+// The physics kernels (Boris mover, deposition, Harris-sheet loading) are
+// costed, not computed; the skewed per-process particle loads come from
+// workload.ParticleField, which mirrors the GEM magnetic-reconnection
+// challenge setup the paper evaluates.
 package ipic3d
 
 import (

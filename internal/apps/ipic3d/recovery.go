@@ -256,7 +256,7 @@ func (s *recRun) body() mpi.FiberMain {
 func (s *recRun) referenceAttempt(r *mpi.Rank) sim.StepFunc {
 	c, v := s.c, s.v
 	world := r.World()
-	cart := mpi.NewCart(world, s.dims[:], true)
+	cart := mpi.NewCart(world, s.dims[:])
 	coords := cart.Coords(world.RankOf(r))
 	myCount := s.field.Count([3]int{coords[0], coords[1], coords[2]})
 	mt := c.moverTime(myCount)

@@ -33,7 +33,7 @@ type claim struct {
 
 // manifestProcs is the scale TestTrajectoryManifest runs every experiment
 // at. A claim whose procs range starts above it is checked by
-// TestIPIC3DCrossoverClaims instead.
+// TestClaimsAboveManifest instead.
 const manifestProcs = 128
 
 // aboveManifest reports whether c reads only rows above manifestProcs.
@@ -200,6 +200,14 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 				Row{Series: "Reference (Non-blocking)", Procs: p, Seconds: 28.6, StdDev: 1.3},
 				Row{Series: "Decoupling", Procs: p, Seconds: 28.65, StdDev: 1.2})
 		}
+		// fig5 above the manifest at the CLI's -runs 2 seconds.
+		for _, r := range []struct {
+			procs    int
+			ref, dec float64
+		}{{256, 49.21, 15.70}, {512, 55.10, 16.56}, {1024, 61.10, 17.13}} {
+			fig5 = append(fig5, Row{Series: "Reference", Procs: r.procs, Seconds: r.ref},
+				Row{Series: "Decoupling (alpha=6.25%)", Procs: r.procs, Seconds: r.dec})
+		}
 		// fig7 and fig8 at the CLI's -runs 2 seconds: decoupling loses at
 		// 128 ranks, and fig8's against RefShared at 256 too.
 		var fig7, fig8 []Row
@@ -250,6 +258,8 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 		{"ablation-alpha", "Decoupling", 128, 6.25, 17, "argmin Decoupling"}, // 6.25 %, now slower than 12.5 %
 		{"fig5", "Decoupling (alpha=6.25%)", 64, 0, 45, "Decoupling (alpha=6.25%) / Reference @32-128"},
 		{"fig5", "Reference", 128, 0, 40, "Reference / Decoupling (alpha=6.25%) @128"},
+		{"fig5", "Decoupling (alpha=6.25%)", 512, 0, 55.10, "Decoupling (alpha=6.25%) / Reference @256-1024"},
+		{"fig5", "Reference", 1024, 0, 55.10, "Reference / Decoupling (alpha=6.25%) @1024"}, // a gain of 3.2 that stopped growing
 		{"fig6", "Reference (Non-blocking)", 32, 0, 28.8, "Reference (Non-blocking) - Reference (Blocking)"},
 		{"fig6", "Decoupling", 128, 0, 31, "Decoupling - Reference (Non-blocking)"},
 		// Decoupling that ties a reference inside the claim's range.
@@ -291,13 +301,14 @@ func TestClaimsNameTheBrokenRow(t *testing.T) {
 	}
 }
 
-// TestIPIC3DCrossoverClaims runs fig7 and fig8 to 1,024 ranks, past the
-// crossovers where the paper's decoupled iPIC3D starts to win and which
-// the manifest's 128 ranks do not reach, and checks every claim of
+// TestClaimsAboveManifest runs fig5, fig7 and fig8 to 1,024 ranks, past
+// the crossovers where the paper's decoupled iPIC3D starts to win and into
+// the range where fig5's gain grows towards the paper's 4x, none of which
+// the manifest's 128 ranks reach, and checks every claim of
 // testdata/claims.csv whose procs range starts above manifestProcs.
-func TestIPIC3DCrossoverClaims(t *testing.T) {
+func TestClaimsAboveManifest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig7 and fig8 to 1,024 ranks")
+		t.Skip("runs fig5, fig7 and fig8 to 1,024 ranks")
 	}
 	claims := slices.DeleteFunc(readClaims(t), func(c claim) bool { return !c.aboveManifest() })
 	rows := map[string][]Row{}
@@ -311,8 +322,10 @@ func TestIPIC3DCrossoverClaims(t *testing.T) {
 		}
 		rows[c.figure] = rs
 	}
-	if rows["fig7"] == nil || rows["fig8"] == nil {
-		t.Fatalf("claims.csv has no fig7 or no fig8 claim above %d ranks", manifestProcs)
+	for _, fig := range []string{"fig5", "fig7", "fig8"} {
+		if rows[fig] == nil {
+			t.Fatalf("claims.csv has no %s claim above %d ranks", fig, manifestProcs)
+		}
 	}
 	for _, f := range claimFailures(claims, rows) {
 		t.Error(f)

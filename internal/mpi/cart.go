@@ -2,13 +2,13 @@ package mpi
 
 import "fmt"
 
-// Cart is a Cartesian process topology over a communicator, like
-// MPI_Cart_create. Rank 0 owns coordinate (0,0,...,0); the last dimension
-// varies fastest (row-major), matching MPI.
+// Cart is a periodic Cartesian process topology over a communicator,
+// like MPI_Cart_create with every dimension periodic. Rank 0 owns
+// coordinate (0,0,...,0); the last dimension varies fastest (row-major),
+// matching MPI.
 type Cart struct {
-	Comm     *Comm
-	Dims     []int
-	Periodic bool
+	Comm *Comm
+	Dims []int
 
 	// One-rank cache of unit shifts: Shift sits in halo-exchange inner
 	// loops and is almost always asked about the caller's own rank with
@@ -20,7 +20,7 @@ type Cart struct {
 
 // NewCart builds a Cartesian topology with the given dimensions over c.
 // The product of dims must equal the communicator size.
-func NewCart(c *Comm, dims []int, periodic bool) *Cart {
+func NewCart(c *Comm, dims []int) *Cart {
 	prod := 1
 	for _, d := range dims {
 		if d <= 0 {
@@ -31,7 +31,7 @@ func NewCart(c *Comm, dims []int, periodic bool) *Cart {
 	if prod != c.Size() {
 		panic(fmt.Sprintf("mpi: cart dims %v (=%d) do not cover comm size %d", dims, prod, c.Size()))
 	}
-	return &Cart{Comm: c, Dims: append([]int(nil), dims...), Periodic: periodic, cachedRank: -1}
+	return &Cart{Comm: c, Dims: append([]int(nil), dims...), cachedRank: -1}
 }
 
 // BalancedDims factors size into ndims factors as close to each other as
@@ -92,9 +92,8 @@ func (ct *Cart) Coords(rank int) []int {
 	return coords
 }
 
-// RankAt returns the comm rank at the given coordinates, applying periodic
-// wraparound if the topology is periodic. For non-periodic topologies,
-// out-of-range coordinates return -1 (no neighbour).
+// RankAt returns the comm rank at the given coordinates, wrapping
+// out-of-range coordinates around periodically.
 func (ct *Cart) RankAt(coords []int) int {
 	if len(coords) != len(ct.Dims) {
 		panic("mpi: cart coordinate arity mismatch")
@@ -103,9 +102,6 @@ func (ct *Cart) RankAt(coords []int) int {
 	for i, c := range coords {
 		d := ct.Dims[i]
 		if c < 0 || c >= d {
-			if !ct.Periodic {
-				return -1
-			}
 			c = ((c % d) + d) % d
 		}
 		rank = rank*d + c
@@ -114,7 +110,7 @@ func (ct *Cart) RankAt(coords []int) int {
 }
 
 // Shift returns the (source, dest) comm ranks for a displacement along
-// dim, like MPI_Cart_shift. Either may be -1 on non-periodic boundaries.
+// dim, like MPI_Cart_shift.
 func (ct *Cart) Shift(rank, dim, disp int) (src, dst int) {
 	if disp == 1 || disp == -1 {
 		if rank != ct.cachedRank {

@@ -67,7 +67,7 @@ func TestBalancedDimsProperty(t *testing.T) {
 
 func TestCartCoordsRoundTrip(t *testing.T) {
 	c := cartWorld(t, 24)
-	ct := NewCart(c, []int{4, 3, 2}, false)
+	ct := NewCart(c, []int{4, 3, 2})
 	for rank := 0; rank < 24; rank++ {
 		coords := ct.Coords(rank)
 		if got := ct.RankAt(coords); got != rank {
@@ -78,7 +78,7 @@ func TestCartCoordsRoundTrip(t *testing.T) {
 
 func TestCartRowMajorLayout(t *testing.T) {
 	c := cartWorld(t, 12)
-	ct := NewCart(c, []int{2, 3, 2}, false)
+	ct := NewCart(c, []int{2, 3, 2})
 	// Last dimension varies fastest: rank 1 should be (0,0,1).
 	coords := ct.Coords(1)
 	if coords[0] != 0 || coords[1] != 0 || coords[2] != 1 {
@@ -90,22 +90,9 @@ func TestCartRowMajorLayout(t *testing.T) {
 	}
 }
 
-func TestCartShiftNonPeriodic(t *testing.T) {
-	c := cartWorld(t, 8)
-	ct := NewCart(c, []int{2, 2, 2}, false)
-	// Rank 0 = (0,0,0): negative neighbours are missing.
-	src, dst := ct.Shift(0, 0, 1)
-	if src != -1 {
-		t.Errorf("rank 0 dim 0 source = %d, want -1 (boundary)", src)
-	}
-	if dst != 4 { // (1,0,0)
-		t.Errorf("rank 0 dim 0 dest = %d, want 4", dst)
-	}
-}
-
 func TestCartShiftPeriodic(t *testing.T) {
 	c := cartWorld(t, 8)
-	ct := NewCart(c, []int{2, 2, 2}, true)
+	ct := NewCart(c, []int{2, 2, 2})
 	src, dst := ct.Shift(0, 0, 1)
 	if src != 4 || dst != 4 {
 		t.Errorf("periodic shift of rank 0 = (%d,%d), want (4,4)", src, dst)
@@ -119,5 +106,35 @@ func TestCartSizeMismatchPanics(t *testing.T) {
 			t.Error("dims mismatch did not panic")
 		}
 	}()
-	NewCart(c, []int{3, 3}, false)
+	NewCart(c, []int{3, 3})
+}
+
+// TestCartHaloExchangeCarriesPayloads runs the apps' neighbour exchange on
+// a periodic Cart: each rank sends its id both ways along every dimension
+// and must receive, in payload, the id of the rank one step back (wrapped
+// round the edge).
+func TestCartHaloExchangeCarriesPayloads(t *testing.T) {
+	dims := []int{3, 2, 2}
+	w := testWorld(t, 12)
+	mustRun(t, w, func(r *Rank) {
+		c := r.World()
+		ct := NewCart(c, dims)
+		me := c.RankOf(r)
+		var reqs []*Request
+		var want []int
+		for d := range dims {
+			for k, disp := range []int{1, -1} {
+				src, dst := ct.Shift(me, d, disp)
+				reqs = append(reqs, c.Irecv(r, src, 2*d+k), c.Isend(r, dst, 2*d+k, 8, me))
+				coords := ct.Coords(me)
+				coords[d] = (coords[d] - disp + dims[d]) % dims[d]
+				want = append(want, ct.RankAt(coords), -1)
+			}
+		}
+		for i, st := range c.WaitAll(r, reqs...) {
+			if want[i] >= 0 && st.Data.(int) != want[i] {
+				t.Errorf("rank %d request %d got %v, want %d", me, i, st.Data, want[i])
+			}
+		}
+	})
 }

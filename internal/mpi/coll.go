@@ -70,43 +70,6 @@ func (c *Comm) Reduce(r *Rank, root int, part Part, op ReduceOp, cost CostFn) (r
 	return res, isRoot
 }
 
-// Allreduce combines every member's part and returns the result on all
-// ranks. Power-of-two sizes use recursive doubling; other sizes reduce to
-// rank 0 and broadcast.
-func (c *Comm) Allreduce(r *Rank, part Part, op ReduceOp, cost CostFn) Part {
-	return Await(r, "Allreduce", func(then func(Part) sim.StepFunc) sim.StepFunc { return c.FAllreduce(r, part, op, cost, then) })
-}
-
-// Gatherv collects every member's part at root in comm-rank order. Only
-// root receives a non-nil slice.
-func (c *Comm) Gatherv(r *Rank, root int, part Part) []Part {
-	me := c.RankOf(r)
-	tag := c.nextCollTag(me)
-	p := len(c.members)
-	if me != root {
-		r.Block("Send", func(next sim.StepFunc) sim.StepFunc {
-			return c.fwaitOnStep(r, r.fib, c.isend(r, root, tag, part.Bytes, part.Data), next)
-		})
-		return nil
-	}
-	out := make([]Part, p)
-	out[me] = part
-	reqs := make([]*Request, 0, p-1)
-	srcs := make([]int, 0, p-1)
-	for src := 0; src < p; src++ {
-		if src == me {
-			continue
-		}
-		reqs = append(reqs, c.irecvFor(r, src, tag))
-		srcs = append(srcs, src)
-	}
-	for i, q := range reqs {
-		st := c.Wait(r, q)
-		out[srcs[i]] = Part{Bytes: st.Bytes, Data: st.Data}
-	}
-	return out
-}
-
 // Allgatherv collects every member's part on every rank, in comm-rank
 // order. Power-of-two sizes use recursive doubling (log P rounds with
 // doubling volumes); other sizes use a ring (P-1 rounds).

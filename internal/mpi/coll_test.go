@@ -9,6 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
+// Only this package's tests call the blocking Allreduce.
+
+// Allreduce combines every member's part and returns the result on all
+// ranks. Power-of-two sizes use recursive doubling; other sizes reduce to
+// rank 0 and broadcast.
+func (c *Comm) Allreduce(r *Rank, part Part, op ReduceOp, cost CostFn) Part {
+	return Await(r, "Allreduce", func(then func(Part) sim.StepFunc) sim.StepFunc { return c.FAllreduce(r, part, op, cost, then) })
+}
+
 // sumFloat64s adds two []float64 payloads elementwise. Shorter inputs are
 // treated as zero-padded.
 func sumFloat64s(a, b interface{}) interface{} {
@@ -147,30 +156,6 @@ func TestAllreduceVector(t *testing.T) {
 	for i, g := range got {
 		if math.Abs(g[0]-28) > 1e-9 || math.Abs(g[1]-8) > 1e-9 {
 			t.Fatalf("rank %d vector allreduce = %v", i, g)
-		}
-	}
-}
-
-func TestGathervCollectsInOrder(t *testing.T) {
-	for _, p := range commSizes {
-		w := testWorld(t, p)
-		var rootParts []Part
-		mustRun(t, w, func(r *Rank) {
-			part := Part{Bytes: int64(r.ID() + 1), Data: r.ID() * 10}
-			res := r.World().Gatherv(r, 0, part)
-			if r.ID() == 0 {
-				rootParts = res
-			} else if res != nil {
-				t.Errorf("non-root rank %d got non-nil gather result", r.ID())
-			}
-		})
-		if len(rootParts) != p {
-			t.Fatalf("p=%d gathered %d parts", p, len(rootParts))
-		}
-		for i, part := range rootParts {
-			if part.Data.(int) != i*10 || part.Bytes != int64(i+1) {
-				t.Fatalf("p=%d slot %d = %+v", p, i, part)
-			}
 		}
 	}
 }

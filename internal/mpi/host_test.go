@@ -167,9 +167,9 @@ func TestHostLifetime(t *testing.T) {
 }
 
 // TestBlockingOnlyOperationsPinned runs the operations that exist in
-// blocking form only — Gatherv, Ibarrier (its helper a plain fiber) and
-// WriteAt, written against the blocking calls — and holds end time, event
-// count and results to fixed values.
+// blocking form only — Ibarrier (its helper a plain fiber) and WriteAt,
+// written against the blocking calls — and holds end time, event count and
+// results to fixed values.
 func TestBlockingOnlyOperationsPinned(t *testing.T) {
 	const procs = 6
 	results := make([]string, procs)
@@ -178,31 +178,28 @@ func TestBlockingOnlyOperationsPinned(t *testing.T) {
 		c := r.World()
 		me := r.ID()
 		r.Compute(sim.Time(me+1) * sim.Microsecond)
-		gathered := c.Gatherv(r, 2, Part{Bytes: int64(16 * (me + 1)), Data: me})
 		ib := c.Ibarrier(r)
 		r.Compute(sim.Time(procs-me) * sim.Microsecond)
 		c.WaitColl(r, ib)
 		f := c.Open(r, "blocking-only.dat")
 		f.WriteAt(r, int64(me+1)<<16)
 		c.Barrier(r)
-		results[me] = fmt.Sprint(len(gathered), f.Ops(), " at ", int64(r.Now()))
+		results[me] = fmt.Sprint(f.Ops(), " at ", int64(r.Now()))
 	})
-	// End and results recorded with this body at the last commit that
-	// still had the blocking-only operations nothing called (DESIGN.md,
-	// "Sweeps as data"); the event count since waits suspend once and a
-	// barrier round's send is its receive's floor (262 before; DESIGN.md,
-	// "Known outcomes").
+	// Recorded with this body on the last commit that still had the
+	// blocking gather, whose call this body dropped (end 918134 and 171
+	// events with it).
 	const (
-		wantEnd    = sim.Time(918134)
-		wantEvents = uint64(171)
+		wantEnd    = sim.Time(917466)
+		wantEvents = uint64(156)
 	)
 	wantResults := []string{
-		"0 6 at 918134",
-		"0 6 at 915034",
-		"6 6 at 916584",
-		"0 6 at 915034",
-		"0 6 at 916584",
-		"0 6 at 916584",
+		"6 at 917466",
+		"6 at 914366",
+		"6 at 915916",
+		"6 at 914366",
+		"6 at 915916",
+		"6 at 915916",
 	}
 	if end != wantEnd || w.eng.Events() != wantEvents || !reflect.DeepEqual(results, wantResults) {
 		t.Errorf("end %d, %d events, results %q;\nwant %d, %d, %q", end, w.eng.Events(), results, wantEnd, wantEvents, wantResults)

@@ -432,27 +432,6 @@ func (c *Comm) Recv(r *Rank, src, tag int) Status {
 	return Await(r, "Recv", func(then func(Status) sim.StepFunc) sim.StepFunc { return c.FRecv(r, src, tag, then) })
 }
 
-// Wait blocks until req completes and returns its status. Completed
-// receives additionally charge the configured receive overhead to the
-// calling process.
-func (c *Comm) Wait(r *Rank, req *Request) Status {
-	return Await(r, "Wait", func(then func(Status) sim.StepFunc) sim.StepFunc { return c.FWait(r, req, then) })
-}
-
-// WaitAll waits for every request in order. Requests that are already
-// complete when reached are settled without suspending, and their
-// receive overheads accumulate as CPU debt (the way AddDebt coalesces
-// send overhead) — one clock advance at the end instead of one per
-// request. The virtual-time outcome is identical to waiting on each
-// request in sequence.
-//
-// The returned slice is scratch storage owned by the rank and is reused
-// by that rank's next WaitAll call; callers that need the statuses longer
-// must copy them out.
-func (c *Comm) WaitAll(r *Rank, reqs ...*Request) []Status {
-	return Await(r, "WaitAll", func(then func([]Status) sim.StepFunc) sim.StepFunc { return c.FWaitAll(r, reqs, then) })
-}
-
 // WaitAny blocks until at least one request has completed and returns the
 // lowest completed index with its status. The paper's imbalance-absorption
 // mechanism ("process the first available data") is built on this.

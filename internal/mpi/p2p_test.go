@@ -23,6 +23,29 @@ func mustRun(t *testing.T, w *World, main func(r *Rank)) sim.Time {
 	return end
 }
 
+// Only this package's tests call the blocking Wait and WaitAll.
+
+// Wait blocks until req completes and returns its status. Completed
+// receives additionally charge the configured receive overhead to the
+// calling process.
+func (c *Comm) Wait(r *Rank, req *Request) Status {
+	return Await(r, "Wait", func(then func(Status) sim.StepFunc) sim.StepFunc { return c.FWait(r, req, then) })
+}
+
+// WaitAll waits for every request in order. Requests that are already
+// complete when reached are settled without suspending, and their
+// receive overheads accumulate as CPU debt (the way AddDebt coalesces
+// send overhead) — one clock advance at the end instead of one per
+// request. The virtual-time outcome is identical to waiting on each
+// request in sequence.
+//
+// The returned slice is scratch storage owned by the rank and is reused
+// by that rank's next WaitAll call; callers that need the statuses longer
+// must copy them out.
+func (c *Comm) WaitAll(r *Rank, reqs ...*Request) []Status {
+	return Await(r, "WaitAll", func(then func([]Status) sim.StepFunc) sim.StepFunc { return c.FWaitAll(r, reqs, then) })
+}
+
 func TestSendRecvDeliversPayload(t *testing.T) {
 	w := testWorld(t, 2)
 	var got string

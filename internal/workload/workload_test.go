@@ -25,11 +25,6 @@ func TestCorpusValidate(t *testing.T) {
 		t.Fatalf("default corpus invalid: %v", err)
 	}
 	bad := c
-	bad.ZipfS = 1.0
-	if bad.Validate() == nil {
-		t.Error("zipf s=1 accepted")
-	}
-	bad = c
 	bad.MaxFileBytes = bad.MinFileBytes - 1
 	if bad.Validate() == nil {
 		t.Error("inverted size range accepted")
@@ -57,51 +52,6 @@ func TestFileSizesVary(t *testing.T) {
 	}
 	if len(sizes) < 90 {
 		t.Fatalf("only %d distinct sizes among 100 files", len(sizes))
-	}
-}
-
-func TestZipfWordsSkewed(t *testing.T) {
-	c := DefaultCorpus(10, 1<<20, 3)
-	words := c.Words(0, 50_000)
-	counts := map[int]int{}
-	for _, w := range words {
-		counts[w]++
-	}
-	// Zipf: the most common word should appear far more often than the
-	// median word, and low indices should dominate.
-	if counts[0] < 100 {
-		t.Fatalf("rank-0 word appeared only %d times in 50k draws", counts[0])
-	}
-	topShare := float64(counts[0]+counts[1]+counts[2]) / 50_000
-	if topShare < 0.05 {
-		t.Fatalf("top-3 words cover only %.3f of the text", topShare)
-	}
-}
-
-func TestWordsDeterministic(t *testing.T) {
-	c := DefaultCorpus(10, 1<<20, 5)
-	a, b := c.Words(3, 100), c.Words(3, 100)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Words nondeterministic")
-		}
-	}
-	other := c.Words(4, 100)
-	same := true
-	for i := range a {
-		if a[i] != other[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different files produced identical text")
-	}
-}
-
-func TestWordString(t *testing.T) {
-	if WordString(42) != "w000042" {
-		t.Fatalf("WordString(42) = %q", WordString(42))
 	}
 }
 
